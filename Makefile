@@ -3,7 +3,7 @@ GO ?= go
 # Hot-path benchmark selection shared by `bench` and the A/B harness.
 BENCH_RE := BenchmarkHotPath|BenchmarkTaintMap$$|BenchmarkWireCodec|BenchmarkTaintCombine
 
-.PHONY: build test race race-taintmap vet lint check ci chaos bench bench-hotpath bench-taintmap bench-resilience bench-distavet bench-cleanpath bench-cluster bench-grayfail bench-load soak-load fuzz fuzz-smoke
+.PHONY: build test race race-taintmap vet lint check ci chaos bench bench-ab bench-hotpath bench-taintmap bench-resilience bench-distavet bench-cleanpath bench-cluster bench-grayfail bench-load soak-load fuzz fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,20 @@ ci: build vet lint test race fuzz-smoke chaos soak-load bench-cleanpath bench-cl
 
 # Regenerate every benchmark artifact (BENCH_1..10) in one pass.
 bench: bench-hotpath bench-taintmap bench-resilience bench-distavet bench-cleanpath bench-cluster bench-grayfail bench-load
+
+# A/B the working tree against a base commit on one workload of the
+# repository's benchmark (BENCHMARK.json): cmd/benchab builds ./benchmark
+# at BASE in a temporary git worktree and here, runs PAIRS alternating
+# pairs with identical -seed/-seconds, and prints per end-to-end metric
+# each side's median and quartiles, the pairs the change won and the
+# verdict (a gain needs >= 9/10 wins and medians further apart than the
+# base's interquartile distance). Ten 20 s pairs take ~8 minutes per
+# workload, so this is a tool for a perf claim, not part of `check`.
+#   make bench-ab BASE=HEAD~1 WORKLOAD=dense_bulk [PAIRS=10] [SEED=1]
+PAIRS ?= 10
+SEED ?= 1
+bench-ab:
+	$(GO) run ./cmd/benchab -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS) -seed $(SEED)
 
 # Run the hot-path microbenchmarks and refresh BENCH_1.json. Medians of
 # -count=3 repetitions; seed baselines are embedded in cmd/benchjson.

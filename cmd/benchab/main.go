@@ -1,0 +1,217 @@
+// Command benchab measures a change against a base commit the way the
+// choosing-metrics guide asks a gain to be shown: the repository's
+// benchmark (BENCHMARK.json's command) is built once at the base — in a
+// temporary git worktree — and once in the working tree, the two
+// binaries run one workload in alternating pairs with identical seed
+// and run length, and every end-to-end metric gets each side's median
+// and quartiles, the pairs the change won, and a verdict.
+//
+//	go run ./cmd/benchab -base HEAD~1 -workload dense_bulk [-pairs 10] [-seed 1] [-seconds 20]
+//
+// Verdicts, per metric: "better" needs the change to win at least nine
+// tenths of the pairs (ties count for neither side) and the medians to
+// lie further apart than the base's own interquartile distance; "worse"
+// is a median beyond the bound BENCHMARK.json allows; anything else is
+// "same".
+package main
+
+import (
+	"context"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"os/exec"
+	"os/signal"
+	"path/filepath"
+	"sort"
+	"strings"
+	"syscall"
+)
+
+// manifest is the part of BENCHMARK.json the comparison needs.
+type manifest struct {
+	Command    []string `json:"command"`
+	RunSeconds float64  `json:"run_seconds"`
+	EndToEnd   []struct {
+		Name   string  `json:"name"`
+		Unit   string  `json:"unit"`
+		Better string  `json:"better"`
+		Bound  float64 `json:"bound"`
+	} `json:"end_to_end"`
+}
+
+// report is the last stdout line of one benchmark run.
+type report struct {
+	Attempted int64 `json:"attempted"`
+	Failed    int64 `json:"failed"`
+	Metrics   map[string]struct {
+		Value float64 `json:"value"`
+	} `json:"metrics"`
+}
+
+func main() {
+	base := flag.String("base", "", "git ref to compare the working tree against")
+	workload := flag.String("workload", "", "benchmark workload to run")
+	pairs := flag.Int("pairs", 10, "alternating base/change pairs")
+	seed := flag.Int("seed", 1, "workload seed, the same on both sides")
+	seconds := flag.Float64("seconds", 0, "measured seconds per run (default: BENCHMARK.json run_seconds)")
+	flag.Parse()
+	if *base == "" || *workload == "" || *pairs < 1 {
+		fmt.Fprintln(os.Stderr, "usage: benchab -base <ref> -workload <name> [-pairs 10] [-seed 1] [-seconds 20]")
+		os.Exit(2)
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := compare(ctx, *base, *workload, *pairs, *seed, *seconds); err != nil {
+		fmt.Fprintln(os.Stderr, "benchab:", err)
+		os.Exit(1)
+	}
+}
+
+func compare(ctx context.Context, base, workload string, pairs, seed int, seconds float64) (err error) {
+	var mf manifest
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		return fmt.Errorf("run from the repository root: %w", err)
+	}
+	if err := json.Unmarshal(raw, &mf); err != nil {
+		return fmt.Errorf("BENCHMARK.json: %w", err)
+	}
+	if len(mf.Command) != 3 || mf.Command[0] != "go" || mf.Command[1] != "run" {
+		return fmt.Errorf("BENCHMARK.json command %q is not `go run <package>`", mf.Command)
+	}
+	pkg := mf.Command[2]
+	if seconds == 0 {
+		seconds = mf.RunSeconds
+	}
+
+	tmp, err := os.MkdirTemp("", "benchab-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(tmp)
+	tree := filepath.Join(tmp, "base")
+	if err := run(ctx, ".", "git", "worktree", "add", "--detach", tree, base); err != nil {
+		return err
+	}
+	defer func() {
+		// Not under ctx: the worktree must go even after an interrupt
+		// or a SIGTERM.
+		if rmErr := run(context.Background(), ".", "git", "worktree", "remove", "--force", tree); err == nil {
+			err = rmErr
+		}
+	}()
+
+	sides := [2]struct{ name, dir, bin string }{
+		{"base", tree, filepath.Join(tmp, "bench-base")},
+		{"change", ".", filepath.Join(tmp, "bench-change")},
+	}
+	for _, s := range sides {
+		if err := run(ctx, s.dir, "go", "build", "-o", s.bin, pkg); err != nil {
+			return fmt.Errorf("building %s at the %s: %w", pkg, s.name, err)
+		}
+	}
+
+	var got [2][]report
+	for p := 0; p < pairs; p++ {
+		for k := 0; k < 2; k++ {
+			i := (p + k) % 2 // alternate which side runs first
+			s := sides[i]
+			out, err := output(ctx, s.dir, s.bin,
+				"-workload", workload, "-seed", fmt.Sprint(seed), "-seconds", fmt.Sprint(seconds),
+				"-out", filepath.Join(tmp, "out-"+s.name))
+			if err != nil {
+				return fmt.Errorf("pair %d, %s: %w", p+1, s.name, err)
+			}
+			lines := strings.Split(strings.TrimSpace(out), "\n")
+			var r report
+			if err := json.Unmarshal([]byte(lines[len(lines)-1]), &r); err != nil {
+				return fmt.Errorf("pair %d, %s: last line is not the result: %w", p+1, s.name, err)
+			}
+			got[i] = append(got[i], r)
+		}
+		fmt.Fprintf(os.Stderr, "pair %d/%d done\n", p+1, pairs)
+	}
+
+	fmt.Printf("%s, seed %d, %g s a run, %d pairs, base %s\n", workload, seed, seconds, pairs, base)
+	fmt.Printf("%-30s %-6s %28s %28s %7s  %s\n", "metric", "unit", "base median [q1, q3]", "change median [q1, q3]", "wins", "verdict")
+	for _, m := range mf.EndToEnd {
+		var v [2][]float64
+		for i := range got {
+			for _, r := range got[i] {
+				v[i] = append(v[i], r.Metrics[m.Name].Value)
+			}
+		}
+		sign := 1.0 // after this, lower is better
+		if m.Better == "higher" {
+			sign = -1
+		}
+		wins := 0
+		for p := range v[0] {
+			if sign*v[1][p] < sign*v[0][p] {
+				wins++
+			}
+		}
+		bq1, bmed, bq3 := quartiles(v[0])
+		cq1, cmed, cq3 := quartiles(v[1])
+		verdict := "same"
+		switch gain := sign * (bmed - cmed); {
+		case 10*wins >= 9*pairs && gain > bq3-bq1:
+			verdict = "better"
+		case -gain > m.Bound*math.Abs(bmed):
+			verdict = "worse"
+		}
+		fmt.Printf("%-30s %-6s %28s %28s %4d/%-2d  %s\n", m.Name, m.Unit,
+			fmt.Sprintf("%.4g [%.4g, %.4g]", bmed, bq1, bq3),
+			fmt.Sprintf("%.4g [%.4g, %.4g]", cmed, cq1, cq3), wins, pairs, verdict)
+	}
+	for i, s := range sides {
+		var failed, attempted int64
+		for _, r := range got[i] {
+			failed, attempted = failed+r.Failed, attempted+r.Attempted
+		}
+		fmt.Printf("%s: %d of %d operations failed\n", s.name, failed, attempted)
+	}
+	return nil
+}
+
+// quartiles returns the first quartile, median and third quartile of
+// xs by linear interpolation between order statistics.
+func quartiles(xs []float64) (q1, med, q3 float64) {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	at := func(q float64) float64 {
+		pos := q * float64(len(s)-1)
+		lo := int(pos)
+		if lo+1 >= len(s) {
+			return s[len(s)-1]
+		}
+		return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
+	}
+	return at(0.25), at(0.5), at(0.75)
+}
+
+// run executes a command in dir, passing its output through to stderr.
+func run(ctx context.Context, dir, name string, args ...string) error {
+	cmd := exec.CommandContext(ctx, name, args...)
+	cmd.Dir = dir
+	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
+	if err := cmd.Run(); err != nil {
+		return fmt.Errorf("%s %s: %w", name, strings.Join(args, " "), err)
+	}
+	return nil
+}
+
+// output executes a command in dir and returns its standard output.
+func output(ctx context.Context, dir, name string, args ...string) (string, error) {
+	cmd := exec.CommandContext(ctx, name, args...)
+	cmd.Dir = dir
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return "", fmt.Errorf("%s: %w", filepath.Base(name), err)
+	}
+	return string(out), nil
+}

@@ -28,6 +28,13 @@ type AblationResult struct {
 	Uncached time.Duration
 }
 
+// The caching ablation's shape: how many distinct taints cycle through
+// the payload, and how many bytes the receiver takes per read.
+const (
+	ablationTaints = 256
+	ablationRead   = 256
+)
+
 // streamExchange pushes size tainted bytes across one connection using
 // the given Taint Map clients, returning the elapsed time.
 func streamExchange(size int, mkClient func(*taintmap.Store, *taint.Tree) taintmap.Client) (time.Duration, error) {
@@ -43,18 +50,20 @@ func streamExchange(size int, mkClient func(*taintmap.Store, *taint.Tree) taintm
 	sender := instrument.NewEndpoint(aAgent, ca)
 	receiver := instrument.NewEndpoint(bAgent, cb)
 
-	// Alternate two taints per byte so the endpoint's adjacent-byte
-	// run memo cannot absorb the cost: every byte forces a client call,
-	// isolating the cached-vs-uncached difference.
+	// Cycle many taints byte by byte and receive in small pieces. The
+	// endpoint itself asks the client once per distinct taint of a write
+	// and once per distinct id of a read, so what isolates the
+	// cached-vs-uncached difference is many distinct taints in every
+	// one of many deliveries: the uncached client pays a store call and
+	// an unmarshal for each of them again, the cached one only at first
+	// sight.
 	payload := taint.MakeBytes(size)
-	t1 := aAgent.Source("s", "abl1")
-	t2 := aAgent.Source("s", "abl2")
+	taints := make([]taint.Taint, ablationTaints)
+	for i := range taints {
+		taints[i] = aAgent.Source("s", fmt.Sprintf("abl%d", i))
+	}
 	for i := 0; i < payload.Len(); i++ {
-		if i%2 == 0 {
-			payload.SetLabel(i, t1)
-		} else {
-			payload.SetLabel(i, t2)
-		}
+		payload.SetLabel(i, taints[i%len(taints)])
 	}
 
 	var (
@@ -64,7 +73,7 @@ func streamExchange(size int, mkClient func(*taintmap.Store, *taint.Tree) taintm
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		buf := taint.MakeBytes(4096)
+		buf := taint.MakeBytes(ablationRead)
 		got := 0
 		for got < size {
 			n, err := receiver.Read(&buf)

@@ -17,7 +17,8 @@ func TestCachingAblationShape(t *testing.T) {
 		t.Fatalf("result = %+v", res)
 	}
 	// The cached client resolves each taint once; the uncached one
-	// marshals and contacts the store per byte — it must be slower.
+	// contacts the store and unmarshals for every distinct id of every
+	// read — it must be slower.
 	if res.Uncached <= res.Cached {
 		t.Fatalf("uncached (%v) must be slower than cached (%v)", res.Uncached, res.Cached)
 	}

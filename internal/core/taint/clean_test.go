@@ -164,3 +164,36 @@ func TestCleanAfterAppendAndCopy(t *testing.T) {
 		t.Fatal("overwriting with clean bytes restores cleanliness")
 	}
 }
+
+// TestLabelWriterEpochAndBounds: a label delivery through WriteLabels
+// invalidates the Clean and Stats memos like any other label write, and
+// a Put past the window panics instead of relabelling a neighbour.
+func TestLabelWriterEpochAndBounds(t *testing.T) {
+	tr := NewTree()
+	tag := tr.NewSource("a", "l")
+	b := MakeBytes(64)
+	if !b.Clean() {
+		t.Fatal("fresh buffer not clean")
+	}
+	view := b.Slice(8, 24)
+	w := view.WriteLabels(4, 12, 2)
+	w.Put(3, tag)
+	w.Put(5, Taint{})
+	if b.Clean() {
+		t.Fatal("Clean memo survived a label delivery")
+	}
+	if st, exact := b.Stats(8); !exact || st.DirtyBytes != 3 || st.DirtyRuns != 1 || st.One != tag {
+		t.Fatalf("Stats after delivery = %+v, %v", st, exact)
+	}
+	for i := 0; i < 64; i++ {
+		if got, want := !b.LabelAt(i).Empty(), i >= 12 && i < 15; got != want {
+			t.Fatalf("byte %d tainted = %v, want %v", i, got, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Put past the window did not panic")
+		}
+	}()
+	w.Put(1, tag)
+}

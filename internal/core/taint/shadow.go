@@ -211,17 +211,23 @@ func (s *shadow) splice(i, j int, segs []labelRun) {
 	s.runs = grown
 }
 
+// fragmented reports whether a run-mode store holding the given number
+// of runs is past the point where interval bookkeeping pays off.
+func (s *shadow) fragmented(runs int) bool {
+	return runs > denseMinRuns && runs > s.cov()>>denseCutoffShift
+}
+
 // maybeDensify converts to the dense representation when the run list
 // is too fragmented for interval bookkeeping to pay off.
 func (s *shadow) maybeDensify() {
-	if s.dense != nil || len(s.runs) <= denseMinRuns {
-		return
+	if s.dense == nil && s.fragmented(len(s.runs)) {
+		s.densify()
 	}
-	c := s.cov()
-	if len(s.runs) <= c>>denseCutoffShift {
-		return
-	}
-	dense := make([]Taint, c)
+}
+
+// densify converts a run-mode store to the dense representation.
+func (s *shadow) densify() {
+	dense := make([]Taint, s.cov())
 	start := 0
 	for _, r := range s.runs {
 		if r.t != (Taint{}) {
@@ -250,12 +256,21 @@ func (s *shadow) setRange(from, to int, t Taint) {
 		}
 		return
 	}
+	if s.overwrite(from, to, t) {
+		s.mut++
+		s.maybeDensify()
+	}
+}
+
+// overwrite splices the run-mode store so that the covered, non-empty
+// range [from, to) carries the normalized label t, reporting whether
+// anything changed. Epoch and densification are the caller's.
+func (s *shadow) overwrite(from, to int, t Taint) bool {
 	i := s.locate(from)
 	j := s.locate(to - 1)
 	if i == j && s.runs[i].t == t { // already uniform with t
-		return
+		return false
 	}
-	s.mut++
 	var seg [3]labelRun
 	k := 0
 	if start := s.runStart(i); start < from {
@@ -284,7 +299,7 @@ func (s *shadow) setRange(from, to int, t Taint) {
 		j++
 	}
 	s.splice(i, j+1, seg[:k])
-	s.maybeDensify()
+	return true
 }
 
 // combineRange unions t into the labels of [from, to).

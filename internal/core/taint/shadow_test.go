@@ -27,8 +27,8 @@ func checkAgainstModel(t *testing.T, b Bytes, m denseModel, ctx string) {
 	}
 }
 
-// TestShadowMatchesDenseModel drives random SetRange/TaintRange/SetLabel
-// sequences through both representations and checks every byte, run
+// TestShadowMatchesDenseModel drives random SetRange/TaintRange/SetLabel/
+// WriteLabels sequences through both representations and checks every byte, run
 // iteration, union and uniformity after each step — including after the
 // store densifies under fragmentation.
 func TestShadowMatchesDenseModel(t *testing.T) {
@@ -49,7 +49,26 @@ func TestShadowMatchesDenseModel(t *testing.T) {
 			if rng.Intn(4) > 0 {
 				tag = tags[rng.Intn(len(tags))]
 			}
-			switch rng.Intn(3) {
+			switch rng.Intn(4) {
+			case 3:
+				// A delivery of short runs over [from,to), sometimes cut
+				// short: what no Put reached keeps its labels.
+				w := b.WriteLabels(from, to, rng.Intn(to-from+1))
+				for pos := from; pos < to && rng.Intn(16) > 0; {
+					n := 1 + rng.Intn(4)
+					if n > to-pos {
+						n = to - pos
+					}
+					run := tags[rng.Intn(len(tags))]
+					if rng.Intn(3) == 0 {
+						run = Taint{}
+					}
+					w.Put(n, run)
+					for i := pos; i < pos+n; i++ {
+						model[i] = run
+					}
+					pos += n
+				}
 			case 0:
 				b.SetRange(from, to, tag)
 				for i := from; i < to; i++ {

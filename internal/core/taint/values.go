@@ -137,6 +137,59 @@ func (b *Bytes) SetRange(from, to int, t Taint) {
 	b.sh.setRange(b.off+from, b.off+to, t)
 }
 
+// LabelWriter overwrites the labels of a window of a Bytes front to
+// back, one run per Put: SetRange for a caller that has many
+// consecutive runs to deliver at once, as a receiver adopting a decoded
+// frame does. What SetRange pays per call the writer pays once, in
+// WriteLabels — the window's bounds check, growing the store, the
+// mutation epoch — and the choice of representation is made there too,
+// from the run count the caller announces, so a fragmented delivery is
+// plain stores into the dense array and never a splice per run.
+type LabelWriter struct {
+	sh       *shadow
+	pos, end int // the unwritten rest of the window, in store coordinates
+}
+
+// WriteLabels starts overwriting the labels of bytes [from, to) and
+// returns the writer. runs is how many Puts the caller expects to make;
+// it only steers the representation. Bytes of the window no Put reaches
+// keep their labels.
+func (b *Bytes) WriteLabels(from, to, runs int) LabelWriter {
+	if from < 0 || to < from || to > len(b.Data) {
+		panic(fmt.Sprintf("taint: WriteLabels[%d,%d) out of [0,%d)", from, to, len(b.Data)))
+	}
+	b.ensureShadow()
+	sh := b.sh
+	sh.grow(b.off + to)
+	sh.mut++
+	if sh.dense == nil && sh.fragmented(len(sh.runs)+runs) {
+		sh.densify()
+	}
+	return LabelWriter{sh: sh, pos: b.off + from, end: b.off + to}
+}
+
+// Put gives the next n bytes of the window the label t.
+func (w *LabelWriter) Put(n int, t Taint) {
+	if n < 0 || n > w.end-w.pos {
+		panic(fmt.Sprintf("taint: LabelWriter.Put(%d) with %d bytes of window left", n, w.end-w.pos))
+	}
+	if n == 0 {
+		return
+	}
+	t = norm(t)
+	from := w.pos
+	w.pos += n
+	if dense := w.sh.dense; dense != nil {
+		seg := dense[from:w.pos]
+		for i := range seg {
+			seg[i] = t
+		}
+		return
+	}
+	w.sh.overwrite(from, w.pos, t)
+	w.sh.maybeDensify()
+}
+
 // TaintRange combines taint t into the labels of bytes [from, to).
 func (b *Bytes) TaintRange(from, to int, t Taint) {
 	if from < 0 || to < from || to > len(b.Data) {

@@ -102,8 +102,9 @@ const (
 // FrameDecoder reassembles a framed stream (and, transparently, a
 // legacy raw-group stream) from arbitrarily fragmented reads. It is a
 // StreamDecoder front-end: Feed it raw reads, pop decoded bytes with
-// NextRuns/NextRunsInto/Next; passthrough bodies surface as untainted
-// runs (Global ID 0) without ever materializing groups.
+// NextRuns/NextRunsInto/Next (or PeekRuns then PopInto); passthrough
+// bodies surface as untainted runs (Global ID 0) without ever
+// materializing groups.
 type FrameDecoder struct {
 	sd    StreamDecoder
 	state int
@@ -296,7 +297,16 @@ func (d *FrameDecoder) PendingPartial() bool {
 	}
 }
 
-// NextRuns pops up to max decoded bytes with their taint runs.
+// PeekRuns reports the size and run cover of a pop of up to max bytes
+// without consuming it (see StreamDecoder.PeekRuns).
+func (d *FrameDecoder) PeekRuns(max int) (int, []Run) { return d.sd.PeekRuns(max) }
+
+// PopInto pops decoded bytes into dst for a caller that took their runs
+// from PeekRuns.
+func (d *FrameDecoder) PopInto(dst []byte) int { return d.sd.PopInto(dst) }
+
+// NextRuns pops up to max decoded bytes with their taint runs, which
+// stay valid until the next Feed.
 func (d *FrameDecoder) NextRuns(max int) ([]byte, []Run) { return d.sd.NextRuns(max) }
 
 // NextRunsInto pops decoded bytes directly into dst — no allocation for

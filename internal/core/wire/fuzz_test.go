@@ -13,14 +13,22 @@ import (
 // FuzzStreamRoundTrip` explores further.
 //
 // The fuzz input doubles as the payload and the control stream: seed
-// selects an id pattern, frag drives the read fragmentation, and pops
-// drives how many bytes each Next call requests.
+// selects an id pattern (a negative one the worst case of the format, a
+// different id on every byte), frag drives the read fragmentation, and
+// pops drives how many bytes each pop requests.
+//
+// It also holds the decoder to what it promises about popped runs: they
+// read the same until the next Feed, and for good once a Feed has
+// failed.
 func FuzzStreamRoundTrip(f *testing.F) {
 	f.Add([]byte("hello distributed taints"), int64(1), uint8(3), uint8(7))
 	f.Add([]byte{}, int64(2), uint8(0), uint8(0))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, int64(3), uint8(1), uint8(255))
 	f.Add(bytes.Repeat([]byte{0xAB}, 257), int64(4), uint8(4), uint8(9))
 	f.Add([]byte("DT\x00\x00\x00\x05abcde"), int64(5), uint8(128), uint8(64))
+	f.Add(bytes.Repeat([]byte{1, 2}, 96), int64(-1), uint8(40), uint8(200)) // alternating ids, popped whole
+	f.Add(bytes.Repeat([]byte{1, 2}, 96), int64(-2), uint8(3), uint8(4))    // alternating ids, small pops
+	f.Add(bytes.Repeat([]byte{7}, 100), int64(6), uint8(255), uint8(2))     // long runs: every pop splits one
 	f.Fuzz(func(t *testing.T, data []byte, seed int64, frag, pops uint8) {
 		rng := rand.New(rand.NewSource(seed))
 
@@ -33,6 +41,9 @@ func FuzzStreamRoundTrip(f *testing.F) {
 				cur = uint32(rng.Intn(5)) // small id space → runs merge
 			}
 			ids[i] = cur
+			if seed < 0 {
+				ids[i] = uint32(1 + i&1)
+			}
 		}
 
 		raw := EncodeGroups(nil, data, ids)
@@ -57,27 +68,58 @@ func FuzzStreamRoundTrip(f *testing.F) {
 			t.Fatalf("decoder buffered %d of %d bytes", dec.Buffered(), len(data))
 		}
 
-		// Drain with randomly sized pops, alternating Next and NextRuns.
+		// Drain with randomly sized pops, alternating Next, NextRuns and
+		// PeekRuns+PopInto, keeping every popped run slice and a copy.
 		var gotData []byte
 		var gotIDs []uint32
+		var popped, copies [][]Run
+		checkRuns := func(rs []Run, n int) {
+			if RunsLen(rs) != n {
+				t.Fatalf("runs cover %d of %d bytes", RunsLen(rs), n)
+			}
+			for i := 1; i < len(rs); i++ {
+				if rs[i].ID == rs[i-1].ID {
+					t.Fatalf("adjacent runs with equal id %d", rs[i].ID)
+				}
+			}
+			popped = append(popped, rs)
+			copies = append(copies, append([]Run(nil), rs...))
+			gotIDs = append(gotIDs, ExpandRuns(rs)...)
+		}
 		for dec.Buffered() > 0 {
 			max := rng.Intn(int(pops)+2) + 1
-			if rng.Intn(2) == 0 {
+			switch rng.Intn(3) {
+			case 0:
 				d, is := dec.Next(max)
 				gotData = append(gotData, d...)
 				gotIDs = append(gotIDs, is...)
-			} else {
+			case 1:
 				d, rs := dec.NextRuns(max)
-				if RunsLen(rs) != len(d) {
-					t.Fatalf("NextRuns: runs cover %d of %d bytes", RunsLen(rs), len(d))
-				}
-				for i := 1; i < len(rs); i++ {
-					if rs[i].ID == rs[i-1].ID {
-						t.Fatalf("NextRuns returned adjacent runs with equal id %d", rs[i].ID)
-					}
-				}
+				checkRuns(rs, len(d))
 				gotData = append(gotData, d...)
-				gotIDs = append(gotIDs, ExpandRuns(rs)...)
+			default:
+				// The peeked cover may overshoot the pop; clipped at n
+				// it is what NextRuns would have returned.
+				n, rs := dec.PeekRuns(max)
+				rs = append([]Run(nil), rs...)
+				if over := RunsLen(rs) - n; over < 0 || (n > 0 && over >= rs[len(rs)-1].N) {
+					t.Fatalf("PeekRuns(%d): %d bytes under a cover of %d", max, n, RunsLen(rs))
+				} else if over > 0 {
+					rs[len(rs)-1].N -= over
+				}
+				d := make([]byte, max)
+				if got := dec.PopInto(d); got != n {
+					t.Fatalf("PopInto popped %d bytes, PeekRuns announced %d", got, n)
+				}
+				checkRuns(rs, n)
+				gotData = append(gotData, d[:n]...)
+			}
+		}
+		for i, rs := range popped {
+			for j := range rs {
+				if rs[j] != copies[i][j] {
+					t.Fatalf("pop %d: run %d read %+v when popped and %+v before the next Feed", i, j, copies[i][j], rs[j])
+				}
 			}
 		}
 		if !bytes.Equal(gotData, data) {
@@ -86,6 +128,35 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		for i := range ids {
 			if gotIDs[i] != ids[i] {
 				t.Fatalf("id %d = %d, want %d", i, gotIDs[i], ids[i])
+			}
+		}
+
+		// The same payload framed, then a corrupt header: what was
+		// decoded before the error still pops, and no later Feed — each
+		// one fails — may write over the popped runs.
+		var fd FrameDecoder
+		framed := AppendGroupsFrame(AppendStreamMagic(nil), data, nil)
+		copy(framed[StreamMagicLen+FrameHeaderLen:], raw)
+		if err := fd.Feed(append(framed, 'Z', 0, 0, 0, 1)); err == nil {
+			t.Fatal("bad frame tag accepted")
+		}
+		_, rs := fd.NextRuns(len(data))
+		was := append([]Run(nil), rs...)
+		if fd.Feed(framed) == nil {
+			t.Fatal("Feed error did not stick")
+		}
+		for i := range rs {
+			if rs[i] != was[i] {
+				t.Fatalf("run %d changed from %+v to %+v across a failed Feed", i, was[i], rs[i])
+			}
+		}
+		got := ExpandRuns(rs)
+		if len(got) != len(ids) {
+			t.Fatalf("framed pop covers %d of %d bytes", len(got), len(ids))
+		}
+		for i := range ids {
+			if got[i] != ids[i] {
+				t.Fatalf("framed id %d = %d, want %d", i, got[i], ids[i])
 			}
 		}
 	})

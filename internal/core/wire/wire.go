@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 const (
@@ -77,17 +78,6 @@ func ExpandRuns(runs []Run) []uint32 {
 	return ids
 }
 
-// growBytes extends dst by n writable bytes, reallocating if needed.
-func growBytes(dst []byte, n int) []byte {
-	need := len(dst) + n
-	if cap(dst) < need {
-		grown := make([]byte, len(dst), need)
-		copy(grown, dst)
-		dst = grown
-	}
-	return dst[:need]
-}
-
 // encodeSlack is spare capacity reserved past the encoded end so the
 // EncodeRuns inner loop can emit each 5-byte group as a single
 // overlapping 8-byte store (the last group's store spills 3 scratch
@@ -95,8 +85,8 @@ func growBytes(dst []byte, n int) []byte {
 const encodeSlack = 8 - GroupLen
 
 // EncodeSlack is the extra capacity a caller-provided destination must
-// reserve beyond the encoded length for EncodeRuns/EncodeGroups to
-// append without reallocating (see encodeSlack). Callers sizing pooled
+// reserve beyond the encoded length for EncodeRuns/AppendRun/EncodeGroups
+// to append without reallocating (see encodeSlack). Callers sizing pooled
 // buffers add this once.
 const EncodeSlack = encodeSlack
 
@@ -140,54 +130,76 @@ func blockLanes(id uint32) (c0, c1, c2, c3, c4 uint64) {
 // EncodeRuns appends the group encoding of data to dst, taking taint as
 // runs instead of per-byte ids, and returns the extended slice. runs
 // may be nil (all untainted) or must cover exactly len(data) bytes.
-// The id half of each group is precomputed once per run as a shifted
-// word, so each group costs one 8-byte store instead of five byte
-// stores.
 func EncodeRuns(dst, data []byte, runs []Run) []byte {
-	var whole [1]Run
 	if runs == nil {
-		whole[0] = Run{N: len(data)}
-		runs = whole[:]
+		return AppendRun(dst, data, 0)
 	}
 	if got := RunsLen(runs); got != len(data) {
 		panic(fmt.Sprintf("wire: runs cover %d of %d bytes", got, len(data)))
 	}
 	w := len(dst)
-	need := w + WireLen(len(data))
-	if cap(dst) < need+encodeSlack {
-		grown := make([]byte, len(dst), need+encodeSlack)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:need]
-	scratch := dst[:need+encodeSlack]
-	pos := 0
+	end := w + WireLen(len(data))
+	scratch := slices.Grow(dst, end-w+encodeSlack)[:end+encodeSlack]
 	for _, r := range runs {
-		src := data[pos : pos+r.N]
-		pos += r.N
+		src := data[:r.N]
+		data = data[r.N:]
 		if len(src) >= 2*blockGroups {
-			c0, c1, c2, c3, c4 := blockLanes(r.ID)
-			for len(src) >= blockGroups {
-				d8 := binary.LittleEndian.Uint64(src)
-				blk := scratch[w : w+blockBytes]
-				binary.LittleEndian.PutUint64(blk[0:], c0|d8&0xff|(d8>>8&0xff)<<40)
-				binary.LittleEndian.PutUint64(blk[8:], c1|(d8>>16&0xff)<<16|(d8>>24&0xff)<<56)
-				binary.LittleEndian.PutUint64(blk[16:], c2|(d8>>32&0xff)<<32)
-				binary.LittleEndian.PutUint64(blk[24:], c3|(d8>>40&0xff)<<8|(d8>>48&0xff)<<48)
-				binary.LittleEndian.PutUint64(blk[32:], c4|(d8>>56&0xff)<<24)
-				w += blockBytes
-				src = src[blockGroups:]
-			}
+			w, src = encodeBlocks(scratch, w, src, r.ID)
 		}
-		// Little-endian word with the 4 big-endian id bytes in byte
-		// lanes 1..4; lane 0 carries the data byte.
-		idw := uint64(bits.ReverseBytes32(r.ID)) << 8
-		for _, b := range src {
-			binary.LittleEndian.PutUint64(scratch[w:], idw|uint64(b))
-			w += GroupLen
-		}
+		w = encodeGroups(scratch, w, src, r.ID)
 	}
-	return dst
+	return scratch[:end]
+}
+
+// AppendRun appends the groups of src, every byte carrying id, to dst:
+// EncodeRuns one run at a time, for a sender that meets its runs while
+// walking a label store and has no []Run to hand over. dst is
+// reallocated unless it has room for the groups plus EncodeSlack.
+func AppendRun(dst, src []byte, id uint32) []byte {
+	w := len(dst)
+	end := w + WireLen(len(src))
+	scratch := slices.Grow(dst, end-w+encodeSlack)[:end+encodeSlack]
+	if len(src) >= 2*blockGroups {
+		w, src = encodeBlocks(scratch, w, src, id)
+	}
+	encodeGroups(scratch, w, src, id)
+	return scratch[:end]
+}
+
+// encodeGroups writes the groups of src, every byte carrying id, at
+// scratch[w:] and returns the offset past them; scratch must reach
+// encodeSlack beyond the last group. The id half of a group is
+// precomputed once per run as a shifted word, so each group costs one
+// 8-byte store instead of five byte stores. Small enough to inline
+// into a per-run loop; runs of two blocks or more go through
+// encodeBlocks first and leave this their sub-block tail.
+func encodeGroups(scratch []byte, w int, src []byte, id uint32) int {
+	// Little-endian word with the 4 big-endian id bytes in byte
+	// lanes 1..4; lane 0 carries the data byte.
+	idw := uint64(bits.ReverseBytes32(id)) << 8
+	for _, b := range src {
+		binary.LittleEndian.PutUint64(scratch[w:], idw|uint64(b))
+		w += GroupLen
+	}
+	return w
+}
+
+// encodeBlocks writes the whole blocks of src at scratch[w:], returning
+// the offset past them and the sub-block tail of src.
+func encodeBlocks(scratch []byte, w int, src []byte, id uint32) (int, []byte) {
+	c0, c1, c2, c3, c4 := blockLanes(id)
+	for len(src) >= blockGroups {
+		d8 := binary.LittleEndian.Uint64(src)
+		blk := scratch[w : w+blockBytes]
+		binary.LittleEndian.PutUint64(blk[0:], c0|d8&0xff|(d8>>8&0xff)<<40)
+		binary.LittleEndian.PutUint64(blk[8:], c1|(d8>>16&0xff)<<16|(d8>>24&0xff)<<56)
+		binary.LittleEndian.PutUint64(blk[16:], c2|(d8>>32&0xff)<<32)
+		binary.LittleEndian.PutUint64(blk[24:], c3|(d8>>40&0xff)<<8|(d8>>48&0xff)<<48)
+		binary.LittleEndian.PutUint64(blk[32:], c4|(d8>>56&0xff)<<24)
+		w += blockBytes
+		src = src[blockGroups:]
+	}
+	return w, src
 }
 
 // EncodeGroups appends the group encoding of data (with per-byte ids) to
@@ -203,19 +215,13 @@ func EncodeGroups(dst, data []byte, ids []uint32) []byte {
 	}
 	w := len(dst)
 	need := w + WireLen(len(data))
-	if cap(dst) < need+encodeSlack {
-		grown := make([]byte, len(dst), need+encodeSlack)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:need]
-	scratch := dst[:need+encodeSlack]
+	scratch := slices.Grow(dst, need-w+encodeSlack)[:need+encodeSlack]
 	for i, b := range data {
 		binary.LittleEndian.PutUint64(scratch[w:],
 			uint64(bits.ReverseBytes32(ids[i]))<<8|uint64(b))
 		w += GroupLen
 	}
-	return dst
+	return scratch[:need]
 }
 
 // DecodeGroupsRuns splits a whole-group wire buffer into data bytes and
@@ -265,17 +271,23 @@ func DecodeGroups(raw []byte) (data []byte, ids []uint32, err error) {
 // partial group stays buffered until its remaining bytes arrive.
 // Internally taint is held as runs, so a long single-taint stream costs
 // one Run however many reads delivered it.
+//
+// The run array is kept across drains, like the data array: popped runs
+// alias it and stay valid until the next Feed, which is the first thing
+// allowed to write over them.
 type StreamDecoder struct {
 	partial [GroupLen]byte
 	nburied int // valid bytes in partial
 
 	data []byte
 	off  int   // consumed prefix of data; unread bytes are data[off:]
-	runs []Run // taint of data[off:], covering it exactly
+	runs []Run // runs[roff:] is the taint of data[off:], covering it exactly
+	roff int   // consumed prefix of runs
 }
 
 // Feed consumes raw wire bytes, decoding every completed group.
 func (d *StreamDecoder) Feed(raw []byte) {
+	d.reclaim()
 	for len(raw) > 0 {
 		if d.nburied > 0 || len(raw) < GroupLen {
 			n := copy(d.partial[d.nburied:], raw)
@@ -293,6 +305,16 @@ func (d *StreamDecoder) Feed(raw []byte) {
 	}
 }
 
+// reclaim moves the pending runs to the front of the array, over the
+// consumed prefix. Only the feeding side calls it: that is where the
+// promise made for popped runs ends.
+func (d *StreamDecoder) reclaim() {
+	if d.roff > 0 {
+		d.runs = d.runs[:copy(d.runs, d.runs[d.roff:])]
+		d.roff = 0
+	}
+}
+
 // pushRaw appends already-decoded untainted bytes (Global ID 0) without
 // consuming wire groups — the passthrough-frame delivery path. Must not
 // be called while a partial group is buffered: the framing layer
@@ -307,6 +329,7 @@ func (d *StreamDecoder) pushRun(b []byte, id uint32) {
 	if len(b) == 0 {
 		return
 	}
+	d.reclaim()
 	d.data = append(d.data, b...)
 	if n := len(d.runs); n > 0 && d.runs[n-1].ID == id {
 		d.runs[n-1].N += len(b)
@@ -405,75 +428,84 @@ func (d *StreamDecoder) Buffered() int { return len(d.data) - d.off }
 // PendingPartial reports whether a fraction of a group is buffered.
 func (d *StreamDecoder) PendingPartial() bool { return d.nburied > 0 }
 
-// NextRuns pops up to max decoded bytes with their taint runs. When the
-// pop lands exactly on a run boundary the returned runs alias the
-// decoder's internal slice (capped, and never mutated again by the
-// decoder), so draining a fully buffered stream allocates nothing for
-// the taint side however fragmented it is.
-func (d *StreamDecoder) NextRuns(max int) (data []byte, runs []Run) {
-	n := d.Buffered()
-	if n > max {
-		n = max
+// PeekRuns reports what a pop of up to max bytes would deliver, without
+// consuming anything: n bytes, under runs. runs is the shortest pending
+// prefix covering n bytes, so its last run may reach past n — clip it
+// there. The slice aliases decoder state and is valid until the next
+// pop or Feed; with PopInto it lets a reader finish everything that can
+// fail (resolving the ids) before the bytes leave the decoder.
+func (d *StreamDecoder) PeekRuns(max int) (n int, runs []Run) {
+	n, k, _ := d.peek(max)
+	return n, d.runs[d.roff : d.roff+k : d.roff+k]
+}
+
+// peek sizes a pop of up to max bytes: n bytes spanning the first k
+// pending runs, the last of which reaches over bytes past the pop.
+func (d *StreamDecoder) peek(max int) (n, k, over int) {
+	n = min(max, d.Buffered())
+	rem := n
+	for rem > 0 {
+		rem -= d.runs[d.roff+k].N
+		k++
 	}
-	data = make([]byte, n)
-	copy(data, d.data[d.off:d.off+n])
-	return data, d.popRuns(n)
+	return n, k, -rem
+}
+
+// pop copies a pop sized by peek into dst and drops it from the
+// pending state. A split run's unread tail stays pending in its own
+// slot, which no earlier pop can have returned.
+func (d *StreamDecoder) pop(dst []byte, n, k, over int) {
+	copy(dst, d.data[d.off:d.off+n])
+	d.off += n
+	d.roff += k
+	if over > 0 {
+		d.roff--
+		d.runs[d.roff].N = over
+	}
+	if d.off == len(d.data) {
+		// Fully drained: keep both arrays for the next burst (a
+		// long-lived endpoint decoder would otherwise re-grow them on
+		// every exchange). Truncating rewrites nothing, so popped runs
+		// stay intact until the next Feed.
+		d.data, d.off = d.data[:0], 0
+		d.runs, d.roff = d.runs[:0], 0
+	}
+}
+
+// PopInto pops up to len(dst) decoded bytes into dst and returns the
+// count: NextRunsInto for a caller that took the runs from PeekRuns.
+func (d *StreamDecoder) PopInto(dst []byte) int {
+	n, k, over := d.peek(len(dst))
+	d.pop(dst, n, k, over)
+	return n
 }
 
 // NextRunsInto pops up to len(dst) decoded bytes directly into dst,
-// returning the count and the taint runs — NextRuns without the data
-// allocation, for callers that already own the destination buffer.
+// returning the count and the taint runs. The runs alias the decoder's
+// array, which is not written again before the next Feed; only a pop
+// that splits a run returns a clipped copy.
 func (d *StreamDecoder) NextRunsInto(dst []byte) (int, []Run) {
-	n := d.Buffered()
-	if n > len(dst) {
-		n = len(dst)
+	n, k, over := d.peek(len(dst))
+	runs := d.runs[d.roff : d.roff+k : d.roff+k]
+	if over > 0 {
+		runs = append([]Run(nil), runs...)
+		runs[k-1].N -= over
 	}
-	copy(dst, d.data[d.off:d.off+n])
-	return n, d.popRuns(n)
+	d.pop(dst, n, k, over)
+	return n, runs
 }
 
-// popRuns consumes n buffered bytes and returns their taint runs, with
-// the same aliasing contract as NextRuns.
-func (d *StreamDecoder) popRuns(n int) []Run {
-	d.off += n
-	k, rem := 0, n
-	for rem > 0 && d.runs[k].N <= rem {
-		rem -= d.runs[k].N
-		k++
-	}
-	var runs []Run
-	if rem == 0 {
-		runs = d.runs[:k:k]
-		d.runs = d.runs[k:]
-	} else {
-		runs = make([]Run, k+1)
-		copy(runs, d.runs[:k])
-		runs[k] = Run{N: rem, ID: d.runs[k].ID}
-		d.runs = d.runs[k:]
-		d.runs[0].N -= rem
-	}
-	if d.off == len(d.data) {
-		// Fully drained: keep the data array for the next burst (a
-		// long-lived endpoint decoder would otherwise re-grow it on
-		// every exchange), but drop the run slice — popped prefixes
-		// alias it and must never be rewritten.
-		d.data, d.off, d.runs = d.data[:0], 0, nil
-	}
-	return runs
+// NextRuns is NextRunsInto into a fresh slice of up to max bytes.
+func (d *StreamDecoder) NextRuns(max int) (data []byte, runs []Run) {
+	data = make([]byte, min(max, d.Buffered()))
+	_, runs = d.NextRunsInto(data)
+	return data, runs
 }
 
 // Next pops up to max decoded bytes with their per-byte ids.
 func (d *StreamDecoder) Next(max int) (data []byte, ids []uint32) {
 	data, runs := d.NextRuns(max)
-	ids = make([]uint32, len(data))
-	pos := 0
-	for _, r := range runs {
-		for i := 0; i < r.N; i++ {
-			ids[pos] = r.ID
-			pos++
-		}
-	}
-	return data, ids
+	return data, ExpandRuns(runs)
 }
 
 // Packet codec (Type 2): header = magic "DT" + uint32 data length,
@@ -504,6 +536,13 @@ func EncodePacketRuns(data []byte, runs []Run) []byte {
 	return EncodeRuns(packetHeader(len(data)), data, runs)
 }
 
+// AppendPacketHeader appends the header of a group-encoded datagram of
+// n payload bytes; the group encoding of those bytes follows it.
+func AppendPacketHeader(dst []byte, n int) []byte {
+	dst = append(dst, packetMagic[0], packetMagic[1])
+	return binary.BigEndian.AppendUint32(dst, uint32(n))
+}
+
 // EncodePacketPassthrough wraps one untainted datagram payload: the
 // passthrough header plus the raw bytes, no group encoding.
 func EncodePacketPassthrough(data []byte) []byte {
@@ -514,9 +553,7 @@ func EncodePacketPassthrough(data []byte) []byte {
 }
 
 func packetHeader(n int) []byte {
-	out := make([]byte, 0, PacketOverhead+WireLen(n))
-	out = append(out, packetMagic[0], packetMagic[1])
-	return binary.BigEndian.AppendUint32(out, uint32(n))
+	return AppendPacketHeader(make([]byte, 0, PacketOverhead+WireLen(n)+encodeSlack), n)
 }
 
 // packet kinds, one per header magic.

@@ -1,7 +1,6 @@
 package instrument
 
 import (
-	"io"
 	"sync"
 
 	"dista/internal/core/taint"
@@ -34,10 +33,8 @@ type CustomEndpoint struct {
 	wmu        sync.Mutex
 	wroteMagic bool
 
-	rmu     sync.Mutex
-	dec     wire.FrameDecoder
-	rbuf    []byte
-	readErr error
+	rmu sync.Mutex
+	rd  streamReader
 }
 
 // WrapCustom instruments a custom transport for the given agent. The
@@ -65,31 +62,27 @@ func (e *CustomEndpoint) Write(b taint.Bytes) error {
 	if !e.wroteMagic {
 		pre = wire.StreamMagicLen
 	}
-	var out []byte
-	var buf *[]byte
-	if b.Clean() {
-		buf = wire.GetBuf(pre + wire.PassthroughFrameLen(len(b.Data)))
-		out = *buf
-		if pre > 0 {
-			out = wire.AppendStreamMagic(out)
-		}
+	clean := b.Clean()
+	size := pre + wire.PassthroughFrameLen(len(b.Data))
+	if !clean {
+		size = pre + wire.GroupsFrameLen(len(b.Data)) + wire.EncodeSlack
+	}
+	buf := wire.GetBuf(size)
+	defer wire.PutBuf(buf)
+	out := *buf
+	if pre > 0 {
+		out = wire.AppendStreamMagic(out)
+	}
+	if clean {
 		out = wire.AppendPassthroughFrame(out, b.Data)
 	} else {
-		runs, err := registerRuns(e.agent, b, nil)
-		if err != nil {
+		var err error
+		if out, err = appendGroupsFrame(e.agent, out, b); err != nil {
 			return err
 		}
-		buf = wire.GetBuf(pre + wire.GroupsFrameLen(len(b.Data)) + wire.EncodeSlack)
-		out = *buf
-		if pre > 0 {
-			out = wire.AppendStreamMagic(out)
-		}
-		out = wire.AppendGroupsFrame(out, b.Data, runs)
 	}
 	e.agent.AddTraffic(len(b.Data), len(out))
 	err := e.rt.SendRaw(out)
-	*buf = out
-	wire.PutBuf(buf)
 	if err == nil {
 		e.wroteMagic = true
 	}
@@ -106,55 +99,7 @@ func (e *CustomEndpoint) Read(buf *taint.Bytes) (int, error) {
 	}
 	e.rmu.Lock()
 	defer e.rmu.Unlock()
-	if err := e.fill(len(buf.Data)); err != nil {
-		return 0, err
-	}
-	n, runs := e.dec.NextRunsInto(buf.Data)
-	if wire.RunsAllUntainted(runs) {
-		if buf.HasShadow() {
-			buf.SetRange(0, n, taint.Taint{})
-		}
-		return n, nil
-	}
-	labels, err := resolveRuns(e.agent, runs)
-	if err != nil {
-		return 0, err
-	}
-	adoptRuns(buf, runs, labels)
-	return n, nil
-}
-
-func (e *CustomEndpoint) fill(want int) error {
-	if e.dec.Buffered() > 0 {
-		return nil
-	}
-	if e.readErr != nil {
-		return e.readErr
-	}
-	if need := wire.WireLen(want) + wire.StreamMagicLen + wire.FrameHeaderLen; cap(e.rbuf) < need {
-		e.rbuf = make([]byte, need)
-	}
-	raw := e.rbuf[:cap(e.rbuf)]
-	for e.dec.Buffered() == 0 {
-		n, err := e.rt.RecvRaw(raw)
-		if n > 0 {
-			if ferr := e.dec.Feed(raw[:n]); ferr != nil {
-				e.readErr = ferr
-				return ferr
-			}
-		}
-		if err != nil {
-			if err == io.EOF && e.dec.PendingPartial() {
-				err = io.ErrUnexpectedEOF
-			}
-			e.readErr = err
-			if e.dec.Buffered() > 0 {
-				return nil
-			}
-			return err
-		}
-	}
-	return nil
+	return e.rd.read(e.agent, e.rt.RecvRaw, buf, 0, len(buf.Data))
 }
 
 // customRegistry holds user-registered method rows.

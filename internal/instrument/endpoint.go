@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"dista/internal/core/taint"
@@ -37,12 +38,9 @@ type Endpoint struct {
 	wscratch   []byte            // persistent frame-header/magic assembly scratch
 	tier       densityTracker    // per-connection tier selector (under wmu)
 	dranges    []wire.DirtyRange // persistent sparse range-table scratch
-	wruns      []wire.Run        // persistent run-registration scratch (under wmu)
 
-	rmu     sync.Mutex // protects dec, rbuf and readErr
-	dec     wire.FrameDecoder
-	rbuf    []byte // persistent raw-read scratch
-	readErr error
+	rmu sync.Mutex // protects rd
+	rd  streamReader
 }
 
 // NewEndpoint wraps conn for the given agent.
@@ -78,64 +76,122 @@ func (e *Endpoint) Conn() *netsim.Conn { return e.conn }
 // Agent returns the endpoint's agent.
 func (e *Endpoint) Agent() *tracker.Agent { return e.agent }
 
-// registerRuns maps b's label runs to wire runs via the Taint Map
-// (Fig. 9 steps ①②): one batch registration covering every distinct
-// taint, one Run per label run — never per-byte work. A shadow-free b
-// returns nil (all untainted). The runs are appended to dst (pass a
-// scratch slice to keep a fragmented steady state allocation-free, or
-// nil when no scratch outlives the call).
-func registerRuns(agent *tracker.Agent, b taint.Bytes, dst []wire.Run) ([]wire.Run, error) {
-	if !b.HasShadow() || b.Clean() {
-		// The epoch-memoized clean check keeps shadowed-but-untainted
-		// buffers off the Taint Map entirely: nil runs mean "all
-		// untainted" to every encoder.
-		return nil, nil
+// firstSeen numbers the distinct keys of one transfer — the taints of a
+// send still lacking a Global ID, the Global IDs of a delivery — in
+// first-seen order. A handful are found by scanning; a transfer with
+// more gets a map, so one with many distinct labels stays linear in its
+// runs.
+type firstSeen[K comparable] struct {
+	keys []K
+	at   map[K]int
+}
+
+// scanMax is the most keys firstSeen finds by linear scan.
+const scanMax = 8
+
+// find returns k's position in keys, or -1.
+func (x *firstSeen[K]) find(k K) int {
+	if x.at != nil {
+		if i, ok := x.at[k]; ok {
+			return i
+		}
+		return -1
 	}
+	for i, known := range x.keys {
+		if known == k {
+			return i
+		}
+	}
+	return -1
+}
+
+// add appends k, which find has not found.
+func (x *firstSeen[K]) add(k K) {
+	if x.keys == nil {
+		x.keys = make([]K, 0, scanMax)
+	}
+	if x.at == nil && len(x.keys) == scanMax {
+		x.at = make(map[K]int, 4*scanMax)
+		for i, known := range x.keys {
+			x.at[known] = i
+		}
+	}
+	if x.at != nil {
+		x.at[k] = len(x.keys)
+	}
+	x.keys = append(x.keys, k)
+}
+
+// appendGroups appends the group encoding of b to out and returns the
+// extended slice — the one groups writer, behind every send that puts
+// labels on the wire a byte at a time (Fig. 9 steps ①②). It walks b's
+// label runs once and encodes each straight into out: a taint this node
+// has transferred before carries its Global ID on the tree node, so the
+// steady state builds no run, id or taint slice at all. A walk that
+// meets taints without an id stops encoding and only collects them; one
+// batch registration covers them and the walk is redone. A caller whose
+// out must not move gives it room for the encoding plus wire.EncodeSlack.
+func appendGroups(agent *tracker.Agent, out []byte, b taint.Bytes) ([]byte, error) {
 	tm := agent.TaintMap()
-	if tm == nil {
+	if tm == nil && !b.Clean() {
 		return nil, ErrNoTaintMap
 	}
-	runs := dst[:0]
-	var pending []taint.Taint
-	var pendingAt []int
-	b.ForEachRun(func(from, to int, t taint.Taint) {
-		r := wire.Run{N: to - from}
-		if !t.Empty() {
-			// Fast path: a taint this node has already transferred
-			// carries its Global ID on the tree node (Fig. 9 step ②),
-			// so the steady state never builds a taint slice at all.
-			if id := t.GlobalID(); id != 0 {
-				r.ID = id
-			} else {
-				pending = append(pending, t)
-				pendingAt = append(pendingAt, len(runs))
+	start := len(out)
+	out = slices.Grow(out, wire.WireLen(len(b.Data))+wire.EncodeSlack)
+	var pending firstSeen[taint.Taint] // taints met without a Global ID
+	var ids []uint32                   // their ids, once registered
+	for {
+		stalled := false
+		b.ForEachRun(func(from, to int, t taint.Taint) {
+			id := t.GlobalID()
+			switch {
+			case id != 0 || t.Empty():
+			case ids == nil:
+				stalled = true
+				if pending.find(t) < 0 {
+					pending.add(t)
+				}
+				return
+			default:
+				// A client that does not stamp what it registers (the
+				// uncached ablation): the id is the batch's answer.
+				id = ids[pending.find(t)]
 			}
+			if !stalled {
+				out = wire.AppendRun(out, b.Data[from:to], id)
+			}
+		})
+		if !stalled {
+			return out, nil
 		}
-		runs = append(runs, r)
-	})
-	if len(pending) > 0 {
-		ids, err := tm.RegisterBatch(pending)
-		if err != nil {
+		var err error
+		if ids, err = tm.RegisterBatch(pending.keys); err != nil {
 			return nil, err
 		}
-		for i, at := range pendingAt {
+		for _, id := range ids {
 			// A provisional id is only valid inside this node: a degraded
 			// Taint Map client minted it locally, and the receiving node
 			// could never resolve it. Refuse the transfer loudly — the
 			// taint itself stays tracked and will get its real Global ID
 			// when the client's journal drains.
-			if taintmap.IsProvisional(ids[i]) {
+			if taintmap.IsProvisional(id) {
 				return nil, fmt.Errorf("instrument: cannot transfer taint: %w",
 					taintmap.ErrGlobalIDPending)
 			}
-			runs[at].ID = ids[i]
 		}
+		out = out[:start]
 	}
-	return runs, nil
+}
+
+// appendGroupsFrame appends one whole groups frame for b: the frame
+// header, then the groups writer's encoding.
+func appendGroupsFrame(agent *tracker.Agent, out []byte, b taint.Bytes) ([]byte, error) {
+	out = wire.AppendFrameHeader(out, wire.FrameGroups, wire.WireLen(len(b.Data)))
+	return appendGroups(agent, out, b)
 }
 
 // registerOne maps one taint to its Global ID via the Taint Map — the
-// uniform-tier flavour of registerRuns: a single label for the whole
+// uniform-tier flavour of appendGroups: a single label for the whole
 // buffer, so the steady state is one pointer load off the tree node.
 func registerOne(agent *tracker.Agent, t taint.Taint) (uint32, error) {
 	tm := agent.TaintMap()
@@ -150,7 +206,7 @@ func registerOne(agent *tracker.Agent, t taint.Taint) (uint32, error) {
 		return 0, err
 	}
 	if taintmap.IsProvisional(ids[0]) {
-		// Same contract as registerRuns: a locally minted id must not
+		// Same contract as appendGroups: a locally minted id must not
 		// cross the wire.
 		return 0, fmt.Errorf("instrument: cannot transfer taint: %w",
 			taintmap.ErrGlobalIDPending)
@@ -159,7 +215,7 @@ func registerOne(agent *tracker.Agent, t taint.Taint) (uint32, error) {
 }
 
 // registerDirty maps b's tainted runs to wire dirty ranges via the Taint
-// Map — the sparse-tier flavour of registerRuns: clean gaps produce no
+// Map — the sparse-tier flavour of appendGroups: clean gaps produce no
 // entries, so the table length is the dirty-run count, not the run
 // count. Ranges are appended to dst (reused across calls).
 func registerDirty(agent *tracker.Agent, b taint.Bytes, dst []wire.DirtyRange) ([]wire.DirtyRange, error) {
@@ -195,45 +251,74 @@ func registerDirty(agent *tracker.Agent, b taint.Bytes, dst []wire.DirtyRange) (
 	return dst, nil
 }
 
-// resolveRuns maps decoded wire runs back to taints in the agent's tree
-// (Fig. 9 steps ④⑤) with one batch lookup; labels[i] belongs to
-// runs[i].
-func resolveRuns(agent *tracker.Agent, runs []wire.Run) ([]taint.Taint, error) {
+// adoptRuns gives buf[at:at+n] the labels of the decoded runs — the one
+// adopt primitive, behind every receive (Fig. 9 steps ④⑤). runs cover
+// at least n bytes; what reaches past n is ignored. Each distinct id is
+// resolved once: a run repeating one of the last two ids seen costs two
+// compares, and the ids left over go to the Taint Map client in a
+// single LookupBatch (memo first, then one round trip for the unknown
+// ones). Labels are written only after every id resolved, so an error
+// leaves buf as it was.
+//
+// Lazy shadow allocation is preserved: an entirely untainted delivery
+// into a shadow-free buf allocates nothing, while a buf that already
+// has labels gets its stale ones overwritten.
+func adoptRuns(agent *tracker.Agent, buf *taint.Bytes, at int, runs []wire.Run, n int) error {
+	var x firstSeen[uint32]
+	var id0, id1 uint32 // the last two distinct ids seen
+	pos, k := 0, 0
+	for ; pos < n; k++ {
+		id := runs[k].ID
+		pos += runs[k].N
+		if id == 0 || id == id0 || id == id1 {
+			continue
+		}
+		if x.find(id) < 0 {
+			x.add(id)
+		}
+		id0, id1 = id, id0
+	}
+	runs = runs[:k]
+	if len(x.keys) == 0 {
+		// Clean delivery (passthrough frame or untainted groups): no
+		// Taint Map round-trip, and a shadow-free buf stays lazy —
+		// only stale labels need clearing.
+		if buf.HasShadow() {
+			buf.SetRange(at, at+n, taint.Taint{})
+		}
+		return nil
+	}
 	tm := agent.TaintMap()
 	if tm == nil {
-		return nil, ErrNoTaintMap
+		return ErrNoTaintMap
 	}
-	ids := make([]uint32, len(runs))
-	for i, r := range runs {
-		ids[i] = r.ID
+	labels, err := tm.LookupBatch(x.keys)
+	if err != nil {
+		return err
 	}
-	return tm.LookupBatch(ids)
-}
-
-// adoptRuns writes the resolved run labels over buf's prefix. Lazy
-// shadow allocation is preserved: an entirely untainted delivery into a
-// shadow-free buf allocates nothing, while a buf that already has
-// labels gets its stale ones overwritten.
-func adoptRuns(buf *taint.Bytes, runs []wire.Run, labels []taint.Taint) {
-	pos := 0
-	for i, r := range runs {
-		buf.SetRange(pos, pos+r.N, labels[i])
+	w := buf.WriteLabels(at, at+n, len(runs))
+	var t0, t1 taint.Taint
+	id0, id1 = 0, 0
+	pos = 0
+	for _, r := range runs {
+		var t taint.Taint
+		switch r.ID {
+		case 0:
+		case id0:
+			t = t0
+		case id1:
+			t = t1
+		default:
+			t = labels[x.find(r.ID)]
+			id0, t0, id1, t1 = r.ID, t, id0, t0
+		}
+		if r.N > n-pos {
+			r.N = n - pos
+		}
+		w.Put(r.N, t)
 		pos += r.N
 	}
-}
-
-// trimRuns clips runs to cover at most n bytes.
-func trimRuns(runs []wire.Run, n int) []wire.Run {
-	for i := range runs {
-		if n <= 0 {
-			return runs[:i]
-		}
-		if runs[i].N > n {
-			runs[i].N = n
-		}
-		n -= runs[i].N
-	}
-	return runs
+	return nil
 }
 
 // Write sends b through the instrumented socketWrite0 wrapper.
@@ -251,13 +336,7 @@ func (e *Endpoint) Write(b taint.Bytes) error {
 		return jni.SocketWrite0(e.conn, b.Data)
 	}
 	if e.legacy {
-		runs, err := e.registerRunsScratch(b)
-		if err != nil {
-			return err
-		}
-		raw := wire.EncodeRuns(nil, b.Data, runs)
-		e.agent.AddTraffic(len(b.Data), len(raw))
-		return jni.SocketWrite0(e.conn, raw)
+		return e.writeLegacyLocked(b, jni.SocketWrite0)
 	}
 	if len(b.Data) == 0 {
 		// Nothing to frame; still touch the native so conn-level
@@ -273,23 +352,18 @@ func (e *Endpoint) Write(b taint.Bytes) error {
 	if e.adaptive {
 		return e.writeAdaptiveLocked(b, jni.SocketWrite0)
 	}
-	runs, err := e.registerRunsScratch(b)
+	return e.writeGroupsLocked(b, jni.SocketWrite0)
+}
+
+// writeLegacyLocked sends b as the pre-framing raw group stream: no
+// magic, no frame header, clean buffers group-encoded like any other.
+func (e *Endpoint) writeLegacyLocked(b taint.Bytes, write func(*netsim.Conn, []byte) error) error {
+	raw, err := appendGroups(e.agent, nil, b)
 	if err != nil {
 		return err
 	}
-	return e.writeGroupsLocked(b.Data, runs, jni.SocketWrite0)
-}
-
-// registerRunsScratch is registerRuns into the endpoint's persistent
-// run scratch: the caller must hold wmu and consume the runs before the
-// next write. A fragmented steady state re-registers into the same
-// array instead of growing a fresh one on every write.
-func (e *Endpoint) registerRunsScratch(b taint.Bytes) ([]wire.Run, error) {
-	runs, err := registerRuns(e.agent, b, e.wruns)
-	if runs != nil {
-		e.wruns = runs[:0]
-	}
-	return runs, err
+	e.agent.AddTraffic(len(b.Data), len(raw))
+	return write(e.conn, raw)
 }
 
 // writeAdaptiveLocked emits one frame for a tainted buffer on whichever
@@ -315,11 +389,7 @@ func (e *Endpoint) writeAdaptiveLocked(b taint.Bytes, write func(*netsim.Conn, [
 		e.dranges = ranges[:0]
 		return e.writeSparseLocked(b.Data, ranges, write)
 	default:
-		runs, err := e.registerRunsScratch(b)
-		if err != nil {
-			return err
-		}
-		return e.writeGroupsLocked(b.Data, runs, write)
+		return e.writeGroupsLocked(b, write)
 	}
 }
 
@@ -336,25 +406,26 @@ func (e *Endpoint) writePassthroughLocked(data []byte) error {
 	return jni.SocketWrite0(e.conn, data)
 }
 
-// writeGroupsLocked emits one groups frame for data with its wire runs,
-// assembling it in a pooled buffer. write is the underlying native
+// writeGroupsLocked emits one groups frame for b, streaming its label
+// runs into a pooled buffer. write is the underlying native
 // (SocketWrite0 for Type 1, the dispatcher adapter for Type 3).
-func (e *Endpoint) writeGroupsLocked(data []byte, runs []wire.Run, write func(*netsim.Conn, []byte) error) error {
+func (e *Endpoint) writeGroupsLocked(b taint.Bytes, write func(*netsim.Conn, []byte) error) error {
 	pre := 0
 	if !e.wroteMagic {
 		pre = wire.StreamMagicLen
 	}
-	buf := wire.GetBuf(pre + wire.GroupsFrameLen(len(data)) + wire.EncodeSlack)
+	buf := wire.GetBuf(pre + wire.GroupsFrameLen(len(b.Data)) + wire.EncodeSlack)
+	defer wire.PutBuf(buf)
 	out := *buf
 	if !e.wroteMagic {
 		out = e.appendMagic(out)
 	}
-	out = wire.AppendGroupsFrame(out, data, runs)
-	e.agent.AddTraffic(len(data), len(out))
-	err := write(e.conn, out)
-	*buf = out
-	wire.PutBuf(buf)
+	out, err := appendGroupsFrame(e.agent, out, b)
 	if err != nil {
+		return err
+	}
+	e.agent.AddTraffic(len(b.Data), len(out))
+	if err := write(e.conn, out); err != nil {
 		return err
 	}
 	e.wroteMagic = true
@@ -437,9 +508,7 @@ func (e *Endpoint) WritePassthrough(data []byte) error {
 		return jni.SocketWrite0(e.conn, data)
 	}
 	if e.legacy {
-		raw := wire.EncodeRuns(nil, data, nil)
-		e.agent.AddTraffic(len(data), len(raw))
-		return jni.SocketWrite0(e.conn, raw)
+		return e.writeLegacyLocked(taint.WrapBytes(data), jni.SocketWrite0)
 	}
 	if len(data) == 0 {
 		return jni.SocketWrite0(e.conn, nil)
@@ -471,25 +540,25 @@ func (e *Endpoint) WriteUniform(data []byte, t taint.Taint) error {
 	if len(data) == 0 {
 		return jni.SocketWrite0(e.conn, nil)
 	}
-	id, err := registerOne(e.agent, t)
-	if err != nil {
-		return err
+	if e.adaptive {
+		st := taint.RunStats{DirtyBytes: len(data), DirtyRuns: 1, One: t}
+		e.tier.observe(st, len(data), true)
+		if e.tier.frameTier(st, len(data), true) == tierUniform {
+			id, err := registerOne(e.agent, t)
+			if err != nil {
+				return err
+			}
+			return e.writeUniformLocked(data, id, jni.SocketWrite0)
+		}
 	}
-	run := []wire.Run{{N: len(data), ID: id}}
+	// No uniform frame on this stream: the groups writer takes the
+	// record as a labelled view.
+	b := taint.WrapBytes(data)
+	b.SetRange(0, len(data), t)
 	if e.legacy {
-		raw := wire.EncodeRuns(nil, data, run)
-		e.agent.AddTraffic(len(data), len(raw))
-		return jni.SocketWrite0(e.conn, raw)
+		return e.writeLegacyLocked(b, jni.SocketWrite0)
 	}
-	if !e.adaptive {
-		return e.writeGroupsLocked(data, run, jni.SocketWrite0)
-	}
-	st := taint.RunStats{DirtyBytes: len(data), DirtyRuns: 1, One: t}
-	e.tier.observe(st, len(data), true)
-	if e.tier.frameTier(st, len(data), true) > tierUniform {
-		return e.writeGroupsLocked(data, run, jni.SocketWrite0)
-	}
-	return e.writeUniformLocked(data, id, jni.SocketWrite0)
+	return e.writeGroupsLocked(b, jni.SocketWrite0)
 }
 
 // Read fills buf through the instrumented socketRead0 wrapper and
@@ -511,57 +580,68 @@ func (e *Endpoint) Read(buf *taint.Bytes) (int, error) {
 
 	e.rmu.Lock()
 	defer e.rmu.Unlock()
-	if err := e.fillDecoder(len(buf.Data)); err != nil {
-		return 0, err
-	}
-	n, runs := e.dec.NextRunsInto(buf.Data)
-	if wire.RunsAllUntainted(runs) {
-		// Clean delivery (passthrough frame or untainted groups): no
-		// Taint Map round-trip, and a shadow-free buf stays lazy —
-		// only stale labels need clearing.
-		if buf.HasShadow() {
-			buf.SetRange(0, n, taint.Taint{})
-		}
-		return n, nil
-	}
-	labels, err := resolveRuns(e.agent, runs)
-	if err != nil {
-		return 0, err
-	}
-	adoptRuns(buf, runs, labels)
-	return n, nil
+	return e.rd.read(e.agent, e.socketRead, buf, 0, len(buf.Data))
 }
 
-// fillDecoder reads raw wire bytes until at least one decoded byte is
+// socketRead is one raw read of the connection, the streamReader's
+// source.
+func (e *Endpoint) socketRead(b []byte) (int, error) { return jni.SocketRead0(e.conn, b) }
+
+// streamReader is the receive half of a stream endpoint — the frame
+// decoder, its raw-read scratch and the sticky read error — shared by
+// the socket and the custom-transport endpoints and guarded by the
+// owner's read lock.
+type streamReader struct {
+	dec  wire.FrameDecoder
+	rbuf []byte // persistent raw-read scratch
+	err  error  // what the source last failed with, reported once dec is drained
+}
+
+// read fills buf[from:to] with decoded bytes and their labels and
+// returns the count, calling recv (one native read) while nothing is
+// buffered. Labels first, bytes second: a failed lookup leaves buf and
+// the decoder untouched, so the same bytes are there for a retry.
+func (r *streamReader) read(agent *tracker.Agent, recv func([]byte) (int, error), buf *taint.Bytes, from, to int) (int, error) {
+	if err := r.fill(recv, to-from); err != nil {
+		return 0, err
+	}
+	n, runs := r.dec.PeekRuns(to - from)
+	if err := adoptRuns(agent, buf, from, runs, n); err != nil {
+		return 0, err
+	}
+	return r.dec.PopInto(buf.Data[from : from+n]), nil
+}
+
+// fill reads raw wire bytes until at least one decoded byte is
 // buffered (or an error occurs). The receive buffer is enlarged by the
 // group factor plus framing overhead, mirroring the paper's
 // receiver-side buffer enlargement, and persists across calls so the
 // steady-state read path does not allocate it anew.
-func (e *Endpoint) fillDecoder(want int) error {
-	if e.dec.Buffered() > 0 {
+func (r *streamReader) fill(recv func([]byte) (int, error), want int) error {
+	if r.dec.Buffered() > 0 {
 		return nil
 	}
-	if e.readErr != nil {
-		return e.readErr
+	if r.err != nil {
+		return r.err
 	}
-	if need := wire.WireLen(want) + wire.StreamMagicLen + wire.FrameHeaderLen; cap(e.rbuf) < need {
-		e.rbuf = make([]byte, need)
+	if need := wire.WireLen(want) + wire.StreamMagicLen + wire.FrameHeaderLen; cap(r.rbuf) < need {
+		r.rbuf = make([]byte, need)
 	}
-	raw := e.rbuf[:cap(e.rbuf)]
-	for e.dec.Buffered() == 0 {
-		n, err := jni.SocketRead0(e.conn, raw)
+	raw := r.rbuf[:cap(r.rbuf)]
+	for r.dec.Buffered() == 0 {
+		n, err := recv(raw)
 		if n > 0 {
-			if ferr := e.dec.Feed(raw[:n]); ferr != nil {
-				e.readErr = ferr
+			if ferr := r.dec.Feed(raw[:n]); ferr != nil {
+				r.err = ferr
 				return ferr
 			}
 		}
 		if err != nil {
-			if err == io.EOF && e.dec.PendingPartial() {
+			if err == io.EOF && r.dec.PendingPartial() {
 				err = io.ErrUnexpectedEOF
 			}
-			e.readErr = err
-			if e.dec.Buffered() > 0 {
+			r.err = err
+			if r.dec.Buffered() > 0 {
 				return nil
 			}
 			return err
@@ -586,13 +666,7 @@ func (e *Endpoint) WriteBuffer(src *jni.DirectBuffer, from, to int) (int, error)
 		return written, err
 	}
 	if e.legacy {
-		runs, err := e.registerRunsScratch(src.View(from, to))
-		if err != nil {
-			return 0, err
-		}
-		raw := wire.EncodeRuns(nil, src.Data[from:to], runs)
-		e.agent.AddTraffic(n, len(raw))
-		if _, err := jni.DispatcherWrite0(e.conn, raw); err != nil {
+		if err := e.writeLegacyLocked(src.View(from, to), dispatcherWriteAll); err != nil {
 			return 0, err
 		}
 		return n, nil
@@ -616,11 +690,7 @@ func (e *Endpoint) WriteBuffer(src *jni.DirectBuffer, from, to int) (int, error)
 		}
 		return n, nil
 	}
-	runs, err := e.registerRunsScratch(src.View(from, to))
-	if err != nil {
-		return 0, err
-	}
-	if err := e.writeGroupsLocked(src.Data[from:to], runs, dispatcherWriteAll); err != nil {
+	if err := e.writeGroupsLocked(src.View(from, to), dispatcherWriteAll); err != nil {
 		return 0, err
 	}
 	return n, nil
@@ -661,20 +731,5 @@ func (e *Endpoint) ReadBuffer(dst *jni.DirectBuffer, from, to int) (int, error) 
 	}
 	e.rmu.Lock()
 	defer e.rmu.Unlock()
-	if err := e.fillDecoder(to - from); err != nil {
-		return 0, err
-	}
-	n, runs := e.dec.NextRunsInto(dst.Data[from:to])
-	if wire.RunsAllUntainted(runs) {
-		// Clean delivery: clear any stale labels, skip the Taint Map.
-		dst.B.SetRange(from, from+n, taint.Taint{})
-		return n, nil
-	}
-	labels, err := resolveRuns(e.agent, runs)
-	if err != nil {
-		return 0, err
-	}
-	sub := dst.View(from, from+n)
-	adoptRuns(&sub, runs, labels)
-	return n, nil
+	return e.rd.read(e.agent, e.socketRead, &dst.B, from, to)
 }

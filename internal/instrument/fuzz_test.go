@@ -17,7 +17,9 @@ import (
 // input bytes is one message — the first picks the kind (clean,
 // uniform, sparse island, dense alternation) and the label source, the
 // second the length — so the fuzzer explores tier transitions the
-// phased unit tests never schedule.
+// phased unit tests never schedule. step bounds the reader's buffer
+// (0 = as much as is left): a small one pops the decoder in pieces that
+// split label runs.
 func FuzzTierTransition(f *testing.F) {
 	// One phase per tier, long enough to converge.
 	steady := func(kind byte) []byte {
@@ -27,15 +29,18 @@ func FuzzTierTransition(f *testing.F) {
 		}
 		return s
 	}
-	f.Add(steady(1))                                             // uniform
-	f.Add(steady(2))                                             // sparse
-	f.Add(steady(3))                                             // dense
-	f.Add([]byte{1, 255, 2, 31, 0, 15, 3, 63})                   // one message per tier
-	f.Add([]byte{1, 7, 0, 7, 1, 7, 0, 7, 1, 7})                  // clean/uniform interleave
-	f.Add([]byte{3, 0, 1, 0, 3, 0, 1, 0, 2, 0})                  // tiny flapping messages
-	f.Add(append(steady(1), append(steady(3), steady(1)...)...)) // U->G->U
+	f.Add(steady(1), uint8(0))                                             // uniform
+	f.Add(steady(2), uint8(0))                                             // sparse
+	f.Add(steady(3), uint8(0))                                             // dense
+	f.Add([]byte{1, 255, 2, 31, 0, 15, 3, 63}, uint8(0))                   // one message per tier
+	f.Add([]byte{1, 7, 0, 7, 1, 7, 0, 7, 1, 7}, uint8(0))                  // clean/uniform interleave
+	f.Add([]byte{3, 0, 1, 0, 3, 0, 1, 0, 2, 0}, uint8(0))                  // tiny flapping messages
+	f.Add(append(steady(1), append(steady(3), steady(1)...)...), uint8(0)) // U->G->U
+	f.Add([]byte{3, 255, 3, 255, 3, 255, 3, 255}, uint8(0))                // alternating ids, 256 runs a frame
+	f.Add([]byte{3, 255, 7, 255, 3, 254}, uint8(3))                        // the same through 3-byte pops
+	f.Add([]byte{1, 255, 2, 255, 6, 200, 1, 99}, uint8(7))                 // long runs: every pop splits one
 
-	f.Fuzz(func(t *testing.T, sched []byte) {
+	f.Fuzz(func(t *testing.T, sched []byte, step uint8) {
 		if len(sched) < 2 {
 			return
 		}
@@ -110,7 +115,11 @@ func FuzzTierTransition(f *testing.F) {
 		go func() {
 			recvErr <- func() error {
 				for pos := 0; pos < total; {
-					sub := got.Slice(pos, total)
+					end := total
+					if step > 0 && pos+int(step) < total {
+						end = pos + int(step)
+					}
+					sub := got.Slice(pos, end)
 					n, err := receiver.Read(&sub)
 					if err != nil {
 						return fmt.Errorf("read at %d/%d: %w", pos, total, err)

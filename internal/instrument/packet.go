@@ -28,11 +28,18 @@ func PacketSend(agent *tracker.Agent, sock *netsim.UDPSocket, data taint.Bytes, 
 		agent.AddTraffic(len(data.Data), len(raw))
 		return jni.DatagramSend(sock, raw, dst)
 	}
-	runs, err := registerRuns(agent, data, nil)
+	return sendGroupsPacket(agent, sock, data, dst)
+}
+
+// sendGroupsPacket transmits one datagram in the group-encoded flavour:
+// the packet header, then the groups writer's encoding of the payload.
+func sendGroupsPacket(agent *tracker.Agent, sock *netsim.UDPSocket, data taint.Bytes, dst string) error {
+	buf := wire.GetBuf(wire.PacketOverhead + wire.WireLen(len(data.Data)) + wire.EncodeSlack)
+	defer wire.PutBuf(buf)
+	raw, err := appendGroups(agent, wire.AppendPacketHeader(*buf, len(data.Data)), data)
 	if err != nil {
 		return err
 	}
-	raw := wire.EncodePacketRuns(data.Data, runs)
 	agent.AddTraffic(len(data.Data), len(raw))
 	return jni.DatagramSend(sock, raw, dst)
 }
@@ -76,13 +83,7 @@ func PacketSendAdaptive(agent *tracker.Agent, sock *netsim.UDPSocket, data taint
 		agent.AddTraffic(len(data.Data), len(raw))
 		return jni.DatagramSend(sock, raw, dst)
 	}
-	runs, err := registerRuns(agent, data, nil)
-	if err != nil {
-		return err
-	}
-	raw := wire.EncodePacketRuns(data.Data, runs)
-	agent.AddTraffic(len(data.Data), len(raw))
-	return jni.DatagramSend(sock, raw, dst)
+	return sendGroupsPacket(agent, sock, data, dst)
 }
 
 // PacketPeek inspects the next datagram without consuming it — the
@@ -92,12 +93,7 @@ func PacketPeek(agent *tracker.Agent, sock *netsim.UDPSocket, buf *taint.Bytes) 
 	if agent.Mode() != tracker.ModeDista {
 		return jni.DatagramPeekData(sock, buf.Data)
 	}
-	enlarged := make([]byte, wire.PacketOverhead+wire.WireLen(len(buf.Data)))
-	n, from, err := jni.DatagramPeekData(sock, enlarged)
-	if err != nil {
-		return 0, "", err
-	}
-	return decodeInto(agent, enlarged[:n], buf, from)
+	return receiveInto(agent, sock, buf, jni.DatagramPeekData)
 }
 
 // PacketReceive blocks for one datagram and fills buf with up to
@@ -109,36 +105,32 @@ func PacketReceive(agent *tracker.Agent, sock *netsim.UDPSocket, buf *taint.Byte
 		// survive (Fig. 4 behaviour).
 		return jni.DatagramReceive0(sock, buf.Data)
 	}
-
-	// Enlarged receive buffer: header + one group per expected byte.
-	enlarged := make([]byte, wire.PacketOverhead+wire.WireLen(len(buf.Data)))
-	n, from, err := jni.DatagramReceive0(sock, enlarged)
-	if err != nil {
-		return 0, "", err
-	}
-	return decodeInto(agent, enlarged[:n], buf, from)
+	return receiveInto(agent, sock, buf, jni.DatagramReceive0)
 }
 
-// decodeInto splits an encoded datagram into buf's data and labels.
-func decodeInto(agent *tracker.Agent, raw []byte, buf *taint.Bytes, from string) (int, string, error) {
-	data, runs, err := wire.DecodePacketPrefixRuns(raw)
+// receiveInto runs one datagram native into a pooled, enlarged receive
+// buffer — header plus one group per expected byte — and splits the
+// encoded datagram into buf's data and labels. The decoded payload is a
+// copy, so the enlarged buffer goes back to the pool on return.
+func receiveInto(agent *tracker.Agent, sock *netsim.UDPSocket, buf *taint.Bytes,
+	native func(*netsim.UDPSocket, []byte) (int, string, error)) (int, string, error) {
+	size := wire.PacketOverhead + wire.WireLen(len(buf.Data))
+	pooled := wire.GetBuf(size)
+	defer wire.PutBuf(pooled)
+	enlarged := (*pooled)[:size]
+	n, from, err := native(sock, enlarged)
 	if err != nil {
 		return 0, "", err
 	}
-	stored := copy(buf.Data, data)
-	runs = trimRuns(runs, stored)
-	if wire.RunsAllUntainted(runs) {
-		// Clean delivery: clear stale labels without a Taint Map
-		// round-trip; a shadow-free buf stays lazy.
-		if buf.HasShadow() {
-			buf.SetRange(0, stored, taint.Taint{})
-		}
-		return stored, from, nil
-	}
-	labels, err := resolveRuns(agent, runs)
+	data, runs, err := wire.DecodePacketPrefixRuns(enlarged[:n])
 	if err != nil {
 		return 0, "", err
 	}
-	adoptRuns(buf, runs, labels)
+	// A datagram longer than buf is cut to fit, labels included.
+	stored := min(len(data), len(buf.Data))
+	if err := adoptRuns(agent, buf, 0, runs, stored); err != nil {
+		return 0, "", err
+	}
+	copy(buf.Data, data[:stored])
 	return stored, from, nil
 }

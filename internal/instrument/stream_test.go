@@ -1,0 +1,355 @@
+package instrument
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"math/rand"
+	"testing"
+
+	"dista/internal/core/taint"
+	"dista/internal/core/tracker"
+	"dista/internal/core/wire"
+	"dista/internal/jni"
+	"dista/internal/taintmap"
+)
+
+// Tests of the streamed groups tier: the groups writer (appendGroups)
+// and the adopt primitive (adoptRuns) against the per-byte reference
+// codec, their allocation shape, and the resolve-before-pop contract of
+// the stream reads.
+
+// chunkTransport is a receive-only custom transport over a fixed byte
+// stream, delivering it in seeded random fragments.
+type chunkTransport struct {
+	stream []byte
+	rng    *rand.Rand
+	max    int
+}
+
+func (c *chunkTransport) SendRaw([]byte) error { return errors.New("receive-only transport") }
+
+func (c *chunkTransport) RecvRaw(b []byte) (int, error) {
+	if len(c.stream) == 0 {
+		return 0, io.EOF
+	}
+	n := 1 + c.rng.Intn(c.max)
+	if n > len(b) {
+		n = len(b)
+	}
+	n = copy(b[:n], c.stream)
+	c.stream = c.stream[n:]
+	return n, nil
+}
+
+// randomLayout labels a random window of a fresh buffer from pool (the
+// zero Taint among it stands for clean gaps) and returns the window: a
+// run-mode or densified store, viewed whole or at an offset.
+func randomLayout(rng *rand.Rand, pool []taint.Taint) taint.Bytes {
+	n := 1 + rng.Intn(600)
+	base := taint.MakeBytes(n)
+	rng.Read(base.Data)
+	switch rng.Intn(3) {
+	case 0: // a few ranges: stays in run mode
+		for k := rng.Intn(6); k > 0; k-- {
+			from := rng.Intn(n)
+			base.SetRange(from, from+1+rng.Intn(n-from), pool[rng.Intn(len(pool))])
+		}
+	case 1: // a label drawn per byte: densifies
+		for i := 0; i < n; i++ {
+			base.SetLabel(i, pool[rng.Intn(len(pool))])
+		}
+	default: // strict alternation, the worst case of the format
+		a, b := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
+		for i := 0; i < n; i++ {
+			base.SetLabel(i, [2]taint.Taint{a, b}[i&1])
+		}
+	}
+	if rng.Intn(2) == 0 {
+		return base
+	}
+	from := rng.Intn(n)
+	return base.Slice(from, from+1+rng.Intn(n-from))
+}
+
+// TestStreamedTierMatchesReference is the seeded differential test of
+// both streamed primitives. Writer: for random label layouts the frame
+// a static endpoint puts on the wire is byte-identical to
+// AppendGroupsFrame over the run list rebuilt from per-byte LabelAt
+// (and to the per-byte EncodeGroups). Reader: the concatenated frames,
+// delivered in random fragments and read through random buffer sizes,
+// leave exactly the labels DecodeGroups + SetLabel leave — and nothing
+// outside the bytes a read returned.
+func TestStreamedTierMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := newRig(t, tracker.ModeDista)
+		ca, cb := r.net.Pipe()
+		sender := NewEndpoint(r.a, ca)
+
+		// Five sources, two of them registered up front; the rest meet
+		// the Taint Map inside the writer.
+		pool := []taint.Taint{{}}
+		for i := 0; i < 5; i++ {
+			src := r.a.Source("diff", string(rune('a'+i)))
+			if i < 2 {
+				if _, err := r.a.TaintMap().Register(src); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pool = append(pool, src, taint.Combine(src, pool[len(pool)-1]))
+		}
+
+		type frame struct {
+			groups bool
+			data   []byte
+		}
+		var stream []byte
+		var frames []frame
+		for m := 0; m < 12; m++ {
+			msg := randomLayout(rng, pool)
+			if err := sender.Write(msg); err != nil {
+				t.Fatalf("seed %d msg %d: %v", seed, m, err)
+			}
+			// The reference: one id per byte, then its run list.
+			ids := make([]uint32, len(msg.Data))
+			var runs []wire.Run
+			for i := range ids {
+				id, err := r.a.TaintMap().Register(msg.LabelAt(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids[i] = id
+				if k := len(runs); k > 0 && runs[k-1].ID == id {
+					runs[k-1].N++
+				} else {
+					runs = append(runs, wire.Run{N: 1, ID: id})
+				}
+			}
+			var want []byte
+			if m == 0 {
+				want = wire.AppendStreamMagic(want)
+			}
+			if msg.Clean() {
+				want = wire.AppendPassthroughFrame(want, msg.Data)
+			} else {
+				want = wire.AppendGroupsFrame(want, msg.Data, runs)
+				perByte := wire.EncodeGroups(nil, msg.Data, ids)
+				if !bytes.HasSuffix(want, perByte) {
+					t.Fatalf("seed %d msg %d: run and per-byte reference encodings disagree", seed, m)
+				}
+			}
+			got := make([]byte, len(want))
+			if _, err := io.ReadFull(cb, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %d msg %d (%d bytes, %d runs): streamed frame differs from the reference",
+					seed, m, len(msg.Data), len(runs))
+			}
+			stream = append(stream, got...)
+			frames = append(frames, frame{groups: !msg.Clean(), data: got[len(got)-frameBody(msg):]})
+		}
+
+		// Reference labels on the receiving node, byte by byte.
+		var ref taint.Bytes
+		for _, f := range frames {
+			if !f.groups {
+				ref = ref.Append(taint.WrapBytes(f.data))
+				continue
+			}
+			data, ids, err := wire.DecodeGroups(f.data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			part := taint.WrapBytes(data)
+			for i, id := range ids {
+				lbl, err := r.b.TaintMap().Lookup(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				part.SetLabel(i, lbl)
+			}
+			ref = ref.Append(part)
+		}
+
+		receiver := WrapCustom(r.b, &chunkTransport{stream: stream, rng: rng, max: 1 + rng.Intn(300)})
+		stale := r.b.Source("diff", "stale")
+		pos := 0
+		for {
+			buf := taint.MakeBytes(1 + rng.Intn(200))
+			buf.SetRange(0, len(buf.Data), stale)
+			n, err := receiver.Read(&buf)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("seed %d: read at %d: %v", seed, pos, err)
+			}
+			if !bytes.Equal(buf.Data[:n], ref.Data[pos:pos+n]) {
+				t.Fatalf("seed %d: data mismatch at %d", seed, pos)
+			}
+			for i := 0; i < len(buf.Data); i++ {
+				want := stale
+				if i < n {
+					want = ref.LabelAt(pos + i)
+				}
+				if got := buf.LabelAt(i); got != want {
+					t.Fatalf("seed %d: stream byte %d (read offset %d of %d): label %v, want %v",
+						seed, pos+i, i, n, got, want)
+				}
+			}
+			pos += n
+		}
+		if pos != len(ref.Data) {
+			t.Fatalf("seed %d: read %d of %d bytes", seed, pos, len(ref.Data))
+		}
+	}
+}
+
+// frameBody is the body length of the frame a static endpoint emits
+// for msg.
+func frameBody(msg taint.Bytes) int {
+	if msg.Clean() {
+		return len(msg.Data)
+	}
+	return wire.WireLen(len(msg.Data))
+}
+
+// exchange writes msg through sender and reads it back whole through
+// receiver, on the calling goroutine: the pipe buffers the frame.
+func exchange(t testing.TB, sender, receiver *Endpoint, msg taint.Bytes, into *taint.Bytes) {
+	if err := sender.Write(msg); err != nil {
+		t.Fatal(err)
+	}
+	for got := 0; got < len(msg.Data); {
+		sub := into.Slice(got, len(into.Data))
+		n, err := receiver.Read(&sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got += n
+	}
+}
+
+// TestStreamedPathAllocs pins the allocation shape of the streamed
+// groups tier: a warm write+read of a label change on every byte costs
+// a constant handful of allocations — nothing proportional to its 8192
+// runs — and a warm clean exchange costs none at the endpoint.
+func TestStreamedPathAllocs(t *testing.T) {
+	r := newRig(t, tracker.ModeDista)
+	ca, cb := r.net.Pipe()
+	sender, receiver := NewAdaptiveEndpoint(r.a, ca), NewAdaptiveEndpoint(r.b, cb)
+
+	dense := taint.MakeBytes(8192)
+	pair := [2]taint.Taint{r.a.Source("s", "x"), r.a.Source("s", "y")}
+	for i := range dense.Data {
+		dense.SetLabel(i, pair[i&1])
+	}
+	into := taint.MakeBytes(8192)
+	for i := 0; i < 4; i++ {
+		exchange(t, sender, receiver, dense, &into)
+	}
+	if got := testing.AllocsPerRun(50, func() { exchange(t, sender, receiver, dense, &into) }); got > 4 {
+		t.Errorf("dense 8 KiB exchange: %v allocs, want at most 4", got)
+	}
+	for i := range into.Data {
+		if !into.LabelAt(i).Has([2]string{"x", "y"}[i&1]) {
+			t.Fatalf("byte %d carries %v", i, into.LabelAt(i))
+		}
+	}
+
+	clean := taint.WrapBytes(make([]byte, 512))
+	small := taint.WrapBytes(make([]byte, 512))
+	for i := 0; i < 4; i++ {
+		exchange(t, sender, receiver, clean, &small)
+	}
+	if got := testing.AllocsPerRun(50, func() { exchange(t, sender, receiver, clean, &small) }); got != 0 {
+		t.Errorf("clean 512 B exchange: %v allocs, want 0", got)
+	}
+}
+
+// flakyLookups fails the first LookupBatch calls of a client, as a
+// Taint Map outage on the receiving node would.
+type flakyLookups struct {
+	taintmap.Client
+	fail int
+}
+
+var errLookupDown = errors.New("taint map unreachable")
+
+func (c *flakyLookups) LookupBatch(ids []uint32) ([]taint.Taint, error) {
+	if c.fail > 0 {
+		c.fail--
+		return nil, errLookupDown
+	}
+	return c.Client.LookupBatch(ids)
+}
+
+// TestReadResolvesBeforePopping: a lookup that fails must leave the
+// caller's bytes, the caller's labels and the decoder untouched, so the
+// read retried once the Taint Map answers returns the very bytes the
+// failed one would have, under the right labels — not the bytes after
+// them.
+func TestReadResolvesBeforePopping(t *testing.T) {
+	const text = "resolve-then-pop"
+	reads := map[string]func(t *testing.T, r *rig, b *tracker.Agent) func(*taint.Bytes) (int, error){
+		"Endpoint.Read": func(t *testing.T, r *rig, b *tracker.Agent) func(*taint.Bytes) (int, error) {
+			ca, cb := r.net.Pipe()
+			must(t, NewEndpoint(r.a, ca).Write(taint.FromString(text, r.a.Source("s", "fresh"))))
+			return NewEndpoint(b, cb).Read
+		},
+		"Endpoint.ReadBuffer": func(t *testing.T, r *rig, b *tracker.Agent) func(*taint.Bytes) (int, error) {
+			ca, cb := r.net.Pipe()
+			must(t, NewEndpoint(r.a, ca).Write(taint.FromString(text, r.a.Source("s", "fresh"))))
+			ep := NewEndpoint(b, cb)
+			return func(buf *taint.Bytes) (int, error) {
+				db := &jni.DirectBuffer{Data: buf.Data, B: *buf}
+				return ep.ReadBuffer(db, 0, len(buf.Data))
+			}
+		},
+		"CustomEndpoint.Read": func(t *testing.T, r *rig, b *tracker.Agent) func(*taint.Bytes) (int, error) {
+			ta, tb := newChanPair()
+			must(t, WrapCustom(r.a, ta).Write(taint.FromString(text, r.a.Source("s", "fresh"))))
+			return WrapCustom(b, tb).Read
+		},
+	}
+	for name, setup := range reads {
+		t.Run(name, func(t *testing.T) {
+			r := newRig(t, tracker.ModeDista)
+			flaky := &flakyLookups{Client: r.b.TaintMap(), fail: 1}
+			b := tracker.New("node2", tracker.ModeDista, tracker.WithTaintMap(flaky))
+			read := setup(t, r, b)
+
+			stale := b.Source("s", "stale")
+			buf := taint.FromString("................", stale)
+			if n, err := read(&buf); n != 0 || !errors.Is(err, errLookupDown) {
+				t.Fatalf("read during the outage = %d, %v; want 0, %v", n, err, errLookupDown)
+			}
+			if string(buf.Data) != "................" {
+				t.Fatalf("failed read wrote %q into the caller's buffer", buf.Data)
+			}
+			for i := range buf.Data {
+				if buf.LabelAt(i) != stale {
+					t.Fatalf("failed read relabelled byte %d to %v", i, buf.LabelAt(i))
+				}
+			}
+			n, err := read(&buf)
+			if err != nil || string(buf.Data[:n]) != text {
+				t.Fatalf("retried read = %q, %v; want %q", buf.Data[:n], err, text)
+			}
+			for i := 0; i < n; i++ {
+				if lbl := buf.LabelAt(i); !lbl.Has("fresh") || lbl.Has("stale") {
+					t.Fatalf("byte %d carries %v after the retry", i, lbl)
+				}
+			}
+		})
+	}
+}
+
+func must(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -52,11 +52,11 @@ func (e *Endpoint) WritevBuffers(srcs []*jni.DirectBuffer, lens []int) (int64, e
 			if err := src.CheckRange(0, lens[i]); err != nil {
 				return 0, err
 			}
-			runs, err := e.registerRunsScratch(src.View(0, lens[i]))
+			raw, err := appendGroups(e.agent, nil, src.View(0, lens[i]))
 			if err != nil {
 				return 0, err
 			}
-			encoded[i] = wire.EncodeRuns(nil, src.Data[:lens[i]], runs)
+			encoded[i] = raw
 			total += lens[i]
 			e.agent.AddTraffic(lens[i], len(encoded[i]))
 		}
@@ -66,12 +66,10 @@ func (e *Endpoint) WritevBuffers(srcs []*jni.DirectBuffer, lens []int) (int64, e
 		return int64(total), nil
 	}
 
-	// Pass 1: classify sources, register tainted runs, and size the
-	// shared scratch exactly so pass 2 can alias into it without any
-	// append ever reallocating (which would invalidate earlier vector
-	// entries).
+	// Pass 1: classify sources and size the shared scratch exactly so
+	// pass 2 can alias into it without any append ever reallocating
+	// (which would invalidate earlier vector entries).
 	clean := make([]bool, len(srcs))
-	runsOf := make([][]wire.Run, len(srcs))
 	var uids []uint32 // adaptive: uniform-frame Global ID per source (0 = not uniform)
 	if e.adaptive {
 		uids = make([]uint32, len(srcs))
@@ -111,18 +109,15 @@ func (e *Endpoint) WritevBuffers(srcs []*jni.DirectBuffer, lens []int) (int64, e
 				continue
 			}
 		}
-		// No scratch here: every source's runs stay live until pass 2.
-		runs, err := registerRuns(e.agent, src.View(0, lens[i]), nil)
-		if err != nil {
-			return 0, err
-		}
-		runsOf[i] = runs
 		scratchLen += wire.GroupsFrameLen(lens[i])
 	}
 
 	// Pass 2: assemble headers and group bodies in the pooled scratch;
-	// clean payloads enter the vector as raw slices, uncopied.
+	// clean payloads enter the vector as raw slices, uncopied. Nothing
+	// has reached the connection yet, so a taint that fails to register
+	// here fails the whole call.
 	buf := wire.GetBuf(scratchLen + wire.EncodeSlack)
+	defer wire.PutBuf(buf)
 	out := *buf
 	vec := make([][]byte, 0, 2*len(srcs))
 	for i := 0; i < len(srcs); {
@@ -161,16 +156,16 @@ func (e *Endpoint) WritevBuffers(srcs []*jni.DirectBuffer, lens []int) (int64, e
 			i = j
 			continue
 		}
-		out = wire.AppendGroupsFrame(out, srcs[i].Data[:lens[i]], runsOf[i])
+		var err error
+		if out, err = appendGroupsFrame(e.agent, out, srcs[i].View(0, lens[i])); err != nil {
+			return 0, err
+		}
 		vec = append(vec, out[mark:len(out):len(out)])
 		wireBytes += len(out) - mark
 		i++
 	}
 	e.agent.AddTraffic(total, wireBytes)
-	_, err := jni.DispatcherWritev0(e.conn, vec)
-	*buf = out
-	wire.PutBuf(buf)
-	if err != nil {
+	if _, err := jni.DispatcherWritev0(e.conn, vec); err != nil {
 		return 0, err
 	}
 	if len(vec) > 0 {
@@ -227,5 +222,5 @@ func (e *Endpoint) ReadvBuffers(dsts []*jni.DirectBuffer, lens []int) (int64, er
 func (e *Endpoint) bufferedData() int {
 	e.rmu.Lock()
 	defer e.rmu.Unlock()
-	return e.dec.Buffered()
+	return e.rd.dec.Buffered()
 }
