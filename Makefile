@@ -3,7 +3,7 @@ GO ?= go
 # Hot-path benchmark selection shared by `bench` and the A/B harness.
 BENCH_RE := BenchmarkHotPath|BenchmarkTaintMap$$|BenchmarkWireCodec|BenchmarkTaintCombine
 
-.PHONY: build test race race-taintmap vet lint check ci chaos bench bench-ab bench-hotpath bench-taintmap bench-resilience bench-distavet bench-cleanpath bench-cluster bench-grayfail bench-load soak-load fuzz fuzz-smoke
+.PHONY: build test race race-taintmap vet lint loc check ci chaos bench bench-ab bench-hotpath bench-taintmap bench-resilience bench-distavet bench-cleanpath bench-cluster bench-grayfail bench-load soak-load fuzz fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,16 @@ vet:
 lint:
 	$(GO) run ./cmd/distavet -facts .distavet-facts ./...
 
+# Non-test Go lines per package and in total — the size ROADMAP asks
+# every PR to report: *.go minus *_test.go, with benchmark/ (the harness,
+# not the product) and the analyzers' golden corpora left out.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './internal/analysis/testdata/*' \
+		| xargs wc -l \
+		| awk '$$2 != "total" { sub(/\/[^\/]*$$/, "", $$2); n[$$2] += $$1; t += $$1 } \
+			END { for (p in n) printf "%7d %s\n", n[p], p; printf "%7d total\n", t }' \
+		| sort -k2
+
 # Chaos suite under the race detector: kill/restart the Taint Map server
 # mid-workload, random stream resets — every taint must survive with a
 # correct, stable resolution. The instrument scenario additionally pins
@@ -42,7 +52,7 @@ chaos:
 	$(GO) test -race -run 'TestChaos' -count=1 ./internal/taintmap ./internal/instrument
 
 # Tier-1 gate: everything CI runs.
-check: vet lint build test race chaos soak-load fuzz-smoke bench-cleanpath bench-cluster bench-grayfail bench-distavet bench-load
+check: vet lint build test race chaos soak-load fuzz-smoke bench-cleanpath bench-cluster bench-grayfail bench-distavet bench-load loc
 
 # Alias for CI pipelines: the full gate, spelled out in build order.
 ci: build vet lint test race fuzz-smoke chaos soak-load bench-cleanpath bench-cluster bench-grayfail bench-distavet bench-load
@@ -71,8 +81,8 @@ bench-hotpath:
 	$(GO) run ./cmd/benchjson -in bench_hotpath.txt -out BENCH_1.json
 
 # Run the concurrent Taint Map service benchmarks (multiplexed client vs
-# the stop-and-wait baseline, plus single-client untagged latency) and
-# refresh BENCH_2.json. Medians of -count=5 repetitions: the shared box
+# the same client held to one request in flight, plus single-client
+# latency) and refresh BENCH_2.json. Medians of -count=5 repetitions: the shared box
 # is noisy, and the headline criterion is an in-run ratio, so extra
 # repetitions buy stability where it matters.
 bench-taintmap:
@@ -200,7 +210,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzStreamRoundTrip -fuzztime=20s ./internal/core/wire
 
 # ~10s per target over the taint map protocol surface — the server-side
-# frame parser (both protocol generations) and the blob/id list codecs —
+# frame parser and the blob/id list codecs —
 # plus the tier-transition fuzzer, which drives an adaptive endpoint
 # pair through random density schedules and checks per-byte label
 # delivery across encoding switches. `go test` accepts one -fuzz

@@ -44,11 +44,11 @@ var seedBaselines = map[string]seedBaseline{}
 // Intel Xeon @ 2.10GHz box, 2026-08-06.
 //
 // The TaintMapConcurrent entries were measured the same way against the
-// pre-sharding tree (commit fbd77bd): its stop-and-wait RemoteClient
-// driven by the identical 8-goroutine 90/10 mixed harness is the seed
-// for both Mux8 and StopAndWait8 (one client replaces it, the other is
-// its byte-compatible port), and its single-goroutine untagged register
-// loop is the seed for UntaggedSingle.
+// pre-sharding tree (commit fbd77bd): its one-request-at-a-time
+// RemoteClient driven by the identical 8-goroutine 90/10 mixed harness
+// is the seed for both Mux8 and Serialized8 (one client replaces it, the
+// other is today's client held to its one request in flight), and its
+// single-goroutine register loop is the seed for Single.
 const seedJSON = `{
   "HotPath/TaintAllUniform":          {"NsPerOp": 174195.0, "AllocsPerOp": 0},
   "HotPath/UnionUniform":             {"NsPerOp": 147903.5, "AllocsPerOp": 0},
@@ -68,9 +68,9 @@ const seedJSON = `{
   "TaintCombine/Interned":            {"NsPerOp": 69.75,    "AllocsPerOp": 1},
   "TaintCombine/ShadowArrayTaintAll": {"NsPerOp": 169886.0, "AllocsPerOp": 0},
 
-  "TaintMapConcurrent/Mux8":           {"NsPerOp": 1404.5,  "AllocsPerOp": 1},
-  "TaintMapConcurrent/StopAndWait8":   {"NsPerOp": 1404.5,  "AllocsPerOp": 1},
-  "TaintMapConcurrent/UntaggedSingle": {"NsPerOp": 12829.5, "AllocsPerOp": 13}
+  "TaintMapConcurrent/Mux8":        {"NsPerOp": 1404.5,  "AllocsPerOp": 1},
+  "TaintMapConcurrent/Serialized8": {"NsPerOp": 1404.5,  "AllocsPerOp": 1},
+  "TaintMapConcurrent/Single":      {"NsPerOp": 12829.5, "AllocsPerOp": 13}
 }`
 
 type result struct {
@@ -437,9 +437,9 @@ func main() {
 	speedupAtLeast("single-taint 64KiB decode path", "HotPath/DecodePathUniform", 5)
 	slowdownAtMost("mixed per-byte-label workload", "HotPath/MixedStreamExchange", 1.2)
 	ratioAtLeast("concurrent taint map throughput (in-run)",
-		"TaintMapConcurrent/StopAndWait8", "TaintMapConcurrent/Mux8", 3)
+		"TaintMapConcurrent/Serialized8", "TaintMapConcurrent/Mux8", 3)
 	speedupAtLeast("concurrent taint map throughput (vs seed)", "TaintMapConcurrent/Mux8", 3)
-	slowdownAtMost("untagged single-client latency", "TaintMapConcurrent/UntaggedSingle", 1.3)
+	slowdownAtMost("single-client latency", "TaintMapConcurrent/Single", 1.3)
 	ratioAtMost("resilience wrapper overhead (fault-free, in-run)",
 		"TaintMapConcurrent/Resilient8", "TaintMapConcurrent/Mux8", 1.10)
 	// BENCH_5 criteria: the clean-path bypass. The bypass ratio and the

@@ -1,0 +1,471 @@
+package taintmap
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"sync"
+	"testing"
+	"time"
+
+	"dista/internal/core/taint"
+	"dista/internal/netsim"
+)
+
+// clientOps is one way of driving a Client one taint at a time: the
+// single ops, or the batch ops with a one-element slice.
+type clientOps struct {
+	name     string
+	register func(c Client, t taint.Taint) (uint32, error)
+	lookup   func(c Client, id uint32) (taint.Taint, error)
+}
+
+var (
+	singleOps = clientOps{
+		name:     "single",
+		register: func(c Client, t taint.Taint) (uint32, error) { return c.Register(t) },
+		lookup:   func(c Client, id uint32) (taint.Taint, error) { return c.Lookup(id) },
+	}
+	batchOfOneOps = clientOps{
+		name: "batch-of-one",
+		register: func(c Client, t taint.Taint) (uint32, error) {
+			ids, err := c.RegisterBatch([]taint.Taint{t})
+			if err != nil {
+				return 0, err
+			}
+			return ids[0], nil
+		},
+		lookup: func(c Client, id uint32) (taint.Taint, error) {
+			ts, err := c.LookupBatch([]uint32{id})
+			if err != nil {
+				return taint.Taint{}, err
+			}
+			return ts[0], nil
+		},
+	}
+)
+
+// errClass names the typed failure err matches under errors.Is, most
+// specific first; "" is success and "other" a failure of no typed class.
+func errClass(err error) string {
+	if err == nil {
+		return ""
+	}
+	for _, c := range []struct {
+		name string
+		err  error
+	}{
+		{"ErrJournalFull", ErrJournalFull},
+		{"ErrDegraded", ErrDegraded},
+		{"ErrUnknownGlobalID", ErrUnknownGlobalID},
+		{"ErrDeadlineExceeded", ErrDeadlineExceeded},
+		{"ErrClientClosed", ErrClientClosed},
+	} {
+		if errors.Is(err, c.err) {
+			return c.name
+		}
+	}
+	return "other"
+}
+
+// opResult is everything the equivalence test compares about one op.
+type opResult struct {
+	step    string
+	id      uint32 // Register: the id returned; Lookup: the id asked for
+	stamped uint32 // Global ID on the taint node afterwards
+	blob    string // Lookup: the resolved taint, serialized
+	class   string // errClass of the failure
+}
+
+// opTrace drives one client through a scenario's script and records what
+// every step observed.
+type opTrace struct {
+	t   *testing.T
+	ops clientOps
+	got []opResult
+}
+
+// register records a Register of tt and returns its id. want is the
+// errClass the step must end in.
+func (tr *opTrace) register(step string, c Client, tt taint.Taint, want string) uint32 {
+	tr.t.Helper()
+	id, err := tr.ops.register(c, tt)
+	r := opResult{step: step, id: id, stamped: tt.GlobalID(), class: errClass(err)}
+	if r.class != want {
+		tr.t.Fatalf("%s/%s: register failed as %q (%v), want %q", tr.ops.name, step, r.class, err, want)
+	}
+	tr.got = append(tr.got, r)
+	return id
+}
+
+// lookup records a Lookup of id. want is the errClass the step must end in.
+func (tr *opTrace) lookup(step string, c Client, id uint32, want string) {
+	tr.t.Helper()
+	got, err := tr.ops.lookup(c, id)
+	r := opResult{step: step, id: id, stamped: got.GlobalID(), class: errClass(err)}
+	if r.class != want {
+		tr.t.Fatalf("%s/%s: lookup of %d failed as %q (%v), want %q", tr.ops.name, step, id, r.class, err, want)
+	}
+	if err == nil {
+		blob, merr := taint.MarshalTaint(got)
+		if merr != nil {
+			tr.t.Fatalf("%s/%s: %v", tr.ops.name, step, merr)
+		}
+		r.blob = string(blob)
+	}
+	tr.got = append(tr.got, r)
+}
+
+// healthyScript is what every client answers the same way while its
+// Taint Map is up: a fresh registration, the stamped and empty
+// early-outs, a memo-cold and a memo-warm lookup from a second client,
+// the zero id and an id nobody registered.
+func healthyScript(tr *opTrace, c, reader Client, tree *taint.Tree, unknown uint32) {
+	tr.t.Helper()
+	t1 := tree.NewSource("one", "app:1")
+	id := tr.register("fresh", c, t1, "")
+	if id == 0 || IsProvisional(id) || t1.GlobalID() != id {
+		tr.t.Fatalf("%s: healthy register = %d, node stamped %d", tr.ops.name, id, t1.GlobalID())
+	}
+	tr.register("stamped", c, t1, "")
+	tr.register("empty", c, taint.Taint{}, "")
+	tr.register("combined", c, taint.Combine(t1, tree.NewSource("two", "app:1")), "")
+	tr.lookup("cold", reader, id, "")
+	tr.lookup("warm", reader, id, "")
+	tr.lookup("own", c, id, "")
+	tr.lookup("zero", c, 0, "")
+	tr.lookup("unknown", reader, unknown, "ErrUnknownGlobalID")
+}
+
+// closedScript closes c and requires both verbs to fail as closed.
+func closedScript(tr *opTrace, c Client, tree *taint.Tree, unknown uint32, lookupClass string) {
+	tr.t.Helper()
+	if err := c.Close(); err != nil {
+		tr.t.Fatal(err)
+	}
+	tr.register("closed", c, tree.NewSource("late", "app:1"), "ErrClientClosed")
+	tr.lookup("closed", c, unknown, lookupClass)
+}
+
+// TestBatchOfOneEquivalence pins Register(t) against
+// RegisterBatch([]Taint{t}) and Lookup(id) against
+// LookupBatch([]uint32{id}) on every client: each scenario runs twice on
+// identical fresh deployments, once per way of asking, and the two runs
+// must agree on every id, on whether the Global ID was stamped on the
+// node, on provisional-ness and on the typed class of every failure.
+func TestBatchOfOneEquivalence(t *testing.T) {
+	const unknown = 9999
+	scenarios := []struct {
+		name string
+		run  func(tr *opTrace)
+	}{
+		{"Local", func(tr *opTrace) {
+			store := NewStore()
+			tree := taint.NewTree()
+			healthyScript(tr, NewLocalClient(store, tree), NewLocalClient(store, taint.NewTree()), tree, unknown)
+		}},
+		{"Remote", func(tr *opTrace) {
+			n := netsim.New()
+			srv, err := StartSimServer(n, "tm:1")
+			if err != nil {
+				tr.t.Fatal(err)
+			}
+			defer srv.Close()
+			tree := taint.NewTree()
+			c, err := DialSim(n, "tm:1", tree)
+			if err != nil {
+				tr.t.Fatal(err)
+			}
+			reader, err := DialSim(n, "tm:1", taint.NewTree())
+			if err != nil {
+				tr.t.Fatal(err)
+			}
+			defer reader.Close()
+			healthyScript(tr, c, reader, tree, unknown)
+			closedScript(tr, c, tree, unknown, "ErrClientClosed")
+		}},
+		{"ResilientConnected", func(tr *opTrace) {
+			n := netsim.New()
+			srv, err := StartSimServer(n, "tm:1")
+			if err != nil {
+				tr.t.Fatal(err)
+			}
+			defer srv.Close()
+			tree := taint.NewTree()
+			c := NewResilientClient(simDialer(n, "app:1", "tm:1"), tree, fastOpts())
+			reader := NewResilientClient(simDialer(n, "rd:1", "tm:1"), taint.NewTree(), fastOpts())
+			defer reader.Close()
+			healthyScript(tr, c, reader, tree, unknown)
+			closedScript(tr, c, tree, unknown, "ErrClientClosed")
+		}},
+		{"ResilientDegraded", func(tr *opTrace) {
+			n := netsim.New()
+			srv, err := StartSimServer(n, "tm:1")
+			if err != nil {
+				tr.t.Fatal(err)
+			}
+			defer srv.Close()
+			tree := taint.NewTree()
+			opt := fastOpts()
+			opt.JournalLimit = 2
+			c := NewResilientClient(simDialer(n, "app:1", "tm:1"), tree, opt)
+			warm := tree.NewSource("warm", "app:1")
+			warmID := tr.register("warm", c, warm, "")
+
+			// The first op after the cut discovers the outage, rides out
+			// the breaker and lands in the degraded path.
+			n.Partition("app", "tm")
+			o1 := tree.NewSource("outage-1", "app:1")
+			prov := tr.register("journaled", c, o1, "")
+			if !IsProvisional(prov) || o1.GlobalID() != 0 {
+				tr.t.Fatalf("%s: degraded register = %d, node stamped %d", tr.ops.name, prov, o1.GlobalID())
+			}
+			tr.register("journaled again", c, o1, "")
+			tr.lookup("provisional", c, prov, "")
+			tr.lookup("memo", c, warmID, "")
+			tr.lookup("unknown", c, unknown, "ErrDegraded")
+			tr.register("journal limit", c, tree.NewSource("outage-2", "app:1"), "")
+			tr.register("journal full", c, tree.NewSource("outage-3", "app:1"), "ErrJournalFull")
+			closedScript(tr, c, tree, unknown, "ErrClientClosed")
+		}},
+		{"ClusterOneMemberOverloaded", func(tr *opTrace) {
+			e := newClusterEnvOpts(tr.t, 3, 2, WithAdmission(1, 0))
+			opt := ClusterOptions{Resilient: grayOpts().Resilient, OpTimeout: 100 * time.Millisecond}
+			tree := taint.NewTree()
+			c, err := DialSimCluster(e.net, "app:1", e.ring, tree, opt)
+			if err != nil {
+				tr.t.Fatal(err)
+			}
+			reader, err := DialSimCluster(e.net, "rd:1", e.ring, taint.NewTree(), opt)
+			if err != nil {
+				tr.t.Fatal(err)
+			}
+			defer reader.Close()
+
+			// quiet is a partition member 0 does not replicate: its
+			// lookups see the two healthy replicas only, so their
+			// failures do not depend on where the rotation starts.
+			quiet := uint32(MaxPartitions)
+			for _, m := range e.ring.Members() {
+				reps := e.ring.Replicas(m.Part)
+				if reps[0] != 0 && reps[1] != 0 {
+					quiet = m.Part
+				}
+			}
+			if quiet == MaxPartitions {
+				tr.t.Fatal("every partition replicates to member 0")
+			}
+			quietUnknown := partitionBase(quiet) | unknown
+			healthyScript(tr, c, reader, tree, quietUnknown)
+
+			// Member 0 sheds every request: its partition registers into
+			// the journal, the others stay on the wire.
+			byOwner := map[uint32]taint.Taint{}
+			for i := 0; len(byOwner) < 3 && i < 256; i++ {
+				tt := tree.NewSource(fmt.Sprintf("owned-%d", i), "app:1")
+				blob, err := taint.MarshalTaint(tt)
+				if err != nil {
+					tr.t.Fatal(err)
+				}
+				if owner := e.ring.OwnerOfBlob(blob); byOwner[owner].Empty() {
+					byOwner[owner] = tt
+				}
+			}
+			e.srvs[0].adm.admit()
+			defer e.srvs[0].adm.release()
+			prov := tr.register("shed owner", c, byOwner[0], "")
+			if !IsProvisional(prov) || PartitionOf(prov) != 0 || byOwner[0].GlobalID() != 0 {
+				tr.t.Fatalf("%s: register against a shedding owner = %d, node stamped %d", tr.ops.name, prov, byOwner[0].GlobalID())
+			}
+			tr.lookup("provisional", c, prov, "")
+			real := tr.register("healthy owner", c, byOwner[quiet], "")
+			if IsProvisional(real) {
+				tr.t.Fatalf("%s: healthy partition handed out provisional id %d", tr.ops.name, real)
+			}
+			tr.lookup("replicated", reader, real, "")
+
+			// Both replicas of the quiet partition go gray: the lookup
+			// ends at the operation deadline, not at a call timeout.
+			for _, rep := range e.ring.Replicas(quiet) {
+				host := fmt.Sprintf("tm%d", rep)
+				e.net.SetHostStall(host, true)
+				defer e.net.SetHostStall(host, false)
+			}
+			tr.lookup("stalled", reader, quietUnknown+1, "ErrDeadlineExceeded")
+
+			// A closed cluster client has no connection to hedge on.
+			closedScript(tr, c, tree, quietUnknown+2, "ErrDegraded")
+		}},
+	}
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			single := &opTrace{t: t, ops: singleOps}
+			sc.run(single)
+			batch := &opTrace{t: t, ops: batchOfOneOps}
+			sc.run(batch)
+			if len(single.got) != len(batch.got) {
+				t.Fatalf("single ops took %d steps, batches of one %d", len(single.got), len(batch.got))
+			}
+			for i, s := range single.got {
+				if b := batch.got[i]; s != b {
+					t.Errorf("step %q: single %+v, batch of one %+v", s.step, s, b)
+				}
+			}
+		})
+	}
+}
+
+// TestHitEarlyOutsDoNotAllocate: the O(1) answers of the single ops —
+// empty taint, stamped Global ID, zero id, memo hit — stay in Register
+// and Lookup themselves and cost no allocation on any client.
+func TestHitEarlyOutsDoNotAllocate(t *testing.T) {
+	n := netsim.New()
+	srv, err := StartSimServer(n, "tm:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	e := newClusterEnv(t, 3, 2)
+
+	for _, tc := range []struct {
+		name string
+		open func(tree *taint.Tree) Client
+	}{
+		{"Local", func(tree *taint.Tree) Client { return NewLocalClient(NewStore(), tree) }},
+		{"Remote", func(tree *taint.Tree) Client {
+			c, err := DialSim(n, "tm:1", tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+		{"Resilient", func(tree *taint.Tree) Client {
+			return NewResilientClient(simDialer(n, "app:1", "tm:1"), tree, ResilientOptions{})
+		}},
+		{"Cluster", func(tree *taint.Tree) Client {
+			c, err := DialSimCluster(e.net, "app:1", e.ring, tree, ClusterOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tree := taint.NewTree()
+			c := tc.open(tree)
+			defer c.Close()
+			tt := tree.NewSource("hit", "app:1")
+			id, err := c.Register(tt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if got, err := c.Register(tt); err != nil || got != id {
+					t.Fatalf("stamped register = %d, %v", got, err)
+				}
+				if got, err := c.Register(taint.Taint{}); err != nil || got != 0 {
+					t.Fatalf("empty register = %d, %v", got, err)
+				}
+				if got, err := c.Lookup(id); err != nil || got != tt {
+					t.Fatalf("memo lookup = %v, %v", got, err)
+				}
+				if got, err := c.Lookup(0); err != nil || !got.Empty() {
+					t.Fatalf("zero lookup = %v, %v", got, err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("hit early-outs allocate %.0f times per round", allocs)
+			}
+		})
+	}
+}
+
+// tapConn records every byte its client writes.
+type tapConn struct {
+	io.ReadWriteCloser
+	tap *wireTap
+}
+
+func (c tapConn) Write(p []byte) (int, error) {
+	c.tap.mu.Lock()
+	c.tap.sent = append(c.tap.sent, p...)
+	c.tap.mu.Unlock()
+	return c.ReadWriteCloser.Write(p)
+}
+
+// wireTap collects the request bytes of every connection dialed through it.
+type wireTap struct {
+	mu   sync.Mutex
+	sent []byte
+}
+
+func (w *wireTap) dial(n *netsim.Network, local string) func(addr string) (io.ReadWriteCloser, error) {
+	return func(addr string) (io.ReadWriteCloser, error) {
+		conn, err := n.DialFrom(local, addr)
+		if err != nil {
+			return nil, err
+		}
+		return tapConn{ReadWriteCloser: conn, tap: w}, nil
+	}
+}
+
+// registerOps returns the op byte of every register frame sent so far.
+func (w *wireTap) registerOps(t *testing.T) string {
+	t.Helper()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	var ops []byte
+	for b := w.sent; len(b) > 0; {
+		if len(b) < 9 || len(b) < 9+int(binary.BigEndian.Uint32(b[5:9])) {
+			t.Fatalf("captured a partial request frame: % x", b)
+		}
+		if b[0] == opRegisterTag || b[0] == opRegisterBatchTag {
+			ops = append(ops, b[0])
+		}
+		b = b[9+int(binary.BigEndian.Uint32(b[5:9])):]
+	}
+	return string(ops)
+}
+
+// TestSingleRegisterStaysCoalescible: a lone Register through the
+// wrapping clients reaches the wire as a single-register frame — the
+// one the mux writer can fold with its neighbours — not as a one-entry
+// batch frame.
+func TestSingleRegisterStaysCoalescible(t *testing.T) {
+	t.Run("Resilient", func(t *testing.T) {
+		n := netsim.New()
+		srv, err := StartSimServer(n, "tm:1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		var tap wireTap
+		dial := tap.dial(n, "app:1")
+		tree := taint.NewTree()
+		c := NewResilientClient(func() (io.ReadWriteCloser, error) { return dial("tm:1") }, tree, ResilientOptions{})
+		defer c.Close()
+		if _, err := c.Register(tree.NewSource("lone", "app:1")); err != nil {
+			t.Fatal(err)
+		}
+		if got := tap.registerOps(t); got != "r" {
+			t.Fatalf("register frames on the wire = %q, want one 'r'", got)
+		}
+	})
+	t.Run("Cluster", func(t *testing.T) {
+		e := newClusterEnv(t, 3, 2)
+		var tap wireTap
+		tree := taint.NewTree()
+		c, err := NewClusterClient(e.ring, tap.dial(e.net, "app:1"), tree, ClusterOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Register(tree.NewSource("lone", "app:1")); err != nil {
+			t.Fatal(err)
+		}
+		if got := tap.registerOps(t); got != "r" {
+			t.Fatalf("register frames on the wire = %q, want one 'r'", got)
+		}
+	})
+}

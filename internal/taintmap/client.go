@@ -34,6 +34,14 @@ type Client interface {
 // front half of every RegisterBatch implementation.
 func collectRegister(ts []taint.Taint) (ids []uint32, pending []taint.Taint, posOf map[taint.Taint][]int) {
 	ids = make([]uint32, len(ts))
+	if len(ts) == 1 {
+		// The batch of one (every single Register): nothing to
+		// deduplicate, so no position table — see spreadIDs.
+		if ids[0] = ts[0].GlobalID(); ids[0] == 0 && !ts[0].Empty() {
+			pending = ts
+		}
+		return ids, pending, nil
+	}
 	for i, t := range ts {
 		if t.Empty() {
 			continue
@@ -73,6 +81,19 @@ func adoptFresh(memo *cache, ids, fresh []uint32, pending []taint.Taint, posOf m
 	for i, t := range pending {
 		t.SetGlobalID(fresh[i])
 		memo.put(fresh[i], t)
+	}
+	spreadIDs(ids, fresh, pending, posOf)
+}
+
+// spreadIDs copies each pending taint's id to every position of ids
+// waiting on it. The batch of one has no table: its one position waits
+// on its one taint.
+func spreadIDs(ids, fresh []uint32, pending []taint.Taint, posOf map[taint.Taint][]int) {
+	if posOf == nil {
+		ids[0] = fresh[0]
+		return
+	}
+	for i, t := range pending {
 		for _, pos := range posOf[t] {
 			ids[pos] = fresh[i]
 		}
@@ -162,7 +183,7 @@ func NewLocalClient(store *Store, tree *taint.Tree) *LocalClient {
 	return &LocalClient{store: store, tree: tree}
 }
 
-// Register implements Client.
+// Register implements Client: the batch of one.
 func (c *LocalClient) Register(t taint.Taint) (uint32, error) {
 	if t.Empty() {
 		return 0, nil
@@ -170,17 +191,14 @@ func (c *LocalClient) Register(t taint.Taint) (uint32, error) {
 	if id := t.GlobalID(); id != 0 {
 		return id, nil
 	}
-	blob, err := taint.MarshalTaint(t)
+	ids, err := c.RegisterBatch([]taint.Taint{t})
 	if err != nil {
 		return 0, err
 	}
-	id := c.store.RegisterBlob(blob)
-	t.SetGlobalID(id)
-	c.memo.put(id, t)
-	return id, nil
+	return ids[0], nil
 }
 
-// Lookup implements Client.
+// Lookup implements Client: the batch of one.
 func (c *LocalClient) Lookup(id uint32) (taint.Taint, error) {
 	if id == 0 {
 		return taint.Taint{}, nil
@@ -188,17 +206,11 @@ func (c *LocalClient) Lookup(id uint32) (taint.Taint, error) {
 	if t, ok := c.memo.get(id); ok {
 		return t, nil
 	}
-	blob, err := c.store.LookupBlob(id)
+	ts, err := c.LookupBatch([]uint32{id})
 	if err != nil {
 		return taint.Taint{}, err
 	}
-	t, err := c.tree.UnmarshalTaint(blob)
-	if err != nil {
-		return taint.Taint{}, err
-	}
-	t.SetGlobalID(id)
-	c.memo.put(id, t)
-	return t, nil
+	return ts[0], nil
 }
 
 // RegisterBatch implements Client: all unregistered taints go straight
@@ -239,7 +251,7 @@ func adoptBlobs(tree *taint.Tree, memo *cache, ts []taint.Taint, ids, missing []
 	if len(blobs) != len(missing) {
 		return fmt.Errorf("taintmap: %d blobs for %d ids", len(blobs), len(missing))
 	}
-	fetched := make(map[uint32]taint.Taint, len(missing))
+	got := make([]taint.Taint, len(missing))
 	for i, id := range missing {
 		t, err := tree.UnmarshalTaint(blobs[i])
 		if err != nil {
@@ -247,14 +259,25 @@ func adoptBlobs(tree *taint.Tree, memo *cache, ts []taint.Taint, ids, missing []
 		}
 		t.SetGlobalID(id)
 		memo.put(id, t)
-		fetched[id] = t
+		got[i] = t
+	}
+	fillMissing(ts, ids, missing, got)
+	return nil
+}
+
+// fillMissing completes a splitBatch: got holds the taints resolved for
+// the distinct missing ids, and every position of ids waiting on one of
+// them receives it.
+func fillMissing(ts []taint.Taint, ids, missing []uint32, got []taint.Taint) {
+	fetched := make(map[uint32]taint.Taint, len(missing))
+	for i, id := range missing {
+		fetched[id] = got[i]
 	}
 	for i, id := range ids {
 		if t, ok := fetched[id]; ok {
 			ts[i] = t
 		}
 	}
-	return nil
 }
 
 // Close implements Client; the local client holds no resources.

@@ -2,7 +2,6 @@ package taintmap
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -207,9 +206,9 @@ func (n *ClusterNode) Close() {
 	n.mu.Unlock()
 }
 
-// peerLink is one node-to-node connection: stop-and-wait over the
-// tagged frame format (tag 0 — the link is mutex-serialized, so tags
-// carry no information). Kept deliberately simpler than the client mux:
+// peerLink is one node-to-node connection: one request in flight at a
+// time (tag 0 — the link is mutex-serialized, so tags carry no
+// information). Kept deliberately simpler than the client mux:
 // replication already batches at the request level, and a peer push is
 // on the registration latency path only for fresh ids.
 type peerLink struct {
@@ -265,17 +264,8 @@ func (l *peerLink) call(op byte, payload []byte, timeout time.Duration) ([]byte,
 	if rd != nil && timeout > 0 {
 		rd.SetReadDeadline(time.Now().Add(timeout))
 	}
-	var hdr [9]byte
-	if _, err := io.ReadFull(l.br, hdr[:]); err != nil {
-		return fail(err)
-	}
-	status := hdr[0]
-	nlen := binary.BigEndian.Uint32(hdr[5:9])
-	if nlen > maxReplyFrame {
-		return fail(fmt.Errorf("%w: peer reply of %d bytes", errProtocol, nlen))
-	}
-	reply := make([]byte, nlen)
-	if _, err := io.ReadFull(l.br, reply); err != nil {
+	status, _, reply, err := readTaggedFrame(l.br, nil, isReplyStatus, maxReplyFrame)
+	if err != nil {
 		return fail(err)
 	}
 	if rd != nil && timeout > 0 {

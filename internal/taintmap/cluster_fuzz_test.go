@@ -2,7 +2,6 @@ package taintmap
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -19,18 +18,23 @@ func FuzzClusterServeConn(f *testing.F) {
 		[][]byte{[]byte("blob-a"), []byte("blob-b")})
 	ownEntries := appendEntries(nil, []uint32{partitionBase(0) | 3}, [][]byte{[]byte("blob-own")})
 
-	// The whole cluster vocabulary, tagged and untagged.
+	// The whole cluster vocabulary.
 	f.Add(taggedReq(opRingTag, 1, nil))
-	f.Add(untaggedReq(opRing, nil))
 	f.Add(taggedReq(opJoinTag, 2, appendMember(nil, Member{Part: 2, Addr: "c:1"})))
-	f.Add(untaggedReq(opJoin, appendMember(nil, Member{Part: 3, Addr: "d:1"})))
+	f.Add(taggedReq(opJoinTag, 12, appendMember(nil, Member{Part: 3, Addr: "d:1"})))
 	f.Add(taggedReq(opReplicateTag, 3, entries))
-	f.Add(untaggedReq(opReplicate, ownEntries))
+	f.Add(taggedReq(opReplicateTag, 13, ownEntries))
 	f.Add(taggedReq(opRepairTag, 4, entries))
-	f.Add(untaggedReq(opRepair, entries))
 	// Interleaved with ordinary traffic: a register that triggers the
 	// synchronous replication path before its reply.
-	f.Add(append(untaggedReq(opRegister, []byte("fresh")), taggedReq(opRingTag, 5, nil)...))
+	f.Add(append(taggedReq(opRegisterTag, 14, []byte("fresh")), taggedReq(opRingTag, 5, nil)...))
+	// The same vocabulary in the removed untagged framing, which must be
+	// rejected on its first byte.
+	f.Add(untaggedReq('G', nil))
+	f.Add(untaggedReq('J', appendMember(nil, Member{Part: 3, Addr: "d:1"})))
+	f.Add(untaggedReq('P', ownEntries))
+	f.Add(untaggedReq('W', entries))
+	f.Add(append(untaggedReq('R', []byte("fresh")), taggedReq(opRingTag, 5, nil)...))
 	// Malformed cluster payloads: truncated member, trailing bytes,
 	// absurd entry counts, provisional/zero-seq ids in entries.
 	f.Add(taggedReq(opJoinTag, 6, []byte{2, 0}))
@@ -54,30 +58,7 @@ func FuzzClusterServeConn(f *testing.F) {
 		conn := &fuzzConn{r: bytes.NewReader(data)}
 		_ = serveConn(connHost{store: store, node: node}, conn, 0)
 
-		out := conn.w.Bytes()
-		for len(out) > 0 {
-			status := out[0]
-			var hdrLen int
-			switch status {
-			case statusOK, statusErr:
-				hdrLen = 5
-			case statusTaggedOK, statusTaggedErr:
-				hdrLen = 9
-			default:
-				t.Fatalf("response starts with status %d", status)
-			}
-			if len(out) < hdrLen {
-				t.Fatalf("truncated response header: % x", out)
-			}
-			n := binary.BigEndian.Uint32(out[hdrLen-4 : hdrLen])
-			if n > maxReplyFrame {
-				t.Fatalf("response frame of %d bytes", n)
-			}
-			if len(out) < hdrLen+int(n) {
-				t.Fatalf("truncated response payload: want %d, have %d", n, len(out)-hdrLen)
-			}
-			out = out[hdrLen+int(n):]
-		}
+		checkReplyStream(t, conn.w.Bytes())
 	})
 }
 

@@ -134,6 +134,10 @@ func DialClusterAddrs(addrs []string, dial func(addr string) (io.ReadWriteCloser
 		ropt.budget = newBudgetClock(opt.BudgetRate, opt.BudgetBurst, clk)
 		return NewResilientClient(func() (io.ReadWriteCloser, error) { return dial(addr) }, tree, ropt), nil
 	}
+	// The ring fetch runs under the members' call timeout: a gray seed
+	// (accepts the dial, never answers) costs one timeout and the next
+	// address gets its turn.
+	timeout := opt.Resilient.callTimeout()
 	var lastErr error
 	for _, addr := range addrs {
 		conn, err := dial(addr)
@@ -141,8 +145,8 @@ func DialClusterAddrs(addrs []string, dial func(addr string) (io.ReadWriteCloser
 			lastErr = err
 			continue
 		}
-		rc := NewRemoteClient(conn, tree)
-		reply, err := rc.call(opRingTag, nil)
+		rc := newRemoteClientWith(conn, tree, &cache{}, timeout)
+		reply, err := rc.call(opRingTag, nil, time.Time{})
 		rc.Close()
 		if err != nil {
 			lastErr = err
@@ -304,9 +308,7 @@ func (c *ClusterClient) Refresh() (*Ring, error) {
 	return nil, fmt.Errorf("taintmap: ring refresh: %w", lastErr)
 }
 
-// Register implements Client: marshal once, route by content hash to
-// the owning partition, register there (journaling locally if that
-// member is down).
+// Register implements Client: the batch of one.
 func (c *ClusterClient) Register(t taint.Taint) (uint32, error) {
 	if t.Empty() {
 		return 0, nil
@@ -314,27 +316,14 @@ func (c *ClusterClient) Register(t taint.Taint) (uint32, error) {
 	if id := t.GlobalID(); id != 0 {
 		return id, nil
 	}
-	blob, err := taint.MarshalTaint(t)
+	ids, err := c.RegisterBatch([]taint.Taint{t})
 	if err != nil {
 		return 0, err
 	}
-	cm := c.member(c.ring.Load().OwnerOfBlob(blob))
-	if cm == nil {
-		return 0, fmt.Errorf("%w: no member for owner partition", ErrDegraded)
-	}
-	id, err := cm.rc.registerMarshaled(t, blob)
-	if err != nil && errors.Is(err, ErrOverloaded) {
-		// The owner is shedding load, not down: fall into that
-		// partition's journaled degraded mode instead of failing the
-		// caller — the provisional id remaps when the drain replays it.
-		return cm.rc.journalFallback(t, blob)
-	}
-	return id, err
+	return ids[0], nil
 }
 
-// Lookup implements Client: route by the id's partition bits, rotating
-// across the partition's replicas; a replica that does not hold the id
-// falls through to the next and is healed afterwards by read-repair.
+// Lookup implements Client: the batch of one.
 func (c *ClusterClient) Lookup(id uint32) (taint.Taint, error) {
 	if id == 0 {
 		return taint.Taint{}, nil
@@ -342,54 +331,11 @@ func (c *ClusterClient) Lookup(id uint32) (taint.Taint, error) {
 	if t, ok := c.memo.get(id); ok {
 		return t, nil
 	}
-	part := PartitionOf(id)
-	if IsProvisional(id) {
-		// Provisional ids never cross the wire: resolve through the
-		// member whose journal minted them.
-		cm := c.member(part)
-		if cm == nil {
-			return taint.Taint{}, fmt.Errorf("%w: provisional id %d of unknown member", ErrDegraded, id)
-		}
-		return cm.rc.Lookup(id)
-	}
-	cms := c.replicaOrder(part)
-	if len(cms) == 0 {
-		return taint.Taint{}, fmt.Errorf("%w: no member for partition %d", ErrDegraded, part)
-	}
-	if len(cms) == 1 || c.opt.HedgeDelay < 0 {
-		// Single replica, or hedging disabled: sequential rotation with
-		// each member's full resilience machinery, as before hedging.
-		var stale []*clusterMember
-		lastErr := error(ErrDegraded)
-		for _, cm := range cms {
-			t, err := cm.rc.Lookup(id)
-			if err == nil {
-				c.repairTo(stale, []uint32{id}, []taint.Taint{t})
-				return t, nil
-			}
-			lastErr = err
-			if errors.Is(err, ErrUnknownGlobalID) {
-				// This replica is missing the entry, not down: remember
-				// it for read-repair once another replica resolves it.
-				stale = append(stale, cm)
-			}
-		}
-		return taint.Taint{}, lastErr
-	}
-	var got atomic.Pointer[taint.Taint]
-	stale, err := c.hedgedCall(cms, func(cm *clusterMember, deadline time.Time) error {
-		t, e := cm.rc.lookupAttempt(id, deadline)
-		if e == nil {
-			got.Store(&t)
-		}
-		return e
-	})
+	ts, err := c.LookupBatch([]uint32{id})
 	if err != nil {
 		return taint.Taint{}, err
 	}
-	t := *got.Load()
-	c.repairTo(stale, []uint32{id}, []taint.Taint{t})
-	return t, nil
+	return ts[0], nil
 }
 
 // replicaOrder returns the live member handles of a partition's replica
@@ -498,9 +444,11 @@ func (c *ClusterClient) hedgedCall(cms []*clusterMember, call func(cm *clusterMe
 }
 
 // RegisterBatch implements Client: pending taints are marshaled once,
-// grouped by owning partition, and each group goes to its owner as one
-// batch (so a cluster-wide batch costs one round trip per partition,
-// not per taint).
+// routed by content hash to their owning partitions, and each
+// partition's group goes to its owner as one batch (so a cluster-wide
+// batch costs one round trip per partition, not per taint). A batch
+// with a single owner — every batch of one, every batch on a one-member
+// ring — is its own group and is not regrouped.
 func (c *ClusterClient) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
 	ids, pending, posOf := collectRegister(ts)
 	if len(pending) == 0 {
@@ -511,47 +459,67 @@ func (c *ClusterClient) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
 		return nil, err
 	}
 	ring := c.ring.Load()
-	groups := make(map[uint32][]int) // owner partition -> indices into pending
-	for i, blob := range blobs {
-		part := ring.OwnerOfBlob(blob)
-		groups[part] = append(groups[part], i)
+	var ownerBuf [16]uint32 // keeps small batches off the heap
+	owners := ownerBuf[:0]
+	oneOwner := true
+	for _, blob := range blobs {
+		owners = append(owners, ring.OwnerOfBlob(blob))
+		oneOwner = oneOwner && owners[len(owners)-1] == owners[0]
 	}
-	for part, idxs := range groups {
-		cm := c.member(part)
-		if cm == nil {
-			return nil, fmt.Errorf("%w: no member for owner partition %d", ErrDegraded, part)
-		}
-		gts := make([]taint.Taint, len(idxs))
-		gblobs := make([][]byte, len(idxs))
-		for k, i := range idxs {
-			gts[k] = pending[i]
-			gblobs[k] = blobs[i]
-		}
-		got, err := cm.rc.registerPending(gts, gblobs)
-		if err != nil && errors.Is(err, ErrOverloaded) {
-			// The group's owner is shedding: journal the group into that
-			// partition's degraded mode and hand out provisional ids.
-			got = make([]uint32, len(gts))
-			for k := range gts {
-				if got[k], err = cm.rc.journalFallback(gts[k], gblobs[k]); err != nil {
-					return nil, err
-				}
-			}
-		} else if err != nil {
+	if oneOwner {
+		got, err := c.registerGroup(owners[0], pending, blobs)
+		if err != nil {
 			return nil, err
 		}
-		for k, i := range idxs {
-			for _, pos := range posOf[pending[i]] {
-				ids[pos] = got[k]
+		spreadIDs(ids, got, pending, posOf)
+		return ids, nil
+	}
+	for part := uint32(0); part < MaxPartitions; part++ {
+		var gts []taint.Taint
+		var gblobs [][]byte
+		for i, owner := range owners {
+			if owner == part {
+				gts = append(gts, pending[i])
+				gblobs = append(gblobs, blobs[i])
 			}
 		}
+		if len(gts) == 0 {
+			continue
+		}
+		got, err := c.registerGroup(part, gts, gblobs)
+		if err != nil {
+			return nil, err
+		}
+		spreadIDs(ids, got, gts, posOf)
 	}
 	return ids, nil
 }
 
-// LookupBatch implements Client: memo misses are grouped by partition
-// and resolved per group against the partition's replicas, with the
-// same rotation, fall-through and read-repair as single lookups.
+// registerGroup registers one owner partition's distinct pre-marshaled
+// taints with that owner, journaling locally if the member is down.
+func (c *ClusterClient) registerGroup(part uint32, ts []taint.Taint, blobs [][]byte) ([]uint32, error) {
+	cm := c.member(part)
+	if cm == nil {
+		return nil, fmt.Errorf("%w: no member for owner partition %d", ErrDegraded, part)
+	}
+	ids, err := cm.rc.registerPending(ts, blobs)
+	if err != nil && errors.Is(err, ErrOverloaded) {
+		// The owner is shedding load, not down: journal the group into
+		// that partition's degraded mode instead of failing the caller —
+		// the provisional ids remap when the drain replays them.
+		ids = make([]uint32, len(ts))
+		for k := range ts {
+			if ids[k], err = cm.rc.journalFallback(ts[k], blobs[k]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return ids, err
+}
+
+// LookupBatch implements Client: memo misses are grouped by the
+// partition bits of their ids and resolved per group against the
+// partition's replicas (see lookupGroup).
 func (c *ClusterClient) LookupBatch(ids []uint32) ([]taint.Taint, error) {
 	ts, missing := c.memo.splitBatch(ids)
 	if len(missing) == 0 {
@@ -566,9 +534,8 @@ func (c *ClusterClient) LookupBatch(ids []uint32) ([]taint.Taint, error) {
 			groups[PartitionOf(id)] = append(groups[PartitionOf(id)], id)
 		}
 	}
-	ring := c.ring.Load()
 	for part, group := range groups {
-		if err := c.lookupGroup(ring, part, group); err != nil {
+		if err := c.lookupGroup(part, group); err != nil {
 			return nil, err
 		}
 	}
@@ -596,47 +563,49 @@ func (c *ClusterClient) LookupBatch(ids []uint32) ([]taint.Taint, error) {
 	return ts, nil
 }
 
-// lookupGroup resolves one partition's (non-provisional) ids against
-// its replicas and read-repairs any replica observed missing them.
-func (c *ClusterClient) lookupGroup(ring *Ring, part uint32, group []uint32) error {
+// lookupGroup resolves one partition's (non-provisional) ids into the
+// shared memo, rotating across the partition's replicas: a replica that
+// does not hold the ids falls through to the next and is healed
+// afterwards by read-repair. With several replicas the rotation is
+// hedged (see hedgedCall) and every leg is fail-fast; with one replica,
+// or hedging disabled, the legs run in sequence, each with its member's
+// full resilience machinery.
+func (c *ClusterClient) lookupGroup(part uint32, group []uint32) error {
 	cms := c.replicaOrder(part)
 	if len(cms) == 0 {
 		return fmt.Errorf("%w: no member for partition %d", ErrDegraded, part)
 	}
-	if len(cms) == 1 || c.opt.HedgeDelay < 0 {
-		var stale []*clusterMember
-		lastErr := error(ErrDegraded)
+	hedge := len(cms) > 1 && c.opt.HedgeDelay >= 0
+	leg := func(cm *clusterMember, deadline time.Time) error {
+		_, err := cm.rc.lookupMissing(group, deadline, hedge)
+		return err
+	}
+	var stale []*clusterMember
+	var err error
+	if hedge {
+		stale, err = c.hedgedCall(cms, leg)
+	} else {
+		err = ErrDegraded
 		for _, cm := range cms {
-			got, err := cm.rc.LookupBatch(group)
-			if err == nil {
-				c.repairTo(stale, group, got)
-				return nil
+			if err = leg(cm, time.Time{}); err == nil {
+				break
 			}
-			lastErr = err
 			if errors.Is(err, ErrUnknownGlobalID) {
+				// This replica is missing the entries, not down: remember
+				// it for read-repair once another replica resolves them.
 				stale = append(stale, cm)
 			}
 		}
-		return lastErr
 	}
-	stale, err := c.hedgedCall(cms, func(cm *clusterMember, deadline time.Time) error {
-		return cm.rc.lookupBatchAttempt(group, deadline)
-	})
 	if err != nil {
 		return err
 	}
 	if len(stale) > 0 {
-		// The attempt path resolves into the shared memo rather than
-		// returning the taints; refetch them to build the repair batch.
-		ts := make([]taint.Taint, len(group))
-		for i, id := range group {
-			t, ok := c.memo.get(id)
-			if !ok {
-				return nil // raced an eviction; leave repair to a later reader
-			}
-			ts[i] = t
+		// Whichever leg won resolved into the shared memo; the repair
+		// batch is read back from there.
+		if ts, missing := c.memo.splitBatch(group); len(missing) == 0 {
+			c.repairTo(stale, group, ts)
 		}
-		c.repairTo(stale, group, ts)
 	}
 	return nil
 }

@@ -148,7 +148,7 @@ func TestConcurrentClients(t *testing.T) {
 
 // TestRegisterBatchChunksOversized registers a batch whose encoded
 // payload exceeds maxFrame (1 MiB): the client must split it into
-// several frames transparently instead of failing in writeFrame.
+// several frames transparently instead of failing at the frame bound.
 func TestRegisterBatchChunksOversized(t *testing.T) {
 	n := netsim.New()
 	srv, err := StartSimServer(n, "tm:7")
@@ -186,12 +186,9 @@ func TestRegisterBatchChunksOversized(t *testing.T) {
 			}
 			return c
 		}},
-		{"StopAndWait", func(tree *taint.Tree) Client {
-			conn, err := n.Dial("tm:7")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return NewStopAndWaitClient(conn, tree)
+		{"Resilient", func(tree *taint.Tree) Client {
+			return NewResilientClient(func() (io.ReadWriteCloser, error) { return n.Dial("tm:7") },
+				tree, ResilientOptions{})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -262,106 +259,96 @@ func TestSplitIDChunks(t *testing.T) {
 	}
 }
 
-// TestStopAndWaitClientAgainstServer pins the legacy untagged ops
-// against the rebuilt server: same semantics, same error text, and the
-// connection survives a server-side error.
-func TestStopAndWaitClientAgainstServer(t *testing.T) {
+// TestUntaggedFrameRejected sends each op byte of the removed untagged
+// generation (op | len | payload, no tag) the way its client used to:
+// the serving loop and the over-cap brownout loop must both fail the
+// connection on that first byte — closed inside the read timeout, with a
+// protocol error, and with nothing written back under any framing.
+func TestUntaggedFrameRejected(t *testing.T) {
 	n := netsim.New()
-	srv, err := StartSimServer(n, "tm:7")
+	l, err := n.Listen("tm:7")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var logMu sync.Mutex
+	var logged []string
+	srv := NewServer(NewStore(), simAcceptor{l: l}, func(format string, args ...any) {
+		logMu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+	}, WithReadTimeout(5*time.Second), WithMaxConns(1))
+	srv.Start()
 	defer srv.Close()
-	tree := taint.NewTree()
-	conn, err := n.Dial("tm:7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewStopAndWaitClient(conn, tree)
-	defer c.Close()
 
-	t1 := tree.NewSource("legacy", "n1:1")
-	id, err := c.Register(t1)
-	if err != nil || id == 0 {
-		t.Fatalf("register = %d, %v", id, err)
-	}
-	if _, err := c.Lookup(9999); err == nil || !strings.Contains(err.Error(), "unknown global id: 9999") {
-		t.Fatalf("unknown-id error = %v", err)
-	}
-	reader := taint.NewTree()
-	conn2, err := n.Dial("tm:7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := NewStopAndWaitClient(conn2, reader)
-	defer c2.Close()
-	got, err := c2.Lookup(id)
-	if err != nil || !taint.SameSet(got, t1) {
-		t.Fatalf("lookup = %v, %v", got, err)
-	}
-	st, err := c2.Stats()
-	if err != nil || st.GlobalTaints != 1 {
-		t.Fatalf("stats = %+v, %v", st, err)
-	}
-}
-
-// TestMixedProtocolsOneConnection drives untagged and tagged frames
-// interleaved on a single raw connection, checking the server keeps the
-// two generations byte-for-byte straight.
-func TestMixedProtocolsOneConnection(t *testing.T) {
-	n := netsim.New()
-	srv, err := StartSimServer(n, "tm:7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	conn, err := n.Dial("tm:7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	// Untagged register of "blobA" -> id 1.
-	if err := writeFrame(conn, opRegister, []byte("blobA")); err != nil {
-		t.Fatal(err)
-	}
-	status, reply, err := readFrame(conn)
-	if err != nil || status != statusOK || len(reply) != 4 {
-		t.Fatalf("untagged register reply: %d %x %v", status, reply, err)
-	}
-	id := reply
-
-	// Tagged lookup of that id, tag 77, on the same connection.
-	var buf [13]byte
-	buf[0] = opLookupTag
-	buf[1], buf[2], buf[3], buf[4] = 0, 0, 0, 77
-	buf[5], buf[6], buf[7], buf[8] = 0, 0, 0, 4
-	copy(buf[9:], id)
-	if _, err := conn.Write(buf[:]); err != nil {
-		t.Fatal(err)
-	}
-	var hdr [9]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	if hdr[0] != statusTaggedOK || hdr[4] != 77 || hdr[8] != 5 {
-		t.Fatalf("tagged header = %x", hdr)
-	}
-	payload := make([]byte, 5)
-	if _, err := io.ReadFull(conn, payload); err != nil {
-		t.Fatal(err)
-	}
-	if string(payload) != "blobA" {
-		t.Fatalf("tagged lookup payload = %q", payload)
+	// expectClosed writes one old-generation frame and requires EOF — no
+	// reply bytes at all — well inside the server's read timeout.
+	expectClosed := func(t *testing.T, op byte) {
+		t.Helper()
+		conn, err := n.Dial("tm:7")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(untaggedReq(op, []byte{0, 0, 0, 1})); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if got, err := io.ReadAll(conn); err != nil || len(got) != 0 {
+			t.Fatalf("op %q: read % x, %v; want a bare close", op, got, err)
+		}
 	}
 
-	// And an untagged stats after the tagged exchange.
-	if err := writeFrame(conn, opStats, nil); err != nil {
-		t.Fatal(err)
+	// waitIdle waits until the server has released its one slot.
+	waitIdle := func(t *testing.T) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for srv.Stats().ActiveConns != 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("served connection never released")
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
-	status, reply, err = readFrame(conn)
-	if err != nil || status != statusOK || len(reply) != 24 {
-		t.Fatalf("untagged stats reply: %d %x %v", status, reply, err)
+
+	for _, op := range []byte("RLBMSGJPW") {
+		t.Run(string(op), func(t *testing.T) {
+			// Within the cap: the serving loop.
+			waitIdle(t)
+			before := srv.Stats().Accepted
+			expectClosed(t, op)
+			waitIdle(t)
+			if srv.Stats().Accepted != before+1 {
+				t.Fatalf("frame did not reach the serving loop")
+			}
+
+			// Over the cap: a healthy client holds the only slot, so the
+			// next arrival lands in shedConn.
+			holder, err := DialSim(n, "tm:7", taint.NewTree())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer holder.Close()
+			if _, err := holder.Stats(); err != nil {
+				t.Fatal(err)
+			}
+			shedBefore := srv.Stats().ShedConns
+			expectClosed(t, op)
+			if srv.Stats().ShedConns != shedBefore+1 {
+				t.Fatalf("frame did not reach the brownout loop")
+			}
+		})
+	}
+
+	logMu.Lock()
+	defer logMu.Unlock()
+	protoErrs := 0
+	for _, line := range logged {
+		if strings.Contains(line, errProtocol.Error()) {
+			protoErrs++
+		}
+	}
+	if protoErrs != 9 {
+		t.Fatalf("server logged %d protocol errors for 9 rejected frames: %q", protoErrs, logged)
 	}
 }
 

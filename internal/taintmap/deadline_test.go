@@ -23,7 +23,7 @@ func TestCallDeadlineExpired(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	if _, err := rc.callDeadline(opStatsTag, nil, time.Now().Add(-time.Second)); !errors.Is(err, ErrDeadlineExceeded) {
+	if _, err := rc.call(opStatsTag, nil, time.Now().Add(-time.Second)); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("expired deadline = %v, want ErrDeadlineExceeded", err)
 	}
 }
@@ -61,7 +61,7 @@ func TestCallDeadlineStalledServer(t *testing.T) {
 
 	n.SetHostStall("tm", true)
 	start := time.Now()
-	_, err = rc.lookupDeadline(id, time.Now().Add(50*time.Millisecond))
+	_, err = rc.lookupBatchDeadline([]uint32{id}, time.Now().Add(50*time.Millisecond))
 	took := time.Since(start)
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("lookup under stall = %v, want ErrDeadlineExceeded", err)

@@ -16,7 +16,7 @@ type fuzzConn struct {
 func (c *fuzzConn) Read(p []byte) (int, error)  { return c.r.Read(p) }
 func (c *fuzzConn) Write(p []byte) (int, error) { return c.w.Write(p) }
 
-// taggedReq builds one tagged request frame.
+// taggedReq builds one request frame.
 func taggedReq(op byte, tag uint32, payload []byte) []byte {
 	b := []byte{op}
 	b = binary.BigEndian.AppendUint32(b, tag)
@@ -24,7 +24,9 @@ func taggedReq(op byte, tag uint32, payload []byte) []byte {
 	return append(b, payload...)
 }
 
-// untaggedReq builds one legacy request frame.
+// untaggedReq builds one frame of the removed first-generation framing
+// (op | len | payload, no tag). The server must fail the connection on
+// its first byte; the seeds below keep that rejection path fuzzed.
 func untaggedReq(op byte, payload []byte) []byte {
 	b := []byte{op}
 	b = binary.BigEndian.AppendUint32(b, uint32(len(payload)))
@@ -32,58 +34,65 @@ func untaggedReq(op byte, payload []byte) []byte {
 }
 
 // FuzzServeConn feeds arbitrary byte streams to the protocol parser —
-// mixing well-formed untagged and tagged frames, truncations and
-// trailing garbage — and asserts the server never panics and that
-// everything it writes back is a stream of complete, well-formed
-// response frames (the flush-on-exit guarantee).
+// well-formed frames, frames of the removed untagged generation,
+// truncations and trailing garbage — and asserts the server never
+// panics and that everything it writes back is a stream of complete,
+// well-formed response frames (the flush-on-exit guarantee).
 func FuzzServeConn(f *testing.F) {
-	f.Add(untaggedReq(opRegister, []byte("blob")))
-	f.Add(untaggedReq(opLookup, []byte{0, 0, 0, 1}))
-	f.Add(untaggedReq(opStats, nil))
+	f.Add(taggedReq(opRegisterTag, 1, []byte("blob")))
+	f.Add(taggedReq(opLookupTag, 2, []byte{0, 0, 0, 1}))
+	f.Add(taggedReq(opStatsTag, 3, nil))
 	f.Add(taggedReq(opRegisterTag, 7, []byte("blob")))
 	f.Add(taggedReq(opLookupBatchTag, 9, []byte{0, 0, 0, 1, 0, 0, 0, 2}))
-	f.Add(append(untaggedReq(opRegister, []byte("a")), taggedReq(opLookupTag, 3, []byte{0, 0, 0, 1})...))
+	f.Add(append(taggedReq(opRegisterTag, 4, []byte("a")), taggedReq(opLookupTag, 3, []byte{0, 0, 0, 1})...))
 	// Truncated frames: header cut short, payload cut short.
-	f.Add([]byte{opRegister, 0, 0})
+	f.Add([]byte{opRegisterTag, 0, 0})
 	f.Add([]byte{opRegisterTag, 0, 0, 0, 1, 0, 0, 0, 9, 'x'})
 	// Trailing garbage after a valid frame.
-	f.Add(append(untaggedReq(opStats, nil), 0xDE, 0xAD, 0xBE, 0xEF))
+	f.Add(append(taggedReq(opStatsTag, 5, nil), 0xDE, 0xAD, 0xBE, 0xEF))
 	// Oversized length field and unknown op.
-	f.Add([]byte{opLookup, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add(untaggedReq('Z', []byte("???")))
-	f.Add(untaggedReq(opRegisterBatch, []byte{0, 0, 0, 2, 0, 0, 0, 1, 'a'}))
+	f.Add([]byte{opLookupTag, 0, 0, 0, 6, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add(taggedReq('Z', 8, []byte("???")))
+	f.Add(taggedReq(opRegisterBatchTag, 10, []byte{0, 0, 0, 2, 0, 0, 0, 1, 'a'}))
+	// The removed untagged generation, byte for byte as it used to be
+	// sent — alone, and behind a valid frame whose reply must still go out.
+	f.Add(untaggedReq('R', []byte("blob")))
+	f.Add(untaggedReq('L', []byte{0, 0, 0, 1}))
+	f.Add(untaggedReq('S', nil))
+	f.Add(append(taggedReq(opRegisterTag, 11, []byte("a")), untaggedReq('L', []byte{0, 0, 0, 1})...))
+	f.Add([]byte{'R', 0, 0})
+	f.Add([]byte{'L', 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add(untaggedReq('B', []byte{0, 0, 0, 2, 0, 0, 0, 1, 'a'}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		store := NewStore()
 		conn := &fuzzConn{r: bytes.NewReader(data)}
 		_ = ServeConn(store, conn) // must terminate without panicking
 
-		// Every byte written must belong to a complete response frame.
-		out := conn.w.Bytes()
-		for len(out) > 0 {
-			status := out[0]
-			var hdrLen int
-			switch status {
-			case statusOK, statusErr:
-				hdrLen = 5
-			case statusTaggedOK, statusTaggedErr:
-				hdrLen = 9
-			default:
-				t.Fatalf("response starts with status %d", status)
-			}
-			if len(out) < hdrLen {
-				t.Fatalf("truncated response header: % x", out)
-			}
-			n := binary.BigEndian.Uint32(out[hdrLen-4 : hdrLen])
-			if n > maxReplyFrame {
-				t.Fatalf("response frame of %d bytes", n)
-			}
-			if len(out) < hdrLen+int(n) {
-				t.Fatalf("truncated response payload: want %d, have %d", n, len(out)-hdrLen)
-			}
-			out = out[hdrLen+int(n):]
-		}
+		checkReplyStream(t, conn.w.Bytes())
 	})
+}
+
+// checkReplyStream asserts that out is a sequence of complete,
+// well-formed response frames.
+func checkReplyStream(t *testing.T, out []byte) {
+	t.Helper()
+	for len(out) > 0 {
+		if !isReplyStatus(out[0]) {
+			t.Fatalf("response starts with status %d", out[0])
+		}
+		if len(out) < 9 {
+			t.Fatalf("truncated response header: % x", out)
+		}
+		n := binary.BigEndian.Uint32(out[5:9])
+		if n > maxReplyFrame {
+			t.Fatalf("response frame of %d bytes", n)
+		}
+		if len(out) < 9+int(n) {
+			t.Fatalf("truncated response payload: want %d, have %d", n, len(out)-9)
+		}
+		out = out[9+int(n):]
+	}
 }
 
 // FuzzParseBlobList throws random bytes at the blob-list parser: it

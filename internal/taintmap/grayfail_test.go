@@ -3,6 +3,7 @@ package taintmap
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -272,6 +273,74 @@ func TestClusterRegisterOverloadedJournals(t *testing.T) {
 	gotBlob, err := taint.MarshalTaint(got)
 	if err != nil || string(gotBlob) != string(wantBlob) {
 		t.Fatalf("drained id %d resolved to different bytes (%v)", real0, err)
+	}
+}
+
+// TestClusterBootstrapGraySeed: a seed that accepts the dial and never
+// answers costs the bootstrap one call timeout and the next address gets
+// its turn; with every seed gray the dial fails as a call timeout. It
+// never hangs.
+func TestClusterBootstrapGraySeed(t *testing.T) {
+	e := newClusterEnv(t, 3, 2)
+	opt := grayOpts()
+	timeout := opt.Resilient.CallTimeout
+	addrs := []string{simMemberAddr(0), simMemberAddr(1), simMemberAddr(2)}
+	dial := func(addr string) (io.ReadWriteCloser, error) { return e.net.DialFrom("app:1", addr) }
+
+	// bootstrap runs the dial off the test goroutine so that a hang
+	// fails the test instead of the package.
+	bootstrap := func(tree *taint.Tree) (Client, time.Duration, error) {
+		t.Helper()
+		type result struct {
+			c   Client
+			err error
+		}
+		done := make(chan result, 1)
+		start := time.Now()
+		go func() {
+			c, err := DialClusterAddrs(addrs, dial, tree, opt)
+			done <- result{c, err}
+		}()
+		select {
+		case r := <-done:
+			return r.c, time.Since(start), r.err
+		case <-time.After(20 * timeout):
+			t.Fatal("cluster bootstrap hung on a gray seed")
+			return nil, 0, nil
+		}
+	}
+
+	e.net.SetHostStall("tm0", true)
+	tree := taint.NewTree()
+	c, took, err := bootstrap(tree)
+	e.net.SetHostStall("tm0", false)
+	if err != nil {
+		t.Fatalf("bootstrap past a gray first seed: %v", err)
+	}
+	defer c.Close()
+	// One timeout plus the watchdog's quarter-timeout granularity.
+	if took > 2*timeout {
+		t.Fatalf("bootstrap past one gray seed took %v, call timeout is %v", took, timeout)
+	}
+	tt := tree.NewSource("bootstrapped", "app:1")
+	id, err := c.Register(tt)
+	if err != nil || id == 0 {
+		t.Fatalf("register on the bootstrapped client = %d, %v", id, err)
+	}
+	check := e.client("verify:1", ClusterOptions{})
+	if got, err := check.Lookup(id); err != nil || !taint.SameSet(got, tt) {
+		t.Fatalf("lookup of %d = %v, %v", id, got, err)
+	}
+
+	for _, h := range []string{"tm0", "tm1", "tm2"} {
+		e.net.SetHostStall(h, true)
+		defer e.net.SetHostStall(h, false)
+	}
+	if c, _, err := bootstrap(taint.NewTree()); !errors.Is(err, ErrCallTimeout) {
+		if err == nil {
+			c.Close()
+		}
+		t.Fatalf("bootstrap with every seed gray = %v, want ErrCallTimeout", err)
 	}
 }
 

@@ -15,11 +15,10 @@ import (
 )
 
 // RemoteClient talks to a Taint Map server over a reliable stream (a
-// netsim conn or a real TCP connection) using the tagged, pipelined
-// protocol: every request carries a tag, a demultiplexing goroutine
-// routes each tagged response to its waiting caller, and so any number
-// of goroutines share one connection with their requests in flight
-// concurrently instead of serialized behind a stop-and-wait mutex.
+// netsim conn or a real TCP connection), pipelined: every request
+// carries a tag, a demultiplexing goroutine routes each response to its
+// waiting caller, and so any number of goroutines share one connection
+// with their requests in flight concurrently.
 //
 // Two further layers keep concurrent traffic off the wire entirely:
 // a singleflight table collapses simultaneous registrations of the
@@ -106,7 +105,7 @@ var ErrClientClosed = errors.New("taintmap: client closed")
 var ErrCallTimeout = errors.New("taintmap: call timed out")
 
 // ErrDeadlineExceeded reports a call abandoned at its caller-supplied
-// deadline (see callDeadline). Unlike ErrCallTimeout it says nothing
+// deadline (see call). Unlike ErrCallTimeout it says nothing
 // about the connection — the request may still complete server-side and
 // its reply is silently discarded — so the resilience layer does NOT
 // treat it as a connection failure.
@@ -325,7 +324,7 @@ func (c *RemoteClient) writer() {
 	}
 }
 
-// demux reads tagged responses and hands each to the caller waiting on
+// demux reads responses and hands each to the caller waiting on
 // its tag. On connection loss it fails every pending and future call.
 func (c *RemoteClient) demux() {
 	br := bufio.NewReaderSize(c.conn, 64<<10)
@@ -333,23 +332,10 @@ func (c *RemoteClient) demux() {
 	var chans []chan muxReply // batch fan-out scratch, reused
 loop:
 	for {
-		var hdr [9]byte
-		if _, err = io.ReadFull(br, hdr[:]); err != nil {
-			break
-		}
-		status := hdr[0]
-		tag := binary.BigEndian.Uint32(hdr[1:5])
-		n := binary.BigEndian.Uint32(hdr[5:9])
-		if status != statusTaggedOK && status != statusTaggedErr {
-			err = fmt.Errorf("%w: response status %d", errProtocol, status)
-			break
-		}
-		if n > maxReplyFrame {
-			err = fmt.Errorf("%w: frame of %d bytes", errProtocol, n)
-			break
-		}
-		payload := make([]byte, n)
-		if _, err = io.ReadFull(br, payload); err != nil {
+		// A fresh payload per reply: it is handed to the waiting caller.
+		status, tag, payload, rerr := readTaggedFrame(br, nil, isReplyStatus, maxReplyFrame)
+		if rerr != nil {
+			err = rerr
 			break
 		}
 		c.pmu.Lock()
@@ -396,10 +382,6 @@ loop:
 	close(c.done)
 }
 
-// fanOut distributes one batch-register reply to the member calls the
-// writer coalesced: each member receives its own 4-byte id slice of the
-// shared payload (read immediately by registerBlob, never retained).
-// A server error fans out whole, so every member reports it.
 // fanOut routes a coalesced batch-register reply to the member calls.
 // On error status every member receives the whole error payload; on OK
 // the payload is a bare id list (no count prefix — see appendIDList)
@@ -421,14 +403,33 @@ func (c *RemoteClient) fanOut(chans []chan muxReply, status byte, payload []byte
 	}
 }
 
-// call issues one tagged request and waits for its response.
-func (c *RemoteClient) call(op byte, payload []byte) ([]byte, error) {
+// call issues one request and waits for its response — the one place a
+// pending call is registered and awaited. A non-zero deadline is
+// enforced inline: when it passes before the reply arrives, the call
+// withdraws its pending entry and returns ErrDeadlineExceeded — the
+// connection stays up, the request stays in flight server-side, and its
+// late reply is discarded by the demux goroutine. This is the hedged
+// read's cancellation primitive: unlike the watchdog (which declares the
+// whole connection wedged), an expired deadline here says only "this
+// caller stopped waiting". With a zero deadline no timer is armed and
+// only the watchdog bounds the wait.
+func (c *RemoteClient) call(op byte, payload []byte, deadline time.Time) ([]byte, error) {
 	if len(payload) > maxFrame {
 		return nil, fmt.Errorf("taintmap: send request: %w: frame of %d bytes", errProtocol, len(payload))
 	}
+	var d time.Duration
+	var expired <-chan time.Time // nil (never ready) without a deadline
+	if !deadline.IsZero() {
+		if d = time.Until(deadline); d <= 0 {
+			return nil, fmt.Errorf("%w: deadline already passed", ErrDeadlineExceeded)
+		}
+		timer := time.NewTimer(d)
+		defer timer.Stop()
+		expired = timer.C
+	}
 	ch := replyChans.Get().(chan muxReply)
-	// The timestamp exists only when a deadline is configured; it is the
-	// watchdog's input and the deadline's entire per-call cost.
+	// The timestamp exists only when a call timeout is configured; it is
+	// the watchdog's input and the timeout's entire per-call cost.
 	var at time.Time
 	if c.timeout > 0 {
 		at = time.Now()
@@ -451,10 +452,35 @@ func (c *RemoteClient) call(op byte, payload []byte) ([]byte, error) {
 		delete(c.pending, tag)
 		c.pmu.Unlock()
 		return nil, err
+	case <-expired:
+		// Never sent: withdraw the pending entry. The channel saw no
+		// send and no close, so it may re-enter the pool.
+		c.pmu.Lock()
+		delete(c.pending, tag)
+		c.pmu.Unlock()
+		replyChans.Put(ch)
+		return nil, fmt.Errorf("%w: request not sent within %v", ErrDeadlineExceeded, d)
 	}
 
-	reply, ok := <-ch
-	return c.finishReply(ch, reply, ok)
+	select {
+	case reply, ok := <-ch:
+		return c.finishReply(ch, reply, ok)
+	case <-expired:
+		c.pmu.Lock()
+		_, mine := c.pending[tag]
+		if mine {
+			delete(c.pending, tag)
+		}
+		c.pmu.Unlock()
+		if !mine {
+			// The reply raced the deadline: the demux already dequeued the
+			// entry, so a send (buffered) or close is guaranteed — take it.
+			reply, ok := <-ch
+			return c.finishReply(ch, reply, ok)
+		}
+		replyChans.Put(ch)
+		return nil, fmt.Errorf("%w: no response within %v", ErrDeadlineExceeded, d)
+	}
 }
 
 // finishReply converts one received reply into the call result and
@@ -474,82 +500,6 @@ func (c *RemoteClient) finishReply(ch chan muxReply, reply muxReply, ok bool) ([
 	return reply.payload, nil
 }
 
-// callDeadline is call with an absolute deadline enforced inline: when
-// it passes before the reply arrives, the call withdraws its pending
-// entry and returns ErrDeadlineExceeded — the connection stays up, the
-// request stays in flight server-side, and its late reply is discarded
-// by the demux goroutine. This is the hedged read's cancellation
-// primitive: unlike the watchdog (which declares the whole connection
-// wedged), an expired deadline here says only "this caller stopped
-// waiting". A zero deadline means no inline deadline.
-func (c *RemoteClient) callDeadline(op byte, payload []byte, deadline time.Time) ([]byte, error) {
-	if deadline.IsZero() {
-		return c.call(op, payload)
-	}
-	if len(payload) > maxFrame {
-		return nil, fmt.Errorf("taintmap: send request: %w: frame of %d bytes", errProtocol, len(payload))
-	}
-	d := time.Until(deadline)
-	if d <= 0 {
-		return nil, fmt.Errorf("%w: deadline already passed", ErrDeadlineExceeded)
-	}
-	ch := replyChans.Get().(chan muxReply)
-	var at time.Time
-	if c.timeout > 0 {
-		at = time.Now()
-	}
-	c.pmu.Lock()
-	if c.broken != nil {
-		err := c.broken
-		c.pmu.Unlock()
-		return nil, err
-	}
-	tag := c.nextTag.Add(1)
-	c.pending[tag] = pendingCall{ch: ch, at: at}
-	c.pmu.Unlock()
-
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-
-	select {
-	case c.writeCh <- muxWrite{op: op, tag: tag, payload: payload}:
-	case <-c.done:
-		c.pmu.Lock()
-		err := c.broken
-		delete(c.pending, tag)
-		c.pmu.Unlock()
-		return nil, err
-	case <-timer.C:
-		// Never sent: withdraw the pending entry. The channel saw no
-		// send and no close, so it may re-enter the pool.
-		c.pmu.Lock()
-		delete(c.pending, tag)
-		c.pmu.Unlock()
-		replyChans.Put(ch)
-		return nil, fmt.Errorf("%w: request not sent within %v", ErrDeadlineExceeded, d)
-	}
-
-	select {
-	case reply, ok := <-ch:
-		return c.finishReply(ch, reply, ok)
-	case <-timer.C:
-		c.pmu.Lock()
-		_, mine := c.pending[tag]
-		if mine {
-			delete(c.pending, tag)
-		}
-		c.pmu.Unlock()
-		if !mine {
-			// The reply raced the deadline: the demux already dequeued the
-			// entry, so a send (buffered) or close is guaranteed — take it.
-			reply, ok := <-ch
-			return c.finishReply(ch, reply, ok)
-		}
-		replyChans.Put(ch)
-		return nil, fmt.Errorf("%w: no response within %v", ErrDeadlineExceeded, d)
-	}
-}
-
 // registerBlob resolves one blob to its Global ID with singleflight
 // dedup: N goroutines registering the same blob issue one request.
 func (c *RemoteClient) registerBlob(blob []byte) (uint32, error) {
@@ -567,7 +517,7 @@ func (c *RemoteClient) registerBlob(blob []byte) (uint32, error) {
 	c.sf[key] = f
 	c.sfMu.Unlock()
 
-	reply, err := c.call(opRegisterTag, blob)
+	reply, err := c.call(opRegisterTag, blob, time.Time{})
 	switch {
 	case err != nil:
 		f.err = err
@@ -583,7 +533,7 @@ func (c *RemoteClient) registerBlob(blob []byte) (uint32, error) {
 	return f.id, f.err
 }
 
-// Register implements Client.
+// Register implements Client: the batch of one.
 func (c *RemoteClient) Register(t taint.Taint) (uint32, error) {
 	if t.Empty() {
 		return 0, nil
@@ -591,38 +541,34 @@ func (c *RemoteClient) Register(t taint.Taint) (uint32, error) {
 	if id := t.GlobalID(); id != 0 {
 		return id, nil
 	}
-	blob, err := taint.MarshalTaint(t)
+	ids, err := c.RegisterBatch([]taint.Taint{t})
 	if err != nil {
 		return 0, err
 	}
-	return c.registerMarshaled(t, blob)
+	return ids[0], nil
 }
 
-// registerMarshaled is the back half of Register for callers that
-// already serialized t (the cluster client marshals first to route by
-// content hash, and must not pay the marshal twice).
-func (c *RemoteClient) registerMarshaled(t taint.Taint, blob []byte) (uint32, error) {
-	id, err := c.registerBlob(blob)
-	if err != nil {
-		return 0, err
-	}
-	t.SetGlobalID(id)
-	c.memo.put(id, t)
-	return id, nil
-}
-
-// registerBlobs pushes pre-marshaled blobs through the batch wire op —
-// chunked transparently — returning the parallel id slice. The back
-// half shared by RegisterBatch and the cluster client's per-partition
-// batches.
+// registerBlobs resolves pre-marshaled blobs to the parallel id slice,
+// picking the wire op by batch size: a lone blob goes out as a single
+// register — deduplicated by singleflight, and coalesced by the writer
+// with whatever other goroutines are registering at the same moment —
+// while several go as batch frames, chunked transparently. The back
+// half shared by RegisterBatch and the resilient client's batches.
 func (c *RemoteClient) registerBlobs(blobs [][]byte) ([]uint32, error) {
+	if len(blobs) == 1 {
+		id, err := c.registerBlob(blobs[0])
+		if err != nil {
+			return nil, err
+		}
+		return []uint32{id}, nil
+	}
 	chunks, err := splitBlobChunks(blobs)
 	if err != nil {
 		return nil, err
 	}
 	ids := make([]uint32, 0, len(blobs))
 	for _, chunk := range chunks {
-		reply, err := c.call(opRegisterBatchTag, appendBlobList(nil, chunk))
+		reply, err := c.call(opRegisterBatchTag, appendBlobList(nil, chunk), time.Time{})
 		if err != nil {
 			return nil, err
 		}
@@ -635,38 +581,24 @@ func (c *RemoteClient) registerBlobs(blobs [][]byte) ([]uint32, error) {
 	return ids, nil
 }
 
-// Lookup implements Client.
+// Lookup implements Client: the batch of one.
 func (c *RemoteClient) Lookup(id uint32) (taint.Taint, error) {
-	return c.lookupDeadline(id, time.Time{})
-}
-
-// lookupDeadline is Lookup bounded by an absolute deadline (zero = no
-// deadline), the per-member leg of the cluster client's hedged reads.
-func (c *RemoteClient) lookupDeadline(id uint32, deadline time.Time) (taint.Taint, error) {
 	if id == 0 {
 		return taint.Taint{}, nil
 	}
 	if t, ok := c.memo.get(id); ok {
 		return t, nil
 	}
-	var idBuf [4]byte
-	binary.BigEndian.PutUint32(idBuf[:], id)
-	blob, err := c.callDeadline(opLookupTag, idBuf[:], deadline)
+	ts, err := c.LookupBatch([]uint32{id})
 	if err != nil {
 		return taint.Taint{}, err
 	}
-	t, err := c.tree.UnmarshalTaint(blob)
-	if err != nil {
-		return taint.Taint{}, err
-	}
-	t.SetGlobalID(id)
-	c.memo.put(id, t)
-	return t, nil
+	return ts[0], nil
 }
 
 // RegisterBatch implements Client: all unregistered distinct taints go
-// to the server in one tagged round trip — or several, transparently,
-// when the encoded batch would overflow the frame limit.
+// to the server in one round trip — or several, transparently, when the
+// encoded batch would overflow the frame limit.
 func (c *RemoteClient) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
 	ids, pending, posOf := collectRegister(ts)
 	if len(pending) == 0 {
@@ -685,7 +617,7 @@ func (c *RemoteClient) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
 }
 
 // LookupBatch implements Client: all memo misses go to the server in
-// one tagged round trip — chunked when the id list overflows a frame,
+// one round trip — chunked when the id list overflows a frame,
 // and re-requesting the tail when the server answers with a partial
 // blob list to respect the reply frame budget.
 func (c *RemoteClient) LookupBatch(ids []uint32) ([]taint.Taint, error) {
@@ -693,7 +625,8 @@ func (c *RemoteClient) LookupBatch(ids []uint32) ([]taint.Taint, error) {
 }
 
 // lookupBatchDeadline is LookupBatch bounded by an absolute deadline
-// (zero = no deadline) covering every chunk round trip.
+// (zero = no deadline) covering every chunk round trip — the per-member
+// leg of the cluster client's hedged reads.
 func (c *RemoteClient) lookupBatchDeadline(ids []uint32, deadline time.Time) ([]taint.Taint, error) {
 	ts, missing := c.memo.splitBatch(ids)
 	if len(missing) == 0 {
@@ -702,7 +635,7 @@ func (c *RemoteClient) lookupBatchDeadline(ids []uint32, deadline time.Time) ([]
 	blobs := make([][]byte, 0, len(missing))
 	for _, chunk := range splitIDChunks(missing) {
 		for len(chunk) > 0 {
-			reply, err := c.callDeadline(opLookupBatchTag, appendIDList(nil, chunk), deadline)
+			reply, err := c.call(opLookupBatchTag, appendIDList(nil, chunk), deadline)
 			if err != nil {
 				return nil, err
 			}
@@ -725,7 +658,7 @@ func (c *RemoteClient) lookupBatchDeadline(ids []uint32, deadline time.Time) ([]
 
 // Stats fetches the server-side counters.
 func (c *RemoteClient) Stats() (Stats, error) {
-	reply, err := c.call(opStatsTag, nil)
+	reply, err := c.call(opStatsTag, nil, time.Time{})
 	if err != nil {
 		return Stats{}, err
 	}

@@ -9,39 +9,32 @@ import (
 	"time"
 )
 
-// Wire protocol: length-prefixed frames over any reliable stream, in
-// two generations served side by side on the same connection.
+// Wire protocol: length-prefixed tagged frames over any reliable stream.
 //
-// Untagged (legacy, stop-and-wait):
-//
-//	request:  op byte | uint32 payloadLen | payload
-//	response: status byte | uint32 payloadLen | payload
-//
-// ops: 'R' register (payload = taint blob, reply = 4-byte id),
-//      'L' lookup   (payload = 4-byte id, reply = taint blob),
-//      'B' register batch (payload = blob list, reply = 4-byte id per blob),
-//      'M' lookup batch   (payload = 4-byte id per entry, reply = blob list),
-//      'S' stats    (payload empty, reply = 3x uint64).
-//
-// Tagged (pipelined): the lowercase counterparts 'r','l','b','m','s'
-// carry a client-chosen tag so many requests can be in flight on one
-// connection; the response echoes the tag, letting a demultiplexing
-// client match replies to concurrent callers in arrival order rather
-// than issue order.
-//
-//	request:  op byte | uint32 tag | uint32 payloadLen | payload
+//	request:  op byte     | uint32 tag | uint32 payloadLen | payload
 //	response: status byte | uint32 tag | uint32 payloadLen | payload
 //
-// Tagged responses use distinct status bytes (2 OK / 3 error) so the
-// two generations can never be confused on the wire. The server answers
-// requests of one connection in order, which for tagged traffic lets it
-// coalesce many small responses into one buffered write.
+// ops: 'r' register (payload = taint blob, reply = 4-byte id),
+//      'l' lookup   (payload = 4-byte id, reply = taint blob),
+//      'b' register batch (payload = blob list, reply = 4-byte id per blob),
+//      'm' lookup batch   (payload = 4-byte id per entry, reply = blob list),
+//      's' stats    (payload empty, reply = 3x uint64).
 //
-// One semantic refinement over the untagged generation: a tagged lookup
-// batch ('m') may return FEWER blobs than requested — always at least
-// one — when the full reply would overflow the frame budget; the client
-// transparently re-requests the tail. The untagged 'M' keeps its
-// historic all-or-nothing behaviour.
+// The tag is chosen by the client and echoed in the response, so many
+// requests can be in flight on one connection and a demultiplexing
+// client matches replies to concurrent callers in arrival order rather
+// than issue order. The server answers the requests of one connection in
+// order, which lets it coalesce many small responses into one buffered
+// write.
+//
+// This is the only framing either side speaks: a head byte that is not
+// one of the ops (request side) or statuses (response side) below fails
+// the connection with errProtocol on that byte — nothing after it is
+// read, and nothing is written back.
+//
+// A lookup batch ('m') may return FEWER blobs than requested — always at
+// least one — when the full reply would overflow the frame budget; the
+// client transparently re-requests the tail.
 //
 // A blob list is uint32 count followed by count (uint32 len | bytes)
 // entries. The batch ops let a node resolve every distinct taint of a
@@ -49,43 +42,31 @@ import (
 // Map traffic, amortized over runs).
 
 const (
-	opRegister      = 'R'
-	opLookup        = 'L'
-	opRegisterBatch = 'B'
-	opLookupBatch   = 'M'
-	opStats         = 'S'
-
-	// Cluster ops (PR 6), answered only by servers running with a
-	// ClusterNode; a standalone server rejects them with an error
-	// response, never a dropped connection.
-	//
-	//	'G' ring     — payload empty, reply = ring snapshot encoding
-	//	'J' join     — payload = member encoding, reply = the new ring;
-	//	               the receiving node adds the member and gossips the
-	//	               join to its peers (idempotent, so gossip converges)
-	//	'P' replicate — payload = entry list (id + blob per entry), the
-	//	               owner's synchronous push to its successors before
-	//	               acking a fresh registration; reply empty
-	//	'W' repair   — same payload as replicate: a client that observed a
-	//	               replica missing ids it resolved elsewhere pushes the
-	//	               entries back (read-repair); reply empty
-	opRing      = 'G'
-	opJoin      = 'J'
-	opReplicate = 'P'
-	opRepair    = 'W'
-
 	opRegisterTag      = 'r'
 	opLookupTag        = 'l'
 	opRegisterBatchTag = 'b'
 	opLookupBatchTag   = 'm'
 	opStatsTag         = 's'
-	opRingTag          = 'g'
-	opJoinTag          = 'j'
-	opReplicateTag     = 'p'
-	opRepairTag        = 'w'
 
-	statusOK        = 0
-	statusErr       = 1
+	// Cluster ops (PR 6), answered only by servers running with a
+	// ClusterNode; a standalone server rejects them with an error
+	// response, never a dropped connection.
+	//
+	//	'g' ring     — payload empty, reply = ring snapshot encoding
+	//	'j' join     — payload = member encoding, reply = the new ring;
+	//	               the receiving node adds the member and gossips the
+	//	               join to its peers (idempotent, so gossip converges)
+	//	'p' replicate — payload = entry list (id + blob per entry), the
+	//	               owner's synchronous push to its successors before
+	//	               acking a fresh registration; reply empty
+	//	'w' repair   — same payload as replicate: a client that observed a
+	//	               replica missing ids it resolved elsewhere pushes the
+	//	               entries back (read-repair); reply empty
+	opRingTag      = 'g'
+	opJoinTag      = 'j'
+	opReplicateTag = 'p'
+	opRepairTag    = 'w'
+
 	statusTaggedOK  = 2
 	statusTaggedErr = 3
 )
@@ -99,38 +80,12 @@ const maxFrame = 1 << 20
 const maxIDsPerFrame = maxFrame / 4
 
 // maxReplyFrame is the response-side read bound. It exceeds maxFrame by
-// a small slack so a tagged batch-lookup reply carrying one maximum-size
+// a small slack so a batch-lookup reply carrying one maximum-size
 // blob (plus the count and length prefixes) still fits.
 const maxReplyFrame = maxFrame + 16
 
 // errProtocol reports a malformed frame.
 var errProtocol = errors.New("taintmap: protocol error")
-
-// taggedBase maps a tagged op to its untagged ancestor; ok is false for
-// anything that is not a tagged op.
-func taggedBase(op byte) (base byte, ok bool) {
-	switch op {
-	case opRegisterTag:
-		return opRegister, true
-	case opLookupTag:
-		return opLookup, true
-	case opRegisterBatchTag:
-		return opRegisterBatch, true
-	case opLookupBatchTag:
-		return opLookupBatch, true
-	case opStatsTag:
-		return opStats, true
-	case opRingTag:
-		return opRing, true
-	case opJoinTag:
-		return opJoin, true
-	case opReplicateTag:
-		return opReplicate, true
-	case opRepairTag:
-		return opRepair, true
-	}
-	return op, false
-}
 
 // Entry lists carry id->blob pairs for replication and read-repair:
 // uint32 count, then per entry uint32 id | uint32 blobLen | blob.
@@ -297,39 +252,13 @@ func splitIDChunks(ids []uint32) [][]uint32 {
 	return append(chunks, ids)
 }
 
-func writeFrame(w io.Writer, head byte, payload []byte) error {
-	if len(payload) > maxFrame {
-		return fmt.Errorf("%w: frame of %d bytes", errProtocol, len(payload))
-	}
-	buf := make([]byte, 5+len(payload))
-	buf[0] = head
-	binary.BigEndian.PutUint32(buf[1:5], uint32(len(payload)))
-	copy(buf[5:], payload)
-	_, err := w.Write(buf)
-	return err
-}
-
-func readFrame(r io.Reader) (head byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[1:5])
-	if n > maxFrame {
-		return 0, nil, fmt.Errorf("%w: frame of %d bytes", errProtocol, n)
-	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return hdr[0], payload, nil
-}
-
 // writeTaggedFrame writes one tagged frame (request or response — the
 // head byte disambiguates) without allocating: a stack header plus the
-// caller's payload, both into w's buffer.
+// caller's payload, both into w's buffer. It enforces the response
+// bound, the larger of the two; the reader on the other end holds
+// requests to maxFrame.
 func writeTaggedFrame(w *bufio.Writer, head byte, tag uint32, payload []byte) error {
-	if len(payload) > maxFrame {
+	if len(payload) > maxReplyFrame {
 		return fmt.Errorf("%w: frame of %d bytes", errProtocol, len(payload))
 	}
 	var hdr [9]byte
@@ -341,6 +270,60 @@ func writeTaggedFrame(w *bufio.Writer, head byte, tag uint32, payload []byte) er
 	}
 	_, err := w.Write(payload)
 	return err
+}
+
+// isRequestOp reports whether b opens a request frame.
+func isRequestOp(b byte) bool {
+	switch b {
+	case opRegisterTag, opLookupTag, opRegisterBatchTag, opLookupBatchTag, opStatsTag,
+		opRingTag, opJoinTag, opReplicateTag, opRepairTag:
+		return true
+	}
+	return false
+}
+
+// isReplyStatus reports whether b opens a response frame.
+func isReplyStatus(b byte) bool { return b == statusTaggedOK || b == statusTaggedErr }
+
+// readTaggedHeader reads one frame header — the only place either side
+// parses one. valid vets the head byte before anything behind it is
+// read: a peer speaking some other framing fails on its first byte
+// instead of being waited on for a header it will never complete.
+// Payloads over limit are refused unread.
+func readTaggedHeader(br *bufio.Reader, valid func(byte) bool, limit uint32) (head byte, tag, n uint32, err error) {
+	if head, err = br.ReadByte(); err != nil {
+		return 0, 0, 0, err
+	}
+	if !valid(head) {
+		return 0, 0, 0, fmt.Errorf("%w: frame head %q", errProtocol, head)
+	}
+	var hdr [8]byte
+	if _, err = io.ReadFull(br, hdr[:]); err != nil {
+		return 0, 0, 0, err
+	}
+	tag = binary.BigEndian.Uint32(hdr[0:4])
+	if n = binary.BigEndian.Uint32(hdr[4:8]); n > limit {
+		return 0, 0, 0, fmt.Errorf("%w: frame of %d bytes", errProtocol, n)
+	}
+	return head, tag, n, nil
+}
+
+// readTaggedFrame reads one whole frame, the payload into buf's backing
+// array when it is large enough (pass nil for a payload the caller
+// keeps).
+func readTaggedFrame(br *bufio.Reader, buf []byte, valid func(byte) bool, limit uint32) (head byte, tag uint32, payload []byte, err error) {
+	head, tag, n, err := readTaggedHeader(br, valid, limit)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	if cap(buf) < int(n) {
+		buf = make([]byte, n)
+	}
+	payload = buf[:n]
+	if _, err = io.ReadFull(br, payload); err != nil {
+		return 0, 0, nil, err
+	}
+	return head, tag, payload, nil
 }
 
 // connHost is everything one server connection serves requests against:
@@ -363,8 +346,7 @@ func (h connHost) charge(op byte, items int) {
 }
 
 // connScratch holds one connection's reusable buffers: after warm-up
-// the server serves both protocol generations with zero allocations per
-// frame on the happy path.
+// the server answers with zero allocations per frame on the happy path.
 type connScratch struct {
 	payload []byte
 	reply   []byte
@@ -373,28 +355,17 @@ type connScratch struct {
 	repl    []byte // entry-list scratch for replicating fresh registrations
 }
 
-// grow returns a length-n payload buffer, reusing prior capacity.
-func (c *connScratch) grow(n int) []byte {
-	if cap(c.payload) < n {
-		c.payload = make([]byte, n)
-	}
-	c.payload = c.payload[:n]
-	return c.payload
-}
-
 // handle serves one request, appending the response payload into the
-// scratch reply buffer. op is the untagged op byte; tagged selects the
-// partial-reply semantics for lookup batches.
+// scratch reply buffer.
 //
 // On a clustered host, fresh registrations are pushed to the owner's
 // successors *before* the reply is appended: once a client sees an id,
 // RF replicas hold its blob (minus hinted-handoff skips on dead peers).
-func (c *connScratch) handle(h connHost, op byte, payload []byte, tagged bool) (status byte, reply []byte) {
+func (c *connScratch) handle(h connHost, op byte, payload []byte) (status byte, reply []byte) {
 	store := h.store
 	reply = c.reply[:0]
-	status = statusOK
 	switch op {
-	case opRegister:
+	case opRegisterTag:
 		id, fresh := store.registerBlob(payload)
 		h.charge(op, 1)
 		if fresh && h.node != nil {
@@ -402,21 +373,21 @@ func (c *connScratch) handle(h connHost, op byte, payload []byte, tagged bool) (
 			h.node.replicate(c.repl)
 		}
 		reply = binary.BigEndian.AppendUint32(reply, id)
-	case opLookup:
+	case opLookupTag:
 		if len(payload) != 4 {
-			return statusErr, append(reply, "lookup payload must be 4 bytes"...)
+			return statusTaggedErr, append(reply, "lookup payload must be 4 bytes"...)
 		}
 		id := binary.BigEndian.Uint32(payload)
 		blob, ok := store.lookupStr(id)
 		h.charge(op, 1)
 		if !ok {
-			return statusErr, fmt.Appendf(reply, "%v: %d", ErrUnknownGlobalID, id)
+			return statusTaggedErr, fmt.Appendf(reply, "%v: %d", ErrUnknownGlobalID, id)
 		}
 		reply = append(reply, blob...)
-	case opRegisterBatch:
+	case opRegisterBatchTag:
 		blobs, err := parseBlobListInto(c.blobs[:0], payload)
 		if err != nil {
-			return statusErr, append(reply, err.Error()...)
+			return statusTaggedErr, append(reply, err.Error()...)
 		}
 		c.blobs = blobs
 		c.repl = c.repl[:0]
@@ -437,10 +408,10 @@ func (c *connScratch) handle(h connHost, op byte, payload []byte, tagged bool) (
 			binary.BigEndian.PutUint32(c.repl[:4], uint32(freshN))
 			h.node.replicate(c.repl)
 		}
-	case opLookupBatch:
+	case opLookupBatchTag:
 		ids, err := parseIDListInto(c.ids[:0], payload)
 		if err != nil {
-			return statusErr, append(reply, err.Error()...)
+			return statusTaggedErr, append(reply, err.Error()...)
 		}
 		c.ids = ids
 		h.charge(op, len(ids))
@@ -449,10 +420,10 @@ func (c *connScratch) handle(h connHost, op byte, payload []byte, tagged bool) (
 		for _, id := range ids {
 			blob, ok := store.lookupStr(id)
 			if !ok {
-				return statusErr, fmt.Appendf(reply[:0], "%v: %d", ErrUnknownGlobalID, id)
+				return statusTaggedErr, fmt.Appendf(reply[:0], "%v: %d", ErrUnknownGlobalID, id)
 			}
-			if tagged && included > 0 && len(reply)+4+len(blob) > maxFrame {
-				// Partial tagged reply: stop before overflowing the
+			if included > 0 && len(reply)+4+len(blob) > maxFrame {
+				// Partial reply: stop before overflowing the
 				// frame; the client re-requests the remaining ids.
 				break
 			}
@@ -461,45 +432,45 @@ func (c *connScratch) handle(h connHost, op byte, payload []byte, tagged bool) (
 			included++
 		}
 		binary.BigEndian.PutUint32(reply[:4], uint32(included))
-	case opStats:
+	case opStatsTag:
 		st := store.Stats()
 		reply = binary.BigEndian.AppendUint64(reply, uint64(st.GlobalTaints))
 		reply = binary.BigEndian.AppendUint64(reply, uint64(st.Registrations))
 		reply = binary.BigEndian.AppendUint64(reply, uint64(st.Lookups))
-	case opRing:
+	case opRingTag:
 		if h.node == nil {
-			return statusErr, append(reply, "not a cluster member"...)
+			return statusTaggedErr, append(reply, "not a cluster member"...)
 		}
 		reply = appendRing(reply, h.node.Ring())
-	case opJoin:
+	case opJoinTag:
 		if h.node == nil {
-			return statusErr, append(reply, "not a cluster member"...)
+			return statusTaggedErr, append(reply, "not a cluster member"...)
 		}
 		m, err := parseMember(payload)
 		if err != nil {
-			return statusErr, append(reply, err.Error()...)
+			return statusTaggedErr, append(reply, err.Error()...)
 		}
 		r, err := h.node.Join(m)
 		if err != nil {
-			return statusErr, append(reply, err.Error()...)
+			return statusTaggedErr, append(reply, err.Error()...)
 		}
 		reply = appendRing(reply, r)
-	case opReplicate, opRepair:
+	case opReplicateTag, opRepairTag:
 		if h.node == nil {
-			return statusErr, append(reply, "not a cluster member"...)
+			return statusTaggedErr, append(reply, "not a cluster member"...)
 		}
 		n, err := forEachEntry(payload, store.AdoptBlob)
 		h.charge(op, n)
 		if err != nil {
-			return statusErr, append(reply, err.Error()...)
+			return statusTaggedErr, append(reply, err.Error()...)
 		}
-		if op == opRepair {
+		if op == opRepairTag {
 			h.node.repairs.Add(int64(n))
 		}
 	default:
-		return statusErr, fmt.Appendf(reply, "unknown op %q", op)
+		return statusTaggedErr, fmt.Appendf(reply, "unknown op %q", op)
 	}
-	return status, reply
+	return statusTaggedOK, reply
 }
 
 // ServeConn answers protocol requests on one connection until the peer
@@ -534,37 +505,17 @@ func serveConn(h connHost, conn io.ReadWriter, readTimeout time.Duration) error 
 		if rd != nil {
 			rd.SetReadDeadline(time.Now().Add(readTimeout))
 		}
-		op, err := br.ReadByte()
+		op, tag, payload, err := readTaggedFrame(br, scratch.payload, isRequestOp, maxFrame)
 		if err != nil {
-			if err == io.EOF {
-				return bw.Flush()
-			}
+			// Pending responses still go out; a disconnect, even
+			// mid-frame, is a clean close.
 			bw.Flush()
+			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
+				return nil
+			}
 			return err
 		}
-		base, tagged := taggedBase(op)
-		var tag, n uint32
-		var hdr [8]byte
-		if tagged {
-			if _, err := io.ReadFull(br, hdr[:8]); err != nil {
-				return eofOK(err, bw)
-			}
-			tag = binary.BigEndian.Uint32(hdr[0:4])
-			n = binary.BigEndian.Uint32(hdr[4:8])
-		} else {
-			if _, err := io.ReadFull(br, hdr[:4]); err != nil {
-				return eofOK(err, bw)
-			}
-			n = binary.BigEndian.Uint32(hdr[0:4])
-		}
-		if n > maxFrame {
-			bw.Flush()
-			return fmt.Errorf("%w: frame of %d bytes", errProtocol, n)
-		}
-		payload := scratch.grow(int(n))
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return eofOK(err, bw)
-		}
+		scratch.payload = payload
 
 		var status byte
 		var reply []byte
@@ -573,46 +524,16 @@ func serveConn(h connHost, conn io.ReadWriter, readTimeout time.Duration) error 
 			// error (instead of stalling or dropping the conn) is the
 			// brownout contract — the client knows to back off, journal,
 			// or try a replica, and the connection stays usable.
-			status, reply = statusErr, fmt.Appendf(scratch.reply[:0], "%v: request shed", ErrOverloaded)
+			status, reply = statusTaggedErr, fmt.Appendf(scratch.reply[:0], "%v: request shed", ErrOverloaded)
 		} else {
-			status, reply = scratch.handle(h, base, payload, tagged)
+			status, reply = scratch.handle(h, op, payload)
 			if h.adm != nil {
 				h.adm.release()
 			}
 		}
 		scratch.reply = reply[:0]
-		if tagged {
-			if status == statusOK {
-				status = statusTaggedOK
-			} else {
-				status = statusTaggedErr
-			}
-			if len(reply) > maxReplyFrame {
-				bw.Flush()
-				return fmt.Errorf("%w: reply of %d bytes", errProtocol, len(reply))
-			}
-			var h [9]byte
-			h[0] = status
-			binary.BigEndian.PutUint32(h[1:5], tag)
-			binary.BigEndian.PutUint32(h[5:9], uint32(len(reply)))
-			if _, err = bw.Write(h[:]); err == nil {
-				_, err = bw.Write(reply)
-			}
-		} else {
-			if len(reply) > maxFrame {
-				// The untagged generation never learned to split
-				// replies; fail the connection as it always has.
-				bw.Flush()
-				return fmt.Errorf("%w: frame of %d bytes", errProtocol, len(reply))
-			}
-			var h [5]byte
-			h[0] = status
-			binary.BigEndian.PutUint32(h[1:5], uint32(len(reply)))
-			if _, err = bw.Write(h[:]); err == nil {
-				_, err = bw.Write(reply)
-			}
-		}
-		if err != nil {
+		if err := writeTaggedFrame(bw, status, tag, reply); err != nil {
+			bw.Flush()
 			return err
 		}
 		if br.Buffered() == 0 {
@@ -621,16 +542,6 @@ func serveConn(h connHost, conn io.ReadWriter, readTimeout time.Duration) error 
 			}
 		}
 	}
-}
-
-// eofOK flushes pending responses and maps a mid-frame disconnect to a
-// clean close, matching the untagged protocol's historic behaviour.
-func eofOK(err error, bw *bufio.Writer) error {
-	bw.Flush()
-	if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-		return nil
-	}
-	return err
 }
 
 // serverErr turns an error-response payload back into a client-side
@@ -650,20 +561,4 @@ func serverErr(payload []byte) error {
 		return fmt.Errorf("taintmap: server error: %w%s", ErrOverloaded, payload[len(overMarker):])
 	}
 	return fmt.Errorf("taintmap: server error: %s", payload)
-}
-
-// roundTrip issues one untagged request and decodes the response — the
-// stop-and-wait client's engine.
-func roundTrip(conn io.ReadWriter, op byte, payload []byte) ([]byte, error) {
-	if err := writeFrame(conn, op, payload); err != nil {
-		return nil, fmt.Errorf("taintmap: send request: %w", err)
-	}
-	status, reply, err := readFrame(conn)
-	if err != nil {
-		return nil, fmt.Errorf("taintmap: read response: %w", err)
-	}
-	if status != statusOK {
-		return nil, serverErr(reply)
-	}
-	return reply, nil
 }

@@ -118,14 +118,21 @@ type ResilientOptions struct {
 	budget *Budget
 }
 
+// callTimeout resolves CallTimeout: the 2s default for zero, zero
+// (disabled) for negative.
+func (o *ResilientOptions) callTimeout() time.Duration {
+	switch {
+	case o.CallTimeout == 0:
+		return 2 * time.Second
+	case o.CallTimeout < 0:
+		return 0
+	}
+	return o.CallTimeout
+}
+
 func (o *ResilientOptions) withDefaults() ResilientOptions {
 	opt := *o
-	switch {
-	case opt.CallTimeout == 0:
-		opt.CallTimeout = 2 * time.Second
-	case opt.CallTimeout < 0:
-		opt.CallTimeout = 0
-	}
+	opt.CallTimeout = o.callTimeout()
 	if opt.BackoffBase <= 0 {
 		opt.BackoffBase = 5 * time.Millisecond
 	}
@@ -290,8 +297,7 @@ func (c *ResilientClient) connFailed(old *RemoteClient) {
 // failures carries consecutive failed attempts (the constructor's
 // failed first dial counts); at BreakerThreshold it trips the breaker.
 func (c *ResilientClient) reconnectLoop(failures int) {
-	attempt := 0
-	for {
+	for attempt := 0; ; attempt++ {
 		c.mu.Lock()
 		if c.closed {
 			c.reconnecting = false
@@ -300,81 +306,69 @@ func (c *ResilientClient) reconnectLoop(failures int) {
 		}
 		c.mu.Unlock()
 
-		// Reconnect dials are retry traffic: they spend from the shared
-		// budget, so a fleet-wide brownout cannot be amplified into a
-		// dial storm. A denied attempt counts as a failure (the breaker
-		// may trip into degraded mode) and waits out the backoff.
-		if !c.opt.budget.TryTake(1) {
-			failures++
-			c.maybeTrip(failures)
-			if !c.sleep(attempt) {
-				return
-			}
-			attempt++
-			continue
-		}
-		conn, err := c.dial()
-		if err != nil {
-			c.dialFailures.Add(1)
-			failures++
-			c.maybeTrip(failures)
-			if !c.sleep(attempt) {
-				return
-			}
-			attempt++
-			continue
-		}
-		rc := newRemoteClientWith(conn, c.tree, c.memo, c.opt.CallTimeout)
-		// Probe before trusting the connection: a gray-failing server
-		// accepts the dial and then never answers, and publishing it
-		// would hand every caller a stall. One stats round trip (bounded
-		// by the watchdog) proves the server is answering. Skipped when
-		// deadlines are disabled — the probe itself could hang forever.
-		if c.opt.CallTimeout > 0 {
-			if _, err := rc.call(opStatsTag, nil); err != nil {
+		rc, err := c.connect()
+		for err == nil {
+			if err = c.drainJournal(rc); err != nil {
 				rc.Close()
-				c.probeFailures.Add(1)
-				failures++
-				c.maybeTrip(failures)
-				if !c.sleep(attempt) {
-					return
-				}
-				attempt++
-				continue
+				break
 			}
-		}
-		if err := c.drainJournal(rc); err != nil {
-			rc.Close()
-			failures++
-			c.maybeTrip(failures)
-			if !c.sleep(attempt) {
+			c.mu.Lock()
+			if c.closed {
+				c.mu.Unlock()
+				rc.Close()
 				return
 			}
-			attempt++
-			continue
-		}
-
-		c.mu.Lock()
-		if c.closed {
+			if len(c.queued) == 0 {
+				c.inner.Store(rc)
+				c.degraded = false
+				c.reconnecting = false
+				c.seq++
+				c.cond.Broadcast()
+				c.mu.Unlock()
+				c.reconnects.Add(1)
+				return
+			}
+			// A degraded caller journaled between the drain and here;
+			// drain again before publishing.
 			c.mu.Unlock()
-			rc.Close()
+		}
+		// Whatever step failed, the attempt failed: count it, trip the
+		// breaker at the threshold, wait out the backoff, go again.
+		failures++
+		c.maybeTrip(failures)
+		if !c.sleep(attempt) {
 			return
 		}
-		if len(c.queued) > 0 {
-			// A degraded caller journaled between the drain and here;
-			// go around and drain again before publishing.
-			c.mu.Unlock()
-			continue
-		}
-		c.inner.Store(rc)
-		c.degraded = false
-		c.reconnecting = false
-		c.seq++
-		c.cond.Broadcast()
-		c.mu.Unlock()
-		c.reconnects.Add(1)
-		return
 	}
+}
+
+// connect makes one reconnect attempt: a budgeted dial and the answer
+// probe. Reconnect dials are retry traffic: they spend from the shared
+// budget, so a fleet-wide brownout cannot be amplified into a dial
+// storm; a denied attempt fails like a refused dial.
+func (c *ResilientClient) connect() (*RemoteClient, error) {
+	if !c.opt.budget.TryTake(1) {
+		return nil, errors.New("taintmap: retry budget denied the reconnect dial")
+	}
+	conn, err := c.dial()
+	if err != nil {
+		c.dialFailures.Add(1)
+		return nil, err
+	}
+	rc := newRemoteClientWith(conn, c.tree, c.memo, c.opt.CallTimeout)
+	// Probe before trusting the connection: a gray-failing server
+	// accepts the dial and then never answers, and publishing it
+	// would hand every caller a stall. One stats round trip (bounded
+	// by the watchdog) proves the server is answering. Skipped when
+	// deadlines are disabled — the probe itself could hang forever.
+	if c.opt.CallTimeout > 0 {
+		if _, err := rc.call(opStatsTag, nil, time.Time{}); err != nil {
+			rc.Close()
+			c.probeFailures.Add(1)
+			return nil, err
+		}
+	}
+	return rc, nil
 }
 
 // maybeTrip flips the client into degraded mode once enough consecutive
@@ -445,20 +439,10 @@ func (c *ResilientClient) drainJournal(rc *RemoteClient) error {
 	}
 }
 
-// journalLocked registers t against the local store and queues the
-// registration for replay, returning a provisional id. Caller holds
-// c.mu with the client degraded.
-func (c *ResilientClient) journalLocked(t taint.Taint) (uint32, error) {
-	blob, err := taint.MarshalTaint(t)
-	if err != nil {
-		return 0, err
-	}
-	return c.journalBlobLocked(t, blob)
-}
-
-// journalBlobLocked is journalLocked for callers that already hold t's
-// serialized form.
-func (c *ResilientClient) journalBlobLocked(t taint.Taint, blob []byte) (uint32, error) {
+// journalLocked registers t (serialized as blob) against the local store
+// and queues the registration for replay, returning a provisional id.
+// Caller holds c.mu.
+func (c *ResilientClient) journalLocked(t taint.Taint, blob []byte) (uint32, error) {
 	prov := provisionalBit | c.local.RegisterBlob(blob)
 	if gid, ok := c.remap[prov]; ok {
 		// Seen and drained in an earlier outage: the real id is known.
@@ -496,7 +480,7 @@ func (c *ResilientClient) journalFallback(t taint.Taint, blob []byte) (uint32, e
 		c.mu.Unlock()
 		return 0, ErrClientClosed
 	}
-	id, err := c.journalBlobLocked(t, blob)
+	id, err := c.journalLocked(t, blob)
 	kick := err == nil && !c.draining && c.inner.Load() != nil
 	if kick {
 		c.draining = true
@@ -557,52 +541,54 @@ func (c *ResilientClient) drainLoop() {
 	}
 }
 
-// lookupAttempt is one single-shot Lookup leg for the cluster client's
-// hedged reads: it uses whatever connection is live right now and fails
-// fast — no reconnect wait, no breaker wait — because the hedge engine
-// has other replicas to try. A non-zero deadline bounds the wait inline
-// without declaring the connection wedged.
-func (c *ResilientClient) lookupAttempt(id uint32, deadline time.Time) (taint.Taint, error) {
-	if t, ok := c.memo.get(id); ok {
-		return t, nil
+// withConn is the failover loop every request runs in — the one place a
+// reconnect is decided and the one place a caller waits on the breaker.
+// try runs on the live connection; when it fails because the connection
+// (not the request) died, the connection is retired, the reconnect loop
+// started, and try runs again on the next one. While disconnected the
+// caller waits for a state change, bounded by the breaker; once the
+// breaker has tripped, degraded (called with c.mu held) answers instead.
+//
+// A nil degraded makes the call fail-fast, for callers with somewhere
+// else to go (a hedged read has other replicas; cluster maintenance
+// traffic is meaningless without a server): one attempt on whatever
+// connection is live right now, no reconnect wait, no breaker wait.
+func (c *ResilientClient) withConn(try func(*RemoteClient) error, degraded func() error) error {
+	for {
+		if rc := c.inner.Load(); rc != nil {
+			err := try(rc)
+			if err == nil || !isConnErr(err) {
+				return err
+			}
+			c.connFailed(rc)
+			if degraded == nil {
+				return err
+			}
+			continue
+		}
+		if degraded == nil {
+			return fmt.Errorf("%w: no connection", ErrDegraded)
+		}
+		c.mu.Lock()
+		switch {
+		case c.closed:
+			c.mu.Unlock()
+			return ErrClientClosed
+		case c.inner.Load() != nil:
+		case c.degraded:
+			err := degraded()
+			c.mu.Unlock()
+			return err
+		default:
+			for seq := c.seq; c.seq == seq && !c.closed; {
+				c.cond.Wait()
+			}
+		}
+		c.mu.Unlock()
 	}
-	rc := c.inner.Load()
-	if rc == nil {
-		return taint.Taint{}, fmt.Errorf("%w: no connection", ErrDegraded)
-	}
-	t, err := rc.lookupDeadline(id, deadline)
-	if err != nil && isConnErr(err) {
-		c.connFailed(rc)
-	}
-	return t, err
 }
 
-// lookupBatchAttempt is lookupAttempt for an id batch. Results land in
-// the shared memo; the caller refetches from there.
-func (c *ResilientClient) lookupBatchAttempt(ids []uint32, deadline time.Time) error {
-	rc := c.inner.Load()
-	if rc == nil {
-		return fmt.Errorf("%w: no connection", ErrDegraded)
-	}
-	_, err := rc.lookupBatchDeadline(ids, deadline)
-	if err != nil && isConnErr(err) {
-		c.connFailed(rc)
-	}
-	return err
-}
-
-// await blocks until the client leaves the "disconnected, breaker not
-// yet tripped" state. Caller holds c.mu; await returns with it held.
-func (c *ResilientClient) await() {
-	seq := c.seq
-	for c.seq == seq && !c.closed {
-		c.cond.Wait()
-	}
-}
-
-// Register implements Client. Healthy: one atomic load + the wrapped
-// call. Disconnected: waits for reconnect, bounded by the breaker.
-// Degraded: journals locally and returns a provisional id.
+// Register implements Client: the batch of one.
 func (c *ResilientClient) Register(t taint.Taint) (uint32, error) {
 	if t.Empty() {
 		return 0, nil
@@ -610,140 +596,75 @@ func (c *ResilientClient) Register(t taint.Taint) (uint32, error) {
 	if id := t.GlobalID(); id != 0 {
 		return id, nil
 	}
-	for {
-		if rc := c.inner.Load(); rc != nil {
-			id, err := rc.Register(t)
-			if err == nil || !isConnErr(err) {
-				return id, err
-			}
-			c.connFailed(rc)
-			continue
-		}
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return 0, ErrClientClosed
-		}
-		if c.inner.Load() != nil {
-			c.mu.Unlock()
-			continue
-		}
-		if c.degraded {
-			id, err := c.journalLocked(t)
-			c.mu.Unlock()
-			return id, err
-		}
-		c.await()
-		c.mu.Unlock()
+	ids, err := c.RegisterBatch([]taint.Taint{t})
+	if err != nil {
+		return 0, err
 	}
+	return ids[0], nil
 }
 
-// registerMarshaled is Register for callers that already serialized t
-// (the cluster client, which marshals first to route by content hash).
-// Same state machine: healthy registers remotely, degraded journals.
-func (c *ResilientClient) registerMarshaled(t taint.Taint, blob []byte) (uint32, error) {
-	if id := t.GlobalID(); id != 0 {
-		return id, nil
+// RegisterBatch implements Client. Healthy: the wrapped client's batch.
+// Disconnected: waits for reconnect, bounded by the breaker. Degraded:
+// journals locally and returns provisional ids.
+func (c *ResilientClient) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
+	ids, pending, posOf := collectRegister(ts)
+	if len(pending) == 0 {
+		return ids, nil
 	}
-	for {
-		if rc := c.inner.Load(); rc != nil {
-			id, err := rc.registerMarshaled(t, blob)
-			if err == nil || !isConnErr(err) {
-				return id, err
-			}
-			c.connFailed(rc)
-			continue
-		}
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return 0, ErrClientClosed
-		}
-		if c.inner.Load() != nil {
-			c.mu.Unlock()
-			continue
-		}
-		if c.degraded {
-			id, err := c.journalBlobLocked(t, blob)
-			c.mu.Unlock()
-			return id, err
-		}
-		c.await()
-		c.mu.Unlock()
+	blobs, err := marshalAll(pending)
+	if err != nil {
+		return nil, err
 	}
+	fresh, err := c.registerPending(pending, blobs)
+	if err != nil {
+		return nil, err
+	}
+	spreadIDs(ids, fresh, pending, posOf)
+	return ids, nil
 }
 
-// registerPending registers pre-marshaled (taint, blob) pairs as one
-// batch, stamping and memoizing each result — the cluster client's
-// per-partition slice of a RegisterBatch. Degraded, every entry
-// journals and gets a provisional id (not stamped on the taint, per the
-// ErrGlobalIDPending contract).
-func (c *ResilientClient) registerPending(ts []taint.Taint, blobs [][]byte) ([]uint32, error) {
-	for {
-		if rc := c.inner.Load(); rc != nil {
-			ids, err := rc.registerBlobs(blobs)
-			if err == nil {
-				for i, t := range ts {
-					t.SetGlobalID(ids[i])
-					c.memo.put(ids[i], t)
-				}
-				return ids, nil
+// registerPending registers distinct pre-marshaled (taint, blob) pairs
+// as one batch, stamping and memoizing each result — the back half of
+// RegisterBatch and the cluster client's per-partition slice of one.
+// Degraded, every entry journals and gets a provisional id (not stamped
+// on the taint, per the ErrGlobalIDPending contract).
+func (c *ResilientClient) registerPending(ts []taint.Taint, blobs [][]byte) (ids []uint32, err error) {
+	err = c.withConn(func(rc *RemoteClient) (err error) {
+		if ids, err = rc.registerBlobs(blobs); err != nil {
+			return err
+		}
+		for i, t := range ts {
+			t.SetGlobalID(ids[i])
+			c.memo.put(ids[i], t)
+		}
+		return nil
+	}, func() (err error) {
+		ids = make([]uint32, len(ts))
+		for i, t := range ts {
+			if ids[i], err = c.journalLocked(t, blobs[i]); err != nil {
+				return err
 			}
-			if !isConnErr(err) {
-				return nil, err
-			}
-			c.connFailed(rc)
-			continue
 		}
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return nil, ErrClientClosed
-		}
-		if c.inner.Load() != nil {
-			c.mu.Unlock()
-			continue
-		}
-		if c.degraded {
-			ids := make([]uint32, len(ts))
-			for i, t := range ts {
-				id, err := c.journalBlobLocked(t, blobs[i])
-				if err != nil {
-					c.mu.Unlock()
-					return nil, err
-				}
-				ids[i] = id
-			}
-			c.mu.Unlock()
-			return ids, nil
-		}
-		c.await()
-		c.mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return ids, nil
 }
 
-// rawCall issues one tagged protocol op on the live connection — the
-// cluster client's channel for ring fetches and read-repair pushes.
-// There is no degraded fallback: cluster maintenance traffic is
-// meaningless without a server, so a disconnected client fails fast
-// with ErrDegraded instead of journaling or waiting out the breaker.
-func (c *ResilientClient) rawCall(op byte, payload []byte) ([]byte, error) {
-	for {
-		rc := c.inner.Load()
-		if rc == nil {
-			return nil, fmt.Errorf("%w: no connection for op %q", ErrDegraded, op)
-		}
-		reply, err := rc.call(op, payload)
-		if err == nil || !isConnErr(err) {
-			return reply, err
-		}
-		c.connFailed(rc)
-	}
+// rawCall issues one protocol op on the live connection — the cluster
+// client's channel for ring fetches and read-repair pushes. Fail-fast:
+// there is nothing to journal and nobody to wait for.
+func (c *ResilientClient) rawCall(op byte, payload []byte) (reply []byte, err error) {
+	err = c.withConn(func(rc *RemoteClient) (err error) {
+		reply, err = rc.call(op, payload, time.Time{})
+		return err
+	}, nil)
+	return reply, err
 }
 
-// Lookup implements Client. Provisional ids resolve through the remap
-// table or the degraded-mode memo without touching the wire; real ids
-// follow the same healthy/wait/degraded paths as Register.
+// Lookup implements Client: the batch of one.
 func (c *ResilientClient) Lookup(id uint32) (taint.Taint, error) {
 	if id == 0 {
 		return taint.Taint{}, nil
@@ -751,34 +672,73 @@ func (c *ResilientClient) Lookup(id uint32) (taint.Taint, error) {
 	if t, ok := c.memo.get(id); ok {
 		return t, nil
 	}
-	if IsProvisional(id) {
-		return c.lookupProvisional(id)
+	ts, err := c.LookupBatch([]uint32{id})
+	if err != nil {
+		return taint.Taint{}, err
 	}
-	for {
-		if rc := c.inner.Load(); rc != nil {
-			t, err := rc.Lookup(id)
-			if err == nil || !isConnErr(err) {
-				return t, err
+	return ts[0], nil
+}
+
+// LookupBatch implements Client: the memo answers what it can, the rest
+// follows the same healthy/wait/degraded paths as RegisterBatch.
+func (c *ResilientClient) LookupBatch(ids []uint32) ([]taint.Taint, error) {
+	ts, missing := c.memo.splitBatch(ids)
+	if len(missing) == 0 {
+		return ts, nil
+	}
+	got, err := c.lookupMissing(missing, time.Time{}, false)
+	if err != nil {
+		return nil, err
+	}
+	fillMissing(ts, ids, missing, got)
+	return ts, nil
+}
+
+// lookupMissing resolves distinct ids the memo does not hold, returning
+// the parallel taints (memoized on the way). A non-zero deadline bounds
+// the wire wait inline without declaring the connection wedged, and
+// failFast gives up instead of waiting out a reconnect — together the
+// per-member leg of the cluster client's hedged reads. Degraded, only
+// the memo can answer, and it already declined these ids.
+func (c *ResilientClient) lookupMissing(ids []uint32, deadline time.Time, failFast bool) (ts []taint.Taint, err error) {
+	for _, id := range ids {
+		if IsProvisional(id) {
+			return c.lookupEach(ids, deadline, failFast)
+		}
+	}
+	var degraded func() error
+	if !failFast {
+		degraded = func() error {
+			return fmt.Errorf("%w: lookup of %d unknown ids", ErrDegraded, len(ids))
+		}
+	}
+	err = c.withConn(func(rc *RemoteClient) (err error) {
+		ts, err = rc.lookupBatchDeadline(ids, deadline)
+		return err
+	}, degraded)
+	return ts, err
+}
+
+// lookupEach is lookupMissing for a batch holding provisional ids, which
+// never reach the wire: each of those resolves through the remap table
+// or the local store, and the real ids go one by one.
+func (c *ResilientClient) lookupEach(ids []uint32, deadline time.Time, failFast bool) ([]taint.Taint, error) {
+	ts := make([]taint.Taint, len(ids))
+	for i, id := range ids {
+		var err error
+		if IsProvisional(id) {
+			ts[i], err = c.lookupProvisional(id)
+		} else {
+			var one []taint.Taint
+			if one, err = c.lookupMissing(ids[i:i+1], deadline, failFast); err == nil {
+				ts[i] = one[0]
 			}
-			c.connFailed(rc)
-			continue
 		}
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return taint.Taint{}, ErrClientClosed
+		if err != nil {
+			return nil, err
 		}
-		if c.inner.Load() != nil {
-			c.mu.Unlock()
-			continue
-		}
-		if c.degraded {
-			c.mu.Unlock()
-			return taint.Taint{}, fmt.Errorf("%w: lookup of unknown id %d", ErrDegraded, id)
-		}
-		c.await()
-		c.mu.Unlock()
 	}
+	return ts, nil
 }
 
 // lookupProvisional resolves a provisional id: through the remap table
@@ -803,107 +763,6 @@ func (c *ResilientClient) lookupProvisional(id uint32) (taint.Taint, error) {
 	// cross-node transfer path.
 	c.memo.put(id, t)
 	return t, nil
-}
-
-// RegisterBatch implements Client.
-func (c *ResilientClient) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
-	for {
-		if rc := c.inner.Load(); rc != nil {
-			ids, err := rc.RegisterBatch(ts)
-			if err == nil || !isConnErr(err) {
-				return ids, err
-			}
-			c.connFailed(rc)
-			continue
-		}
-		ids, pending, _ := collectRegister(ts)
-		if len(pending) == 0 {
-			return ids, nil
-		}
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return nil, ErrClientClosed
-		}
-		if c.inner.Load() != nil {
-			c.mu.Unlock()
-			continue
-		}
-		if c.degraded {
-			for i, t := range ts {
-				if t.Empty() {
-					continue
-				}
-				if id := t.GlobalID(); id != 0 {
-					ids[i] = id
-					continue
-				}
-				id, err := c.journalLocked(t)
-				if err != nil {
-					c.mu.Unlock()
-					return nil, err
-				}
-				ids[i] = id
-			}
-			c.mu.Unlock()
-			return ids, nil
-		}
-		c.await()
-		c.mu.Unlock()
-	}
-}
-
-// LookupBatch implements Client. Provisional ids never reach the wire:
-// a batch containing any falls back to per-id resolution, which routes
-// each provisional id through remap/local-store and the rest through
-// the normal path.
-func (c *ResilientClient) LookupBatch(ids []uint32) ([]taint.Taint, error) {
-	for _, id := range ids {
-		if IsProvisional(id) {
-			return c.lookupBatchSlow(ids)
-		}
-	}
-	for {
-		if rc := c.inner.Load(); rc != nil {
-			ts, err := rc.LookupBatch(ids)
-			if err == nil || !isConnErr(err) {
-				return ts, err
-			}
-			c.connFailed(rc)
-			continue
-		}
-		ts, missing := c.memo.splitBatch(ids)
-		if len(missing) == 0 {
-			return ts, nil
-		}
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return nil, ErrClientClosed
-		}
-		if c.inner.Load() != nil {
-			c.mu.Unlock()
-			continue
-		}
-		if c.degraded {
-			c.mu.Unlock()
-			return nil, fmt.Errorf("%w: lookup of %d unknown ids", ErrDegraded, len(missing))
-		}
-		c.await()
-		c.mu.Unlock()
-	}
-}
-
-func (c *ResilientClient) lookupBatchSlow(ids []uint32) ([]taint.Taint, error) {
-	ts := make([]taint.Taint, len(ids))
-	for i, id := range ids {
-		t, err := c.Lookup(id)
-		if err != nil {
-			return nil, err
-		}
-		ts[i] = t
-	}
-	return ts, nil
 }
 
 // Health is a snapshot of the resilience state, for tests, monitoring

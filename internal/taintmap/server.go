@@ -2,7 +2,6 @@ package taintmap
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -169,7 +168,7 @@ func WithClusterNode(n *ClusterNode) ServerOption {
 }
 
 // WithServiceModel installs a per-request cost hook, called once per
-// request with the untagged op byte and the item count (blobs
+// request with the op byte and the item count (blobs
 // registered, ids looked up, entries adopted). The scaling benchmarks
 // use it to model a fixed-capacity single-threaded server — this host
 // has one CPU, so real parallel speedup cannot be measured directly;
@@ -283,12 +282,11 @@ const brownoutGrace = 250 * time.Millisecond
 const brownoutMaxFrames = 64
 
 // shedConn serves one over-cap connection in brownout mode: every
-// request (either protocol generation) is answered with an
-// ErrOverloaded error response, payloads are discarded unexecuted, and
-// the connection closes at the grace deadline or the frame cap,
-// whichever lands first. On transports without read deadlines a silent
-// peer can hold its shedder slot past the grace; the pool bound in
-// serve() contains that.
+// request is answered with an ErrOverloaded error response, payloads are
+// discarded unexecuted, and the connection closes at the grace deadline
+// or the frame cap, whichever lands first. On transports without read
+// deadlines a silent peer can hold its shedder slot past the grace; the
+// pool bound in serve() contains that.
 func shedConn(conn io.ReadWriteCloser, grace time.Duration) {
 	defer conn.Close()
 	rd, _ := conn.(readDeadliner)
@@ -300,45 +298,15 @@ func shedConn(conn io.ReadWriteCloser, grace time.Duration) {
 		if rd != nil {
 			rd.SetReadDeadline(deadline)
 		}
-		op, err := br.ReadByte()
+		_, tag, n, err := readTaggedHeader(br, isRequestOp, maxFrame)
 		if err != nil {
 			break
 		}
-		_, tagged := taggedBase(op)
-		var hdr [8]byte
-		var tag, n uint32
-		if tagged {
-			if _, err := io.ReadFull(br, hdr[:8]); err != nil {
-				break
-			}
-			tag = binary.BigEndian.Uint32(hdr[0:4])
-			n = binary.BigEndian.Uint32(hdr[4:8])
-		} else {
-			if _, err := io.ReadFull(br, hdr[:4]); err != nil {
-				break
-			}
-			n = binary.BigEndian.Uint32(hdr[0:4])
-		}
-		if n > maxFrame {
+		if _, err := br.Discard(int(n)); err != nil {
 			break
 		}
-		if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
+		if writeTaggedFrame(bw, statusTaggedErr, tag, overload) != nil {
 			break
-		}
-		if tagged {
-			if writeTaggedFrame(bw, statusTaggedErr, tag, overload) != nil {
-				break
-			}
-		} else {
-			var h [5]byte
-			h[0] = statusErr
-			binary.BigEndian.PutUint32(h[1:5], uint32(len(overload)))
-			if _, err := bw.Write(h[:]); err != nil {
-				break
-			}
-			if _, err := bw.Write(overload); err != nil {
-				break
-			}
 		}
 		if br.Buffered() == 0 {
 			if bw.Flush() != nil {

@@ -9,9 +9,8 @@
 // protocol usable over any stream (netsim conns or real TCP), a Server,
 // and several Client implementations: Remote (multiplexed, over a
 // connection), Resilient (reconnecting, degraded-capable), Cluster
-// (partitioned + replicated across N servers), StopAndWait (serialized,
-// the legacy untagged protocol) and Local (in-process, for tests and
-// single-process simulations).
+// (partitioned + replicated across N servers) and Local (in-process,
+// for tests and single-process simulations).
 package taintmap
 
 import (

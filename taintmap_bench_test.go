@@ -32,16 +32,17 @@ import (
 //
 // Sub-benchmarks:
 //
-//	Mux8           — 8 goroutines, one multiplexed tagged-protocol client
-//	Resilient8     — 8 goroutines, the multiplexed client wrapped in the
-//	                 resilience layer (default options) on a fault-free
-//	                 network — measures the wrapper's overhead, which must
-//	                 stay within 1.10x of Mux8
-//	StopAndWait8   — 8 goroutines, one serialized request/response client
-//	                 (byte-identical to the pre-sharding RemoteClient —
-//	                 the in-run baseline the tentpole is measured against)
-//	UntaggedSingle — 1 goroutine, pure round-trip latency of the untagged
-//	                 ops (must stay unchanged within noise)
+//	Mux8        — 8 goroutines, one multiplexed client
+//	Resilient8  — 8 goroutines, the multiplexed client wrapped in the
+//	              resilience layer (default options) on a fault-free
+//	              network — measures the wrapper's overhead, which must
+//	              stay within 1.10x of Mux8
+//	Serialized8 — 8 goroutines, the same multiplexed client behind a
+//	              mutex, so one request is in flight at a time: the
+//	              ablation of pipelining, and the in-run baseline Mux8
+//	              must beat 3x
+//	Single      — 1 goroutine, pure register round-trip latency (held to
+//	              1.3x of the seed's single-client latency)
 const (
 	benchClients = 8
 	benchHotN    = 64
@@ -150,6 +151,24 @@ func runMixed(b *testing.B, env *tmBenchEnv, client taintmap.Client, tree *taint
 	}
 }
 
+// serialized is the pipelining ablation: one client, one wire request in
+// flight. Only a Register that has to reach the wire takes the mutex —
+// hits stay as free as they are on the bare client, and runMixed's
+// lookups are all memo hits.
+type serialized struct {
+	taintmap.Client
+	mu sync.Mutex
+}
+
+func (s *serialized) Register(t taint.Taint) (uint32, error) {
+	if t.Empty() || t.GlobalID() != 0 {
+		return s.Client.Register(t)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.Client.Register(t)
+}
+
 func BenchmarkTaintMapConcurrent(b *testing.B) {
 	b.Run("Mux8", func(b *testing.B) {
 		env := newTMBenchEnv(b)
@@ -167,17 +186,17 @@ func BenchmarkTaintMapConcurrent(b *testing.B) {
 		defer client.Close()
 		runMixed(b, env, client, tree, benchClients)
 	})
-	b.Run("StopAndWait8", func(b *testing.B) {
+	b.Run("Serialized8", func(b *testing.B) {
 		env := newTMBenchEnv(b)
 		tree := taint.NewTree()
-		client := taintmap.NewStopAndWaitClient(env.dial(b), tree)
+		client := &serialized{Client: taintmap.NewRemoteClient(env.dial(b), tree)}
 		defer client.Close()
 		runMixed(b, env, client, tree, benchClients)
 	})
-	b.Run("UntaggedSingle", func(b *testing.B) {
+	b.Run("Single", func(b *testing.B) {
 		env := newTMBenchEnv(b)
 		tree := taint.NewTree()
-		client := taintmap.NewStopAndWaitClient(env.dial(b), tree)
+		client := taintmap.NewRemoteClient(env.dial(b), tree)
 		defer client.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -231,7 +250,7 @@ const (
 // mutex) so timer granularity amortizes over many requests instead of
 // inflating every individual charge.
 //
-// Replication/repair adoptions ('P'/'W') are billed asynchronously: the
+// Replication/repair adoptions ('p'/'w') are billed asynchronously: the
 // adopt runs on the replica's peer connection while the OWNER awaits
 // the ack, so sleeping it inline would stall the owner's pipeline on
 // the replica's modeled busy-time and couple every member's capacity to
@@ -241,22 +260,22 @@ const (
 type svcModel struct {
 	mu       sync.Mutex
 	debt     time.Duration
-	peerDebt atomic.Int64 // ns billed by 'P'/'W' handlers, slept at the next flush
+	peerDebt atomic.Int64 // ns billed by 'p'/'w' handlers, slept at the next flush
 }
 
 func (m *svcModel) cost(op byte, items int) {
 	var d time.Duration
 	switch op {
-	case 'R':
+	case 'r':
 		d = benchRegisterCost
-	case 'B':
+	case 'b':
 		d = benchRegisterCost * time.Duration(items)
-	case 'P', 'W':
+	case 'p', 'w':
 		m.peerDebt.Add(int64(items) * int64(benchAdoptCost))
 		return
-	case 'L':
+	case 'l':
 		d = benchLookupCost
-	case 'M':
+	case 'm':
 		d = benchLookupCost * time.Duration(items)
 	default:
 		return
