@@ -1,6 +1,9 @@
 package analysis
 
-import "go/ast"
+import (
+	"go/ast"
+	"go/token"
+)
 
 // LockOrder enforces the documented mutex orders of the hot-path
 // structures, which so far lived only in comments:
@@ -25,11 +28,19 @@ import "go/ast"
 //   - cluster client (taintmap/clusterclient.go, PR 8):
 //     ClusterClient.mu guards membership changes only; the routing
 //     table is a lock-free atomic.Pointer read on the request path.
-//     It is a leaf — no tracked lock may be acquired under it.
+//     It is a leaf — no tracked lock may be acquired under it;
+//   - mux client (taintmap/mux.go): RemoteClient.sendMu guards the
+//     outbound buffer that callers append to and one of them flushes.
+//     Every caller on the connection passes through it, so it is a
+//     leaf in the strict sense: while it is held no mutex of any kind
+//     is acquired (the client's own pmu and sfMu included, tracked or
+//     not), nothing is written (a call to a Write method — the flush
+//     happens with the buffers swapped and the mutex released) and
+//     no channel is sent to, received from or selected on.
 //
 // The pinned global order is therefore:
 //
-//	admission.mu  >  shard.mu > growMu  |  node.mu, Tree.cmu (disjoint)  >  ClusterClient.mu
+//	admission.mu  >  shard.mu > growMu  |  node.mu, Tree.cmu (disjoint)  >  ClusterClient.mu  |  RemoteClient.sendMu (strict leaf)
 //
 // (admission outermost, growMu inside shard, ClusterClient.mu a leaf;
 // the tree locks never interleave with the store locks in code today,
@@ -37,18 +48,19 @@ import "go/ast"
 //
 // Lock classes are recognized by (receiver type name, field name) —
 // node.mu, Tree.cmu, shard.mu, Store.growMu, admission.mu,
-// ClusterClient.mu — so a refactor that renames the fields must update
-// this table (a cheap, visible cost; silently losing the check would
-// be the expensive one). The analysis is intra-procedural and
-// path-insensitive: statements are scanned in order, branches with a
-// copy of the held set, and a deferred Unlock keeps its mutex held to
-// the end of the function, which matches how these functions are
-// written.
+// ClusterClient.mu, RemoteClient.sendMu — so a refactor that renames
+// the fields must update this table (a cheap, visible cost; silently
+// losing the check would be the expensive one). The analysis is
+// intra-procedural and path-insensitive: statements are scanned in
+// order, branches with a copy of the held set, and a deferred Unlock
+// keeps its mutex held to the end of the function, which matches how
+// these functions are written.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc: "documented mutex orders: at most one taint-tree node mutex; Tree.cmu " +
 		"never under a node mutex; no shard lock while Store.growMu is held; " +
-		"admission.mu (and blocking admit()) outermost; ClusterClient.mu a leaf",
+		"admission.mu (and blocking admit()) outermost; ClusterClient.mu a leaf; " +
+		"no lock, Write or channel operation under RemoteClient.sendMu",
 	Run: runLockOrder,
 }
 
@@ -63,6 +75,7 @@ const (
 	lockGrowMu
 	lockAdmissionMu
 	lockClusterMu
+	lockSendMu
 )
 
 var lockClassName = map[lockClass]string{
@@ -72,6 +85,7 @@ var lockClassName = map[lockClass]string{
 	lockGrowMu:      "Store.growMu",
 	lockAdmissionMu: "admission.mu",
 	lockClusterMu:   "ClusterClient.mu",
+	lockSendMu:      "RemoteClient.sendMu",
 }
 
 const (
@@ -79,6 +93,8 @@ const (
 		"admission.mu must be the outermost tracked lock (admission lock order)"
 	clusterLeaf = "ClusterClient.mu guards membership only and is a leaf; " +
 		"no tracked lock may be acquired under it (cluster lock order)"
+	sendLeaf = "every caller on the connection appends under RemoteClient.sendMu; it is released " +
+		"before anything that can block or take another lock (mux send order)"
 )
 
 // forbiddenNesting maps (held, acquiring) pairs to the invariant they
@@ -144,6 +160,9 @@ func walkLockStmts(pass *Pass, stmts []ast.Stmt, held []lockClass) []lockClass {
 }
 
 func walkLockStmt(pass *Pass, stmt ast.Stmt, held []lockClass) []lockClass {
+	if holdsLock(held, lockSendMu) {
+		checkSendLeaf(pass, stmt)
+	}
 	switch s := stmt.(type) {
 	case *ast.ExprStmt:
 		if call, ok := s.X.(*ast.CallExpr); ok {
@@ -247,6 +266,15 @@ func applyLockCall(pass *Pass, call *ast.CallExpr, held []lockClass) []lockClass
 		return held
 	}
 	class := lockClassOf(pass, sel.X)
+	if acquire && holdsLock(held, lockSendMu) {
+		// The strict leaf: any mutex at all, tracked or not.
+		name := lockClassName[class]
+		if mu, ok := unparen(sel.X).(*ast.SelectorExpr); ok && class == lockNone {
+			name = mu.Sel.Name
+		}
+		pass.Reportf(call.Pos(), "%s acquired while %s is held: %s",
+			name, lockClassName[lockSendMu], sendLeaf)
+	}
 	if class == lockNone {
 		return held
 	}
@@ -295,8 +323,59 @@ func lockClassOf(pass *Pass, e ast.Expr) lockClass {
 		return lockAdmissionMu
 	case [2]string{"ClusterClient", "mu"}:
 		return lockClusterMu
+	case [2]string{"RemoteClient", "sendMu"}:
+		return lockSendMu
 	}
 	return lockNone
+}
+
+// checkSendLeaf reports what one statement executed under
+// RemoteClient.sendMu must not do besides locking (applyLockCall's
+// part): write, or operate on a channel. Only the statement's own
+// expressions are examined — nested statements are walked, with the
+// held set they are actually reached with, by walkLockStmt.
+func checkSendLeaf(pass *Pass, stmt ast.Stmt) {
+	var exprs []ast.Expr
+	switch s := stmt.(type) {
+	case *ast.ExprStmt:
+		exprs = []ast.Expr{s.X}
+	case *ast.AssignStmt:
+		exprs = s.Rhs
+	case *ast.ReturnStmt:
+		exprs = s.Results
+	case *ast.IfStmt:
+		exprs = []ast.Expr{s.Cond}
+	case *ast.SendStmt:
+		pass.Reportf(s.Pos(), "channel send while %s is held: %s", lockClassName[lockSendMu], sendLeaf)
+	case *ast.SelectStmt:
+		pass.Reportf(s.Pos(), "select while %s is held: %s", lockClassName[lockSendMu], sendLeaf)
+	}
+	for _, e := range exprs {
+		ast.Inspect(e, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.UnaryExpr:
+				if n.Op == token.ARROW {
+					pass.Reportf(n.Pos(), "channel receive while %s is held: %s", lockClassName[lockSendMu], sendLeaf)
+				}
+			case *ast.CallExpr:
+				if sel, ok := unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Write" {
+					pass.Reportf(n.Pos(), "Write called while %s is held: %s", lockClassName[lockSendMu], sendLeaf)
+				}
+			}
+			return true
+		})
+	}
+}
+
+func holdsLock(held []lockClass, class lockClass) bool {
+	for _, h := range held {
+		if h == class {
+			return true
+		}
+	}
+	return false
 }
 
 // admissionReceiver reports whether e has the admission semaphore type

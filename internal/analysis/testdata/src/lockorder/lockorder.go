@@ -210,3 +210,97 @@ func suppressed(a, b *node) {
 	b.mu.Unlock()
 	a.mu.Unlock()
 }
+
+// RemoteClient mirrors the mux client's outbound half: callers append
+// to out under sendMu and one of them writes it with sendMu released.
+type RemoteClient struct {
+	sendMu   sync.Mutex
+	out      []byte
+	spare    []byte
+	flushing bool
+	room     chan struct{}
+	conn     interface{ Write([]byte) (int, error) }
+
+	pmu     sync.Mutex
+	pending map[uint32]chan []byte
+}
+
+// badFlushUnderSendMu writes the buffer without swapping it out first:
+// every caller on the connection now waits behind the transport.
+func badFlushUnderSendMu(c *RemoteClient, frame []byte) error {
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
+	c.out = append(c.out, frame...)
+	_, err := c.conn.Write(c.out) // want "Write called while RemoteClient.sendMu is held"
+	c.out = c.out[:0]
+	return err
+}
+
+// badLockUnderSendMu reaches into the pending table from inside the
+// send critical section; pmu is not a tracked class, the strict leaf
+// covers it anyway.
+func badLockUnderSendMu(c *RemoteClient, tag uint32) {
+	c.sendMu.Lock()
+	c.pmu.Lock() // want "pmu acquired while RemoteClient.sendMu is held"
+	delete(c.pending, tag)
+	c.pmu.Unlock()
+	c.sendMu.Unlock()
+}
+
+// badChannelUnderSendMu waits for room, signals and selects with the
+// mutex held.
+func badChannelUnderSendMu(c *RemoteClient, done chan struct{}) {
+	c.sendMu.Lock()
+	<-c.room             // want "channel receive while RemoteClient.sendMu is held"
+	c.room <- struct{}{} // want "channel send while RemoteClient.sendMu is held"
+	select {             // want "select while RemoteClient.sendMu is held"
+	case <-done:
+	default:
+	}
+	c.sendMu.Unlock()
+}
+
+// goodGroupCommit is the documented shape: append under the mutex,
+// swap the buffers, write with it released, wake waiters by closing
+// (close never blocks) and wait for room only while not holding it.
+func goodGroupCommit(c *RemoteClient, frame []byte, done chan struct{}) bool {
+	c.sendMu.Lock()
+	for c.flushing && len(c.out) >= 1<<16 {
+		if c.room == nil {
+			c.room = make(chan struct{})
+		}
+		room := c.room
+		c.sendMu.Unlock()
+		select {
+		case <-room:
+		case <-done:
+			return false
+		}
+		c.sendMu.Lock()
+	}
+	c.out = append(c.out, frame...)
+	if c.flushing {
+		c.sendMu.Unlock()
+		return true
+	}
+	c.flushing = true
+	for {
+		buf := c.out
+		c.out, c.spare = c.spare[:0], nil
+		c.sendMu.Unlock()
+		if _, err := c.conn.Write(buf); err != nil {
+			return true
+		}
+		c.sendMu.Lock()
+		c.spare = buf[:0]
+		if c.room != nil {
+			close(c.room)
+			c.room = nil
+		}
+		if len(c.out) == 0 {
+			c.flushing = false
+			c.sendMu.Unlock()
+			return true
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package taintmap
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -381,6 +380,72 @@ func TestHitEarlyOutsDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestLookupMissAllocations pins what one single-id lookup miss
+// allocates end to end — client, server and store share the process, so
+// the count covers the whole round trip. The bounds sit one above the
+// measured counts (16 on a plain remote, 29 on a 3-member RF-2 cluster,
+// which pays the hedge timer, the leg goroutine and a second memo
+// split): the two grouping maps ClusterClient.LookupBatch used to build
+// per call cost 2 more, and do not fit.
+func TestLookupMissAllocations(t *testing.T) {
+	const runs = 200
+	n := netsim.New()
+	srv, err := StartSimServer(n, "tm:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	e := newClusterEnv(t, 3, 2)
+
+	for _, tc := range []struct {
+		name string
+		max  float64
+		open func(tree *taint.Tree) Client
+	}{
+		{"Remote", 17, func(tree *taint.Tree) Client {
+			c, err := DialSim(n, "tm:1", tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+		{"Cluster", 30, func(tree *taint.Tree) Client {
+			c, err := DialSimCluster(e.net, "app:1", e.ring, tree, ClusterOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// One client registers, a memo-cold second one looks each id up
+			// exactly once: AllocsPerRun calls the function runs+1 times.
+			seedTree := taint.NewTree()
+			seed := tc.open(seedTree)
+			defer seed.Close()
+			ids := make([]uint32, runs+1)
+			for i := range ids {
+				if ids[i], err = seed.Register(seedTree.NewSource(fmt.Sprintf("miss-%d", i), "app:1")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c := tc.open(taint.NewTree())
+			defer c.Close()
+			next := 0
+			allocs := testing.AllocsPerRun(runs, func() {
+				if got, err := c.Lookup(ids[next]); err != nil || got.Empty() {
+					t.Fatalf("lookup miss = %v, %v", got, err)
+				}
+				next++
+			})
+			t.Logf("%.1f allocs per single-id lookup miss", allocs)
+			if allocs > tc.max {
+				t.Fatalf("a single-id lookup miss allocates %.1f times, want <= %.0f", allocs, tc.max)
+			}
+		})
+	}
+}
+
 // tapConn records every byte its client writes.
 type tapConn struct {
 	io.ReadWriteCloser
@@ -416,23 +481,18 @@ func (w *wireTap) registerOps(t *testing.T) string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var ops []byte
-	for b := w.sent; len(b) > 0; {
-		if len(b) < 9 || len(b) < 9+int(binary.BigEndian.Uint32(b[5:9])) {
-			t.Fatalf("captured a partial request frame: % x", b)
+	for _, f := range frames(t, [][]byte{w.sent}) {
+		if f[0] == opRegisterTag || f[0] == opRegisterBatchTag {
+			ops = append(ops, f[0])
 		}
-		if b[0] == opRegisterTag || b[0] == opRegisterBatchTag {
-			ops = append(ops, b[0])
-		}
-		b = b[9+int(binary.BigEndian.Uint32(b[5:9])):]
 	}
 	return string(ops)
 }
 
-// TestSingleRegisterStaysCoalescible: a lone Register through the
-// wrapping clients reaches the wire as a single-register frame — the
-// one the mux writer can fold with its neighbours — not as a one-entry
-// batch frame.
-func TestSingleRegisterStaysCoalescible(t *testing.T) {
+// TestSingleRegisterWireCapture: a lone Register through the wrapping
+// clients reaches the wire as a single-register frame — the op the
+// singleflight table deduplicates — not as a one-entry batch frame.
+func TestSingleRegisterWireCapture(t *testing.T) {
 	t.Run("Resilient", func(t *testing.T) {
 		n := netsim.New()
 		srv, err := StartSimServer(n, "tm:1")

@@ -260,16 +260,20 @@ func (l *peerLink) call(op byte, payload []byte, timeout time.Duration) ([]byte,
 	if err := l.bw.Flush(); err != nil {
 		return fail(err)
 	}
-	rd, _ := l.conn.(readDeadliner)
-	if rd != nil && timeout > 0 {
-		rd.SetReadDeadline(time.Now().Add(timeout))
+	// Set, never clear afterwards: every call sets the deadline before
+	// its read and nothing reads outside call, so the one left behind by
+	// the previous call cannot fire on anyone. A zero timeout sets the
+	// zero deadline, which disarms whatever an earlier timeout left.
+	if rd, ok := l.conn.(readDeadliner); ok {
+		var deadline time.Time
+		if timeout > 0 {
+			deadline = time.Now().Add(timeout)
+		}
+		rd.SetReadDeadline(deadline)
 	}
 	status, _, reply, err := readTaggedFrame(l.br, nil, isReplyStatus, maxReplyFrame)
 	if err != nil {
 		return fail(err)
-	}
-	if rd != nil && timeout > 0 {
-		rd.SetReadDeadline(time.Time{})
 	}
 	if status != statusTaggedOK {
 		// The request was answered; the link itself is healthy.

@@ -564,3 +564,65 @@ func TestClusterReadRepairDivergence(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterLookupBatchGroups drives ClusterClient.LookupBatch's
+// grouping with the memo out of the way: one batch mixing real ids of
+// two partitions, provisional ids of a third (its owner shedding, so
+// they live in that member's journal), a duplicate and a zero resolves
+// every position — real ids over the wire per partition, provisional
+// ones through the journal, never mixed into one group.
+func TestClusterLookupBatchGroups(t *testing.T) {
+	e := newClusterEnvOpts(t, 3, 2, WithAdmission(1, 0))
+	tree := taint.NewTree()
+	c, err := DialSimCluster(e.net, "app:1", e.ring, tree, ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// Member 0 sheds every request until the batch has been read back.
+	e.srvs[0].adm.admit()
+	var ids []uint32
+	var want []taint.Taint
+	perPart := map[uint32]int{}
+	for i := 0; len(ids) < 9 && i < 256; i++ {
+		tt := tree.NewSource(fmt.Sprintf("grouped-%d", i), "app:1")
+		blob, err := taint.MarshalTaint(tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := e.ring.OwnerOfBlob(blob)
+		if perPart[owner] == 3 {
+			continue
+		}
+		perPart[owner]++
+		id, err := c.Register(tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if IsProvisional(id) != (owner == 0) || PartitionOf(id) != owner {
+			t.Fatalf("owner %d handed out id %#x", owner, id)
+		}
+		ids = append(ids, id)
+		want = append(want, tt)
+	}
+	if len(ids) != 9 {
+		t.Fatalf("found taints for %v, want 3 per partition", perPart)
+	}
+	ids = append(ids, ids[0], 0)
+	want = append(want, want[0], taint.Taint{})
+
+	c.memo.mu.Lock()
+	c.memo.byID = nil
+	c.memo.mu.Unlock()
+	got, err := c.LookupBatch(ids)
+	e.srvs[0].adm.release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ids {
+		if got[i] != want[i] {
+			t.Fatalf("position %d (id %#x) resolved to %v, want %v", i, ids[i], got[i], want[i])
+		}
+	}
+}

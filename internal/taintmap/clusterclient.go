@@ -518,36 +518,45 @@ func (c *ClusterClient) registerGroup(part uint32, ts []taint.Taint, blobs [][]b
 }
 
 // LookupBatch implements Client: memo misses are grouped by the
-// partition bits of their ids and resolved per group against the
-// partition's replicas (see lookupGroup).
+// partition bits of their ids (provisional ids apart — they resolve via
+// the minting member's journal and never reach the wire or the replica
+// set) and resolved per group. A batch with a single group — every batch
+// of one, every batch read back from one partition — is its own group
+// and is not regrouped.
 func (c *ClusterClient) LookupBatch(ids []uint32) ([]taint.Taint, error) {
 	ts, missing := c.memo.splitBatch(ids)
 	if len(missing) == 0 {
 		return ts, nil
 	}
-	groups := make(map[uint32][]uint32)
-	provGroups := make(map[uint32][]uint32)
+	// A group's key is everything of an id but its sequence: the
+	// partition field plus the provisional bit.
+	var keyBuf [16]uint32 // keeps small batches off the heap
+	keys := keyBuf[:0]
+	oneGroup := true
 	for _, id := range missing {
-		if IsProvisional(id) {
-			provGroups[PartitionOf(id)] = append(provGroups[PartitionOf(id)], id)
-		} else {
-			groups[PartitionOf(id)] = append(groups[PartitionOf(id)], id)
-		}
+		keys = append(keys, id&^seqMask)
+		oneGroup = oneGroup && keys[len(keys)-1] == keys[0]
 	}
-	for part, group := range groups {
-		if err := c.lookupGroup(part, group); err != nil {
+	if oneGroup {
+		if err := c.lookupKeyed(keys[0], missing); err != nil {
 			return nil, err
 		}
-	}
-	for part, group := range provGroups {
-		// Provisional ids resolve via the minting member's journal; they
-		// never reach the wire or the replica set.
-		cm := c.member(part)
-		if cm == nil {
-			return nil, fmt.Errorf("%w: provisional ids of unknown member", ErrDegraded)
-		}
-		if _, err := cm.rc.LookupBatch(group); err != nil {
-			return nil, err
+	} else {
+		const taken = seqMask // no key has sequence bits set
+		for i, key := range keys {
+			if key == taken {
+				continue
+			}
+			var group []uint32
+			for j := i; j < len(keys); j++ {
+				if keys[j] == key {
+					group = append(group, missing[j])
+					keys[j] = taken
+				}
+			}
+			if err := c.lookupKeyed(key, group); err != nil {
+				return nil, err
+			}
 		}
 	}
 	// Every missing id is in the memo now; fill the unresolved slots.
@@ -561,6 +570,22 @@ func (c *ClusterClient) LookupBatch(ids []uint32) ([]taint.Taint, error) {
 		}
 	}
 	return ts, nil
+}
+
+// lookupKeyed resolves one LookupBatch group into the shared memo:
+// provisional ids through the journal of the member that minted them,
+// real ids against the partition's replicas.
+func (c *ClusterClient) lookupKeyed(key uint32, group []uint32) error {
+	part := PartitionOf(key)
+	if !IsProvisional(key) {
+		return c.lookupGroup(part, group)
+	}
+	cm := c.member(part)
+	if cm == nil {
+		return fmt.Errorf("%w: provisional ids of unknown member", ErrDegraded)
+	}
+	_, err := cm.rc.LookupBatch(group)
+	return err
 }
 
 // lookupGroup resolves one partition's (non-provisional) ids into the

@@ -353,12 +353,11 @@ func TestUntaggedFrameRejected(t *testing.T) {
 }
 
 // TestRegisterCoalescing floods one RemoteClient with concurrent
-// single-taint Registers of distinct taints. The writer goroutine
-// folds simultaneous 'r' frames into one tagged batch frame and the
-// demultiplexer fans the bare id-list reply back out to the member
-// calls, so this test covers the coalescing slicing that RegisterBatch
-// (which builds its own batches) never reaches. Distinct sources keep
-// the singleflight table and the memo cache out of the way.
+// single-taint Registers of distinct taints. Their 'r' frames share
+// transport writes in whatever groups the scheduler produces (see
+// RemoteClient.send), and every reply must still find the caller whose
+// frame it answers. Distinct sources keep the singleflight table and
+// the memo cache out of the way.
 func TestRegisterCoalescing(t *testing.T) {
 	n := netsim.New()
 	srv, err := StartSimServer(n, "tm:9")

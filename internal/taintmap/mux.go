@@ -38,18 +38,20 @@ type RemoteClient struct {
 	// as fast as the bare one. Zero disables enforcement entirely.
 	timeout time.Duration
 
-	bw      *bufio.Writer // owned by the writer goroutine
-	writeCh chan muxWrite
+	// The outbound half (see send). sendMu is a leaf: it is never held
+	// across conn.Write, another lock or a blocking channel operation
+	// (distavet lockorder pins this).
+	sendMu   sync.Mutex
+	out      []byte        // request frames appended since the last write began
+	spare    []byte        // the buffer the previous write used, recycled at the next swap
+	flushing bool          // a caller is writing; frames appended now ride its next write
+	room     chan struct{} // non-nil while a caller waits for out to drain; closed after each write
 
 	nextTag atomic.Uint32
 
 	pmu     sync.Mutex
 	pending map[uint32]pendingCall
-	// regBatch maps the tag of a writer-coalesced register batch to the
-	// member tags whose single-register requests it absorbed; the demux
-	// goroutine fans the id-list reply back out to the members.
-	regBatch map[uint32][]uint32
-	broken   error // set once the connection is unusable
+	broken  error // set once the connection is unusable
 
 	done chan struct{} // closed when the demux goroutine exits
 
@@ -74,13 +76,6 @@ type muxReply struct {
 type pendingCall struct {
 	ch chan muxReply
 	at time.Time
-}
-
-// muxWrite is one queued request frame handed to the writer goroutine.
-type muxWrite struct {
-	op      byte
-	tag     uint32
-	payload []byte
 }
 
 // regFlight is one in-flight registration shared by every goroutine
@@ -132,18 +127,14 @@ func NewRemoteClient(conn io.ReadWriteCloser, tree *taint.Tree) *RemoteClient {
 // after it.
 func newRemoteClientWith(conn io.ReadWriteCloser, tree *taint.Tree, memo *cache, timeout time.Duration) *RemoteClient {
 	c := &RemoteClient{
-		conn:     conn,
-		tree:     tree,
-		memo:     memo,
-		timeout:  timeout,
-		bw:       bufio.NewWriterSize(conn, 64<<10),
-		writeCh:  make(chan muxWrite, 128),
-		pending:  make(map[uint32]pendingCall),
-		regBatch: make(map[uint32][]uint32),
-		done:     make(chan struct{}),
+		conn:    conn,
+		tree:    tree,
+		memo:    memo,
+		timeout: timeout,
+		pending: make(map[uint32]pendingCall),
+		done:    make(chan struct{}),
 	}
 	go c.demux()
-	go c.writer()
 	if timeout > 0 {
 		go c.watchdog()
 	}
@@ -191,136 +182,105 @@ func (c *RemoteClient) watchdog() {
 	}
 }
 
-// muxLingerSpins bounds how many scheduler yields the writer spends
-// waiting for more frames before flushing a non-empty buffer. A handful
-// of yields (~1µs) is enough to let goroutines that just received
-// coalesced replies enqueue their next request, which keeps the batch
-// convoy alive; it is far below the cost of the write syscall it saves.
+// muxLingerSpins bounds how many scheduler yields a flusher spends
+// waiting for more frames before it writes, when other calls are in
+// flight. A handful of yields (~1µs) is enough to let goroutines that
+// just received a batch of replies append their next request, which
+// keeps the batch convoy alive; it is far below the cost of the write
+// syscall it saves.
 const muxLingerSpins = 16
 
-// writer owns the outbound half of the connection: it drains queued
-// request frames into the buffered writer and flushes only once the
-// queue stays dry, so a burst of concurrent callers shares one write
-// syscall (group commit) instead of paying one per request. When the
-// queue momentarily runs dry the writer lingers for a few scheduler
-// yields: callers woken by a coalesced reply batch need about that long
-// to enqueue their next request, and folding those stragglers into the
-// pending flush is what lets batches self-sustain instead of decaying
-// back to one syscall per frame.
+// sendHighWater is how many unwritten bytes may sit behind a write in
+// progress before further callers wait for it to finish: out never
+// exceeds sendHighWater plus one frame, however slow the transport.
+const sendHighWater = 64 << 10
+
+// send puts one request frame on the connection by caller-driven group
+// commit. The frame is appended to out under sendMu; a caller that finds
+// a write in progress is done — its frame rides that flusher's next
+// write. Otherwise the caller becomes the flusher: it swaps the buffers,
+// writes with sendMu released, and repeats until out stays empty, so a
+// burst of concurrent callers shares one write syscall instead of paying
+// one each, and nobody hands a frame to another goroutine.
 //
-// The writer also coalesces at the *operation* level: single-register
-// frames collected in one burst are rewritten as one batch-register
-// frame (registration dominates the send path — every instrumented
-// Write registers its taints — so bursts of registers are the common
-// case). The server then parses one frame and answers with one id
-// list, which the demux goroutine fans back out to the member tags
-// recorded in regBatch. Lookups are not coalesced: the server may
-// answer a batch lookup partially, which single-op callers are not
-// prepared to re-request.
-func (c *RemoteClient) writer() {
-	var err error
-	var regs []muxWrite // register frames folded into the next batch
-	var regBytes int    // encoded blob-list size of regs
-	var scratch []byte  // batch payload buffer, reused across batches
-	var blobs [][]byte  // batch blob list, reused across batches
-
-	// flushRegs rewrites the collected register frames: one goes out
-	// verbatim, two or more become a batch-register frame whose tag maps
-	// to the member tags.
-	flushRegs := func() {
-		if err != nil || len(regs) == 0 {
-			regs = regs[:0]
-			return
+// alone says no other call was pending when this one registered: such a
+// caller writes at once. With other calls in flight the flusher first
+// lingers a few scheduler yields (callers woken by one batch of replies
+// need about that long to append their next request), which is what
+// lets batches sustain themselves instead of decaying to one syscall per
+// frame.
+//
+// Only the flusher can block in conn.Write, and it does so for as long
+// as the transport does: its own deadline is not consulted, and the
+// watchdog (or Close) releases it by closing the connection. Callers
+// that merely appended stay free to give up at their deadlines. When out
+// already holds sendHighWater bytes behind a write, a caller waits for
+// that write before appending — giving up at expired, or when the
+// connection dies — so the buffer is bounded whatever the transport
+// does. A write error closes the connection and keeps the flusher role
+// for good: the demux goroutine fails every pending call, and frames
+// appended in the moment before it does are never written.
+//
+// send reports false when it gave up waiting for room and appended
+// nothing.
+func (c *RemoteClient) send(op byte, tag uint32, payload []byte, alone bool, expired <-chan time.Time) bool {
+	c.sendMu.Lock()
+	for c.flushing && len(c.out) >= sendHighWater {
+		if c.room == nil {
+			c.room = make(chan struct{})
 		}
-		if len(regs) == 1 {
-			err = writeTaggedFrame(c.bw, opRegisterTag, regs[0].tag, regs[0].payload)
-			regs = regs[:0]
-			regBytes = 0
-			return
-		}
-		members := make([]uint32, len(regs))
-		blobs = blobs[:0]
-		for i := range regs {
-			members[i] = regs[i].tag
-			blobs = append(blobs, regs[i].payload)
-		}
-		btag := c.nextTag.Add(1)
-		c.pmu.Lock()
-		if c.broken == nil {
-			c.regBatch[btag] = members
-		}
-		c.pmu.Unlock()
-		scratch = appendBlobList(scratch[:0], blobs)
-		err = writeTaggedFrame(c.bw, opRegisterBatchTag, btag, scratch)
-		regs = regs[:0]
-		regBytes = 0
-	}
-	// enqueue routes one request frame: registers accumulate (spilling
-	// into a batch frame at the payload budget), everything else flushes
-	// the pending registers first and goes out verbatim.
-	enqueue := func(w muxWrite) {
-		if err != nil {
-			return
-		}
-		if w.op == opRegisterTag {
-			if regBytes == 0 {
-				regBytes = 4 // blob-list count prefix
-			}
-			if regBytes+4+len(w.payload) > maxFrame {
-				flushRegs()
-				regBytes = 4
-			}
-			regs = append(regs, w)
-			regBytes += 4 + len(w.payload)
-			return
-		}
-		flushRegs()
-		if err == nil {
-			err = writeTaggedFrame(c.bw, w.op, w.tag, w.payload)
-		}
-	}
-
-	for {
-		var w muxWrite
+		room := c.room
+		c.sendMu.Unlock()
 		select {
-		case w = <-c.writeCh:
+		case <-room:
 		case <-c.done:
-			return
+			return false
+		case <-expired:
+			return false
 		}
-		enqueue(w)
-		spins := 0
-	drain:
-		for err == nil {
-			select {
-			case w = <-c.writeCh:
-				enqueue(w)
-				spins = 0
-			default:
-				if spins < muxLingerSpins {
-					spins++
-					runtime.Gosched()
-					continue
+		c.sendMu.Lock()
+	}
+	c.out = append(appendFrameHeader(c.out, op, tag, len(payload)), payload...)
+	if c.flushing {
+		c.sendMu.Unlock()
+		return true
+	}
+	c.flushing = true
+	for {
+		if !alone {
+			for spins, n := 0, len(c.out); spins < muxLingerSpins; spins++ {
+				c.sendMu.Unlock()
+				runtime.Gosched()
+				c.sendMu.Lock()
+				if len(c.out) != n {
+					spins, n = 0, len(c.out)
 				}
-				flushRegs()
-				if err == nil {
-					err = c.bw.Flush()
-				}
-				break drain
 			}
 		}
+		buf := c.out
+		c.out, c.spare = c.spare[:0], nil
+		c.sendMu.Unlock()
+		_, err := c.conn.Write(buf)
 		if err != nil {
-			// Tear the connection down; the demux goroutine observes the
-			// read error and fails every pending call. Keep draining the
-			// queue so senders never block on a dead client.
+			// The demux goroutine observes the closed connection and
+			// fails every pending call, this caller's included.
 			c.conn.Close()
-			for {
-				select {
-				case <-c.writeCh:
-				case <-c.done:
-					return
-				}
-			}
+			return true
 		}
+		c.sendMu.Lock()
+		if cap(buf) <= sendHighWater {
+			c.spare = buf[:0] // an oversize frame's buffer is not kept
+		}
+		if c.room != nil {
+			close(c.room)
+			c.room = nil
+		}
+		if len(c.out) == 0 {
+			c.flushing = false
+			c.sendMu.Unlock()
+			return true
+		}
+		alone = false // frames arrived during the write
 	}
 }
 
@@ -329,8 +289,6 @@ func (c *RemoteClient) writer() {
 func (c *RemoteClient) demux() {
 	br := bufio.NewReaderSize(c.conn, 64<<10)
 	var err error
-	var chans []chan muxReply // batch fan-out scratch, reused
-loop:
 	for {
 		// A fresh payload per reply: it is handed to the waiting caller.
 		status, tag, payload, rerr := readTaggedFrame(br, nil, isReplyStatus, maxReplyFrame)
@@ -341,32 +299,9 @@ loop:
 		c.pmu.Lock()
 		ch := c.pending[tag].ch
 		delete(c.pending, tag)
-		var members []uint32
-		if ch == nil {
-			if members = c.regBatch[tag]; members != nil {
-				// Validate before dequeuing the members: on a malformed
-				// reply they stay in pending, so the exit sweep below
-				// fails them instead of leaving their callers hanging.
-				if status == statusTaggedOK && len(payload) != 4*len(members) {
-					c.pmu.Unlock()
-					err = fmt.Errorf("%w: batch register reply of %d bytes for %d members",
-						errProtocol, len(payload), len(members))
-					break loop
-				}
-				delete(c.regBatch, tag)
-				chans = chans[:0]
-				for _, mt := range members {
-					chans = append(chans, c.pending[mt].ch)
-					delete(c.pending, mt)
-				}
-			}
-		}
 		c.pmu.Unlock()
-		switch {
-		case ch != nil:
+		if ch != nil { // nil: the caller gave up at its deadline
 			ch <- muxReply{status: status, payload: payload}
-		case members != nil:
-			c.fanOut(chans, status, payload)
 		}
 	}
 	c.pmu.Lock()
@@ -377,30 +312,8 @@ loop:
 		delete(c.pending, tag)
 		close(pc.ch)
 	}
-	clear(c.regBatch)
 	c.pmu.Unlock()
 	close(c.done)
-}
-
-// fanOut routes a coalesced batch-register reply to the member calls.
-// On error status every member receives the whole error payload; on OK
-// the payload is a bare id list (no count prefix — see appendIDList)
-// and member i receives its own 4-byte slice. Length was validated by
-// demux before the members were dequeued.
-func (c *RemoteClient) fanOut(chans []chan muxReply, status byte, payload []byte) {
-	if status != statusTaggedOK {
-		for _, ch := range chans {
-			if ch != nil {
-				ch <- muxReply{status: status, payload: payload}
-			}
-		}
-		return
-	}
-	for i, ch := range chans {
-		if ch != nil {
-			ch <- muxReply{status: status, payload: payload[4*i : 4*i+4]}
-		}
-	}
 }
 
 // call issues one request and waits for its response — the one place a
@@ -442,22 +355,15 @@ func (c *RemoteClient) call(op byte, payload []byte, deadline time.Time) ([]byte
 	}
 	tag := c.nextTag.Add(1)
 	c.pending[tag] = pendingCall{ch: ch, at: at}
+	alone := len(c.pending) == 1
 	c.pmu.Unlock()
 
-	select {
-	case c.writeCh <- muxWrite{op: op, tag: tag, payload: payload}:
-	case <-c.done:
-		c.pmu.Lock()
-		err := c.broken
-		delete(c.pending, tag)
-		c.pmu.Unlock()
-		return nil, err
-	case <-expired:
-		// Never sent: withdraw the pending entry. The channel saw no
-		// send and no close, so it may re-enter the pool.
-		c.pmu.Lock()
-		delete(c.pending, tag)
-		c.pmu.Unlock()
+	if !c.send(op, tag, payload, alone, expired) {
+		// Never appended, so no reply can come: the entry is gone only if
+		// the dying demux swept it (and closed ch).
+		if !c.withdraw(tag) {
+			return c.finishReply(ch, muxReply{}, false)
+		}
 		replyChans.Put(ch)
 		return nil, fmt.Errorf("%w: request not sent within %v", ErrDeadlineExceeded, d)
 	}
@@ -466,13 +372,7 @@ func (c *RemoteClient) call(op byte, payload []byte, deadline time.Time) ([]byte
 	case reply, ok := <-ch:
 		return c.finishReply(ch, reply, ok)
 	case <-expired:
-		c.pmu.Lock()
-		_, mine := c.pending[tag]
-		if mine {
-			delete(c.pending, tag)
-		}
-		c.pmu.Unlock()
-		if !mine {
+		if !c.withdraw(tag) {
 			// The reply raced the deadline: the demux already dequeued the
 			// entry, so a send (buffered) or close is guaranteed — take it.
 			reply, ok := <-ch
@@ -481,6 +381,18 @@ func (c *RemoteClient) call(op byte, payload []byte, deadline time.Time) ([]byte
 		replyChans.Put(ch)
 		return nil, fmt.Errorf("%w: no response within %v", ErrDeadlineExceeded, d)
 	}
+}
+
+// withdraw removes the pending entry of a call that stopped waiting and
+// reports whether it was still there. False means the demux goroutine
+// dequeued it first and a send or close on its channel is guaranteed;
+// true means the channel saw neither and may re-enter the pool.
+func (c *RemoteClient) withdraw(tag uint32) bool {
+	c.pmu.Lock()
+	_, mine := c.pending[tag]
+	delete(c.pending, tag)
+	c.pmu.Unlock()
+	return mine
 }
 
 // finishReply converts one received reply into the call result and
@@ -550,9 +462,9 @@ func (c *RemoteClient) Register(t taint.Taint) (uint32, error) {
 
 // registerBlobs resolves pre-marshaled blobs to the parallel id slice,
 // picking the wire op by batch size: a lone blob goes out as a single
-// register — deduplicated by singleflight, and coalesced by the writer
-// with whatever other goroutines are registering at the same moment —
-// while several go as batch frames, chunked transparently. The back
+// register, deduplicated by singleflight against other goroutines
+// registering the same blob at the same moment, while several go as
+// batch frames, chunked transparently. The back
 // half shared by RegisterBatch and the resilient client's batches.
 func (c *RemoteClient) registerBlobs(blobs [][]byte) ([]uint32, error) {
 	if len(blobs) == 1 {

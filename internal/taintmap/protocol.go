@@ -262,14 +262,19 @@ func writeTaggedFrame(w *bufio.Writer, head byte, tag uint32, payload []byte) er
 		return fmt.Errorf("%w: frame of %d bytes", errProtocol, len(payload))
 	}
 	var hdr [9]byte
-	hdr[0] = head
-	binary.BigEndian.PutUint32(hdr[1:5], tag)
-	binary.BigEndian.PutUint32(hdr[5:9], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(appendFrameHeader(hdr[:0], head, tag, len(payload))); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
 	return err
+}
+
+// appendFrameHeader appends the 9-byte head | tag | len header of a
+// tagged frame whose payload is n bytes long.
+func appendFrameHeader(dst []byte, head byte, tag uint32, n int) []byte {
+	dst = append(dst, head)
+	dst = binary.BigEndian.AppendUint32(dst, tag)
+	return binary.BigEndian.AppendUint32(dst, uint32(n))
 }
 
 // isRequestOp reports whether b opens a request frame.
