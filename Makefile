@@ -3,7 +3,7 @@ GO ?= go
 # Hot-path benchmark selection shared by `bench` and the A/B harness.
 BENCH_RE := BenchmarkHotPath|BenchmarkTaintMap$$|BenchmarkWireCodec|BenchmarkTaintCombine
 
-.PHONY: build test race race-taintmap vet lint loc check ci chaos bench bench-ab bench-hotpath bench-taintmap bench-resilience bench-distavet bench-cleanpath bench-cluster bench-grayfail bench-load soak-load fuzz fuzz-smoke
+.PHONY: build test race race-taintmap vet lint inline-check loc check ci chaos bench bench-ab bench-hotpath bench-taintmap bench-resilience bench-distavet bench-cleanpath bench-cluster bench-grayfail bench-load soak-load fuzz fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,29 @@ vet:
 lint:
 	$(GO) run ./cmd/distavet -facts .distavet-facts ./...
 
+# The functions whose doc comments promise that the compiler inlines
+# them — the per-byte and per-run primitives of the label and group
+# loops — checked against what it actually decides (-gcflags=-m), so the
+# promise cannot rot: a function that grows past the inlining budget
+# fails the gate, and then either it shrinks or its comment changes and
+# it leaves this list. (Bytes.LabelAt and Bytes.SetLabel left it that
+# way: they cost 92 and 121 against a budget of 80 however the slow path
+# is split off, and say so.)
+INLINED := 'internal/core/taint/shadow.go:norm' \
+	'internal/core/taint/shadow.go:(*shadow).locate' \
+	'internal/core/taint/taint.go:Taint.Empty' \
+	'internal/core/taint/taint.go:Taint.GlobalID' \
+	'internal/core/wire/wire.go:GroupWord' \
+	'internal/core/wire/wire.go:PutGroup' \
+	'internal/core/wire/wire.go:encodeGroups'
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/core/taint ./internal/core/wire 2>&1); \
+	for f in $(INLINED); do \
+		echo "$$out" | sed -n "s|^$${f%%:*}:[0-9:]* ||p" | grep -qFx "can inline $${f##*:}" \
+			|| { echo "inline-check: $${f##*:} ($${f%%:*}) is documented as inlined but the compiler does not inline it"; exit 1; }; \
+	done; \
+	echo "inline-check: $(words $(INLINED)) functions inline as documented"
+
 # Non-test Go lines per package and in total — the size ROADMAP asks
 # every PR to report: *.go minus *_test.go, with benchmark/ (the harness,
 # not the product) and the analyzers' golden corpora left out.
@@ -52,10 +75,10 @@ chaos:
 	$(GO) test -race -run 'TestChaos' -count=1 ./internal/taintmap ./internal/instrument
 
 # Tier-1 gate: everything CI runs.
-check: vet lint build test race chaos soak-load fuzz-smoke bench-cleanpath bench-cluster bench-grayfail bench-distavet bench-load loc
+check: vet lint inline-check build test race chaos soak-load fuzz-smoke bench-cleanpath bench-cluster bench-grayfail bench-distavet bench-load loc
 
 # Alias for CI pipelines: the full gate, spelled out in build order.
-ci: build vet lint test race fuzz-smoke chaos soak-load bench-cleanpath bench-cluster bench-grayfail bench-distavet bench-load
+ci: build vet lint inline-check test race fuzz-smoke chaos soak-load bench-cleanpath bench-cluster bench-grayfail bench-distavet bench-load
 
 # Regenerate every benchmark artifact (BENCH_1..10) in one pass.
 bench: bench-hotpath bench-taintmap bench-resilience bench-distavet bench-cleanpath bench-cluster bench-grayfail bench-load

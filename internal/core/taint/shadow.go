@@ -16,8 +16,16 @@ import "sync/atomic"
 // run operation into an O(runs) splice and every lookup into a binary
 // search over thousands of intervals. When fragmentation crosses
 // denseCutoff the store falls back to the classic dense array, whose
-// per-byte reads and writes are O(1). The two representations are an
-// internal detail behind the Bytes API; a store never has both at once.
+// per-byte reads and writes are O(1). A store never has both at once,
+// and which one it has is visible outside the package in exactly one
+// way: a dense store lends its array out as a per-byte view
+// (Bytes.DenseLabels, LabelWriter.DenseLabels), so a caller with one
+// label per byte to read or write — the groups tier of the wire — does
+// it in a loop over a slice instead of a call per run.
+//
+// The arrays outlive the representation. A store that was reset keeps
+// its retired dense array and its run array, and the next densify
+// takes them back: relabelling a pooled buffer allocates nothing.
 
 // labelRun is one maximal interval of bytes sharing a single label.
 // The run covers [start, end) where start is the previous run's end
@@ -42,8 +50,9 @@ const (
 // overlapping views alias labels exactly as overlapping sub-slices of
 // the old dense array did.
 type shadow struct {
-	runs  []labelRun // run mode: sorted by end, covering [0, cov)
-	dense []Taint    // dense mode when non-nil; runs is unused then
+	runs  []labelRun // run mode: sorted by end, covering [0, cov); empty in dense mode
+	dense []Taint    // dense mode when non-nil
+	spare []Taint    // the dense array reset retired, kept for the next densify
 
 	// mut counts label mutations; it keys the cleanliness memo below.
 	// Mutators hold exclusive access to the store by the Bytes
@@ -97,21 +106,25 @@ func (s *shadow) isClean() bool {
 	return v
 }
 
-// reset clears every label in O(1), reusing the run array, and leaves
-// coverage at exactly n. The pooling primitive behind Bytes.ResetLabels.
+// reset clears every label in O(1) and leaves coverage at exactly n.
+// The pooling primitive behind Bytes.ResetLabels: the store goes back
+// to one clean run, and a dense array it had is retired to spare, so a
+// buffer that is reset and refilled over and over allocates nothing. A
+// per-byte view of the retired array is dead from here on — the array
+// is scratch until densify clears and refills it. A spare still there
+// at the next reset went unused for a whole fill, which stayed in run
+// mode: it is dropped, so a buffer that densified once holds the 8 B
+// per byte (and the nodes the array points at) for one reset cycle, not
+// for its life.
 func (s *shadow) reset(n int) {
-	s.dense = nil
-	if cap(s.runs) > 0 {
-		s.runs = append(s.runs[:0], labelRun{end: n})
-	} else {
-		s.runs = []labelRun{{end: n}}
-	}
+	s.spare, s.dense = s.dense, nil
+	s.runs = append(s.runs[:0], labelRun{end: n})
 	s.mut++
 	s.clean.Store((s.mut + 1) << 1) // known clean at the new epoch
 }
 
 // norm maps every empty taint to the canonical zero Taint so run labels
-// compare with ==.
+// compare with ==. Inlined into every label write (`make inline-check`).
 func norm(t Taint) Taint {
 	if t.Empty() {
 		return Taint{}
@@ -133,8 +146,8 @@ func (s *shadow) cov() int {
 // grow extends coverage to at least n with untainted bytes.
 func (s *shadow) grow(n int) {
 	if s.dense != nil {
-		for len(s.dense) < n {
-			s.dense = append(s.dense, Taint{})
+		if more := n - len(s.dense); more > 0 {
+			s.dense = append(s.dense, make([]Taint, more)...)
 		}
 		return
 	}
@@ -150,7 +163,8 @@ func (s *shadow) grow(n int) {
 }
 
 // locate returns the index of the run containing pos: the first run
-// with end > pos, or len(runs) when pos is beyond coverage.
+// with end > pos, or len(runs) when pos is beyond coverage. Small
+// enough to inline into every ranged operation (`make inline-check`).
 func (s *shadow) locate(pos int) int {
 	lo, hi := 0, len(s.runs)
 	for lo < hi {
@@ -225,9 +239,19 @@ func (s *shadow) maybeDensify() {
 	}
 }
 
-// densify converts a run-mode store to the dense representation.
+// densify converts a run-mode store to the dense representation,
+// into the array reset retired when that is large enough. The run array
+// stays with the store, emptied, for the reset after.
 func (s *shadow) densify() {
-	dense := make([]Taint, s.cov())
+	n := s.cov()
+	dense := s.spare
+	s.spare = nil
+	if cap(dense) < n {
+		dense = make([]Taint, n)
+	} else {
+		dense = dense[:n]
+		clear(dense)
+	}
 	start := 0
 	for _, r := range s.runs {
 		if r.t != (Taint{}) {
@@ -238,7 +262,7 @@ func (s *shadow) densify() {
 		start = r.end
 	}
 	s.dense = dense
-	s.runs = nil
+	s.runs = s.runs[:0]
 }
 
 // setRange overwrites the labels of [from, to) with t, extending
@@ -264,10 +288,17 @@ func (s *shadow) setRange(from, to int, t Taint) {
 
 // overwrite splices the run-mode store so that the covered, non-empty
 // range [from, to) carries the normalized label t, reporting whether
-// anything changed. Epoch and densification are the caller's.
+// anything changed. Epoch and densification are the caller's. A store
+// labelled front to back writes into its last run every time — the
+// clean tail the fill has not reached — which one compare recognises
+// before either binary search starts.
 func (s *shadow) overwrite(from, to int, t Taint) bool {
-	i := s.locate(from)
-	j := s.locate(to - 1)
+	i := len(s.runs) - 1
+	j := i
+	if i > 0 && from < s.runs[i-1].end {
+		i = s.locate(from)
+		j = s.locate(to - 1)
+	}
 	if i == j && s.runs[i].t == t { // already uniform with t
 		return false
 	}

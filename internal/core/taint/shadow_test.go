@@ -27,10 +27,30 @@ func checkAgainstModel(t *testing.T, b Bytes, m denseModel, ctx string) {
 	}
 }
 
+// checkDenseView asserts the per-byte view of b[from:to] against the
+// model: nil unless the store is dense and covers the window, and
+// otherwise the model's labels, byte for byte.
+func checkDenseView(t *testing.T, b Bytes, m denseModel, from, to int) {
+	t.Helper()
+	view := b.Slice(from, to).DenseLabels()
+	if want := b.sh.dense != nil && to <= len(b.sh.dense); (view != nil) != want {
+		t.Fatalf("DenseLabels of [%d,%d) nil = %v with the dense store covering it = %v", from, to, view == nil, want)
+	}
+	if view != nil && len(view) != to-from {
+		t.Fatalf("DenseLabels of [%d,%d) has %d entries", from, to, len(view))
+	}
+	for i, got := range view {
+		if got != norm(m.at(from+i)) {
+			t.Fatalf("DenseLabels of [%d,%d): entry %d = %v, want %v", from, to, i, got, m.at(from+i))
+		}
+	}
+}
+
 // TestShadowMatchesDenseModel drives random SetRange/TaintRange/SetLabel/
-// WriteLabels sequences through both representations and checks every byte, run
-// iteration, union and uniformity after each step — including after the
-// store densifies under fragmentation.
+// WriteLabels/ResetLabels sequences through both representations and
+// checks every byte, the per-byte view, run iteration, union and
+// uniformity after each step — including after the store densifies
+// under fragmentation, and again on the arrays a reset retired.
 func TestShadowMatchesDenseModel(t *testing.T) {
 	tr := NewTree()
 	tags := make([]Taint, 5)
@@ -51,9 +71,40 @@ func TestShadowMatchesDenseModel(t *testing.T) {
 			}
 			switch rng.Intn(4) {
 			case 3:
+				if rng.Intn(24) == 0 {
+					// The pooling reset: whatever comes next refills the
+					// retired arrays, which must not show through.
+					b.ResetLabels()
+					clear(model)
+					checkDenseView(t, b, model, from, to)
+					break
+				}
 				// A delivery of short runs over [from,to), sometimes cut
-				// short: what no Put reached keeps its labels.
+				// short: what no Put reached keeps its labels. A dense
+				// store sometimes takes it through the writer's per-byte
+				// view, which must leave what Put would.
 				w := b.WriteLabels(from, to, rng.Intn(to-from+1))
+				lane := w.DenseLabels()
+				if (lane == nil) != (b.sh.dense == nil) || (lane != nil && len(lane) != to-from) {
+					t.Fatalf("writer's view of [%d,%d): nil = %v, %d entries, store dense = %v",
+						from, to, lane == nil, len(lane), b.sh.dense != nil)
+				}
+				if lane != nil {
+					if rng.Intn(2) == 0 {
+						for i := range lane {
+							if rng.Intn(16) == 0 {
+								break
+							}
+							lane[i] = Taint{}
+							if rng.Intn(3) > 0 {
+								lane[i] = tags[rng.Intn(len(tags))]
+							}
+							model[from+i] = lane[i]
+						}
+						break
+					}
+					w = b.WriteLabels(from, to, 0) // the view spent the writer
+				}
 				for pos := from; pos < to && rng.Intn(16) > 0; {
 					n := 1 + rng.Intn(4)
 					if n > to-pos {
@@ -87,6 +138,10 @@ func TestShadowMatchesDenseModel(t *testing.T) {
 			}
 		}
 		checkAgainstModel(t, b, model, "random ops")
+		for k := 0; k < 8; k++ {
+			from := rng.Intn(size)
+			checkDenseView(t, b, model, from, from+rng.Intn(size-from+1))
+		}
 
 		// Run iteration must cover [0,size) exactly, in order, with
 		// maximal runs matching the model.
@@ -202,46 +257,83 @@ func TestAppendAliasing(t *testing.T) {
 
 // TestCopyIntoOverlappingViews pins CopyInto over two overlapping views
 // of one store (the ByteBuffer.Compact pattern): the source window must
-// be snapshotted, not read while being overwritten.
+// be snapshotted, not read while being overwritten — in run mode by the
+// window copy, in dense mode by the one memmove the labels travel as.
 func TestCopyIntoOverlappingViews(t *testing.T) {
 	tr := NewTree()
 	x := tr.NewSource("x", "l")
 	y := tr.NewSource("y", "l")
 
-	b := MakeBytes(8)
-	copy(b.Data, "01234567")
-	b.SetRange(4, 6, x)
-	b.SetRange(6, 8, y)
-	rest := b.Slice(4, 8)
-	if n := rest.CopyInto(&b, 0); n != 4 {
-		t.Fatalf("copied %d", n)
-	}
-	if string(b.Data[:4]) != "4567" {
-		t.Fatalf("data = %q", b.Data[:4])
-	}
-	if !b.LabelAt(0).Has("x") || !b.LabelAt(1).Has("x") || !b.LabelAt(2).Has("y") || !b.LabelAt(3).Has("y") {
-		t.Fatal("compacted labels must match the pre-copy source window")
+	for _, dense := range []bool{false, true} {
+		b := MakeBytes(8)
+		copy(b.Data, "01234567")
+		b.SetRange(4, 6, x)
+		b.SetRange(6, 8, y)
+		if dense {
+			b.sh.densify()
+		}
+		rest := b.Slice(4, 8)
+		if n := rest.CopyInto(&b, 0); n != 4 {
+			t.Fatalf("copied %d", n)
+		}
+		if string(b.Data[:4]) != "4567" {
+			t.Fatalf("data = %q", b.Data[:4])
+		}
+		if !b.LabelAt(0).Has("x") || !b.LabelAt(1).Has("x") || !b.LabelAt(2).Has("y") || !b.LabelAt(3).Has("y") {
+			t.Fatalf("dense=%v: compacted labels must match the pre-copy source window", dense)
+		}
+		// The other direction overlaps the other way round: [0,6) onto
+		// [2,8) must not smear the bytes it has already moved.
+		want := make(denseModel, 8)
+		for i := range want {
+			want[i] = b.LabelAt(i)
+		}
+		copy(want[2:], want[:6])
+		head := b.Slice(0, 6)
+		head.CopyLabelsInto(&b, 2)
+		checkAgainstModel(t, b, want, "forward overlapping copy")
+		if (b.sh.dense != nil) != dense {
+			t.Fatalf("dense=%v: the copy changed the representation", dense)
+		}
 	}
 }
 
 // TestQuickSliceCopyIntoMatchesDense quick-checks CopyInto between
-// random windows against the dense model.
+// random windows against the dense model, for every pairing of a
+// run-mode and a dense store on the two sides: dense to dense is one
+// copy of the per-byte arrays, everything else the run walk.
 func TestQuickSliceCopyIntoMatchesDense(t *testing.T) {
 	tr := NewTree()
 	x := tr.NewSource("x", "l")
 	y := tr.NewSource("y", "l")
-	f := func(srcTaintEven bool, off uint8) bool {
+	f := func(srcTaintEven bool, off, cut uint8, denseSrc, denseDst bool) bool {
 		size := 32
 		offset := int(off) % 16
-		src := MakeBytes(8)
+		base := MakeBytes(12)
 		model := make(denseModel, size)
-		for i := 0; i < 8; i++ {
+		for i := 0; i < 12; i++ {
 			if (i%2 == 0) == srcTaintEven {
-				src.SetLabel(i, x)
+				base.SetLabel(i, x)
+			}
+		}
+		if denseSrc {
+			base.sh.densify()
+		}
+		// A window of the source at an offset, sometimes reaching past
+		// what its store covers (a dense source then declines the copy).
+		from := int(cut) % 4
+		src := base.Slice(from, from+8)
+		if cut&4 != 0 {
+			src = Bytes{Data: base.Data[from : from+8], sh: &shadow{runs: base.sh.window(0, 6)}, off: from}
+			if denseSrc {
+				src.sh.densify()
 			}
 		}
 		dst := MakeBytes(size)
 		dst.TaintAll(y)
+		if denseDst {
+			dst.sh.densify()
+		}
 		for i := range model {
 			model[i] = y
 		}
@@ -254,9 +346,9 @@ func TestQuickSliceCopyIntoMatchesDense(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		return !dst.Clean() && (dst.sh.dense != nil) == denseDst
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -318,5 +410,123 @@ func TestUniformFastPaths(t *testing.T) {
 	}
 	if got := b.Union(); !got.Has("u") || !got.Has("v") {
 		t.Fatalf("union = %v", got)
+	}
+}
+
+// TestResetRefillReusesArrays pins the pooling contract of a store that
+// densifies on every fill: ResetLabels retires the dense array and keeps
+// the run array, the refill takes both back, and a reset plus 8,192
+// SetLabel calls on an owned store allocate nothing. Reuse is not
+// aliasing: until the refill densifies, the retired array is scratch
+// nobody reads, and afterwards every view sharing the store shows the
+// refilled labels — never the ones the array held before the reset. Nor
+// is it retention for life: a retired array no fill took back is freed
+// by the next reset.
+func TestResetRefillReusesArrays(t *testing.T) {
+	tr := NewTree()
+	pair := [2]Taint{tr.NewSource("x", "l"), tr.NewSource("y", "l")}
+	const n = 8192
+	b := WrapBytes(make([]byte, n))
+	fill := func(shift int) {
+		b.ResetLabels()
+		for i := 0; i < n; i++ {
+			b.SetLabel(i, pair[(i+shift)&1])
+		}
+	}
+	fill(0)
+	fill(0) // the second fill is the first to find arrays to reuse
+	if got := testing.AllocsPerRun(20, func() { fill(0) }); got != 0 {
+		t.Errorf("reset + %d SetLabel on an owned store: %v allocs/op, want 0", n, got)
+	}
+	array := &b.sh.dense[0]
+
+	view := b.Slice(100, 200)
+	before := view.DenseLabels()
+	if before == nil || before[0] != pair[0] {
+		t.Fatalf("per-byte view of a dense window = %v", before)
+	}
+	b.ResetLabels()
+	if !view.Clean() || view.DenseLabels() != nil || !view.LabelAt(0).Empty() {
+		t.Fatal("a view sharing a reset store must read clean, through every accessor")
+	}
+	// Partway through the refill the store is still in run mode: bytes
+	// not labelled yet are clean, whatever the retired array holds.
+	for i := 0; i < 150; i++ {
+		b.SetLabel(i, pair[1])
+	}
+	if b.sh.dense != nil {
+		t.Fatal("150 equal labels densified the store; the test assumes run mode here")
+	}
+	if view.LabelAt(49) != pair[1] || !view.LabelAt(50).Empty() {
+		t.Fatalf("view over a half-refilled store reads %v, %v", view.LabelAt(49), view.LabelAt(50))
+	}
+	// The rest of the refill, in the opposite phase: every byte's label
+	// differs from the stale one.
+	for i := 0; i < n; i++ {
+		b.SetLabel(i, pair[(i+1)&1])
+	}
+	if &b.sh.dense[0] != array {
+		t.Error("the refill did not take the retired dense array back")
+	}
+	after := view.DenseLabels()
+	for i := range after {
+		if want := pair[(100+i+1)&1]; after[i] != want || view.LabelAt(i) != want {
+			t.Fatalf("view byte %d after the refill = %v / %v, want %v", i, after[i], view.LabelAt(i), want)
+		}
+	}
+	if len(after) != 100 {
+		t.Fatalf("view after the refill has %d entries", len(after))
+	}
+
+	// The retired array is held for one reset cycle: a labelling that
+	// stays in run mode leaves it unused, and the next reset frees it.
+	b.ResetLabels()
+	if b.sh.spare == nil {
+		t.Fatal("reset of a dense store did not retire its array")
+	}
+	b.SetRange(0, n, pair[0])
+	b.ResetLabels()
+	if b.sh.spare != nil || b.sh.dense != nil {
+		t.Error("a dense array unused for a whole reset cycle is still retained")
+	}
+}
+
+// TestDenseGrowExtendsClean: growing a dense store — a label write
+// through a view that reaches past its coverage, an Append onto a
+// buffer that owns it — extends the array in one step with clean
+// labels, and until then the bytes past coverage read clean.
+func TestDenseGrowExtendsClean(t *testing.T) {
+	tr := NewTree()
+	x := tr.NewSource("x", "l")
+	alternating := func() Bytes {
+		b := Bytes{Data: make([]byte, 64, 80), sh: newShadow(64)}
+		for i := 0; i < 64; i += 2 {
+			b.SetLabel(i, x)
+		}
+		if b.sh.dense == nil {
+			t.Fatal("alternating labels must densify the store")
+		}
+		return b
+	}
+
+	b := alternating()
+	wide := b.Slice(0, 80) // resliced into spare capacity, as the builtin allows
+	if !wide.LabelAt(70).Empty() || wide.DenseLabels() != nil {
+		t.Fatal("bytes past a dense store's coverage must read clean, and the window has no per-byte view")
+	}
+	wide.SetLabel(70, x)
+	if len(b.sh.dense) != 71 || !wide.LabelAt(70).Has("x") || !wide.LabelAt(69).Empty() {
+		t.Fatalf("label write past coverage: coverage %d, byte 70 = %v", len(b.sh.dense), wide.LabelAt(70))
+	}
+
+	b = alternating()
+	out := b.Append(WrapBytes(make([]byte, 1000)))
+	if out.sh != b.sh || len(out.sh.dense) != 1064 {
+		t.Fatalf("append onto an owned dense store: shared = %v, coverage %d", out.sh == b.sh, len(out.sh.dense))
+	}
+	for i := 0; i < 1064; i++ {
+		if got, want := !out.LabelAt(i).Empty(), i < 64 && i%2 == 0; got != want {
+			t.Fatalf("byte %d tainted = %v, want %v", i, got, want)
+		}
 	}
 }

@@ -46,12 +46,13 @@ func (b Bytes) Len() int { return len(b.Data) }
 // without shadow storage is untainted everywhere.
 func (b Bytes) HasShadow() bool { return b.sh != nil }
 
-// LabelAt returns the taint of byte i (empty if no shadow storage).
-// The dense-store branch stays inlinable: per-byte reads over a
-// fragmented buffer are exactly the workload the dense fallback exists
-// for, so they must cost no more than the old shadow-array load.
+// LabelAt returns the taint of byte i (empty if no shadow storage). On
+// a dense store it is one load behind three compares, but it is a call:
+// the compiler prices the function above its inlining budget whichever
+// way the slow path is split off. A loop over every byte of a dense
+// store reads DenseLabels instead.
 func (b Bytes) LabelAt(i int) Taint {
-	if sh := b.sh; sh != nil && sh.dense != nil && uint(i) < uint(len(b.Data)) {
+	if sh := b.sh; sh != nil && uint(i) < uint(len(b.Data)) && b.off+i < len(sh.dense) {
 		return sh.dense[b.off+i]
 	}
 	return b.labelAtSlow(i)
@@ -75,11 +76,28 @@ func (b *Bytes) ensureShadow() {
 	}
 }
 
-// SetLabel assigns taint t to byte i. Like LabelAt, the dense-store
-// branch is an inlinable direct store so per-byte writes never pay the
-// run-splice machinery once the store has densified.
+// DenseLabels returns the per-byte view of b's labels: labels[i] is
+// LabelAt(i), read straight off the store's dense array. It is nil
+// unless the store is dense and covers all of b — a run-mode store has
+// no such array, and a view reaching past coverage has bytes the array
+// does not hold; a caller that gets nil walks the runs. The view is for
+// reading only, by whoever may read b under the Bytes contract, and it
+// is valid until the next label write through any Bytes sharing the
+// store: ResetLabels retires the array and a later densify refills it,
+// so a view held across a write may show labels the store no longer has.
+func (b Bytes) DenseLabels() []Taint {
+	sh := b.sh
+	if end := b.off + len(b.Data); sh != nil && end <= len(sh.dense) {
+		return sh.dense[b.off:end:end]
+	}
+	return nil
+}
+
+// SetLabel assigns taint t to byte i. Like LabelAt it is a call, not an
+// inlined store; on a dense store that call is one store and the
+// mutation epoch, never the run-splice machinery.
 func (b *Bytes) SetLabel(i int, t Taint) {
-	if sh := b.sh; sh != nil && sh.dense != nil && uint(i) < uint(len(b.Data)) {
+	if sh := b.sh; sh != nil && uint(i) < uint(len(b.Data)) && b.off+i < len(sh.dense) {
 		sh.dense[b.off+i] = norm(t)
 		sh.mut++
 		return
@@ -109,9 +127,15 @@ func (b Bytes) Clean() bool {
 	return ok && t == Taint{}
 }
 
-// ResetLabels clears every label, keeping the shadow store (and its run
-// array) for reuse — the reset half of buffer pooling. O(1) when b owns
-// its store's whole extent; a ranged clear otherwise.
+// ResetLabels clears every label, keeping the shadow store and both its
+// arrays — run and dense — for reuse: the reset half of buffer pooling,
+// after which relabelling the buffer the way it was labelled before
+// allocates nothing. A retired dense array (8 B per byte, and whatever
+// taints it still points at) is held until the next ResetLabels only:
+// if the labelling in between never went dense, that reset frees it.
+// O(1) when b owns its store's whole extent; a ranged clear otherwise.
+// It is a label write like any other: per-byte views taken before it
+// are dead.
 func (b *Bytes) ResetLabels() {
 	sh := b.sh
 	if sh == nil {
@@ -144,7 +168,9 @@ func (b *Bytes) SetRange(from, to int, t Taint) {
 // WriteLabels — the window's bounds check, growing the store, the
 // mutation epoch — and the choice of representation is made there too,
 // from the run count the caller announces, so a fragmented delivery is
-// plain stores into the dense array and never a splice per run.
+// plain stores into the dense array and never a splice per run. When
+// the store is dense the writer hands that array over (DenseLabels) and
+// the caller stores into it itself.
 type LabelWriter struct {
 	sh       *shadow
 	pos, end int // the unwritten rest of the window, in store coordinates
@@ -188,6 +214,26 @@ func (w *LabelWriter) Put(n int, t Taint) {
 	}
 	w.sh.overwrite(from, w.pos, t)
 	w.sh.maybeDensify()
+}
+
+// DenseLabels hands over the unwritten rest of the window as a per-byte
+// view for writing, when the store is dense: labels[i] = t does for
+// byte i of the rest what Put(1, t) would, at the price of one store.
+// The caller stores canonical labels — the zero Taint for every empty
+// one — and what it does not store keeps its label. With the view
+// handed over the writer is spent: the rest of the window is the
+// caller's. A run-mode store has no array to hand over; the result is
+// nil, the writer is untouched and Put is the way. Like the reading
+// view, this one is valid until the next label write that does not go
+// through it.
+func (w *LabelWriter) DenseLabels() []Taint {
+	dense := w.sh.dense
+	if dense == nil {
+		return nil
+	}
+	from := w.pos
+	w.pos = w.end
+	return dense[from:w.end:w.end]
 }
 
 // TaintRange combines taint t into the labels of bytes [from, to).
@@ -334,6 +380,16 @@ func (b Bytes) copyLabels(dst *Bytes, off, n int) {
 		return
 	}
 	dst.ensureShadow()
+	if src, to := b.sh.dense, dst.sh.dense; to != nil && b.off+n <= len(src) {
+		// Both stores dense and the source window covered: the labels
+		// move as one copy of the per-byte arrays. Overlapping views of
+		// one store are safe here too — copy is a memmove, which reads
+		// the source window as it was.
+		dst.sh.grow(dst.off + off + n)
+		dst.sh.mut++
+		copy(dst.sh.dense[dst.off+off:], src[b.off:b.off+n])
+		return
+	}
 	if b.sh == dst.sh {
 		// Overlapping views of one store (e.g. a buffer compaction):
 		// snapshot the source window before splicing into it.

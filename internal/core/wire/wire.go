@@ -166,19 +166,34 @@ func AppendRun(dst, src []byte, id uint32) []byte {
 	return scratch[:end]
 }
 
+// GroupWord returns the id half of a group as PutGroup takes it: a
+// little-endian word with the four big-endian id bytes in byte lanes
+// 1..4 and lane 0, the data byte's, left zero. Inlined (`make
+// inline-check`); computed once per run, or once per label change by a
+// sender that has no runs.
+func GroupWord(id uint32) uint64 { return uint64(bits.ReverseBytes32(id)) << 8 }
+
+// PutGroup stores the group of data byte b under idw at dst[:GroupLen]
+// as one 8-byte store, so dst must reach EncodeSlack past the group;
+// the spill is overwritten by the next group or stays beyond the
+// encoded length. Inlined (`make inline-check`) — the per-byte primitive
+// of encodeGroups, exported for a sender that reads one label per byte
+// off a dense shadow store and has no run to hand AppendRun.
+func PutGroup(dst []byte, idw uint64, b byte) {
+	binary.LittleEndian.PutUint64(dst, idw|uint64(b))
+}
+
 // encodeGroups writes the groups of src, every byte carrying id, at
 // scratch[w:] and returns the offset past them; scratch must reach
 // encodeSlack beyond the last group. The id half of a group is
 // precomputed once per run as a shifted word, so each group costs one
 // 8-byte store instead of five byte stores. Small enough to inline
-// into a per-run loop; runs of two blocks or more go through
-// encodeBlocks first and leave this their sub-block tail.
+// into a per-run loop (`make inline-check`); runs of two blocks or more
+// go through encodeBlocks first and leave this their sub-block tail.
 func encodeGroups(scratch []byte, w int, src []byte, id uint32) int {
-	// Little-endian word with the 4 big-endian id bytes in byte
-	// lanes 1..4; lane 0 carries the data byte.
-	idw := uint64(bits.ReverseBytes32(id)) << 8
+	idw := GroupWord(id)
 	for _, b := range src {
-		binary.LittleEndian.PutUint64(scratch[w:], idw|uint64(b))
+		PutGroup(scratch[w:], idw, b)
 		w += GroupLen
 	}
 	return w
@@ -217,8 +232,7 @@ func EncodeGroups(dst, data []byte, ids []uint32) []byte {
 	need := w + WireLen(len(data))
 	scratch := slices.Grow(dst, need-w+encodeSlack)[:need+encodeSlack]
 	for i, b := range data {
-		binary.LittleEndian.PutUint64(scratch[w:],
-			uint64(bits.ReverseBytes32(ids[i]))<<8|uint64(b))
+		PutGroup(scratch[w:], GroupWord(ids[i]), b)
 		w += GroupLen
 	}
 	return scratch[:need]

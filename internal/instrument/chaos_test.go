@@ -22,7 +22,10 @@ import (
 // buffer is either transferred with its labels intact or refused
 // loudly — reconnect/degraded mode must never downgrade it onto the
 // passthrough or a wrong-label uniform frame, and clean traffic must
-// keep flowing right through the outage.
+// keep flowing right through the outage. The dense messages densify
+// their shadow store, so they reach the groups writer through its
+// per-byte lane: a refusal there, too, is typed and puts nothing on the
+// connection.
 
 // chaosAcceptor adapts a netsim.Listener to the taintmap.Acceptor
 // interface (the package-internal adapter is not exported).
@@ -140,7 +143,7 @@ func TestChaosPassthroughNoCleanDowngrade(t *testing.T) {
 	}()
 
 	var refused, cleanSent int
-	taintedSent := map[byte]int{}
+	taintedSent, refusedKind := map[byte]int{}, map[byte]int{}
 	kinds := []byte{'C', 'U', 'S', 'D'}
 	for i := 0; i < rounds; i++ {
 		switch i {
@@ -190,12 +193,20 @@ func TestChaosPassthroughNoCleanDowngrade(t *testing.T) {
 			for k := 0; k < msgLen; k += 2 {
 				msg.SetLabel(k, src)
 			}
+			if msg.DenseLabels() == nil {
+				t.Fatalf("round %d: the dense message kept a run-mode store; the per-byte lane goes untested", i)
+			}
 		}
 		mu.Lock()
 		delivered = append(delivered, sent{kind: kind, tag: tag})
 		mu.Unlock()
+		_, wireBefore := senderAgent.Traffic()
 		err := sender.Write(msg)
 		if err != nil {
+			if _, wireAfter := senderAgent.Traffic(); wireAfter != wireBefore {
+				t.Fatalf("round %d: refused %q write put %d bytes on the connection", i, kind, wireAfter-wireBefore)
+			}
+			refusedKind[kind]++
 			// Refused loudly: nothing hit the wire, un-record it. No
 			// later message exists yet (single sender), so the receiver
 			// cannot have indexed this entry.
@@ -219,6 +230,9 @@ func TestChaosPassthroughNoCleanDowngrade(t *testing.T) {
 
 	if refused == 0 {
 		t.Fatal("no tainted write was refused; the outage never bit and the test is vacuous")
+	}
+	if refusedKind['D'] == 0 {
+		t.Fatal("no dense write was refused; the lane's hand-over to the registering walk went untested")
 	}
 	for _, kind := range kinds[1:] {
 		if taintedSent[kind] == 0 {

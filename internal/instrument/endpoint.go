@@ -131,13 +131,24 @@ func (x *firstSeen[K]) add(k K) {
 // meets taints without an id stops encoding and only collects them; one
 // batch registration covers them and the walk is redone. A caller whose
 // out must not move gives it room for the encoding plus wire.EncodeSlack.
+//
+// A dense store already holds what the groups tier ships, one label per
+// byte, so it skips the runs: encodeDense goes from the store's array
+// to groups directly. Whether that lane runs is the store's business
+// alone (taint.Bytes.DenseLabels), and an input it gives up on takes
+// the walk below from the top, with nothing appended.
 func appendGroups(agent *tracker.Agent, out []byte, b taint.Bytes) ([]byte, error) {
 	tm := agent.TaintMap()
 	if tm == nil && !b.Clean() {
 		return nil, ErrNoTaintMap
 	}
 	start := len(out)
-	out = slices.Grow(out, wire.WireLen(len(b.Data))+wire.EncodeSlack)
+	end := start + wire.WireLen(len(b.Data))
+	out = slices.Grow(out, end-start+wire.EncodeSlack)
+	if labels := b.DenseLabels(); labels != nil &&
+		encodeDense(out[start:end+wire.EncodeSlack], b.Data, labels) {
+		return out[:end], nil
+	}
 	var pending firstSeen[taint.Taint] // taints met without a Global ID
 	var ids []uint32                   // their ids, once registered
 	for {
@@ -181,6 +192,38 @@ func appendGroups(agent *tracker.Agent, out []byte, b taint.Bytes) ([]byte, erro
 		}
 		out = out[:start]
 	}
+}
+
+// encodeDense writes the groups of data, byte i under labels[i], at
+// dst[0:] — the send lane of a dense store: label, id word, one 8-byte
+// store per byte, no call in between. The last two distinct labels keep
+// their id words, so the Global ID is read off a tree node only where
+// the label changes to a third. dst reaches wire.EncodeSlack past the
+// last group. It reports false, leaving dst scratch, on meeting a taint
+// without a Global ID: registering is the run walk's job (a provisional
+// id is never stamped on a node, so a taint that has only one reads as
+// unregistered here and is refused there).
+func encodeDense(dst, data []byte, labels []taint.Taint) bool {
+	data = data[:len(labels)]
+	var t0, t1 taint.Taint // the zero Taint's id word is zero: the caches start out true
+	var w0, w1 uint64
+	w := 0
+	for i, t := range labels {
+		if t != t0 {
+			if t == t1 {
+				t0, w0, t1, w1 = t1, w1, t0, w0
+			} else {
+				id := t.GlobalID()
+				if id == 0 && !t.Empty() {
+					return false
+				}
+				t0, w0, t1, w1 = t, wire.GroupWord(id), t0, w0
+			}
+		}
+		wire.PutGroup(dst[w:], w0, data[i])
+		w += wire.GroupLen
+	}
+	return true
 }
 
 // appendGroupsFrame appends one whole groups frame for b: the frame
@@ -260,6 +303,11 @@ func registerDirty(agent *tracker.Agent, b taint.Bytes, dst []wire.DirtyRange) (
 // ones). Labels are written only after every id resolved, so an error
 // leaves buf as it was.
 //
+// Where buf's store is dense the labels go into its array directly (the
+// writer's DenseLabels) — a one-byte run is one pointer store — and
+// into a run-mode store through Put; which of the two is again the
+// store's representation and nothing else.
+//
 // Lazy shadow allocation is preserved: an entirely untainted delivery
 // into a shadow-free buf allocates nothing, while a buf that already
 // has labels gets its stale ones overwritten.
@@ -297,6 +345,7 @@ func adoptRuns(agent *tracker.Agent, buf *taint.Bytes, at int, runs []wire.Run, 
 		return err
 	}
 	w := buf.WriteLabels(at, at+n, len(runs))
+	lane := w.DenseLabels()
 	var t0, t1 taint.Taint
 	id0, id1 = 0, 0
 	pos = 0
@@ -309,13 +358,29 @@ func adoptRuns(agent *tracker.Agent, buf *taint.Bytes, at int, runs []wire.Run, 
 		case id1:
 			t = t1
 		default:
-			t = labels[x.find(r.ID)]
+			if t = labels[x.find(r.ID)]; t.Empty() {
+				t = taint.Taint{} // the canonical empty label, as the lane must store it
+			}
 			id0, t0, id1, t1 = r.ID, t, id0, t0
 		}
 		if r.N > n-pos {
 			r.N = n - pos
 		}
-		w.Put(r.N, t)
+		// A delivery that densified the store is mostly one-byte runs, and
+		// the store without the loop around it is measurably the cheaper
+		// way to write one: folded into the default arm it costs dense_bulk
+		// 8–9 % of overhead_x (CHANGES.md, PR 16).
+		switch {
+		case lane == nil:
+			w.Put(r.N, t)
+		case r.N == 1:
+			lane[pos] = t
+		default:
+			seg := lane[pos : pos+r.N]
+			for i := range seg {
+				seg[i] = t
+			}
+		}
 		pos += r.N
 	}
 	return nil

@@ -114,6 +114,18 @@ func TestTaintMapOutageFailsLoudly(t *testing.T) {
 	}
 }
 
+// degradedAgent returns an agent whose Taint Map client cannot reach a
+// server and so mints provisional ids, with the client's Close.
+func degradedAgent(t *testing.T) (*tracker.Agent, func() error) {
+	t.Helper()
+	scratch := tracker.New("n1", tracker.ModeDista)
+	client := taintmap.NewResilientClient(
+		func() (io.ReadWriteCloser, error) { return nil, errors.New("no route to taint map") },
+		scratch.Tree(),
+		taintmap.ResilientOptions{BackoffBase: time.Millisecond, BackoffMax: 5 * time.Millisecond, BreakerThreshold: 1})
+	return tracker.New("n1", tracker.ModeDista, tracker.WithTaintMap(client)), client.Close
+}
+
 // TestDegradedTaintMapRefusesTransferKeepsTracking: with the Taint Map
 // unreachable and the resilient client degraded, a cross-node send of a
 // freshly tainted payload must fail with the typed ErrGlobalIDPending —
@@ -121,17 +133,9 @@ func TestTaintMapOutageFailsLoudly(t *testing.T) {
 // tracking of that same taint keeps working.
 func TestDegradedTaintMapRefusesTransferKeepsTracking(t *testing.T) {
 	r := newRig(t, tracker.ModeDista)
-	a := tracker.New("n1", tracker.ModeDista)
-	client := taintmap.NewResilientClient(
-		func() (io.ReadWriteCloser, error) { return nil, errors.New("no route to taint map") },
-		a.Tree(),
-		taintmap.ResilientOptions{
-			BackoffBase:      time.Millisecond,
-			BackoffMax:       5 * time.Millisecond,
-			BreakerThreshold: 1,
-		})
-	defer client.Close()
-	agent := tracker.New("n1", tracker.ModeDista, tracker.WithTaintMap(client))
+	agent, closeClient := degradedAgent(t)
+	defer closeClient()
+	client := agent.TaintMap()
 
 	ca, cb := r.net.Pipe()
 	defer cb.Close()

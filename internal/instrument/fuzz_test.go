@@ -1,6 +1,7 @@
 package instrument
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"testing"
@@ -20,6 +21,14 @@ import (
 // phased unit tests never schedule. step bounds the reader's buffer
 // (0 = as much as is left): a small one pops the decoder in pieces that
 // split label runs.
+//
+// shape pairs the two shadow representations on both ends. Every
+// message has a twin holding the same labels the other way — run-mode
+// for a densified one, dense for the rest — and the groups writer must
+// encode the two identically; bit 0 sends the twins. Bit 1 starts the
+// receiving buffer dense under stale labels, so deliveries go through
+// the adopt lane from the first read instead of once fragmentation has
+// densified it.
 func FuzzTierTransition(f *testing.F) {
 	// One phase per tier, long enough to converge.
 	steady := func(kind byte) []byte {
@@ -29,18 +38,19 @@ func FuzzTierTransition(f *testing.F) {
 		}
 		return s
 	}
-	f.Add(steady(1), uint8(0))                                             // uniform
-	f.Add(steady(2), uint8(0))                                             // sparse
-	f.Add(steady(3), uint8(0))                                             // dense
-	f.Add([]byte{1, 255, 2, 31, 0, 15, 3, 63}, uint8(0))                   // one message per tier
-	f.Add([]byte{1, 7, 0, 7, 1, 7, 0, 7, 1, 7}, uint8(0))                  // clean/uniform interleave
-	f.Add([]byte{3, 0, 1, 0, 3, 0, 1, 0, 2, 0}, uint8(0))                  // tiny flapping messages
-	f.Add(append(steady(1), append(steady(3), steady(1)...)...), uint8(0)) // U->G->U
-	f.Add([]byte{3, 255, 3, 255, 3, 255, 3, 255}, uint8(0))                // alternating ids, 256 runs a frame
-	f.Add([]byte{3, 255, 7, 255, 3, 254}, uint8(3))                        // the same through 3-byte pops
-	f.Add([]byte{1, 255, 2, 255, 6, 200, 1, 99}, uint8(7))                 // long runs: every pop splits one
+	f.Add(steady(1), uint8(0), uint8(0))                                             // uniform
+	f.Add(steady(2), uint8(0), uint8(1))                                             // sparse, from dense stores
+	f.Add(steady(3), uint8(0), uint8(0))                                             // dense
+	f.Add(steady(3), uint8(0), uint8(3))                                             // dense labels from run-mode stores into a dense one
+	f.Add([]byte{1, 255, 2, 31, 0, 15, 3, 63}, uint8(0), uint8(2))                   // one message per tier
+	f.Add([]byte{1, 7, 0, 7, 1, 7, 0, 7, 1, 7}, uint8(0), uint8(0))                  // clean/uniform interleave
+	f.Add([]byte{3, 0, 1, 0, 3, 0, 1, 0, 2, 0}, uint8(0), uint8(1))                  // tiny flapping messages
+	f.Add(append(steady(1), append(steady(3), steady(1)...)...), uint8(0), uint8(0)) // U->G->U
+	f.Add([]byte{3, 255, 3, 255, 3, 255, 3, 255}, uint8(0), uint8(0))                // alternating ids, 256 runs a frame
+	f.Add([]byte{3, 255, 7, 255, 3, 254}, uint8(3), uint8(2))                        // the same through 3-byte pops
+	f.Add([]byte{1, 255, 2, 255, 6, 200, 1, 99}, uint8(7), uint8(3))                 // long runs: every pop splits one
 
-	f.Fuzz(func(t *testing.T, sched []byte, step uint8) {
+	f.Fuzz(func(t *testing.T, sched []byte, step, shape uint8) {
 		if len(sched) < 2 {
 			return
 		}
@@ -59,7 +69,7 @@ func FuzzTierTransition(f *testing.F) {
 		// Decode the schedule into messages first so the reader knows the
 		// exact stream length; wantTag[i] is the label byte i of the
 		// concatenated stream must carry ("" = must stay clean).
-		var msgs []taint.Bytes
+		var msgs, twins []taint.Bytes
 		var wantTag []string
 		for i := 0; i+1 < len(sched); i += 2 {
 			kind, n := sched[i]%4, 1+int(sched[i+1])
@@ -103,7 +113,11 @@ func FuzzTierTransition(f *testing.F) {
 					}
 				}
 			}
-			msgs = append(msgs, b)
+			twin := otherShape(b, [2]taint.Taint{srcs[0], srcs[1]})
+			if shape&1 != 0 {
+				b, twin = twin, b
+			}
+			msgs, twins = append(msgs, b), append(twins, twin)
 		}
 		total := len(wantTag)
 
@@ -111,6 +125,12 @@ func FuzzTierTransition(f *testing.F) {
 		sender, receiver := NewAdaptiveEndpoint(r.a, ca), NewAdaptiveEndpoint(r.b, cb)
 
 		got := taint.MakeBytes(total)
+		if shape&2 != 0 {
+			stale := [2]taint.Taint{r.b.Source("fz", "stale0"), r.b.Source("fz", "stale1")}
+			for i := range got.Data {
+				got.SetLabel(i, stale[i&1])
+			}
+		}
 		recvErr := make(chan error, 1)
 		go func() {
 			recvErr <- func() error {
@@ -138,6 +158,17 @@ func FuzzTierTransition(f *testing.F) {
 		for mi, msg := range msgs {
 			if err := sender.Write(msg); err != nil {
 				t.Fatalf("write %d (kind %q, len %d): %v", mi, msg.Data[0], msg.Len(), err)
+			}
+			// The same labels in the other representation must encode to
+			// the same groups. After the write, which is then the one that
+			// meets unregistered labels, on whichever tier it picked.
+			enc, err := appendGroups(r.a, nil, msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if encTwin, err := appendGroups(r.a, nil, twins[mi]); err != nil || !bytes.Equal(enc, encTwin) {
+				t.Fatalf("message %d (kind %q, len %d, dense view %v): its twin encodes differently (err %v)",
+					mi, msg.Data[0], msg.Len(), msg.DenseLabels() != nil, err)
 			}
 		}
 		ca.Close()

@@ -1,0 +1,374 @@
+package instrument
+
+import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"testing"
+
+	"dista/internal/core/taint"
+	"dista/internal/core/tracker"
+	"dista/internal/core/wire"
+	"dista/internal/taintmap"
+)
+
+// Tests of the per-byte lanes under the groups tier: what appendGroups
+// and adoptRuns do with a dense shadow store must be what they do with
+// a run-mode store holding the same labels, byte for byte and label for
+// label, and an input the lanes decline must take the run paths with
+// nothing written first.
+
+// asDense returns data under labels in a window of a store that is
+// dense whatever the labels are: the store is fragmented with frag
+// first and relabelled byte by byte after, and the window sits at an
+// offset in it. A cover shorter than the labels leaves the rest of the
+// window past what the store covers, and clean.
+func asDense(labels []taint.Taint, data []byte, frag [2]taint.Taint, cover int) taint.Bytes {
+	const pad = 5
+	n := len(labels)
+	covered := pad + n + pad
+	if cover < n {
+		covered = pad + cover
+	}
+	base := taint.WrapBytes(make([]byte, covered, pad+n+pad))
+	for i := range base.Data {
+		base.SetLabel(i, frag[i&1])
+	}
+	for i := 0; i < min(cover, n); i++ {
+		base.SetLabel(pad+i, labels[i])
+	}
+	out := base.Slice(pad, pad+n) // reaches into spare capacity when cover < n
+	copy(out.Data, data)
+	return out
+}
+
+// asRuns returns data under labels in a window of a run-mode store: the
+// buffer around the window is large enough that no labelling of the
+// window fragments the store past the cutoff.
+func asRuns(labels []taint.Taint, data []byte) taint.Bytes {
+	n := len(labels)
+	big := taint.MakeBytes(9*n + 256)
+	out := big.Slice(100, 100+n)
+	copy(out.Data, data)
+	for i, l := range labels {
+		out.SetLabel(i, l)
+	}
+	return out
+}
+
+// laneShapes builds the same labelled window twice, over a dense store
+// and over a run-mode one. With short the dense store covers only the
+// first half of its view, and the second half is clean on both.
+func laneShapes(t *testing.T, labels []taint.Taint, data []byte, frag [2]taint.Taint, short bool) (dense, run taint.Bytes) {
+	t.Helper()
+	cover := len(labels)
+	if short {
+		cover /= 2
+		labels = append(append([]taint.Taint(nil), labels[:cover]...), make([]taint.Taint, len(labels)-cover)...)
+	}
+	dense, run = asDense(labels, data, frag, cover), asRuns(labels, data)
+	if run.DenseLabels() != nil {
+		t.Fatal("the reference window densified; it must stay in run mode")
+	}
+	for i := range labels {
+		if dense.LabelAt(i) != labels[i] || run.LabelAt(i) != labels[i] {
+			t.Fatalf("byte %d: the two shapes disagree before the test starts", i)
+		}
+	}
+	return dense, run
+}
+
+// otherShape returns b's bytes and labels over the representation b
+// does not have: the run-mode twin of a window with a per-byte view,
+// the dense twin of anything else.
+func otherShape(b taint.Bytes, frag [2]taint.Taint) taint.Bytes {
+	labels := make([]taint.Taint, len(b.Data))
+	for i := range labels {
+		labels[i] = b.LabelAt(i)
+	}
+	if b.DenseLabels() != nil {
+		return asRuns(labels, b.Data)
+	}
+	return asDense(labels, b.Data, frag, len(labels))
+}
+
+// lanePatterns are the label layouts the lanes must agree on, each over
+// n bytes drawn from pool (pool[0] is the zero Taint).
+var lanePatterns = []struct {
+	name  string
+	label func(rng *rand.Rand, pool []taint.Taint, n, i int) taint.Taint
+}{
+	{"all clean", func(*rand.Rand, []taint.Taint, int, int) taint.Taint { return taint.Taint{} }},
+	{"one tainted", func(_ *rand.Rand, pool []taint.Taint, n, i int) taint.Taint {
+		if i == n/3 {
+			return pool[3]
+		}
+		return taint.Taint{}
+	}},
+	{"alternating", func(_ *rand.Rand, pool []taint.Taint, _, i int) taint.Taint { return pool[1+i&1] }},
+	// More than eight distinct labels: firstSeen takes its map.
+	{"many labels", func(rng *rand.Rand, pool []taint.Taint, _, _ int) taint.Taint { return pool[rng.Intn(len(pool))] }},
+	{"short runs", func(_ *rand.Rand, pool []taint.Taint, _, i int) taint.Taint { return pool[(i/3)%len(pool)] }},
+}
+
+// layout draws pattern k over n bytes.
+func layout(k int, rng *rand.Rand, pool []taint.Taint, n int) []taint.Taint {
+	out := make([]taint.Taint, n)
+	for i := range out {
+		out[i] = lanePatterns[k].label(rng, pool, n, i)
+	}
+	return out
+}
+
+// countingClient counts the RegisterBatch calls that reach a Taint Map
+// client.
+type countingClient struct {
+	taintmap.Client
+	registers int
+}
+
+func (c *countingClient) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
+	c.registers++
+	return c.Client.RegisterBatch(ts)
+}
+
+// lanePool returns the zero Taint and 12 distinct taints of a's tree
+// whose tag values start with prefix — unregistered, if the prefix is new.
+func lanePool(a *tracker.Agent, prefix string) []taint.Taint {
+	pool := []taint.Taint{{}}
+	for i := 0; i < 12; i++ {
+		pool = append(pool, a.Source("lane", prefix+string(rune('a'+i))))
+	}
+	return pool
+}
+
+// TestDenseSendLaneMatchesRunWalk: for every pattern, window and
+// coverage, the groups appendGroups emits from a dense store are the
+// groups it emits from a run-mode store with the same labels — on the
+// first send, where the labels have no Global ID and the lane must hand
+// over to the run walk (one RegisterBatch, nothing appended twice), and
+// on the second, which registers nothing.
+func TestDenseSendLaneMatchesRunWalk(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for _, short := range []bool{false, true} {
+			r := newRig(t, tracker.ModeDista)
+			counter := &countingClient{Client: r.a.TaintMap()}
+			a := tracker.New("node1", tracker.ModeDista, tracker.WithTaintMap(counter))
+			n := 40 + rng.Intn(500)
+			data := make([]byte, n)
+			rng.Read(data)
+			frag := [2]taint.Taint{a.Source("frag", "p"), a.Source("frag", "q")}
+			for k, p := range lanePatterns {
+				// Fresh labels per pattern, so that every first send has
+				// something to register.
+				name := p.name
+				labels := layout(k, rng, lanePool(a, "send:"+name), n)
+				dense, run := laneShapes(t, labels, data, frag, short)
+				clean := dense.Clean()
+				// A covered window has a per-byte view whatever it holds,
+				// a clean one too.
+				if lane := dense.DenseLabels() != nil; lane == short {
+					t.Fatalf("seed %d %s short=%v: dense window has a per-byte view = %v", seed, name, short, lane)
+				}
+				prefix := []byte("hdr")
+				encode := func(b taint.Bytes) []byte {
+					out, err := appendGroups(a, append([]byte(nil), prefix...), b)
+					if err != nil {
+						t.Fatalf("seed %d %s short=%v: %v", seed, name, short, err)
+					}
+					return out
+				}
+				wantRegs := counter.registers
+				if !clean {
+					wantRegs++
+				}
+				first := encode(dense)
+				if counter.registers != wantRegs {
+					t.Fatalf("seed %d %s short=%v: first send left %d RegisterBatch calls, want %d",
+						seed, name, short, counter.registers, wantRegs)
+				}
+				second, want := encode(dense), encode(run)
+				if counter.registers != wantRegs {
+					t.Fatalf("seed %d %s: a send of registered labels registered again", seed, name)
+				}
+				if !bytes.Equal(first, want) || !bytes.Equal(second, want) {
+					t.Fatalf("seed %d %s short=%v (%d bytes): dense store and run-mode store encode differently",
+						seed, name, short, n)
+				}
+				if len(want) != len(prefix)+wire.WireLen(n) || !bytes.HasPrefix(want, prefix) {
+					t.Fatalf("seed %d %s: %d bytes appended to a %d-byte prefix for %d data bytes", seed, name, len(want), len(prefix), n)
+				}
+				if clean && !short {
+					// A dense store wiped clean end to end is dense still:
+					// the lane encodes it, as the run walk would.
+					wiped := taint.WrapBytes(data)
+					for _, pass := range [][2]taint.Taint{frag, {}} {
+						for i := range data {
+							wiped.SetLabel(i, pass[i&1])
+						}
+					}
+					if got := encode(wiped); wiped.DenseLabels() == nil || !bytes.Equal(got, want) {
+						t.Fatalf("seed %d: all-clean dense store: view = %v, same encoding = %v",
+							seed, wiped.DenseLabels() != nil, bytes.Equal(got, want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDenseSendLaneRefusals: what the groups writer refuses it refuses
+// for a dense store too, before anything reaches the connection — no
+// Taint Map client at all, and a degraded client that can only mint a
+// provisional id.
+func TestDenseSendLaneRefusals(t *testing.T) {
+	r := newRig(t, tracker.ModeDista)
+	bare := tracker.New("n", tracker.ModeDista)
+	degraded, closeDegraded := degradedAgent(t)
+	defer closeDegraded()
+	for name, tc := range map[string]struct {
+		agent *tracker.Agent
+		want  error
+	}{
+		"nil Taint Map":  {bare, ErrNoTaintMap},
+		"provisional id": {degraded, taintmap.ErrGlobalIDPending},
+	} {
+		a := tc.agent
+		msg := taint.MakeBytes(256)
+		pair := [2]taint.Taint{a.Source("s", "x"), a.Source("s", "y")}
+		for i := range msg.Data {
+			msg.SetLabel(i, pair[i&1])
+		}
+		if msg.DenseLabels() == nil {
+			t.Fatal("alternating labels did not densify the message")
+		}
+		ca, cb := r.net.Pipe()
+		for _, ep := range []*Endpoint{NewEndpoint(a, ca), NewAdaptiveEndpoint(a, ca)} {
+			if err := ep.Write(msg); !errors.Is(err, tc.want) {
+				t.Fatalf("%s: write of a tainted dense buffer = %v, want %v", name, err, tc.want)
+			}
+		}
+		if _, wireBytes := a.Traffic(); wireBytes != 0 || cb.Buffered() != 0 {
+			t.Fatalf("%s: a refused write put %d bytes on the connection (%d buffered)", name, wireBytes, cb.Buffered())
+		}
+	}
+}
+
+// runsOf is the run list of labels as the decoder would hold it, every
+// label registered through tm.
+func runsOf(t *testing.T, tm taintmap.Client, labels []taint.Taint) []wire.Run {
+	t.Helper()
+	var runs []wire.Run
+	for _, l := range labels {
+		var id uint32
+		if !l.Empty() {
+			var err error
+			if id, err = tm.Register(l); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if k := len(runs); k > 0 && runs[k-1].ID == id {
+			runs[k-1].N++
+		} else {
+			runs = append(runs, wire.Run{N: 1, ID: id})
+		}
+	}
+	return runs
+}
+
+// TestDenseAdoptLaneMatchesRunWalk: adoptRuns into a dense store and
+// into a run-mode store leaves the same label on every byte — inside
+// the delivery and around it — for every pattern, including a delivery
+// cut inside a run; and a failed LookupBatch leaves both as they were.
+func TestDenseAdoptLaneMatchesRunWalk(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := newRig(t, tracker.ModeDista)
+		flaky := &flakyLookups{Client: r.b.TaintMap()}
+		b := tracker.New("node2", tracker.ModeDista, tracker.WithTaintMap(flaky))
+		n := 40 + rng.Intn(500)
+		stale := lanePool(b, "stale")
+		frag := [2]taint.Taint{stale[1], stale[2]}
+		for k, p := range lanePatterns {
+			name := p.name
+			runs := runsOf(t, r.a.TaintMap(), layout(k, rng, lanePool(r.a, "recv"), n))
+			// What the buffers hold before the delivery: stale labels of
+			// the receiving node, a different one every few bytes.
+			old := make([]taint.Taint, n)
+			for i := range old {
+				old[i] = stale[(i/5)%len(stale)]
+			}
+			dense, run := laneShapes(t, old, make([]byte, n), frag, false)
+			at := rng.Intn(n / 2)
+			got := 1 + rng.Intn(n-at)
+			delivery := runs
+			if rng.Intn(2) == 0 {
+				delivery = runs[rng.Intn(len(runs)):] // start anywhere in the frame
+			}
+			if have := wire.RunsLen(delivery); got > have {
+				got = have
+			}
+
+			flaky.fail = 2 // one lookup per buffer, at most
+			for _, buf := range []*taint.Bytes{&dense, &run} {
+				clean := allClean(delivery, got)
+				if err := adoptRuns(b, buf, at, delivery, got); clean != (err == nil) || (!clean && !errors.Is(err, errLookupDown)) {
+					t.Fatalf("seed %d %s: adopt with the Taint Map down = %v (clean delivery: %v)", seed, name, err, clean)
+				} else if clean {
+					continue
+				}
+				for i := range old {
+					if buf.LabelAt(i) != old[i] {
+						t.Fatalf("seed %d %s: a failed lookup relabelled byte %d", seed, name, i)
+					}
+				}
+			}
+			flaky.fail = 0
+
+			for _, buf := range []*taint.Bytes{&dense, &run} {
+				if err := adoptRuns(b, buf, at, delivery, got); err != nil {
+					t.Fatalf("seed %d %s: %v", seed, name, err)
+				}
+			}
+			if dense.DenseLabels() == nil {
+				t.Fatalf("seed %d %s: the dense buffer left the dense representation", seed, name)
+			}
+			pos, k := 0, 0
+			for i := 0; i < n; i++ {
+				want := old[i]
+				if i >= at && i < at+got {
+					for pos+delivery[k].N <= i-at {
+						pos += delivery[k].N
+						k++
+					}
+					want = taint.Taint{}
+					if id := delivery[k].ID; id != 0 {
+						var err error
+						if want, err = b.TaintMap().Lookup(id); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if d, r := dense.LabelAt(i), run.LabelAt(i); d != r || d != want {
+					t.Fatalf("seed %d %s: byte %d (delivery [%d,%d)): dense store %v, run-mode store %v, want %v",
+						seed, name, i, at, at+got, d, r, want)
+				}
+			}
+		}
+	}
+}
+
+// allClean reports whether the first n bytes under runs carry no id.
+func allClean(runs []wire.Run, n int) bool {
+	for _, r := range runs {
+		if n <= 0 {
+			break
+		}
+		if r.ID != 0 {
+			return false
+		}
+		n -= r.N
+	}
+	return true
+}
