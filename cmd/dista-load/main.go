@@ -8,7 +8,7 @@
 // Usage:
 //
 //	go run ./cmd/dista-load -conns 50000 -ops 4 -payload 1024
-//	go run ./cmd/dista-load -conns 10000 -cluster 4 -adaptive -json
+//	go run ./cmd/dista-load -conns 10000 -cluster 4 -json
 //
 // The default output is the human-readable report (throughput,
 // p50/p99/p999, goroutine bill); -json emits the same fields as one
@@ -35,7 +35,6 @@ func main() {
 		sinkWorkers = flag.Int("sink-workers", 4, "echo-sink goroutines (polled mode)")
 		mix         = flag.String("mix", "70/10/10/10", "clean/uniform/sparse/dense percentage split")
 		paths       = flag.String("paths", "60/20/20", "stream/datagram/vectored percentage split")
-		adaptive    = flag.Bool("adaptive", false, "use the density-tiering endpoints")
 		cluster     = flag.Int("cluster", 0, "taintmap cluster members (0 = shared local store)")
 		perConn     = flag.Bool("sink-per-conn", false, "goroutine-per-connection echo sink (pre-fabric comparison shape)")
 		jsonOut     = flag.Bool("json", false, "emit the report as JSON")
@@ -48,7 +47,6 @@ func main() {
 		Payload:              *payload,
 		Workers:              *workers,
 		SinkWorkers:          *sinkWorkers,
-		Adaptive:             *adaptive,
 		ClusterMembers:       *cluster,
 		SinkGoroutinePerConn: *perConn,
 	}

@@ -164,8 +164,8 @@ func BenchmarkHotPath(b *testing.B) {
 		}
 		sAgent, rAgent := mk("s"), mk("r")
 		cs, cr := net.Pipe()
-		sender := instrument.NewEndpoint(sAgent, cs)
-		receiver := instrument.NewEndpoint(rAgent, cr)
+		sender := instrument.NewAdaptiveEndpoint(sAgent, cs)
+		receiver := instrument.NewAdaptiveEndpoint(rAgent, cr)
 		payload := taint.MakeBytes(size)
 		t1 := sAgent.Source("s", "mix1")
 		t2 := sAgent.Source("s", "mix2")

@@ -7,7 +7,7 @@ import (
 )
 
 // TierEncode machine-checks the tier-lattice soundness convention of
-// the adaptive wire format (DESIGN.md §9): no tier's encoder may be
+// the tiered wire format (DESIGN.md §7): no tier's encoder may be
 // able to drop a label. Two rules, both structural so they hold for
 // every tier added later:
 //

@@ -47,8 +47,8 @@ func streamExchange(size int, mkClient func(*taintmap.Store, *taint.Tree) taintm
 	}
 	aAgent, bAgent := mk("a"), mk("b")
 	ca, cb := net.Pipe()
-	sender := instrument.NewEndpoint(aAgent, ca)
-	receiver := instrument.NewEndpoint(bAgent, cb)
+	sender := instrument.NewAdaptiveEndpoint(aAgent, ca)
+	receiver := instrument.NewAdaptiveEndpoint(bAgent, cb)
 
 	// Cycle many taints byte by byte and receive in small pieces. The
 	// endpoint itself asks the client once per distinct taint of a write

@@ -23,21 +23,32 @@ type MemoryResult struct {
 	TreeNodes   int    // tag-tree nodes after the per-byte scenario
 }
 
+// settledHeap collects until two successive readings of the live heap
+// agree (a few cycles at most) and returns the last. One collection is
+// not a fixed point — goroutines of earlier work are still being torn
+// down, a cycle queues finalizers for the next — and a run-mode uniform
+// shadow costs tens of bytes a buffer, less than that noise.
+func settledHeap() uint64 {
+	var m runtime.MemStats
+	for last, i := uint64(1), 0; m.HeapAlloc != last && i < 8; i++ {
+		last = m.HeapAlloc
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+	}
+	return m.HeapAlloc
+}
+
 // measureHeap runs f while keeping its result alive, and returns the
-// live-heap delta it caused.
+// live-heap delta it caused, the heap settled on both sides.
 func measureHeap(f func() any) uint64 {
-	runtime.GC()
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
+	before := settledHeap()
 	keep := f()
-	runtime.GC()
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
+	after := settledHeap()
 	runtime.KeepAlive(keep)
-	if after.HeapAlloc < before.HeapAlloc {
+	if after < before {
 		return 0
 	}
-	return after.HeapAlloc - before.HeapAlloc
+	return after - before
 }
 
 // MeasureMemoryOverhead allocates `buffers` buffers of `size` bytes

@@ -1,6 +1,6 @@
 package taint
 
-// Run statistics for the wire tiering engine (DESIGN.md §9).
+// Run statistics for the wire tiering engine (DESIGN.md §7).
 //
 // The adaptive endpoint classifies every outgoing buffer into a wire
 // tier (passthrough / uniform / sparse / groups) from three numbers:

@@ -36,11 +36,12 @@ func drainIDs(d *FrameDecoder) ([]byte, []uint32) {
 	return data, gotIDs
 }
 
-// TestFrameLens pins the framed-size helpers against the append forms.
+// TestFrameLens pins the framed sizes: a passthrough frame is its header
+// plus the payload, a groups frame what GroupsFrameLen says.
 func TestFrameLens(t *testing.T) {
 	data := []byte("some clean payload")
-	if got := len(AppendPassthroughFrame(nil, data)); got != PassthroughFrameLen(len(data)) {
-		t.Fatalf("passthrough frame = %d bytes, PassthroughFrameLen says %d", got, PassthroughFrameLen(len(data)))
+	if got := len(passthroughFrame(nil, data)); got != FrameHeaderLen+len(data) {
+		t.Fatalf("passthrough frame = %d bytes, want header + payload = %d", got, FrameHeaderLen+len(data))
 	}
 	if got := len(AppendGroupsFrame(nil, data, nil)); got != GroupsFrameLen(len(data)) {
 		t.Fatalf("groups frame = %d bytes, GroupsFrameLen says %d", got, GroupsFrameLen(len(data)))
@@ -52,11 +53,11 @@ func TestFrameLens(t *testing.T) {
 // and ids, with passthrough bodies surfacing as id-0 runs.
 func TestFrameMixedRoundTrip(t *testing.T) {
 	var raw []byte
-	raw = AppendStreamMagic(raw)
-	raw = AppendPassthroughFrame(raw, []byte("clean-one"))
+	raw = AppendAdaptiveStreamMagic(raw)
+	raw = passthroughFrame(raw, []byte("clean-one"))
 	raw = AppendGroupsFrame(raw, []byte("taint"), []Run{{N: 5, ID: 7}})
-	raw = AppendPassthroughFrame(raw, nil) // empty frame is legal
-	raw = AppendPassthroughFrame(raw, []byte("clean-two"))
+	raw = passthroughFrame(raw, nil) // empty frame is legal
+	raw = passthroughFrame(raw, []byte("clean-two"))
 	raw = AppendGroupsFrame(raw, []byte("mix"), []Run{{N: 1, ID: 0}, {N: 2, ID: 9}})
 
 	wantData := []byte("clean-one" + "taint" + "clean-two" + "mix")
@@ -91,8 +92,8 @@ func TestFrameMixedRoundTrip(t *testing.T) {
 // passthrough body pops as a single untainted run.
 func TestFrameNextRunsInto(t *testing.T) {
 	var raw []byte
-	raw = AppendStreamMagic(raw)
-	raw = AppendPassthroughFrame(raw, []byte("hello"))
+	raw = AppendAdaptiveStreamMagic(raw)
+	raw = passthroughFrame(raw, []byte("hello"))
 	var d FrameDecoder
 	if err := d.Feed(raw); err != nil {
 		t.Fatal(err)
@@ -110,38 +111,60 @@ func TestFrameNextRunsInto(t *testing.T) {
 	}
 }
 
-// TestFrameLegacyFallback feeds pre-framing raw group streams,
-// including ones sharing a prefix with the magic, and checks the
-// sniffed prefix is replayed losslessly.
-func TestFrameLegacyFallback(t *testing.T) {
-	cases := [][]byte{
-		[]byte("plain old data"),
-		[]byte("DX-shares-one-magic-byte"),
-		[]byte("DTF-shares-three-magic-bytes"),
-		[]byte("D"), // stays ambiguous until more bytes arrive
-	}
-	for _, payload := range cases {
-		ids := make([]uint32, len(payload))
+// TestWrongOpeningIsStickyError: a stream that does not open with the
+// magic — the headerless group stream and the "DTF1" framing of earlier
+// formats, a bare frame, a datagram's packet magic, anything else — is
+// an error at its first wrong byte, under every fragmentation: sticky,
+// never a panic, and never data.
+func TestWrongOpeningIsStickyError(t *testing.T) {
+	groups := func(text string) []byte {
+		ids := make([]uint32, len(text))
 		for i := range ids {
 			ids[i] = uint32(i % 3)
 		}
-		raw := EncodeGroups(nil, payload, ids)
+		return EncodeGroups(nil, []byte(text), ids)
+	}
+	cases := map[string][]byte{
+		"headerless groups":          groups("plain old data"),
+		"groups sharing one byte":    groups("DX-shares-one-magic-byte"),
+		"groups sharing three bytes": append([]byte("DTF"), groups("X")...),
+		"DTF1 passthrough":           passthroughFrame([]byte("DTF1"), []byte("abc")),
+		"DTF1 uniform":               uniformFrame([]byte("DTF1"), []byte("abc"), 2),
+		"bare frame":                 passthroughFrame(nil, []byte("no magic")),
+		"packet magic":               []byte("DT\x00\x00\x00\x02a\x00\x00\x00\x01b\x00\x00\x00\x01"),
+		"magic then garbage magic":   append(AppendAdaptiveStreamMagic(nil)[:3], '3', 'P', 0, 0, 0, 0),
+	}
+	for name, raw := range cases {
+		bad := 0 // offset of the first byte that is not the magic's
+		for raw[bad] == streamMagic[bad] {
+			bad++
+		}
 		for frag := 1; frag <= len(raw); frag++ {
 			var d FrameDecoder
-			feedFragmented(t, &d, raw, frag)
-			data, gotIDs := drainIDs(&d)
-			if !bytes.Equal(data, payload) {
-				t.Fatalf("payload %q frag %d: data = %q", payload, frag, data)
-			}
-			for i := range ids {
-				if gotIDs[i] != ids[i] {
-					t.Fatalf("payload %q frag %d: id %d = %d, want %d", payload, frag, i, gotIDs[i], ids[i])
+			var first error
+			for off := 0; off < len(raw); off += frag {
+				err := d.Feed(raw[off:min(off+frag, len(raw))])
+				if fed := min(off+frag, len(raw)); (err != nil) != (fed > bad) {
+					t.Fatalf("%s frag %d: Feed through byte %d = %v, first wrong byte at %d", name, frag, fed, err, bad)
+				}
+				if first == nil {
+					first = err
+				} else if !errors.Is(err, first) {
+					t.Fatalf("%s frag %d: error changed from %v to %v", name, frag, first, err)
+				}
+				if d.Buffered() != 0 {
+					t.Fatalf("%s frag %d: %d bytes decoded from a stream without the magic", name, frag, d.Buffered())
 				}
 			}
-			if d.PendingPartial() {
-				t.Fatalf("payload %q frag %d: whole-group legacy input left a partial", payload, frag)
+			if first == nil || !strings.Contains(first.Error(), "magic") {
+				t.Fatalf("%s frag %d: err = %v", name, frag, first)
 			}
 		}
+	}
+	// A lone "D" is still ambiguous: not an error, and a partial at EOF.
+	var d FrameDecoder
+	if err := d.Feed([]byte("D")); err != nil || !d.PendingPartial() {
+		t.Fatalf("one magic byte: err %v, partial %v", err, d.PendingPartial())
 	}
 }
 
@@ -153,9 +176,9 @@ func TestFrameStickyErrors(t *testing.T) {
 		raw  []byte
 		want string
 	}{
-		{"unknown tag", AppendFrameHeader(AppendStreamMagic(nil), 'Z', 10), "unknown frame tag"},
-		{"oversized length", AppendFrameHeader(AppendStreamMagic(nil), FramePassthrough, MaxFrameLen+1), "exceeds limit"},
-		{"ragged groups length", AppendFrameHeader(AppendStreamMagic(nil), FrameGroups, GroupLen+1), "whole number of groups"},
+		{"unknown tag", AppendFrameHeader(AppendAdaptiveStreamMagic(nil), 'Z', 10), "unknown frame tag"},
+		{"oversized length", AppendFrameHeader(AppendAdaptiveStreamMagic(nil), FramePassthrough, MaxFrameLen+1), "exceeds limit"},
+		{"ragged groups length", AppendFrameHeader(AppendAdaptiveStreamMagic(nil), FrameGroups, GroupLen+1), "whole number of groups"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -175,16 +198,16 @@ func TestFrameStickyErrors(t *testing.T) {
 // stream: any cut that is not a frame boundary must report a partial.
 func TestFramePendingPartial(t *testing.T) {
 	var raw []byte
-	raw = AppendStreamMagic(raw)
-	raw = AppendPassthroughFrame(raw, []byte("abc"))
+	raw = AppendAdaptiveStreamMagic(raw)
+	raw = passthroughFrame(raw, []byte("abc"))
 	raw = AppendGroupsFrame(raw, []byte("xy"), []Run{{N: 2, ID: 4}})
 
 	boundaries := map[int]bool{
-		0:                                       true, // nothing arrived: a clean (empty) close
-		StreamMagicLen:                          true, // magic only, zero frames: clean close
-		len(raw):                                true, // complete stream
-		StreamMagicLen + PassthroughFrameLen(3): true, // between frames
-		StreamMagicLen + PassthroughFrameLen(3) + GroupsFrameLen(2): true,
+		0:                                   true, // nothing arrived: a clean (empty) close
+		StreamMagicLen:                      true, // magic only, zero frames: clean close
+		len(raw):                            true, // complete stream
+		StreamMagicLen + FrameHeaderLen + 3: true, // between frames
+		StreamMagicLen + FrameHeaderLen + 3 + GroupsFrameLen(2): true,
 	}
 	for cut := 0; cut <= len(raw); cut++ {
 		var d FrameDecoder
@@ -193,54 +216,6 @@ func TestFramePendingPartial(t *testing.T) {
 		}
 		if got, want := d.PendingPartial(), !boundaries[cut]; got != want {
 			t.Fatalf("cut %d: PendingPartial = %v, want %v", cut, got, want)
-		}
-	}
-}
-
-// TestPacketPassthroughRoundTrip checks the clean datagram flavour
-// decodes identically through all four packet decoders.
-func TestPacketPassthroughRoundTrip(t *testing.T) {
-	payload := []byte("clean datagram")
-	raw := EncodePacketPassthrough(payload)
-	if len(raw) != PacketOverhead+len(payload) {
-		t.Fatalf("passthrough packet = %d bytes, want header + payload = %d",
-			len(raw), PacketOverhead+len(payload))
-	}
-
-	data, ids, err := DecodePacket(raw)
-	if err != nil || !bytes.Equal(data, payload) {
-		t.Fatalf("DecodePacket = %q, %v", data, err)
-	}
-	for i, id := range ids {
-		if id != 0 {
-			t.Fatalf("id %d = %d, want untainted", i, id)
-		}
-	}
-	data2, runs, err := DecodePacketRuns(raw)
-	if err != nil || !bytes.Equal(data2, payload) {
-		t.Fatalf("DecodePacketRuns = %q, %v", data2, err)
-	}
-	if !RunsAllUntainted(runs) || RunsLen(runs) != len(payload) {
-		t.Fatalf("runs = %+v", runs)
-	}
-
-	// Truncation: every received byte of a passthrough body is usable.
-	for cut := 0; cut <= len(raw); cut++ {
-		p, pruns, perr := DecodePacketPrefixRuns(raw[:cut])
-		if cut < PacketOverhead {
-			if perr == nil {
-				t.Fatalf("cut %d: want short-packet error", cut)
-			}
-			continue
-		}
-		if perr != nil {
-			t.Fatalf("cut %d: %v", cut, perr)
-		}
-		if want := payload[:cut-PacketOverhead]; !bytes.Equal(p, want) {
-			t.Fatalf("cut %d: prefix = %q, want %q", cut, p, want)
-		}
-		if !RunsAllUntainted(pruns) || RunsLen(pruns) != len(p) {
-			t.Fatalf("cut %d: runs = %+v", cut, pruns)
 		}
 	}
 }
@@ -256,7 +231,7 @@ func TestRunsAllUntainted(t *testing.T) {
 }
 
 // TestFrameDecoderAgainstStream cross-checks: a stream of only groups
-// frames must decode exactly as the legacy decoder does on the bare
+// frames must decode exactly as the group decoder does on the bare
 // group bytes.
 func TestFrameDecoderAgainstStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -268,7 +243,7 @@ func TestFrameDecoderAgainstStream(t *testing.T) {
 	}
 	groups := EncodeGroups(nil, payload, ids)
 
-	framed := AppendStreamMagic(nil)
+	framed := AppendAdaptiveStreamMagic(nil)
 	framed = AppendFrameHeader(framed, FrameGroups, len(groups))
 	framed = append(framed, groups...)
 
@@ -292,6 +267,6 @@ func TestFrameDecoderAgainstStream(t *testing.T) {
 		}
 	}
 	if sd.Buffered() != 0 {
-		t.Fatal("legacy decoder has leftovers")
+		t.Fatal("group decoder has leftovers")
 	}
 }

@@ -135,7 +135,7 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		// decoded before the error still pops, and no later Feed — each
 		// one fails — may write over the popped runs.
 		var fd FrameDecoder
-		framed := AppendGroupsFrame(AppendStreamMagic(nil), data, nil)
+		framed := AppendGroupsFrame(AppendAdaptiveStreamMagic(nil), data, nil)
 		copy(framed[StreamMagicLen+FrameHeaderLen:], raw)
 		if err := fd.Feed(append(framed, 'Z', 0, 0, 0, 1)); err == nil {
 			t.Fatal("bad frame tag accepted")
@@ -162,108 +162,15 @@ func FuzzStreamRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzPacketRoundTrip round-trips the packet codec (per-byte and run
-// forms) and checks the truncation path never panics and agrees between
-// forms.
-func FuzzPacketRoundTrip(f *testing.F) {
-	f.Add([]byte("payload"), uint32(9), uint16(0))
-	f.Add([]byte{}, uint32(0), uint16(3))
-	f.Add(bytes.Repeat([]byte{1, 2}, 100), uint32(1<<31), uint16(50))
-	f.Fuzz(func(t *testing.T, data []byte, id uint32, cut uint16) {
-		pkt := EncodePacketRuns(data, []Run{{N: len(data), ID: id}})
-		if want := EncodePacket(data, uniformIDs(len(data), id)); !bytes.Equal(pkt, want) {
-			t.Fatal("EncodePacketRuns and EncodePacket disagree on the wire")
-		}
-
-		d1, ids1, err1 := DecodePacket(pkt)
-		d2, runs2, err2 := DecodePacketRuns(pkt)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("decode errors: %v / %v", err1, err2)
-		}
-		if !bytes.Equal(d1, data) || !bytes.Equal(d2, data) {
-			t.Fatal("payload mismatch")
-		}
-		for i, got := range ids1 {
-			if got != id {
-				t.Fatalf("id %d = %d, want %d", i, got, id)
-			}
-		}
-		if got := ExpandRuns(runs2); len(got) != len(data) {
-			t.Fatalf("runs cover %d of %d", len(got), len(data))
-		}
-
-		// The tiered packet flavours must round-trip the same payload
-		// and survive truncation anywhere without panicking.
-		upkt := EncodePacketUniform(data, id)
-		ud, uruns, uerr := DecodePacketRuns(upkt)
-		if uerr != nil || !bytes.Equal(ud, data) {
-			t.Fatalf("uniform packet decode = %q, %v", ud, uerr)
-		}
-		if len(data) > 0 && (len(uruns) != 1 || uruns[0].ID != id) {
-			t.Fatalf("uniform packet runs = %+v", uruns)
-		}
-		var ranges []DirtyRange
-		if id != 0 && len(data) > 2 {
-			ranges = []DirtyRange{{Off: 1, Len: len(data) - 2, ID: id}}
-		}
-		spkt := EncodePacketSparse(data, ranges)
-		sd, sruns, serr := DecodePacketRuns(spkt)
-		if serr != nil || !bytes.Equal(sd, data) {
-			t.Fatalf("sparse packet decode = %q, %v", sd, serr)
-		}
-		if got := AppendDirtyRanges(nil, sruns); len(got) != len(ranges) {
-			t.Fatalf("sparse packet ranges = %+v, want %+v", got, ranges)
-		}
-		ucut := int(cut) % (len(upkt) + 1)
-		if _, _, err := DecodePacketPrefixRuns(upkt[:ucut]); err == nil && ucut < PacketOverhead+GlobalIDLen && len(data) > 0 {
-			t.Fatalf("uniform prefix cut %d inside metadata decoded", ucut)
-		}
-		if _, _, err := DecodePacketPrefixRuns(spkt[:int(cut)%(len(spkt)+1)]); err != nil && int(cut)%(len(spkt)+1) == len(spkt) {
-			t.Fatalf("whole sparse packet rejected: %v", err)
-		}
-
-		// Truncate anywhere: both prefix decoders must agree and not
-		// panic; whole groups before the cut must survive.
-		n := int(cut) % (len(pkt) + 1)
-		p1, i1, e1 := DecodePacketPrefix(pkt[:n])
-		p2, r2, e2 := DecodePacketPrefixRuns(pkt[:n])
-		if (e1 == nil) != (e2 == nil) {
-			t.Fatalf("prefix decoders disagree on error: %v / %v", e1, e2)
-		}
-		if e1 == nil {
-			if !bytes.Equal(p1, p2) {
-				t.Fatal("prefix decoders disagree on payload")
-			}
-			expanded := ExpandRuns(r2)
-			if len(expanded) != len(i1) {
-				t.Fatalf("prefix id lengths disagree: %d / %d", len(i1), len(expanded))
-			}
-			for i := range i1 {
-				if i1[i] != expanded[i] {
-					t.Fatalf("prefix id %d disagrees: %d / %d", i, i1[i], expanded[i])
-				}
-			}
-		}
-	})
-}
-
-func uniformIDs(n int, id uint32) []uint32 {
-	ids := make([]uint32, n)
-	for i := range ids {
-		ids[i] = id
-	}
-	return ids
-}
-
 // FuzzFrameRoundTrip drives the framed codec: the input is split across
-// frames of all four tiers (passthrough, uniform, sparse, groups), fed
-// under fuzz-chosen fragmentation, and the decoded bytes/ids must
-// match. Seeds cover every frame tag under both magics, the empty
-// frame, and the legacy-fallback prefix collisions.
+// frames, each on a tier of the table drawn by the rng under a label
+// layout its row fits, fed under fuzz-chosen fragmentation, and the
+// decoded bytes/ids must match. Seeds cover every frame tag, the empty
+// frame, and payloads mimicking magics and headers.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add([]byte("clean then tainted"), int64(1), uint8(3), uint8(2))
 	f.Add([]byte{}, int64(2), uint8(0), uint8(1))
-	f.Add([]byte("DTF1PPPP"), int64(3), uint8(1), uint8(4)) // payload mimicking the magic+tag
+	f.Add([]byte("DTF1PPPP"), int64(3), uint8(1), uint8(4)) // payload mimicking an old magic+tag
 	f.Add(bytes.Repeat([]byte{'G'}, 64), int64(4), uint8(7), uint8(3))
 	f.Add([]byte{'P', 0, 0, 0, 0}, int64(5), uint8(2), uint8(2)) // bare passthrough header bytes as payload
 	f.Add([]byte("DTF2U\x00\x00\x00\x07abc"), int64(6), uint8(3), uint8(3))
@@ -272,14 +179,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, seed int64, frag, nframes uint8) {
 		rng := rand.New(rand.NewSource(seed))
 
-		// Split data into 1..nframes+1 frames across all four tiers by
-		// the rng; record the expected per-byte ids.
-		var raw []byte
-		if rng.Intn(2) == 0 {
-			raw = AppendAdaptiveStreamMagic(raw)
-		} else {
-			raw = AppendStreamMagic(raw) // tier tags decode under either magic
-		}
+		// Split data into 1..nframes+1 frames; record the expected
+		// per-byte ids.
+		raw := AppendAdaptiveStreamMagic(nil)
 		wantIDs := make([]uint32, 0, len(data))
 		rest := data
 		for i := 0; i < int(nframes)+1; i++ {
@@ -292,44 +194,30 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			}
 			chunk := rest[:n]
 			rest = rest[n:]
-			switch rng.Intn(4) {
-			case 0:
-				raw = AppendPassthroughFrame(raw, chunk)
-				for range chunk {
-					wantIDs = append(wantIDs, 0)
+			// Random islands over the chunk, from none to all of it; then
+			// any tier whose row fits what came out.
+			ids := make([]uint32, len(chunk))
+			for pos, islands := 0, rng.Intn(4)*rng.Intn(8); islands > 0 && pos < len(chunk); islands-- {
+				pos += rng.Intn(5)
+				if pos >= len(chunk) {
+					break
 				}
-			case 1:
-				id := uint32(rng.Intn(3))
-				raw = AppendUniformFrame(raw, chunk, id)
-				for range chunk {
-					wantIDs = append(wantIDs, id)
+				ln := rng.Intn(len(chunk)-pos) + 1
+				id := uint32(rng.Intn(3) + 1)
+				for k := pos; k < pos+ln; k++ {
+					ids[k] = id
 				}
-			case 2:
-				// Random tainted islands over a mostly-clean chunk.
-				var ranges []DirtyRange
-				ids := make([]uint32, len(chunk))
-				for pos := 0; pos < len(chunk) && len(ranges) < MaxSparseRanges; {
-					pos += rng.Intn(5)
-					if pos >= len(chunk) {
-						break
-					}
-					ln := rng.Intn(len(chunk)-pos) + 1
-					id := uint32(rng.Intn(3) + 1) // sparse ranges must be non-zero-id
-					ranges = append(ranges, DirtyRange{Off: pos, Len: ln, ID: id})
-					for k := pos; k < pos+ln; k++ {
-						ids[k] = id
-					}
-					pos += ln
-				}
-				raw = AppendSparseFrame(raw, chunk, ranges)
-				wantIDs = append(wantIDs, ids...)
-			default:
-				id := uint32(rng.Intn(3))
-				raw = AppendGroupsFrame(raw, chunk, []Run{{N: len(chunk), ID: id}})
-				for range chunk {
-					wantIDs = append(wantIDs, id)
+				pos += ln
+			}
+			runs := idRuns(ids)
+			var fitting []int
+			for tier := range Tiers {
+				if Tiers[tier].Fits(ShapeOf(runs)) {
+					fitting = append(fitting, tier)
 				}
 			}
+			raw = AppendFrame(raw, fitting[rng.Intn(len(fitting))], chunk, runs)
+			wantIDs = append(wantIDs, ids...)
 		}
 
 		var dec FrameDecoder
@@ -359,28 +247,35 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if !bytes.Equal(gotData, data) {
 			t.Fatalf("data mismatch:\n got %x\nwant %x", gotData, data)
 		}
-		for i := range wantIDs {
-			if gotIDs[i] != wantIDs[i] {
-				t.Fatalf("id %d = %d, want %d", i, gotIDs[i], wantIDs[i])
-			}
+		if !equalIDs(gotIDs, wantIDs) {
+			t.Fatalf("ids = %v, want %v", gotIDs, wantIDs)
 		}
 	})
 }
 
 // FuzzFrameDecoderRobust feeds arbitrary bytes to the frame decoder
-// under arbitrary fragmentation: it must never panic, and once Feed
-// errors the error must stick.
+// under arbitrary fragmentation, as a stream and as a datagram: it must
+// never panic, once Feed errors the error must stick, and a stream that
+// does not open with the magic must never yield a byte.
 func FuzzFrameDecoderRobust(f *testing.F) {
+	// Openings this format refuses: the "DTF1" framing of the earlier
+	// one, with good and bad frames behind it, and no framing at all.
 	f.Add([]byte("DTF1P\x00\x00\x00\x03abc"), uint8(1))
 	f.Add([]byte("DTF1G\x00\x00\x00\x05hello"), uint8(3))
-	f.Add([]byte("DTF1Z\x00\x00\x00\x01x"), uint8(2)) // bad tag
-	f.Add([]byte("DTF1P\xff\xff\xff\xff"), uint8(4))  // oversize length
+	f.Add([]byte("DTF1Z\x00\x00\x00\x01x"), uint8(2))
+	f.Add([]byte("DTF1P\xff\xff\xff\xff"), uint8(4))
 	f.Add([]byte("not framed at all"), uint8(5))
 	f.Add([]byte("DTF2U\x00\x00\x00\x06\x00\x00\x00\x09ab"), uint8(2))                                                 // uniform frame
 	f.Add([]byte("DTF2U\x00\x00\x00\x02id"), uint8(1))                                                                 // uniform too short for an id
 	f.Add([]byte("DTF2S\x00\x00\x00\x04\x00\x00\x00\x00"), uint8(3))                                                   // empty sparse table
 	f.Add([]byte("DTF2S\x00\x00\x00\x08\xff\xff\xff\xff\x00\x00\x00\x01"), uint8(2))                                   // insane range count
 	f.Add([]byte("DTF2S\x00\x00\x00\x12\x00\x00\x00\x01\x00\x00\x00\x04\x00\x00\x00\x09\x00\x00\x00\x07xx"), uint8(4)) // range past data
+	f.Add([]byte("DTF2P\x00\x00\x00\x03abc"), uint8(1))
+	f.Add([]byte("DTF2G\x00\x00\x00\x05hello"), uint8(3))
+	f.Add([]byte("DTF2Z\x00\x00\x00\x01x"), uint8(2))              // bad tag
+	f.Add([]byte("DTF2P\xff\xff\xff\xff"), uint8(4))               // oversize length
+	f.Add([]byte("a\x00\x00\x00\x01b\x00\x00\x00\x02"), uint8(6))  // headerless groups
+	f.Add([]byte("DT\x00\x00\x00\x01a\x00\x00\x00\x01"), uint8(2)) // the packet codec's magic
 	f.Fuzz(func(t *testing.T, raw []byte, frag uint8) {
 		var dec FrameDecoder
 		var ferr error
@@ -398,11 +293,18 @@ func FuzzFrameDecoderRobust(f *testing.F) {
 			}
 			off += n
 		}
+		if !bytes.HasPrefix(raw, streamMagic[:]) && dec.Buffered() > 0 {
+			t.Fatalf("%d bytes decoded from a stream that opens %q", dec.Buffered(), raw[:min(len(raw), StreamMagicLen)])
+		}
 		for dec.Buffered() > 0 {
 			d, ids := dec.Next(13)
 			if len(d) != len(ids) {
 				t.Fatalf("pop returned %d bytes but %d ids", len(d), len(ids))
 			}
+		}
+		// The same bytes as one datagram (no magic expected there).
+		if d, ids, err := decodeDatagram(raw); err == nil && len(d) != len(ids) {
+			t.Fatalf("datagram pop returned %d bytes but %d ids", len(d), len(ids))
 		}
 	})
 }

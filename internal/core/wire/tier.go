@@ -5,53 +5,237 @@ import (
 	"fmt"
 )
 
-// Adaptive wire tiers (DESIGN.md §9).
+// The tier table (DESIGN.md §7).
 //
 // The group codec charges 5x for every byte of a tainted buffer even
 // when the taint structure is trivial: a uniformly-labelled bulk
 // transfer repeats the same Global ID per byte, and a mostly-clean
 // buffer with one tainted island group-encodes the clean majority too.
-// Two frame tiers between 'P' and 'G' carry those shapes at
-// near-passthrough cost:
-//
-//   - 'U' (uniform): body = one big-endian Global ID + the raw data
-//     bytes; every byte carries that id. GlobalIDLen bytes of overhead
-//     per frame instead of per byte.
-//   - 'S' (sparse): body = big-endian range count + count 12-byte
-//     (offset, length, Global ID) entries + the raw data bytes; bytes
-//     outside the listed ranges are untainted. Ranges must be in
-//     ascending offset order, non-overlapping, non-empty, non-zero-id
-//     and inside the data extent — anything else is stream corruption.
-//
-// Version negotiation: a stream that may carry 'U'/'S' frames opens
-// with the magic "DTF2" instead of "DTF1". The PR 5 decoder treats an
-// unknown fourth magic byte as a legacy raw-group stream, so an
-// adaptive sender must never be pointed at a pre-tier peer — the
-// adaptive endpoint is opt-in at construction exactly so the tags only
-// flow where both ends negotiated them. This decoder accepts both
-// magics (and all four tags under either), keeping every older sender
-// byte-compatible.
+// A frame therefore carries its payload in one of several tiers, each a
+// row of Tiers: the tag it travels under, the payload shapes it can
+// carry without dropping a label, how its label metadata is laid out,
+// and whether its body is raw data or groups. The decoder, every sender
+// and the round-trip tests read the rows; nothing else knows a tag.
 
-// adaptiveMagic opens a framed stream whose sender may emit the
-// uniform/sparse tiers.
-var adaptiveMagic = [4]byte{'D', 'T', 'F', '2'}
-
+// Indices into Tiers, cheapest first: the lattice P < U < S < G. Every
+// tier above a payload's sound minimum can carry it too.
 const (
+	TierPassthrough = iota
+	TierUniform
+	TierSparse
+	TierGroups
+)
+
+// Shape is what a sender knows of a payload's labels when it picks a
+// tier: N bytes, DirtyBytes of them tainted, in DirtyRuns maximal runs
+// of one label each. Exact is false when the sender stopped counting —
+// the counts are then lower bounds and only the last tier fits.
+type Shape struct {
+	N, DirtyBytes, DirtyRuns int
+	Exact                    bool
+}
+
+// Clean reports a payload without a tainted byte.
+func (s Shape) Clean() bool { return s.Exact && s.DirtyBytes == 0 }
+
+// A Tier is one row of the table.
+type Tier struct {
+	Tag  byte
+	Name string
+	// Fits is the sound-minimum precondition: whether a frame of this
+	// tier carries every label of a payload of shape s, in no more wire
+	// bytes than the groups it replaces — which is what keeps any
+	// datagram within FrameHeaderLen + WireLen(n), the size receivers
+	// enlarge their buffers to. The last row fits every shape.
+	Fits func(s Shape) bool
+	// Groups says the body after the metadata is the group encoding of
+	// the payload; otherwise it is the payload's raw bytes, labelled by
+	// the metadata alone.
+	Groups bool
+	// MetaLen returns how many metadata bytes open the body of a frame
+	// declaring body bytes, as far as the meta bytes read so far tell: a
+	// layout may be staged (a count, then the table it sizes), so the
+	// decoder asks again with each stage complete until the answer is
+	// len(meta). Nil means the tier has no metadata.
+	MetaLen func(meta []byte, body int) (int, error)
+	// Cover appends the run cover of the n raw body bytes that complete
+	// metadata describes. Nil where there is nothing to describe: a
+	// groups body labels itself, a raw body without metadata is
+	// untainted.
+	Cover func(dst []Run, meta []byte, n int) ([]Run, error)
+	// AppendMeta appends the metadata of a payload under runs, which
+	// satisfy Fits. Nil means the tier has no metadata.
+	AppendMeta func(dst []byte, runs []Run) []byte
+}
+
+// Frame tags of the four tiers.
+const (
+	// FramePassthrough tags a frame whose body is raw untainted bytes.
+	FramePassthrough byte = 'P'
 	// FrameUniform tags a frame whose body is a Global ID plus raw data
 	// bytes all carrying that taint.
 	FrameUniform byte = 'U'
 	// FrameSparse tags a frame whose body is a dirty-range table plus
 	// raw data bytes, tainted only inside the listed ranges.
 	FrameSparse byte = 'S'
+	// FrameGroups tags a frame whose body is the group encoding.
+	FrameGroups byte = 'G'
+)
+
+const (
 	// SparseRangeLen is the wire width of one dirty-range table entry:
 	// uint32 offset + uint32 length + Global ID.
 	SparseRangeLen = 12
 	// SparseCountLen is the wire width of the sparse range count.
 	SparseCountLen = 4
-	// MaxSparseRanges bounds the table a decoder accepts; a sender with
-	// more dirty runs uses the groups tier instead.
+	// MaxSparseRanges bounds the table a decoder accepts.
 	MaxSparseRanges = 1024
+	// sparseSendRanges is the densest taint a sender puts in a range
+	// table; beyond it the groups tier's tight loops win.
+	sparseSendRanges = 16
 )
+
+// Tiers is the table, in lattice order. Who may choose a row: any sender
+// whose payload Fits it, for a frame on a stream or as a datagram alike;
+// a stream's density tracker may only push the choice further down the
+// table, never up (PickTier).
+var Tiers = []Tier{
+	TierPassthrough: {
+		Tag: FramePassthrough, Name: "passthrough",
+		Fits: Shape.Clean,
+	},
+	TierUniform: {
+		// Metadata: the one Global ID every byte carries.
+		Tag: FrameUniform, Name: "uniform",
+		Fits: func(s Shape) bool {
+			return s.Exact && s.DirtyRuns == 1 && s.DirtyBytes == s.N
+		},
+		MetaLen: func([]byte, int) (int, error) { return GlobalIDLen, nil },
+		Cover: func(dst []Run, meta []byte, n int) ([]Run, error) {
+			return append(dst, Run{N: n, ID: binary.BigEndian.Uint32(meta)}), nil
+		},
+		AppendMeta: func(dst []byte, runs []Run) []byte {
+			return binary.BigEndian.AppendUint32(dst, runs[0].ID)
+		},
+	},
+	TierSparse: {
+		// Metadata: a range count, then that many (offset, length, Global
+		// ID) entries — ascending, non-overlapping, non-empty, non-zero-id
+		// and inside the data extent, anything else is corruption. Bytes
+		// outside the ranges are untainted. The table must not outweigh
+		// the id bytes of the groups it stands in for.
+		Tag: FrameSparse, Name: "sparse",
+		Fits: func(s Shape) bool {
+			return s.Exact && s.DirtyRuns <= sparseSendRanges &&
+				SparseCountLen+s.DirtyRuns*SparseRangeLen <= s.N*GlobalIDLen
+		},
+		MetaLen: func(meta []byte, body int) (int, error) {
+			if len(meta) < SparseCountLen {
+				return SparseCountLen, nil
+			}
+			k := binary.BigEndian.Uint32(meta)
+			if k > MaxSparseRanges {
+				return 0, fmt.Errorf("wire: sparse frame declares %d ranges (limit %d)", k, MaxSparseRanges)
+			}
+			return SparseCountLen + int(k)*SparseRangeLen, nil
+		},
+		Cover: func(dst []Run, meta []byte, n int) ([]Run, error) {
+			ranges, err := parseRangeTable(meta[SparseCountLen:], n)
+			if err != nil {
+				return nil, err
+			}
+			return rangeRunCover(dst, ranges, n), nil
+		},
+		AppendMeta: func(dst []byte, runs []Run) []byte {
+			var few [sparseSendRanges]DirtyRange
+			return appendRangeTable(dst, AppendDirtyRanges(few[:0], runs))
+		},
+	},
+	TierGroups: {
+		Tag: FrameGroups, Name: "groups",
+		Fits:   func(Shape) bool { return true },
+		Groups: true,
+		MetaLen: func(_ []byte, body int) (int, error) {
+			if body%GroupLen != 0 {
+				return 0, fmt.Errorf("wire: groups frame length %d is not a whole number of groups", body)
+			}
+			return 0, nil
+		},
+	},
+}
+
+// PickTier returns the tier of a frame for a payload of shape s: the
+// first row from floor down the table that fits it. floor is the tier a
+// stream's history asks for (0 on a datagram, which has none); it can
+// make a frame denser than its sound minimum, never cheaper, so no
+// choice of floor drops a label. A clean payload is passthrough whatever
+// the floor: it has no label to carry.
+func PickTier(s Shape, floor int) int {
+	if s.Clean() {
+		return TierPassthrough
+	}
+	t := floor
+	for !Tiers[t].Fits(s) {
+		t++
+	}
+	return t
+}
+
+// AppendHead appends everything of a tier-t frame that precedes its
+// body: the frame header and the metadata of n payload bytes under
+// runs. A sender that writes the body out-of-line (the zero-copy
+// raw-body send, the streamed groups writer) pairs this with it.
+func AppendHead(dst []byte, t, n int, runs []Run) []byte {
+	row := &Tiers[t]
+	body := n
+	if row.Groups {
+		body = WireLen(n)
+	}
+	if row.AppendMeta == nil {
+		return AppendFrameHeader(dst, row.Tag, body)
+	}
+	at := len(dst)
+	dst = row.AppendMeta(AppendFrameHeader(dst, row.Tag, 0), runs)
+	binary.BigEndian.PutUint32(dst[at+1:], uint32(len(dst)-at-FrameHeaderLen+body))
+	return dst
+}
+
+// AppendFrame appends the whole tier-t frame of data under its run
+// cover (nil = all untainted). A datagram is exactly one such frame.
+func AppendFrame(dst []byte, t int, data []byte, runs []Run) []byte {
+	dst = AppendHead(dst, t, len(data), runs)
+	if Tiers[t].Groups {
+		return EncodeRuns(dst, data, runs)
+	}
+	return append(dst, data...)
+}
+
+// AppendGroupsFrame appends a whole groups frame for data with its
+// taint runs (nil = all untainted, as in EncodeRuns).
+func AppendGroupsFrame(dst, data []byte, runs []Run) []byte {
+	return AppendFrame(dst, TierGroups, data, runs)
+}
+
+// GroupsFrameLen returns the framed size of n data bytes on the groups
+// tier — the most any tier's frame takes for n bytes.
+func GroupsFrameLen(n int) int { return FrameHeaderLen + WireLen(n) }
+
+// AppendUniformHeader appends a uniform frame's header and Global ID —
+// AppendHead for a sender that holds the id and no run.
+func AppendUniformHeader(dst []byte, n int, id uint32) []byte {
+	dst = AppendFrameHeader(dst, FrameUniform, GlobalIDLen+n)
+	return binary.BigEndian.AppendUint32(dst, id)
+}
+
+// AppendSparseHeader appends a sparse frame's header, range count and
+// range table — AppendHead for a sender that holds the ranges. They
+// must satisfy the table invariants for n data bytes
+// (ValidateDirtyRanges).
+func AppendSparseHeader(dst []byte, n int, ranges []DirtyRange) []byte {
+	dst = AppendFrameHeader(dst, FrameSparse,
+		SparseCountLen+len(ranges)*SparseRangeLen+n)
+	return appendRangeTable(dst, ranges)
+}
 
 // DirtyRange is one tainted island of a mostly-clean payload: Len bytes
 // at Off all carrying the taint with the given Global ID.
@@ -60,41 +244,9 @@ type DirtyRange struct {
 	ID       uint32
 }
 
-// UniformFrameLen returns the framed size of n uniformly-tainted bytes.
-func UniformFrameLen(n int) int { return FrameHeaderLen + GlobalIDLen + n }
-
-// SparseFrameLen returns the framed size of n data bytes with k dirty
-// ranges.
-func SparseFrameLen(n, k int) int {
-	return FrameHeaderLen + SparseCountLen + k*SparseRangeLen + n
-}
-
-// AppendAdaptiveStreamMagic appends the tier-capable stream magic.
-func AppendAdaptiveStreamMagic(dst []byte) []byte {
-	return append(dst, adaptiveMagic[:]...)
-}
-
-// AppendUniformHeader appends a uniform frame's header and Global ID —
-// everything but the raw data, for senders that write the payload
-// out-of-line (the zero-copy uniform send).
-func AppendUniformHeader(dst []byte, n int, id uint32) []byte {
-	dst = AppendFrameHeader(dst, FrameUniform, GlobalIDLen+n)
-	return binary.BigEndian.AppendUint32(dst, id)
-}
-
-// AppendUniformFrame appends a whole uniform frame: every byte of data
-// carries the taint with the given Global ID.
-func AppendUniformFrame(dst, data []byte, id uint32) []byte {
-	dst = AppendUniformHeader(dst, len(data), id)
-	return append(dst, data...)
-}
-
-// AppendSparseHeader appends a sparse frame's header, range count and
-// range table — everything but the raw data. ranges must satisfy the
-// table invariants for n data bytes (ValidateDirtyRanges).
-func AppendSparseHeader(dst []byte, n int, ranges []DirtyRange) []byte {
-	dst = AppendFrameHeader(dst, FrameSparse,
-		SparseCountLen+len(ranges)*SparseRangeLen+n)
+// appendRangeTable appends the sparse metadata: the count, then one
+// entry per range.
+func appendRangeTable(dst []byte, ranges []DirtyRange) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ranges)))
 	for _, r := range ranges {
 		dst = binary.BigEndian.AppendUint32(dst, uint32(r.Off))
@@ -102,13 +254,6 @@ func AppendSparseHeader(dst []byte, n int, ranges []DirtyRange) []byte {
 		dst = binary.BigEndian.AppendUint32(dst, r.ID)
 	}
 	return dst
-}
-
-// AppendSparseFrame appends a whole sparse frame for data with its
-// dirty ranges.
-func AppendSparseFrame(dst, data []byte, ranges []DirtyRange) []byte {
-	dst = AppendSparseHeader(dst, len(data), ranges)
-	return append(dst, data...)
 }
 
 // AppendDirtyRanges converts a full run cover into its dirty ranges
@@ -179,41 +324,4 @@ func parseRangeTable(table []byte, n int) ([]DirtyRange, error) {
 		return nil, err
 	}
 	return ranges, nil
-}
-
-// Packet codec tiers: a datagram whose payload is uniformly tainted
-// travels under the magic "DU" (header + Global ID + raw bytes); a
-// mostly-clean one under "DS" (header + range count + table + raw
-// bytes). Receivers accept all four magics; the tiered senders are
-// opt-in like the stream tiers.
-
-var (
-	uniformPacketMagic = [2]byte{'D', 'U'}
-	sparsePacketMagic  = [2]byte{'D', 'S'}
-)
-
-// EncodePacketUniform wraps one datagram payload every byte of which
-// carries the taint with the given Global ID.
-func EncodePacketUniform(data []byte, id uint32) []byte {
-	out := make([]byte, 0, PacketOverhead+GlobalIDLen+len(data))
-	out = append(out, uniformPacketMagic[0], uniformPacketMagic[1])
-	out = binary.BigEndian.AppendUint32(out, uint32(len(data)))
-	out = binary.BigEndian.AppendUint32(out, id)
-	return append(out, data...)
-}
-
-// EncodePacketSparse wraps one datagram payload tainted only inside the
-// given dirty ranges. The ranges must satisfy ValidateDirtyRanges.
-func EncodePacketSparse(data []byte, ranges []DirtyRange) []byte {
-	out := make([]byte, 0,
-		PacketOverhead+SparseCountLen+len(ranges)*SparseRangeLen+len(data))
-	out = append(out, sparsePacketMagic[0], sparsePacketMagic[1])
-	out = binary.BigEndian.AppendUint32(out, uint32(len(data)))
-	out = binary.BigEndian.AppendUint32(out, uint32(len(ranges)))
-	for _, r := range ranges {
-		out = binary.BigEndian.AppendUint32(out, uint32(r.Off))
-		out = binary.BigEndian.AppendUint32(out, uint32(r.Len))
-		out = binary.BigEndian.AppendUint32(out, r.ID)
-	}
-	return append(out, data...)
 }

@@ -2,48 +2,409 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
 
-// TestTierFrameLens pins the tiered framed-size helpers against the
-// append forms.
+// Test vocabulary over the tier table. Everything below that says "for
+// every tier" ranges over Tiers, so a row added to the table is covered
+// without an edit here (TestTierTableFifthRow adds one to prove it).
+
+// idRuns folds per-byte ids into their run cover — the reference way
+// from the per-byte form to what the table's encoders take.
+func idRuns(ids []uint32) []Run {
+	var runs []Run
+	for _, id := range ids {
+		if k := len(runs); k > 0 && runs[k-1].ID == id {
+			runs[k-1].N++
+		} else {
+			runs = append(runs, Run{N: 1, ID: id})
+		}
+	}
+	return runs
+}
+
+// ShapeOf returns the shape of a payload under its run cover (adjacent
+// runs carry different ids), as a sender's Stats scan would count it.
+func ShapeOf(runs []Run) Shape {
+	s := Shape{Exact: true}
+	for _, r := range runs {
+		s.N += r.N
+		if r.ID != 0 {
+			s.DirtyBytes += r.N
+			s.DirtyRuns++
+		}
+	}
+	return s
+}
+
+// labelShapes returns per-byte id layouts of n bytes from the trivial to
+// the worst case of the format: clean, one label, two islands, islands
+// beyond what a sender puts in a range table, two labels alternating
+// byte by byte, a different id on every byte.
+func labelShapes(n int) map[string][]uint32 {
+	mk := func(f func(i int) uint32) []uint32 {
+		ids := make([]uint32, n)
+		for i := range ids {
+			ids[i] = f(i)
+		}
+		return ids
+	}
+	return map[string][]uint32{
+		"clean":   mk(func(int) uint32 { return 0 }),
+		"uniform": mk(func(int) uint32 { return 7 }),
+		"islands": mk(func(i int) uint32 {
+			if i == 1 || (i >= n/2 && i < n/2+3) {
+				return 9
+			}
+			return 0
+		}),
+		"archipelago": mk(func(i int) uint32 {
+			if i%(n/24+2) == 0 {
+				return uint32(3 + i%2)
+			}
+			return 0
+		}),
+		"alternating": mk(func(i int) uint32 { return uint32(1 + i&1) }),
+		"churn":       mk(func(i int) uint32 { return uint32(i + 1) }),
+	}
+}
+
+// payload returns n deterministic data bytes.
+func payload(n int) []byte {
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte('a' + i%26)
+	}
+	return data
+}
+
+// forEachFit calls f for every (tier, layout) pair of n bytes in which
+// the tier's row fits the layout — the frames a sender may emit.
+func forEachFit(n int, f func(t int, name string, data []byte, ids []uint32)) {
+	data := payload(n)
+	for name, ids := range labelShapes(n) {
+		for t := range Tiers {
+			if Tiers[t].Fits(ShapeOf(idRuns(ids))) {
+				f(t, name, data, ids)
+			}
+		}
+	}
+}
+
+// decodeDatagram splits a one-frame datagram (or a prefix of one) into
+// payload bytes and per-byte ids.
+func decodeDatagram(raw []byte) ([]byte, []uint32, error) {
+	var d FrameDecoder
+	if err := d.FeedDatagram(raw); err != nil {
+		return nil, nil, err
+	}
+	data, ids := d.Next(d.Buffered())
+	return data, ids, nil
+}
+
+func equalIDs(a, b []uint32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// checkTierRoundTrips frames every fitting layout on every tier, as a
+// stream under every fragmentation and as a datagram, and requires the
+// bytes and the per-byte ids back. It returns the tags it exercised.
+func checkTierRoundTrips(t *testing.T) map[byte]int {
+	t.Helper()
+	seen := map[byte]int{}
+	for _, n := range []int{1, 5, 20, 64, 200} {
+		forEachFit(n, func(tier int, name string, data []byte, ids []uint32) {
+			frame := AppendFrame(nil, tier, data, idRuns(ids))
+			if frame[0] != Tiers[tier].Tag {
+				t.Fatalf("%s/%s: frame opens with tag %q", Tiers[tier].Name, name, frame[0])
+			}
+			seen[frame[0]]++
+			stream := append(AppendAdaptiveStreamMagic(nil), frame...)
+			for frag := 1; frag <= len(stream); frag += 1 + frag/16 {
+				var d FrameDecoder
+				feedFragmented(t, &d, stream, frag)
+				if d.PendingPartial() {
+					t.Fatalf("%s/%s n=%d frag %d: whole frame left a partial", Tiers[tier].Name, name, n, frag)
+				}
+				gotData, gotIDs := drainIDs(&d)
+				if !bytes.Equal(gotData, data) || !equalIDs(gotIDs, ids) {
+					t.Fatalf("%s/%s n=%d frag %d: decoded %q %v", Tiers[tier].Name, name, n, frag, gotData, gotIDs)
+				}
+			}
+			gotData, gotIDs, err := decodeDatagram(frame)
+			if err != nil || !bytes.Equal(gotData, data) || !equalIDs(gotIDs, ids) {
+				t.Fatalf("%s/%s n=%d: datagram decoded %q %v, %v", Tiers[tier].Name, name, n, gotData, gotIDs, err)
+			}
+		})
+	}
+	return seen
+}
+
+// checkDatagramPrefixes is the truncation property of the one-frame
+// datagram: for every tier and every cut point k, decoding raw[:k]
+// yields a prefix of the full decode's bytes under identical labels, or
+// ErrTruncatedPacket exactly when the header or the metadata is
+// incomplete — and the decoder never mutates its input.
+func checkDatagramPrefixes(t *testing.T) {
+	t.Helper()
+	for _, n := range []int{1, 20, 64} {
+		forEachFit(n, func(tier int, name string, data []byte, ids []uint32) {
+			runs := idRuns(ids)
+			raw := AppendFrame(nil, tier, data, runs)
+			orig := append([]byte(nil), raw...)
+			head := len(AppendHead(nil, tier, n, runs))
+			for k := 0; k <= len(raw); k++ {
+				got, gotIDs, err := decodeDatagram(raw[:k])
+				if k < head {
+					if !errors.Is(err, ErrTruncatedPacket) {
+						t.Fatalf("%s/%s n=%d cut %d inside the %d-byte head: err = %v", Tiers[tier].Name, name, n, k, head, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s/%s n=%d cut %d: %v", Tiers[tier].Name, name, n, k, err)
+				}
+				want := k - head
+				if Tiers[tier].Groups {
+					want /= GroupLen
+				}
+				if len(got) != want || !bytes.Equal(got, data[:want]) || !equalIDs(gotIDs, ids[:want]) {
+					t.Fatalf("%s/%s n=%d cut %d: prefix = %q %v, want %d bytes of %q %v",
+						Tiers[tier].Name, name, n, k, got, gotIDs, want, data, ids)
+				}
+			}
+			if !bytes.Equal(raw, orig) {
+				t.Fatalf("%s/%s: decoding mutated the datagram", Tiers[tier].Name, name)
+			}
+		})
+	}
+}
+
+// checkDatagramSizes pins the invariant that makes one receive buffer
+// right for every tier: whatever row a sender picks for n bytes, the
+// datagram is no longer than the groups form, FrameHeaderLen+WireLen(n).
+func checkDatagramSizes(t *testing.T) {
+	t.Helper()
+	for n := 1; n <= 260; n++ {
+		forEachFit(n, func(tier int, name string, data []byte, ids []uint32) {
+			if got := len(AppendFrame(nil, tier, data, idRuns(ids))); got > GroupsFrameLen(n) {
+				t.Fatalf("%s/%s: %d payload bytes travel as %d, past the %d a receiver makes room for",
+					Tiers[tier].Name, name, n, got, GroupsFrameLen(n))
+			}
+		})
+	}
+}
+
+func TestTierRoundTrips(t *testing.T) {
+	seen := checkTierRoundTrips(t)
+	for _, row := range Tiers {
+		if seen[row.Tag] == 0 {
+			t.Errorf("no test layout fits the %s tier", row.Name)
+		}
+	}
+}
+
+func TestDatagramPrefixProperty(t *testing.T) { checkDatagramPrefixes(t) }
+
+func TestDatagramNeverOutgrowsGroups(t *testing.T) { checkDatagramSizes(t) }
+
+// TestSparseYieldsToGroupsWhenLarger is the regression case of the
+// size rule: 20 bytes tainted on every other byte are 10 dirty runs,
+// whose range table (150 wire bytes as a frame) outweighs the 105 of
+// the groups it would replace — the sound minimum is groups.
+func TestSparseYieldsToGroupsWhenLarger(t *testing.T) {
+	ids := make([]uint32, 20)
+	for i := 0; i < len(ids); i += 2 {
+		ids[i] = 5
+	}
+	s := ShapeOf(idRuns(ids))
+	if s.DirtyRuns != 10 || s.DirtyBytes != 10 || s.N != 20 {
+		t.Fatalf("shape = %+v", s)
+	}
+	if Tiers[TierSparse].Fits(s) {
+		t.Fatal("sparse row admits a table larger than the id bytes it replaces")
+	}
+	if got := PickTier(s, 0); got != TierGroups {
+		t.Fatalf("PickTier = %s, want groups", Tiers[got].Name)
+	}
+	// The table pays for itself from 4+12k <= 4n on: n = 3k+1.
+	s.N = 3 * s.DirtyRuns
+	if Tiers[TierSparse].Fits(s) {
+		t.Fatalf("sparse row admits %+v", s)
+	}
+	s.N++
+	if !Tiers[TierSparse].Fits(s) || PickTier(s, 0) != TierSparse {
+		t.Fatalf("sparse row refuses %+v", s)
+	}
+}
+
+// TestPickTier pins the ladder: the sound minimum from the top of the
+// table, a floor that only ever densifies, clean exempt from it.
+func TestPickTier(t *testing.T) {
+	clean := Shape{N: 64, Exact: true}
+	uniform := Shape{N: 64, DirtyBytes: 64, DirtyRuns: 1, Exact: true}
+	sparse := Shape{N: 64, DirtyBytes: 6, DirtyRuns: 2, Exact: true}
+	dense := Shape{N: 64, DirtyBytes: 33, DirtyRuns: 33}
+	for _, tc := range []struct {
+		name  string
+		s     Shape
+		floor int
+		want  int
+	}{
+		{"clean", clean, 0, TierPassthrough},
+		{"clean under a dense history", clean, TierGroups, TierPassthrough},
+		{"uniform", uniform, 0, TierUniform},
+		{"uniform on a sparse stream", uniform, TierSparse, TierSparse},
+		{"uniform on a dense stream", uniform, TierGroups, TierGroups},
+		{"sparse", sparse, 0, TierSparse},
+		{"sparse on a uniform stream", sparse, TierUniform, TierSparse},
+		{"inexact", dense, 0, TierGroups},
+		{"one tainted byte of one", Shape{N: 1, DirtyBytes: 1, DirtyRuns: 1, Exact: true}, TierSparse, TierGroups},
+	} {
+		if got := PickTier(tc.s, tc.floor); got != tc.want {
+			t.Errorf("%s: PickTier(%+v, %d) = %d, want %d", tc.name, tc.s, tc.floor, got, tc.want)
+		}
+	}
+}
+
+// TestTierTableFifthRow adds a throwaway row — 'R', a run-length tier:
+// count, then (length, Global ID) per run, raw body — between sparse and
+// groups, and shows that nothing else needs an edit: PickTier and
+// AppendFrame (the sender's half) emit it for the layouts it alone fits
+// below groups, the decoder reads it on both envelopes, and the
+// round-trip, truncation and size harnesses above cover it.
+func TestTierTableFifthRow(t *testing.T) {
+	const entry = 8
+	rl := Tier{
+		Tag: 'R', Name: "run-length",
+		Fits: func(s Shape) bool {
+			return s.Exact && s.DirtyRuns <= 64 && 4+entry*(2*s.DirtyRuns+1) <= s.N*GlobalIDLen
+		},
+		MetaLen: func(meta []byte, _ int) (int, error) {
+			if len(meta) < 4 {
+				return 4, nil
+			}
+			k := binary.BigEndian.Uint32(meta)
+			if k > 129 {
+				return 0, fmt.Errorf("run-length frame declares %d runs", k)
+			}
+			return 4 + int(k)*entry, nil
+		},
+		Cover: func(dst []Run, meta []byte, n int) ([]Run, error) {
+			for at := 4; at < len(meta); at += entry {
+				dst = append(dst, Run{N: int(binary.BigEndian.Uint32(meta[at:])), ID: binary.BigEndian.Uint32(meta[at+4:])})
+			}
+			if RunsLen(dst) != n {
+				return nil, fmt.Errorf("run-length cover spans %d of %d bytes", RunsLen(dst), n)
+			}
+			return dst, nil
+		},
+		AppendMeta: func(dst []byte, runs []Run) []byte {
+			dst = binary.BigEndian.AppendUint32(dst, uint32(len(runs)))
+			for _, r := range runs {
+				dst = binary.BigEndian.AppendUint32(dst, uint32(r.N))
+				dst = binary.BigEndian.AppendUint32(dst, r.ID)
+			}
+			return dst
+		},
+	}
+	table := Tiers
+	defer func() { Tiers = table }()
+	Tiers = append(append(append([]Tier(nil), table[:TierGroups]...), rl), table[TierGroups:]...)
+
+	// The sender's half: 20 islands are past the sparse row and fit the
+	// new one, which sits before groups in the table.
+	ids := labelShapes(200)["archipelago"]
+	runs := idRuns(ids)
+	if s := ShapeOf(runs); Tiers[TierSparse].Fits(s) || !rl.Fits(s) {
+		t.Fatalf("archipelago shape %+v does not single the new row out", s)
+	}
+	picked := PickTier(ShapeOf(runs), 0)
+	if Tiers[picked].Tag != 'R' {
+		t.Fatalf("PickTier chose %s", Tiers[picked].Name)
+	}
+	frame := AppendFrame(nil, picked, payload(200), runs)
+	if len(frame) >= GroupsFrameLen(200) {
+		t.Fatalf("run-length frame takes %d bytes", len(frame))
+	}
+	// The decoder's half, and a corrupt table through the row's own check.
+	got, gotIDs, err := decodeDatagram(frame)
+	if err != nil || !bytes.Equal(got, payload(200)) || !equalIDs(gotIDs, ids) {
+		t.Fatalf("decoded %q %v, %v", got, gotIDs, err)
+	}
+	frame[FrameHeaderLen+4+3]++ // first run one byte longer than the body
+	if _, _, err := decodeDatagram(frame); err == nil || !strings.Contains(err.Error(), "run-length cover") {
+		t.Fatalf("corrupt run-length table: %v", err)
+	}
+	// The harnesses.
+	if seen := checkTierRoundTrips(t); seen['R'] == 0 {
+		t.Fatal("round-trip harness never framed the new row")
+	}
+	checkDatagramPrefixes(t)
+	checkDatagramSizes(t)
+}
+
+// Whole frames through the helpers a sender that already holds an id or
+// a range table uses instead of AppendHead.
+func uniformFrame(dst, data []byte, id uint32) []byte {
+	return append(AppendUniformHeader(dst, len(data), id), data...)
+}
+
+func sparseFrame(dst, data []byte, ranges []DirtyRange) []byte {
+	return append(AppendSparseHeader(dst, len(data), ranges), data...)
+}
+
+func passthroughFrame(dst, data []byte) []byte {
+	return AppendFrame(dst, TierPassthrough, data, nil)
+}
+
+// TestTierFrameLens pins the header helpers against the table's
+// encoder: a sender holding an id or a range table must emit the bytes
+// AppendFrame emits from the run cover, so the zero-copy two-write send
+// and the whole-frame form agree.
 func TestTierFrameLens(t *testing.T) {
 	data := []byte("uniformly tainted payload")
-	if got := len(AppendUniformFrame(nil, data, 7)); got != UniformFrameLen(len(data)) {
-		t.Fatalf("uniform frame = %d bytes, UniformFrameLen says %d", got, UniformFrameLen(len(data)))
+	whole := AppendFrame(nil, TierUniform, data, []Run{{N: len(data), ID: 7}})
+	if split := uniformFrame(nil, data, 7); !bytes.Equal(whole, split) {
+		t.Fatal("AppendUniformHeader + payload differs from the uniform row's frame")
+	}
+	if len(whole) != FrameHeaderLen+GlobalIDLen+len(data) {
+		t.Fatalf("uniform frame = %d bytes", len(whole))
 	}
 	ranges := []DirtyRange{{Off: 2, Len: 3, ID: 9}, {Off: 10, Len: 1, ID: 4}}
-	if got := len(AppendSparseFrame(nil, data, ranges)); got != SparseFrameLen(len(data), len(ranges)) {
-		t.Fatalf("sparse frame = %d bytes, SparseFrameLen says %d", got, SparseFrameLen(len(data), len(ranges)))
+	whole = AppendFrame(nil, TierSparse, data, rangeRunCover(nil, ranges, len(data)))
+	if split := sparseFrame(nil, data, ranges); !bytes.Equal(whole, split) {
+		t.Fatal("AppendSparseHeader + payload differs from the sparse row's frame")
 	}
-	// The header halves must be the frame minus the raw payload, so the
-	// zero-copy two-write send emits identical bytes.
-	whole := AppendUniformFrame(nil, data, 7)
-	split := append(AppendUniformHeader(nil, len(data), 7), data...)
-	if !bytes.Equal(whole, split) {
-		t.Fatal("AppendUniformHeader + payload differs from AppendUniformFrame")
-	}
-	whole = AppendSparseFrame(nil, data, ranges)
-	split = append(AppendSparseHeader(nil, len(data), ranges), data...)
-	if !bytes.Equal(whole, split) {
-		t.Fatal("AppendSparseHeader + payload differs from AppendSparseFrame")
+	if len(whole) != FrameHeaderLen+SparseCountLen+len(ranges)*SparseRangeLen+len(data) {
+		t.Fatalf("sparse frame = %d bytes", len(whole))
 	}
 }
 
 // TestTierMixedRoundTrip interleaves all four frame tiers on one
-// adaptive stream at every fragmentation size.
+// stream at every fragmentation size.
 func TestTierMixedRoundTrip(t *testing.T) {
 	var raw []byte
 	raw = AppendAdaptiveStreamMagic(raw)
-	raw = AppendPassthroughFrame(raw, []byte("clean"))
-	raw = AppendUniformFrame(raw, []byte("uniform"), 3)
-	raw = AppendSparseFrame(raw, []byte("sparse-islands"),
+	raw = passthroughFrame(raw, []byte("clean"))
+	raw = uniformFrame(raw, []byte("uniform"), 3)
+	raw = sparseFrame(raw, []byte("sparse-islands"),
 		[]DirtyRange{{Off: 0, Len: 2, ID: 5}, {Off: 7, Len: 3, ID: 8}})
 	raw = AppendGroupsFrame(raw, []byte("dense"), []Run{{N: 2, ID: 1}, {N: 3, ID: 2}})
-	raw = AppendUniformFrame(raw, nil, 6) // empty uniform frame is legal
-	raw = AppendUniformFrame(raw, []byte("more"), 3)
+	raw = uniformFrame(raw, nil, 6) // empty uniform frame is legal
+	raw = uniformFrame(raw, []byte("more"), 3)
 
 	wantData := []byte("clean" + "uniform" + "sparse-islands" + "dense" + "more")
 	var wantIDs []uint32
@@ -64,64 +425,8 @@ func TestTierMixedRoundTrip(t *testing.T) {
 		if !bytes.Equal(data, wantData) {
 			t.Fatalf("frag %d: data = %q, want %q", frag, data, wantData)
 		}
-		if len(gotIDs) != len(wantIDs) {
-			t.Fatalf("frag %d: %d ids, want %d", frag, len(gotIDs), len(wantIDs))
-		}
-		for i := range wantIDs {
-			if gotIDs[i] != wantIDs[i] {
-				t.Fatalf("frag %d: id %d = %d, want %d", frag, i, gotIDs[i], wantIDs[i])
-			}
-		}
-	}
-}
-
-// TestTierTagsUnderLegacyMagic checks decode liberality: the new tags
-// are accepted under the PR 5 "DTF1" magic too, so a peer that
-// negotiated tiers but kept the old magic still decodes.
-func TestTierTagsUnderLegacyMagic(t *testing.T) {
-	var raw []byte
-	raw = AppendStreamMagic(raw)
-	raw = AppendUniformFrame(raw, []byte("abc"), 2)
-	var d FrameDecoder
-	if err := d.Feed(raw); err != nil {
-		t.Fatal(err)
-	}
-	data, ids := drainIDs(&d)
-	if string(data) != "abc" || ids[0] != 2 || ids[2] != 2 {
-		t.Fatalf("decoded %q %v", data, ids)
-	}
-}
-
-// TestAdaptiveMagicCompat checks the cross-version sniffing matrix:
-// PR 5 frames under the adaptive magic decode, and a legacy raw-group
-// stream sharing three magic bytes still falls back losslessly.
-func TestAdaptiveMagicCompat(t *testing.T) {
-	var raw []byte
-	raw = AppendAdaptiveStreamMagic(raw)
-	raw = AppendPassthroughFrame(raw, []byte("old-style"))
-	raw = AppendGroupsFrame(raw, []byte("gg"), []Run{{N: 2, ID: 11}})
-	for frag := 1; frag <= len(raw); frag++ {
-		var d FrameDecoder
-		feedFragmented(t, &d, raw, frag)
-		data, ids := drainIDs(&d)
-		if string(data) != "old-stylegg" {
-			t.Fatalf("frag %d: data = %q", frag, data)
-		}
-		if ids[9] != 11 || ids[10] != 11 || ids[0] != 0 {
-			t.Fatalf("frag %d: ids = %v", frag, ids)
-		}
-	}
-
-	// "DTF" then a byte that is neither '1' nor '2' is a legacy stream.
-	payload := []byte("DTFX legacy payload")
-	ids := make([]uint32, len(payload))
-	legacy := EncodeGroups(nil, payload, ids)
-	for frag := 1; frag <= len(legacy); frag++ {
-		var d FrameDecoder
-		feedFragmented(t, &d, legacy, frag)
-		data, _ := drainIDs(&d)
-		if !bytes.Equal(data, payload) {
-			t.Fatalf("frag %d: legacy fallback decoded %q", frag, data)
+		if !equalIDs(gotIDs, wantIDs) {
+			t.Fatalf("frag %d: ids = %v, want %v", frag, gotIDs, wantIDs)
 		}
 	}
 }
@@ -129,23 +434,24 @@ func TestAdaptiveMagicCompat(t *testing.T) {
 // TestTierStickyErrors checks the tiered corruption classes are
 // rejected with sticky errors.
 func TestTierStickyErrors(t *testing.T) {
-	overlap := AppendSparseFrame(AppendAdaptiveStreamMagic(nil), make([]byte, 10),
+	magic := AppendAdaptiveStreamMagic(nil)
+	overlap := sparseFrame(magic, make([]byte, 10),
 		[]DirtyRange{{Off: 0, Len: 4, ID: 1}, {Off: 2, Len: 4, ID: 2}})
-	outside := AppendSparseFrame(AppendAdaptiveStreamMagic(nil), make([]byte, 4),
+	outside := sparseFrame(magic, make([]byte, 4),
 		[]DirtyRange{{Off: 2, Len: 8, ID: 1}})
-	zeroID := AppendSparseFrame(AppendAdaptiveStreamMagic(nil), make([]byte, 8),
+	zeroID := sparseFrame(magic, make([]byte, 8),
 		[]DirtyRange{{Off: 1, Len: 2, ID: 0}})
-	zeroLen := AppendSparseFrame(AppendAdaptiveStreamMagic(nil), make([]byte, 8),
+	zeroLen := sparseFrame(magic, make([]byte, 8),
 		[]DirtyRange{{Off: 1, Len: 0, ID: 3}})
 	cases := []struct {
 		name string
 		raw  []byte
 		want string
 	}{
-		{"short uniform", AppendFrameHeader(AppendAdaptiveStreamMagic(nil), FrameUniform, GlobalIDLen-1), "cannot hold a Global ID"},
-		{"short sparse", AppendFrameHeader(AppendAdaptiveStreamMagic(nil), FrameSparse, SparseCountLen-1), "cannot hold a range count"},
-		{"table overflow", AppendSparseHeader(AppendAdaptiveStreamMagic(nil), 0, make([]DirtyRange, MaxSparseRanges+1)), "limit"},
-		{"table past body", append(AppendFrameHeader(AppendAdaptiveStreamMagic(nil), FrameSparse, SparseCountLen+2), 0, 0, 0, 9, 'x', 'x'), "cannot hold"},
+		{"short uniform", AppendFrameHeader(magic, FrameUniform, GlobalIDLen-1), "cannot hold 4 metadata bytes"},
+		{"short sparse", AppendFrameHeader(magic, FrameSparse, SparseCountLen-1), "cannot hold 4 metadata bytes"},
+		{"table overflow", AppendSparseHeader(magic, 0, make([]DirtyRange, MaxSparseRanges+1)), "limit"},
+		{"table past body", append(AppendFrameHeader(magic, FrameSparse, SparseCountLen+2), 0, 0, 0, 9, 'x', 'x'), "cannot hold"},
 		{"overlapping ranges", overlap, "overlaps or reorders"},
 		{"range outside data", outside, "exceeds"},
 		{"zero-id range", zeroID, "untainted id"},
@@ -174,14 +480,14 @@ func TestTierStickyErrors(t *testing.T) {
 func TestTierPendingPartial(t *testing.T) {
 	var raw []byte
 	raw = AppendAdaptiveStreamMagic(raw)
-	raw = AppendUniformFrame(raw, []byte("abc"), 2)
-	raw = AppendSparseFrame(raw, []byte("defgh"), []DirtyRange{{Off: 1, Len: 2, ID: 4}})
+	raw = uniformFrame(raw, []byte("abc"), 2)
+	raw = sparseFrame(raw, []byte("defgh"), []DirtyRange{{Off: 1, Len: 2, ID: 4}})
 
 	boundaries := map[int]bool{
-		0:                                   true,
-		StreamMagicLen:                      true,
-		StreamMagicLen + UniformFrameLen(3): true,
-		len(raw):                            true,
+		0:              true,
+		StreamMagicLen: true,
+		StreamMagicLen + FrameHeaderLen + GlobalIDLen + 3: true,
+		len(raw): true,
 	}
 	for cut := 0; cut <= len(raw); cut++ {
 		var d FrameDecoder
@@ -220,102 +526,7 @@ func TestDirtyRangeHelpers(t *testing.T) {
 			t.Fatalf("round-tripped range %d = %+v, want %+v", i, back[i], want[i])
 		}
 	}
-}
-
-// TestPacketUniformRoundTrip checks the uniform datagram flavour and
-// its truncation salvage.
-func TestPacketUniformRoundTrip(t *testing.T) {
-	payload := []byte("uniform datagram")
-	raw := EncodePacketUniform(payload, 42)
-	if len(raw) != PacketOverhead+GlobalIDLen+len(payload) {
-		t.Fatalf("uniform packet = %d bytes", len(raw))
-	}
-	data, runs, err := DecodePacketRuns(raw)
-	if err != nil || !bytes.Equal(data, payload) {
-		t.Fatalf("DecodePacketRuns = %q, %v", data, err)
-	}
-	if len(runs) != 1 || runs[0] != (Run{N: len(payload), ID: 42}) {
-		t.Fatalf("runs = %+v", runs)
-	}
-	data2, ids, err := DecodePacket(raw)
-	if err != nil || !bytes.Equal(data2, payload) || ids[0] != 42 || ids[len(ids)-1] != 42 {
-		t.Fatalf("DecodePacket = %q %v %v", data2, ids, err)
-	}
-
-	// Truncation: data bytes past the intact id salvage; cuts inside
-	// the header or id do not.
-	for cut := 0; cut <= len(raw); cut++ {
-		p, pruns, perr := DecodePacketPrefixRuns(raw[:cut])
-		if cut < PacketOverhead+GlobalIDLen {
-			if perr == nil {
-				t.Fatalf("cut %d: want truncation error", cut)
-			}
-			continue
-		}
-		if perr != nil {
-			t.Fatalf("cut %d: %v", cut, perr)
-		}
-		want := payload[:cut-PacketOverhead-GlobalIDLen]
-		if !bytes.Equal(p, want) {
-			t.Fatalf("cut %d: prefix = %q, want %q", cut, p, want)
-		}
-		if RunsLen(pruns) != len(p) || (len(p) > 0 && pruns[0].ID != 42) {
-			t.Fatalf("cut %d: runs = %+v", cut, pruns)
-		}
-	}
-}
-
-// TestPacketSparseRoundTrip checks the sparse datagram flavour and that
-// truncation drops or clips ranges past the cut.
-func TestPacketSparseRoundTrip(t *testing.T) {
-	payload := []byte("sparse island datagram body")
-	ranges := []DirtyRange{{Off: 2, Len: 3, ID: 6}, {Off: 20, Len: 5, ID: 13}}
-	raw := EncodePacketSparse(payload, ranges)
-	data, runs, err := DecodePacketRuns(raw)
-	if err != nil || !bytes.Equal(data, payload) {
-		t.Fatalf("DecodePacketRuns = %q, %v", data, err)
-	}
-	got := AppendDirtyRanges(nil, runs)
-	if len(got) != 2 || got[0] != ranges[0] || got[1] != ranges[1] {
-		t.Fatalf("ranges = %+v", got)
-	}
-
-	meta := PacketOverhead + SparseCountLen + len(ranges)*SparseRangeLen
-	for cut := 0; cut <= len(raw); cut++ {
-		p, pruns, perr := DecodePacketPrefixRuns(raw[:cut])
-		if cut < meta {
-			if perr == nil {
-				t.Fatalf("cut %d: want truncation error before the table is whole", cut)
-			}
-			continue
-		}
-		if perr != nil {
-			t.Fatalf("cut %d: %v", cut, perr)
-		}
-		n := cut - meta
-		if !bytes.Equal(p, payload[:n]) {
-			t.Fatalf("cut %d: prefix = %q", cut, p)
-		}
-		if RunsLen(pruns) != n {
-			t.Fatalf("cut %d: runs %+v cover %d of %d", cut, pruns, RunsLen(pruns), n)
-		}
-		// Labels of the surviving prefix must match the full decode.
-		for i, r := range AppendDirtyRanges(nil, pruns) {
-			w := ranges[i]
-			if end := w.Off + w.Len; end > n {
-				w.Len = n - w.Off
-			}
-			if r != w {
-				t.Fatalf("cut %d: salvaged range %d = %+v, want %+v", cut, i, r, w)
-			}
-		}
-	}
-	// The salvage path must not mutate the caller's datagram.
-	full := EncodePacketSparse(payload, ranges)
-	if _, _, err := DecodePacketPrefixRuns(full[:meta+3]); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(full, raw) {
-		t.Fatal("DecodePacketPrefixRuns mutated its input")
+	if s := ShapeOf(runs); s != (Shape{N: 12, DirtyBytes: 5, DirtyRuns: 3, Exact: true}) {
+		t.Fatalf("ShapeOf = %+v", s)
 	}
 }

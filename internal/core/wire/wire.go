@@ -5,22 +5,26 @@
 // buffer by a known factor and never receive a partial taint — the
 // "mismatched serialized taint length" problem the Taint Map solves.
 //
-// Three codecs cover the paper's three instrumentation types:
+// Groups travel in frames (frame.go): a tag, a body length and a body
+// that is either the group encoding or a cheaper form of the same labels
+// the tier table (tier.go) admits for the payload's shape. One frame
+// format serves the paper's three instrumentation types through two
+// envelopes:
 //
-//   - stream codec (Type 1): a continuous group stream with a stateful
-//     decoder that tolerates arbitrary read fragmentation;
-//   - packet codec (Type 2): a whole datagram wrapped with a small
-//     header carrying the original length;
-//   - buffer codec (Type 3) reuses the stream encoding over the contents
-//     of a direct buffer (the dispatcher writes whole buffers).
+//   - a stream (Type 1 sockets, Type 3 direct buffers) opens with a
+//     magic and carries frames back to back, decoded statefully under
+//     arbitrary read fragmentation;
+//   - a datagram (Type 2) is exactly one frame and no magic.
 //
-// Every codec has a run form (EncodeRuns, DecodeGroupsRuns, NextRuns,
-// EncodePacketRuns, ...) that describes taint as []Run — stretches of
-// consecutive bytes sharing one Global ID — instead of a per-byte
-// []uint32. The wire format is identical; only the in-memory shape
-// changes. Real payloads are dominated by long single-taint stretches,
-// so the run forms do the id bookkeeping once per run instead of once
-// per byte and avoid materializing 4 bytes of id per data byte.
+// The codec has a run form (EncodeRuns, AppendRun, NextRuns, ...) that
+// describes taint as []Run — stretches of consecutive bytes sharing one
+// Global ID — instead of a per-byte []uint32. The wire format is
+// identical; only the in-memory shape changes. Real payloads are
+// dominated by long single-taint stretches, so the run forms do the id
+// bookkeeping once per run instead of once per byte and avoid
+// materializing 4 bytes of id per data byte. The per-byte forms
+// (EncodeGroups, DecodeGroups, ExpandRuns) are the reference the tests
+// compare against.
 package wire
 
 import (
@@ -39,7 +43,8 @@ const (
 	GroupLen = 1 + GlobalIDLen
 )
 
-// ErrTruncatedPacket reports a packet shorter than its header claims.
+// ErrTruncatedPacket reports a datagram cut short inside its frame header
+// or label metadata, where nothing of the payload can be delivered.
 var ErrTruncatedPacket = errors.New("wire: truncated taint packet")
 
 // WireLen returns the encoded size of n data bytes in the stream codec.
@@ -238,31 +243,6 @@ func EncodeGroups(dst, data []byte, ids []uint32) []byte {
 	return scratch[:need]
 }
 
-// DecodeGroupsRuns splits a whole-group wire buffer into data bytes and
-// taint runs, without materializing a per-byte id slice. len(raw) must
-// be a multiple of GroupLen.
-func DecodeGroupsRuns(raw []byte) (data []byte, runs []Run, err error) {
-	if len(raw)%GroupLen != 0 {
-		return nil, nil, fmt.Errorf("wire: %d bytes is not a whole number of groups", len(raw))
-	}
-	data = make([]byte, len(raw)/GroupLen)
-	for i, k := 0, 0; i < len(raw); {
-		id := binary.BigEndian.Uint32(raw[i+1 : i+GroupLen])
-		j := i
-		for {
-			data[k] = raw[j]
-			k++
-			j += GroupLen
-			if j >= len(raw) || binary.BigEndian.Uint32(raw[j+1:j+GroupLen]) != id {
-				break
-			}
-		}
-		runs = append(runs, Run{N: (j - i) / GroupLen, ID: id})
-		i = j
-	}
-	return data, runs, nil
-}
-
 // DecodeGroups splits a whole-group wire buffer into data bytes and
 // per-byte ids. len(raw) must be a multiple of GroupLen.
 func DecodeGroups(raw []byte) (data []byte, ids []uint32, err error) {
@@ -329,16 +309,11 @@ func (d *StreamDecoder) reclaim() {
 	}
 }
 
-// pushRaw appends already-decoded untainted bytes (Global ID 0) without
-// consuming wire groups — the passthrough-frame delivery path. Must not
-// be called while a partial group is buffered: the framing layer
-// guarantees group bodies end on group boundaries.
-func (d *StreamDecoder) pushRaw(b []byte) { d.pushRun(b, 0) }
-
 // pushRun appends already-decoded bytes that all carry one Global ID —
-// the delivery path of the passthrough, uniform and sparse frame tiers,
-// which ship raw data plus out-of-band labels instead of groups. Same
-// no-partial precondition as pushRaw.
+// the delivery path of the raw-body frame tiers, which ship data plus
+// out-of-band labels instead of groups. Must not be called while a
+// partial group is buffered: the framing layer guarantees group bodies
+// end on group boundaries.
 func (d *StreamDecoder) pushRun(b []byte, id uint32) {
 	if len(b) == 0 {
 		return
@@ -520,254 +495,4 @@ func (d *StreamDecoder) NextRuns(max int) (data []byte, runs []Run) {
 func (d *StreamDecoder) Next(max int) (data []byte, ids []uint32) {
 	data, runs := d.NextRuns(max)
 	return data, ExpandRuns(runs)
-}
-
-// Packet codec (Type 2): header = magic "DT" + uint32 data length,
-// followed by the group encoding. The header lets the receiver verify
-// integrity; the sender builds a *new* packet rather than mutating the
-// caller's, preserving the original's semantics (§III-C Type 2).
-//
-// Clean-path variant: a packet whose payload is untainted travels under
-// the magic "DP" with the raw bytes as the body — PacketOverhead bytes
-// of cost instead of 5x. Receivers accept both magics.
-
-var (
-	packetMagic            = [2]byte{'D', 'T'}
-	passthroughPacketMagic = [2]byte{'D', 'P'}
-)
-
-// PacketOverhead is the extra size of an encoded packet beyond
-// WireLen(n).
-const PacketOverhead = 6
-
-// EncodePacket wraps one datagram payload with its per-byte ids.
-func EncodePacket(data []byte, ids []uint32) []byte {
-	return EncodeGroups(packetHeader(len(data)), data, ids)
-}
-
-// EncodePacketRuns wraps one datagram payload with its taint runs.
-func EncodePacketRuns(data []byte, runs []Run) []byte {
-	return EncodeRuns(packetHeader(len(data)), data, runs)
-}
-
-// AppendPacketHeader appends the header of a group-encoded datagram of
-// n payload bytes; the group encoding of those bytes follows it.
-func AppendPacketHeader(dst []byte, n int) []byte {
-	dst = append(dst, packetMagic[0], packetMagic[1])
-	return binary.BigEndian.AppendUint32(dst, uint32(n))
-}
-
-// EncodePacketPassthrough wraps one untainted datagram payload: the
-// passthrough header plus the raw bytes, no group encoding.
-func EncodePacketPassthrough(data []byte) []byte {
-	out := make([]byte, 0, PacketOverhead+len(data))
-	out = append(out, passthroughPacketMagic[0], passthroughPacketMagic[1])
-	out = binary.BigEndian.AppendUint32(out, uint32(len(data)))
-	return append(out, data...)
-}
-
-func packetHeader(n int) []byte {
-	return AppendPacketHeader(make([]byte, 0, PacketOverhead+WireLen(n)+encodeSlack), n)
-}
-
-// packet kinds, one per header magic.
-const (
-	packetGroups = iota
-	packetPassthrough
-	packetUniform
-	packetSparse
-)
-
-// packetParts validates any packet header and returns the body, its
-// kind and the declared payload length. On ErrTruncatedPacket with an
-// intact header the untrimmed body is returned so prefix decoding can
-// salvage it.
-func packetParts(raw []byte) (body []byte, kind, n int, err error) {
-	if len(raw) < PacketOverhead {
-		return nil, 0, 0, ErrTruncatedPacket
-	}
-	switch {
-	case raw[0] == packetMagic[0] && raw[1] == packetMagic[1]:
-		kind = packetGroups
-	case raw[0] == passthroughPacketMagic[0] && raw[1] == passthroughPacketMagic[1]:
-		kind = packetPassthrough
-	case raw[0] == uniformPacketMagic[0] && raw[1] == uniformPacketMagic[1]:
-		kind = packetUniform
-	case raw[0] == sparsePacketMagic[0] && raw[1] == sparsePacketMagic[1]:
-		kind = packetSparse
-	default:
-		return nil, 0, 0, errors.New("wire: bad taint packet magic")
-	}
-	n = int(binary.BigEndian.Uint32(raw[2:6]))
-	body = raw[PacketOverhead:]
-	want := n
-	switch kind {
-	case packetGroups:
-		want = WireLen(n)
-	case packetUniform:
-		want = GlobalIDLen + n
-	case packetSparse:
-		want = SparseCountLen + n
-		if len(body) >= SparseCountLen {
-			k := int(binary.BigEndian.Uint32(body))
-			if k > MaxSparseRanges {
-				return nil, 0, 0, fmt.Errorf("wire: sparse packet declares %d ranges (limit %d)", k, MaxSparseRanges)
-			}
-			want += k * SparseRangeLen
-		}
-	}
-	if len(body) < want {
-		return body, kind, n, fmt.Errorf("%w: %d payload bytes declared, %d body bytes", ErrTruncatedPacket, n, len(body))
-	}
-	return body[:want], kind, n, nil
-}
-
-// tieredPacketRuns splits a validated uniform/sparse packet body into
-// payload bytes and their run cover.
-func tieredPacketRuns(body []byte, kind, n int) (data []byte, runs []Run, err error) {
-	if kind == packetUniform {
-		data = append([]byte(nil), body[GlobalIDLen:]...)
-		if n > 0 {
-			runs = []Run{{N: n, ID: binary.BigEndian.Uint32(body)}}
-		}
-		return data, runs, nil
-	}
-	k := int(binary.BigEndian.Uint32(body))
-	table := body[SparseCountLen : SparseCountLen+k*SparseRangeLen]
-	ranges, err := parseRangeTable(table, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	data = append([]byte(nil), body[SparseCountLen+k*SparseRangeLen:]...)
-	return data, rangeRunCover(nil, ranges, n), nil
-}
-
-// passthroughData copies a passthrough body out as payload bytes with
-// one untainted run (nil for an empty body).
-func passthroughData(body []byte) (data []byte, runs []Run) {
-	data = append([]byte(nil), body...)
-	if len(body) > 0 {
-		runs = []Run{{N: len(body), ID: 0}}
-	}
-	return data, runs
-}
-
-// DecodePacketPrefix decodes as much of a possibly truncated encoded
-// datagram as arrived whole — the analogue of UDP's silent truncation
-// when the receiver's (enlarged) buffer is still smaller than the
-// packet. Only the header (and, for the tiered flavours, the label
-// metadata) must be intact.
-func DecodePacketPrefix(raw []byte) (data []byte, ids []uint32, err error) {
-	data, runs, err := DecodePacketPrefixRuns(raw)
-	if err != nil {
-		return nil, nil, err
-	}
-	return data, ExpandRuns(runs), nil
-}
-
-// DecodePacketPrefixRuns is DecodePacketPrefix in run form.
-func DecodePacketPrefixRuns(raw []byte) (data []byte, runs []Run, err error) {
-	body, kind, n, err := truncatedBody(raw)
-	if err != nil {
-		return nil, nil, err
-	}
-	switch kind {
-	case packetPassthrough:
-		data, runs = passthroughData(body)
-		return data, runs, nil
-	case packetUniform, packetSparse:
-		return tieredPacketRuns(body, kind, n)
-	}
-	return DecodeGroupsRuns(body)
-}
-
-// truncatedBody returns the usable body of a possibly truncated packet:
-// whole groups for the group flavour, every received byte for the
-// passthrough flavour, every data byte past the (required intact) label
-// metadata for the tiered flavours — with the declared length clipped
-// to what actually arrived.
-func truncatedBody(raw []byte) (body []byte, kind, n int, err error) {
-	body, kind, n, err = packetParts(raw)
-	if err == nil || !errors.Is(err, ErrTruncatedPacket) || len(raw) < PacketOverhead {
-		return body, kind, n, err
-	}
-	switch kind {
-	case packetPassthrough:
-		return body, kind, len(body), nil
-	case packetUniform:
-		if len(body) < GlobalIDLen {
-			return nil, 0, 0, err
-		}
-		return body, kind, len(body) - GlobalIDLen, nil
-	case packetSparse:
-		// The whole table must have arrived; the data tail may be cut,
-		// so rebuild a clipped body with the surviving ranges.
-		if len(body) < SparseCountLen {
-			return nil, 0, 0, err
-		}
-		k := int(binary.BigEndian.Uint32(body))
-		meta := SparseCountLen + k*SparseRangeLen
-		if len(body) < meta {
-			return nil, 0, 0, err
-		}
-		got := len(body) - meta
-		if got < n {
-			n = got
-			body = salvageSparseBody(body, k, n)
-		}
-		return body, kind, n, nil
-	}
-	return body[:len(body)/GroupLen*GroupLen], kind, n, nil
-}
-
-// salvageSparseBody rebuilds a sparse packet body for the n data bytes
-// that actually arrived: ranges past the cut are dropped, the one
-// straddling it is clipped, and the count is rewritten. The input body
-// is not mutated.
-func salvageSparseBody(body []byte, k, n int) []byte {
-	table := body[SparseCountLen : SparseCountLen+k*SparseRangeLen]
-	out := make([]byte, SparseCountLen, len(body))
-	kept := 0
-	for i := 0; i+SparseRangeLen <= len(table); i += SparseRangeLen {
-		off := int(binary.BigEndian.Uint32(table[i:]))
-		ln := int(binary.BigEndian.Uint32(table[i+4:]))
-		if off >= n {
-			break
-		}
-		if off+ln > n {
-			ln = n - off
-		}
-		out = binary.BigEndian.AppendUint32(out, uint32(off))
-		out = binary.BigEndian.AppendUint32(out, uint32(ln))
-		out = append(out, table[i+8:i+SparseRangeLen]...)
-		kept++
-	}
-	binary.BigEndian.PutUint32(out, uint32(kept))
-	return append(out, body[SparseCountLen+k*SparseRangeLen:][:n]...)
-}
-
-// DecodePacket splits an encoded datagram into payload and per-byte ids.
-func DecodePacket(raw []byte) (data []byte, ids []uint32, err error) {
-	data, runs, err := DecodePacketRuns(raw)
-	if err != nil {
-		return nil, nil, err
-	}
-	return data, ExpandRuns(runs), nil
-}
-
-// DecodePacketRuns splits an encoded datagram into payload and taint
-// runs.
-func DecodePacketRuns(raw []byte) (data []byte, runs []Run, err error) {
-	body, kind, n, err := packetParts(raw)
-	if err != nil {
-		return nil, nil, err
-	}
-	switch kind {
-	case packetPassthrough:
-		data, runs = passthroughData(body)
-		return data, runs, nil
-	case packetUniform, packetSparse:
-		return tieredPacketRuns(body, kind, n)
-	}
-	return DecodeGroupsRuns(body)
 }

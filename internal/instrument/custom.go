@@ -30,8 +30,8 @@ type CustomEndpoint struct {
 	agent *tracker.Agent
 	rt    RawTransport
 
-	wmu        sync.Mutex
-	wroteMagic bool
+	wmu sync.Mutex
+	wr  streamWriter
 
 	rmu sync.Mutex
 	rd  streamReader
@@ -44,10 +44,8 @@ func WrapCustom(agent *tracker.Agent, rt RawTransport) *CustomEndpoint {
 	return &CustomEndpoint{agent: agent, rt: rt}
 }
 
-// Write sends b with its taints through the custom native. Like the
-// socket endpoint, a clean buffer travels as a passthrough frame; a
-// custom transport may be message-oriented, so the frame is assembled
-// contiguously (in a pooled buffer) rather than as two sends.
+// Write sends b with its taints through the custom native, on the tier
+// the socket endpoint would pick.
 func (e *CustomEndpoint) Write(b taint.Bytes) error {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
@@ -55,38 +53,19 @@ func (e *CustomEndpoint) Write(b taint.Bytes) error {
 		e.agent.AddTraffic(len(b.Data), len(b.Data))
 		return e.rt.SendRaw(b.Data)
 	}
-	if len(b.Data) == 0 {
-		return e.rt.SendRaw(nil)
+	return e.wr.write(e.agent, b, e.emit)
+}
+
+// emit sends a frame as a single SendRaw: a custom transport may be
+// message-oriented, so a raw payload is joined to its head in a pooled
+// buffer rather than sent after it.
+func (e *CustomEndpoint) emit(head, payload []byte) error {
+	if payload == nil {
+		return e.rt.SendRaw(head)
 	}
-	pre := 0
-	if !e.wroteMagic {
-		pre = wire.StreamMagicLen
-	}
-	clean := b.Clean()
-	size := pre + wire.PassthroughFrameLen(len(b.Data))
-	if !clean {
-		size = pre + wire.GroupsFrameLen(len(b.Data)) + wire.EncodeSlack
-	}
-	buf := wire.GetBuf(size)
+	buf := wire.GetBuf(len(head) + len(payload))
 	defer wire.PutBuf(buf)
-	out := *buf
-	if pre > 0 {
-		out = wire.AppendStreamMagic(out)
-	}
-	if clean {
-		out = wire.AppendPassthroughFrame(out, b.Data)
-	} else {
-		var err error
-		if out, err = appendGroupsFrame(e.agent, out, b); err != nil {
-			return err
-		}
-	}
-	e.agent.AddTraffic(len(b.Data), len(out))
-	err := e.rt.SendRaw(out)
-	if err == nil {
-		e.wroteMagic = true
-	}
-	return err
+	return e.rt.SendRaw(append(append(*buf, head...), payload...))
 }
 
 // Read fills buf with data and taints from the custom native.

@@ -28,46 +28,22 @@ var ErrNoTaintMap = errors.New("instrument: dista mode requires a Taint Map clie
 // stream decoder state that reassembles 5-byte groups across
 // arbitrarily fragmented reads.
 type Endpoint struct {
-	agent    *tracker.Agent
-	conn     *netsim.Conn
-	legacy   bool // write the pre-framing raw group stream
-	adaptive bool // negotiate the DTF2 tiered format (uniform/sparse frames)
+	agent *tracker.Agent
+	conn  *netsim.Conn
 
-	wmu        sync.Mutex        // serializes writes so frames never interleave
-	wroteMagic bool              // stream magic already emitted on this conn
-	wscratch   []byte            // persistent frame-header/magic assembly scratch
-	tier       densityTracker    // per-connection tier selector (under wmu)
-	dranges    []wire.DirtyRange // persistent sparse range-table scratch
+	wmu sync.Mutex // serializes writes so frames never interleave
+	wr  streamWriter
 
 	rmu sync.Mutex // protects rd
 	rd  streamReader
 }
 
-// NewEndpoint wraps conn for the given agent.
-func NewEndpoint(agent *tracker.Agent, conn *netsim.Conn) *Endpoint {
-	return &Endpoint{agent: agent, conn: conn}
-}
-
-// NewLegacyEndpoint wraps conn like NewEndpoint but writes the
-// pre-framing raw group stream for peers that predate the framed codec.
-// Reads auto-detect either format, so a legacy endpoint can receive
-// from a framed peer. The clean-path bypass is off: every write pays
-// the full group encoding (benchmarks use this as the always-encode
-// baseline).
-func NewLegacyEndpoint(agent *tracker.Agent, conn *netsim.Conn) *Endpoint {
-	return &Endpoint{agent: agent, conn: conn, legacy: true}
-}
-
-// NewAdaptiveEndpoint wraps conn like NewEndpoint but negotiates the
-// DTF2 tiered stream format: writes are classified by the taint-density
-// tracker and travel as passthrough, uniform, sparse, or groups frames
-// (DESIGN.md §9). Both ends must be adaptive — the DTF2 magic is what
-// tells the peer the new tags may appear, so a plain NewEndpoint never
-// emits them and old decoders never see them. Reads auto-detect every
-// format, so an adaptive endpoint can receive from framed and legacy
-// peers alike.
+// NewAdaptiveEndpoint wraps conn for the given agent. Writes are
+// classified by the connection's taint-density tracker and travel as
+// passthrough, uniform, sparse or groups frames (DESIGN.md §7); reads
+// decode whatever tier the peer chose.
 func NewAdaptiveEndpoint(agent *tracker.Agent, conn *netsim.Conn) *Endpoint {
-	return &Endpoint{agent: agent, conn: conn, adaptive: true}
+	return &Endpoint{agent: agent, conn: conn}
 }
 
 // Conn exposes the wrapped connection (for close/addr operations).
@@ -176,19 +152,8 @@ func appendGroups(agent *tracker.Agent, out []byte, b taint.Bytes) ([]byte, erro
 			return out, nil
 		}
 		var err error
-		if ids, err = tm.RegisterBatch(pending.keys); err != nil {
+		if ids, err = registerBatch(tm, pending.keys); err != nil {
 			return nil, err
-		}
-		for _, id := range ids {
-			// A provisional id is only valid inside this node: a degraded
-			// Taint Map client minted it locally, and the receiving node
-			// could never resolve it. Refuse the transfer loudly — the
-			// taint itself stays tracked and will get its real Global ID
-			// when the client's journal drains.
-			if taintmap.IsProvisional(id) {
-				return nil, fmt.Errorf("instrument: cannot transfer taint: %w",
-					taintmap.ErrGlobalIDPending)
-			}
 		}
 		out = out[:start]
 	}
@@ -226,68 +191,59 @@ func encodeDense(dst, data []byte, labels []taint.Taint) bool {
 	return true
 }
 
-// appendGroupsFrame appends one whole groups frame for b: the frame
-// header, then the groups writer's encoding.
-func appendGroupsFrame(agent *tracker.Agent, out []byte, b taint.Bytes) ([]byte, error) {
-	out = wire.AppendFrameHeader(out, wire.FrameGroups, wire.WireLen(len(b.Data)))
-	return appendGroups(agent, out, b)
-}
-
-// registerOne maps one taint to its Global ID via the Taint Map — the
-// uniform-tier flavour of appendGroups: a single label for the whole
-// buffer, so the steady state is one pointer load off the tree node.
-func registerOne(agent *tracker.Agent, t taint.Taint) (uint32, error) {
-	tm := agent.TaintMap()
-	if tm == nil {
-		return 0, ErrNoTaintMap
-	}
-	if id := t.GlobalID(); id != 0 {
-		return id, nil
-	}
-	ids, err := tm.RegisterBatch([]taint.Taint{t})
+// registerBatch maps taints to their Global IDs via the Taint Map,
+// refusing provisional ones: a provisional id is only valid inside this
+// node — a degraded Taint Map client minted it locally, and the
+// receiving node could never resolve it. The transfer is refused loudly;
+// the taint itself stays tracked and will get its real Global ID when
+// the client's journal drains.
+func registerBatch(tm taintmap.Client, ts []taint.Taint) ([]uint32, error) {
+	ids, err := tm.RegisterBatch(ts)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	if taintmap.IsProvisional(ids[0]) {
-		// Same contract as appendGroups: a locally minted id must not
-		// cross the wire.
-		return 0, fmt.Errorf("instrument: cannot transfer taint: %w",
-			taintmap.ErrGlobalIDPending)
+	for _, id := range ids {
+		if taintmap.IsProvisional(id) {
+			return nil, fmt.Errorf("instrument: cannot transfer taint: %w",
+				taintmap.ErrGlobalIDPending)
+		}
 	}
-	return ids[0], nil
+	return ids, nil
 }
 
-// registerDirty maps b's tainted runs to wire dirty ranges via the Taint
-// Map — the sparse-tier flavour of appendGroups: clean gaps produce no
-// entries, so the table length is the dirty-run count, not the run
-// count. Ranges are appended to dst (reused across calls).
-func registerDirty(agent *tracker.Agent, b taint.Bytes, dst []wire.DirtyRange) ([]wire.DirtyRange, error) {
+// coverRuns appends to dst (reused across calls) the run cover that the
+// metadata of b's frame on tier t is made from, every label mapped to
+// its Global ID; a groups body labels itself and gets none. The shapes
+// the raw-body tiers admit hold a handful of runs: the steady state is
+// one pointer load per run off the tree node, and the taints still
+// without an id share one batch registration. s is b's shape.
+func coverRuns(agent *tracker.Agent, b taint.Bytes, t int, s wire.Shape, dst []wire.Run) ([]wire.Run, error) {
+	if wire.Tiers[t].Groups {
+		return dst, nil
+	}
+	if s.Clean() {
+		return append(dst, wire.Run{N: s.N}), nil
+	}
 	tm := agent.TaintMap()
 	if tm == nil {
 		return nil, ErrNoTaintMap
 	}
 	var pending []taint.Taint
 	var pendingAt []int
-	b.ForEachDirtyRun(func(from, to int, t taint.Taint) {
-		r := wire.DirtyRange{Off: from, Len: to - from}
-		if id := t.GlobalID(); id != 0 {
-			r.ID = id
-		} else {
+	b.ForEachRun(func(from, to int, t taint.Taint) {
+		id := t.GlobalID()
+		if id == 0 && !t.Empty() {
 			pending = append(pending, t)
 			pendingAt = append(pendingAt, len(dst))
 		}
-		dst = append(dst, r)
+		dst = append(dst, wire.Run{N: to - from, ID: id})
 	})
 	if len(pending) > 0 {
-		ids, err := tm.RegisterBatch(pending)
+		ids, err := registerBatch(tm, pending)
 		if err != nil {
 			return nil, err
 		}
 		for i, at := range pendingAt {
-			if taintmap.IsProvisional(ids[i]) {
-				return nil, fmt.Errorf("instrument: cannot transfer taint: %w",
-					taintmap.ErrGlobalIDPending)
-			}
 			dst[at].ID = ids[i]
 		}
 	}
@@ -386,13 +342,115 @@ func adoptRuns(agent *tracker.Agent, buf *taint.Bytes, at int, runs []wire.Run, 
 	return nil
 }
 
+// pickTier classifies b and picks the tier of its frame — the one send
+// ladder, behind every stream, vectored and datagram send. d is the
+// stream's density tracker; a datagram has none and takes b's sound
+// minimum.
+func pickTier(d *densityTracker, b taint.Bytes) (int, wire.Shape) {
+	s := wire.Shape{N: len(b.Data), Exact: true}
+	if !b.Clean() {
+		st, exact := b.Stats(tierScanLimit)
+		s.DirtyBytes, s.DirtyRuns, s.Exact = st.DirtyBytes, st.DirtyRuns, exact
+	}
+	floor := 0
+	if d != nil {
+		floor = d.observe(s)
+	}
+	return wire.PickTier(s, floor), s
+}
+
+// appendFrame appends to dst what precedes the raw payload of b's n-byte
+// frame on tier t — the frame header and the metadata made from runs
+// (coverRuns) — and, where the tier's body is groups, the encoded body
+// too (Fig. 9 steps ①②), so that dst plus b.Data, or dst alone, is the
+// frame.
+func appendFrame(agent *tracker.Agent, dst []byte, b taint.Bytes, t, n int, runs []wire.Run) ([]byte, error) {
+	dst = wire.AppendHead(dst, t, n, runs)
+	if wire.Tiers[t].Groups {
+		return appendGroups(agent, dst, b)
+	}
+	return dst, nil
+}
+
+// streamWriter is the send half of a stream endpoint — the magic flag,
+// the tier selector and the frame-assembly scratch — shared by the
+// socket and the custom-transport endpoints and guarded by the owner's
+// write lock.
+type streamWriter struct {
+	wroteMagic bool           // stream magic already emitted on this conn
+	tier       densityTracker // per-connection tier selector
+	head       []byte         // persistent header + metadata scratch
+	cover      []wire.Run     // persistent run-cover scratch
+}
+
+// write sends b as one frame through emit, the transport's way of
+// putting a frame's head and its uncopied raw payload (nil when the head
+// is the whole frame) on the wire in order. A raw-body frame is sent in
+// the clean-path shape on every tier that has one: metadata in the
+// persistent scratch, no copy of the payload, zero allocations once the
+// scratch has warmed up. A groups frame is encoded into a pooled buffer,
+// released by hand: a defer in this function, taken or not, is paid by
+// every clean write.
+func (w *streamWriter) write(agent *tracker.Agent, b taint.Bytes, emit func(head, payload []byte) error) error {
+	n := len(b.Data)
+	if n == 0 {
+		// Nothing to frame; still touch the native so conn-level
+		// semantics (faults, delays) match the uninstrumented call.
+		return emit(nil, nil)
+	}
+	head, payload := w.head[:0], b.Data
+	if !w.wroteMagic {
+		head = wire.AppendAdaptiveStreamMagic(head)
+	}
+	var pooled *[]byte
+	if b.Clean() {
+		// The clean path keeps its own short body ahead of the ladder,
+		// which would answer the same — wire.PickTier sends a clean
+		// payload to passthrough whatever the floor, and a passthrough
+		// frame is its header — at the cost of its calls on the one path
+		// priced against a bare copy: 15-20 ns a frame, which clean_rpc
+		// reads as 8 % of overhead_x (CHANGES.md, PR 19).
+		// TestStreamedTierMatchesReference holds these bytes to the
+		// table's.
+		w.tier.observe(wire.Shape{N: n, Exact: true})
+		head = wire.AppendFrameHeader(head, wire.FramePassthrough, n)
+	} else {
+		t, s := pickTier(&w.tier, b)
+		runs, err := coverRuns(agent, b, t, s, w.cover[:0])
+		if err != nil {
+			return err
+		}
+		w.cover = runs[:0]
+		if wire.Tiers[t].Groups {
+			pooled = wire.GetBuf(len(head) + wire.GroupsFrameLen(n) + wire.EncodeSlack)
+			head, payload = append(*pooled, head...), nil
+		}
+		if head, err = appendFrame(agent, head, b, t, n, runs); err != nil {
+			return err // a refused transfer leaves its buffer to the collector
+		}
+	}
+	if payload != nil {
+		w.head = head[:0]
+	}
+	agent.AddTraffic(n, len(head)+len(payload))
+	err := emit(head, payload)
+	if pooled != nil {
+		wire.PutBuf(pooled)
+	}
+	if err != nil {
+		return err
+	}
+	w.wroteMagic = true
+	return nil
+}
+
 // Write sends b through the instrumented socketWrite0 wrapper.
 //
 //   - off:      the original native — raw data only;
 //   - phosphor: the original native — the labels are *dropped* at the
 //     JNI boundary, exactly the limitation of §II-C;
-//   - dista:    each byte is serialized with the Global ID of its taint
-//     (Fig. 6 sender side).
+//   - dista:    the bytes cross in one frame with the Global ID of every
+//     byte's taint (Fig. 6 sender side).
 func (e *Endpoint) Write(b taint.Bytes) error {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
@@ -400,230 +458,39 @@ func (e *Endpoint) Write(b taint.Bytes) error {
 		e.agent.AddTraffic(len(b.Data), len(b.Data))
 		return jni.SocketWrite0(e.conn, b.Data)
 	}
-	if e.legacy {
-		return e.writeLegacyLocked(b, jni.SocketWrite0)
-	}
-	if len(b.Data) == 0 {
-		// Nothing to frame; still touch the native so conn-level
-		// semantics (faults, delays) match the uninstrumented call.
-		return jni.SocketWrite0(e.conn, nil)
-	}
-	if b.Clean() {
-		if e.adaptive {
-			e.tier.observeClean(len(b.Data))
-		}
-		return e.writePassthroughLocked(b.Data)
-	}
-	if e.adaptive {
-		return e.writeAdaptiveLocked(b, jni.SocketWrite0)
-	}
-	return e.writeGroupsLocked(b, jni.SocketWrite0)
+	return e.wr.write(e.agent, b, e.socketEmit)
 }
 
-// writeLegacyLocked sends b as the pre-framing raw group stream: no
-// magic, no frame header, clean buffers group-encoded like any other.
-func (e *Endpoint) writeLegacyLocked(b taint.Bytes, write func(*netsim.Conn, []byte) error) error {
-	raw, err := appendGroups(e.agent, nil, b)
-	if err != nil {
+// socketEmit puts a frame on the connection through the Type 1 native.
+func (e *Endpoint) socketEmit(head, payload []byte) error {
+	if err := jni.SocketWrite0(e.conn, head); err != nil || payload == nil {
 		return err
 	}
-	e.agent.AddTraffic(len(b.Data), len(raw))
-	return write(e.conn, raw)
-}
-
-// writeAdaptiveLocked emits one frame for a tainted buffer on whichever
-// tier the density tracker picks: uniform and sparse frames keep the
-// passthrough shape (metadata in the persistent scratch, payload
-// written zero-copy), groups fall back to the full encode. Caller holds
-// wmu and has ruled out the clean case.
-func (e *Endpoint) writeAdaptiveLocked(b taint.Bytes, write func(*netsim.Conn, []byte) error) error {
-	st, exact := b.Stats(tierScanLimit)
-	e.tier.observe(st, len(b.Data), exact)
-	switch e.tier.frameTier(st, len(b.Data), exact) {
-	case tierUniform:
-		id, err := registerOne(e.agent, st.One)
-		if err != nil {
-			return err
-		}
-		return e.writeUniformLocked(b.Data, id, write)
-	case tierSparse:
-		ranges, err := registerDirty(e.agent, b, e.dranges[:0])
-		if err != nil {
-			return err
-		}
-		e.dranges = ranges[:0]
-		return e.writeSparseLocked(b.Data, ranges, write)
-	default:
-		return e.writeGroupsLocked(b, write)
-	}
-}
-
-// writePassthroughLocked emits one passthrough frame for data — the
-// clean-path send: no label encoding, no copy of the payload, zero
-// allocations once the header scratch has warmed up. Caller holds wmu
-// and has verified the bytes are untainted.
-func (e *Endpoint) writePassthroughLocked(data []byte) error {
-	hdr := e.frameHeaderLocked(wire.FramePassthrough, len(data))
-	e.agent.AddTraffic(len(data), len(hdr)+len(data))
-	if err := jni.SocketWrite0(e.conn, hdr); err != nil {
-		return err
-	}
-	return jni.SocketWrite0(e.conn, data)
-}
-
-// writeGroupsLocked emits one groups frame for b, streaming its label
-// runs into a pooled buffer. write is the underlying native
-// (SocketWrite0 for Type 1, the dispatcher adapter for Type 3).
-func (e *Endpoint) writeGroupsLocked(b taint.Bytes, write func(*netsim.Conn, []byte) error) error {
-	pre := 0
-	if !e.wroteMagic {
-		pre = wire.StreamMagicLen
-	}
-	buf := wire.GetBuf(pre + wire.GroupsFrameLen(len(b.Data)) + wire.EncodeSlack)
-	defer wire.PutBuf(buf)
-	out := *buf
-	if !e.wroteMagic {
-		out = e.appendMagic(out)
-	}
-	out, err := appendGroupsFrame(e.agent, out, b)
-	if err != nil {
-		return err
-	}
-	e.agent.AddTraffic(len(b.Data), len(out))
-	if err := write(e.conn, out); err != nil {
-		return err
-	}
-	e.wroteMagic = true
-	return nil
-}
-
-// frameHeaderLocked assembles the stream magic (first framed write on
-// this conn only) plus one frame header in the endpoint's persistent
-// write scratch, marking the magic as sent.
-func (e *Endpoint) frameHeaderLocked(tag byte, n int) []byte {
-	hdr := e.wscratch[:0]
-	if !e.wroteMagic {
-		hdr = e.appendMagic(hdr)
-		e.wroteMagic = true
-	}
-	hdr = wire.AppendFrameHeader(hdr, tag, n)
-	e.wscratch = hdr[:0]
-	return hdr
-}
-
-// appendMagic appends the stream magic matching the endpoint's
-// negotiated format: DTF2 for adaptive endpoints, DTF1 otherwise. The
-// caller manages wroteMagic.
-func (e *Endpoint) appendMagic(dst []byte) []byte {
-	if e.adaptive {
-		return wire.AppendAdaptiveStreamMagic(dst)
-	}
-	return wire.AppendStreamMagic(dst)
-}
-
-// writeUniformLocked emits one uniform frame: header plus Global ID in
-// the persistent scratch, payload written zero-copy — the passthrough
-// cost shape plus four metadata bytes. Caller holds wmu.
-func (e *Endpoint) writeUniformLocked(data []byte, id uint32, write func(*netsim.Conn, []byte) error) error {
-	hdr := e.wscratch[:0]
-	if !e.wroteMagic {
-		hdr = e.appendMagic(hdr)
-		e.wroteMagic = true
-	}
-	hdr = wire.AppendUniformHeader(hdr, len(data), id)
-	e.wscratch = hdr[:0]
-	e.agent.AddTraffic(len(data), len(hdr)+len(data))
-	if err := write(e.conn, hdr); err != nil {
-		return err
-	}
-	return write(e.conn, data)
-}
-
-// writeSparseLocked emits one sparse frame: header plus range table in
-// the persistent scratch, payload written zero-copy. Caller holds wmu
-// and guarantees the ranges are sorted, non-overlapping and in-bounds
-// (they come from ForEachDirtyRun, which yields them that way).
-func (e *Endpoint) writeSparseLocked(data []byte, ranges []wire.DirtyRange, write func(*netsim.Conn, []byte) error) error {
-	hdr := e.wscratch[:0]
-	if !e.wroteMagic {
-		hdr = e.appendMagic(hdr)
-		e.wroteMagic = true
-	}
-	hdr = wire.AppendSparseHeader(hdr, len(data), ranges)
-	e.wscratch = hdr[:0]
-	e.agent.AddTraffic(len(data), len(hdr)+len(data))
-	if err := write(e.conn, hdr); err != nil {
-		return err
-	}
-	return write(e.conn, data)
+	return jni.SocketWrite0(e.conn, payload)
 }
 
 // WritePassthrough sends bytes that are untainted by construction —
 // protocol framing, handshakes, padding a wrapper itself built. In
-// dista mode it emits a passthrough frame (a legacy endpoint encodes
-// untainted groups instead); other modes write the bytes unchanged.
-// This is the sanctioned way to put a raw []byte on a tracked
-// connection: the shadowdrop analyzer allowlists passthrough helpers
-// by name because the bytes never had labels to drop.
+// dista mode they cross as a passthrough frame; other modes write the
+// bytes unchanged. This is the sanctioned way to put a raw []byte on a
+// tracked connection: the shadowdrop analyzer allowlists passthrough
+// helpers by name because the bytes never had labels to drop.
 func (e *Endpoint) WritePassthrough(data []byte) error {
-	e.wmu.Lock()
-	defer e.wmu.Unlock()
-	if e.agent.Mode() != tracker.ModeDista {
-		e.agent.AddTraffic(len(data), len(data))
-		return jni.SocketWrite0(e.conn, data)
-	}
-	if e.legacy {
-		return e.writeLegacyLocked(taint.WrapBytes(data), jni.SocketWrite0)
-	}
-	if len(data) == 0 {
-		return jni.SocketWrite0(e.conn, nil)
-	}
-	if e.adaptive {
-		e.tier.observeClean(len(data))
-	}
-	return e.writePassthroughLocked(data)
+	return e.Write(taint.WrapBytes(data))
 }
 
 // WriteUniform sends bytes that all carry the same single taint — a
 // wrapper forwarding one labelled record it assembled itself. This is
 // the sanctioned way to put a raw []byte with a label on a tracked
 // connection (the fast-path analyzer allowlists uniform helpers by name
-// because the label rides alongside): an adaptive endpoint emits one
-// uniform frame with zero payload copies, a framed endpoint a groups
-// frame, a legacy endpoint the raw group stream. An empty t degrades to
+// because the label rides alongside). An empty t degrades to
 // WritePassthrough. Modes other than dista write the bytes unchanged.
 func (e *Endpoint) WriteUniform(data []byte, t taint.Taint) error {
-	if t.Empty() {
-		return e.WritePassthrough(data)
-	}
-	e.wmu.Lock()
-	defer e.wmu.Unlock()
-	if e.agent.Mode() != tracker.ModeDista {
-		e.agent.AddTraffic(len(data), len(data))
-		return jni.SocketWrite0(e.conn, data)
-	}
-	if len(data) == 0 {
-		return jni.SocketWrite0(e.conn, nil)
-	}
-	if e.adaptive {
-		st := taint.RunStats{DirtyBytes: len(data), DirtyRuns: 1, One: t}
-		e.tier.observe(st, len(data), true)
-		if e.tier.frameTier(st, len(data), true) == tierUniform {
-			id, err := registerOne(e.agent, t)
-			if err != nil {
-				return err
-			}
-			return e.writeUniformLocked(data, id, jni.SocketWrite0)
-		}
-	}
-	// No uniform frame on this stream: the groups writer takes the
-	// record as a labelled view.
 	b := taint.WrapBytes(data)
-	b.SetRange(0, len(data), t)
-	if e.legacy {
-		return e.writeLegacyLocked(b, jni.SocketWrite0)
+	if !t.Empty() {
+		b.SetRange(0, len(data), t)
 	}
-	return e.writeGroupsLocked(b, jni.SocketWrite0)
+	return e.Write(b)
 }
 
 // Read fills buf through the instrumented socketRead0 wrapper and
@@ -724,58 +591,23 @@ func (e *Endpoint) WriteBuffer(src *jni.DirectBuffer, from, to int) (int, error)
 	}
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	n := to - from
 	if e.agent.Mode() != tracker.ModeDista {
-		e.agent.AddTraffic(n, n)
-		written, err := jni.DispatcherWrite0(e.conn, src.Data[from:to])
-		return written, err
+		e.agent.AddTraffic(to-from, to-from)
+		return jni.DispatcherWrite0(e.conn, src.Data[from:to])
 	}
-	if e.legacy {
-		if err := e.writeLegacyLocked(src.View(from, to), dispatcherWriteAll); err != nil {
-			return 0, err
-		}
-		return n, nil
-	}
-	if n == 0 {
-		_, err := jni.DispatcherWrite0(e.conn, nil)
+	if err := e.wr.write(e.agent, src.View(from, to), e.dispatcherEmit); err != nil {
 		return 0, err
 	}
-	if src.Clean(from, to) {
-		if e.adaptive {
-			e.tier.observeClean(n)
-		}
-		if err := e.writeBufferPassthroughLocked(src, from, to); err != nil {
-			return 0, err
-		}
-		return n, nil
-	}
-	if e.adaptive {
-		if err := e.writeAdaptiveLocked(src.View(from, to), dispatcherWriteAll); err != nil {
-			return 0, err
-		}
-		return n, nil
-	}
-	if err := e.writeGroupsLocked(src.View(from, to), dispatcherWriteAll); err != nil {
-		return 0, err
-	}
-	return n, nil
+	return to - from, nil
 }
 
-// writeBufferPassthroughLocked is writePassthroughLocked over the
-// dispatcher native — the Type 3 clean-path send.
-func (e *Endpoint) writeBufferPassthroughLocked(src *jni.DirectBuffer, from, to int) error {
-	hdr := e.frameHeaderLocked(wire.FramePassthrough, to-from)
-	e.agent.AddTraffic(to-from, len(hdr)+to-from)
-	if err := dispatcherWriteAll(e.conn, hdr); err != nil {
+// dispatcherEmit puts a frame on the connection through the Type 3
+// native.
+func (e *Endpoint) dispatcherEmit(head, payload []byte) error {
+	if _, err := jni.DispatcherWrite0(e.conn, head); err != nil || payload == nil {
 		return err
 	}
-	return dispatcherWriteAll(e.conn, src.Data[from:to])
-}
-
-// dispatcherWriteAll adapts DispatcherWrite0 to the all-or-error shape
-// writeGroupsLocked expects.
-func dispatcherWriteAll(c *netsim.Conn, b []byte) error {
-	_, err := jni.DispatcherWrite0(c, b)
+	_, err := jni.DispatcherWrite0(e.conn, payload)
 	return err
 }
 

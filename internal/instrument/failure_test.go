@@ -94,7 +94,7 @@ func TestTaintMapOutageFailsLoudly(t *testing.T) {
 	agent := mkAgent("n1")
 	ca, cb := r.net.Pipe()
 	defer cb.Close()
-	sender := NewEndpoint(agent, ca)
+	sender := NewAdaptiveEndpoint(agent, ca)
 
 	// Healthy send first.
 	if err := sender.Write(taint.FromString("x", agent.Tree().NewSource("t1", "n1:1"))); err != nil {
@@ -139,7 +139,7 @@ func TestDegradedTaintMapRefusesTransferKeepsTracking(t *testing.T) {
 
 	ca, cb := r.net.Pipe()
 	defer cb.Close()
-	sender := NewEndpoint(agent, ca)
+	sender := NewAdaptiveEndpoint(agent, ca)
 
 	tag := agent.Tree().NewSource("secret", "n1:1")
 	err := sender.Write(taint.FromString("x", tag))
@@ -177,7 +177,7 @@ func TestSpecRestrictedSourcesStayDormant(t *testing.T) {
 	a, b := mk("n1"), mk("n2")
 	net := newRig(t, tracker.ModeDista).net
 	ca, cb := net.Pipe()
-	sender, receiver := NewEndpoint(a, ca), NewEndpoint(b, cb)
+	sender, receiver := NewAdaptiveEndpoint(a, ca), NewAdaptiveEndpoint(b, cb)
 
 	payload := taint.FromString("data", a.Source("Unlisted#source", "tag"))
 	if err := sender.Write(payload); err != nil {

@@ -16,9 +16,10 @@ import (
 // it was sent with, no matter how the stream flaps between the
 // passthrough, uniform, sparse and groups encodings. Each pair of
 // input bytes is one message — the first picks the kind (clean,
-// uniform, sparse island, dense alternation) and the label source, the
-// second the length — so the fuzzer explores tier transitions the
-// phased unit tests never schedule. step bounds the reader's buffer
+// uniform, sparse island, dense alternation; with its top bit set the
+// alternation is between a label and clean, a comb of one-byte islands)
+// and the label source, the second the length — so the fuzzer explores
+// tier transitions the phased unit tests never schedule. step bounds the reader's buffer
 // (0 = as much as is left): a small one pops the decoder in pieces that
 // split label runs.
 //
@@ -49,6 +50,7 @@ func FuzzTierTransition(f *testing.F) {
 	f.Add([]byte{3, 255, 3, 255, 3, 255, 3, 255}, uint8(0), uint8(0))                // alternating ids, 256 runs a frame
 	f.Add([]byte{3, 255, 7, 255, 3, 254}, uint8(3), uint8(2))                        // the same through 3-byte pops
 	f.Add([]byte{1, 255, 2, 255, 6, 200, 1, 99}, uint8(7), uint8(3))                 // long runs: every pop splits one
+	f.Add([]byte{0x83, 19, 0x83, 63, 2, 19, 0x83, 19}, uint8(0), uint8(0))           // combs: 10 islands in 20 bytes outweigh their groups as a range table
 
 	f.Fuzz(func(t *testing.T, sched []byte, step, shape uint8) {
 		if len(sched) < 2 {
@@ -102,11 +104,13 @@ func FuzzTierTransition(f *testing.F) {
 						wantTag = append(wantTag, "")
 					}
 				}
-			case 3: // dense: alternate two sources byte by byte
+			case 3: // dense: alternate two sources, or a source and clean, byte by byte
 				for j := 0; j < n; j++ {
 					if j%2 == 0 {
 						b.SetLabel(j, srcs[li])
 						wantTag = append(wantTag, tagOf[li])
+					} else if sched[i]&0x80 != 0 {
+						wantTag = append(wantTag, "")
 					} else {
 						b.SetLabel(j, srcs[(li+1)%len(srcs)])
 						wantTag = append(wantTag, tagOf[(li+1)%len(srcs)])

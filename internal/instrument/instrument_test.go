@@ -39,7 +39,7 @@ func agentFor(name string, mode tracker.Mode, store *taintmap.Store) *tracker.Ag
 func (r *rig) endpoints(t *testing.T) (*Endpoint, *Endpoint) {
 	t.Helper()
 	ca, cb := r.net.Pipe()
-	return NewEndpoint(r.a, ca), NewEndpoint(r.b, cb)
+	return NewAdaptiveEndpoint(r.a, ca), NewAdaptiveEndpoint(r.b, cb)
 }
 
 func TestRegistryMatchesPaperTableI(t *testing.T) {
@@ -269,30 +269,58 @@ func TestFigure9Protocol(t *testing.T) {
 	}
 }
 
+// TestStreamWireOverheadFactor pins §V-F on the wire. The paper's format
+// — every byte with the Global ID of its taint — is the groups tier, the
+// sound minimum of a payload whose label changes on every byte: 5.0x
+// plus constant framing. The paper's own case 1, one taint over the
+// whole payload, no longer pays it: the uniform tier carries the id
+// once, at no more than 1.01x.
 func TestStreamWireOverheadFactor(t *testing.T) {
-	r := newRig(t, tracker.ModeDista)
-	sender, receiver := r.endpoints(t)
-	go func() {
-		buf := taint.MakeBytes(1000)
-		for {
-			if _, err := receiver.Read(&buf); err != nil {
-				return
+	const n = 4000
+	for _, tc := range []struct {
+		name   string
+		fill   func(a *tracker.Agent, b *taint.Bytes)
+		want   int64
+		factor float64
+	}{
+		{"a label change on every byte", func(a *tracker.Agent, b *taint.Bytes) {
+			pair := [2]taint.Taint{a.Source("s", "t0"), a.Source("s", "t1")}
+			for i := range b.Data {
+				b.SetLabel(i, pair[i&1])
 			}
+		}, wire.FrameHeaderLen + 5*n, 5.01},
+		{"one taint throughout", func(a *tracker.Agent, b *taint.Bytes) {
+			b.SetRange(0, n, a.Source("s", "t"))
+		}, wire.FrameHeaderLen + wire.GlobalIDLen + n, 1.01},
+	} {
+		r := newRig(t, tracker.ModeDista)
+		sender, receiver := r.endpoints(t)
+		go func() {
+			buf := taint.MakeBytes(n)
+			for {
+				if _, err := receiver.Read(&buf); err != nil {
+					return
+				}
+			}
+		}()
+		payload := taint.MakeBytes(n)
+		tc.fill(r.a, &payload)
+		// The stream's tier settles within two dozen writes (its first
+		// frames ride a denser one); the last is the steady state.
+		var data, wireBytes int64
+		for i := 0; i < 24; i++ {
+			d0, w0 := r.a.Traffic()
+			if err := sender.Write(payload); err != nil {
+				t.Fatal(err)
+			}
+			data, wireBytes = r.a.Traffic()
+			data, wireBytes = data-d0, wireBytes-w0
 		}
-	}()
-	payload := taint.FromString(string(make([]byte, 1000)), r.a.Source("s", "t"))
-	if err := sender.Write(payload); err != nil {
-		t.Fatal(err)
+		if data != n || wireBytes != tc.want || float64(wireBytes) > tc.factor*n {
+			t.Fatalf("%s: traffic = %d/%d, want %d wire bytes, at most %.2fx", tc.name, data, wireBytes, tc.want, tc.factor)
+		}
+		sender.Conn().Close()
 	}
-	data, wireBytes := r.a.Traffic()
-	// A tainted payload still pays the full 5x group factor of §V-F;
-	// the framed codec adds only the one-time stream magic and a
-	// constant header per write.
-	want := int64(wire.StreamMagicLen + wire.GroupsFrameLen(1000))
-	if data != 1000 || wireBytes != want {
-		t.Fatalf("traffic = %d/%d, want %d wire bytes (5x groups + framing)", data, wireBytes, want)
-	}
-	sender.Conn().Close()
 }
 
 func TestStreamFragmentedDelivery(t *testing.T) {
@@ -342,9 +370,10 @@ func TestStreamEOF(t *testing.T) {
 func TestStreamTruncatedGroupIsError(t *testing.T) {
 	r := newRig(t, tracker.ModeDista)
 	ca, cb := r.net.Pipe()
-	receiver := NewEndpoint(r.b, cb)
-	// Write 3 raw bytes (a fraction of one group) and close.
-	if err := jni.SocketWrite0(ca, []byte{1, 2, 3}); err != nil {
+	receiver := NewAdaptiveEndpoint(r.b, cb)
+	// Open a one-group frame, write a fraction of the group and close.
+	cut := wire.AppendFrameHeader(wire.AppendAdaptiveStreamMagic(nil), wire.FrameGroups, wire.GroupLen)
+	if err := jni.SocketWrite0(ca, append(cut, 1, 2, 3)); err != nil {
 		t.Fatal(err)
 	}
 	ca.Close()
@@ -358,15 +387,15 @@ func TestDistaWithoutTaintMapErrors(t *testing.T) {
 	net := netsim.New()
 	a := tracker.New("n", tracker.ModeDista) // no taint map client
 	ca, cb := net.Pipe()
-	sender := NewEndpoint(a, ca)
+	sender := NewAdaptiveEndpoint(a, ca)
 	err := sender.Write(taint.FromString("x", a.Source("s", "t")))
 	if !errors.Is(err, ErrNoTaintMap) {
 		t.Fatalf("err = %v, want ErrNoTaintMap", err)
 	}
 	// Reads fail the same way once groups arrive.
-	go jni.SocketWrite0(cb, wire.EncodeGroups(nil, []byte{1}, []uint32{1}))
+	go jni.SocketWrite0(cb, wire.AppendGroupsFrame(wire.AppendAdaptiveStreamMagic(nil), []byte{1}, []wire.Run{{N: 1, ID: 1}}))
 	buf := taint.MakeBytes(1)
-	receiver := NewEndpoint(a, ca)
+	receiver := NewAdaptiveEndpoint(a, ca)
 	if _, err := receiver.Read(&buf); !errors.Is(err, ErrNoTaintMap) {
 		t.Fatalf("read err = %v, want ErrNoTaintMap", err)
 	}

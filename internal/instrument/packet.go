@@ -15,75 +15,41 @@ import (
 // code (§III-C). The receiver allocates an enlarged buffer, receives the
 // full encoded packet, and splits it back into data and taints.
 
-// PacketSend transmits one datagram payload with its labels.
+// rawHeadRoom is the pooled capacity set aside, beside the payload, for
+// the header and metadata of a raw-body frame; a longer head only grows
+// the buffer.
+const rawHeadRoom = 256
+
+// PacketSend transmits one datagram payload with its labels: exactly one
+// frame, no stream magic. Datagrams carry no stream state, so there is
+// no density tracker to consult: each takes the cheapest tier that fits
+// it (wire.PickTier from the top of the table), none of which is larger
+// than the groups form the receiver sizes its buffer for.
 func PacketSend(agent *tracker.Agent, sock *netsim.UDPSocket, data taint.Bytes, dst string) error {
 	if agent.Mode() != tracker.ModeDista {
 		agent.AddTraffic(len(data.Data), len(data.Data))
 		return jni.DatagramSend(sock, data.Data, dst)
 	}
-	if data.Clean() {
-		// Clean-path datagram: the passthrough flavour costs the
-		// packet header instead of 5x the payload.
-		raw := wire.EncodePacketPassthrough(data.Data)
-		agent.AddTraffic(len(data.Data), len(raw))
-		return jni.DatagramSend(sock, raw, dst)
+	t, s := pickTier(nil, data)
+	size := s.N + rawHeadRoom
+	if wire.Tiers[t].Groups {
+		size = wire.GroupsFrameLen(s.N) + wire.EncodeSlack
 	}
-	return sendGroupsPacket(agent, sock, data, dst)
-}
-
-// sendGroupsPacket transmits one datagram in the group-encoded flavour:
-// the packet header, then the groups writer's encoding of the payload.
-func sendGroupsPacket(agent *tracker.Agent, sock *netsim.UDPSocket, data taint.Bytes, dst string) error {
-	buf := wire.GetBuf(wire.PacketOverhead + wire.WireLen(len(data.Data)) + wire.EncodeSlack)
+	buf := wire.GetBuf(size)
 	defer wire.PutBuf(buf)
-	raw, err := appendGroups(agent, wire.AppendPacketHeader(*buf, len(data.Data)), data)
+	runs, err := coverRuns(agent, data, t, s, nil)
 	if err != nil {
 		return err
 	}
-	agent.AddTraffic(len(data.Data), len(raw))
+	raw, err := appendFrame(agent, *buf, data, t, s.N, runs)
+	if err != nil {
+		return err
+	}
+	if !wire.Tiers[t].Groups {
+		raw = append(raw, data.Data...)
+	}
+	agent.AddTraffic(s.N, len(raw))
 	return jni.DatagramSend(sock, raw, dst)
-}
-
-// PacketSendAdaptive transmits one datagram payload with its labels,
-// opting into the tiered per-datagram encodings. Datagrams carry no
-// stream state, so there is no density tracker to consult: each packet
-// independently takes the cheapest sound form — passthrough when clean,
-// uniform when wholly single-labelled, sparse when the dirty runs fit a
-// range table, full groups otherwise. The receiver decodes every form
-// unconditionally (packet magics are self-describing), so the only
-// compatibility requirement is that the peer runs a decoder that knows
-// the uniform/sparse magics; pre-tiering peers must be sent PacketSend
-// traffic instead.
-func PacketSendAdaptive(agent *tracker.Agent, sock *netsim.UDPSocket, data taint.Bytes, dst string) error {
-	if agent.Mode() != tracker.ModeDista {
-		agent.AddTraffic(len(data.Data), len(data.Data))
-		return jni.DatagramSend(sock, data.Data, dst)
-	}
-	if data.Clean() {
-		raw := wire.EncodePacketPassthrough(data.Data)
-		agent.AddTraffic(len(data.Data), len(raw))
-		return jni.DatagramSend(sock, raw, dst)
-	}
-	st, exact := data.Stats(tierScanLimit)
-	if exact && st.Uniform(len(data.Data)) {
-		id, err := registerOne(agent, st.One)
-		if err != nil {
-			return err
-		}
-		raw := wire.EncodePacketUniform(data.Data, id)
-		agent.AddTraffic(len(data.Data), len(raw))
-		return jni.DatagramSend(sock, raw, dst)
-	}
-	if exact && st.DirtyRuns <= sparseMaxRanges {
-		ranges, err := registerDirty(agent, data, nil)
-		if err != nil {
-			return err
-		}
-		raw := wire.EncodePacketSparse(data.Data, ranges)
-		agent.AddTraffic(len(data.Data), len(raw))
-		return jni.DatagramSend(sock, raw, dst)
-	}
-	return sendGroupsPacket(agent, sock, data, dst)
 }
 
 // PacketPeek inspects the next datagram without consuming it — the
@@ -109,12 +75,13 @@ func PacketReceive(agent *tracker.Agent, sock *netsim.UDPSocket, buf *taint.Byte
 }
 
 // receiveInto runs one datagram native into a pooled, enlarged receive
-// buffer — header plus one group per expected byte — and splits the
-// encoded datagram into buf's data and labels. The decoded payload is a
-// copy, so the enlarged buffer goes back to the pool on return.
+// buffer — a frame header plus one group per expected byte, which no
+// tier's frame for that many bytes exceeds — and splits the frame into
+// buf's data and labels as a stream read would: labels first, bytes
+// second. A datagram longer than buf is cut to fit, labels included.
 func receiveInto(agent *tracker.Agent, sock *netsim.UDPSocket, buf *taint.Bytes,
 	native func(*netsim.UDPSocket, []byte) (int, string, error)) (int, string, error) {
-	size := wire.PacketOverhead + wire.WireLen(len(buf.Data))
+	size := wire.GroupsFrameLen(len(buf.Data))
 	pooled := wire.GetBuf(size)
 	defer wire.PutBuf(pooled)
 	enlarged := (*pooled)[:size]
@@ -122,15 +89,13 @@ func receiveInto(agent *tracker.Agent, sock *netsim.UDPSocket, buf *taint.Bytes,
 	if err != nil {
 		return 0, "", err
 	}
-	data, runs, err := wire.DecodePacketPrefixRuns(enlarged[:n])
-	if err != nil {
+	var dec wire.FrameDecoder
+	if err := dec.FeedDatagram(enlarged[:n]); err != nil {
 		return 0, "", err
 	}
-	// A datagram longer than buf is cut to fit, labels included.
-	stored := min(len(data), len(buf.Data))
+	stored, runs := dec.PeekRuns(len(buf.Data))
 	if err := adoptRuns(agent, buf, 0, runs, stored); err != nil {
 		return 0, "", err
 	}
-	copy(buf.Data, data[:stored])
-	return stored, from, nil
+	return dec.PopInto(buf.Data), from, nil
 }

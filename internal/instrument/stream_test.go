@@ -46,10 +46,21 @@ func (c *chunkTransport) RecvRaw(b []byte) (int, error) {
 // zero Taint among it stands for clean gaps) and returns the window: a
 // run-mode or densified store, viewed whole or at an offset.
 func randomLayout(rng *rand.Rand, pool []taint.Taint) taint.Bytes {
+	return randomLayoutOf(rng, pool, 3)
+}
+
+// randomLayoutOf draws from the first kinds layout kinds only: 1 keeps
+// to a few ranges, the shapes the cheap tiers are for, and 0 to one
+// label over the whole buffer.
+func randomLayoutOf(rng *rand.Rand, pool []taint.Taint, kinds int) taint.Bytes {
 	n := 1 + rng.Intn(600)
 	base := taint.MakeBytes(n)
 	rng.Read(base.Data)
-	switch rng.Intn(3) {
+	if kinds == 0 {
+		base.SetRange(0, n, pool[1+rng.Intn(len(pool)-1)])
+		return base
+	}
+	switch rng.Intn(kinds) {
 	case 0: // a few ranges: stays in run mode
 		for k := rng.Intn(6); k > 0; k-- {
 			from := rng.Intn(n)
@@ -73,19 +84,22 @@ func randomLayout(rng *rand.Rand, pool []taint.Taint) taint.Bytes {
 }
 
 // TestStreamedTierMatchesReference is the seeded differential test of
-// both streamed primitives. Writer: for random label layouts the frame
-// a static endpoint puts on the wire is byte-identical to
-// AppendGroupsFrame over the run list rebuilt from per-byte LabelAt
-// (and to the per-byte EncodeGroups). Reader: the concatenated frames,
-// delivered in random fragments and read through random buffer sizes,
-// leave exactly the labels DecodeGroups + SetLabel leave — and nothing
-// outside the bytes a read returned.
+// the send ladder and both streamed primitives against the per-byte
+// reference. Writer: for random label layouts, whatever tier the
+// endpoint chose, the frame it puts on the wire is byte-identical to
+// that tier's frame built from one Global ID per byte (Register per
+// LabelAt, folded to runs; a groups body also equals the per-byte
+// EncodeGroups). Reader: the concatenated frames, delivered in random
+// fragments and read through random buffer sizes, leave exactly the
+// labels Lookup + SetLabel leave per byte — and nothing outside the
+// bytes a read returned.
 func TestStreamedTierMatchesReference(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
+	seen := map[byte]int{}
+	for seed := int64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		r := newRig(t, tracker.ModeDista)
 		ca, cb := r.net.Pipe()
-		sender := NewEndpoint(r.a, ca)
+		sender := NewAdaptiveEndpoint(r.a, ca)
 
 		// Five sources, two of them registered up front; the rest meet
 		// the Taint Map inside the writer.
@@ -99,21 +113,22 @@ func TestStreamedTierMatchesReference(t *testing.T) {
 			}
 			pool = append(pool, src, taint.Combine(src, pool[len(pool)-1]))
 		}
+		// Some seeds keep to a few ranges per message, some to one label
+		// per message, so their streams stay where the cheap tiers are
+		// chosen.
+		kinds := [4]int{3, 1, 3, 0}[seed%4]
 
-		type frame struct {
-			groups bool
-			data   []byte
-		}
 		var stream []byte
-		var frames []frame
+		var ref taint.Bytes // what the receiving node must end up with
 		for m := 0; m < 12; m++ {
-			msg := randomLayout(rng, pool)
+			msg := randomLayoutOf(rng, pool, kinds)
 			if err := sender.Write(msg); err != nil {
 				t.Fatalf("seed %d msg %d: %v", seed, m, err)
 			}
 			// The reference: one id per byte, then its run list.
 			ids := make([]uint32, len(msg.Data))
 			var runs []wire.Run
+			part := taint.WrapBytes(msg.Data)
 			for i := range ids {
 				id, err := r.a.TaintMap().Register(msg.LabelAt(i))
 				if err != nil {
@@ -125,45 +140,6 @@ func TestStreamedTierMatchesReference(t *testing.T) {
 				} else {
 					runs = append(runs, wire.Run{N: 1, ID: id})
 				}
-			}
-			var want []byte
-			if m == 0 {
-				want = wire.AppendStreamMagic(want)
-			}
-			if msg.Clean() {
-				want = wire.AppendPassthroughFrame(want, msg.Data)
-			} else {
-				want = wire.AppendGroupsFrame(want, msg.Data, runs)
-				perByte := wire.EncodeGroups(nil, msg.Data, ids)
-				if !bytes.HasSuffix(want, perByte) {
-					t.Fatalf("seed %d msg %d: run and per-byte reference encodings disagree", seed, m)
-				}
-			}
-			got := make([]byte, len(want))
-			if _, err := io.ReadFull(cb, got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("seed %d msg %d (%d bytes, %d runs): streamed frame differs from the reference",
-					seed, m, len(msg.Data), len(runs))
-			}
-			stream = append(stream, got...)
-			frames = append(frames, frame{groups: !msg.Clean(), data: got[len(got)-frameBody(msg):]})
-		}
-
-		// Reference labels on the receiving node, byte by byte.
-		var ref taint.Bytes
-		for _, f := range frames {
-			if !f.groups {
-				ref = ref.Append(taint.WrapBytes(f.data))
-				continue
-			}
-			data, ids, err := wire.DecodeGroups(f.data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			part := taint.WrapBytes(data)
-			for i, id := range ids {
 				lbl, err := r.b.TaintMap().Lookup(id)
 				if err != nil {
 					t.Fatal(err)
@@ -171,6 +147,53 @@ func TestStreamedTierMatchesReference(t *testing.T) {
 				part.SetLabel(i, lbl)
 			}
 			ref = ref.Append(part)
+
+			// Read the tag the endpoint chose; build that tier's frame.
+			head := make([]byte, wire.FrameHeaderLen)
+			if m == 0 {
+				head = make([]byte, wire.StreamMagicLen+wire.FrameHeaderLen)
+			}
+			if _, err := io.ReadFull(cb, head); err != nil {
+				t.Fatal(err)
+			}
+			tag := head[len(head)-wire.FrameHeaderLen]
+			tier := -1
+			for i := range wire.Tiers {
+				if wire.Tiers[i].Tag == tag {
+					tier = i
+				}
+			}
+			shape := wire.Shape{N: len(ids), Exact: true}
+			for _, r := range runs {
+				if r.ID != 0 {
+					shape.DirtyBytes += r.N
+					shape.DirtyRuns++
+				}
+			}
+			if tier < 0 || !wire.Tiers[tier].Fits(shape) {
+				t.Fatalf("seed %d msg %d: endpoint chose tag %q for %+v", seed, m, tag, shape)
+			}
+			seen[tag]++
+			want := head[:0:0]
+			if m == 0 {
+				want = wire.AppendAdaptiveStreamMagic(want)
+			}
+			want = wire.AppendFrame(want, tier, msg.Data, runs)
+			if wire.Tiers[tier].Groups && !bytes.HasSuffix(want, wire.EncodeGroups(nil, msg.Data, ids)) {
+				t.Fatalf("seed %d msg %d: run and per-byte reference encodings disagree", seed, m)
+			}
+			got := append(head, make([]byte, len(want)-len(head))...)
+			if _, err := io.ReadFull(cb, got[len(head):]); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %d msg %d (%d bytes, %d runs, tag %q): the endpoint's frame differs from the reference",
+					seed, m, len(msg.Data), len(runs), tag)
+			}
+			if cb.Buffered() != 0 {
+				t.Fatalf("seed %d msg %d: %d bytes follow the frame", seed, m, cb.Buffered())
+			}
+			stream = append(stream, got...)
 		}
 
 		receiver := WrapCustom(r.b, &chunkTransport{stream: stream, rng: rng, max: 1 + rng.Intn(300)})
@@ -205,15 +228,11 @@ func TestStreamedTierMatchesReference(t *testing.T) {
 			t.Fatalf("seed %d: read %d of %d bytes", seed, pos, len(ref.Data))
 		}
 	}
-}
-
-// frameBody is the body length of the frame a static endpoint emits
-// for msg.
-func frameBody(msg taint.Bytes) int {
-	if msg.Clean() {
-		return len(msg.Data)
+	for _, row := range wire.Tiers {
+		if seen[row.Tag] == 0 {
+			t.Errorf("no message of any seed travelled on the %s tier", row.Name)
+		}
 	}
-	return wire.WireLen(len(msg.Data))
 }
 
 // exchange writes msg through sender and reads it back whole through
@@ -296,13 +315,13 @@ func TestReadResolvesBeforePopping(t *testing.T) {
 	reads := map[string]func(t *testing.T, r *rig, b *tracker.Agent) func(*taint.Bytes) (int, error){
 		"Endpoint.Read": func(t *testing.T, r *rig, b *tracker.Agent) func(*taint.Bytes) (int, error) {
 			ca, cb := r.net.Pipe()
-			must(t, NewEndpoint(r.a, ca).Write(taint.FromString(text, r.a.Source("s", "fresh"))))
-			return NewEndpoint(b, cb).Read
+			must(t, NewAdaptiveEndpoint(r.a, ca).Write(taint.FromString(text, r.a.Source("s", "fresh"))))
+			return NewAdaptiveEndpoint(b, cb).Read
 		},
 		"Endpoint.ReadBuffer": func(t *testing.T, r *rig, b *tracker.Agent) func(*taint.Bytes) (int, error) {
 			ca, cb := r.net.Pipe()
-			must(t, NewEndpoint(r.a, ca).Write(taint.FromString(text, r.a.Source("s", "fresh"))))
-			ep := NewEndpoint(b, cb)
+			must(t, NewAdaptiveEndpoint(r.a, ca).Write(taint.FromString(text, r.a.Source("s", "fresh"))))
+			ep := NewAdaptiveEndpoint(b, cb)
 			return func(buf *taint.Bytes) (int, error) {
 				db := &jni.DirectBuffer{Data: buf.Data, B: *buf}
 				return ep.ReadBuffer(db, 0, len(buf.Data))

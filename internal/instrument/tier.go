@@ -1,33 +1,26 @@
 package instrument
 
-import "dista/internal/core/taint"
+import "dista/internal/core/wire"
 
-// Taint-density tiering (DESIGN.md §9): an adaptive endpoint classifies
-// each outgoing buffer into the cheapest wire tier that can carry its
-// labels soundly, steered by a per-connection density tracker so the
-// stream settles on the tier matching the taint pattern the flow
-// actually exhibits instead of paying the 5x group codec for its whole
-// lifetime after one tainted byte.
+// Taint-density tiering (DESIGN.md §7): a stream endpoint sends each
+// outgoing buffer on the cheapest wire tier that can carry its labels
+// soundly, steered by a per-connection density tracker so the stream
+// settles on the tier matching the taint pattern the flow actually
+// exhibits instead of paying the 5x group codec for its whole lifetime
+// after one tainted byte.
 //
-// The tier lattice, cheapest to most general:
-//
-//	P (passthrough) < U (uniform) < S (sparse) < G (groups)
-//
-// Every tier above a buffer's sound minimum can carry it: a uniform
-// buffer fits a sparse frame (one range) and a groups frame; only a
-// clean buffer fits passthrough. A frame's tier is the maximum of the
-// stream's tracked tier and the buffer's sound minimum — the tracker
-// only ever makes a frame *denser* than strictly necessary, never
-// cheaper, so no tier choice can drop a label. Clean buffers always go
-// passthrough regardless of the tracked tier, preserving the PR 5
-// clean-path contract.
-
-// Wire tiers in lattice order.
+// The tiers, their lattice order P < U < S < G and what each can carry
+// are wire.Tiers; the constants below are its indices. A frame's tier
+// is the first that fits the buffer from the stream's tracked tier on
+// (wire.PickTier) — the tracker only ever makes a frame *denser* than
+// strictly necessary, never cheaper, so no tier choice can drop a
+// label. Clean buffers always go passthrough regardless of the tracked
+// tier, preserving the clean-path contract.
 const (
-	tierPassthrough = iota
-	tierUniform
-	tierSparse
-	tierGroups
+	tierPassthrough = wire.TierPassthrough
+	tierUniform     = wire.TierUniform
+	tierSparse      = wire.TierSparse
+	tierGroups      = wire.TierGroups
 )
 
 const (
@@ -35,10 +28,6 @@ const (
 	// that exceeds it is too fragmented for any tier but groups, so the
 	// exact counts don't matter.
 	tierScanLimit = 32
-	// sparseMaxRanges is the densest taint a sparse frame will carry;
-	// beyond it the table overhead approaches the group encoding and
-	// the dense tier wins. Must not exceed wire.MaxSparseRanges.
-	sparseMaxRanges = 16
 	// tierMinDwell is how many consecutive writes the tracker must
 	// spend in a tier before moving to a *cheaper* one. Transitions
 	// toward denser tiers are immediate (they are always sound);
@@ -82,20 +71,26 @@ type densityTracker struct {
 	runs  int64 // EWMA of the dirty-run count, 16.16
 }
 
-// observe folds one write's stats into the EWMAs and reclassifies. n
-// is the buffer length; exact=false (aborted Stats scan) counts as
-// maximal fragmentation.
-func (d *densityTracker) observe(st taint.RunStats, n int, exact bool) {
-	var sampleFrac, sampleRuns int64
-	if n > 0 {
-		sampleFrac = int64(st.DirtyBytes) * fpOne / int64(n)
+// observe folds one write's shape into the EWMAs, reclassifies and
+// returns the stream's tier. An inexact shape (aborted Stats scan)
+// counts as maximal fragmentation.
+//
+// A clean write only ages the tracker. Clean traffic goes passthrough
+// whatever the tier and says nothing about how fragmented the *tainted*
+// traffic is, so it must not dilute the EWMAs: interleaving clean
+// headers with uniform records — the common protocol shape — would
+// otherwise read as "intermediate density" and drive the stream to the
+// groups tier. It still advances the dwell, so a pending downgrade can
+// mature during a clean phase.
+func (d *densityTracker) observe(s wire.Shape) int {
+	if !s.Clean() {
+		sampleRuns := int64(s.DirtyRuns) * fpOne
+		if !s.Exact {
+			sampleRuns = int64(tierScanLimit) * fpOne
+		}
+		d.frac += (int64(s.DirtyBytes)*fpOne/int64(s.N) - d.frac) >> ewmaAlpha
+		d.runs += (sampleRuns - d.runs) >> ewmaAlpha
 	}
-	sampleRuns = int64(st.DirtyRuns) * fpOne
-	if !exact {
-		sampleRuns = int64(tierScanLimit) * fpOne
-	}
-	d.frac += (sampleFrac - d.frac) >> ewmaAlpha
-	d.runs += (sampleRuns - d.runs) >> ewmaAlpha
 	d.dwell++
 
 	target := d.classify()
@@ -108,21 +103,7 @@ func (d *densityTracker) observe(st taint.RunStats, n int, exact bool) {
 	case target < d.tier && d.dwell >= tierMinDwell:
 		d.tier, d.dwell = target, 0
 	}
-}
-
-// observeClean ages the tracker for an all-clean write. Clean traffic
-// is routed by the Clean() gate before tiering is consulted and says
-// nothing about how fragmented the *tainted* traffic is, so it must
-// not dilute the EWMAs: interleaving clean headers with uniform
-// records — the common protocol shape — would otherwise read as
-// "intermediate density" and drive the stream to the groups tier. It
-// still advances the dwell, so a pending downgrade can mature during a
-// clean phase.
-func (d *densityTracker) observeClean(n int) {
-	d.dwell++
-	if target := d.classify(); target < d.tier && d.dwell >= tierMinDwell {
-		d.tier, d.dwell = target, 0
-	}
+	return d.tier
 }
 
 // classify maps the current EWMAs to a tier: the current tier holds
@@ -153,25 +134,4 @@ func (d *densityTracker) classify() int {
 		return tierSparse
 	}
 	return tierGroups
-}
-
-// frameTier picks the tier for one buffer: the maximum of the tracked
-// stream tier and the buffer's sound minimum. The sound minimum is the
-// cheapest tier that carries every label — uniform only for a wholly
-// single-labelled buffer, sparse only when the exact dirty-run count
-// fits a range table, groups otherwise. A clean buffer is the caller's
-// responsibility (it goes passthrough before tiering is consulted).
-func (d *densityTracker) frameTier(st taint.RunStats, n int, exact bool) int {
-	min := tierGroups
-	if exact {
-		if st.Uniform(n) {
-			min = tierUniform
-		} else if st.DirtyRuns <= sparseMaxRanges {
-			min = tierSparse
-		}
-	}
-	if d.tier > min {
-		return d.tier
-	}
-	return min
 }

@@ -3,8 +3,11 @@ package instrument
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"dista/internal/core/taint"
@@ -12,23 +15,22 @@ import (
 	"dista/internal/core/wire"
 	"dista/internal/jni"
 	"dista/internal/netsim"
+	"dista/internal/taintmap"
 )
 
-// uniformStats builds the RunStats of an n-byte wholly t-labelled buffer.
-func uniformStats(t taint.Taint, n int) taint.RunStats {
-	return taint.RunStats{DirtyBytes: n, DirtyRuns: 1, One: t}
+// uniformShape is the shape of an n-byte wholly single-labelled buffer.
+func uniformShape(n int) wire.Shape {
+	return wire.Shape{N: n, DirtyBytes: n, DirtyRuns: 1, Exact: true}
 }
 
 func TestDensityTrackerConvergesUniform(t *testing.T) {
-	tt := taint.NewTree().NewSource("s", "u")
 	var d densityTracker
 	if d.tier != tierPassthrough {
 		t.Fatalf("fresh tracker tier = %d, want passthrough", d.tier)
 	}
 	converged := -1
 	for i := 0; i < 64; i++ {
-		d.observe(uniformStats(tt, 1024), 1024, true)
-		if d.tier == tierUniform {
+		if d.observe(uniformShape(1024)) == tierUniform {
 			converged = i
 			break
 		}
@@ -37,37 +39,34 @@ func TestDensityTrackerConvergesUniform(t *testing.T) {
 		t.Fatalf("64 uniform writes never reached the uniform tier (tier %d)", d.tier)
 	}
 	// Once there, uniform buffers ride the uniform tier.
-	if got := d.frameTier(uniformStats(tt, 1024), 1024, true); got != tierUniform {
-		t.Fatalf("frameTier = %d, want uniform", got)
+	if got := wire.PickTier(uniformShape(1024), d.tier); got != tierUniform {
+		t.Fatalf("frame tier = %d, want uniform", got)
 	}
 	t.Logf("uniform tier reached after %d writes", converged+1)
 }
 
 func TestDensityTrackerConvergesSparseAndClean(t *testing.T) {
-	tt := taint.NewTree().NewSource("s", "sp")
 	var d densityTracker
 	// Two islands totalling 1/8 of 64 KiB: inside the sparse bands.
-	st := taint.RunStats{DirtyBytes: 8 << 10, DirtyRuns: 2, One: taint.Taint{}}
+	s := wire.Shape{N: 64 << 10, DirtyBytes: 8 << 10, DirtyRuns: 2, Exact: true}
 	for i := 0; i < 16; i++ {
-		d.observe(st, 64<<10, true)
+		d.observe(s)
 	}
 	if d.tier != tierSparse {
 		t.Fatalf("sparse workload settled on tier %d, want sparse", d.tier)
 	}
-	if got := d.frameTier(st, 64<<10, true); got != tierSparse {
-		t.Fatalf("frameTier = %d, want sparse", got)
+	if got := wire.PickTier(s, d.tier); got != tierSparse {
+		t.Fatalf("frame tier = %d, want sparse", got)
 	}
 	// A fragmented burst densifies immediately...
-	d.observe(taint.RunStats{DirtyBytes: 32 << 10, DirtyRuns: 33, One: tt}, 64<<10, false)
-	if d.tier != tierGroups {
+	if d.observe(wire.Shape{N: 64 << 10, DirtyBytes: 32 << 10, DirtyRuns: 33}) != tierGroups {
 		t.Fatalf("fragmented burst left tier %d, want immediate groups", d.tier)
 	}
 	// ...and the way back down must wait out the dwell even once the
 	// EWMAs have recovered.
 	drop := -1
 	for i := 0; i < 64; i++ {
-		d.observe(st, 64<<10, true)
-		if d.tier == tierSparse {
+		if d.observe(s) == tierSparse {
 			drop = i
 			break
 		}
@@ -80,37 +79,30 @@ func TestDensityTrackerConvergesSparseAndClean(t *testing.T) {
 	}
 	// Clean writes never disturb the tainted-traffic classification.
 	for i := 0; i < 64; i++ {
-		d.observeClean(64 << 10)
+		d.observe(wire.Shape{N: 64 << 10, Exact: true})
 	}
 	if d.tier != tierSparse {
 		t.Fatalf("clean phase moved the tier to %d", d.tier)
 	}
 }
 
+// TestDensityTrackerFlappingHoldsGroups is the hysteresis check: an
+// adversary alternating uniform and fragmented writes must not move the
+// stream's tier per write.
 func TestDensityTrackerFlappingHoldsGroups(t *testing.T) {
-	tt := taint.NewTree().NewSource("s", "flap")
 	var d densityTracker
-	uni := uniformStats(tt, 4096)
-	dense := taint.RunStats{DirtyBytes: 4096, DirtyRuns: 32, One: taint.Taint{}}
+	uni := uniformShape(4096)
+	dense := wire.Shape{N: 4096, DirtyBytes: 4096, DirtyRuns: 32, Exact: true}
 	for i := 0; i < 16; i++ { // warm up the adversary
-		if i%2 == 0 {
-			d.observe(uni, 4096, true)
-		} else {
-			d.observe(dense, 4096, true)
-		}
+		d.observe([2]wire.Shape{uni, dense}[i%2])
 	}
 	for i := 0; i < 64; i++ {
-		if i%2 == 0 {
-			d.observe(uni, 4096, true)
-		} else {
-			d.observe(dense, 4096, true)
-		}
-		if d.tier != tierGroups {
+		if d.observe([2]wire.Shape{uni, dense}[i%2]) != tierGroups {
 			t.Fatalf("alternating workload flapped to tier %d at write %d", d.tier, i)
 		}
 		// Even the uniform halves must ride the groups floor: per-frame
 		// downgrades are exactly what the tracker exists to prevent.
-		if got := d.frameTier(uni, 4096, true); got != tierGroups {
+		if got := wire.PickTier(uni, d.tier); got != tierGroups {
 			t.Fatalf("uniform write under groups floor got tier %d", got)
 		}
 	}
@@ -235,42 +227,6 @@ func TestAdaptiveWireTags(t *testing.T) {
 	}
 }
 
-// TestNonAdaptiveNeverEmitsTieredTags proves the compatibility gate: a
-// plain framed endpoint keeps the DTF1 magic and the PR 5 tag set even
-// for buffers the tiers were built for, so an old decoder on the other
-// end never meets a tag it does not know.
-func TestNonAdaptiveNeverEmitsTieredTags(t *testing.T) {
-	r := newRig(t, tracker.ModeDista)
-	ca, cb := r.net.Pipe()
-	sender := NewEndpoint(r.a, ca)
-
-	const n = 128
-	tu := r.a.Source("s", "compat")
-	uniform := taint.MakeBytes(n)
-	uniform.SetRange(0, n, tu)
-
-	done := make(chan []byte, 1)
-	go func() { done <- readAllRaw(t, cb) }()
-	for i := 0; i < 16; i++ {
-		if err := sender.Write(uniform); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		if err := sender.Write(taint.MakeBytes(n)); err != nil {
-			t.Fatalf("clean write: %v", err)
-		}
-	}
-	if err := sender.WriteUniform([]byte("framed-record"), tu); err != nil {
-		t.Fatalf("WriteUniform: %v", err)
-	}
-	ca.Close()
-
-	for i, f := range parseFrames(t, <-done, wire.AppendStreamMagic(nil)) {
-		if f.tag != wire.FramePassthrough && f.tag != wire.FrameGroups {
-			t.Fatalf("frame %d: non-negotiated sender emitted tag %q", i, f.tag)
-		}
-	}
-}
-
 // TestAdaptiveEndToEndMixed drives one adaptive connection through
 // clean, uniform, sparse and dense phases and verifies every delivered
 // byte carries exactly the label it was sent with.
@@ -377,63 +333,68 @@ func TestAdaptiveEndToEndMixed(t *testing.T) {
 	}
 }
 
-// TestAdaptiveReceivesFromOlderPeers: an adaptive endpoint must decode
-// the PR 5 framed format and the legacy raw group stream unchanged.
+// TestAdaptiveReceivesFromOlderPeers: what an endpoint does with the
+// stream of a peer of an earlier format — "DTF1"-framed or a headerless
+// group stream. It used to sniff and decode them; there is one dialect
+// now, so every read fails with the decoder's sticky wrong-opening error
+// and never delivers a byte or a label.
 func TestAdaptiveReceivesFromOlderPeers(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func(*tracker.Agent, *netsim.Conn) *Endpoint
-	}{
-		{"framed", NewEndpoint},
-		{"legacy", NewLegacyEndpoint},
+	groups := wire.EncodeGroups(nil, []byte("old"), []uint32{1, 1, 1})
+	for name, stream := range map[string][]byte{
+		"framed": append(wire.AppendFrameHeader([]byte("DTF1"), wire.FrameGroups, len(groups)), groups...),
+		"legacy": groups,
 	} {
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run(name, func(t *testing.T) {
 			r := newRig(t, tracker.ModeDista)
 			ca, cb := r.net.Pipe()
-			sender, receiver := tc.mk(r.a, ca), NewAdaptiveEndpoint(r.b, cb)
-			msg := taint.FromString("cross-version", r.a.Source("s", "old"))
-			if err := sender.Write(msg); err != nil {
+			if err := jni.SocketWrite0(ca, stream); err != nil {
 				t.Fatal(err)
 			}
-			buf := taint.MakeBytes(msg.Len())
-			for pos := 0; pos < msg.Len(); {
-				sub := buf.Slice(pos, msg.Len())
-				n, err := receiver.Read(&sub)
-				if err != nil {
-					t.Fatal(err)
+			receiver := NewAdaptiveEndpoint(r.b, cb)
+			stale := r.b.Source("s", "stale")
+			buf := taint.FromString("......", stale)
+			for i := 0; i < 2; i++ {
+				n, err := receiver.Read(&buf)
+				if n != 0 || err == nil || !strings.Contains(err.Error(), "magic") {
+					t.Fatalf("read %d = %d, %v; want the wrong-opening error", i, n, err)
 				}
-				pos += n
 			}
-			if string(buf.Data) != "cross-version" {
-				t.Fatalf("got %q", buf.Data)
-			}
-			for i := range buf.Data {
-				if !buf.LabelAt(i).Has("old") {
-					t.Fatalf("byte %d lost taint across versions", i)
-				}
+			if string(buf.Data) != "......" || buf.LabelAt(0) != stale {
+				t.Fatalf("a refused stream touched the caller's buffer: %q %v", buf.Data, buf.LabelAt(0))
 			}
 		})
 	}
 }
 
-// TestWriteUniformDelivers checks the WriteUniform fast-path API across
-// endpoint flavours: the label rides whatever encoding the connection
-// negotiated, and an empty taint degrades to the passthrough path.
+// TestWriteUniformDelivers checks the WriteUniform fast-path API on both
+// frames it can leave in: the uniform frame of a stream settled there,
+// and the groups frame a dense history holds the stream to. The label
+// rides either, and an empty taint degrades to the passthrough path.
 func TestWriteUniformDelivers(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		mk   func(*tracker.Agent, *netsim.Conn) *Endpoint
+		name    string
+		history int // alternating-label writes before the records
+		rounds  int // records; the last travels under want
+		want    byte
 	}{
-		{"adaptive", NewAdaptiveEndpoint},
-		{"framed", NewEndpoint},
-		{"legacy", NewLegacyEndpoint},
+		{"uniform_frame", 0, 24, wire.FrameUniform}, // enough for the stream to settle on 'U'
+		{"groups_fallback", 4, 4, wire.FrameGroups}, // inside the dwell a dense history imposes
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(t, tracker.ModeDista)
 			ca, cb := r.net.Pipe()
-			sender, receiver := tc.mk(r.a, ca), NewAdaptiveEndpoint(r.b, cb)
+			sender := NewAdaptiveEndpoint(r.a, ca)
 			tt := r.a.Source("s", "rec")
-			const rounds = 12 // enough for an adaptive sender to settle on 'U'
+			dense := taint.MakeBytes(64)
+			for i := range dense.Data {
+				dense.SetLabel(i, [2]taint.Taint{tt, r.a.Source("s", "other")}[i&1])
+			}
+			for i := 0; i < tc.history; i++ {
+				if err := sender.Write(dense); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rounds := tc.rounds
 			payload := []byte("record-payload")
 			for i := 0; i < rounds; i++ {
 				if err := sender.WriteUniform(payload, tt); err != nil {
@@ -443,24 +404,37 @@ func TestWriteUniformDelivers(t *testing.T) {
 			if err := sender.WriteUniform([]byte("trailer"), taint.Taint{}); err != nil {
 				t.Fatal(err)
 			}
+			ca.Close()
+			raw := readAllRaw(t, cb)
+			frames := parseFrames(t, raw, wire.AppendAdaptiveStreamMagic(nil))
+			if len(frames) != tc.history+rounds+1 {
+				t.Fatalf("%d frames on the wire, want %d", len(frames), tc.history+rounds+1)
+			}
+			if last, trailer := frames[len(frames)-2].tag, frames[len(frames)-1].tag; last != tc.want || trailer != wire.FramePassthrough {
+				t.Fatalf("last record travels as %q and the trailer as %q, want %q and passthrough", last, trailer, tc.want)
+			}
+
+			skip := tc.history * len(dense.Data)
 			total := rounds*len(payload) + len("trailer")
-			got := taint.MakeBytes(total)
-			for pos := 0; pos < total; {
-				sub := got.Slice(pos, total)
-				n, err := receiver.Read(&sub)
+			got := taint.MakeBytes(skip + total)
+			in := WrapCustom(r.b, &chunkTransport{stream: raw, rng: rand.New(rand.NewSource(1)), max: 64})
+			for pos := 0; pos < len(got.Data); {
+				sub := got.Slice(pos, len(got.Data))
+				n, err := in.Read(&sub)
 				if err != nil {
 					t.Fatal(err)
 				}
 				pos += n
 			}
+			got = got.Slice(skip, skip+total)
 			for i := 0; i < rounds*len(payload); i++ {
 				if !got.LabelAt(i).Has("rec") {
-					t.Fatalf("%s: byte %d lost the record label", tc.name, i)
+					t.Fatalf("byte %d lost the record label", i)
 				}
 			}
 			for i := rounds * len(payload); i < total; i++ {
 				if !got.LabelAt(i).Empty() {
-					t.Fatalf("%s: trailer byte %d grew taint", tc.name, i)
+					t.Fatalf("trailer byte %d grew taint", i)
 				}
 			}
 		})
@@ -568,7 +542,8 @@ func TestWritevAdaptiveLabelsDeliver(t *testing.T) {
 }
 
 // TestPacketSendAdaptiveForms drives every per-datagram tier through
-// the UDP wrappers and checks the received labels and wire sizes.
+// the UDP wrappers and checks the received labels and wire sizes, into a
+// buffer that fits the payload and into one UDP truncates it to.
 func TestPacketSendAdaptiveForms(t *testing.T) {
 	r := newRig(t, tracker.ModeDista)
 	sa, _ := r.net.ListenPacket("a:1")
@@ -576,49 +551,280 @@ func TestPacketSendAdaptiveForms(t *testing.T) {
 	tt := r.a.Source("s", "pkt")
 	const n = 64
 
-	check := func(name string, payload taint.Bytes, wantDirty func(int) bool, maxWire int) {
+	check := func(name string, payload taint.Bytes, wantDirty func(int) bool, tag byte, wantWire int) {
 		t.Helper()
-		if err := PacketSendAdaptive(r.a, sa, payload, "b:1"); err != nil {
-			t.Fatalf("%s: send: %v", name, err)
-		}
-		raw := make([]byte, wire.PacketOverhead+wire.WireLen(n))
-		rn, _, err := jni.DatagramPeekData(sb, raw)
-		if err != nil {
-			t.Fatalf("%s: peek raw: %v", name, err)
-		}
-		if rn > maxWire {
-			t.Fatalf("%s: datagram is %d wire bytes, budget %d", name, rn, maxWire)
-		}
-		buf := taint.MakeBytes(n)
-		got, _, err := PacketReceive(r.b, sb, &buf)
-		if err != nil || got != n {
-			t.Fatalf("%s: receive = %d, %v", name, got, err)
-		}
-		for i := 0; i < n; i++ {
-			if wantDirty(i) != buf.LabelAt(i).Has("pkt") {
-				t.Fatalf("%s: byte %d dirty=%v, want %v", name, i, buf.LabelAt(i).Has("pkt"), wantDirty(i))
+		for _, room := range []int{n, n / 2, 8} {
+			if err := PacketSend(r.a, sa, payload, "b:1"); err != nil {
+				t.Fatalf("%s: send: %v", name, err)
+			}
+			raw := make([]byte, wire.GroupsFrameLen(n))
+			rn, _, err := jni.DatagramPeekData(sb, raw)
+			if err != nil {
+				t.Fatalf("%s: peek raw: %v", name, err)
+			}
+			if rn != wantWire || raw[0] != tag {
+				t.Fatalf("%s: datagram is %d wire bytes under tag %q, want %d under %q", name, rn, raw[0], wantWire, tag)
+			}
+			stale := r.b.Source("s", "stale")
+			buf := taint.MakeBytes(room)
+			buf.SetRange(0, room, stale)
+			got, _, err := PacketReceive(r.b, sb, &buf)
+			if err != nil || got != room {
+				t.Fatalf("%s into %d bytes: receive = %d, %v", name, room, got, err)
+			}
+			if !bytes.Equal(buf.Data, payload.Data[:room]) {
+				t.Fatalf("%s into %d bytes: data = %q", name, room, buf.Data)
+			}
+			for i := 0; i < room; i++ {
+				if lbl := buf.LabelAt(i); wantDirty(i) != lbl.Has("pkt") || lbl.Has("stale") {
+					t.Fatalf("%s into %d bytes: byte %d carries %v, want dirty=%v", name, room, i, lbl.Values(), wantDirty(i))
+				}
 			}
 		}
 	}
+	fillData := func(b taint.Bytes) taint.Bytes {
+		for i := range b.Data {
+			b.Data[i] = byte('A' + i%26)
+		}
+		return b
+	}
 
-	uniform := taint.MakeBytes(n)
+	uniform := fillData(taint.MakeBytes(n))
 	uniform.SetRange(0, n, tt)
 	check("uniform", uniform, func(int) bool { return true },
-		wire.PacketOverhead+wire.GlobalIDLen+n)
+		wire.FrameUniform, wire.FrameHeaderLen+wire.GlobalIDLen+n)
 
-	sparse := taint.MakeBytes(n)
+	sparse := fillData(taint.MakeBytes(n))
 	sparse.SetRange(8, 16, tt)
 	sparse.SetRange(32, 36, tt)
 	check("sparse", sparse, func(i int) bool { return (i >= 8 && i < 16) || (i >= 32 && i < 36) },
-		wire.PacketOverhead+wire.SparseCountLen+2*wire.SparseRangeLen+n)
+		wire.FrameSparse, wire.FrameHeaderLen+wire.SparseCountLen+2*wire.SparseRangeLen+n)
 
-	dense := taint.MakeBytes(n)
+	dense := fillData(taint.MakeBytes(n))
 	for i := 0; i < n; i += 2 {
 		dense.SetLabel(i, tt)
 	}
 	check("dense", dense, func(i int) bool { return i%2 == 0 },
-		wire.PacketOverhead+wire.WireLen(n))
+		wire.FrameGroups, wire.GroupsFrameLen(n))
 
-	check("clean", taint.MakeBytes(n), func(int) bool { return false },
-		wire.PacketOverhead+n)
+	check("clean", fillData(taint.MakeBytes(n)), func(int) bool { return false },
+		wire.FramePassthrough, wire.FrameHeaderLen+n)
+
+	// A buffer so short that UDP cuts the datagram inside its label
+	// metadata gets nothing: the range table must arrive whole.
+	if err := PacketSend(r.a, sa, sparse, "b:1"); err != nil {
+		t.Fatal(err)
+	}
+	tiny := taint.MakeBytes(3)
+	if got, _, err := PacketReceive(r.b, sb, &tiny); got != 0 || !errors.Is(err, wire.ErrTruncatedPacket) {
+		t.Fatalf("sparse into 3 bytes: receive = %d, %v; want ErrTruncatedPacket", got, err)
+	}
+}
+
+// TestDatagramFitsReceiveBuffer pins what makes receiveInto's enlarged
+// buffer right for every tier: for every label shape, the datagram
+// PacketSend emits for n payload bytes is at most FrameHeaderLen +
+// WireLen(n) long, so a receiver with room for the payload always gets
+// the whole frame, metadata included. The first case is the regression:
+// 20 bytes tainted on every other byte (10 dirty runs) went out as a
+// 150-byte sparse datagram where groups take 105, and the receiver's
+// 105-byte buffer cut the range table.
+func TestDatagramFitsReceiveBuffer(t *testing.T) {
+	r := newRig(t, tracker.ModeDista)
+	sa, _ := r.net.ListenPacket("a:1")
+	sb, _ := r.net.ListenPacket("b:1")
+	pool := []taint.Taint{{}}
+	for i := 0; i < 4; i++ {
+		pool = append(pool, r.a.Source("s", fmt.Sprintf("dg%d", i)))
+	}
+	comb := taint.MakeBytes(20)
+	for i := 0; i < 20; i += 2 {
+		comb.SetLabel(i, pool[1])
+	}
+	msgs := []taint.Bytes{comb}
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 300; i++ {
+		msgs = append(msgs, randomLayout(rng, pool))
+	}
+	for mi, msg := range msgs {
+		n := len(msg.Data)
+		if err := PacketSend(r.a, sa, msg, "b:1"); err != nil {
+			t.Fatalf("msg %d: send: %v", mi, err)
+		}
+		raw := make([]byte, 2*wire.GroupsFrameLen(n))
+		rn, _, err := jni.DatagramPeekData(sb, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rn > wire.GroupsFrameLen(n) {
+			t.Fatalf("msg %d: %d payload bytes (%d runs) travel as %d wire bytes under tag %q, past the %d a receiver makes room for",
+				mi, n, msg.RunCount(), rn, raw[0], wire.GroupsFrameLen(n))
+		}
+		buf := taint.MakeBytes(n)
+		got, _, err := PacketReceive(r.b, sb, &buf)
+		if err != nil || got != n || !bytes.Equal(buf.Data, msg.Data) {
+			t.Fatalf("msg %d (tag %q): receive = %d, %v", mi, raw[0], got, err)
+		}
+		for i := 0; i < n; i++ {
+			if want, have := msg.LabelAt(i), buf.LabelAt(i); want.Empty() != have.Empty() || !sameKeys(want, have) {
+				t.Fatalf("msg %d (tag %q) byte %d: label %v, sent %v", mi, raw[0], i, have.Values(), want.Values())
+			}
+		}
+	}
+}
+
+// sameKeys compares labels across nodes by their tag values.
+func sameKeys(a, b taint.Taint) bool {
+	av, bv := a.Values(), b.Values()
+	if len(av) != len(bv) {
+		return false
+	}
+	for _, v := range av {
+		if !b.Has(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRefusalsOnEveryTier: a send whose labels cannot be given Global
+// IDs — no Taint Map client at all, or a degraded one handing out
+// provisional ids — is refused on every tier and through every envelope
+// (stream, direct buffer, gathering write, custom transport, datagram),
+// with nothing written to the connection.
+func TestRefusalsOnEveryTier(t *testing.T) {
+	r := newRig(t, tracker.ModeDista)
+	bare := tracker.New("n", tracker.ModeDista)
+	degraded, closeDegraded := degradedAgent(t)
+	defer closeDegraded()
+	for name, tc := range map[string]struct {
+		agent *tracker.Agent
+		want  error
+	}{
+		"nil Taint Map":  {bare, ErrNoTaintMap},
+		"provisional id": {degraded, taintmap.ErrGlobalIDPending},
+	} {
+		a := tc.agent
+		x, y := a.Source("s", "x"), a.Source("s", "y")
+		const n = 64
+		payloads := map[int]taint.Bytes{}
+		uniform := taint.MakeBytes(n)
+		uniform.SetRange(0, n, x)
+		payloads[tierUniform] = uniform
+		sparse := taint.MakeBytes(n)
+		sparse.SetRange(8, 12, x)
+		sparse.SetRange(40, 44, y)
+		payloads[tierSparse] = sparse
+		dense := taint.MakeBytes(n)
+		for i := range dense.Data {
+			dense.SetLabel(i, [2]taint.Taint{x, y}[i&1])
+		}
+		payloads[tierGroups] = dense
+		for tier, msg := range payloads {
+			if got, _ := pickTier(nil, msg); got != tier {
+				t.Fatalf("payload meant for tier %d picks %d", tier, got)
+			}
+			direct := &jni.DirectBuffer{Data: msg.Data, B: msg}
+			ta, _ := newChanPair()
+			sock, _ := r.net.ListenPacket(fmt.Sprintf("%s/%d:1", name, tier))
+			peer, _ := r.net.ListenPacket(fmt.Sprintf("%s/%d:2", name, tier))
+			ca, cb := r.net.Pipe()
+			sends := map[string]func() error{
+				"Write":       func() error { return NewAdaptiveEndpoint(a, ca).Write(msg) },
+				"WriteBuffer": func() error { _, err := NewAdaptiveEndpoint(a, ca).WriteBuffer(direct, 0, n); return err },
+				"WritevBuffers": func() error {
+					_, err := NewAdaptiveEndpoint(a, ca).WritevBuffers([]*jni.DirectBuffer{direct}, []int{n})
+					return err
+				},
+				"CustomEndpoint.Write": func() error { return WrapCustom(a, ta).Write(msg) },
+				"PacketSend":           func() error { return PacketSend(a, sock, msg, peer.Addr()) },
+			}
+			for via, send := range sends {
+				if err := send(); !errors.Is(err, tc.want) {
+					t.Fatalf("%s: %s of a %s payload = %v, want %v", name, via, wire.Tiers[tier].Name, err, tc.want)
+				}
+			}
+			if _, wireBytes := a.Traffic(); wireBytes != 0 || cb.Buffered() != 0 || len(ta.out) != 0 || peer.Pending() != 0 {
+				t.Fatalf("%s: refused %s sends put %d bytes on the wire (%d buffered on the connection)",
+					name, wire.Tiers[tier].Name, wireBytes, cb.Buffered())
+			}
+		}
+	}
+}
+
+// TestTableRowReachesEndpoints adds a throwaway row to wire.Tiers — 'B',
+// the uniform row under another tag, ahead of it in the table — and
+// shows the senders and the receivers pick it up with no other edit: a
+// settled uniform stream, a datagram and a gathering write all emit 'B'
+// frames, and every byte arrives under its label.
+func TestTableRowReachesEndpoints(t *testing.T) {
+	table := wire.Tiers
+	defer func() { wire.Tiers = table }()
+	blanket := table[wire.TierUniform]
+	blanket.Tag, blanket.Name = 'B', "blanket"
+	wire.Tiers = append(append(append([]wire.Tier(nil), table[:wire.TierUniform]...), blanket), table[wire.TierUniform:]...)
+
+	r := newRig(t, tracker.ModeDista)
+	tt := r.a.Source("s", "row")
+	const n = 48
+	msg := taint.MakeBytes(n)
+	msg.SetRange(0, n, tt)
+	labelled := func(via string, got taint.Bytes) {
+		t.Helper()
+		for i := range got.Data {
+			if !got.LabelAt(i).Has("row") {
+				t.Fatalf("%s: byte %d arrived under %v", via, i, got.LabelAt(i).Values())
+			}
+		}
+	}
+
+	// Stream and gathering write: capture the wire, then decode it.
+	ca, cb := r.net.Pipe()
+	sender := NewAdaptiveEndpoint(r.a, ca)
+	const writes = 24
+	for i := 0; i < writes; i++ {
+		if err := sender.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	direct := &jni.DirectBuffer{Data: msg.Data, B: msg}
+	if _, err := sender.WritevBuffers([]*jni.DirectBuffer{direct, direct}, []int{n, n}); err != nil {
+		t.Fatal(err)
+	}
+	ca.Close()
+	raw := readAllRaw(t, cb)
+	frames := parseFrames(t, raw, wire.AppendAdaptiveStreamMagic(nil))
+	if last := frames[len(frames)-1]; last.tag != 'B' || last.n != wire.GlobalIDLen+2*n {
+		t.Fatalf("gathering write left as {%q %d}, want one 'B' frame for both sources", last.tag, last.n)
+	}
+	if f := frames[writes-1]; f.tag != 'B' {
+		t.Fatalf("settled uniform stream writes %q frames", f.tag)
+	}
+	got := taint.MakeBytes((writes + 2) * n)
+	in := WrapCustom(r.b, &chunkTransport{stream: raw, rng: rand.New(rand.NewSource(5)), max: 100})
+	for pos := 0; pos < len(got.Data); {
+		sub := got.Slice(pos, len(got.Data))
+		k, err := in.Read(&sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos += k
+	}
+	labelled("stream", got)
+
+	// Datagram.
+	sa, _ := r.net.ListenPacket("a:1")
+	sb, _ := r.net.ListenPacket("b:1")
+	if err := PacketSend(r.a, sa, msg, "b:1"); err != nil {
+		t.Fatal(err)
+	}
+	peek := make([]byte, wire.GroupsFrameLen(n))
+	if _, _, err := jni.DatagramPeekData(sb, peek); err != nil || peek[0] != 'B' {
+		t.Fatalf("datagram opens with %q (%v)", peek[0], err)
+	}
+	buf := taint.MakeBytes(n)
+	if k, _, err := PacketReceive(r.b, sb, &buf); err != nil || k != n {
+		t.Fatalf("receive = %d, %v", k, err)
+	}
+	labelled("datagram", buf)
 }

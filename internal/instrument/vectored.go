@@ -7,23 +7,27 @@ import (
 )
 
 // Vectored Type 3 wrappers: the writev0/readv0 dispatcher natives used
-// by NIO gathering writes and scattering reads. The dista wrapper
-// encodes each source buffer into its own group run and hands the runs
-// to the vectored native, preserving the original call shape.
+// by NIO gathering writes and scattering reads. The dista wrapper frames
+// each source buffer and hands the pieces to the vectored native,
+// preserving the original call shape.
+
+// vframe is one frame of a gathering write.
+type vframe struct {
+	t, n     int // tier and payload bytes
+	src, end int // sources [src, end) are its payload
+	c0, c1   int // its run cover is cover[c0:c1] of the shared scratch
+	headEnd  int // where its head ends in the pooled scratch
+}
 
 // WritevBuffers performs a gathering write of the [0,lens[i]) prefix of
 // each direct buffer, returning the total data bytes consumed.
 //
-// On the framed path adjacent clean sources coalesce into a single
-// passthrough frame whose payload entries are the raw buffer slices —
-// one 5-byte header for the whole stretch and zero copies — while
-// tainted sources each travel as their own groups frame. An adaptive
-// endpoint additionally coalesces adjacent sources that carry the same
-// single label into one uniform frame (one header plus one Global ID
-// for the stretch, payloads still uncopied); tainted sources too
-// fragmented for the uniform tier fall back to groups frames — the
-// vectored path never emits sparse frames, since per-source tables
-// would cost more than the per-source groups frame they replace.
+// Every source picks its tier through the stream's send ladder, as a
+// write of its own would. Adjacent sources under one label throughout —
+// clean ones, or ones carrying the same single taint — share a frame:
+// one header (plus one Global ID) for the whole stretch. Raw-body
+// payloads enter the vector as the buffers' own slices, uncopied; only
+// heads and group bodies are assembled, in one pooled scratch.
 func (e *Endpoint) WritevBuffers(srcs []*jni.DirectBuffer, lens []int) (int64, error) {
 	if len(srcs) != len(lens) {
 		panic("instrument: srcs/lens length mismatch")
@@ -45,131 +49,78 @@ func (e *Endpoint) WritevBuffers(srcs []*jni.DirectBuffer, lens []int) (int64, e
 		return jni.DispatcherWritev0(e.conn, raw)
 	}
 
-	if e.legacy {
-		encoded := make([][]byte, len(srcs))
-		total := 0
-		for i, src := range srcs {
-			if err := src.CheckRange(0, lens[i]); err != nil {
-				return 0, err
-			}
-			raw, err := appendGroups(e.agent, nil, src.View(0, lens[i]))
-			if err != nil {
-				return 0, err
-			}
-			encoded[i] = raw
-			total += lens[i]
-			e.agent.AddTraffic(lens[i], len(encoded[i]))
-		}
-		if _, err := jni.DispatcherWritev0(e.conn, encoded); err != nil {
-			return 0, err
-		}
-		return int64(total), nil
-	}
-
-	// Pass 1: classify sources and size the shared scratch exactly so
-	// pass 2 can alias into it without any append ever reallocating
-	// (which would invalidate earlier vector entries).
-	clean := make([]bool, len(srcs))
-	var uids []uint32 // adaptive: uniform-frame Global ID per source (0 = not uniform)
-	if e.adaptive {
-		uids = make([]uint32, len(srcs))
-	}
-	scratchLen := 0
-	if !e.wroteMagic {
-		scratchLen += wire.StreamMagicLen
-	}
-	total, wireBytes := 0, 0
+	// Pass 1: tiers, run covers and frame boundaries. Everything the
+	// raw-body frames need registered is registered here.
+	frames := make([]vframe, 0, len(srcs))
+	cover := e.wr.cover[:0]
+	total, room := 0, wire.StreamMagicLen+wire.EncodeSlack
 	for i, src := range srcs {
 		if err := src.CheckRange(0, lens[i]); err != nil {
 			return 0, err
 		}
 		total += lens[i]
-		if src.Clean(0, lens[i]) {
-			clean[i] = true
-			if e.adaptive {
-				e.tier.observeClean(lens[i])
-			}
-			if i == 0 || !clean[i-1] {
-				scratchLen += wire.FrameHeaderLen
-			}
-			continue
-		}
-		if e.adaptive {
-			st, exact := src.View(0, lens[i]).Stats(tierScanLimit)
-			e.tier.observe(st, lens[i], exact)
-			if e.tier.frameTier(st, lens[i], exact) == tierUniform {
-				id, err := registerOne(e.agent, st.One)
-				if err != nil {
-					return 0, err
-				}
-				uids[i] = id
-				if i == 0 || uids[i-1] != id {
-					scratchLen += wire.FrameHeaderLen + wire.GlobalIDLen
-				}
-				continue
-			}
-		}
-		scratchLen += wire.GroupsFrameLen(lens[i])
-	}
-
-	// Pass 2: assemble headers and group bodies in the pooled scratch;
-	// clean payloads enter the vector as raw slices, uncopied. Nothing
-	// has reached the connection yet, so a taint that fails to register
-	// here fails the whole call.
-	buf := wire.GetBuf(scratchLen + wire.EncodeSlack)
-	defer wire.PutBuf(buf)
-	out := *buf
-	vec := make([][]byte, 0, 2*len(srcs))
-	for i := 0; i < len(srcs); {
-		mark := len(out)
-		if !e.wroteMagic && mark == 0 {
-			// The magic rides in the first frame's header slice.
-			out = e.appendMagic(out)
-		}
-		if clean[i] {
-			j, n := i, 0
-			for j < len(srcs) && clean[j] {
-				n += lens[j]
-				j++
-			}
-			out = wire.AppendFrameHeader(out, wire.FramePassthrough, n)
-			vec = append(vec, out[mark:len(out):len(out)])
-			for k := i; k < j; k++ {
-				vec = append(vec, srcs[k].Data[:lens[k]])
-			}
-			wireBytes += len(out) - mark + n
-			i = j
-			continue
-		}
-		if uids != nil && uids[i] != 0 {
-			j, n := i, 0
-			for j < len(srcs) && uids[j] == uids[i] {
-				n += lens[j]
-				j++
-			}
-			out = wire.AppendUniformHeader(out, n, uids[i])
-			vec = append(vec, out[mark:len(out):len(out)])
-			for k := i; k < j; k++ {
-				vec = append(vec, srcs[k].Data[:lens[k]])
-			}
-			wireBytes += len(out) - mark + n
-			i = j
-			continue
-		}
+		v := src.View(0, lens[i])
+		t, s := pickTier(&e.wr.tier, v)
+		f := vframe{t: t, n: lens[i], src: i, end: i + 1, c0: len(cover)}
 		var err error
-		if out, err = appendGroupsFrame(e.agent, out, srcs[i].View(0, lens[i])); err != nil {
+		if cover, err = coverRuns(e.agent, v, t, s, cover); err != nil {
 			return 0, err
 		}
-		vec = append(vec, out[mark:len(out):len(out)])
-		wireBytes += len(out) - mark
-		i++
+		f.c1 = len(cover)
+		if k := len(frames) - 1; k >= 0 && frames[k].t == t && f.c1-f.c0 == 1 &&
+			frames[k].c1-frames[k].c0 == 1 && cover[f.c0].ID == cover[frames[k].c0].ID {
+			cover[frames[k].c0].N += f.n
+			cover = cover[:f.c0]
+			frames[k].n += f.n
+			frames[k].end = f.end
+			continue
+		}
+		frames = append(frames, f)
+		room += rawHeadRoom
+		if wire.Tiers[t].Groups {
+			room += wire.GroupsFrameLen(f.n)
+		}
+	}
+	e.wr.cover = cover[:0]
+
+	// Pass 2: heads and group bodies into the pooled scratch. Nothing has
+	// reached the connection yet, so a taint that fails to register here
+	// fails the whole call. The magic rides in the first frame's head.
+	buf := wire.GetBuf(room)
+	defer wire.PutBuf(buf)
+	out := *buf
+	if !e.wr.wroteMagic {
+		out = wire.AppendAdaptiveStreamMagic(out)
+	}
+	for k := range frames {
+		f := &frames[k]
+		var err error
+		if out, err = appendFrame(e.agent, out, srcs[f.src].View(0, lens[f.src]), f.t, f.n, cover[f.c0:f.c1]); err != nil {
+			return 0, err
+		}
+		f.headEnd = len(out)
+	}
+
+	// The scratch no longer moves: alias the heads into the vector.
+	vec := make([][]byte, 0, len(frames)+len(srcs))
+	wireBytes, mark := 0, 0
+	for _, f := range frames {
+		vec = append(vec, out[mark:f.headEnd:f.headEnd])
+		wireBytes += f.headEnd - mark
+		mark = f.headEnd
+		if !wire.Tiers[f.t].Groups {
+			for k := f.src; k < f.end; k++ {
+				vec = append(vec, srcs[k].Data[:lens[k]])
+			}
+			wireBytes += f.n
+		}
 	}
 	e.agent.AddTraffic(total, wireBytes)
 	if _, err := jni.DispatcherWritev0(e.conn, vec); err != nil {
 		return 0, err
 	}
 	if len(vec) > 0 {
-		e.wroteMagic = true
+		e.wr.wroteMagic = true
 	}
 	return int64(total), nil
 }

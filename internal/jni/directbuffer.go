@@ -44,17 +44,6 @@ func (b *DirectBuffer) Label(i int) taint.Taint { return b.B.LabelAt(i) }
 // SetLabel assigns taint t to byte i.
 func (b *DirectBuffer) SetLabel(i int, t taint.Taint) { b.B.SetLabel(i, t) }
 
-// Clean reports whether every byte of [from,to) is untainted — the
-// O(1)-amortized gate that routes whole-buffer writes onto the
-// passthrough path (see taint.Bytes.Clean for the memo semantics).
-// The range must be valid; like View, an invalid one panics.
-func (b *DirectBuffer) Clean(from, to int) bool {
-	if err := b.CheckRange(from, to); err != nil {
-		panic(err)
-	}
-	return b.B.Slice(from, to).Clean()
-}
-
 // ResetLabels clears every label, keeping the shadow store for reuse.
 func (b *DirectBuffer) ResetLabels() { b.B.ResetLabels() }
 

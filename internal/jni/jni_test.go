@@ -154,14 +154,14 @@ func TestDirectBufferPoolResetsLabels(t *testing.T) {
 		t.Fatalf("acquired %d bytes, want >= 600", db.Len())
 	}
 	db.SetLabel(3, taint.NewTree().NewSource("pooled", "t1"))
-	if db.Clean(0, db.Len()) {
+	if db.View(0, db.Len()).Clean() {
 		t.Fatal("buffer with a label reads clean")
 	}
 	ReleaseDirectBuffer(db)
 	// The pool must never hand back stale labels, whichever buffer
 	// comes out next.
 	again := AcquireDirectBuffer(600)
-	if !again.Clean(0, again.Len()) {
+	if !again.View(0, again.Len()).Clean() {
 		t.Fatal("pooled buffer came back with stale labels")
 	}
 	ReleaseDirectBuffer(again)

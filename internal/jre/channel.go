@@ -23,7 +23,7 @@ type SocketChannel struct {
 func newSocketChannel(env *Env, conn *netsim.Conn) *SocketChannel {
 	return &SocketChannel{
 		env:      env,
-		ep:       instrument.NewEndpoint(env.Agent, conn),
+		ep:       instrument.NewAdaptiveEndpoint(env.Agent, conn),
 		wscratch: acquireDirect(env, defaultBufferSize),
 		rscratch: acquireDirect(env, defaultBufferSize),
 	}

@@ -63,7 +63,7 @@ type Socket struct {
 
 // newSocket wraps an established connection.
 func newSocket(env *Env, conn *netsim.Conn) *Socket {
-	s := &Socket{env: env, ep: instrument.NewEndpoint(env.Agent, conn)}
+	s := &Socket{env: env, ep: instrument.NewAdaptiveEndpoint(env.Agent, conn)}
 	s.in = &SocketInputStream{ep: s.ep}
 	s.out = &SocketOutputStream{ep: s.ep}
 	return s

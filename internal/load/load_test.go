@@ -32,17 +32,6 @@ func TestRunSmall(t *testing.T) {
 	}
 }
 
-// TestRunAdaptive runs the same shape over the tiering endpoints.
-func TestRunAdaptive(t *testing.T) {
-	r, err := Run(Config{Conns: 100, Ops: 3, Payload: 1024, Adaptive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Ops != 100*3 {
-		t.Fatalf("ops = %d, want %d", r.Ops, 100*3)
-	}
-}
-
 // TestRunCluster routes registrations and lookups through a live
 // 3-member simulated taintmap cluster.
 func TestRunCluster(t *testing.T) {

@@ -155,6 +155,21 @@ func dataStreamCase(id int, name string, sizeDiv int,
 	}
 }
 
+// PerByteCase is case 1's exchange with every other byte of each payload
+// stripped of its label, so that no two neighbours share one — not a
+// Table II row, but the traffic whose sound minimum is the format §V-F
+// prices: every byte beside the Global ID of its own taint, 5x.
+func PerByteCase() Case {
+	return byteStreamCase(0, "a label change on every byte", 1, plainOut, plainIn,
+		func(out jre.OutputStream, data taint.Bytes) error {
+			data = data.Clone()
+			for i := 1; i < data.Len(); i += 2 {
+				data.SetLabel(i, taint.Taint{})
+			}
+			return writeWhole(out, data)
+		})
+}
+
 // socketCases returns the 22 JRE Socket cases.
 func socketCases() []Case {
 	cases := []Case{
