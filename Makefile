@@ -46,9 +46,14 @@ INLINED := 'internal/core/taint/shadow.go:norm' \
 	'internal/core/taint/taint.go:Taint.GlobalID' \
 	'internal/core/wire/wire.go:GroupWord' \
 	'internal/core/wire/wire.go:PutGroup' \
-	'internal/core/wire/wire.go:encodeGroups'
+	'internal/core/wire/wire.go:encodeGroups' \
+	'internal/core/wire/wire.go:GroupID' \
+	'internal/core/wire/wire.go:(*StreamDecoder).materialise' \
+	'internal/core/wire/wire.go:(*StreamDecoder).peek' \
+	'internal/instrument/endpoint.go:(*firstSeen[go.shape.uint32]).find' \
+	'internal/instrument/endpoint.go:(*firstSeen[go.shape.uint32]).add'
 inline-check:
-	@out=$$($(GO) build -gcflags=-m ./internal/core/taint ./internal/core/wire 2>&1); \
+	@out=$$($(GO) build -gcflags=-m ./internal/core/taint ./internal/core/wire ./internal/instrument 2>&1); \
 	for f in $(INLINED); do \
 		echo "$$out" | sed -n "s|^$${f%%:*}:[0-9:]* ||p" | grep -qFx "can inline $${f##*:}" \
 			|| { echo "inline-check: $${f##*:} ($${f%%:*}) is documented as inlined but the compiler does not inline it"; exit 1; }; \

@@ -58,13 +58,16 @@ func RunsAllUntainted(runs []Run) bool {
 }
 
 // FrameDecoder reassembles a stream of frames from arbitrarily
-// fragmented reads. It is a StreamDecoder front-end: Feed it raw reads,
-// pop decoded bytes with NextRuns/NextRunsInto/Next (or PeekRuns then
-// PopInto); raw bodies surface as runs under their metadata's ids
-// without ever materializing groups. The zero value expects the stream
-// magic first.
+// fragmented reads. It is a StreamDecoder with a framing front-end: Feed
+// it raw reads and pop with the StreamDecoder's consumers (NextRuns,
+// NextRunsInto, Next, PeekRuns then PopInto, PeekGroups then
+// SkipGroups); raw bodies surface as runs under their metadata's ids
+// without ever materializing groups, and group bodies stay groups until
+// their reader decodes them. The zero value expects the stream magic
+// first.
 type FrameDecoder struct {
-	sd     StreamDecoder
+	StreamDecoder // what is buffered, and every way to pop it
+
 	magicN int // magic bytes matched; StreamMagicLen once the stream is open
 	hdr    [FrameHeaderLen]byte
 	hdrN   int
@@ -119,9 +122,9 @@ func (d *FrameDecoder) Feed(raw []byte) error {
 			m := min(d.body, len(raw))
 			switch {
 			case d.tier.Groups:
-				d.sd.Feed(raw[:m])
+				d.StreamDecoder.Feed(raw[:m])
 			case d.tier.Cover == nil:
-				d.sd.pushRun(raw[:m], 0)
+				d.pushRun(raw[:m], 0)
 			default:
 				d.pushCover(raw[:m])
 			}
@@ -185,11 +188,11 @@ func (d *FrameDecoder) pushCover(raw []byte) {
 	for {
 		r := &d.cover[d.coverN]
 		if len(raw) <= r.N {
-			d.sd.pushRun(raw, r.ID)
+			d.pushRun(raw, r.ID)
 			r.N -= len(raw)
 			return
 		}
-		d.sd.pushRun(raw[:r.N], r.ID)
+		d.pushRun(raw[:r.N], r.ID)
 		raw = raw[r.N:]
 		d.coverN++
 	}
@@ -217,31 +220,9 @@ func (d *FrameDecoder) FeedDatagram(raw []byte) error {
 	return nil
 }
 
-// Buffered returns how many decoded data bytes are ready.
-func (d *FrameDecoder) Buffered() int { return d.sd.Buffered() }
-
 // PendingPartial reports whether the stream ended mid-unit: inside the
 // magic, a frame header, a frame body, or a group. At EOF it
 // distinguishes a clean close from a truncated transfer.
 func (d *FrameDecoder) PendingPartial() bool {
-	return d.magicN%StreamMagicLen > 0 || d.hdrN > 0 || d.body > 0 || d.sd.PendingPartial()
+	return d.magicN%StreamMagicLen > 0 || d.hdrN > 0 || d.body > 0 || d.StreamDecoder.PendingPartial()
 }
-
-// PeekRuns reports the size and run cover of a pop of up to max bytes
-// without consuming it (see StreamDecoder.PeekRuns).
-func (d *FrameDecoder) PeekRuns(max int) (int, []Run) { return d.sd.PeekRuns(max) }
-
-// PopInto pops decoded bytes into dst for a caller that took their runs
-// from PeekRuns.
-func (d *FrameDecoder) PopInto(dst []byte) int { return d.sd.PopInto(dst) }
-
-// NextRuns pops up to max decoded bytes with their taint runs, which
-// stay valid until the next Feed.
-func (d *FrameDecoder) NextRuns(max int) ([]byte, []Run) { return d.sd.NextRuns(max) }
-
-// NextRunsInto pops decoded bytes directly into dst — no allocation for
-// the data half.
-func (d *FrameDecoder) NextRunsInto(dst []byte) (int, []Run) { return d.sd.NextRunsInto(dst) }
-
-// Next pops up to max decoded bytes with their per-byte ids.
-func (d *FrameDecoder) Next(max int) ([]byte, []uint32) { return d.sd.Next(max) }

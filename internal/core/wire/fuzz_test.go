@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -68,8 +69,10 @@ func FuzzStreamRoundTrip(f *testing.F) {
 			t.Fatalf("decoder buffered %d of %d bytes", dec.Buffered(), len(data))
 		}
 
-		// Drain with randomly sized pops, alternating Next, NextRuns and
-		// PeekRuns+PopInto, keeping every popped run slice and a copy.
+		// Drain with randomly sized pops, alternating Next, NextRuns,
+		// PeekRuns+PopInto and the per-byte consumer (which is offered
+		// the head of the stream until the first run consumer has decoded
+		// it), keeping every popped run slice and a copy.
 		var gotData []byte
 		var gotIDs []uint32
 		var popped, copies [][]Run
@@ -88,12 +91,21 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		}
 		for dec.Buffered() > 0 {
 			max := rng.Intn(int(pops)+2) + 1
-			switch rng.Intn(3) {
+			switch rng.Intn(4) {
 			case 0:
 				d, is := dec.Next(max)
 				gotData = append(gotData, d...)
 				gotIDs = append(gotIDs, is...)
 			case 1:
+				g := dec.PeekGroups(max)
+				d, is, err := DecodeGroups(g)
+				if err != nil || len(d) > max {
+					t.Fatalf("PeekGroups(%d) offered %d wire bytes (%v)", max, len(g), err)
+				}
+				dec.SkipGroups(len(d))
+				gotData = append(gotData, d...)
+				gotIDs = append(gotIDs, is...)
+			case 2:
 				d, rs := dec.NextRuns(max)
 				checkRuns(rs, len(d))
 				gotData = append(gotData, d...)
@@ -237,18 +249,37 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if dec.Buffered() != len(data) {
 			t.Fatalf("buffered %d of %d", dec.Buffered(), len(data))
 		}
-		var gotData []byte
-		var gotIDs []uint32
+		// Two consumers of the same stream: the run consumer alone, and
+		// the per-byte one wherever the head of the stream is still raw
+		// groups (a groups frame with no raw body decoded ahead of it).
+		var twin FrameDecoder
+		if err := twin.Feed(raw); err != nil {
+			t.Fatalf("Feed: %v", err)
+		}
+		var gotData, twinData []byte
+		var gotIDs, twinIDs []uint32
 		for dec.Buffered() > 0 {
 			d, is := dec.Next(rng.Intn(64) + 1)
 			gotData = append(gotData, d...)
 			gotIDs = append(gotIDs, is...)
 		}
-		if !bytes.Equal(gotData, data) {
-			t.Fatalf("data mismatch:\n got %x\nwant %x", gotData, data)
+		for twin.Buffered() > 0 {
+			max := rng.Intn(64) + 1
+			d, is, err := DecodeGroups(twin.PeekGroups(max))
+			if err != nil {
+				t.Fatalf("PeekGroups: %v", err)
+			}
+			if twin.SkipGroups(len(d)); len(d) == 0 {
+				d, is = twin.Next(max)
+			}
+			twinData = append(twinData, d...)
+			twinIDs = append(twinIDs, is...)
 		}
-		if !equalIDs(gotIDs, wantIDs) {
-			t.Fatalf("ids = %v, want %v", gotIDs, wantIDs)
+		if !bytes.Equal(gotData, data) || !bytes.Equal(twinData, data) {
+			t.Fatalf("data mismatch:\n run consumer %x\n per-byte consumer %x\nwant %x", gotData, twinData, data)
+		}
+		if !equalIDs(gotIDs, wantIDs) || !equalIDs(twinIDs, wantIDs) {
+			t.Fatalf("ids = %v by runs, %v per byte, want %v", gotIDs, twinIDs, wantIDs)
 		}
 	})
 }
@@ -297,14 +328,20 @@ func FuzzFrameDecoderRobust(f *testing.F) {
 			t.Fatalf("%d bytes decoded from a stream that opens %q", dec.Buffered(), raw[:min(len(raw), StreamMagicLen)])
 		}
 		for dec.Buffered() > 0 {
+			if g := dec.PeekGroups(5); len(g)%GroupLen != 0 || len(g) > 5*GroupLen {
+				t.Fatalf("PeekGroups(5) offered %d wire bytes", len(g))
+			} else if len(g) > 0 && frag&1 == 0 {
+				dec.SkipGroups(len(g) / GroupLen)
+				continue
+			}
 			d, ids := dec.Next(13)
 			if len(d) != len(ids) {
 				t.Fatalf("pop returned %d bytes but %d ids", len(d), len(ids))
 			}
 		}
 		// The same bytes as one datagram (no magic expected there).
-		if d, ids, err := decodeDatagram(raw); err == nil && len(d) != len(ids) {
-			t.Fatalf("datagram pop returned %d bytes but %d ids", len(d), len(ids))
+		if d, ids, err := decodeDatagram(raw); errors.Is(err, errConsumersDisagree) || (err == nil && len(d) != len(ids)) {
+			t.Fatalf("datagram pop returned %d bytes and %d ids (%v)", len(d), len(ids), err)
 		}
 	})
 }

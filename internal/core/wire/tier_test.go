@@ -95,14 +95,28 @@ func forEachFit(n int, f func(t int, name string, data []byte, ids []uint32)) {
 	}
 }
 
+// errConsumersDisagree is decodeDatagram's verdict on a datagram whose
+// groups read one way per byte and another way by runs.
+var errConsumersDisagree = errors.New("wire: the per-byte and the run consumer disagree")
+
 // decodeDatagram splits a one-frame datagram (or a prefix of one) into
-// payload bytes and per-byte ids.
+// payload bytes and per-byte ids, with both consumers: what PeekGroups
+// offers of it must decode to what the run consumer pops.
 func decodeDatagram(raw []byte) ([]byte, []uint32, error) {
-	var d FrameDecoder
+	var d, twin FrameDecoder
 	if err := d.FeedDatagram(raw); err != nil {
 		return nil, nil, err
 	}
 	data, ids := d.Next(d.Buffered())
+	if twin.FeedDatagram(raw) != nil {
+		return nil, nil, errConsumersDisagree
+	}
+	if g := twin.PeekGroups(twin.Buffered()); len(g) > 0 {
+		gdata, gids, err := DecodeGroups(g)
+		if err != nil || !bytes.Equal(gdata, data) || !equalIDs(gids, ids) {
+			return nil, nil, errConsumersDisagree
+		}
+	}
 	return data, ids, nil
 }
 

@@ -263,49 +263,65 @@ func DecodeGroups(raw []byte) (data []byte, ids []uint32, err error) {
 // StreamDecoder reassembles groups from an arbitrarily fragmented byte
 // stream. Feed it raw reads; Next (or NextRuns) pops decoded bytes. A
 // partial group stays buffered until its remaining bytes arrive.
-// Internally taint is held as runs, so a long single-taint stream costs
-// one Run however many reads delivered it.
 //
-// The run array is kept across drains, like the data array: popped runs
-// alias it and stay valid until the next Feed, which is the first thing
-// allowed to write over them.
+// Groups that arrive fragmented (see Feed) wait as the wire carried them,
+// in one raw tail behind whatever is already decoded, for their reader
+// to decode. A reader that wants one label per byte takes the groups
+// themselves (PeekGroups, SkipGroups) and no run is ever built; the run
+// consumers (PeekRuns, NextRuns, ...) and anything decoded behind the
+// tail decode all of it first, so what is pending is always decoded
+// bytes, then raw groups. All three arrays are kept across drains and
+// compacted by Feed alone: popped runs alias the run array and stay
+// valid until the next Feed, the first thing allowed to write over them.
 type StreamDecoder struct {
-	partial [GroupLen]byte
-	nburied int // valid bytes in partial
-
 	data []byte
-	off  int   // consumed prefix of data; unread bytes are data[off:]
-	runs []Run // runs[roff:] is the taint of data[off:], covering it exactly
-	roff int   // consumed prefix of runs
+	off  int    // consumed prefix of data; unread bytes are data[off:]
+	runs []Run  // runs[roff:] is the taint of data[off:], covering it exactly
+	roff int    // consumed prefix of runs
+	tail []byte // wire bytes fed after data[off:], not yet decoded: groups, the last maybe partial
+	toff int    // consumed prefix of tail
 }
 
-// Feed consumes raw wire bytes, decoding every completed group.
+// Feed consumes raw wire bytes. Whole groups whose head reads fragmented
+// — runs averaging under laneRun bytes over the first laneProbe groups —
+// join the raw tail, as do groups behind a tail that already holds some;
+// anything else is decoded here, straight out of raw and a block at a
+// time, so a long single-taint stream costs one copy and one Run however
+// many reads delivered it.
 func (d *StreamDecoder) Feed(raw []byte) {
+	const laneRun, laneProbe = 8, 128
 	d.reclaim()
-	for len(raw) > 0 {
-		if d.nburied > 0 || len(raw) < GroupLen {
-			n := copy(d.partial[d.nburied:], raw)
-			d.nburied += n
-			raw = raw[n:]
-			if d.nburied == GroupLen {
-				d.push(d.partial[0], binary.BigEndian.Uint32(d.partial[1:]))
-				d.nburied = 0
-			}
-			continue
-		}
-		whole := len(raw) / GroupLen * GroupLen
-		d.feedWhole(raw[:whole])
-		raw = raw[whole:]
+	if p := len(d.tail) % GroupLen; p > 0 { // a split group: finish it first
+		k := min(GroupLen-p, len(raw))
+		d.tail, raw = append(d.tail, raw[:k]...), raw[k:]
 	}
+	whole := raw[:WireLen(DataLen(len(raw)))]
+	changes := 0
+	for o := GroupLen; o < min(len(whole), laneProbe*GroupLen); o += GroupLen {
+		if GroupID(whole[o:]) != GroupID(whole[o-GroupLen:]) {
+			changes++
+		}
+	}
+	if len(d.tail) <= GroupLen && changes*laneRun < laneProbe {
+		d.materialise()
+		raw = raw[d.feedWhole(raw):]
+	}
+	d.tail = append(d.tail, raw...)
 }
 
-// reclaim moves the pending runs to the front of the array, over the
-// consumed prefix. Only the feeding side calls it: that is where the
-// promise made for popped runs ends.
+// reclaim moves what is pending to the front of each array, over the
+// consumed prefix, so that a consumer that never drains the decoder does
+// not grow them without bound. Only the feeding side calls it: that is
+// where the promise made for popped runs ends.
 func (d *StreamDecoder) reclaim() {
+	if d.off > 0 {
+		d.data, d.off = d.data[:copy(d.data, d.data[d.off:])], 0
+	}
 	if d.roff > 0 {
-		d.runs = d.runs[:copy(d.runs, d.runs[d.roff:])]
-		d.roff = 0
+		d.runs, d.roff = d.runs[:copy(d.runs, d.runs[d.roff:])], 0
+	}
+	if d.toff > 0 {
+		d.tail, d.toff = d.tail[:copy(d.tail, d.tail[d.toff:])], 0
 	}
 }
 
@@ -319,6 +335,7 @@ func (d *StreamDecoder) pushRun(b []byte, id uint32) {
 		return
 	}
 	d.reclaim()
+	d.materialise()
 	d.data = append(d.data, b...)
 	if n := len(d.runs); n > 0 && d.runs[n-1].ID == id {
 		d.runs[n-1].N += len(b)
@@ -327,38 +344,32 @@ func (d *StreamDecoder) pushRun(b []byte, id uint32) {
 	}
 }
 
-// push appends one decoded byte, extending the trailing run if it
-// carries the same id.
-func (d *StreamDecoder) push(b byte, id uint32) {
-	d.data = append(d.data, b)
-	if n := len(d.runs); n > 0 && d.runs[n-1].ID == id {
-		d.runs[n-1].N++
-	} else {
-		d.runs = append(d.runs, Run{N: 1, ID: id})
+// materialise decodes the whole groups of the tail. Inlined (`make
+// inline-check`): an empty tail, every clean read's, costs one compare.
+func (d *StreamDecoder) materialise() {
+	if d.toff < len(d.tail) {
+		d.toff += d.feedWhole(d.tail[d.toff:])
 	}
 }
 
-// feedWhole decodes a whole number of groups, detecting constant-id
-// stretches with one 4-byte load per group and no per-byte id storage.
-// The current run is accumulated in locals and flushed only on an id
-// change, so a uniform stream costs one append however long it is and
-// a fully fragmented one costs one append per group, not two loads.
-func (d *StreamDecoder) feedWhole(raw []byte) {
+// feedWhole decodes the whole groups of raw and returns their length in
+// wire bytes, detecting constant-id stretches with one 4-byte load per
+// group and no per-byte id storage. The current run is accumulated in
+// locals and flushed only on an id change, so a uniform stream costs
+// one append however long it is and a fully fragmented one costs one
+// append per group, not two loads.
+func (d *StreamDecoder) feedWhole(raw []byte) int {
+	raw = raw[:WireLen(DataLen(len(raw)))]
+	if len(raw) == 0 {
+		return 0
+	}
 	base := len(d.data)
 	n := len(raw) / GroupLen
-	if cap(d.data)-base < n {
-		grown := make([]byte, base, base*2+n)
-		copy(grown, d.data)
-		d.data = grown
-	}
-	d.data = d.data[:base+n]
-	var curID uint32
-	curN := 0
-	if m := len(d.runs); m > 0 {
+	d.data = slices.Grow(d.data, n)[:base+n]
+	curID, curN := GroupID(raw), 0
+	if m := len(d.runs); m > d.roff {
 		curID, curN = d.runs[m-1].ID, d.runs[m-1].N
 		d.runs = d.runs[:m-1]
-	} else if n > 0 {
-		curID = binary.BigEndian.Uint32(raw[1:GroupLen])
 	}
 	k := base
 	var c0, c1, c2, c3, c4 uint64
@@ -406,16 +417,42 @@ func (d *StreamDecoder) feedWhole(raw []byte) {
 		d.runs = append(d.runs, Run{N: curN, ID: curID})
 		curID, curN = id, 1
 	}
-	if curN > 0 {
-		d.runs = append(d.runs, Run{N: curN, ID: curID})
-	}
+	d.runs = append(d.runs, Run{N: curN, ID: curID})
+	return len(raw)
 }
 
-// Buffered returns how many decoded data bytes are ready.
-func (d *StreamDecoder) Buffered() int { return len(d.data) - d.off }
+// Buffered returns how many data bytes are ready, decoded or not.
+func (d *StreamDecoder) Buffered() int {
+	if d.toff == len(d.tail) { // nothing raw: spare every clean read the division
+		return len(d.data) - d.off
+	}
+	return len(d.data) - d.off + DataLen(len(d.tail)-d.toff)
+}
 
 // PendingPartial reports whether a fraction of a group is buffered.
-func (d *StreamDecoder) PendingPartial() bool { return d.nburied > 0 }
+func (d *StreamDecoder) PendingPartial() bool { return (len(d.tail)-d.toff)%GroupLen > 0 }
+
+// PeekGroups returns the next pending bytes, up to max of them, as the
+// wire carried them — GroupLen bytes a group — while they are still in
+// that form with nothing decoded pending ahead of them, and nil when
+// they are not. It consumes and decodes nothing: the reader takes data
+// and ids out of the groups itself (GroupID) and pops them with
+// SkipGroups, or leaves them to the run consumers. The slice aliases
+// decoder state and is valid until the next pop or Feed.
+func (d *StreamDecoder) PeekGroups(max int) []byte {
+	if d.off < len(d.data) {
+		return nil
+	}
+	end := d.toff + WireLen(min(max, DataLen(len(d.tail)-d.toff)))
+	return d.tail[d.toff:end:end]
+}
+
+// SkipGroups pops the first n groups PeekGroups showed.
+func (d *StreamDecoder) SkipGroups(n int) { d.toff += n * GroupLen }
+
+// GroupID returns the Global ID of the group at g[:GroupLen]: the per-byte
+// primitive of a reader striding a PeekGroups body, inlined (`make inline-check`).
+func GroupID(g []byte) uint32 { return binary.BigEndian.Uint32(g[1:GroupLen]) }
 
 // PeekRuns reports what a pop of up to max bytes would deliver, without
 // consuming anything: n bytes, under runs. runs is the shortest pending
@@ -424,14 +461,17 @@ func (d *StreamDecoder) PendingPartial() bool { return d.nburied > 0 }
 // pop or Feed; with PopInto it lets a reader finish everything that can
 // fail (resolving the ids) before the bytes leave the decoder.
 func (d *StreamDecoder) PeekRuns(max int) (n int, runs []Run) {
+	d.materialise()
 	n, k, _ := d.peek(max)
 	return n, d.runs[d.roff : d.roff+k : d.roff+k]
 }
 
-// peek sizes a pop of up to max bytes: n bytes spanning the first k
-// pending runs, the last of which reaches over bytes past the pop.
+// peek sizes a pop of up to max decoded bytes: n bytes spanning the
+// first k pending runs, the last of which reaches over bytes past the
+// pop. Every run consumer materialises the tail first and then starts
+// here (a call apart, so that this stays small enough to inline).
 func (d *StreamDecoder) peek(max int) (n, k, over int) {
-	n = min(max, d.Buffered())
+	n = min(max, len(d.data)-d.off)
 	rem := n
 	for rem > 0 {
 		rem -= d.runs[d.roff+k].N
@@ -451,19 +491,12 @@ func (d *StreamDecoder) pop(dst []byte, n, k, over int) {
 		d.roff--
 		d.runs[d.roff].N = over
 	}
-	if d.off == len(d.data) {
-		// Fully drained: keep both arrays for the next burst (a
-		// long-lived endpoint decoder would otherwise re-grow them on
-		// every exchange). Truncating rewrites nothing, so popped runs
-		// stay intact until the next Feed.
-		d.data, d.off = d.data[:0], 0
-		d.runs, d.roff = d.runs[:0], 0
-	}
 }
 
 // PopInto pops up to len(dst) decoded bytes into dst and returns the
 // count: NextRunsInto for a caller that took the runs from PeekRuns.
 func (d *StreamDecoder) PopInto(dst []byte) int {
+	d.materialise()
 	n, k, over := d.peek(len(dst))
 	d.pop(dst, n, k, over)
 	return n
@@ -474,6 +507,7 @@ func (d *StreamDecoder) PopInto(dst []byte) int {
 // array, which is not written again before the next Feed; only a pop
 // that splits a run returns a clipped copy.
 func (d *StreamDecoder) NextRunsInto(dst []byte) (int, []Run) {
+	d.materialise()
 	n, k, over := d.peek(len(dst))
 	runs := d.runs[d.roff : d.roff+k : d.roff+k]
 	if over > 0 {

@@ -65,7 +65,8 @@ type firstSeen[K comparable] struct {
 // scanMax is the most keys firstSeen finds by linear scan.
 const scanMax = 8
 
-// find returns k's position in keys, or -1.
+// find returns k's position in keys, or -1 (inlined, as add is: `make
+// inline-check`).
 func (x *firstSeen[K]) find(k K) int {
 	if x.at != nil {
 		if i, ok := x.at[k]; ok {
@@ -81,11 +82,16 @@ func (x *firstSeen[K]) find(k K) int {
 	return -1
 }
 
+// reset empties x for the next transfer; what it allocated stays with it.
+func (x *firstSeen[K]) reset() {
+	x.keys = x.keys[:0]
+	if len(x.at) > 0 {
+		clear(x.at)
+	}
+}
+
 // add appends k, which find has not found.
 func (x *firstSeen[K]) add(k K) {
-	if x.keys == nil {
-		x.keys = make([]K, 0, scanMax)
-	}
 	if x.at == nil && len(x.keys) == scanMax {
 		x.at = make(map[K]int, 4*scanMax)
 		for i, known := range x.keys {
@@ -250,39 +256,22 @@ func coverRuns(agent *tracker.Agent, b taint.Bytes, t int, s wire.Shape, dst []w
 	return dst, nil
 }
 
-// adoptRuns gives buf[at:at+n] the labels of the decoded runs — the one
-// adopt primitive, behind every receive (Fig. 9 steps ④⑤). runs cover
-// at least n bytes; what reaches past n is ignored. Each distinct id is
-// resolved once: a run repeating one of the last two ids seen costs two
-// compares, and the ids left over go to the Taint Map client in a
+// adoptRuns gives buf[at:at+n] the labels of the decoded runs — the
+// adopt primitive of every delivery that is not read per byte. runs
+// cover at least n bytes; what reaches past n is ignored. Each distinct
+// id is numbered once in x and all go to the Taint Map client in a
 // single LookupBatch (memo first, then one round trip for the unknown
 // ones). Labels are written only after every id resolved, so an error
 // leaves buf as it was.
-//
-// Where buf's store is dense the labels go into its array directly (the
-// writer's DenseLabels) — a one-byte run is one pointer store — and
-// into a run-mode store through Put; which of the two is again the
-// store's representation and nothing else.
-//
-// Lazy shadow allocation is preserved: an entirely untainted delivery
-// into a shadow-free buf allocates nothing, while a buf that already
-// has labels gets its stale ones overwritten.
-func adoptRuns(agent *tracker.Agent, buf *taint.Bytes, at int, runs []wire.Run, n int) error {
-	var x firstSeen[uint32]
-	var id0, id1 uint32 // the last two distinct ids seen
+func adoptRuns(agent *tracker.Agent, buf *taint.Bytes, at int, runs []wire.Run, n int, x *firstSeen[uint32]) error {
+	x.reset()
 	pos, k := 0, 0
 	for ; pos < n; k++ {
-		id := runs[k].ID
-		pos += runs[k].N
-		if id == 0 || id == id0 || id == id1 {
-			continue
-		}
-		if x.find(id) < 0 {
+		if id := runs[k].ID; id != 0 && x.find(id) < 0 {
 			x.add(id)
 		}
-		id0, id1 = id, id0
+		pos += runs[k].N
 	}
-	runs = runs[:k]
 	if len(x.keys) == 0 {
 		// Clean delivery (passthrough frame or untainted groups): no
 		// Taint Map round-trip, and a shadow-free buf stays lazy —
@@ -300,44 +289,14 @@ func adoptRuns(agent *tracker.Agent, buf *taint.Bytes, at int, runs []wire.Run, 
 	if err != nil {
 		return err
 	}
-	w := buf.WriteLabels(at, at+n, len(runs))
-	lane := w.DenseLabels()
-	var t0, t1 taint.Taint
-	id0, id1 = 0, 0
-	pos = 0
-	for _, r := range runs {
+	w := buf.WriteLabels(at, at+n, k)
+	for _, r := range runs[:k] {
 		var t taint.Taint
-		switch r.ID {
-		case 0:
-		case id0:
-			t = t0
-		case id1:
-			t = t1
-		default:
-			if t = labels[x.find(r.ID)]; t.Empty() {
-				t = taint.Taint{} // the canonical empty label, as the lane must store it
-			}
-			id0, t0, id1, t1 = r.ID, t, id0, t0
+		if r.ID != 0 {
+			t = labels[x.find(r.ID)]
 		}
-		if r.N > n-pos {
-			r.N = n - pos
-		}
-		// A delivery that densified the store is mostly one-byte runs, and
-		// the store without the loop around it is measurably the cheaper
-		// way to write one: folded into the default arm it costs dense_bulk
-		// 8–9 % of overhead_x (CHANGES.md, PR 16).
-		switch {
-		case lane == nil:
-			w.Put(r.N, t)
-		case r.N == 1:
-			lane[pos] = t
-		default:
-			seg := lane[pos : pos+r.N]
-			for i := range seg {
-				seg[i] = t
-			}
-		}
-		pos += r.N
+		w.Put(min(r.N, n), t)
+		n -= r.N
 	}
 	return nil
 }
@@ -525,20 +484,31 @@ func (e *Endpoint) socketRead(b []byte) (int, error) { return jni.SocketRead0(e.
 // owner's read lock.
 type streamReader struct {
 	dec  wire.FrameDecoder
-	rbuf []byte // persistent raw-read scratch
-	err  error  // what the source last failed with, reported once dec is drained
+	rbuf []byte            // persistent raw-read scratch
+	seen firstSeen[uint32] // persistent scratch for the ids of a delivery
+	err  error             // what the source last failed with, reported once dec is drained
 }
 
-// read fills buf[from:to] with decoded bytes and their labels and
-// returns the count, calling recv (one native read) while nothing is
-// buffered. Labels first, bytes second: a failed lookup leaves buf and
-// the decoder untouched, so the same bytes are there for a retry.
+// read fills buf[from:to] with pending bytes and their labels and
+// returns the count — the one receive primitive, behind every stream
+// read and every datagram (Fig. 9 steps ④⑤) — calling recv (one native
+// read; nil for a datagram, fed whole) while nothing is buffered. Labels
+// first, bytes second: a failed lookup leaves buf and the decoder
+// untouched, so the same bytes are there for a retry. A groups body
+// still raw at the head of the stream is offered to adoptGroups; what
+// that turns down, and all else, goes through the decoder's runs.
 func (r *streamReader) read(agent *tracker.Agent, recv func([]byte) (int, error), buf *taint.Bytes, from, to int) (int, error) {
 	if err := r.fill(recv, to-from); err != nil {
 		return 0, err
 	}
+	if g := r.dec.PeekGroups(to - from); len(g) > 0 {
+		if took, err := adoptGroups(agent, buf, from, g, &r.seen); took > 0 || err != nil {
+			r.dec.SkipGroups(took)
+			return took, err
+		}
+	}
 	n, runs := r.dec.PeekRuns(to - from)
-	if err := adoptRuns(agent, buf, from, runs, n); err != nil {
+	if err := adoptRuns(agent, buf, from, runs, n, &r.seen); err != nil {
 		return 0, err
 	}
 	return r.dec.PopInto(buf.Data[from : from+n]), nil
@@ -550,7 +520,7 @@ func (r *streamReader) read(agent *tracker.Agent, recv func([]byte) (int, error)
 // receiver-side buffer enlargement, and persists across calls so the
 // steady-state read path does not allocate it anew.
 func (r *streamReader) fill(recv func([]byte) (int, error), want int) error {
-	if r.dec.Buffered() > 0 {
+	if r.dec.Buffered() > 0 || recv == nil {
 		return nil
 	}
 	if r.err != nil {
@@ -629,4 +599,72 @@ func (e *Endpoint) ReadBuffer(dst *jni.DirectBuffer, from, to int) (int, error) 
 	e.rmu.Lock()
 	defer e.rmu.Unlock()
 	return e.rd.read(e.agent, e.socketRead, &dst.B, from, to)
+}
+
+// adoptGroups is the receive lane of a dense store: it gives buf, from
+// at on, the bytes and labels of the raw groups g — kept raw by the
+// decoder because they arrived fragmented — and returns their count, or
+// writes nothing and returns 0 for the run path to take over. Pass 1
+// strides the ids: one compare inside a run, two under the id before
+// last, each distinct id numbered once in x, the runs counted. One
+// LookupBatch resolves the ids and the run count lets buf's store pick
+// its representation as for any delivery (taint.Bytes.WriteLabels);
+// where that is dense, pass 2 writes each byte and its label straight
+// from its group. An error, like a refusal, leaves buf as it was.
+//
+// It sits last in the file on a measurement: between coverRuns and
+// adoptRuns, where it reads best, it moves every function of the clean
+// path and clean_rpc reads 1–3 % worse with the same machine code in
+// them (CHANGES.md, PR 20).
+func adoptGroups(agent *tracker.Agent, buf *taint.Bytes, at int, g []byte, x *firstSeen[uint32]) (int, error) {
+	x.reset()
+	id0, id1 := wire.GroupID(g), uint32(0) // the last two distinct ids seen
+	if id0 != 0 {
+		x.add(id0)
+	}
+	runs := 1
+	for o := wire.GroupLen; o < len(g); o += wire.GroupLen {
+		id := wire.GroupID(g[o:])
+		if id == id0 {
+			continue
+		}
+		runs++
+		if id != id1 && id != 0 && x.find(id) < 0 {
+			x.add(id)
+		}
+		id0, id1 = id, id0
+	}
+	tm := agent.TaintMap()
+	if len(x.keys) == 0 || tm == nil {
+		return 0, nil // clean, or refused: both are the run path's to say
+	}
+	labels, err := tm.LookupBatch(x.keys)
+	if err != nil {
+		return 0, err
+	}
+	n := len(g) / wire.GroupLen
+	w := buf.WriteLabels(at, at+n, runs)
+	lane := w.DenseLabels()
+	if lane == nil {
+		return 0, nil
+	}
+	var t0, t1 taint.Taint
+	id0, id1 = 0, 0
+	dst := buf.Data[at : at+n]
+	for i := range lane[:n] {
+		grp := g[i*wire.GroupLen:][:wire.GroupLen]
+		if id := wire.GroupID(grp); id != id0 {
+			if id != id1 { // a third id takes the older one's place
+				id1, t1 = id, taint.Taint{} // the canonical empty label, as the lane must store it
+				if id != 0 {
+					if l := labels[x.find(id)]; !l.Empty() {
+						t1 = l
+					}
+				}
+			}
+			id0, t0, id1, t1 = id1, t1, id0, t0
+		}
+		dst[i], lane[i] = grp[0], t0
+	}
+	return n, nil
 }

@@ -30,6 +30,12 @@ import (
 // receiving buffer dense under stale labels, so deliveries go through
 // the adopt lane from the first read instead of once fragmentation has
 // densified it.
+//
+// Both receive paths run against each other: the same messages go down a
+// second connection whose raw bytes are replayed through the run path
+// alone (readByRuns), in reads step chooses, into a buffer of the same
+// shape, and the two buffers must agree byte for byte and label for
+// label — whichever deliveries the live endpoint read per byte.
 func FuzzTierTransition(f *testing.F) {
 	// One phase per tier, long enough to converge.
 	steady := func(kind byte) []byte {
@@ -128,11 +134,12 @@ func FuzzTierTransition(f *testing.F) {
 		ca, cb := r.net.Pipe()
 		sender, receiver := NewAdaptiveEndpoint(r.a, ca), NewAdaptiveEndpoint(r.b, cb)
 
-		got := taint.MakeBytes(total)
+		got, ref := taint.MakeBytes(total), taint.MakeBytes(total)
 		if shape&2 != 0 {
 			stale := [2]taint.Taint{r.b.Source("fz", "stale0"), r.b.Source("fz", "stale1")}
 			for i := range got.Data {
 				got.SetLabel(i, stale[i&1])
+				ref.SetLabel(i, stale[i&1])
 			}
 		}
 		recvErr := make(chan error, 1)
@@ -180,8 +187,38 @@ func FuzzTierTransition(f *testing.F) {
 			t.Fatal(err)
 		}
 
+		// The replay: the same schedule on a connection of its own, its
+		// wire bytes cut into reads of 1 + 3*step and adopted by runs only.
+		ra, rb := r.net.Pipe()
+		replay := NewAdaptiveEndpoint(r.a, ra)
+		for _, msg := range msgs {
+			if err := replay.Write(msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ra.Close()
+		var byRuns streamReader
+		recv := chunked(readAllRaw(t, rb), 1+3*int(step))
+		for pos := 0; pos < total; {
+			end := total
+			if step > 0 && pos+int(step) < total {
+				end = pos + int(step)
+			}
+			n, err := readByRuns(&byRuns, r.b, recv, &ref, pos, end)
+			if err != nil {
+				t.Fatalf("replay by runs at %d/%d: %v", pos, total, err)
+			}
+			pos += n
+		}
+		if !bytes.Equal(got.Data, ref.Data) {
+			t.Fatal("the endpoint and the run path delivered different bytes")
+		}
+
 		for i, want := range wantTag {
 			lbl := got.LabelAt(i)
+			if other := ref.LabelAt(i); other != lbl {
+				t.Fatalf("stream byte %d (kind %q): the endpoint left %v, the run path %v", i, got.Data[i], lbl.Values(), other.Values())
+			}
 			if want == "" {
 				if !lbl.Empty() {
 					t.Fatalf("stream byte %d (kind %q) grew taint %v", i, got.Data[i], lbl.Values())

@@ -3,6 +3,8 @@ package instrument
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -311,7 +313,7 @@ func TestDenseAdoptLaneMatchesRunWalk(t *testing.T) {
 			flaky.fail = 2 // one lookup per buffer, at most
 			for _, buf := range []*taint.Bytes{&dense, &run} {
 				clean := allClean(delivery, got)
-				if err := adoptRuns(b, buf, at, delivery, got); clean != (err == nil) || (!clean && !errors.Is(err, errLookupDown)) {
+				if err := adoptRuns(b, buf, at, delivery, got, new(firstSeen[uint32])); clean != (err == nil) || (!clean && !errors.Is(err, errLookupDown)) {
 					t.Fatalf("seed %d %s: adopt with the Taint Map down = %v (clean delivery: %v)", seed, name, err, clean)
 				} else if clean {
 					continue
@@ -325,7 +327,7 @@ func TestDenseAdoptLaneMatchesRunWalk(t *testing.T) {
 			flaky.fail = 0
 
 			for _, buf := range []*taint.Bytes{&dense, &run} {
-				if err := adoptRuns(b, buf, at, delivery, got); err != nil {
+				if err := adoptRuns(b, buf, at, delivery, got, new(firstSeen[uint32])); err != nil {
 					t.Fatalf("seed %d %s: %v", seed, name, err)
 				}
 			}
@@ -369,4 +371,239 @@ func allClean(runs []wire.Run, n int) bool {
 		n -= r.N
 	}
 	return true
+}
+
+// readByRuns is streamReader.read held to the run path: what every
+// delivery took before group bodies had a reader of their own, and what
+// deliver falls back on.
+func readByRuns(r *streamReader, agent *tracker.Agent, recv func([]byte) (int, error), buf *taint.Bytes, from, to int) (int, error) {
+	if err := r.fill(recv, to-from); err != nil {
+		return 0, err
+	}
+	n, runs := r.dec.PeekRuns(to - from)
+	if err := adoptRuns(agent, buf, from, runs, n, &r.seen); err != nil {
+		return 0, err
+	}
+	return r.dec.PopInto(buf.Data[from : from+n]), nil
+}
+
+// chunked returns a receive function that hands out stream in pieces of
+// at most chunk bytes.
+func chunked(stream []byte, chunk int) func([]byte) (int, error) {
+	return func(b []byte) (int, error) {
+		if len(stream) == 0 {
+			return 0, io.EOF
+		}
+		n := copy(b[:min(chunk, len(b))], stream)
+		stream = stream[n:]
+		return n, nil
+	}
+}
+
+// TestGroupsLaneMatchesRunPath is the differential test of the two
+// receive paths: for every label layout, into a dense window, a window
+// of a run-mode store too large to densify and a fresh buffer that does,
+// under every chunking of the wire — one byte a read, a cut inside every
+// group, two frames in one read, the whole stream at once — and through
+// whole and short reads, streamReader.read and the run path alone
+// return the same counts and leave the same bytes and the same label on
+// every byte of the buffer, inside the deliveries — which start at an
+// offset into it — and around them; and those are the labels that were
+// sent. The stream is three groups frames
+// with a uniform frame among them, so the per-byte reader also meets
+// decoded bytes ahead of raw ones.
+func TestGroupsLaneMatchesRunPath(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := newRig(t, tracker.ModeDista)
+		n := 300 + rng.Intn(400)
+		const margin = 17 // the deliveries fill [margin, margin+n) of each buffer
+		stale := lanePool(r.b, "stale")
+		frag := [2]taint.Taint{stale[1], stale[2]}
+		old := make([]taint.Taint, margin+n+margin)
+		for i := range old {
+			old[i] = stale[(i/5)%len(stale)]
+		}
+		for k, p := range lanePatterns {
+			pool := lanePool(r.a, "recv")
+			labels := layout(k, rng, pool, n)
+			data := make([]byte, n)
+			rng.Read(data)
+			cuts := [4]int{n / 3, n / 3, 5, n - 2*(n/3) - 5} // groups, groups, uniform, groups
+			copy(labels[2*(n/3):], []taint.Taint{pool[5], pool[5], pool[5], pool[5], pool[5]})
+			stream := wire.AppendAdaptiveStreamMagic(nil)
+			for i, at := 0, 0; i < len(cuts); at, i = at+cuts[i], i+1 {
+				tier := wire.TierGroups
+				if i == 2 {
+					tier = wire.TierUniform
+				}
+				part := runsOf(t, r.a.TaintMap(), labels[at:at+cuts[i]])
+				stream = wire.AppendFrame(stream, tier, data[at:at+cuts[i]], part)
+			}
+			want := make([]taint.Taint, n)
+			for i, l := range labels {
+				if !l.Empty() {
+					id, _ := r.a.TaintMap().Register(l)
+					var err error
+					if want[i], err = r.b.TaintMap().Lookup(id); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			receivers := map[string]func() taint.Bytes{
+				"dense window":    func() taint.Bytes { return asDense(old, make([]byte, len(old)), frag, len(old)) },
+				"run-mode window": func() taint.Bytes { return asRuns(old, make([]byte, len(old))) },
+				"fresh buffer":    func() taint.Bytes { return taint.MakeBytes(len(old)) },
+			}
+			for rname, mk := range receivers {
+				for _, chunk := range []int{1, wire.GroupLen + 2, wire.GroupsFrameLen(n/3) + 40, len(stream)} {
+					for _, step := range []int{n, 1 + rng.Intn(60)} {
+						name := fmt.Sprintf("seed %d %s into a %s, reads of %d wire bytes, pops of %d", seed, p.name, rname, chunk, step)
+						lane, ref, lane0 := mk(), mk(), mk()
+						var lr, rr streamReader
+						lrecv, rrecv := chunked(stream, chunk), chunked(stream, chunk)
+						for pos := 0; pos < n; {
+							to := min(pos+step, n)
+							ln, lerr := lr.read(r.b, lrecv, &lane, margin+pos, margin+to)
+							rn, rerr := readByRuns(&rr, r.b, rrecv, &ref, margin+pos, margin+to)
+							if lerr != nil || rerr != nil || ln != rn || ln == 0 {
+								t.Fatalf("%s: read at %d = %d, %v; by runs %d, %v", name, pos, ln, lerr, rn, rerr)
+							}
+							pos += ln
+						}
+						if !bytes.Equal(lane.Data[margin:margin+n], data) || !bytes.Equal(ref.Data[margin:margin+n], data) {
+							t.Fatalf("%s: the bytes differ from what was sent", name)
+						}
+						// The whole buffer, not just the deliveries: nothing
+						// around them may have moved.
+						for i := range old {
+							wantAt := lane0.LabelAt(i)
+							if i >= margin && i < margin+n {
+								wantAt = want[i-margin]
+							}
+							if l, r := lane.LabelAt(i), ref.LabelAt(i); l != r || l != wantAt {
+								t.Fatalf("%s: byte %d carries %v, by runs %v, want %v", name, i-margin, l, r, wantAt)
+							}
+						}
+						if (lane.DenseLabels() != nil) != (ref.DenseLabels() != nil) {
+							t.Fatalf("%s: the two paths left different representations (per-byte view %v, by runs %v)",
+								name, lane.DenseLabels() != nil, ref.DenseLabels() != nil)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGroupsLaneSelection pins which deliveries are read per byte: the
+// selection is the fragmentation the decoder observes in the groups it is
+// fed and the receiving store's own densify criterion, nothing else.
+// Each body crosses as one groups frame and is read in two halves; a
+// first half read per byte leaves the second raw at the head of the
+// decoder, one adopted by runs leaves it decoded. Either way every byte
+// arrives under its label, and the uniform body of the paper tables'
+// ramp lands as one run in a store that stays in run mode.
+func TestGroupsLaneSelection(t *testing.T) {
+	r := newRig(t, tracker.ModeDista)
+	const n = 4096
+	pool := lanePool(r.a, "sel")
+	stale := r.b.Source("sel", "stale")
+	fresh := func() taint.Bytes { return taint.MakeBytes(n) }
+	dense := func() taint.Bytes {
+		return asDense(make([]taint.Taint, n), make([]byte, n), [2]taint.Taint{stale, {}}, n)
+	}
+	alternating := func(i int) taint.Taint { return pool[1+i&1] }
+	for name, tc := range map[string]struct {
+		label   func(i int) taint.Taint
+		buf     func() taint.Bytes
+		perByte bool
+	}{
+		"a label change on every byte into a fresh buffer": {alternating, fresh, true},
+		"a label change on every byte into a dense buffer": {alternating, dense, true},
+		"three-byte runs":                       {func(i int) taint.Taint { return pool[1+(i/3)%8] }, fresh, true},
+		"a comb of one-byte islands":            {func(i int) taint.Taint { return pool[i&1] }, fresh, true},
+		"one id over the whole body":            {func(int) taint.Taint { return pool[1] }, fresh, false},
+		"one id into a dense buffer":            {func(int) taint.Taint { return pool[1] }, dense, false},
+		"sixteen-byte runs":                     {func(i int) taint.Taint { return pool[1+(i/16)%8] }, fresh, false},
+		"fragments after a long uniform prefix": {func(i int) taint.Taint { return pool[1+(i&1)*min(i/1024, 1)] }, fresh, false},
+		"an untainted body":                     {func(int) taint.Taint { return taint.Taint{} }, fresh, false},
+		"fragments into a window of a run-mode store too large to densify": {alternating, func() taint.Bytes {
+			big := taint.MakeBytes(64 * n)
+			return big.Slice(n, 2*n)
+		}, false},
+	} {
+		labels := labelsOf(n, tc.label)
+		data := make([]byte, n)
+		rand.New(rand.NewSource(1)).Read(data)
+		frame := wire.AppendGroupsFrame(wire.AppendAdaptiveStreamMagic(nil), data, runsOf(t, r.a.TaintMap(), labels))
+		var rd streamReader
+		if err := rd.dec.Feed(frame); err != nil {
+			t.Fatal(err)
+		}
+		buf := tc.buf()
+		if got, err := rd.read(r.b, nil, &buf, 0, n/2); got != n/2 || err != nil {
+			t.Fatalf("%s: read of the first half = %d, %v", name, got, err)
+		}
+		if raw := len(rd.dec.PeekGroups(n)) > 0; raw != tc.perByte {
+			t.Fatalf("%s: first half read per byte = %v, want %v", name, raw, tc.perByte)
+		}
+		if tc.perByte && buf.DenseLabels() == nil {
+			t.Fatalf("%s: the lane ran on a store without a per-byte view", name)
+		}
+		if got, err := rd.read(r.b, nil, &buf, n/2, n); got != n-n/2 || err != nil {
+			t.Fatalf("%s: read of the second half = %d, %v", name, got, err)
+		}
+		if !bytes.Equal(buf.Data, data) {
+			t.Fatalf("%s: the bytes differ from what was sent", name)
+		}
+		for i, l := range labels {
+			if got := buf.LabelAt(i); got.Empty() != l.Empty() || (!l.Empty() && !got.Has(l.Values()[0])) {
+				t.Fatalf("%s: byte %d carries %v, sent under %v", name, i, got.Values(), l.Values())
+			}
+		}
+		if name == "one id over the whole body" {
+			runs := 0
+			buf.ForEachRun(func(int, int, taint.Taint) { runs++ })
+			if runs != 1 || buf.DenseLabels() != nil {
+				t.Fatalf("%s: delivered as %d runs, per-byte view %v; want one run in run mode", name, runs, buf.DenseLabels() != nil)
+			}
+		}
+	}
+
+	// What adoptGroups itself turns down it leaves exactly as it was.
+	groups := wire.EncodeRuns(nil, make([]byte, n), runsOf(t, r.a.TaintMap(), labelsOf(n, alternating)))
+	big := taint.MakeBytes(64 * n)
+	for name, tc := range map[string]struct {
+		g   []byte
+		buf taint.Bytes
+	}{
+		"an untainted body": {wire.EncodeRuns(nil, make([]byte, n), nil), fresh()},
+		"fragments into a window of a run-mode store too large to densify": {groups, big.Slice(n, 2*n)},
+	} {
+		buf := tc.buf
+		buf.SetRange(0, n/2, stale)
+		buf.Data[0] = '.'
+		before := otherShape(buf, [2]taint.Taint{stale, {}})
+		if took, err := adoptGroups(r.b, &buf, 0, tc.g, new(firstSeen[uint32])); took != 0 || err != nil {
+			t.Fatalf("%s: adoptGroups = %d, %v; want it turned down", name, took, err)
+		}
+		if buf.Data[0] != '.' {
+			t.Fatalf("%s: a delivery the lane turned down wrote data", name)
+		}
+		for i := 0; i < n; i++ {
+			if buf.LabelAt(i) != before.LabelAt(i) {
+				t.Fatalf("%s: a delivery the lane turned down relabelled byte %d", name, i)
+			}
+		}
+	}
+}
+
+// labelsOf returns the n labels label lays out.
+func labelsOf(n int, label func(i int) taint.Taint) []taint.Taint {
+	labels := make([]taint.Taint, n)
+	for i := range labels {
+		labels[i] = label(i)
+	}
+	return labels
 }

@@ -89,13 +89,13 @@ func receiveInto(agent *tracker.Agent, sock *netsim.UDPSocket, buf *taint.Bytes,
 	if err != nil {
 		return 0, "", err
 	}
-	var dec wire.FrameDecoder
-	if err := dec.FeedDatagram(enlarged[:n]); err != nil {
+	var r streamReader
+	if err := r.dec.FeedDatagram(enlarged[:n]); err != nil {
 		return 0, "", err
 	}
-	stored, runs := dec.PeekRuns(len(buf.Data))
-	if err := adoptRuns(agent, buf, 0, runs, stored); err != nil {
+	stored, err := r.read(agent, nil, buf, 0, len(buf.Data))
+	if err != nil {
 		return 0, "", err
 	}
-	return dec.PopInto(buf.Data), from, nil
+	return stored, from, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dista/internal/core/taint"
@@ -253,8 +254,10 @@ func exchange(t testing.TB, sender, receiver *Endpoint, msg taint.Bytes, into *t
 
 // TestStreamedPathAllocs pins the allocation shape of the streamed
 // groups tier: a warm write+read of a label change on every byte costs
-// a constant handful of allocations — nothing proportional to its 8192
-// runs — and a warm clean exchange costs none at the endpoint.
+// one allocation — the Taint Map client's answer to the delivery's
+// LookupBatch; the reader's id scratch is its own — and nothing
+// proportional to its 8192 runs. The same holds for a tainted delivery
+// adopted by runs, and a warm clean exchange costs none at the endpoint.
 func TestStreamedPathAllocs(t *testing.T) {
 	r := newRig(t, tracker.ModeDista)
 	ca, cb := r.net.Pipe()
@@ -269,13 +272,22 @@ func TestStreamedPathAllocs(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		exchange(t, sender, receiver, dense, &into)
 	}
-	if got := testing.AllocsPerRun(50, func() { exchange(t, sender, receiver, dense, &into) }); got > 4 {
-		t.Errorf("dense 8 KiB exchange: %v allocs, want at most 4", got)
+	if got := testing.AllocsPerRun(50, func() { exchange(t, sender, receiver, dense, &into) }); got > 1 {
+		t.Errorf("dense 8 KiB exchange: %v allocs, want at most 1", got)
 	}
 	for i := range into.Data {
 		if !into.LabelAt(i).Has([2]string{"x", "y"}[i&1]) {
 			t.Fatalf("byte %d carries %v", i, into.LabelAt(i))
 		}
+	}
+
+	uniform := taint.FromString(strings.Repeat("u", 4096), pair[0])
+	whole := taint.MakeBytes(4096)
+	for i := 0; i < 4; i++ {
+		exchange(t, sender, receiver, uniform, &whole)
+	}
+	if got := testing.AllocsPerRun(50, func() { exchange(t, sender, receiver, uniform, &whole) }); got > 1 {
+		t.Errorf("uniform 4 KiB exchange: %v allocs, want at most 1", got)
 	}
 
 	clean := taint.WrapBytes(make([]byte, 512))
@@ -309,59 +321,108 @@ func (c *flakyLookups) LookupBatch(ids []uint32) ([]taint.Taint, error) {
 // caller's bytes, the caller's labels and the decoder untouched, so the
 // read retried once the Taint Map answers returns the very bytes the
 // failed one would have, under the right labels — not the bytes after
-// them.
+// them. Every receive is held to it on both of its paths: a uniform
+// frame into a run-mode buffer, adopted by runs, and a groups frame with
+// a label change on every byte into a dense buffer, read per byte. A
+// datagram has no decoder to retry from — the one a failed receive took
+// off the socket is lost, as on any other receive error — so its retry
+// is the next datagram.
 func TestReadResolvesBeforePopping(t *testing.T) {
-	const text = "resolve-then-pop"
-	reads := map[string]func(t *testing.T, r *rig, b *tracker.Agent) func(*taint.Bytes) (int, error){
-		"Endpoint.Read": func(t *testing.T, r *rig, b *tracker.Agent) func(*taint.Bytes) (int, error) {
+	type reader func(*taint.Bytes) (int, error)
+	reads := map[string]func(t *testing.T, r *rig, b *tracker.Agent, msg taint.Bytes) reader{
+		"Endpoint.Read": func(t *testing.T, r *rig, b *tracker.Agent, msg taint.Bytes) reader {
 			ca, cb := r.net.Pipe()
-			must(t, NewAdaptiveEndpoint(r.a, ca).Write(taint.FromString(text, r.a.Source("s", "fresh"))))
+			must(t, NewAdaptiveEndpoint(r.a, ca).Write(msg))
 			return NewAdaptiveEndpoint(b, cb).Read
 		},
-		"Endpoint.ReadBuffer": func(t *testing.T, r *rig, b *tracker.Agent) func(*taint.Bytes) (int, error) {
+		"Endpoint.ReadBuffer": func(t *testing.T, r *rig, b *tracker.Agent, msg taint.Bytes) reader {
 			ca, cb := r.net.Pipe()
-			must(t, NewAdaptiveEndpoint(r.a, ca).Write(taint.FromString(text, r.a.Source("s", "fresh"))))
+			must(t, NewAdaptiveEndpoint(r.a, ca).Write(msg))
 			ep := NewAdaptiveEndpoint(b, cb)
 			return func(buf *taint.Bytes) (int, error) {
 				db := &jni.DirectBuffer{Data: buf.Data, B: *buf}
 				return ep.ReadBuffer(db, 0, len(buf.Data))
 			}
 		},
-		"CustomEndpoint.Read": func(t *testing.T, r *rig, b *tracker.Agent) func(*taint.Bytes) (int, error) {
+		"CustomEndpoint.Read": func(t *testing.T, r *rig, b *tracker.Agent, msg taint.Bytes) reader {
 			ta, tb := newChanPair()
-			must(t, WrapCustom(r.a, ta).Write(taint.FromString(text, r.a.Source("s", "fresh"))))
+			must(t, WrapCustom(r.a, ta).Write(msg))
 			return WrapCustom(b, tb).Read
 		},
+		"PacketReceive": func(t *testing.T, r *rig, b *tracker.Agent, msg taint.Bytes) reader {
+			sa, _ := r.net.ListenPacket("a:1")
+			sb, _ := r.net.ListenPacket("b:1")
+			must(t, PacketSend(r.a, sa, msg, "b:1"))
+			must(t, PacketSend(r.a, sa, msg, "b:1"))
+			return func(buf *taint.Bytes) (int, error) {
+				n, _, err := PacketReceive(b, sb, buf)
+				return n, err
+			}
+		},
+	}
+	// check runs one outage-then-retry over msg, whose byte i must arrive
+	// under tag(i), into a buffer holding filler under stale(i).
+	check := func(t *testing.T, setup func(*testing.T, *rig, *tracker.Agent, taint.Bytes) reader,
+		msg func(a *tracker.Agent) taint.Bytes, tag func(i int) string, dense bool) {
+		r := newRig(t, tracker.ModeDista)
+		flaky := &flakyLookups{Client: r.b.TaintMap(), fail: 1}
+		b := tracker.New("node2", tracker.ModeDista, tracker.WithTaintMap(flaky))
+		sent := msg(r.a)
+		read := setup(t, r, b, sent)
+
+		old := [2]taint.Taint{b.Source("s", "stale0"), b.Source("s", "stale1")}
+		filler := bytes.Repeat([]byte{'.'}, len(sent.Data))
+		buf := taint.WrapBytes(append([]byte(nil), filler...))
+		for i := range buf.Data {
+			if dense {
+				buf.SetLabel(i, old[i&1])
+			} else {
+				buf.SetLabel(i, old[0])
+			}
+		}
+		if (buf.DenseLabels() != nil) != dense {
+			t.Fatalf("receive buffer has a per-byte view = %v, want %v", !dense, dense)
+		}
+		if n, err := read(&buf); n != 0 || !errors.Is(err, errLookupDown) {
+			t.Fatalf("read during the outage = %d, %v; want 0, %v", n, err, errLookupDown)
+		}
+		if !bytes.Equal(buf.Data, filler) {
+			t.Fatalf("failed read wrote %q into the caller's buffer", buf.Data)
+		}
+		for i := range buf.Data {
+			want := old[0]
+			if dense {
+				want = old[i&1]
+			}
+			if buf.LabelAt(i) != want {
+				t.Fatalf("failed read relabelled byte %d to %v", i, buf.LabelAt(i))
+			}
+		}
+		n, err := read(&buf)
+		if err != nil || !bytes.Equal(buf.Data[:n], sent.Data) {
+			t.Fatalf("retried read = %q, %v; want %q", buf.Data[:n], err, sent.Data)
+		}
+		for i := 0; i < n; i++ {
+			if lbl := buf.LabelAt(i); !lbl.Has(tag(i)) || len(lbl.Values()) != 1 {
+				t.Fatalf("byte %d carries %v after the retry, want %q alone", i, lbl.Values(), tag(i))
+			}
+		}
 	}
 	for name, setup := range reads {
 		t.Run(name, func(t *testing.T) {
-			r := newRig(t, tracker.ModeDista)
-			flaky := &flakyLookups{Client: r.b.TaintMap(), fail: 1}
-			b := tracker.New("node2", tracker.ModeDista, tracker.WithTaintMap(flaky))
-			read := setup(t, r, b)
-
-			stale := b.Source("s", "stale")
-			buf := taint.FromString("................", stale)
-			if n, err := read(&buf); n != 0 || !errors.Is(err, errLookupDown) {
-				t.Fatalf("read during the outage = %d, %v; want 0, %v", n, err, errLookupDown)
-			}
-			if string(buf.Data) != "................" {
-				t.Fatalf("failed read wrote %q into the caller's buffer", buf.Data)
-			}
-			for i := range buf.Data {
-				if buf.LabelAt(i) != stale {
-					t.Fatalf("failed read relabelled byte %d to %v", i, buf.LabelAt(i))
-				}
-			}
-			n, err := read(&buf)
-			if err != nil || string(buf.Data[:n]) != text {
-				t.Fatalf("retried read = %q, %v; want %q", buf.Data[:n], err, text)
-			}
-			for i := 0; i < n; i++ {
-				if lbl := buf.LabelAt(i); !lbl.Has("fresh") || lbl.Has("stale") {
-					t.Fatalf("byte %d carries %v after the retry", i, lbl)
-				}
-			}
+			check(t, setup, func(a *tracker.Agent) taint.Bytes {
+				return taint.FromString("resolve-then-pop", a.Source("s", "fresh"))
+			}, func(int) string { return "fresh" }, false)
+			t.Run("groups into dense", func(t *testing.T) {
+				check(t, setup, func(a *tracker.Agent) taint.Bytes {
+					msg := taint.FromString(strings.Repeat("resolve-then-pop", 12), taint.Taint{})
+					pair := [2]taint.Taint{a.Source("s", "fresh0"), a.Source("s", "fresh1")}
+					for i := range msg.Data {
+						msg.SetLabel(i, pair[i&1])
+					}
+					return msg
+				}, func(i int) string { return [2]string{"fresh0", "fresh1"}[i&1] }, true)
+			})
 		})
 	}
 }

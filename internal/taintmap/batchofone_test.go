@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -383,10 +384,11 @@ func TestHitEarlyOutsDoNotAllocate(t *testing.T) {
 // TestLookupMissAllocations pins what one single-id lookup miss
 // allocates end to end — client, server and store share the process, so
 // the count covers the whole round trip. The bounds sit one above the
-// measured counts (16 on a plain remote, 29 on a 3-member RF-2 cluster,
+// measured counts (14 on a plain remote, 25 on a 3-member RF-2 cluster,
 // which pays the hedge timer, the leg goroutine and a second memo
-// split): the two grouping maps ClusterClient.LookupBatch used to build
-// per call cost 2 more, and do not fit.
+// split): the map cache.splitBatch used to build to deduplicate a miss
+// list of one cost 2 more per split, and does not fit; neither do the
+// two grouping maps ClusterClient.LookupBatch once built per call.
 func TestLookupMissAllocations(t *testing.T) {
 	const runs = 200
 	n := netsim.New()
@@ -402,14 +404,14 @@ func TestLookupMissAllocations(t *testing.T) {
 		max  float64
 		open func(tree *taint.Tree) Client
 	}{
-		{"Remote", 17, func(tree *taint.Tree) Client {
+		{"Remote", 15, func(tree *taint.Tree) Client {
 			c, err := DialSim(n, "tm:1", tree)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return c
 		}},
-		{"Cluster", 30, func(tree *taint.Tree) Client {
+		{"Cluster", 26, func(tree *taint.Tree) Client {
 			c, err := DialSimCluster(e.net, "app:1", e.ring, tree, ClusterOptions{})
 			if err != nil {
 				t.Fatal(err)
@@ -443,6 +445,41 @@ func TestLookupMissAllocations(t *testing.T) {
 				t.Fatalf("a single-id lookup miss allocates %.1f times, want <= %.0f", allocs, tc.max)
 			}
 		})
+	}
+}
+
+// TestSplitBatchDedupsMissList: the miss list holds each unresolved id
+// once, in first-seen order, on both sides of the point where the
+// deduplication moves from scanning the list to a map — and a lone miss
+// allocates the result slice and the list, nothing else.
+func TestSplitBatchDedupsMissList(t *testing.T) {
+	tree := taint.NewTree()
+	for _, distinct := range []int{1, 2, 8, 9, 40} {
+		var c cache
+		c.put(1000, tree.NewSource("known", "app:1"))
+		var ids, want []uint32
+		for round := 0; round < 3; round++ {
+			for k := 0; k < distinct; k++ {
+				ids = append(ids, uint32(1+k), 1000, 0)
+			}
+		}
+		for k := 0; k < distinct; k++ {
+			want = append(want, uint32(1+k))
+		}
+		ts, missing := c.splitBatch(ids)
+		if !slices.Equal(missing, want) {
+			t.Fatalf("%d distinct misses: missing = %v, want %v", distinct, missing, want)
+		}
+		for i, id := range ids {
+			if (id == 1000) == ts[i].Empty() {
+				t.Fatalf("%d distinct misses: position %d (id %d) resolved to %v", distinct, i, id, ts[i])
+			}
+		}
+	}
+	var c cache
+	one := []uint32{7}
+	if allocs := testing.AllocsPerRun(100, func() { c.splitBatch(one) }); allocs > 2 {
+		t.Fatalf("splitting a one-id miss allocates %.0f times, want the result and the miss list", allocs)
 	}
 }
 

@@ -2,6 +2,7 @@ package taintmap
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"dista/internal/core/taint"
@@ -130,8 +131,11 @@ func (c *cache) put(id uint32, t taint.Taint) {
 // missing lists the distinct unresolved ids in first-seen order. A
 // two-slot last-seen shortcut keeps fragmented streams that alternate
 // between a couple of ids (the adversarial per-byte-label case) from
-// paying a map access per run.
+// paying a map access per run. The miss list is deduplicated by scanning
+// it while it is short — most often it is one id, and a map would be the
+// larger half of what that miss allocates — and through a map beyond.
 func (c *cache) splitBatch(ids []uint32) (ts []taint.Taint, missing []uint32) {
+	const scanMax = 8
 	ts = make([]taint.Taint, len(ids))
 	var seen map[uint32]bool
 	var id0, id1 uint32
@@ -156,10 +160,17 @@ func (c *cache) splitBatch(ids []uint32) (ts []taint.Taint, missing []uint32) {
 			id0, t0 = id, t
 			continue
 		}
-		if seen == nil {
-			seen = make(map[uint32]bool)
+		if seen == nil && len(missing) == scanMax {
+			seen = make(map[uint32]bool, 4*scanMax)
+			for _, m := range missing {
+				seen[m] = true
+			}
 		}
-		if !seen[id] {
+		if seen == nil {
+			if !slices.Contains(missing, id) {
+				missing = append(missing, id)
+			}
+		} else if !seen[id] {
 			seen[id] = true
 			missing = append(missing, id)
 		}
