@@ -39,7 +39,11 @@ lint:
 # fails the gate, and then either it shrinks or its comment changes and
 # it leaves this list. (Bytes.LabelAt and Bytes.SetLabel left it that
 # way: they cost 92 and 121 against a budget of 80 however the slow path
-# is split off, and say so.)
+# is split off, and say so.) FrameDecoder.Defines is the one entry that
+# sits on the clean path: the receive side's "definitions pending?"
+# test, a load and a compare on every read. The sender's "anything
+# registered?" is no function to list — the len(pendingAt) compare
+# coverRuns always made, inside the tainted branch of a write.
 INLINED := 'internal/core/taint/shadow.go:norm' \
 	'internal/core/taint/shadow.go:(*shadow).locate' \
 	'internal/core/taint/taint.go:Taint.Empty' \
@@ -50,6 +54,7 @@ INLINED := 'internal/core/taint/shadow.go:norm' \
 	'internal/core/wire/wire.go:GroupID' \
 	'internal/core/wire/wire.go:(*StreamDecoder).materialise' \
 	'internal/core/wire/wire.go:(*StreamDecoder).peek' \
+	'internal/core/wire/frame.go:(*FrameDecoder).Defines' \
 	'internal/instrument/endpoint.go:(*firstSeen[go.shape.uint32]).find' \
 	'internal/instrument/endpoint.go:(*firstSeen[go.shape.uint32]).add'
 inline-check:
@@ -230,8 +235,10 @@ fuzz:
 # frame and one-frame-datagram round trips, the decoder fed arbitrary
 # bytes, and the tier-transition fuzzer, which drives an endpoint pair
 # through random density schedules and checks per-byte label delivery
-# across encoding switches. `go test` accepts one -fuzz pattern per
-# invocation, hence one run per target.
+# across encoding switches. Each wire target's seed corpus holds
+# definitions units — ahead of frames, as payload, refused ones, one as a
+# datagram — and the schedules register taints mid-stream. `go test`
+# accepts one -fuzz pattern per invocation, hence one run per target.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzServeConn -fuzztime=10s ./internal/taintmap
 	$(GO) test -run=NONE -fuzz=FuzzParseBlobList -fuzztime=10s ./internal/taintmap

@@ -121,13 +121,16 @@ func MeasureCachingAblation(size, iters int) (AblationResult, error) {
 }
 
 // WireFormatComparison quantifies §III-D-2's bandwidth argument: wire
-// bytes for n data bytes under (a) the Global ID design and (b) the
-// naive serialize-the-taint-per-byte alternative.
+// bytes for n data bytes under (a) the Global ID design, (b) the naive
+// serialize-the-taint-per-byte alternative and (c) what a stream sends
+// at a taint's first crossing: (a) plus the blob once, in a definitions
+// unit.
 type WireFormatComparison struct {
-	DataBytes      int
-	GlobalIDWire   int // 5 bytes per data byte
-	InlineBlobWire int // 1 + 2 + len(blob) per data byte
-	BlobLen        int
+	DataBytes       int
+	GlobalIDWire    int // 5 bytes per data byte
+	InlineBlobWire  int // 1 + 2 + len(blob) per data byte
+	DefinedOnceWire int // GlobalIDWire + one definitions unit
+	BlobLen         int
 }
 
 // CompareWireFormats computes the comparison for n bytes all tainted by
@@ -143,10 +146,11 @@ func CompareWireFormats(n int) (WireFormatComparison, error) {
 		return WireFormatComparison{}, err
 	}
 	return WireFormatComparison{
-		DataBytes:      n,
-		GlobalIDWire:   wire.WireLen(n),
-		InlineBlobWire: n * (1 + 2 + len(blob)),
-		BlobLen:        len(blob),
+		DataBytes:       n,
+		GlobalIDWire:    wire.WireLen(n),
+		InlineBlobWire:  n * (1 + 2 + len(blob)),
+		DefinedOnceWire: wire.WireLen(n) + len(wire.AppendDefinitions(nil, []uint32{1}, [][]byte{blob})),
+		BlobLen:         len(blob),
 	}, nil
 }
 
@@ -169,5 +173,7 @@ func WriteAblations(w io.Writer, size, iters int) error {
 		cmp.GlobalIDWire, float64(cmp.GlobalIDWire)/float64(cmp.DataBytes))
 	fmt.Fprintf(w, "  inline taint blob:%10d wire bytes (%.2fx data)\n",
 		cmp.InlineBlobWire, float64(cmp.InlineBlobWire)/float64(cmp.DataBytes))
+	fmt.Fprintf(w, "  blob once, then ids:%8d wire bytes (%.4fx data; the first crossing of a taint on a stream)\n",
+		cmp.DefinedOnceWire, float64(cmp.DefinedOnceWire)/float64(cmp.DataBytes))
 	return nil
 }

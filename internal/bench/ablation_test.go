@@ -41,6 +41,11 @@ func TestWireFormatComparison(t *testing.T) {
 	if cmp.BlobLen < 50 {
 		t.Fatalf("unrealistically small taint blob: %d", cmp.BlobLen)
 	}
+	// The blob once per registration is the id design plus one unit: a
+	// frame header, an id, a length and the blob.
+	if extra := cmp.DefinedOnceWire - cmp.GlobalIDWire; extra != wire.FrameHeaderLen+wire.DefinitionHeadLen+cmp.BlobLen {
+		t.Fatalf("one definition costs %d wire bytes for a %d-byte blob", extra, cmp.BlobLen)
+	}
 }
 
 func TestWriteAblations(t *testing.T) {

@@ -79,7 +79,22 @@ type FrameDecoder struct {
 	cover  []Run  // run cover of the current frame's raw body
 	coverN int    // runs of it already delivered in full
 	err    error
+
+	defIDs   []uint32 // Global IDs defined by the units fed and not yet dropped
+	defBlobs [][]byte // their serialized taints
 }
+
+// Definitions returns the Global IDs the stream has defined since the
+// last DropDefinitions, with their serialized taints: what a reader gives
+// its Taint Map client before it resolves the labels that follow.
+func (d *FrameDecoder) Definitions() ([]uint32, [][]byte) { return d.defIDs, d.defBlobs }
+
+// Defines reports whether Definitions has any to return. Inlined (`make
+// inline-check`): one load and a compare on every read's path.
+func (d *FrameDecoder) Defines() bool { return len(d.defIDs) > 0 }
+
+// DropDefinitions forgets the definitions returned so far.
+func (d *FrameDecoder) DropDefinitions() { d.defIDs, d.defBlobs = d.defIDs[:0], d.defBlobs[:0] }
 
 // Feed consumes raw stream bytes. The returned error (wrong opening, bad
 // tag, insane length, metadata its row rejects) is sticky: the stream is
@@ -157,8 +172,8 @@ func (d *FrameDecoder) open(tag byte, ln int) error {
 
 // stage runs at the start of a frame and whenever the metadata known to
 // be pending completes: the row either asks for more (a count sizes its
-// table) or the metadata is whole, and a raw body's run cover is
-// computed from it.
+// table) or the metadata is whole, and a raw body's run cover — or what
+// a definitions unit defines — is computed from it.
 func (d *FrameDecoder) stage() error {
 	t := d.tier
 	if t.MetaLen != nil {
@@ -171,6 +186,10 @@ func (d *FrameDecoder) stage() error {
 		}
 		if d.need = need; need > len(d.meta) {
 			return nil
+		}
+		if t.Define != nil {
+			d.defIDs, d.defBlobs, err = t.Define(d.defIDs, d.defBlobs, d.meta)
+			return err
 		}
 	}
 	if t.Cover == nil {

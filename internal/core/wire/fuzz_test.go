@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -146,9 +147,12 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		// The same payload framed, then a corrupt header: what was
 		// decoded before the error still pops, and no later Feed — each
 		// one fails — may write over the popped runs.
+		// The frame follows the definitions of its ids, which surface too
+		// and stay as they are.
 		var fd FrameDecoder
-		framed := AppendGroupsFrame(AppendAdaptiveStreamMagic(nil), data, nil)
-		copy(framed[StreamMagicLen+FrameHeaderLen:], raw)
+		defIDs, defBlobs := testDefinitions(ids)
+		framed := AppendGroupsFrame(AppendDefinitions(AppendAdaptiveStreamMagic(nil), defIDs, defBlobs), data, nil)
+		copy(framed[len(framed)-len(raw):], raw)
 		if err := fd.Feed(append(framed, 'Z', 0, 0, 0, 1)); err == nil {
 			t.Fatal("bad frame tag accepted")
 		}
@@ -156,6 +160,9 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		was := append([]Run(nil), rs...)
 		if fd.Feed(framed) == nil {
 			t.Fatal("Feed error did not stick")
+		}
+		if gotIDs, gotBlobs := fd.Definitions(); !equalIDs(gotIDs, defIDs) || !equalBlobs(gotBlobs, defBlobs) {
+			t.Fatalf("definitions %v %q surfaced as %v %q", defIDs, defBlobs, gotIDs, gotBlobs)
 		}
 		for i := range rs {
 			if rs[i] != was[i] {
@@ -177,7 +184,9 @@ func FuzzStreamRoundTrip(f *testing.F) {
 // FuzzFrameRoundTrip drives the framed codec: the input is split across
 // frames, each on a tier of the table drawn by the rng under a label
 // layout its row fits, fed under fuzz-chosen fragmentation, and the
-// decoded bytes/ids must match. Seeds cover every frame tag, the empty
+// decoded bytes/ids must match. Ahead of some frames goes the
+// definitions unit of their ids; the units must surface whole, in order,
+// and leave the payload as it is. Seeds cover every frame tag, the empty
 // frame, and payloads mimicking magics and headers.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add([]byte("clean then tainted"), int64(1), uint8(3), uint8(2))
@@ -187,7 +196,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add([]byte{'P', 0, 0, 0, 0}, int64(5), uint8(2), uint8(2)) // bare passthrough header bytes as payload
 	f.Add([]byte("DTF2U\x00\x00\x00\x07abc"), int64(6), uint8(3), uint8(3))
 	f.Add([]byte("uniform bulk transfer payload"), int64(7), uint8(9), uint8(1))
-	f.Add(bytes.Repeat([]byte{'S', 0}, 40), int64(8), uint8(5), uint8(5)) // sparse-heavy split
+	f.Add(bytes.Repeat([]byte{'S', 0}, 40), int64(8), uint8(5), uint8(5))                             // sparse-heavy split
+	f.Add([]byte("D\x00\x00\x00\x09\x00\x00\x00\x01\x00\x00\x00\x01t"), int64(9), uint8(0), uint8(6)) // a definitions unit as payload, fed a byte or two at a time
 	f.Fuzz(func(t *testing.T, data []byte, seed int64, frag, nframes uint8) {
 		rng := rand.New(rand.NewSource(seed))
 
@@ -195,6 +205,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		// per-byte ids.
 		raw := AppendAdaptiveStreamMagic(nil)
 		wantIDs := make([]uint32, 0, len(data))
+		var defIDs []uint32
+		var defBlobs [][]byte
 		rest := data
 		for i := 0; i < int(nframes)+1; i++ {
 			n := 0
@@ -228,6 +240,11 @@ func FuzzFrameRoundTrip(f *testing.F) {
 					fitting = append(fitting, tier)
 				}
 			}
+			if rng.Intn(2) == 0 {
+				unitIDs, unitBlobs := testDefinitions(ids)
+				raw = AppendDefinitions(raw, unitIDs, unitBlobs)
+				defIDs, defBlobs = append(defIDs, unitIDs...), append(defBlobs, unitBlobs...)
+			}
 			raw = AppendFrame(raw, fitting[rng.Intn(len(fitting))], chunk, runs)
 			wantIDs = append(wantIDs, ids...)
 		}
@@ -248,6 +265,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		}
 		if dec.Buffered() != len(data) {
 			t.Fatalf("buffered %d of %d", dec.Buffered(), len(data))
+		}
+		if gotIDs, gotBlobs := dec.Definitions(); !equalIDs(gotIDs, defIDs) || !equalBlobs(gotBlobs, defBlobs) {
+			t.Fatalf("definitions %v %q surfaced as %v %q", defIDs, defBlobs, gotIDs, gotBlobs)
 		}
 		// Two consumers of the same stream: the run consumer alone, and
 		// the per-byte one wherever the head of the stream is still raw
@@ -303,10 +323,17 @@ func FuzzFrameDecoderRobust(f *testing.F) {
 	f.Add([]byte("DTF2S\x00\x00\x00\x12\x00\x00\x00\x01\x00\x00\x00\x04\x00\x00\x00\x09\x00\x00\x00\x07xx"), uint8(4)) // range past data
 	f.Add([]byte("DTF2P\x00\x00\x00\x03abc"), uint8(1))
 	f.Add([]byte("DTF2G\x00\x00\x00\x05hello"), uint8(3))
-	f.Add([]byte("DTF2Z\x00\x00\x00\x01x"), uint8(2))              // bad tag
-	f.Add([]byte("DTF2P\xff\xff\xff\xff"), uint8(4))               // oversize length
-	f.Add([]byte("a\x00\x00\x00\x01b\x00\x00\x00\x02"), uint8(6))  // headerless groups
-	f.Add([]byte("DT\x00\x00\x00\x01a\x00\x00\x00\x01"), uint8(2)) // the packet codec's magic
+	f.Add([]byte("DTF2Z\x00\x00\x00\x01x"), uint8(2))                                                           // bad tag
+	f.Add([]byte("DTF2P\xff\xff\xff\xff"), uint8(4))                                                            // oversize length
+	f.Add([]byte("a\x00\x00\x00\x01b\x00\x00\x00\x02"), uint8(6))                                               // headerless groups
+	f.Add([]byte("DT\x00\x00\x00\x01a\x00\x00\x00\x01"), uint8(2))                                              // the packet codec's magic
+	f.Add([]byte("DTF2D\x00\x00\x00\x0a\x00\x00\x00\x07\x00\x00\x00\x02\x00\x00P\x00\x00\x00\x02ok"), uint8(0)) // definitions unit, then a frame
+	f.Add([]byte("DTF2D\x00\x00\x00\x08\x00\x00\x00\x00\x00\x00\x00\x00"), uint8(1))                            // definition of the untainted id
+	f.Add([]byte("DTF2D\x00\x00\x00\x09\x00\x00\x00\x07\x00\x00\x00\x02\x00"), uint8(2))                        // blob overruns the unit
+	f.Add([]byte("DTF2D\x00\x00\x00\x05\x00\x00\x00\x07\x00"), uint8(3))                                        // unit ends inside an entry
+	f.Add([]byte("DTF2D\x00\x01\x00\x01\x00\x00\x00\x07"), uint8(4))                                            // unit past the bound
+	f.Add([]byte("DTF2D\x00\x00\x00\x10\x00\x00\x00\x07\x00\x00"), uint8(5))                                    // truncated unit
+	f.Add([]byte("D\x00\x00\x00\x08\x00\x00\x00\x07\x00\x00\x00\x00"), uint8(6))                                // a unit as a datagram
 	f.Fuzz(func(t *testing.T, raw []byte, frag uint8) {
 		var dec FrameDecoder
 		var ferr error
@@ -324,7 +351,13 @@ func FuzzFrameDecoderRobust(f *testing.F) {
 			}
 			off += n
 		}
-		if !bytes.HasPrefix(raw, streamMagic[:]) && dec.Buffered() > 0 {
+		// What surfaced of definitions is whole entries under tainted ids,
+		// none from a unit the decoder refused.
+		defIDs, defBlobs := dec.Definitions()
+		if len(defIDs) != len(defBlobs) || slices.Contains(defIDs, 0) {
+			t.Fatalf("definitions surfaced as %v %q", defIDs, defBlobs)
+		}
+		if !bytes.HasPrefix(raw, streamMagic[:]) && dec.Buffered()+len(defIDs) > 0 {
 			t.Fatalf("%d bytes decoded from a stream that opens %q", dec.Buffered(), raw[:min(len(raw), StreamMagicLen)])
 		}
 		for dec.Buffered() > 0 {

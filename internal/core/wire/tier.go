@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -18,7 +19,8 @@ import (
 // and the round-trip tests read the rows; nothing else knows a tag.
 
 // Indices into Tiers, cheapest first: the lattice P < U < S < G. Every
-// tier above a payload's sound minimum can carry it too.
+// tier above a payload's sound minimum can carry it too. The row after
+// them is no tier: a definitions unit carries no payload and fits none.
 const (
 	TierPassthrough = iota
 	TierUniform
@@ -66,6 +68,9 @@ type Tier struct {
 	// AppendMeta appends the metadata of a payload under runs, which
 	// satisfy Fits. Nil means the tier has no metadata.
 	AppendMeta func(dst []byte, runs []Run) []byte
+	// Define parses complete metadata that defines Global IDs, appending
+	// each id and a copy of its serialized taint. Nil on a payload's row.
+	Define func(ids []uint32, blobs [][]byte, meta []byte) ([]uint32, [][]byte, error)
 }
 
 // Frame tags of the four tiers.
@@ -80,6 +85,9 @@ const (
 	FrameSparse byte = 'S'
 	// FrameGroups tags a frame whose body is the group encoding.
 	FrameGroups byte = 'G'
+	// FrameDefinitions tags a unit whose body defines Global IDs and
+	// carries no payload.
+	FrameDefinitions byte = 'D'
 )
 
 const (
@@ -93,6 +101,12 @@ const (
 	// sparseSendRanges is the densest taint a sender puts in a range
 	// table; beyond it the groups tier's tight loops win.
 	sparseSendRanges = 16
+	// DefinitionHeadLen is the wire width of what precedes a definition's
+	// blob: Global ID + uint32 blob length.
+	DefinitionHeadLen = GlobalIDLen + 4
+	// MaxDefinitionsLen bounds the body of a definitions unit, for the
+	// decoder, which buffers it whole, and so for the sender.
+	MaxDefinitionsLen = 1 << 16
 )
 
 // Tiers is the table, in lattice order. Who may choose a row: any sender
@@ -162,6 +176,52 @@ var Tiers = []Tier{
 			return 0, nil
 		},
 	},
+	{
+		// All metadata: (Global ID, blob length, serialized taint)*, the
+		// taints a stream's sender has just registered, ahead of the frame
+		// that first uses their ids. An entry under the untainted id, or
+		// one that overruns the body, is corruption.
+		Tag: FrameDefinitions, Name: "definitions",
+		Fits: func(Shape) bool { return false },
+		MetaLen: func(_ []byte, body int) (int, error) {
+			if body > MaxDefinitionsLen {
+				return 0, fmt.Errorf("wire: definitions unit of %d bytes (limit %d)", body, MaxDefinitionsLen)
+			}
+			return body, nil
+		},
+		Define: func(ids []uint32, blobs [][]byte, meta []byte) ([]uint32, [][]byte, error) {
+			for len(meta) > 0 {
+				if len(meta) < DefinitionHeadLen {
+					return nil, nil, fmt.Errorf("wire: definitions unit ends inside an entry")
+				}
+				id, n := binary.BigEndian.Uint32(meta), binary.BigEndian.Uint32(meta[GlobalIDLen:])
+				if meta = meta[DefinitionHeadLen:]; id == 0 || uint64(n) > uint64(len(meta)) {
+					return nil, nil, fmt.Errorf("wire: definition of id %d with a %d-byte blob in %d", id, n, len(meta))
+				}
+				ids, blobs = append(ids, id), append(blobs, bytes.Clone(meta[:n]))
+				meta = meta[n:]
+			}
+			return ids, blobs, nil
+		},
+	},
+}
+
+// AppendDefinitions appends one definitions unit giving each Global ID
+// its serialized taint. A unit that would pass MaxDefinitionsLen is not
+// built — the receiver looks those ids up — and neither is an empty one.
+func AppendDefinitions(dst []byte, ids []uint32, blobs [][]byte) []byte {
+	at := len(dst)
+	dst = AppendFrameHeader(dst, FrameDefinitions, 0)
+	for i, blob := range blobs {
+		dst = binary.BigEndian.AppendUint32(dst, ids[i])
+		dst = append(binary.BigEndian.AppendUint32(dst, uint32(len(blob))), blob...)
+	}
+	body := len(dst) - at - FrameHeaderLen
+	if body == 0 || body > MaxDefinitionsLen {
+		return dst[:at]
+	}
+	binary.BigEndian.PutUint32(dst[at+1:], uint32(body))
+	return dst
 }
 
 // PickTier returns the tier of a frame for a payload of shape s: the

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -132,6 +133,23 @@ func equalIDs(a, b []uint32) bool {
 	return true
 }
 
+// testDefinitions returns one definition per distinct Global ID of a
+// layout, in first-seen order. The codec does not read blobs: any bytes
+// do, the empty blob included.
+func testDefinitions(ids []uint32) (defIDs []uint32, blobs [][]byte) {
+	for _, id := range ids {
+		if id != 0 && !slices.Contains(defIDs, id) {
+			defIDs = append(defIDs, id)
+			blobs = append(blobs, bytes.Repeat([]byte{byte(id)}, int(id%7)))
+		}
+	}
+	return defIDs, blobs
+}
+
+func equalBlobs(a, b [][]byte) bool {
+	return slices.EqualFunc(a, b, bytes.Equal)
+}
+
 // checkTierRoundTrips frames every fitting layout on every tier, as a
 // stream under every fragmentation and as a datagram, and requires the
 // bytes and the per-byte ids back. It returns the tags it exercised.
@@ -145,12 +163,23 @@ func checkTierRoundTrips(t *testing.T) map[byte]int {
 				t.Fatalf("%s/%s: frame opens with tag %q", Tiers[tier].Name, name, frame[0])
 			}
 			seen[frame[0]]++
-			stream := append(AppendAdaptiveStreamMagic(nil), frame...)
+			// On a stream the frame follows the definitions of its ids, as
+			// it does at their first crossing; they must surface whole,
+			// and the payload as if they were not there.
+			defIDs, defBlobs := testDefinitions(ids)
+			unit := AppendDefinitions(nil, defIDs, defBlobs)
+			if len(unit) > 0 {
+				seen[unit[0]]++
+			}
+			stream := append(append(AppendAdaptiveStreamMagic(nil), unit...), frame...)
 			for frag := 1; frag <= len(stream); frag += 1 + frag/16 {
 				var d FrameDecoder
 				feedFragmented(t, &d, stream, frag)
 				if d.PendingPartial() {
 					t.Fatalf("%s/%s n=%d frag %d: whole frame left a partial", Tiers[tier].Name, name, n, frag)
+				}
+				if gotIDs, gotBlobs := d.Definitions(); !equalIDs(gotIDs, defIDs) || !equalBlobs(gotBlobs, defBlobs) {
+					t.Fatalf("%s/%s n=%d frag %d: definitions surfaced as %v %q", Tiers[tier].Name, name, n, frag, gotIDs, gotBlobs)
 				}
 				gotData, gotIDs := drainIDs(&d)
 				if !bytes.Equal(gotData, data) || !equalIDs(gotIDs, ids) {

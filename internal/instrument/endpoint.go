@@ -104,29 +104,33 @@ func (x *firstSeen[K]) add(k K) {
 	x.keys = append(x.keys, k)
 }
 
-// appendGroups appends the group encoding of b to out and returns the
-// extended slice — the one groups writer, behind every send that puts
-// labels on the wire a byte at a time (Fig. 9 steps ①②). It walks b's
-// label runs once and encodes each straight into out: a taint this node
-// has transferred before carries its Global ID on the tree node, so the
-// steady state builds no run, id or taint slice at all. A walk that
-// meets taints without an id stops encoding and only collects them; one
-// batch registration covers them and the walk is redone. A caller whose
-// out must not move gives it room for the encoding plus wire.EncodeSlack.
+// appendGroups appends the groups frame of b — tier t's head, then the
+// group encoding of b — to out and returns the extended slice: the one
+// groups writer, behind every send that puts labels on the wire a byte
+// at a time (Fig. 9 steps ①②). It walks b's label runs once and encodes
+// each straight into out: a taint this node has transferred before
+// carries its Global ID on the tree node, so the steady state builds no
+// run, id or taint slice at all. A walk that meets taints without an id
+// stops encoding and only collects them; one batch registration covers
+// them and the frame is redone — on a stream (define) behind the
+// definitions unit of what was registered, which so crosses ahead of the
+// frame that first uses the ids. A caller whose out must not move gives
+// it room for the frame plus wire.EncodeSlack.
 //
 // A dense store already holds what the groups tier ships, one label per
 // byte, so it skips the runs: encodeDense goes from the store's array
 // to groups directly. Whether that lane runs is the store's business
 // alone (taint.Bytes.DenseLabels), and an input it gives up on takes
-// the walk below from the top, with nothing appended.
-func appendGroups(agent *tracker.Agent, out []byte, b taint.Bytes) ([]byte, error) {
+// the walk below from the top, with nothing encoded.
+func appendGroups(agent *tracker.Agent, out []byte, b taint.Bytes, t int, define bool) ([]byte, error) {
 	tm := agent.TaintMap()
 	if tm == nil && !b.Clean() {
 		return nil, ErrNoTaintMap
 	}
+	n, at := len(b.Data), len(out)
+	out = wire.AppendHead(slices.Grow(out, wire.GroupsFrameLen(n)+wire.EncodeSlack), t, n, nil)
 	start := len(out)
-	end := start + wire.WireLen(len(b.Data))
-	out = slices.Grow(out, end-start+wire.EncodeSlack)
+	end := start + wire.WireLen(n)
 	if labels := b.DenseLabels(); labels != nil &&
 		encodeDense(out[start:end+wire.EncodeSlack], b.Data, labels) {
 		return out[:end], nil
@@ -161,7 +165,10 @@ func appendGroups(agent *tracker.Agent, out []byte, b taint.Bytes) ([]byte, erro
 		if ids, err = registerBatch(tm, pending.keys); err != nil {
 			return nil, err
 		}
-		out = out[:start]
+		if out = out[:at]; define {
+			out = appendDefinitions(out, pending.keys, ids)
+		}
+		out = wire.AppendHead(out, t, n, nil)
 	}
 }
 
@@ -217,43 +224,71 @@ func registerBatch(tm taintmap.Client, ts []taint.Taint) ([]uint32, error) {
 	return ids, nil
 }
 
+// appendDefinitions appends the definitions unit of what a stream send
+// has just registered, ts under ids. Only such taints are defined: one
+// this write gave its id cannot be in the receiver's memo, one that had
+// an id has crossed before — so the steady state builds nothing and no
+// connection remembers what it sent. What cannot be put in a unit is not
+// defined; the receiver looks it up.
+func appendDefinitions(dst []byte, ts []taint.Taint, ids []uint32) []byte {
+	blobs := make([][]byte, len(ts))
+	for i, t := range ts {
+		var err error
+		if blobs[i], err = taint.MarshalTaint(t); err != nil {
+			return dst
+		}
+	}
+	return wire.AppendDefinitions(dst, ids, blobs)
+}
+
 // coverRuns appends to dst (reused across calls) the run cover that the
 // metadata of b's frame on tier t is made from, every label mapped to
 // its Global ID; a groups body labels itself and gets none. The shapes
 // the raw-body tiers admit hold a handful of runs: the steady state is
 // one pointer load per run off the tree node, and the taints still
-// without an id share one batch registration. s is b's shape.
-func coverRuns(agent *tracker.Agent, b taint.Bytes, t int, s wire.Shape, dst []wire.Run) ([]wire.Run, error) {
+// without an id share one batch registration — which on a stream
+// (define) also yields their definitions unit, to go ahead of the frame.
+// s is b's shape.
+func coverRuns(agent *tracker.Agent, b taint.Bytes, t int, s wire.Shape, dst []wire.Run, define bool) (runs []wire.Run, defs []byte, _ error) {
 	if wire.Tiers[t].Groups {
-		return dst, nil
+		return dst, nil, nil
 	}
 	if s.Clean() {
-		return append(dst, wire.Run{N: s.N}), nil
+		return append(dst, wire.Run{N: s.N}), nil, nil
 	}
 	tm := agent.TaintMap()
 	if tm == nil {
-		return nil, ErrNoTaintMap
+		return nil, nil, ErrNoTaintMap
 	}
-	var pending []taint.Taint
+	var pending firstSeen[taint.Taint]
 	var pendingAt []int
 	b.ForEachRun(func(from, to int, t taint.Taint) {
 		id := t.GlobalID()
 		if id == 0 && !t.Empty() {
-			pending = append(pending, t)
+			// Until the batch answers, the run holds its taint's place in it.
+			i := pending.find(t)
+			if i < 0 {
+				i = len(pending.keys)
+				pending.add(t)
+			}
+			id = uint32(i)
 			pendingAt = append(pendingAt, len(dst))
 		}
 		dst = append(dst, wire.Run{N: to - from, ID: id})
 	})
-	if len(pending) > 0 {
-		ids, err := registerBatch(tm, pending)
+	if len(pendingAt) > 0 {
+		ids, err := registerBatch(tm, pending.keys)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		for i, at := range pendingAt {
-			dst[at].ID = ids[i]
+		for _, at := range pendingAt {
+			dst[at].ID = ids[dst[at].ID]
+		}
+		if define {
+			defs = appendDefinitions(nil, pending.keys, ids)
 		}
 	}
-	return dst, nil
+	return dst, defs, nil
 }
 
 // adoptRuns gives buf[at:at+n] the labels of the decoded runs — the
@@ -320,15 +355,14 @@ func pickTier(d *densityTracker, b taint.Bytes) (int, wire.Shape) {
 
 // appendFrame appends to dst what precedes the raw payload of b's n-byte
 // frame on tier t — the frame header and the metadata made from runs
-// (coverRuns) — and, where the tier's body is groups, the encoded body
-// too (Fig. 9 steps ①②), so that dst plus b.Data, or dst alone, is the
-// frame.
-func appendFrame(agent *tracker.Agent, dst []byte, b taint.Bytes, t, n int, runs []wire.Run) ([]byte, error) {
-	dst = wire.AppendHead(dst, t, n, runs)
+// (coverRuns) — or, where the tier's body is groups, the whole frame
+// (appendGroups; Fig. 9 steps ①②), so that dst plus b.Data, or dst
+// alone, is the frame. define is true on a stream.
+func appendFrame(agent *tracker.Agent, dst []byte, b taint.Bytes, t, n int, runs []wire.Run, define bool) ([]byte, error) {
 	if wire.Tiers[t].Groups {
-		return appendGroups(agent, dst, b)
+		return appendGroups(agent, dst, b, t, define)
 	}
-	return dst, nil
+	return wire.AppendHead(dst, t, n, runs), nil
 }
 
 // streamWriter is the send half of a stream endpoint — the magic flag,
@@ -375,16 +409,17 @@ func (w *streamWriter) write(agent *tracker.Agent, b taint.Bytes, emit func(head
 		head = wire.AppendFrameHeader(head, wire.FramePassthrough, n)
 	} else {
 		t, s := pickTier(&w.tier, b)
-		runs, err := coverRuns(agent, b, t, s, w.cover[:0])
+		runs, defs, err := coverRuns(agent, b, t, s, w.cover[:0], true)
 		if err != nil {
 			return err
 		}
 		w.cover = runs[:0]
+		head = append(head, defs...)
 		if wire.Tiers[t].Groups {
 			pooled = wire.GetBuf(len(head) + wire.GroupsFrameLen(n) + wire.EncodeSlack)
 			head, payload = append(*pooled, head...), nil
 		}
-		if head, err = appendFrame(agent, head, b, t, n, runs); err != nil {
+		if head, err = appendFrame(agent, head, b, t, n, runs, true); err != nil {
 			return err // a refused transfer leaves its buffer to the collector
 		}
 	}
@@ -501,6 +536,11 @@ func (r *streamReader) read(agent *tracker.Agent, recv func([]byte) (int, error)
 	if err := r.fill(recv, to-from); err != nil {
 		return 0, err
 	}
+	if r.dec.Defines() {
+		if err := r.learn(agent); err != nil {
+			return 0, err
+		}
+	}
 	if g := r.dec.PeekGroups(to - from); len(g) > 0 {
 		if took, err := adoptGroups(agent, buf, from, g, &r.seen); took > 0 || err != nil {
 			r.dec.SkipGroups(took)
@@ -512,6 +552,19 @@ func (r *streamReader) read(agent *tracker.Agent, recv func([]byte) (int, error)
 		return 0, err
 	}
 	return r.dec.PopInto(buf.Data[from : from+n]), nil
+}
+
+// learn gives the node's Taint Map client the definitions the stream has
+// delivered, ahead of the labels that use them. A refusal leaves them
+// pending: the stream is corrupt, and every later read fails here again.
+func (r *streamReader) learn(agent *tracker.Agent) error {
+	if tm := agent.TaintMap(); tm != nil {
+		if err := tm.Learn(r.dec.Definitions()); err != nil {
+			return fmt.Errorf("instrument: corrupt definitions unit: %w", err)
+		}
+	}
+	r.dec.DropDefinitions()
+	return nil
 }
 
 // fill reads raw wire bytes until at least one decoded byte is

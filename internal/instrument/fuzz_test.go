@@ -19,7 +19,10 @@ import (
 // uniform, sparse island, dense alternation; with its top bit set the
 // alternation is between a label and clean, a comb of one-byte islands)
 // and the label source, the second the length — so the fuzzer explores
-// tier transitions the phased unit tests never schedule. step bounds the reader's buffer
+// tier transitions the phased unit tests never schedule. Bit 6 of the
+// kind folds a taint of the message's own into its label: the write has
+// to register it, so a definitions unit crosses ahead of that frame,
+// wherever in the schedule and on whichever tier. step bounds the reader's buffer
 // (0 = as much as is left): a small one pops the decoder in pieces that
 // split label runs.
 //
@@ -45,18 +48,20 @@ func FuzzTierTransition(f *testing.F) {
 		}
 		return s
 	}
-	f.Add(steady(1), uint8(0), uint8(0))                                             // uniform
-	f.Add(steady(2), uint8(0), uint8(1))                                             // sparse, from dense stores
-	f.Add(steady(3), uint8(0), uint8(0))                                             // dense
-	f.Add(steady(3), uint8(0), uint8(3))                                             // dense labels from run-mode stores into a dense one
-	f.Add([]byte{1, 255, 2, 31, 0, 15, 3, 63}, uint8(0), uint8(2))                   // one message per tier
-	f.Add([]byte{1, 7, 0, 7, 1, 7, 0, 7, 1, 7}, uint8(0), uint8(0))                  // clean/uniform interleave
-	f.Add([]byte{3, 0, 1, 0, 3, 0, 1, 0, 2, 0}, uint8(0), uint8(1))                  // tiny flapping messages
-	f.Add(append(steady(1), append(steady(3), steady(1)...)...), uint8(0), uint8(0)) // U->G->U
-	f.Add([]byte{3, 255, 3, 255, 3, 255, 3, 255}, uint8(0), uint8(0))                // alternating ids, 256 runs a frame
-	f.Add([]byte{3, 255, 7, 255, 3, 254}, uint8(3), uint8(2))                        // the same through 3-byte pops
-	f.Add([]byte{1, 255, 2, 255, 6, 200, 1, 99}, uint8(7), uint8(3))                 // long runs: every pop splits one
-	f.Add([]byte{0x83, 19, 0x83, 63, 2, 19, 0x83, 19}, uint8(0), uint8(0))           // combs: 10 islands in 20 bytes outweigh their groups as a range table
+	f.Add(steady(1), uint8(0), uint8(0))                                                  // uniform
+	f.Add(steady(2), uint8(0), uint8(1))                                                  // sparse, from dense stores
+	f.Add(steady(3), uint8(0), uint8(0))                                                  // dense
+	f.Add(steady(3), uint8(0), uint8(3))                                                  // dense labels from run-mode stores into a dense one
+	f.Add([]byte{1, 255, 2, 31, 0, 15, 3, 63}, uint8(0), uint8(2))                        // one message per tier
+	f.Add([]byte{1, 7, 0, 7, 1, 7, 0, 7, 1, 7}, uint8(0), uint8(0))                       // clean/uniform interleave
+	f.Add([]byte{3, 0, 1, 0, 3, 0, 1, 0, 2, 0}, uint8(0), uint8(1))                       // tiny flapping messages
+	f.Add(append(steady(1), append(steady(3), steady(1)...)...), uint8(0), uint8(0))      // U->G->U
+	f.Add([]byte{3, 255, 3, 255, 3, 255, 3, 255}, uint8(0), uint8(0))                     // alternating ids, 256 runs a frame
+	f.Add([]byte{3, 255, 7, 255, 3, 254}, uint8(3), uint8(2))                             // the same through 3-byte pops
+	f.Add([]byte{1, 255, 2, 255, 6, 200, 1, 99}, uint8(7), uint8(3))                      // long runs: every pop splits one
+	f.Add([]byte{0x83, 19, 0x83, 63, 2, 19, 0x83, 19}, uint8(0), uint8(0))                // combs: 10 islands in 20 bytes outweigh their groups as a range table
+	f.Add([]byte{0x41, 63, 0x42, 31, 0, 15, 0x43, 63, 1, 7, 0x41, 7}, uint8(0), uint8(0)) // a definitions unit ahead of a frame of every tainted tier
+	f.Add([]byte{0x43, 200, 0x41, 200, 0x42, 99, 0xc3, 19}, uint8(3), uint8(3))           // the same through 3-byte pops into a dense buffer
 
 	f.Fuzz(func(t *testing.T, sched []byte, step, shape uint8) {
 		if len(sched) < 2 {
@@ -82,6 +87,10 @@ func FuzzTierTransition(f *testing.F) {
 		for i := 0; i+1 < len(sched); i += 2 {
 			kind, n := sched[i]%4, 1+int(sched[i+1])
 			li := int(sched[i]>>2) % len(srcs)
+			lbl := srcs[li]
+			if sched[i]&0x40 != 0 {
+				lbl = taint.Combine(lbl, r.a.Source("fz", fmt.Sprint("own", i)))
+			}
 			b := taint.MakeBytes(n)
 			for j := range b.Data {
 				b.Data[j] = '0' + kind
@@ -92,7 +101,7 @@ func FuzzTierTransition(f *testing.F) {
 					wantTag = append(wantTag, "")
 				}
 			case 1: // uniform
-				b.SetRange(0, n, srcs[li])
+				b.SetRange(0, n, lbl)
 				for j := 0; j < n; j++ {
 					wantTag = append(wantTag, tagOf[li])
 				}
@@ -102,7 +111,7 @@ func FuzzTierTransition(f *testing.F) {
 				if end > n {
 					end = n
 				}
-				b.SetRange(off, end, srcs[li])
+				b.SetRange(off, end, lbl)
 				for j := 0; j < n; j++ {
 					if j >= off && j < end {
 						wantTag = append(wantTag, tagOf[li])
@@ -113,7 +122,7 @@ func FuzzTierTransition(f *testing.F) {
 			case 3: // dense: alternate two sources, or a source and clean, byte by byte
 				for j := 0; j < n; j++ {
 					if j%2 == 0 {
-						b.SetLabel(j, srcs[li])
+						b.SetLabel(j, lbl)
 						wantTag = append(wantTag, tagOf[li])
 					} else if sched[i]&0x80 != 0 {
 						wantTag = append(wantTag, "")
@@ -173,11 +182,11 @@ func FuzzTierTransition(f *testing.F) {
 			// The same labels in the other representation must encode to
 			// the same groups. After the write, which is then the one that
 			// meets unregistered labels, on whichever tier it picked.
-			enc, err := appendGroups(r.a, nil, msg)
+			enc, err := appendGroups(r.a, nil, msg, tierGroups, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if encTwin, err := appendGroups(r.a, nil, twins[mi]); err != nil || !bytes.Equal(enc, encTwin) {
+			if encTwin, err := appendGroups(r.a, nil, twins[mi], tierGroups, false); err != nil || !bytes.Equal(enc, encTwin) {
 				t.Fatalf("message %d (kind %q, len %d, dense view %v): its twin encodes differently (err %v)",
 					mi, msg.Data[0], msg.Len(), msg.DenseLabels() != nil, err)
 			}

@@ -243,7 +243,9 @@ func TestFigure9Protocol(t *testing.T) {
 		t.Fatal("sender must cache the Global ID on the taint (step ②)")
 	}
 
-	// Steps ④⑤: Node2 receives only b1 and resolves its taint.
+	// Steps ④⑤: Node2 receives only b1 and resolves its taint — from the
+	// definition that crossed ahead of the frame, t1 having been registered
+	// by this very write: no lookup reaches the store.
 	buf := taint.MakeBytes(1)
 	n, err := receiver.Read(&buf)
 	if err != nil || n != 1 || buf.Data[0] != 'A' {
@@ -256,16 +258,34 @@ func TestFigure9Protocol(t *testing.T) {
 	if got.GlobalID() != t1.GlobalID() {
 		t.Fatal("receiver must record the same Global ID")
 	}
-	if st := r.store.Stats(); st.Lookups != 1 {
-		t.Fatalf("lookups = %d, want 1", st.Lookups)
+	if st := r.store.Stats(); st.Lookups != 0 {
+		t.Fatalf("lookups = %d: the first crossing carries the definition", st.Lookups)
 	}
 
-	// Receiving b2 later reuses the receiver-side cache: no new lookup.
+	// Receiving b2 later reuses the receiver-side cache: no lookup either.
 	if _, err := receiver.Read(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if st := r.store.Stats(); st.Lookups != 1 {
-		t.Fatalf("second byte triggered lookup; cache broken (%d lookups)", st.Lookups)
+
+	// A third node meets the id on a connection of its own. t1 is
+	// registered by now, so nothing defines it there, and steps ④⑤ are
+	// the paper's: one lookup, then the node's cache.
+	node3 := agentFor("node3", tracker.ModeDista, r.store)
+	ca, cb := r.net.Pipe()
+	if err := NewAdaptiveEndpoint(r.a, ca).Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	third := NewAdaptiveEndpoint(node3, cb)
+	for range payload.Data {
+		if n, err := third.Read(&buf); err != nil || n != 1 || !buf.LabelAt(0).Has("t1") {
+			t.Fatalf("node3 read %d, %v: %v", n, err, buf.LabelAt(0))
+		}
+		if st := r.store.Stats(); st.Lookups != 1 {
+			t.Fatalf("lookups = %d, want 1", st.Lookups)
+		}
+	}
+	if st := r.store.Stats(); st.GlobalTaints != 1 || st.Registrations != 1 {
+		t.Fatalf("at the end: %+v, want the one registration of t1", st)
 	}
 }
 

@@ -175,7 +175,7 @@ func TestDenseSendLaneMatchesRunWalk(t *testing.T) {
 				}
 				prefix := []byte("hdr")
 				encode := func(b taint.Bytes) []byte {
-					out, err := appendGroups(a, append([]byte(nil), prefix...), b)
+					out, err := appendGroups(a, append([]byte(nil), prefix...), b, tierGroups, false)
 					if err != nil {
 						t.Fatalf("seed %d %s short=%v: %v", seed, name, short, err)
 					}
@@ -198,7 +198,7 @@ func TestDenseSendLaneMatchesRunWalk(t *testing.T) {
 					t.Fatalf("seed %d %s short=%v (%d bytes): dense store and run-mode store encode differently",
 						seed, name, short, n)
 				}
-				if len(want) != len(prefix)+wire.WireLen(n) || !bytes.HasPrefix(want, prefix) {
+				if len(want) != len(prefix)+wire.GroupsFrameLen(n) || !bytes.HasPrefix(want, prefix) {
 					t.Fatalf("seed %d %s: %d bytes appended to a %d-byte prefix for %d data bytes", seed, name, len(want), len(prefix), n)
 				}
 				if clean && !short {

@@ -37,11 +37,11 @@ func PacketSend(agent *tracker.Agent, sock *netsim.UDPSocket, data taint.Bytes, 
 	}
 	buf := wire.GetBuf(size)
 	defer wire.PutBuf(buf)
-	runs, err := coverRuns(agent, data, t, s, nil)
+	runs, _, err := coverRuns(agent, data, t, s, nil, false)
 	if err != nil {
 		return err
 	}
-	raw, err := appendFrame(agent, *buf, data, t, s.N, runs)
+	raw, err := appendFrame(agent, *buf, data, t, s.N, runs, false)
 	if err != nil {
 		return err
 	}

@@ -52,6 +52,7 @@ func (e *Endpoint) WritevBuffers(srcs []*jni.DirectBuffer, lens []int) (int64, e
 	// Pass 1: tiers, run covers and frame boundaries. Everything the
 	// raw-body frames need registered is registered here.
 	frames := make([]vframe, 0, len(srcs))
+	var defs []byte // definitions units of what the covers register
 	cover := e.wr.cover[:0]
 	total, room := 0, wire.StreamMagicLen+wire.EncodeSlack
 	for i, src := range srcs {
@@ -62,10 +63,12 @@ func (e *Endpoint) WritevBuffers(srcs []*jni.DirectBuffer, lens []int) (int64, e
 		v := src.View(0, lens[i])
 		t, s := pickTier(&e.wr.tier, v)
 		f := vframe{t: t, n: lens[i], src: i, end: i + 1, c0: len(cover)}
+		var unit []byte
 		var err error
-		if cover, err = coverRuns(e.agent, v, t, s, cover); err != nil {
+		if cover, unit, err = coverRuns(e.agent, v, t, s, cover, true); err != nil {
 			return 0, err
 		}
+		defs = append(defs, unit...)
 		f.c1 = len(cover)
 		if k := len(frames) - 1; k >= 0 && frames[k].t == t && f.c1-f.c0 == 1 &&
 			frames[k].c1-frames[k].c0 == 1 && cover[f.c0].ID == cover[frames[k].c0].ID {
@@ -92,10 +95,11 @@ func (e *Endpoint) WritevBuffers(srcs []*jni.DirectBuffer, lens []int) (int64, e
 	if !e.wr.wroteMagic {
 		out = wire.AppendAdaptiveStreamMagic(out)
 	}
+	out = append(out, defs...)
 	for k := range frames {
 		f := &frames[k]
 		var err error
-		if out, err = appendFrame(e.agent, out, srcs[f.src].View(0, lens[f.src]), f.t, f.n, cover[f.c0:f.c1]); err != nil {
+		if out, err = appendFrame(e.agent, out, srcs[f.src].View(0, lens[f.src]), f.t, f.n, cover[f.c0:f.c1], true); err != nil {
 			return 0, err
 		}
 		f.headEnd = len(out)

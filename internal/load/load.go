@@ -20,6 +20,7 @@
 package load
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -573,7 +574,11 @@ func (e *engine) issue(s *session) error {
 // complete consumes one op's echo. For streams it reads until the whole
 // payload has decoded back — any blocking is bounded, because the
 // remainder is already in flight in the closed loop. For datagrams one
-// receive is one op.
+// receive is one op. A session's first echo is verified byte for byte and
+// label for label: that op carries whatever the session had to register
+// out to the sink and back — its definitions included — so it is where a
+// dropped or misattributed label would show. Later ops check the count
+// alone, which keeps the verification out of the steady-state latencies.
 func (e *engine) complete(s *session) error {
 	want := len(s.payload.Data)
 	switch s.path {
@@ -585,7 +590,8 @@ func (e *engine) complete(s *session) error {
 		s.got = n
 	default:
 		for s.got < want {
-			n, err := s.ep.Read(&s.rbuf)
+			sub := s.rbuf.Slice(s.got, want)
+			n, err := s.ep.Read(&sub)
 			if err != nil {
 				return err
 			}
@@ -600,10 +606,44 @@ func (e *engine) complete(s *session) error {
 	if e.extra != nil {
 		e.extra.Observe(lat)
 	}
+	if s.opsLeft == e.cfg.Ops {
+		if !bytes.Equal(s.rbuf.Data, s.payload.Data) {
+			return fmt.Errorf("load: session %d: the first echo came back with other bytes", s.id)
+		}
+		if at := labelMismatch(s.rbuf, s.payload); at >= 0 {
+			return fmt.Errorf("load: session %d: byte %d of the first echo came back under %v, sent under %v",
+				s.id, at, s.rbuf.LabelAt(at), s.payload.LabelAt(at))
+		}
+	}
 	e.ops.Add(1)
 	e.bytes.Add(int64(want))
 	e.taintBytes.Add(taintSizeOf(s))
 	return nil
+}
+
+// labelMismatch returns the first byte that got and want hold under
+// different tag sets, or -1. Both are walked by runs, so a match costs a
+// compare per run rather than per byte.
+func labelMismatch(got, want taint.Bytes) int {
+	type run struct {
+		to int
+		t  taint.Taint
+	}
+	var runs []run
+	want.ForEachRun(func(_, to int, t taint.Taint) { runs = append(runs, run{to, t}) })
+	at, k := -1, 0
+	got.ForEachRun(func(from, to int, t taint.Taint) {
+		for at < 0 && from < to {
+			if !taint.SameSet(t, runs[k].t) {
+				at = from
+				return
+			}
+			if from = min(to, runs[k].to); from == runs[k].to {
+				k++
+			}
+		}
+	})
+	return at
 }
 
 // taintSizeOf is the tainted byte count one of s's ops carries.

@@ -1,9 +1,15 @@
 package load
 
 import (
+	"strings"
 	"testing"
 
 	"dista/internal/bench/hist"
+	"dista/internal/core/taint"
+	"dista/internal/core/tracker"
+	"dista/internal/instrument"
+	"dista/internal/netsim"
+	"dista/internal/taintmap"
 )
 
 // TestRunSmall exercises every (path, kind) combination end to end:
@@ -88,6 +94,54 @@ func TestSoak50k(t *testing.T) {
 		t.Fatalf("peak goroutines = %d — the fabric is supposed to multiplex, not spawn", r.PeakGoroutines)
 	}
 	t.Logf("%v", r)
+}
+
+// TestSoak50kChecksLabels holds the soak to its claim, "echoed and
+// decoded label-intact": an echo with the right bytes and one label
+// wrong, or one label dropped, fails a session's first op; the intact
+// echo passes, and so does a wrong label on a later op, which checks the
+// count alone. Named for `make soak-load` to run it beside the soak: the
+// 50k run goes through the same complete.
+func TestSoak50kChecksLabels(t *testing.T) {
+	net := netsim.New()
+	defer net.Shutdown()
+	store := taintmap.NewStore()
+	agent := func(name string) *tracker.Agent {
+		a := tracker.New(name, tracker.ModeDista)
+		return tracker.New(name, tracker.ModeDista, tracker.WithTaintMap(taintmap.NewLocalClient(store, a.Tree())))
+	}
+	a, sink := agent("lg0"), agent("sink")
+	const size = 512
+	for kind := KindClean; kind <= KindDense; kind++ {
+		payload, _ := buildPayload(a, kind, size)
+		for name, tc := range map[string]struct {
+			relabel func(echo *taint.Bytes)
+			opsLeft int
+			fails   bool
+		}{
+			"intact":                  {func(*taint.Bytes) {}, 2, false},
+			"wrong label":             {func(b *taint.Bytes) { b.SetLabel(size/2, sink.Source("load.wrong", "w")) }, 2, true},
+			"dropped label":           {func(b *taint.Bytes) { b.SetLabel(0, taint.Taint{}) }, 2, kind != KindClean},
+			"wrong label, later op":   {func(b *taint.Bytes) { b.SetLabel(size/2, sink.Source("load.wrong", "w")) }, 1, false},
+			"dropped label, vectored": {func(b *taint.Bytes) { b.SetLabel(size-1, taint.Taint{}) }, 2, kind == KindUniform || kind == KindDense},
+		} {
+			ca, cb := net.Pipe()
+			s := &session{id: 7, path: PathStream, kind: kind, ep: instrument.NewAdaptiveEndpoint(a, ca),
+				payload: payload, rbuf: taint.MakeBytes(size), opsLeft: tc.opsLeft}
+			if strings.HasSuffix(name, "vectored") {
+				s.path = PathVectored
+			}
+			e := &engine{cfg: Config{Ops: 2}, h: &hist.Hist{}}
+			echo := payload.Clone()
+			tc.relabel(&echo)
+			if err := instrument.NewAdaptiveEndpoint(sink, cb).Write(echo); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.complete(s); (err != nil) != tc.fails {
+				t.Fatalf("kind %d, %s: complete = %v, want failure = %v", kind, name, err, tc.fails)
+			}
+		}
+	}
 }
 
 // TestConfigValidation rejects malformed mixes.

@@ -26,6 +26,10 @@ type Client interface {
 	// LookupBatch resolves every id, returning the parallel taint
 	// slice; all cache misses go to the Taint Map in one round trip.
 	LookupBatch(ids []uint32) ([]taint.Taint, error)
+	// Learn memoises a peer's definitions — Global IDs with the serialized
+	// taints it registered under them — so their lookups need no round
+	// trip. A client may ignore them; unsound ones it refuses, all.
+	Learn(ids []uint32, blobs [][]byte) error
 	// Close releases the client's resources.
 	Close() error
 }
@@ -117,13 +121,54 @@ func (c *cache) get(id uint32) (taint.Taint, bool) {
 	return t, ok
 }
 
+// put memoises t under id unless the memo holds the id: what an id first
+// resolved to stays, so a peer's definition (Learn) never replaces an
+// entry that came from the Taint Map.
 func (c *cache) put(id uint32, t taint.Taint) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.byID == nil {
 		c.byID = make(map[uint32]taint.Taint)
 	}
-	c.byID[id] = t
-	c.mu.Unlock()
+	if _, known := c.byID[id]; !known {
+		c.byID[id] = t
+	}
+}
+
+// nodeMemo is the node's side of every caching client: the tree that
+// received taints are interned in and the id -> taint memo over it.
+type nodeMemo struct {
+	tree *taint.Tree
+	memo *cache
+}
+
+// adopt decodes blobs into the tree, stamps each taint with its id and
+// memoises it. Nothing is adopted unless every entry is sound: a blob
+// that is no taint, or from a peer the untainted or a provisional id —
+// its stream gone wrong, where the Taint Map never answers so.
+func (n nodeMemo) adopt(ids []uint32, blobs [][]byte, peer bool) ([]taint.Taint, error) {
+	ts := make([]taint.Taint, len(ids))
+	for i, id := range ids {
+		t, err := n.tree.UnmarshalTaint(blobs[i])
+		if err == nil && peer && (id == 0 || IsProvisional(id) || t.Empty()) {
+			err = fmt.Errorf("taintmap: a peer defines Global ID %#x as %v", id, t)
+		}
+		if err != nil {
+			return nil, err
+		}
+		ts[i] = t
+	}
+	for i, id := range ids {
+		ts[i].SetGlobalID(id)
+		n.memo.put(id, ts[i])
+	}
+	return ts, nil
+}
+
+// Learn implements Client for every caching client.
+func (n nodeMemo) Learn(ids []uint32, blobs [][]byte) error {
+	_, err := n.adopt(ids, blobs, true)
+	return err
 }
 
 // splitBatch resolves what it can from the memo under one read-lock
@@ -183,15 +228,14 @@ func (c *cache) splitBatch(ids []uint32) (ts []taint.Taint, missing []uint32) {
 // RemoteClient minus the network hop.
 type LocalClient struct {
 	store *Store
-	tree  *taint.Tree
-	memo  cache
+	nodeMemo
 }
 
 var _ Client = (*LocalClient)(nil)
 
 // NewLocalClient returns a client resolving taints into tree.
 func NewLocalClient(store *Store, tree *taint.Tree) *LocalClient {
-	return &LocalClient{store: store, tree: tree}
+	return &LocalClient{store: store, nodeMemo: nodeMemo{tree, &cache{}}}
 }
 
 // Register implements Client: the batch of one.
@@ -235,7 +279,7 @@ func (c *LocalClient) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	adoptFresh(&c.memo, ids, c.store.RegisterBlobs(blobs), pending, posOf)
+	adoptFresh(c.memo, ids, c.store.RegisterBlobs(blobs), pending, posOf)
 	return ids, nil
 }
 
@@ -250,30 +294,23 @@ func (c *LocalClient) LookupBatch(ids []uint32) ([]taint.Taint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := adoptBlobs(c.tree, &c.memo, ts, ids, missing, blobs); err != nil {
+	if err := c.adoptBlobs(ts, ids, missing, blobs); err != nil {
 		return nil, err
 	}
 	return ts, nil
 }
 
-// adoptBlobs unmarshals fetched blobs into the tree and fills every
-// position of ids waiting on each fetched id.
-func adoptBlobs(tree *taint.Tree, memo *cache, ts []taint.Taint, ids, missing []uint32, blobs [][]byte) error {
+// adoptBlobs adopts the blobs fetched for the missing ids and fills every
+// position of ids waiting on each of them.
+func (n nodeMemo) adoptBlobs(ts []taint.Taint, ids, missing []uint32, blobs [][]byte) error {
 	if len(blobs) != len(missing) {
 		return fmt.Errorf("taintmap: %d blobs for %d ids", len(blobs), len(missing))
 	}
-	got := make([]taint.Taint, len(missing))
-	for i, id := range missing {
-		t, err := tree.UnmarshalTaint(blobs[i])
-		if err != nil {
-			return err
-		}
-		t.SetGlobalID(id)
-		memo.put(id, t)
-		got[i] = t
+	got, err := n.adopt(missing, blobs, false)
+	if err == nil {
+		fillMissing(ts, ids, missing, got)
 	}
-	fillMissing(ts, ids, missing, got)
-	return nil
+	return err
 }
 
 // fillMissing completes a splitBatch: got holds the taints resolved for

@@ -34,10 +34,9 @@ import (
 // a new ring: in-flight registrations complete against the members that
 // accepted them, and only future registrations re-route.
 type ClusterClient struct {
-	tree *taint.Tree
-	dial func(addr string) (io.ReadWriteCloser, error)
-	opt  ClusterOptions
-	memo *cache // shared by every member client
+	dial     func(addr string) (io.ReadWriteCloser, error)
+	opt      ClusterOptions
+	nodeMemo // the memo is shared by every member client
 
 	ring atomic.Pointer[Ring]
 
@@ -175,11 +174,10 @@ type clusterMember struct {
 func NewClusterClient(ring *Ring, dial func(addr string) (io.ReadWriteCloser, error), tree *taint.Tree, opt ClusterOptions) (*ClusterClient, error) {
 	opt = opt.withClusterDefaults()
 	c := &ClusterClient{
-		tree:    tree,
-		dial:    dial,
-		opt:     opt,
-		memo:    &cache{},
-		members: make(map[uint32]*clusterMember),
+		dial:     dial,
+		opt:      opt,
+		nodeMemo: nodeMemo{tree, &cache{}},
+		members:  make(map[uint32]*clusterMember),
 	}
 	clk := opt.Resilient.clk
 	if clk == nil {
@@ -338,12 +336,12 @@ func (c *ClusterClient) Lookup(id uint32) (taint.Taint, error) {
 	return ts[0], nil
 }
 
-// replicaOrder returns the live member handles of a partition's replica
-// set, rotated so successive lookups start on different replicas.
-func (c *ClusterClient) replicaOrder(part uint32) []*clusterMember {
+// replicaOrder appends to cms (the caller's stack array: a replica set
+// is a handful) the live member handles of a partition's replica set,
+// rotated so successive lookups start on different replicas.
+func (c *ClusterClient) replicaOrder(part uint32, cms []*clusterMember) []*clusterMember {
 	reps := c.ring.Load().Replicas(part)
 	start := int(c.rr.Add(1)) % len(reps)
-	cms := make([]*clusterMember, 0, len(reps))
 	for i := range reps {
 		if cm := c.member(reps[(start+i)%len(reps)]); cm != nil {
 			cms = append(cms, cm)
@@ -596,7 +594,8 @@ func (c *ClusterClient) lookupKeyed(key uint32, group []uint32) error {
 // or hedging disabled, the legs run in sequence, each with its member's
 // full resilience machinery.
 func (c *ClusterClient) lookupGroup(part uint32, group []uint32) error {
-	cms := c.replicaOrder(part)
+	var buf [MaxPartitions]*clusterMember
+	cms := c.replicaOrder(part, buf[:0])
 	if len(cms) == 0 {
 		return fmt.Errorf("%w: no member for partition %d", ErrDegraded, part)
 	}

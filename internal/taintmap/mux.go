@@ -26,8 +26,7 @@ import (
 // under an RWMutex so warm lookups never serialize.
 type RemoteClient struct {
 	conn io.ReadWriteCloser
-	tree *taint.Tree
-	memo *cache
+	nodeMemo
 
 	// timeout bounds each call's wait for a response. It is enforced
 	// out-of-band: a watchdog goroutine scans the pending table at
@@ -127,12 +126,11 @@ func NewRemoteClient(conn io.ReadWriteCloser, tree *taint.Tree) *RemoteClient {
 // after it.
 func newRemoteClientWith(conn io.ReadWriteCloser, tree *taint.Tree, memo *cache, timeout time.Duration) *RemoteClient {
 	c := &RemoteClient{
-		conn:    conn,
-		tree:    tree,
-		memo:    memo,
-		timeout: timeout,
-		pending: make(map[uint32]pendingCall),
-		done:    make(chan struct{}),
+		conn:     conn,
+		nodeMemo: nodeMemo{tree, memo},
+		timeout:  timeout,
+		pending:  make(map[uint32]pendingCall),
+		done:     make(chan struct{}),
 	}
 	go c.demux()
 	if timeout > 0 {
@@ -562,7 +560,7 @@ func (c *RemoteClient) lookupBatchDeadline(ids []uint32, deadline time.Time) ([]
 			chunk = chunk[len(got):]
 		}
 	}
-	if err := adoptBlobs(c.tree, c.memo, ts, ids, missing, blobs); err != nil {
+	if err := c.adoptBlobs(ts, ids, missing, blobs); err != nil {
 		return nil, err
 	}
 	return ts, nil

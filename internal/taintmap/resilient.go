@@ -205,10 +205,9 @@ type journalEntry struct {
 // content-addressed replay), provisional ids are remapped, and the
 // client is connected again.
 type ResilientClient struct {
-	dial DialFunc
-	tree *taint.Tree
-	opt  ResilientOptions
-	memo *cache // shared across connection epochs
+	dial     DialFunc
+	opt      ResilientOptions
+	nodeMemo // the memo is shared across connection epochs
 
 	inner atomic.Pointer[RemoteClient] // nil while disconnected
 
@@ -248,7 +247,7 @@ var _ Client = (*ResilientClient)(nil)
 func NewResilientClient(dial DialFunc, tree *taint.Tree, opt ResilientOptions) *ResilientClient {
 	c := &ResilientClient{
 		dial:      dial,
-		tree:      tree,
+		nodeMemo:  nodeMemo{tree: tree},
 		opt:       opt.withDefaults(),
 		journaled: make(map[uint32]struct{}),
 		remap:     make(map[uint32]uint32),

@@ -71,5 +71,9 @@ func (c *UncachedClient) LookupBatch(ids []uint32) ([]taint.Taint, error) {
 	return ts, nil
 }
 
+// Learn implements Client by ignoring the definitions: with no memo to
+// fill, every lookup still goes to the store.
+func (c *UncachedClient) Learn([]uint32, [][]byte) error { return nil }
+
 // Close implements Client.
 func (c *UncachedClient) Close() error { return nil }
