@@ -39,11 +39,15 @@ lint:
 # fails the gate, and then either it shrinks or its comment changes and
 # it leaves this list. (Bytes.LabelAt and Bytes.SetLabel left it that
 # way: they cost 92 and 121 against a budget of 80 however the slow path
-# is split off, and say so.) FrameDecoder.Defines is the one entry that
-# sits on the clean path: the receive side's "definitions pending?"
-# test, a load and a compare on every read. The sender's "anything
-# registered?" is no function to list — the len(pendingAt) compare
-# coverRuns always made, inside the tainted branch of a write.
+# is split off, and say so.) Three entries sit on the clean path.
+# FrameDecoder.Defines is the receive side's "definitions pending?"
+# test, a load and a compare on every read. AppendFrameHeader and
+# Agent.AddTraffic are all the clean branch of streamWriter.write calls
+# between b.Clean() and the native once the stream's tier selector is
+# gone: a clean frame is assembled without leaving the function. The
+# sender's "anything registered?" is no function to list — the
+# len(pendingAt) compare coverRuns always made, inside the tainted
+# branch of a write.
 INLINED := 'internal/core/taint/shadow.go:norm' \
 	'internal/core/taint/shadow.go:(*shadow).locate' \
 	'internal/core/taint/taint.go:Taint.Empty' \
@@ -55,10 +59,12 @@ INLINED := 'internal/core/taint/shadow.go:norm' \
 	'internal/core/wire/wire.go:(*StreamDecoder).materialise' \
 	'internal/core/wire/wire.go:(*StreamDecoder).peek' \
 	'internal/core/wire/frame.go:(*FrameDecoder).Defines' \
+	'internal/core/wire/frame.go:AppendFrameHeader' \
+	'internal/core/tracker/tracker.go:(*Agent).AddTraffic' \
 	'internal/instrument/endpoint.go:(*firstSeen[go.shape.uint32]).find' \
 	'internal/instrument/endpoint.go:(*firstSeen[go.shape.uint32]).add'
 inline-check:
-	@out=$$($(GO) build -gcflags=-m ./internal/core/taint ./internal/core/wire ./internal/instrument 2>&1); \
+	@out=$$($(GO) build -gcflags=-m ./internal/core/taint ./internal/core/tracker ./internal/core/wire ./internal/instrument 2>&1); \
 	for f in $(INLINED); do \
 		echo "$$out" | sed -n "s|^$${f%%:*}:[0-9:]* ||p" | grep -qFx "can inline $${f##*:}" \
 			|| { echo "inline-check: $${f##*:} ($${f%%:*}) is documented as inlined but the compiler does not inline it"; exit 1; }; \
@@ -235,7 +241,8 @@ fuzz:
 # frame and one-frame-datagram round trips, the decoder fed arbitrary
 # bytes, and the tier-transition fuzzer, which drives an endpoint pair
 # through random density schedules and checks per-byte label delivery
-# across encoding switches. Each wire target's seed corpus holds
+# across encoding switches and every write's wire bytes against its
+# buffer's sound-minimum frame. Each wire target's seed corpus holds
 # definitions units — ahead of frames, as payload, refused ones, one as a
 # datagram — and the schedules register taints mid-stream. `go test`
 # accepts one -fuzz pattern per invocation, hence one run per target.

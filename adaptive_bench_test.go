@@ -11,8 +11,8 @@ import (
 	"dista/internal/taintmap"
 )
 
-// Tier benchmarks backing BENCH_7.json: the taint-density tiering
-// engine must price each traffic shape at its own tier — uniformly
+// Tier benchmarks backing BENCH_7.json: the send ladder must price
+// each traffic shape at its own tier — uniformly
 // tainted bulk rides the 4-byte uniform frame instead of the 5x group
 // codec, sparse traffic pays only for its dirty islands — against the
 // clean exchange of the same run as the floor, so host drift cancels
@@ -95,10 +95,10 @@ func benchTierExchange(b *testing.B, size int, mk func(*tracker.Agent) taint.Byt
 		}
 	}()
 
-	// Warm up: converge the density tracker, register the labels (the
-	// GlobalID cache makes later writes pure encode), and size the
-	// endpoint scratch, so steady state is what gets measured.
-	for i := 0; i < 8; i++ {
+	// Warm up: register the labels (the GlobalID cache makes later
+	// writes pure encode) and size the endpoint scratch, so steady state
+	// is what gets measured.
+	for i := 0; i < 2; i++ {
 		if err := sender.Write(payload); err != nil {
 			b.Fatal(err)
 		}

@@ -160,7 +160,7 @@ func TestQuickPacketRoundTrip(t *testing.T) {
 			gids[i] = uint32(i)
 		}
 		runs := idRuns(gids)
-		got, gotIDs, err := decodeDatagram(AppendFrame(nil, PickTier(ShapeOf(runs), 0), data, runs))
+		got, gotIDs, err := decodeDatagram(AppendFrame(nil, PickTier(ShapeOf(runs)), data, runs))
 		return err == nil && bytes.Equal(got, data) && equalIDs(gotIDs, gids)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -191,7 +191,7 @@ func FuzzPacketRoundTrip(f *testing.F) {
 		}
 		runs := idRuns(ids)
 		s := ShapeOf(runs)
-		picked := PickTier(s, 0)
+		picked := PickTier(s)
 		fits := false
 		for tier := range Tiers {
 			if !Tiers[tier].Fits(s) {

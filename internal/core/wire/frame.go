@@ -39,7 +39,8 @@ func AppendAdaptiveStreamMagic(dst []byte) []byte {
 // AppendFrameHeader appends a frame header to dst. Callers that write
 // the body out-of-line (the zero-copy passthrough write) pair this with
 // the raw payload; AppendHead adds a tier's metadata, AppendFrame the
-// body too.
+// body too. Inlined (`make inline-check`): it is the clean write's whole
+// framing.
 func AppendFrameHeader(dst []byte, tag byte, bodyLen int) []byte {
 	dst = append(dst, tag)
 	return binary.BigEndian.AppendUint32(dst, uint32(bodyLen))

@@ -18,9 +18,10 @@ import (
 // and whether its body is raw data or groups. The decoder, every sender
 // and the round-trip tests read the rows; nothing else knows a tag.
 
-// Indices into Tiers, cheapest first: the lattice P < U < S < G. Every
-// tier above a payload's sound minimum can carry it too. The row after
-// them is no tier: a definitions unit carries no payload and fits none.
+// Indices into Tiers, cheapest first: the lattice P < U < S < G. A
+// payload travels on the first row that fits it, its sound minimum. The
+// row after them is no tier: a definitions unit carries no payload and
+// fits none.
 const (
 	TierPassthrough = iota
 	TierUniform
@@ -50,6 +51,11 @@ type Tier struct {
 	// datagram within FrameHeaderLen + WireLen(n), the size receivers
 	// enlarge their buffers to. The last row fits every shape.
 	Fits func(s Shape) bool
+	// MaxRuns is the largest dirty-run count of any shape Fits admits; a
+	// sender counts a payload's runs no further than the largest in the
+	// table (ScanLimit). A row whose body labels itself admits any number
+	// and leaves it zero.
+	MaxRuns int
 	// Groups says the body after the metadata is the group encoding of
 	// the payload; otherwise it is the payload's raw bytes, labelled by
 	// the metadata alone.
@@ -109,10 +115,10 @@ const (
 	MaxDefinitionsLen = 1 << 16
 )
 
-// Tiers is the table, in lattice order. Who may choose a row: any sender
-// whose payload Fits it, for a frame on a stream or as a datagram alike;
-// a stream's density tracker may only push the choice further down the
-// table, never up (PickTier).
+// Tiers is the table, in lattice order. Every sender takes the first row
+// its payload Fits (PickTier), for a frame on a stream and as a datagram
+// alike: the choice reads this buffer and nothing a connection saw before
+// it (DESIGN.md §7, "no stream history").
 var Tiers = []Tier{
 	TierPassthrough: {
 		Tag: FramePassthrough, Name: "passthrough",
@@ -124,6 +130,7 @@ var Tiers = []Tier{
 		Fits: func(s Shape) bool {
 			return s.Exact && s.DirtyRuns == 1 && s.DirtyBytes == s.N
 		},
+		MaxRuns: 1,
 		MetaLen: func([]byte, int) (int, error) { return GlobalIDLen, nil },
 		Cover: func(dst []Run, meta []byte, n int) ([]Run, error) {
 			return append(dst, Run{N: n, ID: binary.BigEndian.Uint32(meta)}), nil
@@ -143,6 +150,7 @@ var Tiers = []Tier{
 			return s.Exact && s.DirtyRuns <= sparseSendRanges &&
 				SparseCountLen+s.DirtyRuns*SparseRangeLen <= s.N*GlobalIDLen
 		},
+		MaxRuns: sparseSendRanges,
 		MetaLen: func(meta []byte, body int) (int, error) {
 			if len(meta) < SparseCountLen {
 				return SparseCountLen, nil
@@ -224,21 +232,29 @@ func AppendDefinitions(dst []byte, ids []uint32, blobs [][]byte) []byte {
 	return dst
 }
 
-// PickTier returns the tier of a frame for a payload of shape s: the
-// first row from floor down the table that fits it. floor is the tier a
-// stream's history asks for (0 on a datagram, which has none); it can
-// make a frame denser than its sound minimum, never cheaper, so no
-// choice of floor drops a label. A clean payload is passthrough whatever
-// the floor: it has no label to carry.
-func PickTier(s Shape, floor int) int {
-	if s.Clean() {
-		return TierPassthrough
-	}
-	t := floor
+// PickTier returns the tier of a frame for a payload of shape s, its
+// sound minimum: the first row down the table that fits it. The last
+// payload row fits every shape.
+func PickTier(s Shape) int {
+	t := 0
 	for !Tiers[t].Fits(s) {
 		t++
 	}
 	return t
+}
+
+// ScanLimit returns how many dirty runs a sender has to count to pick a
+// tier: the most any raw-body row admits. A payload with more — a Shape
+// left inexact there — fits only a row whose body labels itself, which
+// needs no count.
+func ScanLimit() int {
+	limit := 0
+	for i := range Tiers {
+		if row := &Tiers[i]; !row.Groups && row.MaxRuns > limit {
+			limit = row.MaxRuns
+		}
+	}
+	return limit
 }
 
 // AppendHead appends everything of a tier-t frame that precedes its

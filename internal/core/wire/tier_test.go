@@ -279,7 +279,7 @@ func TestSparseYieldsToGroupsWhenLarger(t *testing.T) {
 	if Tiers[TierSparse].Fits(s) {
 		t.Fatal("sparse row admits a table larger than the id bytes it replaces")
 	}
-	if got := PickTier(s, 0); got != TierGroups {
+	if got := PickTier(s); got != TierGroups {
 		t.Fatalf("PickTier = %s, want groups", Tiers[got].Name)
 	}
 	// The table pays for itself from 4+12k <= 4n on: n = 3k+1.
@@ -288,37 +288,74 @@ func TestSparseYieldsToGroupsWhenLarger(t *testing.T) {
 		t.Fatalf("sparse row admits %+v", s)
 	}
 	s.N++
-	if !Tiers[TierSparse].Fits(s) || PickTier(s, 0) != TierSparse {
+	if !Tiers[TierSparse].Fits(s) || PickTier(s) != TierSparse {
 		t.Fatalf("sparse row refuses %+v", s)
 	}
 }
 
-// TestPickTier pins the ladder: the sound minimum from the top of the
-// table, a floor that only ever densifies, clean exempt from it.
+// TestPickTier pins the ladder: a payload's sound minimum is the first
+// row from the top of the table that fits it, whatever was sent before.
 func TestPickTier(t *testing.T) {
-	clean := Shape{N: 64, Exact: true}
-	uniform := Shape{N: 64, DirtyBytes: 64, DirtyRuns: 1, Exact: true}
-	sparse := Shape{N: 64, DirtyBytes: 6, DirtyRuns: 2, Exact: true}
-	dense := Shape{N: 64, DirtyBytes: 33, DirtyRuns: 33}
 	for _, tc := range []struct {
-		name  string
-		s     Shape
-		floor int
-		want  int
+		name string
+		s    Shape
+		want int
 	}{
-		{"clean", clean, 0, TierPassthrough},
-		{"clean under a dense history", clean, TierGroups, TierPassthrough},
-		{"uniform", uniform, 0, TierUniform},
-		{"uniform on a sparse stream", uniform, TierSparse, TierSparse},
-		{"uniform on a dense stream", uniform, TierGroups, TierGroups},
-		{"sparse", sparse, 0, TierSparse},
-		{"sparse on a uniform stream", sparse, TierUniform, TierSparse},
-		{"inexact", dense, 0, TierGroups},
-		{"one tainted byte of one", Shape{N: 1, DirtyBytes: 1, DirtyRuns: 1, Exact: true}, TierSparse, TierGroups},
+		{"clean", Shape{N: 64, Exact: true}, TierPassthrough},
+		{"uniform", Shape{N: 64, DirtyBytes: 64, DirtyRuns: 1, Exact: true}, TierUniform},
+		{"sparse", Shape{N: 64, DirtyBytes: 6, DirtyRuns: 2, Exact: true}, TierSparse},
+		{"inexact", Shape{N: 64, DirtyBytes: 33, DirtyRuns: 33}, TierGroups},
+		{"one tainted byte of one", Shape{N: 1, DirtyBytes: 1, DirtyRuns: 1, Exact: true}, TierUniform},
+		{"one tainted byte of two", Shape{N: 2, DirtyBytes: 1, DirtyRuns: 1, Exact: true}, TierGroups},
 	} {
-		if got := PickTier(tc.s, tc.floor); got != tc.want {
-			t.Errorf("%s: PickTier(%+v, %d) = %d, want %d", tc.name, tc.s, tc.floor, got, tc.want)
+		if got := PickTier(tc.s); got != tc.want {
+			t.Errorf("%s: PickTier(%+v) = %d, want %d", tc.name, tc.s, got, tc.want)
 		}
+	}
+}
+
+// checkScanLimit holds a sender's run count to the table as it stands:
+// ScanLimit is the most dirty runs any raw-body row fits — reached, so no
+// smaller bound would do — and a shape past it, or one whose count
+// stopped there, fits rows with a self-labelling body only.
+func checkScanLimit(t *testing.T) {
+	t.Helper()
+	limit, reached := ScanLimit(), false
+	for i := range Tiers {
+		row := &Tiers[i]
+		if row.Groups {
+			continue
+		}
+		for _, n := range []int{1, 2, 3, 64, 4096, 64 << 10} {
+			for runs := 0; runs <= limit+2 && runs <= n; runs++ {
+				for _, dirty := range []int{runs, n / 2, n} {
+					s := Shape{N: n, DirtyBytes: dirty, DirtyRuns: runs, Exact: true}
+					if dirty < runs || (runs == 0) != (dirty == 0) || !row.Fits(s) {
+						continue
+					}
+					if runs > row.MaxRuns {
+						t.Fatalf("%s fits %+v, past its MaxRuns %d", row.Name, s, row.MaxRuns)
+					}
+					reached = reached || runs == limit
+					if s.Exact = false; row.Fits(s) {
+						t.Fatalf("%s fits %+v, whose counts are lower bounds", row.Name, s)
+					}
+				}
+			}
+		}
+	}
+	if !reached {
+		t.Fatalf("no raw-body row fits a shape of %d runs: ScanLimit counts further than the table needs", limit)
+	}
+	if got := PickTier(Shape{N: 64 << 10, DirtyBytes: limit + 1, DirtyRuns: limit + 1}); !Tiers[got].Groups {
+		t.Fatalf("a shape cut off at %d runs picks %s", limit+1, Tiers[got].Name)
+	}
+}
+
+func TestScanLimit(t *testing.T) {
+	checkScanLimit(t)
+	if ScanLimit() != sparseSendRanges {
+		t.Fatalf("ScanLimit = %d, want the sparse row's %d", ScanLimit(), sparseSendRanges)
 	}
 }
 
@@ -335,6 +372,7 @@ func TestTierTableFifthRow(t *testing.T) {
 		Fits: func(s Shape) bool {
 			return s.Exact && s.DirtyRuns <= 64 && 4+entry*(2*s.DirtyRuns+1) <= s.N*GlobalIDLen
 		},
+		MaxRuns: 64,
 		MetaLen: func(meta []byte, _ int) (int, error) {
 			if len(meta) < 4 {
 				return 4, nil
@@ -374,7 +412,7 @@ func TestTierTableFifthRow(t *testing.T) {
 	if s := ShapeOf(runs); Tiers[TierSparse].Fits(s) || !rl.Fits(s) {
 		t.Fatalf("archipelago shape %+v does not single the new row out", s)
 	}
-	picked := PickTier(ShapeOf(runs), 0)
+	picked := PickTier(ShapeOf(runs))
 	if Tiers[picked].Tag != 'R' {
 		t.Fatalf("PickTier chose %s", Tiers[picked].Name)
 	}
@@ -397,6 +435,11 @@ func TestTierTableFifthRow(t *testing.T) {
 	}
 	checkDatagramPrefixes(t)
 	checkDatagramSizes(t)
+	// A sender's run count follows the row's reach.
+	if ScanLimit() != rl.MaxRuns {
+		t.Fatalf("ScanLimit = %d with a %d-run row in the table", ScanLimit(), rl.MaxRuns)
+	}
+	checkScanLimit(t)
 }
 
 // Whole frames through the helpers a sender that already holds an id or

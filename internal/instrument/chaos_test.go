@@ -78,8 +78,8 @@ func TestChaosPassthroughNoCleanDowngrade(t *testing.T) {
 	// Fixed-size app messages: first byte says what the receiver must
 	// find — 'C' clean, 'U' uniformly tainted, 'S' two tainted islands
 	// (bytes 8..16 and 24..32), 'D' densely tainted on even bytes. The
-	// mix forces the sender's density tracker through every tier while
-	// the Taint Map dies and recovers underneath it.
+	// mix takes the sender through every tier while the Taint Map dies
+	// and recovers underneath it.
 	const msgLen = 32
 	const rounds = 200
 	type sent struct {

@@ -399,7 +399,7 @@ func TestDefinitionsFallbacks(t *testing.T) {
 			dense.SetLabel(i, [2]taint.Taint{y, taint.Combine(y, x)}[i&1])
 		}
 		lookups := int64(0)
-		for tier, msg := range map[int]taint.Bytes{tierUniform: uniform, tierSparse: sparse, tierGroups: dense} {
+		for tier, msg := range map[int]taint.Bytes{wire.TierUniform: uniform, wire.TierSparse: sparse, wire.TierGroups: dense} {
 			// Every payload brings a taint the send has to register; the
 			// datagram is its tier's frame all the same, first byte to last.
 			fresh := len(freshIn(msg))

@@ -38,10 +38,10 @@ type Endpoint struct {
 	rd  streamReader
 }
 
-// NewAdaptiveEndpoint wraps conn for the given agent. Writes are
-// classified by the connection's taint-density tracker and travel as
-// passthrough, uniform, sparse or groups frames (DESIGN.md §7); reads
-// decode whatever tier the peer chose.
+// NewAdaptiveEndpoint wraps conn for the given agent. Each write travels
+// on the cheapest tier that carries its buffer's labels — passthrough,
+// uniform, sparse or groups (DESIGN.md §7); reads decode whatever tier
+// the peer chose.
 func NewAdaptiveEndpoint(agent *tracker.Agent, conn *netsim.Conn) *Endpoint {
 	return &Endpoint{agent: agent, conn: conn}
 }
@@ -337,20 +337,18 @@ func adoptRuns(agent *tracker.Agent, buf *taint.Bytes, at int, runs []wire.Run, 
 }
 
 // pickTier classifies b and picks the tier of its frame — the one send
-// ladder, behind every stream, vectored and datagram send. d is the
-// stream's density tracker; a datagram has none and takes b's sound
-// minimum.
-func pickTier(d *densityTracker, b taint.Bytes) (int, wire.Shape) {
+// ladder, behind every stream, vectored and datagram send: the first row
+// of wire.Tiers that fits b, read off this buffer alone. A connection
+// keeps no history to steer it (DESIGN.md §7), so a frame on a stream is
+// the datagram of its buffer. The run count stops where no raw-body row
+// reaches (wire.ScanLimit).
+func pickTier(b taint.Bytes) (int, wire.Shape) {
 	s := wire.Shape{N: len(b.Data), Exact: true}
 	if !b.Clean() {
-		st, exact := b.Stats(tierScanLimit)
+		st, exact := b.Stats(wire.ScanLimit())
 		s.DirtyBytes, s.DirtyRuns, s.Exact = st.DirtyBytes, st.DirtyRuns, exact
 	}
-	floor := 0
-	if d != nil {
-		floor = d.observe(s)
-	}
-	return wire.PickTier(s, floor), s
+	return wire.PickTier(s), s
 }
 
 // appendFrame appends to dst what precedes the raw payload of b's n-byte
@@ -365,15 +363,13 @@ func appendFrame(agent *tracker.Agent, dst []byte, b taint.Bytes, t, n int, runs
 	return wire.AppendHead(dst, t, n, runs), nil
 }
 
-// streamWriter is the send half of a stream endpoint — the magic flag,
-// the tier selector and the frame-assembly scratch — shared by the
-// socket and the custom-transport endpoints and guarded by the owner's
-// write lock.
+// streamWriter is the send half of a stream endpoint — the magic flag
+// and the frame-assembly scratch — shared by the socket and the
+// custom-transport endpoints and guarded by the owner's write lock.
 type streamWriter struct {
-	wroteMagic bool           // stream magic already emitted on this conn
-	tier       densityTracker // per-connection tier selector
-	head       []byte         // persistent header + metadata scratch
-	cover      []wire.Run     // persistent run-cover scratch
+	wroteMagic bool       // stream magic already emitted on this conn
+	head       []byte     // persistent header + metadata scratch
+	cover      []wire.Run // persistent run-cover scratch
 }
 
 // write sends b as one frame through emit, the transport's way of
@@ -398,17 +394,15 @@ func (w *streamWriter) write(agent *tracker.Agent, b taint.Bytes, emit func(head
 	var pooled *[]byte
 	if b.Clean() {
 		// The clean path keeps its own short body ahead of the ladder,
-		// which would answer the same — wire.PickTier sends a clean
-		// payload to passthrough whatever the floor, and a passthrough
-		// frame is its header — at the cost of its calls on the one path
-		// priced against a bare copy: 15-20 ns a frame, which clean_rpc
-		// reads as 8 % of overhead_x (CHANGES.md, PR 19).
-		// TestStreamedTierMatchesReference holds these bytes to the
-		// table's.
-		w.tier.observe(wire.Shape{N: n, Exact: true})
+		// which would answer the same — the first row of wire.Tiers fits
+		// a clean payload, and a passthrough frame is its header — at the
+		// cost of its calls on the one path priced against a bare copy:
+		// 15-20 ns a frame, which clean_rpc reads as 8 % of overhead_x
+		// (CHANGES.md, PR 19). TestStreamFrameIsItsDatagram holds these
+		// bytes to the table's.
 		head = wire.AppendFrameHeader(head, wire.FramePassthrough, n)
 	} else {
-		t, s := pickTier(&w.tier, b)
+		t, s := pickTier(b)
 		runs, defs, err := coverRuns(agent, b, t, s, w.cover[:0], true)
 		if err != nil {
 			return err

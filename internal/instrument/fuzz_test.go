@@ -8,13 +8,18 @@ import (
 
 	"dista/internal/core/taint"
 	"dista/internal/core/tracker"
+	"dista/internal/core/wire"
 )
 
 // FuzzTierTransition drives an adaptive endpoint pair through a
-// fuzzer-chosen density schedule and checks the one property the tier
-// machine must never lose: every byte arrives with exactly the labels
-// it was sent with, no matter how the stream flaps between the
-// passthrough, uniform, sparse and groups encodings. Each pair of
+// fuzzer-chosen density schedule and checks the two properties the send
+// ladder must never lose. Every byte arrives with exactly the labels it
+// was sent with, no matter how the stream flaps between the passthrough,
+// uniform, sparse and groups encodings. And no write puts more on the
+// wire than the frame of its own buffer's sound minimum — header, that
+// tier's metadata, body — whatever the writes before it looked like,
+// beside the stream magic on the first and a definitions unit on one
+// that registers a taint (referenceFrame, definitionsOf). Each pair of
 // input bytes is one message — the first picks the kind (clean,
 // uniform, sparse island, dense alternation; with its top bit set the
 // alternation is between a label and clean, a comb of one-byte islands)
@@ -40,7 +45,7 @@ import (
 // shape, and the two buffers must agree byte for byte and label for
 // label — whichever deliveries the live endpoint read per byte.
 func FuzzTierTransition(f *testing.F) {
-	// One phase per tier, long enough to converge.
+	// One phase per tier.
 	steady := func(kind byte) []byte {
 		var s []byte
 		for i := 0; i < 12; i++ {
@@ -176,17 +181,28 @@ func FuzzTierTransition(f *testing.F) {
 		}()
 
 		for mi, msg := range msgs {
+			fresh := freshIn(msg)
+			_, before := r.a.Traffic()
 			if err := sender.Write(msg); err != nil {
 				t.Fatalf("write %d (kind %q, len %d): %v", mi, msg.Data[0], msg.Len(), err)
+			}
+			_, after := r.a.Traffic()
+			bound := len(referenceFrame(msg)) + len(definitionsOf(t, fresh))
+			if mi == 0 {
+				bound += wire.StreamMagicLen
+			}
+			if sent := int(after - before); sent > bound {
+				t.Fatalf("write %d (kind %q, len %d, %d taints registered) put %d bytes on the wire, %d past its sound minimum",
+					mi, msg.Data[0], msg.Len(), len(fresh), sent, sent-bound)
 			}
 			// The same labels in the other representation must encode to
 			// the same groups. After the write, which is then the one that
 			// meets unregistered labels, on whichever tier it picked.
-			enc, err := appendGroups(r.a, nil, msg, tierGroups, false)
+			enc, err := appendGroups(r.a, nil, msg, wire.TierGroups, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if encTwin, err := appendGroups(r.a, nil, twins[mi], tierGroups, false); err != nil || !bytes.Equal(enc, encTwin) {
+			if encTwin, err := appendGroups(r.a, nil, twins[mi], wire.TierGroups, false); err != nil || !bytes.Equal(enc, encTwin) {
 				t.Fatalf("message %d (kind %q, len %d, dense view %v): its twin encodes differently (err %v)",
 					mi, msg.Data[0], msg.Len(), msg.DenseLabels() != nil, err)
 			}

@@ -175,7 +175,7 @@ func TestDenseSendLaneMatchesRunWalk(t *testing.T) {
 				}
 				prefix := []byte("hdr")
 				encode := func(b taint.Bytes) []byte {
-					out, err := appendGroups(a, append([]byte(nil), prefix...), b, tierGroups, false)
+					out, err := appendGroups(a, append([]byte(nil), prefix...), b, wire.TierGroups, false)
 					if err != nil {
 						t.Fatalf("seed %d %s short=%v: %v", seed, name, short, err)
 					}

@@ -21,16 +21,15 @@ import (
 const rawHeadRoom = 256
 
 // PacketSend transmits one datagram payload with its labels: exactly one
-// frame, no stream magic. Datagrams carry no stream state, so there is
-// no density tracker to consult: each takes the cheapest tier that fits
-// it (wire.PickTier from the top of the table), none of which is larger
-// than the groups form the receiver sizes its buffer for.
+// frame, no stream magic, on the cheapest tier that fits it (pickTier) —
+// none of which is larger than the groups form the receiver sizes its
+// buffer for.
 func PacketSend(agent *tracker.Agent, sock *netsim.UDPSocket, data taint.Bytes, dst string) error {
 	if agent.Mode() != tracker.ModeDista {
 		agent.AddTraffic(len(data.Data), len(data.Data))
 		return jni.DatagramSend(sock, data.Data, dst)
 	}
-	t, s := pickTier(nil, data)
+	t, s := pickTier(data)
 	size := s.N + rawHeadRoom
 	if wire.Tiers[t].Groups {
 		size = wire.GroupsFrameLen(s.N) + wire.EncodeSlack

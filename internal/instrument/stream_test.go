@@ -103,13 +103,13 @@ func definitionsOf(t testing.TB, ts []taint.Taint) []byte {
 
 // TestStreamedTierMatchesReference is the seeded differential test of
 // the send ladder and both streamed primitives against the per-byte
-// reference. Writer: for random label layouts, whatever tier the
-// endpoint chose, the frame it puts on the wire is byte-identical to
-// that tier's frame built from one Global ID per byte (Register per
-// LabelAt, folded to runs; a groups body also equals the per-byte
-// EncodeGroups). Reader: the concatenated frames, delivered in random
-// fragments and read through random buffer sizes, leave exactly the
-// labels Lookup + SetLabel leave per byte — and nothing outside the
+// reference. Writer: for random label layouts, the endpoint chooses each
+// layout's sound-minimum tier and the frame it puts on the wire is
+// byte-identical to that tier's frame built from one Global ID per byte
+// (Register per LabelAt, folded to runs; a groups body also equals the
+// per-byte EncodeGroups). Reader: the concatenated frames, delivered in
+// random fragments and read through random buffer sizes, leave exactly
+// the labels Lookup + SetLabel leave per byte — and nothing outside the
 // bytes a read returned.
 func TestStreamedTierMatchesReference(t *testing.T) {
 	seen := map[byte]int{}
@@ -132,8 +132,7 @@ func TestStreamedTierMatchesReference(t *testing.T) {
 			pool = append(pool, src, taint.Combine(src, pool[len(pool)-1]))
 		}
 		// Some seeds keep to a few ranges per message, some to one label
-		// per message, so their streams stay where the cheap tiers are
-		// chosen.
+		// per message: the shapes the cheap tiers are for.
 		kinds := [4]int{3, 1, 3, 0}[seed%4]
 
 		var stream []byte
@@ -189,14 +188,7 @@ func TestStreamedTierMatchesReference(t *testing.T) {
 					tier = i
 				}
 			}
-			shape := wire.Shape{N: len(ids), Exact: true}
-			for _, r := range runs {
-				if r.ID != 0 {
-					shape.DirtyBytes += r.N
-					shape.DirtyRuns++
-				}
-			}
-			if tier < 0 || !wire.Tiers[tier].Fits(shape) {
+			if shape := runShape(runs); tier != wire.PickTier(shape) {
 				t.Fatalf("seed %d msg %d: endpoint chose tag %q for %+v", seed, m, tag, shape)
 			}
 			seen[tag]++

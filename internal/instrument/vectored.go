@@ -61,7 +61,7 @@ func (e *Endpoint) WritevBuffers(srcs []*jni.DirectBuffer, lens []int) (int64, e
 		}
 		total += lens[i]
 		v := src.View(0, lens[i])
-		t, s := pickTier(&e.wr.tier, v)
+		t, s := pickTier(v)
 		f := vframe{t: t, n: lens[i], src: i, end: i + 1, c0: len(cover)}
 		var unit []byte
 		var err error

@@ -122,6 +122,25 @@ func TestAllCasesOffMode(t *testing.T) {
 	}
 }
 
+// wireFactor runs c and returns wire bytes per payload byte over both
+// nodes; a dista run must also be sound and precise at the sink.
+func wireFactor(t *testing.T, c Case, mode tracker.Mode, size int) float64 {
+	t.Helper()
+	h, err := RunCase(c, mode, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data1, wire1 := h.Node1.Agent.Traffic()
+	data2, wire2 := h.Node2.Agent.Traffic()
+	if data1+data2 == 0 {
+		t.Fatal("no traffic recorded")
+	}
+	if mode == tracker.ModeDista && !reflect.DeepEqual(h.SinkTags(), []string{"Data1", "Data2"}) {
+		t.Fatalf("%s: sink observed %v", c.Name, h.SinkTags())
+	}
+	return float64(wire1+wire2) / float64(data1+data2)
+}
+
 // TestWireOverheadFactor is experiment E7 on a stream case. The format
 // §V-F prices — every byte beside the Global ID of its own taint — is
 // what traffic whose label changes on every byte crosses in, at 5x plus
@@ -129,33 +148,48 @@ func TestAllCasesOffMode(t *testing.T) {
 // tainted, needs the id once per label run and crosses at no more than
 // 1.01x; so does everything with tracking off, at exactly 1.
 func TestWireOverheadFactor(t *testing.T) {
-	factor := func(c Case, mode tracker.Mode) float64 {
-		t.Helper()
-		h, err := RunCase(c, mode, testSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data1, wire1 := h.Node1.Agent.Traffic()
-		data2, wire2 := h.Node2.Agent.Traffic()
-		if data1+data2 == 0 {
-			t.Fatal("no traffic recorded")
-		}
-		if mode == tracker.ModeDista && !reflect.DeepEqual(h.SinkTags(), []string{"Data1", "Data2"}) {
-			t.Fatalf("%s: sink observed %v", c.Name, h.SinkTags())
-		}
-		return float64(wire1+wire2) / float64(data1+data2)
-	}
 	// The stream magic per connection and one 5-byte header per write
 	// put the measured factor just above 5.
-	if f := factor(PerByteCase(), tracker.ModeDista); f < 5.0 || f > 5.01 {
+	if f := wireFactor(t, PerByteCase(), tracker.ModeDista, testSize); f < 5.0 || f > 5.01 {
 		t.Fatalf("per-byte labels: wire factor = %.4f, want 5.0 plus constant framing (§V-F)", f)
 	}
 	c, _ := CaseByID(1)
-	if f := factor(c, tracker.ModeDista); f < 1.0 || f > 1.01 {
+	if f := wireFactor(t, c, tracker.ModeDista, testSize); f < 1.0 || f > 1.01 {
 		t.Fatalf("uniform payloads: wire factor = %.4f, want at most 1.01", f)
 	}
-	if f := factor(c, tracker.ModeOff); f != 1 {
+	if f := wireFactor(t, c, tracker.ModeOff, testSize); f != 1 {
 		t.Fatalf("off-mode wire factor = %.4f, want 1", f)
+	}
+}
+
+// TestCaseWireFactors pins what each Table II case puts on the wire at
+// the benchmark's 64 KiB: every write takes the sound minimum of its own
+// buffer, whatever the connection carried before it, and the cases'
+// buffers are whole label runs — so a short tainted connection costs its
+// framing, at most 1.03x, from its first write on. Two cases owe more to
+// what they send, not to when they send it:
+//
+//   - case 3 writes a byte at a time: each byte is a frame of its own, a
+//     5-byte header and a 4-byte id beside it — 10x;
+//   - case 14 sends 13-byte records — a tainted int, a clean long, a
+//     tainted flag — so a buffered flush holds two label runs a record,
+//     far more than a range table pays for: its sound minimum is the
+//     groups tier, the paper's 5x.
+func TestCaseWireFactors(t *testing.T) {
+	for _, c := range Cases() {
+		t.Run(c.Name, func(t *testing.T) {
+			t.Parallel()
+			lo, hi := 1.0, 1.03
+			switch c.ID {
+			case 3:
+				lo, hi = 9.9, 10.1
+			case 14:
+				lo, hi = 4.95, 5.05
+			}
+			if f := wireFactor(t, c, tracker.ModeDista, 64<<10); f < lo || f > hi {
+				t.Fatalf("case %d: %.4f wire bytes per payload byte, want %.2f to %.2f", c.ID, f, lo, hi)
+			}
+		})
 	}
 }
 
