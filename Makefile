@@ -244,9 +244,13 @@ fuzz:
 # across encoding switches and every write's wire bytes against its
 # buffer's sound-minimum frame. Each wire target's seed corpus holds
 # definitions units — ahead of frames, as payload, refused ones, one as a
-# datagram — and the schedules register taints mid-stream. `go test`
-# accepts one -fuzz pattern per invocation, hence one run per target.
+# datagram — and the schedules register taints mid-stream. The taint
+# blob target holds UnmarshalTaint's walk over wire bytes to the string
+# walk (FromKeys of the parsed keys) under the real and a colliding tag
+# hash. `go test` accepts one -fuzz pattern per invocation, hence one run
+# per target.
 fuzz-smoke:
+	$(GO) test -run=NONE -fuzz='FuzzUnmarshalTaint$$' -fuzztime=5s ./internal/core/taint
 	$(GO) test -run=NONE -fuzz=FuzzServeConn -fuzztime=10s ./internal/taintmap
 	$(GO) test -run=NONE -fuzz=FuzzParseBlobList -fuzztime=10s ./internal/taintmap
 	$(GO) test -run=NONE -fuzz='FuzzClusterServeConn$$' -fuzztime=10s ./internal/taintmap

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dista/internal/core/tracker"
+	"dista/internal/taintmap"
 )
 
 // Scenario selects the taint-tracking scenario of Table IV.
@@ -40,6 +41,9 @@ type RunStats struct {
 	GlobalTaints int   // taints registered in the Taint Map
 	DataBytes    int64 // payload bytes through the JNI layer
 	WireBytes    int64 // bytes actually on the wire
+	// Memos is each node's id -> taint memo at the end of a system run: how
+	// many of the Taint Map's ids the node came to hold, and up to which.
+	Memos []taintmap.MemoStats
 }
 
 // Overhead returns t divided by base as the paper's "X" factor.

@@ -153,6 +153,39 @@ func TestGlobalTaintCounts(t *testing.T) {
 	}
 }
 
+// TestSIMMemoDensity measures what the clients' page-table memo depends
+// on (DESIGN §8): the share of a partition's sequence a node comes to
+// hold. In the five systems' SIM runs every node that holds ids at all
+// holds at least a third of those below its highest — the point under
+// which a hash map would be the smaller memo. A system that lands below
+// is the sparse client §8 prices, and the reason to look at it again.
+func TestSIMMemoDensity(t *testing.T) {
+	cfg := SystemConfig{MsgSize: 1 << 10, Messages: 200, PiSamples: 1_000, Jobs: 20}
+	for _, sys := range Systems() {
+		t.Run(sys.Name, func(t *testing.T) {
+			t.Parallel()
+			st, err := sys.Run(tracker.ModeDista, SIM, cfg, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			holding := 0
+			for _, m := range st.Memos {
+				if m.IDs == 0 {
+					continue
+				}
+				holding++
+				t.Logf("a node holds %d of %d ids (%d global)", m.IDs, m.Span, st.GlobalTaints)
+				if 3*m.IDs < m.Span {
+					t.Errorf("a node holds %d ids of the %d below its highest: under one in three", m.IDs, m.Span)
+				}
+			}
+			if holding < 2 {
+				t.Fatalf("%d nodes hold ids, want the two ends of a transfer at least", holding)
+			}
+		})
+	}
+}
+
 func TestMeasureSystemsAndTableVI(t *testing.T) {
 	cfg := SystemConfig{MsgSize: 1 << 10, Messages: 3, PiSamples: 1_000, Jobs: 1}
 	rows, err := MeasureSystems(cfg, t.TempDir())

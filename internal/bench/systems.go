@@ -91,6 +91,9 @@ func (c *cluster) env(name string) *jre.Env {
 func (c *cluster) stats(d time.Duration, envs ...*jre.Env) RunStats {
 	st := RunStats{Duration: d, GlobalTaints: c.store.Stats().GlobalTaints}
 	for _, e := range envs {
+		if m, ok := e.Agent.TaintMap().(interface{ MemoStats() taintmap.MemoStats }); ok {
+			st.Memos = append(st.Memos, m.MemoStats())
+		}
 		data, wire := e.Agent.Traffic()
 		st.DataBytes += data
 		st.WireBytes += wire

@@ -27,64 +27,84 @@ var (
 
 const maxTagStringLen = 1<<16 - 1
 
-// MarshalTaint serializes the taint's tag set.
+// MarshalTaint serializes the taint's tag set. Size and bytes both come
+// from the parent chain — leaf first, so the blob is filled from its end
+// — and the blob is the only allocation.
 func MarshalTaint(t Taint) ([]byte, error) {
-	keys := t.Keys()
-	if len(keys) > maxTagStringLen {
-		return nil, fmt.Errorf("taint: %d tags exceed wire limit", len(keys))
+	if t.Empty() {
+		return []byte{0, 0}, nil
+	}
+	if t.n.depth > maxTagStringLen {
+		return nil, fmt.Errorf("taint: %d tags exceed wire limit", t.n.depth)
 	}
 	size := 2
-	for _, k := range keys {
-		if len(k.Value) > maxTagStringLen || len(k.LocalID) > maxTagStringLen {
+	for cur := t.n; cur.parent != nil; cur = cur.parent {
+		if len(cur.key.Value) > maxTagStringLen || len(cur.key.LocalID) > maxTagStringLen {
 			return nil, fmt.Errorf("taint: tag string exceeds %d bytes", maxTagStringLen)
 		}
-		size += 4 + len(k.Value) + len(k.LocalID)
+		size += 4 + len(cur.key.Value) + len(cur.key.LocalID)
 	}
-	out := make([]byte, 0, size)
-	out = binary.BigEndian.AppendUint16(out, uint16(len(keys)))
-	for _, k := range keys {
-		out = binary.BigEndian.AppendUint16(out, uint16(len(k.Value)))
-		out = append(out, k.Value...)
-		out = binary.BigEndian.AppendUint16(out, uint16(len(k.LocalID)))
-		out = append(out, k.LocalID...)
+	out := make([]byte, size)
+	binary.BigEndian.PutUint16(out, uint16(t.n.depth))
+	end := size
+	for cur := t.n; cur.parent != nil; cur = cur.parent {
+		end = putString(out, putString(out, end, cur.key.LocalID), cur.key.Value)
 	}
 	return out, nil
 }
 
+// putString writes s behind its length so that it ends at out[end], and
+// returns where the length starts.
+func putString(out []byte, end int, s string) int {
+	at := end - len(s)
+	copy(out[at:], s)
+	binary.BigEndian.PutUint16(out[at-2:], uint16(len(s)))
+	return at - 2
+}
+
 // UnmarshalTaint decodes a taint blob into the receiver tree, interning
-// the tag path so repeated arrivals of the same taint share nodes.
+// the tag path so repeated arrivals of the same taint share nodes. The
+// blob is checked whole first (a malformed one leaves the tree as it
+// was), then walked down the tree straight from its bytes: a taint the
+// tree already holds is found without allocating, and a new node builds
+// only the strings it keeps. The result is FromKeys of the blob's keys.
 func (tr *Tree) UnmarshalTaint(blob []byte) (Taint, error) {
 	if len(blob) < 2 {
 		return Taint{}, ErrTruncatedTaint
 	}
 	count := int(binary.BigEndian.Uint16(blob))
 	blob = blob[2:]
-	keys := make([]TagKey, 0, count)
+	rest := blob
+	for i := 0; i < 2*count; i++ {
+		var err error
+		if _, rest, err = readString(rest); err != nil {
+			return Taint{}, err
+		}
+	}
+	if len(rest) != 0 {
+		return Taint{}, fmt.Errorf("taint: %d trailing bytes after taint blob", len(rest))
+	}
+	cur := tr.root
 	for i := 0; i < count; i++ {
-		value, rest, err := readString(blob)
-		if err != nil {
-			return Taint{}, err
-		}
-		localID, rest2, err := readString(rest)
-		if err != nil {
-			return Taint{}, err
-		}
-		blob = rest2
-		keys = append(keys, TagKey{Value: value, LocalID: localID})
+		var value, localID []byte
+		value, blob, _ = readString(blob)
+		localID, blob, _ = readString(blob)
+		cur = step(cur, hashBytes(value, localID), value, localID)
 	}
-	if len(blob) != 0 {
-		return Taint{}, fmt.Errorf("taint: %d trailing bytes after taint blob", len(blob))
+	if cur == tr.root {
+		return Taint{}, nil
 	}
-	return tr.FromKeys(keys), nil
+	return Taint{n: cur}, nil
 }
 
-func readString(b []byte) (string, []byte, error) {
+// readString splits one length-prefixed string off the front of b.
+func readString(b []byte) (s, rest []byte, err error) {
 	if len(b) < 2 {
-		return "", nil, ErrTruncatedTaint
+		return nil, nil, ErrTruncatedTaint
 	}
 	n := int(binary.BigEndian.Uint16(b))
 	if len(b) < 2+n {
-		return "", nil, ErrTruncatedTaint
+		return nil, nil, ErrTruncatedTaint
 	}
-	return string(b[2 : 2+n]), b[2+n:], nil
+	return b[2 : 2+n], b[2+n:], nil
 }

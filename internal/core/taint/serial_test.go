@@ -1,6 +1,9 @@
 package taint
 
 import (
+	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -67,22 +70,29 @@ func TestUnmarshalInternsRepeatedArrivals(t *testing.T) {
 	}
 }
 
+// malformedBlobs are refused by UnmarshalTaint; FuzzUnmarshalTaint starts
+// from them too.
+var malformedBlobs = []struct {
+	name string
+	blob []byte
+}{
+	{name: "empty blob", blob: nil},
+	{name: "count with no tags", blob: []byte{0, 1}},
+	{name: "truncated value", blob: []byte{0, 1, 0, 5, 'a'}},
+	{name: "missing local id", blob: []byte{0, 1, 0, 1, 'a'}},
+	{name: "trailing garbage", blob: []byte{0, 0, 0xff}},
+	{name: "bad second tag", blob: append(blobOf(TagKey{"a", "l"}, TagKey{"b", "l"}), 0)},
+}
+
 func TestUnmarshalErrors(t *testing.T) {
 	tr := NewTree()
-	cases := []struct {
-		name string
-		blob []byte
-	}{
-		{name: "empty blob", blob: nil},
-		{name: "count with no tags", blob: []byte{0, 1}},
-		{name: "truncated value", blob: []byte{0, 1, 0, 5, 'a'}},
-		{name: "missing local id", blob: []byte{0, 1, 0, 1, 'a'}},
-		{name: "trailing garbage", blob: []byte{0, 0, 0xff}},
-	}
-	for _, tt := range cases {
+	for _, tt := range malformedBlobs {
 		t.Run(tt.name, func(t *testing.T) {
 			if _, err := tr.UnmarshalTaint(tt.blob); err == nil {
 				t.Fatalf("want error for %q", tt.name)
+			}
+			if tr.NodeCount() != 0 {
+				t.Fatalf("a refused blob left %d nodes in the tree", tr.NodeCount())
 			}
 		})
 	}
@@ -133,4 +143,79 @@ func TestQuickMarshalRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// parseKeys is the reference for UnmarshalTaint's walk over wire bytes:
+// the blob's keys as strings, duplicates and all, or why it is no blob.
+func parseKeys(blob []byte) ([]TagKey, error) {
+	if len(blob) < 2 {
+		return nil, ErrTruncatedTaint
+	}
+	keys := make([]TagKey, binary.BigEndian.Uint16(blob))
+	blob = blob[2:]
+	for i := range keys {
+		for _, s := range []*string{&keys[i].Value, &keys[i].LocalID} {
+			if len(blob) < 2 || len(blob) < 2+int(binary.BigEndian.Uint16(blob)) {
+				return nil, ErrTruncatedTaint
+			}
+			n := 2 + int(binary.BigEndian.Uint16(blob))
+			*s, blob = string(blob[2:n]), blob[n:]
+		}
+	}
+	if len(blob) != 0 {
+		return nil, ErrTruncatedTaint
+	}
+	return keys, nil
+}
+
+// FuzzUnmarshalTaint holds the byte walk to the string walk: a blob is
+// refused by both (and leaves the tree alone) or interns to the node
+// FromKeys finds for its keys, under the real hash and a colliding one,
+// and marshals back to those keys less their repeats.
+func FuzzUnmarshalTaint(f *testing.F) {
+	for _, c := range malformedBlobs {
+		f.Add(c.blob)
+	}
+	a, b, c := TagKey{"a_tag", "10.0.0.1:100"}, TagKey{"b_tag", "10.0.0.1:100"}, TagKey{"a_tag", "10.0.0.2:100"}
+	for _, keys := range [][]TagKey{{}, {a}, {a, b}, {b, a}, {a, b, c}, {a, b, a, c, b}, {{}, a, {}}, siblingKeys(12)} {
+		f.Add(blobOf(keys...))
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		keys, refused := parseKeys(blob)
+		for _, fold := range masks {
+			withMask(t, fold.mask)
+			tr := NewTree()
+			tr.FromKeys(siblingKeys(listMax)) // a tree with something in it: a path the blob may share
+			before := tr.NodeCount()
+			got, err := tr.UnmarshalTaint(blob)
+			if (err != nil) != (refused != nil) {
+				t.Fatalf("%s: byte walk says %v, string walk %v", fold.name, err, refused)
+			}
+			if err != nil {
+				if tr.NodeCount() != before {
+					t.Fatalf("%s: a refused blob grew the tree", fold.name)
+				}
+				continue
+			}
+			if want := tr.FromKeys(keys); got != want {
+				t.Fatalf("%s: UnmarshalTaint = %v, FromKeys of the same keys = %v", fold.name, got, want)
+			}
+			var set []TagKey
+			for _, k := range keys {
+				if !slices.Contains(set, k) {
+					set = append(set, k)
+				}
+			}
+			if !slices.Equal(got.Keys(), set) {
+				t.Fatalf("%s: keys %v, want %v", fold.name, got.Keys(), set)
+			}
+			again, err := MarshalTaint(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, blobOf(set...)) {
+				t.Fatalf("%s: marshals back to %x, want %x", fold.name, again, blobOf(set...))
+			}
+		}
+	})
 }

@@ -28,7 +28,8 @@ func (t Taint) Tree() *Tree {
 // identifies the generating node ("ip:pid"); value is the user-chosen tag
 // value (§II-B: "the value of the tag is set by developers").
 func (tr *Tree) NewSource(value, localID string) Taint {
-	return Taint{n: tr.root.child(TagKey{Value: value, LocalID: localID})}
+	k := TagKey{Value: value, LocalID: localID}
+	return Taint{n: step(tr.root, k.hash(), value, localID)}
 }
 
 // FromKeys builds (or finds) the taint with exactly the given tags,
@@ -36,10 +37,7 @@ func (tr *Tree) NewSource(value, localID string) Taint {
 func (tr *Tree) FromKeys(keys []TagKey) Taint {
 	cur := tr.root
 	for _, k := range keys {
-		if cur.parent != nil && cur.contains(k) {
-			continue
-		}
-		cur = cur.child(k)
+		cur = step(cur, k.hash(), k.Value, k.LocalID)
 	}
 	if cur == tr.root {
 		return Taint{}
@@ -72,13 +70,7 @@ func Combine(a, b Taint) Taint {
 			return r
 		}
 	}
-	cur := a.n
-	for _, k := range b.n.path() {
-		if !cur.contains(k) {
-			cur = cur.child(k)
-		}
-	}
-	r := Taint{n: cur}
+	r := Taint{n: a.n.extend(b.n)}
 	if sameTree {
 		tr.storeCombine(a.n.id, b.n.id, r)
 	}
@@ -134,7 +126,7 @@ func (t Taint) Has(value string) bool {
 
 // HasKey reports whether the taint carries exactly the given tag key.
 func (t Taint) HasKey(k TagKey) bool {
-	return t.n != nil && t.n.contains(k)
+	return t.n != nil && onPath(t.n, k.hash(), k.Value, k.LocalID)
 }
 
 // Len returns the number of tags in the taint's set.

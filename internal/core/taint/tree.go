@@ -11,7 +11,7 @@
 // memory-saving property the paper attributes to Phosphor.
 //
 // Lock order: at most one node mutex is held at a time (a node's own mu
-// while reading or extending its children map). The Tree itself has no
+// while reading or extending its children). The Tree itself has no
 // mutex — node-ID allocation is a lock-free atomic counter, a node's
 // globalID is an atomic — and the combine cache uses its own RWMutex,
 // taken only while no node mutex is held.
@@ -19,6 +19,8 @@ package taint
 
 import (
 	"fmt"
+	"hash/maphash"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -38,18 +40,62 @@ func (k TagKey) String() string {
 	return k.Value + "@" + k.LocalID
 }
 
+// Tag keys are hashed with a per-process seed: they arrive from peers, so
+// the hash must not be one a peer can aim at (no FNV), and nothing
+// observable — node ids, Keys() order, marshalled bytes — depends on it.
+// hashMask keeps every bit; a test keeps a few, or none, to make
+// collisions the common case.
+var (
+	hashSeed = maphash.MakeSeed()
+	hashMask = ^uint64(0)
+)
+
+// mixHash joins the hashes of a key's two strings; the rotation keeps
+// (a, b) and (b, a) apart.
+func mixHash(value, localID uint64) uint64 {
+	return (bits.RotateLeft64(value, 31) ^ localID) & hashMask
+}
+
+// hash is the key's hash: computed once by whoever walks the key down the
+// tree, compared before any string is, and kept on the node it creates.
+func (k TagKey) hash() uint64 {
+	return mixHash(maphash.String(hashSeed, k.Value), maphash.String(hashSeed, k.LocalID))
+}
+
+// hashBytes is TagKey.hash of a key still in its wire bytes.
+func hashBytes(value, localID []byte) uint64 {
+	return mixHash(maphash.Bytes(hashSeed, value), maphash.Bytes(hashSeed, localID))
+}
+
+// listMax is the fan-out up to which a node's children are a list. Most
+// nodes have one or two (a received taint, what the node combined into
+// it); only hubs — the root above all, one child per distinct first tag
+// — grow past it.
+const listMax = 8
+
 // node is one entry of the tag tree. The root has an empty TagKey and
 // id 0; every other node carries the tag appended at that tree level.
+//
+// Children are only ever added. Up to listMax they are an intrusive
+// list, newest first, through newest/sibling: nothing is allocated but
+// the child. Beyond, byHash maps a key's hash to the children carrying
+// it, chained through sibling — equal hashes are told apart by comparing
+// keys — so map growth moves uint64s and pointers and never touches a
+// key string.
 type node struct {
 	id       int64  // unique rank of this node within its Tree
 	key      TagKey // tag added at this level (zero for root)
+	hash     uint64 // key.hash()
 	parent   *node
-	depth    int // number of tags on the path (root = 0)
+	sibling  *node // next older child of parent: in its list, or in its byHash chain
+	depth    int   // number of tags on the path (root = 0)
 	tree     *Tree
 	globalID atomic.Uint32 // Taint Map id for the taint this node represents; 0 = unassigned
 
-	mu       sync.Mutex
-	children map[TagKey]*node
+	mu     sync.Mutex
+	fan    uint32           // number of children
+	newest *node            // the last child created; head of the list while byHash is nil
+	byHash map[uint64]*node // set once fan exceeds listMax
 }
 
 // combineKey caches one ordered Combine(a, b) pair by node id. The
@@ -84,24 +130,106 @@ func NewTree() *Tree {
 	return t
 }
 
-// child returns n's child carrying key, creating it if needed.
-func (n *node) child(key TagKey) *node {
+// keyText is a tag key's string in hand (string) or still in its wire
+// bytes ([]byte). Comparing a node's key against string(b) does not
+// allocate, so one walk serves FromKeys, Combine and UnmarshalTaint.
+type keyText interface{ string | []byte }
+
+// carries reports whether n's own tag is (value, localID), whose hash is h.
+func carries[S keyText](n *node, h uint64, value, localID S) bool {
+	return n.hash == h && n.key.Value == string(value) && n.key.LocalID == string(localID)
+}
+
+// onPath reports whether a node from n up to the root carries (value,
+// localID), whose hash is h.
+func onPath[S keyText](n *node, h uint64, value, localID S) bool {
+	for ; n.parent != nil; n = n.parent {
+		if carries(n, h, value, localID) {
+			return true
+		}
+	}
+	return false
+}
+
+// step walks one key down the tree: it returns n when n's path already
+// carries (value, localID), whose hash is h, and otherwise n's child
+// carrying it, created if missing.
+func step[S keyText](n *node, h uint64, value, localID S) *node {
+	if onPath(n, h, value, localID) {
+		return n
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if c, ok := n.children[key]; ok {
-		return c
+	for c := n.chain(h); c != nil; c = c.sibling {
+		if carries(c, h, value, localID) {
+			return c
+		}
 	}
-	if n.children == nil {
-		n.children = make(map[TagKey]*node)
+	// Strings are built for the node that keeps them. A LocalID equal to
+	// the parent's or the newest sibling's shares that string — nearly all
+	// on a node's tree name one of a handful of peers — which takes no
+	// table and so no lock beyond n.mu.
+	key := TagKey{Value: string(value)}
+	switch {
+	case n.key.LocalID == string(localID):
+		key.LocalID = n.key.LocalID
+	case n.newest != nil && n.newest.key.LocalID == string(localID):
+		key.LocalID = n.newest.key.LocalID
+	default:
+		key.LocalID = string(localID)
 	}
+	return n.add(h, key)
+}
+
+// extend returns the node below n that adds, in path order, the tags of
+// b's path not yet on the way. b's nodes carry their hashes, whichever
+// tree they are in, so no key is hashed again.
+func (n *node) extend(b *node) *node {
+	if b.parent == nil {
+		return n
+	}
+	return step(n.extend(b.parent), b.hash, b.key.Value, b.key.LocalID)
+}
+
+// chain returns the first child that may carry hash h, the rest
+// following through sibling: all of them while they are a list, those
+// sharing h once they are a map. Called with n.mu held.
+func (n *node) chain(h uint64) *node {
+	if n.byHash != nil {
+		return n.byHash[h]
+	}
+	return n.newest
+}
+
+// add creates n's child carrying key, whose hash is h. Called with n.mu
+// held, after the lookup missed.
+func (n *node) add(h uint64, key TagKey) *node {
 	c := &node{
 		id:     n.tree.nextID.Add(1) - 1,
 		key:    key,
+		hash:   h,
 		parent: n,
 		depth:  n.depth + 1,
 		tree:   n.tree,
 	}
-	n.children[key] = c
+	if n.byHash == nil && n.fan == listMax {
+		// The list has outgrown a scan: re-thread it as hash chains.
+		n.byHash = make(map[uint64]*node, 4*listMax)
+		for k := n.newest; k != nil; {
+			older := k.sibling
+			k.sibling = n.byHash[k.hash]
+			n.byHash[k.hash] = k
+			k = older
+		}
+	}
+	if n.byHash != nil {
+		c.sibling = n.byHash[h]
+		n.byHash[h] = c
+	} else {
+		c.sibling = n.newest
+	}
+	n.newest = c
+	n.fan++
 	return c
 }
 
@@ -130,16 +258,6 @@ func (n *node) path() []TagKey {
 		keys[cur.depth-1] = cur.key
 	}
 	return keys
-}
-
-// contains reports whether key appears on n's path.
-func (n *node) contains(key TagKey) bool {
-	for cur := n; cur != nil && cur.parent != nil; cur = cur.parent {
-		if cur.key == key {
-			return true
-		}
-	}
-	return false
 }
 
 // NodeCount returns the number of nodes currently interned in the tree,

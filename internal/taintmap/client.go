@@ -105,34 +105,114 @@ func spreadIDs(ids, fresh []uint32, pending []taint.Taint, posOf map[taint.Taint
 	}
 }
 
+// The memo's pages are small: the measured clients (DESIGN §8) hold either
+// every id of a partition's sequence, where any page size costs 8 B an id,
+// or a handful, where the first page is the whole bill; and at one id seen
+// in fifty — a node of a large cluster — an id held costs a page of S
+// slots, 8·S B, and 50/S directory pointers, least in sum for S of 8 to 16.
+const (
+	memoPageBits = 4
+	memoPageSize = 1 << memoPageBits
+	memoPageMask = memoPageSize - 1
+	// peerPages is how far past its end a peer's definition may extend a
+	// directory: an honest one defines ids the Taint Map has just minted,
+	// a few dozen sequence numbers past what this node last saw.
+	peerPages = 4
+	anyPage   = 1 << (partitionShift - memoPageBits)
+)
+
+// memoPage is one block of the id -> taint memo: a taint is one pointer,
+// and the empty taint marks a slot the memo has no answer for.
+type memoPage [memoPageSize]taint.Taint
+
 // cache holds the per-node id -> taint memo shared by all client kinds.
+// Global IDs are positions — a partition mints its sequence densely from
+// 1 (idspace.go) — so the memo is a page table, the store's pageTable
+// shape: groups is indexed by id >> partitionShift (the provisional bit is
+// the group index's top bit, so every id bit pattern has a slot and
+// provisional ids have tables of their own), a group by seq >>
+// memoPageBits, a page by seq & memoPageMask. An empty memo holds nothing;
+// a group's directory reaches as far as the highest seq put there and a
+// page exists once an id on it was put, so a memo costs at most 8.5 B per
+// id below the highest seq seen in each partition plus a partial page —
+// and at least a 128 B page and a directory slot per 16 seqs below it for
+// an id seen alone.
+//
+// Who may make it grow: the Taint Map's answers and this node's own
+// registrations reach any seq (the map minted it, so the cluster holds
+// that many taints); a peer's definition fills or creates a page within
+// the directory or at most peerPages past its end, and is otherwise not
+// memoised — its lookup then asks the Taint Map, whose answer extends the
+// reach. So a peer pins at most a page and peerPages directory slots per
+// entry it sends, about what its taint pins in the tree.
+//
 // Reads (the overwhelmingly common case once a node is warm) take only
 // the read lock, so concurrent goroutines resolving cached ids never
 // serialize.
 type cache struct {
-	mu   sync.RWMutex
-	byID map[uint32]taint.Taint
+	mu     sync.RWMutex
+	groups [][]*memoPage
+}
+
+// lookup is get with c.mu held.
+func (c *cache) lookup(id uint32) (taint.Taint, bool) {
+	if c.groups == nil {
+		return taint.Taint{}, false
+	}
+	pages := c.groups[id>>partitionShift]
+	pi := int(id&seqMask) >> memoPageBits
+	if pi >= len(pages) || pages[pi] == nil {
+		return taint.Taint{}, false
+	}
+	t := pages[pi][id&memoPageMask]
+	return t, !t.Empty()
 }
 
 func (c *cache) get(id uint32) (taint.Taint, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	t, ok := c.byID[id]
-	return t, ok
+	return c.lookup(id)
 }
 
 // put memoises t under id unless the memo holds the id: what an id first
 // resolved to stays, so a peer's definition (Learn) never replaces an
-// entry that came from the Taint Map.
-func (c *cache) put(id uint32, t taint.Taint) {
+// entry that came from the Taint Map. Id 0 and the empty taint are the
+// untainted on either side and are never stored.
+func (c *cache) put(id uint32, t taint.Taint) { c.putWithin(id, t, anyPage) }
+
+// putWithin is put for an id that may extend its group's directory by at
+// most reach pages; one further out is dropped.
+func (c *cache) putWithin(id uint32, t taint.Taint, reach int) {
+	if id == 0 || t.Empty() {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.byID == nil {
-		c.byID = make(map[uint32]taint.Taint)
+	if c.groups == nil {
+		c.groups = make([][]*memoPage, 1<<(32-partitionShift))
 	}
-	if _, known := c.byID[id]; !known {
-		c.byID[id] = t
+	pages := c.groups[id>>partitionShift]
+	pi := int(id&seqMask) >> memoPageBits
+	if pi >= len(pages)+reach {
+		return
 	}
+	if pi >= len(pages) {
+		pages = append(pages, make([]*memoPage, pi+1-len(pages))...)
+		c.groups[id>>partitionShift] = pages
+	}
+	if pages[pi] == nil {
+		pages[pi] = new(memoPage)
+	}
+	if slot := &pages[pi][id&memoPageMask]; slot.Empty() {
+		*slot = t
+	}
+}
+
+// reset empties the memo, so the next lookups reach the Taint Map.
+func (c *cache) reset() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.groups = nil
 }
 
 // nodeMemo is the node's side of every caching client: the tree that
@@ -143,9 +223,10 @@ type nodeMemo struct {
 }
 
 // adopt decodes blobs into the tree, stamps each taint with its id and
-// memoises it. Nothing is adopted unless every entry is sound: a blob
-// that is no taint, or from a peer the untainted or a provisional id —
-// its stream gone wrong, where the Taint Map never answers so.
+// memoises it — a peer's only within its reach (see cache). Nothing is
+// adopted unless every entry is sound: a blob that is no taint, or from a
+// peer the untainted or a provisional id — its stream gone wrong, where
+// the Taint Map never answers so.
 func (n nodeMemo) adopt(ids []uint32, blobs [][]byte, peer bool) ([]taint.Taint, error) {
 	ts := make([]taint.Taint, len(ids))
 	for i, id := range ids {
@@ -158,9 +239,13 @@ func (n nodeMemo) adopt(ids []uint32, blobs [][]byte, peer bool) ([]taint.Taint,
 		}
 		ts[i] = t
 	}
+	reach := anyPage
+	if peer {
+		reach = peerPages
+	}
 	for i, id := range ids {
 		ts[i].SetGlobalID(id)
-		n.memo.put(id, ts[i])
+		n.memo.putWithin(id, ts[i], reach)
 	}
 	return ts, nil
 }
@@ -176,7 +261,7 @@ func (n nodeMemo) Learn(ids []uint32, blobs [][]byte) error {
 // missing lists the distinct unresolved ids in first-seen order. A
 // two-slot last-seen shortcut keeps fragmented streams that alternate
 // between a couple of ids (the adversarial per-byte-label case) from
-// paying a map access per run. The miss list is deduplicated by scanning
+// paying a table walk per run. The miss list is deduplicated by scanning
 // it while it is short — most often it is one id, and a map would be the
 // larger half of what that miss allocates — and through a map beyond.
 func (c *cache) splitBatch(ids []uint32) (ts []taint.Taint, missing []uint32) {
@@ -199,7 +284,7 @@ func (c *cache) splitBatch(ids []uint32) (ts []taint.Taint, missing []uint32) {
 			ts[i] = t1
 			continue
 		}
-		if t, ok := c.byID[id]; ok {
+		if t, ok := c.lookup(id); ok {
 			ts[i] = t
 			id1, t1 = id0, t0
 			id0, t0 = id, t
@@ -330,3 +415,34 @@ func fillMissing(ts []taint.Taint, ids, missing []uint32, got []taint.Taint) {
 
 // Close implements Client; the local client holds no resources.
 func (c *LocalClient) Close() error { return nil }
+
+// MemoStats describes what a client's memo holds. IDs over Span is the
+// density the page table's footprint depends on (DESIGN §8).
+type MemoStats struct {
+	IDs  int // ids the memo answers
+	Span int // the highest seq among them, summed over partitions
+}
+
+// MemoStats reports the node's memo, for every caching client.
+func (n nodeMemo) MemoStats() MemoStats {
+	c := n.memo
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	var st MemoStats
+	for _, pages := range c.groups {
+		top := 0
+		for pi, p := range pages {
+			if p == nil {
+				continue
+			}
+			for si, t := range p {
+				if !t.Empty() {
+					st.IDs++
+					top = pi<<memoPageBits | si
+				}
+			}
+		}
+		st.Span += top
+	}
+	return st
+}

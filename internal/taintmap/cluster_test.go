@@ -612,9 +612,7 @@ func TestClusterLookupBatchGroups(t *testing.T) {
 	ids = append(ids, ids[0], 0)
 	want = append(want, want[0], taint.Taint{})
 
-	c.memo.mu.Lock()
-	c.memo.byID = nil
-	c.memo.mu.Unlock()
+	c.memo.reset()
 	got, err := c.LookupBatch(ids)
 	e.srvs[0].adm.release()
 	if err != nil {
