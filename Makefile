@@ -73,13 +73,24 @@ inline-check:
 
 # Non-test Go lines per package and in total — the size ROADMAP asks
 # every PR to report: *.go minus *_test.go, with benchmark/ (the harness,
-# not the product) and the analyzers' golden corpora left out.
+# not the product) and the analyzers' golden corpora left out. With
+# BASE=<rev> it prints, per package, the lines at that revision (its tree
+# unpacked into a temporary directory), the lines here and the delta:
+#   make loc BASE=HEAD~1
+LOC = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './internal/analysis/testdata/*' \
+	| xargs wc -l \
+	| awk '$$2 != "total" { sub(/\/[^\/]*$$/, "", $$2); n[$$2] += $$1; t += $$1 } \
+		END { for (p in n) printf "%7d %s\n", n[p], p; printf "%7d total\n", t }'
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './internal/analysis/testdata/*' \
-		| xargs wc -l \
-		| awk '$$2 != "total" { sub(/\/[^\/]*$$/, "", $$2); n[$$2] += $$1; t += $$1 } \
-			END { for (p in n) printf "%7d %s\n", n[p], p; printf "%7d total\n", t }' \
-		| sort -k2
+ifdef BASE
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && git archive $(BASE) | tar -x -C "$$tmp" \
+		&& (cd "$$tmp" && $(LOC)) > "$$tmp/.loc" \
+		&& $(LOC) | awk 'NR == FNR { b[$$2] = $$1; n[$$2] += 0; next } { n[$$2] = $$1 } \
+			END { for (p in n) printf "%7d -> %7d %+6d %s\n", b[p], n[p], n[p] - b[p], p }' "$$tmp/.loc" - \
+		| sort -k5
+else
+	@$(LOC) | sort -k2
+endif
 
 # Chaos suite under the race detector: kill/restart the Taint Map server
 # mid-workload, random stream resets — every taint must survive with a

@@ -35,13 +35,12 @@ type Client interface {
 }
 
 // collectRegister splits ts into resolved ids and the distinct
-// unresolved taints (with the positions waiting on each), the shared
-// front half of every RegisterBatch implementation.
+// unresolved taints (with the positions waiting on each).
 func collectRegister(ts []taint.Taint) (ids []uint32, pending []taint.Taint, posOf map[taint.Taint][]int) {
 	ids = make([]uint32, len(ts))
 	if len(ts) == 1 {
-		// The batch of one (every single Register): nothing to
-		// deduplicate, so no position table — see spreadIDs.
+		// The batch of one: nothing to deduplicate, so no position
+		// table — see spreadIDs.
 		if ids[0] = ts[0].GlobalID(); ids[0] == 0 && !ts[0].Empty() {
 			pending = ts
 		}
@@ -77,17 +76,6 @@ func marshalAll(ts []taint.Taint) ([][]byte, error) {
 		blobs[i] = blob
 	}
 	return blobs, nil
-}
-
-// adoptFresh records freshly registered ids: on the pending taints, in
-// the memo, and at every position of ids waiting on each taint — the
-// shared back half of every RegisterBatch implementation.
-func adoptFresh(memo *cache, ids, fresh []uint32, pending []taint.Taint, posOf map[taint.Taint][]int) {
-	for i, t := range pending {
-		t.SetGlobalID(fresh[i])
-		memo.put(fresh[i], t)
-	}
-	spreadIDs(ids, fresh, pending, posOf)
 }
 
 // spreadIDs copies each pending taint's id to every position of ids
@@ -215,22 +203,123 @@ func (c *cache) reset() {
 	c.groups = nil
 }
 
-// nodeMemo is the node's side of every caching client: the tree that
-// received taints are interned in and the id -> taint memo over it.
-type nodeMemo struct {
+// transport is how a caching client's misses reach the Taint Map. The
+// front hands it misses only, once per batch, and it adopts each answer
+// where that arrives (stamp, adopt), so a batch that fails part-way keeps
+// what it had resolved.
+type transport interface {
+	// register resolves distinct, non-empty taints carrying no Global ID
+	// (blobs: each one serialized) to the parallel ids, stamped and
+	// memoised — a provisional id memoised but never stamped.
+	register(ts []taint.Taint, blobs [][]byte) ([]uint32, error)
+	// lookup resolves distinct, non-zero ids the memo does not hold to
+	// the parallel taints, adopted into the node's tree and memo.
+	lookup(ids []uint32) ([]taint.Taint, error)
+}
+
+// front is the node's side of every caching client, and the four verbs of
+// Client written once over it: the tree that received taints are interned
+// in, the id -> taint memo over it, and the transport the misses go to.
+// The hit paths (Fig. 9 ② and ⑤) end here; a transport never sees one.
+type front struct {
 	tree *taint.Tree
 	memo *cache
+	t    transport
+}
+
+// Register implements Client: the early-outs, then the batch of one —
+// with nothing to deduplicate it goes to the transport as it is.
+func (f *front) Register(t taint.Taint) (uint32, error) {
+	if t.Empty() {
+		return 0, nil
+	}
+	if id := t.GlobalID(); id != 0 {
+		return id, nil
+	}
+	fresh, err := f.registerMisses([]taint.Taint{t})
+	if err != nil {
+		return 0, err
+	}
+	return fresh[0], nil
+}
+
+// Lookup implements Client: the early-outs, then the batch of one — the
+// memo has just declined the id, so there is nothing to split.
+func (f *front) Lookup(id uint32) (taint.Taint, error) {
+	if id == 0 {
+		return taint.Taint{}, nil
+	}
+	if t, ok := f.memo.get(id); ok {
+		return t, nil
+	}
+	got, err := f.t.lookup([]uint32{id})
+	if err != nil {
+		return taint.Taint{}, err
+	}
+	return got[0], nil
+}
+
+// RegisterBatch implements Client: the distinct unregistered taints go to
+// the transport in one call.
+func (f *front) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
+	ids, pending, posOf := collectRegister(ts)
+	if len(pending) == 0 {
+		return ids, nil
+	}
+	fresh, err := f.registerMisses(pending)
+	if err != nil {
+		return nil, err
+	}
+	spreadIDs(ids, fresh, pending, posOf)
+	return ids, nil
+}
+
+// registerMisses hands the pending taints, serialized, to the transport.
+func (f *front) registerMisses(pending []taint.Taint) ([]uint32, error) {
+	blobs, err := marshalAll(pending)
+	if err != nil {
+		return nil, err
+	}
+	return f.t.register(pending, blobs)
+}
+
+// LookupBatch implements Client: the memo is split once and the distinct
+// misses go to the transport in one call.
+func (f *front) LookupBatch(ids []uint32) ([]taint.Taint, error) {
+	ts, missing := f.memo.splitBatch(ids)
+	if len(missing) == 0 {
+		return ts, nil
+	}
+	got, err := f.t.lookup(missing)
+	if err != nil {
+		return nil, err
+	}
+	fillMissing(ts, ids, missing, got)
+	return ts, nil
+}
+
+// stamp records freshly minted Global IDs on their taints and in the
+// memo: how a transport adopts what the Taint Map answered a register.
+func (f *front) stamp(ts []taint.Taint, ids []uint32) {
+	for i, t := range ts {
+		t.SetGlobalID(ids[i])
+		f.memo.put(ids[i], t)
+	}
 }
 
 // adopt decodes blobs into the tree, stamps each taint with its id and
-// memoises it — a peer's only within its reach (see cache). Nothing is
+// memoises it — a peer's only within its reach (see cache): how a
+// transport adopts what the Taint Map answered a lookup. Nothing is
 // adopted unless every entry is sound: a blob that is no taint, or from a
 // peer the untainted or a provisional id — its stream gone wrong, where
 // the Taint Map never answers so.
-func (n nodeMemo) adopt(ids []uint32, blobs [][]byte, peer bool) ([]taint.Taint, error) {
+func (f *front) adopt(ids []uint32, blobs [][]byte, peer bool) ([]taint.Taint, error) {
+	if len(blobs) != len(ids) {
+		return nil, fmt.Errorf("taintmap: %d blobs for %d ids", len(blobs), len(ids))
+	}
 	ts := make([]taint.Taint, len(ids))
 	for i, id := range ids {
-		t, err := n.tree.UnmarshalTaint(blobs[i])
+		t, err := f.tree.UnmarshalTaint(blobs[i])
 		if err == nil && peer && (id == 0 || IsProvisional(id) || t.Empty()) {
 			err = fmt.Errorf("taintmap: a peer defines Global ID %#x as %v", id, t)
 		}
@@ -245,14 +334,14 @@ func (n nodeMemo) adopt(ids []uint32, blobs [][]byte, peer bool) ([]taint.Taint,
 	}
 	for i, id := range ids {
 		ts[i].SetGlobalID(id)
-		n.memo.putWithin(id, ts[i], reach)
+		f.memo.putWithin(id, ts[i], reach)
 	}
 	return ts, nil
 }
 
 // Learn implements Client for every caching client.
-func (n nodeMemo) Learn(ids []uint32, blobs [][]byte) error {
-	_, err := n.adopt(ids, blobs, true)
+func (f *front) Learn(ids []uint32, blobs [][]byte) error {
+	_, err := f.adopt(ids, blobs, true)
 	return err
 }
 
@@ -313,89 +402,33 @@ func (c *cache) splitBatch(ids []uint32) (ts []taint.Taint, missing []uint32) {
 // RemoteClient minus the network hop.
 type LocalClient struct {
 	store *Store
-	nodeMemo
+	front
 }
 
 var _ Client = (*LocalClient)(nil)
 
 // NewLocalClient returns a client resolving taints into tree.
 func NewLocalClient(store *Store, tree *taint.Tree) *LocalClient {
-	return &LocalClient{store: store, nodeMemo: nodeMemo{tree, &cache{}}}
+	c := &LocalClient{store: store}
+	c.front = front{tree, &cache{}, c}
+	return c
 }
 
-// Register implements Client: the batch of one.
-func (c *LocalClient) Register(t taint.Taint) (uint32, error) {
-	if t.Empty() {
-		return 0, nil
-	}
-	if id := t.GlobalID(); id != 0 {
-		return id, nil
-	}
-	ids, err := c.RegisterBatch([]taint.Taint{t})
-	if err != nil {
-		return 0, err
-	}
-	return ids[0], nil
-}
-
-// Lookup implements Client: the batch of one.
-func (c *LocalClient) Lookup(id uint32) (taint.Taint, error) {
-	if id == 0 {
-		return taint.Taint{}, nil
-	}
-	if t, ok := c.memo.get(id); ok {
-		return t, nil
-	}
-	ts, err := c.LookupBatch([]uint32{id})
-	if err != nil {
-		return taint.Taint{}, err
-	}
-	return ts[0], nil
-}
-
-// RegisterBatch implements Client: all unregistered taints go straight
-// to the store (each blob locking only its shard).
-func (c *LocalClient) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
-	ids, pending, posOf := collectRegister(ts)
-	if len(pending) == 0 {
-		return ids, nil
-	}
-	blobs, err := marshalAll(pending)
-	if err != nil {
-		return nil, err
-	}
-	adoptFresh(c.memo, ids, c.store.RegisterBlobs(blobs), pending, posOf)
+// register implements transport: the blobs go straight to the store,
+// each locking only its shard.
+func (c *LocalClient) register(ts []taint.Taint, blobs [][]byte) ([]uint32, error) {
+	ids := c.store.RegisterBlobs(blobs)
+	c.stamp(ts, ids)
 	return ids, nil
 }
 
-// LookupBatch implements Client: all memo misses go to the store's
-// lock-free id table.
-func (c *LocalClient) LookupBatch(ids []uint32) ([]taint.Taint, error) {
-	ts, missing := c.memo.splitBatch(ids)
-	if len(missing) == 0 {
-		return ts, nil
-	}
-	blobs, err := c.store.LookupBlobs(missing)
+// lookup implements transport over the store's lock-free id table.
+func (c *LocalClient) lookup(ids []uint32) ([]taint.Taint, error) {
+	blobs, err := c.store.LookupBlobs(ids)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.adoptBlobs(ts, ids, missing, blobs); err != nil {
-		return nil, err
-	}
-	return ts, nil
-}
-
-// adoptBlobs adopts the blobs fetched for the missing ids and fills every
-// position of ids waiting on each of them.
-func (n nodeMemo) adoptBlobs(ts []taint.Taint, ids, missing []uint32, blobs [][]byte) error {
-	if len(blobs) != len(missing) {
-		return fmt.Errorf("taintmap: %d blobs for %d ids", len(blobs), len(missing))
-	}
-	got, err := n.adopt(missing, blobs, false)
-	if err == nil {
-		fillMissing(ts, ids, missing, got)
-	}
-	return err
+	return c.adopt(ids, blobs, false)
 }
 
 // fillMissing completes a splitBatch: got holds the taints resolved for
@@ -424,8 +457,8 @@ type MemoStats struct {
 }
 
 // MemoStats reports the node's memo, for every caching client.
-func (n nodeMemo) MemoStats() MemoStats {
-	c := n.memo
+func (f *front) MemoStats() MemoStats {
+	c := f.memo
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var st MemoStats

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"testing"
+	"time"
 
 	"dista/internal/core/taint"
 	"dista/internal/netsim"
@@ -472,6 +473,103 @@ func TestClusterMembershipJoin(t *testing.T) {
 		if string(b) != r.blob {
 			t.Fatalf("id %x changed content across the membership change", r.id)
 		}
+	}
+}
+
+// TestClusterReaddressKeepsJournal: a member that moves to a new address
+// keeps its client handle, and with it the journal and the provisional
+// ids already handed out — a provisional id names one taint for as long
+// as the client lives, the journal drains at the new address, and the ids
+// then remap.
+func TestClusterReaddressKeepsJournal(t *testing.T) {
+	e := newClusterEnvOpts(t, 2, 2, WithAdmission(1, 0))
+	tree := taint.NewTree()
+	c, err := DialSimCluster(e.net, "app:1", e.ring, tree, grayOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var owned []taint.Taint // two taints partition 0 owns
+	for i := 0; len(owned) < 2 && i < 256; i++ {
+		tt := tree.NewSource(fmt.Sprintf("moved-%d", i), "app:1")
+		blob, err := taint.MarshalTaint(tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.ring.OwnerOfBlob(blob) == 0 {
+			owned = append(owned, tt)
+		}
+	}
+	a, b := owned[0], owned[1]
+
+	// Member 0 sheds: a journals under a provisional id.
+	e.srvs[0].adm.admit()
+	provA, err := c.Register(a)
+	if err != nil || !IsProvisional(provA) {
+		t.Fatalf("register against the shedding owner = %#x, %v", provA, err)
+	}
+
+	// Member 0 moves; nothing listens at the new address yet, so b
+	// journals too — in the same journal, under an id of its own.
+	moved, err := e.ring.WithMember(Member{Part: 0, Addr: "tm0b:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.UpdateRing(moved); err != nil {
+		t.Fatal(err)
+	}
+	provB, err := c.Register(b)
+	if err != nil || !IsProvisional(provB) {
+		t.Fatalf("register against the unreachable new address = %#x, %v", provB, err)
+	}
+	if provB == provA {
+		t.Fatalf("two taints share provisional id %#x", provA)
+	}
+	for _, tc := range []struct {
+		id   uint32
+		want taint.Taint
+	}{{provA, a}, {provB, b}} {
+		if got, err := c.Lookup(tc.id); err != nil || got != tc.want {
+			t.Fatalf("lookup of provisional id %#x = %v, %v; want %v", tc.id, got, err, tc.want)
+		}
+	}
+	if h := c.Healths()[0]; h.JournalLen != 2 {
+		t.Fatalf("journal holds %d registrations after the re-address, want 2: %+v", h.JournalLen, h)
+	}
+
+	// The replacement comes up at the new address: the journal drains
+	// there and both taints get real Global IDs.
+	e.kill(0)
+	e.ring = moved
+	e.start(0)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		h := c.Healths()[0]
+		if h.JournalLen == 0 && h.Drained == 2 {
+			break
+		}
+		if !time.Now().Before(deadline) {
+			t.Fatalf("journal never drained at the new address: %+v", h)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	check := e.client("verify:1", ClusterOptions{})
+	for _, tt := range owned {
+		id, err := c.Register(tt)
+		if err != nil || IsProvisional(id) || PartitionOf(id) != 0 || tt.GlobalID() != id {
+			t.Fatalf("register after the drain = %#x (node stamped %#x), %v", id, tt.GlobalID(), err)
+		}
+		got, err := check.Lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBlob, _ := taint.MarshalTaint(tt)
+		if gotBlob, _ := taint.MarshalTaint(got); string(gotBlob) != string(wantBlob) {
+			t.Fatalf("drained id %#x resolved to different bytes", id)
+		}
+	}
+	if got, err := c.Lookup(provA); err != nil || got != a {
+		t.Fatalf("lookup of remapped provisional id %#x = %v, %v; want %v", provA, got, err, a)
 	}
 }
 

@@ -34,9 +34,9 @@ import (
 // a new ring: in-flight registrations complete against the members that
 // accepted them, and only future registrations re-route.
 type ClusterClient struct {
-	dial     func(addr string) (io.ReadWriteCloser, error)
-	opt      ClusterOptions
-	nodeMemo // the memo is shared by every member client
+	dial  func(addr string) (io.ReadWriteCloser, error)
+	opt   ClusterOptions
+	front // the memo is shared by every member client
 
 	ring atomic.Pointer[Ring]
 
@@ -95,8 +95,12 @@ type ClusterOptions struct {
 	BudgetBurst float64
 }
 
-// withClusterDefaults fills the zero values in.
+// withClusterDefaults fills the zero values in, the clock every member and
+// the shared budget run on included.
 func (o ClusterOptions) withClusterDefaults() ClusterOptions {
+	if o.Resilient.clk == nil {
+		o.Resilient.clk = realClock{}
+	}
 	if o.HedgeDelay == 0 {
 		o.HedgeDelay = 20 * time.Millisecond
 	}
@@ -126,44 +130,47 @@ func DialClusterAddrs(addrs []string, dial func(addr string) (io.ReadWriteCloser
 		addr := addrs[0]
 		opt = opt.withClusterDefaults()
 		ropt := opt.Resilient
-		clk := ropt.clk
-		if clk == nil {
-			clk = realClock{}
-		}
-		ropt.budget = newBudgetClock(opt.BudgetRate, opt.BudgetBurst, clk)
+		ropt.budget = newBudgetClock(opt.BudgetRate, opt.BudgetBurst, ropt.clk)
 		return NewResilientClient(func() (io.ReadWriteCloser, error) { return dial(addr) }, tree, ropt), nil
 	}
 	// The ring fetch runs under the members' call timeout: a gray seed
 	// (accepts the dial, never answers) costs one timeout and the next
 	// address gets its turn.
 	timeout := opt.Resilient.callTimeout()
-	var lastErr error
-	for _, addr := range addrs {
-		conn, err := dial(addr)
+	ring, err := fetchRing(len(addrs), func(i int) ([]byte, error) {
+		conn, err := dial(addrs[i])
 		if err != nil {
-			lastErr = err
-			continue
+			return nil, err
 		}
 		rc := newRemoteClientWith(conn, tree, &cache{}, timeout)
-		reply, err := rc.call(opRingTag, nil, time.Time{})
-		rc.Close()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		ring, err := parseRing(reply)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return NewClusterClient(ring, dial, tree, opt)
+		defer rc.Close()
+		return rc.call(opRingTag, nil, time.Time{})
+	})
+	if err != nil {
+		return nil, fmt.Errorf("taintmap: cluster bootstrap from %d addresses: %w", len(addrs), err)
 	}
-	return nil, fmt.Errorf("taintmap: cluster bootstrap from %d addresses: %w", len(addrs), lastErr)
+	return NewClusterClient(ring, dial, tree, opt)
+}
+
+// fetchRing asks up to n sources for the ring, in order, and returns the
+// first answer that parses.
+func fetchRing(n int, ask func(i int) ([]byte, error)) (*Ring, error) {
+	var lastErr error = ErrDegraded
+	for i := 0; i < n; i++ {
+		reply, err := ask(i)
+		if err == nil {
+			var r *Ring
+			if r, err = parseRing(reply); err == nil {
+				return r, nil
+			}
+		}
+		lastErr = err
+	}
+	return nil, lastErr
 }
 
 // clusterMember is one ring member's client handle.
 type clusterMember struct {
-	part uint32
 	addr string
 	rc   *ResilientClient
 }
@@ -174,21 +181,17 @@ type clusterMember struct {
 func NewClusterClient(ring *Ring, dial func(addr string) (io.ReadWriteCloser, error), tree *taint.Tree, opt ClusterOptions) (*ClusterClient, error) {
 	opt = opt.withClusterDefaults()
 	c := &ClusterClient{
-		dial:     dial,
-		opt:      opt,
-		nodeMemo: nodeMemo{tree, &cache{}},
-		members:  make(map[uint32]*clusterMember),
+		dial:    dial,
+		opt:     opt,
+		members: make(map[uint32]*clusterMember),
 	}
-	clk := opt.Resilient.clk
-	if clk == nil {
-		clk = realClock{}
-	}
-	c.budget = newBudgetClock(opt.BudgetRate, opt.BudgetBurst, clk)
+	c.front = front{tree, &cache{}, c}
+	c.budget = newBudgetClock(opt.BudgetRate, opt.BudgetBurst, opt.Resilient.clk)
 	c.ring.Store(ring)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, m := range ring.Members() {
-		if _, err := c.addMemberLocked(m); err != nil {
+		if err := c.addMemberLocked(m); err != nil {
 			return nil, err
 		}
 	}
@@ -209,20 +212,22 @@ func (c *ClusterClient) publishLocked() {
 // addMemberLocked creates the client handle for one member: a
 // ResilientClient sharing the cluster-wide memo, journaling against a
 // store of the member's own partition. Caller holds c.mu.
-func (c *ClusterClient) addMemberLocked(m Member) (*clusterMember, error) {
+func (c *ClusterClient) addMemberLocked(m Member) error {
 	local, err := NewPartitionStore(m.Part)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ropt := c.opt.Resilient
 	ropt.memo = c.memo
 	ropt.local = local
 	ropt.budget = c.budget
-	addr := m.Addr
-	rc := NewResilientClient(func() (io.ReadWriteCloser, error) { return c.dial(addr) }, c.tree, ropt)
-	cm := &clusterMember{part: m.Part, addr: m.Addr, rc: rc}
-	c.members[m.Part] = cm
-	return cm, nil
+	c.members[m.Part] = &clusterMember{addr: m.Addr, rc: NewResilientClient(c.dialer(m.Addr), c.tree, ropt)}
+	return nil
+}
+
+// dialer is a member's DialFunc: c.dial at its address.
+func (c *ClusterClient) dialer(addr string) DialFunc {
+	return func() (io.ReadWriteCloser, error) { return c.dial(addr) }
 }
 
 // member returns the handle for a partition, nil when the partition has
@@ -243,33 +248,32 @@ func (c *ClusterClient) Ring() *Ring { return c.ring.Load() }
 func (c *ClusterClient) Repaired() int64 { return c.repaired.Load() }
 
 // UpdateRing installs a newer membership snapshot: handles are created
-// for new members, re-dialed for re-addressed ones, and kept for
-// departed ones (their partition's ids stay resolvable and any
-// journaled registrations still drain if the server returns). Rings
-// with a stale epoch are ignored.
+// for new members, re-dialed for re-addressed ones — the handle, and with
+// it the journal, the remap table and the provisional ids it has handed
+// out, survives; only the connection is replaced — and kept for departed
+// ones (their partition's ids stay resolvable and any journaled
+// registrations still drain if the server returns). Rings with a stale
+// epoch are ignored.
 func (c *ClusterClient) UpdateRing(r *Ring) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return ErrClientClosed
 	}
-	old := c.ring.Load()
-	if r.Epoch < old.Epoch {
+	if r.Epoch < c.ring.Load().Epoch {
 		return nil
 	}
 	for _, m := range r.Members() {
 		cm := c.members[m.Part]
 		if cm == nil {
-			if _, err := c.addMemberLocked(m); err != nil {
+			if err := c.addMemberLocked(m); err != nil {
 				return err
 			}
 			continue
 		}
 		if cm.addr != m.Addr {
-			cm.rc.Close()
-			if _, err := c.addMemberLocked(m); err != nil {
-				return err
-			}
+			cm.addr = m.Addr
+			cm.rc.redial(c.dialer(m.Addr))
 		}
 	}
 	c.publishLocked()
@@ -286,54 +290,16 @@ func (c *ClusterClient) Refresh() (*Ring, error) {
 		handles = append(handles, cm)
 	}
 	c.mu.Unlock()
-	var lastErr error = ErrDegraded
-	for _, cm := range handles {
-		reply, err := cm.rc.rawCall(opRingTag, nil)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		r, err := parseRing(reply)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if err := c.UpdateRing(r); err != nil {
-			return nil, err
-		}
-		return c.ring.Load(), nil
-	}
-	return nil, fmt.Errorf("taintmap: ring refresh: %w", lastErr)
-}
-
-// Register implements Client: the batch of one.
-func (c *ClusterClient) Register(t taint.Taint) (uint32, error) {
-	if t.Empty() {
-		return 0, nil
-	}
-	if id := t.GlobalID(); id != 0 {
-		return id, nil
-	}
-	ids, err := c.RegisterBatch([]taint.Taint{t})
+	r, err := fetchRing(len(handles), func(i int) ([]byte, error) {
+		return handles[i].rc.rawCall(opRingTag, nil)
+	})
 	if err != nil {
-		return 0, err
+		return nil, fmt.Errorf("taintmap: ring refresh: %w", err)
 	}
-	return ids[0], nil
-}
-
-// Lookup implements Client: the batch of one.
-func (c *ClusterClient) Lookup(id uint32) (taint.Taint, error) {
-	if id == 0 {
-		return taint.Taint{}, nil
+	if err := c.UpdateRing(r); err != nil {
+		return nil, err
 	}
-	if t, ok := c.memo.get(id); ok {
-		return t, nil
-	}
-	ts, err := c.LookupBatch([]uint32{id})
-	if err != nil {
-		return taint.Taint{}, err
-	}
-	return ts[0], nil
+	return c.ring.Load(), nil
 }
 
 // replicaOrder appends to cms (the caller's stack array: a replica set
@@ -367,7 +333,7 @@ func (c *ClusterClient) hedgeDelay() time.Duration {
 	return c.opt.HedgeDelay
 }
 
-// hedgedCall runs one fail-fast attempt (the call closure) against the
+// hedgedCall runs one fail-fast lookup leg (the call closure) against the
 // replicas in order, hedging: the first attempt runs alone until the
 // tracked p99 elapses, then — if the retry budget grants a token — the
 // next replica is raced against it and the first success wins. A
@@ -376,14 +342,15 @@ func (c *ClusterClient) hedgeDelay() time.Duration {
 // dead replica drain the budget. Losing attempts are abandoned (their
 // goroutines park on the member's own call timeout and deliver into a
 // buffered channel), and replicas that answered ErrUnknownGlobalID are
-// returned for read-repair.
-func (c *ClusterClient) hedgedCall(cms []*clusterMember, call func(cm *clusterMember, deadline time.Time) error) (stale []*clusterMember, err error) {
+// returned for read-repair beside the winner's taints.
+func (c *ClusterClient) hedgedCall(cms []*clusterMember, call func(cm *clusterMember, deadline time.Time) ([]taint.Taint, error)) (ts []taint.Taint, stale []*clusterMember, err error) {
 	var deadline time.Time
 	if c.opt.OpTimeout > 0 {
 		deadline = time.Now().Add(c.opt.OpTimeout)
 	}
 	type outcome struct {
 		cm     *clusterMember
+		ts     []taint.Taint
 		err    error
 		took   time.Duration
 		hedged bool
@@ -396,8 +363,8 @@ func (c *ClusterClient) hedgedCall(cms []*clusterMember, call func(cm *clusterMe
 		inflight++
 		go func() {
 			start := time.Now()
-			e := call(cm, deadline)
-			results <- outcome{cm: cm, err: e, took: time.Since(start), hedged: hedged}
+			ts, e := call(cm, deadline)
+			results <- outcome{cm: cm, ts: ts, err: e, took: time.Since(start), hedged: hedged}
 		}()
 	}
 	launch(false)
@@ -417,7 +384,7 @@ func (c *ClusterClient) hedgedCall(cms []*clusterMember, call func(cm *clusterMe
 				if out.hedged {
 					c.hedgeWins.Add(1)
 				}
-				return stale, nil
+				return out.ts, stale, nil
 			}
 			lastErr = out.err
 			if errors.Is(out.err, ErrUnknownGlobalID) {
@@ -438,24 +405,16 @@ func (c *ClusterClient) hedgedCall(cms []*clusterMember, call func(cm *clusterMe
 			}
 		}
 	}
-	return stale, lastErr
+	return nil, stale, lastErr
 }
 
-// RegisterBatch implements Client: pending taints are marshaled once,
-// routed by content hash to their owning partitions, and each
-// partition's group goes to its owner as one batch (so a cluster-wide
-// batch costs one round trip per partition, not per taint). A batch
-// with a single owner — every batch of one, every batch on a one-member
-// ring — is its own group and is not regrouped.
-func (c *ClusterClient) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
-	ids, pending, posOf := collectRegister(ts)
-	if len(pending) == 0 {
-		return ids, nil
-	}
-	blobs, err := marshalAll(pending)
-	if err != nil {
-		return nil, err
-	}
+// register implements transport: the taints are routed by content hash
+// to their owning partitions, and each partition's group goes to its
+// owner as one batch (so a cluster-wide batch costs one round trip per
+// partition, not per taint). A batch with a single owner — every batch of
+// one, every batch on a one-member ring — is its own group and is not
+// regrouped.
+func (c *ClusterClient) register(ts []taint.Taint, blobs [][]byte) ([]uint32, error) {
 	ring := c.ring.Load()
 	var ownerBuf [16]uint32 // keeps small batches off the heap
 	owners := ownerBuf[:0]
@@ -465,19 +424,15 @@ func (c *ClusterClient) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
 		oneOwner = oneOwner && owners[len(owners)-1] == owners[0]
 	}
 	if oneOwner {
-		got, err := c.registerGroup(owners[0], pending, blobs)
-		if err != nil {
-			return nil, err
-		}
-		spreadIDs(ids, got, pending, posOf)
-		return ids, nil
+		return c.registerGroup(owners[0], ts, blobs)
 	}
+	ids := make([]uint32, len(ts))
 	for part := uint32(0); part < MaxPartitions; part++ {
 		var gts []taint.Taint
 		var gblobs [][]byte
 		for i, owner := range owners {
 			if owner == part {
-				gts = append(gts, pending[i])
+				gts = append(gts, ts[i])
 				gblobs = append(gblobs, blobs[i])
 			}
 		}
@@ -488,7 +443,11 @@ func (c *ClusterClient) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
 		if err != nil {
 			return nil, err
 		}
-		spreadIDs(ids, got, gts, posOf)
+		for i, owner := range owners {
+			if owner == part {
+				ids[i], got = got[0], got[1:]
+			}
+		}
 	}
 	return ids, nil
 }
@@ -500,116 +459,94 @@ func (c *ClusterClient) registerGroup(part uint32, ts []taint.Taint, blobs [][]b
 	if cm == nil {
 		return nil, fmt.Errorf("%w: no member for owner partition %d", ErrDegraded, part)
 	}
-	ids, err := cm.rc.registerPending(ts, blobs)
-	if err != nil && errors.Is(err, ErrOverloaded) {
+	ids, err := cm.rc.register(ts, blobs)
+	if errors.Is(err, ErrOverloaded) {
 		// The owner is shedding load, not down: journal the group into
 		// that partition's degraded mode instead of failing the caller —
 		// the provisional ids remap when the drain replays them.
-		ids = make([]uint32, len(ts))
-		for k := range ts {
-			if ids[k], err = cm.rc.journalFallback(ts[k], blobs[k]); err != nil {
-				return nil, err
-			}
-		}
+		return cm.rc.journalFallback(ts, blobs)
 	}
 	return ids, err
 }
 
-// LookupBatch implements Client: memo misses are grouped by the
-// partition bits of their ids (provisional ids apart — they resolve via
-// the minting member's journal and never reach the wire or the replica
-// set) and resolved per group. A batch with a single group — every batch
-// of one, every batch read back from one partition — is its own group
-// and is not regrouped.
-func (c *ClusterClient) LookupBatch(ids []uint32) ([]taint.Taint, error) {
-	ts, missing := c.memo.splitBatch(ids)
-	if len(missing) == 0 {
-		return ts, nil
-	}
+// lookup implements transport: the ids are grouped by their partition
+// bits (provisional ids apart — they resolve via the minting member's
+// journal and never reach the wire or the replica set) and resolved per
+// group. A batch with a single group — every batch of one, every batch
+// read back from one partition — is its own group and is not regrouped.
+func (c *ClusterClient) lookup(ids []uint32) ([]taint.Taint, error) {
 	// A group's key is everything of an id but its sequence: the
 	// partition field plus the provisional bit.
 	var keyBuf [16]uint32 // keeps small batches off the heap
 	keys := keyBuf[:0]
 	oneGroup := true
-	for _, id := range missing {
+	for _, id := range ids {
 		keys = append(keys, id&^seqMask)
 		oneGroup = oneGroup && keys[len(keys)-1] == keys[0]
 	}
 	if oneGroup {
-		if err := c.lookupKeyed(keys[0], missing); err != nil {
+		return c.lookupGroup(keys[0], ids)
+	}
+	ts := make([]taint.Taint, len(ids))
+	const taken = seqMask // no key has sequence bits set
+	for i, key := range keys {
+		if key == taken {
+			continue
+		}
+		var group []uint32
+		for j := i; j < len(keys); j++ {
+			if keys[j] == key {
+				group = append(group, ids[j])
+			}
+		}
+		got, err := c.lookupGroup(key, group)
+		if err != nil {
 			return nil, err
 		}
-	} else {
-		const taken = seqMask // no key has sequence bits set
-		for i, key := range keys {
-			if key == taken {
-				continue
+		for j := i; j < len(keys); j++ {
+			if keys[j] == key {
+				ts[j], got = got[0], got[1:]
+				keys[j] = taken
 			}
-			var group []uint32
-			for j := i; j < len(keys); j++ {
-				if keys[j] == key {
-					group = append(group, missing[j])
-					keys[j] = taken
-				}
-			}
-			if err := c.lookupKeyed(key, group); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Every missing id is in the memo now; fill the unresolved slots. One
-	// that is not resolved to the empty taint (a blob of no tags under a
-	// non-zero id: nothing registers one, the memo does not keep one).
-	for i, id := range ids {
-		if id != 0 && ts[i].Empty() {
-			ts[i], _ = c.memo.get(id)
 		}
 	}
 	return ts, nil
 }
 
-// lookupKeyed resolves one LookupBatch group into the shared memo:
-// provisional ids through the journal of the member that minted them,
-// real ids against the partition's replicas.
-func (c *ClusterClient) lookupKeyed(key uint32, group []uint32) error {
+// lookupGroup resolves the ids of one group. Provisional ids go through
+// the journal of the member that minted them. Real ids rotate across the
+// partition's replicas: a replica that does not hold the ids falls through
+// to the next and is healed afterwards by read-repair. With several
+// replicas the rotation is hedged (see hedgedCall) and every leg is
+// fail-fast; with one replica, or hedging disabled, the legs run in
+// sequence, each with its member's full resilience machinery.
+func (c *ClusterClient) lookupGroup(key uint32, group []uint32) ([]taint.Taint, error) {
 	part := PartitionOf(key)
-	if !IsProvisional(key) {
-		return c.lookupGroup(part, group)
+	if IsProvisional(key) {
+		cm := c.member(part)
+		if cm == nil {
+			return nil, fmt.Errorf("%w: provisional ids of unknown member", ErrDegraded)
+		}
+		return cm.rc.lookup(group)
 	}
-	cm := c.member(part)
-	if cm == nil {
-		return fmt.Errorf("%w: provisional ids of unknown member", ErrDegraded)
-	}
-	_, err := cm.rc.LookupBatch(group)
-	return err
-}
-
-// lookupGroup resolves one partition's (non-provisional) ids into the
-// shared memo, rotating across the partition's replicas: a replica that
-// does not hold the ids falls through to the next and is healed
-// afterwards by read-repair. With several replicas the rotation is
-// hedged (see hedgedCall) and every leg is fail-fast; with one replica,
-// or hedging disabled, the legs run in sequence, each with its member's
-// full resilience machinery.
-func (c *ClusterClient) lookupGroup(part uint32, group []uint32) error {
 	var buf [MaxPartitions]*clusterMember
 	cms := c.replicaOrder(part, buf[:0])
 	if len(cms) == 0 {
-		return fmt.Errorf("%w: no member for partition %d", ErrDegraded, part)
+		return nil, fmt.Errorf("%w: no member for partition %d", ErrDegraded, part)
 	}
 	hedge := len(cms) > 1 && c.opt.HedgeDelay >= 0
-	leg := func(cm *clusterMember, deadline time.Time) error {
-		_, err := cm.rc.lookupMissing(group, deadline, hedge)
-		return err
+	leg := func(cm *clusterMember, deadline time.Time) ([]taint.Taint, error) {
+		return cm.rc.lookupLeg(group, deadline, hedge)
 	}
+	var ts []taint.Taint
 	var stale []*clusterMember
 	var err error
 	if hedge {
-		stale, err = c.hedgedCall(cms, leg)
+		ts, stale, err = c.hedgedCall(cms, leg)
 	} else {
 		err = ErrDegraded
 		for _, cm := range cms {
-			if err = leg(cm, time.Time{}); err == nil {
+			if ts, err = leg(cm, time.Time{}); err == nil {
 				break
 			}
 			if errors.Is(err, ErrUnknownGlobalID) {
@@ -620,16 +557,10 @@ func (c *ClusterClient) lookupGroup(part uint32, group []uint32) error {
 		}
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if len(stale) > 0 {
-		// Whichever leg won resolved into the shared memo; the repair
-		// batch is read back from there.
-		if ts, missing := c.memo.splitBatch(group); len(missing) == 0 {
-			c.repairTo(stale, group, ts)
-		}
-	}
-	return nil
+	c.repairTo(stale, group, ts)
+	return ts, nil
 }
 
 // repairTo pushes resolved (id, taint) entries to replicas that were

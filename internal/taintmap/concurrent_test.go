@@ -263,7 +263,9 @@ func TestSplitIDChunks(t *testing.T) {
 // generation (op | len | payload, no tag) the way its client used to:
 // the serving loop and the over-cap brownout loop must both fail the
 // connection on that first byte — closed inside the read timeout, with a
-// protocol error, and with nothing written back under any framing.
+// protocol error, and with nothing written back under any framing. So
+// must 'l', the single lookup no client has sent since Lookup became the
+// 'm' batch of one: a head byte like any other that is no op.
 func TestUntaggedFrameRejected(t *testing.T) {
 	n := netsim.New()
 	l, err := n.Listen("tm:7")
@@ -310,7 +312,7 @@ func TestUntaggedFrameRejected(t *testing.T) {
 		}
 	}
 
-	for _, op := range []byte("RLBMSGJPW") {
+	for _, op := range []byte("RLBMSGJPWl") {
 		t.Run(string(op), func(t *testing.T) {
 			// Within the cap: the serving loop.
 			waitIdle(t)
@@ -347,8 +349,8 @@ func TestUntaggedFrameRejected(t *testing.T) {
 			protoErrs++
 		}
 	}
-	if protoErrs != 9 {
-		t.Fatalf("server logged %d protocol errors for 9 rejected frames: %q", protoErrs, logged)
+	if protoErrs != 10 {
+		t.Fatalf("server logged %d protocol errors for 10 rejected frames: %q", protoErrs, logged)
 	}
 }
 

@@ -61,7 +61,7 @@ func TestCallDeadlineStalledServer(t *testing.T) {
 
 	n.SetHostStall("tm", true)
 	start := time.Now()
-	_, err = rc.lookupBatchDeadline([]uint32{id}, time.Now().Add(50*time.Millisecond))
+	_, err = rc.lookupDeadline([]uint32{id}, time.Now().Add(50*time.Millisecond))
 	took := time.Since(start)
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("lookup under stall = %v, want ErrDeadlineExceeded", err)
@@ -114,7 +114,7 @@ func TestCallDeadlineBatch(t *testing.T) {
 	defer rc.Close()
 	n.SetHostStall("tm", true)
 	defer n.SetHostStall("tm", false)
-	if _, err := rc.lookupBatchDeadline(ids, time.Now().Add(50*time.Millisecond)); !errors.Is(err, ErrDeadlineExceeded) {
+	if _, err := rc.lookupDeadline(ids, time.Now().Add(50*time.Millisecond)); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("batch lookup under stall = %v, want ErrDeadlineExceeded", err)
 	}
 }

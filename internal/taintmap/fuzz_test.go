@@ -3,6 +3,7 @@ package taintmap
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 )
 
@@ -34,24 +35,25 @@ func untaggedReq(op byte, payload []byte) []byte {
 }
 
 // FuzzServeConn feeds arbitrary byte streams to the protocol parser —
-// well-formed frames, frames of the removed untagged generation,
-// truncations and trailing garbage — and asserts the server never
-// panics and that everything it writes back is a stream of complete,
-// well-formed response frames (the flush-on-exit guarantee).
+// well-formed frames, frames of the removed untagged generation and of
+// the removed single lookup 'l', truncations and trailing garbage — and
+// asserts the server never panics, that everything it writes back is a
+// stream of complete, well-formed response frames (the flush-on-exit
+// guarantee), and that a stream opening with 'l' fails on that byte.
 func FuzzServeConn(f *testing.F) {
 	f.Add(taggedReq(opRegisterTag, 1, []byte("blob")))
-	f.Add(taggedReq(opLookupTag, 2, []byte{0, 0, 0, 1}))
+	f.Add(taggedReq('l', 2, []byte{0, 0, 0, 1}))
 	f.Add(taggedReq(opStatsTag, 3, nil))
 	f.Add(taggedReq(opRegisterTag, 7, []byte("blob")))
 	f.Add(taggedReq(opLookupBatchTag, 9, []byte{0, 0, 0, 1, 0, 0, 0, 2}))
-	f.Add(append(taggedReq(opRegisterTag, 4, []byte("a")), taggedReq(opLookupTag, 3, []byte{0, 0, 0, 1})...))
+	f.Add(append(taggedReq(opRegisterTag, 4, []byte("a")), taggedReq('l', 3, []byte{0, 0, 0, 1})...))
 	// Truncated frames: header cut short, payload cut short.
 	f.Add([]byte{opRegisterTag, 0, 0})
 	f.Add([]byte{opRegisterTag, 0, 0, 0, 1, 0, 0, 0, 9, 'x'})
 	// Trailing garbage after a valid frame.
 	f.Add(append(taggedReq(opStatsTag, 5, nil), 0xDE, 0xAD, 0xBE, 0xEF))
 	// Oversized length field and unknown op.
-	f.Add([]byte{opLookupTag, 0, 0, 0, 6, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{'l', 0, 0, 0, 6, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(taggedReq('Z', 8, []byte("???")))
 	f.Add(taggedReq(opRegisterBatchTag, 10, []byte{0, 0, 0, 2, 0, 0, 0, 1, 'a'}))
 	// The removed untagged generation, byte for byte as it used to be
@@ -67,9 +69,12 @@ func FuzzServeConn(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		store := NewStore()
 		conn := &fuzzConn{r: bytes.NewReader(data)}
-		_ = ServeConn(store, conn) // must terminate without panicking
+		err := ServeConn(store, conn) // must terminate without panicking
 
 		checkReplyStream(t, conn.w.Bytes())
+		if len(data) > 0 && data[0] == 'l' && (!errors.Is(err, errProtocol) || conn.w.Len() != 0) {
+			t.Fatalf("head byte 'l': %v with %d bytes written back, want errProtocol and none", err, conn.w.Len())
+		}
 	})
 }
 

@@ -191,7 +191,7 @@ func TestLearnIsBounded(t *testing.T) {
 		"strided": func(k uint32) uint32 { return partitionBase(k%MaxPartitions) | (1+k/MaxPartitions)*memoPageSize },
 		"walking": func(k uint32) uint32 { return partitionBase(3) | (1+k)*peerPages*memoPageSize - 1 },
 	} {
-		n := nodeMemo{tree, &cache{}}
+		n := front{tree: tree, memo: &cache{}}
 		ids, blobs := make([]uint32, entries), make([][]byte, entries)
 		for k := range ids {
 			ids[k], blobs[k] = idOf(uint32(k)), blob
@@ -209,7 +209,7 @@ func TestLearnIsBounded(t *testing.T) {
 		}
 	}
 
-	n := nodeMemo{tree, &cache{}}
+	n := front{tree: tree, memo: &cache{}}
 	one := func(seq uint32) ([]uint32, [][]byte) { return []uint32{partitionBase(7) | seq}, [][]byte{blob} }
 	late := uint32(1_000_003)
 	n.Learn(one(late))

@@ -26,7 +26,7 @@ import (
 // under an RWMutex so warm lookups never serialize.
 type RemoteClient struct {
 	conn io.ReadWriteCloser
-	nodeMemo
+	front
 
 	// timeout bounds each call's wait for a response. It is enforced
 	// out-of-band: a watchdog goroutine scans the pending table at
@@ -126,12 +126,12 @@ func NewRemoteClient(conn io.ReadWriteCloser, tree *taint.Tree) *RemoteClient {
 // after it.
 func newRemoteClientWith(conn io.ReadWriteCloser, tree *taint.Tree, memo *cache, timeout time.Duration) *RemoteClient {
 	c := &RemoteClient{
-		conn:     conn,
-		nodeMemo: nodeMemo{tree, memo},
-		timeout:  timeout,
-		pending:  make(map[uint32]pendingCall),
-		done:     make(chan struct{}),
+		conn:    conn,
+		timeout: timeout,
+		pending: make(map[uint32]pendingCall),
+		done:    make(chan struct{}),
 	}
+	c.front = front{tree, memo, c}
 	go c.demux()
 	if timeout > 0 {
 		go c.watchdog()
@@ -443,34 +443,20 @@ func (c *RemoteClient) registerBlob(blob []byte) (uint32, error) {
 	return f.id, f.err
 }
 
-// Register implements Client: the batch of one.
-func (c *RemoteClient) Register(t taint.Taint) (uint32, error) {
-	if t.Empty() {
-		return 0, nil
-	}
-	if id := t.GlobalID(); id != 0 {
-		return id, nil
-	}
-	ids, err := c.RegisterBatch([]taint.Taint{t})
-	if err != nil {
-		return 0, err
-	}
-	return ids[0], nil
-}
-
-// registerBlobs resolves pre-marshaled blobs to the parallel id slice,
-// picking the wire op by batch size: a lone blob goes out as a single
-// register, deduplicated by singleflight against other goroutines
-// registering the same blob at the same moment, while several go as
-// batch frames, chunked transparently. The back
-// half shared by RegisterBatch and the resilient client's batches.
-func (c *RemoteClient) registerBlobs(blobs [][]byte) ([]uint32, error) {
+// register implements transport, picking the wire op by batch size: a
+// lone blob goes out as a single register, deduplicated by singleflight
+// against other goroutines registering the same blob at the same moment,
+// while several go as batch frames, chunked transparently — several round
+// trips when the encoded batch would overflow the frame limit.
+func (c *RemoteClient) register(ts []taint.Taint, blobs [][]byte) ([]uint32, error) {
 	if len(blobs) == 1 {
 		id, err := c.registerBlob(blobs[0])
 		if err != nil {
 			return nil, err
 		}
-		return []uint32{id}, nil
+		ids := []uint32{id}
+		c.stamp(ts, ids)
+		return ids, nil
 	}
 	chunks, err := splitBlobChunks(blobs)
 	if err != nil {
@@ -488,62 +474,23 @@ func (c *RemoteClient) registerBlobs(blobs [][]byte) ([]uint32, error) {
 		}
 		ids = append(ids, got...)
 	}
+	c.stamp(ts, ids)
 	return ids, nil
 }
 
-// Lookup implements Client: the batch of one.
-func (c *RemoteClient) Lookup(id uint32) (taint.Taint, error) {
-	if id == 0 {
-		return taint.Taint{}, nil
-	}
-	if t, ok := c.memo.get(id); ok {
-		return t, nil
-	}
-	ts, err := c.LookupBatch([]uint32{id})
-	if err != nil {
-		return taint.Taint{}, err
-	}
-	return ts[0], nil
+// lookup implements transport.
+func (c *RemoteClient) lookup(ids []uint32) ([]taint.Taint, error) {
+	return c.lookupDeadline(ids, time.Time{})
 }
 
-// RegisterBatch implements Client: all unregistered distinct taints go
-// to the server in one round trip — or several, transparently, when the
-// encoded batch would overflow the frame limit.
-func (c *RemoteClient) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
-	ids, pending, posOf := collectRegister(ts)
-	if len(pending) == 0 {
-		return ids, nil
-	}
-	blobs, err := marshalAll(pending)
-	if err != nil {
-		return nil, err
-	}
-	fresh, err := c.registerBlobs(blobs)
-	if err != nil {
-		return nil, err
-	}
-	adoptFresh(c.memo, ids, fresh, pending, posOf)
-	return ids, nil
-}
-
-// LookupBatch implements Client: all memo misses go to the server in
-// one round trip — chunked when the id list overflows a frame,
-// and re-requesting the tail when the server answers with a partial
-// blob list to respect the reply frame budget.
-func (c *RemoteClient) LookupBatch(ids []uint32) ([]taint.Taint, error) {
-	return c.lookupBatchDeadline(ids, time.Time{})
-}
-
-// lookupBatchDeadline is LookupBatch bounded by an absolute deadline
-// (zero = no deadline) covering every chunk round trip — the per-member
-// leg of the cluster client's hedged reads.
-func (c *RemoteClient) lookupBatchDeadline(ids []uint32, deadline time.Time) ([]taint.Taint, error) {
-	ts, missing := c.memo.splitBatch(ids)
-	if len(missing) == 0 {
-		return ts, nil
-	}
-	blobs := make([][]byte, 0, len(missing))
-	for _, chunk := range splitIDChunks(missing) {
+// lookupDeadline fetches and adopts ids in one round trip — chunked when
+// the id list overflows a frame, and re-requesting the tail when the
+// server answers with a partial blob list to respect the reply frame
+// budget — bounded by an absolute deadline (zero = none) covering every
+// chunk: the per-member leg of the cluster client's hedged reads.
+func (c *RemoteClient) lookupDeadline(ids []uint32, deadline time.Time) ([]taint.Taint, error) {
+	blobs := make([][]byte, 0, len(ids))
+	for _, chunk := range splitIDChunks(ids) {
 		for len(chunk) > 0 {
 			reply, err := c.call(opLookupBatchTag, appendIDList(nil, chunk), deadline)
 			if err != nil {
@@ -560,10 +507,7 @@ func (c *RemoteClient) lookupBatchDeadline(ids []uint32, deadline time.Time) ([]
 			chunk = chunk[len(got):]
 		}
 	}
-	if err := c.adoptBlobs(ts, ids, missing, blobs); err != nil {
-		return nil, err
-	}
-	return ts, nil
+	return c.adopt(ids, blobs, false)
 }
 
 // Stats fetches the server-side counters.

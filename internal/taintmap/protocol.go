@@ -15,7 +15,6 @@ import (
 //	response: status byte | uint32 tag | uint32 payloadLen | payload
 //
 // ops: 'r' register (payload = taint blob, reply = 4-byte id),
-//      'l' lookup   (payload = 4-byte id, reply = taint blob),
 //      'b' register batch (payload = blob list, reply = 4-byte id per blob),
 //      'm' lookup batch   (payload = 4-byte id per entry, reply = blob list),
 //      's' stats    (payload empty, reply = 3x uint64).
@@ -43,7 +42,6 @@ import (
 
 const (
 	opRegisterTag      = 'r'
-	opLookupTag        = 'l'
 	opRegisterBatchTag = 'b'
 	opLookupBatchTag   = 'm'
 	opStatsTag         = 's'
@@ -280,7 +278,7 @@ func appendFrameHeader(dst []byte, head byte, tag uint32, n int) []byte {
 // isRequestOp reports whether b opens a request frame.
 func isRequestOp(b byte) bool {
 	switch b {
-	case opRegisterTag, opLookupTag, opRegisterBatchTag, opLookupBatchTag, opStatsTag,
+	case opRegisterTag, opRegisterBatchTag, opLookupBatchTag, opStatsTag,
 		opRingTag, opJoinTag, opReplicateTag, opRepairTag:
 		return true
 	}
@@ -378,17 +376,6 @@ func (c *connScratch) handle(h connHost, op byte, payload []byte) (status byte, 
 			h.node.replicate(c.repl)
 		}
 		reply = binary.BigEndian.AppendUint32(reply, id)
-	case opLookupTag:
-		if len(payload) != 4 {
-			return statusTaggedErr, append(reply, "lookup payload must be 4 bytes"...)
-		}
-		id := binary.BigEndian.Uint32(payload)
-		blob, ok := store.lookupStr(id)
-		h.charge(op, 1)
-		if !ok {
-			return statusTaggedErr, fmt.Appendf(reply, "%v: %d", ErrUnknownGlobalID, id)
-		}
-		reply = append(reply, blob...)
 	case opRegisterBatchTag:
 		blobs, err := parseBlobListInto(c.blobs[:0], payload)
 		if err != nil {

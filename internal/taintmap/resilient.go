@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -205,9 +206,9 @@ type journalEntry struct {
 // content-addressed replay), provisional ids are remapped, and the
 // client is connected again.
 type ResilientClient struct {
-	dial     DialFunc
-	opt      ResilientOptions
-	nodeMemo // the memo is shared across connection epochs
+	dial  atomic.Pointer[DialFunc] // replaced by redial, under mu
+	opt   ResilientOptions
+	front // the memo is shared across connection epochs
 
 	inner atomic.Pointer[RemoteClient] // nil while disconnected
 
@@ -218,7 +219,6 @@ type ResilientClient struct {
 	reconnecting bool
 	draining     bool // a background drainLoop is running
 	closed       bool
-	local        *Store // degraded-mode provisional id source
 	queued       []journalEntry
 	journaled    map[uint32]struct{} // provisional ids currently queued
 	remap        map[uint32]uint32   // provisional -> real Global ID
@@ -246,18 +246,16 @@ var _ Client = (*ResilientClient)(nil)
 // (bounded by the breaker) or run degraded until the server appears.
 func NewResilientClient(dial DialFunc, tree *taint.Tree, opt ResilientOptions) *ResilientClient {
 	c := &ResilientClient{
-		dial:      dial,
-		nodeMemo:  nodeMemo{tree: tree},
 		opt:       opt.withDefaults(),
 		journaled: make(map[uint32]struct{}),
 		remap:     make(map[uint32]uint32),
 		done:      make(chan struct{}),
 	}
-	c.memo = c.opt.memo
-	c.local = c.opt.local
+	c.dial.Store(&dial)
+	c.front = front{tree, c.opt.memo, c}
 	c.cond = sync.NewCond(&c.mu)
 	c.rng = rand.New(rand.NewSource(c.opt.Seed))
-	if conn, err := c.dial(); err == nil {
+	if conn, err := dial(); err == nil {
 		c.inner.Store(newRemoteClientWith(conn, tree, c.memo, c.opt.CallTimeout))
 	} else {
 		c.dialFailures.Add(1)
@@ -291,6 +289,22 @@ func (c *ResilientClient) connFailed(old *RemoteClient) {
 	old.Close()
 }
 
+// redial points the client at a new address — its member was replaced —
+// keeping everything else: the journal, the remap table and the
+// provisional ids the local store has minted stay valid. The live
+// connection is retired, so the reconnect loop dials the new address and
+// drains there; a dial of the old address still in flight is discarded
+// when it comes to publish.
+func (c *ResilientClient) redial(dial DialFunc) {
+	c.mu.Lock()
+	c.dial.Store(&dial)
+	rc := c.inner.Load()
+	c.mu.Unlock()
+	if rc != nil {
+		c.connFailed(rc)
+	}
+}
+
 // reconnectLoop re-dials with jittered exponential backoff until the
 // server answers, then drains the journal and republishes the client.
 // failures carries consecutive failed attempts (the constructor's
@@ -305,7 +319,8 @@ func (c *ResilientClient) reconnectLoop(failures int) {
 		}
 		c.mu.Unlock()
 
-		rc, err := c.connect()
+		dial := c.dial.Load()
+		rc, err := c.connect(*dial)
 		for err == nil {
 			if err = c.drainJournal(rc); err != nil {
 				rc.Close()
@@ -316,6 +331,12 @@ func (c *ResilientClient) reconnectLoop(failures int) {
 				c.mu.Unlock()
 				rc.Close()
 				return
+			}
+			if c.dial.Load() != dial {
+				c.mu.Unlock()
+				rc.Close()
+				err = errors.New("taintmap: re-addressed while connecting")
+				break
 			}
 			if len(c.queued) == 0 {
 				c.inner.Store(rc)
@@ -345,11 +366,11 @@ func (c *ResilientClient) reconnectLoop(failures int) {
 // probe. Reconnect dials are retry traffic: they spend from the shared
 // budget, so a fleet-wide brownout cannot be amplified into a dial
 // storm; a denied attempt fails like a refused dial.
-func (c *ResilientClient) connect() (*RemoteClient, error) {
+func (c *ResilientClient) connect(dial DialFunc) (*RemoteClient, error) {
 	if !c.opt.budget.TryTake(1) {
 		return nil, errors.New("taintmap: retry budget denied the reconnect dial")
 	}
-	conn, err := c.dial()
+	conn, err := dial()
 	if err != nil {
 		c.dialFailures.Add(1)
 		return nil, err
@@ -442,7 +463,7 @@ func (c *ResilientClient) drainJournal(rc *RemoteClient) error {
 // and queues the registration for replay, returning a provisional id.
 // Caller holds c.mu.
 func (c *ResilientClient) journalLocked(t taint.Taint, blob []byte) (uint32, error) {
-	prov := provisionalBit | c.local.RegisterBlob(blob)
+	prov := provisionalBit | c.opt.local.RegisterBlob(blob)
 	if gid, ok := c.remap[prov]; ok {
 		// Seen and drained in an earlier outage: the real id is known.
 		t.SetGlobalID(gid)
@@ -465,21 +486,32 @@ func (c *ResilientClient) journalLocked(t taint.Taint, blob []byte) (uint32, err
 	return prov, nil
 }
 
-// journalFallback journals one registration regardless of breaker
-// state: the partition-scoped degraded path. The cluster client calls
-// it when a whole partition is effectively unavailable — every replica
-// down, the retry budget empty, or the owner shedding load
-// (ErrOverloaded) — so the caller gets a provisional id now instead of
-// an error, and a background drain replays the journal as soon as this
-// member's connection can absorb it, without waiting for a full
-// disconnect/reconnect cycle.
-func (c *ResilientClient) journalFallback(t taint.Taint, blob []byte) (uint32, error) {
+// journalAllLocked journals every registration of a batch, returning the
+// parallel provisional ids. Caller holds c.mu.
+func (c *ResilientClient) journalAllLocked(ts []taint.Taint, blobs [][]byte) (ids []uint32, err error) {
+	ids = make([]uint32, len(ts))
+	for i, t := range ts {
+		if ids[i], err = c.journalLocked(t, blobs[i]); err != nil {
+			return nil, err
+		}
+	}
+	return ids, nil
+}
+
+// journalFallback journals a batch regardless of breaker state: the
+// partition-scoped degraded path. The cluster client calls it when a
+// whole partition is effectively unavailable — every replica down, the
+// retry budget empty, or the owner shedding load (ErrOverloaded) — so the
+// caller gets provisional ids now instead of an error, and a background
+// drain replays the journal as soon as this member's connection can
+// absorb it, without waiting for a full disconnect/reconnect cycle.
+func (c *ResilientClient) journalFallback(ts []taint.Taint, blobs [][]byte) ([]uint32, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return 0, ErrClientClosed
+		return nil, ErrClientClosed
 	}
-	id, err := c.journalLocked(t, blob)
+	ids, err := c.journalAllLocked(ts, blobs)
 	kick := err == nil && !c.draining && c.inner.Load() != nil
 	if kick {
 		c.draining = true
@@ -488,7 +520,7 @@ func (c *ResilientClient) journalFallback(t taint.Taint, blob []byte) (uint32, e
 	if kick {
 		go c.drainLoop()
 	}
-	return id, err
+	return ids, err
 }
 
 // drainLoop replays journalFallback entries in the background while the
@@ -587,69 +619,19 @@ func (c *ResilientClient) withConn(try func(*RemoteClient) error, degraded func(
 	}
 }
 
-// Register implements Client: the batch of one.
-func (c *ResilientClient) Register(t taint.Taint) (uint32, error) {
-	if t.Empty() {
-		return 0, nil
-	}
-	if id := t.GlobalID(); id != 0 {
-		return id, nil
-	}
-	ids, err := c.RegisterBatch([]taint.Taint{t})
-	if err != nil {
-		return 0, err
-	}
-	return ids[0], nil
-}
-
-// RegisterBatch implements Client. Healthy: the wrapped client's batch.
-// Disconnected: waits for reconnect, bounded by the breaker. Degraded:
-// journals locally and returns provisional ids.
-func (c *ResilientClient) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
-	ids, pending, posOf := collectRegister(ts)
-	if len(pending) == 0 {
-		return ids, nil
-	}
-	blobs, err := marshalAll(pending)
-	if err != nil {
-		return nil, err
-	}
-	fresh, err := c.registerPending(pending, blobs)
-	if err != nil {
-		return nil, err
-	}
-	spreadIDs(ids, fresh, pending, posOf)
-	return ids, nil
-}
-
-// registerPending registers distinct pre-marshaled (taint, blob) pairs
-// as one batch, stamping and memoizing each result — the back half of
-// RegisterBatch and the cluster client's per-partition slice of one.
-// Degraded, every entry journals and gets a provisional id (not stamped
-// on the taint, per the ErrGlobalIDPending contract).
-func (c *ResilientClient) registerPending(ts []taint.Taint, blobs [][]byte) (ids []uint32, err error) {
+// register implements transport. Healthy: the live connection's batch,
+// stamped there. Disconnected: waits for reconnect, bounded by the
+// breaker. Degraded: every entry journals and gets a provisional id (not
+// stamped on the taint, per the ErrGlobalIDPending contract).
+func (c *ResilientClient) register(ts []taint.Taint, blobs [][]byte) (ids []uint32, err error) {
 	err = c.withConn(func(rc *RemoteClient) (err error) {
-		if ids, err = rc.registerBlobs(blobs); err != nil {
-			return err
-		}
-		for i, t := range ts {
-			t.SetGlobalID(ids[i])
-			c.memo.put(ids[i], t)
-		}
-		return nil
+		ids, err = rc.register(ts, blobs)
+		return err
 	}, func() (err error) {
-		ids = make([]uint32, len(ts))
-		for i, t := range ts {
-			if ids[i], err = c.journalLocked(t, blobs[i]); err != nil {
-				return err
-			}
-		}
-		return nil
+		ids, err = c.journalAllLocked(ts, blobs)
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return ids, nil
+	return ids, err
 }
 
 // rawCall issues one protocol op on the live connection — the cluster
@@ -663,48 +645,34 @@ func (c *ResilientClient) rawCall(op byte, payload []byte) (reply []byte, err er
 	return reply, err
 }
 
-// Lookup implements Client: the batch of one.
-func (c *ResilientClient) Lookup(id uint32) (taint.Taint, error) {
-	if id == 0 {
-		return taint.Taint{}, nil
+// lookup implements transport: the same healthy/wait/degraded paths as
+// register. Provisional ids never reach the wire: a batch holding any
+// goes id by id, those through the remap table or the local store.
+func (c *ResilientClient) lookup(ids []uint32) ([]taint.Taint, error) {
+	if !slices.ContainsFunc(ids, IsProvisional) {
+		return c.lookupLeg(ids, time.Time{}, false)
 	}
-	if t, ok := c.memo.get(id); ok {
-		return t, nil
+	ts := make([]taint.Taint, len(ids))
+	for i, id := range ids {
+		var err error
+		if IsProvisional(id) {
+			ts[i], err = c.lookupProvisional(id)
+		} else {
+			ts[i], err = c.Lookup(id)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	ts, err := c.LookupBatch([]uint32{id})
-	if err != nil {
-		return taint.Taint{}, err
-	}
-	return ts[0], nil
-}
-
-// LookupBatch implements Client: the memo answers what it can, the rest
-// follows the same healthy/wait/degraded paths as RegisterBatch.
-func (c *ResilientClient) LookupBatch(ids []uint32) ([]taint.Taint, error) {
-	ts, missing := c.memo.splitBatch(ids)
-	if len(missing) == 0 {
-		return ts, nil
-	}
-	got, err := c.lookupMissing(missing, time.Time{}, false)
-	if err != nil {
-		return nil, err
-	}
-	fillMissing(ts, ids, missing, got)
 	return ts, nil
 }
 
-// lookupMissing resolves distinct ids the memo does not hold, returning
-// the parallel taints (memoized on the way). A non-zero deadline bounds
-// the wire wait inline without declaring the connection wedged, and
-// failFast gives up instead of waiting out a reconnect — together the
-// per-member leg of the cluster client's hedged reads. Degraded, only
-// the memo can answer, and it already declined these ids.
-func (c *ResilientClient) lookupMissing(ids []uint32, deadline time.Time, failFast bool) (ts []taint.Taint, err error) {
-	for _, id := range ids {
-		if IsProvisional(id) {
-			return c.lookupEach(ids, deadline, failFast)
-		}
-	}
+// lookupLeg fetches real ids on the live connection. A non-zero deadline
+// bounds the wire wait inline, without declaring the connection wedged,
+// and failFast gives up instead of waiting out a reconnect — together the
+// per-member leg of the cluster client's hedged reads. Degraded, only the
+// memo can answer, and it already declined these ids.
+func (c *ResilientClient) lookupLeg(ids []uint32, deadline time.Time, failFast bool) (ts []taint.Taint, err error) {
 	var degraded func() error
 	if !failFast {
 		degraded = func() error {
@@ -712,32 +680,10 @@ func (c *ResilientClient) lookupMissing(ids []uint32, deadline time.Time, failFa
 		}
 	}
 	err = c.withConn(func(rc *RemoteClient) (err error) {
-		ts, err = rc.lookupBatchDeadline(ids, deadline)
+		ts, err = rc.lookupDeadline(ids, deadline)
 		return err
 	}, degraded)
 	return ts, err
-}
-
-// lookupEach is lookupMissing for a batch holding provisional ids, which
-// never reach the wire: each of those resolves through the remap table
-// or the local store, and the real ids go one by one.
-func (c *ResilientClient) lookupEach(ids []uint32, deadline time.Time, failFast bool) ([]taint.Taint, error) {
-	ts := make([]taint.Taint, len(ids))
-	for i, id := range ids {
-		var err error
-		if IsProvisional(id) {
-			ts[i], err = c.lookupProvisional(id)
-		} else {
-			var one []taint.Taint
-			if one, err = c.lookupMissing(ids[i:i+1], deadline, failFast); err == nil {
-				ts[i] = one[0]
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return ts, nil
 }
 
 // lookupProvisional resolves a provisional id: through the remap table
@@ -750,7 +696,7 @@ func (c *ResilientClient) lookupProvisional(id uint32) (taint.Taint, error) {
 	if remapped {
 		return c.Lookup(gid)
 	}
-	blob, err := c.local.LookupBlob(id &^ provisionalBit)
+	blob, err := c.opt.local.LookupBlob(id &^ provisionalBit)
 	if err != nil {
 		return taint.Taint{}, err
 	}

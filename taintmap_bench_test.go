@@ -273,8 +273,6 @@ func (m *svcModel) cost(op byte, items int) {
 	case 'p', 'w':
 		m.peerDebt.Add(int64(items) * int64(benchAdoptCost))
 		return
-	case 'l':
-		d = benchLookupCost
 	case 'm':
 		d = benchLookupCost * time.Duration(items)
 	default:
