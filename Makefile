@@ -112,12 +112,15 @@ bench: bench-hotpath bench-taintmap bench-resilience bench-distavet bench-cleanp
 
 # A/B the working tree against a base commit on one workload of the
 # repository's benchmark (BENCHMARK.json): cmd/benchab builds ./benchmark
-# at BASE in a temporary git worktree and here, runs PAIRS alternating
-# pairs with identical -seed/-seconds, and prints per end-to-end metric
-# each side's median and quartiles, the pairs the change won and the
-# verdict (a gain needs >= 9/10 wins and medians further apart than the
-# base's interquartile distance). Ten 20 s pairs take ~8 minutes per
-# workload, so this is a tool for a perf claim, not part of `check`.
+# at BASE (its `git archive` unpacked under a temporary directory — set
+# TMPDIR where /tmp is off limits) and here, prints each binary's
+# instrument.adoptGroups address mod 64 (dense_bulk follows it), runs
+# PAIRS alternating pairs with identical -seed/-seconds, and prints per
+# end-to-end metric each side's median and quartiles, the pairs the
+# change won and the verdict (a gain needs >= 9/10 wins and medians
+# further apart than the base's interquartile distance). Ten 20 s pairs
+# take ~8 minutes per workload (~14 on a two-core box), so this is a
+# tool for a perf claim, not part of `check`.
 #   make bench-ab BASE=HEAD~1 WORKLOAD=dense_bulk [PAIRS=10] [SEED=1]
 PAIRS ?= 10
 SEED ?= 1

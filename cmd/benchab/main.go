@@ -1,10 +1,14 @@
 // Command benchab measures a change against a base commit the way the
 // choosing-metrics guide asks a gain to be shown: the repository's
-// benchmark (BENCHMARK.json's command) is built once at the base — in a
-// temporary git worktree — and once in the working tree, the two
-// binaries run one workload in alternating pairs with identical seed
-// and run length, and every end-to-end metric gets each side's median
-// and quartiles, the pairs the change won, and a verdict.
+// benchmark (BENCHMARK.json's command) is built once at the base — its
+// tree unpacked from `git archive` into a temporary directory, so no
+// worktree is needed — and once in the working tree, the two binaries
+// run one workload in alternating pairs with identical seed and run
+// length, and every end-to-end metric gets each side's median and
+// quartiles, the pairs the change won, and a verdict. Each binary's
+// instrument.adoptGroups address mod 64 is printed too: dense_bulk moves
+// by a few percent with the cache line that function starts on, so a
+// dense_bulk reading is only judged beside it.
 //
 //	go run ./cmd/benchab -base HEAD~1 -workload dense_bulk [-pairs 10] [-seed 1] [-seconds 20]
 //
@@ -26,6 +30,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"syscall"
 )
@@ -70,7 +75,7 @@ func main() {
 	}
 }
 
-func compare(ctx context.Context, base, workload string, pairs, seed int, seconds float64) (err error) {
+func compare(ctx context.Context, base, workload string, pairs, seed int, seconds float64) error {
 	var mf manifest
 	raw, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
@@ -92,17 +97,13 @@ func compare(ctx context.Context, base, workload string, pairs, seed int, second
 		return err
 	}
 	defer os.RemoveAll(tmp)
-	tree := filepath.Join(tmp, "base")
-	if err := run(ctx, ".", "git", "worktree", "add", "--detach", tree, base); err != nil {
+	tree, archive := filepath.Join(tmp, "base"), filepath.Join(tmp, "base.tar")
+	if err := run(ctx, ".", "git", "archive", "--prefix=base/", "-o", archive, base); err != nil {
 		return err
 	}
-	defer func() {
-		// Not under ctx: the worktree must go even after an interrupt
-		// or a SIGTERM.
-		if rmErr := run(context.Background(), ".", "git", "worktree", "remove", "--force", tree); err == nil {
-			err = rmErr
-		}
-	}()
+	if err := run(ctx, ".", "tar", "-x", "-f", archive, "-C", tmp); err != nil {
+		return err
+	}
 
 	sides := [2]struct{ name, dir, bin string }{
 		{"base", tree, filepath.Join(tmp, "bench-base")},
@@ -112,6 +113,11 @@ func compare(ctx context.Context, base, workload string, pairs, seed int, second
 		if err := run(ctx, s.dir, "go", "build", "-o", s.bin, pkg); err != nil {
 			return fmt.Errorf("building %s at the %s: %w", pkg, s.name, err)
 		}
+		syms, err := output(ctx, ".", "go", "tool", "nm", s.bin)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("%s: instrument.adoptGroups at %s\n", s.name, lineAt(syms, adoptGroups))
 	}
 
 	var got [2][]report
@@ -191,6 +197,23 @@ func quartiles(xs []float64) (q1, med, q3 float64) {
 		return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
 	}
 	return at(0.25), at(0.5), at(0.75)
+}
+
+// adoptGroups is the symbol whose cache-line offset dense_bulk reads.
+const adoptGroups = "dista/internal/instrument.adoptGroups"
+
+// lineAt finds sym in `go tool nm` output and renders its address and
+// the address mod 64.
+func lineAt(nm, sym string) string {
+	for _, line := range strings.Split(nm, "\n") {
+		f := strings.Fields(line)
+		if len(f) == 3 && f[2] == sym {
+			if addr, err := strconv.ParseUint(f[0], 16, 64); err == nil {
+				return fmt.Sprintf("%#x (mod 64: %d)", addr, addr%64)
+			}
+		}
+	}
+	return "? (not in the binary)"
 }
 
 // run executes a command in dir, passing its output through to stderr.

@@ -591,14 +591,15 @@ func TestHitEarlyOutsDoNotAllocate(t *testing.T) {
 // TestLookupMissAllocations pins what one single-id lookup miss
 // allocates end to end — client, server and store share the process, so
 // the count covers the whole round trip. The bounds sit one above the
-// measured counts (11 on a plain remote, 19 on a 3-member RF-2 cluster,
+// measured counts (8 on a plain remote, 16 on a 3-member RF-2 cluster,
 // which pays the hedge timer and the leg goroutine): the front probes the
 // memo once and hands the id straight to its transport, so a second memo
 // split (2) and the read-back of the winning leg's answer do not fit; nor
 // do the map cache.splitBatch once built to deduplicate a miss list of
-// one, the two grouping maps ClusterClient once built per lookup, or the
-// replica slice replicaOrder once made. fillMissing's map is not among
-// them: for a handful of ids it never leaves the stack.
+// one, the two grouping maps ClusterClient once built per lookup, the
+// replica slice replicaOrder once made, or a frame header on the heap
+// per frame read or written (11 and 19 before). fillMissing's map is not
+// among them: for a handful of ids it never leaves the stack.
 func TestLookupMissAllocations(t *testing.T) {
 	const runs = 200
 	one := []uint32{7}
@@ -618,14 +619,14 @@ func TestLookupMissAllocations(t *testing.T) {
 		max  float64
 		open func(tree *taint.Tree) Client
 	}{
-		{"Remote", 12, func(tree *taint.Tree) Client {
+		{"Remote", 9, func(tree *taint.Tree) Client {
 			c, err := DialSim(n, "tm:1", tree)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return c
 		}},
-		{"Cluster", 20, func(tree *taint.Tree) Client {
+		{"Cluster", 17, func(tree *taint.Tree) Client {
 			c, err := DialSimCluster(e.net, "app:1", e.ring, tree, ClusterOptions{})
 			if err != nil {
 				t.Fatal(err)
@@ -657,6 +658,73 @@ func TestLookupMissAllocations(t *testing.T) {
 			t.Logf("%.1f allocs per single-id lookup miss", allocs)
 			if allocs > tc.max {
 				t.Fatalf("a single-id lookup miss allocates %.1f times, want <= %.0f", allocs, tc.max)
+			}
+		})
+	}
+}
+
+// TestRegisterMissAllocations pins what one single-taint register miss
+// allocates end to end — client, owner and (on the cluster) replica share
+// the process. The bounds sit one above the measured counts (8 on a plain
+// remote, 11 on a 3-member RF-2 cluster, from 13 and 22): a frame header
+// on the heap per frame read or written, the blob copied into a
+// singleflight key and a channel per flight, and a read deadline per
+// replica push — its timer and closure — do not fit.
+func TestRegisterMissAllocations(t *testing.T) {
+	const runs = 200
+	n := netsim.New()
+	srv, err := StartSimServer(n, "tm:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	e := newClusterEnv(t, 3, 2)
+
+	for _, tc := range []struct {
+		name string
+		max  float64
+		open func(tree *taint.Tree) Client
+	}{
+		{"Remote", 9, func(tree *taint.Tree) Client {
+			c, err := DialSim(n, "tm:1", tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+		{"Cluster", 12, func(tree *taint.Tree) Client {
+			c, err := DialSimCluster(e.net, "app:1", e.ring, tree, ClusterOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tree := taint.NewTree()
+			c := tc.open(tree)
+			defer c.Close()
+			// Every member's connections and peer links are up before
+			// counting: AllocsPerRun's warm-up run registers one taint only.
+			for i := 0; i < 16; i++ {
+				if _, err := c.Register(tree.NewSource(fmt.Sprintf("warm-%d", i), "app:1")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ts := make([]taint.Taint, runs+1)
+			for i := range ts {
+				ts[i] = tree.NewSource(fmt.Sprintf("fresh-%d", i), "app:1")
+			}
+			next := 0
+			allocs := testing.AllocsPerRun(runs, func() {
+				if id, err := c.Register(ts[next]); err != nil || id == 0 {
+					t.Fatalf("register miss = %d, %v", id, err)
+				}
+				next++
+			})
+			t.Logf("%.1f allocs per single-taint register miss", allocs)
+			if allocs > tc.max {
+				t.Fatalf("a single-taint register miss allocates %.1f times, want <= %.0f", allocs, tc.max)
 			}
 		})
 	}

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dista/internal/netsim"
 )
 
 // defaultPeerTimeout bounds how long a replication push waits for a
@@ -42,14 +44,15 @@ var errPeerDown = errors.New("taintmap: peer link cooling down after failure")
 type ClusterNode struct {
 	self Member
 	dial func(addr string) (io.ReadWriteCloser, error)
+	clk  netsim.Clock // times the peer links' ack waits and cooldowns
 
 	ring atomic.Pointer[Ring]
 
 	mu    sync.Mutex // ring changes and peer-map writes
 	peers map[uint32]*peerLink
 
-	// peerTimeout is the per-call ack deadline on peer links,
-	// nanoseconds; 0 disables the deadline (not recommended).
+	// peerTimeout bounds each peer call's ack wait, nanoseconds; 0
+	// disables the bound (not recommended).
 	peerTimeout atomic.Int64
 
 	hinted  atomic.Int64 // replication pushes skipped on a dead peer
@@ -75,14 +78,14 @@ func NewClusterNode(self Member, members []Member, rf int, dial func(addr string
 	if err != nil {
 		return nil, err
 	}
-	n := &ClusterNode{self: self, dial: dial, peers: make(map[uint32]*peerLink)}
+	n := &ClusterNode{self: self, dial: dial, clk: realClock{}, peers: make(map[uint32]*peerLink)}
 	n.peerTimeout.Store(int64(defaultPeerTimeout))
 	n.ring.Store(r)
 	return n, nil
 }
 
-// SetPeerTimeout adjusts the ack deadline on peer calls (default 2s).
-// Non-positive d disables the deadline.
+// SetPeerTimeout adjusts the bound on a peer call's ack wait (default
+// 2s), from the next call on. Non-positive d disables the bound.
 func (n *ClusterNode) SetPeerTimeout(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -144,7 +147,7 @@ func (n *ClusterNode) Join(m Member) (*Ring, error) {
 // member: it sends its own membership entry and installs the ring the
 // seed answers with. Used by `taintmapd -join=<addr>`.
 func (n *ClusterNode) JoinVia(seedAddr string) (*Ring, error) {
-	link := &peerLink{addr: seedAddr, dial: n.dial}
+	link := &peerLink{addr: seedAddr, dial: n.dial, clk: n.clk}
 	defer link.close()
 	reply, err := link.call(opJoinTag, appendMember(nil, n.self), time.Duration(n.peerTimeout.Load()))
 	if err != nil {
@@ -188,7 +191,7 @@ func (n *ClusterNode) callPeer(peer Member, op byte, payload []byte) error {
 		if link != nil {
 			link.close()
 		}
-		link = &peerLink{addr: peer.Addr, dial: n.dial}
+		link = &peerLink{addr: peer.Addr, dial: n.dial, clk: n.clk}
 		n.peers[peer.Part] = link
 	}
 	n.mu.Unlock()
@@ -214,66 +217,58 @@ func (n *ClusterNode) Close() {
 type peerLink struct {
 	addr string
 	dial func(addr string) (io.ReadWriteCloser, error)
+	clk  netsim.Clock
 
 	mu        sync.Mutex
 	conn      io.ReadWriteCloser
 	br        *bufio.Reader
 	bw        *bufio.Writer
+	ack       *ackTimer // bounds conn's ack waits; nil until the first wait
 	downUntil time.Time // cooldown after a transport failure
 }
 
 // call sends one tagged request and reads its reply, dialing on first
-// use and tearing the connection down on any failure. The ack read is
-// bounded by timeout (when the transport supports read deadlines), so a
-// stalled peer costs one timeout, not a wedged owner; for peerCooldown
-// after any transport failure further calls fail instantly, turning
+// use and tearing the connection down on any failure. The ack wait is
+// bounded by timeout through the connection's ackTimer, so a stalled
+// peer costs one timeout, not a wedged owner; for peerCooldown after any
+// transport failure further calls fail instantly, turning
 // per-registration replication pushes into immediate hinted handoff.
 func (l *peerLink) call(op byte, payload []byte, timeout time.Duration) ([]byte, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !l.downUntil.IsZero() {
-		if time.Now().Before(l.downUntil) {
+		if l.clk.Now().Before(l.downUntil) {
 			return nil, errPeerDown
 		}
 		l.downUntil = time.Time{}
 	}
-	fail := func(err error) ([]byte, error) {
-		if l.conn != nil {
-			l.conn.Close()
-			l.conn = nil
-		}
-		l.downUntil = time.Now().Add(peerCooldown)
-		return nil, err
-	}
 	if l.conn == nil {
 		conn, err := l.dial(l.addr)
 		if err != nil {
-			return fail(err)
+			return l.fail(err)
 		}
 		l.conn = conn
 		l.br = bufio.NewReaderSize(conn, 32<<10)
 		l.bw = bufio.NewWriterSize(conn, 32<<10)
 	}
 	if err := writeTaggedFrame(l.bw, op, 0, payload); err != nil {
-		return fail(err)
+		return l.fail(err)
 	}
 	if err := l.bw.Flush(); err != nil {
-		return fail(err)
+		return l.fail(err)
 	}
-	// Set, never clear afterwards: every call sets the deadline before
-	// its read and nothing reads outside call, so the one left behind by
-	// the previous call cannot fire on anyone. A zero timeout sets the
-	// zero deadline, which disarms whatever an earlier timeout left.
-	if rd, ok := l.conn.(readDeadliner); ok {
-		var deadline time.Time
-		if timeout > 0 {
-			deadline = time.Now().Add(timeout)
-		}
-		rd.SetReadDeadline(deadline)
+	if l.ack == nil || l.ack.timeout != timeout {
+		l.ack.stop()
+		l.ack = &ackTimer{clk: l.clk, conn: l.conn, timeout: timeout, born: l.clk.Now()}
+	}
+	if timeout > 0 { // bounded until due is cleared
+		l.ack.due.Store(int64(l.clk.Now().Sub(l.ack.born) + timeout))
+		l.ack.arm(timeout)
 	}
 	status, _, reply, err := readTaggedFrame(l.br, nil, isReplyStatus, maxReplyFrame)
+	l.ack.due.Store(0)
 	if err != nil {
-		return fail(err)
+		return l.fail(err)
 	}
 	if status != statusTaggedOK {
 		// The request was answered; the link itself is healthy.
@@ -282,11 +277,73 @@ func (l *peerLink) call(op byte, payload []byte, timeout time.Duration) ([]byte,
 	return reply, nil
 }
 
-func (l *peerLink) close() {
-	l.mu.Lock()
+// fail drops the connection and its ack timer and cools the link off.
+func (l *peerLink) fail(err error) ([]byte, error) {
 	if l.conn != nil {
 		l.conn.Close()
 		l.conn = nil
 	}
+	l.ack.stop()
+	l.ack = nil
+	l.downUntil = l.clk.Now().Add(peerCooldown)
+	return nil, err
+}
+
+func (l *peerLink) close() {
+	l.mu.Lock()
+	l.fail(nil)
 	l.mu.Unlock()
 }
+
+// ackTimer bounds a peer connection's ack waits with one timer, not a
+// read deadline per call: the first wait after it lapsed arms it; firing,
+// it re-arms while a call waits and closes the connection once that call
+// waited timeout. It holds only the connection and takes no lock (it
+// fires while the waiting call holds the link's). A new timeout takes a
+// new ackTimer, so none fires after the waiting call's deadline.
+type ackTimer struct {
+	clk     netsim.Clock
+	conn    io.Closer
+	timeout time.Duration // non-positive: waits are unbounded
+	born    time.Time     // due's origin
+	due     atomic.Int64  // the waiting call's deadline, ns after born; 0: none waits
+	armed   atomic.Bool
+	stopped atomic.Bool
+	timer   atomic.Pointer[netsim.Timer] // the last one armed
+}
+
+// arm starts the timer unless it is running.
+func (w *ackTimer) arm(d time.Duration) {
+	if w.armed.Load() || !w.armed.CompareAndSwap(false, true) {
+		return
+	}
+	t := w.clk.AfterFunc(d, w.expire)
+	w.timer.Store(&t)
+	if w.stopped.Load() { // stop may have read the timer before this one
+		t.Stop()
+	}
+}
+
+func (w *ackTimer) expire() {
+	w.armed.Store(false)
+	if due := w.due.Load(); due != 0 && !w.stopped.Load() {
+		if left := time.Duration(due) - w.clk.Now().Sub(w.born); left > 0 {
+			w.arm(left)
+		} else {
+			w.conn.Close()
+		}
+	}
+}
+
+// stop retires the timer; nil-safe.
+func (w *ackTimer) stop() {
+	if w != nil {
+		w.stopped.Store(true)
+		if t := w.timer.Load(); t != nil {
+			(*t).Stop()
+		}
+	}
+}
+
+// AfterFunc makes realClock a netsim.Clock: the peer links' timer.
+func (realClock) AfterFunc(d time.Duration, f func()) netsim.Timer { return time.AfterFunc(d, f) }

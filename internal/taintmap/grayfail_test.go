@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dista/internal/core/taint"
+	"dista/internal/netsim"
 )
 
 // grayOpts is the fast-failure tuning the gray-failure tests run the
@@ -177,6 +178,94 @@ func TestHedgedLookupStalledReplica(t *testing.T) {
 	}
 	if h.HedgeWins == 0 {
 		t.Fatal("no lookup won by its hedge")
+	}
+}
+
+// TestPeerLinkStalledReplica pins what a stalled replica costs its
+// owner's registrations: the first push waits out one peer timeout and
+// hints, the pushes inside peerCooldown hint at once, and once the stall
+// lifts and the cooldown passes replication resumes on a fresh link.
+func TestPeerLinkStalledReplica(t *testing.T) {
+	const d = 100 * time.Millisecond
+	e := newClusterEnv(t, 2, 2)
+	owner := e.nodes[0]
+	owner.SetPeerTimeout(d)
+	// A plain client of member 0: it registers there whatever the ring
+	// says, and never talks to the stalled member itself.
+	tree := taint.NewTree()
+	c, err := DialSim(e.net, simMemberAddr(0), tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	next := 0
+	register := func() time.Duration {
+		t.Helper()
+		next++
+		start := time.Now()
+		if _, err := c.Register(tree.NewSource(fmt.Sprintf("stalled-%d", next), "app:1")); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	register()
+	if p := owner.Pushed(); p != 1 {
+		t.Fatalf("Pushed = %d after a healthy register, want 1", p)
+	}
+
+	e.net.SetHostStall("tm1", true)
+	if took := register(); took < d || took >= 2*d {
+		t.Fatalf("first register past a stalled replica took %v, want one peer timeout (%v)", took, d)
+	}
+	if h := owner.Hinted(); h != 1 {
+		t.Fatalf("Hinted = %d after the timed-out push, want 1", h)
+	}
+	for i := 0; i < 4; i++ {
+		if took := register(); took >= d/2 {
+			t.Fatalf("register %d inside the cooldown took %v: it waited for the stalled replica", i, took)
+		}
+	}
+	if h := owner.Hinted(); h != 5 {
+		t.Fatalf("Hinted = %d after four cooled-down pushes, want 5", h)
+	}
+
+	e.net.SetHostStall("tm1", false)
+	time.Sleep(peerCooldown)
+	pushed := owner.Pushed()
+	register()
+	if p := owner.Pushed(); p != pushed+1 {
+		t.Fatalf("Pushed = %d after the stall lifted, want %d", p, pushed+1)
+	}
+
+	// The ack wait's timer: one per link, not one per push, and none left
+	// armed once the link closes. On a clock that never moves it is never
+	// due, so what it holds is the link's state alone.
+	e = newClusterEnv(t, 2, 2)
+	vc := netsim.NewVirtualClock()
+	owner = e.nodes[0]
+	owner.clk = vc
+	vcc, err := DialSim(e.net, simMemberAddr(0), tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vcc.Close()
+	for i := 0; i < 3; i++ {
+		if _, err := vcc.Register(tree.NewSource(fmt.Sprintf("virtual-%d", i), "app:1")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p, n := owner.Pushed(), vc.PendingTimers(); p != 3 || n != 1 {
+		t.Fatalf("%d pushes armed %d timers, want 3 pushes and one timer", p, n)
+	}
+	owner.mu.Lock()
+	link := owner.peers[1]
+	owner.mu.Unlock()
+	owner.Close()
+	link.mu.Lock()
+	ack := link.ack
+	link.mu.Unlock()
+	if ack != nil || vc.PendingTimers() != 0 {
+		t.Fatalf("closed link holds ack timer %v, %d timers armed", ack, vc.PendingTimers())
 	}
 }
 

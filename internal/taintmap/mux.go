@@ -22,7 +22,7 @@ import (
 //
 // Two further layers keep concurrent traffic off the wire entirely:
 // a singleflight table collapses simultaneous registrations of the
-// same taint blob into one request, and the id -> taint memo is read
+// same taint into one request, and the id -> taint memo is read
 // under an RWMutex so warm lookups never serialize.
 type RemoteClient struct {
 	conn io.ReadWriteCloser
@@ -58,7 +58,7 @@ type RemoteClient struct {
 	closeErr  error
 
 	sfMu sync.Mutex
-	sf   map[string]*regFlight
+	sf   map[taint.Taint]*regFlight
 }
 
 var _ Client = (*RemoteClient)(nil)
@@ -78,9 +78,9 @@ type pendingCall struct {
 }
 
 // regFlight is one in-flight registration shared by every goroutine
-// registering the same blob (singleflight).
+// registering the same taint (singleflight).
 type regFlight struct {
-	done chan struct{}
+	done sync.WaitGroup
 	id   uint32
 	err  error
 }
@@ -410,21 +410,22 @@ func (c *RemoteClient) finishReply(ch chan muxReply, reply muxReply, ok bool) ([
 	return reply.payload, nil
 }
 
-// registerBlob resolves one blob to its Global ID with singleflight
-// dedup: N goroutines registering the same blob issue one request.
-func (c *RemoteClient) registerBlob(blob []byte) (uint32, error) {
-	key := string(blob)
+// registerBlob resolves t (serialized: blob) with singleflight dedup: N
+// goroutines registering the same taint issue one request. The tree
+// interns, so the taint is the blob's identity and keys the table.
+func (c *RemoteClient) registerBlob(t taint.Taint, blob []byte) (uint32, error) {
 	c.sfMu.Lock()
-	if f, ok := c.sf[key]; ok {
+	if f, ok := c.sf[t]; ok {
 		c.sfMu.Unlock()
-		<-f.done
+		f.done.Wait()
 		return f.id, f.err
 	}
-	f := &regFlight{done: make(chan struct{})}
+	f := &regFlight{}
+	f.done.Add(1)
 	if c.sf == nil {
-		c.sf = make(map[string]*regFlight)
+		c.sf = make(map[taint.Taint]*regFlight)
 	}
-	c.sf[key] = f
+	c.sf[t] = f
 	c.sfMu.Unlock()
 
 	reply, err := c.call(opRegisterTag, blob, time.Time{})
@@ -437,9 +438,9 @@ func (c *RemoteClient) registerBlob(blob []byte) (uint32, error) {
 		f.id = binary.BigEndian.Uint32(reply)
 	}
 	c.sfMu.Lock()
-	delete(c.sf, key)
+	delete(c.sf, t)
 	c.sfMu.Unlock()
-	close(f.done)
+	f.done.Done()
 	return f.id, f.err
 }
 
@@ -450,7 +451,7 @@ func (c *RemoteClient) registerBlob(blob []byte) (uint32, error) {
 // trips when the encoded batch would overflow the frame limit.
 func (c *RemoteClient) register(ts []taint.Taint, blobs [][]byte) ([]uint32, error) {
 	if len(blobs) == 1 {
-		id, err := c.registerBlob(blobs[0])
+		id, err := c.registerBlob(ts[0], blobs[0])
 		if err != nil {
 			return nil, err
 		}

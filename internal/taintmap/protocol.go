@@ -251,16 +251,18 @@ func splitIDChunks(ids []uint32) [][]uint32 {
 }
 
 // writeTaggedFrame writes one tagged frame (request or response — the
-// head byte disambiguates) without allocating: a stack header plus the
-// caller's payload, both into w's buffer. It enforces the response
-// bound, the larger of the two; the reader on the other end holds
-// requests to maxFrame.
+// head byte disambiguates) without allocating: the 9-byte header is
+// appended straight into w's free buffer, then the payload. It enforces
+// the response bound, the larger of the two; the reader on the other end
+// holds requests to maxFrame.
 func writeTaggedFrame(w *bufio.Writer, head byte, tag uint32, payload []byte) error {
 	if len(payload) > maxReplyFrame {
 		return fmt.Errorf("%w: frame of %d bytes", errProtocol, len(payload))
 	}
-	var hdr [9]byte
-	if _, err := w.Write(appendFrameHeader(hdr[:0], head, tag, len(payload))); err != nil {
+	if w.Available() < 9 {
+		w.Flush() // an error sticks: the Write below returns it
+	}
+	if _, err := w.Write(appendFrameHeader(w.AvailableBuffer(), head, tag, len(payload))); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -289,10 +291,11 @@ func isRequestOp(b byte) bool {
 func isReplyStatus(b byte) bool { return b == statusTaggedOK || b == statusTaggedErr }
 
 // readTaggedHeader reads one frame header — the only place either side
-// parses one. valid vets the head byte before anything behind it is
-// read: a peer speaking some other framing fails on its first byte
-// instead of being waited on for a header it will never complete.
-// Payloads over limit are refused unread.
+// parses one — in br's buffer. valid vets the head byte before anything
+// behind it is read: a peer speaking some other framing fails on its
+// first byte instead of being waited on for a header it will never
+// complete. Payloads over limit are refused unread; a cut header is
+// io.ErrUnexpectedEOF.
 func readTaggedHeader(br *bufio.Reader, valid func(byte) bool, limit uint32) (head byte, tag, n uint32, err error) {
 	if head, err = br.ReadByte(); err != nil {
 		return 0, 0, 0, err
@@ -300,12 +303,16 @@ func readTaggedHeader(br *bufio.Reader, valid func(byte) bool, limit uint32) (he
 	if !valid(head) {
 		return 0, 0, 0, fmt.Errorf("%w: frame head %q", errProtocol, head)
 	}
-	var hdr [8]byte
-	if _, err = io.ReadFull(br, hdr[:]); err != nil {
+	hdr, err := br.Peek(8)
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, 0, 0, err
 	}
-	tag = binary.BigEndian.Uint32(hdr[0:4])
-	if n = binary.BigEndian.Uint32(hdr[4:8]); n > limit {
+	tag, n = binary.BigEndian.Uint32(hdr[0:4]), binary.BigEndian.Uint32(hdr[4:8])
+	br.Discard(8)
+	if n > limit {
 		return 0, 0, 0, fmt.Errorf("%w: frame of %d bytes", errProtocol, n)
 	}
 	return head, tag, n, nil

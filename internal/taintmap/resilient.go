@@ -439,7 +439,7 @@ func (c *ResilientClient) drainJournal(rc *RemoteClient) error {
 		}
 		ids := make([]uint32, len(batch))
 		for i, e := range batch {
-			id, err := rc.registerBlob([]byte(e.blob))
+			id, err := rc.registerBlob(e.t, []byte(e.blob))
 			if err != nil {
 				return err
 			}

@@ -52,6 +52,16 @@ type ringPoint struct {
 	part uint32
 }
 
+// hash32 is FNV-1a over the blob — the content hash that picks a blob's
+// owning partition on the ring; unkeyed, so every client picks the same.
+func hash32(blob []byte) uint32 {
+	h := uint32(2166136261)
+	for _, c := range blob {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	return h
+}
+
 // mix32 is the murmur3 32-bit finalizer: a full-avalanche bijection used
 // to spread vnode points (whose pre-hash inputs differ in few bits)
 // uniformly around the hash circle.

@@ -16,6 +16,7 @@ package taintmap
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
@@ -31,7 +32,7 @@ type Stats struct {
 }
 
 // Sharding and page-table geometry. The blob->id direction is split
-// across storeShards independently locked maps (a register only
+// across storeShards independently locked indexes (a register only
 // contends with registers hashing to the same shard); the id->blob
 // direction is a lock-free append-only page table so lookups never take
 // any lock.
@@ -43,14 +44,73 @@ const (
 	pageMask = pageSize - 1
 )
 
-// shard is one slice of the blob->id map.
+// The index is keyed on a per-process-seeded hash, not on hash32: every
+// client computes hash32 alike to find a blob's ring owner, so one could
+// register blobs colliding on it and make a shard's probes linear.
+// indexMask keeps every bit; a test keeps a few, or none.
+var (
+	indexSeed = maphash.MakeSeed()
+	indexMask = ^uint64(0)
+)
+
+// indexHash returns a blob's shard (low bits) and fingerprint (high half).
+func indexHash(blob []byte) (shard int, fp uint32) {
+	h := maphash.Bytes(indexSeed, blob) & indexMask
+	return int(h & (storeShards - 1)), uint32(h >> 32)
+}
+
+// shard is one slice of the blob->id index: a linear-probing table, at
+// most 3/4 full, of slots fp<<32 | id (0 = empty; no id is 0). A slot
+// keeps no bytes — a fingerprint match is confirmed against the blob the
+// page table interns under the id — and its home is fp & (len-1), so
+// growth re-slots entries from what they store and never rehashes a blob.
 type shard struct {
-	mu     sync.Mutex
-	byBlob map[string]uint32
+	mu    sync.Mutex
+	slots []uint64
+	n     int
+}
+
+// probe returns the id indexed for blob in the owned table t, or 0 and
+// the empty slot the probe stopped at; with no t it matches nothing.
+// Called with sh.mu held.
+func (sh *shard) probe(t *pageTable, fp uint32, blob []byte) (id uint32, free int) {
+	if len(sh.slots) == 0 {
+		return 0, 0
+	}
+	mask := len(sh.slots) - 1
+	for i := int(fp) & mask; ; i = (i + 1) & mask {
+		e := sh.slots[i]
+		if e == 0 {
+			return 0, i
+		}
+		if uint32(e>>32) == fp && t != nil {
+			if b, _ := t.lookup(SeqOf(uint32(e))); b == string(blob) {
+				return uint32(e), i
+			}
+		}
+	}
+}
+
+// insert indexes id under fp at free, the slot its probe stopped at,
+// doubling the table first when it would pass 3/4 full; sh.mu held.
+func (sh *shard) insert(fp, id uint32, free int) {
+	if 4*(sh.n+1) > 3*len(sh.slots) {
+		old := sh.slots
+		sh.slots = make([]uint64, max(16, 2*len(old)))
+		for _, e := range old {
+			if e != 0 {
+				_, i := sh.probe(nil, uint32(e>>32), nil)
+				sh.slots[i] = e
+			}
+		}
+		_, free = sh.probe(nil, fp, nil)
+	}
+	sh.slots[free] = uint64(fp)<<32 | uint64(id)
+	sh.n++
 }
 
 // page is one fixed-size block of the id->blob table. Slots are
-// published with an atomic store after the id is allocated and before
+// published atomically after the id is allocated and before
 // the id is revealed to any caller, so a reader holding a legitimately
 // obtained id always finds its slot non-nil.
 type page [pageSize]atomic.Pointer[string]
@@ -66,9 +126,9 @@ type pageTable struct {
 	next   atomic.Uint32 // highest seq published (for owners: last allocated)
 }
 
-// publish installs seq->key into the table, growing it if needed. Must
-// complete before the id escapes to any caller.
-func (t *pageTable) publish(seq uint32, key *string) {
+// slot returns seq's slot, growing the table to hold it. The slot is
+// written before its id escapes to any caller.
+func (t *pageTable) slot(seq uint32) *atomic.Pointer[string] {
 	pi := int(seq) >> pageBits
 	pages := t.pages.Load()
 	if pages == nil || pi >= len(*pages) {
@@ -87,7 +147,7 @@ func (t *pageTable) publish(seq uint32, key *string) {
 		}
 		t.growMu.Unlock()
 	}
-	(*pages)[pi][int(seq)&pageMask].Store(key)
+	return &(*pages)[pi][int(seq)&pageMask]
 }
 
 // lookup resolves seq to its interned blob string without locking or
@@ -133,13 +193,14 @@ func (t *pageTable) reset() {
 //
 // A Store owns exactly one partition of the Global-ID space (partition
 // 0 for the standalone NewStore, so pre-cluster deployments are a
-// one-partition cluster). Ids it mints are partitionBase|seq. A cluster
-// server's Store additionally holds adopt-only replica tables for the
-// partitions it replicates: those serve the id->blob direction only —
-// the blob->id dedup map is the owning partition's job, because
+// one-partition cluster). Ids it mints are partitionBase|seq; the owned
+// page table interns each blob once and the shards index it by content.
+// A cluster server's Store additionally holds adopt-only replica tables
+// for the partitions it replicates: those serve the id->blob direction
+// only — the blob->id index is the owning partition's job, because
 // registration always routes to the owner — which makes accepting a
 // replicated entry several times cheaper than registering one (one
-// atomic publish instead of shard lock + map insert + id allocation).
+// atomic publish instead of shard lock + probe + id allocation).
 type Store struct {
 	base   uint32 // partitionBase(part); 0 for standalone stores
 	shards [storeShards]shard
@@ -157,13 +218,7 @@ type Store struct {
 }
 
 // NewStore returns an empty standalone Store (partition 0).
-func NewStore() *Store {
-	s := &Store{}
-	for i := range s.shards {
-		s.shards[i].byBlob = make(map[string]uint32)
-	}
-	return s
-}
+func NewStore() *Store { return &Store{} }
 
 // NewPartitionStore returns an empty Store minting ids in the given
 // partition's slice of the Global-ID space. Partition 0 is identical to
@@ -180,21 +235,6 @@ func NewPartitionStore(part uint32) (*Store, error) {
 // Partition returns the partition index this store mints ids in.
 func (s *Store) Partition() uint32 { return s.base >> partitionShift }
 
-// hash32 is FNV-1a over the blob — the content hash that picks both the
-// dedup shard and (in a cluster) the owning partition on the ring.
-func hash32(blob []byte) uint32 {
-	h := uint32(2166136261)
-	for _, c := range blob {
-		h = (h ^ uint32(c)) * 16777619
-	}
-	return h
-}
-
-// shardOf picks the shard for a blob.
-func shardOf(blob []byte) uint32 {
-	return hash32(blob) & (storeShards - 1)
-}
-
 // RegisterBlob returns the Global ID for the given serialized taint,
 // allocating a fresh id on first sight. Registration is idempotent: the
 // same blob always maps to the same id.
@@ -207,19 +247,19 @@ func (s *Store) RegisterBlob(blob []byte) uint32 {
 // this call — the cluster server replicates only fresh registrations.
 func (s *Store) registerBlob(blob []byte) (id uint32, fresh bool) {
 	s.registrations.Add(1)
-	sh := &s.shards[shardOf(blob)]
+	si, fp := indexHash(blob)
+	sh := &s.shards[si]
 	sh.mu.Lock()
-	if id, ok := sh.byBlob[string(blob)]; ok { // zero-copy map probe
+	id, free := sh.probe(&s.table, fp, blob)
+	if id != 0 {
 		sh.mu.Unlock()
 		return id, false
 	}
-	// The one copy of the blob; the shard's key and the page table's
-	// slot share it.
-	key := string(blob)
-	seq := s.table.next.Add(1)
-	id = s.base | seq
-	s.table.publish(seq, &key)
-	sh.byBlob[key] = id
+	key := string(blob) // the one copy of the blob
+	for id == 0 || !s.table.slot(SeqOf(id)).CompareAndSwap(nil, &key) {
+		id = s.base | s.table.next.Add(1) // skipping seqs a healed owner adopted
+	}
+	sh.insert(fp, id, free) // where the one probe stopped
 	sh.mu.Unlock()
 	return id, true
 }
@@ -240,8 +280,9 @@ func (s *Store) RegisterBlobs(blobs [][]byte) []uint32 {
 // partition heal its table directly (and raise the allocation cursor so
 // a healed owner never re-mints an adopted seq); foreign-partition ids
 // land in an adopt-only replica table serving lookups. Adoption is
-// idempotent. The provisional bit and a zero sequence are rejected —
-// provisional ids must never cross processes.
+// idempotent. The provisional bit, a zero sequence (provisional ids
+// must never cross processes) and an own seq holding other bytes (a
+// published seq never changes its blob) are rejected.
 func (s *Store) AdoptBlob(id uint32, blob []byte) error {
 	if id&provisionalBit != 0 {
 		return fmt.Errorf("taintmap: adopt of provisional id %d", id)
@@ -252,22 +293,25 @@ func (s *Store) AdoptBlob(id uint32, blob []byte) error {
 	}
 	s.adopted.Add(1)
 	if id&^seqMask == s.base {
-		// Our own partition: heal the dedup map too, so a restarted
+		// Our own partition: heal the index too, so a restarted
 		// owner keeps registration idempotent for healed content.
-		sh := &s.shards[shardOf(blob)]
+		si, fp := indexHash(blob)
+		sh := &s.shards[si]
 		sh.mu.Lock()
-		if _, ok := sh.byBlob[string(blob)]; !ok {
+		defer sh.mu.Unlock()
+		if known, free := sh.probe(&s.table, fp, blob); known == 0 {
 			key := string(blob)
-			s.table.publish(seq, &key)
-			sh.byBlob[key] = id
+			if !s.table.slot(seq).CompareAndSwap(nil, &key) {
+				return fmt.Errorf("taintmap: adopt of id %d: its sequence holds other bytes", id)
+			}
+			sh.insert(fp, id, free)
 			s.table.raise(seq)
 		}
-		sh.mu.Unlock()
 		return nil
 	}
 	t := s.repTable(PartitionOf(id))
 	key := string(blob)
-	t.publish(seq, &key)
+	t.slot(seq).Store(&key)
 	t.raise(seq)
 	return nil
 }
@@ -387,7 +431,7 @@ func (s *Store) Reset() {
 	s.reps.Store(nil)
 	s.repMu.Unlock()
 	for i := range s.shards {
-		s.shards[i].byBlob = make(map[string]uint32)
+		s.shards[i].slots, s.shards[i].n = nil, 0
 	}
 	s.registrations.Store(0)
 	s.lookups.Store(0)
