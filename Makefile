@@ -3,7 +3,7 @@ GO ?= go
 # Hot-path benchmark selection shared by `bench` and the A/B harness.
 BENCH_RE := BenchmarkHotPath|BenchmarkTaintMap$$|BenchmarkWireCodec|BenchmarkTaintCombine
 
-.PHONY: build test race race-taintmap vet lint inline-check loc check ci chaos bench bench-ab bench-hotpath bench-taintmap bench-resilience bench-distavet bench-cleanpath bench-cluster bench-grayfail bench-load soak-load fuzz fuzz-smoke
+.PHONY: build test race race-taintmap vet lint inline-check loc check ci chaos bench bench-ab bench-hotpath bench-taintmap bench-distavet bench-cleanpath bench-cluster bench-grayfail bench-load soak-load fuzz fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -107,8 +107,11 @@ check: vet lint inline-check build test race chaos soak-load fuzz-smoke bench-cl
 # Alias for CI pipelines: the full gate, spelled out in build order.
 ci: build vet lint inline-check test race fuzz-smoke chaos soak-load bench-cleanpath bench-cluster bench-grayfail bench-distavet bench-load
 
-# Regenerate every benchmark artifact (BENCH_1..10) in one pass.
-bench: bench-hotpath bench-taintmap bench-resilience bench-distavet bench-cleanpath bench-cluster bench-grayfail bench-load
+# Regenerate every live benchmark artifact in one pass. BENCH_3.json is
+# frozen: its bench-resilience target and Resilient8 <= 1.10x Mux8 bound
+# went with the resilient client — a one-address deployment runs the
+# cluster client, whose cost on one server bench-cluster bounds at 1.05x.
+bench: bench-hotpath bench-taintmap bench-distavet bench-cleanpath bench-cluster bench-grayfail bench-load
 
 # A/B the working tree against a base commit on one workload of the
 # repository's benchmark (BENCHMARK.json): cmd/benchab builds ./benchmark
@@ -141,14 +144,6 @@ bench-hotpath:
 bench-taintmap:
 	$(GO) test -run=NONE -bench=BenchmarkTaintMapConcurrent -benchmem -benchtime=1s -count=5 . | tee bench_taintmap.txt
 	$(GO) run ./cmd/benchjson -in bench_taintmap.txt -out BENCH_2.json
-
-# Measure the resilience wrapper's fault-free overhead: ResilientClient
-# vs the bare multiplexed client on the same mixed workload, refreshed
-# into BENCH_3.json. The acceptance criterion is an in-run ratio
-# (Resilient8 <= 1.10x Mux8), so host drift cancels out.
-bench-resilience:
-	$(GO) test -run=NONE -bench='BenchmarkTaintMapConcurrent/(Mux8|Resilient8)$$' -benchmem -benchtime=1s -count=5 . | tee bench_resilience.txt
-	$(GO) run ./cmd/benchjson -in bench_resilience.txt -out BENCH_3.json
 
 # Benchmark the distavet suite itself into BENCH_9.json: the full
 # nine-analyzer suite (interprocedural index, summary fixpoint,
@@ -199,29 +194,20 @@ bench-cluster:
 	done | tee -a bench_cluster.txt
 	$(GO) run ./cmd/benchjson -in bench_cluster.txt -out BENCH_6.json
 
-# Gray-failure benchmarks, refreshed into BENCH_8.json. Both criteria
-# are in-run ratios. The lookup pair measures memo-cold wire lookups on
-# a 2-member RF-2 cluster, healthy vs one replica stalled (accepts
+# Gray-failure benchmarks, refreshed into BENCH_8.json. The criterion is
+# an in-run ratio: the lookup pair measures memo-cold wire lookups on a
+# 2-member RF-2 cluster, healthy vs one replica stalled (accepts
 # requests, never answers); the stalled tail must stay <= 3x the
 # healthy tail, which holds only if the breaker + hedge machinery turns
 # the stall into instant fall-through. Fixed iteration counts keep
 # every measured lookup memo-cold (one id pool pass per run, no
-# time-based recalibration). The Mixed pair bounds the hedged client's
-# clean-path overhead at 1.05x of the sequential PR 7 client, so it
-# gets the own-process interleaved treatment like the Mux8/Cluster8
-# pair — and additionally alternates which side runs first: on this
-# box the second process of a back-to-back pair measures consistently
-# slower (frequency/cache state left by the first), a bias bigger than
-# the 5% bound itself, so it must land on both sides equally to cancel
-# in the medians.
+# time-based recalibration). The Mixed pair that held the hedged
+# client's clean-path overhead to 1.05x of the sequential client is
+# retired with its comparator: HedgeDelay < 0, which selected the
+# sequential replica walk, is gone — the cluster client has one replica
+# loop, inline on one replica and hedged on several.
 bench-grayfail:
 	$(GO) test -run=NONE -bench='BenchmarkGrayFail/(LookupHealthy|LookupStalled)$$' -benchmem -benchtime=5000x -count=5 . | tee bench_grayfail.txt
-	for i in 1 2 3; do \
-		$(GO) test -run=NONE -bench='BenchmarkGrayFail/MixedUnhedged$$' -benchmem -benchtime=1000000x -count=1 . || exit 1; \
-		$(GO) test -run=NONE -bench='BenchmarkGrayFail/MixedHedged$$' -benchmem -benchtime=1000000x -count=1 . || exit 1; \
-		$(GO) test -run=NONE -bench='BenchmarkGrayFail/MixedHedged$$' -benchmem -benchtime=1000000x -count=1 . || exit 1; \
-		$(GO) test -run=NONE -bench='BenchmarkGrayFail/MixedUnhedged$$' -benchmem -benchtime=1000000x -count=1 . || exit 1; \
-	done | tee -a bench_grayfail.txt
 	$(GO) run ./cmd/benchjson -in bench_grayfail.txt -out BENCH_8.json
 
 # Load-plane soaks, refreshed into BENCH_10.json. Each benchmark

@@ -440,8 +440,9 @@ func main() {
 		"TaintMapConcurrent/Serialized8", "TaintMapConcurrent/Mux8", 3)
 	speedupAtLeast("concurrent taint map throughput (vs seed)", "TaintMapConcurrent/Mux8", 3)
 	slowdownAtMost("single-client latency", "TaintMapConcurrent/Single", 1.3)
-	ratioAtMost("resilience wrapper overhead (fault-free, in-run)",
-		"TaintMapConcurrent/Resilient8", "TaintMapConcurrent/Mux8", 1.10)
+	// BENCH_3's resilience-wrapper bound (Resilient8 <= 1.10x Mux8) is
+	// retired with the wrapper: a one-address deployment runs the cluster
+	// client, which the BENCH_6 bound below holds to 1.05x Mux8.
 	// BENCH_5 criteria: the clean-path bypass. The bypass ratio and the
 	// copy-floor overhead are same-run comparisons; the tainted path is
 	// held to the seed within measurement noise (the frame adds 5 bytes
@@ -469,15 +470,14 @@ func main() {
 		"AdaptivePath/UniformExchange", "AdaptivePath/CleanExchange", 1.3)
 	ratioAtMost("sparse-tainted bulk vs clean floor (in-run)",
 		"AdaptivePath/SparseExchange", "AdaptivePath/CleanExchange", 1.5)
-	// BENCH_8 criteria: gray-failure hardening. A replica that accepts
+	// BENCH_8 criterion: gray-failure hardening. A replica that accepts
 	// requests but never answers may cost the lookup tail at most 3x the
-	// healthy tail — the hedge/breaker machinery absorbs it — while the
-	// hedged client on clean traffic stays within noise of the PR 7
-	// sequential client (memo hits never arm a hedge).
+	// healthy tail — the hedge/breaker machinery absorbs it. The second
+	// BENCH_8 bound (MixedHedged <= 1.05x MixedUnhedged) is retired with
+	// its comparator: HedgeDelay < 0, the sequential replica walk, is
+	// gone, and the cluster client has one replica loop.
 	p99RatioAtMost("stalled-replica lookup tail (in-run)",
 		"GrayFail/LookupStalled", "GrayFail/LookupHealthy", 3)
-	ratioAtMost("hedging clean-path overhead (in-run)",
-		"GrayFail/MixedHedged", "GrayFail/MixedUnhedged", 1.05)
 	// BENCH_9 criteria: the distavet suite with the interprocedural
 	// layer. The nine-analyzer suite — call graph, summary fixpoint and
 	// the two new analyzers included — must stay within 1.5x of the

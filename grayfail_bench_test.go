@@ -26,13 +26,6 @@ import (
 //	                state: rotation fall-through plus the occasional
 //	                hedge, not first-contact timeout storms. The
 //	                acceptance bound is p99 <= 3x the healthy p99.
-//	MixedUnhedged — the standard 8-goroutine 90/10 mixed workload with
-//	                hedging disabled (HedgeDelay < 0): the PR 7
-//	                sequential-rotation client, the in-run baseline.
-//	MixedHedged   — the same workload with hedging on defaults. Clean
-//	                traffic almost never arms a hedge (memo hits return
-//	                before the engine spins up), so this must stay
-//	                within 1.05x of MixedUnhedged.
 //
 // Run with fixed iteration counts (-benchtime=Nx) so the id pool is
 // minted once per run and every measured lookup stays memo-cold.
@@ -146,7 +139,7 @@ func benchGrayLookup(b *testing.B, stall bool) {
 	}
 	if stall {
 		deadline := time.Now().Add(grayTripWait)
-		for !reader.Healths()[0].Degraded {
+		for !reader.Health().Members[0].Degraded {
 			if time.Now().After(deadline) {
 				b.Fatal("stalled member never tripped the breaker")
 			}
@@ -173,24 +166,7 @@ func benchGrayLookup(b *testing.B, stall bool) {
 	b.ReportMetric(float64(lat[rank-1].Nanoseconds()), "p99-ns/op")
 }
 
-func benchGrayMixed(b *testing.B, hedge bool) {
-	network, ring := startGrayCluster(b)
-	opt := taintmap.ClusterOptions{}
-	if !hedge {
-		opt.HedgeDelay = -1
-	}
-	tree := taint.NewTree()
-	client, err := taintmap.DialSimCluster(network, "bench:1", ring, tree, opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-	runMixed(b, nil, client, tree, benchClients)
-}
-
 func BenchmarkGrayFail(b *testing.B) {
 	b.Run("LookupHealthy", func(b *testing.B) { benchGrayLookup(b, false) })
 	b.Run("LookupStalled", func(b *testing.B) { benchGrayLookup(b, true) })
-	b.Run("MixedUnhedged", func(b *testing.B) { benchGrayMixed(b, false) })
-	b.Run("MixedHedged", func(b *testing.B) { benchGrayMixed(b, true) })
 }

@@ -8,7 +8,7 @@ import (
 	"dista/internal/taintmap"
 )
 
-func bad(c *taintmap.RemoteClient, r *taintmap.ResilientClient, s *taintmap.Store, ts []taint.Taint) {
+func bad(c *taintmap.RemoteClient, r *taintmap.LocalClient, s *taintmap.Store, ts []taint.Taint) {
 	c.Register(taint.Taint{})         // want "result of Register discarded"
 	c.LookupBatch([]uint32{1, 2})     // want "result of LookupBatch discarded"
 	s.RegisterBlob([]byte("blob"))    // want "result of RegisterBlob discarded"

@@ -108,7 +108,7 @@ func MeasureCachingAblation(size, iters int) (AblationResult, error) {
 		}
 		res.Cached += d
 		d, err = streamExchange(size, func(s *taintmap.Store, tr *taint.Tree) taintmap.Client {
-			return taintmap.NewUncachedClient(s, tr)
+			return uncachedClient{s, tr}
 		})
 		if err != nil {
 			return res, err
@@ -119,6 +119,65 @@ func MeasureCachingAblation(size, iters int) (AblationResult, error) {
 	res.Uncached /= time.Duration(iters)
 	return res, nil
 }
+
+// uncachedClient is A1's baseline: it contacts the Store on *every*
+// Register and Lookup, with neither the per-node Global ID memo (Fig. 9
+// step ② "does not need to request a Global ID again") nor the
+// receiver-side id -> taint cache, and it ignores the definitions a
+// stream carries. It exists to price what the paper's caching saves.
+type uncachedClient struct {
+	store *taintmap.Store
+	tree  *taint.Tree
+}
+
+func (c uncachedClient) Register(t taint.Taint) (uint32, error) {
+	if t.Empty() {
+		return 0, nil
+	}
+	blob, err := taint.MarshalTaint(t)
+	if err != nil {
+		return 0, err
+	}
+	return c.store.RegisterBlob(blob), nil
+}
+
+func (c uncachedClient) Lookup(id uint32) (taint.Taint, error) {
+	if id == 0 {
+		return taint.Taint{}, nil
+	}
+	blob, err := c.store.LookupBlob(id)
+	if err != nil {
+		return taint.Taint{}, err
+	}
+	return c.tree.UnmarshalTaint(blob)
+}
+
+// RegisterBatch and LookupBatch still pay one store call per taint or
+// id: skipping work is exactly what the baseline must not do.
+func (c uncachedClient) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
+	ids := make([]uint32, len(ts))
+	for i, t := range ts {
+		var err error
+		if ids[i], err = c.Register(t); err != nil {
+			return nil, err
+		}
+	}
+	return ids, nil
+}
+
+func (c uncachedClient) LookupBatch(ids []uint32) ([]taint.Taint, error) {
+	ts := make([]taint.Taint, len(ids))
+	for i, id := range ids {
+		var err error
+		if ts[i], err = c.Lookup(id); err != nil {
+			return nil, err
+		}
+	}
+	return ts, nil
+}
+
+func (uncachedClient) Learn([]uint32, [][]byte) error { return nil }
+func (uncachedClient) Close() error                   { return nil }
 
 // WireFormatComparison quantifies §III-D-2's bandwidth argument: wire
 // bytes for n data bytes under (a) the Global ID design, (b) the naive

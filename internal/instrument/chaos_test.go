@@ -50,19 +50,24 @@ func TestChaosPassthroughNoCleanDowngrade(t *testing.T) {
 	}
 	srv := startServer()
 
-	// Sender rides the outage on the resilience layer; the receiver
+	// Sender rides the outage on a one-address client's resilience
+	// layer; the receiver
 	// resolves against the shared store directly, so any Global ID that
 	// made it onto the wire is resolvable.
 	senderAgent := tracker.New("n1", tracker.ModeDista)
-	client := taintmap.NewResilientClient(
-		func() (io.ReadWriteCloser, error) { return net.DialFrom("n1", "tm:chaos") },
+	dialed, err := taintmap.DialClusterAddrs([]string{"tm:chaos"},
+		func(addr string) (io.ReadWriteCloser, error) { return net.DialFrom("n1", addr) },
 		senderAgent.Tree(),
-		taintmap.ResilientOptions{
+		taintmap.ClusterOptions{Resilient: taintmap.ResilientOptions{
 			CallTimeout:      200 * time.Millisecond,
 			BackoffBase:      time.Millisecond,
 			BackoffMax:       10 * time.Millisecond,
 			BreakerThreshold: 2,
-		})
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := dialed.(*taintmap.ClusterClient)
 	defer client.Close()
 	senderAgent = tracker.New("n1", tracker.ModeDista,
 		tracker.WithTaintMap(client), tracker.WithLocalID(senderAgent.LocalID()))
@@ -154,10 +159,10 @@ func TestChaosPassthroughNoCleanDowngrade(t *testing.T) {
 			// Wait out the backoff so the back half of the run exercises
 			// the recovered path, not just the outage.
 			deadline := time.Now().Add(10 * time.Second)
-			for !client.Health().Connected && time.Now().Before(deadline) {
+			for !client.Health().Members[0].Connected && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
 			}
-			if !client.Health().Connected {
+			if !client.Health().Members[0].Connected {
 				t.Fatal("client never reconnected after server restart")
 			}
 		}

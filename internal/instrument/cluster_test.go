@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"testing"
+	"time"
 
 	"dista/internal/core/taint"
 	"dista/internal/core/tracker"
@@ -13,9 +14,9 @@ import (
 	"dista/internal/taintmap"
 )
 
-// TestDialTaintMapSingle wires the one-address agent-args form: the
-// degenerate deployment must get the plain resilient single-server
-// client, not a routing layer over a ring of one.
+// TestDialTaintMapSingle wires the one-address agent-args form: a single
+// server is a cluster of one — a ring of one member at that address,
+// built without a fetch — and every register and lookup goes there.
 func TestDialTaintMapSingle(t *testing.T) {
 	network := netsim.New()
 	srv, err := taintmap.StartSimServer(network, "tm:1")
@@ -36,8 +37,12 @@ func TestDialTaintMapSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if _, ok := client.(*taintmap.ResilientClient); !ok {
-		t.Fatalf("single-address client is %T, want *taintmap.ResilientClient", client)
+	cc, ok := client.(*taintmap.ClusterClient)
+	if !ok {
+		t.Fatalf("single-address client is %T, want *taintmap.ClusterClient", client)
+	}
+	if m := cc.Ring().Members(); len(m) != 1 || m[0].Addr != "tm:1" {
+		t.Fatalf("single-address ring = %+v, want one member at tm:1", m)
 	}
 
 	src := tree.NewSource("single", "agent:1")
@@ -120,6 +125,68 @@ func TestDialTaintMapCluster(t *testing.T) {
 		if err != nil || !sameTaint(got, srcs[i]) {
 			t.Fatalf("Lookup(%d) = %v, %v; want taint %d back", id, got, err, i)
 		}
+	}
+}
+
+// TestDialTaintMapDeadline: the deadline= agent arg bounds a memo-cold
+// lookup against a server that takes requests and never answers, on one
+// address and on an RF-1 ring alike — where there is no replica to hedge
+// to, the operation deadline is the only bound short of the 2 s call
+// timeout.
+func TestDialTaintMapDeadline(t *testing.T) {
+	const deadline = 50 * time.Millisecond
+	network := netsim.New()
+	single, err := taintmap.StartSimServer(network, "tm:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	servers, _, err := taintmap.StartSimCluster(network, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, s := range servers {
+			s.Close()
+		}
+	}()
+	dial := func(addr string) (io.ReadWriteCloser, error) { return network.DialFrom("agent:1", addr) }
+	for _, tc := range []struct{ name, addrs string }{
+		{"OneAddress", "tm:1"},
+		{"RF1Ring", "tm0:1;tm1:1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args, err := tracker.ParseAgentArgs("taintmap=" + tc.addrs + ",deadline=" + deadline.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			seedTree := taint.NewTree()
+			seed, err := DialTaintMap(args, seedTree, dial, taintmap.ClusterOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer seed.Close()
+			id, err := seed.Register(seedTree.NewSource("stalled", "agent:1"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			reader, err := DialTaintMap(args, taint.NewTree(), dial, taintmap.ClusterOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reader.Close()
+			host := "tm"
+			if tc.name == "RF1Ring" {
+				host = fmt.Sprintf("tm%d", taintmap.PartitionOf(id))
+			}
+			network.SetHostStall(host, true)
+			defer network.SetHostStall(host, false)
+			start := time.Now()
+			_, err = reader.Lookup(id)
+			if took := time.Since(start); !errors.Is(err, taintmap.ErrDeadlineExceeded) || took > 4*deadline {
+				t.Fatalf("memo-cold lookup of a stalled server = %v after %v, want ErrDeadlineExceeded within %v", err, took, 4*deadline)
+			}
+		})
 	}
 }
 

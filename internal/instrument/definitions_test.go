@@ -380,9 +380,15 @@ func labelsDiffer(got, want taint.Bytes) bool {
 	return false
 }
 
+// deafClient is a caching client that ignores the definitions a stream
+// carries, so every id it receives costs its first lookup.
+type deafClient struct{ taintmap.Client }
+
+func (deafClient) Learn([]uint32, [][]byte) error { return nil }
+
 // TestDefinitionsFallbacks: the paths that cannot learn deliver as ever.
 // A datagram is one frame and defines nothing; a client that ignores
-// definitions (the uncached ablation) pays every lookup; and a unit too
+// definitions pays the lookup they would have saved; and a unit too
 // large for the decoder's bound is not sent — its ids are looked up.
 func TestDefinitionsFallbacks(t *testing.T) {
 	t.Run("datagram", func(t *testing.T) {
@@ -423,14 +429,15 @@ func TestDefinitionsFallbacks(t *testing.T) {
 	})
 	t.Run("uncached client", func(t *testing.T) {
 		r := newRig(t, tracker.ModeDista)
-		b := tracker.New("node2", tracker.ModeDista, tracker.WithTaintMap(taintmap.NewUncachedClient(r.store, taint.NewTree())))
+		b := tracker.New("node2", tracker.ModeDista, tracker.WithTaintMap(deafClient{taintmap.NewLocalClient(r.store, taint.NewTree())}))
 		ca, cb := r.net.Pipe()
 		sender, receiver := NewAdaptiveEndpoint(r.a, ca), NewAdaptiveEndpoint(b, cb)
 		msg := taint.FromString("ablation", r.a.Source("s", "a1"))
 		buf := taint.MakeBytes(msg.Len())
 		for i := int64(1); i <= 3; i++ {
 			exchange(t, sender, receiver, msg, &buf)
-			if st := r.store.Stats(); st.Lookups != i || !buf.LabelAt(0).Has("a1") {
+			// The first exchange pays the lookup; the memo answers the rest.
+			if st := r.store.Stats(); st.Lookups != 1 || !buf.LabelAt(0).Has("a1") {
 				t.Fatalf("exchange %d: %d lookups under %v", i, st.Lookups, buf.LabelAt(0))
 			}
 		}

@@ -119,10 +119,13 @@ func TestTaintMapOutageFailsLoudly(t *testing.T) {
 func degradedAgent(t *testing.T) (*tracker.Agent, func() error) {
 	t.Helper()
 	scratch := tracker.New("n1", tracker.ModeDista)
-	client := taintmap.NewResilientClient(
-		func() (io.ReadWriteCloser, error) { return nil, errors.New("no route to taint map") },
+	client, err := taintmap.DialClusterAddrs([]string{"tm:1"},
+		func(string) (io.ReadWriteCloser, error) { return nil, errors.New("no route to taint map") },
 		scratch.Tree(),
-		taintmap.ResilientOptions{BackoffBase: time.Millisecond, BackoffMax: 5 * time.Millisecond, BreakerThreshold: 1})
+		taintmap.ClusterOptions{Resilient: taintmap.ResilientOptions{BackoffBase: time.Millisecond, BackoffMax: 5 * time.Millisecond, BreakerThreshold: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return tracker.New("n1", tracker.ModeDista, tracker.WithTaintMap(client)), client.Close
 }
 

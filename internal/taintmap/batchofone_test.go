@@ -162,8 +162,6 @@ func record(t *testing.T, c Client) *recorder {
 		f = &c.front
 	case *RemoteClient:
 		f = &c.front
-	case *ResilientClient:
-		f = &c.front
 	case *ClusterClient:
 		f = &c.front
 	default:
@@ -400,8 +398,8 @@ func TestBatchOfOneEquivalence(t *testing.T) {
 			}
 			defer srv.Close()
 			tree := taint.NewTree()
-			c := NewResilientClient(simDialer(n, "app:1", "tm:1"), tree, fastOpts())
-			reader := NewResilientClient(simDialer(n, "rd:1", "tm:1"), taint.NewTree(), fastOpts())
+			c := dialOne("tm:1", simDialer(n, "app:1"), tree, fastOpts())
+			reader := dialOne("tm:1", simDialer(n, "rd:1"), taint.NewTree(), fastOpts())
 			defer reader.Close()
 			healthyScript(tr, c, reader, tree, unknown)
 			closedScript(tr, c, tree, unknown, "ErrClientClosed")
@@ -416,7 +414,7 @@ func TestBatchOfOneEquivalence(t *testing.T) {
 			tree := taint.NewTree()
 			opt := fastOpts()
 			opt.JournalLimit = 2
-			c := NewResilientClient(simDialer(n, "app:1", "tm:1"), tree, opt)
+			c := dialOne("tm:1", simDialer(n, "app:1"), tree, opt)
 			warm := tree.NewSource("warm", "app:1")
 			warmID := tr.register("warm", c, warm, "")
 
@@ -548,7 +546,7 @@ func TestHitEarlyOutsDoNotAllocate(t *testing.T) {
 			return c
 		}},
 		{"Resilient", func(tree *taint.Tree) Client {
-			return NewResilientClient(simDialer(n, "app:1", "tm:1"), tree, ResilientOptions{})
+			return dialOne("tm:1", simDialer(n, "app:1"), tree, ResilientOptions{})
 		}},
 		{"Cluster", func(tree *taint.Tree) Client {
 			c, err := DialSimCluster(e.net, "app:1", e.ring, tree, ClusterOptions{})
@@ -592,7 +590,10 @@ func TestHitEarlyOutsDoNotAllocate(t *testing.T) {
 // allocates end to end — client, server and store share the process, so
 // the count covers the whole round trip. The bounds sit one above the
 // measured counts (8 on a plain remote, 16 on a 3-member RF-2 cluster,
-// which pays the hedge timer and the leg goroutine): the front probes the
+// which pays the hedge timer and the leg goroutine — 14 since the timer
+// ticks into the legs' channel), except the
+// one-address client's: a cluster of one runs its one replica inline and
+// is held to the 8 the resilient client it replaced measured: the front probes the
 // memo once and hands the id straight to its transport, so a second memo
 // split (2) and the read-back of the winning leg's answer do not fit; nor
 // do the map cache.splitBatch once built to deduplicate a miss list of
@@ -625,6 +626,9 @@ func TestLookupMissAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 			return c
+		}},
+		{"OneAddress", 8, func(tree *taint.Tree) Client {
+			return dialOne("tm:1", simDialer(n, "app:1"), tree, ResilientOptions{})
 		}},
 		{"Cluster", 17, func(tree *taint.Tree) Client {
 			c, err := DialSimCluster(e.net, "app:1", e.ring, tree, ClusterOptions{})
@@ -666,7 +670,8 @@ func TestLookupMissAllocations(t *testing.T) {
 // TestRegisterMissAllocations pins what one single-taint register miss
 // allocates end to end — client, owner and (on the cluster) replica share
 // the process. The bounds sit one above the measured counts (8 on a plain
-// remote, 11 on a 3-member RF-2 cluster, from 13 and 22): a frame header
+// remote, 11 on a 3-member RF-2 cluster, from 13 and 22; the one-address
+// client is held to the 8 of the resilient client it replaced): a frame header
 // on the heap per frame read or written, the blob copied into a
 // singleflight key and a channel per flight, and a read deadline per
 // replica push — its timer and closure — do not fit.
@@ -691,6 +696,9 @@ func TestRegisterMissAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 			return c
+		}},
+		{"OneAddress", 8, func(tree *taint.Tree) Client {
+			return dialOne("tm:1", simDialer(n, "app:1"), tree, ResilientOptions{})
 		}},
 		{"Cluster", 12, func(tree *taint.Tree) Client {
 			c, err := DialSimCluster(e.net, "app:1", e.ring, tree, ClusterOptions{})
@@ -820,9 +828,8 @@ func TestSingleRegisterWireCapture(t *testing.T) {
 		}
 		defer srv.Close()
 		var tap wireTap
-		dial := tap.dial(n, "app:1")
 		tree := taint.NewTree()
-		c := NewResilientClient(func() (io.ReadWriteCloser, error) { return dial("tm:1") }, tree, ResilientOptions{})
+		c := dialOne("tm:1", tap.dial(n, "app:1"), tree, ResilientOptions{})
 		defer c.Close()
 		if _, err := c.Register(tree.NewSource("lone", "app:1")); err != nil {
 			t.Fatal(err)

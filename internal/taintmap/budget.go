@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dista/internal/netsim"
 )
 
 // ErrBudgetExhausted is returned when the shared retry budget has no
@@ -26,7 +28,7 @@ var ErrBudgetExhausted = fmt.Errorf("%w: retry budget exhausted", ErrDegraded)
 // without wall-clock sleeps.
 type Budget struct {
 	mu     sync.Mutex
-	clk    clock
+	clk    netsim.Clock
 	rate   float64 // tokens per second
 	burst  float64 // bucket capacity
 	tokens float64
@@ -43,7 +45,7 @@ func NewBudget(rate, burst float64) *Budget {
 	return newBudgetClock(rate, burst, realClock{})
 }
 
-func newBudgetClock(rate, burst float64, clk clock) *Budget {
+func newBudgetClock(rate, burst float64, clk netsim.Clock) *Budget {
 	if rate <= 0 || burst <= 0 {
 		return nil
 	}

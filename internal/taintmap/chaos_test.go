@@ -92,7 +92,7 @@ func TestChaosServerRestartUnderLoad(t *testing.T) {
 	defer e.kill()
 
 	tree := taint.NewTree()
-	client := NewResilientClient(simDialer(e.net, "app:1", "tm:chaos"), tree, e.chaosOpts())
+	client := dialOne("tm:chaos", simDialer(e.net, "app:1"), tree, e.chaosOpts())
 	defer client.Close()
 
 	const goroutines = 8
@@ -201,7 +201,7 @@ func TestChaosServerRestartUnderLoad(t *testing.T) {
 		// backoff loop dials).
 		deadline = time.Now().Add(30 * time.Second)
 		for time.Now().Before(deadline) {
-			if h := client.Health(); h.Connected && h.JournalLen == 0 {
+			if h := client.Health().Members[0]; h.Connected && h.JournalLen == 0 {
 				return
 			}
 			time.Sleep(time.Millisecond)
@@ -300,7 +300,7 @@ func TestChaosStreamResets(t *testing.T) {
 	e.net.Reseed(7)
 
 	tree := taint.NewTree()
-	client := NewResilientClient(simDialer(e.net, "app:1", "tm:chaos"), tree, e.chaosOpts())
+	client := dialOne("tm:chaos", simDialer(e.net, "app:1"), tree, e.chaosOpts())
 	defer client.Close()
 
 	e.net.SetStreamResetRate(0.01)

@@ -344,6 +344,3 @@ func (w *ackTimer) stop() {
 		}
 	}
 }
-
-// AfterFunc makes realClock a netsim.Clock: the peer links' timer.
-func (realClock) AfterFunc(d time.Duration, f func()) netsim.Timer { return time.AfterFunc(d, f) }

@@ -149,7 +149,7 @@ func TestChaosClusterPartitionKill(t *testing.T) {
 		e.net.Heal(host, "*")
 		deadline = time.Now().Add(30 * time.Second)
 		for time.Now().Before(deadline) {
-			h := c.Healths()[uint32(round)]
+			h := c.Health().Members[uint32(round)]
 			if h.Connected && !h.Degraded && h.JournalLen == 0 {
 				return
 			}
@@ -176,7 +176,7 @@ func TestChaosClusterPartitionKill(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		all := true
-		for part, h := range c.Healths() {
+		for part, h := range c.Health().Members {
 			if !h.Connected || h.Degraded || h.JournalLen != 0 {
 				all = false
 				if !time.Now().Before(deadline) {

@@ -153,6 +153,39 @@ func TestRingOwnershipAndReplicas(t *testing.T) {
 	}
 }
 
+// TestOneAddressAnyPartition: a one-address client is a ring of one at
+// partition 0, and it still registers with and looks up from its one
+// server whatever partition that server mints for.
+func TestOneAddressAnyPartition(t *testing.T) {
+	n := netsim.New()
+	ring, err := NewRing(1, 1, []Member{{Part: 3, Addr: "tm:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewPartitionStore(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, node, err := StartSimClusterMember(n, ring, 3, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { srv.Close(); node.Close() }()
+	tree := taint.NewTree()
+	w := dialOne("tm:1", simDialer(n, "app:1"), tree, ResilientOptions{})
+	defer w.Close()
+	tt := tree.NewSource("elsewhere", "app:1")
+	id, err := w.Register(tt)
+	if err != nil || PartitionOf(id) != 3 {
+		t.Fatalf("register = %#x, %v; want an id of partition 3", id, err)
+	}
+	r := dialOne("tm:1", simDialer(n, "app:2"), taint.NewTree(), ResilientOptions{})
+	defer r.Close()
+	if got, err := r.Lookup(id); err != nil || !taint.SameSet(got, tt) {
+		t.Fatalf("lookup of %#x = %v, %v", id, got, err)
+	}
+}
+
 // clusterEnv is a simulated cluster whose stores survive server
 // restarts (the durable-store model the chaos harness uses).
 type clusterEnv struct {
@@ -533,7 +566,7 @@ func TestClusterReaddressKeepsJournal(t *testing.T) {
 			t.Fatalf("lookup of provisional id %#x = %v, %v; want %v", tc.id, got, err, tc.want)
 		}
 	}
-	if h := c.Healths()[0]; h.JournalLen != 2 {
+	if h := c.Health().Members[0]; h.JournalLen != 2 {
 		t.Fatalf("journal holds %d registrations after the re-address, want 2: %+v", h.JournalLen, h)
 	}
 
@@ -544,7 +577,7 @@ func TestClusterReaddressKeepsJournal(t *testing.T) {
 	e.start(0)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		h := c.Healths()[0]
+		h := c.Health().Members[0]
 		if h.JournalLen == 0 && h.Drained == 2 {
 			break
 		}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,51 +12,58 @@ import (
 	"dista/internal/core/taint"
 )
 
-// ClusterClient is a Client over a partitioned, replicated Taint Map:
-// one handle that makes N taintmapd instances look like the single
-// logical map the rest of the tracker was written against.
+// ClusterClient is the Client over Taint Map servers: one handle that
+// makes N taintmapd instances — or one — look like the single logical
+// map the rest of the tracker was written against. Under the front
+// (client.go) it is a stack of layers with the same two methods, each
+// handed the work of the one above it (DESIGN.md §4):
 //
-// Routing is stateless on both axes. Registrations hash the serialized
-// taint (the blobs are content-addressed, so the hash is stable across
-// nodes and retries) onto the ring to find the owning partition;
-// lookups read the partition index straight out of the id's high bits
-// (see idspace.go) and may be served by the owner or any ring successor
-// replicating it — the client rotates across them to spread load, falls
-// through on a replica that does not (yet) hold the id, and pushes the
-// entries back to such replicas once resolved (read-repair).
+//   - route (register, lookup): registrations hash the serialized taint
+//     (content-addressed, so the hash is stable across nodes and
+//     retries) onto the ring to find the owning partition, and each
+//     owner gets its group as one batch; lookups read the partition
+//     straight out of an id's high bits (idspace.go), provisional ids
+//     apart — they go to the member whose journal minted them;
+//   - replicas: one loop over a partition's replica set, rotated to
+//     spread load — inline on a single replica, hedged after the tracked
+//     p99 on several — that falls through a replica not (yet) holding
+//     the ids and pushes them back to it once resolved (read-repair);
+//   - member (resilient.go): failover, breaker and journal per server, so
+//     a dead member's registrations journal against a store of its
+//     partition and drain when it returns, while the other partitions
+//     stay healthy;
+//   - conn (mux.go): the multiplexed RemoteClient.
 //
-// Every member is fronted by its own ResilientClient, so the PR 3
-// failure machinery applies per partition: a dead member's traffic
-// journals against a partition-local store (provisional ids carry the
-// partition that will own them) and drains when the member returns,
-// while the other partitions stay healthy. A membership change is just
-// a new ring: in-flight registrations complete against the members that
-// accepted them, and only future registrations re-route.
+// A single server is a cluster of one: a ring of one member owns every
+// blob and answers for every id, whatever its partition bits. A
+// membership change is just a new ring: in-flight registrations complete
+// against the members that accepted them, and only future registrations
+// re-route.
 type ClusterClient struct {
 	dial  func(addr string) (io.ReadWriteCloser, error)
-	opt   ClusterOptions
-	front // the memo is shared by every member client
+	opt   ClusterOptions // defaults applied
+	front                // every member's connections adopt into its memo
 
 	ring atomic.Pointer[Ring]
 
-	// table is the lock-free member snapshot the request paths route
-	// through, indexed by partition. Rebuilt from members under mu on
-	// every membership change; readers only Load. Keeping the hot path
-	// off mu matters: every miss resolves its owner handle, and eight
-	// workload goroutines serializing on a mutex just to index a
-	// read-mostly map measurably dents register throughput.
-	table atomic.Pointer[[MaxPartitions]*clusterMember]
+	// table holds the member handles by partition. A membership change
+	// copies it, edits the copy and publishes it under mu; the request
+	// paths only Load. Keeping the hot path off mu matters: every miss
+	// resolves its owner handle, and eight workload goroutines
+	// serializing on a mutex just to index a read-mostly table
+	// measurably dents register throughput.
+	table atomic.Pointer[[MaxPartitions]*member]
 
-	mu      sync.Mutex
-	members map[uint32]*clusterMember
-	closed  bool
+	mu     sync.Mutex // membership changes and Close
+	closed bool
 
 	rr       atomic.Uint32 // lookup replica rotation
 	repaired atomic.Int64  // entries pushed back to stale replicas
 
 	// budget is the shared retry budget: one bucket gating every
-	// member's reconnect dials and this layer's hedges, so a brownout
-	// cannot multiply into a cluster-wide retry storm.
+	// member's reconnect dials and drain retries and the replica loop's
+	// hedges, so a brownout cannot multiply into a cluster-wide retry
+	// storm.
 	budget *Budget
 	hedge  hist.Hist
 
@@ -78,13 +84,13 @@ type ClusterOptions struct {
 	// first attempt may run before the next replica is raced against it.
 	// Once the latency tracker has warmed up, the observed p99 replaces
 	// this value, so it only matters for the first few dozen lookups.
-	// Zero means the 20ms default; negative disables hedging entirely
-	// and restores sequential replica rotation.
+	// Zero or negative means the 20ms default.
 	HedgeDelay time.Duration
 
-	// OpTimeout bounds one whole lookup operation — all replica
-	// attempts and hedges together. Zero means no operation deadline
-	// (each attempt is still bounded by Resilient.CallTimeout).
+	// OpTimeout bounds one whole lookup operation — every replica
+	// attempt and hedge together, on a single replica as on several.
+	// Zero means no operation deadline (each attempt is still bounded by
+	// Resilient.CallTimeout).
 	OpTimeout time.Duration
 
 	// BudgetRate and BudgetBurst configure the shared retry budget in
@@ -95,13 +101,11 @@ type ClusterOptions struct {
 	BudgetBurst float64
 }
 
-// withClusterDefaults fills the zero values in, the clock every member and
-// the shared budget run on included.
+// withClusterDefaults fills the zero values in, the members' options and
+// the clock everything runs on included.
 func (o ClusterOptions) withClusterDefaults() ClusterOptions {
-	if o.Resilient.clk == nil {
-		o.Resilient.clk = realClock{}
-	}
-	if o.HedgeDelay == 0 {
+	o.Resilient = o.Resilient.withDefaults()
+	if o.HedgeDelay <= 0 {
 		o.HedgeDelay = 20 * time.Millisecond
 	}
 	if o.BudgetRate == 0 {
@@ -115,37 +119,33 @@ func (o ClusterOptions) withClusterDefaults() ClusterOptions {
 
 // DialClusterAddrs builds a Client from a flat endpoint list — the form
 // a deployment writes in its agent args, where the addresses are known
-// but the partition layout is the cluster's own business. One address
-// is the degenerate deployment and gets the plain single-server
-// resilient client (no routing layer to pay for). Several addresses
-// bootstrap a ClusterClient: the ring (partition indices, replication
-// factor, any members missing from the list) is fetched from the first
-// address that answers, so the list only has to name enough live
-// members to find the cluster, not describe it.
+// but the partition layout is the cluster's own business. One address is
+// a cluster of one: its ring — that address as partition 0 — is built
+// here without a fetch, so construction cannot fail on the network.
+// Several addresses bootstrap the ring (partition indices, replication
+// factor, any members missing from the list) from the first address
+// that answers, so the list only has to name enough live members to find
+// the cluster, not describe it.
 func DialClusterAddrs(addrs []string, dial func(addr string) (io.ReadWriteCloser, error), tree *taint.Tree, opt ClusterOptions) (Client, error) {
-	switch len(addrs) {
-	case 0:
+	if len(addrs) == 0 {
 		return nil, errors.New("taintmap: no taint map addresses")
-	case 1:
-		addr := addrs[0]
-		opt = opt.withClusterDefaults()
-		ropt := opt.Resilient
-		ropt.budget = newBudgetClock(opt.BudgetRate, opt.BudgetBurst, ropt.clk)
-		return NewResilientClient(func() (io.ReadWriteCloser, error) { return dial(addr) }, tree, ropt), nil
 	}
-	// The ring fetch runs under the members' call timeout: a gray seed
-	// (accepts the dial, never answers) costs one timeout and the next
-	// address gets its turn.
-	timeout := opt.Resilient.callTimeout()
-	ring, err := fetchRing(len(addrs), func(i int) ([]byte, error) {
-		conn, err := dial(addrs[i])
-		if err != nil {
-			return nil, err
-		}
-		rc := newRemoteClientWith(conn, tree, &cache{}, timeout)
-		defer rc.Close()
-		return rc.call(opRingTag, nil, time.Time{})
-	})
+	ring, err := NewRing(0, 1, []Member{{Part: 0, Addr: addrs[0]}})
+	if len(addrs) > 1 {
+		// The ring fetch runs under the members' call timeout: a gray
+		// seed (accepts the dial, never answers) costs one timeout and
+		// the next address gets its turn.
+		timeout := opt.Resilient.callTimeout()
+		ring, err = fetchRing(len(addrs), func(i int) ([]byte, error) {
+			conn, err := dial(addrs[i])
+			if err != nil {
+				return nil, err
+			}
+			rc := newRemoteClientWith(conn, tree, &cache{}, timeout)
+			defer rc.Close()
+			return rc.call(opRingTag, nil, time.Time{})
+		})
+	}
 	if err != nil {
 		return nil, fmt.Errorf("taintmap: cluster bootstrap from %d addresses: %w", len(addrs), err)
 	}
@@ -169,75 +169,41 @@ func fetchRing(n int, ask func(i int) ([]byte, error)) (*Ring, error) {
 	return nil, lastErr
 }
 
-// clusterMember is one ring member's client handle.
-type clusterMember struct {
-	addr string
-	rc   *ResilientClient
-}
-
 // NewClusterClient builds a client over the given membership. dial
 // opens a connection to a member address; it is called per member and
 // again on every reconnect.
 func NewClusterClient(ring *Ring, dial func(addr string) (io.ReadWriteCloser, error), tree *taint.Tree, opt ClusterOptions) (*ClusterClient, error) {
 	opt = opt.withClusterDefaults()
-	c := &ClusterClient{
-		dial:    dial,
-		opt:     opt,
-		members: make(map[uint32]*clusterMember),
-	}
+	c := &ClusterClient{dial: dial, opt: opt}
 	c.front = front{tree, &cache{}, c}
 	c.budget = newBudgetClock(opt.BudgetRate, opt.BudgetBurst, opt.Resilient.clk)
 	c.ring.Store(ring)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, m := range ring.Members() {
-		if err := c.addMemberLocked(m); err != nil {
-			return nil, err
-		}
+	c.table.Store(new([MaxPartitions]*member))
+	if err := c.UpdateRing(ring); err != nil {
+		return nil, err
 	}
-	c.publishLocked()
 	return c, nil
-}
-
-// publishLocked rebuilds the lock-free member table from c.members.
-// Caller holds c.mu.
-func (c *ClusterClient) publishLocked() {
-	var t [MaxPartitions]*clusterMember
-	for part, cm := range c.members {
-		t[part] = cm
-	}
-	c.table.Store(&t)
-}
-
-// addMemberLocked creates the client handle for one member: a
-// ResilientClient sharing the cluster-wide memo, journaling against a
-// store of the member's own partition. Caller holds c.mu.
-func (c *ClusterClient) addMemberLocked(m Member) error {
-	local, err := NewPartitionStore(m.Part)
-	if err != nil {
-		return err
-	}
-	ropt := c.opt.Resilient
-	ropt.memo = c.memo
-	ropt.local = local
-	ropt.budget = c.budget
-	c.members[m.Part] = &clusterMember{addr: m.Addr, rc: NewResilientClient(c.dialer(m.Addr), c.tree, ropt)}
-	return nil
-}
-
-// dialer is a member's DialFunc: c.dial at its address.
-func (c *ClusterClient) dialer(addr string) DialFunc {
-	return func() (io.ReadWriteCloser, error) { return c.dial(addr) }
 }
 
 // member returns the handle for a partition, nil when the partition has
 // no member (e.g. ids minted under an older ring by a departed server —
 // the caller falls through to the partition's replicas).
-func (c *ClusterClient) member(part uint32) *clusterMember {
+func (c *ClusterClient) member(part uint32) *member {
 	if part >= MaxPartitions {
 		return nil
 	}
 	return c.table.Load()[part]
+}
+
+// members lists the member handles in partition order.
+func (c *ClusterClient) members() []*member {
+	var cms []*member
+	for _, cm := range c.table.Load() {
+		if cm != nil {
+			cms = append(cms, cm)
+		}
+	}
+	return cms
 }
 
 // Ring returns the membership snapshot the client is routing on.
@@ -263,20 +229,18 @@ func (c *ClusterClient) UpdateRing(r *Ring) error {
 	if r.Epoch < c.ring.Load().Epoch {
 		return nil
 	}
+	table := *c.table.Load()
 	for _, m := range r.Members() {
-		cm := c.members[m.Part]
-		if cm == nil {
-			if err := c.addMemberLocked(m); err != nil {
+		if cm := table[m.Part]; cm == nil {
+			var err error
+			if table[m.Part], err = c.newMember(m); err != nil {
 				return err
 			}
-			continue
-		}
-		if cm.addr != m.Addr {
-			cm.addr = m.Addr
-			cm.rc.redial(c.dialer(m.Addr))
+		} else if *cm.addr.Load() != m.Addr {
+			cm.redial(m.Addr)
 		}
 	}
-	c.publishLocked()
+	c.table.Store(&table)
 	c.ring.Store(r)
 	return nil
 }
@@ -284,14 +248,9 @@ func (c *ClusterClient) UpdateRing(r *Ring) error {
 // Refresh fetches the ring from the first member that answers and
 // installs it — how a client learns that a server joined.
 func (c *ClusterClient) Refresh() (*Ring, error) {
-	c.mu.Lock()
-	handles := make([]*clusterMember, 0, len(c.members))
-	for _, cm := range c.members {
-		handles = append(handles, cm)
-	}
-	c.mu.Unlock()
-	r, err := fetchRing(len(handles), func(i int) ([]byte, error) {
-		return handles[i].rc.rawCall(opRingTag, nil)
+	cms := c.members()
+	r, err := fetchRing(len(cms), func(i int) ([]byte, error) {
+		return cms[i].rawCall(opRingTag, nil)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("taintmap: ring refresh: %w", err)
@@ -304,9 +263,15 @@ func (c *ClusterClient) Refresh() (*Ring, error) {
 
 // replicaOrder appends to cms (the caller's stack array: a replica set
 // is a handful) the live member handles of a partition's replica set,
-// rotated so successive lookups start on different replicas.
-func (c *ClusterClient) replicaOrder(part uint32, cms []*clusterMember) []*clusterMember {
-	reps := c.ring.Load().Replicas(part)
+// rotated so successive lookups start on different replicas. A ring of
+// one answers for every partition: a single server is a cluster of one,
+// whatever partition minted the id.
+func (c *ClusterClient) replicaOrder(part uint32, cms []*member) []*member {
+	r := c.ring.Load()
+	if m := r.Members(); len(m) == 1 {
+		return append(cms, c.member(m[0].Part))
+	}
+	reps := r.Replicas(part)
 	start := int(c.rr.Add(1)) % len(reps)
 	for i := range reps {
 		if cm := c.member(reps[(start+i)%len(reps)]); cm != nil {
@@ -333,59 +298,76 @@ func (c *ClusterClient) hedgeDelay() time.Duration {
 	return c.opt.HedgeDelay
 }
 
-// hedgedCall runs one fail-fast lookup leg (the call closure) against the
-// replicas in order, hedging: the first attempt runs alone until the
-// tracked p99 elapses, then — if the retry budget grants a token — the
-// next replica is raced against it and the first success wins. A
-// *failed* attempt falls through to the next replica immediately and
-// for free; that is rotation, not hedging, and charging it would let a
-// dead replica drain the budget. Losing attempts are abandoned (their
-// goroutines park on the member's own call timeout and deliver into a
-// buffered channel), and replicas that answered ErrUnknownGlobalID are
-// returned for read-repair beside the winner's taints.
-func (c *ClusterClient) hedgedCall(cms []*clusterMember, call func(cm *clusterMember, deadline time.Time) ([]taint.Taint, error)) (ts []taint.Taint, stale []*clusterMember, err error) {
+// replicas is the replica loop: it resolves one partition's real ids on
+// the replica handles cms, in rotation order, every attempt bounded by
+// the operation deadline. A single replica runs inline, with its
+// member's full wait-for-reconnect machinery. Several are hedged, every
+// attempt fail-fast: the first runs alone until the tracked p99 elapses,
+// then — if the retry budget grants a token — the next replica is raced
+// against it and the first success wins. A *failed* attempt falls
+// through to the next replica immediately and for free; that is
+// rotation, not hedging, and charging it would let a dead replica drain
+// the budget. Losing attempts are abandoned (their goroutines park on
+// the member's own call timeout and deliver into a buffered channel),
+// and the replicas that answered ErrUnknownGlobalID get the winner's
+// entries pushed back (read-repair).
+func (c *ClusterClient) replicas(cms []*member, ids []uint32) ([]taint.Taint, error) {
+	clk := c.opt.Resilient.clk
 	var deadline time.Time
 	if c.opt.OpTimeout > 0 {
-		deadline = time.Now().Add(c.opt.OpTimeout)
+		deadline = clk.Now().Add(c.opt.OpTimeout)
+	}
+	if len(cms) == 1 {
+		return cms[0].lookup(ids, deadline, false)
 	}
 	type outcome struct {
-		cm     *clusterMember
+		cm     *member
 		ts     []taint.Taint
 		err    error
 		took   time.Duration
 		hedged bool
+		tick   bool // the hedge timer fired; no attempt ended
 	}
-	results := make(chan outcome, len(cms))
+	// A slot per attempt and one for the timer's tick: no sender ever
+	// blocks on a loop that has returned.
+	results := make(chan outcome, len(cms)+1)
 	next, inflight := 0, 0
 	launch := func(hedged bool) {
 		cm := cms[next]
 		next++
 		inflight++
 		go func() {
-			start := time.Now()
-			ts, e := call(cm, deadline)
-			results <- outcome{cm: cm, ts: ts, err: e, took: time.Since(start), hedged: hedged}
+			start := clk.Now()
+			ts, err := cm.lookup(ids, deadline, true)
+			results <- outcome{cm: cm, ts: ts, err: err, took: clk.Now().Sub(start), hedged: hedged}
 		}()
 	}
 	launch(false)
-	var timerC <-chan time.Time
-	if next < len(cms) {
-		timer := time.NewTimer(c.hedgeDelay())
-		defer timer.Stop()
-		timerC = timer.C
-	}
+	timer := clk.AfterFunc(c.hedgeDelay(), func() { results <- outcome{tick: true} })
+	defer timer.Stop()
+	var stale []*member
 	lastErr := error(ErrDegraded)
 	for inflight > 0 {
-		select {
-		case out := <-results:
-			inflight--
-			if out.err == nil {
-				c.hedge.Observe(out.took)
-				if out.hedged {
-					c.hedgeWins.Add(1)
-				}
-				return out.ts, stale, nil
+		out := <-results
+		switch {
+		case out.tick:
+			switch {
+			case next == len(cms):
+			case c.budget.TryTake(1):
+				c.hedges.Add(1)
+				launch(true)
+			default:
+				c.budgetDenied.Add(1)
 			}
+		case out.err == nil:
+			c.hedge.Observe(out.took)
+			if out.hedged {
+				c.hedgeWins.Add(1)
+			}
+			c.repairTo(stale, ids, out.ts)
+			return out.ts, nil
+		default:
+			inflight--
 			lastErr = out.err
 			if errors.Is(out.err, ErrUnknownGlobalID) {
 				stale = append(stale, out.cm)
@@ -393,19 +375,9 @@ func (c *ClusterClient) hedgedCall(cms []*clusterMember, call func(cm *clusterMe
 			if next < len(cms) {
 				launch(false)
 			}
-		case <-timerC:
-			timerC = nil
-			if next < len(cms) {
-				if c.budget.TryTake(1) {
-					c.hedges.Add(1)
-					launch(true)
-				} else {
-					c.budgetDenied.Add(1)
-				}
-			}
 		}
 	}
-	return nil, stale, lastErr
+	return nil, lastErr
 }
 
 // register implements transport: the taints are routed by content hash
@@ -453,20 +425,13 @@ func (c *ClusterClient) register(ts []taint.Taint, blobs [][]byte) ([]uint32, er
 }
 
 // registerGroup registers one owner partition's distinct pre-marshaled
-// taints with that owner, journaling locally if the member is down.
+// taints with that owner's member.
 func (c *ClusterClient) registerGroup(part uint32, ts []taint.Taint, blobs [][]byte) ([]uint32, error) {
 	cm := c.member(part)
 	if cm == nil {
 		return nil, fmt.Errorf("%w: no member for owner partition %d", ErrDegraded, part)
 	}
-	ids, err := cm.rc.register(ts, blobs)
-	if errors.Is(err, ErrOverloaded) {
-		// The owner is shedding load, not down: journal the group into
-		// that partition's degraded mode instead of failing the caller —
-		// the provisional ids remap when the drain replays them.
-		return cm.rc.journalFallback(ts, blobs)
-	}
-	return ids, err
+	return cm.register(ts, blobs)
 }
 
 // lookup implements transport: the ids are grouped by their partition
@@ -513,13 +478,8 @@ func (c *ClusterClient) lookup(ids []uint32) ([]taint.Taint, error) {
 	return ts, nil
 }
 
-// lookupGroup resolves the ids of one group. Provisional ids go through
-// the journal of the member that minted them. Real ids rotate across the
-// partition's replicas: a replica that does not hold the ids falls through
-// to the next and is healed afterwards by read-repair. With several
-// replicas the rotation is hedged (see hedgedCall) and every leg is
-// fail-fast; with one replica, or hedging disabled, the legs run in
-// sequence, each with its member's full resilience machinery.
+// lookupGroup resolves the ids of one group: provisional ids through the
+// member that minted them, real ids on their partition's replicas.
 func (c *ClusterClient) lookupGroup(key uint32, group []uint32) ([]taint.Taint, error) {
 	part := PartitionOf(key)
 	if IsProvisional(key) {
@@ -527,46 +487,20 @@ func (c *ClusterClient) lookupGroup(key uint32, group []uint32) ([]taint.Taint, 
 		if cm == nil {
 			return nil, fmt.Errorf("%w: provisional ids of unknown member", ErrDegraded)
 		}
-		return cm.rc.lookup(group)
+		return cm.lookupProvisional(group)
 	}
-	var buf [MaxPartitions]*clusterMember
+	var buf [MaxPartitions]*member
 	cms := c.replicaOrder(part, buf[:0])
 	if len(cms) == 0 {
 		return nil, fmt.Errorf("%w: no member for partition %d", ErrDegraded, part)
 	}
-	hedge := len(cms) > 1 && c.opt.HedgeDelay >= 0
-	leg := func(cm *clusterMember, deadline time.Time) ([]taint.Taint, error) {
-		return cm.rc.lookupLeg(group, deadline, hedge)
-	}
-	var ts []taint.Taint
-	var stale []*clusterMember
-	var err error
-	if hedge {
-		ts, stale, err = c.hedgedCall(cms, leg)
-	} else {
-		err = ErrDegraded
-		for _, cm := range cms {
-			if ts, err = leg(cm, time.Time{}); err == nil {
-				break
-			}
-			if errors.Is(err, ErrUnknownGlobalID) {
-				// This replica is missing the entries, not down: remember
-				// it for read-repair once another replica resolves them.
-				stale = append(stale, cm)
-			}
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	c.repairTo(stale, group, ts)
-	return ts, nil
+	return c.replicas(cms, group)
 }
 
 // repairTo pushes resolved (id, taint) entries to replicas that were
 // observed missing them. Best-effort: a failed push leaves the replica
 // for the next reader (or the owner's hinted entries) to heal.
-func (c *ClusterClient) repairTo(stale []*clusterMember, ids []uint32, ts []taint.Taint) {
+func (c *ClusterClient) repairTo(stale []*member, ids []uint32, ts []taint.Taint) {
 	if len(stale) == 0 {
 		return
 	}
@@ -585,29 +519,17 @@ func (c *ClusterClient) repairTo(stale []*clusterMember, ids []uint32, ts []tain
 	}
 	payload := appendEntries(nil, okIDs, blobs)
 	for _, cm := range stale {
-		if _, err := cm.rc.rawCall(opRepairTag, payload); err == nil {
+		if _, err := cm.rawCall(opRepairTag, payload); err == nil {
 			c.repaired.Add(int64(len(okIDs)))
 		}
 	}
 }
 
-// Healths reports each member's resilience state, keyed by partition.
-func (c *ClusterClient) Healths() map[uint32]Health {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[uint32]Health, len(c.members))
-	for part, cm := range c.members {
-		out[part] = cm.rc.Health()
-	}
-	return out
-}
-
-// ClusterHealth is a cluster-wide snapshot: per-member resilience
-// state plus the hedge, budget and degradation gauges that only exist
-// at this layer.
+// ClusterHealth is the client's snapshot: each member's resilience state
+// plus the hedge, budget and degradation gauges of the replica loop.
 type ClusterHealth struct {
-	Members            map[uint32]Health
-	DegradedPartitions []uint32 // partitions journaling locally (breaker tripped)
+	Members            map[uint32]Health // by partition
+	DegradedPartitions []uint32          // partitions journaling locally (breaker tripped), ascending
 
 	Hedges       int64         // hedge attempts launched
 	HedgeWins    int64         // lookups won by the hedged attempt
@@ -617,10 +539,10 @@ type ClusterHealth struct {
 	Repaired     int64         // entries pushed back to stale replicas
 }
 
-// Health reports the cluster client's current state.
+// Health reports the client's current state.
 func (c *ClusterClient) Health() ClusterHealth {
 	h := ClusterHealth{
-		Members:      c.Healths(),
+		Members:      make(map[uint32]Health),
 		Hedges:       c.hedges.Load(),
 		HedgeWins:    c.hedgeWins.Load(),
 		BudgetDenied: c.budgetDenied.Load(),
@@ -628,14 +550,16 @@ func (c *ClusterClient) Health() ClusterHealth {
 		HedgeDelay:   c.hedgeDelay(),
 		Repaired:     c.repaired.Load(),
 	}
-	for part, mh := range h.Members {
+	for part, cm := range c.table.Load() {
+		if cm == nil {
+			continue
+		}
+		mh := cm.health()
+		h.Members[uint32(part)] = mh
 		if mh.Degraded {
-			h.DegradedPartitions = append(h.DegradedPartitions, part)
+			h.DegradedPartitions = append(h.DegradedPartitions, uint32(part))
 		}
 	}
-	sort.Slice(h.DegradedPartitions, func(i, j int) bool {
-		return h.DegradedPartitions[i] < h.DegradedPartitions[j]
-	})
 	return h
 }
 
@@ -647,14 +571,10 @@ func (c *ClusterClient) Close() error {
 		return nil
 	}
 	c.closed = true
-	handles := make([]*clusterMember, 0, len(c.members))
-	for _, cm := range c.members {
-		handles = append(handles, cm)
-	}
 	c.mu.Unlock()
 	var first error
-	for _, cm := range handles {
-		if err := cm.rc.Close(); err != nil && first == nil {
+	for _, cm := range c.members() {
+		if err := cm.close(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -187,7 +187,7 @@ func TestRegisterBatchChunksOversized(t *testing.T) {
 			return c
 		}},
 		{"Resilient", func(tree *taint.Tree) Client {
-			return NewResilientClient(func() (io.ReadWriteCloser, error) { return n.Dial("tm:7") },
+			return dialOne("tm:7", func(addr string) (io.ReadWriteCloser, error) { return n.Dial(addr) },
 				tree, ResilientOptions{})
 		}},
 	} {

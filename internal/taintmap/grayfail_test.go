@@ -332,7 +332,7 @@ func TestClusterRegisterOverloadedJournals(t *testing.T) {
 	e.srvs[0].adm.release()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		h := c.Healths()[0]
+		h := c.Health().Members[0]
 		if h.JournalLen == 0 && h.Drained > 0 {
 			break
 		}
@@ -362,6 +362,42 @@ func TestClusterRegisterOverloadedJournals(t *testing.T) {
 	gotBlob, err := taint.MarshalTaint(got)
 	if err != nil || string(gotBlob) != string(wantBlob) {
 		t.Fatalf("drained id %d resolved to different bytes (%v)", real0, err)
+	}
+}
+
+// TestOneAddressOverloadJournals: a single server is a cluster of one,
+// so a one-address client does what a cluster member does — a register
+// the server sheds journals under a provisional id instead of failing,
+// and the journal drains on the same connection once the gate frees.
+func TestOneAddressOverloadJournals(t *testing.T) {
+	n := netsim.New()
+	l, err := n.Listen("tm:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(NewStore(), simAcceptor{l: l}, nil, WithAdmission(1, 0))
+	srv.Start()
+	defer srv.Close()
+	tree := taint.NewTree()
+	c := dialOne("tm:1", simDialer(n, "app:1"), tree, grayOpts().Resilient)
+	defer c.Close()
+
+	srv.adm.admit()
+	tt := tree.NewSource("shed", "app:1")
+	prov, err := c.Register(tt)
+	if err != nil || !IsProvisional(prov) || tt.GlobalID() != 0 {
+		t.Fatalf("register against a shedding server = %#x (node stamped %#x), %v", prov, tt.GlobalID(), err)
+	}
+	srv.adm.release()
+	h := waitHealth(t, c, "drain after the gate freed", func(h Health) bool { return h.Drained == 1 })
+	if !h.Connected || h.Reconnects != 0 {
+		t.Fatalf("the drain needed a reconnect: %+v", h)
+	}
+	if id := tt.GlobalID(); id == 0 || IsProvisional(id) {
+		t.Fatalf("drained taint stamped %#x", id)
+	}
+	if got, err := c.Lookup(prov); err != nil || got != tt {
+		t.Fatalf("lookup of the remapped provisional id = %v, %v", got, err)
 	}
 }
 
@@ -585,7 +621,7 @@ func TestChaosGrayFailure(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		all := true
-		for part, h := range c.Healths() {
+		for part, h := range c.Health().Members {
 			if !h.Connected || h.Degraded || h.JournalLen != 0 {
 				all = false
 				if !time.Now().Before(deadline) {

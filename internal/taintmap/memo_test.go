@@ -243,7 +243,7 @@ func TestEmptyTaintUnderAnID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resilient := NewResilientClient(simDialer(n, "app:2", "tm:1"), taint.NewTree(), fastOpts())
+	resilient := dialOne("tm:1", simDialer(n, "app:2"), taint.NewTree(), fastOpts())
 	tree := taint.NewTree()
 	for name, tc := range map[string]struct {
 		c     Client

@@ -88,8 +88,8 @@ type regFlight struct {
 // ErrClientClosed reports use of a RemoteClient whose connection is
 // gone — closed by the caller or lost to a transport error. Every call
 // pending at the moment of failure and every call issued afterwards
-// fails with an error matching it under errors.Is, so wrappers like
-// ResilientClient can tell "the connection died" apart from "the server
+// fails with an error matching it under errors.Is, so the cluster
+// client's members can tell "the connection died" apart from "the server
 // rejected this request".
 var ErrClientClosed = errors.New("taintmap: client closed")
 
@@ -121,9 +121,9 @@ func NewRemoteClient(conn io.ReadWriteCloser, tree *taint.Tree) *RemoteClient {
 }
 
 // newRemoteClientWith is NewRemoteClient with an injected memo cache
-// and per-call timeout. ResilientClient threads one cache through every
-// connection epoch so taints resolved before a reconnect stay warm
-// after it.
+// and per-call timeout. A cluster client threads its one cache through
+// every connection of every member, so taints resolved before a
+// reconnect stay warm after it.
 func newRemoteClientWith(conn io.ReadWriteCloser, tree *taint.Tree, memo *cache, timeout time.Duration) *RemoteClient {
 	c := &RemoteClient{
 		conn:    conn,

@@ -3,19 +3,18 @@ package taintmap
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dista/internal/core/taint"
+	"dista/internal/netsim"
 )
 
-// This file implements the resilience layer around the Taint Map client
-// path (DESIGN.md "Failure model"). A ResilientClient wraps the
-// multiplexed RemoteClient with:
+// This file is the member layer of the cluster client (DESIGN.md
+// "Failure model"): what stands between the replica loop and the
+// connections to one server —
 //
 //   - per-call deadlines (a wedged connection fails fast instead of
 //     hanging every instrumented write behind it),
@@ -24,15 +23,15 @@ import (
 //     registers journaled during an outage re-issue safely after
 //     reconnect and resolve to the same Global IDs any other node got,
 //   - a circuit breaker: after BreakerThreshold consecutive failed
-//     reconnect attempts the client stops making callers wait and
+//     reconnect attempts the member stops making callers wait and
 //     enters degraded local mode,
-//   - degraded local mode: while the server is unreachable, Register
-//     resolves against a local content-addressed Store and returns a
-//     provisional id (high bit set), queueing the registration in a
-//     bounded store-and-forward journal that drains on reconnect.
-//     Intra-node tracking and sink checks keep working; only
-//     cross-node transfer must wait for a real Global ID (callers see
-//     ErrGlobalIDPending, not a stall).
+//   - degraded local mode: while the server is unreachable (or sheds
+//     load), a register resolves against a local content-addressed
+//     Store and returns a provisional id (high bit set), queueing the
+//     registration in a bounded store-and-forward journal that drains
+//     once a connection is up. Intra-node tracking and sink checks keep
+//     working; only cross-node transfer must wait for a real Global ID
+//     (callers see ErrGlobalIDPending, not a stall).
 
 // provisionalBit marks ids minted by the degraded local store. Real
 // Global IDs grow from 1, so the two spaces cannot collide until the
@@ -59,26 +58,16 @@ var (
 	ErrGlobalIDPending = errors.New("taintmap: taint present, global ID pending")
 )
 
-// DialFunc opens one connection to the Taint Map server. The
-// ResilientClient calls it for the initial connection and again on
-// every reconnect attempt.
-type DialFunc func() (io.ReadWriteCloser, error)
-
-// clock abstracts time for the backoff loop so tests can drive it with
-// a fake instead of sleeping.
-type clock interface {
-	Now() time.Time
-	After(d time.Duration) <-chan time.Time
-}
-
+// realClock is wall time as a netsim.Clock: the clock clients and
+// cluster nodes run on unless a test injects a virtual one.
 type realClock struct{}
 
-func (realClock) Now() time.Time                         { return time.Now() }
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (realClock) Now() time.Time                                   { return time.Now() }
+func (realClock) AfterFunc(d time.Duration, f func()) netsim.Timer { return time.AfterFunc(d, f) }
 
-// ResilientOptions tunes a ResilientClient. The zero value selects the
-// documented defaults; a negative CallTimeout or JitterFrac disables
-// that feature outright.
+// ResilientOptions tunes each member's resilience layer. The zero value
+// selects the documented defaults; a negative CallTimeout or JitterFrac
+// disables that feature outright.
 type ResilientOptions struct {
 	// CallTimeout bounds every wire call. Default 2s; negative disables
 	// per-call deadlines.
@@ -101,22 +90,9 @@ type ResilientOptions struct {
 	// Seed seeds the jitter generator; 0 uses a fixed default seed.
 	Seed int64
 
-	// clk injects a fake clock in tests; nil means real time.
-	clk clock
-	// memo injects a shared id -> taint cache; nil allocates a private
-	// one. The cluster client threads one memo through every member so a
-	// taint resolved via any replica is warm for all of them.
-	memo *cache
-	// local injects the degraded-mode provisional-id store; nil
-	// allocates a standalone (partition 0) one. The cluster client hands
-	// each member a store of that member's partition, so even
-	// provisional ids carry the partition that will eventually own them.
-	local *Store
-	// budget injects the shared retry budget gating reconnect dials
-	// (and, at the cluster layer, hedges); nil means unbudgeted. The
-	// cluster client threads one budget through every member so a
-	// cluster-wide brownout cannot multiply into per-member dial storms.
-	budget *Budget
+	// clk times the backoff, the drain wait, the retry budget, the hedge
+	// timer and the operation deadline; nil means wall time.
+	clk netsim.Clock
 }
 
 // callTimeout resolves CallTimeout: the 2s default for zero, zero
@@ -158,12 +134,6 @@ func (o *ResilientOptions) withDefaults() ResilientOptions {
 	if opt.clk == nil {
 		opt.clk = realClock{}
 	}
-	if opt.memo == nil {
-		opt.memo = &cache{}
-	}
-	if opt.local == nil {
-		opt.local = NewStore()
-	}
 	return opt
 }
 
@@ -189,27 +159,29 @@ func backoffDelay(attempt int, base, max time.Duration, jitter float64, rng *ran
 
 // journalEntry is one degraded-mode registration awaiting replay.
 type journalEntry struct {
-	blob string      // serialized taint (the content address)
+	blob []byte      // serialized taint (the content address)
 	prov uint32      // provisional id handed to the caller
-	t    taint.Taint // node to stamp with the real Global ID on drain
+	t    taint.Taint // node the drain stamps with the real Global ID
 }
 
-// ResilientClient is a Client that survives Taint Map outages. The
-// healthy hot path is one atomic load plus the wrapped RemoteClient
-// call; all resilience machinery sits on the failure paths.
+// member is one ring member's handle: the failover loop, the circuit
+// breaker and the journal around the connections to one server. It is
+// handed its cluster client's shared parts — the tree and memo every
+// connection adopts into, the dial function, the options, the retry
+// budget — and a store of its own partition that mints its provisional
+// ids, so even those carry the partition that will own them.
 //
 // State machine: connected -> (connection failure) -> reconnecting
 // (callers briefly wait) -> either connected again, or — after
-// BreakerThreshold failed attempts — degraded, where Register journals
-// locally and Lookup serves from the memo. Reconnect attempts continue
-// at the backoff cap; on success the journal drains (idempotent
-// content-addressed replay), provisional ids are remapped, and the
-// client is connected again.
-type ResilientClient struct {
-	dial  atomic.Pointer[DialFunc] // replaced by redial, under mu
-	opt   ResilientOptions
-	front // the memo is shared across connection epochs
-
+// BreakerThreshold failed attempts — degraded, where a register journals
+// locally and a lookup fails unless the memo answered it. Reconnect
+// attempts continue at the backoff cap; once a connection is published
+// the journal drains behind it (idempotent content-addressed replay) and
+// the provisional ids are remapped.
+type member struct {
+	c     *ClusterClient
+	addr  atomic.Pointer[string]       // replaced by redial, under mu
+	local *Store                       // mints the provisional ids
 	inner atomic.Pointer[RemoteClient] // nil while disconnected
 
 	mu           sync.Mutex
@@ -217,16 +189,11 @@ type ResilientClient struct {
 	seq          uint64     // state-change counter; waiters watch it
 	degraded     bool
 	reconnecting bool
-	draining     bool // a background drainLoop is running
+	draining     bool // the one drain goroutine is running
 	closed       bool
 	queued       []journalEntry
 	journaled    map[uint32]struct{} // provisional ids currently queued
 	remap        map[uint32]uint32   // provisional -> real Global ID
-
-	// drainMu serializes journal drains: the reconnect loop and the
-	// background drainLoop both replay c.queued, and two concurrent
-	// drains would each truncate the queue by their own batch length.
-	drainMu sync.Mutex
 
 	rng  *rand.Rand // jitter; used only by the single reconnect loop
 	done chan struct{}
@@ -238,31 +205,33 @@ type ResilientClient struct {
 	drainedTotal   atomic.Int64
 }
 
-var _ Client = (*ResilientClient)(nil)
-
-// NewResilientClient dials the Taint Map and returns a client that
-// keeps itself connected. Construction never fails: if the first dial
-// errors the client starts in the reconnecting state and callers block
-// (bounded by the breaker) or run degraded until the server appears.
-func NewResilientClient(dial DialFunc, tree *taint.Tree, opt ResilientOptions) *ResilientClient {
-	c := &ResilientClient{
-		opt:       opt.withDefaults(),
+// newMember dials m and returns its handle. It never fails on the
+// network: if the first dial errors the member starts reconnecting and
+// callers block (bounded by the breaker) or run degraded until the
+// server appears.
+func (c *ClusterClient) newMember(m Member) (*member, error) {
+	local, err := NewPartitionStore(m.Part)
+	if err != nil {
+		return nil, err
+	}
+	cm := &member{
+		c:         c,
+		local:     local,
 		journaled: make(map[uint32]struct{}),
 		remap:     make(map[uint32]uint32),
+		rng:       rand.New(rand.NewSource(c.opt.Resilient.Seed)),
 		done:      make(chan struct{}),
 	}
-	c.dial.Store(&dial)
-	c.front = front{tree, c.opt.memo, c}
-	c.cond = sync.NewCond(&c.mu)
-	c.rng = rand.New(rand.NewSource(c.opt.Seed))
-	if conn, err := dial(); err == nil {
-		c.inner.Store(newRemoteClientWith(conn, tree, c.memo, c.opt.CallTimeout))
+	cm.cond = sync.NewCond(&cm.mu)
+	cm.addr.Store(&m.Addr)
+	if conn, err := c.dial(m.Addr); err == nil {
+		cm.inner.Store(newRemoteClientWith(conn, c.tree, c.memo, c.opt.Resilient.CallTimeout))
 	} else {
-		c.dialFailures.Add(1)
-		c.reconnecting = true
-		go c.reconnectLoop(1)
+		cm.dialFailures.Add(1)
+		cm.reconnecting = true
+		go cm.reconnectLoop(1)
 	}
-	return c
+	return cm, nil
 }
 
 // isConnErr reports whether err means the connection (not the request)
@@ -271,92 +240,74 @@ func isConnErr(err error) bool {
 	return errors.Is(err, ErrClientClosed) || errors.Is(err, ErrCallTimeout)
 }
 
-// connFailed retires a dead inner client and starts the reconnect loop.
-// Concurrent callers may report the same client; only the first one
+// connFailed retires a dead connection and starts the reconnect loop.
+// Concurrent callers may report the same connection; only the first one
 // transitions the state.
-func (c *ResilientClient) connFailed(old *RemoteClient) {
-	c.mu.Lock()
-	if c.inner.Load() == old {
-		c.inner.Store(nil)
-		c.seq++
-		c.cond.Broadcast()
-		if !c.reconnecting && !c.closed {
-			c.reconnecting = true
-			go c.reconnectLoop(0)
+func (m *member) connFailed(old *RemoteClient) {
+	m.mu.Lock()
+	if m.inner.Load() == old {
+		m.inner.Store(nil)
+		m.seq++
+		m.cond.Broadcast()
+		if !m.reconnecting && !m.closed {
+			m.reconnecting = true
+			go m.reconnectLoop(0)
 		}
 	}
-	c.mu.Unlock()
+	m.mu.Unlock()
 	old.Close()
 }
 
-// redial points the client at a new address — its member was replaced —
-// keeping everything else: the journal, the remap table and the
-// provisional ids the local store has minted stay valid. The live
-// connection is retired, so the reconnect loop dials the new address and
-// drains there; a dial of the old address still in flight is discarded
-// when it comes to publish.
-func (c *ResilientClient) redial(dial DialFunc) {
-	c.mu.Lock()
-	c.dial.Store(&dial)
-	rc := c.inner.Load()
-	c.mu.Unlock()
+// redial points the member at a new address — it was replaced — keeping
+// everything else: the journal, the remap table and the provisional ids
+// the local store has minted stay valid. The live connection is retired,
+// so the reconnect loop dials the new address and drains there; a dial
+// of the old address still in flight is discarded when it comes to
+// publish.
+func (m *member) redial(addr string) {
+	m.mu.Lock()
+	m.addr.Store(&addr)
+	rc := m.inner.Load()
+	m.mu.Unlock()
 	if rc != nil {
-		c.connFailed(rc)
+		m.connFailed(rc)
 	}
 }
 
 // reconnectLoop re-dials with jittered exponential backoff until the
-// server answers, then drains the journal and republishes the client.
-// failures carries consecutive failed attempts (the constructor's
-// failed first dial counts); at BreakerThreshold it trips the breaker.
-func (c *ResilientClient) reconnectLoop(failures int) {
+// server answers, then publishes the connection and starts the journal
+// drain behind it. failures carries consecutive failed attempts (the
+// first dial's failure counts); at BreakerThreshold it trips the breaker.
+func (m *member) reconnectLoop(failures int) {
+	opt := &m.c.opt.Resilient
 	for attempt := 0; ; attempt++ {
-		c.mu.Lock()
-		if c.closed {
-			c.reconnecting = false
-			c.mu.Unlock()
-			return
-		}
-		c.mu.Unlock()
-
-		dial := c.dial.Load()
-		rc, err := c.connect(*dial)
-		for err == nil {
-			if err = c.drainJournal(rc); err != nil {
-				rc.Close()
-				break
-			}
-			c.mu.Lock()
-			if c.closed {
-				c.mu.Unlock()
-				rc.Close()
+		addr := m.addr.Load()
+		rc, err := m.connect(*addr)
+		if err == nil {
+			m.mu.Lock()
+			closed := m.closed
+			if !closed && m.addr.Load() == addr {
+				m.inner.Store(rc)
+				m.degraded = false
+				m.reconnecting = false
+				m.seq++
+				m.cond.Broadcast()
+				m.drainLocked()
+				m.mu.Unlock()
+				m.reconnects.Add(1)
 				return
 			}
-			if c.dial.Load() != dial {
-				c.mu.Unlock()
-				rc.Close()
-				err = errors.New("taintmap: re-addressed while connecting")
-				break
-			}
-			if len(c.queued) == 0 {
-				c.inner.Store(rc)
-				c.degraded = false
-				c.reconnecting = false
-				c.seq++
-				c.cond.Broadcast()
-				c.mu.Unlock()
-				c.reconnects.Add(1)
+			m.mu.Unlock()
+			rc.Close() // closed, or re-addressed while connecting
+			if closed {
 				return
 			}
-			// A degraded caller journaled between the drain and here;
-			// drain again before publishing.
-			c.mu.Unlock()
 		}
 		// Whatever step failed, the attempt failed: count it, trip the
 		// breaker at the threshold, wait out the backoff, go again.
 		failures++
-		c.maybeTrip(failures)
-		if !c.sleep(attempt) {
+		m.maybeTrip(failures)
+		if !m.sleep(backoffDelay(attempt, opt.BackoffBase, opt.BackoffMax, opt.JitterFrac, m.rng)) {
 			return
 		}
 	}
@@ -366,210 +317,150 @@ func (c *ResilientClient) reconnectLoop(failures int) {
 // probe. Reconnect dials are retry traffic: they spend from the shared
 // budget, so a fleet-wide brownout cannot be amplified into a dial
 // storm; a denied attempt fails like a refused dial.
-func (c *ResilientClient) connect(dial DialFunc) (*RemoteClient, error) {
-	if !c.opt.budget.TryTake(1) {
+func (m *member) connect(addr string) (*RemoteClient, error) {
+	if !m.c.budget.TryTake(1) {
 		return nil, errors.New("taintmap: retry budget denied the reconnect dial")
 	}
-	conn, err := dial()
+	conn, err := m.c.dial(addr)
 	if err != nil {
-		c.dialFailures.Add(1)
+		m.dialFailures.Add(1)
 		return nil, err
 	}
-	rc := newRemoteClientWith(conn, c.tree, c.memo, c.opt.CallTimeout)
+	rc := newRemoteClientWith(conn, m.c.tree, m.c.memo, m.c.opt.Resilient.CallTimeout)
 	// Probe before trusting the connection: a gray-failing server
-	// accepts the dial and then never answers, and publishing it
-	// would hand every caller a stall. One stats round trip (bounded
-	// by the watchdog) proves the server is answering. Skipped when
-	// deadlines are disabled — the probe itself could hang forever.
-	if c.opt.CallTimeout > 0 {
+	// accepts the dial and then never answers, and publishing it would
+	// hand every caller a stall. One stats round trip (bounded by the
+	// watchdog) proves the server is answering. Skipped when deadlines
+	// are disabled — the probe itself could hang forever.
+	if rc.timeout > 0 {
 		if _, err := rc.call(opStatsTag, nil, time.Time{}); err != nil {
 			rc.Close()
-			c.probeFailures.Add(1)
+			m.probeFailures.Add(1)
 			return nil, err
 		}
 	}
 	return rc, nil
 }
 
-// maybeTrip flips the client into degraded mode once enough consecutive
+// maybeTrip flips the member into degraded mode once enough consecutive
 // reconnect attempts have failed, releasing every waiting caller into
 // the local path.
-func (c *ResilientClient) maybeTrip(failures int) {
-	if failures < c.opt.BreakerThreshold {
+func (m *member) maybeTrip(failures int) {
+	if failures < m.c.opt.Resilient.BreakerThreshold {
 		return
 	}
-	c.mu.Lock()
-	if !c.degraded && !c.closed {
-		c.degraded = true
-		c.seq++
-		c.cond.Broadcast()
+	m.mu.Lock()
+	if !m.degraded && !m.closed {
+		m.degraded = true
+		m.seq++
+		m.cond.Broadcast()
 	}
-	c.mu.Unlock()
+	m.mu.Unlock()
 }
 
-// sleep waits out the backoff delay for attempt; false means the client
-// closed and the loop must exit.
-func (c *ResilientClient) sleep(attempt int) bool {
-	d := backoffDelay(attempt, c.opt.BackoffBase, c.opt.BackoffMax, c.opt.JitterFrac, c.rng)
+// sleep waits d on the member's clock; false means the member closed
+// meanwhile and the caller must give up.
+func (m *member) sleep(d time.Duration) bool {
+	fired := make(chan struct{})
+	t := m.c.opt.Resilient.clk.AfterFunc(d, func() { close(fired) })
 	select {
-	case <-c.opt.clk.After(d):
+	case <-fired:
 		return true
-	case <-c.done:
-		c.mu.Lock()
-		c.reconnecting = false
-		c.mu.Unlock()
+	case <-m.done:
+		t.Stop()
 		return false
 	}
 }
 
-// drainJournal replays every queued registration through rc. Replay is
-// idempotent: registration is content-addressed, so re-sending a blob
-// the server already has (from a pre-crash send or another node)
-// returns the same Global ID. Each drained entry remaps its provisional
-// id and stamps the real id onto the taint node.
-func (c *ResilientClient) drainJournal(rc *RemoteClient) error {
-	c.drainMu.Lock()
-	defer c.drainMu.Unlock()
+// drainLocked starts the journal drain unless it is running already or
+// has nothing to do. Caller holds m.mu.
+func (m *member) drainLocked() {
+	if !m.draining && !m.closed && len(m.queued) > 0 && m.inner.Load() != nil {
+		m.draining = true
+		go m.drain()
+	}
+}
+
+// drain replays the journal on the live connection — everything queued
+// at once, through the batch register (chunked under the frame limit) —
+// and remaps each provisional id to the real Global ID the register
+// stamped on its taint. Replay is idempotent: registration is
+// content-addressed, so a blob the server already has (from a pre-crash
+// send or another node) gets its old id back. One drain runs at a time
+// (draining), behind a published connection, so no caller waits for it.
+// A dead connection ends it — the reconnect loop starts the next one
+// when it publishes — and so does a refused replay (the owner still
+// sheds load) once the retry budget stops paying for another try after
+// the backoff cap; the journal then waits for the next fallback or
+// reconnect.
+func (m *member) drain() {
 	for {
-		c.mu.Lock()
-		batch := c.queued
-		c.mu.Unlock()
-		if len(batch) == 0 {
-			return nil
-		}
-		ids := make([]uint32, len(batch))
-		for i, e := range batch {
-			id, err := rc.registerBlob(e.t, []byte(e.blob))
-			if err != nil {
-				return err
-			}
-			ids[i] = id
-		}
-		c.mu.Lock()
-		for i, e := range batch {
-			c.remap[e.prov] = ids[i]
-			e.t.SetGlobalID(ids[i])
-			c.memo.put(ids[i], e.t)
-			delete(c.journaled, e.prov)
-		}
-		// New entries may have been appended behind the batch; keep them.
-		c.queued = c.queued[len(batch):]
-		c.mu.Unlock()
-		c.drainedTotal.Add(int64(len(batch)))
-	}
-}
-
-// journalLocked registers t (serialized as blob) against the local store
-// and queues the registration for replay, returning a provisional id.
-// Caller holds c.mu.
-func (c *ResilientClient) journalLocked(t taint.Taint, blob []byte) (uint32, error) {
-	prov := provisionalBit | c.opt.local.RegisterBlob(blob)
-	if gid, ok := c.remap[prov]; ok {
-		// Seen and drained in an earlier outage: the real id is known.
-		t.SetGlobalID(gid)
-		c.memo.put(gid, t)
-		return gid, nil
-	}
-	if _, ok := c.journaled[prov]; ok {
-		return prov, nil
-	}
-	if len(c.queued) >= c.opt.JournalLimit {
-		return 0, fmt.Errorf("%w (%d queued)", ErrJournalFull, len(c.queued))
-	}
-	c.queued = append(c.queued, journalEntry{blob: string(blob), prov: prov, t: t})
-	c.journaled[prov] = struct{}{}
-	c.journaledTotal.Add(1)
-	// Memoize under the provisional id so sink-side lookups resolve
-	// locally. The real Global ID is NOT stamped on t: cross-node
-	// transfer must keep failing with ErrGlobalIDPending until drain.
-	c.memo.put(prov, t)
-	return prov, nil
-}
-
-// journalAllLocked journals every registration of a batch, returning the
-// parallel provisional ids. Caller holds c.mu.
-func (c *ResilientClient) journalAllLocked(ts []taint.Taint, blobs [][]byte) (ids []uint32, err error) {
-	ids = make([]uint32, len(ts))
-	for i, t := range ts {
-		if ids[i], err = c.journalLocked(t, blobs[i]); err != nil {
-			return nil, err
-		}
-	}
-	return ids, nil
-}
-
-// journalFallback journals a batch regardless of breaker state: the
-// partition-scoped degraded path. The cluster client calls it when a
-// whole partition is effectively unavailable — every replica down, the
-// retry budget empty, or the owner shedding load (ErrOverloaded) — so the
-// caller gets provisional ids now instead of an error, and a background
-// drain replays the journal as soon as this member's connection can
-// absorb it, without waiting for a full disconnect/reconnect cycle.
-func (c *ResilientClient) journalFallback(ts []taint.Taint, blobs [][]byte) ([]uint32, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClientClosed
-	}
-	ids, err := c.journalAllLocked(ts, blobs)
-	kick := err == nil && !c.draining && c.inner.Load() != nil
-	if kick {
-		c.draining = true
-	}
-	c.mu.Unlock()
-	if kick {
-		go c.drainLoop()
-	}
-	return ids, err
-}
-
-// drainLoop replays journalFallback entries in the background while the
-// client stays connected. On any drain failure it stops: the entries
-// stay queued and the reconnect loop replays them before republishing a
-// fresh connection.
-func (c *ResilientClient) drainLoop() {
-	ok := true
-	defer func() {
-		c.mu.Lock()
-		again := ok && !c.closed && len(c.queued) > 0 && c.inner.Load() != nil
-		c.draining = again
-		c.mu.Unlock()
-		if again {
-			// An entry landed between the last pass and here; keep going
-			// so it does not sit until the next fallback or reconnect.
-			go c.drainLoop()
-		}
-	}()
-	for {
-		rc := c.inner.Load()
-		c.mu.Lock()
-		done := c.closed || len(c.queued) == 0
-		c.mu.Unlock()
-		if done || rc == nil {
+		m.mu.Lock()
+		rc, batch := m.inner.Load(), m.queued
+		if m.closed || rc == nil || len(batch) == 0 {
+			m.draining = false
+			m.mu.Unlock()
 			return
 		}
-		if err := c.drainJournal(rc); err != nil {
-			if isConnErr(err) {
-				c.connFailed(rc)
-				ok = false
-				return
-			}
-			// The server answered but refused the replay — most likely
-			// still shedding (ErrOverloaded). Retry after a full backoff
-			// while the budget allows; once it denies, the journal waits
-			// for the next fallback kick or reconnect drain.
-			if !c.opt.budget.TryTake(1) {
-				ok = false
-				return
-			}
-			select {
-			case <-c.opt.clk.After(c.opt.BackoffMax):
-			case <-c.done:
-				ok = false
-				return
-			}
+		m.mu.Unlock()
+		ts, blobs := make([]taint.Taint, len(batch)), make([][]byte, len(batch))
+		for i, e := range batch {
+			ts[i], blobs[i] = e.t, e.blob
 		}
+		ids, err := rc.register(ts, blobs)
+		if err == nil {
+			m.mu.Lock()
+			for i, e := range batch {
+				m.remap[e.prov] = ids[i]
+				delete(m.journaled, e.prov)
+			}
+			// New entries may have been appended behind the batch; keep them.
+			m.queued = m.queued[len(batch):]
+			m.drainedTotal.Add(int64(len(batch)))
+			m.mu.Unlock()
+			continue
+		}
+		if isConnErr(err) {
+			m.connFailed(rc)
+		} else if m.c.budget.TryTake(1) && m.sleep(m.c.opt.Resilient.BackoffMax) {
+			continue
+		}
+		m.mu.Lock()
+		m.draining = false
+		m.mu.Unlock()
+		return
 	}
+}
+
+// journalLocked registers each taint (serialized: blobs) against the
+// local store, queues those the journal does not hold yet and returns
+// the parallel provisional ids. Caller holds m.mu.
+func (m *member) journalLocked(ts []taint.Taint, blobs [][]byte) ([]uint32, error) {
+	ids := make([]uint32, len(ts))
+	for i, t := range ts {
+		prov := provisionalBit | m.local.RegisterBlob(blobs[i])
+		if gid, ok := m.remap[prov]; ok {
+			// Seen and drained in an earlier outage: the real id is known.
+			t.SetGlobalID(gid)
+			m.c.memo.put(gid, t)
+			ids[i] = gid
+			continue
+		}
+		if _, ok := m.journaled[prov]; !ok {
+			if len(m.queued) >= m.c.opt.Resilient.JournalLimit {
+				return nil, fmt.Errorf("%w (%d queued)", ErrJournalFull, len(m.queued))
+			}
+			m.queued = append(m.queued, journalEntry{blob: blobs[i], prov: prov, t: t})
+			m.journaled[prov] = struct{}{}
+			m.journaledTotal.Add(1)
+			// Memoize under the provisional id so sink-side lookups resolve
+			// locally. The real Global ID is NOT stamped on t: cross-node
+			// transfer must keep failing with ErrGlobalIDPending until drain.
+			m.c.memo.put(prov, t)
+		}
+		ids[i] = prov
+	}
+	return ids, nil
 }
 
 // withConn is the failover loop every request runs in — the one place a
@@ -578,20 +469,20 @@ func (c *ResilientClient) drainLoop() {
 // (not the request) died, the connection is retired, the reconnect loop
 // started, and try runs again on the next one. While disconnected the
 // caller waits for a state change, bounded by the breaker; once the
-// breaker has tripped, degraded (called with c.mu held) answers instead.
+// breaker has tripped, degraded (called with m.mu held) answers instead.
 //
 // A nil degraded makes the call fail-fast, for callers with somewhere
 // else to go (a hedged read has other replicas; cluster maintenance
 // traffic is meaningless without a server): one attempt on whatever
 // connection is live right now, no reconnect wait, no breaker wait.
-func (c *ResilientClient) withConn(try func(*RemoteClient) error, degraded func() error) error {
+func (m *member) withConn(try func(*RemoteClient) error, degraded func() error) error {
 	for {
-		if rc := c.inner.Load(); rc != nil {
+		if rc := m.inner.Load(); rc != nil {
 			err := try(rc)
 			if err == nil || !isConnErr(err) {
 				return err
 			}
-			c.connFailed(rc)
+			m.connFailed(rc)
 			if degraded == nil {
 				return err
 			}
@@ -600,65 +491,104 @@ func (c *ResilientClient) withConn(try func(*RemoteClient) error, degraded func(
 		if degraded == nil {
 			return fmt.Errorf("%w: no connection", ErrDegraded)
 		}
-		c.mu.Lock()
+		m.mu.Lock()
 		switch {
-		case c.closed:
-			c.mu.Unlock()
+		case m.closed:
+			m.mu.Unlock()
 			return ErrClientClosed
-		case c.inner.Load() != nil:
-		case c.degraded:
+		case m.inner.Load() != nil:
+		case m.degraded:
 			err := degraded()
-			c.mu.Unlock()
+			m.mu.Unlock()
 			return err
 		default:
-			for seq := c.seq; c.seq == seq && !c.closed; {
-				c.cond.Wait()
+			for seq := m.seq; m.seq == seq && !m.closed; {
+				m.cond.Wait()
 			}
 		}
-		c.mu.Unlock()
+		m.mu.Unlock()
 	}
 }
 
-// register implements transport. Healthy: the live connection's batch,
-// stamped there. Disconnected: waits for reconnect, bounded by the
-// breaker. Degraded: every entry journals and gets a provisional id (not
-// stamped on the taint, per the ErrGlobalIDPending contract).
-func (c *ResilientClient) register(ts []taint.Taint, blobs [][]byte) (ids []uint32, err error) {
-	err = c.withConn(func(rc *RemoteClient) (err error) {
+// register is the member's half of the cluster client's register: the
+// live connection's batch, stamped there. Disconnected, it waits for the
+// reconnect, bounded by the breaker. Degraded — or answered
+// ErrOverloaded by an owner shedding load — every entry journals and
+// gets a provisional id (not stamped on the taint, per the
+// ErrGlobalIDPending contract); a shedding owner's journal drains as soon
+// as the live connection absorbs it, without a reconnect.
+func (m *member) register(ts []taint.Taint, blobs [][]byte) (ids []uint32, err error) {
+	err = m.withConn(func(rc *RemoteClient) (err error) {
 		ids, err = rc.register(ts, blobs)
 		return err
 	}, func() (err error) {
-		ids, err = c.journalAllLocked(ts, blobs)
+		ids, err = m.journalLocked(ts, blobs)
 		return err
 	})
+	if !errors.Is(err, ErrOverloaded) {
+		return ids, err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return nil, ErrClientClosed
+	}
+	if ids, err = m.journalLocked(ts, blobs); err == nil {
+		m.drainLocked()
+	}
 	return ids, err
 }
 
 // rawCall issues one protocol op on the live connection — the cluster
 // client's channel for ring fetches and read-repair pushes. Fail-fast:
 // there is nothing to journal and nobody to wait for.
-func (c *ResilientClient) rawCall(op byte, payload []byte) (reply []byte, err error) {
-	err = c.withConn(func(rc *RemoteClient) (err error) {
+func (m *member) rawCall(op byte, payload []byte) (reply []byte, err error) {
+	err = m.withConn(func(rc *RemoteClient) (err error) {
 		reply, err = rc.call(op, payload, time.Time{})
 		return err
 	}, nil)
 	return reply, err
 }
 
-// lookup implements transport: the same healthy/wait/degraded paths as
-// register. Provisional ids never reach the wire: a batch holding any
-// goes id by id, those through the remap table or the local store.
-func (c *ResilientClient) lookup(ids []uint32) ([]taint.Taint, error) {
-	if !slices.ContainsFunc(ids, IsProvisional) {
-		return c.lookupLeg(ids, time.Time{}, false)
+// lookup fetches real ids on the live connection, bounded by deadline
+// (zero: none) without declaring the connection wedged when it passes.
+// failFast gives up instead of waiting out a reconnect, for a leg with
+// other replicas to go to. Degraded, only the memo could have answered,
+// and it already declined these ids.
+func (m *member) lookup(ids []uint32, deadline time.Time, failFast bool) (ts []taint.Taint, err error) {
+	var degraded func() error
+	if !failFast {
+		degraded = func() error {
+			return fmt.Errorf("%w: lookup of %d unknown ids", ErrDegraded, len(ids))
+		}
 	}
+	err = m.withConn(func(rc *RemoteClient) (err error) {
+		ts, err = rc.lookupDeadline(ids, deadline)
+		return err
+	}, degraded)
+	return ts, err
+}
+
+// lookupProvisional resolves provisional ids this member minted: through
+// the remap table when a drain already assigned the real Global ID, else
+// from the local store.
+func (m *member) lookupProvisional(ids []uint32) ([]taint.Taint, error) {
 	ts := make([]taint.Taint, len(ids))
 	for i, id := range ids {
+		m.mu.Lock()
+		gid, remapped := m.remap[id]
+		m.mu.Unlock()
 		var err error
-		if IsProvisional(id) {
-			ts[i], err = c.lookupProvisional(id)
+		if remapped {
+			ts[i], err = m.c.Lookup(gid)
 		} else {
-			ts[i], err = c.Lookup(id)
+			var blob []byte
+			if blob, err = m.local.LookupBlob(id &^ provisionalBit); err == nil {
+				ts[i], err = m.c.tree.UnmarshalTaint(blob)
+			}
+			// No SetGlobalID: the node must not carry a provisional id into
+			// the cross-node transfer path.
+			m.c.memo.put(id, ts[i])
 		}
 		if err != nil {
 			return nil, err
@@ -667,51 +597,8 @@ func (c *ResilientClient) lookup(ids []uint32) ([]taint.Taint, error) {
 	return ts, nil
 }
 
-// lookupLeg fetches real ids on the live connection. A non-zero deadline
-// bounds the wire wait inline, without declaring the connection wedged,
-// and failFast gives up instead of waiting out a reconnect — together the
-// per-member leg of the cluster client's hedged reads. Degraded, only the
-// memo can answer, and it already declined these ids.
-func (c *ResilientClient) lookupLeg(ids []uint32, deadline time.Time, failFast bool) (ts []taint.Taint, err error) {
-	var degraded func() error
-	if !failFast {
-		degraded = func() error {
-			return fmt.Errorf("%w: lookup of %d unknown ids", ErrDegraded, len(ids))
-		}
-	}
-	err = c.withConn(func(rc *RemoteClient) (err error) {
-		ts, err = rc.lookupDeadline(ids, deadline)
-		return err
-	}, degraded)
-	return ts, err
-}
-
-// lookupProvisional resolves a provisional id: through the remap table
-// when a drain already assigned the real Global ID, else from the local
-// store the id was minted by.
-func (c *ResilientClient) lookupProvisional(id uint32) (taint.Taint, error) {
-	c.mu.Lock()
-	gid, remapped := c.remap[id]
-	c.mu.Unlock()
-	if remapped {
-		return c.Lookup(gid)
-	}
-	blob, err := c.opt.local.LookupBlob(id &^ provisionalBit)
-	if err != nil {
-		return taint.Taint{}, err
-	}
-	t, err := c.tree.UnmarshalTaint(blob)
-	if err != nil {
-		return taint.Taint{}, err
-	}
-	// No SetGlobalID: the node must not carry a provisional id into the
-	// cross-node transfer path.
-	c.memo.put(id, t)
-	return t, nil
-}
-
-// Health is a snapshot of the resilience state, for tests, monitoring
-// and the degraded-mode banner.
+// Health is a snapshot of one member's resilience state, for tests,
+// monitoring and the degraded-mode banner.
 type Health struct {
 	Connected     bool  // a live connection is published
 	Degraded      bool  // breaker tripped; registers journal locally
@@ -723,40 +610,35 @@ type Health struct {
 	Drained       int64 // journaled registrations replayed
 }
 
-// Health reports the client's current resilience state.
-func (c *ResilientClient) Health() Health {
-	c.mu.Lock()
+func (m *member) health() Health {
+	m.mu.Lock()
 	h := Health{
-		Connected:  c.inner.Load() != nil,
-		Degraded:   c.degraded,
-		JournalLen: len(c.queued),
+		Connected:  m.inner.Load() != nil,
+		Degraded:   m.degraded,
+		JournalLen: len(m.queued),
+		Drained:    m.drainedTotal.Load(), // moves with JournalLen, under mu
 	}
-	c.mu.Unlock()
-	h.Reconnects = c.reconnects.Load()
-	h.DialFailures = c.dialFailures.Load()
-	h.ProbeFailures = c.probeFailures.Load()
-	h.Journaled = c.journaledTotal.Load()
-	h.Drained = c.drainedTotal.Load()
+	m.mu.Unlock()
+	h.Reconnects = m.reconnects.Load()
+	h.DialFailures = m.dialFailures.Load()
+	h.ProbeFailures = m.probeFailures.Load()
+	h.Journaled = m.journaledTotal.Load()
 	return h
 }
 
-// Close implements Client: it stops the reconnect loop, closes any live
-// connection and fails subsequent calls with ErrClientClosed. Journaled
-// registrations that never drained are dropped — their taints live on
-// in this process but were never assigned Global IDs.
-func (c *ResilientClient) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	rc := c.inner.Load()
-	c.inner.Store(nil)
-	c.seq++
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	close(c.done)
+// close stops the reconnect loop and the drain, closes any live
+// connection and fails later calls with ErrClientClosed. Journaled
+// registrations that never drained are dropped — their taints live on in
+// this process but were never assigned Global IDs.
+func (m *member) close() error {
+	m.mu.Lock()
+	m.closed = true
+	rc := m.inner.Load()
+	m.inner.Store(nil)
+	m.seq++
+	m.cond.Broadcast()
+	m.mu.Unlock()
+	close(m.done)
 	if rc != nil {
 		return rc.Close()
 	}

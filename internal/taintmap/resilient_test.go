@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -13,26 +12,36 @@ import (
 	"dista/internal/netsim"
 )
 
-// simDialer returns a DialFunc connecting from a fixed local host so
-// netsim partitions can target the client side by name.
-func simDialer(n *netsim.Network, local, addr string) DialFunc {
-	return func() (io.ReadWriteCloser, error) {
+// simDialer returns a dial function connecting from a fixed local host
+// so netsim partitions can target the client side by name.
+func simDialer(n *netsim.Network, local string) func(addr string) (io.ReadWriteCloser, error) {
+	return func(addr string) (io.ReadWriteCloser, error) {
 		return n.DialFrom(local, addr)
 	}
 }
 
-// waitHealth polls the client until pred accepts its health or the
-// deadline passes.
-func waitHealth(t *testing.T, c *ResilientClient, what string, pred func(Health) bool) Health {
+// dialOne is the client DialClusterAddrs makes of one address: a
+// cluster of one, its ring built locally, so nothing here can fail.
+func dialOne(addr string, dial func(addr string) (io.ReadWriteCloser, error), tree *taint.Tree, opt ResilientOptions) *ClusterClient {
+	c, err := DialClusterAddrs([]string{addr}, dial, tree, ClusterOptions{Resilient: opt})
+	if err != nil {
+		panic(err)
+	}
+	return c.(*ClusterClient)
+}
+
+// waitHealth polls a one-address client until pred accepts its member's
+// health or the deadline passes.
+func waitHealth(t *testing.T, c *ClusterClient, what string, pred func(Health) bool) Health {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if h := c.Health(); pred(h) {
+		if h := c.Health().Members[0]; pred(h) {
 			return h
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("timed out waiting for %s (health %+v)", what, c.Health())
+	t.Fatalf("timed out waiting for %s (health %+v)", what, c.Health().Members[0])
 	return Health{}
 }
 
@@ -63,7 +72,7 @@ func TestResilientDegradedJournalAndDrain(t *testing.T) {
 	defer srv.Close()
 
 	tree := taint.NewTree()
-	c := NewResilientClient(simDialer(n, "app:1", "tm:1"), tree, fastOpts())
+	c := dialOne("tm:1", simDialer(n, "app:1"), tree, fastOpts())
 	defer c.Close()
 
 	// Healthy path first.
@@ -99,7 +108,7 @@ func TestResilientDegradedJournalAndDrain(t *testing.T) {
 			t.Fatalf("degraded lookup of provisional id: %v, %v", got, err)
 		}
 	}
-	if h := c.Health(); !h.Degraded {
+	if h := c.Health().Members[0]; !h.Degraded {
 		t.Fatalf("client not degraded after registers across a partition: %+v", h)
 	}
 	// Registering the same taint again must not grow the journal.
@@ -107,7 +116,7 @@ func TestResilientDegradedJournalAndDrain(t *testing.T) {
 	if err != nil || again != provIDs[0] {
 		t.Fatalf("repeat degraded register = %d, %v (want %d)", again, err, provIDs[0])
 	}
-	if h := c.Health(); h.JournalLen != 4 {
+	if h := c.Health().Members[0]; h.JournalLen != 4 {
 		t.Fatalf("journal holds %d entries, want 4", h.JournalLen)
 	}
 	// The warm taint is still resolvable from the memo while degraded.
@@ -166,7 +175,7 @@ func TestResilientReconnectReplaysBlockedRegister(t *testing.T) {
 	tree := taint.NewTree()
 	opt := fastOpts()
 	opt.BreakerThreshold = 1 << 30 // never trip: force the waiting path
-	c := NewResilientClient(simDialer(n, "app:1", "tm:1"), tree, opt)
+	c := dialOne("tm:1", simDialer(n, "app:1"), tree, opt)
 	defer c.Close()
 
 	n.Partition("app", "tm")
@@ -196,6 +205,63 @@ func TestResilientReconnectReplaysBlockedRegister(t *testing.T) {
 	}
 }
 
+// TestJournalDrainsInBatches: a journal of 1,000 registrations replays
+// through the batch register — one or two register frames, not a round
+// trip per entry — and each provisional id is remapped exactly once, to
+// the id the server holds for its taint's bytes.
+func TestJournalDrainsInBatches(t *testing.T) {
+	const entries = 1000
+	n := netsim.New()
+	srv, err := StartSimServer(n, "tm:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	n.Partition("app", "tm")
+	var tap wireTap
+	tree := taint.NewTree()
+	c := dialOne("tm:1", tap.dial(n, "app:1"), tree, fastOpts())
+	defer c.Close()
+	waitHealth(t, c, "breaker trip", func(h Health) bool { return h.Degraded })
+
+	ts := make([]taint.Taint, entries)
+	for i := range ts {
+		ts[i] = tree.NewSource(fmt.Sprintf("journaled-%d", i), "app:1")
+	}
+	provs, err := c.RegisterBatch(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Heal("app", "tm")
+	h := waitHealth(t, c, "drain after heal", func(h Health) bool { return h.Drained >= entries })
+	if h.Journaled != entries || h.JournalLen != 0 {
+		t.Fatalf("journaled %d, %d left after the drain", h.Journaled, h.JournalLen)
+	}
+	if ops := tap.registerOps(t); len(ops) == 0 || len(ops) > 2 {
+		t.Fatalf("the drain sent register frames %q, want one or two", ops)
+	}
+	check, err := DialSim(n, "tm:1", taint.NewTree())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer check.Close()
+	m := c.member(0)
+	for i, tt := range ts {
+		m.mu.Lock()
+		gid, ok := m.remap[provs[i]]
+		m.mu.Unlock()
+		if !IsProvisional(provs[i]) || !ok || gid != tt.GlobalID() || IsProvisional(gid) {
+			t.Fatalf("taint %d: provisional %#x remapped to %#x (%v), node stamped %#x", i, provs[i], gid, ok, tt.GlobalID())
+		}
+		if got, err := check.Lookup(gid); err != nil || !taint.SameSet(got, tt) {
+			t.Fatalf("id %#x resolves to %v, %v", gid, got, err)
+		}
+	}
+	if h := c.Health().Members[0]; h.Drained != entries {
+		t.Fatalf("%d entries replayed for %d journaled", h.Drained, entries)
+	}
+}
+
 // TestResilientJournalBound verifies the store-and-forward journal is
 // bounded: past JournalLimit, degraded registers fail with
 // ErrJournalFull (which is also an ErrDegraded).
@@ -204,7 +270,7 @@ func TestResilientJournalBound(t *testing.T) {
 	opt := fastOpts()
 	opt.BreakerThreshold = 1
 	opt.JournalLimit = 3
-	c := NewResilientClient(func() (io.ReadWriteCloser, error) {
+	c := dialOne("tm:1", func(string) (io.ReadWriteCloser, error) {
 		return nil, errors.New("no route")
 	}, tree, opt)
 	defer c.Close()
@@ -225,54 +291,36 @@ func TestResilientJournalBound(t *testing.T) {
 	}
 }
 
-// fakeClock records the delays the backoff loop requests and fires them
-// immediately, so the schedule is observable without sleeping.
-type fakeClock struct {
-	mu     sync.Mutex
-	delays []time.Duration
-}
-
-func (f *fakeClock) Now() time.Time { return time.Unix(0, 0) }
-
-func (f *fakeClock) After(d time.Duration) <-chan time.Time {
-	f.mu.Lock()
-	f.delays = append(f.delays, d)
-	f.mu.Unlock()
-	ch := make(chan time.Time, 1)
-	ch <- time.Unix(0, 0)
-	return ch
-}
-
-func (f *fakeClock) snapshot() []time.Duration {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]time.Duration(nil), f.delays...)
-}
-
-// TestBackoffScheduleWithFakeClock drives the reconnect loop against a
-// dial that always fails and a clock that records each requested delay:
-// the schedule must double from base to the cap and stay there.
+// TestBackoffScheduleWithFakeClock drives the reconnect loop on a
+// virtual clock against a dial that always fails: every backoff is one
+// timer, and stepping the clock to each shows the schedule doubling from
+// base to the cap and staying there.
 func TestBackoffScheduleWithFakeClock(t *testing.T) {
-	clk := &fakeClock{}
-	tree := taint.NewTree()
-	c := NewResilientClient(func() (io.ReadWriteCloser, error) {
+	vc := netsim.NewVirtualClock()
+	c := dialOne("tm:1", func(string) (io.ReadWriteCloser, error) {
 		return nil, errors.New("no route")
-	}, tree, ResilientOptions{
+	}, taint.NewTree(), ResilientOptions{
 		BackoffBase:      10 * time.Millisecond,
 		BackoffMax:       80 * time.Millisecond,
 		JitterFrac:       -1,
 		BreakerThreshold: 1,
-		clk:              clk,
+		clk:              vc,
 	})
 	defer c.Close()
 
+	var got []time.Duration
 	deadline := time.Now().Add(10 * time.Second)
-	for len(clk.snapshot()) < 6 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	got := clk.snapshot()
-	if len(got) < 6 {
-		t.Fatalf("recorded only %d delays", len(got))
+	for len(got) < 6 {
+		if vc.PendingTimers() == 0 {
+			if !time.Now().Before(deadline) {
+				t.Fatalf("recorded only %d delays", len(got))
+			}
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		before := vc.Now()
+		vc.AdvanceToNext()
+		got = append(got, vc.Now().Sub(before))
 	}
 	want := []time.Duration{
 		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
@@ -280,7 +328,7 @@ func TestBackoffScheduleWithFakeClock(t *testing.T) {
 	}
 	for i, w := range want {
 		if got[i] != w {
-			t.Fatalf("delay %d = %v, want %v (schedule %v)", i, got[i], w, got[:len(want)])
+			t.Fatalf("delay %d = %v, want %v (schedule %v)", i, got[i], w, got)
 		}
 	}
 }
