@@ -11,13 +11,20 @@ build:
 test:
 	$(GO) test ./...
 
+# The mux's read-role handoffs and the server's Close, five times more
+# under the race detector: their races are ones of timing, which one pass
+# samples once (~5 s).
+RACE_AGAIN = $(GO) test -race -count=5 -run 'TestReadRole|TestFrozenTransportContract|TestServerCloseLogs|TestBatchOfOneEquivalence' ./internal/taintmap
+
 race:
 	$(GO) test -race ./...
+	$(RACE_AGAIN)
 
 # The concurrency-heavy taint map suite under the race detector; part of
 # `race` too, but callable alone for a quick pre-commit signal.
 race-taintmap:
 	$(GO) test -race ./internal/taintmap/...
+	$(RACE_AGAIN)
 
 vet:
 	$(GO) vet ./...

@@ -62,18 +62,22 @@ func TestWriteAblations(t *testing.T) {
 }
 
 func TestMemoryOverheadShape(t *testing.T) {
-	res := MeasureMemoryOverhead(16, 64<<10)
+	const buffers, perBuffer = 16, 2 << 10
+	res := MeasureMemoryOverhead(buffers, 64<<10)
 	if res.PlainHeap == 0 {
 		t.Skip("heap measurement too noisy on this run")
 	}
-	// Shadow arrays cost real memory: tainted regimes must exceed the
-	// plain baseline, and interning must keep the uniform regime from
-	// exploding (one shared node, not one per byte).
-	if res.UniformHeap <= res.PlainHeap {
-		t.Fatalf("uniform taint heap %d not above plain %d", res.UniformHeap, res.PlainHeap)
+	// A run-length shadow and interning make a uniform label O(1) per
+	// buffer — one run and one shared node, not a label per byte — a few
+	// hundred bytes, less than the heap reading's noise: the uniform
+	// regime stays within a small per-buffer bound of plain, either side.
+	// Labels that change every 64 bytes keep a run and a node each, and
+	// must cost more than that.
+	if gap := int64(res.UniformHeap) - int64(res.PlainHeap); gap > buffers*perBuffer || gap < -buffers*perBuffer {
+		t.Fatalf("uniform taint heap %d is %+d B from plain %d, want within %d B a buffer", res.UniformHeap, gap, res.PlainHeap, perBuffer)
 	}
-	if res.PerByteHeap < res.UniformHeap {
-		t.Fatalf("per-64B taints (%d) should cost at least the uniform regime (%d)", res.PerByteHeap, res.UniformHeap)
+	if res.PerByteHeap <= res.UniformHeap {
+		t.Fatalf("per-64B taints (%d) should cost more than the uniform regime (%d)", res.PerByteHeap, res.UniformHeap)
 	}
 	if res.TreeNodes == 0 {
 		t.Fatal("per-byte regime built no tree nodes")

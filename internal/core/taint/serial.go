@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Taint serialization: a taint crosses nodes as the ordered list of its
@@ -29,13 +30,19 @@ const maxTagStringLen = 1<<16 - 1
 
 // MarshalTaint serializes the taint's tag set. Size and bytes both come
 // from the parent chain — leaf first, so the blob is filled from its end
-// — and the blob is the only allocation.
+// — and the blob is the only allocation. The tree keeps the blobs it
+// built last (marshalMemo), and a taint marshalled again soon after gets
+// the same bytes back: the blob is shared and must not be modified.
 func MarshalTaint(t Taint) ([]byte, error) {
 	if t.Empty() {
 		return []byte{0, 0}, nil
 	}
 	if t.n.depth > maxTagStringLen {
 		return nil, fmt.Errorf("taint: %d tags exceed wire limit", t.n.depth)
+	}
+	memo := &t.n.tree.marshalled
+	if blob := memo.get(t.n); blob != nil {
+		return blob, nil
 	}
 	size := 2
 	for cur := t.n; cur.parent != nil; cur = cur.parent {
@@ -50,7 +57,44 @@ func MarshalTaint(t Taint) ([]byte, error) {
 	for cur := t.n; cur.parent != nil; cur = cur.parent {
 		end = putString(out, putString(out, end, cur.key.LocalID), cur.key.Value)
 	}
+	memo.put(t.n, out)
 	return out, nil
+}
+
+// marshalMemoSize is how many of its latest blobs a tree keeps.
+const marshalMemoSize = 16
+
+// marshalMemo holds the blobs MarshalTaint built last on one tree. A
+// fresh taint is marshalled twice within one send — for its Taint Map
+// registration, then for the definitions unit that carries it ahead of
+// the frame first using its id (Fig. 9 ①) — with only the round trip in
+// between, and the second call finds the first's bytes instead of
+// building them again.
+type marshalMemo struct {
+	mu   sync.Mutex
+	next int
+	n    [marshalMemoSize]*node
+	blob [marshalMemoSize][]byte
+}
+
+// get returns n's blob, or nil if the memo does not hold it.
+func (m *marshalMemo) get(n *node) []byte {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i, k := range m.n {
+		if k == n {
+			return m.blob[i]
+		}
+	}
+	return nil
+}
+
+// put keeps blob as n's, in place of the oldest entry.
+func (m *marshalMemo) put(n *node, blob []byte) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.n[m.next], m.blob[m.next] = n, blob
+	m.next = (m.next + 1) % marshalMemoSize
 }
 
 // putString writes s behind its length so that it ends at out[end], and

@@ -63,8 +63,9 @@ type shadow struct {
 	// It is an atomic because concurrent *readers* are allowed and the
 	// memo is (re)written on the read path.
 	clean atomic.Uint64
-	// stats memoizes the whole-extent RunStats answer (see stats.go),
-	// keyed by mut the same way; stale entries are rejected, not erased.
+	// stats memoizes a dense store's whole-extent RunStats answer (see
+	// stats.go), keyed by mut the same way; stale entries are rejected,
+	// not erased.
 	stats atomic.Pointer[shadowStats]
 }
 

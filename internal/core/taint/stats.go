@@ -6,11 +6,14 @@ package taint
 // tier (passthrough / uniform / sparse / groups) from three numbers:
 // how many bytes are dirty, how many maximal dirty runs they form, and
 // whether all of them share one label. Computing those by rescanning
-// the run list on every write would charge the hot path O(runs) per
-// send even when nothing changed, so whole-extent answers are memoized
-// on the shadow store keyed by its mutation epoch — the same trick as
+// a dense store on every write would charge the hot path O(bytes) per
+// send even when nothing changed, so a dense store's whole-extent
+// answers are memoized keyed by its mutation epoch — the same trick as
 // the Clean() memo — making the steady state (write the same pooled
-// buffer over and over) an O(1) pointer load.
+// buffer over and over) an O(1) pointer load. A run store is not
+// memoized: its scan stops after limit+1 dirty runs, about what a memo
+// check costs, and a memo entry is an allocation a freshly labelled
+// buffer would pay on every send.
 
 // RunStats summarizes the dirty structure of a Bytes window.
 type RunStats struct {
@@ -39,15 +42,16 @@ type shadowStats struct {
 // inexact answer as "too fragmented, use the dense tier". A clean or
 // shadow-free Bytes answers {0,0,zero}, true without scanning.
 //
-// Whole-extent answers are memoized per mutation epoch, so repeated
-// Stats calls on an unmutated buffer are O(1). Like Clean, the memo is
-// refreshed with an atomic store and is safe under concurrent readers.
+// A dense store's whole-extent answers are memoized per mutation epoch,
+// so repeated Stats calls on an unmutated buffer are O(1). Like Clean,
+// the memo is refreshed with an atomic store and is safe under
+// concurrent readers.
 func (b Bytes) Stats(limit int) (RunStats, bool) {
 	sh := b.sh
 	if sh == nil || len(b.Data) == 0 || sh.isClean() {
 		return RunStats{}, true
 	}
-	whole := b.off == 0 && sh.cov() <= len(b.Data)
+	whole := sh.dense != nil && b.off == 0 && sh.cov() <= len(b.Data)
 	m := sh.mut
 	if whole {
 		if memo := sh.stats.Load(); memo != nil && memo.epoch == m &&

@@ -120,6 +120,8 @@ type Tree struct {
 
 	cmu     sync.RWMutex
 	combine map[combineKey]Taint
+
+	marshalled marshalMemo
 }
 
 // NewTree returns an empty tag tree.

@@ -19,6 +19,7 @@ package tracker
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -176,7 +177,8 @@ func (a *Agent) SourceSeq(desc, tagPrefix string) taint.Taint {
 	a.tagSeq[desc]++
 	n := a.tagSeq[desc]
 	a.mu.Unlock()
-	return a.tree.NewSource(fmt.Sprintf("%s%d", tagPrefix, n), a.localID)
+	var buf [64]byte
+	return a.tree.NewSource(string(strconv.AppendInt(append(buf[:0], tagPrefix...), int64(n), 10)), a.localID)
 }
 
 // CheckSink records the non-empty taints among ts at the sink point

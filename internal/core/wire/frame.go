@@ -82,12 +82,14 @@ type FrameDecoder struct {
 	err    error
 
 	defIDs   []uint32 // Global IDs defined by the units fed and not yet dropped
-	defBlobs [][]byte // their serialized taints
+	defBlobs [][]byte // their serialized taints, views of defs
+	defs     []byte   // the metadata of those units
 }
 
 // Definitions returns the Global IDs the stream has defined since the
 // last DropDefinitions, with their serialized taints: what a reader gives
-// its Taint Map client before it resolves the labels that follow.
+// its Taint Map client before it resolves the labels that follow. The
+// blobs are views of the decoder's buffer, valid until DropDefinitions.
 func (d *FrameDecoder) Definitions() ([]uint32, [][]byte) { return d.defIDs, d.defBlobs }
 
 // Defines reports whether Definitions has any to return. Inlined (`make
@@ -95,7 +97,9 @@ func (d *FrameDecoder) Definitions() ([]uint32, [][]byte) { return d.defIDs, d.d
 func (d *FrameDecoder) Defines() bool { return len(d.defIDs) > 0 }
 
 // DropDefinitions forgets the definitions returned so far.
-func (d *FrameDecoder) DropDefinitions() { d.defIDs, d.defBlobs = d.defIDs[:0], d.defBlobs[:0] }
+func (d *FrameDecoder) DropDefinitions() {
+	d.defIDs, d.defBlobs, d.defs = d.defIDs[:0], d.defBlobs[:0], d.defs[:0]
+}
 
 // Feed consumes raw stream bytes. The returned error (wrong opening, bad
 // tag, insane length, metadata its row rejects) is sticky: the stream is
@@ -189,7 +193,11 @@ func (d *FrameDecoder) stage() error {
 			return nil
 		}
 		if t.Define != nil {
-			d.defIDs, d.defBlobs, err = t.Define(d.defIDs, d.defBlobs, d.meta)
+			// The next frame's metadata reuses meta, so the unit moves to
+			// defs, whose earlier bytes stay put when it grows.
+			at := len(d.defs)
+			d.defs = append(d.defs, d.meta...)
+			d.defIDs, d.defBlobs, err = t.Define(d.defIDs, d.defBlobs, d.defs[at:])
 			return err
 		}
 	}

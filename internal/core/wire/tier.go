@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -75,7 +74,8 @@ type Tier struct {
 	// satisfy Fits. Nil means the tier has no metadata.
 	AppendMeta func(dst []byte, runs []Run) []byte
 	// Define parses complete metadata that defines Global IDs, appending
-	// each id and a copy of its serialized taint. Nil on a payload's row.
+	// each id and its serialized taint, a view of meta. Nil on a payload's
+	// row.
 	Define func(ids []uint32, blobs [][]byte, meta []byte) ([]uint32, [][]byte, error)
 }
 
@@ -162,11 +162,7 @@ var Tiers = []Tier{
 			return SparseCountLen + int(k)*SparseRangeLen, nil
 		},
 		Cover: func(dst []Run, meta []byte, n int) ([]Run, error) {
-			ranges, err := parseRangeTable(meta[SparseCountLen:], n)
-			if err != nil {
-				return nil, err
-			}
-			return rangeRunCover(dst, ranges, n), nil
+			return appendRangeCover(dst, meta[SparseCountLen:], n)
 		},
 		AppendMeta: func(dst []byte, runs []Run) []byte {
 			var few [sparseSendRanges]DirtyRange
@@ -206,7 +202,7 @@ var Tiers = []Tier{
 				if meta = meta[DefinitionHeadLen:]; id == 0 || uint64(n) > uint64(len(meta)) {
 					return nil, nil, fmt.Errorf("wire: definition of id %d with a %d-byte blob in %d", id, n, len(meta))
 				}
-				ids, blobs = append(ids, id), append(blobs, bytes.Clone(meta[:n]))
+				ids, blobs = append(ids, id), append(blobs, meta[:n:n])
 				meta = meta[n:]
 			}
 			return ids, blobs, nil
@@ -352,26 +348,44 @@ func AppendDirtyRanges(dst []DirtyRange, runs []Run) []DirtyRange {
 func ValidateDirtyRanges(ranges []DirtyRange, n int) error {
 	pos := 0
 	for _, r := range ranges {
-		switch {
-		case r.Len <= 0:
-			return fmt.Errorf("wire: sparse range at %d has length %d", r.Off, r.Len)
-		case r.ID == 0:
-			return fmt.Errorf("wire: sparse range at %d carries the untainted id", r.Off)
-		case r.Off < pos:
-			return fmt.Errorf("wire: sparse range at %d overlaps or reorders (previous end %d)", r.Off, pos)
-		case r.Off+r.Len > n:
-			return fmt.Errorf("wire: sparse range [%d,%d) exceeds %d data bytes", r.Off, r.Off+r.Len, n)
+		if err := checkRange(r, pos, n); err != nil {
+			return err
 		}
 		pos = r.Off + r.Len
 	}
 	return nil
 }
 
-// rangeRunCover expands a validated dirty-range table into the full run
-// cover of n data bytes, clean gaps included, appending to dst.
-func rangeRunCover(dst []Run, ranges []DirtyRange, n int) []Run {
+// checkRange checks one range of a sparse table for n data bytes whose
+// previous range ended at pos.
+func checkRange(r DirtyRange, pos, n int) error {
+	switch {
+	case r.Len <= 0:
+		return fmt.Errorf("wire: sparse range at %d has length %d", r.Off, r.Len)
+	case r.ID == 0:
+		return fmt.Errorf("wire: sparse range at %d carries the untainted id", r.Off)
+	case r.Off < pos:
+		return fmt.Errorf("wire: sparse range at %d overlaps or reorders (previous end %d)", r.Off, pos)
+	case r.Off+r.Len > n:
+		return fmt.Errorf("wire: sparse range [%d,%d) exceeds %d data bytes", r.Off, r.Off+r.Len, n)
+	}
+	return nil
+}
+
+// appendRangeCover decodes and validates a wire range table covering n
+// data bytes and appends its full run cover, clean gaps included, to
+// dst. len(table) must be a multiple of SparseRangeLen.
+func appendRangeCover(dst []Run, table []byte, n int) ([]Run, error) {
 	pos := 0
-	for _, r := range ranges {
+	for i := 0; i+SparseRangeLen <= len(table); i += SparseRangeLen {
+		r := DirtyRange{
+			Off: int(binary.BigEndian.Uint32(table[i:])),
+			Len: int(binary.BigEndian.Uint32(table[i+4:])),
+			ID:  binary.BigEndian.Uint32(table[i+8:]),
+		}
+		if err := checkRange(r, pos, n); err != nil {
+			return nil, err
+		}
 		if r.Off > pos {
 			dst = append(dst, Run{N: r.Off - pos})
 		}
@@ -381,23 +395,5 @@ func rangeRunCover(dst []Run, ranges []DirtyRange, n int) []Run {
 	if pos < n {
 		dst = append(dst, Run{N: n - pos})
 	}
-	return dst
-}
-
-// parseRangeTable decodes and validates a wire range table covering n
-// data bytes, returning the dirty ranges. len(table) must be a multiple
-// of SparseRangeLen.
-func parseRangeTable(table []byte, n int) ([]DirtyRange, error) {
-	ranges := make([]DirtyRange, 0, len(table)/SparseRangeLen)
-	for i := 0; i+SparseRangeLen <= len(table); i += SparseRangeLen {
-		ranges = append(ranges, DirtyRange{
-			Off: int(binary.BigEndian.Uint32(table[i:])),
-			Len: int(binary.BigEndian.Uint32(table[i+4:])),
-			ID:  binary.BigEndian.Uint32(table[i+8:]),
-		})
-	}
-	if err := ValidateDirtyRanges(ranges, n); err != nil {
-		return nil, err
-	}
-	return ranges, nil
+	return dst, nil
 }

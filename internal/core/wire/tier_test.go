@@ -470,7 +470,7 @@ func TestTierFrameLens(t *testing.T) {
 		t.Fatalf("uniform frame = %d bytes", len(whole))
 	}
 	ranges := []DirtyRange{{Off: 2, Len: 3, ID: 9}, {Off: 10, Len: 1, ID: 4}}
-	whole = AppendFrame(nil, TierSparse, data, rangeRunCover(nil, ranges, len(data)))
+	whole = AppendFrame(nil, TierSparse, data, coverOf(t, ranges, len(data)))
 	if split := sparseFrame(nil, data, ranges); !bytes.Equal(whole, split) {
 		t.Fatal("AppendSparseHeader + payload differs from the sparse row's frame")
 	}
@@ -602,7 +602,7 @@ func TestDirtyRangeHelpers(t *testing.T) {
 	if err := ValidateDirtyRanges(ranges, 12); err != nil {
 		t.Fatalf("valid ranges rejected: %v", err)
 	}
-	cover := rangeRunCover(nil, ranges, 12)
+	cover := coverOf(t, ranges, 12)
 	if RunsLen(cover) != 12 {
 		t.Fatalf("cover = %+v does not span 12 bytes", cover)
 	}
@@ -615,4 +615,15 @@ func TestDirtyRangeHelpers(t *testing.T) {
 	if s := ShapeOf(runs); s != (Shape{N: 12, DirtyBytes: 5, DirtyRuns: 3, Exact: true}) {
 		t.Fatalf("ShapeOf = %+v", s)
 	}
+}
+
+// coverOf is the run cover a decoder reads off the sparse table of
+// ranges over n data bytes.
+func coverOf(t *testing.T, ranges []DirtyRange, n int) []Run {
+	t.Helper()
+	cover, err := appendRangeCover(nil, appendRangeTable(nil, ranges)[SparseCountLen:], n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cover
 }

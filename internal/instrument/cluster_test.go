@@ -236,3 +236,56 @@ func TestDialTaintMapNoAddresses(t *testing.T) {
 		t.Fatalf("DialTaintMap with no addresses = %v, want ErrNoTaintMap", err)
 	}
 }
+
+// TestFreshExchangeAllocations pins what one fresh exchange allocates in
+// the whole process, servers included: node A labels a 64-byte field of
+// a 4 KiB request with a taint it never sent, B relabels the field with
+// its own tag and echoes the request, both nodes on a 3-member RF-2 sim
+// cluster — two registrations with their replica pushes and definitions
+// units, the two lookups memo hits. What is left is what the trees, the
+// stores and the memos keep, and the replies' payloads.
+func TestFreshExchangeAllocations(t *testing.T) {
+	network := netsim.New()
+	servers, ring, err := taintmap.StartSimCluster(network, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, s := range servers {
+			s.Close()
+		}
+	}()
+	agent := func(node string) *tracker.Agent {
+		c, err := taintmap.DialSimCluster(network, node+":1", ring, tracker.New(node, tracker.ModeDista).Tree(), taintmap.ClusterOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return tracker.New(node, tracker.ModeDista, tracker.WithTaintMap(c))
+	}
+	a, b := agent("a"), agent("b")
+	ca, cb := network.Pipe()
+	ea, eb := NewAdaptiveEndpoint(a, ca), NewAdaptiveEndpoint(b, cb)
+	req, got, echo := taint.MakeBytes(4<<10), taint.MakeBytes(4<<10), taint.MakeBytes(4<<10)
+	mine := b.Source("reply", "r")
+	var fresh taint.Taint
+	round := func() {
+		fresh = a.SourceSeq("field", "f")
+		req.ResetLabels()
+		req.SetRange(64, 128, fresh)
+		exchange(t, ea, eb, req, &got)
+		got.SetRange(64, 128, taint.Combine(got.LabelAt(64), mine))
+		exchange(t, eb, ea, got, &echo)
+	}
+	for i := 0; i < 50; i++ {
+		round()
+	}
+	allocs := testing.AllocsPerRun(200, round)
+	if l := echo.LabelAt(64); l.Len() != 2 || !l.Has(fresh.Values()[0]) || !l.Has("r") || !echo.LabelAt(128).Empty() {
+		t.Fatalf("the echoed field carries %v, the byte after it %v", l, echo.LabelAt(128))
+	}
+	t.Logf("%.1f allocs per fresh exchange", allocs)
+	if allocs > 23 && !raceEnabled {
+		t.Fatalf("a fresh exchange allocates %.1f times, want <= 23", allocs)
+	}
+}

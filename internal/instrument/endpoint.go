@@ -166,7 +166,7 @@ func appendGroups(agent *tracker.Agent, out []byte, b taint.Bytes, t int, define
 			return nil, err
 		}
 		if out = out[:at]; define {
-			out = appendDefinitions(out, pending.keys, ids)
+			out, _ = appendDefinitions(out, pending.keys, ids, nil)
 		}
 		out = wire.AppendHead(out, t, n, nil)
 	}
@@ -229,63 +229,75 @@ func registerBatch(tm taintmap.Client, ts []taint.Taint) ([]uint32, error) {
 // this write gave its id cannot be in the receiver's memo, one that had
 // an id has crossed before — so the steady state builds nothing and no
 // connection remembers what it sent. What cannot be put in a unit is not
-// defined; the receiver looks it up.
-func appendDefinitions(dst []byte, ts []taint.Taint, ids []uint32) []byte {
-	blobs := make([][]byte, len(ts))
-	for i, t := range ts {
-		var err error
-		if blobs[i], err = taint.MarshalTaint(t); err != nil {
-			return dst
+// defined; the receiver looks it up. The blobs are the ones the Taint
+// Map registration just built, which the tree keeps for a moment
+// (taint.MarshalTaint); blobs is scratch for them, returned for reuse.
+func appendDefinitions(dst []byte, ts []taint.Taint, ids []uint32, blobs [][]byte) ([]byte, [][]byte) {
+	blobs = blobs[:0]
+	for _, t := range ts {
+		blob, err := taint.MarshalTaint(t)
+		if err != nil {
+			return dst, blobs
 		}
+		blobs = append(blobs, blob)
 	}
-	return wire.AppendDefinitions(dst, ids, blobs)
+	return wire.AppendDefinitions(dst, ids, blobs), blobs
 }
 
-// coverRuns appends to dst (reused across calls) the run cover that the
-// metadata of b's frame on tier t is made from, every label mapped to
-// its Global ID; a groups body labels itself and gets none. The shapes
-// the raw-body tiers admit hold a handful of runs: the steady state is
-// one pointer load per run off the tree node, and the taints still
-// without an id share one batch registration — which on a stream
-// (define) also yields their definitions unit, to go ahead of the frame.
-// s is b's shape.
-func coverRuns(agent *tracker.Agent, b taint.Bytes, t int, s wire.Shape, dst []wire.Run, define bool) (runs []wire.Run, defs []byte, _ error) {
+// sendScratch is what coverRuns reuses from one send to the next: the
+// taints met without a Global ID, the cover positions waiting on them
+// and their blobs.
+type sendScratch struct {
+	pending   firstSeen[taint.Taint]
+	pendingAt []int
+	blobs     [][]byte
+}
+
+// coverRuns appends to dst the run cover that the metadata of b's frame
+// on tier t is made from, every label mapped to its Global ID; a groups
+// body labels itself and gets none. The shapes the raw-body tiers admit
+// hold a handful of runs: the steady state is one pointer load per run
+// off the tree node, and the taints still without an id share one batch
+// registration — which on a stream (define) also yields their
+// definitions unit, appended to defs to go ahead of the frame. s is b's
+// shape; x is the sender's scratch.
+func coverRuns(agent *tracker.Agent, b taint.Bytes, t int, s wire.Shape, x *sendScratch, dst []wire.Run, defs []byte, define bool) (runs []wire.Run, _ []byte, _ error) {
 	if wire.Tiers[t].Groups {
-		return dst, nil, nil
+		return dst, defs, nil
 	}
 	if s.Clean() {
-		return append(dst, wire.Run{N: s.N}), nil, nil
+		return append(dst, wire.Run{N: s.N}), defs, nil
 	}
 	tm := agent.TaintMap()
 	if tm == nil {
 		return nil, nil, ErrNoTaintMap
 	}
-	var pending firstSeen[taint.Taint]
-	var pendingAt []int
+	x.pending.reset()
+	x.pendingAt = x.pendingAt[:0]
 	b.ForEachRun(func(from, to int, t taint.Taint) {
 		id := t.GlobalID()
 		if id == 0 && !t.Empty() {
 			// Until the batch answers, the run holds its taint's place in it.
-			i := pending.find(t)
+			i := x.pending.find(t)
 			if i < 0 {
-				i = len(pending.keys)
-				pending.add(t)
+				i = len(x.pending.keys)
+				x.pending.add(t)
 			}
 			id = uint32(i)
-			pendingAt = append(pendingAt, len(dst))
+			x.pendingAt = append(x.pendingAt, len(dst))
 		}
 		dst = append(dst, wire.Run{N: to - from, ID: id})
 	})
-	if len(pendingAt) > 0 {
-		ids, err := registerBatch(tm, pending.keys)
+	if len(x.pendingAt) > 0 {
+		ids, err := registerBatch(tm, x.pending.keys)
 		if err != nil {
 			return nil, nil, err
 		}
-		for _, at := range pendingAt {
+		for _, at := range x.pendingAt {
 			dst[at].ID = ids[dst[at].ID]
 		}
 		if define {
-			defs = appendDefinitions(nil, pending.keys, ids)
+			defs, x.blobs = appendDefinitions(defs, x.pending.keys, ids, x.blobs)
 		}
 	}
 	return dst, defs, nil
@@ -320,7 +332,8 @@ func adoptRuns(agent *tracker.Agent, buf *taint.Bytes, at int, runs []wire.Run, 
 	if tm == nil {
 		return ErrNoTaintMap
 	}
-	labels, err := tm.LookupBatch(x.keys)
+	var one [1]taint.Taint
+	labels, err := lookupAll(tm, x.keys, one[:])
 	if err != nil {
 		return err
 	}
@@ -334,6 +347,17 @@ func adoptRuns(agent *tracker.Agent, buf *taint.Bytes, at int, runs []wire.Run, 
 		n -= r.N
 	}
 	return nil
+}
+
+// lookupAll resolves ids through the Taint Map client, one id — the
+// common delivery — into one, which Lookup fills without a slice.
+func lookupAll(tm taintmap.Client, ids []uint32, one []taint.Taint) ([]taint.Taint, error) {
+	if len(ids) != 1 {
+		return tm.LookupBatch(ids)
+	}
+	var err error
+	one[0], err = tm.Lookup(ids[0])
+	return one, err
 }
 
 // pickTier classifies b and picks the tier of its frame — the one send
@@ -367,9 +391,10 @@ func appendFrame(agent *tracker.Agent, dst []byte, b taint.Bytes, t, n int, runs
 // and the frame-assembly scratch — shared by the socket and the
 // custom-transport endpoints and guarded by the owner's write lock.
 type streamWriter struct {
-	wroteMagic bool       // stream magic already emitted on this conn
-	head       []byte     // persistent header + metadata scratch
-	cover      []wire.Run // persistent run-cover scratch
+	wroteMagic bool        // stream magic already emitted on this conn
+	head       []byte      // persistent header + metadata scratch
+	cover      []wire.Run  // persistent run-cover scratch
+	x          sendScratch // persistent coverRuns scratch
 }
 
 // write sends b as one frame through emit, the transport's way of
@@ -403,12 +428,12 @@ func (w *streamWriter) write(agent *tracker.Agent, b taint.Bytes, emit func(head
 		head = wire.AppendFrameHeader(head, wire.FramePassthrough, n)
 	} else {
 		t, s := pickTier(b)
-		runs, defs, err := coverRuns(agent, b, t, s, w.cover[:0], true)
-		if err != nil {
+		var runs []wire.Run
+		var err error
+		if runs, head, err = coverRuns(agent, b, t, s, &w.x, w.cover[:0], head, true); err != nil {
 			return err
 		}
 		w.cover = runs[:0]
-		head = append(head, defs...)
 		if wire.Tiers[t].Groups {
 			pooled = wire.GetBuf(len(head) + wire.GroupsFrameLen(n) + wire.EncodeSlack)
 			head, payload = append(*pooled, head...), nil

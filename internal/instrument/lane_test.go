@@ -280,7 +280,7 @@ func runsOf(t *testing.T, tm taintmap.Client, labels []taint.Taint) []wire.Run {
 // TestDenseAdoptLaneMatchesRunWalk: adoptRuns into a dense store and
 // into a run-mode store leaves the same label on every byte — inside
 // the delivery and around it — for every pattern, including a delivery
-// cut inside a run; and a failed LookupBatch leaves both as they were.
+// cut inside a run; and a failed lookup leaves both as they were.
 func TestDenseAdoptLaneMatchesRunWalk(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -36,7 +36,7 @@ func PacketSend(agent *tracker.Agent, sock *netsim.UDPSocket, data taint.Bytes, 
 	}
 	buf := wire.GetBuf(size)
 	defer wire.PutBuf(buf)
-	runs, _, err := coverRuns(agent, data, t, s, nil, false)
+	runs, _, err := coverRuns(agent, data, t, s, new(sendScratch), nil, nil, false)
 	if err != nil {
 		return err
 	}

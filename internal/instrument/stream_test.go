@@ -273,8 +273,9 @@ func exchange(t testing.TB, sender, receiver *Endpoint, msg taint.Bytes, into *t
 // groups tier: a warm write+read of a label change on every byte costs
 // one allocation — the Taint Map client's answer to the delivery's
 // LookupBatch; the reader's id scratch is its own — and nothing
-// proportional to its 8192 runs. The same holds for a tainted delivery
-// adopted by runs, and a warm clean exchange costs none at the endpoint.
+// proportional to its 8192 runs. A uniform delivery adopted by runs —
+// its one id resolved by Lookup, no slice — and a warm clean exchange
+// cost none at the endpoint.
 func TestStreamedPathAllocs(t *testing.T) {
 	r := newRig(t, tracker.ModeDista)
 	ca, cb := r.net.Pipe()
@@ -303,8 +304,8 @@ func TestStreamedPathAllocs(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		exchange(t, sender, receiver, uniform, &whole)
 	}
-	if got := testing.AllocsPerRun(50, func() { exchange(t, sender, receiver, uniform, &whole) }); got > 1 {
-		t.Errorf("uniform 4 KiB exchange: %v allocs, want at most 1", got)
+	if got := testing.AllocsPerRun(50, func() { exchange(t, sender, receiver, uniform, &whole) }); got != 0 {
+		t.Errorf("uniform 4 KiB exchange: %v allocs, want 0", got)
 	}
 
 	clean := taint.WrapBytes(make([]byte, 512))
@@ -317,8 +318,9 @@ func TestStreamedPathAllocs(t *testing.T) {
 	}
 }
 
-// flakyLookups fails the first LookupBatch calls of a client, as a
-// Taint Map outage on the receiving node would.
+// flakyLookups fails the first lookups of a client — LookupBatch or,
+// for a delivery of one id, Lookup — as a Taint Map outage on the
+// receiving node would.
 type flakyLookups struct {
 	taintmap.Client
 	fail int
@@ -332,6 +334,14 @@ func (c *flakyLookups) LookupBatch(ids []uint32) ([]taint.Taint, error) {
 		return nil, errLookupDown
 	}
 	return c.Client.LookupBatch(ids)
+}
+
+func (c *flakyLookups) Lookup(id uint32) (taint.Taint, error) {
+	if c.fail > 0 {
+		c.fail--
+		return taint.Taint{}, errLookupDown
+	}
+	return c.Client.Lookup(id)
 }
 
 // TestReadResolvesBeforePopping: a lookup that fails must leave the

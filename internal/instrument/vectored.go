@@ -63,12 +63,10 @@ func (e *Endpoint) WritevBuffers(srcs []*jni.DirectBuffer, lens []int) (int64, e
 		v := src.View(0, lens[i])
 		t, s := pickTier(v)
 		f := vframe{t: t, n: lens[i], src: i, end: i + 1, c0: len(cover)}
-		var unit []byte
 		var err error
-		if cover, unit, err = coverRuns(e.agent, v, t, s, cover, true); err != nil {
+		if cover, defs, err = coverRuns(e.agent, v, t, s, &e.wr.x, cover, defs, true); err != nil {
 			return 0, err
 		}
-		defs = append(defs, unit...)
 		f.c1 = len(cover)
 		if k := len(frames) - 1; k >= 0 && frames[k].t == t && f.c1-f.c0 == 1 &&
 			frames[k].c1-frames[k].c0 == 1 && cover[f.c0].ID == cover[frames[k].c0].ID {

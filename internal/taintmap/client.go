@@ -65,25 +65,27 @@ func collectRegister(ts []taint.Taint) (ids []uint32, pending []taint.Taint, pos
 	return ids, pending, posOf
 }
 
-// marshalAll serializes every taint in ts.
-func marshalAll(ts []taint.Taint) ([][]byte, error) {
-	blobs := make([][]byte, len(ts))
-	for i, t := range ts {
+// marshalAll appends every taint in ts, serialized, to blobs.
+func marshalAll(blobs [][]byte, ts []taint.Taint) ([][]byte, error) {
+	for _, t := range ts {
 		blob, err := taint.MarshalTaint(t)
 		if err != nil {
 			return nil, err
 		}
-		blobs[i] = blob
+		blobs = append(blobs, blob)
 	}
 	return blobs, nil
 }
 
+// blobLists recycles the blob list a registration hands its transport,
+// which keeps none of it past the call.
+var blobLists = sync.Pool{New: func() any { return new([][]byte) }}
+
 // spreadIDs copies each pending taint's id to every position of ids
 // waiting on it. The batch of one has no table: its one position waits
-// on its one taint.
+// on its one taint, and its id went straight to ids.
 func spreadIDs(ids, fresh []uint32, pending []taint.Taint, posOf map[taint.Taint][]int) {
 	if posOf == nil {
-		ids[0] = fresh[0]
 		return
 	}
 	for i, t := range pending {
@@ -209,9 +211,10 @@ func (c *cache) reset() {
 // what it had resolved.
 type transport interface {
 	// register resolves distinct, non-empty taints carrying no Global ID
-	// (blobs: each one serialized) to the parallel ids, stamped and
-	// memoised — a provisional id memoised but never stamped.
-	register(ts []taint.Taint, blobs [][]byte) ([]uint32, error)
+	// (blobs: each one serialized) to their ids, written to the parallel
+	// ids, stamped and memoised — a provisional id memoised but never
+	// stamped.
+	register(ids []uint32, ts []taint.Taint, blobs [][]byte) error
 	// lookup resolves distinct, non-zero ids the memo does not hold to
 	// the parallel taints, adopted into the node's tree and memo.
 	lookup(ids []uint32) ([]taint.Taint, error)
@@ -236,11 +239,11 @@ func (f *front) Register(t taint.Taint) (uint32, error) {
 	if id := t.GlobalID(); id != 0 {
 		return id, nil
 	}
-	fresh, err := f.registerMisses([]taint.Taint{t})
-	if err != nil {
+	var id [1]uint32
+	if err := f.registerMisses(id[:], []taint.Taint{t}); err != nil {
 		return 0, err
 	}
-	return fresh[0], nil
+	return id[0], nil
 }
 
 // Lookup implements Client: the early-outs, then the batch of one — the
@@ -266,21 +269,29 @@ func (f *front) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
 	if len(pending) == 0 {
 		return ids, nil
 	}
-	fresh, err := f.registerMisses(pending)
-	if err != nil {
+	fresh := ids // the batch of one: its one position waits on its one taint
+	if posOf != nil {
+		fresh = make([]uint32, len(pending))
+	}
+	if err := f.registerMisses(fresh, pending); err != nil {
 		return nil, err
 	}
 	spreadIDs(ids, fresh, pending, posOf)
 	return ids, nil
 }
 
-// registerMisses hands the pending taints, serialized, to the transport.
-func (f *front) registerMisses(pending []taint.Taint) ([]uint32, error) {
-	blobs, err := marshalAll(pending)
-	if err != nil {
-		return nil, err
+// registerMisses hands the pending taints, serialized, to the transport,
+// for their ids in fresh.
+func (f *front) registerMisses(fresh []uint32, pending []taint.Taint) error {
+	list := blobLists.Get().(*[][]byte)
+	blobs, err := marshalAll((*list)[:0], pending)
+	if err == nil {
+		err = f.t.register(fresh, pending, blobs)
 	}
-	return f.t.register(pending, blobs)
+	clear(blobs)
+	*list = blobs[:0]
+	blobLists.Put(list)
+	return err
 }
 
 // LookupBatch implements Client: the memo is split once and the distinct
@@ -307,17 +318,21 @@ func (f *front) stamp(ts []taint.Taint, ids []uint32) {
 	}
 }
 
-// adopt decodes blobs into the tree, stamps each taint with its id and
-// memoises it — a peer's only within its reach (see cache): how a
-// transport adopts what the Taint Map answered a lookup. Nothing is
-// adopted unless every entry is sound: a blob that is no taint, or from a
-// peer the untainted or a provisional id — its stream gone wrong, where
-// the Taint Map never answers so.
-func (f *front) adopt(ids []uint32, blobs [][]byte, peer bool) ([]taint.Taint, error) {
+// adopt decodes blobs into the tree — into ts's backing array when it is
+// large enough — stamps each taint with its id and memoises it — a peer's
+// only within its reach (see cache): how a transport adopts what the
+// Taint Map answered a lookup. Nothing is adopted unless every entry is
+// sound: a blob that is no taint, or from a peer the untainted or a
+// provisional id — its stream gone wrong, where the Taint Map never
+// answers so.
+func (f *front) adopt(ts []taint.Taint, ids []uint32, blobs [][]byte, peer bool) ([]taint.Taint, error) {
 	if len(blobs) != len(ids) {
 		return nil, fmt.Errorf("taintmap: %d blobs for %d ids", len(blobs), len(ids))
 	}
-	ts := make([]taint.Taint, len(ids))
+	if cap(ts) < len(ids) {
+		ts = make([]taint.Taint, len(ids))
+	}
+	ts = ts[:len(ids)]
 	for i, id := range ids {
 		t, err := f.tree.UnmarshalTaint(blobs[i])
 		if err == nil && peer && (id == 0 || IsProvisional(id) || t.Empty()) {
@@ -339,9 +354,11 @@ func (f *front) adopt(ids []uint32, blobs [][]byte, peer bool) ([]taint.Taint, e
 	return ts, nil
 }
 
-// Learn implements Client for every caching client.
+// Learn implements Client for every caching client. The taints go to the
+// memo alone: a stream's handful are decoded on the stack.
 func (f *front) Learn(ids []uint32, blobs [][]byte) error {
-	_, err := f.adopt(ids, blobs, true)
+	var few [8]taint.Taint
+	_, err := f.adopt(few[:0], ids, blobs, true)
 	return err
 }
 
@@ -416,10 +433,10 @@ func NewLocalClient(store *Store, tree *taint.Tree) *LocalClient {
 
 // register implements transport: the blobs go straight to the store,
 // each locking only its shard.
-func (c *LocalClient) register(ts []taint.Taint, blobs [][]byte) ([]uint32, error) {
-	ids := c.store.RegisterBlobs(blobs)
+func (c *LocalClient) register(ids []uint32, ts []taint.Taint, blobs [][]byte) error {
+	copy(ids, c.store.RegisterBlobs(blobs))
 	c.stamp(ts, ids)
-	return ids, nil
+	return nil
 }
 
 // lookup implements transport over the store's lock-free id table.
@@ -428,7 +445,7 @@ func (c *LocalClient) lookup(ids []uint32) ([]taint.Taint, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.adopt(ids, blobs, false)
+	return c.adopt(nil, ids, blobs, false)
 }
 
 // fillMissing completes a splitBatch: got holds the taints resolved for

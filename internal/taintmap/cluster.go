@@ -169,7 +169,8 @@ func (n *ClusterNode) JoinVia(seedAddr string) (*Ring, error) {
 // and acking. Unreachable successors are skipped (hinted handoff).
 func (n *ClusterNode) replicate(entries []byte) {
 	r := n.ring.Load()
-	for _, part := range r.Successors(n.self.Part) {
+	var buf [MaxPartitions]uint32
+	for _, part := range r.appendReplicas(buf[:0], n.self.Part)[1:] {
 		peer, ok := r.Member(part)
 		if !ok {
 			continue

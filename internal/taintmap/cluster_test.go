@@ -119,7 +119,7 @@ func TestRingOwnershipAndReplicas(t *testing.T) {
 	}
 	// Replica placement is partition-ordered with wraparound, owner first.
 	for part, want := range map[uint32][]uint32{0: {0, 1}, 2: {2, 3}, 3: {3, 0}} {
-		got := r.Replicas(part)
+		got := r.appendReplicas(nil, part)
 		if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 			t.Fatalf("Replicas(%d) = %v, want %v", part, got, want)
 		}
@@ -129,7 +129,7 @@ func TestRingOwnershipAndReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := smaller.Replicas(3)
+	got := smaller.appendReplicas(nil, 3)
 	if len(got) != 2 || got[0] != 3 || got[1] != 0 {
 		t.Fatalf("Replicas of departed partition = %v", got)
 	}
@@ -320,7 +320,7 @@ func TestClusterRegisterLookupReplicate(t *testing.T) {
 		t.Fatal("no replication push ever happened")
 	}
 	for i := range e.stores {
-		succ := e.ring.Successors(uint32(i))[0]
+		succ := e.ring.appendReplicas(nil, uint32(i))[1]
 		if got := e.stores[succ].Replicated(uint32(i)); got != parts[uint32(i)] {
 			t.Fatalf("partition %d: successor %d replicated %d of %d entries", i, succ, got, parts[uint32(i)])
 		}

@@ -271,7 +271,8 @@ func (c *ClusterClient) replicaOrder(part uint32, cms []*member) []*member {
 	if m := r.Members(); len(m) == 1 {
 		return append(cms, c.member(m[0].Part))
 	}
-	reps := r.Replicas(part)
+	var buf [MaxPartitions]uint32
+	reps := r.appendReplicas(buf[:0], part)
 	start := int(c.rr.Add(1)) % len(reps)
 	for i := range reps {
 		if cm := c.member(reps[(start+i)%len(reps)]); cm != nil {
@@ -386,7 +387,7 @@ func (c *ClusterClient) replicas(cms []*member, ids []uint32) ([]taint.Taint, er
 // partition, not per taint). A batch with a single owner — every batch of
 // one, every batch on a one-member ring — is its own group and is not
 // regrouped.
-func (c *ClusterClient) register(ts []taint.Taint, blobs [][]byte) ([]uint32, error) {
+func (c *ClusterClient) register(ids []uint32, ts []taint.Taint, blobs [][]byte) error {
 	ring := c.ring.Load()
 	var ownerBuf [16]uint32 // keeps small batches off the heap
 	owners := ownerBuf[:0]
@@ -396,9 +397,8 @@ func (c *ClusterClient) register(ts []taint.Taint, blobs [][]byte) ([]uint32, er
 		oneOwner = oneOwner && owners[len(owners)-1] == owners[0]
 	}
 	if oneOwner {
-		return c.registerGroup(owners[0], ts, blobs)
+		return c.registerGroup(owners[0], ids, ts, blobs)
 	}
-	ids := make([]uint32, len(ts))
 	for part := uint32(0); part < MaxPartitions; part++ {
 		var gts []taint.Taint
 		var gblobs [][]byte
@@ -411,9 +411,9 @@ func (c *ClusterClient) register(ts []taint.Taint, blobs [][]byte) ([]uint32, er
 		if len(gts) == 0 {
 			continue
 		}
-		got, err := c.registerGroup(part, gts, gblobs)
-		if err != nil {
-			return nil, err
+		got := make([]uint32, len(gts))
+		if err := c.registerGroup(part, got, gts, gblobs); err != nil {
+			return err
 		}
 		for i, owner := range owners {
 			if owner == part {
@@ -421,17 +421,17 @@ func (c *ClusterClient) register(ts []taint.Taint, blobs [][]byte) ([]uint32, er
 			}
 		}
 	}
-	return ids, nil
+	return nil
 }
 
 // registerGroup registers one owner partition's distinct pre-marshaled
 // taints with that owner's member.
-func (c *ClusterClient) registerGroup(part uint32, ts []taint.Taint, blobs [][]byte) ([]uint32, error) {
+func (c *ClusterClient) registerGroup(part uint32, ids []uint32, ts []taint.Taint, blobs [][]byte) error {
 	cm := c.member(part)
 	if cm == nil {
-		return nil, fmt.Errorf("%w: no member for owner partition %d", ErrDegraded, part)
+		return fmt.Errorf("%w: no member for owner partition %d", ErrDegraded, part)
 	}
-	return cm.register(ts, blobs)
+	return cm.register(ids, ts, blobs)
 }
 
 // lookup implements transport: the ids are grouped by their partition

@@ -1,6 +1,7 @@
 package taintmap
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"strings"
@@ -231,31 +232,84 @@ func TestRegisterBatchChunksOversized(t *testing.T) {
 	}
 }
 
-// TestSplitIDChunks covers the id-side chunker without paying for a
-// quarter-million registrations.
-func TestSplitIDChunks(t *testing.T) {
+// lookupServer answers every lookup batch written to it with the empty
+// taint's blob per id — as many as fit the reply frame, the rest left to
+// be asked again — and records the ids each request asked for.
+type lookupServer struct {
+	mu     sync.Mutex
+	cond   sync.Cond
+	out    []byte
+	closed bool
+	asked  [][]uint32
+}
+
+func (s *lookupServer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for w := p; len(w) > 0; {
+		tag, n := binary.BigEndian.Uint32(w[1:5]), binary.BigEndian.Uint32(w[5:9])
+		ids, _ := parseIDListInto(nil, w[9:9+n])
+		w = w[9+n:]
+		s.asked = append(s.asked, ids)
+		k := min(len(ids), (maxFrame-4)/6)
+		reply := binary.BigEndian.AppendUint32(nil, uint32(k))
+		for range k {
+			reply = append(reply, 0, 0, 0, 2, 0, 0)
+		}
+		s.out = append(appendFrameHeader(s.out, statusTaggedOK, tag, len(reply)), reply...)
+	}
+	s.cond.Broadcast()
+	return len(p), nil
+}
+
+func (s *lookupServer) Read(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.out) == 0 && !s.closed {
+		s.cond.Wait()
+	}
+	if len(s.out) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, s.out)
+	s.out = s.out[n:]
+	return n, nil
+}
+
+func (s *lookupServer) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	s.cond.Broadcast()
+	return nil
+}
+
+// TestLookupChunksIDs covers the id side of chunking without paying for
+// a quarter-million registrations: a lookup of more ids than a frame
+// holds asks a frame's worth at a time, re-asks the tail a partial reply
+// left, and misses none and repeats none.
+func TestLookupChunksIDs(t *testing.T) {
+	srv := &lookupServer{}
+	srv.cond.L = &srv.mu
+	c := newRemoteClientWith(srv, taint.NewTree(), &cache{}, 0)
+	defer c.Close()
 	ids := make([]uint32, maxIDsPerFrame*2+17)
 	for i := range ids {
 		ids[i] = uint32(i + 1)
 	}
-	chunks := splitIDChunks(ids)
-	if len(chunks) != 3 {
-		t.Fatalf("chunks = %d, want 3", len(chunks))
+	ts, err := c.lookupDeadline(ids, time.Time{})
+	if err != nil || len(ts) != len(ids) {
+		t.Fatalf("lookup of %d ids = %d taints, %v", len(ids), len(ts), err)
 	}
-	var back []uint32
-	for _, c := range chunks {
-		if len(c) > maxIDsPerFrame {
-			t.Fatalf("chunk of %d ids exceeds frame limit", len(c))
+	next := ids
+	for i, asked := range srv.asked {
+		if len(asked) > maxIDsPerFrame || len(asked) == 0 || asked[0] != next[0] {
+			t.Fatalf("request %d asked %d ids from %d, want at most %d from %d", i, len(asked), asked[0], maxIDsPerFrame, next[0])
 		}
-		back = append(back, c...)
+		next = next[min(len(asked), (maxFrame-4)/6):]
 	}
-	if len(back) != len(ids) {
-		t.Fatalf("chunks cover %d of %d ids", len(back), len(ids))
-	}
-	for i := range back {
-		if back[i] != ids[i] {
-			t.Fatalf("id %d reordered", i)
-		}
+	if len(next) != 0 || len(srv.asked) < 3 {
+		t.Fatalf("%d requests left %d ids unasked", len(srv.asked), len(next))
 	}
 }
 

@@ -57,7 +57,7 @@ func stallSet(r *Ring) []uint32 {
 		ok := true
 		for _, p := range parts {
 			healthy, hit := 0, 0
-			for _, rep := range r.Replicas(p) {
+			for _, rep := range r.appendReplicas(nil, p) {
 				if stalled[rep] {
 					hit++
 				} else {
@@ -108,7 +108,7 @@ func TestStallSetCoversCluster(t *testing.T) {
 	}
 	for _, m := range members {
 		healthy := 0
-		for _, rep := range r.Replicas(m.Part) {
+		for _, rep := range r.appendReplicas(nil, m.Part) {
 			if !stalled[rep] {
 				healthy++
 			}

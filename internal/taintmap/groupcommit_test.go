@@ -150,7 +150,7 @@ func TestLoneCallerWritesOncePerRequest(t *testing.T) {
 	lone := tree.NewSource("lone", "app:1")
 	pair := []taint.Taint{tree.NewSource("pair-a", "app:1"), tree.NewSource("pair-b", "app:1")}
 	loneBlob, _ := taint.MarshalTaint(lone)
-	pairBlobs, _ := marshalAll(pair)
+	pairBlobs, _ := marshalAll(nil, pair)
 	id, err := c.Register(lone)
 	if err != nil {
 		t.Fatal(err)

@@ -216,7 +216,7 @@ func TestLearnIsBounded(t *testing.T) {
 	if _, ok := n.memo.get(partitionBase(7) | late); ok {
 		t.Fatal("a cold memo took a peer's word for an id a million seqs in")
 	}
-	if _, err := n.adopt([]uint32{partitionBase(7) | late}, [][]byte{blob}, false); err != nil {
+	if _, err := n.adopt(nil, []uint32{partitionBase(7) | late}, [][]byte{blob}, false); err != nil {
 		t.Fatal(err)
 	}
 	for seq := late + 60; seq < late+6000; seq += 60 {

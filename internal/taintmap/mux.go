@@ -16,9 +16,11 @@ import (
 
 // RemoteClient talks to a Taint Map server over a reliable stream (a
 // netsim conn or a real TCP connection), pipelined: every request
-// carries a tag, a demultiplexing goroutine routes each response to its
-// waiting caller, and so any number of goroutines share one connection
-// with their requests in flight concurrently.
+// carries a tag, and so any number of goroutines share one connection
+// with their requests in flight concurrently. Callers flush their own
+// frames (send) and read their own replies (readReplies), so a lone call
+// crosses no goroutine; a parked helper (demux) reads only for calls
+// with a deadline and for calls left pending by a holder that is done.
 //
 // Two further layers keep concurrent traffic off the wire entirely:
 // a singleflight table collapses simultaneous registrations of the
@@ -26,6 +28,7 @@ import (
 // under an RWMutex so warm lookups never serialize.
 type RemoteClient struct {
 	conn io.ReadWriteCloser
+	br   *bufio.Reader // read only by the read role's holder
 	front
 
 	// timeout bounds each call's wait for a response. It is enforced
@@ -48,11 +51,15 @@ type RemoteClient struct {
 
 	nextTag atomic.Uint32
 
+	// The inbound half (see readReplies), under pmu.
 	pmu     sync.Mutex
 	pending map[uint32]pendingCall
-	broken  error // set once the connection is unusable
+	reading bool          // a goroutine holds the read role
+	wake    chan struct{} // hands the read role to the helper
+	broken  error         // set once the connection is unusable
 
-	done chan struct{} // closed when the demux goroutine exits
+	done   chan struct{} // closed once the client has failed every call
+	helper chan struct{} // closed when the helper has exited, after done
 
 	closeOnce sync.Once
 	closeErr  error
@@ -77,8 +84,8 @@ type pendingCall struct {
 	at time.Time
 }
 
-// regFlight is one in-flight registration shared by every goroutine
-// registering the same taint (singleflight).
+// regFlight is one in-flight registration, made by the first goroutine
+// to wait on it (singleflight).
 type regFlight struct {
 	done sync.WaitGroup
 	id   uint32
@@ -108,14 +115,14 @@ var ErrDeadlineExceeded = errors.New("taintmap: call deadline exceeded")
 // replyChans recycles the one-shot reply channels used by call: each
 // channel carries exactly one response and comes back empty, so reuse
 // is safe and saves an allocation per request. Channels are NOT
-// returned on failure paths — a dying demux goroutine closes pending
-// channels, and a closed channel must never re-enter the pool.
+// returned on failure paths — the goroutine that fails the client closes
+// pending channels, and a closed channel must never re-enter the pool.
 var replyChans = sync.Pool{
 	New: func() any { return make(chan muxReply, 1) },
 }
 
 // NewRemoteClient wraps an established connection to a Taint Map
-// server and starts the response demultiplexer.
+// server and starts the read role's helper.
 func NewRemoteClient(conn io.ReadWriteCloser, tree *taint.Tree) *RemoteClient {
 	return newRemoteClientWith(conn, tree, &cache{}, 0)
 }
@@ -127,9 +134,12 @@ func NewRemoteClient(conn io.ReadWriteCloser, tree *taint.Tree) *RemoteClient {
 func newRemoteClientWith(conn io.ReadWriteCloser, tree *taint.Tree, memo *cache, timeout time.Duration) *RemoteClient {
 	c := &RemoteClient{
 		conn:    conn,
+		br:      bufio.NewReaderSize(conn, 64<<10),
 		timeout: timeout,
 		pending: make(map[uint32]pendingCall),
+		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
+		helper:  make(chan struct{}),
 	}
 	c.front = front{tree, memo, c}
 	go c.demux()
@@ -175,7 +185,7 @@ func (c *RemoteClient) watchdog() {
 		}
 		c.pmu.Unlock()
 		if wedged {
-			c.conn.Close() // demux observes the failure and sweeps pending
+			c.conn.Close() // the read role's holder fails every pending call
 		}
 	}
 }
@@ -216,7 +226,7 @@ const sendHighWater = 64 << 10
 // that write before appending — giving up at expired, or when the
 // connection dies — so the buffer is bounded whatever the transport
 // does. A write error closes the connection and keeps the flusher role
-// for good: the demux goroutine fails every pending call, and frames
+// for good: whoever reads next fails every pending call, and frames
 // appended in the moment before it does are never written.
 //
 // send reports false when it gave up waiting for room and appended
@@ -260,8 +270,8 @@ func (c *RemoteClient) send(op byte, tag uint32, payload []byte, alone bool, exp
 		c.sendMu.Unlock()
 		_, err := c.conn.Write(buf)
 		if err != nil {
-			// The demux goroutine observes the closed connection and
-			// fails every pending call, this caller's included.
+			// The next read observes the closed connection and fails
+			// every pending call, this caller's included.
 			c.conn.Close()
 			return true
 		}
@@ -282,35 +292,68 @@ func (c *RemoteClient) send(op byte, tag uint32, payload []byte, alone bool, exp
 	}
 }
 
-// demux reads responses and hands each to the caller waiting on
-// its tag. On connection loss it fails every pending and future call.
+// demux is the read role's helper, parked until a caller hands it the
+// role; it exits once the client has failed.
 func (c *RemoteClient) demux() {
-	br := bufio.NewReaderSize(c.conn, 64<<10)
-	var err error
+	defer close(c.helper)
 	for {
-		// A fresh payload per reply: it is handed to the waiting caller.
-		status, tag, payload, rerr := readTaggedFrame(br, nil, isReplyStatus, maxReplyFrame)
-		if rerr != nil {
-			err = rerr
-			break
+		select {
+		case <-c.wake:
+			c.readReplies(nil)
+		case <-c.done:
+			return
 		}
+	}
+}
+
+// readReplies is the read role: its one holder reads replies and hands
+// each to its caller, until mine has its own (mine nil, the helper:
+// until no call is pending), then gives the role up — to the helper if
+// calls are still pending. A holder that finds the connection torn down
+// (Close, the watchdog) fails the client, as a read error does: a reply
+// drained from the buffer after the teardown must not leave the others
+// waiting on a reader nobody is.
+func (c *RemoteClient) readReplies(mine chan muxReply) {
+	for {
+		status, tag, payload, err := readTaggedFrame(c.br, nil, isReplyStatus, maxReplyFrame)
 		c.pmu.Lock()
-		ch := c.pending[tag].ch
-		delete(c.pending, tag)
+		var ch chan muxReply // nil: the caller gave up at its deadline
+		if err == nil {
+			ch = c.pending[tag].ch
+			delete(c.pending, tag)
+		} else if c.broken == nil {
+			c.broken = fmt.Errorf("%w: connection lost: %v", ErrClientClosed, err)
+		}
+		last := c.broken != nil || ch == mine && mine != nil || mine == nil && len(c.pending) == 0
+		switch {
+		case c.broken != nil:
+			c.failLocked()
+		case !last:
+		case mine != nil && len(c.pending) > 0:
+			c.wake <- struct{}{} // buffered, and empty: the role had one holder
+		default:
+			c.reading = false
+		}
 		c.pmu.Unlock()
-		if ch != nil { // nil: the caller gave up at its deadline
-			ch <- muxReply{status: status, payload: payload}
+		if ch != nil {
+			ch <- muxReply{status: status, payload: payload} // buffered, and empty
+		}
+		if last {
+			return
 		}
 	}
-	c.pmu.Lock()
-	if c.broken == nil {
-		c.broken = fmt.Errorf("%w: connection lost: %v", ErrClientClosed, err)
+}
+
+// failLocked fails every pending call with c.broken, once; no call
+// registers after it, and so none takes the read role. Caller holds c.pmu.
+func (c *RemoteClient) failLocked() {
+	if c.pending == nil {
+		return
 	}
-	for tag, pc := range c.pending {
-		delete(c.pending, tag)
+	for _, pc := range c.pending {
 		close(pc.ch)
 	}
-	c.pmu.Unlock()
+	c.pending = nil
 	close(c.done)
 }
 
@@ -319,11 +362,11 @@ func (c *RemoteClient) demux() {
 // enforced inline: when it passes before the reply arrives, the call
 // withdraws its pending entry and returns ErrDeadlineExceeded — the
 // connection stays up, the request stays in flight server-side, and its
-// late reply is discarded by the demux goroutine. This is the hedged
-// read's cancellation primitive: unlike the watchdog (which declares the
-// whole connection wedged), an expired deadline here says only "this
-// caller stopped waiting". With a zero deadline no timer is armed and
-// only the watchdog bounds the wait.
+// late reply is discarded by whoever reads it. This is the hedged read's
+// cancellation primitive: unlike the watchdog (which declares the whole
+// connection wedged), an expired deadline here says only "this caller
+// stopped waiting". With a zero deadline no timer is armed and only the
+// watchdog bounds the wait.
 func (c *RemoteClient) call(op byte, payload []byte, deadline time.Time) ([]byte, error) {
 	if len(payload) > maxFrame {
 		return nil, fmt.Errorf("taintmap: send request: %w: frame of %d bytes", errProtocol, len(payload))
@@ -358,7 +401,7 @@ func (c *RemoteClient) call(op byte, payload []byte, deadline time.Time) ([]byte
 
 	if !c.send(op, tag, payload, alone, expired) {
 		// Never appended, so no reply can come: the entry is gone only if
-		// the dying demux swept it (and closed ch).
+		// the client failed meanwhile (and closed ch).
 		if !c.withdraw(tag) {
 			return c.finishReply(ch, muxReply{}, false)
 		}
@@ -366,12 +409,27 @@ func (c *RemoteClient) call(op byte, payload []byte, deadline time.Time) ([]byte
 		return nil, fmt.Errorf("%w: request not sent within %v", ErrDeadlineExceeded, d)
 	}
 
+	// Take the read role if it is free and no holder handed this call its
+	// reply yet. A Read cannot be abandoned at a deadline: hand it on.
+	c.pmu.Lock()
+	_, waiting := c.pending[tag]
+	read := waiting && !c.reading
+	c.reading = c.reading || read
+	if read && expired != nil {
+		c.wake <- struct{}{} // buffered, and empty: nobody held the role
+		read = false
+	}
+	c.pmu.Unlock()
+	if read {
+		c.readReplies(ch)
+	}
+
 	select {
 	case reply, ok := <-ch:
 		return c.finishReply(ch, reply, ok)
 	case <-expired:
 		if !c.withdraw(tag) {
-			// The reply raced the deadline: the demux already dequeued the
+			// The reply raced the deadline: a reader already dequeued the
 			// entry, so a send (buffered) or close is guaranteed — take it.
 			reply, ok := <-ch
 			return c.finishReply(ch, reply, ok)
@@ -382,9 +440,10 @@ func (c *RemoteClient) call(op byte, payload []byte, deadline time.Time) ([]byte
 }
 
 // withdraw removes the pending entry of a call that stopped waiting and
-// reports whether it was still there. False means the demux goroutine
-// dequeued it first and a send or close on its channel is guaranteed;
-// true means the channel saw neither and may re-enter the pool.
+// reports whether it was still there. False means a reader dequeued it
+// first, or the client failed, and a send or close on its channel is
+// guaranteed; true means the channel saw neither and may re-enter the
+// pool.
 func (c *RemoteClient) withdraw(tag uint32) bool {
 	c.pmu.Lock()
 	_, mine := c.pending[tag]
@@ -394,8 +453,8 @@ func (c *RemoteClient) withdraw(tag uint32) bool {
 }
 
 // finishReply converts one received reply into the call result and
-// recycles the channel. ok=false means the demux goroutine died and
-// closed the channel (which must then never re-enter the pool).
+// recycles the channel. ok=false means the client failed and closed the
+// channel (which must then never re-enter the pool).
 func (c *RemoteClient) finishReply(ch chan muxReply, reply muxReply, ok bool) ([]byte, error) {
 	if !ok {
 		c.pmu.Lock()
@@ -412,36 +471,44 @@ func (c *RemoteClient) finishReply(ch chan muxReply, reply muxReply, ok bool) ([
 
 // registerBlob resolves t (serialized: blob) with singleflight dedup: N
 // goroutines registering the same taint issue one request. The tree
-// interns, so the taint is the blob's identity and keys the table.
+// interns, so the taint is the blob's identity and keys the table; the
+// entry stays nil, no flight made, until a second goroutine waits.
 func (c *RemoteClient) registerBlob(t taint.Taint, blob []byte) (uint32, error) {
 	c.sfMu.Lock()
 	if f, ok := c.sf[t]; ok {
+		if f == nil {
+			f = &regFlight{}
+			f.done.Add(1)
+			c.sf[t] = f
+		}
 		c.sfMu.Unlock()
 		f.done.Wait()
 		return f.id, f.err
 	}
-	f := &regFlight{}
-	f.done.Add(1)
 	if c.sf == nil {
 		c.sf = make(map[taint.Taint]*regFlight)
 	}
-	c.sf[t] = f
+	c.sf[t] = nil
 	c.sfMu.Unlock()
 
+	var id uint32
 	reply, err := c.call(opRegisterTag, blob, time.Time{})
 	switch {
 	case err != nil:
-		f.err = err
 	case len(reply) != 4:
-		f.err = fmt.Errorf("taintmap: register reply of %d bytes", len(reply))
+		err = fmt.Errorf("taintmap: register reply of %d bytes", len(reply))
 	default:
-		f.id = binary.BigEndian.Uint32(reply)
+		id = binary.BigEndian.Uint32(reply)
 	}
 	c.sfMu.Lock()
+	f := c.sf[t]
 	delete(c.sf, t)
 	c.sfMu.Unlock()
-	f.done.Done()
-	return f.id, f.err
+	if f != nil {
+		f.id, f.err = id, err
+		f.done.Done()
+	}
+	return id, err
 }
 
 // register implements transport, picking the wire op by batch size: a
@@ -449,34 +516,34 @@ func (c *RemoteClient) registerBlob(t taint.Taint, blob []byte) (uint32, error) 
 // against other goroutines registering the same blob at the same moment,
 // while several go as batch frames, chunked transparently — several round
 // trips when the encoded batch would overflow the frame limit.
-func (c *RemoteClient) register(ts []taint.Taint, blobs [][]byte) ([]uint32, error) {
+func (c *RemoteClient) register(ids []uint32, ts []taint.Taint, blobs [][]byte) error {
 	if len(blobs) == 1 {
 		id, err := c.registerBlob(ts[0], blobs[0])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ids := []uint32{id}
+		ids[0] = id
 		c.stamp(ts, ids)
-		return ids, nil
+		return nil
 	}
 	chunks, err := splitBlobChunks(blobs)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ids := make([]uint32, 0, len(blobs))
+	rest := ids
 	for _, chunk := range chunks {
 		reply, err := c.call(opRegisterBatchTag, appendBlobList(nil, chunk), time.Time{})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		got, err := parseIDList(reply)
+		got, err := parseIDListInto(rest[:0], reply)
 		if err != nil || len(got) != len(chunk) {
-			return nil, fmt.Errorf("taintmap: register batch reply of %d bytes", len(reply))
+			return fmt.Errorf("taintmap: register batch reply of %d bytes", len(reply))
 		}
-		ids = append(ids, got...)
+		rest = rest[len(got):]
 	}
 	c.stamp(ts, ids)
-	return ids, nil
+	return nil
 }
 
 // lookup implements transport.
@@ -484,31 +551,31 @@ func (c *RemoteClient) lookup(ids []uint32) ([]taint.Taint, error) {
 	return c.lookupDeadline(ids, time.Time{})
 }
 
-// lookupDeadline fetches and adopts ids in one round trip — chunked when
-// the id list overflows a frame, and re-requesting the tail when the
-// server answers with a partial blob list to respect the reply frame
-// budget — bounded by an absolute deadline (zero = none) covering every
-// chunk: the per-member leg of the cluster client's hedged reads.
+// lookupDeadline fetches and adopts ids in one round trip — a frame's
+// worth of ids at a time when the list overflows one, and re-requesting
+// the tail when the server answers with a partial blob list to respect
+// the reply frame budget — bounded by an absolute deadline (zero = none)
+// covering every request: the per-member leg of the cluster client's
+// hedged reads.
 func (c *RemoteClient) lookupDeadline(ids []uint32, deadline time.Time) ([]taint.Taint, error) {
 	blobs := make([][]byte, 0, len(ids))
-	for _, chunk := range splitIDChunks(ids) {
-		for len(chunk) > 0 {
-			reply, err := c.call(opLookupBatchTag, appendIDList(nil, chunk), deadline)
-			if err != nil {
-				return nil, err
-			}
-			got, err := parseBlobList(reply)
-			if err != nil {
-				return nil, err
-			}
-			if len(got) == 0 || len(got) > len(chunk) {
-				return nil, fmt.Errorf("taintmap: lookup batch returned %d of %d blobs", len(got), len(chunk))
-			}
-			blobs = append(blobs, got...)
-			chunk = chunk[len(got):]
+	for rest := ids; len(rest) > 0; {
+		chunk := rest[:min(len(rest), maxIDsPerFrame)]
+		reply, err := c.call(opLookupBatchTag, appendIDList(nil, chunk), deadline)
+		if err != nil {
+			return nil, err
 		}
+		got, err := parseBlobList(reply)
+		if err != nil {
+			return nil, err
+		}
+		if len(got) == 0 || len(got) > len(chunk) {
+			return nil, fmt.Errorf("taintmap: lookup batch returned %d of %d blobs", len(got), len(chunk))
+		}
+		blobs = append(blobs, got...)
+		rest = rest[len(got):]
 	}
-	return c.adopt(ids, blobs, false)
+	return c.adopt(nil, ids, blobs, false)
 }
 
 // Stats fetches the server-side counters.
@@ -527,19 +594,24 @@ func (c *RemoteClient) Stats() (Stats, error) {
 	}, nil
 }
 
-// Close implements Client: it tears down the connection and waits for
-// the demux goroutine to drain, failing any in-flight calls. Close is
-// idempotent — second and later calls return the first call's result
-// without touching the connection again.
+// Close implements Client: it tears down the connection, fails any
+// in-flight calls — itself, or through the read role's holder — and
+// waits for the helper to exit. It is idempotent — second and
+// later calls return the first call's result without touching the
+// connection again.
 func (c *RemoteClient) Close() error {
 	c.closeOnce.Do(func() {
 		c.pmu.Lock()
 		if c.broken == nil {
 			c.broken = ErrClientClosed
 		}
+		if !c.reading {
+			c.failLocked()
+		}
 		c.pmu.Unlock()
 		c.closeErr = c.conn.Close()
 		<-c.done
+		<-c.helper
 	})
 	return c.closeErr
 }

@@ -194,12 +194,8 @@ func appendIDList(dst []byte, ids []uint32) []byte {
 	return dst
 }
 
-// parseIDList decodes a packed 4-byte-per-entry id list.
-func parseIDList(p []byte) ([]uint32, error) {
-	return parseIDListInto(nil, p)
-}
-
-// parseIDListInto is parseIDList reusing dst's backing array.
+// parseIDListInto decodes a packed 4-byte-per-entry id list, reusing
+// dst's backing array.
 func parseIDListInto(dst []uint32, p []byte) ([]uint32, error) {
 	if len(p)%4 != 0 {
 		return nil, fmt.Errorf("%w: id list of %d bytes", errProtocol, len(p))
@@ -235,19 +231,6 @@ func splitBlobChunks(blobs [][]byte) ([][][]byte, error) {
 		total += need
 	}
 	return append(chunks, blobs[start:]), nil
-}
-
-// splitIDChunks splits ids into chunks that fit one frame each.
-func splitIDChunks(ids []uint32) [][]uint32 {
-	if len(ids) <= maxIDsPerFrame {
-		return [][]uint32{ids}
-	}
-	var chunks [][]uint32
-	for len(ids) > maxIDsPerFrame {
-		chunks = append(chunks, ids[:maxIDsPerFrame])
-		ids = ids[maxIDsPerFrame:]
-	}
-	return append(chunks, ids)
 }
 
 // writeTaggedFrame writes one tagged frame (request or response — the

@@ -407,7 +407,8 @@ func (m *member) drain() {
 		for i, e := range batch {
 			ts[i], blobs[i] = e.t, e.blob
 		}
-		ids, err := rc.register(ts, blobs)
+		ids := make([]uint32, len(batch))
+		err := rc.register(ids, ts, blobs)
 		if err == nil {
 			m.mu.Lock()
 			for i, e := range batch {
@@ -433,10 +434,9 @@ func (m *member) drain() {
 }
 
 // journalLocked registers each taint (serialized: blobs) against the
-// local store, queues those the journal does not hold yet and returns
-// the parallel provisional ids. Caller holds m.mu.
-func (m *member) journalLocked(ts []taint.Taint, blobs [][]byte) ([]uint32, error) {
-	ids := make([]uint32, len(ts))
+// local store, queues those the journal does not hold yet and writes the
+// parallel provisional ids to ids. Caller holds m.mu.
+func (m *member) journalLocked(ids []uint32, ts []taint.Taint, blobs [][]byte) error {
 	for i, t := range ts {
 		prov := provisionalBit | m.local.RegisterBlob(blobs[i])
 		if gid, ok := m.remap[prov]; ok {
@@ -448,7 +448,7 @@ func (m *member) journalLocked(ts []taint.Taint, blobs [][]byte) ([]uint32, erro
 		}
 		if _, ok := m.journaled[prov]; !ok {
 			if len(m.queued) >= m.c.opt.Resilient.JournalLimit {
-				return nil, fmt.Errorf("%w (%d queued)", ErrJournalFull, len(m.queued))
+				return fmt.Errorf("%w (%d queued)", ErrJournalFull, len(m.queued))
 			}
 			m.queued = append(m.queued, journalEntry{blob: blobs[i], prov: prov, t: t})
 			m.journaled[prov] = struct{}{}
@@ -460,7 +460,7 @@ func (m *member) journalLocked(ts []taint.Taint, blobs [][]byte) ([]uint32, erro
 		}
 		ids[i] = prov
 	}
-	return ids, nil
+	return nil
 }
 
 // withConn is the failover loop every request runs in — the one place a
@@ -517,26 +517,24 @@ func (m *member) withConn(try func(*RemoteClient) error, degraded func() error) 
 // gets a provisional id (not stamped on the taint, per the
 // ErrGlobalIDPending contract); a shedding owner's journal drains as soon
 // as the live connection absorbs it, without a reconnect.
-func (m *member) register(ts []taint.Taint, blobs [][]byte) (ids []uint32, err error) {
-	err = m.withConn(func(rc *RemoteClient) (err error) {
-		ids, err = rc.register(ts, blobs)
-		return err
-	}, func() (err error) {
-		ids, err = m.journalLocked(ts, blobs)
-		return err
+func (m *member) register(ids []uint32, ts []taint.Taint, blobs [][]byte) error {
+	err := m.withConn(func(rc *RemoteClient) error {
+		return rc.register(ids, ts, blobs)
+	}, func() error {
+		return m.journalLocked(ids, ts, blobs)
 	})
 	if !errors.Is(err, ErrOverloaded) {
-		return ids, err
+		return err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return nil, ErrClientClosed
+		return ErrClientClosed
 	}
-	if ids, err = m.journalLocked(ts, blobs); err == nil {
+	if err = m.journalLocked(ids, ts, blobs); err == nil {
 		m.drainLocked()
 	}
-	return ids, err
+	return err
 }
 
 // rawCall issues one protocol op on the live connection — the cluster

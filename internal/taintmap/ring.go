@@ -167,40 +167,27 @@ func (r *Ring) OwnerOfBlob(blob []byte) uint32 {
 	return r.Owner(hash32(blob))
 }
 
-// Replicas returns the partitions holding ids of partition part, owner
-// first, then its RF-1 successors in partition-index order (wrapping).
-// Works for any in-range part, even one not (or no longer) in the ring:
-// ids minted under an older epoch must stay resolvable after the minter
-// leaves.
-func (r *Ring) Replicas(part uint32) []uint32 {
-	n := len(r.members)
-	out := make([]uint32, 0, r.RF)
-	// Start at the first member with Part >= part (the owner itself when
-	// present, its numeric successor when not).
+// appendReplicas appends to out the partitions holding ids of partition
+// part, owner first, then its RF-1 successors — the partitions its owner
+// replicates to — in partition-index order (wrapping). Works for any
+// in-range part, even one not (or no longer) in the ring: ids minted
+// under an older epoch must stay resolvable after the minter leaves.
+func (r *Ring) appendReplicas(out []uint32, part uint32) []uint32 {
+	n, start := len(r.members), len(out)
+	// From the first member with Part >= part (the owner, skipped below);
+	// the owner comes first even when absent, for routing order.
 	i := sort.Search(n, func(i int) bool { return r.members[i].Part >= part })
-	if i < n && r.members[i].Part == part {
-		out = append(out, part)
-		i++
-	} else {
-		out = append(out, part) // keep the (absent) owner first for routing order
-	}
-	for len(out) < r.RF {
+	out = append(out, part)
+	for len(out)-start < r.RF {
 		if i >= n {
 			i = 0
 		}
-		p := r.members[i].Part
-		if p != part {
+		if p := r.members[i].Part; p != part {
 			out = append(out, p)
 		}
 		i++
 	}
 	return out
-}
-
-// Successors returns the RF-1 partitions the owner of part replicates
-// to (empty at RF 1).
-func (r *Ring) Successors(part uint32) []uint32 {
-	return r.Replicas(part)[1:]
 }
 
 // WithMember returns a new ring at epoch+1 with m added (or its address

@@ -261,13 +261,15 @@ func (s *Server) serve() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := serveConn(connHost{store: s.store, node: s.node, cost: s.cost, adm: s.adm}, conn, s.readTimeout); err != nil {
-				s.logf("taintmap: connection error: %v", err)
-			}
+			err := serveConn(connHost{store: s.store, node: s.node, cost: s.cost, adm: s.adm}, conn, s.readTimeout)
 			conn.Close()
 			s.mu.Lock()
 			delete(s.conns, conn)
+			torn := s.closed // Close tore the connection down: its read error is the teardown
 			s.mu.Unlock()
+			if err != nil && !torn {
+				s.logf("taintmap: connection error: %v", err)
+			}
 		}()
 	}
 	wg.Wait()
