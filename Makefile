@@ -11,10 +11,11 @@ build:
 test:
 	$(GO) test ./...
 
-# The mux's read-role handoffs and the server's Close, five times more
-# under the race detector: their races are ones of timing, which one pass
-# samples once (~5 s).
-RACE_AGAIN = $(GO) test -race -count=5 -run 'TestReadRole|TestFrozenTransportContract|TestServerCloseLogs|TestBatchOfOneEquivalence' ./internal/taintmap
+# The mux's read-role handoffs, the server's Close, the store arena's
+# lock-free reads of concurrent appends and a replica's refusal of a
+# conflicting push, five times more under the race detector: their races
+# are ones of timing, which one pass samples once (~6 s).
+RACE_AGAIN = $(GO) test -race -count=5 -run 'TestReadRole|TestFrozenTransportContract|TestServerCloseLogs|TestBatchOfOneEquivalence|TestArenaConcurrent|TestClusterReplicaRefusesConflict' ./internal/taintmap
 
 race:
 	$(GO) test -race ./...

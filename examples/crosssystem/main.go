@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"dista/internal/core/taint"
 	"dista/internal/core/tracker"
 	"dista/internal/jre"
 	"dista/internal/netsim"
@@ -35,9 +36,8 @@ func run() error {
 	net := netsim.New()
 	store := taintmap.NewStore()
 	newNode := func(name string) *jre.Env {
-		agent := tracker.New(name, tracker.ModeDista)
-		agent = tracker.New(name, tracker.ModeDista,
-			tracker.WithTaintMap(taintmap.NewLocalClient(store, agent.Tree())))
+		agent := tracker.New(name, tracker.ModeDista,
+			tracker.WithTaintMap(taintmap.NewLocalClient(store, taint.NewTree())))
 		return jre.NewEnv(net, agent)
 	}
 

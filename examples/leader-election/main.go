@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log"
 
+	"dista/internal/core/taint"
 	"dista/internal/core/tracker"
 	"dista/internal/jre"
 	"dista/internal/netsim"
@@ -28,9 +29,8 @@ func run() error {
 	peers := make([]*zk.Peer, 3)
 	for i := range peers {
 		name := fmt.Sprintf("zk%d", i+1)
-		agent := tracker.New(name, tracker.ModeDista)
-		agent = tracker.New(name, tracker.ModeDista,
-			tracker.WithTaintMap(taintmap.NewLocalClient(store, agent.Tree())))
+		agent := tracker.New(name, tracker.ModeDista,
+			tracker.WithTaintMap(taintmap.NewLocalClient(store, taint.NewTree())))
 		peers[i] = zk.NewPeer(int64(i+1), jre.NewEnv(net, agent), "")
 	}
 

@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"dista/internal/core/taint"
 	"dista/internal/core/tracker"
 	"dista/internal/dlog"
 	"dista/internal/jre"
@@ -60,9 +61,8 @@ func run() error {
 	peers := make([]*zk.Peer, 3)
 	for i := range peers {
 		name := fmt.Sprintf("zk%d", i+1)
-		agent := tracker.New(name, args.Mode)
-		agent = tracker.New(name, args.Mode,
-			tracker.WithTaintMap(taintmap.NewLocalClient(store, agent.Tree())),
+		agent := tracker.New(name, args.Mode,
+			tracker.WithTaintMap(taintmap.NewLocalClient(store, taint.NewTree())),
 			tracker.WithSpec(spec))
 		dir := filepath.Join(workDir, name)
 		if err := os.MkdirAll(dir, 0o755); err != nil {

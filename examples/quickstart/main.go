@@ -30,9 +30,8 @@ func run() error {
 	// Each node is an Env: its network attachment plus a DisTA agent
 	// (the -javaagent of the paper, in mode "dista").
 	newNode := func(name string) *jre.Env {
-		agent := tracker.New(name, tracker.ModeDista)
-		agent = tracker.New(name, tracker.ModeDista,
-			tracker.WithTaintMap(taintmap.NewLocalClient(store, agent.Tree())))
+		agent := tracker.New(name, tracker.ModeDista,
+			tracker.WithTaintMap(taintmap.NewLocalClient(store, taint.NewTree())))
 		return jre.NewEnv(net, agent)
 	}
 	node1 := newNode("node1")

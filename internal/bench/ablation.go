@@ -41,9 +41,8 @@ func streamExchange(size int, mkClient func(*taintmap.Store, *taint.Tree) taintm
 	net := netsim.New()
 	store := taintmap.NewStore()
 	mk := func(name string) *tracker.Agent {
-		a := tracker.New(name, tracker.ModeDista)
 		return tracker.New(name, tracker.ModeDista,
-			tracker.WithTaintMap(mkClient(store, a.Tree())))
+			tracker.WithTaintMap(mkClient(store, taint.NewTree())))
 	}
 	aAgent, bAgent := mk("a"), mk("b")
 	ca, cb := net.Pipe()
@@ -177,6 +176,7 @@ func (c uncachedClient) LookupBatch(ids []uint32) ([]taint.Taint, error) {
 }
 
 func (uncachedClient) Learn([]uint32, [][]byte) error { return nil }
+func (c uncachedClient) Tree() *taint.Tree            { return c.tree }
 func (uncachedClient) Close() error                   { return nil }
 
 // WireFormatComparison quantifies §III-D-2's bandwidth argument: wire

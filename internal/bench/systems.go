@@ -80,9 +80,8 @@ func newCluster(mode tracker.Mode, sc Scenario, simSources []string) *cluster {
 }
 
 func (c *cluster) env(name string) *jre.Env {
-	a := tracker.New(name, c.mode)
-	a = tracker.New(name, c.mode,
-		tracker.WithTaintMap(taintmap.NewLocalClient(c.store, a.Tree())),
+	a := tracker.New(name, c.mode,
+		tracker.WithTaintMap(taintmap.NewLocalClient(c.store, taint.NewTree())),
 		tracker.WithSpec(c.spec))
 	return jre.NewEnv(c.net, a)
 }

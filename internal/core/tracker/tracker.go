@@ -101,9 +101,11 @@ type optionFunc func(*Agent)
 func (f optionFunc) apply(a *Agent) { f(a) }
 
 // WithTaintMap connects the agent to a Taint Map client. Required for
-// ModeDista; ignored by the other modes.
+// ModeDista; ignored by the other modes. The agent adopts the client's
+// tree as its own: a node keeps one tag tree (Phosphor's singleton, §II-B),
+// so its sources, the taints it receives and their unions meet in it.
 func WithTaintMap(c taintmap.Client) Option {
-	return optionFunc(func(a *Agent) { a.tm = c })
+	return optionFunc(func(a *Agent) { a.tm, a.tree = c, c.Tree() })
 }
 
 // WithLocalID overrides the generated LocalID ("ip:pid").

@@ -237,55 +237,98 @@ func TestDialTaintMapNoAddresses(t *testing.T) {
 	}
 }
 
-// TestFreshExchangeAllocations pins what one fresh exchange allocates in
-// the whole process, servers included: node A labels a 64-byte field of
-// a 4 KiB request with a taint it never sent, B relabels the field with
-// its own tag and echoes the request, both nodes on a 3-member RF-2 sim
-// cluster — two registrations with their replica pushes and definitions
-// units, the two lookups memo hits. What is left is what the trees, the
-// stores and the memos keep, and the replies' payloads.
-func TestFreshExchangeAllocations(t *testing.T) {
+// freshExchange is the sim_fresh_cluster op on two nodes of a 3-member
+// RF-2 sim cluster: node A labels a 64-byte field of a 4 KiB request with
+// a taint it never sent, B relabels the field with the union of what it
+// received and its own tag and echoes the request.
+type freshExchange struct {
+	a, b  *tracker.Agent
+	echo  taint.Bytes
+	fresh taint.Taint
+	round func()
+}
+
+func newFreshExchange(t *testing.T) *freshExchange {
 	network := netsim.New()
 	servers, ring, err := taintmap.StartSimCluster(network, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
+	t.Cleanup(func() {
 		for _, s := range servers {
 			s.Close()
 		}
-	}()
+	})
 	agent := func(node string) *tracker.Agent {
-		c, err := taintmap.DialSimCluster(network, node+":1", ring, tracker.New(node, tracker.ModeDista).Tree(), taintmap.ClusterOptions{})
+		c, err := taintmap.DialSimCluster(network, node+":1", ring, taint.NewTree(), taintmap.ClusterOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { c.Close() })
 		return tracker.New(node, tracker.ModeDista, tracker.WithTaintMap(c))
 	}
-	a, b := agent("a"), agent("b")
+	x := &freshExchange{a: agent("a"), b: agent("b"), echo: taint.MakeBytes(4 << 10)}
 	ca, cb := network.Pipe()
-	ea, eb := NewAdaptiveEndpoint(a, ca), NewAdaptiveEndpoint(b, cb)
-	req, got, echo := taint.MakeBytes(4<<10), taint.MakeBytes(4<<10), taint.MakeBytes(4<<10)
-	mine := b.Source("reply", "r")
-	var fresh taint.Taint
-	round := func() {
-		fresh = a.SourceSeq("field", "f")
+	ea, eb := NewAdaptiveEndpoint(x.a, ca), NewAdaptiveEndpoint(x.b, cb)
+	req, got := taint.MakeBytes(4<<10), taint.MakeBytes(4<<10)
+	mine := x.b.Source("reply", "r")
+	x.round = func() {
+		x.fresh = x.a.SourceSeq("field", "f")
 		req.ResetLabels()
-		req.SetRange(64, 128, fresh)
+		req.SetRange(64, 128, x.fresh)
 		exchange(t, ea, eb, req, &got)
 		got.SetRange(64, 128, taint.Combine(got.LabelAt(64), mine))
-		exchange(t, eb, ea, got, &echo)
+		exchange(t, eb, ea, got, &x.echo)
 	}
 	for i := 0; i < 50; i++ {
-		round()
+		x.round()
 	}
-	allocs := testing.AllocsPerRun(200, round)
-	if l := echo.LabelAt(64); l.Len() != 2 || !l.Has(fresh.Values()[0]) || !l.Has("r") || !echo.LabelAt(128).Empty() {
-		t.Fatalf("the echoed field carries %v, the byte after it %v", l, echo.LabelAt(128))
+	return x
+}
+
+// check fails unless the echoed field carries the op's fresh tag and B's.
+func (x *freshExchange) check(t *testing.T) {
+	if l := x.echo.LabelAt(64); l.Len() != 2 || !l.Has(x.fresh.Values()[0]) || !l.Has("r") || !x.echo.LabelAt(128).Empty() {
+		t.Fatalf("the echoed field carries %v, the byte after it %v", l, x.echo.LabelAt(128))
 	}
+}
+
+// TestFreshExchangeAllocations pins what one fresh exchange allocates in
+// the whole process, servers included: two registrations with their
+// replica pushes and definitions units, the two lookups memo hits. What
+// is left is what the trees, the stores and the memos keep, and the
+// replies' payloads (23 while each node kept a second tree and the store
+// a string and a pointer per blob).
+func TestFreshExchangeAllocations(t *testing.T) {
+	x := newFreshExchange(t)
+	allocs := testing.AllocsPerRun(200, x.round)
+	x.check(t)
 	t.Logf("%.1f allocs per fresh exchange", allocs)
-	if allocs > 23 && !raceEnabled {
-		t.Fatalf("a fresh exchange allocates %.1f times, want <= 23", allocs)
+	if allocs > 13 && !raceEnabled {
+		t.Fatalf("a fresh exchange allocates %.1f times, want <= 13", allocs)
+	}
+}
+
+// TestFreshExchangeTreeNodes: a node keeps one tag tree — its agent's
+// is its Taint Map client's — so a fresh exchange grows each node's tree
+// by two nodes. A interns its fresh tag, and B's tag under it when the
+// echo defines their union; B interns the fresh tag when the request
+// defines it, and its own under it in the union (5 nodes over three
+// trees while the client's tree was not the agent's).
+func TestFreshExchangeTreeNodes(t *testing.T) {
+	x := newFreshExchange(t)
+	for _, ag := range []*tracker.Agent{x.a, x.b} {
+		if ag.Tree() != ag.TaintMap().Tree() {
+			t.Fatalf("node %s keeps two trees", ag.Node())
+		}
+	}
+	const n = 100
+	a0, b0 := x.a.Tree().NodeCount(), x.b.Tree().NodeCount()
+	for i := 0; i < n; i++ {
+		x.round()
+	}
+	x.check(t)
+	if da, db := x.a.Tree().NodeCount()-a0, x.b.Tree().NodeCount()-b0; da != 2*n || db != 2*n {
+		t.Fatalf("%d fresh exchanges grew A's tree by %d nodes and B's by %d, want %d each", n, da, db, 2*n)
 	}
 }

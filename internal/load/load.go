@@ -358,8 +358,7 @@ func Run(cfg Config) (Report, error) {
 			}
 		}()
 		newAgent = func(name string) *tracker.Agent {
-			a := tracker.New(name, tracker.ModeDista)
-			cc, err := taintmap.DialSimCluster(net, name, ring, a.Tree(), taintmap.ClusterOptions{})
+			cc, err := taintmap.DialSimCluster(net, name, ring, taint.NewTree(), taintmap.ClusterOptions{})
 			if err != nil {
 				panic(fmt.Sprintf("load: dial cluster: %v", err))
 			}
@@ -368,9 +367,8 @@ func Run(cfg Config) (Report, error) {
 	} else {
 		store := taintmap.NewStore()
 		newAgent = func(name string) *tracker.Agent {
-			a := tracker.New(name, tracker.ModeDista)
 			return tracker.New(name, tracker.ModeDista,
-				tracker.WithTaintMap(taintmap.NewLocalClient(store, a.Tree())))
+				tracker.WithTaintMap(taintmap.NewLocalClient(store, taint.NewTree())))
 		}
 	}
 

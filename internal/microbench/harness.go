@@ -52,8 +52,7 @@ func NewHarness(mode tracker.Mode, size int) *Harness {
 	net := netsim.New()
 	store := taintmap.NewStore()
 	mk := func(name string) *jre.Env {
-		a := tracker.New(name, mode)
-		a = tracker.New(name, mode, tracker.WithTaintMap(taintmap.NewLocalClient(store, a.Tree())))
+		a := tracker.New(name, mode, tracker.WithTaintMap(taintmap.NewLocalClient(store, taint.NewTree())))
 		return jre.NewEnv(net, a)
 	}
 	return &Harness{

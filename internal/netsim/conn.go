@@ -391,13 +391,14 @@ func (c *Conn) Write(b []byte) (int, error) {
 }
 
 // Close shuts down both directions. The peer sees io.EOF after draining
-// buffered data; its writes fail.
+// buffered data; its writes fail. The pipes close before a frozen writer
+// is woken, so the write it resumes fails.
 func (c *Conn) Close() error {
 	c.closeOnce.Do(func() {
-		c.dead.Store(true)
-		c.deadOnce.Do(func() { close(c.deadCh) })
 		c.out.closeWrite()
 		c.in.closeRead()
+		c.dead.Store(true)
+		c.deadOnce.Do(func() { close(c.deadCh) })
 	})
 	return nil
 }
@@ -406,10 +407,10 @@ func (c *Conn) Close() error {
 // observe ErrReset on every subsequent read and write, with no EOF
 // grace for buffered data.
 func (c *Conn) Reset() {
-	c.dead.Store(true)
-	c.deadOnce.Do(func() { close(c.deadCh) })
 	c.in.fail(ErrReset)
 	c.out.fail(ErrReset)
+	c.dead.Store(true)
+	c.deadOnce.Do(func() { close(c.deadCh) })
 }
 
 // SetReadDeadline makes reads fail with ErrDeadline once t passes; the

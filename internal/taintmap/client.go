@@ -30,6 +30,8 @@ type Client interface {
 	// taints it registered under them — so their lookups need no round
 	// trip. A client may ignore them; unsound ones it refuses, all.
 	Learn(ids []uint32, blobs [][]byte) error
+	// Tree returns the tree received taints are interned in: the node's.
+	Tree() *taint.Tree
 	// Close releases the client's resources.
 	Close() error
 }
@@ -361,6 +363,9 @@ func (f *front) Learn(ids []uint32, blobs [][]byte) error {
 	_, err := f.adopt(few[:0], ids, blobs, true)
 	return err
 }
+
+// Tree implements Client for every caching client.
+func (f *front) Tree() *taint.Tree { return f.tree }
 
 // splitBatch resolves what it can from the memo under one read-lock
 // acquisition: ts holds the resolved taints (and empties for id 0),

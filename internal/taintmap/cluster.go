@@ -249,8 +249,8 @@ func (l *peerLink) call(op byte, payload []byte, timeout time.Duration) ([]byte,
 			return l.fail(err)
 		}
 		l.conn = conn
-		l.br = bufio.NewReaderSize(conn, 32<<10)
-		l.bw = bufio.NewWriterSize(conn, 32<<10)
+		l.br = bufio.NewReaderSize(conn, connBuffer)
+		l.bw = bufio.NewWriterSize(conn, connBuffer)
 	}
 	if err := writeTaggedFrame(l.bw, op, 0, payload); err != nil {
 		return l.fail(err)

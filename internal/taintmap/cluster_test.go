@@ -696,6 +696,68 @@ func TestClusterReadRepairDivergence(t *testing.T) {
 	}
 }
 
+// TestClusterReplicaRefusesConflict: a replica table, like the owned one,
+// never lets an id change its blob. A replica squatting on a seq with
+// other bytes refuses the owner's push — counted as hinted, the owner's
+// copy being the durable one — and a read-repair of it, which the client
+// does not count as repaired; an equal re-adopt stores nothing.
+func TestClusterReplicaRefusesConflict(t *testing.T) {
+	e := newClusterEnv(t, 2, 2)
+	squat := partitionBase(0) | 1 // the first id partition 0 mints
+	if err := e.stores[1].AdoptBlob(squat, []byte("squatter")); err != nil {
+		t.Fatal(err)
+	}
+	reps := (*e.stores[1].reps.Load())[0]
+	used := reps.used
+	if n := testing.AllocsPerRun(20, func() {
+		if err := e.stores[1].AdoptBlob(squat, []byte("squatter")); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 || reps.used != used {
+		t.Fatalf("an equal re-adopt allocates %.0f times and grows the arena by %d bytes", n, reps.used-used)
+	}
+
+	tree := taint.NewTree()
+	c := e.client("app:1", ClusterOptions{})
+	var id uint32
+	var blob []byte
+	for i := 0; id == 0; i++ {
+		tt := tree.NewSource(fmt.Sprintf("conflict-%d", i), "app:1")
+		b, err := taint.MarshalTaint(tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.ring.OwnerOfBlob(b) != 0 {
+			continue
+		}
+		if id, err = c.Register(tt); err != nil {
+			t.Fatal(err)
+		}
+		blob = b
+	}
+	if id != squat {
+		t.Fatalf("the owner minted %#x, want %#x", id, squat)
+	}
+	if got := e.nodes[0].Hinted(); got != 1 {
+		t.Fatalf("the refused push counted %d hinted, want 1", got)
+	}
+	if got, err := e.stores[1].LookupBlob(squat); err != nil || string(got) != "squatter" {
+		t.Fatalf("the replica's %#x = %q, %v: its blob changed", squat, got, err)
+	}
+
+	ts, err := c.LookupBatch([]uint32{id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.repairTo([]*member{c.member(1)}, []uint32{id}, ts)
+	if c.Repaired() != 0 || e.nodes[1].Repaired() != 0 {
+		t.Fatalf("a refused read-repair counted: client %d, replica %d", c.Repaired(), e.nodes[1].Repaired())
+	}
+	if _, err := c.member(1).rawCall(opRepairTag, appendEntries(nil, []uint32{id}, [][]byte{blob})); err == nil {
+		t.Fatal("the replica accepted a repair changing its blob")
+	}
+}
+
 // TestClusterLookupBatchGroups drives ClusterClient.LookupBatch's
 // grouping with the memo out of the way: one batch mixing real ids of
 // two partitions, provisional ids of a third (its owner shedding, so

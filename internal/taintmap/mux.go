@@ -134,7 +134,7 @@ func NewRemoteClient(conn io.ReadWriteCloser, tree *taint.Tree) *RemoteClient {
 func newRemoteClientWith(conn io.ReadWriteCloser, tree *taint.Tree, memo *cache, timeout time.Duration) *RemoteClient {
 	c := &RemoteClient{
 		conn:    conn,
-		br:      bufio.NewReaderSize(conn, 64<<10),
+		br:      bufio.NewReaderSize(conn, connBuffer),
 		timeout: timeout,
 		pending: make(map[uint32]pendingCall),
 		wake:    make(chan struct{}, 1),

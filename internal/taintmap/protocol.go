@@ -82,6 +82,10 @@ const maxIDsPerFrame = maxFrame / 4
 // blob (plus the count and length prefixes) still fits.
 const maxReplyFrame = maxFrame + 16
 
+// connBuffer sizes every connection's bufio, for frames of tens of
+// bytes: a larger frame goes around it (io.ReadFull, bufio.Writer).
+const connBuffer = 4 << 10
+
 // errProtocol reports a malformed frame.
 var errProtocol = errors.New("taintmap: protocol error")
 
@@ -400,7 +404,7 @@ func (c *connScratch) handle(h connHost, op byte, payload []byte) (status byte, 
 		reply = binary.BigEndian.AppendUint32(reply, uint32(len(ids)))
 		included := 0
 		for _, id := range ids {
-			blob, ok := store.lookupStr(id)
+			blob, ok := store.lookupView(id)
 			if !ok {
 				return statusTaggedErr, fmt.Appendf(reply[:0], "%v: %d", ErrUnknownGlobalID, id)
 			}
@@ -480,8 +484,8 @@ func serveConn(h connHost, conn io.ReadWriter, readTimeout time.Duration) error 
 	if readTimeout > 0 {
 		rd, _ = conn.(readDeadliner)
 	}
-	br := bufio.NewReaderSize(conn, 64<<10)
-	bw := bufio.NewWriterSize(conn, 64<<10)
+	br := bufio.NewReaderSize(conn, connBuffer)
+	bw := bufio.NewWriterSize(conn, connBuffer)
 	var scratch connScratch
 	for {
 		if rd != nil {

@@ -293,8 +293,8 @@ func shedConn(conn io.ReadWriteCloser, grace time.Duration) {
 	defer conn.Close()
 	rd, _ := conn.(readDeadliner)
 	deadline := time.Now().Add(grace)
-	br := bufio.NewReaderSize(conn, 4<<10)
-	bw := bufio.NewWriterSize(conn, 4<<10)
+	br := bufio.NewReaderSize(conn, connBuffer)
+	bw := bufio.NewWriterSize(conn, connBuffer)
 	overload := fmt.Appendf(nil, "%v: connection over cap", ErrOverloaded)
 	for frames := 0; frames < brownoutMaxFrames && time.Now().Before(deadline); frames++ {
 		if rd != nil {

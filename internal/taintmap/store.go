@@ -14,6 +14,7 @@
 package taintmap
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/maphash"
@@ -42,6 +43,17 @@ const (
 	pageBits = 10 // ids per page
 	pageSize = 1 << pageBits
 	pageMask = pageSize - 1
+
+	// A table's blobs live in an arena of byte chunks that double from
+	// minChunk to maxChunk; a blob larger than the chunk it would open
+	// gets one of its own. A ref packs chunk index + 1 (0: unpublished),
+	// offset and length — wholeChunk for a blob too long for the field,
+	// which is longer than maxChunk and so alone in its chunk.
+	minChunk   = 256
+	maxChunk   = 16 << 10
+	refLenBits = 16
+	refOffBits = 16
+	wholeChunk = 1<<refLenBits - 1
 )
 
 // The index is keyed on a per-process-seeded hash, not on hash32: every
@@ -84,7 +96,7 @@ func (sh *shard) probe(t *pageTable, fp uint32, blob []byte) (id uint32, free in
 			return 0, i
 		}
 		if uint32(e>>32) == fp && t != nil {
-			if b, _ := t.lookup(SeqOf(uint32(e))); b == string(blob) {
+			if b, _ := t.lookup(SeqOf(uint32(e))); bytes.Equal(b, blob) {
 				return uint32(e), i
 			}
 		}
@@ -109,63 +121,92 @@ func (sh *shard) insert(fp, id uint32, free int) {
 	sh.n++
 }
 
-// page is one fixed-size block of the id->blob table. Slots are
-// published atomically after the id is allocated and before
-// the id is revealed to any caller, so a reader holding a legitimately
-// obtained id always finds its slot non-nil.
-type page [pageSize]atomic.Pointer[string]
+// page is one fixed-size block of the id->blob table: a slot holds the
+// ref of its seq's blob in the table's arena, 0 until published. A slot is
+// published after its bytes are written and before the id is revealed to
+// any caller, so a reader holding a legitimately obtained id always finds
+// it set and its bytes whole.
+type page [pageSize]atomic.Uint64
 
 // pageTable is the lock-free seq->blob direction: a grow-only slice of
-// page pointers readers load atomically and index without locking.
-// growMu serializes growth (and reset, which swaps the whole table).
-// It is shared by the Store's own partition and by the adopt-only
-// replica tables a cluster server keeps for its predecessors.
+// page pointers and the append-only arena its refs point into, both of
+// which readers load atomically and index without locking. Neither holds
+// a pointer per blob, so the GC traces a chunk, not a blob: a blob costs
+// its bytes and an 8-byte slot. growMu serializes every write — growth
+// and publishing. It is shared by the Store's own partition and by the
+// adopt-only replica tables a cluster server keeps for its predecessors.
 type pageTable struct {
 	pages  atomic.Pointer[[]*page]
+	chunks atomic.Pointer[[][]byte]
 	growMu sync.Mutex
+	all    [][]byte      // growMu: every chunk, appended to in place past each reader's length
+	cur    []byte        // growMu: the chunk being filled
+	used   int           // growMu: the bytes of cur taken
 	next   atomic.Uint32 // highest seq published (for owners: last allocated)
 }
 
-// slot returns seq's slot, growing the table to hold it. The slot is
-// written before its id escapes to any caller.
-func (t *pageTable) slot(seq uint32) *atomic.Pointer[string] {
+// publish puts blob under seq and lifts next to it, unless seq holds a
+// blob already, which it returns instead, appending nothing.
+func (t *pageTable) publish(seq uint32, blob []byte) (held []byte, taken bool) {
+	t.growMu.Lock()
+	defer t.growMu.Unlock()
 	pi := int(seq) >> pageBits
 	pages := t.pages.Load()
 	if pages == nil || pi >= len(*pages) {
-		t.growMu.Lock()
-		pages = t.pages.Load()
-		if pages == nil || pi >= len(*pages) {
-			var grown []*page
-			if pages != nil {
-				grown = append(grown, *pages...)
-			}
-			for pi >= len(grown) {
-				grown = append(grown, new(page))
-			}
-			t.pages.Store(&grown)
-			pages = &grown
+		var grown []*page
+		if pages != nil {
+			grown = append(grown, *pages...)
 		}
-		t.growMu.Unlock()
+		for pi >= len(grown) {
+			grown = append(grown, new(page))
+		}
+		t.pages.Store(&grown)
+		pages = &grown
 	}
-	return &(*pages)[pi][int(seq)&pageMask]
+	slot := &(*pages)[pi][int(seq)&pageMask]
+	if r := slot.Load(); r != 0 {
+		return t.view(r), true
+	}
+	slot.Store(t.append(blob))
+	t.raise(seq)
+	return nil, false
 }
 
-// lookup resolves seq to its interned blob string without locking or
-// copying. ok is false for seqs never published.
-func (t *pageTable) lookup(seq uint32) (string, bool) {
-	pages := t.pages.Load()
-	if pages == nil {
-		return "", false
+// append copies blob into the arena and returns its ref; growMu held.
+func (t *pageTable) append(blob []byte) uint64 {
+	if len(blob) >= len(t.cur)-t.used {
+		t.cur, t.used = make([]byte, max(min(2*len(t.cur), maxChunk), minChunk, len(blob))), 0
+		t.all = append(t.all, t.cur)
+		all := t.all
+		t.chunks.Store(&all)
 	}
-	pi := int(seq) >> pageBits
-	if pi >= len(*pages) {
-		return "", false
+	off := t.used
+	t.used += copy(t.cur[off:], blob)
+	return uint64(len(t.all))<<(refOffBits+refLenBits) | uint64(off)<<refLenBits | min(uint64(len(blob)), wholeChunk)
+}
+
+// view returns the bytes r refers to, in place.
+func (t *pageTable) view(r uint64) []byte {
+	n, off := int(r&wholeChunk), int(r>>refLenBits&(1<<refOffBits-1))
+	chunk := (*t.chunks.Load())[r>>(refOffBits+refLenBits)-1]
+	if n == wholeChunk {
+		return chunk
 	}
-	p := (*pages)[pi][int(seq)&pageMask].Load()
-	if p == nil {
-		return "", false
+	return chunk[off : off+n : off+n]
+}
+
+// lookup resolves seq to a view of its blob without locking or copying.
+// ok is false for seqs never published.
+func (t *pageTable) lookup(seq uint32) ([]byte, bool) {
+	pi, pages := int(seq)>>pageBits, t.pages.Load()
+	if pages == nil || pi >= len(*pages) {
+		return nil, false
 	}
-	return *p, true
+	r := (*pages)[pi][int(seq)&pageMask].Load()
+	if r == 0 {
+		return nil, false
+	}
+	return t.view(r), true // the chunks loaded after r include its own
 }
 
 // raise lifts next to at least seq, so an owner healed from replica
@@ -177,14 +218,6 @@ func (t *pageTable) raise(seq uint32) {
 			return
 		}
 	}
-}
-
-// reset drops the table back to empty.
-func (t *pageTable) reset() {
-	t.growMu.Lock()
-	t.pages.Store(nil)
-	t.next.Store(0)
-	t.growMu.Unlock()
 }
 
 // Store is the Taint Map's state: serialized-taint blob <-> Global ID.
@@ -204,7 +237,7 @@ func (t *pageTable) reset() {
 type Store struct {
 	base   uint32 // partitionBase(part); 0 for standalone stores
 	shards [storeShards]shard
-	table  pageTable // the owned partition's id->blob direction
+	table  atomic.Pointer[pageTable] // the owned partition's id->blob direction
 
 	// reps holds adopt-only replica tables, keyed by partition index.
 	// The map itself is copy-on-write behind an atomic pointer so the
@@ -218,7 +251,11 @@ type Store struct {
 }
 
 // NewStore returns an empty standalone Store (partition 0).
-func NewStore() *Store { return &Store{} }
+func NewStore() *Store {
+	s := &Store{}
+	s.table.Store(new(pageTable))
+	return s
+}
 
 // NewPartitionStore returns an empty Store minting ids in the given
 // partition's slice of the Global-ID space. Partition 0 is identical to
@@ -250,14 +287,15 @@ func (s *Store) registerBlob(blob []byte) (id uint32, fresh bool) {
 	si, fp := indexHash(blob)
 	sh := &s.shards[si]
 	sh.mu.Lock()
-	id, free := sh.probe(&s.table, fp, blob)
+	t := s.table.Load()
+	id, free := sh.probe(t, fp, blob)
 	if id != 0 {
 		sh.mu.Unlock()
 		return id, false
 	}
-	key := string(blob) // the one copy of the blob
-	for id == 0 || !s.table.slot(SeqOf(id)).CompareAndSwap(nil, &key) {
-		id = s.base | s.table.next.Add(1) // skipping seqs a healed owner adopted
+	for taken := true; taken; {
+		id = s.base | t.next.Add(1) // skipping seqs a healed owner adopted
+		_, taken = t.publish(SeqOf(id), blob)
 	}
 	sh.insert(fp, id, free) // where the one probe stopped
 	sh.mu.Unlock()
@@ -280,9 +318,10 @@ func (s *Store) RegisterBlobs(blobs [][]byte) []uint32 {
 // partition heal its table directly (and raise the allocation cursor so
 // a healed owner never re-mints an adopted seq); foreign-partition ids
 // land in an adopt-only replica table serving lookups. Adoption is
-// idempotent. The provisional bit, a zero sequence (provisional ids
-// must never cross processes) and an own seq holding other bytes (a
-// published seq never changes its blob) are rejected.
+// idempotent and a re-adopt stores nothing. The provisional bit, a zero
+// sequence (provisional ids must never cross processes) and a seq holding
+// other bytes (a published seq never changes its blob, on an owner or a
+// replica) are rejected.
 func (s *Store) AdoptBlob(id uint32, blob []byte) error {
 	if id&provisionalBit != 0 {
 		return fmt.Errorf("taintmap: adopt of provisional id %d", id)
@@ -292,6 +331,8 @@ func (s *Store) AdoptBlob(id uint32, blob []byte) error {
 		return fmt.Errorf("taintmap: adopt of id %d with zero sequence", id)
 	}
 	s.adopted.Add(1)
+	var held []byte
+	taken := false
 	if id&^seqMask == s.base {
 		// Our own partition: heal the index too, so a restarted
 		// owner keeps registration idempotent for healed content.
@@ -299,20 +340,18 @@ func (s *Store) AdoptBlob(id uint32, blob []byte) error {
 		sh := &s.shards[si]
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		if known, free := sh.probe(&s.table, fp, blob); known == 0 {
-			key := string(blob)
-			if !s.table.slot(seq).CompareAndSwap(nil, &key) {
-				return fmt.Errorf("taintmap: adopt of id %d: its sequence holds other bytes", id)
+		t := s.table.Load()
+		if known, free := sh.probe(t, fp, blob); known == 0 {
+			if held, taken = t.publish(seq, blob); !taken {
+				sh.insert(fp, id, free)
 			}
-			sh.insert(fp, id, free)
-			s.table.raise(seq)
 		}
-		return nil
+	} else {
+		held, taken = s.repTable(PartitionOf(id)).publish(seq, blob)
 	}
-	t := s.repTable(PartitionOf(id))
-	key := string(blob)
-	t.slot(seq).Store(&key)
-	t.raise(seq)
+	if taken && !bytes.Equal(held, blob) {
+		return fmt.Errorf("taintmap: adopt of id %d: its sequence holds other bytes", id)
+	}
 	return nil
 }
 
@@ -359,24 +398,24 @@ func (s *Store) Replicated(part uint32) int {
 	return int(t.next.Load())
 }
 
-// lookupStr resolves id to its interned blob string without locking or
-// copying. Own-partition ids hit the owned table; foreign ids fall to
-// the replica tables. ok is false for ids never published here.
-func (s *Store) lookupStr(id uint32) (string, bool) {
+// lookupView resolves id to a view of its blob in the arena, without
+// locking or copying; the view stays valid however the store changes.
+// ok is false for ids never published here.
+func (s *Store) lookupView(id uint32) ([]byte, bool) {
 	s.lookups.Add(1)
 	if id&^seqMask == s.base {
-		return s.table.lookup(SeqOf(id))
+		return s.table.Load().lookup(SeqOf(id))
 	}
 	if id&provisionalBit != 0 {
-		return "", false
+		return nil, false
 	}
 	m := s.reps.Load()
 	if m == nil {
-		return "", false
+		return nil, false
 	}
 	t, ok := (*m)[PartitionOf(id)]
 	if !ok {
-		return "", false
+		return nil, false
 	}
 	return t.lookup(SeqOf(id))
 }
@@ -384,11 +423,11 @@ func (s *Store) lookupStr(id uint32) (string, bool) {
 // LookupBlob returns the serialized taint registered under id. The
 // returned slice is the caller's to keep. Lock-free.
 func (s *Store) LookupBlob(id uint32) ([]byte, error) {
-	blob, ok := s.lookupStr(id)
+	blob, ok := s.lookupView(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownGlobalID, id)
 	}
-	return []byte(blob), nil
+	return bytes.Clone(blob), nil
 }
 
 // LookupBlobs resolves every id, failing on the first unknown id — the
@@ -408,7 +447,7 @@ func (s *Store) LookupBlobs(ids []uint32) ([][]byte, error) {
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
 	return Stats{
-		GlobalTaints:  int(s.table.next.Load()),
+		GlobalTaints:  int(s.table.Load().next.Load()),
 		Registrations: s.registrations.Load(),
 		Lookups:       s.lookups.Load(),
 	}
@@ -419,14 +458,14 @@ func (s *Store) Stats() Stats {
 func (s *Store) Adopted() int64 { return s.adopted.Load() }
 
 // Reset drops all state, returning the store to empty. Concurrent
-// readers see either the old or the new (empty) table. Lock order
-// matches RegisterBlob (shard, then growMu): all shard locks are held
-// first, which also quiesces every page-table writer.
+// readers see either the old or the new (empty) table, and the views
+// they hold stay whole: an arena is dropped, never reused. All shard
+// locks are held first, which quiesces every owned-table writer.
 func (s *Store) Reset() {
 	for i := range s.shards {
 		s.shards[i].mu.Lock()
 	}
-	s.table.reset()
+	s.table.Store(new(pageTable))
 	s.repMu.Lock()
 	s.reps.Store(nil)
 	s.repMu.Unlock()
