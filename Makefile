@@ -1,9 +1,6 @@
 GO ?= go
 
-# Hot-path benchmark selection shared by `bench` and the A/B harness.
-BENCH_RE := BenchmarkHotPath|BenchmarkTaintMap$$|BenchmarkWireCodec|BenchmarkTaintCombine
-
-.PHONY: build test race race-taintmap vet lint inline-check loc check ci chaos bench bench-ab bench-hotpath bench-taintmap bench-distavet bench-cleanpath bench-cluster bench-grayfail bench-load soak-load fuzz fuzz-smoke
+.PHONY: build test race race-taintmap vet lint inline-check loc check ci chaos invariants bench-ab soak-load fuzz fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -110,16 +107,20 @@ chaos:
 	$(GO) test -race -run 'TestChaos' -count=1 ./internal/taintmap ./internal/instrument
 
 # Tier-1 gate: everything CI runs.
-check: vet lint inline-check build test race chaos soak-load fuzz-smoke bench-cleanpath bench-cluster bench-grayfail bench-distavet bench-load loc
+check: vet lint inline-check build test race chaos soak-load fuzz-smoke loc invariants
 
-# Alias for CI pipelines: the full gate, spelled out in build order.
-ci: build vet lint inline-check test race fuzz-smoke chaos soak-load bench-cleanpath bench-cluster bench-grayfail bench-distavet bench-load
+ci: check
 
-# Regenerate every live benchmark artifact in one pass. BENCH_3.json is
-# frozen: its bench-resilience target and Resilient8 <= 1.10x Mux8 bound
-# went with the resilient client — a one-address deployment runs the
-# cluster client, whose cost on one server bench-cluster bounds at 1.05x.
-bench: bench-hotpath bench-taintmap bench-distavet bench-cleanpath bench-cluster bench-grayfail bench-load
+# The design invariants (invariants_test.go): in-run ratios that pin a
+# design decision — the mux's pipelining, the cluster of one, cluster
+# scaling, the passthrough, uniform and sparse tiers against the clean
+# floor, the gray-failure tail, distavet's suite and warm cache, and the
+# 50k-connection soak tail. Each runs its two sides in alternating pairs
+# at fixed iteration counts, logs the median ratio against its bound and
+# fails past it; nothing is written. They are benchmarks so that `go
+# test ./...` does not run them.
+invariants:
+	$(GO) test -run=NONE -bench=Invariant -benchtime=1x .
 
 # A/B the working tree against a base commit on one workload of the
 # repository's benchmark (BENCHMARK.json): cmd/benchab builds ./benchmark
@@ -137,99 +138,6 @@ PAIRS ?= 10
 SEED ?= 1
 bench-ab:
 	$(GO) run ./cmd/benchab -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS) -seed $(SEED)
-
-# Run the hot-path microbenchmarks and refresh BENCH_1.json. Medians of
-# -count=3 repetitions; seed baselines are embedded in cmd/benchjson.
-bench-hotpath:
-	$(GO) test -run=NONE -bench='$(BENCH_RE)' -benchmem -benchtime=1s -count=3 . | tee bench_hotpath.txt
-	$(GO) run ./cmd/benchjson -in bench_hotpath.txt -out BENCH_1.json
-
-# Run the concurrent Taint Map service benchmarks (multiplexed client vs
-# the same client held to one request in flight, plus single-client
-# latency) and refresh BENCH_2.json. Medians of -count=5 repetitions: the shared box
-# is noisy, and the headline criterion is an in-run ratio, so extra
-# repetitions buy stability where it matters.
-bench-taintmap:
-	$(GO) test -run=NONE -bench=BenchmarkTaintMapConcurrent -benchmem -benchtime=1s -count=5 . | tee bench_taintmap.txt
-	$(GO) run ./cmd/benchjson -in bench_taintmap.txt -out BENCH_2.json
-
-# Benchmark the distavet suite itself into BENCH_9.json: the full
-# nine-analyzer suite (interprocedural index, summary fixpoint,
-# taintflow/deadsuppress included) vs the original five-analyzer core
-# over the same pre-loaded module, plus the warm fact-cache replay.
-# Both criteria are in-run ratios: Suite <= 1.5x Core (the summary
-# engine rides one shared index build) and SuiteWarm <= 0.35x Suite
-# (a warm cache must actually skip re-analysis, not just re-verify).
-# BENCH_4.json remains frozen as the pre-interprocedural artifact.
-bench-distavet:
-	$(GO) test -run=NONE -bench=BenchmarkDistavet -benchtime=1s -count=3 . | tee bench_distavet.txt
-	$(GO) run ./cmd/benchjson -in bench_distavet.txt -out BENCH_9.json
-
-# Clean-path bypass benchmarks, refreshed into BENCH_5.json, plus the
-# wire tier suite into BENCH_7.json. The BENCH_5 headline criteria are
-# in-run ratios (passthrough >= 5x the always-encode comparator the
-# benchmark builds from the codec and the raw natives, clean write
-# <= 1.5x the raw netsim copy floor, 0 allocs/op on the clean write)
-# plus the tainted exchange held to the seed baseline; -benchmem is
-# required for the pool-leak check. The BENCH_7 criteria are in-run
-# ratios too: uniform <= 1.3x and sparse <= 1.5x of the clean floor.
-bench-cleanpath:
-	$(GO) test -run=NONE -bench='BenchmarkCleanPath|BenchmarkHotPath/MixedStreamExchange' -benchmem -benchtime=0.5s -count=3 . | tee bench_cleanpath.txt
-	$(GO) run ./cmd/benchjson -in bench_cleanpath.txt -out BENCH_5.json
-	$(GO) test -run=NONE -bench='BenchmarkAdaptivePath' -benchmem -benchtime=0.5s -count=5 . | tee bench_adaptive.txt
-	$(GO) run ./cmd/benchjson -in bench_adaptive.txt -out BENCH_7.json
-
-# Taint Map cluster benchmarks, refreshed into BENCH_6.json. Both
-# headline criteria are in-run ratios: the scaling series (the same
-# 8-goroutine mixed workload against 1, 2 and 4 service-modeled
-# members) must register >= 2.5x faster at 4 members, and the cluster
-# client pointed at a single plain server must stay within 1.05x of the
-# bare multiplexed client. Part of `check`: a change that quietly
-# serializes the members (or fattens the routing layer) fails CI.
-# The Mux8/Cluster8 pair needs care to measure a 5% bound on a noisy
-# shared host: each side runs in its own `go test` process (so both
-# benchmarks are first-in-process — heap age and GC pacing are
-# position-dependent and would otherwise land entirely on whichever
-# ran second) at a fixed iteration count (time-based calibration picks
-# different b.N per side, which skews per-op cost), interleaved five
-# times so slow host drift cancels in the medians (benchjson requires
-# >= 5 samples per point of the scaling series).
-bench-cluster:
-	$(GO) test -run=NONE -bench='BenchmarkTaintMapCluster' -benchmem -benchtime=0.5s -count=5 . | tee bench_cluster.txt
-	for i in 1 2 3 4 5; do \
-		$(GO) test -run=NONE -bench='BenchmarkTaintMapConcurrent/Mux8$$' -benchmem -benchtime=2000000x -count=1 . || exit 1; \
-		$(GO) test -run=NONE -bench='BenchmarkTaintMapConcurrent/Cluster8$$' -benchmem -benchtime=2000000x -count=1 . || exit 1; \
-	done | tee -a bench_cluster.txt
-	$(GO) run ./cmd/benchjson -in bench_cluster.txt -out BENCH_6.json
-
-# Gray-failure benchmarks, refreshed into BENCH_8.json. The criterion is
-# an in-run ratio: the lookup pair measures memo-cold wire lookups on a
-# 2-member RF-2 cluster, healthy vs one replica stalled (accepts
-# requests, never answers); the stalled tail must stay <= 3x the
-# healthy tail, which holds only if the breaker + hedge machinery turns
-# the stall into instant fall-through. Fixed iteration counts keep
-# every measured lookup memo-cold (one id pool pass per run, no
-# time-based recalibration). The Mixed pair that held the hedged
-# client's clean-path overhead to 1.05x of the sequential client is
-# retired with its comparator: HedgeDelay < 0, which selected the
-# sequential replica walk, is gone — the cluster client has one replica
-# loop, inline on one replica and hedged on several.
-bench-grayfail:
-	$(GO) test -run=NONE -bench='BenchmarkGrayFail/(LookupHealthy|LookupStalled)$$' -benchmem -benchtime=5000x -count=5 . | tee bench_grayfail.txt
-	$(GO) run ./cmd/benchjson -in bench_grayfail.txt -out BENCH_8.json
-
-# Load-plane soaks, refreshed into BENCH_10.json. Each benchmark
-# iteration is one whole closed-loop run (-benchtime=1x), repeated for
-# medians. Both criteria are in-run ratios over identical per-op
-# workloads: the 50k-connection soak's p999 must stay <= 12x the
-# 1k-connection baseline's p999 (a 50x fan-in priced at strongly
-# sub-linear tail growth; measured ~8x median on this box), and the
-# polled echo sink must show >= 5x goroutine headroom against the
-# goroutine-per-connection sink shape on the same 5k-connection
-# workload (measured ~1000x: 5001 parked readers vs 5 poll workers).
-bench-load:
-	$(GO) test -run=NONE -bench='BenchmarkLoadPlane' -benchtime=1x -count=3 . | tee bench_load.txt
-	$(GO) run ./cmd/benchjson -in bench_load.txt -out BENCH_10.json
 
 # The acceptance soak: 50,000 concurrent instrumented connections under
 # the race detector, multiplexed over a handful of goroutines (the race

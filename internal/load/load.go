@@ -1,7 +1,8 @@
 // Package load is the closed-loop load plane behind cmd/dista-load and
-// the BENCH_10 soaks (DESIGN.md §12): it drives tens of thousands of
-// concurrent instrumented connections over the netsim scheduler fabric
-// and reports tail latency out of the shared log-scale histogram.
+// the soak invariant of `make invariants` (DESIGN.md §12): it drives
+// tens of thousands of concurrent instrumented connections over the
+// netsim scheduler fabric and reports tail latency out of the shared
+// log-scale histogram.
 //
 // The generator is closed-loop — every connection has exactly one
 // operation outstanding: write a payload through its instrumented
@@ -27,9 +28,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dista/internal/bench/hist"
 	"dista/internal/core/taint"
 	"dista/internal/core/tracker"
+	"dista/internal/hist"
 	"dista/internal/instrument"
 	"dista/internal/jni"
 	"dista/internal/netsim"

@@ -4,9 +4,9 @@ import (
 	"strings"
 	"testing"
 
-	"dista/internal/bench/hist"
 	"dista/internal/core/taint"
 	"dista/internal/core/tracker"
+	"dista/internal/hist"
 	"dista/internal/instrument"
 	"dista/internal/netsim"
 	"dista/internal/taintmap"

@@ -28,20 +28,16 @@ type Timer interface {
 	Stop() bool
 }
 
-// ---- real clock ----
+// ---- wall clock ----
 
-// realClock is the wall-clock Clock every Network starts with.
-type realClock struct{}
+// WallClock is wall time as a Clock: the clock every Network starts
+// with, and the one the Taint Map's clients and cluster nodes run on
+// unless a test injects a virtual one.
+type WallClock struct{}
 
-func (realClock) Now() time.Time { return time.Now() }
+func (WallClock) Now() time.Time { return time.Now() }
 
-func (realClock) AfterFunc(d time.Duration, f func()) Timer {
-	return realTimer{time.AfterFunc(d, f)}
-}
-
-type realTimer struct{ t *time.Timer }
-
-func (r realTimer) Stop() bool { return r.t.Stop() }
+func (WallClock) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
 
 // ---- virtual clock ----
 

@@ -83,7 +83,7 @@ func New() *Network {
 	return &Network{
 		listeners: make(map[string]*Listener),
 		udp:       make(map[string]*UDPSocket),
-		clock:     realClock{},
+		clock:     WallClock{},
 		rng:       rand.New(rand.NewSource(1)),
 	}
 }

@@ -42,7 +42,7 @@ type Budget struct {
 // capacity burst, starting full. Non-positive rate or burst returns
 // nil — the always-allow budget.
 func NewBudget(rate, burst float64) *Budget {
-	return newBudgetClock(rate, burst, realClock{})
+	return newBudgetClock(rate, burst, netsim.WallClock{})
 }
 
 func newBudgetClock(rate, burst float64, clk netsim.Clock) *Budget {

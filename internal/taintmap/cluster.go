@@ -78,7 +78,7 @@ func NewClusterNode(self Member, members []Member, rf int, dial func(addr string
 	if err != nil {
 		return nil, err
 	}
-	n := &ClusterNode{self: self, dial: dial, clk: realClock{}, peers: make(map[uint32]*peerLink)}
+	n := &ClusterNode{self: self, dial: dial, clk: netsim.WallClock{}, peers: make(map[uint32]*peerLink)}
 	n.peerTimeout.Store(int64(defaultPeerTimeout))
 	n.ring.Store(r)
 	return n, nil

@@ -8,8 +8,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dista/internal/bench/hist"
 	"dista/internal/core/taint"
+	"dista/internal/hist"
 )
 
 // ClusterClient is the Client over Taint Map servers: one handle that

@@ -58,13 +58,6 @@ var (
 	ErrGlobalIDPending = errors.New("taintmap: taint present, global ID pending")
 )
 
-// realClock is wall time as a netsim.Clock: the clock clients and
-// cluster nodes run on unless a test injects a virtual one.
-type realClock struct{}
-
-func (realClock) Now() time.Time                                   { return time.Now() }
-func (realClock) AfterFunc(d time.Duration, f func()) netsim.Timer { return time.AfterFunc(d, f) }
-
 // ResilientOptions tunes each member's resilience layer. The zero value
 // selects the documented defaults; a negative CallTimeout or JitterFrac
 // disables that feature outright.
@@ -132,7 +125,7 @@ func (o *ResilientOptions) withDefaults() ResilientOptions {
 		opt.Seed = 1
 	}
 	if opt.clk == nil {
-		opt.clk = realClock{}
+		opt.clk = netsim.WallClock{}
 	}
 	return opt
 }
