@@ -29,6 +29,7 @@ import (
 	"os/exec"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -199,15 +200,15 @@ func quartiles(xs []float64) (q1, med, q3 float64) {
 	return at(0.25), at(0.5), at(0.75)
 }
 
-// adoptGroups is the symbol whose cache-line offset dense_bulk reads.
-const adoptGroups = "dista/internal/instrument.adoptGroups"
+// adoptGroups is the symbol dense_bulk's placement follows, by both names.
+var adoptGroups = []string{"dista/internal/instrument.(*streamReader).adoptGroups", "dista/internal/instrument.adoptGroups"}
 
-// lineAt finds sym in `go tool nm` output and renders its address and
-// the address mod 64.
-func lineAt(nm, sym string) string {
+// lineAt finds one of syms in `go tool nm` output and renders its
+// address and the address mod 64.
+func lineAt(nm string, syms []string) string {
 	for _, line := range strings.Split(nm, "\n") {
 		f := strings.Fields(line)
-		if len(f) == 3 && f[2] == sym {
+		if len(f) == 3 && slices.Contains(syms, f[2]) {
 			if addr, err := strconv.ParseUint(f[0], 16, 64); err == nil {
 				return fmt.Sprintf("%#x (mod 64: %d)", addr, addr%64)
 			}

@@ -10,12 +10,12 @@ import (
 // ErrCmp enforces the typed-error discipline introduced with the
 // resilience layer (taintmap.ErrDegraded, ErrCallTimeout, …): package
 // sentinel errors must be matched with errors.Is, never ==/!=. The
-// resilient client wraps sentinels (ErrJournalFull wraps ErrDegraded,
-// call errors carry %w chains), so an identity comparison silently
-// stops matching the moment a wrap is added — exactly the regression
-// class errors.Is exists for. Comparisons against io sentinels
-// (io.EOF et al.) are exempt: the io.Reader contract guarantees they
-// are returned unwrapped.
+// resilient client wraps sentinels (ErrBudgetExhausted wraps
+// ErrDegraded, call errors carry %w chains), so an identity comparison
+// silently stops matching the moment a wrap is added — exactly the
+// regression class errors.Is exists for. Comparisons against io
+// sentinels (io.EOF et al.) are exempt: the io.Reader contract
+// guarantees they are returned unwrapped.
 //
 // It also flags errors.As(err, &Sentinel) where Sentinel is one of
 // those package sentinels: the target then has type *error, so As

@@ -8,17 +8,17 @@ import (
 )
 
 // IdBits proves the Global-ID bit layout sound at compile time: the
-// provisional bit (PR 3's journal marker), the partition-index field
+// scoped bit (a stream-scoped id's marker), the partition-index field
 // (the cluster's routing bits) and the per-partition sequence field
-// must be pairwise disjoint, or a journaled provisional id could alias
-// a real id minted by another partition — silently resolving to the
-// wrong taint. The check fires in any package declaring the layout
-// constants (provisionalBit, partitionMask, seqMask), so a refactor
+// must be pairwise disjoint, or a stream-scoped id could alias a real
+// id minted by some partition — silently resolving to the wrong taint.
+// The check fires in any package declaring the layout constants
+// (scopedBit, partitionMask, seqMask), so a refactor
 // that widens one field past another's edge fails `make lint` instead
 // of corrupting resolutions at runtime.
 var IdBits = &Analyzer{
 	Name: "idbits",
-	Doc: "the Global-ID bit fields (provisional bit, partition index, sequence) " +
+	Doc: "the Global-ID bit fields (scoped bit, partition index, sequence) " +
 		"must be pairwise disjoint",
 	Run: runIdBits,
 }
@@ -42,7 +42,7 @@ func runIdBits(pass *Pass) {
 				}
 				for _, name := range vs.Names {
 					switch name.Name {
-					case "provisionalBit", "partitionMask", "seqMask":
+					case "scopedBit", "partitionMask", "seqMask":
 					default:
 						continue
 					}
@@ -57,25 +57,25 @@ func runIdBits(pass *Pass) {
 			}
 		}
 	}
-	prov, hasProv := fields["provisionalBit"]
+	scoped, hasScoped := fields["scopedBit"]
 	part, hasPart := fields["partitionMask"]
 	seq, hasSeq := fields["seqMask"]
-	if hasProv && prov.val&(prov.val-1) != 0 {
-		pass.Reportf(prov.pos,
-			"provisional bit 0x%x is not a single bit", prov.val)
+	if hasScoped && scoped.val&(scoped.val-1) != 0 {
+		pass.Reportf(scoped.pos,
+			"scoped bit 0x%x is not a single bit", scoped.val)
 	}
-	if hasProv && hasPart && prov.val&part.val != 0 {
+	if hasScoped && hasPart && scoped.val&part.val != 0 {
 		pass.Reportf(part.pos,
-			"partition-index mask 0x%x overlaps the provisional bit 0x%x: a journaled id could alias a cluster id",
-			part.val, prov.val)
+			"partition-index mask 0x%x overlaps the scoped bit 0x%x: a stream-scoped id could alias a cluster id",
+			part.val, scoped.val)
 	}
 	if hasPart && hasSeq && part.val&seq.val != 0 {
 		pass.Reportf(seq.pos,
 			"sequence mask 0x%x overlaps the partition-index mask 0x%x: two partitions could mint the same id",
 			seq.val, part.val)
 	}
-	if hasProv && hasSeq && prov.val&seq.val != 0 {
+	if hasScoped && hasSeq && scoped.val&seq.val != 0 {
 		pass.Reportf(seq.pos,
-			"sequence mask 0x%x overlaps the provisional bit 0x%x", seq.val, prov.val)
+			"sequence mask 0x%x overlaps the scoped bit 0x%x", seq.val, scoped.val)
 	}
 }

@@ -10,9 +10,9 @@ import (
 // surface: Register*, Lookup*, Drain* and TryTake* calls on
 // internal/taintmap types. Dropping the returned Global ID breaks the
 // cross-node transfer chain (the byte ships untainted), dropping the
-// error hides degraded-mode outcomes (ErrDegraded, ErrJournalFull,
-// ErrGlobalIDPending) that callers are required to route — see the
-// resilience contract in DESIGN.md §5 — and dropping a Budget.TryTake
+// error hides degraded-mode outcomes (ErrDegraded, ErrOverloaded) that
+// callers are required to route — see the resilience contract in
+// DESIGN.md §5 — and dropping a Budget.TryTake
 // verdict charges the retry budget while ignoring its denial, exactly
 // the retry-storm the budget exists to prevent (§10).
 var MustCheck = &Analyzer{
@@ -58,7 +58,7 @@ func runMustCheck(pass *Pass) {
 				return true
 			}
 			// Scope to the taintmap package's own API, wherever the
-			// method is declared (client structs, Store, journal).
+			// method is declared (client structs, Store, Budget).
 			if !hasPathSuffix(fn.Pkg(), "internal/taintmap") {
 				return true
 			}

@@ -1,7 +1,6 @@
 package instrument
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -18,14 +17,14 @@ import (
 // layer (run by `make chaos`): kill and restart the Taint Map under a
 // stream mixing clean, uniform, sparse and dense messages over an
 // adaptive endpoint pair, and assert neither the bypass nor a tier
-// switch ever becomes an unsoundness hole. The invariant: a tainted
-// buffer is either transferred with its labels intact or refused
-// loudly — reconnect/degraded mode must never downgrade it onto the
-// passthrough or a wrong-label uniform frame, and clean traffic must
-// keep flowing right through the outage. The dense messages densify
-// their shadow store, so they reach the groups writer through its
-// per-byte lane: a refusal there, too, is typed and puts nothing on the
-// connection.
+// switch ever becomes an unsoundness hole. The invariant: every write
+// succeeds and every tainted buffer arrives with exactly its labels —
+// while the Taint Map is down its taints cross inline, under
+// stream-scoped ids — never downgraded onto the passthrough or a
+// wrong-label uniform frame, and clean traffic keeps flowing right
+// through the outage. The dense messages densify their shadow store, so
+// they reach the groups writer through its per-byte lane, which hands a
+// taint without a Global ID to the run walk that scopes it.
 
 // chaosAcceptor adapts a netsim.Listener to the taintmap.Acceptor
 // interface (the package-internal adapter is not exported).
@@ -90,6 +89,7 @@ func TestChaosPassthroughNoCleanDowngrade(t *testing.T) {
 	type sent struct {
 		kind byte
 		tag  string
+		src  taint.Taint
 	}
 	var mu sync.Mutex
 	var delivered []sent
@@ -133,29 +133,28 @@ func TestChaosPassthroughNoCleanDowngrade(t *testing.T) {
 						}
 						continue
 					}
-					// THE invariant: a tainted message that made it across
-					// must still carry its label on every tainted byte.
-					// Losing it would mean an outage or a tier transition
-					// downgraded tainted data onto the passthrough (or a
-					// wrong-label uniform) frame.
-					if !lbl.Has(want.tag) {
-						return fmt.Errorf("message %d (%q) byte %d lost label %q (labels %v)",
-							i, want.kind, k, want.tag, lbl.Values())
+					// THE invariant: every tainted byte carries exactly its
+					// label. Anything else would mean an outage or a tier
+					// transition downgraded tainted data onto the
+					// passthrough (or a wrong-label uniform) frame.
+					if !lbl.Has(want.tag) || !taint.SameSet(lbl, want.src) {
+						return fmt.Errorf("message %d (%q) byte %d carries %v, want exactly %q",
+							i, want.kind, k, lbl.Values(), want.tag)
 					}
 				}
 			}
 		}()
 	}()
 
-	var refused, cleanSent int
-	taintedSent, refusedKind := map[byte]int{}, map[byte]int{}
+	var cleanSent int
+	taintedSent, scopedKind := map[byte]int{}, map[byte]int{}
 	kinds := []byte{'C', 'U', 'S', 'D'}
 	for i := 0; i < rounds; i++ {
 		switch i {
 		case rounds / 4:
-			srv.Close() // outage: degraded local mode
+			srv.Close() // outage: the member degrades, taints cross inline
 		case rounds / 2:
-			srv = startServer() // reconnect + journal drain
+			srv = startServer() // reconnect
 			// Wait out the backoff so the back half of the run exercises
 			// the recovered path, not just the outage.
 			deadline := time.Now().Add(10 * time.Second)
@@ -203,28 +202,15 @@ func TestChaosPassthroughNoCleanDowngrade(t *testing.T) {
 			}
 		}
 		mu.Lock()
-		delivered = append(delivered, sent{kind: kind, tag: tag})
+		delivered = append(delivered, sent{kind: kind, tag: tag, src: src})
 		mu.Unlock()
-		_, wireBefore := senderAgent.Traffic()
-		err := sender.Write(msg)
-		if err != nil {
-			if _, wireAfter := senderAgent.Traffic(); wireAfter != wireBefore {
-				t.Fatalf("round %d: refused %q write put %d bytes on the connection", i, kind, wireAfter-wireBefore)
-			}
-			refusedKind[kind]++
-			// Refused loudly: nothing hit the wire, un-record it. No
-			// later message exists yet (single sender), so the receiver
-			// cannot have indexed this entry.
-			mu.Lock()
-			delivered = delivered[:len(delivered)-1]
-			mu.Unlock()
-			if !errors.Is(err, taintmap.ErrDegraded) && !errors.Is(err, taintmap.ErrGlobalIDPending) {
-				t.Fatalf("round %d: tainted write failed untyped: %v", i, err)
-			}
-			refused++
-			continue
+		if err := sender.Write(msg); err != nil {
+			t.Fatalf("round %d: tainted %q write refused: %v", i, kind, err)
 		}
 		taintedSent[kind]++
+		if src.GlobalID() == 0 {
+			scopedKind[kind]++ // the Taint Map was down: the taint crossed inline
+		}
 	}
 	ca.Close()
 
@@ -233,19 +219,129 @@ func TestChaosPassthroughNoCleanDowngrade(t *testing.T) {
 	}
 	srv.Close()
 
-	if refused == 0 {
-		t.Fatal("no tainted write was refused; the outage never bit and the test is vacuous")
-	}
-	if refusedKind['D'] == 0 {
-		t.Fatal("no dense write was refused; the lane's hand-over to the registering walk went untested")
-	}
 	for _, kind := range kinds[1:] {
-		if taintedSent[kind] == 0 {
-			t.Fatalf("no %q write succeeded; cannot check label delivery for that tier", kind)
+		if scopedKind[kind] == 0 || scopedKind[kind] == taintedSent[kind] {
+			t.Fatalf("%d of %d %q writes crossed inline; the outage must bite, and end, on every tier",
+				scopedKind[kind], taintedSent[kind], kind)
 		}
 	}
-	t.Logf("delivered %d uniform + %d sparse + %d dense + %d clean messages, %d refused during outage",
-		taintedSent['U'], taintedSent['S'], taintedSent['D'], cleanSent, refused)
+	t.Logf("delivered %d uniform + %d sparse + %d dense + %d clean messages, %d/%d/%d of them inline during the outage",
+		taintedSent['U'], taintedSent['S'], taintedSent['D'], cleanSent, scopedKind['U'], scopedKind['S'], scopedKind['D'])
+}
+
+// TestChaosStreamOutage kills the Taint Map under two sender nodes
+// streaming concurrently to a third, each node's client riding the
+// outage, and restarts it. Through the outage every write succeeds and
+// every byte arrives with exactly its labels — fresh taints, and one
+// taint both senders mint from the same tags, cross inline. After it,
+// that shared taint registers from both senders to one Global ID, which
+// a fresh client resolves to its bytes.
+func TestChaosStreamOutage(t *testing.T) {
+	net := netsim.New()
+	store := taintmap.NewStore()
+	start := func() *taintmap.Server {
+		l, err := net.Listen("tm:outage")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := taintmap.NewServer(store, chaosAcceptor{l: l}, nil, taintmap.WithReadTimeout(200*time.Millisecond))
+		srv.Start()
+		return srv
+	}
+	srv := start()
+	node := func(name string) (*tracker.Agent, *taintmap.ClusterClient) {
+		a := tracker.New(name, tracker.ModeDista)
+		c, err := taintmap.DialClusterAddrs([]string{"tm:outage"},
+			func(addr string) (io.ReadWriteCloser, error) { return net.DialFrom(name, addr) }, a.Tree(), outageOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return tracker.New(name, tracker.ModeDista, tracker.WithTaintMap(c), tracker.WithLocalID(a.LocalID())), c.(*taintmap.ClusterClient)
+	}
+	recv, _ := node("n0")
+	senders := make([]*tracker.Agent, 2)
+	clients := make([]*taintmap.ClusterClient, 2)
+	shared := make([]taint.Taint, 2)
+	for i := range senders {
+		senders[i], clients[i] = node(fmt.Sprintf("n%d", i+1))
+		shared[i] = senders[i].Tree().NewSource("shared", "origin:1") // the same tags on both nodes
+	}
+
+	// exchange sends rounds messages from every sender at once, each on
+	// its own connection, and checks every byte the receiver reads.
+	exchange := func(phase string, rounds int) {
+		const n = 48
+		errs := make(chan error, len(senders))
+		for i, a := range senders {
+			ca, cb := net.Pipe()
+			w, rd := NewAdaptiveEndpoint(a, ca), NewAdaptiveEndpoint(recv, cb)
+			go func() {
+				errs <- func() error {
+					for k := 0; k < rounds; k++ {
+						fresh := a.Source("s", fmt.Sprintf("%s-%d-%d", phase, i, k))
+						msg := taint.MakeBytes(n)
+						msg.SetRange(0, n/2, shared[i])
+						for j := n / 2; j < n; j += 2 {
+							msg.SetLabel(j, fresh)
+						}
+						if err := w.Write(msg); err != nil {
+							return fmt.Errorf("%s: sender %d write %d: %w", phase, i, k, err)
+						}
+						buf := taint.MakeBytes(n)
+						for got := 0; got < n; {
+							sub := buf.Slice(got, n)
+							m, err := rd.Read(&sub)
+							if err != nil {
+								return fmt.Errorf("%s: read %d from sender %d: %w", phase, k, i, err)
+							}
+							got += m
+						}
+						for j := 0; j < n; j++ {
+							if got, want := buf.LabelAt(j), msg.LabelAt(j); got.Empty() != want.Empty() || !taint.SameSet(got, want) {
+								return fmt.Errorf("%s: sender %d message %d byte %d carries %v, want %v", phase, i, k, j, got.Values(), want.Values())
+							}
+						}
+					}
+					return nil
+				}()
+			}()
+		}
+		for range senders {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	srv.Close()
+	exchange("outage", 20)
+	for i, tt := range shared {
+		if tt.GlobalID() != 0 {
+			t.Fatalf("sender %d's shared taint got Global ID %#x with the Taint Map down", i, tt.GlobalID())
+		}
+	}
+
+	srv = start()
+	defer srv.Close()
+	for i, c := range clients {
+		deadline := time.Now().Add(10 * time.Second)
+		for !c.Health().Members[0].Connected {
+			if time.Now().After(deadline) {
+				t.Fatalf("sender %d never reconnected", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	exchange("healed", 5)
+	id := shared[0].GlobalID()
+	if id == 0 || taintmap.IsStreamScoped(id) || shared[1].GlobalID() != id {
+		t.Fatalf("the shared taint registered to %#x and %#x", id, shared[1].GlobalID())
+	}
+	got, err := taintmap.NewLocalClient(store, taint.NewTree()).Lookup(id)
+	if err != nil || !taint.SameSet(got, shared[0]) {
+		t.Fatalf("a fresh client resolves %#x to %v, %v", id, got.Values(), err)
+	}
 }
 
 // chaosByteTainted says whether byte k of a kind-shaped chaos message

@@ -291,11 +291,12 @@ func TestDefinitionsDifferential(t *testing.T) {
 }
 
 // TestDefinitionsRejected: what must never be learned is stream
-// corruption, on every stream read — the untainted id, a provisional id,
-// a blob that is no taint, an entry that overruns its unit, a unit past
-// the decoder's bound. The read fails before it adopts a label, fails
-// again when retried, and the sound definition that shared the unit is
-// not memoised either.
+// corruption, on every stream read — the untainted id, a stream-scoped
+// id that skips a number or is defined twice, a blob that is no taint,
+// an entry that overruns its unit, a unit past the decoder's bound — and
+// a frame must not use a scoped id the stream never defined. The read
+// fails before it adopts a label, fails again when retried, and the
+// sound definition that shared the unit is not memoised either.
 func TestDefinitionsRejected(t *testing.T) {
 	r := newRig(t, tracker.ModeDista)
 	good := r.a.Source("s", "good")
@@ -312,15 +313,15 @@ func TestDefinitionsRejected(t *testing.T) {
 	}
 	overrun := unit(77, other)
 	overrun[len(overrun)-len(other)-1]++ // the last blob claims a byte past the unit
+	scoped := taintmap.StreamScopedID
 	cases := map[string][]byte{
-		"untainted id":     unit(0, other),
-		"provisional id":   unit(1<<31|5, other),
-		"blob is no taint": unit(77, other[:len(other)-1]),
-		"entry overruns":   overrun,
-		"oversize unit":    append(wire.AppendFrameHeader(nil, wire.FrameDefinitions, wire.MaxDefinitionsLen+1), make([]byte, wire.MaxDefinitionsLen+1)...),
-	}
-	if !taintmap.IsProvisional(1<<31 | 5) {
-		t.Fatal("the provisional case is not provisional")
+		"untainted id":          unit(0, other),
+		"scoped id skips k":     unit(scoped(2), other),
+		"scoped id redefined":   wire.AppendDefinitions(nil, []uint32{goodID, scoped(1), scoped(1)}, [][]byte{goodBlob, other, goodBlob}),
+		"scoped id not defined": slices.Concat(wire.AppendDefinitions(nil, []uint32{scoped(1)}, [][]byte{other}), wire.AppendFrame(nil, wire.TierUniform, payload, []wire.Run{{N: len(payload), ID: scoped(2)}})),
+		"blob is no taint":      unit(77, other[:len(other)-1]),
+		"entry overruns":        overrun,
+		"oversize unit":         append(wire.AppendFrameHeader(nil, wire.FrameDefinitions, wire.MaxDefinitionsLen+1), make([]byte, wire.MaxDefinitionsLen+1)...),
 	}
 	type reader func(*taint.Bytes) (int, error)
 	reads := map[string]func(b *tracker.Agent, raw []byte) reader{
@@ -365,6 +366,68 @@ func TestDefinitionsRejected(t *testing.T) {
 					t.Fatal("the sound definition of a refused unit was memoised")
 				}
 			})
+		}
+	}
+}
+
+// TestScopedDefinitionsAccepted: a unit interleaving stream-scoped
+// definitions with a Global ID's is learned in one read — the frame after
+// it carries its labels exactly — and the scoped taints stay in the
+// stream: the node's memo does not move, and its client refuses to look
+// a scoped id up.
+func TestScopedDefinitionsAccepted(t *testing.T) {
+	r := newRig(t, tracker.ModeDista)
+	scoped := taintmap.StreamScopedID
+	good := r.a.Source("s", "good")
+	goodID, err := r.a.TaintMap().Register(good)
+	must(t, err)
+	x, y := r.a.Source("s", "inline-x"), r.a.Source("s", "inline-y")
+	var blobs [][]byte
+	for _, l := range []taint.Taint{x, good, y} {
+		blob, err := taint.MarshalTaint(l)
+		must(t, err)
+		blobs = append(blobs, blob)
+	}
+	runs := []wire.Run{{N: 3, ID: scoped(1)}, {N: 3, ID: goodID}, {N: 3}, {N: 3, ID: scoped(2)}}
+	payload := []byte("xxxgggcccyyy")
+	raw := slices.Concat(wire.AppendAdaptiveStreamMagic(nil),
+		wire.AppendDefinitions(nil, []uint32{scoped(1), goodID, scoped(2)}, blobs),
+		wire.AppendFrame(nil, wire.PickTier(runShape(runs)), payload, runs))
+
+	for _, learned := range []bool{false, true} {
+		b := agentFor("node2", tracker.ModeDista, r.store)
+		tm := b.TaintMap().(*taintmap.LocalClient)
+		if learned {
+			_, err := tm.Lookup(goodID) // the Global ID's definition is then no news
+			must(t, err)
+		}
+		before := tm.MemoStats()
+		ca, cb := r.net.Pipe()
+		must(t, jni.SocketWrite0(ca, raw))
+		buf := taint.MakeBytes(len(payload))
+		ep := NewAdaptiveEndpoint(b, cb)
+		for got := 0; got < len(payload); {
+			sub := buf.Slice(got, len(payload))
+			n, err := ep.Read(&sub)
+			must(t, err)
+			got += n
+		}
+		if string(buf.Data) != string(payload) {
+			t.Fatalf("read %q, sent %q", buf.Data, payload)
+		}
+		for i, want := range []taint.Taint{x, good, {}, y} {
+			for k := 3 * i; k < 3*i+3; k++ {
+				if got := buf.LabelAt(k); got.Empty() != want.Empty() || !taint.SameSet(got, want) {
+					t.Fatalf("byte %d carries %v, want %v", k, got.Values(), want.Values())
+				}
+			}
+		}
+		after := tm.MemoStats()
+		if grew := after.IDs - before.IDs; learned && grew != 0 || !learned && grew != 1 {
+			t.Fatalf("learned %v: the memo went from %+v to %+v", learned, before, after)
+		}
+		if l, err := tm.Lookup(scoped(1)); err == nil {
+			t.Fatalf("the node's client resolved a stream-scoped id to %v", l.Values())
 		}
 	}
 }

@@ -90,6 +90,14 @@ func (x *firstSeen[K]) reset() {
 	}
 }
 
+// truncate forgets every key past the first n.
+func (x *firstSeen[K]) truncate(n int) {
+	for _, k := range x.keys[n:] {
+		delete(x.at, k)
+	}
+	x.keys = x.keys[:n]
+}
+
 // add appends k, which find has not found.
 func (x *firstSeen[K]) add(k K) {
 	if x.at == nil && len(x.keys) == scanMax {
@@ -112,17 +120,17 @@ func (x *firstSeen[K]) add(k K) {
 // carries its Global ID on the tree node, so the steady state builds no
 // run, id or taint slice at all. A walk that meets taints without an id
 // stops encoding and only collects them; one batch registration covers
-// them and the frame is redone — on a stream (define) behind the
-// definitions unit of what was registered, which so crosses ahead of the
-// frame that first uses the ids. A caller whose out must not move gives
-// it room for the frame plus wire.EncodeSlack.
+// them and the frame is redone — on a stream (sc) behind the definitions
+// of what was registered or scoped, which so cross ahead of the frame
+// that first uses the ids. A caller whose out must not move gives it
+// room for the frame plus wire.EncodeSlack.
 //
 // A dense store already holds what the groups tier ships, one label per
 // byte, so it skips the runs: encodeDense goes from the store's array
 // to groups directly. Whether that lane runs is the store's business
 // alone (taint.Bytes.DenseLabels), and an input it gives up on takes
 // the walk below from the top, with nothing encoded.
-func appendGroups(agent *tracker.Agent, out []byte, b taint.Bytes, t int, define bool) ([]byte, error) {
+func appendGroups(agent *tracker.Agent, out []byte, b taint.Bytes, t int, sc *streamScope) ([]byte, error) {
 	tm := agent.TaintMap()
 	if tm == nil && !b.Clean() {
 		return nil, ErrNoTaintMap
@@ -150,8 +158,8 @@ func appendGroups(agent *tracker.Agent, out []byte, b taint.Bytes, t int, define
 				}
 				return
 			default:
-				// A client that does not stamp what it registers (the
-				// uncached ablation): the id is the batch's answer.
+				// A scoped taint, or a client that does not stamp what it
+				// registers (the uncached ablation): the id is the batch's.
 				id = ids[pending.find(t)]
 			}
 			if !stalled {
@@ -162,11 +170,8 @@ func appendGroups(agent *tracker.Agent, out []byte, b taint.Bytes, t int, define
 			return out, nil
 		}
 		var err error
-		if ids, err = registerBatch(tm, pending.keys); err != nil {
+		if ids, out, err = registerOrScope(tm, pending.keys, sc, out[:at]); err != nil {
 			return nil, err
-		}
-		if out = out[:at]; define {
-			out, _ = appendDefinitions(out, pending.keys, ids, nil)
 		}
 		out = wire.AppendHead(out, t, n, nil)
 	}
@@ -178,9 +183,9 @@ func appendGroups(agent *tracker.Agent, out []byte, b taint.Bytes, t int, define
 // their id words, so the Global ID is read off a tree node only where
 // the label changes to a third. dst reaches wire.EncodeSlack past the
 // last group. It reports false, leaving dst scratch, on meeting a taint
-// without a Global ID: registering is the run walk's job (a provisional
-// id is never stamped on a node, so a taint that has only one reads as
-// unregistered here and is refused there).
+// without a Global ID: registering is the run walk's job (a scoped id is
+// never stamped on a node, so a taint that has only one reads as
+// unregistered here and is scoped again there).
 func encodeDense(dst, data []byte, labels []taint.Taint) bool {
 	data = data[:len(labels)]
 	var t0, t1 taint.Taint // the zero Taint's id word is zero: the caches start out true
@@ -204,24 +209,54 @@ func encodeDense(dst, data []byte, labels []taint.Taint) bool {
 	return true
 }
 
-// registerBatch maps taints to their Global IDs via the Taint Map,
-// refusing provisional ones: a provisional id is only valid inside this
-// node — a degraded Taint Map client minted it locally, and the
-// receiving node could never resolve it. The transfer is refused loudly;
-// the taint itself stays tracked and will get its real Global ID when
-// the client's journal drains.
-func registerBatch(tm taintmap.Client, ts []taint.Taint) ([]uint32, error) {
+// streamScope numbers the taints a stream defines inline while the Taint
+// Map is degraded or shedding: the k-th keeps StreamScopedID(k) for the
+// stream's life, so an outage costs one definition per distinct taint
+// per stream and nothing to replay (DESIGN.md §5). The slices are scratch.
+type streamScope struct {
+	seen   firstSeen[taint.Taint]
+	ids    []uint32
+	defIDs []uint32
+	blobs  [][]byte
+}
+
+// registerOrScope maps ts, the distinct taints a send met without a
+// Global ID, to the ids of its frame (Fig. 9 ①②) and on a stream (sc)
+// appends their definitions to defs. With the Taint Map degraded or
+// shedding a stream scopes them instead; a datagram's send fails.
+func registerOrScope(tm taintmap.Client, ts []taint.Taint, sc *streamScope, defs []byte) ([]uint32, []byte, error) {
 	ids, err := tm.RegisterBatch(ts)
-	if err != nil {
-		return nil, err
+	switch {
+	case sc == nil || err != nil && !errors.Is(err, taintmap.ErrDegraded) && !errors.Is(err, taintmap.ErrOverloaded):
+		return ids, defs, err
+	case err == nil:
+		defs, sc.blobs = appendDefinitions(defs, ts, ids, sc.blobs)
+		return ids, defs, nil
 	}
-	for _, id := range ids {
-		if taintmap.IsProvisional(id) {
-			return nil, fmt.Errorf("instrument: cannot transfer taint: %w",
-				taintmap.ErrGlobalIDPending)
+	known := len(sc.seen.keys)
+	sc.ids, sc.defIDs, sc.blobs = sc.ids[:0], sc.defIDs[:0], sc.blobs[:0]
+	for _, t := range ts {
+		k := sc.seen.find(t) + 1
+		if k == 0 {
+			blob, err := taint.MarshalTaint(t)
+			if err != nil || wire.DefinitionHeadLen+len(blob) > wire.MaxDefinitionsLen {
+				sc.seen.truncate(known)
+				return nil, defs, fmt.Errorf("instrument: taint of %d bytes not defined inline: %v", len(blob), err)
+			}
+			sc.seen.add(t)
+			k = len(sc.seen.keys)
+			sc.defIDs, sc.blobs = append(sc.defIDs, taintmap.StreamScopedID(k)), append(sc.blobs, blob)
+		}
+		sc.ids = append(sc.ids, taintmap.StreamScopedID(k))
+	}
+	from, size := 0, 0
+	for i, blob := range sc.blobs {
+		if size += wire.DefinitionHeadLen + len(blob); size > wire.MaxDefinitionsLen {
+			defs = wire.AppendDefinitions(defs, sc.defIDs[from:i], sc.blobs[from:i])
+			from, size = i, wire.DefinitionHeadLen+len(blob)
 		}
 	}
-	return ids, nil
+	return sc.ids, wire.AppendDefinitions(defs, sc.defIDs[from:], sc.blobs[from:]), nil
 }
 
 // appendDefinitions appends the definitions unit of what a stream send
@@ -245,12 +280,10 @@ func appendDefinitions(dst []byte, ts []taint.Taint, ids []uint32, blobs [][]byt
 }
 
 // sendScratch is what coverRuns reuses from one send to the next: the
-// taints met without a Global ID, the cover positions waiting on them
-// and their blobs.
+// taints met without a Global ID and the cover positions waiting on them.
 type sendScratch struct {
 	pending   firstSeen[taint.Taint]
 	pendingAt []int
-	blobs     [][]byte
 }
 
 // coverRuns appends to dst the run cover that the metadata of b's frame
@@ -258,10 +291,10 @@ type sendScratch struct {
 // body labels itself and gets none. The shapes the raw-body tiers admit
 // hold a handful of runs: the steady state is one pointer load per run
 // off the tree node, and the taints still without an id share one batch
-// registration — which on a stream (define) also yields their
-// definitions unit, appended to defs to go ahead of the frame. s is b's
+// registration — which on a stream (sc, nil for a datagram) also yields
+// their definitions, appended to defs to go ahead of the frame. s is b's
 // shape; x is the sender's scratch.
-func coverRuns(agent *tracker.Agent, b taint.Bytes, t int, s wire.Shape, x *sendScratch, dst []wire.Run, defs []byte, define bool) (runs []wire.Run, _ []byte, _ error) {
+func coverRuns(agent *tracker.Agent, b taint.Bytes, t int, s wire.Shape, x *sendScratch, dst []wire.Run, defs []byte, sc *streamScope) (runs []wire.Run, _ []byte, _ error) {
 	if wire.Tiers[t].Groups {
 		return dst, defs, nil
 	}
@@ -289,15 +322,13 @@ func coverRuns(agent *tracker.Agent, b taint.Bytes, t int, s wire.Shape, x *send
 		dst = append(dst, wire.Run{N: to - from, ID: id})
 	})
 	if len(x.pendingAt) > 0 {
-		ids, err := registerBatch(tm, x.pending.keys)
-		if err != nil {
+		var ids []uint32
+		var err error
+		if ids, defs, err = registerOrScope(tm, x.pending.keys, sc, defs); err != nil {
 			return nil, nil, err
 		}
 		for _, at := range x.pendingAt {
 			dst[at].ID = ids[dst[at].ID]
-		}
-		if define {
-			defs, x.blobs = appendDefinitions(defs, x.pending.keys, ids, x.blobs)
 		}
 	}
 	return dst, defs, nil
@@ -306,20 +337,19 @@ func coverRuns(agent *tracker.Agent, b taint.Bytes, t int, s wire.Shape, x *send
 // adoptRuns gives buf[at:at+n] the labels of the decoded runs — the
 // adopt primitive of every delivery that is not read per byte. runs
 // cover at least n bytes; what reaches past n is ignored. Each distinct
-// id is numbered once in x and all go to the Taint Map client in a
-// single LookupBatch (memo first, then one round trip for the unknown
-// ones). Labels are written only after every id resolved, so an error
-// leaves buf as it was.
-func adoptRuns(agent *tracker.Agent, buf *taint.Bytes, at int, runs []wire.Run, n int, x *firstSeen[uint32]) error {
-	x.reset()
+// id is numbered once in r.seen and all are resolved at once (memo
+// first, then one round trip for the unknown ones). Labels are written
+// only after every id resolved, so an error leaves buf as it was.
+func (r *streamReader) adoptRuns(agent *tracker.Agent, buf *taint.Bytes, at int, runs []wire.Run, n int) error {
+	r.seen.reset()
 	pos, k := 0, 0
 	for ; pos < n; k++ {
-		if id := runs[k].ID; id != 0 && x.find(id) < 0 {
-			x.add(id)
+		if id := runs[k].ID; id != 0 && r.seen.find(id) < 0 {
+			r.seen.add(id)
 		}
 		pos += runs[k].N
 	}
-	if len(x.keys) == 0 {
+	if len(r.seen.keys) == 0 {
 		// Clean delivery (passthrough frame or untainted groups): no
 		// Taint Map round-trip, and a shadow-free buf stays lazy —
 		// only stale labels need clearing.
@@ -328,36 +358,62 @@ func adoptRuns(agent *tracker.Agent, buf *taint.Bytes, at int, runs []wire.Run, 
 		}
 		return nil
 	}
-	tm := agent.TaintMap()
-	if tm == nil {
-		return ErrNoTaintMap
-	}
 	var one [1]taint.Taint
-	labels, err := lookupAll(tm, x.keys, one[:])
+	labels, err := r.resolve(agent, r.seen.keys, one[:])
 	if err != nil {
 		return err
 	}
 	w := buf.WriteLabels(at, at+n, k)
-	for _, r := range runs[:k] {
+	for _, run := range runs[:k] {
 		var t taint.Taint
-		if r.ID != 0 {
-			t = labels[x.find(r.ID)]
+		if run.ID != 0 {
+			t = labels[r.seen.find(run.ID)]
 		}
-		w.Put(min(r.N, n), t)
-		n -= r.N
+		w.Put(min(run.N, n), t)
+		n -= run.N
 	}
 	return nil
 }
 
-// lookupAll resolves ids through the Taint Map client, one id — the
-// common delivery — into one, which Lookup fills without a slice.
-func lookupAll(tm taintmap.Client, ids []uint32, one []taint.Taint) ([]taint.Taint, error) {
-	if len(ids) != 1 {
+// resolve maps the distinct ids of a delivery to their taints through
+// the Taint Map client, one id — the common delivery — into one, which
+// Lookup fills without a slice; once the peer has defined taints inline,
+// through resolveScoped.
+func (r *streamReader) resolve(agent *tracker.Agent, ids []uint32, one []taint.Taint) ([]taint.Taint, error) {
+	tm := agent.TaintMap()
+	switch {
+	case tm == nil:
+		return nil, ErrNoTaintMap
+	case len(r.scoped) > 0:
+		return r.resolveScoped(tm, ids)
+	case len(ids) != 1:
 		return tm.LookupBatch(ids)
 	}
 	var err error
 	one[0], err = tm.Lookup(ids[0])
 	return one, err
+}
+
+// resolveScoped is resolve on a stream that has defined taints inline:
+// Global IDs go to the Taint Map client in one batch, scoped ones are
+// read off r.scoped, and one the stream never defined is refused.
+func (r *streamReader) resolveScoped(tm taintmap.Client, ids []uint32) ([]taint.Taint, error) {
+	global := make([]uint32, len(ids)) // 0 where scoped: no taint to look up
+	for i, id := range ids {
+		if !taintmap.IsStreamScoped(id) {
+			global[i] = id
+		}
+	}
+	labels, err := tm.LookupBatch(global)
+	for i, id := range ids {
+		if k := uint64(id - taintmap.StreamScopedID(1)); err == nil && taintmap.IsStreamScoped(id) {
+			if k >= uint64(len(r.scoped)) {
+				return nil, fmt.Errorf("instrument: corrupt stream: scoped id %#x never defined", id)
+			}
+			labels[i] = r.scoped[k]
+		}
+	}
+	return labels, err
 }
 
 // pickTier classifies b and picks the tier of its frame — the one send
@@ -379,22 +435,23 @@ func pickTier(b taint.Bytes) (int, wire.Shape) {
 // frame on tier t — the frame header and the metadata made from runs
 // (coverRuns) — or, where the tier's body is groups, the whole frame
 // (appendGroups; Fig. 9 steps ①②), so that dst plus b.Data, or dst
-// alone, is the frame. define is true on a stream.
-func appendFrame(agent *tracker.Agent, dst []byte, b taint.Bytes, t, n int, runs []wire.Run, define bool) ([]byte, error) {
+// alone, is the frame. sc is the stream's scope, nil for a datagram.
+func appendFrame(agent *tracker.Agent, dst []byte, b taint.Bytes, t, n int, runs []wire.Run, sc *streamScope) ([]byte, error) {
 	if wire.Tiers[t].Groups {
-		return appendGroups(agent, dst, b, t, define)
+		return appendGroups(agent, dst, b, t, sc)
 	}
 	return wire.AppendHead(dst, t, n, runs), nil
 }
 
-// streamWriter is the send half of a stream endpoint — the magic flag
-// and the frame-assembly scratch — shared by the socket and the
-// custom-transport endpoints and guarded by the owner's write lock.
+// streamWriter is the send half of a stream endpoint — the magic flag,
+// the frame-assembly scratch, the stream's scope — shared by the socket
+// and the custom-transport endpoints and guarded by the owner's write lock.
 type streamWriter struct {
 	wroteMagic bool        // stream magic already emitted on this conn
 	head       []byte      // persistent header + metadata scratch
 	cover      []wire.Run  // persistent run-cover scratch
 	x          sendScratch // persistent coverRuns scratch
+	scope      streamScope
 }
 
 // write sends b as one frame through emit, the transport's way of
@@ -430,7 +487,7 @@ func (w *streamWriter) write(agent *tracker.Agent, b taint.Bytes, emit func(head
 		t, s := pickTier(b)
 		var runs []wire.Run
 		var err error
-		if runs, head, err = coverRuns(agent, b, t, s, &w.x, w.cover[:0], head, true); err != nil {
+		if runs, head, err = coverRuns(agent, b, t, s, &w.x, w.cover[:0], head, &w.scope); err != nil {
 			return err
 		}
 		w.cover = runs[:0]
@@ -438,7 +495,7 @@ func (w *streamWriter) write(agent *tracker.Agent, b taint.Bytes, emit func(head
 			pooled = wire.GetBuf(len(head) + wire.GroupsFrameLen(n) + wire.EncodeSlack)
 			head, payload = append(*pooled, head...), nil
 		}
-		if head, err = appendFrame(agent, head, b, t, n, runs, true); err != nil {
+		if head, err = appendFrame(agent, head, b, t, n, runs, &w.scope); err != nil {
 			return err // a refused transfer leaves its buffer to the collector
 		}
 	}
@@ -537,10 +594,11 @@ func (e *Endpoint) socketRead(b []byte) (int, error) { return jni.SocketRead0(e.
 // the socket and the custom-transport endpoints and guarded by the
 // owner's read lock.
 type streamReader struct {
-	dec  wire.FrameDecoder
-	rbuf []byte            // persistent raw-read scratch
-	seen firstSeen[uint32] // persistent scratch for the ids of a delivery
-	err  error             // what the source last failed with, reported once dec is drained
+	dec    wire.FrameDecoder
+	rbuf   []byte            // persistent raw-read scratch
+	seen   firstSeen[uint32] // persistent scratch for the ids of a delivery
+	scoped []taint.Taint     // the taints the peer defined inline, scoped id k at k-1
+	err    error             // what the source last failed with, reported once dec is drained
 }
 
 // read fills buf[from:to] with pending bytes and their labels and
@@ -561,24 +619,40 @@ func (r *streamReader) read(agent *tracker.Agent, recv func([]byte) (int, error)
 		}
 	}
 	if g := r.dec.PeekGroups(to - from); len(g) > 0 {
-		if took, err := adoptGroups(agent, buf, from, g, &r.seen); took > 0 || err != nil {
+		if took, err := r.adoptGroups(agent, buf, from, g); took > 0 || err != nil {
 			r.dec.SkipGroups(took)
 			return took, err
 		}
 	}
 	n, runs := r.dec.PeekRuns(to - from)
-	if err := adoptRuns(agent, buf, from, runs, n, &r.seen); err != nil {
+	if err := r.adoptRuns(agent, buf, from, runs, n); err != nil {
 		return 0, err
 	}
 	return r.dec.PopInto(buf.Data[from : from+n]), nil
 }
 
-// learn gives the node's Taint Map client the definitions the stream has
-// delivered, ahead of the labels that use them. A refusal leaves them
-// pending: the stream is corrupt, and every later read fails here again.
+// learn gives the node's Taint Map client the Global IDs the stream has
+// defined, ahead of the labels that use them, and keeps the scoped ones,
+// decoded into the node's tree, in r.scoped alone: they name taints of
+// this stream. They come in order, k after k-1; a skipped or redefined
+// one, like any refusal, fails this read and every later one.
 func (r *streamReader) learn(agent *tracker.Agent) error {
+	ids, blobs := r.dec.Definitions()
+	g := 0 // the Global IDs move to the front, the scoped ones into r.scoped
+	for i, id := range ids {
+		if !taintmap.IsStreamScoped(id) {
+			ids[g], blobs[g] = id, blobs[i]
+			g++
+			continue
+		}
+		t, err := agent.Tree().UnmarshalTaint(blobs[i])
+		if err != nil || t.Empty() || id != taintmap.StreamScopedID(len(r.scoped)+1) {
+			return fmt.Errorf("instrument: corrupt definitions unit: scoped id %#x after %d (%v)", id, len(r.scoped), err)
+		}
+		r.scoped = append(r.scoped, t)
+	}
 	if tm := agent.TaintMap(); tm != nil {
-		if err := tm.Learn(r.dec.Definitions()); err != nil {
+		if err := tm.Learn(ids[:g], blobs[:g]); err != nil {
 			return fmt.Errorf("instrument: corrupt definitions unit: %w", err)
 		}
 	}
@@ -678,9 +752,9 @@ func (e *Endpoint) ReadBuffer(dst *jni.DirectBuffer, from, to int) (int, error) 
 // decoder because they arrived fragmented — and returns their count, or
 // writes nothing and returns 0 for the run path to take over. Pass 1
 // strides the ids: one compare inside a run, two under the id before
-// last, each distinct id numbered once in x, the runs counted. One
-// LookupBatch resolves the ids and the run count lets buf's store pick
-// its representation as for any delivery (taint.Bytes.WriteLabels);
+// last, each distinct id numbered once in r.seen, the runs counted. The
+// ids are resolved at once and the run count lets buf's store pick its
+// representation as for any delivery (taint.Bytes.WriteLabels);
 // where that is dense, pass 2 writes each byte and its label straight
 // from its group. An error, like a refusal, leaves buf as it was.
 //
@@ -688,11 +762,11 @@ func (e *Endpoint) ReadBuffer(dst *jni.DirectBuffer, from, to int) (int, error) 
 // adoptRuns, where it reads best, it moves every function of the clean
 // path and clean_rpc reads 1–3 % worse with the same machine code in
 // them (CHANGES.md, PR 20).
-func adoptGroups(agent *tracker.Agent, buf *taint.Bytes, at int, g []byte, x *firstSeen[uint32]) (int, error) {
-	x.reset()
+func (r *streamReader) adoptGroups(agent *tracker.Agent, buf *taint.Bytes, at int, g []byte) (int, error) {
+	r.seen.reset()
 	id0, id1 := wire.GroupID(g), uint32(0) // the last two distinct ids seen
 	if id0 != 0 {
-		x.add(id0)
+		r.seen.add(id0)
 	}
 	runs := 1
 	for o := wire.GroupLen; o < len(g); o += wire.GroupLen {
@@ -701,16 +775,16 @@ func adoptGroups(agent *tracker.Agent, buf *taint.Bytes, at int, g []byte, x *fi
 			continue
 		}
 		runs++
-		if id != id1 && id != 0 && x.find(id) < 0 {
-			x.add(id)
+		if id != id1 && id != 0 && r.seen.find(id) < 0 {
+			r.seen.add(id)
 		}
 		id0, id1 = id, id0
 	}
-	tm := agent.TaintMap()
-	if len(x.keys) == 0 || tm == nil {
-		return 0, nil // clean, or refused: both are the run path's to say
+	if len(r.seen.keys) == 0 {
+		return 0, nil // clean: the run path's to say
 	}
-	labels, err := tm.LookupBatch(x.keys)
+	var one [1]taint.Taint
+	labels, err := r.resolve(agent, r.seen.keys, one[:])
 	if err != nil {
 		return 0, err
 	}
@@ -729,7 +803,7 @@ func adoptGroups(agent *tracker.Agent, buf *taint.Bytes, at int, g []byte, x *fi
 			if id != id1 { // a third id takes the older one's place
 				id1, t1 = id, taint.Taint{} // the canonical empty label, as the lane must store it
 				if id != 0 {
-					if l := labels[x.find(id)]; !l.Empty() {
+					if l := labels[r.seen.find(id)]; !l.Empty() {
 						t1 = l
 					}
 				}

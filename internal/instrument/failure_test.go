@@ -8,6 +8,7 @@ import (
 
 	"dista/internal/core/taint"
 	"dista/internal/core/tracker"
+	"dista/internal/jni"
 	"dista/internal/taintmap"
 )
 
@@ -75,8 +76,121 @@ func TestPacketLossKeepsDeliveredTaintsConsistent(t *testing.T) {
 	t.Logf("received %d/%d packets with consistent taints (%d lost)", received, total, stats.DatagramsLost)
 }
 
-// TestTaintMapOutageFailsLoudly kills the Taint Map server mid-run: the
-// next tainted send must return an error, never silently drop taints.
+// checkOutageStreams writes messages labelled with taints sender's Taint
+// Map cannot register — fresh ones, their combination, cached a taint
+// that crossed before (or none), a clean gap, and a dense alternation
+// for the groups lane — over an Endpoint, a gathering write and a
+// custom-transport pair to receiver, each message twice. Every byte must
+// arrive with exactly its labels, the fresh taints must stay without a
+// Global ID (they crossed inline), and a repeat must cost fewer wire
+// bytes: a stream defines a taint once. The gathering write first fails
+// one call after it has scoped a taint: what it numbered must not leave
+// a gap in what the stream defines.
+func checkOutageStreams(t *testing.T, r *rig, sender, receiver *tracker.Agent, cached taint.Taint) {
+	t.Helper()
+	type writer interface{ Write(taint.Bytes) error }
+	type reader interface {
+		Read(*taint.Bytes) (int, error)
+	}
+	ca, cb := r.net.Pipe()
+	va, vb := r.net.Pipe()
+	ta, tb := newChanPair()
+	gather := NewAdaptiveEndpoint(sender, va)
+	failed := taint.FromString("never sent", sender.Source("s", "failed"))
+	if _, err := gather.WritevBuffers([]*jni.DirectBuffer{{Data: failed.Data, B: failed}, {}}, []int{len(failed.Data), 1}); err == nil || vb.Buffered() != 0 {
+		t.Fatalf("a gathering write past its buffer = %v, %d bytes sent", err, vb.Buffered())
+	}
+	for _, p := range []struct {
+		name string
+		w    writer
+		rd   reader
+	}{
+		{"Endpoint", NewAdaptiveEndpoint(sender, ca), NewAdaptiveEndpoint(receiver, cb)},
+		{"WritevBuffers", writerFunc(func(b taint.Bytes) error {
+			_, err := gather.WritevBuffers([]*jni.DirectBuffer{{Data: b.Data, B: b}}, []int{len(b.Data)})
+			return err
+		}), NewAdaptiveEndpoint(receiver, vb)},
+		{"CustomEndpoint", WrapCustom(sender, ta), WrapCustom(receiver, tb)},
+	} {
+		fresh, other := sender.Source("s", p.name+"-fresh"), sender.Source("s", p.name+"-other")
+		mixed := taint.FromString("ffffccccgg++", taint.Taint{})
+		mixed.SetRange(0, 4, fresh)
+		mixed.SetRange(4, 8, cached)
+		mixed.SetRange(10, 12, taint.Combine(fresh, other))
+		dense := taint.MakeBytes(64)
+		for i := range dense.Data {
+			dense.SetLabel(i, [2]taint.Taint{fresh, other}[i&1])
+		}
+		if dense.DenseLabels() == nil {
+			t.Fatal("the alternation did not densify its store")
+		}
+		for mi, msg := range []taint.Bytes{mixed, dense} {
+			var wireBytes [2]int64
+			for rep := range wireBytes {
+				_, before := sender.Traffic()
+				if err := p.w.Write(msg); err != nil {
+					t.Fatalf("%s: write %d.%d during the outage: %v", p.name, mi, rep, err)
+				}
+				_, after := sender.Traffic()
+				wireBytes[rep] = after - before
+				buf := taint.MakeBytes(len(msg.Data))
+				for got := 0; got < len(msg.Data); {
+					sub := buf.Slice(got, len(msg.Data))
+					n, err := p.rd.Read(&sub)
+					if err != nil {
+						t.Fatalf("%s: read %d.%d: %v", p.name, mi, rep, err)
+					}
+					got += n
+				}
+				for i := range msg.Data {
+					if got, want := buf.LabelAt(i), msg.LabelAt(i); buf.Data[i] != msg.Data[i] || got.Empty() != want.Empty() || !taint.SameSet(got, want) {
+						t.Fatalf("%s: message %d.%d byte %d is %q under %v, sent %q under %v",
+							p.name, mi, rep, i, buf.Data[i], got.Values(), msg.Data[i], want.Values())
+					}
+				}
+			}
+			if wireBytes[1] >= wireBytes[0] {
+				t.Fatalf("%s: message %d cost %d wire bytes, then %d: the repeat defined its taints again", p.name, mi, wireBytes[0], wireBytes[1])
+			}
+		}
+		if fresh.GlobalID() != 0 || other.GlobalID() != 0 {
+			t.Fatalf("%s: a fresh taint got a Global ID while the Taint Map was down", p.name)
+		}
+	}
+}
+
+// writerFunc adapts a function to checkOutageStreams' writer.
+type writerFunc func(taint.Bytes) error
+
+func (f writerFunc) Write(b taint.Bytes) error { return f(b) }
+
+// checkDatagramRefused: a datagram has no room to define its taints, so
+// a degraded send fails typed and puts nothing on the socket.
+func checkDatagramRefused(t *testing.T, r *rig, sender *tracker.Agent) {
+	t.Helper()
+	sa, err := r.net.ListenPacket("outage-a:1")
+	must(t, err)
+	sb, err := r.net.ListenPacket("outage-b:1")
+	must(t, err)
+	sent := r.net.Stats().Datagrams
+	err = PacketSend(sender, sa, taint.FromString("dgram", sender.Source("s", "dgram")), sb.Addr())
+	if !errors.Is(err, taintmap.ErrDegraded) || r.net.Stats().Datagrams != sent || sb.Pending() != 0 {
+		t.Fatalf("degraded datagram send = %v with %d datagrams sent; want ErrDegraded and none",
+			err, r.net.Stats().Datagrams-sent)
+	}
+}
+
+// outageOpts is the resilience tuning of the outage tests: the first
+// failed reconnect trips the breaker.
+var outageOpts = taintmap.ClusterOptions{Resilient: taintmap.ResilientOptions{
+	CallTimeout: 250 * time.Millisecond, BackoffBase: time.Millisecond, BackoffMax: 5 * time.Millisecond, BreakerThreshold: 1}}
+
+// TestTaintMapOutageFailsLoudly kills the Taint Map server under both
+// ends' clients. A stream send of fresh taints still delivers every byte
+// with exactly its labels — the taints cross inline, under stream-scoped
+// ids, beside one that crossed before by its Global ID — and neither
+// end's map is asked; only a datagram, which cannot carry definitions,
+// fails, loudly and typed.
 func TestTaintMapOutageFailsLoudly(t *testing.T) {
 	r := newRig(t, tracker.ModeDista)
 	srv, err := taintmap.StartSimServer(r.net, "tm:7")
@@ -85,83 +199,62 @@ func TestTaintMapOutageFailsLoudly(t *testing.T) {
 	}
 	mkAgent := func(name string) *tracker.Agent {
 		a := tracker.New(name, tracker.ModeDista)
-		client, err := taintmap.DialSim(r.net, "tm:7", a.Tree())
+		client, err := taintmap.DialClusterAddrs([]string{"tm:7"},
+			func(addr string) (io.ReadWriteCloser, error) { return r.net.DialFrom(name, addr) }, a.Tree(), outageOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tracker.New(name, tracker.ModeDista, tracker.WithTaintMap(client))
+		t.Cleanup(func() { client.Close() })
+		return tracker.New(name, tracker.ModeDista, tracker.WithTaintMap(client), tracker.WithLocalID(a.LocalID()))
 	}
-	agent := mkAgent("n1")
-	ca, cb := r.net.Pipe()
-	defer cb.Close()
-	sender := NewAdaptiveEndpoint(agent, ca)
+	sender, receiver := mkAgent("n1"), mkAgent("n2")
 
-	// Healthy send first.
-	if err := sender.Write(taint.FromString("x", agent.Tree().NewSource("t1", "n1:1"))); err != nil {
-		t.Fatalf("healthy send failed: %v", err)
+	// Healthy send first: t1 gets its Global ID, and the receiver learns it.
+	t1 := sender.Source("s", "t1")
+	ca, cb := r.net.Pipe()
+	must(t, NewAdaptiveEndpoint(sender, ca).Write(taint.FromString("x", t1)))
+	buf := taint.MakeBytes(1)
+	if _, err := NewAdaptiveEndpoint(receiver, cb).Read(&buf); err != nil || !buf.LabelAt(0).Has("t1") {
+		t.Fatalf("healthy read = %v, %v", buf.LabelAt(0).Values(), err)
 	}
-	// Kill the Taint Map; a send with a *new* taint needs a fresh
-	// registration and must fail.
+
 	srv.Close()
-	err = sender.Write(taint.FromString("y", agent.Tree().NewSource("t2", "n1:1")))
-	if err == nil {
-		t.Fatal("send after Taint Map outage must fail loudly")
-	}
-	// A send reusing the already-registered taint still works: its
-	// Global ID is cached on the node (Fig. 9 step ②).
-	if err := sender.Write(taint.FromString("z", agent.Tree().NewSource("t1", "n1:1"))); err != nil {
-		t.Fatalf("cached-taint send should survive the outage: %v", err)
-	}
+	checkOutageStreams(t, r, sender, receiver, t1)
+	checkDatagramRefused(t, r, sender)
 }
 
 // degradedAgent returns an agent whose Taint Map client cannot reach a
-// server and so mints provisional ids, with the client's Close.
+// server, so every register fails with ErrDegraded, with the client's
+// Close.
 func degradedAgent(t *testing.T) (*tracker.Agent, func() error) {
 	t.Helper()
 	scratch := tracker.New("n1", tracker.ModeDista)
 	client, err := taintmap.DialClusterAddrs([]string{"tm:1"},
 		func(string) (io.ReadWriteCloser, error) { return nil, errors.New("no route to taint map") },
-		scratch.Tree(),
-		taintmap.ClusterOptions{Resilient: taintmap.ResilientOptions{BackoffBase: time.Millisecond, BackoffMax: 5 * time.Millisecond, BreakerThreshold: 1}})
+		scratch.Tree(), outageOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tracker.New("n1", tracker.ModeDista, tracker.WithTaintMap(client)), client.Close
 }
 
-// TestDegradedTaintMapRefusesTransferKeepsTracking: with the Taint Map
-// unreachable and the resilient client degraded, a cross-node send of a
-// freshly tainted payload must fail with the typed ErrGlobalIDPending —
-// the taint exists, its Global ID is provisional — while intra-node
-// tracking of that same taint keeps working.
+// TestDegradedTaintMapRefusesTransferKeepsTracking: with only the
+// sender's Taint Map unreachable, its streams keep tracking — every byte
+// arrives with exactly its labels, defined inline, and neither the Taint
+// Map nor the receiver's memo learns a thing — while a datagram transfer
+// is refused with the typed ErrDegraded.
 func TestDegradedTaintMapRefusesTransferKeepsTracking(t *testing.T) {
 	r := newRig(t, tracker.ModeDista)
-	agent, closeClient := degradedAgent(t)
+	sender, closeClient := degradedAgent(t)
 	defer closeClient()
-	client := agent.TaintMap()
+	memo := r.b.TaintMap().(*taintmap.LocalClient)
+	before := memo.MemoStats()
 
-	ca, cb := r.net.Pipe()
-	defer cb.Close()
-	sender := NewAdaptiveEndpoint(agent, ca)
-
-	tag := agent.Tree().NewSource("secret", "n1:1")
-	err := sender.Write(taint.FromString("x", tag))
-	if !errors.Is(err, taintmap.ErrGlobalIDPending) {
-		t.Fatalf("degraded-mode send = %v, want ErrGlobalIDPending", err)
-	}
-	// The taint is still live on this node: its provisional id resolves
-	// locally, so sink checks keep seeing it.
-	id, err := client.Register(agent.Tree().NewSource("secret", "n1:1"))
-	if err != nil || !taintmap.IsProvisional(id) {
-		t.Fatalf("degraded register = %d, %v, want provisional id", id, err)
-	}
-	got, err := client.Lookup(id)
-	if err != nil || got.Empty() || !got.Has("secret") {
-		t.Fatalf("local lookup of provisional id = %v, %v", got, err)
-	}
-	// Untainted traffic is unaffected.
-	if err := sender.Write(taint.WrapBytes([]byte("plain"))); err != nil {
-		t.Fatalf("untainted send while degraded: %v", err)
+	checkOutageStreams(t, r, sender, r.b, taint.Taint{})
+	checkDatagramRefused(t, r, sender)
+	if after := memo.MemoStats(); after != before || r.store.Stats().GlobalTaints != 0 {
+		t.Fatalf("the receiver's memo went from %+v to %+v, the Taint Map holds %d taints",
+			before, after, r.store.Stats().GlobalTaints)
 	}
 }
 

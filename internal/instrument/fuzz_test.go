@@ -9,7 +9,21 @@ import (
 	"dista/internal/core/taint"
 	"dista/internal/core/tracker"
 	"dista/internal/core/wire"
+	"dista/internal/taintmap"
 )
+
+// shedding is a Taint Map client that sheds every registration while on.
+type shedding struct {
+	taintmap.Client
+	on bool
+}
+
+func (s *shedding) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
+	if s.on {
+		return nil, taintmap.ErrOverloaded
+	}
+	return s.Client.RegisterBatch(ts)
+}
 
 // FuzzTierTransition drives an adaptive endpoint pair through a
 // fuzzer-chosen density schedule and checks the two properties the send
@@ -37,13 +51,17 @@ import (
 // encode the two identically; bit 0 sends the twins. Bit 1 starts the
 // receiving buffer dense under stale labels, so deliveries go through
 // the adopt lane from the first read instead of once fragmentation has
-// densified it.
+// densified it. Bit 2 makes the sender's Taint Map shed registrations
+// through the middle third of the messages: their taints cross inline,
+// in definitions units under stream-scoped ids (registered after each
+// write, so its bound is the one a registering write has).
 //
-// Both receive paths run against each other: the same messages go down a
-// second connection whose raw bytes are replayed through the run path
-// alone (readByRuns), in reads step chooses, into a buffer of the same
-// shape, and the two buffers must agree byte for byte and label for
-// label — whichever deliveries the live endpoint read per byte.
+// Both receive paths run against each other: each message also goes down
+// a second connection, written beside the first, whose raw bytes are
+// replayed through the run path alone (readByRuns), in reads step
+// chooses, into a buffer of the same shape, and the two buffers must
+// agree byte for byte and label for label — whichever deliveries the live
+// endpoint read per byte, and whatever crossed inline.
 func FuzzTierTransition(f *testing.F) {
 	// One phase per tier.
 	steady := func(kind byte) []byte {
@@ -53,20 +71,22 @@ func FuzzTierTransition(f *testing.F) {
 		}
 		return s
 	}
-	f.Add(steady(1), uint8(0), uint8(0))                                                  // uniform
-	f.Add(steady(2), uint8(0), uint8(1))                                                  // sparse, from dense stores
-	f.Add(steady(3), uint8(0), uint8(0))                                                  // dense
-	f.Add(steady(3), uint8(0), uint8(3))                                                  // dense labels from run-mode stores into a dense one
-	f.Add([]byte{1, 255, 2, 31, 0, 15, 3, 63}, uint8(0), uint8(2))                        // one message per tier
-	f.Add([]byte{1, 7, 0, 7, 1, 7, 0, 7, 1, 7}, uint8(0), uint8(0))                       // clean/uniform interleave
-	f.Add([]byte{3, 0, 1, 0, 3, 0, 1, 0, 2, 0}, uint8(0), uint8(1))                       // tiny flapping messages
-	f.Add(append(steady(1), append(steady(3), steady(1)...)...), uint8(0), uint8(0))      // U->G->U
-	f.Add([]byte{3, 255, 3, 255, 3, 255, 3, 255}, uint8(0), uint8(0))                     // alternating ids, 256 runs a frame
-	f.Add([]byte{3, 255, 7, 255, 3, 254}, uint8(3), uint8(2))                             // the same through 3-byte pops
-	f.Add([]byte{1, 255, 2, 255, 6, 200, 1, 99}, uint8(7), uint8(3))                      // long runs: every pop splits one
-	f.Add([]byte{0x83, 19, 0x83, 63, 2, 19, 0x83, 19}, uint8(0), uint8(0))                // combs: 10 islands in 20 bytes outweigh their groups as a range table
-	f.Add([]byte{0x41, 63, 0x42, 31, 0, 15, 0x43, 63, 1, 7, 0x41, 7}, uint8(0), uint8(0)) // a definitions unit ahead of a frame of every tainted tier
-	f.Add([]byte{0x43, 200, 0x41, 200, 0x42, 99, 0xc3, 19}, uint8(3), uint8(3))           // the same through 3-byte pops into a dense buffer
+	f.Add(steady(1), uint8(0), uint8(0))                                                     // uniform
+	f.Add(steady(2), uint8(0), uint8(1))                                                     // sparse, from dense stores
+	f.Add(steady(3), uint8(0), uint8(0))                                                     // dense
+	f.Add(steady(3), uint8(0), uint8(3))                                                     // dense labels from run-mode stores into a dense one
+	f.Add([]byte{1, 255, 2, 31, 0, 15, 3, 63}, uint8(0), uint8(2))                           // one message per tier
+	f.Add([]byte{1, 7, 0, 7, 1, 7, 0, 7, 1, 7}, uint8(0), uint8(0))                          // clean/uniform interleave
+	f.Add([]byte{3, 0, 1, 0, 3, 0, 1, 0, 2, 0}, uint8(0), uint8(1))                          // tiny flapping messages
+	f.Add(append(steady(1), append(steady(3), steady(1)...)...), uint8(0), uint8(0))         // U->G->U
+	f.Add([]byte{3, 255, 3, 255, 3, 255, 3, 255}, uint8(0), uint8(0))                        // alternating ids, 256 runs a frame
+	f.Add([]byte{3, 255, 7, 255, 3, 254}, uint8(3), uint8(2))                                // the same through 3-byte pops
+	f.Add([]byte{1, 255, 2, 255, 6, 200, 1, 99}, uint8(7), uint8(3))                         // long runs: every pop splits one
+	f.Add([]byte{0x83, 19, 0x83, 63, 2, 19, 0x83, 19}, uint8(0), uint8(0))                   // combs: 10 islands in 20 bytes outweigh their groups as a range table
+	f.Add([]byte{0x41, 63, 0x42, 31, 0, 15, 0x43, 63, 1, 7, 0x41, 7}, uint8(0), uint8(0))    // a definitions unit ahead of a frame of every tainted tier
+	f.Add([]byte{0x43, 200, 0x41, 200, 0x42, 99, 0xc3, 19}, uint8(3), uint8(3))              // the same through 3-byte pops into a dense buffer
+	f.Add([]byte{0x41, 63, 0x42, 31, 0, 15, 0x43, 63, 1, 7, 0x41, 7}, uint8(0), uint8(4))    // the Taint Map sheds: scoped definitions on every tainted tier
+	f.Add([]byte{0x43, 200, 3, 200, 0x42, 99, 0xc3, 19, 1, 9, 0x41, 50}, uint8(3), uint8(7)) // the same through 3-byte pops into a dense buffer, ids reused
 
 	f.Fuzz(func(t *testing.T, sched []byte, step, shape uint8) {
 		if len(sched) < 2 {
@@ -77,6 +97,8 @@ func FuzzTierTransition(f *testing.F) {
 		}
 
 		r := newRig(t, tracker.ModeDista)
+		tm := &shedding{Client: r.a.TaintMap()}
+		r.a = tracker.New("node1", tracker.ModeDista, tracker.WithTaintMap(tm), tracker.WithLocalID(r.a.LocalID()))
 		srcs := []taint.Taint{
 			r.a.Source("fz0", "fz0"),
 			r.a.Source("fz1", "fz1"),
@@ -147,6 +169,8 @@ func FuzzTierTransition(f *testing.F) {
 
 		ca, cb := r.net.Pipe()
 		sender, receiver := NewAdaptiveEndpoint(r.a, ca), NewAdaptiveEndpoint(r.b, cb)
+		ra, rb := r.net.Pipe()
+		replay := NewAdaptiveEndpoint(r.a, ra)
 
 		got, ref := taint.MakeBytes(total), taint.MakeBytes(total)
 		if shape&2 != 0 {
@@ -182,11 +206,20 @@ func FuzzTierTransition(f *testing.F) {
 
 		for mi, msg := range msgs {
 			fresh := freshIn(msg)
+			tm.on = shape&4 != 0 && mi >= len(msgs)/3 && mi < 2*len(msgs)/3
 			_, before := r.a.Traffic()
 			if err := sender.Write(msg); err != nil {
 				t.Fatalf("write %d (kind %q, len %d): %v", mi, msg.Data[0], msg.Len(), err)
 			}
 			_, after := r.a.Traffic()
+			if err := replay.Write(msg); err != nil {
+				t.Fatal(err)
+			}
+			if tm.on {
+				if _, err := tm.Client.RegisterBatch(fresh); err != nil {
+					t.Fatal(err)
+				}
+			}
 			bound := len(referenceFrame(msg)) + len(definitionsOf(t, fresh))
 			if mi == 0 {
 				bound += wire.StreamMagicLen
@@ -198,11 +231,11 @@ func FuzzTierTransition(f *testing.F) {
 			// The same labels in the other representation must encode to
 			// the same groups. After the write, which is then the one that
 			// meets unregistered labels, on whichever tier it picked.
-			enc, err := appendGroups(r.a, nil, msg, wire.TierGroups, false)
+			enc, err := appendGroups(r.a, nil, msg, wire.TierGroups, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if encTwin, err := appendGroups(r.a, nil, twins[mi], wire.TierGroups, false); err != nil || !bytes.Equal(enc, encTwin) {
+			if encTwin, err := appendGroups(r.a, nil, twins[mi], wire.TierGroups, nil); err != nil || !bytes.Equal(enc, encTwin) {
 				t.Fatalf("message %d (kind %q, len %d, dense view %v): its twin encodes differently (err %v)",
 					mi, msg.Data[0], msg.Len(), msg.DenseLabels() != nil, err)
 			}
@@ -214,13 +247,6 @@ func FuzzTierTransition(f *testing.F) {
 
 		// The replay: the same schedule on a connection of its own, its
 		// wire bytes cut into reads of 1 + 3*step and adopted by runs only.
-		ra, rb := r.net.Pipe()
-		replay := NewAdaptiveEndpoint(r.a, ra)
-		for _, msg := range msgs {
-			if err := replay.Write(msg); err != nil {
-				t.Fatal(err)
-			}
-		}
 		ra.Close()
 		var byRuns streamReader
 		recv := chunked(readAllRaw(t, rb), 1+3*int(step))

@@ -175,7 +175,7 @@ func TestDenseSendLaneMatchesRunWalk(t *testing.T) {
 				}
 				prefix := []byte("hdr")
 				encode := func(b taint.Bytes) []byte {
-					out, err := appendGroups(a, append([]byte(nil), prefix...), b, wire.TierGroups, false)
+					out, err := appendGroups(a, append([]byte(nil), prefix...), b, wire.TierGroups, nil)
 					if err != nil {
 						t.Fatalf("seed %d %s short=%v: %v", seed, name, short, err)
 					}
@@ -221,20 +221,17 @@ func TestDenseSendLaneMatchesRunWalk(t *testing.T) {
 }
 
 // TestDenseSendLaneRefusals: what the groups writer refuses it refuses
-// for a dense store too, before anything reaches the connection — no
-// Taint Map client at all, and a degraded client that can only mint a
-// provisional id.
+// for a dense store too, before anything reaches the connection — a
+// stream without a Taint Map client at all. (With a degraded one, the
+// lane's taints cross inline: TestTaintMapOutageFailsLoudly.)
 func TestDenseSendLaneRefusals(t *testing.T) {
 	r := newRig(t, tracker.ModeDista)
 	bare := tracker.New("n", tracker.ModeDista)
-	degraded, closeDegraded := degradedAgent(t)
-	defer closeDegraded()
 	for name, tc := range map[string]struct {
 		agent *tracker.Agent
 		want  error
 	}{
-		"nil Taint Map":  {bare, ErrNoTaintMap},
-		"provisional id": {degraded, taintmap.ErrGlobalIDPending},
+		"nil Taint Map": {bare, ErrNoTaintMap},
 	} {
 		a := tc.agent
 		msg := taint.MakeBytes(256)
@@ -313,7 +310,7 @@ func TestDenseAdoptLaneMatchesRunWalk(t *testing.T) {
 			flaky.fail = 2 // one lookup per buffer, at most
 			for _, buf := range []*taint.Bytes{&dense, &run} {
 				clean := allClean(delivery, got)
-				if err := adoptRuns(b, buf, at, delivery, got, new(firstSeen[uint32])); clean != (err == nil) || (!clean && !errors.Is(err, errLookupDown)) {
+				if err := new(streamReader).adoptRuns(b, buf, at, delivery, got); clean != (err == nil) || (!clean && !errors.Is(err, errLookupDown)) {
 					t.Fatalf("seed %d %s: adopt with the Taint Map down = %v (clean delivery: %v)", seed, name, err, clean)
 				} else if clean {
 					continue
@@ -327,7 +324,7 @@ func TestDenseAdoptLaneMatchesRunWalk(t *testing.T) {
 			flaky.fail = 0
 
 			for _, buf := range []*taint.Bytes{&dense, &run} {
-				if err := adoptRuns(b, buf, at, delivery, got, new(firstSeen[uint32])); err != nil {
+				if err := new(streamReader).adoptRuns(b, buf, at, delivery, got); err != nil {
 					t.Fatalf("seed %d %s: %v", seed, name, err)
 				}
 			}
@@ -380,8 +377,13 @@ func readByRuns(r *streamReader, agent *tracker.Agent, recv func([]byte) (int, e
 	if err := r.fill(recv, to-from); err != nil {
 		return 0, err
 	}
+	if r.dec.Defines() {
+		if err := r.learn(agent); err != nil {
+			return 0, err
+		}
+	}
 	n, runs := r.dec.PeekRuns(to - from)
-	if err := adoptRuns(agent, buf, from, runs, n, &r.seen); err != nil {
+	if err := r.adoptRuns(agent, buf, from, runs, n); err != nil {
 		return 0, err
 	}
 	return r.dec.PopInto(buf.Data[from : from+n]), nil
@@ -585,7 +587,7 @@ func TestGroupsLaneSelection(t *testing.T) {
 		buf.SetRange(0, n/2, stale)
 		buf.Data[0] = '.'
 		before := otherShape(buf, [2]taint.Taint{stale, {}})
-		if took, err := adoptGroups(r.b, &buf, 0, tc.g, new(firstSeen[uint32])); took != 0 || err != nil {
+		if took, err := new(streamReader).adoptGroups(r.b, &buf, 0, tc.g); took != 0 || err != nil {
 			t.Fatalf("%s: adoptGroups = %d, %v; want it turned down", name, took, err)
 		}
 		if buf.Data[0] != '.' {

@@ -23,7 +23,8 @@ const rawHeadRoom = 256
 // PacketSend transmits one datagram payload with its labels: exactly one
 // frame, no stream magic, on the cheapest tier that fits it (pickTier) —
 // none of which is larger than the groups form the receiver sizes its
-// buffer for.
+// buffer for, so none defines a taint: one the Taint Map cannot register
+// now fails the send, typed (ErrDegraded), and nothing is sent.
 func PacketSend(agent *tracker.Agent, sock *netsim.UDPSocket, data taint.Bytes, dst string) error {
 	if agent.Mode() != tracker.ModeDista {
 		agent.AddTraffic(len(data.Data), len(data.Data))
@@ -36,11 +37,11 @@ func PacketSend(agent *tracker.Agent, sock *netsim.UDPSocket, data taint.Bytes, 
 	}
 	buf := wire.GetBuf(size)
 	defer wire.PutBuf(buf)
-	runs, _, err := coverRuns(agent, data, t, s, new(sendScratch), nil, nil, false)
+	runs, _, err := coverRuns(agent, data, t, s, new(sendScratch), nil, nil, nil)
 	if err != nil {
 		return err
 	}
-	raw, err := appendFrame(agent, *buf, data, t, s.N, runs, false)
+	raw, err := appendFrame(agent, *buf, data, t, s.N, runs, nil)
 	if err != nil {
 		return err
 	}

@@ -743,10 +743,11 @@ func sameKeys(a, b taint.Taint) bool {
 }
 
 // TestRefusalsOnEveryTier: a send whose labels cannot be given Global
-// IDs — no Taint Map client at all, or a degraded one handing out
-// provisional ids — is refused on every tier and through every envelope
-// (stream, direct buffer, gathering write, custom transport, datagram),
-// with nothing written to the connection.
+// IDs is refused on every tier, with nothing written to the connection:
+// without a Taint Map client at all, through every envelope (stream,
+// direct buffer, gathering write, custom transport, datagram); with a
+// degraded one, as a datagram, which has no room to define its taints
+// inline as a stream does.
 func TestRefusalsOnEveryTier(t *testing.T) {
 	r := newRig(t, tracker.ModeDista)
 	bare := tracker.New("n", tracker.ModeDista)
@@ -755,9 +756,10 @@ func TestRefusalsOnEveryTier(t *testing.T) {
 	for name, tc := range map[string]struct {
 		agent *tracker.Agent
 		want  error
+		only  string // the one verb refused; "" is every verb
 	}{
-		"nil Taint Map":  {bare, ErrNoTaintMap},
-		"provisional id": {degraded, taintmap.ErrGlobalIDPending},
+		"nil Taint Map":      {bare, ErrNoTaintMap, ""},
+		"degraded Taint Map": {degraded, taintmap.ErrDegraded, "PacketSend"},
 	} {
 		a := tc.agent
 		x, y := a.Source("s", "x"), a.Source("s", "y")
@@ -795,6 +797,9 @@ func TestRefusalsOnEveryTier(t *testing.T) {
 				"PacketSend":           func() error { return PacketSend(a, sock, msg, peer.Addr()) },
 			}
 			for via, send := range sends {
+				if tc.only != "" && via != tc.only {
+					continue
+				}
 				if err := send(); !errors.Is(err, tc.want) {
 					t.Fatalf("%s: %s of a %s payload = %v, want %v", name, via, wire.Tiers[tier].Name, err, tc.want)
 				}

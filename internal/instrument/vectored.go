@@ -28,7 +28,7 @@ type vframe struct {
 // one header (plus one Global ID) for the whole stretch. Raw-body
 // payloads enter the vector as the buffers' own slices, uncopied; only
 // heads and group bodies are assembled, in one pooled scratch.
-func (e *Endpoint) WritevBuffers(srcs []*jni.DirectBuffer, lens []int) (int64, error) {
+func (e *Endpoint) WritevBuffers(srcs []*jni.DirectBuffer, lens []int) (_ int64, err error) {
 	if len(srcs) != len(lens) {
 		panic("instrument: srcs/lens length mismatch")
 	}
@@ -50,7 +50,14 @@ func (e *Endpoint) WritevBuffers(srcs []*jni.DirectBuffer, lens []int) (int64, e
 	}
 
 	// Pass 1: tiers, run covers and frame boundaries. Everything the
-	// raw-body frames need registered is registered here.
+	// raw-body frames need registered is registered here. A call that
+	// fails forgets the taints it scoped: their definitions never left.
+	known := len(e.wr.scope.seen.keys)
+	defer func() {
+		if err != nil {
+			e.wr.scope.seen.truncate(known)
+		}
+	}()
 	frames := make([]vframe, 0, len(srcs))
 	var defs []byte // definitions units of what the covers register
 	cover := e.wr.cover[:0]
@@ -63,8 +70,7 @@ func (e *Endpoint) WritevBuffers(srcs []*jni.DirectBuffer, lens []int) (int64, e
 		v := src.View(0, lens[i])
 		t, s := pickTier(v)
 		f := vframe{t: t, n: lens[i], src: i, end: i + 1, c0: len(cover)}
-		var err error
-		if cover, defs, err = coverRuns(e.agent, v, t, s, &e.wr.x, cover, defs, true); err != nil {
+		if cover, defs, err = coverRuns(e.agent, v, t, s, &e.wr.x, cover, defs, &e.wr.scope); err != nil {
 			return 0, err
 		}
 		f.c1 = len(cover)
@@ -96,8 +102,7 @@ func (e *Endpoint) WritevBuffers(srcs []*jni.DirectBuffer, lens []int) (int64, e
 	out = append(out, defs...)
 	for k := range frames {
 		f := &frames[k]
-		var err error
-		if out, err = appendFrame(e.agent, out, srcs[f.src].View(0, lens[f.src]), f.t, f.n, cover[f.c0:f.c1], true); err != nil {
+		if out, err = appendFrame(e.agent, out, srcs[f.src].View(0, lens[f.src]), f.t, f.n, cover[f.c0:f.c1], &e.wr.scope); err != nil {
 			return 0, err
 		}
 		f.headEnd = len(out)

@@ -56,8 +56,8 @@ func errClass(err error) string {
 		name string
 		err  error
 	}{
-		{"ErrJournalFull", ErrJournalFull},
 		{"ErrDegraded", ErrDegraded},
+		{"ErrOverloaded", ErrOverloaded},
 		{"ErrUnknownGlobalID", ErrUnknownGlobalID},
 		{"ErrDeadlineExceeded", ErrDeadlineExceeded},
 		{"ErrClientClosed", ErrClientClosed},
@@ -125,7 +125,7 @@ func healthyScript(tr *opTrace, c, reader Client, tree *taint.Tree, unknown uint
 	tr.t.Helper()
 	t1 := tree.NewSource("one", "app:1")
 	id := tr.register("fresh", c, t1, "")
-	if id == 0 || IsProvisional(id) || t1.GlobalID() != id {
+	if id == 0 || IsStreamScoped(id) || t1.GlobalID() != id {
 		tr.t.Fatalf("%s: healthy register = %d, node stamped %d", tr.ops.name, id, t1.GlobalID())
 	}
 	tr.register("stamped", c, t1, "")
@@ -223,7 +223,7 @@ func contractScript(t *testing.T, c, reader Client, tree *taint.Tree) {
 	wantIDs := func(ids []uint32) {
 		t.Helper()
 		for i, tt := range batch {
-			if ids[i] != tt.GlobalID() || tt.Empty() != (ids[i] == 0) || IsProvisional(ids[i]) {
+			if ids[i] != tt.GlobalID() || tt.Empty() != (ids[i] == 0) || IsStreamScoped(ids[i]) {
 				t.Fatalf("position %d (%v): id %#x, node stamped %#x", i, tt, ids[i], tt.GlobalID())
 			}
 		}
@@ -358,7 +358,7 @@ func closedScript(tr *opTrace, c Client, tree *taint.Tree, unknown uint32, looku
 // LookupBatch([]uint32{id}) on every client: each scenario runs twice on
 // identical fresh deployments, once per way of asking, and the two runs
 // must agree on every id, on whether the Global ID was stamped on the
-// node, on provisional-ness and on the typed class of every failure.
+// node and on the typed class of every failure.
 func TestBatchOfOneEquivalence(t *testing.T) {
 	const unknown = 9999
 	scenarios := []struct {
@@ -412,26 +412,19 @@ func TestBatchOfOneEquivalence(t *testing.T) {
 			}
 			defer srv.Close()
 			tree := taint.NewTree()
-			opt := fastOpts()
-			opt.JournalLimit = 2
-			c := dialOne("tm:1", simDialer(n, "app:1"), tree, opt)
+			c := dialOne("tm:1", simDialer(n, "app:1"), tree, fastOpts())
 			warm := tree.NewSource("warm", "app:1")
 			warmID := tr.register("warm", c, warm, "")
 
 			// The first op after the cut discovers the outage, rides out
-			// the breaker and lands in the degraded path.
+			// the breaker and fails degraded; nothing is kept for later.
 			n.Partition("app", "tm")
 			o1 := tree.NewSource("outage-1", "app:1")
-			prov := tr.register("journaled", c, o1, "")
-			if !IsProvisional(prov) || o1.GlobalID() != 0 {
-				tr.t.Fatalf("%s: degraded register = %d, node stamped %d", tr.ops.name, prov, o1.GlobalID())
-			}
-			tr.register("journaled again", c, o1, "")
-			tr.lookup("provisional", c, prov, "")
+			tr.register("degraded", c, o1, "ErrDegraded")
+			tr.register("degraded again", c, o1, "ErrDegraded")
 			tr.lookup("memo", c, warmID, "")
 			tr.lookup("unknown", c, unknown, "ErrDegraded")
-			tr.register("journal limit", c, tree.NewSource("outage-2", "app:1"), "")
-			tr.register("journal full", c, tree.NewSource("outage-3", "app:1"), "ErrJournalFull")
+			tr.lookup("stream-scoped", c, StreamScopedID(1), "other")
 			closedScript(tr, c, tree, unknown, "ErrClientClosed")
 		}},
 		{"ClusterOneMemberOverloaded", func(tr *opTrace) {
@@ -464,8 +457,8 @@ func TestBatchOfOneEquivalence(t *testing.T) {
 			quietUnknown := partitionBase(quiet) | unknown
 			healthyScript(tr, c, reader, tree, quietUnknown)
 
-			// Member 0 sheds every request: its partition registers into
-			// the journal, the others stay on the wire.
+			// Member 0 sheds every request: its partition's registers fail
+			// typed, the others stay on the wire.
 			byOwner := map[uint32]taint.Taint{}
 			for i := 0; len(byOwner) < 3 && i < 256; i++ {
 				tt := tree.NewSource(fmt.Sprintf("owned-%d", i), "app:1")
@@ -479,14 +472,13 @@ func TestBatchOfOneEquivalence(t *testing.T) {
 			}
 			e.srvs[0].adm.admit()
 			defer e.srvs[0].adm.release()
-			prov := tr.register("shed owner", c, byOwner[0], "")
-			if !IsProvisional(prov) || PartitionOf(prov) != 0 || byOwner[0].GlobalID() != 0 {
-				tr.t.Fatalf("%s: register against a shedding owner = %d, node stamped %d", tr.ops.name, prov, byOwner[0].GlobalID())
+			tr.register("shed owner", c, byOwner[0], "ErrOverloaded")
+			if byOwner[0].GlobalID() != 0 {
+				tr.t.Fatalf("%s: a shed register stamped %d", tr.ops.name, byOwner[0].GlobalID())
 			}
-			tr.lookup("provisional", c, prov, "")
 			real := tr.register("healthy owner", c, byOwner[quiet], "")
-			if IsProvisional(real) {
-				tr.t.Fatalf("%s: healthy partition handed out provisional id %d", tr.ops.name, real)
+			if real == 0 || IsStreamScoped(real) {
+				tr.t.Fatalf("%s: healthy partition handed out id %#x", tr.ops.name, real)
 			}
 			tr.lookup("replicated", reader, real, "")
 

@@ -11,8 +11,8 @@ import (
 
 // ErrBudgetExhausted is returned when the shared retry budget has no
 // tokens for a reconnect, hedge, or retry. It wraps ErrDegraded: a
-// caller that routes degraded-mode outcomes (journal locally, surface
-// provisional ids) handles budget exhaustion the same way, while
+// caller that routes degraded-mode outcomes (a stream send defines its
+// taints inline) handles budget exhaustion the same way, while
 // errors.Is(err, ErrBudgetExhausted) still distinguishes it.
 var ErrBudgetExhausted = fmt.Errorf("%w: retry budget exhausted", ErrDegraded)
 

@@ -120,9 +120,9 @@ type memoPage [memoPageSize]taint.Taint
 // cache holds the per-node id -> taint memo shared by all client kinds.
 // Global IDs are positions — a partition mints its sequence densely from
 // 1 (idspace.go) — so the memo is a page table, the store's pageTable
-// shape: groups is indexed by id >> partitionShift (the provisional bit is
-// the group index's top bit, so every id bit pattern has a slot and
-// provisional ids have tables of their own), a group by seq >>
+// shape: groups is indexed by id >> partitionShift — one group per
+// partition: a stream-scoped id is past the last and never memoised — a
+// group by seq >>
 // memoPageBits, a page by seq & memoPageMask. An empty memo holds nothing;
 // a group's directory reaches as far as the highest seq put there and a
 // page exists once an id on it was put, so a memo costs at most 8.5 B per
@@ -148,10 +148,11 @@ type cache struct {
 
 // lookup is get with c.mu held.
 func (c *cache) lookup(id uint32) (taint.Taint, bool) {
-	if c.groups == nil {
+	g := int(id >> partitionShift)
+	if g >= len(c.groups) { // an empty memo, or a stream-scoped id
 		return taint.Taint{}, false
 	}
-	pages := c.groups[id>>partitionShift]
+	pages := c.groups[g]
 	pi := int(id&seqMask) >> memoPageBits
 	if pi >= len(pages) || pages[pi] == nil {
 		return taint.Taint{}, false
@@ -169,19 +170,19 @@ func (c *cache) get(id uint32) (taint.Taint, bool) {
 // put memoises t under id unless the memo holds the id: what an id first
 // resolved to stays, so a peer's definition (Learn) never replaces an
 // entry that came from the Taint Map. Id 0 and the empty taint are the
-// untainted on either side and are never stored.
+// untainted on either side and, like a stream-scoped id, never stored.
 func (c *cache) put(id uint32, t taint.Taint) { c.putWithin(id, t, anyPage) }
 
 // putWithin is put for an id that may extend its group's directory by at
 // most reach pages; one further out is dropped.
 func (c *cache) putWithin(id uint32, t taint.Taint, reach int) {
-	if id == 0 || t.Empty() {
+	if id == 0 || t.Empty() || IsStreamScoped(id) {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.groups == nil {
-		c.groups = make([][]*memoPage, 1<<(32-partitionShift))
+		c.groups = make([][]*memoPage, MaxPartitions)
 	}
 	pages := c.groups[id>>partitionShift]
 	pi := int(id&seqMask) >> memoPageBits
@@ -214,8 +215,7 @@ func (c *cache) reset() {
 type transport interface {
 	// register resolves distinct, non-empty taints carrying no Global ID
 	// (blobs: each one serialized) to their ids, written to the parallel
-	// ids, stamped and memoised — a provisional id memoised but never
-	// stamped.
+	// ids, stamped and memoised.
 	register(ids []uint32, ts []taint.Taint, blobs [][]byte) error
 	// lookup resolves distinct, non-zero ids the memo does not hold to
 	// the parallel taints, adopted into the node's tree and memo.
@@ -325,7 +325,7 @@ func (f *front) stamp(ts []taint.Taint, ids []uint32) {
 // only within its reach (see cache): how a transport adopts what the
 // Taint Map answered a lookup. Nothing is adopted unless every entry is
 // sound: a blob that is no taint, or from a peer the untainted or a
-// provisional id — its stream gone wrong, where the Taint Map never
+// stream-scoped id — its stream gone wrong, where the Taint Map never
 // answers so.
 func (f *front) adopt(ts []taint.Taint, ids []uint32, blobs [][]byte, peer bool) ([]taint.Taint, error) {
 	if len(blobs) != len(ids) {
@@ -337,7 +337,7 @@ func (f *front) adopt(ts []taint.Taint, ids []uint32, blobs [][]byte, peer bool)
 	ts = ts[:len(ids)]
 	for i, id := range ids {
 		t, err := f.tree.UnmarshalTaint(blobs[i])
-		if err == nil && peer && (id == 0 || IsProvisional(id) || t.Empty()) {
+		if err == nil && peer && (id == 0 || IsStreamScoped(id) || t.Empty()) {
 			err = fmt.Errorf("taintmap: a peer defines Global ID %#x as %v", id, t)
 		}
 		if err != nil {

@@ -36,11 +36,11 @@ func FuzzClusterServeConn(f *testing.F) {
 	f.Add(untaggedReq('W', entries))
 	f.Add(append(untaggedReq('R', []byte("fresh")), taggedReq(opRingTag, 5, nil)...))
 	// Malformed cluster payloads: truncated member, trailing bytes,
-	// absurd entry counts, provisional/zero-seq ids in entries.
+	// absurd entry counts, stream-scoped/zero-seq ids in entries.
 	f.Add(taggedReq(opJoinTag, 6, []byte{2, 0}))
 	f.Add(taggedReq(opJoinTag, 7, append(appendMember(nil, Member{Part: 1, Addr: "b:2"}), 0xFF)))
 	f.Add(taggedReq(opReplicateTag, 8, []byte{0xFF, 0xFF, 0xFF, 0xFF}))
-	f.Add(taggedReq(opReplicateTag, 9, appendEntries(nil, []uint32{provisionalBit | 5}, [][]byte{[]byte("x")})))
+	f.Add(taggedReq(opReplicateTag, 9, appendEntries(nil, []uint32{scopedBit | 5}, [][]byte{[]byte("x")})))
 	f.Add(taggedReq(opRepairTag, 10, appendEntries(nil, []uint32{partitionBase(2)}, [][]byte{[]byte("x")})))
 	f.Add(taggedReq(opRepairTag, 11, append(entries, 0xAA)))
 

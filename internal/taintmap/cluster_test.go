@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"testing"
-	"time"
 
 	"dista/internal/core/taint"
 	"dista/internal/netsim"
@@ -14,13 +13,13 @@ import (
 func TestIDSpaceLayout(t *testing.T) {
 	// The three id fields must tile the 32 bits without overlap — the
 	// invariant the distavet idbits analyzer also proves statically.
-	if provisionalBit&partitionMask != 0 {
-		t.Fatalf("provisional bit overlaps partition field")
+	if scopedBit&partitionMask != 0 {
+		t.Fatalf("scoped bit overlaps partition field")
 	}
 	if partitionMask&seqMask != 0 {
 		t.Fatalf("partition field overlaps sequence field")
 	}
-	if provisionalBit|partitionMask|seqMask != ^uint32(0) {
+	if scopedBit|partitionMask|seqMask != ^uint32(0) {
 		t.Fatalf("id fields do not cover all 32 bits")
 	}
 	for _, part := range []uint32{0, 1, 7, MaxPartitions - 1} {
@@ -29,14 +28,14 @@ func TestIDSpaceLayout(t *testing.T) {
 			if PartitionOf(id) != part || SeqOf(id) != seq {
 				t.Fatalf("decompose(%d|%d) = (%d,%d)", part, seq, PartitionOf(id), SeqOf(id))
 			}
-			// Provisional ids keep both fields readable.
-			prov := provisionalBit | id
-			if !IsProvisional(prov) || PartitionOf(prov) != part || SeqOf(prov) != seq {
-				t.Fatalf("provisional compose broke fields for part %d seq %d", part, seq)
+			if IsStreamScoped(id) {
+				t.Fatalf("real id %d reads as stream-scoped", id)
 			}
-			if IsProvisional(id) {
-				t.Fatalf("real id %d reads as provisional", id)
-			}
+		}
+	}
+	for _, k := range []int{1, 2, int(seqMask)} {
+		if id := StreamScopedID(k); !IsStreamScoped(id) || id&^scopedBit != uint32(k) {
+			t.Fatalf("StreamScopedID(%d) = %#x", k, id)
 		}
 	}
 	if _, err := NewPartitionStore(MaxPartitions); err == nil {
@@ -75,8 +74,8 @@ func TestPartitionStoreMintAndAdopt(t *testing.T) {
 	if err := s.AdoptBlob(foreign, []byte("blob-f")); err != nil {
 		t.Fatalf("re-adopt: %v", err)
 	}
-	if err := s.AdoptBlob(provisionalBit|foreign, []byte("x")); err == nil {
-		t.Fatal("adopted a provisional id")
+	if err := s.AdoptBlob(scopedBit|foreign, []byte("x")); err == nil {
+		t.Fatal("adopted a stream-scoped id")
 	}
 	if err := s.AdoptBlob(partitionBase(5), []byte("x")); err == nil {
 		t.Fatal("adopted a zero-sequence id")
@@ -285,7 +284,7 @@ func TestClusterRegisterLookupReplicate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("register %d: %v", i, err)
 		}
-		if id == 0 || IsProvisional(id) {
+		if id == 0 || IsStreamScoped(id) {
 			t.Fatalf("register %d returned id %x", i, id)
 		}
 		blob, err := taint.MarshalTaint(tt)
@@ -427,7 +426,7 @@ func TestClusterMembershipJoin(t *testing.T) {
 		for i := 0; i < n; i++ {
 			tt := tree.NewSource(fmt.Sprintf("%s-%d", prefix, i), "app:1")
 			id, err := c.Register(tt)
-			if err != nil || id == 0 || IsProvisional(id) {
+			if err != nil || id == 0 || IsStreamScoped(id) {
 				t.Fatalf("register %s-%d: id %x, %v", prefix, i, id, err)
 			}
 			blob, _ := taint.MarshalTaint(tt)
@@ -509,13 +508,14 @@ func TestClusterMembershipJoin(t *testing.T) {
 	}
 }
 
-// TestClusterReaddressKeepsJournal: a member that moves to a new address
-// keeps its client handle, and with it the journal and the provisional
-// ids already handed out — a provisional id names one taint for as long
-// as the client lives, the journal drains at the new address, and the ids
-// then remap.
-func TestClusterReaddressKeepsJournal(t *testing.T) {
-	e := newClusterEnvOpts(t, 2, 2, WithAdmission(1, 0))
+// TestClusterReaddressKeepsMember: a member that moves to a new address
+// keeps its client handle — only the connection is replaced. While
+// nothing answers there, its partition's registers fail with
+// ErrDegraded and keep nothing; once the replacement is up at the new
+// address, the same taints register there to ids that resolve from a
+// fresh client.
+func TestClusterReaddressKeepsMember(t *testing.T) {
+	e := newClusterEnv(t, 2, 2)
 	tree := taint.NewTree()
 	c, err := DialSimCluster(e.net, "app:1", e.ring, tree, grayOpts())
 	if err != nil {
@@ -533,17 +533,9 @@ func TestClusterReaddressKeepsJournal(t *testing.T) {
 			owned = append(owned, tt)
 		}
 	}
-	a, b := owned[0], owned[1]
 
-	// Member 0 sheds: a journals under a provisional id.
-	e.srvs[0].adm.admit()
-	provA, err := c.Register(a)
-	if err != nil || !IsProvisional(provA) {
-		t.Fatalf("register against the shedding owner = %#x, %v", provA, err)
-	}
-
-	// Member 0 moves; nothing listens at the new address yet, so b
-	// journals too — in the same journal, under an id of its own.
+	// Member 0 moves; nothing listens at the new address yet.
+	handle := c.member(0)
 	moved, err := e.ring.WithMember(Member{Part: 0, Addr: "tm0b:1"})
 	if err != nil {
 		t.Fatal(err)
@@ -551,46 +543,26 @@ func TestClusterReaddressKeepsJournal(t *testing.T) {
 	if err := c.UpdateRing(moved); err != nil {
 		t.Fatal(err)
 	}
-	provB, err := c.Register(b)
-	if err != nil || !IsProvisional(provB) {
-		t.Fatalf("register against the unreachable new address = %#x, %v", provB, err)
+	if c.member(0) != handle {
+		t.Fatal("the re-addressed member got a new handle")
 	}
-	if provB == provA {
-		t.Fatalf("two taints share provisional id %#x", provA)
-	}
-	for _, tc := range []struct {
-		id   uint32
-		want taint.Taint
-	}{{provA, a}, {provB, b}} {
-		if got, err := c.Lookup(tc.id); err != nil || got != tc.want {
-			t.Fatalf("lookup of provisional id %#x = %v, %v; want %v", tc.id, got, err, tc.want)
+	for _, tt := range owned {
+		if id, err := c.Register(tt); !errors.Is(err, ErrDegraded) || tt.GlobalID() != 0 {
+			t.Fatalf("register against the unreachable new address = %#x (node %#x), %v", id, tt.GlobalID(), err)
 		}
 	}
-	if h := c.Health().Members[0]; h.JournalLen != 2 {
-		t.Fatalf("journal holds %d registrations after the re-address, want 2: %+v", h.JournalLen, h)
-	}
 
-	// The replacement comes up at the new address: the journal drains
-	// there and both taints get real Global IDs.
+	// The replacement comes up at the new address: both taints register
+	// there.
 	e.kill(0)
 	e.ring = moved
 	e.start(0)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		h := c.Health().Members[0]
-		if h.JournalLen == 0 && h.Drained == 2 {
-			break
-		}
-		if !time.Now().Before(deadline) {
-			t.Fatalf("journal never drained at the new address: %+v", h)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitHealth(t, c, "reconnect at the new address", func(h Health) bool { return h.Connected })
 	check := e.client("verify:1", ClusterOptions{})
 	for _, tt := range owned {
 		id, err := c.Register(tt)
-		if err != nil || IsProvisional(id) || PartitionOf(id) != 0 || tt.GlobalID() != id {
-			t.Fatalf("register after the drain = %#x (node stamped %#x), %v", id, tt.GlobalID(), err)
+		if err != nil || IsStreamScoped(id) || PartitionOf(id) != 0 || tt.GlobalID() != id {
+			t.Fatalf("register at the new address = %#x (node stamped %#x), %v", id, tt.GlobalID(), err)
 		}
 		got, err := check.Lookup(id)
 		if err != nil {
@@ -598,11 +570,8 @@ func TestClusterReaddressKeepsJournal(t *testing.T) {
 		}
 		wantBlob, _ := taint.MarshalTaint(tt)
 		if gotBlob, _ := taint.MarshalTaint(got); string(gotBlob) != string(wantBlob) {
-			t.Fatalf("drained id %#x resolved to different bytes", id)
+			t.Fatalf("id %#x resolved to different bytes", id)
 		}
-	}
-	if got, err := c.Lookup(provA); err != nil || got != a {
-		t.Fatalf("lookup of remapped provisional id %#x = %v, %v; want %v", provA, got, err, a)
 	}
 }
 
@@ -759,13 +728,12 @@ func TestClusterReplicaRefusesConflict(t *testing.T) {
 }
 
 // TestClusterLookupBatchGroups drives ClusterClient.LookupBatch's
-// grouping with the memo out of the way: one batch mixing real ids of
-// two partitions, provisional ids of a third (its owner shedding, so
-// they live in that member's journal), a duplicate and a zero resolves
-// every position — real ids over the wire per partition, provisional
-// ones through the journal, never mixed into one group.
+// grouping with the memo out of the way: one batch mixing ids of three
+// partitions, a duplicate and a zero resolves every position, each
+// partition's ids over the wire in a group of their own. A batch holding
+// a stream-scoped id is refused, not routed.
 func TestClusterLookupBatchGroups(t *testing.T) {
-	e := newClusterEnvOpts(t, 3, 2, WithAdmission(1, 0))
+	e := newClusterEnv(t, 3, 2)
 	tree := taint.NewTree()
 	c, err := DialSimCluster(e.net, "app:1", e.ring, tree, ClusterOptions{})
 	if err != nil {
@@ -773,8 +741,6 @@ func TestClusterLookupBatchGroups(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Member 0 sheds every request until the batch has been read back.
-	e.srvs[0].adm.admit()
 	var ids []uint32
 	var want []taint.Taint
 	perPart := map[uint32]int{}
@@ -793,7 +759,7 @@ func TestClusterLookupBatchGroups(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if IsProvisional(id) != (owner == 0) || PartitionOf(id) != owner {
+		if IsStreamScoped(id) || PartitionOf(id) != owner {
 			t.Fatalf("owner %d handed out id %#x", owner, id)
 		}
 		ids = append(ids, id)
@@ -807,7 +773,6 @@ func TestClusterLookupBatchGroups(t *testing.T) {
 
 	c.memo.reset()
 	got, err := c.LookupBatch(ids)
-	e.srvs[0].adm.release()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -815,5 +780,8 @@ func TestClusterLookupBatchGroups(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("position %d (id %#x) resolved to %v, want %v", i, ids[i], got[i], want[i])
 		}
+	}
+	if _, err := c.LookupBatch(append(ids, StreamScopedID(1))); err == nil {
+		t.Fatal("a batch holding a stream-scoped id resolved")
 	}
 }

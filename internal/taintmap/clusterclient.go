@@ -22,16 +22,15 @@ import (
 //     (content-addressed, so the hash is stable across nodes and
 //     retries) onto the ring to find the owning partition, and each
 //     owner gets its group as one batch; lookups read the partition
-//     straight out of an id's high bits (idspace.go), provisional ids
-//     apart — they go to the member whose journal minted them;
+//     straight out of an id's high bits (idspace.go); a stream-scoped
+//     id is refused, never routed;
 //   - replicas: one loop over a partition's replica set, rotated to
 //     spread load — inline on a single replica, hedged after the tracked
 //     p99 on several — that falls through a replica not (yet) holding
 //     the ids and pushes them back to it once resolved (read-repair);
-//   - member (resilient.go): failover, breaker and journal per server, so
-//     a dead member's registrations journal against a store of its
-//     partition and drain when it returns, while the other partitions
-//     stay healthy;
+//   - member (resilient.go): failover and breaker per server, so a dead
+//     member's registrations fail fast with ErrDegraded while the other
+//     partitions stay healthy;
 //   - conn (mux.go): the multiplexed RemoteClient.
 //
 // A single server is a cluster of one: a ring of one member owns every
@@ -61,9 +60,8 @@ type ClusterClient struct {
 	repaired atomic.Int64  // entries pushed back to stale replicas
 
 	// budget is the shared retry budget: one bucket gating every
-	// member's reconnect dials and drain retries and the replica loop's
-	// hedges, so a brownout cannot multiply into a cluster-wide retry
-	// storm.
+	// member's reconnect dials and the replica loop's hedges, so a
+	// brownout cannot multiply into a cluster-wide retry storm.
 	budget *Budget
 	hedge  hist.Hist
 
@@ -214,12 +212,10 @@ func (c *ClusterClient) Ring() *Ring { return c.ring.Load() }
 func (c *ClusterClient) Repaired() int64 { return c.repaired.Load() }
 
 // UpdateRing installs a newer membership snapshot: handles are created
-// for new members, re-dialed for re-addressed ones — the handle, and with
-// it the journal, the remap table and the provisional ids it has handed
-// out, survives; only the connection is replaced — and kept for departed
-// ones (their partition's ids stay resolvable and any journaled
-// registrations still drain if the server returns). Rings with a stale
-// epoch are ignored.
+// for new members, re-dialed for re-addressed ones — the handle survives;
+// only the connection is replaced — and kept for departed ones (their
+// partition's ids stay resolvable if the server returns). Rings with a
+// stale epoch are ignored.
 func (c *ClusterClient) UpdateRing(r *Ring) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -232,10 +228,7 @@ func (c *ClusterClient) UpdateRing(r *Ring) error {
 	table := *c.table.Load()
 	for _, m := range r.Members() {
 		if cm := table[m.Part]; cm == nil {
-			var err error
-			if table[m.Part], err = c.newMember(m); err != nil {
-				return err
-			}
+			table[m.Part] = c.newMember(m)
 		} else if *cm.addr.Load() != m.Addr {
 			cm.redial(m.Addr)
 		}
@@ -435,13 +428,12 @@ func (c *ClusterClient) registerGroup(part uint32, ids []uint32, ts []taint.Tain
 }
 
 // lookup implements transport: the ids are grouped by their partition
-// bits (provisional ids apart — they resolve via the minting member's
-// journal and never reach the wire or the replica set) and resolved per
-// group. A batch with a single group — every batch of one, every batch
-// read back from one partition — is its own group and is not regrouped.
+// bits and resolved per group. A batch with a single group — every batch
+// of one, every batch read back from one partition — is its own group and
+// is not regrouped.
 func (c *ClusterClient) lookup(ids []uint32) ([]taint.Taint, error) {
 	// A group's key is everything of an id but its sequence: the
-	// partition field plus the provisional bit.
+	// partition field plus the scoped bit.
 	var keyBuf [16]uint32 // keeps small batches off the heap
 	keys := keyBuf[:0]
 	oneGroup := true
@@ -478,17 +470,14 @@ func (c *ClusterClient) lookup(ids []uint32) ([]taint.Taint, error) {
 	return ts, nil
 }
 
-// lookupGroup resolves the ids of one group: provisional ids through the
-// member that minted them, real ids on their partition's replicas.
+// lookupGroup resolves the ids of one group on their partition's
+// replicas. A stream-scoped id names a taint in one stream only, and no
+// server holds it: it is refused.
 func (c *ClusterClient) lookupGroup(key uint32, group []uint32) ([]taint.Taint, error) {
-	part := PartitionOf(key)
-	if IsProvisional(key) {
-		cm := c.member(part)
-		if cm == nil {
-			return nil, fmt.Errorf("%w: provisional ids of unknown member", ErrDegraded)
-		}
-		return cm.lookupProvisional(group)
+	if IsStreamScoped(key) {
+		return nil, fmt.Errorf("taintmap: lookup of stream-scoped id %#x", group[0])
 	}
+	part := PartitionOf(key)
 	var buf [MaxPartitions]*member
 	cms := c.replicaOrder(part, buf[:0])
 	if len(cms) == 0 {
@@ -529,7 +518,7 @@ func (c *ClusterClient) repairTo(stale []*member, ids []uint32, ts []taint.Taint
 // plus the hedge, budget and degradation gauges of the replica loop.
 type ClusterHealth struct {
 	Members            map[uint32]Health // by partition
-	DegradedPartitions []uint32          // partitions journaling locally (breaker tripped), ascending
+	DegradedPartitions []uint32          // partitions whose breaker tripped, ascending
 
 	Hedges       int64         // hedge attempts launched
 	HedgeWins    int64         // lookups won by the hedged attempt

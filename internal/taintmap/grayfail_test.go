@@ -25,7 +25,6 @@ func grayOpts() ClusterOptions {
 			BackoffBase:      time.Millisecond,
 			BackoffMax:       20 * time.Millisecond,
 			BreakerThreshold: 2,
-			JournalLimit:     1 << 15,
 		},
 		HedgeDelay:  5 * time.Millisecond,
 		BudgetRate:  500,
@@ -269,16 +268,16 @@ func TestPeerLinkStalledReplica(t *testing.T) {
 	}
 }
 
-// TestClusterRegisterOverloadedJournals: a shedding owner (admission
-// gate saturated) must not fail registrations — they fall into that
-// partition's journaled degraded mode, get provisional ids, and drain
-// to real ids once the owner stops shedding. Other partitions are
-// unaffected: degradation is partition-scoped.
-func TestClusterRegisterOverloadedJournals(t *testing.T) {
+// TestClusterRegisterOverloadedRefuses: a shedding owner (admission
+// gate saturated) fails its partition's registrations with the typed
+// ErrOverloaded at once, keeping nothing — a stream send defines such a
+// taint inline — while other partitions are unaffected: degradation is
+// partition-scoped. Once the owner stops shedding, the same taint
+// registers on the same connection to an id a fresh client resolves.
+func TestClusterRegisterOverloadedRefuses(t *testing.T) {
 	e := newClusterEnvOpts(t, 2, 2, WithAdmission(1, 0))
 	tree := taint.NewTree()
-	opt := grayOpts()
-	c, err := DialSimCluster(e.net, "app:1", e.ring, tree, opt)
+	c, err := DialSimCluster(e.net, "app:1", e.ring, tree, grayOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,51 +303,24 @@ func TestClusterRegisterOverloadedJournals(t *testing.T) {
 	// Saturate partition 0's gate from the outside: its register traffic
 	// sheds while partition 1 keeps serving.
 	e.srvs[0].adm.admit()
-	id0, err := c.Register(byOwner[0])
-	if err != nil {
-		t.Fatalf("register against shedding owner: %v", err)
+	if id, err := c.Register(byOwner[0]); !errors.Is(err, ErrOverloaded) || byOwner[0].GlobalID() != 0 {
+		t.Fatalf("register against shedding owner = %#x (node %#x), %v; want ErrOverloaded", id, byOwner[0].GlobalID(), err)
 	}
-	if !IsProvisional(id0) {
-		t.Fatalf("register against shedding owner returned real id %d, want provisional", id0)
-	}
-	if PartitionOf(id0) != 0 {
-		t.Fatalf("provisional id carries partition %d, want 0", PartitionOf(id0))
-	}
-	// The provisional id resolves locally right away.
-	if got, err := c.Lookup(id0); err != nil || got.Empty() {
-		t.Fatalf("provisional lookup = %v, %v", got, err)
-	}
-	// The healthy partition is untouched by partition 0's brownout.
 	id1, err := c.Register(byOwner[1])
-	if err != nil {
-		t.Fatalf("register to healthy partition: %v", err)
-	}
-	if IsProvisional(id1) {
-		t.Fatalf("healthy partition handed out provisional id %d", id1)
+	if err != nil || id1 == 0 || IsStreamScoped(id1) {
+		t.Fatalf("register to healthy partition = %#x, %v", id1, err)
 	}
 
-	// Stop shedding: the background drain must replay the journal and
-	// remap the provisional id without a disconnect/reconnect cycle.
+	// Stop shedding: the next register reaches the owner on the same
+	// connection.
 	e.srvs[0].adm.release()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		h := c.Health().Members[0]
-		if h.JournalLen == 0 && h.Drained > 0 {
-			break
-		}
-		if !time.Now().Before(deadline) {
-			t.Fatalf("journal never drained after the gate freed: %+v", h)
-		}
-		time.Sleep(time.Millisecond)
-	}
 	real0, err := c.Register(byOwner[0])
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || real0 == 0 || PartitionOf(real0) != 0 || byOwner[0].GlobalID() != real0 {
+		t.Fatalf("register after the gate freed = %#x, %v", real0, err)
 	}
-	if IsProvisional(real0) {
-		t.Fatalf("taint still provisional (%d) after drain", real0)
+	if h := c.Health().Members[0]; !h.Connected || h.Reconnects != 0 {
+		t.Fatalf("the shed needed a reconnect: %+v", h)
 	}
-	// A fresh client resolves the drained id to identical bytes.
 	check, err := DialSimCluster(e.net, "verify:1", e.ring, taint.NewTree(), ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -361,15 +333,15 @@ func TestClusterRegisterOverloadedJournals(t *testing.T) {
 	wantBlob, _ := taint.MarshalTaint(byOwner[0])
 	gotBlob, err := taint.MarshalTaint(got)
 	if err != nil || string(gotBlob) != string(wantBlob) {
-		t.Fatalf("drained id %d resolved to different bytes (%v)", real0, err)
+		t.Fatalf("id %d resolved to different bytes (%v)", real0, err)
 	}
 }
 
-// TestOneAddressOverloadJournals: a single server is a cluster of one,
+// TestOneAddressOverloadRefuses: a single server is a cluster of one,
 // so a one-address client does what a cluster member does — a register
-// the server sheds journals under a provisional id instead of failing,
-// and the journal drains on the same connection once the gate frees.
-func TestOneAddressOverloadJournals(t *testing.T) {
+// the server sheds fails with ErrOverloaded, stamping nothing, and the
+// next one after the gate frees registers on the same connection.
+func TestOneAddressOverloadRefuses(t *testing.T) {
 	n := netsim.New()
 	l, err := n.Listen("tm:1")
 	if err != nil {
@@ -384,20 +356,19 @@ func TestOneAddressOverloadJournals(t *testing.T) {
 
 	srv.adm.admit()
 	tt := tree.NewSource("shed", "app:1")
-	prov, err := c.Register(tt)
-	if err != nil || !IsProvisional(prov) || tt.GlobalID() != 0 {
-		t.Fatalf("register against a shedding server = %#x (node stamped %#x), %v", prov, tt.GlobalID(), err)
+	if id, err := c.Register(tt); !errors.Is(err, ErrOverloaded) || tt.GlobalID() != 0 {
+		t.Fatalf("register against a shedding server = %#x (node stamped %#x), %v", id, tt.GlobalID(), err)
 	}
 	srv.adm.release()
-	h := waitHealth(t, c, "drain after the gate freed", func(h Health) bool { return h.Drained == 1 })
-	if !h.Connected || h.Reconnects != 0 {
-		t.Fatalf("the drain needed a reconnect: %+v", h)
+	id, err := c.Register(tt)
+	if err != nil || id == 0 || IsStreamScoped(id) || tt.GlobalID() != id {
+		t.Fatalf("register after the gate freed = %#x, %v", id, err)
 	}
-	if id := tt.GlobalID(); id == 0 || IsProvisional(id) {
-		t.Fatalf("drained taint stamped %#x", id)
+	if h := c.Health().Members[0]; !h.Connected || h.Reconnects != 0 {
+		t.Fatalf("the shed needed a reconnect: %+v", h)
 	}
-	if got, err := c.Lookup(prov); err != nil || got != tt {
-		t.Fatalf("lookup of the remapped provisional id = %v, %v", got, err)
+	if got, err := c.Lookup(id); err != nil || got != tt {
+		t.Fatalf("lookup of %#x = %v, %v", id, got, err)
 	}
 }
 
@@ -473,7 +444,7 @@ func TestClusterBootstrapGraySeed(t *testing.T) {
 // cluster where one replica of (nearly) every partition stalls — alive,
 // accepting, absorbing requests, never answering — under the
 // 8-goroutine mixed workload. Forward progress must continue through
-// hedges and partition-scoped journaling, mid-stall lookups must stay
+// hedges and partition-scoped fast failure, mid-stall lookups must stay
 // bounded, and after the stall lifts every submitted taint must resolve
 // to byte-identical content with no duplicate or lost ids.
 func TestChaosGrayFailure(t *testing.T) {
@@ -557,29 +528,27 @@ func TestChaosGrayFailure(t *testing.T) {
 					}
 					continue
 				}
-				// Register leg: must never fail — reachable owners
-				// register, stalled or shedding owners journal.
+				// Register leg: reachable owners register, a stalled
+				// owner's fail with ErrDegraded and are registered again
+				// once the stall has lifted.
 				tt := tree.NewSource(fmt.Sprintf("gray-%d-%d", g, i), "app:1")
-				id, err := c.Register(tt)
-				if err != nil {
-					errs <- fmt.Errorf("worker %d register %d: %w", g, i, err)
-					return
-				}
-				if id == 0 {
-					errs <- fmt.Errorf("worker %d register %d: id 0", g, i)
-					return
-				}
 				submitted[g] = append(submitted[g], tt)
-				if !IsProvisional(id) {
-					blob, err := taint.MarshalTaint(tt)
-					if err != nil {
-						errs <- err
-						return
-					}
-					pubMu.Lock()
-					pub = append(pub, published{id: id, blob: string(blob)})
-					pubMu.Unlock()
+				id, err := c.Register(tt)
+				if errors.Is(err, ErrDegraded) {
+					continue
 				}
+				if err != nil || id == 0 || IsStreamScoped(id) {
+					errs <- fmt.Errorf("worker %d register %d = %#x, %w", g, i, id, err)
+					return
+				}
+				blob, err := taint.MarshalTaint(tt)
+				if err != nil {
+					errs <- err
+					return
+				}
+				pubMu.Lock()
+				pub = append(pub, published{id: id, blob: string(blob)})
+				pubMu.Unlock()
 			}
 		}(g)
 	}
@@ -617,12 +586,12 @@ func TestChaosGrayFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Settle: every member connected, nothing left journaled anywhere.
+	// Settle: every member connected.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		all := true
 		for part, h := range c.Health().Members {
-			if !h.Connected || h.Degraded || h.JournalLen != 0 {
+			if !h.Connected || h.Degraded {
 				all = false
 				if !time.Now().Before(deadline) {
 					t.Fatalf("member %d still unhealthy after the stall lifted: %+v", part, h)
@@ -673,7 +642,7 @@ func TestChaosGrayFailure(t *testing.T) {
 			if err != nil {
 				t.Fatalf("post-chaos register: %v", err)
 			}
-			if id == 0 || IsProvisional(id) {
+			if id == 0 || IsStreamScoped(id) {
 				t.Fatalf("taint still unresolved after the stall lifted: id %d", id)
 			}
 			blob, err := taint.MarshalTaint(tt)

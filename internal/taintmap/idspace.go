@@ -7,8 +7,10 @@ import "fmt"
 // A Global ID is 32 bits, carved into three fields that may never
 // overlap (the distavet idbits analyzer proves it statically):
 //
-//	bit  31      — provisionalBit (PR 3): set on ids minted by a
-//	               degraded client's local store, never by a server.
+//	bit  31      — scopedBit: scopedBit | k names the k-th taint one
+//	               stream defined inline while its sender's Taint Map
+//	               was down (instrument) — in that stream alone: no
+//	               server mints one, no memo, store or client takes one.
 //	bits 27..30  — partition index: which cluster partition minted the
 //	               id. A standalone server is partition 0, so every
 //	               pre-cluster id remains valid and routable.
@@ -20,31 +22,35 @@ import "fmt"
 // across servers: no partition can ever mint an id another partition
 // already owns. The cost is capacity: 2^27-1 (~134M) distinct
 // cross-node taints per partition instead of 2^31 for the whole map.
-//
-// Provisional ids compose both schemes: a degraded cluster client mints
-// provisionalBit | partitionBase | seq from the per-partition local
-// journal store, so even provisional ids route to the member whose
-// journal holds them.
 const (
 	// partitionBits is how many id bits address partitions; MaxPartitions
 	// servers can form one logical Taint Map.
 	partitionBits = 4
 	// partitionShift places the partition field directly below the
-	// provisional bit.
+	// scoped bit.
 	partitionShift = 31 - partitionBits
 	// partitionMask selects the partition field.
 	partitionMask uint32 = ((1 << partitionBits) - 1) << partitionShift
 	// seqMask selects the per-partition sequence field.
 	seqMask uint32 = (1 << partitionShift) - 1
 
+	// scopedBit marks a stream-scoped id.
+	scopedBit uint32 = 1 << 31
+
 	// MaxPartitions is the cluster size limit imposed by the id layout.
 	MaxPartitions = 1 << partitionBits
 )
 
-// PartitionOf extracts the partition index that minted id. Provisional
-// ids report the partition of the member whose journal minted them.
+// StreamScopedID returns the id of the k-th taint (k from 1) a stream
+// defines inline.
+func StreamScopedID(k int) uint32 { return scopedBit | uint32(k) }
+
+// IsStreamScoped reports whether id is stream-scoped, not a Global ID.
+func IsStreamScoped(id uint32) bool { return id&scopedBit != 0 }
+
+// PartitionOf extracts the partition index that minted id.
 func PartitionOf(id uint32) uint32 {
-	return (id &^ provisionalBit & partitionMask) >> partitionShift
+	return (id & partitionMask) >> partitionShift
 }
 
 // SeqOf extracts the per-partition sequence number of id.

@@ -13,11 +13,12 @@ import (
 )
 
 // memoModel is the memo's contract as a plain map: what an id first
-// resolved to stays; id 0 and the empty taint are never stored.
+// resolved to stays; id 0, a stream-scoped id and the empty taint are
+// never stored.
 type memoModel map[uint32]taint.Taint
 
 func (m memoModel) put(id uint32, t taint.Taint) {
-	if _, known := m[id]; id != 0 && !t.Empty() && !known {
+	if _, known := m[id]; id != 0 && !IsStreamScoped(id) && !t.Empty() && !known {
 		m[id] = t
 	}
 }
@@ -35,8 +36,8 @@ func (m memoModel) splitBatch(ids []uint32) (ts []taint.Taint, missing []uint32)
 }
 
 // TestMemoMatchesMapModel drives the page-table memo and the map model
-// with one random put/get/splitBatch stream — all 16 partitions, real
-// and provisional ids, seqs on both sides of page boundaries and at the
+// with one random put/get/splitBatch stream — all 16 partitions, Global
+// and stream-scoped ids, seqs on both sides of page boundaries and at the
 // end of the sequence space, repeats, id 0, empty taints — and compares
 // every answer.
 func TestMemoMatchesMapModel(t *testing.T) {
@@ -54,7 +55,7 @@ func TestMemoMatchesMapModel(t *testing.T) {
 		model := memoModel{}
 		var used []uint32
 		randID := func() uint32 {
-			group := uint32(rng.Intn(2 * MaxPartitions)) // the provisional bit is the group's top bit
+			group := uint32(rng.Intn(2 * MaxPartitions)) // the scoped bit is the group's top bit
 			var seq uint32
 			switch k := rng.Intn(10); {
 			case k < 3 && len(used) > 0:
@@ -148,7 +149,7 @@ func TestMemoFootprintBound(t *testing.T) {
 	}{{1, 9}, {2, 18}, {50, 180}, {1000, 800}} {
 		const seen = 20_000
 		var c cache
-		for _, base := range []uint32{partitionBase(2), provisionalBit | partitionBase(9)} {
+		for _, base := range []uint32{partitionBase(2), partitionBase(9)} {
 			for k := uint32(1); k <= seen; k++ {
 				c.put(base|k*tc.stride, tt)
 			}
@@ -276,7 +277,7 @@ func TestMemoConcurrent(t *testing.T) {
 	const workers = 8
 	ids := make([]uint32, 100*memoPageSize)
 	for i := range ids {
-		ids[i] = provisionalBit*uint32(i&1) | partitionBase(uint32(i%3)) | uint32(i+1)
+		ids[i] = partitionBase(uint32(i%6)) | uint32(i+1)
 	}
 	tree := taint.NewTree()
 	var c cache

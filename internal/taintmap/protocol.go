@@ -508,8 +508,8 @@ func serveConn(h connHost, conn io.ReadWriter, readTimeout time.Duration) error 
 		if h.adm != nil && !h.adm.admit() {
 			// Load shed: the request queue is full. Answering with a typed
 			// error (instead of stalling or dropping the conn) is the
-			// brownout contract — the client knows to back off, journal,
-			// or try a replica, and the connection stays usable.
+			// brownout contract — the client knows to back off, define
+			// inline, or try a replica, and the connection stays usable.
 			status, reply = statusTaggedErr, fmt.Appendf(scratch.reply[:0], "%v: request shed", ErrOverloaded)
 		} else {
 			status, reply = scratch.handle(h, op, payload)
@@ -540,8 +540,8 @@ func serverErr(payload []byte) error {
 	if len(payload) >= len(marker) && string(payload[:len(marker)]) == marker {
 		return fmt.Errorf("taintmap: server error: %w%s", ErrUnknownGlobalID, payload[len(marker):])
 	}
-	// Overload sheds are re-typed the same way: the cluster client's
-	// partition-scoped degraded fallback keys on ErrOverloaded.
+	// Overload sheds are re-typed the same way: a stream send's inline
+	// fallback keys on ErrOverloaded.
 	const overMarker = "taintmap: server overloaded"
 	if len(payload) >= len(overMarker) && string(payload[:len(overMarker)]) == overMarker {
 		return fmt.Errorf("taintmap: server error: %w%s", ErrOverloaded, payload[len(overMarker):])

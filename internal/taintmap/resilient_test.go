@@ -57,13 +57,13 @@ func fastOpts() ResilientOptions {
 	}
 }
 
-// TestResilientDegradedJournalAndDrain is the end-to-end outage story:
-// a partition cuts the client off, the breaker trips, registers resolve
-// to provisional ids and queue in the journal, sink-side lookups keep
-// working locally — then the partition heals, the journal drains, the
-// taints get their real Global IDs, and a *different* client resolves
-// them to the same bytes.
-func TestResilientDegradedJournalAndDrain(t *testing.T) {
+// TestResilientDegradedRefusesThenHeals is the end-to-end outage story:
+// a partition cuts the client off, the breaker trips and a register
+// fails fast with ErrDegraded, keeping nothing (a stream send defines
+// such a taint inline instead), while the memo keeps answering what it
+// holds. Then the partition heals, the same taints register as usual,
+// and a *different* client resolves them to the same bytes.
+func TestResilientDegradedRefusesThenHeals(t *testing.T) {
 	n := netsim.New()
 	srv, err := StartSimServer(n, "tm:1")
 	if err != nil {
@@ -78,46 +78,28 @@ func TestResilientDegradedJournalAndDrain(t *testing.T) {
 	// Healthy path first.
 	warm := tree.NewSource("warm", "app:1")
 	warmID, err := c.Register(warm)
-	if err != nil || warmID == 0 || IsProvisional(warmID) {
+	if err != nil || warmID == 0 || IsStreamScoped(warmID) {
 		t.Fatalf("healthy register = %d, %v", warmID, err)
 	}
 
 	n.Partition("app", "tm")
 
-	// Degraded registers: provisional ids, journaled, intra-node lookup
-	// still works. The first register is what discovers the outage — its
-	// write fails, the reconnect loop exhausts the breaker, and the call
-	// is released into the degraded local path.
+	// The first register is what discovers the outage — its write fails,
+	// the reconnect loop exhausts the breaker, and the call is released
+	// with ErrDegraded; the rest fail at once.
 	outage := make([]taint.Taint, 4)
-	provIDs := make([]uint32, 4)
 	for i := range outage {
 		outage[i] = tree.NewSource(fmt.Sprintf("outage-%d", i), "app:1")
 		id, err := c.Register(outage[i])
-		if err != nil {
-			t.Fatalf("degraded register %d: %v", i, err)
+		if !errors.Is(err, ErrDegraded) || id != 0 {
+			t.Fatalf("degraded register %d = %d, %v; want ErrDegraded", i, id, err)
 		}
-		if !IsProvisional(id) {
-			t.Fatalf("degraded register %d returned non-provisional id %d", i, id)
-		}
-		provIDs[i] = id
 		if outage[i].GlobalID() != 0 {
-			t.Fatalf("provisional id leaked onto the taint node: %d", outage[i].GlobalID())
-		}
-		got, err := c.Lookup(id)
-		if err != nil || !taint.SameSet(got, outage[i]) {
-			t.Fatalf("degraded lookup of provisional id: %v, %v", got, err)
+			t.Fatalf("a refused register stamped the taint node: %d", outage[i].GlobalID())
 		}
 	}
-	if h := c.Health().Members[0]; !h.Degraded {
+	if h := c.Health().Members[0]; !h.Degraded || h.Connected {
 		t.Fatalf("client not degraded after registers across a partition: %+v", h)
-	}
-	// Registering the same taint again must not grow the journal.
-	again, err := c.Register(outage[0])
-	if err != nil || again != provIDs[0] {
-		t.Fatalf("repeat degraded register = %d, %v (want %d)", again, err, provIDs[0])
-	}
-	if h := c.Health().Members[0]; h.JournalLen != 4 {
-		t.Fatalf("journal holds %d entries, want 4", h.JournalLen)
 	}
 	// The warm taint is still resolvable from the memo while degraded.
 	if got, err := c.Lookup(warmID); err != nil || !taint.SameSet(got, warm) {
@@ -129,34 +111,23 @@ func TestResilientDegradedJournalAndDrain(t *testing.T) {
 	}
 
 	n.Heal("app", "tm")
-	h := waitHealth(t, c, "drain after heal", func(h Health) bool {
-		return h.Connected && !h.Degraded && h.JournalLen == 0
-	})
-	if h.Journaled != 4 || h.Drained != 4 {
-		t.Fatalf("journaled %d / drained %d, want 4/4", h.Journaled, h.Drained)
-	}
+	waitHealth(t, c, "reconnect after heal", func(h Health) bool { return h.Connected && !h.Degraded })
 
-	// Every outage taint now carries a real Global ID…
-	checkTree := taint.NewTree()
-	check, err := DialSim(n, "tm:1", checkTree)
+	// Every outage taint now registers to a real Global ID that a
+	// completely separate client resolves to the same taint.
+	check, err := DialSim(n, "tm:1", taint.NewTree())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer check.Close()
 	for i, tt := range outage {
-		gid := tt.GlobalID()
-		if gid == 0 || IsProvisional(gid) {
-			t.Fatalf("outage taint %d has id %d after drain", i, gid)
+		gid, err := c.Register(tt)
+		if err != nil || gid == 0 || IsStreamScoped(gid) || tt.GlobalID() != gid {
+			t.Fatalf("outage taint %d registers to %#x (node %#x) after heal, %v", i, gid, tt.GlobalID(), err)
 		}
-		// …that a completely separate client resolves to the same taint.
 		got, err := check.Lookup(gid)
 		if err != nil || !taint.SameSet(got, tt) {
-			t.Fatalf("second client lookup of drained id %d: %v, %v", gid, got, err)
-		}
-		// The provisional id keeps resolving on the original client.
-		got, err = c.Lookup(provIDs[i])
-		if err != nil || !taint.SameSet(got, tt) {
-			t.Fatalf("post-drain lookup of provisional id %d: %v, %v", provIDs[i], got, err)
+			t.Fatalf("second client lookup of id %d: %v, %v", gid, got, err)
 		}
 	}
 }
@@ -197,97 +168,11 @@ func TestResilientReconnectReplaysBlockedRegister(t *testing.T) {
 	n.Heal("app", "tm")
 	select {
 	case r := <-done:
-		if r.err != nil || r.id == 0 || IsProvisional(r.id) {
+		if r.err != nil || r.id == 0 || IsStreamScoped(r.id) {
 			t.Fatalf("register after heal = %d, %v", r.id, r.err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("register still blocked after heal")
-	}
-}
-
-// TestJournalDrainsInBatches: a journal of 1,000 registrations replays
-// through the batch register — one or two register frames, not a round
-// trip per entry — and each provisional id is remapped exactly once, to
-// the id the server holds for its taint's bytes.
-func TestJournalDrainsInBatches(t *testing.T) {
-	const entries = 1000
-	n := netsim.New()
-	srv, err := StartSimServer(n, "tm:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	n.Partition("app", "tm")
-	var tap wireTap
-	tree := taint.NewTree()
-	c := dialOne("tm:1", tap.dial(n, "app:1"), tree, fastOpts())
-	defer c.Close()
-	waitHealth(t, c, "breaker trip", func(h Health) bool { return h.Degraded })
-
-	ts := make([]taint.Taint, entries)
-	for i := range ts {
-		ts[i] = tree.NewSource(fmt.Sprintf("journaled-%d", i), "app:1")
-	}
-	provs, err := c.RegisterBatch(ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Heal("app", "tm")
-	h := waitHealth(t, c, "drain after heal", func(h Health) bool { return h.Drained >= entries })
-	if h.Journaled != entries || h.JournalLen != 0 {
-		t.Fatalf("journaled %d, %d left after the drain", h.Journaled, h.JournalLen)
-	}
-	if ops := tap.registerOps(t); len(ops) == 0 || len(ops) > 2 {
-		t.Fatalf("the drain sent register frames %q, want one or two", ops)
-	}
-	check, err := DialSim(n, "tm:1", taint.NewTree())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer check.Close()
-	m := c.member(0)
-	for i, tt := range ts {
-		m.mu.Lock()
-		gid, ok := m.remap[provs[i]]
-		m.mu.Unlock()
-		if !IsProvisional(provs[i]) || !ok || gid != tt.GlobalID() || IsProvisional(gid) {
-			t.Fatalf("taint %d: provisional %#x remapped to %#x (%v), node stamped %#x", i, provs[i], gid, ok, tt.GlobalID())
-		}
-		if got, err := check.Lookup(gid); err != nil || !taint.SameSet(got, tt) {
-			t.Fatalf("id %#x resolves to %v, %v", gid, got, err)
-		}
-	}
-	if h := c.Health().Members[0]; h.Drained != entries {
-		t.Fatalf("%d entries replayed for %d journaled", h.Drained, entries)
-	}
-}
-
-// TestResilientJournalBound verifies the store-and-forward journal is
-// bounded: past JournalLimit, degraded registers fail with
-// ErrJournalFull (which is also an ErrDegraded).
-func TestResilientJournalBound(t *testing.T) {
-	tree := taint.NewTree()
-	opt := fastOpts()
-	opt.BreakerThreshold = 1
-	opt.JournalLimit = 3
-	c := dialOne("tm:1", func(string) (io.ReadWriteCloser, error) {
-		return nil, errors.New("no route")
-	}, tree, opt)
-	defer c.Close()
-
-	waitHealth(t, c, "breaker trip", func(h Health) bool { return h.Degraded })
-	for i := 0; i < 3; i++ {
-		if _, err := c.Register(tree.NewSource(fmt.Sprintf("q-%d", i), "n:1")); err != nil {
-			t.Fatalf("register %d: %v", i, err)
-		}
-	}
-	_, err := c.Register(tree.NewSource("overflow", "n:1"))
-	if !errors.Is(err, ErrJournalFull) || !errors.Is(err, ErrDegraded) {
-		t.Fatalf("register past bound = %v, want ErrJournalFull/ErrDegraded", err)
-	}
-	// Re-registering an already-journaled taint still succeeds.
-	if _, err := c.Register(tree.NewSource("q-0", "n:1")); err != nil {
-		t.Fatalf("repeat register at bound: %v", err)
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 
 // ErrOverloaded reports a request or connection shed by the server's
 // admission control: the service is alive but at capacity, and the
-// caller should back off, hedge to a replica, or fall into the
-// journaled degraded path rather than retry immediately. It crosses the
+// caller should back off, hedge to a replica, or define its taints
+// inline rather than retry immediately. It crosses the
 // wire as a typed error-response marker (see serverErr), so errors.Is
 // matches on the client side too.
 var ErrOverloaded = errors.New("taintmap: server overloaded")
@@ -107,6 +107,7 @@ type Server struct {
 
 	mu      sync.Mutex
 	conns   map[io.Closer]struct{}
+	idle    chan struct{} // Shutdown's wait: closed as the last connection leaves
 	closed  bool
 	done    chan struct{}
 	started bool
@@ -265,6 +266,10 @@ func (s *Server) serve() {
 			conn.Close()
 			s.mu.Lock()
 			delete(s.conns, conn)
+			if len(s.conns) == 0 && s.idle != nil {
+				close(s.idle)
+				s.idle = nil
+			}
 			torn := s.closed // Close tore the connection down: its read error is the teardown
 			s.mu.Unlock()
 			if err != nil && !torn {
@@ -391,19 +396,23 @@ func (s *Server) closeAcc() error {
 // in-flight connections up to grace to finish their current requests
 // and disconnect before forcing the remainder closed (Close). Servers
 // fronted by reconnecting clients should prefer this over Close so a
-// restart never cuts a request mid-reply.
+// restart never cuts a request mid-reply. It returns as soon as the last
+// connection has gone.
 func (s *Server) Shutdown(grace time.Duration) error {
 	s.closeAcc()
-	deadline := time.Now().Add(grace)
-	for time.Now().Before(deadline) {
-		s.mu.Lock()
-		n := len(s.conns)
-		closed := s.closed
-		s.mu.Unlock()
-		if n == 0 || closed {
-			break
+	s.mu.Lock()
+	if s.idle == nil && len(s.conns) > 0 && !s.closed {
+		s.idle = make(chan struct{})
+	}
+	idle := s.idle
+	s.mu.Unlock()
+	if idle != nil {
+		t := time.NewTimer(grace)
+		select {
+		case <-idle:
+		case <-t.C:
 		}
-		time.Sleep(5 * time.Millisecond)
+		t.Stop()
 	}
 	return s.Close()
 }

@@ -318,13 +318,13 @@ func (s *Store) RegisterBlobs(blobs [][]byte) []uint32 {
 // partition heal its table directly (and raise the allocation cursor so
 // a healed owner never re-mints an adopted seq); foreign-partition ids
 // land in an adopt-only replica table serving lookups. Adoption is
-// idempotent and a re-adopt stores nothing. The provisional bit, a zero
-// sequence (provisional ids must never cross processes) and a seq holding
+// idempotent and a re-adopt stores nothing. The scoped bit (a
+// stream-scoped id never leaves its stream), a zero sequence and a seq holding
 // other bytes (a published seq never changes its blob, on an owner or a
 // replica) are rejected.
 func (s *Store) AdoptBlob(id uint32, blob []byte) error {
-	if id&provisionalBit != 0 {
-		return fmt.Errorf("taintmap: adopt of provisional id %d", id)
+	if IsStreamScoped(id) {
+		return fmt.Errorf("taintmap: adopt of stream-scoped id %#x", id)
 	}
 	seq := SeqOf(id)
 	if seq == 0 {
@@ -406,7 +406,7 @@ func (s *Store) lookupView(id uint32) ([]byte, bool) {
 	if id&^seqMask == s.base {
 		return s.table.Load().lookup(SeqOf(id))
 	}
-	if id&provisionalBit != 0 {
+	if IsStreamScoped(id) {
 		return nil, false
 	}
 	m := s.reps.Load()

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"dista/internal/core/taint"
 	"dista/internal/netsim"
@@ -309,4 +310,71 @@ func TestQuickStoreBijection(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestServerShutdown: Shutdown returns as soon as the last connection has
+// gone, however long its grace, and at the grace it force-closes a
+// connection that lingers.
+func TestServerShutdown(t *testing.T) {
+	start := func(t *testing.T) (*Server, *RemoteClient) {
+		n := netsim.New()
+		srv, err := StartSimServer(n, "tm:1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree := taint.NewTree()
+		c, err := DialSim(n, "tm:1", tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A round trip: the server holds the connection from here on.
+		if _, err := c.Register(tree.NewSource("live", "app:1")); err != nil {
+			t.Fatal(err)
+		}
+		return srv, c
+	}
+	shutdown := func(srv *Server, grace time.Duration) <-chan error {
+		done := make(chan error, 1)
+		go func() { done <- srv.Shutdown(grace) }()
+		return done
+	}
+
+	t.Run("last connection closes", func(t *testing.T) {
+		srv, c := start(t)
+		done := shutdown(srv, time.Hour)
+		select {
+		case err := <-done:
+			t.Fatalf("Shutdown returned with a connection open: %v", err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		closed := time.Now()
+		c.Close()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("Shutdown returned %v after the last connection closed", time.Since(closed))
+		case <-time.After(10 * time.Second):
+			t.Fatal("Shutdown still waits after the last connection closed")
+		}
+	})
+
+	t.Run("grace runs out", func(t *testing.T) {
+		srv, c := start(t)
+		defer c.Close()
+		const grace = 50 * time.Millisecond
+		began := time.Now()
+		select {
+		case <-shutdown(srv, grace):
+		case <-time.After(10 * time.Second):
+			t.Fatal("Shutdown outlived its grace by seconds")
+		}
+		if took := time.Since(began); took < grace {
+			t.Fatalf("Shutdown returned after %v, inside its %v grace, with a connection open", took, grace)
+		}
+		if _, err := c.Register(taint.NewTree().NewSource("late", "app:1")); !errors.Is(err, ErrClientClosed) {
+			t.Fatalf("a register on the lingering connection = %v, want ErrClientClosed", err)
+		}
+	})
 }
