@@ -14,9 +14,16 @@ test:
 # are ones of timing, which one pass samples once (~6 s).
 RACE_AGAIN = $(GO) test -race -count=5 -run 'TestReadRole|TestFrozenTransportContract|TestServerCloseLogs|TestBatchOfOneEquivalence|TestArenaConcurrent|TestClusterReplicaRefusesConflict' ./internal/taintmap
 
+# The tag tree's lock-free readers against its one writer lock: interning
+# from many goroutines, unions through the combine cache's slots, and
+# chunk, arena and hub table growth under readers that walk, look up and
+# combine what was just made — five times more, for the same reason.
+RACE_TREE = $(GO) test -race -count=5 -run 'TestChildrenConcurrent|TestConcurrentCombine|TestTreeGrowthConcurrent' ./internal/core/taint
+
 race:
 	$(GO) test -race ./...
 	$(RACE_AGAIN)
+	$(RACE_TREE)
 
 # The concurrency-heavy taint map suite under the race detector; part of
 # `race` too, but callable alone for a quick pre-commit signal.

@@ -8,9 +8,9 @@ import (
 // LockOrder enforces the documented mutex orders of the hot-path
 // structures, which so far lived only in comments:
 //
-//   - taint tree (core/taint/tree.go): at most one node mutex is held
-//     at a time, and the combine-cache RWMutex (Tree.cmu) is taken
-//     only while no node mutex is held;
+//   - taint tree (core/taint/tree.go): a tree has one mutex, Tree.mu,
+//     held while a node is added and never together with another
+//     tree's (readers and the combine cache take no lock);
 //   - taint map store (taintmap/store.go): shard locks come before
 //     growMu — growMu is the innermost lock, so acquiring a shard
 //     lock while holding growMu inverts the Reset/RegisterBlob order
@@ -40,14 +40,14 @@ import (
 //
 // The pinned global order is therefore:
 //
-//	admission.mu  >  shard.mu > growMu  |  node.mu, Tree.cmu (disjoint)  >  ClusterClient.mu  |  RemoteClient.sendMu (strict leaf)
+//	admission.mu  >  shard.mu > growMu  |  Tree.mu (one at a time)  >  ClusterClient.mu  |  RemoteClient.sendMu (strict leaf)
 //
 // (admission outermost, growMu inside shard, ClusterClient.mu a leaf;
 // the tree locks never interleave with the store locks in code today,
 // so no cross pair is in the table.)
 //
 // Lock classes are recognized by (receiver type name, field name) —
-// node.mu, Tree.cmu, shard.mu, Store.growMu, admission.mu,
+// Tree.mu, shard.mu, Store.growMu, admission.mu,
 // ClusterClient.mu, RemoteClient.sendMu — so a refactor that renames
 // the fields must update this table (a cheap, visible cost; silently
 // losing the check would be the expensive one). The analysis is
@@ -57,8 +57,8 @@ import (
 // these functions are written.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc: "documented mutex orders: at most one taint-tree node mutex; Tree.cmu " +
-		"never under a node mutex; no shard lock while Store.growMu is held; " +
+	Doc: "documented mutex orders: at most one taint-tree mutex; " +
+		"no shard lock while Store.growMu is held; " +
 		"admission.mu (and blocking admit()) outermost; ClusterClient.mu a leaf; " +
 		"no lock, Write or channel operation under RemoteClient.sendMu",
 	Run: runLockOrder,
@@ -69,8 +69,7 @@ type lockClass int
 
 const (
 	lockNone lockClass = iota
-	lockNodeMu
-	lockTreeCmu
+	lockTreeMu
 	lockShardMu
 	lockGrowMu
 	lockAdmissionMu
@@ -79,8 +78,7 @@ const (
 )
 
 var lockClassName = map[lockClass]string{
-	lockNodeMu:      "node.mu",
-	lockTreeCmu:     "Tree.cmu",
+	lockTreeMu:      "Tree.mu",
 	lockShardMu:     "shard.mu",
 	lockGrowMu:      "Store.growMu",
 	lockAdmissionMu: "admission.mu",
@@ -100,15 +98,13 @@ const (
 // forbiddenNesting maps (held, acquiring) pairs to the invariant they
 // violate.
 var forbiddenNesting = map[[2]lockClass]string{
-	{lockNodeMu, lockNodeMu}:  "at most one node mutex may be held at a time (taint tree lock order)",
-	{lockNodeMu, lockTreeCmu}: "the combine-cache mutex is taken only while no node mutex is held",
+	{lockTreeMu, lockTreeMu}:  "at most one tree mutex may be held at a time (taint tree lock order)",
 	{lockGrowMu, lockShardMu}: "shard locks come before growMu (Store lock order); growMu is innermost",
 
 	// admission.mu is outermost: admit() may park the caller on the
 	// cond var for as long as the server is saturated, so any lock
 	// held across it is held for that whole wait.
-	{lockNodeMu, lockAdmissionMu}:      admissionOutermost,
-	{lockTreeCmu, lockAdmissionMu}:     admissionOutermost,
+	{lockTreeMu, lockAdmissionMu}:      admissionOutermost,
 	{lockShardMu, lockAdmissionMu}:     admissionOutermost,
 	{lockGrowMu, lockAdmissionMu}:      admissionOutermost,
 	{lockClusterMu, lockAdmissionMu}:   admissionOutermost,
@@ -117,8 +113,7 @@ var forbiddenNesting = map[[2]lockClass]string{
 	// ClusterClient.mu is a leaf: membership swaps publish through an
 	// atomic.Pointer, so nothing slower than a field update belongs
 	// under it.
-	{lockClusterMu, lockNodeMu}:    clusterLeaf,
-	{lockClusterMu, lockTreeCmu}:   clusterLeaf,
+	{lockClusterMu, lockTreeMu}:    clusterLeaf,
 	{lockClusterMu, lockShardMu}:   clusterLeaf,
 	{lockClusterMu, lockGrowMu}:    clusterLeaf,
 	{lockClusterMu, lockClusterMu}: clusterLeaf,
@@ -311,10 +306,8 @@ func lockClassOf(pass *Pass, e ast.Expr) lockClass {
 		return lockNone
 	}
 	switch [2]string{named.Obj().Name(), sel.Sel.Name} {
-	case [2]string{"node", "mu"}:
-		return lockNodeMu
-	case [2]string{"Tree", "cmu"}:
-		return lockTreeCmu
+	case [2]string{"Tree", "mu"}:
+		return lockTreeMu
 	case [2]string{"shard", "mu"}:
 		return lockShardMu
 	case [2]string{"Store", "growMu"}:

@@ -1,7 +1,7 @@
 // Package lockorder seeds violations of the documented mutex orders
 // for the distavet lockorder golden test. The types mirror the shapes
-// the analyzer keys on — (type name, field name) pairs node.mu,
-// Tree.cmu, shard.mu, Store.growMu, admission.mu, ClusterClient.mu —
+// the analyzer keys on — (type name, field name) pairs Tree.mu,
+// shard.mu, Store.growMu, admission.mu, ClusterClient.mu —
 // without importing the real packages, whose lock fields are
 // unexported. The admission mirror also carries the blocking admit()
 // / non-blocking release() method pair the analyzer models.
@@ -10,13 +10,7 @@ package lockorder
 import "sync"
 
 type Tree struct {
-	cmu sync.RWMutex
-}
-
-type node struct {
-	mu       sync.Mutex
-	children map[string]*node
-	tree     *Tree
+	mu sync.Mutex
 }
 
 type shard struct {
@@ -60,18 +54,11 @@ type ClusterClient struct {
 	epoch uint64
 }
 
-func badTwoNodes(a, b *node) {
+func badTwoTrees(a, b *Tree) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	b.mu.Lock() // want "at most one node mutex"
+	b.mu.Lock() // want "at most one tree mutex"
 	b.mu.Unlock()
-}
-
-func badCacheUnderNode(n *node) {
-	n.mu.Lock()
-	n.tree.cmu.RLock() // want "no node mutex is held"
-	n.tree.cmu.RUnlock()
-	n.mu.Unlock()
 }
 
 func badShardUnderGrow(s *Store) {
@@ -81,16 +68,16 @@ func badShardUnderGrow(s *Store) {
 	s.growMu.Unlock()
 }
 
-// badLoopNodes models walking a chain hand-over-hand without
-// releasing: the second symbolic acquisition still trips the rule via
-// loop-carried held state.
-func badLoopNodes(ns []*node) {
-	for _, n := range ns {
-		n.mu.Lock() // want "at most one node mutex"
+// badLoopTrees models locking a list of trees without releasing: the
+// second symbolic acquisition still trips the rule via loop-carried
+// held state.
+func badLoopTrees(ts []*Tree) {
+	for _, t := range ts {
+		t.mu.Lock() // want "at most one tree mutex"
 	}
 }
 
-func goodHandOver(a, b *node) {
+func goodHandOver(a, b *Tree) {
 	a.mu.Lock()
 	a.mu.Unlock()
 	b.mu.Lock()
@@ -118,28 +105,19 @@ func goodResetPattern(s *Store) {
 	}
 }
 
-func goodBranches(a *node, t *Tree, cond bool) {
+func goodBranches(a, b *Tree, cond bool) {
 	if cond {
 		a.mu.Lock()
 		a.mu.Unlock()
 	}
-	t.cmu.RLock() // the branch released its node mutex on every path
-	t.cmu.RUnlock()
+	b.mu.Lock() // the branch released its tree mutex on every path
+	b.mu.Unlock()
 }
 
-func goodCacheThenNode(n *node, t *Tree) {
-	// Only the inverse nesting is forbidden; the combine path reads
-	// the cache first, then touches nodes.
-	t.cmu.RLock()
-	t.cmu.RUnlock()
-	n.mu.Lock()
-	n.mu.Unlock()
-}
-
-func goodClosure(a *node) {
+func goodClosure(a *Tree) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	f := func(b *node) {
+	f := func(b *Tree) {
 		// Runs later on its own stack; fresh held set.
 		b.mu.Lock()
 		b.mu.Unlock()
@@ -157,13 +135,13 @@ func badAdmitUnderShard(s *Store, a *admission) {
 	a.release()
 }
 
-// badAdmissionUnderNode takes the semaphore mutex directly under a
-// node mutex — same inversion without the method sugar.
-func badAdmissionUnderNode(n *node, a *admission) {
-	n.mu.Lock()
-	a.mu.Lock() // want "admission.mu acquired while node.mu is held"
+// badAdmissionUnderTree takes the semaphore mutex directly under a
+// tree mutex — same inversion without the method sugar.
+func badAdmissionUnderTree(t *Tree, a *admission) {
+	t.mu.Lock()
+	a.mu.Lock() // want "admission.mu acquired while Tree.mu is held"
 	a.mu.Unlock()
-	n.mu.Unlock()
+	t.mu.Unlock()
 }
 
 // badLockUnderCluster nests a shard lock under the membership guard,
@@ -203,7 +181,7 @@ func goodClusterUnderShard(c *ClusterClient, s *Store) {
 	s.shards[3].mu.Unlock()
 }
 
-func suppressed(a, b *node) {
+func suppressed(a, b *Tree) {
 	a.mu.Lock()
 	//lint:ignore distavet/lockorder golden test: documented rank-ordered double lock
 	b.mu.Lock()

@@ -40,22 +40,25 @@ func MarshalTaint(t Taint) ([]byte, error) {
 	if t.n.depth > maxTagStringLen {
 		return nil, fmt.Errorf("taint: %d tags exceed wire limit", t.n.depth)
 	}
-	memo := &t.n.tree.marshalled
+	tr := t.n.tree()
+	memo := lazy(&tr.memo)
 	if blob := memo.get(t.n); blob != nil {
 		return blob, nil
 	}
 	size := 2
-	for cur := t.n; cur.parent != nil; cur = cur.parent {
-		if len(cur.key.Value) > maxTagStringLen || len(cur.key.LocalID) > maxTagStringLen {
+	for n := t.n; n.id != 0; n = tr.node(n.parent) {
+		k := tr.key(n)
+		if len(k.Value) > maxTagStringLen || len(k.LocalID) > maxTagStringLen {
 			return nil, fmt.Errorf("taint: tag string exceeds %d bytes", maxTagStringLen)
 		}
-		size += 4 + len(cur.key.Value) + len(cur.key.LocalID)
+		size += 4 + len(k.Value) + len(k.LocalID)
 	}
 	out := make([]byte, size)
 	binary.BigEndian.PutUint16(out, uint16(t.n.depth))
 	end := size
-	for cur := t.n; cur.parent != nil; cur = cur.parent {
-		end = putString(out, putString(out, end, cur.key.LocalID), cur.key.Value)
+	for n := t.n; n.id != 0; n = tr.node(n.parent) {
+		k := tr.key(n)
+		end = putString(out, putString(out, end, k.LocalID), k.Value)
 	}
 	memo.put(t.n, out)
 	return out, nil
@@ -128,14 +131,14 @@ func (tr *Tree) UnmarshalTaint(blob []byte) (Taint, error) {
 	if len(rest) != 0 {
 		return Taint{}, fmt.Errorf("taint: %d trailing bytes after taint blob", len(rest))
 	}
-	cur := tr.root
+	cur := &tr.root
 	for i := 0; i < count; i++ {
 		var value, localID []byte
 		value, blob, _ = readString(blob)
 		localID, blob, _ = readString(blob)
-		cur = step(cur, hashBytes(value, localID), value, localID)
+		cur = step(tr, cur, hashBytes(value, localID), value, localID)
 	}
-	if cur == tr.root {
+	if cur == &tr.root {
 		return Taint{}, nil
 	}
 	return Taint{n: cur}, nil

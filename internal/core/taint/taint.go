@@ -6,22 +6,23 @@ import (
 )
 
 // Taint is a (possibly empty) set of tags, stored as a reference into a
-// Tree. The zero value is the empty taint, which carries no tags and is
-// what untainted data has. Taint values are immutable and cheap to copy.
+// Tree: a pointer to its node's record, never the root's. The zero value
+// is the empty taint, which carries no tags and is what untainted data
+// has. Taint values are immutable and cheap to copy.
 type Taint struct {
 	n *node
 }
 
 // Empty reports whether the taint carries no tags. Inlined wherever a
 // label loop asks (`make inline-check`).
-func (t Taint) Empty() bool { return t.n == nil || t.n.parent == nil }
+func (t Taint) Empty() bool { return t.n == nil }
 
 // Tree returns the tree this taint belongs to, or nil for the empty taint.
 func (t Taint) Tree() *Tree {
 	if t.n == nil {
 		return nil
 	}
-	return t.n.tree
+	return t.n.tree()
 }
 
 // NewSource creates a fresh source taint carrying a single tag. localID
@@ -29,17 +30,17 @@ func (t Taint) Tree() *Tree {
 // value (§II-B: "the value of the tag is set by developers").
 func (tr *Tree) NewSource(value, localID string) Taint {
 	k := TagKey{Value: value, LocalID: localID}
-	return Taint{n: step(tr.root, k.hash(), value, localID)}
+	return Taint{n: step(tr, &tr.root, k.hash(), value, localID)}
 }
 
 // FromKeys builds (or finds) the taint with exactly the given tags,
 // inserted in the order supplied. Duplicate keys are ignored.
 func (tr *Tree) FromKeys(keys []TagKey) Taint {
-	cur := tr.root
+	cur := &tr.root
 	for _, k := range keys {
-		cur = step(cur, k.hash(), k.Value, k.LocalID)
+		cur = step(tr, cur, k.hash(), k.Value, k.LocalID)
 	}
-	if cur == tr.root {
+	if cur == &tr.root {
 		return Taint{}
 	}
 	return Taint{n: cur}
@@ -53,7 +54,7 @@ func (tr *Tree) FromKeys(keys []TagKey) Taint {
 // Results are memoized per (a, b) node pair in a bounded cache on a's
 // Tree, so repeated unions of the same operands skip the path walk —
 // the common case when shadow runs combine the same labels over and
-// over.
+// over. A pair enters the cache the second time it misses.
 func Combine(a, b Taint) Taint {
 	switch {
 	case a.Empty():
@@ -63,18 +64,16 @@ func Combine(a, b Taint) Taint {
 	case a.n == b.n:
 		return a
 	}
-	tr := a.n.tree
-	sameTree := b.n.tree == tr // ids are only unique within one tree
-	if sameTree {
-		if r, ok := tr.cachedCombine(a.n.id, b.n.id); ok {
-			return r
-		}
+	tr, bt := a.n.tree(), b.n.tree()
+	if bt != tr { // ids are only unique within one tree
+		return Taint{n: tr.extend(a.n, bt, b.n)}
 	}
-	r := Taint{n: a.n.extend(b.n)}
-	if sameTree {
-		tr.storeCombine(a.n.id, b.n.id, r)
+	r, s, h := tr.cachedCombine(a.n.id, b.n.id)
+	if r == 0 {
+		r = tr.extend(a.n, tr, b.n).id
+		s.storeCombine(a.n.id, b.n.id, r, h)
 	}
-	return r
+	return Taint{n: tr.node(r)}
 }
 
 // CombineAll folds Combine over all the given taints.
@@ -92,7 +91,12 @@ func (t Taint) Keys() []TagKey {
 	if t.Empty() {
 		return nil
 	}
-	return t.n.path()
+	tr := t.n.tree()
+	keys := make([]TagKey, t.n.depth)
+	for n := t.n; n.id != 0; n = tr.node(n.parent) {
+		keys[n.depth-1] = tr.key(n)
+	}
+	return keys
 }
 
 // Values returns the user tag values of the taint, sorted, with
@@ -116,8 +120,8 @@ func (t Taint) Values() []string {
 // Has reports whether the taint carries a tag with the given user value,
 // regardless of which node generated it.
 func (t Taint) Has(value string) bool {
-	for cur := t.n; cur != nil && cur.parent != nil; cur = cur.parent {
-		if cur.key.Value == value {
+	for n, tr := t.n, t.Tree(); n != nil && n.id != 0; n = tr.node(n.parent) {
+		if tr.str(n.value) == value {
 			return true
 		}
 	}
@@ -126,7 +130,7 @@ func (t Taint) Has(value string) bool {
 
 // HasKey reports whether the taint carries exactly the given tag key.
 func (t Taint) HasKey(k TagKey) bool {
-	return t.n != nil && onPath(t.n, k.hash(), k.Value, k.LocalID)
+	return t.n != nil && onPath(t.n.tree(), t.n, k.hash(), k.Value, k.LocalID)
 }
 
 // Len returns the number of tags in the taint's set.
@@ -136,7 +140,7 @@ func (t Taint) Len() int {
 	}
 	// The path may contain no duplicates by construction (contains check
 	// on every append), so depth equals the set size.
-	return t.n.depth
+	return int(t.n.depth)
 }
 
 // SameSet reports whether two taints carry the same tag set, even if
@@ -163,7 +167,7 @@ func SameSet(a, b Taint) bool {
 
 // GlobalID returns the Taint Map id assigned to this taint, or 0 if it
 // has never been transferred between nodes (§III-D-1). One atomic load
-// off the tree node, inlined into the senders' label walks (`make
+// off the node's record, inlined into the senders' label walks (`make
 // inline-check`).
 func (t Taint) GlobalID() uint32 {
 	if t.Empty() {

@@ -71,7 +71,7 @@ func TestFigure2And3(t *testing.T) {
 		t.Fatalf("c_t len = %d, want 2", ct.Len())
 	}
 	// The combination node hangs below a_t's node.
-	if ct.n.parent != at.n {
+	if ct.n.parent != at.n.id {
 		t.Fatal("combined node must be a child of the left operand's node")
 	}
 }

@@ -296,16 +296,17 @@ func (x *freshExchange) check(t *testing.T) {
 // TestFreshExchangeAllocations pins what one fresh exchange allocates in
 // the whole process, servers included: two registrations with their
 // replica pushes and definitions units, the two lookups memo hits. What
-// is left is what the trees, the stores and the memos keep, and the
-// replies' payloads (23 while each node kept a second tree and the store
-// a string and a pointer per blob).
+// is left is what the stores and the memos keep, and the replies'
+// payloads: a tree node is a share of a chunk (13 while each was an
+// object with its strings, 23 while each node kept a second tree and the
+// store a string and a pointer per blob).
 func TestFreshExchangeAllocations(t *testing.T) {
 	x := newFreshExchange(t)
 	allocs := testing.AllocsPerRun(200, x.round)
 	x.check(t)
 	t.Logf("%.1f allocs per fresh exchange", allocs)
-	if allocs > 13 && !raceEnabled {
-		t.Fatalf("a fresh exchange allocates %.1f times, want <= 13", allocs)
+	if allocs > 7 && !raceEnabled {
+		t.Fatalf("a fresh exchange allocates %.1f times, want <= 7", allocs)
 	}
 }
 

@@ -3,12 +3,15 @@ package instrument
 import (
 	"errors"
 	"io"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"dista/internal/core/taint"
 	"dista/internal/core/tracker"
 	"dista/internal/jni"
+	"dista/internal/netsim"
 	"dista/internal/taintmap"
 )
 
@@ -255,6 +258,49 @@ func TestDegradedTaintMapRefusesTransferKeepsTracking(t *testing.T) {
 	if after := memo.MemoStats(); after != before || r.store.Stats().GlobalTaints != 0 {
 		t.Fatalf("the receiver's memo went from %+v to %+v, the Taint Map holds %d taints",
 			before, after, r.store.Stats().GlobalTaints)
+	}
+}
+
+// TestPartialWriteUnderOutageBreaksStream: a stream send that defines
+// its taint inline, the sender's Taint Map being down, and whose native
+// write then fails part-way leaves a stream no later write gets through.
+// The stream numbered that taint, so a later write naming it would carry
+// a stream-scoped id whose definition may never have left.
+func TestPartialWriteUnderOutageBreaksStream(t *testing.T) {
+	r := newRig(t, tracker.ModeDista)
+	sender, closeClient := degradedAgent(t)
+	defer closeClient()
+	ca, cb := r.net.Pipe()
+	ep := NewAdaptiveEndpoint(sender, ca)
+	scoped := sender.Source("s", "scoped")
+	// More than the pipe holds (netsim's window is 256 KiB): with the
+	// receiver not reading, the write parks part-way until the reset.
+	done := make(chan error, 1)
+	go func() { done <- ep.Write(taint.FromString(strings.Repeat("x", 300<<10), scoped)) }()
+	for deadline := time.Now().Add(10 * time.Second); cb.Buffered() < 256<<10; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("the write put %d bytes on the pipe and stopped", cb.Buffered())
+		}
+	}
+	ca.Reset()
+	if err := <-done; !errors.Is(err, netsim.ErrReset) {
+		t.Fatalf("the write reset part-way returned %v", err)
+	}
+	for _, later := range []struct {
+		name string
+		b    taint.Bytes
+	}{
+		{"the taint it scoped", taint.FromString("y", scoped)},
+		{"a fresh taint", taint.FromString("z", sender.Source("s", "fresh"))},
+		{"clean bytes", taint.WrapBytes([]byte("w"))},
+	} {
+		if err := ep.Write(later.b); err == nil {
+			t.Fatalf("a write of %s went through after the stream failed part-way", later.name)
+		}
+	}
+	buf := taint.MakeBytes(16)
+	if n, err := NewAdaptiveEndpoint(r.b, cb).Read(&buf); err == nil {
+		t.Fatalf("the receiver read %d bytes of a reset stream", n)
 	}
 }
 
