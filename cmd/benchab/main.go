@@ -6,17 +6,20 @@
 // run one workload in alternating pairs with identical seed and run
 // length, and every end-to-end metric gets each side's median and
 // quartiles, the pairs the change won, and a verdict. Each binary's
-// instrument.adoptGroups address mod 64 is printed too: dense_bulk moves
-// by a few percent with the cache line that function starts on, so a
-// dense_bulk reading is only judged beside it.
+// instrument.adoptGroups address mod 64 is printed too, and "placement
+// differs" when the two disagree: dense_bulk moves by a few percent with
+// the cache line that function starts on, so a dense_bulk reading is only
+// judged beside it.
 //
 //	go run ./cmd/benchab -base HEAD~1 -workload dense_bulk [-pairs 10] [-seed 1] [-seconds 20]
 //
 // Verdicts, per metric: "better" needs the change to win at least nine
 // tenths of the pairs (ties count for neither side) and the medians to
-// lie further apart than the base's own interquartile distance; "worse"
-// is a median beyond the bound BENCHMARK.json allows; anything else is
-// "same".
+// lie further apart than the base's own interquartile distance, and no
+// gain counts while the change failed more operations than the base;
+// "worse" is a median beyond the bound BENCHMARK.json allows; anything
+// else is "same". A run whose result lacks an end-to-end metric is an
+// error, not a zero.
 package main
 
 import (
@@ -110,7 +113,8 @@ func compare(ctx context.Context, base, workload string, pairs, seed int, second
 		{"base", tree, filepath.Join(tmp, "bench-base")},
 		{"change", ".", filepath.Join(tmp, "bench-change")},
 	}
-	for _, s := range sides {
+	var placed [2]uint64
+	for i, s := range sides {
 		if err := run(ctx, s.dir, "go", "build", "-o", s.bin, pkg); err != nil {
 			return fmt.Errorf("building %s at the %s: %w", pkg, s.name, err)
 		}
@@ -118,7 +122,16 @@ func compare(ctx context.Context, base, workload string, pairs, seed int, second
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s: instrument.adoptGroups at %s\n", s.name, lineAt(syms, adoptGroups))
+		addr, ok := lineAt(syms, adoptGroups)
+		if !ok {
+			fmt.Printf("%s: instrument.adoptGroups not in the binary\n", s.name)
+			continue
+		}
+		placed[i] = addr
+		fmt.Printf("%s: instrument.adoptGroups at %#x (mod 64: %d)\n", s.name, addr, addr%64)
+	}
+	if placed[0] != 0 && placed[1] != 0 && placed[0]%64 != placed[1]%64 {
+		fmt.Println("placement differs: adoptGroups starts at another offset in its cache line")
 	}
 
 	var got [2][]report
@@ -132,16 +145,21 @@ func compare(ctx context.Context, base, workload string, pairs, seed int, second
 			if err != nil {
 				return fmt.Errorf("pair %d, %s: %w", p+1, s.name, err)
 			}
-			lines := strings.Split(strings.TrimSpace(out), "\n")
-			var r report
-			if err := json.Unmarshal([]byte(lines[len(lines)-1]), &r); err != nil {
-				return fmt.Errorf("pair %d, %s: last line is not the result: %w", p+1, s.name, err)
+			r, err := parseResult(out, mf)
+			if err != nil {
+				return fmt.Errorf("pair %d, %s: %w", p+1, s.name, err)
 			}
 			got[i] = append(got[i], r)
 		}
 		fmt.Fprintf(os.Stderr, "pair %d/%d done\n", p+1, pairs)
 	}
 
+	var failed, attempted [2]int64
+	for i := range got {
+		for _, r := range got[i] {
+			failed[i], attempted[i] = failed[i]+r.Failed, attempted[i]+r.Attempted
+		}
+	}
 	fmt.Printf("%s, seed %d, %g s a run, %d pairs, base %s\n", workload, seed, seconds, pairs, base)
 	fmt.Printf("%-30s %-6s %28s %28s %7s  %s\n", "metric", "unit", "base median [q1, q3]", "change median [q1, q3]", "wins", "verdict")
 	for _, m := range mf.EndToEnd {
@@ -151,37 +169,63 @@ func compare(ctx context.Context, base, workload string, pairs, seed int, second
 				v[i] = append(v[i], r.Metrics[m.Name].Value)
 			}
 		}
-		sign := 1.0 // after this, lower is better
-		if m.Better == "higher" {
-			sign = -1
-		}
-		wins := 0
-		for p := range v[0] {
-			if sign*v[1][p] < sign*v[0][p] {
-				wins++
-			}
-		}
+		wins, verdict := judge(v[0], v[1], m.Better == "higher", m.Bound, failed[1] > failed[0])
 		bq1, bmed, bq3 := quartiles(v[0])
 		cq1, cmed, cq3 := quartiles(v[1])
-		verdict := "same"
-		switch gain := sign * (bmed - cmed); {
-		case 10*wins >= 9*pairs && gain > bq3-bq1:
-			verdict = "better"
-		case -gain > m.Bound*math.Abs(bmed):
-			verdict = "worse"
-		}
 		fmt.Printf("%-30s %-6s %28s %28s %4d/%-2d  %s\n", m.Name, m.Unit,
 			fmt.Sprintf("%.4g [%.4g, %.4g]", bmed, bq1, bq3),
 			fmt.Sprintf("%.4g [%.4g, %.4g]", cmed, cq1, cq3), wins, pairs, verdict)
 	}
 	for i, s := range sides {
-		var failed, attempted int64
-		for _, r := range got[i] {
-			failed, attempted = failed+r.Failed, attempted+r.Attempted
-		}
-		fmt.Printf("%s: %d of %d operations failed\n", s.name, failed, attempted)
+		fmt.Printf("%s: %d of %d operations failed\n", s.name, failed[i], attempted[i])
 	}
 	return nil
+}
+
+// parseResult reads a run's result from the last line of its output. An
+// end-to-end metric missing from it is an error: read as 0, it would be
+// a win for any lower-is-better metric.
+func parseResult(out string, mf manifest) (report, error) {
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	var r report
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &r); err != nil {
+		return r, fmt.Errorf("last line is not the result: %w", err)
+	}
+	for _, m := range mf.EndToEnd {
+		if _, ok := r.Metrics[m.Name]; !ok {
+			return r, fmt.Errorf("the result has no %s", m.Name)
+		}
+	}
+	return r, nil
+}
+
+// judge compares one metric over the pairs, base[p] against change[p],
+// and returns the pairs the change won and the verdict. moreFailed — the
+// change failed more operations than the base — withholds "better": a
+// gain bought with failures is not one.
+func judge(base, change []float64, higherBetter bool, bound float64, moreFailed bool) (wins int, verdict string) {
+	sign := 1.0 // after this, lower is better
+	if higherBetter {
+		sign = -1
+	}
+	for p := range base {
+		if sign*change[p] < sign*base[p] {
+			wins++
+		}
+	}
+	bq1, bmed, bq3 := quartiles(base)
+	_, cmed, _ := quartiles(change)
+	gain := sign * (bmed - cmed)
+	better := 10*wins >= 9*len(base) && gain > bq3-bq1
+	switch {
+	case better && moreFailed:
+		return wins, "same (more operations failed)"
+	case better:
+		return wins, "better"
+	case -gain > bound*math.Abs(bmed):
+		return wins, "worse"
+	}
+	return wins, "same"
 }
 
 // quartiles returns the first quartile, median and third quartile of
@@ -203,18 +247,18 @@ func quartiles(xs []float64) (q1, med, q3 float64) {
 // adoptGroups is the symbol dense_bulk's placement follows, by both names.
 var adoptGroups = []string{"dista/internal/instrument.(*streamReader).adoptGroups", "dista/internal/instrument.adoptGroups"}
 
-// lineAt finds one of syms in `go tool nm` output and renders its
-// address and the address mod 64.
-func lineAt(nm string, syms []string) string {
+// lineAt finds one of syms in `go tool nm` output and returns its
+// address.
+func lineAt(nm string, syms []string) (uint64, bool) {
 	for _, line := range strings.Split(nm, "\n") {
 		f := strings.Fields(line)
 		if len(f) == 3 && slices.Contains(syms, f[2]) {
 			if addr, err := strconv.ParseUint(f[0], 16, 64); err == nil {
-				return fmt.Sprintf("%#x (mod 64: %d)", addr, addr%64)
+				return addr, true
 			}
 		}
 	}
-	return "? (not in the binary)"
+	return 0, false
 }
 
 // run executes a command in dir, passing its output through to stderr.

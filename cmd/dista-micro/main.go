@@ -1,6 +1,7 @@
 // Command dista-micro runs a single micro-benchmark case (Table II) in
 // a chosen tracking mode and reports what the check() sink observed —
-// the per-case RQ1 soundness/precision demonstration.
+// the per-case RQ1 soundness/precision demonstration. In dista mode it
+// exits non-zero unless the sink saw exactly the two sources' taints.
 //
 // Usage:
 //
@@ -10,11 +11,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
-	"dista/internal/bench"
 	"dista/internal/core/tracker"
 	"dista/internal/microbench"
 )
@@ -34,12 +35,15 @@ func main() {
 
 func run(caseID int, modeStr string, size int, list bool) error {
 	if list {
-		bench.WriteTableII(os.Stdout)
+		writeTableII(os.Stdout)
 		return nil
 	}
 	c, ok := microbench.CaseByID(caseID)
 	if !ok {
 		return fmt.Errorf("dista-micro: no case %d (1-30)", caseID)
+	}
+	if size < 1 {
+		return fmt.Errorf("dista-micro: -size %d: want at least one byte per side", size)
 	}
 	mode, err := tracker.ParseMode(modeStr)
 	if err != nil {
@@ -65,13 +69,35 @@ func run(caseID int, modeStr string, size int, list bool) error {
 	}
 	fmt.Printf("global taints in Taint Map: %d\n", h.Store.Stats().GlobalTaints)
 
-	if mode == tracker.ModeDista {
-		want := "Data1, Data2"
-		if strings.Join(tags, ", ") == want {
-			fmt.Println("RESULT: sound and precise (exactly {Data1, Data2} at the sink)")
-		} else {
-			fmt.Printf("RESULT: UNEXPECTED (want [%s])\n", want)
-		}
+	if mode != tracker.ModeDista {
+		return nil
+	}
+	if err := verdict(tags); err != nil {
+		fmt.Println("RESULT: UNEXPECTED")
+		return err
+	}
+	fmt.Println("RESULT: sound and precise (exactly {Data1, Data2} at the sink)")
+	return nil
+}
+
+// verdict is the RQ1 check on what a dista run's sink observed: both
+// sources' taints and nothing else (sound and precise).
+func verdict(tags []string) error {
+	if got := strings.Join(tags, ", "); got != "Data1, Data2" {
+		return fmt.Errorf("dista-micro: the sink observed [%s], want [Data1, Data2]", got)
 	}
 	return nil
+}
+
+// writeTableII prints the case inventory (Table II).
+func writeTableII(w io.Writer) {
+	fmt.Fprintf(w, "TABLE II: MICRO BENCHMARK CASES\n")
+	fmt.Fprintf(w, "%-4s %-24s %s\n", "ID", "Group", "Case")
+	for _, c := range microbench.Cases() {
+		fmt.Fprintf(w, "%-4d %-24s %s\n", c.ID, c.Group, c.Name)
+	}
+	fmt.Fprintf(w, "\nGroups:\n")
+	for _, g := range microbench.Groups() {
+		fmt.Fprintf(w, "  %-24s %d case(s)\n", g.Name, g.Count)
+	}
 }

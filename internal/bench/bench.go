@@ -1,16 +1,15 @@
-// Package bench is the measurement harness of the evaluation (DSN'22
-// §V-F): it runs every micro-benchmark case and every real-system
-// workload under the three execution modes (original, Phosphor-style
-// intra-node tracking, full DisTA) and regenerates the paper's Table V
-// and Table VI, the SDT-vs-SIM global-taint analysis, and the
-// network-overhead measurement.
+// Package bench holds the workload drivers of the paper's Table III: one
+// runner per real-world system, each running its workload once in a
+// given execution mode (original, Phosphor-style intra-node tracking,
+// full DisTA) and taint-tracking scenario (SDT or SIM) and reporting what
+// it cost. The repository benchmark's paper_tables workload times them
+// into Table VI and the §V-F global-taint counts.
 package bench
 
 import (
 	"fmt"
 	"time"
 
-	"dista/internal/core/tracker"
 	"dista/internal/taintmap"
 )
 
@@ -45,19 +44,3 @@ type RunStats struct {
 	// many of the Taint Map's ids the node came to hold, and up to which.
 	Memos []taintmap.MemoStats
 }
-
-// Overhead returns t divided by base as the paper's "X" factor.
-func Overhead(t, base time.Duration) float64 {
-	if base <= 0 {
-		return 0
-	}
-	return float64(t) / float64(base)
-}
-
-// ms renders a duration in milliseconds with two decimals.
-func ms(d time.Duration) string {
-	return fmt.Sprintf("%.2f", float64(d.Microseconds())/1000)
-}
-
-// modes lists the three execution modes in table order.
-var modes = []tracker.Mode{tracker.ModeOff, tracker.ModePhosphor, tracker.ModeDista}

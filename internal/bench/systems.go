@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -34,8 +33,8 @@ type SystemConfig struct {
 	Jobs      int   // MapReduce job count
 }
 
-// DefaultSystemConfig matches the integration-test scale; cmd/dista-bench
-// scales it up.
+// DefaultSystemConfig is the scale the repository benchmark's
+// paper_tables workload runs every system at, each run one operation.
 func DefaultSystemConfig() SystemConfig {
 	return SystemConfig{MsgSize: 32 << 10, Messages: 30, PiSamples: 100_000, Jobs: 3}
 }
@@ -395,121 +394,4 @@ func runHBase(mode tracker.Mode, sc Scenario, cfg SystemConfig, workDir string) 
 	}
 	allEnvs := append([]*jre.Env{zkEnv, masterEnv, clientEnv}, rsEnvs...)
 	return c.stats(time.Since(start), allEnvs...), nil
-}
-
-// SystemRow is one measured Table VI row.
-type SystemRow struct {
-	System      string
-	Original    time.Duration
-	PhosphorSDT time.Duration
-	DistaSDT    time.Duration
-	PhosphorSIM time.Duration
-	DistaSIM    time.Duration
-
-	GlobalTaintsSDT int
-	GlobalTaintsSIM int
-}
-
-// MeasureSystems runs every system workload in every mode/scenario
-// combination of Table VI.
-func MeasureSystems(cfg SystemConfig, workDir string) ([]SystemRow, error) {
-	var rows []SystemRow
-	for _, sys := range Systems() {
-		row := SystemRow{System: sys.Name}
-		type cell struct {
-			mode tracker.Mode
-			sc   Scenario
-			dst  *time.Duration
-			gt   *int
-		}
-		cells := []cell{
-			{tracker.ModeOff, SDT, &row.Original, nil},
-			{tracker.ModePhosphor, SDT, &row.PhosphorSDT, nil},
-			{tracker.ModeDista, SDT, &row.DistaSDT, &row.GlobalTaintsSDT},
-			{tracker.ModePhosphor, SIM, &row.PhosphorSIM, nil},
-			{tracker.ModeDista, SIM, &row.DistaSIM, &row.GlobalTaintsSIM},
-		}
-		for i, cl := range cells {
-			dir := filepath.Join(workDir, fmt.Sprintf("%s-%d", sanitize(sys.Name), i))
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				return nil, err
-			}
-			st, err := sys.Run(cl.mode, cl.sc, cfg, dir)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s/%s: %w", sys.Name, cl.mode, cl.sc, err)
-			}
-			*cl.dst = st.Duration
-			if cl.gt != nil {
-				*cl.gt = st.GlobalTaints
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-func sanitize(s string) string {
-	return strings.Map(func(r rune) rune {
-		if r == '/' || r == '+' || r == ' ' {
-			return '-'
-		}
-		return r
-	}, s)
-}
-
-// WriteTableVI prints the measured rows in the paper's layout plus an
-// average row.
-func WriteTableVI(w io.Writer, rows []SystemRow) {
-	fmt.Fprintf(w, "TABLE VI: RUNTIME OVERHEAD FOR REAL-WORLD DISTRIBUTED SYSTEMS\n")
-	fmt.Fprintf(w, "%-18s %12s | %12s %7s %12s %7s | %12s %7s %12s %7s\n",
-		"System", "Original(ms)",
-		"Phos-SDT(ms)", "Ovhd", "DisTA-SDT(ms)", "Ovhd",
-		"Phos-SIM(ms)", "Ovhd", "DisTA-SIM(ms)", "Ovhd")
-	var avg SystemRow
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-18s %12s | %12s %7.2f %12s %7.2f | %12s %7.2f %12s %7.2f\n",
-			r.System, ms(r.Original),
-			ms(r.PhosphorSDT), Overhead(r.PhosphorSDT, r.Original),
-			ms(r.DistaSDT), Overhead(r.DistaSDT, r.Original),
-			ms(r.PhosphorSIM), Overhead(r.PhosphorSIM, r.Original),
-			ms(r.DistaSIM), Overhead(r.DistaSIM, r.Original))
-		avg.Original += r.Original
-		avg.PhosphorSDT += r.PhosphorSDT
-		avg.DistaSDT += r.DistaSDT
-		avg.PhosphorSIM += r.PhosphorSIM
-		avg.DistaSIM += r.DistaSIM
-	}
-	n := time.Duration(len(rows))
-	if n > 0 {
-		fmt.Fprintf(w, "%-18s %12s | %12s %7.2f %12s %7.2f | %12s %7.2f %12s %7.2f\n",
-			"Average", ms(avg.Original/n),
-			ms(avg.PhosphorSDT/n), Overhead(avg.PhosphorSDT, avg.Original),
-			ms(avg.DistaSDT/n), Overhead(avg.DistaSDT, avg.Original),
-			ms(avg.PhosphorSIM/n), Overhead(avg.PhosphorSIM, avg.Original),
-			ms(avg.DistaSIM/n), Overhead(avg.DistaSIM, avg.Original))
-	}
-}
-
-// WriteTaintCounts prints the §V-F SDT-vs-SIM global-taint comparison.
-func WriteTaintCounts(w io.Writer, rows []SystemRow) {
-	fmt.Fprintf(w, "GLOBAL TAINTS IN TAINT MAP (SDT vs SIM, §V-F)\n")
-	fmt.Fprintf(w, "%-18s %8s %8s\n", "System", "SDT", "SIM")
-	minSDT, maxSDT := 1<<31, 0
-	minSIM, maxSIM := 1<<31, 0
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-18s %8d %8d\n", r.System, r.GlobalTaintsSDT, r.GlobalTaintsSIM)
-		minSDT, maxSDT = minMax(minSDT, maxSDT, r.GlobalTaintsSDT)
-		minSIM, maxSIM = minMax(minSIM, maxSIM, r.GlobalTaintsSIM)
-	}
-	fmt.Fprintf(w, "SDT range: %d..%d   SIM range: %d..%d\n", minSDT, maxSDT, minSIM, maxSIM)
-}
-
-func minMax(lo, hi, v int) (int, int) {
-	if v < lo {
-		lo = v
-	}
-	if v > hi {
-		hi = v
-	}
-	return lo, hi
 }

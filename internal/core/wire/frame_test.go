@@ -37,7 +37,10 @@ func drainIDs(d *FrameDecoder) ([]byte, []uint32) {
 }
 
 // TestFrameLens pins the framed sizes: a passthrough frame is its header
-// plus the payload, a groups frame what GroupsFrameLen says.
+// plus the payload, a groups frame what GroupsFrameLen says, and a
+// definitions unit of one taint a header, the id and blob length, and the
+// blob — all a stream pays for a taint's blob, once, at its first
+// crossing (§III-D-2 prices the blob beside every byte instead).
 func TestFrameLens(t *testing.T) {
 	data := []byte("some clean payload")
 	if got := len(passthroughFrame(nil, data)); got != FrameHeaderLen+len(data) {
@@ -45,6 +48,11 @@ func TestFrameLens(t *testing.T) {
 	}
 	if got := len(AppendGroupsFrame(nil, data, nil)); got != GroupsFrameLen(len(data)) {
 		t.Fatalf("groups frame = %d bytes, GroupsFrameLen says %d", got, GroupsFrameLen(len(data)))
+	}
+	blob := bytes.Repeat([]byte{0xa5}, 97)
+	if got := len(AppendDefinitions(nil, []uint32{1}, [][]byte{blob})); got != FrameHeaderLen+DefinitionHeadLen+len(blob) {
+		t.Fatalf("one definition of a %d-byte blob = %d bytes, want header + id + length + blob = %d",
+			len(blob), got, FrameHeaderLen+DefinitionHeadLen+len(blob))
 	}
 }
 

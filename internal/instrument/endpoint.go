@@ -474,6 +474,7 @@ func (w *streamWriter) write(agent *tracker.Agent, b taint.Bytes, emit func(head
 		head = wire.AppendAdaptiveStreamMagic(head)
 	}
 	var pooled *[]byte
+	known := len(w.scope.seen.keys) // the scope a refused write rolls back to
 	if b.Clean() {
 		// The clean path keeps its own short body ahead of the ladder,
 		// which would answer the same — the first row of wire.Tiers fits
@@ -508,6 +509,10 @@ func (w *streamWriter) write(agent *tracker.Agent, b taint.Bytes, emit func(head
 		wire.PutBuf(pooled)
 	}
 	if err != nil {
+		// A native that refused the frame took its definitions with it:
+		// the taints this write scoped must be defined again, as a
+		// gathering write's are.
+		w.scope.seen.truncate(known)
 		return err
 	}
 	w.wroteMagic = true

@@ -304,6 +304,31 @@ func TestPartialWriteUnderOutageBreaksStream(t *testing.T) {
 	}
 }
 
+// TestRefusedWriteUnderOutageForgetsScope: a stream send that scopes its
+// taint inline and whose native write is refused whole — a partition:
+// nothing written, the connection alive — must not keep that numbering.
+// Its definition never left, so after the heal the next write of the
+// same taint defines it again and the receiver reads it with its label.
+func TestRefusedWriteUnderOutageForgetsScope(t *testing.T) {
+	r := newRig(t, tracker.ModeDista)
+	sender, closeClient := degradedAgent(t)
+	defer closeClient()
+	ca, cb := r.net.Pipe()
+	ep := NewAdaptiveEndpoint(sender, ca)
+	scoped := sender.Source("s", "scoped")
+
+	r.net.Partition("*", "*")
+	if err := ep.Write(taint.FromString("x", scoped)); !errors.Is(err, netsim.ErrPartitioned) {
+		t.Fatalf("a write across the partition returned %v", err)
+	}
+	r.net.HealAll()
+	must(t, ep.Write(taint.FromString("y", scoped)))
+	buf := taint.MakeBytes(1)
+	if n, err := NewAdaptiveEndpoint(r.b, cb).Read(&buf); err != nil || n != 1 || buf.Data[0] != 'y' || !buf.LabelAt(0).Has("scoped") {
+		t.Fatalf("read %q labelled %v after the heal: %v", buf.Data[:n], buf.LabelAt(0).Values(), err)
+	}
+}
+
 // TestSpecRestrictedSourcesStayDormant: with a spec that lists no
 // matching source, the same workload produces zero taints end to end —
 // the spec mechanism gates the whole pipeline.

@@ -7,7 +7,7 @@ import (
 	"dista/internal/core/tracker"
 )
 
-// testSize keeps the integration runs fast; the bench harness scales up.
+// testSize keeps the integration runs fast; the benchmark runs 64 KiB.
 const testSize = 32 << 10
 
 // TestMicroCaseInventory checks the Table II shape (experiment E2): 30
@@ -123,7 +123,8 @@ func TestAllCasesOffMode(t *testing.T) {
 }
 
 // wireFactor runs c and returns wire bytes per payload byte over both
-// nodes; a dista run must also be sound and precise at the sink.
+// nodes, logging the row; a dista run must also be sound and precise at
+// the sink.
 func wireFactor(t *testing.T, c Case, mode tracker.Mode, size int) float64 {
 	t.Helper()
 	h, err := RunCase(c, mode, size)
@@ -138,7 +139,9 @@ func wireFactor(t *testing.T, c Case, mode tracker.Mode, size int) float64 {
 	if mode == tracker.ModeDista && !reflect.DeepEqual(h.SinkTags(), []string{"Data1", "Data2"}) {
 		t.Fatalf("%s: sink observed %v", c.Name, h.SinkTags())
 	}
-	return float64(wire1+wire2) / float64(data1+data2)
+	f := float64(wire1+wire2) / float64(data1+data2)
+	t.Logf("mode %-8s %-46s payload %8d B   wire %8d B   factor %.2fx", mode, c.Name, data1+data2, wire1+wire2, f)
+	return f
 }
 
 // TestWireOverheadFactor is experiment E7 on a stream case. The format
@@ -146,7 +149,8 @@ func wireFactor(t *testing.T, c Case, mode tracker.Mode, size int) float64 {
 // what traffic whose label changes on every byte crosses in, at 5x plus
 // constant framing. The paper's own case 1, each payload uniformly
 // tainted, needs the id once per label run and crosses at no more than
-// 1.01x; so does everything with tracking off, at exactly 1.
+// 1.01x; so does everything with tracking off, at exactly 1. With -v it
+// logs payload, wire and factor of the three rows.
 func TestWireOverheadFactor(t *testing.T) {
 	// The stream magic per connection and one 5-byte header per write
 	// put the measured factor just above 5.
