@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-taintmap vet lint inline-check loc check ci chaos invariants bench-ab soak-load fuzz fuzz-smoke
+.PHONY: build test race race-taintmap vet fmt lint inline-check loc check ci chaos invariants bench-ab soak-load fuzz fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,10 @@ race-taintmap:
 vet:
 	$(GO) vet ./...
 
+# Every Go file as gofmt prints it; the files it would change are listed.
+fmt:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "fmt: gofmt would change:"; echo "$$out"; exit 1; }
+
 # distavet: the in-tree static-analysis suite (internal/analysis) that
 # enforces the taint-soundness invariants — shadowdrop, labelcopy,
 # errcmp, lockorder, mustcheck, idbits, tierencode, taintflow,
@@ -51,9 +55,14 @@ lint:
 # fails the gate, and then either it shrinks or its comment changes and
 # it leaves this list. (Bytes.LabelAt and Bytes.SetLabel left it that
 # way: they cost 92 and 121 against a budget of 80 however the slow path
-# is split off, and say so.) Three entries sit on the clean path.
+# is split off, and say so.) Five entries sit on the clean path.
 # FrameDecoder.Defines is the receive side's "definitions pending?"
-# test, a load and a compare on every read. AppendFrameHeader and
+# test, a load and a compare on every read, and wholePassthrough its "is
+# this read one whole passthrough frame that fits?", which FrameDecoder.Whole
+# asks once the decoder holds nothing: a clean read answered yes calls
+# only clearStale, the receive side's one stale-label rule (shared with
+# adoptRuns' clean delivery), before it is copied out of the read
+# buffer. AppendFrameHeader and
 # Agent.AddTraffic are all the clean branch of streamWriter.write calls
 # between b.Clean() and the native once the stream's tier selector is
 # gone: a clean frame is assembled without leaving the function. The
@@ -71,8 +80,10 @@ INLINED := 'internal/core/taint/shadow.go:norm' \
 	'internal/core/wire/wire.go:(*StreamDecoder).materialise' \
 	'internal/core/wire/wire.go:(*StreamDecoder).peek' \
 	'internal/core/wire/frame.go:(*FrameDecoder).Defines' \
+	'internal/core/wire/frame.go:wholePassthrough' \
 	'internal/core/wire/frame.go:AppendFrameHeader' \
 	'internal/core/tracker/tracker.go:(*Agent).AddTraffic' \
+	'internal/instrument/endpoint.go:clearStale' \
 	'internal/instrument/endpoint.go:(*firstSeen[go.shape.uint32]).find' \
 	'internal/instrument/endpoint.go:(*firstSeen[go.shape.uint32]).add'
 inline-check:
@@ -114,7 +125,7 @@ chaos:
 	$(GO) test -race -run 'TestChaos' -count=1 ./internal/taintmap ./internal/instrument
 
 # Tier-1 gate: everything CI runs.
-check: vet lint inline-check build test race chaos soak-load fuzz-smoke loc invariants
+check: vet fmt lint inline-check build test race chaos soak-load fuzz-smoke loc invariants
 
 ci: check
 

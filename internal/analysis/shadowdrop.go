@@ -108,4 +108,3 @@ func escapeCallee(pass *Pass, call *ast.CallExpr) (string, bool) {
 	}
 	return "", false
 }
-

@@ -226,6 +226,27 @@ func (d *FrameDecoder) pushCover(raw []byte) {
 	}
 }
 
+// Whole returns raw's payload when raw is one whole passthrough frame of
+// 1 to max payload bytes and the decoder holds nothing pending or begun:
+// the clean read, taken out of the read buffer without decoding it. A
+// read it refuses (nil) goes to Feed, which decodes it, errors included.
+func (d *FrameDecoder) Whole(raw []byte, max int) []byte {
+	if d.magicN < StreamMagicLen || d.PendingPartial() || d.Buffered() > 0 || d.Defines() || d.err != nil {
+		return nil
+	}
+	return wholePassthrough(raw, max)
+}
+
+// wholePassthrough returns the payload of raw if raw is exactly one
+// passthrough frame of 1 to max bytes: the clean read's test, inlined
+// (`make inline-check`).
+func wholePassthrough(raw []byte, max int) []byte {
+	if n := len(raw) - FrameHeaderLen; n > 0 && n <= max && raw[0] == FramePassthrough && int(binary.BigEndian.Uint32(raw[1:])) == n {
+		return raw[FrameHeaderLen:]
+	}
+	return nil
+}
+
 // FeedDatagram feeds a zero decoder the one frame of a datagram, or as
 // much of it as arrived: UDP cuts a datagram to the receiver's buffer
 // silently, and a body cut short is the ordinary partial body of a

@@ -278,3 +278,60 @@ func TestFrameDecoderAgainstStream(t *testing.T) {
 		t.Fatal("group decoder has leftovers")
 	}
 }
+
+// TestWholeTakesOnePassthroughFrame: FrameDecoder.Whole takes a read that
+// is exactly one passthrough frame that fits the window, from a decoder
+// between frames with nothing pending, and refuses every other read —
+// uniform and sparse frames included — and every decoder holding
+// anything, leaving it as it was, so that Feed decodes the refused read,
+// errors included, as always.
+func TestWholeTakesOnePassthroughFrame(t *testing.T) {
+	data := []byte("one whole frame")
+	frame := passthroughFrame(nil, data)
+	var d FrameDecoder
+	if err := d.Feed(streamMagic[:]); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // taken, the frame left nothing behind: the next one is whole too
+		if p := d.Whole(frame, len(data)); !bytes.Equal(p, data) || d.PendingPartial() || d.Buffered() != 0 {
+			t.Fatalf("Whole = %q; the decoder holds %d bytes", p, d.Buffered())
+		}
+	}
+
+	defs := AppendDefinitions(nil, []uint32{7}, [][]byte{[]byte("blob")})
+	refused := []struct {
+		name    string
+		opening []byte // fed first
+		read    []byte
+		max     int
+		err     bool // Feed then fails on read
+	}{
+		{"the stream magic", nil, append(AppendAdaptiveStreamMagic(nil), frame...), 64, false},
+		{"a payload past the window", streamMagic[:], frame, len(data) - 1, false},
+		{"a uniform frame", streamMagic[:], AppendFrame(nil, TierUniform, data, []Run{{N: len(data), ID: 7}}), 64, false},
+		{"a sparse frame", streamMagic[:], AppendFrame(nil, TierSparse, data, []Run{{N: 3}, {N: 4, ID: 9}, {N: 8}}), 64, false},
+		{"a partial frame", streamMagic[:], frame[:10], 64, false},
+		{"a length past the read", streamMagic[:], append([]byte{FramePassthrough, 0, 0, 0, 99}, data...), 64, false},
+		{"two frames", streamMagic[:], append(passthroughFrame(nil, data), frame...), 64, false},
+		{"a groups frame", streamMagic[:], AppendGroupsFrame(nil, data, nil), 64, false},
+		{"a definitions unit", streamMagic[:], defs, 64, false},
+		{"an empty frame", streamMagic[:], passthroughFrame(nil, nil), 64, false},
+		{"a bad tag", streamMagic[:], append([]byte{'Z'}, frame[1:]...), 64, true},
+		{"after a partial header", append(AppendAdaptiveStreamMagic(nil), 'P', 0), frame, 64, false},
+		{"with definitions pending", append(AppendAdaptiveStreamMagic(nil), defs...), frame, 64, false},
+		{"with bytes pending", append(AppendAdaptiveStreamMagic(nil), frame...), frame, 64, false},
+	}
+	for _, c := range refused {
+		var d, ref FrameDecoder
+		if err := errors.Join(d.Feed(c.opening), ref.Feed(c.opening)); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if p := d.Whole(c.read, c.max); p != nil {
+			t.Fatalf("%s: Whole took %q", c.name, p)
+		}
+		err, want := d.Feed(c.read), ref.Feed(c.read)
+		if (err != nil) != c.err || (want != nil) != c.err || d.Buffered() != ref.Buffered() || d.PendingPartial() != ref.PendingPartial() {
+			t.Fatalf("%s: refused, the read feeds as %d bytes (%v); untried, %d bytes (%v)", c.name, d.Buffered(), err, ref.Buffered(), want)
+		}
+	}
+}

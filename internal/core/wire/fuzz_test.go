@@ -376,5 +376,34 @@ func FuzzFrameDecoderRobust(f *testing.F) {
 		if d, ids, err := decodeDatagram(raw); errors.Is(err, errConsumersDisagree) || (err == nil && len(d) != len(ids)) {
 			t.Fatalf("datagram pop returned %d bytes and %d ids (%v)", len(d), len(ids), err)
 		}
+		// The bytes after the magic as one read of an open stream: a read
+		// Whole takes is one Feed decodes to the same clean bytes, nothing
+		// left over; one it refuses feeds as it would untried.
+		if !bytes.HasPrefix(raw, streamMagic[:]) {
+			return
+		}
+		var whole, fed FrameDecoder
+		if whole.Feed(streamMagic[:]) != nil || fed.Feed(streamMagic[:]) != nil {
+			t.Fatal("the stream magic refused")
+		}
+		read := raw[StreamMagicLen:]
+		p := whole.Whole(read, int(frag))
+		err := fed.Feed(read)
+		if p == nil {
+			if werr := whole.Feed(read); (werr != nil) != (err != nil) || whole.Buffered() != fed.Buffered() ||
+				whole.PendingPartial() != fed.PendingPartial() {
+				t.Fatalf("refused by Whole, %q feeds as %d bytes (%v); untried, %d bytes (%v)", read, whole.Buffered(), werr, fed.Buffered(), err)
+			}
+			return
+		}
+		if len(p) > int(frag) {
+			t.Fatalf("Whole took a %d-byte payload for a %d-byte read", len(p), frag)
+		}
+		if err != nil || fed.PendingPartial() || fed.Defines() || fed.Buffered() != len(p) {
+			t.Fatalf("Whole took %q, which Feed decodes to %d bytes (%v)", read, fed.Buffered(), err)
+		}
+		if d, ids := fed.Next(len(p)); !bytes.Equal(d, p) || !slices.Equal(ids, make([]uint32, len(p))) {
+			t.Fatalf("Whole took %q as %q, clean; Feed decodes %q under %v", read, p, d, ids)
+		}
 	})
 }

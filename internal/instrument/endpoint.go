@@ -351,11 +351,8 @@ func (r *streamReader) adoptRuns(agent *tracker.Agent, buf *taint.Bytes, at int,
 	}
 	if len(r.seen.keys) == 0 {
 		// Clean delivery (passthrough frame or untainted groups): no
-		// Taint Map round-trip, and a shadow-free buf stays lazy —
-		// only stale labels need clearing.
-		if buf.HasShadow() {
-			buf.SetRange(at, at+n, taint.Taint{})
-		}
+		// Taint Map round-trip.
+		clearStale(buf, at, n)
 		return nil
 	}
 	var one [1]taint.Taint
@@ -373,6 +370,14 @@ func (r *streamReader) adoptRuns(agent *tracker.Agent, buf *taint.Bytes, at int,
 		n -= run.N
 	}
 	return nil
+}
+
+// clearStale clears the labels buf[at:at+n] held before a clean delivery;
+// a shadow-free buf stays lazy. Inlined (`make inline-check`).
+func clearStale(buf *taint.Bytes, at, n int) {
+	if buf.HasShadow() {
+		buf.SetRange(at, at+n, taint.Taint{})
+	}
 }
 
 // resolve maps the distinct ids of a delivery to their taints through
@@ -541,7 +546,16 @@ func (e *Endpoint) socketEmit(head, payload []byte) error {
 	if err := jni.SocketWrite0(e.conn, head); err != nil || payload == nil {
 		return err
 	}
-	return jni.SocketWrite0(e.conn, payload)
+	return e.torn(len(head), jni.SocketWrite0(e.conn, payload))
+}
+
+// torn resets the connection when a native write failed after wrote bytes
+// of its frames went out: the peer would decode the next write as their rest.
+func (e *Endpoint) torn(wrote int, err error) error {
+	if err != nil && wrote > 0 {
+		e.conn.Reset()
+	}
+	return err
 }
 
 // WritePassthrough sends bytes that are untainted by construction —
@@ -608,15 +622,25 @@ type streamReader struct {
 
 // read fills buf[from:to] with pending bytes and their labels and
 // returns the count — the one receive primitive, behind every stream
-// read and every datagram (Fig. 9 steps ④⑤) — calling recv (one native
-// read; nil for a datagram, fed whole) while nothing is buffered. Labels
-// first, bytes second: a failed lookup leaves buf and the decoder
-// untouched, so the same bytes are there for a retry. A groups body
-// still raw at the head of the stream is offered to adoptGroups; what
-// that turns down, and all else, goes through the decoder's runs.
+// read and every datagram (Fig. 9 steps ④⑤) — making native reads through
+// recv (nil for a datagram, fed whole) while nothing is buffered; one that
+// is a whole passthrough frame is copied out of the read buffer
+// (FrameDecoder.Whole). Labels first, bytes second: a failed lookup leaves
+// buf and the decoder untouched, so the same bytes are there for a retry.
+// A groups body still raw at the head of the stream is offered to
+// adoptGroups; what that turns down, and all else, goes through the
+// decoder's runs.
 func (r *streamReader) read(agent *tracker.Agent, recv func([]byte) (int, error), buf *taint.Bytes, from, to int) (int, error) {
-	if err := r.fill(recv, to-from); err != nil {
-		return 0, err
+	for recv != nil && r.dec.Buffered() == 0 {
+		raw, err := r.native(recv, to-from)
+		if p := r.dec.Whole(raw, to-from); p != nil {
+			r.err = err // reported by the next read
+			clearStale(buf, from, len(p))
+			return copy(buf.Data[from:to], p), nil
+		}
+		if err := r.feed(raw, err); err != nil {
+			return 0, err
+		}
 	}
 	if r.dec.Defines() {
 		if err := r.learn(agent); err != nil {
@@ -665,42 +689,34 @@ func (r *streamReader) learn(agent *tracker.Agent) error {
 	return nil
 }
 
-// fill reads raw wire bytes until at least one decoded byte is
-// buffered (or an error occurs). The receive buffer is enlarged by the
-// group factor plus framing overhead, mirroring the paper's
-// receiver-side buffer enlargement, and persists across calls so the
-// steady-state read path does not allocate it anew.
-func (r *streamReader) fill(recv func([]byte) (int, error), want int) error {
-	if r.dec.Buffered() > 0 || recv == nil {
-		return nil
-	}
+// native makes one read through recv, unless its source failed before,
+// into the raw-read scratch: persistent, and enlarged by the group factor
+// plus framing overhead as the paper's receiver enlarges its buffer.
+func (r *streamReader) native(recv func([]byte) (int, error), want int) ([]byte, error) {
 	if r.err != nil {
-		return r.err
+		return nil, r.err
 	}
 	if need := wire.WireLen(want) + wire.StreamMagicLen + wire.FrameHeaderLen; cap(r.rbuf) < need {
 		r.rbuf = make([]byte, need)
 	}
-	raw := r.rbuf[:cap(r.rbuf)]
-	for r.dec.Buffered() == 0 {
-		n, err := recv(raw)
-		if n > 0 {
-			if ferr := r.dec.Feed(raw[:n]); ferr != nil {
-				r.err = ferr
-				return ferr
-			}
-		}
-		if err != nil {
-			if err == io.EOF && r.dec.PendingPartial() {
-				err = io.ErrUnexpectedEOF
-			}
-			r.err = err
-			if r.dec.Buffered() > 0 {
-				return nil
-			}
-			return err
-		}
+	n, err := recv(r.rbuf[:cap(r.rbuf)])
+	return r.rbuf[:n], err
+}
+
+// feed gives the decoder a read and what it failed with. A decode error,
+// or the read's once nothing decoded is buffered, is returned and sticks.
+func (r *streamReader) feed(raw []byte, err error) error {
+	if ferr := r.dec.Feed(raw); ferr != nil {
+		r.err = ferr
+		return ferr
 	}
-	return nil
+	if err == io.EOF && r.dec.PendingPartial() {
+		err = io.ErrUnexpectedEOF
+	}
+	if r.err = err; err == nil || r.dec.Buffered() > 0 {
+		return nil
+	}
+	return err
 }
 
 // WriteBuffer sends the [from,to) range of a direct buffer — the Type 3
@@ -725,11 +741,11 @@ func (e *Endpoint) WriteBuffer(src *jni.DirectBuffer, from, to int) (int, error)
 // dispatcherEmit puts a frame on the connection through the Type 3
 // native.
 func (e *Endpoint) dispatcherEmit(head, payload []byte) error {
-	if _, err := jni.DispatcherWrite0(e.conn, head); err != nil || payload == nil {
-		return err
+	if n, err := jni.DispatcherWrite0(e.conn, head); err != nil || payload == nil {
+		return e.torn(n, err)
 	}
 	_, err := jni.DispatcherWrite0(e.conn, payload)
-	return err
+	return e.torn(len(head), err)
 }
 
 // ReadBuffer fills the [from,to) range of a direct buffer — the Type 3

@@ -1,10 +1,12 @@
 package instrument
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -301,6 +303,60 @@ func TestPartialWriteUnderOutageBreaksStream(t *testing.T) {
 	buf := taint.MakeBytes(16)
 	if n, err := NewAdaptiveEndpoint(r.b, cb).Read(&buf); err == nil {
 		t.Fatalf("the receiver read %d bytes of a reset stream", n)
+	}
+}
+
+// TestHeadWithoutBodyBreaksStream: a write whose frame head went out and
+// whose payload was then refused — a partition falling between the two
+// natives of one write — must not leave a live connection carrying a head
+// without its body, or the receiver decodes the next write's bytes as that
+// body. The connection is reset instead: the receiver's read fails rather
+// than returning a byte the sender never wrote as payload, and every later
+// write of the endpoint fails too. Held for every emit that puts a frame
+// on a socket in more than one native write.
+func TestHeadWithoutBodyBreaksStream(t *testing.T) {
+	writes := map[string]func(ep *Endpoint, b taint.Bytes) error{
+		"Write": (*Endpoint).Write,
+		"WriteBuffer": func(ep *Endpoint, b taint.Bytes) error {
+			_, err := ep.WriteBuffer(&jni.DirectBuffer{Data: b.Data, B: b}, 0, len(b.Data))
+			return err
+		},
+		"WritevBuffers": func(ep *Endpoint, b taint.Bytes) error {
+			_, err := ep.WritevBuffers([]*jni.DirectBuffer{{Data: b.Data, B: b}}, []int{len(b.Data)})
+			return err
+		},
+	}
+	for name, write := range writes {
+		t.Run(name, func(t *testing.T) {
+			r := newRig(t, tracker.ModeDista)
+			ca, cb := r.net.Pipe()
+			ep := NewAdaptiveEndpoint(r.a, ca)
+			var once sync.Once
+			ca.SetCorruptor(func([]byte) { once.Do(func() { r.net.Partition("*", "*") }) })
+			if err := write(ep, taint.WrapBytes(bytes.Repeat([]byte{'A'}, 100))); !errors.Is(err, netsim.ErrPartitioned) {
+				t.Fatalf("the write cut by the partition returned %v", err)
+			}
+			r.net.HealAll()
+			ca.SetCorruptor(nil)
+			later := write(ep, taint.WrapBytes(bytes.Repeat([]byte{'B'}, 100)))
+			rd := NewAdaptiveEndpoint(r.b, cb)
+			for got := 0; ; {
+				buf := taint.MakeBytes(16)
+				n, err := rd.Read(&buf)
+				if strings.Trim(string(buf.Data[:n]), "B") != "" {
+					t.Fatalf("the receiver read %q as payload", buf.Data[:n])
+				}
+				if err != nil {
+					break
+				}
+				if got += n; got > 100 {
+					t.Fatalf("the receiver read %d bytes of a 100-byte write", got)
+				}
+			}
+			if later == nil {
+				t.Fatal("a write went through after a frame was cut between its head and its body")
+			}
+		})
 	}
 }
 

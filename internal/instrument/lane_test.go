@@ -370,12 +370,15 @@ func allClean(runs []wire.Run, n int) bool {
 	return true
 }
 
-// readByRuns is streamReader.read held to the run path: what every
-// delivery took before group bodies had a reader of their own, and what
-// deliver falls back on.
+// readByRuns is streamReader.read held to the decoder's run path: what
+// every delivery took before group bodies and whole frames had readers of
+// their own, and what deliver falls back on.
 func readByRuns(r *streamReader, agent *tracker.Agent, recv func([]byte) (int, error), buf *taint.Bytes, from, to int) (int, error) {
-	if err := r.fill(recv, to-from); err != nil {
-		return 0, err
+	for r.dec.Buffered() == 0 {
+		raw, err := r.native(recv, to-from)
+		if err := r.feed(raw, err); err != nil {
+			return 0, err
+		}
 	}
 	if r.dec.Defines() {
 		if err := r.learn(agent); err != nil {

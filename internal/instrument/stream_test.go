@@ -21,11 +21,14 @@ import (
 // the stream reads.
 
 // chunkTransport is a receive-only custom transport over a fixed byte
-// stream, delivering it in seeded random fragments.
+// stream, delivering it in seeded random fragments — or, given units,
+// the lengths of its units in order, one unit a read: a frame arrives
+// whole where the read has room for it.
 type chunkTransport struct {
 	stream []byte
 	rng    *rand.Rand
 	max    int
+	units  []int
 }
 
 func (c *chunkTransport) SendRaw([]byte) error { return errors.New("receive-only transport") }
@@ -34,12 +37,19 @@ func (c *chunkTransport) RecvRaw(b []byte) (int, error) {
 	if len(c.stream) == 0 {
 		return 0, io.EOF
 	}
-	n := 1 + c.rng.Intn(c.max)
-	if n > len(b) {
-		n = len(b)
+	var n int
+	if len(c.units) > 0 {
+		n = c.units[0]
+	} else {
+		n = 1 + c.rng.Intn(c.max)
 	}
-	n = copy(b[:n], c.stream)
+	n = copy(b[:min(n, len(b))], c.stream)
 	c.stream = c.stream[n:]
+	if len(c.units) > 0 {
+		if c.units[0] -= n; c.units[0] == 0 {
+			c.units = c.units[1:]
+		}
+	}
 	return n, nil
 }
 
@@ -110,7 +120,11 @@ func definitionsOf(t testing.TB, ts []taint.Taint) []byte {
 // per-byte EncodeGroups). Reader: the concatenated frames, delivered in
 // random fragments and read through random buffer sizes, leave exactly
 // the labels Lookup + SetLabel leave per byte — and nothing outside the
-// bytes a read returned.
+// bytes a read returned. So do they delivered a unit a read, where every
+// raw-body frame that no definitions unit precedes and the read has room
+// for arrives whole, in one read of its own, between groups frames and
+// definitions units that do not: a whole passthrough frame is copied out
+// of the read buffer, every other unit is decoded.
 func TestStreamedTierMatchesReference(t *testing.T) {
 	seen := map[byte]int{}
 	for seed := int64(1); seed <= 24; seed++ {
@@ -136,6 +150,7 @@ func TestStreamedTierMatchesReference(t *testing.T) {
 		kinds := [4]int{3, 1, 3, 0}[seed%4]
 
 		var stream []byte
+		var units []int     // the lengths of the stream's units: magic, definitions, frames
 		var ref taint.Bytes // what the receiving node must end up with
 		for m := 0; m < 12; m++ {
 			msg := randomLayoutOf(rng, pool, kinds)
@@ -212,43 +227,117 @@ func TestStreamedTierMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d msg %d: %d bytes follow the frame", seed, m, cb.Buffered())
 			}
 			stream = append(stream, got...)
+			frame := len(want) - len(wantDefs)
+			if m == 0 {
+				units = append(units, wire.StreamMagicLen)
+				frame -= wire.StreamMagicLen
+			}
+			if len(wantDefs) > 0 {
+				units = append(units, len(wantDefs))
+			}
+			units = append(units, frame)
 		}
 
-		receiver := WrapCustom(r.b, &chunkTransport{stream: stream, rng: rng, max: 1 + rng.Intn(300)})
 		stale := r.b.Source("diff", "stale")
-		pos := 0
-		for {
-			buf := taint.MakeBytes(1 + rng.Intn(200))
-			buf.SetRange(0, len(buf.Data), stale)
-			n, err := receiver.Read(&buf)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("seed %d: read at %d: %v", seed, pos, err)
-			}
-			if !bytes.Equal(buf.Data[:n], ref.Data[pos:pos+n]) {
-				t.Fatalf("seed %d: data mismatch at %d", seed, pos)
-			}
-			for i := 0; i < len(buf.Data); i++ {
-				want := stale
-				if i < n {
-					want = ref.LabelAt(pos + i)
+		for k, pass := range []struct {
+			rt     *chunkTransport
+			window int // the largest read
+		}{
+			{&chunkTransport{stream: stream, rng: rng, max: 1 + rng.Intn(300)}, 200},
+			{&chunkTransport{stream: stream, units: units}, 700},
+		} {
+			receiver := WrapCustom(r.b, pass.rt)
+			pos := 0
+			for {
+				buf := taint.MakeBytes(1 + rng.Intn(pass.window))
+				buf.SetRange(0, len(buf.Data), stale)
+				n, err := receiver.Read(&buf)
+				if err == io.EOF {
+					break
 				}
-				if got := buf.LabelAt(i); got != want {
-					t.Fatalf("seed %d: stream byte %d (read offset %d of %d): label %v, want %v",
-						seed, pos+i, i, n, got, want)
+				if err != nil {
+					t.Fatalf("seed %d pass %d: read at %d: %v", seed, k, pos, err)
 				}
+				if !bytes.Equal(buf.Data[:n], ref.Data[pos:pos+n]) {
+					t.Fatalf("seed %d pass %d: data mismatch at %d", seed, k, pos)
+				}
+				for i := 0; i < len(buf.Data); i++ {
+					want := stale
+					if i < n {
+						want = ref.LabelAt(pos + i)
+					}
+					if got := buf.LabelAt(i); got != want {
+						t.Fatalf("seed %d pass %d: stream byte %d (read offset %d of %d): label %v, want %v",
+							seed, k, pos+i, i, n, got, want)
+					}
+				}
+				pos += n
 			}
-			pos += n
-		}
-		if pos != len(ref.Data) {
-			t.Fatalf("seed %d: read %d of %d bytes", seed, pos, len(ref.Data))
+			if pos != len(ref.Data) {
+				t.Fatalf("seed %d pass %d: read %d of %d bytes", seed, k, pos, len(ref.Data))
+			}
 		}
 	}
 	for _, row := range wire.Tiers {
 		if seen[row.Tag] == 0 {
 			t.Errorf("no message of any seed travelled on the %s tier", row.Name)
+		}
+	}
+}
+
+// eofTransport is a receive-only custom transport that hands out its
+// units one a read, the last together with io.EOF, and fails a read after
+// that: a reader that has to ask again to learn of the end lost it.
+type eofTransport struct{ units [][]byte }
+
+func (c *eofTransport) SendRaw([]byte) error { return errors.New("receive-only transport") }
+
+func (c *eofTransport) RecvRaw(b []byte) (int, error) {
+	if len(c.units) == 0 {
+		return 0, errors.New("read past io.EOF")
+	}
+	n := copy(b, c.units[0])
+	if c.units = c.units[1:]; len(c.units) == 0 {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// TestWholeFrameWithEOF: a last frame that arrives whole in the read that
+// also reports the end of the stream is delivered with its labels, on
+// every raw-body tier, and the end is reported by the next read without
+// asking the source again.
+func TestWholeFrameWithEOF(t *testing.T) {
+	r := newRig(t, tracker.ModeDista)
+	known := r.a.Source("s", "known")
+	id, err := r.a.TaintMap().Register(known)
+	must(t, err)
+	data := []byte("the last")
+	for _, c := range []struct {
+		tier  int
+		runs  []wire.Run
+		dirty [2]int // the bytes under known
+	}{
+		{wire.TierPassthrough, nil, [2]int{}},
+		{wire.TierUniform, []wire.Run{{N: 8, ID: id}}, [2]int{0, 8}},
+		{wire.TierSparse, []wire.Run{{N: 4}, {N: 3, ID: id}, {N: 1}}, [2]int{4, 7}},
+	} {
+		name := wire.Tiers[c.tier].Name
+		frame := wire.AppendFrame(nil, c.tier, data, c.runs)
+		rd := WrapCustom(r.b, &eofTransport{units: [][]byte{wire.AppendAdaptiveStreamMagic(nil), frame}})
+		buf := taint.MakeBytes(16)
+		n, err := rd.Read(&buf)
+		if err != nil || !bytes.Equal(buf.Data[:n], data) {
+			t.Fatalf("%s: the last read = %q, %v; want %q", name, buf.Data[:n], err, data)
+		}
+		for i := range data {
+			lbl := buf.LabelAt(i)
+			if tainted := i >= c.dirty[0] && i < c.dirty[1]; lbl.Has("known") != tainted || !tainted && !lbl.Empty() {
+				t.Fatalf("%s: byte %d carries %v", name, i, lbl.Values())
+			}
+		}
+		if n, err := rd.Read(&buf); n != 0 || err != io.EOF {
+			t.Fatalf("%s: the read after the last frame = %d, %v; want 0, EOF", name, n, err)
 		}
 	}
 }
@@ -274,8 +363,10 @@ func exchange(t testing.TB, sender, receiver *Endpoint, msg taint.Bytes, into *t
 // one allocation — the Taint Map client's answer to the delivery's
 // LookupBatch; the reader's id scratch is its own — and nothing
 // proportional to its 8192 runs. A uniform delivery adopted by runs —
-// its one id resolved by Lookup, no slice — and a warm clean exchange
-// cost none at the endpoint.
+// its one id resolved by Lookup, no slice — a sparse one, eight islands
+// under that id, and a warm clean exchange cost none at the endpoint:
+// the clean one is copied out of the read buffer, the other two are
+// decoded into the decoder's persistent buffers.
 func TestStreamedPathAllocs(t *testing.T) {
 	r := newRig(t, tracker.ModeDista)
 	ca, cb := r.net.Pipe()
@@ -306,6 +397,22 @@ func TestStreamedPathAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(50, func() { exchange(t, sender, receiver, uniform, &whole) }); got != 0 {
 		t.Errorf("uniform 4 KiB exchange: %v allocs, want 0", got)
+	}
+
+	sparse := taint.WrapBytes(make([]byte, 4096))
+	for i := 0; i < 8; i++ {
+		sparse.SetRange(i*512, i*512+64, pair[0])
+	}
+	for i := 0; i < 4; i++ {
+		exchange(t, sender, receiver, sparse, &whole)
+	}
+	if got := testing.AllocsPerRun(50, func() { exchange(t, sender, receiver, sparse, &whole) }); got != 0 {
+		t.Errorf("sparse 4 KiB exchange: %v allocs, want 0", got)
+	}
+	for i := range whole.Data {
+		if want := i%512 < 64; whole.LabelAt(i).Has("x") != want {
+			t.Fatalf("sparse byte %d carries %v", i, whole.LabelAt(i).Values())
+		}
 	}
 
 	clean := taint.WrapBytes(make([]byte, 512))
@@ -348,54 +455,72 @@ func (c *flakyLookups) Lookup(id uint32) (taint.Taint, error) {
 // caller's bytes, the caller's labels and the decoder untouched, so the
 // read retried once the Taint Map answers returns the very bytes the
 // failed one would have, under the right labels — not the bytes after
-// them. Every receive is held to it on both of its paths: a uniform
-// frame into a run-mode buffer, adopted by runs, and a groups frame with
-// a label change on every byte into a dense buffer, read per byte. A
-// datagram has no decoder to retry from — the one a failed receive took
+// them. Every receive is held to it on each of its paths: a uniform
+// frame into a run-mode buffer, adopted by runs; a groups frame with a
+// label change on every byte into a dense buffer, read per byte; and, on
+// a stream already open, a uniform and a sparse frame whose ids were
+// registered before, which no definitions unit precedes: each arrives as
+// a read of its own, whole, so a reader that took such a frame out of the
+// read buffer, as it takes a whole passthrough frame, would have to keep
+// it for the retry rather than deliver its bytes unlabelled.
+// A datagram has no decoder to retry from — the one a failed receive took
 // off the socket is lost, as on any other receive error — so its retry
 // is the next datagram.
 func TestReadResolvesBeforePopping(t *testing.T) {
 	type reader func(*taint.Bytes) (int, error)
-	reads := map[string]func(t *testing.T, r *rig, b *tracker.Agent, msg taint.Bytes) reader{
-		"Endpoint.Read": func(t *testing.T, r *rig, b *tracker.Agent, msg taint.Bytes) reader {
+	type link struct {
+		write func(taint.Bytes)
+		read  reader
+	}
+	links := map[string]func(t *testing.T, r *rig, b *tracker.Agent) link{
+		"Endpoint.Read": func(t *testing.T, r *rig, b *tracker.Agent) link {
 			ca, cb := r.net.Pipe()
-			must(t, NewAdaptiveEndpoint(r.a, ca).Write(msg))
-			return NewAdaptiveEndpoint(b, cb).Read
+			w := NewAdaptiveEndpoint(r.a, ca)
+			return link{func(m taint.Bytes) { must(t, w.Write(m)) }, NewAdaptiveEndpoint(b, cb).Read}
 		},
-		"Endpoint.ReadBuffer": func(t *testing.T, r *rig, b *tracker.Agent, msg taint.Bytes) reader {
+		"Endpoint.ReadBuffer": func(t *testing.T, r *rig, b *tracker.Agent) link {
 			ca, cb := r.net.Pipe()
-			must(t, NewAdaptiveEndpoint(r.a, ca).Write(msg))
-			ep := NewAdaptiveEndpoint(b, cb)
-			return func(buf *taint.Bytes) (int, error) {
+			w, ep := NewAdaptiveEndpoint(r.a, ca), NewAdaptiveEndpoint(b, cb)
+			return link{func(m taint.Bytes) { must(t, w.Write(m)) }, func(buf *taint.Bytes) (int, error) {
 				db := &jni.DirectBuffer{Data: buf.Data, B: *buf}
 				return ep.ReadBuffer(db, 0, len(buf.Data))
-			}
+			}}
 		},
-		"CustomEndpoint.Read": func(t *testing.T, r *rig, b *tracker.Agent, msg taint.Bytes) reader {
+		"CustomEndpoint.Read": func(t *testing.T, r *rig, b *tracker.Agent) link {
 			ta, tb := newChanPair()
-			must(t, WrapCustom(r.a, ta).Write(msg))
-			return WrapCustom(b, tb).Read
+			w := WrapCustom(r.a, ta)
+			return link{func(m taint.Bytes) { must(t, w.Write(m)) }, WrapCustom(b, tb).Read}
 		},
-		"PacketReceive": func(t *testing.T, r *rig, b *tracker.Agent, msg taint.Bytes) reader {
+		"PacketReceive": func(t *testing.T, r *rig, b *tracker.Agent) link {
 			sa, _ := r.net.ListenPacket("a:1")
 			sb, _ := r.net.ListenPacket("b:1")
-			must(t, PacketSend(r.a, sa, msg, "b:1"))
-			must(t, PacketSend(r.a, sa, msg, "b:1"))
-			return func(buf *taint.Bytes) (int, error) {
+			return link{func(m taint.Bytes) {
+				must(t, PacketSend(r.a, sa, m, "b:1"))
+				must(t, PacketSend(r.a, sa, m, "b:1"))
+			}, func(buf *taint.Bytes) (int, error) {
 				n, _, err := PacketReceive(b, sb, buf)
 				return n, err
-			}
+			}}
 		},
 	}
 	// check runs one outage-then-retry over msg, whose byte i must arrive
-	// under tag(i), into a buffer holding filler under stale(i).
-	check := func(t *testing.T, setup func(*testing.T, *rig, *tracker.Agent, taint.Bytes) reader,
-		msg func(a *tracker.Agent) taint.Bytes, tag func(i int) string, dense bool) {
+	// under tag(i) ("" for untainted), into a buffer holding filler under
+	// stale labels; opened first opens the stream with a clean message.
+	check := func(t *testing.T, setup func(*testing.T, *rig, *tracker.Agent) link,
+		msg func(a *tracker.Agent) taint.Bytes, tag func(i int) string, dense, opened bool) {
 		r := newRig(t, tracker.ModeDista)
 		flaky := &flakyLookups{Client: r.b.TaintMap(), fail: 1}
 		b := tracker.New("node2", tracker.ModeDista, tracker.WithTaintMap(flaky))
 		sent := msg(r.a)
-		read := setup(t, r, b, sent)
+		l := setup(t, r, b)
+		if opened {
+			l.write(taint.WrapBytes([]byte("open")))
+			opener := taint.MakeBytes(4)
+			if n, err := l.read(&opener); n != 4 || err != nil {
+				t.Fatalf("the opening read = %d, %v", n, err)
+			}
+		}
+		l.write(sent)
 
 		old := [2]taint.Taint{b.Source("s", "stale0"), b.Source("s", "stale1")}
 		filler := bytes.Repeat([]byte{'.'}, len(sent.Data))
@@ -410,7 +535,7 @@ func TestReadResolvesBeforePopping(t *testing.T) {
 		if (buf.DenseLabels() != nil) != dense {
 			t.Fatalf("receive buffer has a per-byte view = %v, want %v", !dense, dense)
 		}
-		if n, err := read(&buf); n != 0 || !errors.Is(err, errLookupDown) {
+		if n, err := l.read(&buf); n != 0 || !errors.Is(err, errLookupDown) {
 			t.Fatalf("read during the outage = %d, %v; want 0, %v", n, err, errLookupDown)
 		}
 		if !bytes.Equal(buf.Data, filler) {
@@ -427,21 +552,30 @@ func TestReadResolvesBeforePopping(t *testing.T) {
 		}
 		// The retry returns the head of the message — all of it, unless the
 		// definitions ahead of the frame pushed its tail past the wire read.
-		n, err := read(&buf)
+		n, err := l.read(&buf)
 		if err != nil || n == 0 || !bytes.Equal(buf.Data[:n], sent.Data[:n]) {
 			t.Fatalf("retried read = %q, %v; want %q", buf.Data[:n], err, sent.Data)
 		}
 		for i := 0; i < n; i++ {
-			if lbl := buf.LabelAt(i); !lbl.Has(tag(i)) || len(lbl.Values()) != 1 {
-				t.Fatalf("byte %d carries %v after the retry, want %q alone", i, lbl.Values(), tag(i))
+			lbl := buf.LabelAt(i)
+			if want := tag(i); want == "" && !lbl.Empty() || want != "" && (!lbl.Has(want) || len(lbl.Values()) != 1) {
+				t.Fatalf("byte %d carries %v after the retry, want %q alone", i, lbl.Values(), want)
 			}
 		}
 	}
-	for name, setup := range reads {
+	// known is a taint whose Global ID the sender holds before it writes.
+	known := func(a *tracker.Agent, value string) taint.Taint {
+		src := a.Source("s", value)
+		if _, err := a.TaintMap().Register(src); err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
+	for name, setup := range links {
 		t.Run(name, func(t *testing.T) {
 			check(t, setup, func(a *tracker.Agent) taint.Bytes {
 				return taint.FromString("resolve-then-pop", a.Source("s", "fresh"))
-			}, func(int) string { return "fresh" }, false)
+			}, func(int) string { return "fresh" }, false, false)
 			t.Run("groups into dense", func(t *testing.T) {
 				check(t, setup, func(a *tracker.Agent) taint.Bytes {
 					msg := taint.FromString(strings.Repeat("resolve-then-pop", 12), taint.Taint{})
@@ -450,7 +584,27 @@ func TestReadResolvesBeforePopping(t *testing.T) {
 						msg.SetLabel(i, pair[i&1])
 					}
 					return msg
-				}, func(i int) string { return [2]string{"fresh0", "fresh1"}[i&1] }, true)
+				}, func(i int) string { return [2]string{"fresh0", "fresh1"}[i&1] }, true, false)
+			})
+			if name == "PacketReceive" {
+				return
+			}
+			t.Run("whole uniform frame", func(t *testing.T) {
+				check(t, setup, func(a *tracker.Agent) taint.Bytes {
+					return taint.FromString("resolve-then-pop", known(a, "known"))
+				}, func(int) string { return "known" }, false, true)
+			})
+			t.Run("whole sparse frame", func(t *testing.T) {
+				check(t, setup, func(a *tracker.Agent) taint.Bytes {
+					msg := taint.FromString(strings.Repeat("resolve-then-pop", 4), taint.Taint{})
+					msg.SetRange(16, 32, known(a, "island"))
+					return msg
+				}, func(i int) string {
+					if i >= 16 && i < 32 {
+						return "island"
+					}
+					return ""
+				}, false, true)
 			})
 		})
 	}

@@ -123,8 +123,8 @@ func (e *Endpoint) WritevBuffers(srcs []*jni.DirectBuffer, lens []int) (_ int64,
 		}
 	}
 	e.agent.AddTraffic(total, wireBytes)
-	if _, err := jni.DispatcherWritev0(e.conn, vec); err != nil {
-		return 0, err
+	if n, err := jni.DispatcherWritev0(e.conn, vec); err != nil {
+		return 0, e.torn(int(n), err)
 	}
 	if len(vec) > 0 {
 		e.wr.wroteMagic = true
