@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-taintmap vet fmt lint inline-check loc check ci chaos invariants bench-ab soak-load fuzz fuzz-smoke
+.PHONY: build test race race-taintmap vet fmt lint inline-check wallclock loc check ci chaos invariants bench-ab soak-load fuzz fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -9,10 +9,11 @@ test:
 	$(GO) test ./...
 
 # The mux's read-role handoffs, the server's Close, the store arena's
-# lock-free reads of concurrent appends and a replica's refusal of a
-# conflicting push, five times more under the race detector: their races
-# are ones of timing, which one pass samples once (~6 s).
-RACE_AGAIN = $(GO) test -race -count=5 -run 'TestReadRole|TestFrozenTransportContract|TestServerCloseLogs|TestBatchOfOneEquivalence|TestArenaConcurrent|TestClusterReplicaRefusesConflict' ./internal/taintmap
+# lock-free reads of concurrent appends, a replica's refusal of a
+# conflicting push and concurrent pushes sharing one peer client, five
+# times more under the race detector: their races are ones of timing,
+# which one pass samples once (~6 s).
+RACE_AGAIN = $(GO) test -race -count=5 -run 'TestReadRole|TestFrozenTransportContract|TestServerCloseLogs|TestBatchOfOneEquivalence|TestArenaConcurrent|TestClusterReplicaRefusesConflict|TestPeerPushesShareOneConnection' ./internal/taintmap
 
 # The tag tree's lock-free readers against its one writer lock: interning
 # from many goroutines, unions through the combine cache's slots, and
@@ -94,6 +95,17 @@ inline-check:
 	done; \
 	echo "inline-check: $(words $(INLINED)) functions inline as documented"
 
+# Every timer and clock read of the taint map runs on a netsim.Clock —
+# the server's deadlines on its network's, a client's call timeout and
+# deadlines on its own — so that a test on a virtual clock drives all of
+# them. The gate fails on a direct wall-clock call in internal/taintmap's
+# non-test code (comments aside) and prints each offending line.
+WALLCLOCK := 'time\.(Now|Since|Until|NewTimer|NewTicker|After|AfterFunc|Sleep)\('
+wallclock:
+	@out=$$(grep -nE $(WALLCLOCK) $$(ls internal/taintmap/*.go | grep -v '_test\.go$$') | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'); \
+	test -z "$$out" || { echo "wallclock: direct wall-clock calls in internal/taintmap:"; echo "$$out"; exit 1; }; \
+	echo "wallclock: internal/taintmap runs on netsim.Clock"
+
 # Non-test Go lines per package and in total — the size ROADMAP asks
 # every PR to report: *.go minus *_test.go, with benchmark/ (the harness,
 # not the product) and the analyzers' golden corpora left out. With
@@ -125,7 +137,7 @@ chaos:
 	$(GO) test -race -run 'TestChaos' -count=1 ./internal/taintmap ./internal/instrument
 
 # Tier-1 gate: everything CI runs.
-check: vet fmt lint inline-check build test race chaos soak-load fuzz-smoke loc invariants
+check: vet fmt lint inline-check wallclock build test race chaos soak-load fuzz-smoke loc invariants
 
 ci: check
 

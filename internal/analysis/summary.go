@@ -54,16 +54,6 @@ func (s *FuncSummary) AnyDeclaresClean() bool {
 	return false
 }
 
-// AnyEscapes reports whether any parameter escapes to a sink.
-func (s *FuncSummary) AnyEscapes() bool {
-	for _, b := range s.Escapes {
-		if b {
-			return true
-		}
-	}
-	return false
-}
-
 // equal is structural equality, used for fixpoint termination.
 func (s *FuncSummary) equal(t *FuncSummary) bool {
 	if s.LabelPaired != t.LabelPaired || s.CleanGated != t.CleanGated || s.Trusted != t.Trusted {

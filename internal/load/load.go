@@ -621,26 +621,20 @@ func (e *engine) complete(s *session) error {
 }
 
 // labelMismatch returns the first byte that got and want hold under
-// different tag sets, or -1. Both are walked by runs, so a match costs a
-// compare per run rather than per byte.
+// different tag sets, or -1. Both are walked by runs, want's within each
+// of got's, so a match costs a compare per run rather than per byte, and
+// nothing is allocated.
 func labelMismatch(got, want taint.Bytes) int {
-	type run struct {
-		to int
-		t  taint.Taint
-	}
-	var runs []run
-	want.ForEachRun(func(_, to int, t taint.Taint) { runs = append(runs, run{to, t}) })
-	at, k := -1, 0
+	at := -1
 	got.ForEachRun(func(from, to int, t taint.Taint) {
-		for at < 0 && from < to {
-			if !taint.SameSet(t, runs[k].t) {
-				at = from
-				return
-			}
-			if from = min(to, runs[k].to); from == runs[k].to {
-				k++
-			}
+		if at >= 0 {
+			return
 		}
+		want.Slice(from, to).ForEachRun(func(wfrom, _ int, w taint.Taint) {
+			if at < 0 && !taint.SameSet(t, w) {
+				at = from + wfrom
+			}
+		})
 	})
 	return at
 }

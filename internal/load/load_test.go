@@ -156,3 +156,30 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("path mix not summing to 100 accepted")
 	}
 }
+
+// TestLabelMismatch: the first echo's label check finds the first byte
+// whose tag set differs — inside a run, at a run boundary, in an
+// untainted gap — and walks both buffers in place: no allocation.
+func TestLabelMismatch(t *testing.T) {
+	tree := taint.NewTree()
+	a, b := tree.NewSource("a", "load:1"), tree.NewSource("b", "load:1")
+	want := taint.WrapBytes(make([]byte, 256))
+	for off := 0; off < 256; off += 32 {
+		want.TaintRange(off, off+16, a)
+		want.TaintRange(off+16, off+24, b)
+	}
+	if at := labelMismatch(want.Clone(), want); at != -1 {
+		t.Fatalf("a buffer against its clone mismatches at %d", at)
+	}
+	for _, at := range []int{0, 5, 16, 23, 24, 200, 255} {
+		got := want.Clone()
+		got.SetLabel(at, tree.NewSource("other", "load:1"))
+		if got := labelMismatch(got, want); got != at {
+			t.Fatalf("relabelled byte %d: mismatch at %d", at, got)
+		}
+	}
+	got := want.Clone()
+	if allocs := testing.AllocsPerRun(100, func() { labelMismatch(got, want) }); allocs != 0 {
+		t.Fatalf("labelMismatch allocates %.1f times per check, want 0", allocs)
+	}
+}

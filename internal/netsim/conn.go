@@ -440,9 +440,6 @@ func (c *Conn) CloseWrite() {
 	c.out.closeWrite()
 }
 
-// LocalAddr returns the connection's local address string.
-func (c *Conn) LocalAddr() string { return c.localAddr }
-
 // RemoteAddr returns the peer's address string.
 func (c *Conn) RemoteAddr() string { return c.remoteAddr }
 

@@ -53,8 +53,8 @@ type Network struct {
 	down      bool
 
 	// clock drives every time-dependent behaviour: latency delivery and
-	// read deadlines. Immutable after UseVirtualClock/SetClock, which
-	// must run before traffic starts.
+	// read deadlines. Immutable after UseVirtualClock, which must run
+	// before traffic starts.
 	clock Clock
 
 	rngMu sync.Mutex
@@ -86,13 +86,6 @@ func New() *Network {
 		clock:     WallClock{},
 		rng:       rand.New(rand.NewSource(1)),
 	}
-}
-
-// SetClock installs clk as the fabric's time source. Call it before any
-// traffic flows (it is not synchronized against in-flight operations);
-// the intended use is a test installing a VirtualClock right after New.
-func (n *Network) SetClock(clk Clock) {
-	n.clock = clk
 }
 
 // UseVirtualClock installs and returns a fresh VirtualClock, the

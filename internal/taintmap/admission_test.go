@@ -63,7 +63,7 @@ func TestAdmissionShedReply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(NewStore(), simAcceptor{l: l}, nil, WithAdmission(1, 0))
+	srv := NewServer(NewStore(), simAcceptor{l: l, clk: n.Clock()}, nil, WithAdmission(1, 0))
 	srv.Start()
 	defer srv.Close()
 
@@ -107,7 +107,7 @@ func TestBrownoutOverCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(NewStore(), simAcceptor{l: l}, nil, WithMaxConns(1))
+	srv := NewServer(NewStore(), simAcceptor{l: l, clk: n.Clock()}, nil, WithMaxConns(1))
 	srv.Start()
 	defer srv.Close()
 

@@ -38,13 +38,9 @@ type Budget struct {
 	denied atomic.Int64
 }
 
-// NewBudget returns a budget refilling at rate tokens/second with
-// capacity burst, starting full. Non-positive rate or burst returns
+// newBudgetClock returns a budget on clk refilling at rate tokens/second
+// with capacity burst, starting full. Non-positive rate or burst returns
 // nil — the always-allow budget.
-func NewBudget(rate, burst float64) *Budget {
-	return newBudgetClock(rate, burst, netsim.WallClock{})
-}
-
 func newBudgetClock(rate, burst float64, clk netsim.Clock) *Budget {
 	if rate <= 0 || burst <= 0 {
 		return nil

@@ -44,7 +44,7 @@ func (e *chaosEnv) restart() {
 	if err != nil {
 		e.t.Fatalf("chaos listen: %v", err)
 	}
-	srv := NewServer(e.store, simAcceptor{l: l}, nil,
+	srv := NewServer(e.store, simAcceptor{l: l, clk: e.net.Clock()}, nil,
 		WithReadTimeout(200*time.Millisecond), WithMaxConns(64))
 	srv.Start()
 	e.mu.Lock()

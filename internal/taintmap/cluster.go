@@ -1,7 +1,6 @@
 package taintmap
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -13,23 +12,23 @@ import (
 )
 
 // defaultPeerTimeout bounds how long a replication push waits for a
-// peer's ack before declaring the link dead. Before this existed a
-// stalled-but-connected peer (the classic gray failure) wedged the
+// peer's ack before declaring the connection dead. Before this existed
+// a stalled-but-connected peer (the classic gray failure) wedged the
 // owner's registration path forever.
 const defaultPeerTimeout = 2 * time.Second
 
-// peerCooldown is how long a failed peer link refuses calls before
-// re-trying the transport. Within the window a replication push hints
-// instantly instead of paying the timeout again per registration.
+// peerCooldown is how long a peer refuses calls after its connection
+// failed before dialing again. Within the window a replication push
+// hints instantly instead of paying the timeout again per registration.
 const peerCooldown = 250 * time.Millisecond
 
-// errPeerDown is the instant failure a cooling-down peer link returns.
-var errPeerDown = errors.New("taintmap: peer link cooling down after failure")
+// errPeerDown is the instant failure a cooling-down peer returns.
+var errPeerDown = errors.New("taintmap: peer cooling down after failure")
 
 // ClusterNode is the server-side half of the partitioned Taint Map: the
 // per-server state that turns N independent taintmapd processes into
-// one logical map. It owns the membership ring, the peer links used for
-// synchronous replication, and the join gossip. A Server constructed
+// one logical map. It owns the membership ring, the peer clients used
+// for synchronous replication, and the join gossip. A Server constructed
 // with WithClusterNode consults it on every cluster op and pushes every
 // fresh registration through it before acking.
 //
@@ -44,15 +43,15 @@ var errPeerDown = errors.New("taintmap: peer link cooling down after failure")
 type ClusterNode struct {
 	self Member
 	dial func(addr string) (io.ReadWriteCloser, error)
-	clk  netsim.Clock // times the peer links' ack waits and cooldowns
+	clk  netsim.Clock // times the peer calls and cooldowns
 
 	ring atomic.Pointer[Ring]
 
 	mu    sync.Mutex // ring changes and peer-map writes
-	peers map[uint32]*peerLink
+	peers map[uint32]*peer
 
-	// peerTimeout bounds each peer call's ack wait, nanoseconds; 0
-	// disables the bound (not recommended).
+	// peerTimeout is the call timeout of the peer clients dialed next,
+	// nanoseconds; 0 disables the bound (not recommended).
 	peerTimeout atomic.Int64
 
 	hinted  atomic.Int64 // replication pushes skipped on a dead peer
@@ -78,23 +77,22 @@ func NewClusterNode(self Member, members []Member, rf int, dial func(addr string
 	if err != nil {
 		return nil, err
 	}
-	n := &ClusterNode{self: self, dial: dial, clk: netsim.WallClock{}, peers: make(map[uint32]*peerLink)}
+	n := &ClusterNode{self: self, dial: dial, clk: netsim.WallClock{}, peers: make(map[uint32]*peer)}
 	n.peerTimeout.Store(int64(defaultPeerTimeout))
 	n.ring.Store(r)
 	return n, nil
 }
 
-// SetPeerTimeout adjusts the bound on a peer call's ack wait (default
-// 2s), from the next call on. Non-positive d disables the bound.
+// SetPeerTimeout adjusts the bound on a peer call's wait for its reply
+// (default 2s): the call timeout of every peer connection dialed after
+// it, and of JoinVia's. Peers are dialed on first use, so set it before
+// the node serves. Non-positive d disables the bound.
 func (n *ClusterNode) SetPeerTimeout(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
 	n.peerTimeout.Store(int64(d))
 }
-
-// Self returns this node's membership entry.
-func (n *ClusterNode) Self() Member { return n.self }
 
 // Ring returns the current membership snapshot.
 func (n *ClusterNode) Ring() *Ring { return n.ring.Load() }
@@ -147,13 +145,17 @@ func (n *ClusterNode) Join(m Member) (*Ring, error) {
 // member: it sends its own membership entry and installs the ring the
 // seed answers with. Used by `taintmapd -join=<addr>`.
 func (n *ClusterNode) JoinVia(seedAddr string) (*Ring, error) {
-	link := &peerLink{addr: seedAddr, dial: n.dial, clk: n.clk}
-	defer link.close()
-	reply, err := link.call(opJoinTag, appendMember(nil, n.self), time.Duration(n.peerTimeout.Load()))
+	conn, err := n.dial(seedAddr)
 	if err != nil {
 		return nil, fmt.Errorf("taintmap: join via %s: %w", seedAddr, err)
 	}
-	r, err := parseRing(reply)
+	rc := n.peerClient(conn)
+	reply, err := rc.call(opJoinTag, appendMember(nil, n.self), time.Time{})
+	rc.Close()
+	var r *Ring
+	if err == nil {
+		r, err = parseRing(reply)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("taintmap: join via %s: %w", seedAddr, err)
 	}
@@ -183,165 +185,98 @@ func (n *ClusterNode) replicate(entries []byte) {
 	}
 }
 
-// callPeer issues one cluster op on the cached link to peer, dropping
-// the link on failure so the next call re-dials.
-func (n *ClusterNode) callPeer(peer Member, op byte, payload []byte) error {
+// peerClient wraps a connection to a peer in a client bounded by the
+// peer timeout, on the node's clock.
+func (n *ClusterNode) peerClient(conn io.ReadWriteCloser) *RemoteClient {
+	return newRemoteClientWith(conn, nil, nil, time.Duration(n.peerTimeout.Load()), n.clk)
+}
+
+// callPeer issues one cluster op to peer m on its client — concurrent
+// pushes share it, pipelined — and retires the client when its
+// connection failed, cooling the peer off.
+func (n *ClusterNode) callPeer(m Member, op byte, payload []byte) error {
 	n.mu.Lock()
-	link := n.peers[peer.Part]
-	if link == nil || link.addr != peer.Addr {
-		if link != nil {
-			link.close()
+	p := n.peers[m.Part]
+	if p == nil || p.addr != m.Addr {
+		if p != nil {
+			p.close()
 		}
-		link = &peerLink{addr: peer.Addr, dial: n.dial, clk: n.clk}
-		n.peers[peer.Part] = link
+		p = &peer{addr: m.Addr}
+		n.peers[m.Part] = p
 	}
 	n.mu.Unlock()
-	_, err := link.call(op, payload, time.Duration(n.peerTimeout.Load()))
+	rc, err := p.client(n)
+	if err != nil {
+		return err
+	}
+	if _, err = rc.call(op, payload, time.Time{}); isConnErr(err) {
+		p.drop(rc, n.clk.Now().Add(peerCooldown))
+	}
 	return err
 }
 
-// Close drops every peer link.
+// Close drops every peer client.
 func (n *ClusterNode) Close() {
 	n.mu.Lock()
-	for _, link := range n.peers {
-		link.close()
+	for _, p := range n.peers {
+		p.close()
 	}
 	clear(n.peers)
 	n.mu.Unlock()
 }
 
-// peerLink is one node-to-node connection: one request in flight at a
-// time (tag 0 — the link is mutex-serialized, so tags carry no
-// information). Kept deliberately simpler than the client mux:
-// replication already batches at the request level, and a peer push is
-// on the registration latency path only for fresh ids.
-type peerLink struct {
+// peer is the node's client of one other member, dialed on first use.
+// For peerCooldown after its connection failed — the dial, or a call the
+// client lost the connection under, its timeout included — it refuses
+// calls, turning per-registration replication pushes into immediate
+// hinted handoff instead of a timeout each.
+type peer struct {
 	addr string
-	dial func(addr string) (io.ReadWriteCloser, error)
-	clk  netsim.Clock
 
 	mu        sync.Mutex
-	conn      io.ReadWriteCloser
-	br        *bufio.Reader
-	bw        *bufio.Writer
-	ack       *ackTimer // bounds conn's ack waits; nil until the first wait
-	downUntil time.Time // cooldown after a transport failure
+	rc        *RemoteClient // nil until dialed, and after a failure
+	downUntil time.Time
 }
 
-// call sends one tagged request and reads its reply, dialing on first
-// use and tearing the connection down on any failure. The ack wait is
-// bounded by timeout through the connection's ackTimer, so a stalled
-// peer costs one timeout, not a wedged owner; for peerCooldown after any
-// transport failure further calls fail instantly, turning
-// per-registration replication pushes into immediate hinted handoff.
-func (l *peerLink) call(op byte, payload []byte, timeout time.Duration) ([]byte, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.downUntil.IsZero() {
-		if l.clk.Now().Before(l.downUntil) {
-			return nil, errPeerDown
-		}
-		l.downUntil = time.Time{}
+// client returns the peer's live client, dialing one unless the peer is
+// cooling down.
+func (p *peer) client(n *ClusterNode) (*RemoteClient, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.rc != nil {
+		return p.rc, nil
 	}
-	if l.conn == nil {
-		conn, err := l.dial(l.addr)
-		if err != nil {
-			return l.fail(err)
-		}
-		l.conn = conn
-		l.br = bufio.NewReaderSize(conn, connBuffer)
-		l.bw = bufio.NewWriterSize(conn, connBuffer)
+	now := n.clk.Now()
+	if now.Before(p.downUntil) {
+		return nil, errPeerDown
 	}
-	if err := writeTaggedFrame(l.bw, op, 0, payload); err != nil {
-		return l.fail(err)
-	}
-	if err := l.bw.Flush(); err != nil {
-		return l.fail(err)
-	}
-	if l.ack == nil || l.ack.timeout != timeout {
-		l.ack.stop()
-		l.ack = &ackTimer{clk: l.clk, conn: l.conn, timeout: timeout, born: l.clk.Now()}
-	}
-	if timeout > 0 { // bounded until due is cleared
-		l.ack.due.Store(int64(l.clk.Now().Sub(l.ack.born) + timeout))
-		l.ack.arm(timeout)
-	}
-	status, _, reply, err := readTaggedFrame(l.br, nil, isReplyStatus, maxReplyFrame)
-	l.ack.due.Store(0)
+	conn, err := n.dial(p.addr)
 	if err != nil {
-		return l.fail(err)
+		p.downUntil = now.Add(peerCooldown)
+		return nil, err
 	}
-	if status != statusTaggedOK {
-		// The request was answered; the link itself is healthy.
-		return nil, serverErr(reply)
-	}
-	return reply, nil
+	p.rc = n.peerClient(conn)
+	return p.rc, nil
 }
 
-// fail drops the connection and its ack timer and cools the link off.
-func (l *peerLink) fail(err error) ([]byte, error) {
-	if l.conn != nil {
-		l.conn.Close()
-		l.conn = nil
+// drop retires rc — unless a newer client replaced it already — and
+// refuses calls until downUntil.
+func (p *peer) drop(rc *RemoteClient, downUntil time.Time) {
+	p.mu.Lock()
+	if p.rc == rc {
+		p.rc, p.downUntil = nil, downUntil
 	}
-	l.ack.stop()
-	l.ack = nil
-	l.downUntil = l.clk.Now().Add(peerCooldown)
-	return nil, err
+	p.mu.Unlock()
+	rc.Close()
 }
 
-func (l *peerLink) close() {
-	l.mu.Lock()
-	l.fail(nil)
-	l.mu.Unlock()
-}
-
-// ackTimer bounds a peer connection's ack waits with one timer, not a
-// read deadline per call: the first wait after it lapsed arms it; firing,
-// it re-arms while a call waits and closes the connection once that call
-// waited timeout. It holds only the connection and takes no lock (it
-// fires while the waiting call holds the link's). A new timeout takes a
-// new ackTimer, so none fires after the waiting call's deadline.
-type ackTimer struct {
-	clk     netsim.Clock
-	conn    io.Closer
-	timeout time.Duration // non-positive: waits are unbounded
-	born    time.Time     // due's origin
-	due     atomic.Int64  // the waiting call's deadline, ns after born; 0: none waits
-	armed   atomic.Bool
-	stopped atomic.Bool
-	timer   atomic.Pointer[netsim.Timer] // the last one armed
-}
-
-// arm starts the timer unless it is running.
-func (w *ackTimer) arm(d time.Duration) {
-	if w.armed.Load() || !w.armed.CompareAndSwap(false, true) {
-		return
-	}
-	t := w.clk.AfterFunc(d, w.expire)
-	w.timer.Store(&t)
-	if w.stopped.Load() { // stop may have read the timer before this one
-		t.Stop()
-	}
-}
-
-func (w *ackTimer) expire() {
-	w.armed.Store(false)
-	if due := w.due.Load(); due != 0 && !w.stopped.Load() {
-		if left := time.Duration(due) - w.clk.Now().Sub(w.born); left > 0 {
-			w.arm(left)
-		} else {
-			w.conn.Close()
-		}
-	}
-}
-
-// stop retires the timer; nil-safe.
-func (w *ackTimer) stop() {
-	if w != nil {
-		w.stopped.Store(true)
-		if t := w.timer.Load(); t != nil {
-			(*t).Stop()
-		}
+// close retires the peer's client, if it has one.
+func (p *peer) close() {
+	p.mu.Lock()
+	rc := p.rc
+	p.rc = nil
+	p.mu.Unlock()
+	if rc != nil {
+		rc.Close()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"testing"
 
 	"dista/internal/core/taint"
@@ -407,6 +408,43 @@ func TestClusterRegisterBatchGroupsByOwner(t *testing.T) {
 // load: the joiner announces itself through one seed, the membership
 // gossips, the client refreshes and re-routes — and not one resolution
 // is lost across the transition.
+// TestPeerPushesShareOneConnection: concurrent registrations on one
+// owner push their entries through its one client of the replica — one
+// connection, the pushes pipelined on it — and every push is acked.
+func TestPeerPushesShareOneConnection(t *testing.T) {
+	const clients = 8
+	e := newClusterEnv(t, 2, 2)
+	errs := make(chan error, clients)
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		tree := taint.NewTree()
+		c, err := DialSim(e.net, simMemberAddr(0), tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := c.Register(tree.NewSource(fmt.Sprintf("pushed-%d", i), "app:1"))
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p, h := e.nodes[0].Pushed(), e.nodes[0].Hinted(); p != clients || h != 0 {
+		t.Fatalf("%d registrations pushed %d entries and hinted %d, want %d and 0", clients, p, h, clients)
+	}
+	if a := e.srvs[1].Stats().Accepted; a != 1 {
+		t.Fatalf("the replica accepted %d connections, want the owner's one", a)
+	}
+}
+
 func TestClusterMembershipJoin(t *testing.T) {
 	e := newClusterEnv(t, 2, 2)
 	tree := taint.NewTree()
@@ -451,7 +489,7 @@ func TestClusterMembershipJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := NewServer(store2, simAcceptor{l: l}, nil, WithClusterNode(node2))
+	srv2 := NewServer(store2, simAcceptor{l: l, clk: e.net.Clock()}, nil, WithClusterNode(node2))
 	srv2.Start()
 	defer srv2.Close()
 	newRing, err := node2.JoinVia(simMemberAddr(0))

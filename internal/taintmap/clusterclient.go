@@ -133,13 +133,13 @@ func DialClusterAddrs(addrs []string, dial func(addr string) (io.ReadWriteCloser
 		// The ring fetch runs under the members' call timeout: a gray
 		// seed (accepts the dial, never answers) costs one timeout and
 		// the next address gets its turn.
-		timeout := opt.Resilient.callTimeout()
+		ro := opt.Resilient.withDefaults()
 		ring, err = fetchRing(len(addrs), func(i int) ([]byte, error) {
 			conn, err := dial(addrs[i])
 			if err != nil {
 				return nil, err
 			}
-			rc := newRemoteClientWith(conn, tree, &cache{}, timeout)
+			rc := newRemoteClientWith(conn, nil, nil, ro.CallTimeout, ro.clk)
 			defer rc.Close()
 			return rc.call(opRingTag, nil, time.Time{})
 		})

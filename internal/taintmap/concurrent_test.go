@@ -22,7 +22,7 @@ func TestServerCloseTwiceNeverStarted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(NewStore(), simAcceptor{l: l}, nil)
+	srv := NewServer(NewStore(), simAcceptor{l: l, clk: n.Clock()}, nil)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func (s *lookupServer) Close() error {
 func TestLookupChunksIDs(t *testing.T) {
 	srv := &lookupServer{}
 	srv.cond.L = &srv.mu
-	c := newRemoteClientWith(srv, taint.NewTree(), &cache{}, 0)
+	c := newRemoteClientWith(srv, taint.NewTree(), &cache{}, 0, netsim.WallClock{})
 	defer c.Close()
 	ids := make([]uint32, maxIDsPerFrame*2+17)
 	for i := range ids {
@@ -328,7 +328,7 @@ func TestUntaggedFrameRejected(t *testing.T) {
 	}
 	var logMu sync.Mutex
 	var logged []string
-	srv := NewServer(NewStore(), simAcceptor{l: l}, func(format string, args ...any) {
+	srv := NewServer(NewStore(), simAcceptor{l: l, clk: n.Clock()}, func(format string, args ...any) {
 		logMu.Lock()
 		logged = append(logged, fmt.Sprintf(format, args...))
 		logMu.Unlock()

@@ -99,7 +99,7 @@ func countedClient(t *testing.T, n *netsim.Network, addr string, tree *taint.Tre
 		t.Fatal(err)
 	}
 	cc := &countingConn{ReadWriteCloser: conn}
-	return newRemoteClientWith(cc, tree, &cache{}, timeout), cc
+	return newRemoteClientWith(cc, tree, &cache{}, timeout, netsim.WallClock{}), cc
 }
 
 // buffered returns a copy of the client's unwritten outbound bytes.

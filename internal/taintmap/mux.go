@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dista/internal/core/taint"
+	"dista/internal/netsim"
 )
 
 // RemoteClient talks to a Taint Map server over a reliable stream (a
@@ -31,14 +32,8 @@ type RemoteClient struct {
 	br   *bufio.Reader // read only by the read role's holder
 	front
 
-	// timeout bounds each call's wait for a response. It is enforced
-	// out-of-band: a watchdog goroutine scans the pending table at
-	// timeout/4 granularity and declares the whole connection wedged
-	// (ErrCallTimeout) when any call has waited longer than timeout.
-	// The per-call cost is one time.Now() on the wire path — no timer
-	// churn, no extra select cases — so the deadline-bearing client is
-	// as fast as the bare one. Zero disables enforcement entirely.
-	timeout time.Duration
+	clk     netsim.Clock  // times the call timer and the callers' deadlines
+	timeout time.Duration // the call timer's bound on each call's wait (see expire); 0: none
 
 	// The outbound half (see send). sendMu is a leaf: it is never held
 	// across conn.Write, another lock or a blocking channel operation
@@ -57,6 +52,9 @@ type RemoteClient struct {
 	reading bool          // a goroutine holds the read role
 	wake    chan struct{} // hands the read role to the helper
 	broken  error         // set once the connection is unusable
+	armed   bool          // the call timer is running
+	timer   netsim.Timer  // the call timer armed last
+	idle    chan muxReply // a holder's own reply channel, empty: the next call takes it
 
 	done   chan struct{} // closed once the client has failed every call
 	helper chan struct{} // closed when the helper has exited, after done
@@ -77,8 +75,8 @@ type muxReply struct {
 }
 
 // pendingCall is one outstanding tagged request: the channel its caller
-// waits on and, when a per-call deadline is configured, the time the
-// request was issued (zero otherwise — the watchdog never runs then).
+// waits on and the time on the client's clock it was issued (zero
+// without a call timeout or deadline — the call timer never runs then).
 type pendingCall struct {
 	ch chan muxReply
 	at time.Time
@@ -117,24 +115,28 @@ var ErrDeadlineExceeded = errors.New("taintmap: call deadline exceeded")
 // is safe and saves an allocation per request. Channels are NOT
 // returned on failure paths — the goroutine that fails the client closes
 // pending channels, and a closed channel must never re-enter the pool.
+// A read role holder's own channel, empty, stays with its client (idle):
+// a lone caller's calls skip the pool, which under -race drops Puts.
 var replyChans = sync.Pool{
 	New: func() any { return make(chan muxReply, 1) },
 }
 
 // NewRemoteClient wraps an established connection to a Taint Map
-// server and starts the read role's helper.
+// server and starts the read role's helper. Its deadlines run on the
+// wall clock.
 func NewRemoteClient(conn io.ReadWriteCloser, tree *taint.Tree) *RemoteClient {
-	return newRemoteClientWith(conn, tree, &cache{}, 0)
+	return newRemoteClientWith(conn, tree, &cache{}, 0, netsim.WallClock{})
 }
 
-// newRemoteClientWith is NewRemoteClient with an injected memo cache
-// and per-call timeout. A cluster client threads its one cache through
-// every connection of every member, so taints resolved before a
-// reconnect stay warm after it.
-func newRemoteClientWith(conn io.ReadWriteCloser, tree *taint.Tree, memo *cache, timeout time.Duration) *RemoteClient {
+// newRemoteClientWith is NewRemoteClient with an injected memo cache,
+// per-call timeout and clock. A cluster client threads its one cache
+// through every connection of every member, so taints resolved before a
+// reconnect stay warm after it; a cluster node's peers have neither.
+func newRemoteClientWith(conn io.ReadWriteCloser, tree *taint.Tree, memo *cache, timeout time.Duration, clk netsim.Clock) *RemoteClient {
 	c := &RemoteClient{
 		conn:    conn,
 		br:      bufio.NewReaderSize(conn, connBuffer),
+		clk:     clk,
 		timeout: timeout,
 		pending: make(map[uint32]pendingCall),
 		wake:    make(chan struct{}, 1),
@@ -143,50 +145,37 @@ func newRemoteClientWith(conn io.ReadWriteCloser, tree *taint.Tree, memo *cache,
 	}
 	c.front = front{tree, memo, c}
 	go c.demux()
-	if timeout > 0 {
-		go c.watchdog()
-	}
 	return c
 }
 
-// watchdog enforces the per-call deadline out-of-band: every timeout/4
-// it scans the pending table, and the moment any call has been waiting
-// longer than timeout it declares the connection wedged — broken is set
-// to an ErrCallTimeout-wrapping error and the connection is torn down,
-// which fails every pending and future call with that error. Detection
-// granularity is timeout/4, which is plenty for a liveness deadline;
-// in exchange the wire path pays nothing per call.
-func (c *RemoteClient) watchdog() {
-	tick := c.timeout / 4
-	if tick <= 0 {
-		tick = time.Millisecond
+// expire is the call timer, armed by the first call while it lapsed. It
+// declares the connection wedged once the oldest pending call has waited
+// timeout — broken wraps ErrCallTimeout, and the teardown fails every
+// pending and future call with it — and otherwise re-arms for what that
+// call has left, or lapses when none is pending: it fires about once
+// per timeout however many calls go by.
+func (c *RemoteClient) expire() {
+	now := c.clk.Now()
+	c.pmu.Lock()
+	c.armed = false
+	var oldest time.Time
+	for _, pc := range c.pending {
+		if oldest.IsZero() || pc.at.Before(oldest) {
+			oldest = pc.at
+		}
 	}
-	tk := time.NewTicker(tick)
-	defer tk.Stop()
-	for {
-		select {
-		case <-c.done:
-			return
-		case <-tk.C:
+	wedged := false
+	if !oldest.IsZero() && c.broken == nil {
+		if left := c.timeout - now.Sub(oldest); left > 0 {
+			c.armed, c.timer = true, c.clk.AfterFunc(left, c.expire)
+		} else {
+			c.broken = fmt.Errorf("%w: no response within %v", ErrCallTimeout, c.timeout)
+			wedged = true
 		}
-		now := time.Now()
-		wedged := false
-		c.pmu.Lock()
-		if c.broken == nil {
-			for _, pc := range c.pending {
-				if now.Sub(pc.at) > c.timeout {
-					wedged = true
-					break
-				}
-			}
-			if wedged {
-				c.broken = fmt.Errorf("%w: no response within %v", ErrCallTimeout, c.timeout)
-			}
-		}
-		c.pmu.Unlock()
-		if wedged {
-			c.conn.Close() // the read role's holder fails every pending call
-		}
+	}
+	c.pmu.Unlock()
+	if wedged {
+		c.conn.Close() // the read role's holder fails every pending call
 	}
 }
 
@@ -220,7 +209,7 @@ const sendHighWater = 64 << 10
 //
 // Only the flusher can block in conn.Write, and it does so for as long
 // as the transport does: its own deadline is not consulted, and the
-// watchdog (or Close) releases it by closing the connection. Callers
+// call timer (or Close) releases it by closing the connection. Callers
 // that merely appended stay free to give up at their deadlines. When out
 // already holds sendHighWater bytes behind a write, a caller waits for
 // that write before appending — giving up at expired, or when the
@@ -231,7 +220,7 @@ const sendHighWater = 64 << 10
 //
 // send reports false when it gave up waiting for room and appended
 // nothing.
-func (c *RemoteClient) send(op byte, tag uint32, payload []byte, alone bool, expired <-chan time.Time) bool {
+func (c *RemoteClient) send(op byte, tag uint32, payload []byte, alone bool, expired <-chan struct{}) bool {
 	c.sendMu.Lock()
 	for c.flushing && len(c.out) >= sendHighWater {
 		if c.room == nil {
@@ -309,11 +298,12 @@ func (c *RemoteClient) demux() {
 // readReplies is the read role: its one holder reads replies and hands
 // each to its caller, until mine has its own (mine nil, the helper:
 // until no call is pending), then gives the role up — to the helper if
-// calls are still pending. A holder that finds the connection torn down
-// (Close, the watchdog) fails the client, as a read error does: a reply
-// drained from the buffer after the teardown must not leave the others
-// waiting on a reader nobody is.
-func (c *RemoteClient) readReplies(mine chan muxReply) {
+// calls are still pending — and returns that reply itself, ok true: a
+// holder's own reply never crosses its channel. A holder that finds the
+// connection torn down (Close, the call timer) fails the client, as a
+// read error does: a reply drained from the buffer after the teardown
+// must not leave the others waiting on a reader nobody is.
+func (c *RemoteClient) readReplies(mine chan muxReply) (own muxReply, ok bool) {
 	for {
 		status, tag, payload, err := readTaggedFrame(c.br, nil, isReplyStatus, maxReplyFrame)
 		c.pmu.Lock()
@@ -324,7 +314,13 @@ func (c *RemoteClient) readReplies(mine chan muxReply) {
 		} else if c.broken == nil {
 			c.broken = fmt.Errorf("%w: connection lost: %v", ErrClientClosed, err)
 		}
-		last := c.broken != nil || ch == mine && mine != nil || mine == nil && len(c.pending) == 0
+		own := ch == mine && mine != nil
+		if own && c.idle == nil {
+			c.idle = mine
+		} else if own {
+			replyChans.Put(mine)
+		}
+		last := c.broken != nil || own || mine == nil && len(c.pending) == 0
 		switch {
 		case c.broken != nil:
 			c.failLocked()
@@ -335,20 +331,28 @@ func (c *RemoteClient) readReplies(mine chan muxReply) {
 			c.reading = false
 		}
 		c.pmu.Unlock()
-		if ch != nil {
-			ch <- muxReply{status: status, payload: payload} // buffered, and empty
+		reply := muxReply{status: status, payload: payload}
+		switch {
+		case own:
+			return reply, true
+		case ch != nil:
+			ch <- reply // buffered, and empty
 		}
 		if last {
-			return
+			return muxReply{}, false
 		}
 	}
 }
 
-// failLocked fails every pending call with c.broken, once; no call
-// registers after it, and so none takes the read role. Caller holds c.pmu.
+// failLocked fails every pending call with c.broken, once, and retires
+// the call timer; no call registers after it, and so none takes the read
+// role or arms the timer. Caller holds c.pmu.
 func (c *RemoteClient) failLocked() {
 	if c.pending == nil {
 		return
+	}
+	if c.timer != nil {
+		c.timer.Stop()
 	}
 	for _, pc := range c.pending {
 		close(pc.ch)
@@ -358,35 +362,33 @@ func (c *RemoteClient) failLocked() {
 }
 
 // call issues one request and waits for its response — the one place a
-// pending call is registered and awaited. A non-zero deadline is
-// enforced inline: when it passes before the reply arrives, the call
-// withdraws its pending entry and returns ErrDeadlineExceeded — the
-// connection stays up, the request stays in flight server-side, and its
-// late reply is discarded by whoever reads it. This is the hedged read's
-// cancellation primitive: unlike the watchdog (which declares the whole
-// connection wedged), an expired deadline here says only "this caller
-// stopped waiting". With a zero deadline no timer is armed and only the
-// watchdog bounds the wait.
+// pending call is registered and awaited. A non-zero deadline, a time on
+// the client's clock, is enforced inline: when it passes before the
+// reply arrives, the call withdraws its pending entry and returns
+// ErrDeadlineExceeded — the connection stays up, the request stays in
+// flight server-side, and its late reply is discarded by whoever reads
+// it. This is the hedged read's cancellation primitive: unlike the call
+// timer (which declares the whole connection wedged), an expired
+// deadline here says only "this caller stopped waiting". With a zero
+// deadline only the call timer bounds the wait.
 func (c *RemoteClient) call(op byte, payload []byte, deadline time.Time) ([]byte, error) {
 	if len(payload) > maxFrame {
 		return nil, fmt.Errorf("taintmap: send request: %w: frame of %d bytes", errProtocol, len(payload))
 	}
+	// The timeout's entire per-call cost: one clock read.
+	var at time.Time
+	if c.timeout > 0 || !deadline.IsZero() {
+		at = c.clk.Now()
+	}
 	var d time.Duration
-	var expired <-chan time.Time // nil (never ready) without a deadline
+	var expired <-chan struct{} // nil (never ready) without a deadline
 	if !deadline.IsZero() {
-		if d = time.Until(deadline); d <= 0 {
+		if d = deadline.Sub(at); d <= 0 {
 			return nil, fmt.Errorf("%w: deadline already passed", ErrDeadlineExceeded)
 		}
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		expired = timer.C
-	}
-	ch := replyChans.Get().(chan muxReply)
-	// The timestamp exists only when a call timeout is configured; it is
-	// the watchdog's input and the timeout's entire per-call cost.
-	var at time.Time
-	if c.timeout > 0 {
-		at = time.Now()
+		fired := make(chan struct{})
+		defer c.clk.AfterFunc(d, func() { close(fired) }).Stop()
+		expired = fired
 	}
 	c.pmu.Lock()
 	if c.broken != nil {
@@ -394,9 +396,17 @@ func (c *RemoteClient) call(op byte, payload []byte, deadline time.Time) ([]byte
 		c.pmu.Unlock()
 		return nil, err
 	}
+	ch := c.idle
+	c.idle = nil
+	if ch == nil {
+		ch = replyChans.Get().(chan muxReply)
+	}
 	tag := c.nextTag.Add(1)
 	c.pending[tag] = pendingCall{ch: ch, at: at}
 	alone := len(c.pending) == 1
+	if c.timeout > 0 && !c.armed {
+		c.armed, c.timer = true, c.clk.AfterFunc(c.timeout, c.expire)
+	}
 	c.pmu.Unlock()
 
 	if !c.send(op, tag, payload, alone, expired) {
@@ -421,7 +431,9 @@ func (c *RemoteClient) call(op byte, payload []byte, deadline time.Time) ([]byte
 	}
 	c.pmu.Unlock()
 	if read {
-		c.readReplies(ch)
+		if reply, ok := c.readReplies(ch); ok {
+			return c.finishReply(nil, reply, true)
+		}
 	}
 
 	select {
@@ -453,16 +465,19 @@ func (c *RemoteClient) withdraw(tag uint32) bool {
 }
 
 // finishReply converts one received reply into the call result and
-// recycles the channel. ok=false means the client failed and closed the
-// channel (which must then never re-enter the pool).
+// recycles the channel, if there is one: a read role holder's own reply
+// came without (readReplies kept it). ok=false means the client failed
+// and closed the channel (which must then never re-enter the pool).
 func (c *RemoteClient) finishReply(ch chan muxReply, reply muxReply, ok bool) ([]byte, error) {
-	if !ok {
+	switch {
+	case !ok:
 		c.pmu.Lock()
 		err := c.broken
 		c.pmu.Unlock()
 		return nil, err
+	case ch != nil:
+		replyChans.Put(ch)
 	}
-	replyChans.Put(ch)
 	if reply.status != statusTaggedOK {
 		return nil, serverErr(reply.payload)
 	}

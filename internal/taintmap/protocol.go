@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"dista/internal/netsim"
 )
 
 // Wire protocol: length-prefixed tagged frames over any reliable stream.
@@ -332,7 +334,8 @@ type connHost struct {
 	store *Store
 	node  *ClusterNode
 	cost  func(op byte, items int)
-	adm   *admission // request admission gate; nil = unlimited
+	adm   *admission   // request admission gate; nil = unlimited
+	clk   netsim.Clock // the read timeout's clock; unused without one
 }
 
 // charge bills one request to the service model, if any is installed.
@@ -475,10 +478,10 @@ type readDeadliner interface {
 }
 
 // serveConn is ServeConn with an idle/read timeout: when nonzero and
-// the connection supports read deadlines, the deadline is re-armed
-// before each frame, so a peer that goes silent (or stalls mid-frame)
-// holds its server goroutine for at most readTimeout instead of
-// forever.
+// the connection supports read deadlines, the deadline is re-armed on
+// h.clk before each frame, so a peer that goes silent (or stalls
+// mid-frame) holds its server goroutine for at most readTimeout instead
+// of forever.
 func serveConn(h connHost, conn io.ReadWriter, readTimeout time.Duration) error {
 	var rd readDeadliner
 	if readTimeout > 0 {
@@ -489,7 +492,7 @@ func serveConn(h connHost, conn io.ReadWriter, readTimeout time.Duration) error 
 	var scratch connScratch
 	for {
 		if rd != nil {
-			rd.SetReadDeadline(time.Now().Add(readTimeout))
+			rd.SetReadDeadline(h.clk.Now().Add(readTimeout))
 		}
 		op, tag, payload, err := readTaggedFrame(br, scratch.payload, isRequestOp, maxFrame)
 		if err != nil {

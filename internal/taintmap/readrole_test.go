@@ -58,7 +58,7 @@ func TestReadRoleWhoReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := &stackConn{ReadWriteCloser: conn}
-	c := newRemoteClientWith(sc, taint.NewTree(), &cache{}, 0)
+	c := newRemoteClientWith(sc, taint.NewTree(), &cache{}, 0, netsim.WallClock{})
 	defer c.Close()
 
 	for _, tc := range []struct {
@@ -141,7 +141,7 @@ func TestReadRoleCloseAfterDrainedReply(t *testing.T) {
 	for _, waiters := range []int{0, 1} {
 		t.Run(fmt.Sprintf("Waiters%d", waiters), func(t *testing.T) {
 			sc := newScriptConn()
-			c := newRemoteClientWith(sc, taint.NewTree(), &cache{}, 0)
+			c := newRemoteClientWith(sc, taint.NewTree(), &cache{}, 0, netsim.WallClock{})
 			calls := make(chan error, 1+waiters)
 			for i := 0; i <= waiters; i++ {
 				go func() {
@@ -221,7 +221,7 @@ func TestServerCloseLogsNoTeardown(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return simAcceptor{l: l}, func() (io.ReadWriteCloser, error) { return n.Dial("tm:1") }
+			return simAcceptor{l: l, clk: n.Clock()}, func() (io.ReadWriteCloser, error) { return n.Dial("tm:1") }
 		}},
 		{"TCP", func(t *testing.T) (Acceptor, func() (io.ReadWriteCloser, error)) {
 			l, err := net.Listen("tcp", "127.0.0.1:0")

@@ -55,26 +55,20 @@ type ResilientOptions struct {
 	// Seed seeds the jitter generator; 0 uses a fixed default seed.
 	Seed int64
 
-	// clk times the backoff, the retry budget, the hedge timer and the
-	// operation deadline; nil means wall time.
+	// clk times the backoff, the retry budget, the hedge timer, the
+	// operation deadline and the connections' call timeouts; nil means
+	// wall time.
 	clk netsim.Clock
-}
-
-// callTimeout resolves CallTimeout: the 2s default for zero, zero
-// (disabled) for negative.
-func (o *ResilientOptions) callTimeout() time.Duration {
-	switch {
-	case o.CallTimeout == 0:
-		return 2 * time.Second
-	case o.CallTimeout < 0:
-		return 0
-	}
-	return o.CallTimeout
 }
 
 func (o *ResilientOptions) withDefaults() ResilientOptions {
 	opt := *o
-	opt.CallTimeout = o.callTimeout()
+	switch {
+	case opt.CallTimeout == 0:
+		opt.CallTimeout = 2 * time.Second
+	case opt.CallTimeout < 0:
+		opt.CallTimeout = 0
+	}
 	if opt.BackoffBase <= 0 {
 		opt.BackoffBase = 5 * time.Millisecond
 	}
@@ -162,7 +156,7 @@ func (c *ClusterClient) newMember(m Member) *member {
 	cm.cond = sync.NewCond(&cm.mu)
 	cm.addr.Store(&m.Addr)
 	if conn, err := c.dial(m.Addr); err == nil {
-		cm.inner.Store(newRemoteClientWith(conn, c.tree, c.memo, c.opt.Resilient.CallTimeout))
+		cm.inner.Store(newRemoteClientWith(conn, c.tree, c.memo, c.opt.Resilient.CallTimeout, c.opt.Resilient.clk))
 	} else {
 		cm.dialFailures.Add(1)
 		cm.reconnecting = true
@@ -260,11 +254,11 @@ func (m *member) connect(addr string) (*RemoteClient, error) {
 		m.dialFailures.Add(1)
 		return nil, err
 	}
-	rc := newRemoteClientWith(conn, m.c.tree, m.c.memo, m.c.opt.Resilient.CallTimeout)
+	rc := newRemoteClientWith(conn, m.c.tree, m.c.memo, m.c.opt.Resilient.CallTimeout, m.c.opt.Resilient.clk)
 	// Probe before trusting the connection: a gray-failing server
 	// accepts the dial and then never answers, and publishing it would
 	// hand every caller a stall. One stats round trip (bounded by the
-	// watchdog) proves the server is answering. Skipped when deadlines
+	// call timer) proves the server is answering. Skipped when deadlines
 	// are disabled — the probe itself could hang forever.
 	if rc.timeout > 0 {
 		if _, err := rc.call(opStatsTag, nil, time.Time{}); err != nil {

@@ -322,7 +322,7 @@ func TestCallTimeoutOnStalledConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := taint.NewTree()
-	c := newRemoteClientWith(conn, tree, &cache{}, 100*time.Millisecond)
+	c := newRemoteClientWith(conn, tree, &cache{}, 100*time.Millisecond, netsim.WallClock{})
 	defer func() {
 		n.SetStall(false)
 		c.Close()

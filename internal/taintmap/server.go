@@ -95,6 +95,7 @@ type Acceptor interface {
 type Server struct {
 	store       *Store
 	acc         Acceptor
+	clk         netsim.Clock // times deadlines and graces: the acceptor's network's, or wall time
 	logf        func(format string, args ...any)
 	readTimeout time.Duration
 	maxConns    int
@@ -188,9 +189,13 @@ func NewServer(store *Store, acc Acceptor, logf func(string, ...any), opts ...Se
 	s := &Server{
 		store: store,
 		acc:   acc,
+		clk:   netsim.WallClock{},
 		logf:  logf,
 		conns: make(map[io.Closer]struct{}),
 		done:  make(chan struct{}),
+	}
+	if a, ok := acc.(simAcceptor); ok {
+		s.clk = a.clk // simulated connections read deadlines on it
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -251,7 +256,7 @@ func (s *Server) serve() {
 			go func() {
 				defer wg.Done()
 				defer s.shedding.Add(-1)
-				shedConn(conn, brownoutGrace)
+				shedConn(conn, brownoutGrace, s.clk)
 			}()
 			continue
 		}
@@ -262,7 +267,7 @@ func (s *Server) serve() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := serveConn(connHost{store: s.store, node: s.node, cost: s.cost, adm: s.adm}, conn, s.readTimeout)
+			err := serveConn(connHost{store: s.store, node: s.node, cost: s.cost, adm: s.adm, clk: s.clk}, conn, s.readTimeout)
 			conn.Close()
 			s.mu.Lock()
 			delete(s.conns, conn)
@@ -291,17 +296,17 @@ const brownoutMaxFrames = 64
 // shedConn serves one over-cap connection in brownout mode: every
 // request is answered with an ErrOverloaded error response, payloads are
 // discarded unexecuted, and the connection closes at the grace deadline
-// or the frame cap, whichever lands first. On transports without read
-// deadlines a silent peer can hold its shedder slot past the grace; the
-// pool bound in serve() contains that.
-func shedConn(conn io.ReadWriteCloser, grace time.Duration) {
+// or the frame cap, whichever lands first, on clk. On transports without
+// read deadlines a silent peer can hold its shedder slot past the grace;
+// the pool bound in serve() contains that.
+func shedConn(conn io.ReadWriteCloser, grace time.Duration, clk netsim.Clock) {
 	defer conn.Close()
 	rd, _ := conn.(readDeadliner)
-	deadline := time.Now().Add(grace)
+	deadline := clk.Now().Add(grace)
 	br := bufio.NewReaderSize(conn, connBuffer)
 	bw := bufio.NewWriterSize(conn, connBuffer)
 	overload := fmt.Appendf(nil, "%v: connection over cap", ErrOverloaded)
-	for frames := 0; frames < brownoutMaxFrames && time.Now().Before(deadline); frames++ {
+	for frames := 0; frames < brownoutMaxFrames && clk.Now().Before(deadline); frames++ {
 		if rd != nil {
 			rd.SetReadDeadline(deadline)
 		}
@@ -407,19 +412,22 @@ func (s *Server) Shutdown(grace time.Duration) error {
 	idle := s.idle
 	s.mu.Unlock()
 	if idle != nil {
-		t := time.NewTimer(grace)
+		up := make(chan struct{})
+		t := s.clk.AfterFunc(grace, func() { close(up) })
 		select {
 		case <-idle:
-		case <-t.C:
+		case <-up:
 		}
 		t.Stop()
 	}
 	return s.Close()
 }
 
-// simAcceptor adapts a netsim.Listener to Acceptor.
+// simAcceptor adapts a netsim.Listener to Acceptor, with its network's
+// clock.
 type simAcceptor struct {
-	l *netsim.Listener
+	l   *netsim.Listener
+	clk netsim.Clock
 }
 
 func (a simAcceptor) Accept() (io.ReadWriteCloser, error) { return a.l.Accept() }
@@ -432,7 +440,7 @@ func StartSimServer(net *netsim.Network, addr string) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := NewServer(NewStore(), simAcceptor{l: l}, log.Printf)
+	srv := NewServer(NewStore(), simAcceptor{l: l, clk: net.Clock()}, log.Printf)
 	srv.Start()
 	return srv, nil
 }
@@ -445,7 +453,8 @@ func simMemberAddr(part uint32) string { return fmt.Sprintf("tm%d:1", part) }
 // StartSimClusterMember starts (or restarts) one member of a simulated
 // cluster: a listener at the member's ring address, a ClusterNode that
 // dials peers from the member's own host (so host-level partition cuts
-// apply to replication traffic too), and a server over store.
+// apply to replication traffic too), and a server over store, both on
+// the network's clock.
 func StartSimClusterMember(network *netsim.Network, ring *Ring, part uint32, store *Store, opts ...ServerOption) (*Server, *ClusterNode, error) {
 	self, ok := ring.Member(part)
 	if !ok {
@@ -457,11 +466,12 @@ func StartSimClusterMember(network *netsim.Network, ring *Ring, part uint32, sto
 	if err != nil {
 		return nil, nil, err
 	}
+	node.clk = network.Clock()
 	l, err := network.Listen(self.Addr)
 	if err != nil {
 		return nil, nil, err
 	}
-	srv := NewServer(store, simAcceptor{l: l}, nil, append([]ServerOption{WithClusterNode(node)}, opts...)...)
+	srv := NewServer(store, simAcceptor{l: l, clk: network.Clock()}, nil, append([]ServerOption{WithClusterNode(node)}, opts...)...)
 	srv.Start()
 	return srv, node, nil
 }
@@ -496,19 +506,23 @@ func StartSimCluster(network *netsim.Network, n, rf int, opts ...ServerOption) (
 }
 
 // DialSimCluster connects a ClusterClient to a simulated cluster from
-// the given local host.
+// the given local host, on the network's clock.
 func DialSimCluster(network *netsim.Network, local string, ring *Ring, tree *taint.Tree, opt ClusterOptions) (*ClusterClient, error) {
+	if opt.Resilient.clk == nil {
+		opt.Resilient.clk = network.Clock()
+	}
 	return NewClusterClient(ring, func(addr string) (io.ReadWriteCloser, error) {
 		return network.DialFrom(local, addr)
 	}, tree, opt)
 }
 
 // DialSim connects a RemoteClient to a Taint Map server on the simulated
-// network, resolving taints into tree.
+// network, resolving taints into tree, its deadlines on the network's
+// clock.
 func DialSim(net *netsim.Network, addr string, tree *taint.Tree) (*RemoteClient, error) {
 	conn, err := net.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	return NewRemoteClient(conn, tree), nil
+	return newRemoteClientWith(conn, tree, &cache{}, 0, net.Clock()), nil
 }

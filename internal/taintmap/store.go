@@ -247,7 +247,6 @@ type Store struct {
 
 	registrations atomic.Int64
 	lookups       atomic.Int64
-	adopted       atomic.Int64
 }
 
 // NewStore returns an empty standalone Store (partition 0).
@@ -330,7 +329,6 @@ func (s *Store) AdoptBlob(id uint32, blob []byte) error {
 	if seq == 0 {
 		return fmt.Errorf("taintmap: adopt of id %d with zero sequence", id)
 	}
-	s.adopted.Add(1)
 	var held []byte
 	taken := false
 	if id&^seqMask == s.base {
@@ -453,10 +451,6 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Adopted returns how many replicated/read-repaired entries this store
-// has accepted (including idempotent re-adoptions).
-func (s *Store) Adopted() int64 { return s.adopted.Load() }
-
 // Reset drops all state, returning the store to empty. Concurrent
 // readers see either the old or the new (empty) table, and the views
 // they hold stay whole: an arena is dropped, never reused. All shard
@@ -474,7 +468,6 @@ func (s *Store) Reset() {
 	}
 	s.registrations.Store(0)
 	s.lookups.Store(0)
-	s.adopted.Store(0)
 	for i := range s.shards {
 		s.shards[i].mu.Unlock()
 	}
