@@ -96,6 +96,7 @@ func jsonReport(r load.Report) map[string]any {
 		"taints_per_sec":  r.TaintsPerSec(),
 		"sink_goroutines": r.SinkGoroutines,
 		"peak_goroutines": r.PeakGoroutines,
+		"heap_per_conn_b": r.HeapPerConn,
 	}
 }
 

@@ -40,8 +40,10 @@ func TestRunHuman(t *testing.T) {
 	if err := run(cfg, false, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "p999=") {
-		t.Fatalf("human report missing quantiles: %q", out.String())
+	for _, k := range []string{"p999=", "heap per idle conn"} {
+		if !strings.Contains(out.String(), k) {
+			t.Fatalf("human report missing %q: %q", k, out.String())
+		}
 	}
 }
 
@@ -58,9 +60,12 @@ func TestRunJSON(t *testing.T) {
 	if rep["ops"].(float64) != 100 {
 		t.Fatalf("ops = %v, want 100", rep["ops"])
 	}
-	for _, k := range []string{"p50_ns", "p99_ns", "p999_ns", "sink_goroutines", "taints_per_sec"} {
+	for _, k := range []string{"p50_ns", "p99_ns", "p999_ns", "sink_goroutines", "taints_per_sec", "heap_per_conn_b"} {
 		if _, ok := rep[k]; !ok {
 			t.Fatalf("JSON report missing %q", k)
 		}
+	}
+	if h := rep["heap_per_conn_b"].(float64); h <= 0 {
+		t.Fatalf("heap_per_conn_b = %v, want > 0: an open connection holds heap", h)
 	}
 }

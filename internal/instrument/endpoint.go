@@ -1,9 +1,11 @@
 package instrument
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -178,33 +180,33 @@ func appendGroups(agent *tracker.Agent, out []byte, b taint.Bytes, t int, sc *st
 }
 
 // encodeDense writes the groups of data, byte i under labels[i], at
-// dst[0:] — the send lane of a dense store: label, id word, one 8-byte
-// store per byte, no call in between. The last two distinct labels keep
-// their id words, so the Global ID is read off a tree node only where
-// the label changes to a third. dst reaches wire.EncodeSlack past the
-// last group. It reports false, leaving dst scratch, on meeting a taint
-// without a Global ID: registering is the run walk's job (a scoped id is
-// never stamped on a node, so a taint that has only one reads as
-// unregistered here and is scoped again there).
+// dst[0:] — the send lane of a dense store: one 8-byte store per byte at
+// i*GroupLen, no call in between. Each label is compared against the last
+// two distinct ones, which keep their id words, so the Global ID is read
+// off a tree node only where the label changes to a third. dst reaches
+// wire.EncodeSlack past the last group. It reports false, leaving dst
+// scratch, on meeting a taint without a Global ID: registering is the run
+// walk's job (a scoped id is never stamped on a node, so a taint that has
+// only one reads as unregistered here and is scoped again there).
 func encodeDense(dst, data []byte, labels []taint.Taint) bool {
 	data = data[:len(labels)]
 	var t0, t1 taint.Taint // the zero Taint's id word is zero: the caches start out true
 	var w0, w1 uint64
-	w := 0
 	for i, t := range labels {
-		if t != t0 {
-			if t == t1 {
-				t0, w0, t1, w1 = t1, w1, t0, w0
-			} else {
-				id := t.GlobalID()
-				if id == 0 && !t.Empty() {
-					return false
-				}
-				t0, w0, t1, w1 = t, wire.GroupWord(id), t0, w0
+		o := i * wire.GroupLen // PutGroup stores 8 bytes at dst[o:]
+		switch t {
+		case t0:
+			wire.PutGroup(dst[o:o+8], w0, data[i])
+		case t1:
+			wire.PutGroup(dst[o:o+8], w1, data[i])
+		default:
+			id := t.GlobalID()
+			if id == 0 && !t.Empty() {
+				return false
 			}
+			t0, w0, t1, w1 = t, wire.GroupWord(id), t0, w0
+			wire.PutGroup(dst[o:o+8], w0, data[i])
 		}
-		wire.PutGroup(dst[w:], w0, data[i])
-		w += wire.GroupLen
 	}
 	return true
 }
@@ -623,15 +625,22 @@ type streamReader struct {
 // read fills buf[from:to] with pending bytes and their labels and
 // returns the count — the one receive primitive, behind every stream
 // read and every datagram (Fig. 9 steps ④⑤) — making native reads through
-// recv (nil for a datagram, fed whole) while nothing is buffered; one that
-// is a whole passthrough frame is copied out of the read buffer
-// (FrameDecoder.Whole). Labels first, bytes second: a failed lookup leaves
-// buf and the decoder untouched, so the same bytes are there for a retry.
+// recv (nil for a datagram, fed whole) while nothing is buffered, a large
+// one into borrowed scratch; one that is a whole passthrough frame is
+// copied out of the read buffer (FrameDecoder.Whole). Labels first, bytes
+// second: a failed lookup leaves buf and the decoder untouched, so the
+// same bytes are there for a retry.
 // A groups body still raw at the head of the stream is offered to
 // adoptGroups; what that turns down, and all else, goes through the
 // decoder's runs.
 func (r *streamReader) read(agent *tracker.Agent, recv func([]byte) (int, error), buf *taint.Bytes, from, to int) (int, error) {
 	for recv != nil && r.dec.Buffered() == 0 {
+		if rawLen(to-from) > borrowAbove && r.err == nil {
+			if n, err := r.borrowed(recv, buf, from, to); n > 0 || err != nil {
+				return n, err
+			}
+			continue
+		}
 		raw, err := r.native(recv, to-from)
 		if p := r.dec.Whole(raw, to-from); p != nil {
 			r.err = err // reported by the next read
@@ -690,13 +699,14 @@ func (r *streamReader) learn(agent *tracker.Agent) error {
 }
 
 // native makes one read through recv, unless its source failed before,
-// into the raw-read scratch: persistent, and enlarged by the group factor
-// plus framing overhead as the paper's receiver enlarges its buffer.
+// into the raw-read scratch: persistent, at most borrowAbove (a larger
+// read is borrowed's), and enlarged by the group factor plus framing
+// overhead as the paper's receiver enlarges its buffer.
 func (r *streamReader) native(recv func([]byte) (int, error), want int) ([]byte, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if need := wire.WireLen(want) + wire.StreamMagicLen + wire.FrameHeaderLen; cap(r.rbuf) < need {
+	if need := rawLen(want); cap(r.rbuf) < need {
 		r.rbuf = make([]byte, need)
 	}
 	n, err := recv(r.rbuf[:cap(r.rbuf)])
@@ -777,7 +787,9 @@ func (e *Endpoint) ReadBuffer(dst *jni.DirectBuffer, from, to int) (int, error) 
 // ids are resolved at once and the run count lets buf's store pick its
 // representation as for any delivery (taint.Bytes.WriteLabels);
 // where that is dense, pass 2 writes each byte and its label straight
-// from its group. An error, like a refusal, leaves buf as it was.
+// from its group. Both passes compare ids raw, as their bytes read
+// little endian, and byte-swap one only to number or resolve it. An
+// error, like a refusal, leaves buf as it was.
 //
 // It sits last in the file on a measurement: between coverRuns and
 // adoptRuns, where it reads best, it moves every function of the clean
@@ -785,21 +797,21 @@ func (e *Endpoint) ReadBuffer(dst *jni.DirectBuffer, from, to int) (int, error) 
 // them (CHANGES.md, PR 20).
 func (r *streamReader) adoptGroups(agent *tracker.Agent, buf *taint.Bytes, at int, g []byte) (int, error) {
 	r.seen.reset()
-	id0, id1 := wire.GroupID(g), uint32(0) // the last two distinct ids seen
-	if id0 != 0 {
-		r.seen.add(id0)
+	w0, w1 := binary.LittleEndian.Uint32(g[1:]), uint32(0) // the last two distinct raw ids seen
+	if w0 != 0 {
+		r.seen.add(bits.ReverseBytes32(w0))
 	}
 	runs := 1
 	for o := wire.GroupLen; o < len(g); o += wire.GroupLen {
-		id := wire.GroupID(g[o:])
-		if id == id0 {
+		w := binary.LittleEndian.Uint32(g[o+1:])
+		if w == w0 {
 			continue
 		}
 		runs++
-		if id != id1 && id != 0 && r.seen.find(id) < 0 {
+		if id := bits.ReverseBytes32(w); w != w1 && w != 0 && r.seen.find(id) < 0 {
 			r.seen.add(id)
 		}
-		id0, id1 = id, id0
+		w0, w1 = w, w0
 	}
 	if len(r.seen.keys) == 0 {
 		return 0, nil // clean: the run path's to say
@@ -816,22 +828,50 @@ func (r *streamReader) adoptGroups(agent *tracker.Agent, buf *taint.Bytes, at in
 		return 0, nil
 	}
 	var t0, t1 taint.Taint
-	id0, id1 = 0, 0
+	w0, w1 = 0, 0
 	dst := buf.Data[at : at+n]
 	for i := range lane[:n] {
 		grp := g[i*wire.GroupLen:][:wire.GroupLen]
-		if id := wire.GroupID(grp); id != id0 {
-			if id != id1 { // a third id takes the older one's place
-				id1, t1 = id, taint.Taint{} // the canonical empty label, as the lane must store it
-				if id != 0 {
-					if l := labels[r.seen.find(id)]; !l.Empty() {
+		if w := binary.LittleEndian.Uint32(grp[1:]); w != w0 {
+			if w != w1 { // a third id takes the older one's place
+				w1, t1 = w, taint.Taint{} // the canonical empty label, as the lane must store it
+				if w != 0 {
+					if l := labels[r.seen.find(bits.ReverseBytes32(w))]; !l.Empty() {
 						t1 = l
 					}
 				}
 			}
-			id0, t0, id1, t1 = id1, t1, id0, t0
+			w0, t0, w1, t1 = w1, t1, w0, t0
 		}
 		dst[i], lane[i] = grp[0], t0
 	}
 	return n, nil
+}
+
+// borrowAbove is the raw scratch, in bytes, past which a read borrows it
+// rather than keep it: reads over ~13 KiB, the paper's fresh 32–64 KiB
+// transfers among them. Not 0: pooling every small read cost clean_rpc
+// more than the allocation saves (1.30 → 1.38×), and allocates under
+// -race, whose sync.Pool drops one Put in four.
+const borrowAbove = 64 << 10
+
+// rawLen is the raw scratch a read of want data bytes asks for.
+func rawLen(want int) int { return wire.WireLen(want) + wire.StreamMagicLen + wire.FrameHeaderLen }
+
+// borrowed is native for a read past borrowAbove, into scratch from
+// wire's pool, given back once Whole's payload is copied out or Feed has
+// copied what it keeps. At most 256 KiB (a netsim connection's buffer),
+// every large read shares one size class, warm where GC emptied a rarer
+// one between reads; a larger window is filled in pieces. It sits after
+// adoptGroups to keep the clean path's layout.
+func (r *streamReader) borrowed(recv func([]byte) (int, error), buf *taint.Bytes, from, to int) (int, error) {
+	s := wire.GetBuf(min(rawLen(to-from), 256<<10))
+	defer wire.PutBuf(s)
+	n, err := recv((*s)[:cap(*s)])
+	if p := r.dec.Whole((*s)[:n], to-from); p != nil {
+		r.err = err // reported by the next read
+		clearStale(buf, from, len(p))
+		return copy(buf.Data[from:to], p), nil
+	}
+	return 0, r.feed((*s)[:n], err)
 }

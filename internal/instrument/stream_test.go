@@ -3,6 +3,7 @@ package instrument
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"strings"
@@ -423,6 +424,175 @@ func TestStreamedPathAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(50, func() { exchange(t, sender, receiver, clean, &small) }); got != 0 {
 		t.Errorf("clean 512 B exchange: %v allocs, want 0", got)
 	}
+}
+
+// TestLargeReadBorrowsScratch: a read whose raw scratch would pass
+// borrowAbove borrows it for that read alone, 256 KiB at most. A 4 MiB
+// transfer, uniform and then a label change on every byte (the groups
+// tier), arrives with exact bytes and labels through 4 MiB reads and
+// leaves the endpoint no scratch past borrowAbove: one such read used to
+// leave more than 20 MiB on it for its life. A warm 64 KiB uniform
+// exchange, whose every read borrows, allocates nothing.
+func TestLargeReadBorrowsScratch(t *testing.T) {
+	r := newRig(t, tracker.ModeDista)
+	ca, cb := r.net.Pipe()
+	sender, receiver := NewAdaptiveEndpoint(r.a, ca), NewAdaptiveEndpoint(r.b, cb)
+	tags := [2]string{"x", "y"}
+	pair := [2]taint.Taint{r.a.Source("s", tags[0]), r.a.Source("s", tags[1])}
+
+	const size = 4 << 20
+	uniform, groups := taint.MakeBytes(size), taint.MakeBytes(size)
+	for i := range groups.Data {
+		uniform.Data[i], groups.Data[i] = byte(i*7), byte(i*13)
+		groups.SetLabel(i, pair[i&1])
+	}
+	uniform.SetRange(0, size, pair[0])
+	into := taint.MakeBytes(size)
+	for _, tc := range []struct {
+		name  string
+		msg   taint.Bytes
+		label func(i int) string
+	}{
+		{"uniform", uniform, func(int) string { return "x" }},
+		{"groups", groups, func(i int) string { return tags[i&1] }},
+	} {
+		sent := make(chan error, 1)
+		go func() { sent <- sender.Write(tc.msg) }()
+		for got := 0; got < size; {
+			sub := into.Slice(got, size)
+			n, err := receiver.Read(&sub)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			got += n
+		}
+		if err := <-sent; err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		checkDelivery(t, tc.name, into, tc.msg.Data, tc.label)
+		if c := cap(receiver.rd.rbuf); c > borrowAbove {
+			t.Fatalf("%s: the endpoint keeps %d bytes of read scratch, want at most %d", tc.name, c, borrowAbove)
+		}
+	}
+
+	msg := taint.FromString(strings.Repeat("u", 64<<10), pair[0])
+	whole := taint.MakeBytes(64 << 10)
+	for i := 0; i < 4; i++ {
+		exchange(t, sender, receiver, msg, &whole)
+	}
+	checkDelivery(t, "64 KiB uniform", whole, msg.Data, func(int) string { return "x" })
+	if raceEnabled {
+		return
+	}
+	if got := testing.AllocsPerRun(50, func() { exchange(t, sender, receiver, msg, &whole) }); got != 0 {
+		t.Errorf("uniform 64 KiB exchange: %v allocs, want 0", got)
+	}
+}
+
+// TestBorrowedScratchAcrossConnections: four endpoint pairs exchange
+// 64 KiB uniform, sparse and groups frames at once, every read of them
+// borrowing its scratch from the one pool. A scratch given back while a
+// view of it lived would show here as another connection's bytes or
+// labels; each pair's bytes and tags are its own. `make race` runs it
+// five more times (RACE_AGAIN).
+func TestBorrowedScratchAcrossConnections(t *testing.T) {
+	r := newRig(t, tracker.ModeDista)
+	const size, rounds = 64 << 10, 4
+	errs := make(chan error, 4)
+	for p := 0; p < 4; p++ {
+		ca, cb := r.net.Pipe()
+		sender, receiver := NewAdaptiveEndpoint(r.a, ca), NewAdaptiveEndpoint(r.b, cb)
+		tags := [2]string{fmt.Sprintf("p%d.x", p), fmt.Sprintf("p%d.y", p)}
+		pair := [2]taint.Taint{r.a.Source("s", tags[0]), r.a.Source("s", tags[1])}
+		uniform, sparse, groups := taint.MakeBytes(size), taint.MakeBytes(size), taint.MakeBytes(size)
+		for i := range groups.Data {
+			b := byte(i*7 + p)
+			uniform.Data[i], sparse.Data[i], groups.Data[i] = b, b, b
+			groups.SetLabel(i, pair[i&1])
+		}
+		uniform.SetRange(0, size, pair[0])
+		for off := 0; off < size; off += size / 8 {
+			sparse.SetRange(off, off+64, pair[1])
+		}
+		kinds := []struct {
+			msg   taint.Bytes
+			label func(i int) string
+		}{
+			{uniform, func(int) string { return tags[0] }},
+			{sparse, func(i int) string {
+				if i%(size/8) < 64 {
+					return tags[1]
+				}
+				return ""
+			}},
+			{groups, func(i int) string { return tags[i&1] }},
+		}
+		go func() {
+			errs <- func() error {
+				into := taint.MakeBytes(size)
+				for k := 0; k < rounds*len(kinds); k++ {
+					kind := kinds[k%len(kinds)]
+					sent := make(chan error, 1)
+					go func() { sent <- sender.Write(kind.msg) }()
+					for got := 0; got < size; {
+						sub := into.Slice(got, size)
+						n, err := receiver.Read(&sub)
+						if err != nil {
+							return err
+						}
+						got += n
+					}
+					if err := <-sent; err != nil {
+						return err
+					}
+					if at := deliveryMismatch(into, kind.msg.Data, kind.label); at >= 0 {
+						return fmt.Errorf("pair %s, round %d: byte %d came back as %#x under %v", tags[0], k, at, into.Data[at], into.LabelAt(at).Values())
+					}
+				}
+				return nil
+			}()
+		}()
+	}
+	for p := 0; p < 4; p++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// checkDelivery fails t unless got holds data, byte i under the one tag
+// label(i), or none where that is "".
+func checkDelivery(t *testing.T, name string, got taint.Bytes, data []byte, label func(i int) string) {
+	t.Helper()
+	if at := deliveryMismatch(got, data, label); at >= 0 {
+		t.Fatalf("%s: byte %d came back as %#x under %v, sent as %#x under %q", name, at, got.Data[at], got.LabelAt(at).Values(), data[at], label(at))
+	}
+}
+
+// deliveryMismatch returns the first byte of got that is not data's or
+// not under the one tag label(i) ("" for none), or -1. The last two
+// labels it checked are remembered, so a byte under one of them costs a
+// compare.
+func deliveryMismatch(got taint.Bytes, data []byte, label func(i int) string) int {
+	var ok [2]struct {
+		want string
+		l    taint.Taint
+	}
+	for i := range data {
+		l, want := got.LabelAt(i), label(i)
+		if got.Data[i] != data[i] {
+			return i
+		}
+		if ok[0].l == l && ok[0].want == want || ok[1].l == l && ok[1].want == want {
+			continue
+		}
+		if (want == "") != l.Empty() || want != "" && (l.Len() != 1 || !l.Has(want)) {
+			return i
+		}
+		ok[1], ok[0] = ok[0], ok[1]
+		ok[0].want, ok[0].l = want, l
+	}
+	return -1
 }
 
 // flakyLookups fails the first lookups of a client — LookupBatch or,

@@ -109,6 +109,13 @@ type Report struct {
 	P50, P99, P999 time.Duration // per-op round-trip quantiles
 	SinkGoroutines int           // goroutines the echo sink used
 	PeakGoroutines int           // max runtime.NumGoroutine() observed
+
+	// HeapPerConn is the live heap, in bytes, that one idle connection
+	// holds: the heap after the last op, with every session still open,
+	// less the heap once the agents and sinks had started, over Conns.
+	// It counts both ends of a connection and the session's own receive
+	// buffer (Payload bytes) as well as what the tracker keeps.
+	HeapPerConn int64
 }
 
 // OpsPerSec is the closed-loop throughput.
@@ -141,11 +148,13 @@ func (r Report) String() string {
 		"conns=%d ops=%d bytes=%d elapsed=%v\n"+
 			"latency p50=%v p99=%v p999=%v\n"+
 			"throughput %.0f ops/sec, %.0f bytes/sec, %.0f taints/sec\n"+
-			"goroutines sink=%d peak=%d",
+			"goroutines sink=%d peak=%d\n"+
+			"heap per idle conn %d B",
 		r.Conns, r.Ops, r.Bytes, r.Elapsed.Round(time.Millisecond),
 		r.P50, r.P99, r.P999,
 		r.OpsPerSec(), r.BytesPerSec(), r.TaintsPerSec(),
-		r.SinkGoroutines, r.PeakGoroutines)
+		r.SinkGoroutines, r.PeakGoroutines,
+		r.HeapPerConn)
 }
 
 // udpSinkShard bounds how many datagram sessions share one sink socket:
@@ -389,6 +398,7 @@ func Run(cfg Config) (Report, error) {
 		return Report{}, err
 	}
 	defer stopSinks()
+	heapBefore := liveHeap()
 
 	// --- goroutine watermark sampler ---
 	stopSampler := make(chan struct{})
@@ -481,6 +491,7 @@ func Run(cfg Config) (Report, error) {
 	<-e.done
 	elapsed := time.Since(start)
 	wg.Wait()
+	heapPerConn := (liveHeap() - heapBefore) / int64(cfg.Conns)
 	for _, s := range sessions {
 		s.close()
 	}
@@ -496,6 +507,7 @@ func Run(cfg Config) (Report, error) {
 		Elapsed:        elapsed,
 		SinkGoroutines: sinkGoroutines,
 		PeakGoroutines: int(e.peakGoro.Load()),
+		HeapPerConn:    heapPerConn,
 	}
 	if q, ok := e.h.Quantile(0.50); ok {
 		r.P50 = q
@@ -507,6 +519,16 @@ func Run(cfg Config) (Report, error) {
 		r.P999 = q
 	}
 	return r, nil
+}
+
+// liveHeap is the bytes of live heap objects after two collections: the
+// second finishes sweeping what the first freed.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
 }
 
 // countPath returns how many of the configured sessions use path p.
@@ -573,11 +595,11 @@ func (e *engine) issue(s *session) error {
 // complete consumes one op's echo. For streams it reads until the whole
 // payload has decoded back — any blocking is bounded, because the
 // remainder is already in flight in the closed loop. For datagrams one
-// receive is one op. A session's first echo is verified byte for byte and
-// label for label: that op carries whatever the session had to register
-// out to the sink and back — its definitions included — so it is where a
-// dropped or misattributed label would show. Later ops check the count
-// alone, which keeps the verification out of the steady-state latencies.
+// receive is one op. Every echo is verified byte for byte and label for
+// label, after its latency is taken: the first carries whatever the
+// session had to register out to the sink and back, its definitions
+// included, and every later one is where a label a reused buffer kept,
+// or one another connection's bytes brought, would show.
 func (e *engine) complete(s *session) error {
 	want := len(s.payload.Data)
 	switch s.path {
@@ -605,14 +627,13 @@ func (e *engine) complete(s *session) error {
 	if e.extra != nil {
 		e.extra.Observe(lat)
 	}
-	if s.opsLeft == e.cfg.Ops {
-		if !bytes.Equal(s.rbuf.Data, s.payload.Data) {
-			return fmt.Errorf("load: session %d: the first echo came back with other bytes", s.id)
-		}
-		if at := labelMismatch(s.rbuf, s.payload); at >= 0 {
-			return fmt.Errorf("load: session %d: byte %d of the first echo came back under %v, sent under %v",
-				s.id, at, s.rbuf.LabelAt(at), s.payload.LabelAt(at))
-		}
+	op := e.cfg.Ops - s.opsLeft + 1
+	if !bytes.Equal(s.rbuf.Data, s.payload.Data) {
+		return fmt.Errorf("load: session %d: echo %d came back with other bytes", s.id, op)
+	}
+	if at := labelMismatch(s.rbuf, s.payload); at >= 0 {
+		return fmt.Errorf("load: session %d: byte %d of echo %d came back under %v, sent under %v",
+			s.id, at, op, s.rbuf.LabelAt(at), s.payload.LabelAt(at))
 	}
 	e.ops.Add(1)
 	e.bytes.Add(int64(want))
@@ -674,8 +695,7 @@ func (e *engine) worker() {
 		}
 		s.opsLeft--
 		if s.opsLeft <= 0 {
-			s.close()
-			e.finishSession()
+			e.finishSession() // Run closes it, once it has weighed the idle connections
 			continue
 		}
 		if err := e.issue(s); err != nil {

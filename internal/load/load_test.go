@@ -36,6 +36,9 @@ func TestRunSmall(t *testing.T) {
 	if h.Count() != r.Ops {
 		t.Fatalf("external hist got %d samples, want %d", h.Count(), r.Ops)
 	}
+	if r.HeapPerConn <= 0 {
+		t.Fatalf("heap per idle connection = %d B, want > 0: an open connection holds heap", r.HeapPerConn)
+	}
 }
 
 // TestRunCluster routes registrations and lookups through a live
@@ -98,10 +101,9 @@ func TestSoak50k(t *testing.T) {
 
 // TestSoak50kChecksLabels holds the soak to its claim, "echoed and
 // decoded label-intact": an echo with the right bytes and one label
-// wrong, or one label dropped, fails a session's first op; the intact
-// echo passes, and so does a wrong label on a later op, which checks the
-// count alone. Named for `make soak-load` to run it beside the soak: the
-// 50k run goes through the same complete.
+// wrong, or one label dropped, fails the op, a session's first or a
+// later one; the intact echo passes. Named for `make soak-load` to run
+// it beside the soak: the 50k run goes through the same complete.
 func TestSoak50kChecksLabels(t *testing.T) {
 	net := netsim.New()
 	defer net.Shutdown()
@@ -122,7 +124,7 @@ func TestSoak50kChecksLabels(t *testing.T) {
 			"intact":                  {func(*taint.Bytes) {}, 2, false},
 			"wrong label":             {func(b *taint.Bytes) { b.SetLabel(size/2, sink.Source("load.wrong", "w")) }, 2, true},
 			"dropped label":           {func(b *taint.Bytes) { b.SetLabel(0, taint.Taint{}) }, 2, kind != KindClean},
-			"wrong label, later op":   {func(b *taint.Bytes) { b.SetLabel(size/2, sink.Source("load.wrong", "w")) }, 1, false},
+			"wrong label, later op":   {func(b *taint.Bytes) { b.SetLabel(size/2, sink.Source("load.wrong", "w")) }, 1, true},
 			"dropped label, vectored": {func(b *taint.Bytes) { b.SetLabel(size-1, taint.Taint{}) }, 2, kind == KindUniform || kind == KindDense},
 		} {
 			ca, cb := net.Pipe()
