@@ -195,8 +195,10 @@ fuzz:
 # datagram — and the schedules register taints mid-stream. The taint
 # blob target holds UnmarshalTaint's walk over wire bytes to the string
 # walk (FromKeys of the parsed keys) under the real and a colliding tag
-# hash. `go test` accepts one -fuzz pattern per invocation, hence one run
-# per target.
+# hash. The data-stream target (~3s) writes random primitives with random
+# labels through a small BufferedOutputStream, which labels each value in
+# its buffer, and reads them back through DataInputStream. `go test`
+# accepts one -fuzz pattern per invocation, hence one run per target.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='FuzzUnmarshalTaint$$' -fuzztime=5s ./internal/core/taint
 	$(GO) test -run=NONE -fuzz=FuzzServeConn -fuzztime=10s ./internal/taintmap
@@ -208,3 +210,4 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='FuzzPacketRoundTrip$$' -fuzztime=3s ./internal/core/wire
 	$(GO) test -run=NONE -fuzz='FuzzFrameDecoderRobust$$' -fuzztime=3s ./internal/core/wire
 	$(GO) test -run=NONE -fuzz='FuzzTierTransition$$' -fuzztime=10s ./internal/instrument
+	$(GO) test -run=NONE -fuzz='FuzzDataStreamRoundTrip$$' -fuzztime=3s ./internal/jre

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // Tests of the decoder's contract since group bodies are decoded by
@@ -225,5 +226,75 @@ func TestDecoderBuffersStayBounded(t *testing.T) {
 				t.Errorf("run array grew to %d runs with at most %d pending", c, 3*half)
 			}
 		})
+	}
+}
+
+// TestDrainedDecoderLetsGoOfLargeArrays: a decoder that a large delivery
+// grew keeps none of its three arrays past 256 KiB once it is drained,
+// so an endpoint does not hold its largest delivery's staging for life.
+// 8 MiB of groups with a label change on every byte arrive in 4 MiB
+// pieces, each drained before the next, by each consumer.
+func TestDrainedDecoderLetsGoOfLargeArrays(t *testing.T) {
+	const piece, keep = 4 << 20, 256 << 10
+	n := DataLen(2 * piece)
+	ids := make([]uint32, n)
+	for i := range ids {
+		ids[i] = uint32(1 + i&1)
+	}
+	raw := EncodeGroups(nil, payload(n), ids)
+	dst := make([]byte, 64<<10)
+	for name, pop := range map[string]func(*StreamDecoder){
+		"run consumer": func(d *StreamDecoder) { d.NextRunsInto(dst) },
+		"per-byte consumer": func(d *StreamDecoder) {
+			d.SkipGroups(DataLen(len(d.PeekGroups(len(dst)))))
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var d StreamDecoder
+			for off := 0; off < len(raw); off += piece {
+				d.Feed(raw[off:min(off+piece, len(raw))])
+				for d.Buffered() > 0 {
+					pop(&d)
+				}
+			}
+			if c := cap(d.data); c > keep {
+				t.Errorf("drained decoder keeps a data array of %d bytes", c)
+			}
+			if c := cap(d.runs); c*int(unsafe.Sizeof(Run{})) > keep {
+				t.Errorf("drained decoder keeps a run array of %d runs", c)
+			}
+			if c := cap(d.tail); c > keep {
+				t.Errorf("drained decoder keeps a raw tail of %d bytes", c)
+			}
+		})
+	}
+}
+
+// TestDrainedDecoderKeepsAReadsWorth: what one endpoint read can deliver
+// — 256 KiB of raw stream, here four whole passthrough frames — is kept
+// across drains, though append's growth leaves the data array past
+// 256 KiB of capacity: re-growing it on every read cost the pipelined
+// 64 KiB exchange of BenchmarkInvariantPassthrough a factor of six.
+func TestDrainedDecoderKeepsAReadsWorth(t *testing.T) {
+	var read []byte
+	for len(read) < 256<<10 {
+		read = passthroughFrame(read, payload(64<<10-FrameHeaderLen))
+	}
+	var d FrameDecoder
+	if err := d.Feed(AppendAdaptiveStreamMagic(nil)); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, 64<<10)
+	deliver := func() {
+		if err := d.Feed(read); err != nil {
+			t.Fatal(err)
+		}
+		for d.Buffered() > 0 {
+			d.PopInto(dst)
+		}
+	}
+	deliver()
+	if n := testing.AllocsPerRun(20, deliver); n != 0 {
+		t.Errorf("a drained decoder re-grows a read's worth: %.1f allocations a read", n)
 	}
 }

@@ -270,8 +270,8 @@ func DecodeGroups(raw []byte) (data []byte, ids []uint32, err error) {
 // themselves (PeekGroups, SkipGroups) and no run is ever built; the run
 // consumers (PeekRuns, NextRuns, ...) and anything decoded behind the
 // tail decode all of it first, so what is pending is always decoded
-// bytes, then raw groups. All three arrays are kept across drains and
-// compacted by Feed alone: popped runs alias the run array and stay
+// bytes, then raw groups. The arrays are kept across drains, save those
+// a fill took past 256 KiB (reclaim): popped runs alias the run array and stay
 // valid until the next Feed, the first thing allowed to write over them.
 type StreamDecoder struct {
 	data []byte
@@ -309,20 +309,24 @@ func (d *StreamDecoder) Feed(raw []byte) {
 	d.tail = append(d.tail, raw...)
 }
 
-// reclaim moves what is pending to the front of each array, over the
-// consumed prefix, so that a consumer that never drains the decoder does
-// not grow them without bound. Only the feeding side calls it: that is
-// where the promise made for popped runs ends.
+// reclaim moves what is pending to the front of each array, so that a
+// consumer that never drains the decoder does not grow them without bound,
+// and drops an emptied one whose fill passed 256 KiB. Feed calls it, and a
+// pop or skip that empties the decoder: neither writes over a popped run.
 func (d *StreamDecoder) reclaim() {
-	if d.off > 0 {
-		d.data, d.off = d.data[:copy(d.data, d.data[d.off:])], 0
+	d.data, d.off = compact(d.data, d.off, 1), 0
+	d.runs, d.roff = compact(d.runs, d.roff, 16), 0
+	d.tail, d.toff = compact(d.tail, d.toff, 1), 0
+}
+
+// compact is reclaim for one array of size-byte elements.
+func compact[T any](s []T, off, size int) []T {
+	if off == len(s) && off*size > 256<<10 {
+		return nil
+	} else if off > 0 {
+		s = s[:copy(s, s[off:])]
 	}
-	if d.roff > 0 {
-		d.runs, d.roff = d.runs[:copy(d.runs, d.runs[d.roff:])], 0
-	}
-	if d.toff > 0 {
-		d.tail, d.toff = d.tail[:copy(d.tail, d.tail[d.toff:])], 0
-	}
+	return s
 }
 
 // pushRun appends already-decoded bytes that all carry one Global ID —
@@ -448,7 +452,11 @@ func (d *StreamDecoder) PeekGroups(max int) []byte {
 }
 
 // SkipGroups pops the first n groups PeekGroups showed.
-func (d *StreamDecoder) SkipGroups(n int) { d.toff += n * GroupLen }
+func (d *StreamDecoder) SkipGroups(n int) {
+	if d.toff += n * GroupLen; d.off == len(d.data) && d.toff == len(d.tail) {
+		d.reclaim()
+	}
+}
 
 // GroupID returns the Global ID of the group at g[:GroupLen]: the per-byte
 // primitive of a reader striding a PeekGroups body, inlined (`make inline-check`).
@@ -490,6 +498,8 @@ func (d *StreamDecoder) pop(dst []byte, n, k, over int) {
 	if over > 0 {
 		d.roff--
 		d.runs[d.roff].N = over
+	} else if d.off == len(d.data) && d.toff == len(d.tail) {
+		d.reclaim()
 	}
 }
 

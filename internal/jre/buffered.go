@@ -48,9 +48,27 @@ func (w *BufferedOutputStream) Write(b taint.Bytes) error {
 
 // WriteTaintedByte buffers one byte with its taint.
 func (w *BufferedOutputStream) WriteTaintedByte(b byte, t taint.Taint) error {
-	one := taint.WrapBytes([]byte{b})
-	one.SetLabel(0, t)
-	return w.Write(one)
+	return w.writeLabelled([]byte{b}, t)
+}
+
+// writeLabelled buffers raw with every byte labelled t, flushing as the
+// buffer fills, as Write does: the bytes land in the buffer and the label
+// on its store with one SetRange, so a tainted primitive needs no label
+// store of its own. The empty label overwrites what the previous fill
+// left there.
+func (w *BufferedOutputStream) writeLabelled(raw []byte, t taint.Taint) error {
+	for len(raw) > 0 {
+		if w.n == len(w.buf.Data) {
+			if err := w.Flush(); err != nil {
+				return err
+			}
+		}
+		k := copy(w.buf.Data[w.n:], raw)
+		w.buf.SetRange(w.n, w.n+k, t)
+		w.n += k
+		raw = raw[k:]
+	}
+	return nil
 }
 
 // Flush pushes buffered bytes to the underlying stream.

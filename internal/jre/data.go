@@ -27,8 +27,12 @@ func (w *DataOutputStream) Write(b taint.Bytes) error { return w.out.Write(b) }
 // Flush flushes the underlying stream.
 func (w *DataOutputStream) Flush() error { return w.out.Flush() }
 
-// writeTainted sends raw with every byte labelled t.
+// writeTainted sends raw with every byte labelled t; a buffered
+// destination labels the bytes where they land.
 func (w *DataOutputStream) writeTainted(raw []byte, t taint.Taint) error {
+	if bw, ok := w.out.(*BufferedOutputStream); ok {
+		return bw.writeLabelled(raw, t)
+	}
 	b := taint.WrapBytes(raw)
 	b.TaintAll(t) // no-op (and no allocation) for the empty taint
 	return w.out.Write(b)
