@@ -10,12 +10,13 @@ test:
 
 # The mux's read-role handoffs, the server's Close, the store arena's
 # lock-free reads of concurrent appends, a replica's refusal of a
-# conflicting push, concurrent pushes sharing one peer client, and four
+# conflicting push, concurrent pushes sharing one peer client, lone
+# registrations of one blob racing on one shared client, and four
 # connections whose large reads borrow scratch from one pool (a buffer
 # given back early shows as another connection's bytes), five times more
 # under the race detector: their races are ones of timing, which one
 # pass samples once (~12 s).
-RACE_AGAIN = $(GO) test -race -count=5 -run 'TestReadRole|TestFrozenTransportContract|TestServerCloseLogs|TestBatchOfOneEquivalence|TestArenaConcurrent|TestClusterReplicaRefusesConflict|TestPeerPushesShareOneConnection|TestBorrowedScratchAcrossConnections' ./internal/taintmap ./internal/instrument
+RACE_AGAIN = $(GO) test -race -count=5 -run 'TestReadRole|TestFrozenTransportContract|TestServerCloseLogs|TestBatchOfOneEquivalence|TestArenaConcurrent|TestClusterReplicaRefusesConflict|TestPeerPushesShareOneConnection|TestConcurrentClients|TestBorrowedScratchAcrossConnections' ./internal/taintmap ./internal/instrument
 
 # The tag tree's lock-free readers against its one writer lock: interning
 # from many goroutines, unions through the combine cache's slots, and

@@ -10,8 +10,8 @@ import (
 // ErrCmp enforces the typed-error discipline introduced with the
 // resilience layer (taintmap.ErrDegraded, ErrCallTimeout, …): package
 // sentinel errors must be matched with errors.Is, never ==/!=. The
-// resilient client wraps sentinels (ErrBudgetExhausted wraps
-// ErrDegraded, call errors carry %w chains), so an identity comparison
+// resilient client wraps sentinels (ErrDegraded and ErrOverloaded
+// reach callers in %w wraps), so an identity comparison
 // silently stops matching the moment a wrap is added — exactly the
 // regression class errors.Is exists for. Comparisons against io
 // sentinels (io.EOF et al.) are exempt: the io.Reader contract

@@ -33,8 +33,8 @@ import (
 //     outbound buffer that callers append to and one of them flushes.
 //     Every caller on the connection passes through it, so it is a
 //     leaf in the strict sense: while it is held no mutex of any kind
-//     is acquired (the client's own pmu and sfMu included, tracked or
-//     not), nothing is written (a call to a Write method — the flush
+//     is acquired (the client's own pmu included, tracked or not),
+//     nothing is written (a call to a Write method — the flush
 //     happens with the buffers swapped and the mutex released) and
 //     no channel is sent to, received from or selected on.
 //

@@ -51,7 +51,7 @@ func badCrossPackage(err error) int {
 	if err == taintmap.ErrOverloaded { // want "sentinel error ErrOverloaded compared with =="
 		return 1
 	}
-	if taintmap.ErrBudgetExhausted != err { // want "sentinel error ErrBudgetExhausted compared with !="
+	if taintmap.ErrDegraded != err { // want "sentinel error ErrDegraded compared with !="
 		return 2
 	}
 	switch err {
@@ -98,7 +98,7 @@ func goodAs(err error) int {
 
 func goodCrossPackage(err error) bool {
 	return errors.Is(err, taintmap.ErrOverloaded) ||
-		errors.Is(err, taintmap.ErrBudgetExhausted) ||
+		errors.Is(err, taintmap.ErrDegraded) ||
 		errors.Is(err, taintmap.ErrDeadlineExceeded)
 }
 

@@ -661,15 +661,16 @@ func TestLookupMissAllocations(t *testing.T) {
 
 // TestRegisterMissAllocations pins what one single-taint register miss
 // allocates end to end — client, owner and (on the cluster) replica share
-// the process. The bounds are the counts measured under -race, 5 on a
-// plain remote, on the one-address client (whose blobs the remote
-// registered already) and on a 3-member RF-2 cluster, one over those
-// without (7, 5 and 9 while each store kept a string and a pointer per
-// blob; 9, 8 and 12 while a lone registration made a singleflight entry
-// and the transport returned a slice of its own): a
-// frame header on the heap per frame read or written, the blob copied into
-// a singleflight key and a channel per flight, and a read deadline per
-// replica push — its timer and closure — do not fit.
+// the process. A lone registration is a 'b' batch of one, its blob list
+// encoded on the client's stack. The bounds are the counts measured under
+// -race, 5 on a plain remote, on the one-address client (whose blobs the
+// remote registered already) and on a 3-member RF-2 cluster, one over
+// those without (7, 5 and 9 while each store kept a string and a pointer
+// per blob; 9, 8 and 12 while a lone registration made a singleflight
+// entry and the transport returned a slice of its own): a frame header on
+// the heap per frame read or written, a blob list encoded on the heap,
+// the blob copied into a singleflight key and a channel per flight, and
+// a read deadline per replica push — its timer and closure — do not fit.
 func TestRegisterMissAllocations(t *testing.T) {
 	const runs = 200
 	n := netsim.New()
@@ -797,24 +798,57 @@ func (w *wireTap) dial(n *netsim.Network, local string) func(addr string) (io.Re
 	}
 }
 
-// registerOps returns the op byte of every register frame sent so far.
-func (w *wireTap) registerOps(t *testing.T) string {
+// registerBlobCounts returns, per register frame sent so far, how many
+// blobs its list carries; a frame of any other register op fails the test.
+func (w *wireTap) registerBlobCounts(t *testing.T) []int {
 	t.Helper()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var ops []byte
+	var counts []int
 	for _, f := range frames(t, [][]byte{w.sent}) {
-		if f[0] == opRegisterTag || f[0] == opRegisterBatchTag {
-			ops = append(ops, f[0])
+		switch f[0] {
+		case opRegisterBatchTag:
+			blobs, err := parseBlobList(f[9:])
+			if err != nil {
+				t.Fatalf("register frame: %v", err)
+			}
+			counts = append(counts, len(blobs))
+		case 'r':
+			t.Fatalf("a register frame of the retired op 'r' went out")
 		}
 	}
-	return string(ops)
+	return counts
 }
 
-// TestSingleRegisterWireCapture: a lone Register through the wrapping
-// clients reaches the wire as a single-register frame — the op the
-// singleflight table deduplicates — not as a one-entry batch frame.
+// TestSingleRegisterWireCapture: a lone Register through each kind of
+// client reaches the wire as one register frame carrying one blob — a
+// batch of one; there is no other register op.
 func TestSingleRegisterWireCapture(t *testing.T) {
+	lone := func(t *testing.T, tap *wireTap, c Client, tree *taint.Tree) {
+		t.Helper()
+		defer c.Close()
+		if _, err := c.Register(tree.NewSource("lone", "app:1")); err != nil {
+			t.Fatal(err)
+		}
+		if got := tap.registerBlobCounts(t); !slices.Equal(got, []int{1}) {
+			t.Fatalf("blobs per register frame on the wire = %v, want one frame of one", got)
+		}
+	}
+	t.Run("Remote", func(t *testing.T) {
+		n := netsim.New()
+		srv, err := StartSimServer(n, "tm:1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		var tap wireTap
+		conn, err := tap.dial(n, "app:1")("tm:1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree := taint.NewTree()
+		lone(t, &tap, NewRemoteClient(conn, tree), tree)
+	})
 	t.Run("Resilient", func(t *testing.T) {
 		n := netsim.New()
 		srv, err := StartSimServer(n, "tm:1")
@@ -824,14 +858,7 @@ func TestSingleRegisterWireCapture(t *testing.T) {
 		defer srv.Close()
 		var tap wireTap
 		tree := taint.NewTree()
-		c := dialOne("tm:1", tap.dial(n, "app:1"), tree, ResilientOptions{})
-		defer c.Close()
-		if _, err := c.Register(tree.NewSource("lone", "app:1")); err != nil {
-			t.Fatal(err)
-		}
-		if got := tap.registerOps(t); got != "r" {
-			t.Fatalf("register frames on the wire = %q, want one 'r'", got)
-		}
+		lone(t, &tap, dialOne("tm:1", tap.dial(n, "app:1"), tree, ResilientOptions{}), tree)
 	})
 	t.Run("Cluster", func(t *testing.T) {
 		e := newClusterEnv(t, 3, 2)
@@ -841,12 +868,6 @@ func TestSingleRegisterWireCapture(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer c.Close()
-		if _, err := c.Register(tree.NewSource("lone", "app:1")); err != nil {
-			t.Fatal(err)
-		}
-		if got := tap.registerOps(t); got != "r" {
-			t.Fatalf("register frames on the wire = %q, want one 'r'", got)
-		}
+		lone(t, &tap, c, tree)
 	})
 }

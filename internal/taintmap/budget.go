@@ -1,20 +1,12 @@
 package taintmap
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dista/internal/netsim"
 )
-
-// ErrBudgetExhausted is returned when the shared retry budget has no
-// tokens for a reconnect, hedge, or retry. It wraps ErrDegraded: a
-// caller that routes degraded-mode outcomes (a stream send defines its
-// taints inline) handles budget exhaustion the same way, while
-// errors.Is(err, ErrBudgetExhausted) still distinguishes it.
-var ErrBudgetExhausted = fmt.Errorf("%w: retry budget exhausted", ErrDegraded)
 
 // Budget is a token bucket gating all traffic a client generates *in
 // response to failure*: reconnect dials, hedged reads, retries. First

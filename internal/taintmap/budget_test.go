@@ -1,7 +1,6 @@
 package taintmap
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -70,12 +69,6 @@ func TestBudgetNilAlwaysAllows(t *testing.T) {
 	}
 	if newBudgetClock(10, -1, netsim.NewVirtualClock()) != nil {
 		t.Fatalf("negative burst did not disable the budget")
-	}
-}
-
-func TestBudgetExhaustedMatchesDegraded(t *testing.T) {
-	if !errors.Is(ErrBudgetExhausted, ErrDegraded) {
-		t.Fatalf("ErrBudgetExhausted must match ErrDegraded under errors.Is")
 	}
 }
 

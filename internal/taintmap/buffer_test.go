@@ -110,7 +110,7 @@ func TestServeConnBurstOneFlush(t *testing.T) {
 	s := NewStore()
 	var burst []byte
 	for i := 0; len(burst) < connBuffer*9/10; i++ {
-		burst = append(burst, taggedReq(opRegisterTag, uint32(i), fmt.Appendf(nil, "burst-%04d", i))...)
+		burst = append(burst, loneRegisterReq(uint32(i), fmt.Appendf(nil, "burst-%04d", i))...)
 	}
 	conn := &stepConn{in: make(chan []byte), wrote: make(chan int, 64)}
 	served := make(chan error, 1)

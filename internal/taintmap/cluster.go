@@ -54,9 +54,8 @@ type ClusterNode struct {
 	// nanoseconds; 0 disables the bound (not recommended).
 	peerTimeout atomic.Int64
 
-	hinted  atomic.Int64 // replication pushes skipped on a dead peer
-	pushed  atomic.Int64 // entries successfully replicated to successors
-	repairs atomic.Int64 // entries adopted through read-repair ('w')
+	hinted atomic.Int64 // replication pushes skipped on a dead peer
+	pushed atomic.Int64 // entries successfully replicated to successors
 }
 
 // NewClusterNode makes this server the given member of a cluster whose
@@ -104,9 +103,6 @@ func (n *ClusterNode) Hinted() int64 { return n.hinted.Load() }
 
 // Pushed reports how many entries were synchronously replicated.
 func (n *ClusterNode) Pushed() int64 { return n.pushed.Load() }
-
-// Repaired reports how many entries this node adopted via read-repair.
-func (n *ClusterNode) Repaired() int64 { return n.repairs.Load() }
 
 // Join adds (or re-addresses) a member and gossips the join to every
 // other peer. It is idempotent: a join for a member already in the ring

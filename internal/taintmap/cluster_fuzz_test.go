@@ -11,7 +11,7 @@ import (
 // arbitrary byte streams, served by a connHost carrying a ClusterNode
 // whose peer dials always fail (so replication and join gossip take the
 // hinted/best-effort paths without a network). The cluster ops — ring
-// snapshot, join, replicate, repair — must never panic, and everything
+// snapshot, join, replicate — must never panic, and everything
 // written back must be complete well-formed response frames.
 func FuzzClusterServeConn(f *testing.F) {
 	entries := appendEntries(nil, []uint32{partitionBase(1) | 1, partitionBase(1) | 2},
@@ -24,10 +24,12 @@ func FuzzClusterServeConn(f *testing.F) {
 	f.Add(taggedReq(opJoinTag, 12, appendMember(nil, Member{Part: 3, Addr: "d:1"})))
 	f.Add(taggedReq(opReplicateTag, 3, entries))
 	f.Add(taggedReq(opReplicateTag, 13, ownEntries))
-	f.Add(taggedReq(opRepairTag, 4, entries))
+	// The retired repair op, refused on its first byte: a read-repair is
+	// a replicate push.
+	f.Add(taggedReq('w', 4, entries))
 	// Interleaved with ordinary traffic: a register that triggers the
 	// synchronous replication path before its reply.
-	f.Add(append(taggedReq(opRegisterTag, 14, []byte("fresh")), taggedReq(opRingTag, 5, nil)...))
+	f.Add(append(loneRegisterReq(14, []byte("fresh")), taggedReq(opRingTag, 5, nil)...))
 	// The same vocabulary in the removed untagged framing, which must be
 	// rejected on its first byte.
 	f.Add(untaggedReq('G', nil))
@@ -41,8 +43,8 @@ func FuzzClusterServeConn(f *testing.F) {
 	f.Add(taggedReq(opJoinTag, 7, append(appendMember(nil, Member{Part: 1, Addr: "b:2"}), 0xFF)))
 	f.Add(taggedReq(opReplicateTag, 8, []byte{0xFF, 0xFF, 0xFF, 0xFF}))
 	f.Add(taggedReq(opReplicateTag, 9, appendEntries(nil, []uint32{scopedBit | 5}, [][]byte{[]byte("x")})))
-	f.Add(taggedReq(opRepairTag, 10, appendEntries(nil, []uint32{partitionBase(2)}, [][]byte{[]byte("x")})))
-	f.Add(taggedReq(opRepairTag, 11, append(entries, 0xAA)))
+	f.Add(taggedReq(opReplicateTag, 10, appendEntries(nil, []uint32{partitionBase(2)}, [][]byte{[]byte("x")})))
+	f.Add(taggedReq(opReplicateTag, 11, append(entries, 0xAA)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		store := NewStore()

@@ -508,7 +508,7 @@ func (c *ClusterClient) repairTo(stale []*member, ids []uint32, ts []taint.Taint
 	}
 	payload := appendEntries(nil, okIDs, blobs)
 	for _, cm := range stale {
-		if _, err := cm.rawCall(opRepairTag, payload); err == nil {
+		if _, err := cm.rawCall(opReplicateTag, payload); err == nil {
 			c.repaired.Add(int64(len(okIDs)))
 		}
 	}

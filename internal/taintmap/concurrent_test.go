@@ -40,11 +40,13 @@ func TestServerCloseTwiceNeverStarted(t *testing.T) {
 
 // TestConcurrentClients hammers one shared RemoteClient and one shared
 // LocalClient from 8 goroutines with overlapping register/lookup
-// batches, then asserts the global invariants: every occurrence of a
-// blob observed the same id, and the store allocated each distinct blob
-// exactly one id. Run under -race this also exercises the sharded
-// store, the lock-free page table, the mux demultiplexer and the
-// singleflight table.
+// batches and, each round, a lone Register of one taint every goroutine
+// registers at once — batches of one of the same blob racing on the
+// shared client. It then asserts the global invariants: every
+// occurrence of a blob observed the same id, stamped on its taint node,
+// and the store allocated each distinct blob exactly one id. Run under
+// -race this also exercises the sharded store, the lock-free page table
+// and the mux demultiplexer.
 func TestConcurrentClients(t *testing.T) {
 	n := netsim.New()
 	srv, err := StartSimServer(n, "tm:7")
@@ -103,6 +105,18 @@ func TestConcurrentClients(t *testing.T) {
 				client, tree = local, localTree
 			}
 			for r := 0; r < rounds; r++ {
+				lone := tree.NewSource(fmt.Sprintf("lone-%d", r), "common:1")
+				id, err := client.Register(lone)
+				if err == nil && lone.GlobalID() != id {
+					err = fmt.Errorf("lone register returned id %d, stamped %d", id, lone.GlobalID())
+				}
+				if err == nil {
+					err = record([]taint.Taint{lone}, []uint32{id})
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
 				// Overlapping windows of the shared logical taints; each
 				// goroutine builds them in its client's tree.
 				ts := make([]taint.Taint, 0, 6)
@@ -142,8 +156,8 @@ func TestConcurrentClients(t *testing.T) {
 	if got := srv.Store().Stats().GlobalTaints; got != len(idOf) {
 		t.Fatalf("store allocated %d ids for %d distinct blobs", got, len(idOf))
 	}
-	if len(idOf) != distinct {
-		t.Fatalf("observed %d distinct blobs, want %d", len(idOf), distinct)
+	if len(idOf) != distinct+rounds {
+		t.Fatalf("observed %d distinct blobs, want %d", len(idOf), distinct+rounds)
 	}
 }
 

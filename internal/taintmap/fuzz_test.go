@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -25,6 +26,12 @@ func taggedReq(op byte, tag uint32, payload []byte) []byte {
 	return append(b, payload...)
 }
 
+// loneRegisterReq builds the register request of one blob: a batch of
+// one, the only way a lone registration is sent.
+func loneRegisterReq(tag uint32, blob []byte) []byte {
+	return taggedReq(opRegisterBatchTag, tag, appendBlobList(nil, [][]byte{blob}))
+}
+
 // untaggedReq builds one frame of the removed first-generation framing
 // (op | len | payload, no tag). The server must fail the connection on
 // its first byte; the seeds below keep that rejection path fuzzed.
@@ -34,22 +41,28 @@ func untaggedReq(op byte, payload []byte) []byte {
 	return append(b, payload...)
 }
 
+// retiredOps are the request heads the protocol no longer speaks: the
+// single lookup 'l', the single register 'r' and the repair push 'w'.
+// A connection that sends one fails on that byte.
+const retiredOps = "lrw"
+
 // FuzzServeConn feeds arbitrary byte streams to the protocol parser —
 // well-formed frames, frames of the removed untagged generation and of
-// the removed single lookup 'l', truncations and trailing garbage — and
-// asserts the server never panics, that everything it writes back is a
-// stream of complete, well-formed response frames (the flush-on-exit
-// guarantee), and that a stream opening with 'l' fails on that byte.
+// the retired ops, truncations and trailing garbage — and asserts the
+// server never panics, that everything it writes back is a stream of
+// complete, well-formed response frames (the flush-on-exit guarantee),
+// and that a stream opening with a retired op fails on that byte.
 func FuzzServeConn(f *testing.F) {
-	f.Add(taggedReq(opRegisterTag, 1, []byte("blob")))
+	f.Add(loneRegisterReq(1, []byte("blob")))
 	f.Add(taggedReq('l', 2, []byte{0, 0, 0, 1}))
+	f.Add(taggedReq('r', 12, []byte("blob")))
 	f.Add(taggedReq(opStatsTag, 3, nil))
-	f.Add(taggedReq(opRegisterTag, 7, []byte("blob")))
+	f.Add(loneRegisterReq(7, []byte("blob")))
 	f.Add(taggedReq(opLookupBatchTag, 9, []byte{0, 0, 0, 1, 0, 0, 0, 2}))
-	f.Add(append(taggedReq(opRegisterTag, 4, []byte("a")), taggedReq('l', 3, []byte{0, 0, 0, 1})...))
+	f.Add(append(loneRegisterReq(4, []byte("a")), taggedReq('l', 3, []byte{0, 0, 0, 1})...))
 	// Truncated frames: header cut short, payload cut short.
-	f.Add([]byte{opRegisterTag, 0, 0})
-	f.Add([]byte{opRegisterTag, 0, 0, 0, 1, 0, 0, 0, 9, 'x'})
+	f.Add([]byte{opRegisterBatchTag, 0, 0})
+	f.Add([]byte{opRegisterBatchTag, 0, 0, 0, 1, 0, 0, 0, 9, 0, 0, 0, 1, 'x'})
 	// Trailing garbage after a valid frame.
 	f.Add(append(taggedReq(opStatsTag, 5, nil), 0xDE, 0xAD, 0xBE, 0xEF))
 	// Oversized length field and unknown op.
@@ -61,7 +74,7 @@ func FuzzServeConn(f *testing.F) {
 	f.Add(untaggedReq('R', []byte("blob")))
 	f.Add(untaggedReq('L', []byte{0, 0, 0, 1}))
 	f.Add(untaggedReq('S', nil))
-	f.Add(append(taggedReq(opRegisterTag, 11, []byte("a")), untaggedReq('L', []byte{0, 0, 0, 1})...))
+	f.Add(append(loneRegisterReq(11, []byte("a")), untaggedReq('L', []byte{0, 0, 0, 1})...))
 	f.Add([]byte{'R', 0, 0})
 	f.Add([]byte{'L', 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(untaggedReq('B', []byte{0, 0, 0, 2, 0, 0, 0, 1, 'a'}))
@@ -72,8 +85,8 @@ func FuzzServeConn(f *testing.F) {
 		err := ServeConn(store, conn) // must terminate without panicking
 
 		checkReplyStream(t, conn.w.Bytes())
-		if len(data) > 0 && data[0] == 'l' && (!errors.Is(err, errProtocol) || conn.w.Len() != 0) {
-			t.Fatalf("head byte 'l': %v with %d bytes written back, want errProtocol and none", err, conn.w.Len())
+		if len(data) > 0 && strings.IndexByte(retiredOps, data[0]) >= 0 && (!errors.Is(err, errProtocol) || conn.w.Len() != 0) {
+			t.Fatalf("head byte %q: %v with %d bytes written back, want errProtocol and none", data[0], err, conn.w.Len())
 		}
 	})
 }

@@ -171,7 +171,7 @@ func TestLoneCallerWritesOncePerRequest(t *testing.T) {
 		op      byte
 		payload []byte
 	}{
-		{opRegisterTag, loneBlob},
+		{opRegisterBatchTag, appendBlobList(nil, [][]byte{loneBlob})},
 		{opRegisterBatchTag, appendBlobList(nil, pairBlobs)},
 		{opLookupBatchTag, appendIDList(nil, []uint32{id})},
 		{opStatsTag, nil},
@@ -194,7 +194,7 @@ func TestLoneCallerWritesOncePerRequest(t *testing.T) {
 		}
 	}
 
-	if _, err := c.call(opRegisterTag, make([]byte, maxFrame+1), time.Time{}); !errors.Is(err, errProtocol) {
+	if _, err := c.call(opRegisterBatchTag, make([]byte, maxFrame+1), time.Time{}); !errors.Is(err, errProtocol) {
 		t.Fatalf("oversize payload = %v, want errProtocol", err)
 	}
 	if writes := len(cc.snapshot()); writes != len(want) || len(buffered(c)) != 0 || pendingCalls(c) != 0 {
@@ -622,7 +622,7 @@ func TestOversizeBufferIsDroppedNotShared(t *testing.T) {
 		}
 	}
 	fs := frames(t, cc.snapshot())
-	if len(fs) != 5 || fs[3][0] != opStatsTag || len(fs[3]) != 9 || fs[4][0] != opRegisterTag {
+	if len(fs) != 5 || fs[3][0] != opStatsTag || len(fs[3]) != 9 || fs[4][0] != opRegisterBatchTag {
 		t.Fatalf("frames after the oversize write: %d, want stats then register intact", len(fs))
 	}
 }

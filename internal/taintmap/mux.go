@@ -22,11 +22,8 @@ import (
 // frames (send) and read their own replies (readReplies), so a lone call
 // crosses no goroutine; a parked helper (demux) reads only for calls
 // with a deadline and for calls left pending by a holder that is done.
-//
-// Two further layers keep concurrent traffic off the wire entirely:
-// a singleflight table collapses simultaneous registrations of the
-// same taint into one request, and the id -> taint memo is read
-// under an RWMutex so warm lookups never serialize.
+// The id -> taint memo keeps warm lookups off the wire entirely, and is
+// read under an RWMutex so they never serialize.
 type RemoteClient struct {
 	conn io.ReadWriteCloser
 	br   *bufio.Reader // read only by the read role's holder
@@ -61,9 +58,6 @@ type RemoteClient struct {
 
 	closeOnce sync.Once
 	closeErr  error
-
-	sfMu sync.Mutex
-	sf   map[taint.Taint]*regFlight
 }
 
 var _ Client = (*RemoteClient)(nil)
@@ -80,14 +74,6 @@ type muxReply struct {
 type pendingCall struct {
 	ch chan muxReply
 	at time.Time
-}
-
-// regFlight is one in-flight registration, made by the first goroutine
-// to wait on it (singleflight).
-type regFlight struct {
-	done sync.WaitGroup
-	id   uint32
-	err  error
 }
 
 // ErrClientClosed reports use of a RemoteClient whose connection is
@@ -484,78 +470,25 @@ func (c *RemoteClient) finishReply(ch chan muxReply, reply muxReply, ok bool) ([
 	return reply.payload, nil
 }
 
-// registerBlob resolves t (serialized: blob) with singleflight dedup: N
-// goroutines registering the same taint issue one request. The tree
-// interns, so the taint is the blob's identity and keys the table; the
-// entry stays nil, no flight made, until a second goroutine waits.
-func (c *RemoteClient) registerBlob(t taint.Taint, blob []byte) (uint32, error) {
-	c.sfMu.Lock()
-	if f, ok := c.sf[t]; ok {
-		if f == nil {
-			f = &regFlight{}
-			f.done.Add(1)
-			c.sf[t] = f
-		}
-		c.sfMu.Unlock()
-		f.done.Wait()
-		return f.id, f.err
-	}
-	if c.sf == nil {
-		c.sf = make(map[taint.Taint]*regFlight)
-	}
-	c.sf[t] = nil
-	c.sfMu.Unlock()
-
-	var id uint32
-	reply, err := c.call(opRegisterTag, blob, time.Time{})
-	switch {
-	case err != nil:
-	case len(reply) != 4:
-		err = fmt.Errorf("taintmap: register reply of %d bytes", len(reply))
-	default:
-		id = binary.BigEndian.Uint32(reply)
-	}
-	c.sfMu.Lock()
-	f := c.sf[t]
-	delete(c.sf, t)
-	c.sfMu.Unlock()
-	if f != nil {
-		f.id, f.err = id, err
-		f.done.Done()
-	}
-	return id, err
-}
-
-// register implements transport, picking the wire op by batch size: a
-// lone blob goes out as a single register, deduplicated by singleflight
-// against other goroutines registering the same blob at the same moment,
-// while several go as batch frames, chunked transparently — several round
-// trips when the encoded batch would overflow the frame limit.
+// register implements transport: the blobs go out as batch frames, a
+// lone blob included, chunked transparently — several round trips when
+// the encoded batch would overflow the frame limit.
 func (c *RemoteClient) register(ids []uint32, ts []taint.Taint, blobs [][]byte) error {
-	if len(blobs) == 1 {
-		id, err := c.registerBlob(ts[0], blobs[0])
+	var buf [256]byte // a small batch's payload stays off the heap
+	for done := 0; done < len(blobs); {
+		n, err := nextBlobChunk(blobs[done:])
 		if err != nil {
 			return err
 		}
-		ids[0] = id
-		c.stamp(ts, ids)
-		return nil
-	}
-	chunks, err := splitBlobChunks(blobs)
-	if err != nil {
-		return err
-	}
-	rest := ids
-	for _, chunk := range chunks {
-		reply, err := c.call(opRegisterBatchTag, appendBlobList(nil, chunk), time.Time{})
+		reply, err := c.call(opRegisterBatchTag, appendBlobList(buf[:0], blobs[done:done+n]), time.Time{})
 		if err != nil {
 			return err
 		}
-		got, err := parseIDListInto(rest[:0], reply)
-		if err != nil || len(got) != len(chunk) {
+		got, err := parseIDListInto(ids[done:done], reply)
+		if err != nil || len(got) != n {
 			return fmt.Errorf("taintmap: register batch reply of %d bytes", len(reply))
 		}
-		rest = rest[len(got):]
+		done += n
 	}
 	c.stamp(ts, ids)
 	return nil

@@ -16,8 +16,8 @@ import (
 //	request:  op byte     | uint32 tag | uint32 payloadLen | payload
 //	response: status byte | uint32 tag | uint32 payloadLen | payload
 //
-// ops: 'r' register (payload = taint blob, reply = 4-byte id),
-//      'b' register batch (payload = blob list, reply = 4-byte id per blob),
+// ops: 'b' register batch (payload = blob list, reply = 4-byte id per blob;
+//          a lone registration is a batch of one),
 //      'm' lookup batch   (payload = 4-byte id per entry, reply = blob list),
 //      's' stats    (payload empty, reply = 3x uint64).
 //
@@ -43,7 +43,6 @@ import (
 // Map traffic, amortized over runs).
 
 const (
-	opRegisterTag      = 'r'
 	opRegisterBatchTag = 'b'
 	opLookupBatchTag   = 'm'
 	opStatsTag         = 's'
@@ -58,14 +57,12 @@ const (
 	//	               join to its peers (idempotent, so gossip converges)
 	//	'p' replicate — payload = entry list (id + blob per entry), the
 	//	               owner's synchronous push to its successors before
-	//	               acking a fresh registration; reply empty
-	//	'w' repair   — same payload as replicate: a client that observed a
-	//	               replica missing ids it resolved elsewhere pushes the
-	//	               entries back (read-repair); reply empty
+	//	               acking a fresh registration, and a client's push of
+	//	               ids it resolved elsewhere back to a replica that
+	//	               answered "unknown id" (read-repair); reply empty
 	opRingTag      = 'g'
 	opJoinTag      = 'j'
 	opReplicateTag = 'p'
-	opRepairTag    = 'w'
 
 	statusTaggedOK  = 2
 	statusTaggedErr = 3
@@ -94,8 +91,8 @@ var errProtocol = errors.New("taintmap: protocol error")
 // Entry lists carry id->blob pairs for replication and read-repair:
 // uint32 count, then per entry uint32 id | uint32 blobLen | blob.
 
-// appendEntry appends one id+blob entry (countless form; the caller
-// prepends the count with beginEntries/finishEntries or appendEntries).
+// appendEntry appends one id+blob entry (countless form: the caller
+// writes the count, as appendEntries does).
 func appendEntry(dst []byte, id uint32, blob []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, id)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(blob)))
@@ -217,26 +214,23 @@ func parseIDListInto(dst []uint32, p []byte) ([]uint32, error) {
 	return dst, nil
 }
 
-// splitBlobChunks splits blobs into consecutive chunks whose encoded
-// blob-list payloads each fit in maxFrame, so arbitrarily large batches
+// nextBlobChunk returns how many of blobs, from the first, make one
+// blob-list payload that fits in maxFrame, so arbitrarily large batches
 // cross the wire as several frames. A single blob too large for one
 // frame is an error.
-func splitBlobChunks(blobs [][]byte) ([][][]byte, error) {
+func nextBlobChunk(blobs [][]byte) (int, error) {
 	total := 4
-	start := 0
-	var chunks [][][]byte
 	for i, b := range blobs {
 		need := 4 + len(b)
 		if 4+need > maxFrame {
-			return nil, fmt.Errorf("%w: blob of %d bytes exceeds max frame", errProtocol, len(b))
+			return 0, fmt.Errorf("%w: blob of %d bytes exceeds max frame", errProtocol, len(b))
 		}
 		if total+need > maxFrame {
-			chunks = append(chunks, blobs[start:i])
-			start, total = i, 4
+			return i, nil
 		}
 		total += need
 	}
-	return append(chunks, blobs[start:]), nil
+	return len(blobs), nil
 }
 
 // writeTaggedFrame writes one tagged frame (request or response — the
@@ -269,8 +263,8 @@ func appendFrameHeader(dst []byte, head byte, tag uint32, n int) []byte {
 // isRequestOp reports whether b opens a request frame.
 func isRequestOp(b byte) bool {
 	switch b {
-	case opRegisterTag, opRegisterBatchTag, opLookupBatchTag, opStatsTag,
-		opRingTag, opJoinTag, opReplicateTag, opRepairTag:
+	case opRegisterBatchTag, opLookupBatchTag, opStatsTag,
+		opRingTag, opJoinTag, opReplicateTag:
 		return true
 	}
 	return false
@@ -365,21 +359,13 @@ func (c *connScratch) handle(h connHost, op byte, payload []byte) (status byte, 
 	store := h.store
 	reply = c.reply[:0]
 	switch op {
-	case opRegisterTag:
-		id, fresh := store.registerBlob(payload)
-		h.charge(op, 1)
-		if fresh && h.node != nil {
-			c.repl = appendEntries(c.repl[:0], []uint32{id}, [][]byte{payload})
-			h.node.replicate(c.repl)
-		}
-		reply = binary.BigEndian.AppendUint32(reply, id)
 	case opRegisterBatchTag:
 		blobs, err := parseBlobListInto(c.blobs[:0], payload)
 		if err != nil {
 			return statusTaggedErr, append(reply, err.Error()...)
 		}
 		c.blobs = blobs
-		c.repl = c.repl[:0]
+		c.repl = append(c.repl[:0], 0, 0, 0, 0) // the entry count, written below
 		freshN := 0
 		for _, b := range blobs {
 			id, fresh := store.registerBlob(b)
@@ -391,10 +377,7 @@ func (c *connScratch) handle(h connHost, op byte, payload []byte) (status byte, 
 		}
 		h.charge(op, len(blobs))
 		if freshN > 0 {
-			// Prepend the entry count the per-entry appends left out.
-			c.repl = append(c.repl, 0, 0, 0, 0)
-			copy(c.repl[4:], c.repl)
-			binary.BigEndian.PutUint32(c.repl[:4], uint32(freshN))
+			binary.BigEndian.PutUint32(c.repl, uint32(freshN))
 			h.node.replicate(c.repl)
 		}
 	case opLookupBatchTag:
@@ -444,7 +427,7 @@ func (c *connScratch) handle(h connHost, op byte, payload []byte) (status byte, 
 			return statusTaggedErr, append(reply, err.Error()...)
 		}
 		reply = appendRing(reply, r)
-	case opReplicateTag, opRepairTag:
+	case opReplicateTag:
 		if h.node == nil {
 			return statusTaggedErr, append(reply, "not a cluster member"...)
 		}
@@ -452,9 +435,6 @@ func (c *connScratch) handle(h connHost, op byte, payload []byte) (status byte, 
 		h.charge(op, n)
 		if err != nil {
 			return statusTaggedErr, append(reply, err.Error()...)
-		}
-		if op == opRepairTag {
-			h.node.repairs.Add(int64(n))
 		}
 	default:
 		return statusTaggedErr, fmt.Appendf(reply, "unknown op %q", op)

@@ -162,7 +162,7 @@ func WithAdmission(maxActive, maxWait int) ServerOption {
 }
 
 // WithClusterNode makes the server one member of a partitioned Taint
-// Map: cluster ops (ring/join/replicate/repair) are answered, and every
+// Map: cluster ops (ring/join/replicate) are answered, and every
 // fresh registration is synchronously replicated to the node's ring
 // successors before its reply is sent.
 func WithClusterNode(n *ClusterNode) ServerOption {

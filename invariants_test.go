@@ -185,8 +185,8 @@ func runMixed(b *testing.B, client taintmap.Client, tree *taint.Tree, n int) flo
 		}
 		hotIDs[i] = id
 	}
-	// Names are distinct across goroutines so the client's singleflight
-	// table cannot collapse two misses into one request.
+	// Names are distinct across goroutines, so every miss is a request
+	// of its own.
 	miss := make([][]taint.Taint, mixedClients)
 	for g := range miss {
 		miss[g] = make([]taint.Taint, mixedMissN)
@@ -327,25 +327,24 @@ const (
 // >= 100µs slices under the server's one-request-at-a-time mutex so
 // timer granularity amortizes over many requests.
 //
-// Replication adoptions ('p'/'w') are billed asynchronously: the adopt
-// runs on the replica's peer connection while the owner awaits the ack,
-// so sleeping it inline would couple every member's capacity to its
-// successor's and serialize the servers the model is meant to overlap.
-// The debt is folded into the replica's own next flush.
+// Replication adoptions ('p', read-repairs included) are billed
+// asynchronously: the adopt runs on the replica's peer connection while
+// the owner awaits the ack, so sleeping it inline would couple every
+// member's capacity to its successor's and serialize the servers the
+// model is meant to overlap. The debt is folded into the replica's own
+// next flush.
 type svcModel struct {
 	mu       sync.Mutex
 	debt     time.Duration
-	peerDebt atomic.Int64 // ns billed by 'p'/'w' handlers, slept at the next flush
+	peerDebt atomic.Int64 // ns billed by 'p' handlers, slept at the next flush
 }
 
 func (m *svcModel) cost(op byte, items int) {
 	var d time.Duration
 	switch op {
-	case 'r':
-		d = svcRegisterCost
 	case 'b':
 		d = svcRegisterCost * time.Duration(items)
-	case 'p', 'w':
+	case 'p':
 		m.peerDebt.Add(int64(items) * int64(svcAdoptCost))
 		return
 	case 'm':
