@@ -397,23 +397,24 @@ func (s *shadow) forEach(from, to int, yield func(rfrom, rto int, t Taint)) {
 		return
 	}
 	if s.dense != nil {
-		c := len(s.dense)
-		start := from
-		var cur Taint
-		if from < c {
-			cur = s.dense[from]
-		}
-		for i := from + 1; i < to; i++ {
-			var t Taint
-			if i < c {
-				t = s.dense[i]
+		// The covered part label by label, then what lies past coverage
+		// as one untainted run, joined to an untainted last one.
+		start, cur := 0, Taint{}
+		if c := min(len(s.dense), to); from < c {
+			win := s.dense[from:c]
+			cur = win[0]
+			for i, t := range win {
+				if t != cur {
+					yield(start, i, cur)
+					start, cur = i, t
+				}
 			}
-			if t != cur {
-				yield(start-from, i-from, cur)
-				start, cur = i, t
+			if c < to && cur != (Taint{}) {
+				yield(start, len(win), cur)
+				start, cur = len(win), Taint{}
 			}
 		}
-		yield(start-from, to-from, cur)
+		yield(start, to-from, cur)
 		return
 	}
 	i := s.locate(from)
@@ -423,9 +424,9 @@ func (s *shadow) forEach(from, to int, yield func(rfrom, rto int, t Taint)) {
 			yield(pos-from, to-from, Taint{})
 			return
 		}
-		end := s.runs[i].end
-		if end > to {
-			end = to
+		end := min(s.runs[i].end, to)
+		if i == len(s.runs)-1 && s.runs[i].t == (Taint{}) {
+			end = to // an untainted last run takes in what lies past coverage
 		}
 		yield(pos-from, end-from, s.runs[i].t)
 		pos = end

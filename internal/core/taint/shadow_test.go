@@ -46,11 +46,47 @@ func checkDenseView(t *testing.T, b Bytes, m denseModel, from, to int) {
 	}
 }
 
+// checkWindowRuns asserts the run walk of b[from:to) — a window that may
+// reach past the store's coverage into b's spare capacity — on b's own
+// store, dense or not, and on a run-mode store built from the model: both
+// yield the model's maximal runs, what lies past coverage untainted.
+func checkWindowRuns(t *testing.T, b Bytes, m denseModel, from, to int) {
+	t.Helper()
+	ref := &shadow{}
+	for i, l := range m {
+		if k := len(ref.runs); k > 0 && ref.runs[k-1].t == norm(l) {
+			ref.runs[k-1].end = i + 1
+		} else {
+			ref.runs = append(ref.runs, labelRun{end: i + 1, t: norm(l)})
+		}
+	}
+	var walks [2][]labelRun // window-relative run ends and labels
+	for k, view := range [2]Bytes{b.Slice(from, to), {Data: b.Data[from:to], sh: ref, off: from}} {
+		view.ForEachRun(func(rf, rt int, l Taint) {
+			if n := len(walks[k]); rt <= rf || (n == 0) != (rf == 0) || n > 0 && (walks[k][n-1].end != rf || walks[k][n-1].t == l) {
+				t.Fatalf("window [%d,%d), store %d: run [%d,%d) after %v is not the next maximal run", from, to, k, rf, rt, walks[k])
+			}
+			for i := rf; i < rt; i++ {
+				if m.at(from+i) != l {
+					t.Fatalf("window [%d,%d), store %d: run [%d,%d)=%v disagrees with the model at %d", from, to, k, rf, rt, l, from+i)
+				}
+			}
+			walks[k] = append(walks[k], labelRun{end: rt, t: l})
+		})
+	}
+	if n := len(walks[0]); len(walks[0]) != len(walks[1]) || to > from && (n == 0 || walks[0][n-1].end != to-from) {
+		t.Fatalf("window [%d,%d): %v on the store, %v on a run-mode store", from, to, walks[0], walks[1])
+	}
+}
+
 // TestShadowMatchesDenseModel drives random SetRange/TaintRange/SetLabel/
 // WriteLabels/ResetLabels sequences through both representations and
 // checks every byte, the per-byte view, run iteration, union and
 // uniformity after each step — including after the store densifies
-// under fragmentation, and again on the arrays a reset retired.
+// under fragmentation, and again on the arrays a reset retired. Windows
+// of the buffer are walked by runs against a run-mode store of the same
+// labels: inside coverage, reaching past it behind a tainted and an
+// untainted last label, starting past it, and empty.
 func TestShadowMatchesDenseModel(t *testing.T) {
 	tr := NewTree()
 	tags := make([]Taint, 5)
@@ -58,9 +94,10 @@ func TestShadowMatchesDenseModel(t *testing.T) {
 		tags[i] = tr.NewSource(string(rune('a'+i)), "l")
 	}
 	rng := rand.New(rand.NewSource(42))
-	const size = 257
+	const size, spare = 257, 9 // the store covers size bytes of size+spare
+	var past [2]int            // dense windows past coverage behind an untainted, a tainted last label
 	for iter := 0; iter < 50; iter++ {
-		b := MakeBytes(size)
+		b := Bytes{Data: make([]byte, size, size+spare), sh: newShadow(size)}
 		model := make(denseModel, size)
 		for op := 0; op < 200; op++ {
 			from := rng.Intn(size)
@@ -160,6 +197,16 @@ func TestShadowMatchesDenseModel(t *testing.T) {
 		if pos != size {
 			t.Fatalf("runs cover %d of %d bytes", pos, size)
 		}
+		for k := 0; k < 8; k++ {
+			from := rng.Intn(size)
+			checkWindowRuns(t, b, model, from, from+rng.Intn(size-from+1))
+			checkWindowRuns(t, b, model, from, size+1+rng.Intn(spare))
+			checkWindowRuns(t, b, model, size+rng.Intn(spare), size+spare)
+			checkWindowRuns(t, b, model, from, from)
+		}
+		if b.sh.dense != nil {
+			past[min(1, len(model[size-1].Values()))]++
+		}
 
 		var wantUnion Taint
 		for _, l := range model {
@@ -175,6 +222,9 @@ func TestShadowMatchesDenseModel(t *testing.T) {
 				}
 			}
 		}
+	}
+	if past[0] == 0 || past[1] == 0 {
+		t.Fatalf("dense stores walked past coverage behind an untainted / a tainted last label: %d / %d times", past[0], past[1])
 	}
 }
 

@@ -226,15 +226,23 @@ func (d *FrameDecoder) pushCover(raw []byte) {
 	}
 }
 
-// Whole returns raw's payload when raw is one whole passthrough frame of
-// 1 to max payload bytes and the decoder holds nothing pending or begun:
-// the clean read, taken out of the read buffer without decoding it. A
-// read it refuses (nil) goes to Feed, which decodes it, errors included.
+// Whole returns raw's body when the decoder holds nothing pending or
+// begun and raw is one whole frame its reader takes out of the read
+// buffer: a passthrough frame of 1 to max bytes — the clean read — or a
+// groups frame of 1 to max groups Feed would keep raw (PeekGroups). A read
+// it refuses (nil), or whose groups its reader turns down, goes to Feed.
 func (d *FrameDecoder) Whole(raw []byte, max int) []byte {
 	if d.magicN < StreamMagicLen || d.PendingPartial() || d.Buffered() > 0 || d.Defines() || d.err != nil {
 		return nil
 	}
-	return wholePassthrough(raw, max)
+	if p := wholePassthrough(raw, max); p != nil {
+		return p
+	}
+	if n := len(raw) - FrameHeaderLen; n > 0 && n <= WireLen(max) && n%GroupLen == 0 && raw[0] == FrameGroups &&
+		int(binary.BigEndian.Uint32(raw[1:])) == n && fragmented(raw[FrameHeaderLen:]) {
+		return raw[FrameHeaderLen:]
+	}
+	return nil
 }
 
 // wholePassthrough returns the payload of raw if raw is exactly one

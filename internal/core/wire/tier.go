@@ -301,8 +301,8 @@ func AppendUniformHeader(dst []byte, n int, id uint32) []byte {
 
 // AppendSparseHeader appends a sparse frame's header, range count and
 // range table — AppendHead for a sender that holds the ranges. They
-// must satisfy the table invariants for n data bytes
-// (ValidateDirtyRanges).
+// must satisfy the table invariants for n data bytes (checkRange), or
+// the receiver refuses the frame.
 func AppendSparseHeader(dst []byte, n int, ranges []DirtyRange) []byte {
 	dst = AppendFrameHeader(dst, FrameSparse,
 		SparseCountLen+len(ranges)*SparseRangeLen+n)
@@ -340,20 +340,6 @@ func AppendDirtyRanges(dst []DirtyRange, runs []Run) []DirtyRange {
 		off += r.N
 	}
 	return dst
-}
-
-// ValidateDirtyRanges checks the sparse-table invariants for n data
-// bytes: ascending non-overlapping offsets, positive lengths, non-zero
-// ids, every range inside [0, n).
-func ValidateDirtyRanges(ranges []DirtyRange, n int) error {
-	pos := 0
-	for _, r := range ranges {
-		if err := checkRange(r, pos, n); err != nil {
-			return err
-		}
-		pos = r.Off + r.Len
-	}
-	return nil
 }
 
 // checkRange checks one range of a sparse table for n data bytes whose

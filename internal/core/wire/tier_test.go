@@ -599,10 +599,7 @@ func TestDirtyRangeHelpers(t *testing.T) {
 			t.Fatalf("range %d = %+v, want %+v", i, ranges[i], want[i])
 		}
 	}
-	if err := ValidateDirtyRanges(ranges, 12); err != nil {
-		t.Fatalf("valid ranges rejected: %v", err)
-	}
-	cover := coverOf(t, ranges, 12)
+	cover := coverOf(t, ranges, 12) // fails on ranges the decoder rejects
 	if RunsLen(cover) != 12 {
 		t.Fatalf("cover = %+v does not span 12 bytes", cover)
 	}

@@ -283,30 +283,35 @@ type StreamDecoder struct {
 }
 
 // Feed consumes raw wire bytes. Whole groups whose head reads fragmented
-// — runs averaging under laneRun bytes over the first laneProbe groups —
 // join the raw tail, as do groups behind a tail that already holds some;
 // anything else is decoded here, straight out of raw and a block at a
 // time, so a long single-taint stream costs one copy and one Run however
 // many reads delivered it.
 func (d *StreamDecoder) Feed(raw []byte) {
-	const laneRun, laneProbe = 8, 128
 	d.reclaim()
 	if p := len(d.tail) % GroupLen; p > 0 { // a split group: finish it first
 		k := min(GroupLen-p, len(raw))
 		d.tail, raw = append(d.tail, raw[:k]...), raw[k:]
 	}
-	whole := raw[:WireLen(DataLen(len(raw)))]
-	changes := 0
-	for o := GroupLen; o < min(len(whole), laneProbe*GroupLen); o += GroupLen {
-		if GroupID(whole[o:]) != GroupID(whole[o-GroupLen:]) {
-			changes++
-		}
-	}
-	if len(d.tail) <= GroupLen && changes*laneRun < laneProbe {
+	if len(d.tail) <= GroupLen && !fragmented(raw[:WireLen(DataLen(len(raw)))]) {
 		d.materialise()
 		raw = raw[d.feedWhole(raw):]
 	}
 	d.tail = append(d.tail, raw...)
+}
+
+// fragmented reports whether the whole groups g read fragmented: runs
+// averaging under laneRun bytes over the first laneProbe groups, the ones
+// a reader with one label per byte takes raw (Feed, FrameDecoder.Whole).
+func fragmented(g []byte) bool {
+	const laneRun, laneProbe = 8, 128
+	changes := 0
+	for o := GroupLen; o < min(len(g), laneProbe*GroupLen); o += GroupLen {
+		if GroupID(g[o:]) != GroupID(g[o-GroupLen:]) {
+			changes++
+		}
+	}
+	return changes*laneRun >= laneProbe
 }
 
 // reclaim moves what is pending to the front of each array, so that a

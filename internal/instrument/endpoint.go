@@ -51,9 +51,6 @@ func NewAdaptiveEndpoint(agent *tracker.Agent, conn *netsim.Conn) *Endpoint {
 // Conn exposes the wrapped connection (for close/addr operations).
 func (e *Endpoint) Conn() *netsim.Conn { return e.conn }
 
-// Agent returns the endpoint's agent.
-func (e *Endpoint) Agent() *tracker.Agent { return e.agent }
-
 // firstSeen numbers the distinct keys of one transfer — the taints of a
 // send still lacking a Global ID, the Global IDs of a delivery — in
 // first-seen order. A handful are found by scanning; a transfer with
@@ -98,6 +95,17 @@ func (x *firstSeen[K]) truncate(n int) {
 		delete(x.at, k)
 	}
 	x.keys = x.keys[:n]
+}
+
+// index returns k's position in keys, added there first if find does not
+// find it.
+func (x *firstSeen[K]) index(k K) int {
+	i := x.find(k)
+	if i < 0 {
+		i = len(x.keys)
+		x.add(k)
+	}
+	return i
 }
 
 // add appends k, which find has not found.
@@ -155,9 +163,7 @@ func appendGroups(agent *tracker.Agent, out []byte, b taint.Bytes, t int, sc *st
 			case id != 0 || t.Empty():
 			case ids == nil:
 				stalled = true
-				if pending.find(t) < 0 {
-					pending.add(t)
-				}
+				pending.index(t)
 				return
 			default:
 				// A scoped taint, or a client that does not stamp what it
@@ -313,12 +319,7 @@ func coverRuns(agent *tracker.Agent, b taint.Bytes, t int, s wire.Shape, x *send
 		id := t.GlobalID()
 		if id == 0 && !t.Empty() {
 			// Until the batch answers, the run holds its taint's place in it.
-			i := x.pending.find(t)
-			if i < 0 {
-				i = len(x.pending.keys)
-				x.pending.add(t)
-			}
-			id = uint32(i)
+			id = uint32(x.pending.index(t))
 			x.pendingAt = append(x.pendingAt, len(dst))
 		}
 		dst = append(dst, wire.Run{N: to - from, ID: id})
@@ -346,8 +347,8 @@ func (r *streamReader) adoptRuns(agent *tracker.Agent, buf *taint.Bytes, at int,
 	r.seen.reset()
 	pos, k := 0, 0
 	for ; pos < n; k++ {
-		if id := runs[k].ID; id != 0 && r.seen.find(id) < 0 {
-			r.seen.add(id)
+		if id := runs[k].ID; id != 0 {
+			r.seen.index(id)
 		}
 		pos += runs[k].N
 	}
@@ -626,29 +627,28 @@ type streamReader struct {
 // returns the count — the one receive primitive, behind every stream
 // read and every datagram (Fig. 9 steps ④⑤) — making native reads through
 // recv (nil for a datagram, fed whole) while nothing is buffered, a large
-// one into borrowed scratch; one that is a whole passthrough frame is
-// copied out of the read buffer (FrameDecoder.Whole). Labels first, bytes
-// second: a failed lookup leaves buf and the decoder untouched, so the
-// same bytes are there for a retry.
+// one into borrowed scratch; a whole passthrough frame is copied out of
+// the read buffer, a whole groups frame adopted there (FrameDecoder.Whole,
+// feed). Labels first, bytes second: a failed lookup leaves buf untouched
+// and the bytes in the decoder, so the same bytes are there for a retry.
 // A groups body still raw at the head of the stream is offered to
 // adoptGroups; what that turns down, and all else, goes through the
 // decoder's runs.
 func (r *streamReader) read(agent *tracker.Agent, recv func([]byte) (int, error), buf *taint.Bytes, from, to int) (int, error) {
 	for recv != nil && r.dec.Buffered() == 0 {
 		if rawLen(to-from) > borrowAbove && r.err == nil {
-			if n, err := r.borrowed(recv, buf, from, to); n > 0 || err != nil {
+			if n, err := r.borrowed(agent, recv, buf, from, to); n > 0 || err != nil {
 				return n, err
 			}
 			continue
 		}
 		raw, err := r.native(recv, to-from)
-		if p := r.dec.Whole(raw, to-from); p != nil {
+		if p := r.dec.Whole(raw, to-from); p != nil && raw[0] == wire.FramePassthrough {
 			r.err = err // reported by the next read
 			clearStale(buf, from, len(p))
 			return copy(buf.Data[from:to], p), nil
-		}
-		if err := r.feed(raw, err); err != nil {
-			return 0, err
+		} else if n, err := r.feed(agent, buf, from, raw, p, err); n > 0 || err != nil {
+			return n, err
 		}
 	}
 	if r.dec.Defines() {
@@ -713,20 +713,29 @@ func (r *streamReader) native(recv func([]byte) (int, error), want int) ([]byte,
 	return r.rbuf[:n], err
 }
 
-// feed gives the decoder a read and what it failed with. A decode error,
+// feed takes a read and what it failed with: p, the body of raw when raw
+// is a whole groups frame (FrameDecoder.Whole), is adopted where it lies,
+// buf from at on; the rest, and what adoptGroups turns down or fails to
+// resolve, goes to the decoder, where a retry finds it. A decode error,
 // or the read's once nothing decoded is buffered, is returned and sticks.
-func (r *streamReader) feed(raw []byte, err error) error {
+func (r *streamReader) feed(agent *tracker.Agent, buf *taint.Bytes, at int, raw, p []byte, err error) (n int, aerr error) {
+	if p != nil {
+		if n, aerr = r.adoptGroups(agent, buf, at, p); n > 0 {
+			r.err = err // reported by the next read
+			return n, nil
+		}
+	}
 	if ferr := r.dec.Feed(raw); ferr != nil {
 		r.err = ferr
-		return ferr
+		return 0, ferr
 	}
 	if err == io.EOF && r.dec.PendingPartial() {
 		err = io.ErrUnexpectedEOF
 	}
 	if r.err = err; err == nil || r.dec.Buffered() > 0 {
-		return nil
+		return 0, aerr
 	}
-	return err
+	return 0, err
 }
 
 // WriteBuffer sends the [from,to) range of a direct buffer — the Type 3
@@ -779,16 +788,18 @@ func (e *Endpoint) ReadBuffer(dst *jni.DirectBuffer, from, to int) (int, error) 
 }
 
 // adoptGroups is the receive lane of a dense store: it gives buf, from
-// at on, the bytes and labels of the raw groups g — kept raw by the
-// decoder because they arrived fragmented — and returns their count, or
-// writes nothing and returns 0 for the run path to take over. Pass 1
-// strides the ids: one compare inside a run, two under the id before
-// last, each distinct id numbered once in r.seen, the runs counted. The
-// ids are resolved at once and the run count lets buf's store pick its
-// representation as for any delivery (taint.Bytes.WriteLabels);
-// where that is dense, pass 2 writes each byte and its label straight
-// from its group. Both passes compare ids raw, as their bytes read
-// little endian, and byte-swap one only to number or resolve it. An
+// at on, the bytes and labels of the whole groups g — kept raw by the
+// decoder because they arrived fragmented, or a whole frame's body in
+// the read buffer — and returns their count, or writes nothing and
+// returns 0 for the run path to take over. Pass 1 strides the ids, one
+// 5-byte window a group: one compare inside a run, two under the id
+// before last, each distinct id numbered once in r.seen (a call, off the
+// loop's registers), the runs counted. The ids are resolved at once and
+// the run count lets buf's store pick its representation as for any
+// delivery (taint.Bytes.WriteLabels); where that is dense, pass 2 writes
+// each byte and its label straight from its group, the labels of the last
+// two distinct ids at hand. Both passes compare ids raw, as their bytes
+// read little endian, and byte-swap one only to number or resolve it. An
 // error, like a refusal, leaves buf as it was.
 //
 // It sits last in the file on a measurement: between coverRuns and
@@ -796,20 +807,21 @@ func (e *Endpoint) ReadBuffer(dst *jni.DirectBuffer, from, to int) (int, error) 
 // path and clean_rpc reads 1–3 % worse with the same machine code in
 // them (CHANGES.md, PR 20).
 func (r *streamReader) adoptGroups(agent *tracker.Agent, buf *taint.Bytes, at int, g []byte) (int, error) {
+	n := len(g) / wire.GroupLen
 	r.seen.reset()
-	w0, w1 := binary.LittleEndian.Uint32(g[1:]), uint32(0) // the last two distinct raw ids seen
+	w0, w1 := binary.LittleEndian.Uint32(g[1:wire.GroupLen]), uint32(0) // the last two distinct raw ids seen
 	if w0 != 0 {
-		r.seen.add(bits.ReverseBytes32(w0))
+		r.seen.index(bits.ReverseBytes32(w0))
 	}
 	runs := 1
-	for o := wire.GroupLen; o < len(g); o += wire.GroupLen {
-		w := binary.LittleEndian.Uint32(g[o+1:])
+	for rest := g[wire.GroupLen:]; len(rest) >= wire.GroupLen; rest = rest[wire.GroupLen:] {
+		w := binary.LittleEndian.Uint32(rest[1:wire.GroupLen])
 		if w == w0 {
 			continue
 		}
 		runs++
-		if id := bits.ReverseBytes32(w); w != w1 && w != 0 && r.seen.find(id) < 0 {
-			r.seen.add(id)
+		if w != w1 && w != 0 {
+			r.seen.index(bits.ReverseBytes32(w))
 		}
 		w0, w1 = w, w0
 	}
@@ -821,29 +833,31 @@ func (r *streamReader) adoptGroups(agent *tracker.Agent, buf *taint.Bytes, at in
 	if err != nil {
 		return 0, err
 	}
-	n := len(g) / wire.GroupLen
 	w := buf.WriteLabels(at, at+n, runs)
 	lane := w.DenseLabels()
 	if lane == nil {
 		return 0, nil
 	}
-	var t0, t1 taint.Taint
+	var t0, t1 taint.Taint // the labels of raw ids w0 and w1; the zero id's is the zero Taint
 	w0, w1 = 0, 0
 	dst := buf.Data[at : at+n]
-	for i := range lane[:n] {
-		grp := g[i*wire.GroupLen:][:wire.GroupLen]
-		if w := binary.LittleEndian.Uint32(grp[1:]); w != w0 {
-			if w != w1 { // a third id takes the older one's place
-				w1, t1 = w, taint.Taint{} // the canonical empty label, as the lane must store it
-				if w != 0 {
-					if l := labels[r.seen.find(bits.ReverseBytes32(w))]; !l.Empty() {
-						t1 = l
-					}
-				}
+	lane = lane[:len(dst)]
+	for i := 0; i < len(lane) && len(g) >= wire.GroupLen; i++ {
+		grp := g[:wire.GroupLen]
+		g = g[wire.GroupLen:]
+		switch w := binary.LittleEndian.Uint32(grp[1:]); w {
+		case w0:
+			lane[i] = t0
+		case w1:
+			lane[i] = t1
+		default: // a third id takes the older one's place
+			t0, w0, t1, w1 = taint.Taint{}, w, t0, w0
+			if w != 0 {
+				t0 = labels[r.seen.find(bits.ReverseBytes32(w))]
 			}
-			w0, t0, w1, t1 = w1, t1, w0, t0
+			lane[i] = t0
 		}
-		dst[i], lane[i] = grp[0], t0
+		dst[i] = grp[0]
 	}
 	return n, nil
 }
@@ -859,19 +873,20 @@ const borrowAbove = 64 << 10
 func rawLen(want int) int { return wire.WireLen(want) + wire.StreamMagicLen + wire.FrameHeaderLen }
 
 // borrowed is native for a read past borrowAbove, into scratch from
-// wire's pool, given back once Whole's payload is copied out or Feed has
-// copied what it keeps. At most 256 KiB (a netsim connection's buffer),
-// every large read shares one size class, warm where GC emptied a rarer
-// one between reads; a larger window is filled in pieces. It sits after
-// adoptGroups to keep the clean path's layout.
-func (r *streamReader) borrowed(recv func([]byte) (int, error), buf *taint.Bytes, from, to int) (int, error) {
+// wire's pool, given back once Whole's payload is copied out or adopted,
+// or Feed has copied what it keeps. At most 256 KiB (a netsim
+// connection's buffer), every large read shares one size class, warm
+// where GC emptied a rarer one between reads; a larger window is filled
+// in pieces. It sits after adoptGroups to keep the clean path's layout.
+func (r *streamReader) borrowed(agent *tracker.Agent, recv func([]byte) (int, error), buf *taint.Bytes, from, to int) (int, error) {
 	s := wire.GetBuf(min(rawLen(to-from), 256<<10))
 	defer wire.PutBuf(s)
 	n, err := recv((*s)[:cap(*s)])
-	if p := r.dec.Whole((*s)[:n], to-from); p != nil {
+	p := r.dec.Whole((*s)[:n], to-from)
+	if p != nil && (*s)[0] == wire.FramePassthrough {
 		r.err = err // reported by the next read
 		clearStale(buf, from, len(p))
 		return copy(buf.Data[from:to], p), nil
 	}
-	return 0, r.feed((*s)[:n], err)
+	return r.feed(agent, buf, from, (*s)[:n], p, err)
 }

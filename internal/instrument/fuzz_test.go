@@ -54,7 +54,10 @@ func (s *shedding) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
 // densified it. Bit 2 makes the sender's Taint Map shed registrations
 // through the middle third of the messages: their taints cross inline,
 // in definitions units under stream-scoped ids (registered after each
-// write, so its bound is the one a registering write has).
+// write, so its bound is the one a registering write has). Bit 3 reads
+// each message before the next is written, so a frame arrives in a read
+// of its own: one whose ids crossed before is read whole, and a groups
+// frame into a dense buffer takes the whole-frame lane.
 //
 // Both receive paths run against each other: each message also goes down
 // a second connection, written beside the first, whose raw bytes are
@@ -87,6 +90,7 @@ func FuzzTierTransition(f *testing.F) {
 	f.Add([]byte{0x43, 200, 0x41, 200, 0x42, 99, 0xc3, 19}, uint8(3), uint8(3))              // the same through 3-byte pops into a dense buffer
 	f.Add([]byte{0x41, 63, 0x42, 31, 0, 15, 0x43, 63, 1, 7, 0x41, 7}, uint8(0), uint8(4))    // the Taint Map sheds: scoped definitions on every tainted tier
 	f.Add([]byte{0x43, 200, 3, 200, 0x42, 99, 0xc3, 19, 1, 9, 0x41, 50}, uint8(3), uint8(7)) // the same through 3-byte pops into a dense buffer, ids reused
+	f.Add([]byte{3, 255, 3, 255, 0x83, 199, 3, 63}, uint8(0), uint8(10))                     // groups frames read whole into a dense buffer
 
 	f.Fuzz(func(t *testing.T, sched []byte, step, shape uint8) {
 		if len(sched) < 2 {
@@ -180,30 +184,37 @@ func FuzzTierTransition(f *testing.F) {
 				ref.SetLabel(i, stale[i&1])
 			}
 		}
-		recvErr := make(chan error, 1)
-		go func() {
-			recvErr <- func() error {
-				for pos := 0; pos < total; {
-					end := total
-					if step > 0 && pos+int(step) < total {
-						end = pos + int(step)
-					}
-					sub := got.Slice(pos, end)
-					n, err := receiver.Read(&sub)
-					if err != nil {
-						return fmt.Errorf("read at %d/%d: %w", pos, total, err)
-					}
-					pos += n
+		// readTo reads the stream up to byte to; the stream must end there
+		// exactly where the schedule says.
+		readTo := func(pos, to int) error {
+			for pos < to {
+				end := to
+				if step > 0 && pos+int(step) < to {
+					end = pos + int(step)
 				}
-				// The stream must end exactly where the schedule says.
-				tail := taint.MakeBytes(1)
-				if n, err := receiver.Read(&tail); err != io.EOF || n != 0 {
-					return fmt.Errorf("trailing read = %d, %v; want 0, EOF", n, err)
+				sub := got.Slice(pos, end)
+				n, err := receiver.Read(&sub)
+				if err != nil {
+					return fmt.Errorf("read at %d/%d: %w", pos, total, err)
 				}
+				pos += n
+			}
+			if to < total {
 				return nil
-			}()
-		}()
+			}
+			tail := taint.MakeBytes(1)
+			if n, err := receiver.Read(&tail); err != io.EOF || n != 0 {
+				return fmt.Errorf("trailing read = %d, %v; want 0, EOF", n, err)
+			}
+			return nil
+		}
+		lockstep := shape&8 != 0
+		recvErr := make(chan error, 1)
+		if !lockstep {
+			go func() { recvErr <- readTo(0, total) }()
+		}
 
+		read := 0 // stream bytes read in lockstep
 		for mi, msg := range msgs {
 			fresh := freshIn(msg)
 			tm.on = shape&4 != 0 && mi >= len(msgs)/3 && mi < 2*len(msgs)/3
@@ -214,6 +225,12 @@ func FuzzTierTransition(f *testing.F) {
 			_, after := r.a.Traffic()
 			if err := replay.Write(msg); err != nil {
 				t.Fatal(err)
+			}
+			if lockstep && mi < len(msgs)-1 {
+				if err := readTo(read, read+msg.Len()); err != nil {
+					t.Fatal(err)
+				}
+				read += msg.Len()
 			}
 			if tm.on {
 				if _, err := tm.Client.RegisterBatch(fresh); err != nil {
@@ -241,6 +258,9 @@ func FuzzTierTransition(f *testing.F) {
 			}
 		}
 		ca.Close()
+		if lockstep {
+			recvErr <- readTo(read, total)
+		}
 		if err := <-recvErr; err != nil {
 			t.Fatal(err)
 		}

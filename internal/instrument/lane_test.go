@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dista/internal/core/taint"
@@ -376,7 +377,7 @@ func allClean(runs []wire.Run, n int) bool {
 func readByRuns(r *streamReader, agent *tracker.Agent, recv func([]byte) (int, error), buf *taint.Bytes, from, to int) (int, error) {
 	for r.dec.Buffered() == 0 {
 		raw, err := r.native(recv, to-from)
-		if err := r.feed(raw, err); err != nil {
+		if _, err := r.feed(agent, buf, from, raw, nil, err); err != nil {
 			return 0, err
 		}
 	}
@@ -495,6 +496,100 @@ func TestGroupsLaneMatchesRunPath(t *testing.T) {
 								name, lane.DenseLabels() != nil, ref.DenseLabels() != nil)
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestWholeGroupsFrameLane is the differential test of the whole-frame
+// lane: the same groups frame, read into a dense and into a run-mode
+// window whole — on an open stream, nothing pending, no definitions
+// ahead — split on and off a group boundary, behind the stream magic and
+// behind a definitions unit, leaves the bytes, the label of every byte of
+// the buffer and its representation that the decoder's run path leaves.
+// Only the whole read of a frame the decoder would keep raw takes the
+// lane: its ids are resolved while the decoder holds nothing, and into a
+// dense window that one lookup delivers it. Every other read resolves
+// what the decoder holds.
+func TestWholeGroupsFrameLane(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	r := newRig(t, tracker.ModeDista)
+	spy := &flakyLookups{Client: r.b.TaintMap()}
+	b := tracker.New("node2", tracker.ModeDista, tracker.WithTaintMap(spy))
+	const n, margin, window = 600, 11, 700
+	stale := lanePool(r.b, "stale")
+	frag := [2]taint.Taint{stale[1], stale[2]}
+	old := make([]taint.Taint, margin+window+margin)
+	for i := range old {
+		old[i] = stale[(i/5)%len(stale)]
+	}
+	magic := wire.AppendAdaptiveStreamMagic(nil)
+	for k, p := range lanePatterns {
+		labels := layout(k, rng, lanePool(r.a, "whole"), n)
+		data := make([]byte, n)
+		rng.Read(data)
+		runs := runsOf(t, r.a.TaintMap(), labels)
+		frame := wire.AppendGroupsFrame(nil, data, runs)
+		var defined []taint.Taint // a few of the frame's taints, defined ahead of it
+		for _, l := range labels {
+			if !l.Empty() && len(defined) < 3 && !slices.Contains(defined, l) {
+				defined = append(defined, l)
+			}
+		}
+		defs := definitionsOf(t, defined)
+		on, off := wire.FrameHeaderLen+wire.GroupLen*(n/3), wire.FrameHeaderLen+wire.GroupLen*(n/3)+2
+		perByte := p.name != "all clean" && p.name != "one tainted" // what the decoder keeps raw
+		for _, way := range []struct {
+			name  string
+			reads [][]byte
+			lane  bool
+		}{
+			{"whole", [][]byte{magic, frame}, perByte},
+			{"split on a group boundary", [][]byte{magic, frame[:on], frame[on:]}, false},
+			{"split off a group boundary", [][]byte{magic, frame[:off], frame[off:]}, false},
+			{"behind the stream magic", [][]byte{append(magic[:4:4], frame...)}, false},
+			{"behind a definitions unit", [][]byte{magic, append(defs[:len(defs):len(defs)], frame...)}, false},
+		} {
+			for rname, mk := range map[string]func() taint.Bytes{
+				"dense window":    func() taint.Bytes { return asDense(old, make([]byte, len(old)), frag, len(old)) },
+				"run-mode window": func() taint.Bytes { return asRuns(old, make([]byte, len(old))) },
+			} {
+				name := fmt.Sprintf("%s %s into a %s", p.name, way.name, rname)
+				lane, ref, lane0 := mk(), mk(), mk()
+				var lr, rr streamReader
+				empty := []bool{} // per lookup: the decoder held nothing
+				spy.seen = func() { empty = append(empty, lr.dec.Buffered() == 0) }
+				lens := make([]int, len(way.reads))
+				for i, rd := range way.reads {
+					lens[i] = len(rd)
+				}
+				lrecv := (&chunkTransport{stream: bytes.Join(way.reads, nil), units: lens}).RecvRaw
+				rrecv := (&chunkTransport{stream: bytes.Join(way.reads, nil), units: slices.Clone(lens)}).RecvRaw
+				for pos := 0; pos < n; {
+					ln, lerr := lr.read(b, lrecv, &lane, margin+pos, margin+window)
+					rn, rerr := readByRuns(&rr, r.b, rrecv, &ref, margin+pos, margin+window)
+					if lerr != nil || rerr != nil || ln != rn || ln == 0 {
+						t.Fatalf("%s: read at %d = %d, %v; by runs %d, %v", name, pos, ln, lerr, rn, rerr)
+					}
+					pos += ln
+				}
+				spy.seen = nil
+				if !bytes.Equal(lane.Data[margin:margin+n], data) || !bytes.Equal(ref.Data[margin:margin+n], data) {
+					t.Fatalf("%s: the bytes differ from what was sent", name)
+				}
+				for i := range old {
+					if l, r := lane.LabelAt(i), ref.LabelAt(i); l != r || (i < margin || i >= margin+n) && l != lane0.LabelAt(i) {
+						t.Fatalf("%s: byte %d carries %v, by runs %v", name, i-margin, l, r)
+					}
+				}
+				if (lane.DenseLabels() != nil) != (ref.DenseLabels() != nil) {
+					t.Fatalf("%s: the two paths left different representations", name)
+				}
+				took := len(empty) > 0 && empty[0]
+				if took != way.lane || slices.Contains(empty[min(1, len(empty)):], true) ||
+					took && rname == "dense window" && len(empty) != 1 {
+					t.Fatalf("%s: lookups with nothing in the decoder %v; want the lane taken = %v", name, empty, way.lane)
 				}
 			}
 		}

@@ -56,9 +56,6 @@ func PacketSend(agent *tracker.Agent, sock *netsim.UDPSocket, data taint.Bytes, 
 // Type 2 wrapper over the peekData native. Decoding is identical to
 // PacketReceive.
 func PacketPeek(agent *tracker.Agent, sock *netsim.UDPSocket, buf *taint.Bytes) (int, string, error) {
-	if agent.Mode() != tracker.ModeDista {
-		return jni.DatagramPeekData(sock, buf.Data)
-	}
 	return receiveInto(agent, sock, buf, jni.DatagramPeekData)
 }
 
@@ -66,21 +63,22 @@ func PacketPeek(agent *tracker.Agent, sock *netsim.UDPSocket, buf *taint.Bytes) 
 // len(buf.Data) payload bytes and their labels, returning the payload
 // length actually stored and the sender address.
 func PacketReceive(agent *tracker.Agent, sock *netsim.UDPSocket, buf *taint.Bytes) (int, string, error) {
-	if agent.Mode() != tracker.ModeDista {
-		// Original native; in phosphor mode the buffer's stale labels
-		// survive (Fig. 4 behaviour).
-		return jni.DatagramReceive0(sock, buf.Data)
-	}
 	return receiveInto(agent, sock, buf, jni.DatagramReceive0)
 }
 
-// receiveInto runs one datagram native into a pooled, enlarged receive
-// buffer — a frame header plus one group per expected byte, which no
-// tier's frame for that many bytes exceeds — and splits the frame into
+// receiveInto runs one datagram native — outside dista mode into buf as
+// it is — into a pooled, enlarged receive buffer — a frame header plus
+// one group per expected byte, which no tier's frame for that many bytes
+// exceeds — and splits the frame into
 // buf's data and labels as a stream read would: labels first, bytes
 // second. A datagram longer than buf is cut to fit, labels included.
 func receiveInto(agent *tracker.Agent, sock *netsim.UDPSocket, buf *taint.Bytes,
 	native func(*netsim.UDPSocket, []byte) (int, string, error)) (int, string, error) {
+	if agent.Mode() != tracker.ModeDista {
+		// The original native; in phosphor mode the buffer's stale labels
+		// survive (Fig. 4 behaviour).
+		return native(sock, buf.Data)
+	}
 	size := wire.GroupsFrameLen(len(buf.Data))
 	pooled := wire.GetBuf(size)
 	defer wire.PutBuf(pooled)

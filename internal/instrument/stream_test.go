@@ -363,7 +363,10 @@ func exchange(t testing.TB, sender, receiver *Endpoint, msg taint.Bytes, into *t
 // groups tier: a warm write+read of a label change on every byte costs
 // one allocation — the Taint Map client's answer to the delivery's
 // LookupBatch; the reader's id scratch is its own — and nothing
-// proportional to its 8192 runs. A uniform delivery adopted by runs —
+// proportional to its 8192 runs. A comb of one taint on every other
+// byte, one id read whole into the dense buffer, costs none: its frame
+// is adopted out of the read buffer and its id resolved by Lookup. A
+// uniform delivery adopted by runs —
 // its one id resolved by Lookup, no slice — a sparse one, eight islands
 // under that id, and a warm clean exchange cost none at the endpoint:
 // the clean one is copied out of the read buffer, the other two are
@@ -388,6 +391,22 @@ func TestStreamedPathAllocs(t *testing.T) {
 	for i := range into.Data {
 		if !into.LabelAt(i).Has([2]string{"x", "y"}[i&1]) {
 			t.Fatalf("byte %d carries %v", i, into.LabelAt(i))
+		}
+	}
+
+	comb := taint.MakeBytes(8192)
+	for i := 0; i < len(comb.Data); i += 2 {
+		comb.SetLabel(i, pair[0])
+	}
+	for i := 0; i < 4; i++ {
+		exchange(t, sender, receiver, comb, &into)
+	}
+	if got := testing.AllocsPerRun(50, func() { exchange(t, sender, receiver, comb, &into) }); got != 0 {
+		t.Errorf("comb 8 KiB exchange: %v allocs, want 0", got)
+	}
+	for i := range into.Data {
+		if l := into.LabelAt(i); l.Has("x") != (i&1 == 0) || i&1 == 1 && !l.Empty() || into.DenseLabels() == nil {
+			t.Fatalf("comb byte %d carries %v (per-byte view %v)", i, l.Values(), into.DenseLabels() != nil)
 		}
 	}
 
@@ -601,11 +620,15 @@ func deliveryMismatch(got taint.Bytes, data []byte, label func(i int) string) in
 type flakyLookups struct {
 	taintmap.Client
 	fail int
+	seen func() // called at every lookup, if set
 }
 
 var errLookupDown = errors.New("taint map unreachable")
 
 func (c *flakyLookups) LookupBatch(ids []uint32) ([]taint.Taint, error) {
+	if c.seen != nil {
+		c.seen()
+	}
 	if c.fail > 0 {
 		c.fail--
 		return nil, errLookupDown
@@ -614,6 +637,9 @@ func (c *flakyLookups) LookupBatch(ids []uint32) ([]taint.Taint, error) {
 }
 
 func (c *flakyLookups) Lookup(id uint32) (taint.Taint, error) {
+	if c.seen != nil {
+		c.seen()
+	}
 	if c.fail > 0 {
 		c.fail--
 		return taint.Taint{}, errLookupDown
@@ -632,7 +658,11 @@ func (c *flakyLookups) Lookup(id uint32) (taint.Taint, error) {
 // registered before, which no definitions unit precedes: each arrives as
 // a read of its own, whole, so a reader that took such a frame out of the
 // read buffer, as it takes a whole passthrough frame, would have to keep
-// it for the retry rather than deliver its bytes unlabelled.
+// it for the retry rather than deliver its bytes unlabelled. A whole
+// groups frame into a dense buffer on such a stream is adopted straight
+// out of the read buffer, its ids resolved while the decoder holds
+// nothing; a failed lookup hands the read to the decoder, and the retry
+// finds it there. No other delivery resolves before the decoder holds it.
 // A datagram has no decoder to retry from — the one a failed receive took
 // off the socket is lost, as on any other receive error — so its retry
 // is the next datagram.
@@ -641,12 +671,13 @@ func TestReadResolvesBeforePopping(t *testing.T) {
 	type link struct {
 		write func(taint.Bytes)
 		read  reader
+		rd    *streamReader // the stream's receive half; nil for a datagram
 	}
 	links := map[string]func(t *testing.T, r *rig, b *tracker.Agent) link{
 		"Endpoint.Read": func(t *testing.T, r *rig, b *tracker.Agent) link {
 			ca, cb := r.net.Pipe()
-			w := NewAdaptiveEndpoint(r.a, ca)
-			return link{func(m taint.Bytes) { must(t, w.Write(m)) }, NewAdaptiveEndpoint(b, cb).Read}
+			w, ep := NewAdaptiveEndpoint(r.a, ca), NewAdaptiveEndpoint(b, cb)
+			return link{func(m taint.Bytes) { must(t, w.Write(m)) }, ep.Read, &ep.rd}
 		},
 		"Endpoint.ReadBuffer": func(t *testing.T, r *rig, b *tracker.Agent) link {
 			ca, cb := r.net.Pipe()
@@ -654,12 +685,12 @@ func TestReadResolvesBeforePopping(t *testing.T) {
 			return link{func(m taint.Bytes) { must(t, w.Write(m)) }, func(buf *taint.Bytes) (int, error) {
 				db := &jni.DirectBuffer{Data: buf.Data, B: *buf}
 				return ep.ReadBuffer(db, 0, len(buf.Data))
-			}}
+			}, &ep.rd}
 		},
 		"CustomEndpoint.Read": func(t *testing.T, r *rig, b *tracker.Agent) link {
 			ta, tb := newChanPair()
-			w := WrapCustom(r.a, ta)
-			return link{func(m taint.Bytes) { must(t, w.Write(m)) }, WrapCustom(b, tb).Read}
+			w, ce := WrapCustom(r.a, ta), WrapCustom(b, tb)
+			return link{func(m taint.Bytes) { must(t, w.Write(m)) }, ce.Read, &ce.rd}
 		},
 		"PacketReceive": func(t *testing.T, r *rig, b *tracker.Agent) link {
 			sa, _ := r.net.ListenPacket("a:1")
@@ -670,12 +701,14 @@ func TestReadResolvesBeforePopping(t *testing.T) {
 			}, func(buf *taint.Bytes) (int, error) {
 				n, _, err := PacketReceive(b, sb, buf)
 				return n, err
-			}}
+			}, nil}
 		},
 	}
 	// check runs one outage-then-retry over msg, whose byte i must arrive
 	// under tag(i) ("" for untainted), into a buffer holding filler under
-	// stale labels; opened first opens the stream with a clean message.
+	// stale labels; opened first opens the stream with a clean message. A
+	// stream takes its whole-frame lane for a dense buffer on an open
+	// stream, and only there.
 	check := func(t *testing.T, setup func(*testing.T, *rig, *tracker.Agent) link,
 		msg func(a *tracker.Agent) taint.Bytes, tag func(i int) string, dense, opened bool) {
 		r := newRig(t, tracker.ModeDista)
@@ -705,9 +738,15 @@ func TestReadResolvesBeforePopping(t *testing.T) {
 		if (buf.DenseLabels() != nil) != dense {
 			t.Fatalf("receive buffer has a per-byte view = %v, want %v", !dense, dense)
 		}
+		lane := false // the failed lookup came with nothing in the decoder
+		flaky.seen = func() { lane = lane || l.rd != nil && l.rd.dec.Buffered() == 0 }
 		if n, err := l.read(&buf); n != 0 || !errors.Is(err, errLookupDown) {
 			t.Fatalf("read during the outage = %d, %v; want 0, %v", n, err, errLookupDown)
 		}
+		if want := l.rd != nil && dense && opened; lane != want {
+			t.Fatalf("the read resolved with nothing in the decoder = %v, want %v", lane, want)
+		}
+		flaky.seen = nil
 		if !bytes.Equal(buf.Data, filler) {
 			t.Fatalf("failed read wrote %q into the caller's buffer", buf.Data)
 		}
@@ -763,6 +802,16 @@ func TestReadResolvesBeforePopping(t *testing.T) {
 				check(t, setup, func(a *tracker.Agent) taint.Bytes {
 					return taint.FromString("resolve-then-pop", known(a, "known"))
 				}, func(int) string { return "known" }, false, true)
+			})
+			t.Run("whole groups frame into dense", func(t *testing.T) {
+				check(t, setup, func(a *tracker.Agent) taint.Bytes {
+					msg := taint.FromString(strings.Repeat("resolve-then-pop", 12), taint.Taint{})
+					pair := [2]taint.Taint{known(a, "known0"), known(a, "known1")}
+					for i := range msg.Data {
+						msg.SetLabel(i, pair[i&1])
+					}
+					return msg
+				}, func(i int) string { return [2]string{"known0", "known1"}[i&1] }, true, true)
 			})
 			t.Run("whole sparse frame", func(t *testing.T) {
 				check(t, setup, func(a *tracker.Agent) taint.Bytes {

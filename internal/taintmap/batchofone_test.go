@@ -581,11 +581,13 @@ func TestHitEarlyOutsDoNotAllocate(t *testing.T) {
 // TestLookupMissAllocations pins what one single-id lookup miss
 // allocates end to end — client, server and store share the process, so
 // the count covers the whole round trip. The bounds are the measured
-// counts: 8 on a plain remote and on the one-address client — a cluster
-// of one runs its one replica inline — and 13 on a 3-member RF-2
-// cluster, which pays the hedge timer and the leg goroutine (9, 8 and 17
-// while the replica set was a slice of its own and the reply took the
-// demux hop). The front probes the
+// counts: 4 on a plain remote and on the one-address client — a cluster
+// of one runs its one replica inline — and 9 on a 3-member RF-2
+// cluster, which pays the hedge timer and the leg goroutine (6, 6 and 11
+// while lookupDeadline encoded each id list on the heap and made a blob
+// list of its own for a one-frame answer, under bounds of 8, 8 and 13;
+// 9, 8 and 17 while the replica set was a slice of its own and the reply
+// took the demux hop). The front probes the
 // memo once and hands the id straight to its transport, so a second memo
 // split (2) and the read-back of the winning leg's answer do not fit; nor
 // do the map cache.splitBatch once built to deduplicate a miss list of
@@ -612,17 +614,17 @@ func TestLookupMissAllocations(t *testing.T) {
 		max  float64
 		open func(tree *taint.Tree) Client
 	}{
-		{"Remote", 8, func(tree *taint.Tree) Client {
+		{"Remote", 4, func(tree *taint.Tree) Client {
 			c, err := DialSim(n, "tm:1", tree)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return c
 		}},
-		{"OneAddress", 8, func(tree *taint.Tree) Client {
+		{"OneAddress", 4, func(tree *taint.Tree) Client {
 			return dialOne("tm:1", simDialer(n, "app:1"), tree, ResilientOptions{})
 		}},
-		{"Cluster", 13, func(tree *taint.Tree) Client {
+		{"Cluster", 9, func(tree *taint.Tree) Client {
 			c, err := DialSimCluster(e.net, "app:1", e.ring, tree, ClusterOptions{})
 			if err != nil {
 				t.Fatal(err)

@@ -506,10 +506,11 @@ func (c *RemoteClient) lookup(ids []uint32) ([]taint.Taint, error) {
 // covering every request: the per-member leg of the cluster client's
 // hedged reads.
 func (c *RemoteClient) lookupDeadline(ids []uint32, deadline time.Time) ([]taint.Taint, error) {
-	blobs := make([][]byte, 0, len(ids))
+	var buf [256]byte  // a small batch's payload stays off the heap
+	var blobs [][]byte // the one reply's list, unless more than one answers
 	for rest := ids; len(rest) > 0; {
 		chunk := rest[:min(len(rest), maxIDsPerFrame)]
-		reply, err := c.call(opLookupBatchTag, appendIDList(nil, chunk), deadline)
+		reply, err := c.call(opLookupBatchTag, appendIDList(buf[:0], chunk), deadline)
 		if err != nil {
 			return nil, err
 		}
@@ -520,7 +521,11 @@ func (c *RemoteClient) lookupDeadline(ids []uint32, deadline time.Time) ([]taint
 		if len(got) == 0 || len(got) > len(chunk) {
 			return nil, fmt.Errorf("taintmap: lookup batch returned %d of %d blobs", len(got), len(chunk))
 		}
-		blobs = append(blobs, got...)
+		if blobs == nil {
+			blobs = got
+		} else {
+			blobs = append(blobs, got...)
+		}
 		rest = rest[len(got):]
 	}
 	return c.adopt(nil, ids, blobs, false)
