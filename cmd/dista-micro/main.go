@@ -67,6 +67,11 @@ func run(caseID int, modeStr string, size int, list bool) error {
 		fmt.Printf("traffic: %d payload bytes, %d wire bytes (%.2fx)\n",
 			d1+d2, w1+w2, float64(w1+w2)/float64(d1+d2))
 	}
+	for _, a := range []*tracker.Agent{h.Node1.Agent, h.Node2.Agent} {
+		if err := a.Flush(); err != nil { // the taints streams defined inline
+			return err
+		}
+	}
 	fmt.Printf("global taints in Taint Map: %d\n", h.Store.Stats().GlobalTaints)
 
 	if mode != tracker.ModeDista {

@@ -35,9 +35,11 @@ func run() error {
 
 	net := netsim.New()
 	store := taintmap.NewStore()
+	var agents []*tracker.Agent
 	newNode := func(name string) *jre.Env {
 		agent := tracker.New(name, tracker.ModeDista,
 			tracker.WithTaintMap(taintmap.NewLocalClient(store, taint.NewTree())))
+		agents = append(agents, agent)
 		return jre.NewEnv(net, agent)
 	}
 
@@ -81,6 +83,13 @@ func run() error {
 	}
 	fmt.Printf("\nclient Get(%q, row1) -> %d cell(s); Result table taint: %s\n",
 		res.Table.Value, len(res.Cells), res.Table.Label)
+	// Streams register the fresh taints they defined inline in batches:
+	// drain every node's queue to count them.
+	for _, a := range agents {
+		if err := a.Flush(); err != nil {
+			return err
+		}
+	}
 	fmt.Printf("taint map now holds %d global taints\n", store.Stats().GlobalTaints)
 	return nil
 }

@@ -61,6 +61,11 @@ func run() error {
 	agents := make([]*tracker.Agent, len(peers))
 	for i, p := range peers {
 		agents[i] = p.Env.Agent
+		// Streams register the fresh taints they defined inline in
+		// batches: drain the queue before counting.
+		if err := agents[i].Flush(); err != nil {
+			return err
+		}
 	}
 	for _, flow := range tracker.CrossNodeFlows(agents...) {
 		fmt.Println("  " + flow)

@@ -80,6 +80,13 @@ func run() error {
 	for _, obs := range node2.Agent.Observations() {
 		fmt.Printf("sink %q on %s observed taint %s\n", obs.Sink, obs.Node, obs.Taint)
 	}
+	// A stream defines a fresh taint inline at its first crossing and its
+	// agent registers it later, in a batch: drain the queues to count.
+	for _, n := range []*jre.Env{node1, node2} {
+		if err := n.Agent.Flush(); err != nil {
+			return err
+		}
+	}
 	fmt.Printf("taint map now holds %d global taint(s)\n", store.Stats().GlobalTaints)
 	return nil
 }

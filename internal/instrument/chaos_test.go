@@ -183,7 +183,10 @@ func TestChaosPassthroughNoCleanDowngrade(t *testing.T) {
 
 		// Fresh source value every round forces a fresh registration, so
 		// outages are actually exercised instead of served by the
-		// GlobalID cache.
+		// GlobalID cache. The message goes twice: its first crossing
+		// defines the taint inline and registers nothing, the second
+		// registers it — or, with the Taint Map down, cannot, and crosses
+		// inline again.
 		tag := fmt.Sprintf("chaos%d", i)
 		src := senderAgent.Source("v"+tag, tag)
 		msg := taint.WrapBytes(fill(kind, msgLen))
@@ -201,11 +204,13 @@ func TestChaosPassthroughNoCleanDowngrade(t *testing.T) {
 				t.Fatalf("round %d: the dense message kept a run-mode store; the per-byte lane goes untested", i)
 			}
 		}
-		mu.Lock()
-		delivered = append(delivered, sent{kind: kind, tag: tag, src: src})
-		mu.Unlock()
-		if err := sender.Write(msg); err != nil {
-			t.Fatalf("round %d: tainted %q write refused: %v", i, kind, err)
+		for range 2 {
+			mu.Lock()
+			delivered = append(delivered, sent{kind: kind, tag: tag, src: src})
+			mu.Unlock()
+			if err := sender.Write(msg); err != nil {
+				t.Fatalf("round %d: tainted %q write refused: %v", i, kind, err)
+			}
 		}
 		taintedSent[kind]++
 		if src.GlobalID() == 0 {
@@ -221,11 +226,11 @@ func TestChaosPassthroughNoCleanDowngrade(t *testing.T) {
 
 	for _, kind := range kinds[1:] {
 		if scopedKind[kind] == 0 || scopedKind[kind] == taintedSent[kind] {
-			t.Fatalf("%d of %d %q writes crossed inline; the outage must bite, and end, on every tier",
+			t.Fatalf("%d of %d %q taints crossed inline twice; the outage must bite, and end, on every tier",
 				scopedKind[kind], taintedSent[kind], kind)
 		}
 	}
-	t.Logf("delivered %d uniform + %d sparse + %d dense + %d clean messages, %d/%d/%d of them inline during the outage",
+	t.Logf("delivered %d uniform + %d sparse + %d dense messages twice and %d clean ones, %d/%d/%d of them inline twice during the outage",
 		taintedSent['U'], taintedSent['S'], taintedSent['D'], cleanSent, scopedKind['U'], scopedKind['S'], scopedKind['D'])
 }
 

@@ -33,13 +33,29 @@ type diffNode struct {
 	known map[uint32]bool
 }
 
+// registrations records in known every id a client registers: those a
+// node's deferred batches register are in its memo too.
+type registrations struct {
+	taintmap.Client
+	known map[uint32]bool
+}
+
+func (r registrations) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
+	ids, err := r.Client.RegisterBatch(ts)
+	for _, t := range ts {
+		r.known[t.GlobalID()] = true
+	}
+	return ids, err
+}
+
 func newDiffNode(name string, store *taintmap.Store, learn bool) *diffNode {
 	scratch := tracker.New(name, tracker.ModeDista)
-	var c taintmap.Client = taintmap.NewLocalClient(store, scratch.Tree())
+	known := map[uint32]bool{}
+	var c taintmap.Client = registrations{taintmap.NewLocalClient(store, scratch.Tree()), known}
 	if !learn {
 		c = dropsDefinitions{c}
 	}
-	n := &diffNode{flaky: &flakyLookups{Client: c}, known: map[uint32]bool{}}
+	n := &diffNode{flaky: &flakyLookups{Client: c}, known: known}
 	n.agent = tracker.New(name, tracker.ModeDista, tracker.WithTaintMap(n.flaky), tracker.WithLocalID(scratch.LocalID()))
 	n.local = n.agent.Source("local", name)
 	return n
@@ -92,7 +108,7 @@ func (d *diffRun) logf(format string, args ...any) {
 // lookup count. It returns what the peer received, labelled.
 func (d *diffRun) send(c *diffConn, from int, msg taint.Bytes) taint.Bytes {
 	t := d.t
-	src, dst := c.node[from], c.node[1-from]
+	dst := c.node[1-from]
 	// Cut the message into pieces: one write, chunked writes, or one
 	// gathering write.
 	var pieces []taint.Bytes
@@ -105,48 +121,54 @@ func (d *diffRun) send(c *diffConn, from int, msg taint.Bytes) taint.Bytes {
 		pieces = append(pieces, msg.Slice(pos, end))
 		pos = end
 	}
-	var fresh []taint.Taint
-	if mode == 2 {
-		fresh = freshIn(pieces...)
-		bufs, lens := make([]*jni.DirectBuffer, len(pieces)), make([]int, len(pieces))
-		for i, p := range pieces {
-			bufs[i], lens[i] = &jni.DirectBuffer{Data: p.Data, B: p}, p.Len()
-		}
-		if n, err := c.ep[from].WritevBuffers(bufs, lens); err != nil || int(n) != msg.Len() {
-			t.Fatalf("writev = %d, %v", n, err)
-		}
-	} else {
-		for _, p := range pieces {
-			fresh = append(fresh, freshIn(p)...)
-			if err := c.ep[from].Write(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	// The model: the sender memoises what it registers; a learning
-	// receiver takes those ids from the definitions, any other looks them
-	// up, as every receiver does an id that was registered by an earlier
-	// write, on another connection or towards another node.
+	// The model: a label without a Global ID before the send that carries
+	// it crosses under a stream-scoped id, defined ahead of the frame and
+	// never looked up, until a send that meets it again registers it and
+	// defines it under its Global ID. A learning receiver takes those ids
+	// from the definitions, any other looks them up, as every receiver
+	// does an id that crossed without one: registered by an earlier send,
+	// on another connection or towards another node. The sender memoises
+	// all it registers (registrations).
 	var saved, fallback int64
 	used := map[uint32]bool{}
-	for _, l := range fresh {
-		src.known[l.GlobalID()] = true
+	crossed := make([]uint32, 0, msg.Len()) // each byte's id on the wire, 0 where scoped
+	sent := func(ps ...taint.Bytes) {
+		fresh := freshIn(ps...)
+		if mode == 2 {
+			bufs, lens := make([]*jni.DirectBuffer, len(ps)), make([]int, len(ps))
+			for i, p := range ps {
+				bufs[i], lens[i] = &jni.DirectBuffer{Data: p.Data, B: p}, p.Len()
+			}
+			if n, err := c.ep[from].WritevBuffers(bufs, lens); err != nil || int(n) != msg.Len() {
+				t.Fatalf("writev = %d, %v", n, err)
+			}
+		} else if err := c.ep[from].Write(ps[0]); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range ps {
+			p.ForEachRun(func(from, to int, l taint.Taint) {
+				id := l.GlobalID()
+				for range to - from {
+					crossed = append(crossed, id)
+				}
+				if id == 0 || used[id] || dst.known[id] {
+					return
+				}
+				if used[id] = true; slices.Contains(fresh, l) {
+					saved++
+				} else {
+					fallback++
+				}
+			})
+		}
 	}
-	msg.ForEachRun(func(_, _ int, l taint.Taint) {
-		id := l.GlobalID()
-		if (id == 0) != l.Empty() {
-			t.Fatalf("%v left the sender under id %d", l, id)
+	if mode == 2 {
+		sent(pieces...)
+	} else {
+		for _, p := range pieces {
+			sent(p)
 		}
-		if id == 0 || used[id] || dst.known[id] {
-			return
-		}
-		if used[id] = true; slices.Contains(fresh, l) {
-			saved++
-		} else {
-			fallback++
-		}
-	})
+	}
 	for id := range used {
 		dst.known[id] = true
 	}
@@ -189,8 +211,15 @@ func (d *diffRun) send(c *diffConn, from int, msg taint.Bytes) taint.Bytes {
 		}
 		d.logf("read %d/%d n=%d err=%v dense=%v %x", pos, msg.Len(), n, err, buf.DenseLabels() != nil, buf.Data[:n])
 		for i := 0; i < n; i++ {
-			l := buf.LabelAt(i)
-			d.logf("  %d %d %s", pos+i, l.GlobalID(), strings.Join(l.Values(), ","))
+			// A byte that crossed under a stream-scoped id has a taint
+			// whose Global ID the node may learn from a later unit the
+			// decoder has already read, or look up once a later frame uses
+			// it: at this read, only the wire's id is the program's.
+			l, id := buf.LabelAt(i), crossed[pos+i]
+			if id != 0 && l.GlobalID() != id {
+				t.Fatalf("byte %d crossed under id %d, read under %d", pos+i, id, l.GlobalID())
+			}
+			d.logf("  %d %d %s", pos+i, id, strings.Join(l.Values(), ","))
 		}
 		buf.Slice(0, n).CopyInto(&got, pos)
 		pos += n
@@ -198,10 +227,14 @@ func (d *diffRun) send(c *diffConn, from int, msg taint.Bytes) taint.Bytes {
 	if !bytes.Equal(got.Data, msg.Data) {
 		t.Fatal("the message arrived with other bytes")
 	}
+	// A byte that crossed under a Global ID arrives under it; one that
+	// crossed under a scoped id arrives under its taint, which has the
+	// sender's Global ID only if its node learned that elsewhere.
 	for i := range got.Data {
-		if sent, have := msg.LabelAt(i), got.LabelAt(i); !sameKeys(sent, have) || sent.GlobalID() != have.GlobalID() {
-			t.Fatalf("byte %d sent under %v (id %d), arrived under %v (id %d)",
-				i, sent.Values(), sent.GlobalID(), have.Values(), have.GlobalID())
+		sent, have := msg.LabelAt(i), got.LabelAt(i)
+		if id := have.GlobalID(); !sameKeys(sent, have) || id != crossed[i] && (crossed[i] != 0 || id != sent.GlobalID()) {
+			t.Fatalf("byte %d sent under %v (id %d on the wire), arrived under %v (id %d)",
+				i, sent.Values(), crossed[i], have.Values(), have.GlobalID())
 		}
 	}
 	if n := d.store.Stats().Lookups - before; n != want {
@@ -451,8 +484,10 @@ func (deafClient) Learn([]uint32, [][]byte) error { return nil }
 
 // TestDefinitionsFallbacks: the paths that cannot learn deliver as ever.
 // A datagram is one frame and defines nothing; a client that ignores
-// definitions pays the lookup they would have saved; and a unit too
-// large for the decoder's bound is not sent — its ids are looked up.
+// definitions pays the lookup they would have saved once its taint has a
+// Global ID; and definitions past the decoder's bound for one unit cross
+// in several, so that neither a first crossing nor the one that
+// registers them leaves an id to look up.
 func TestDefinitionsFallbacks(t *testing.T) {
 	t.Run("datagram", func(t *testing.T) {
 		r := newRig(t, tracker.ModeDista)
@@ -497,10 +532,12 @@ func TestDefinitionsFallbacks(t *testing.T) {
 		sender, receiver := NewAdaptiveEndpoint(r.a, ca), NewAdaptiveEndpoint(b, cb)
 		msg := taint.FromString("ablation", r.a.Source("s", "a1"))
 		buf := taint.MakeBytes(msg.Len())
-		for i := int64(1); i <= 3; i++ {
+		for i := int64(1); i <= 4; i++ {
 			exchange(t, sender, receiver, msg, &buf)
-			// The first exchange pays the lookup; the memo answers the rest.
-			if st := r.store.Stats(); st.Lookups != 1 || !buf.LabelAt(0).Has("a1") {
+			// The first exchange crosses under a stream-scoped id, which the
+			// stream defines itself; the second, which registers the taint,
+			// pays the lookup; the memo answers the rest.
+			if st := r.store.Stats(); st.Lookups != min(i-1, 1) || !buf.LabelAt(0).Has("a1") {
 				t.Fatalf("exchange %d: %d lookups under %v", i, st.Lookups, buf.LabelAt(0))
 			}
 		}
@@ -514,11 +551,13 @@ func TestDefinitionsFallbacks(t *testing.T) {
 			msg.SetLabel(i, r.a.Source("s", strings.Repeat("v", 200)+fmt.Sprint(i)))
 		}
 		buf := taint.MakeBytes(msg.Len())
-		if exchange(t, sender, receiver, msg, &buf); labelsDiffer(buf, msg) {
-			t.Fatal("the message arrived under other labels")
-		}
-		if st := r.store.Stats(); st.Lookups != int64(msg.Len()) {
-			t.Fatalf("%d lookups for %d undefined ids", st.Lookups, msg.Len())
+		for _, registered := range []int64{0, int64(msg.Len())} {
+			if exchange(t, sender, receiver, msg, &buf); labelsDiffer(buf, msg) {
+				t.Fatal("the message arrived under other labels")
+			}
+			if st := r.store.Stats(); st.Lookups != 0 || st.Registrations != registered {
+				t.Fatalf("%+v after %d taints crossed, %d registered", st, msg.Len(), registered)
+			}
 		}
 	})
 }

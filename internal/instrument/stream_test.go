@@ -112,15 +112,79 @@ func definitionsOf(t testing.TB, ts []taint.Taint) []byte {
 	return wire.AppendDefinitions(nil, ids, blobs)
 }
 
+// sendModel predicts from outside what one stream's sends define and
+// which id each puts beside a label (DESIGN.md §7): a taint without a
+// Global ID crosses under the stream's next scoped id, defined ahead of
+// the frame, and once more under its Global ID in the send that
+// registers it, because an earlier send queued it; a taint that had its
+// id before the send crosses bare.
+type sendModel struct {
+	k      int
+	scoped map[taint.Taint]uint32
+}
+
+// sent returns the definitions unit a send must have put ahead of its
+// frame, given fresh, its labels without a Global ID before it, in the
+// order met; it is called after the send.
+func (m *sendModel) sent(t testing.TB, fresh []taint.Taint) []byte {
+	if m.scoped == nil {
+		m.scoped = map[taint.Taint]uint32{}
+	}
+	var ids []uint32
+	var blobs [][]byte
+	for _, l := range fresh {
+		id := l.GlobalID()
+		if id == 0 {
+			if _, ok := m.scoped[l]; ok {
+				continue
+			}
+			m.k++
+			id = taintmap.StreamScopedID(m.k)
+			m.scoped[l] = id
+		}
+		blob, err := taint.MarshalTaint(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, blobs = append(ids, id), append(blobs, blob)
+	}
+	return wire.AppendDefinitions(nil, ids, blobs)
+}
+
+// id is the id the stream's last send put beside l.
+func (m *sendModel) id(l taint.Taint) uint32 {
+	if id := l.GlobalID(); id != 0 || l.Empty() {
+		return id
+	}
+	return m.scoped[l]
+}
+
+// runs folds the ids of b's labels, read a byte at a time, into a run
+// cover: the reference of what a send of b put on the wire.
+func (m *sendModel) runs(b taint.Bytes) []wire.Run {
+	var runs []wire.Run
+	for i := range b.Data {
+		id := m.id(b.LabelAt(i))
+		if k := len(runs); k > 0 && runs[k-1].ID == id {
+			runs[k-1].N++
+		} else {
+			runs = append(runs, wire.Run{N: 1, ID: id})
+		}
+	}
+	return runs
+}
+
 // TestStreamedTierMatchesReference is the seeded differential test of
 // the send ladder and both streamed primitives against the per-byte
 // reference. Writer: for random label layouts, the endpoint chooses each
 // layout's sound-minimum tier and the frame it puts on the wire is
-// byte-identical to that tier's frame built from one Global ID per byte
-// (Register per LabelAt, folded to runs; a groups body also equals the
-// per-byte EncodeGroups). Reader: the concatenated frames, delivered in
-// random fragments and read through random buffer sizes, leave exactly
-// the labels Lookup + SetLabel leave per byte — and nothing outside the
+// byte-identical to that tier's frame built from one id per byte — the
+// Global ID, or the stream-scoped id of a taint not yet registered
+// (sendModel), folded to runs; a groups body also equals the per-byte
+// EncodeGroups. Reader: the concatenated frames, delivered in random
+// fragments and read through random buffer sizes, leave exactly the
+// labels Lookup, or the definition of a scoped id, + SetLabel leave per
+// byte — and nothing outside the
 // bytes a read returned. So do they delivered a unit a read, where every
 // raw-body frame that no definitions unit precedes and the read has room
 // for arrives whole, in one read of its own, between groups frames and
@@ -153,32 +217,32 @@ func TestStreamedTierMatchesReference(t *testing.T) {
 		var stream []byte
 		var units []int     // the lengths of the stream's units: magic, definitions, frames
 		var ref taint.Bytes // what the receiving node must end up with
+		var model sendModel
 		for m := 0; m < 12; m++ {
 			msg := randomLayoutOf(rng, pool, kinds)
-			// What this write will have to register, in the order it
-			// meets them: exactly these cross as one definitions unit ahead
-			// of its frame, and nothing does once every label has an id.
+			// What this write meets without a Global ID, in the order it
+			// meets them: those it scopes or registers cross as one
+			// definitions unit ahead of its frame.
 			fresh := freshIn(msg)
 			if err := sender.Write(msg); err != nil {
 				t.Fatalf("seed %d msg %d: %v", seed, m, err)
 			}
-			wantDefs := definitionsOf(t, fresh)
+			wantDefs := model.sent(t, fresh)
 			// The reference: one id per byte, then its run list.
+			runs := model.runs(msg)
 			ids := make([]uint32, len(msg.Data))
-			var runs []wire.Run
 			part := taint.WrapBytes(msg.Data)
 			for i := range ids {
-				id, err := r.a.TaintMap().Register(msg.LabelAt(i))
-				if err != nil {
-					t.Fatal(err)
-				}
-				ids[i] = id
-				if k := len(runs); k > 0 && runs[k-1].ID == id {
-					runs[k-1].N++
+				l := msg.LabelAt(i)
+				ids[i] = model.id(l)
+				var lbl taint.Taint
+				var err error
+				if taintmap.IsStreamScoped(ids[i]) {
+					blob, _ := taint.MarshalTaint(l)
+					lbl, err = r.b.Tree().UnmarshalTaint(blob)
 				} else {
-					runs = append(runs, wire.Run{N: 1, ID: id})
+					lbl, err = r.b.TaintMap().Lookup(ids[i])
 				}
-				lbl, err := r.b.TaintMap().Lookup(id)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -653,7 +717,9 @@ func (c *flakyLookups) Lookup(id uint32) (taint.Taint, error) {
 // failed one would have, under the right labels — not the bytes after
 // them. Every receive is held to it on each of its paths: a uniform
 // frame into a run-mode buffer, adopted by runs; a groups frame with a
-// label change on every byte into a dense buffer, read per byte; and, on
+// label change on every byte into a dense buffer, read per byte — on a
+// stream under taints registered before, as a fresh taint would cross
+// under a stream-scoped id, which no lookup resolves; and, on
 // a stream already open, a uniform and a sparse frame whose ids were
 // registered before, which no definitions unit precedes: each arrives as
 // a read of its own, whole, so a reader that took such a frame out of the
@@ -781,14 +847,20 @@ func TestReadResolvesBeforePopping(t *testing.T) {
 		return src
 	}
 	for name, setup := range links {
+		// first labels the opening message: a datagram registers a fresh
+		// taint as it sends it.
+		first := known
+		if name == "PacketReceive" {
+			first = func(a *tracker.Agent, value string) taint.Taint { return a.Source("s", value) }
+		}
 		t.Run(name, func(t *testing.T) {
 			check(t, setup, func(a *tracker.Agent) taint.Bytes {
-				return taint.FromString("resolve-then-pop", a.Source("s", "fresh"))
+				return taint.FromString("resolve-then-pop", first(a, "fresh"))
 			}, func(int) string { return "fresh" }, false, false)
 			t.Run("groups into dense", func(t *testing.T) {
 				check(t, setup, func(a *tracker.Agent) taint.Bytes {
 					msg := taint.FromString(strings.Repeat("resolve-then-pop", 12), taint.Taint{})
-					pair := [2]taint.Taint{a.Source("s", "fresh0"), a.Source("s", "fresh1")}
+					pair := [2]taint.Taint{first(a, "fresh0"), first(a, "fresh1")}
 					for i := range msg.Data {
 						msg.SetLabel(i, pair[i&1])
 					}

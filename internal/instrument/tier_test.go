@@ -61,8 +61,10 @@ func referenceFrame(b taint.Bytes) []byte {
 // and per-byte buffers in any order, sent down one connection by any of
 // its stream verbs and down a custom transport, what a write puts on the
 // wire — behind the magic on a connection's first and the definitions of
-// what it registers — is the PacketSend datagram of the same buffer, byte
-// for byte, and that is the reference frame of its sound minimum.
+// what it scopes or registers — is the PacketSend datagram of the same
+// buffer, byte for byte, but for each stream-scoped id where the
+// datagram, which registers the taint, has its Global ID; and that is
+// the reference frame of its sound minimum.
 func TestStreamFrameIsItsDatagram(t *testing.T) {
 	tags, verbs := map[byte]int{}, map[string]int{}
 	for seed := int64(1); seed <= 16; seed++ {
@@ -80,6 +82,7 @@ func TestStreamFrameIsItsDatagram(t *testing.T) {
 			pool = append(pool, src, taint.Combine(src, pool[len(pool)-1]))
 		}
 		raw := make([]byte, wire.StreamMagicLen+wire.MaxDefinitionsLen+wire.GroupsFrameLen(600))
+		var model sendModel
 
 		for m := 0; m < 48; m++ {
 			var msg taint.Bytes
@@ -124,10 +127,14 @@ func TestStreamFrameIsItsDatagram(t *testing.T) {
 			if m == 0 {
 				magic = wire.AppendAdaptiveStreamMagic(nil)
 			}
-			frame, ok := bytes.CutPrefix(sent, slices.Concat(magic, definitionsOf(t, fresh)))
+			frame, ok := bytes.CutPrefix(sent, slices.Concat(magic, model.sent(t, fresh)))
 			if !ok {
-				t.Fatalf("seed %d msg %d: %s of %d bytes registering %d taints does not open with the magic and their definitions",
+				t.Fatalf("seed %d msg %d: %s of %d bytes meeting %d taints without an id does not open with the magic and their definitions",
 					seed, m, verb, n, len(fresh))
+			}
+			runs := model.runs(msg)
+			if scoped := wire.AppendFrame(nil, wire.PickTier(runShape(runs)), msg.Data, runs); !bytes.Equal(frame, scoped) {
+				t.Fatalf("seed %d msg %d: %s of %d bytes is not the frame of its ids", seed, m, verb, n)
 			}
 
 			if err := PacketSend(r.a, sa, msg, "b:1"); err != nil {
@@ -144,7 +151,7 @@ func TestStreamFrameIsItsDatagram(t *testing.T) {
 				t.Fatalf("seed %d msg %d: the datagram of %d bytes (tag %q) is not their sound-minimum frame (tag %q)",
 					seed, m, n, datagram[0], want[0])
 			}
-			if !bytes.Equal(frame, datagram) {
+			if len(frame) != len(datagram) || frame[0] != datagram[0] || len(fresh) == 0 && !bytes.Equal(frame, datagram) {
 				t.Fatalf("seed %d msg %d: %s of %d bytes in %d runs travels as %d bytes under %q, its datagram as %d under %q",
 					seed, m, verb, n, msg.RunCount(), len(frame), frame[0], len(datagram), datagram[0])
 			}
@@ -222,7 +229,9 @@ func parseFrames(t *testing.T, raw, magic []byte) []rawFrame {
 
 // payloadFrames returns the frames of a capture without its definitions
 // units, which must be exactly the units at the given positions: one at
-// a taint's first crossing, none after.
+// a taint's first crossing, under its stream-scoped id, one at the send
+// that crosses it again, under the Global ID it is registered under then,
+// none after.
 func payloadFrames(t *testing.T, units []rawFrame, at ...int) []rawFrame {
 	t.Helper()
 	var frames []rawFrame
@@ -283,9 +292,9 @@ func TestAdaptiveWireTags(t *testing.T) {
 	}
 	ca.Close()
 
-	// The one taint of the test is defined ahead of the frame that
-	// registers it, the first.
-	frames := payloadFrames(t, parseFrames(t, <-done, wire.AppendAdaptiveStreamMagic(nil)), 0)
+	// The one taint of the test is defined ahead of the first frame, and
+	// again ahead of the second, which registers it.
+	frames := payloadFrames(t, parseFrames(t, <-done, wire.AppendAdaptiveStreamMagic(nil)), 0, 2)
 	if len(frames) != each*len(phases) {
 		t.Fatalf("got %d frames, want %d", len(frames), each*len(phases))
 	}
@@ -474,8 +483,9 @@ func TestWriteUniformDelivers(t *testing.T) {
 			}
 			ca.Close()
 			raw := readAllRaw(t, cb)
-			// Whichever write comes first registers every taint it carries.
-			frames := payloadFrames(t, parseFrames(t, raw, wire.AppendAdaptiveStreamMagic(nil)), 0)
+			// Whichever write comes first defines every taint it carries,
+			// and the second, which registers them, again.
+			frames := payloadFrames(t, parseFrames(t, raw, wire.AppendAdaptiveStreamMagic(nil)), 0, 2)
 			if len(frames) != tc.history+rounds+1 {
 				t.Fatalf("%d frames on the wire, want %d", len(frames), tc.history+rounds+1)
 			}
@@ -853,7 +863,7 @@ func TestTableRowReachesEndpoints(t *testing.T) {
 	}
 	ca.Close()
 	raw := readAllRaw(t, cb)
-	frames := payloadFrames(t, parseFrames(t, raw, wire.AppendAdaptiveStreamMagic(nil)), 0)
+	frames := payloadFrames(t, parseFrames(t, raw, wire.AppendAdaptiveStreamMagic(nil)), 0, 2)
 	if last := frames[len(frames)-1]; last.tag != 'B' || last.n != wire.GlobalIDLen+2*n {
 		t.Fatalf("gathering write left as {%q %d}, want one 'B' frame for both sources", last.tag, last.n)
 	}

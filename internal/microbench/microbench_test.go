@@ -205,6 +205,11 @@ func TestGlobalTaintCountSmallForSDT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, a := range []*tracker.Agent{h.Node1.Agent, h.Node2.Agent} {
+		if err := a.Flush(); err != nil { // the taints streams defined inline
+			t.Fatal(err)
+		}
+	}
 	n := h.Store.Stats().GlobalTaints
 	if n < 1 || n > 6 {
 		t.Fatalf("global taints = %d, want 1..6 like the paper's SDT scenarios", n)

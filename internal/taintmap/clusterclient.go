@@ -384,6 +384,9 @@ func (c *ClusterClient) register(ids []uint32, ts []taint.Taint, blobs [][]byte)
 	ring := c.ring.Load()
 	var ownerBuf [16]uint32 // keeps small batches off the heap
 	owners := ownerBuf[:0]
+	if len(blobs) > len(ownerBuf) {
+		owners = make([]uint32, 0, len(blobs))
+	}
 	oneOwner := true
 	for _, blob := range blobs {
 		owners = append(owners, ring.OwnerOfBlob(blob))
@@ -392,9 +395,10 @@ func (c *ClusterClient) register(ids []uint32, ts []taint.Taint, blobs [][]byte)
 	if oneOwner {
 		return c.registerGroup(owners[0], ids, ts, blobs)
 	}
+	// One set of group slices serves every owner: a member keeps none.
+	gts, gblobs, gids := make([]taint.Taint, 0, len(ts)), make([][]byte, 0, len(ts)), make([]uint32, len(ts))
 	for part := uint32(0); part < MaxPartitions; part++ {
-		var gts []taint.Taint
-		var gblobs [][]byte
+		gts, gblobs = gts[:0], gblobs[:0]
 		for i, owner := range owners {
 			if owner == part {
 				gts = append(gts, ts[i])
@@ -404,7 +408,7 @@ func (c *ClusterClient) register(ids []uint32, ts []taint.Taint, blobs [][]byte)
 		if len(gts) == 0 {
 			continue
 		}
-		got := make([]uint32, len(gts))
+		got := gids[:len(gts)]
 		if err := c.registerGroup(part, got, gts, gblobs); err != nil {
 			return err
 		}

@@ -164,7 +164,8 @@ func WithAdmission(maxActive, maxWait int) ServerOption {
 // WithClusterNode makes the server one member of a partitioned Taint
 // Map: cluster ops (ring/join/replicate) are answered, and every
 // fresh registration is synchronously replicated to the node's ring
-// successors before its reply is sent.
+// successors before its reply is sent. Close closes the node's peer
+// clients with the server.
 func WithClusterNode(n *ClusterNode) ServerOption {
 	return func(s *Server) { s.node = n }
 }
@@ -357,8 +358,8 @@ func (s *Server) Stats() ServerStats {
 	return st
 }
 
-// Close stops accepting, closes live connections, and waits for the
-// accept loop to exit.
+// Close stops accepting, closes live connections and the cluster node's
+// peer clients, and waits for the accept loop to exit.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -383,6 +384,9 @@ func (s *Server) Close() error {
 	err := s.closeAcc()
 	for _, c := range conns {
 		c.Close()
+	}
+	if s.node != nil {
+		s.node.Close()
 	}
 	if started {
 		<-s.done
