@@ -11,12 +11,14 @@ test:
 # The mux's read-role handoffs, the server's Close, the store arena's
 # lock-free reads of concurrent appends, a replica's refusal of a
 # conflicting push, concurrent pushes sharing one peer client, lone
-# registrations of one blob racing on one shared client, and four
+# registrations of one blob racing on one shared client, four
 # connections whose large reads borrow scratch from one pool (a buffer
-# given back early shows as another connection's bytes), five times more
-# under the race detector: their races are ones of timing, which one
-# pass samples once (~12 s).
-RACE_AGAIN = $(GO) test -race -count=5 -run 'TestReadRole|TestFrozenTransportContract|TestServerCloseLogs|TestBatchOfOneEquivalence|TestArenaConcurrent|TestClusterReplicaRefusesConflict|TestPeerPushesShareOneConnection|TestConcurrentClients|TestBorrowedScratchAcrossConnections' ./internal/taintmap ./internal/instrument
+# given back early shows as another connection's bytes), and an agent's
+# queue of deferred registrations, shared by streams on their own
+# goroutines and drained by another, five times more under the race
+# detector: their races are ones of timing, which one pass samples once
+# (~12 s).
+RACE_AGAIN = $(GO) test -race -count=5 -run 'TestReadRole|TestFrozenTransportContract|TestServerCloseLogs|TestBatchOfOneEquivalence|TestArenaConcurrent|TestClusterReplicaRefusesConflict|TestPeerPushesShareOneConnection|TestConcurrentClients|TestBorrowedScratchAcrossConnections|TestDeferredRegistrationConcurrent|TestFreshExchangeTaintMapTraffic|TestChaosStreamOutage' ./internal/taintmap ./internal/instrument
 
 # The tag tree's lock-free readers against its one writer lock: interning
 # from many goroutines, unions through the combine cache's slots, and
@@ -198,8 +200,12 @@ fuzz:
 # walk (FromKeys of the parsed keys) under the real and a colliding tag
 # hash. The data-stream target (~3s) writes random primitives with random
 # labels through a small BufferedOutputStream, which labels each value in
-# its buffer, and reads them back through DataInputStream. `go test`
-# accepts one -fuzz pattern per invocation, hence one run per target.
+# its buffer, and reads them back through DataInputStream. The deferred
+# registration target (~5s) runs schedules of fresh and reused taints,
+# relays, Taint Map outages, refused natives and drains over three
+# streams of an agent pair, from the seeds in code and under
+# internal/instrument/testdata/fuzz. `go test` accepts one -fuzz pattern
+# per invocation, hence one run per target.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='FuzzUnmarshalTaint$$' -fuzztime=5s ./internal/core/taint
 	$(GO) test -run=NONE -fuzz=FuzzServeConn -fuzztime=10s ./internal/taintmap
@@ -211,4 +217,5 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='FuzzPacketRoundTrip$$' -fuzztime=3s ./internal/core/wire
 	$(GO) test -run=NONE -fuzz='FuzzFrameDecoderRobust$$' -fuzztime=3s ./internal/core/wire
 	$(GO) test -run=NONE -fuzz='FuzzTierTransition$$' -fuzztime=10s ./internal/instrument
+	$(GO) test -run=NONE -fuzz='FuzzDeferredRegistration$$' -fuzztime=5s ./internal/instrument
 	$(GO) test -run=NONE -fuzz='FuzzDataStreamRoundTrip$$' -fuzztime=3s ./internal/jre

@@ -255,6 +255,19 @@ func wholePassthrough(raw []byte, max int) []byte {
 	return nil
 }
 
+// Datagram opens a zero decoder on the one frame of a datagram, as the
+// magic opens a stream, and returns raw without the bytes past the
+// frame's declared body: raw is then for Whole, or FeedDatagram.
+func (d *FrameDecoder) Datagram(raw []byte) []byte {
+	if len(raw) >= FrameHeaderLen {
+		if ln := binary.BigEndian.Uint32(raw[1:]); uint64(ln) < uint64(len(raw)-FrameHeaderLen) {
+			raw = raw[:FrameHeaderLen+int(ln)]
+		}
+	}
+	d.magicN = StreamMagicLen
+	return raw
+}
+
 // FeedDatagram feeds a zero decoder the one frame of a datagram, or as
 // much of it as arrived: UDP cuts a datagram to the receiver's buffer
 // silently, and a body cut short is the ordinary partial body of a
@@ -262,12 +275,7 @@ func wholePassthrough(raw []byte, max int) []byte {
 // inside the header or the label metadata leaves nothing to deliver
 // (ErrTruncatedPacket).
 func (d *FrameDecoder) FeedDatagram(raw []byte) error {
-	if len(raw) >= FrameHeaderLen {
-		if ln := binary.BigEndian.Uint32(raw[1:]); uint64(ln) < uint64(len(raw)-FrameHeaderLen) {
-			raw = raw[:FrameHeaderLen+int(ln)]
-		}
-	}
-	d.magicN = StreamMagicLen
+	raw = d.Datagram(raw)
 	if err := d.Feed(raw); err != nil {
 		return err
 	}

@@ -510,8 +510,8 @@ func TestGroupsLaneMatchesRunPath(t *testing.T) {
 // the buffer and its representation that the decoder's run path leaves.
 // Only the whole read of a frame the decoder would keep raw takes the
 // lane: its ids are resolved while the decoder holds nothing, and into a
-// dense window that one lookup delivers it. Every other read resolves
-// what the decoder holds.
+// dense or a run-mode window alike that one lookup delivers it. Every
+// other read resolves what the decoder holds.
 func TestWholeGroupsFrameLane(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	r := newRig(t, tracker.ModeDista)
@@ -587,8 +587,7 @@ func TestWholeGroupsFrameLane(t *testing.T) {
 					t.Fatalf("%s: the two paths left different representations", name)
 				}
 				took := len(empty) > 0 && empty[0]
-				if took != way.lane || slices.Contains(empty[min(1, len(empty)):], true) ||
-					took && rname == "dense window" && len(empty) != 1 {
+				if took != way.lane || slices.Contains(empty[min(1, len(empty)):], true) || took && len(empty) != 1 {
 					t.Fatalf("%s: lookups with nothing in the decoder %v; want the lane taken = %v", name, empty, way.lane)
 				}
 			}
@@ -596,14 +595,16 @@ func TestWholeGroupsFrameLane(t *testing.T) {
 	}
 }
 
-// TestGroupsLaneSelection pins which deliveries are read per byte: the
-// selection is the fragmentation the decoder observes in the groups it is
-// fed and the receiving store's own densify criterion, nothing else.
-// Each body crosses as one groups frame and is read in two halves; a
-// first half read per byte leaves the second raw at the head of the
-// decoder, one adopted by runs leaves it decoded. Either way every byte
-// arrives under its label, and the uniform body of the paper tables'
-// ramp lands as one run in a store that stays in run mode.
+// TestGroupsLaneSelection pins which deliveries take the groups lane and
+// which of those are read per byte: the lane is the fragmentation the
+// decoder observes in the groups it is fed, the per-byte view the
+// receiving store's own densify criterion, nothing else — a window that
+// stays in run mode takes the lane's resolved labels run by run. Each
+// body crosses as one groups frame and is read in two halves; a first
+// half the lane takes leaves the second raw at the head of the decoder,
+// one adopted by runs leaves it decoded. Either way every byte arrives
+// under its label, and the uniform body of the paper tables' ramp lands
+// as one run in a store that stays in run mode.
 func TestGroupsLaneSelection(t *testing.T) {
 	r := newRig(t, tracker.ModeDista)
 	const n = 4096
@@ -615,23 +616,23 @@ func TestGroupsLaneSelection(t *testing.T) {
 	}
 	alternating := func(i int) taint.Taint { return pool[1+i&1] }
 	for name, tc := range map[string]struct {
-		label   func(i int) taint.Taint
-		buf     func() taint.Bytes
-		perByte bool
+		label       func(i int) taint.Taint
+		buf         func() taint.Bytes
+		lane, dense bool
 	}{
-		"a label change on every byte into a fresh buffer": {alternating, fresh, true},
-		"a label change on every byte into a dense buffer": {alternating, dense, true},
-		"three-byte runs":                       {func(i int) taint.Taint { return pool[1+(i/3)%8] }, fresh, true},
-		"a comb of one-byte islands":            {func(i int) taint.Taint { return pool[i&1] }, fresh, true},
-		"one id over the whole body":            {func(int) taint.Taint { return pool[1] }, fresh, false},
-		"one id into a dense buffer":            {func(int) taint.Taint { return pool[1] }, dense, false},
-		"sixteen-byte runs":                     {func(i int) taint.Taint { return pool[1+(i/16)%8] }, fresh, false},
-		"fragments after a long uniform prefix": {func(i int) taint.Taint { return pool[1+(i&1)*min(i/1024, 1)] }, fresh, false},
-		"an untainted body":                     {func(int) taint.Taint { return taint.Taint{} }, fresh, false},
+		"a label change on every byte into a fresh buffer": {alternating, fresh, true, true},
+		"a label change on every byte into a dense buffer": {alternating, dense, true, true},
+		"three-byte runs":                       {func(i int) taint.Taint { return pool[1+(i/3)%8] }, fresh, true, true},
+		"a comb of one-byte islands":            {func(i int) taint.Taint { return pool[i&1] }, fresh, true, true},
+		"one id over the whole body":            {func(int) taint.Taint { return pool[1] }, fresh, false, false},
+		"one id into a dense buffer":            {func(int) taint.Taint { return pool[1] }, dense, false, false},
+		"sixteen-byte runs":                     {func(i int) taint.Taint { return pool[1+(i/16)%8] }, fresh, false, false},
+		"fragments after a long uniform prefix": {func(i int) taint.Taint { return pool[1+(i&1)*min(i/1024, 1)] }, fresh, false, false},
+		"an untainted body":                     {func(int) taint.Taint { return taint.Taint{} }, fresh, false, false},
 		"fragments into a window of a run-mode store too large to densify": {alternating, func() taint.Bytes {
 			big := taint.MakeBytes(64 * n)
 			return big.Slice(n, 2*n)
-		}, false},
+		}, true, false},
 	} {
 		labels := labelsOf(n, tc.label)
 		data := make([]byte, n)
@@ -645,11 +646,11 @@ func TestGroupsLaneSelection(t *testing.T) {
 		if got, err := rd.read(r.b, nil, &buf, 0, n/2); got != n/2 || err != nil {
 			t.Fatalf("%s: read of the first half = %d, %v", name, got, err)
 		}
-		if raw := len(rd.dec.PeekGroups(n)) > 0; raw != tc.perByte {
-			t.Fatalf("%s: first half read per byte = %v, want %v", name, raw, tc.perByte)
+		if raw := len(rd.dec.PeekGroups(n)) > 0; raw != tc.lane {
+			t.Fatalf("%s: first half taken by the groups lane = %v, want %v", name, raw, tc.lane)
 		}
-		if tc.perByte && buf.DenseLabels() == nil {
-			t.Fatalf("%s: the lane ran on a store without a per-byte view", name)
+		if tc.lane && (buf.DenseLabels() != nil) != tc.dense {
+			t.Fatalf("%s: the lane left a per-byte view = %v, want %v", name, buf.DenseLabels() != nil, tc.dense)
 		}
 		if got, err := rd.read(r.b, nil, &buf, n/2, n); got != n-n/2 || err != nil {
 			t.Fatalf("%s: read of the second half = %d, %v", name, got, err)
@@ -671,15 +672,13 @@ func TestGroupsLaneSelection(t *testing.T) {
 		}
 	}
 
-	// What adoptGroups itself turns down it leaves exactly as it was.
-	groups := wire.EncodeRuns(nil, make([]byte, n), runsOf(t, r.a.TaintMap(), labelsOf(n, alternating)))
-	big := taint.MakeBytes(64 * n)
+	// What adoptGroups itself turns down, an untainted body, it leaves
+	// exactly as it was.
 	for name, tc := range map[string]struct {
 		g   []byte
 		buf taint.Bytes
 	}{
 		"an untainted body": {wire.EncodeRuns(nil, make([]byte, n), nil), fresh()},
-		"fragments into a window of a run-mode store too large to densify": {groups, big.Slice(n, 2*n)},
 	} {
 		buf := tc.buf
 		buf.SetRange(0, n/2, stale)

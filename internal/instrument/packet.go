@@ -71,7 +71,10 @@ func PacketReceive(agent *tracker.Agent, sock *netsim.UDPSocket, buf *taint.Byte
 // one group per expected byte, which no tier's frame for that many bytes
 // exceeds — and splits the frame into
 // buf's data and labels as a stream read would: labels first, bytes
-// second. A datagram longer than buf is cut to fit, labels included.
+// second. A whole passthrough or fragmented groups frame that fits buf
+// takes the stream's whole-frame lane (FrameDecoder.Whole), out of the
+// receive buffer where it lies; the rest is decoded. A datagram longer
+// than buf is cut to fit, labels included.
 func receiveInto(agent *tracker.Agent, sock *netsim.UDPSocket, buf *taint.Bytes,
 	native func(*netsim.UDPSocket, []byte) (int, string, error)) (int, string, error) {
 	if agent.Mode() != tracker.ModeDista {
@@ -88,7 +91,18 @@ func receiveInto(agent *tracker.Agent, sock *netsim.UDPSocket, buf *taint.Bytes,
 		return 0, "", err
 	}
 	var r streamReader
-	if err := r.dec.FeedDatagram(enlarged[:n]); err != nil {
+	raw := r.dec.Datagram(enlarged[:n])
+	if p := r.dec.Whole(raw, len(buf.Data)); p != nil && raw[0] == wire.FramePassthrough {
+		clearStale(buf, 0, len(p))
+		return copy(buf.Data, p), from, nil
+	} else if p != nil {
+		if k, err := r.adoptGroups(agent, buf, 0, p); err != nil {
+			return 0, "", err
+		} else if k > 0 {
+			return k, from, nil
+		}
+	}
+	if err := r.dec.FeedDatagram(raw); err != nil {
 		return 0, "", err
 	}
 	stored, err := r.read(agent, nil, buf, 0, len(buf.Data))
