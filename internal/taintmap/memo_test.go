@@ -46,7 +46,7 @@ func TestMemoMatchesMapModel(t *testing.T) {
 	for i := 1; i < len(taints); i++ {
 		taints[i] = tree.NewSource(fmt.Sprintf("t%d", i), "app:1")
 	}
-	const pg = memoPageSize
+	const pg = MemoPageLen
 	edges := []uint32{0, 1, 2, pg - 1, pg, pg + 1, 2*pg - 1, 2 * pg, 7*pg + 3}
 	ends := []uint32{seqMask, seqMask - 1, seqMask - pg, seqMask - pg + 1, seqMask >> 1}
 	for seed := int64(1); seed <= 6; seed++ {
@@ -131,8 +131,8 @@ func (c *cache) footprint() (pages int, bytes uintptr) {
 // thousand. A client pays a page per id it sees at most, never one it
 // does not touch; an empty memo nothing.
 func TestMemoFootprintBound(t *testing.T) {
-	if unsafe.Sizeof(memoPage{}) != 8*memoPageSize {
-		t.Fatalf("a memo slot is %d B, want a pointer", unsafe.Sizeof(memoPage{})/memoPageSize)
+	if unsafe.Sizeof(memoPage{}) != 8*MemoPageLen {
+		t.Fatalf("a memo slot is %d B, want a pointer", unsafe.Sizeof(memoPage{})/MemoPageLen)
 	}
 	var empty cache
 	empty.get(5)
@@ -155,13 +155,13 @@ func TestMemoFootprintBound(t *testing.T) {
 			}
 		}
 		highest := uintptr(seen * tc.stride)
-		perPartition := 8*(highest+memoPageSize) + 2*8*(highest/memoPageSize+1)
+		perPartition := 8*(highest+MemoPageLen) + 2*8*(highest/MemoPageLen+1)
 		pages, bytes := c.footprint()
 		bytes -= uintptr(cap(c.groups)) * unsafe.Sizeof(c.groups[0])
 		if bytes > 2*perPartition {
 			t.Errorf("one id in %d: the memo holds %d B, bound %d", tc.stride, bytes, 2*perPartition)
 		}
-		if limit := 2 * min(seen, int(highest/memoPageSize)+1); pages > limit {
+		if limit := 2 * min(seen, int(highest/MemoPageLen)+1); pages > limit {
 			t.Errorf("one id in %d: %d pages for %d ids below seq %d", tc.stride, pages, 2*seen, highest)
 		}
 		t.Logf("one id in %d: %d B per id seen", tc.stride, bytes/(2*seen))
@@ -189,8 +189,8 @@ func TestLearnIsBounded(t *testing.T) {
 	const perEntry = unsafe.Sizeof(memoPage{}) + 2*peerPages*8
 	for name, idOf := range map[string]func(k uint32) uint32{
 		"far":     func(k uint32) uint32 { return partitionBase(k%MaxPartitions) | (seqMask - k) },
-		"strided": func(k uint32) uint32 { return partitionBase(k%MaxPartitions) | (1+k/MaxPartitions)*memoPageSize },
-		"walking": func(k uint32) uint32 { return partitionBase(3) | (1+k)*peerPages*memoPageSize - 1 },
+		"strided": func(k uint32) uint32 { return partitionBase(k%MaxPartitions) | (1+k/MaxPartitions)*MemoPageLen },
+		"walking": func(k uint32) uint32 { return partitionBase(3) | (1+k)*peerPages*MemoPageLen - 1 },
 	} {
 		n := front{tree: tree, memo: &cache{}}
 		ids, blobs := make([]uint32, entries), make([][]byte, entries)
@@ -275,7 +275,7 @@ func TestEmptyTaintUnderAnID(t *testing.T) {
 // first is the answer it keeps.
 func TestMemoConcurrent(t *testing.T) {
 	const workers = 8
-	ids := make([]uint32, 100*memoPageSize)
+	ids := make([]uint32, 100*MemoPageLen)
 	for i := range ids {
 		ids[i] = partitionBase(uint32(i%6)) | uint32(i+1)
 	}
@@ -310,10 +310,10 @@ func TestMemoConcurrent(t *testing.T) {
 func TestMemoAllocations(t *testing.T) {
 	var c cache
 	tt := taint.NewTree().NewSource("x", "app:1")
-	base := partitionBase(3) | 5*memoPageSize
+	base := partitionBase(3) | 5*MemoPageLen
 	c.put(base, tt)
 	next := base
-	if got := testing.AllocsPerRun(memoPageSize-2, func() {
+	if got := testing.AllocsPerRun(MemoPageLen-2, func() {
 		next++
 		c.put(next, tt)
 		if _, ok := c.get(next); !ok {
