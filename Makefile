@@ -13,12 +13,14 @@ test:
 # conflicting push, concurrent pushes sharing one peer client, lone
 # registrations of one blob racing on one shared client, four
 # connections whose large reads borrow scratch from one pool (a buffer
-# given back early shows as another connection's bytes), and an agent's
+# given back early shows as another connection's bytes), an agent's
 # queue of deferred registrations, shared by streams on their own
-# goroutines and drained by another, five times more under the race
-# detector: their races are ones of timing, which one pass samples once
-# (~12 s).
-RACE_AGAIN = $(GO) test -race -count=5 -run 'TestReadRole|TestFrozenTransportContract|TestServerCloseLogs|TestBatchOfOneEquivalence|TestArenaConcurrent|TestClusterReplicaRefusesConflict|TestPeerPushesShareOneConnection|TestConcurrentClients|TestBorrowedScratchAcrossConnections|TestDeferredRegistrationConcurrent|TestFreshExchangeTaintMapTraffic|TestChaosStreamOutage' ./internal/taintmap ./internal/instrument
+# goroutines and drained by another, and a batch registration in flight —
+# its answer read by the connection's helper while the agent sends on,
+# collected at a reuse, a drain, a reset or after an idle past the call
+# timeout — five times more under the race detector: their races are ones
+# of timing, which one pass samples once (~12 s).
+RACE_AGAIN = $(GO) test -race -count=5 -run 'TestReadRole|TestFrozenTransportContract|TestServerCloseLogs|TestBatchOfOneEquivalence|TestArenaConcurrent|TestClusterReplicaRefusesConflict|TestPeerPushesShareOneConnection|TestConcurrentClients|TestBorrowedScratchAcrossConnections|TestDeferredRegistrationConcurrent|TestInFlightRegistration|TestFreshExchangeTaintMapTraffic|TestChaosStreamOutage' ./internal/taintmap ./internal/instrument
 
 # The tag tree's lock-free readers against its one writer lock: interning
 # from many goroutines, unions through the combine cache's slots, and
@@ -202,9 +204,10 @@ fuzz:
 # labels through a small BufferedOutputStream, which labels each value in
 # its buffer, and reads them back through DataInputStream. The deferred
 # registration target (~5s) runs schedules of fresh and reused taints,
-# relays, Taint Map outages, refused natives and drains over three
-# streams of an agent pair, from the seeds in code and under
-# internal/instrument/testdata/fuzz. `go test` accepts one -fuzz pattern
+# relays, Taint Map outages, connection resets with a batch in flight,
+# idles past the call timeout, refused natives and drains over three
+# streams of an agent pair and a one-member Taint Map on a virtual clock,
+# from the seeds in code and under internal/instrument/testdata/fuzz. `go test` accepts one -fuzz pattern
 # per invocation, hence one run per target.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='FuzzUnmarshalTaint$$' -fuzztime=5s ./internal/core/taint

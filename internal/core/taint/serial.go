@@ -64,16 +64,14 @@ func MarshalTaint(t Taint) ([]byte, error) {
 	return out, nil
 }
 
-// MarshalMemoLen is how many of its latest blobs a tree keeps: as many
-// as a node's queue of fresh taints registers in one batch
-// (tracker.RegisterQueueLen, defined as this).
+// MarshalMemoLen is how many of its latest blobs a tree keeps.
 const MarshalMemoLen = 64
 
 // marshalMemo holds the blobs MarshalTaint built last on one tree. A
-// stream send marshals a fresh taint to define it inline, and its agent
-// registers it in a batch once up to MarshalMemoLen fresh taints have
-// crossed (Fig. 9 ①, deferred): the registration finds the definition's
-// bytes instead of building them again.
+// stream send marshals a fresh taint to define it inline, and a send that
+// soon meets it again — on another stream, or once its batch registered
+// it, under its Global ID — defines it again: it finds the first
+// definition's bytes instead of building them again.
 type marshalMemo struct {
 	mu   sync.Mutex
 	next int

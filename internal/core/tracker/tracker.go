@@ -17,6 +17,7 @@
 package tracker
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -91,25 +92,24 @@ type Agent struct {
 	dataBytes atomic.Int64 // application payload bytes crossing the JNI layer
 	wireBytes atomic.Int64 // bytes actually put on the wire for those payloads
 
-	// qmu is held across a batch's registration: a send that meets a
-	// taint being registered waits for its Global ID, as its own flush
-	// would, rather than scoping it again.
+	// qmu guards the queue: a send that meets a taint in flight waits for
+	// its Global ID, as its own flush would, rather than scoping it again.
 	qmu    sync.Mutex
-	queued []taint.Taint        // taints streams defined inline, to register (Defer)
-	inQ    map[taint.Taint]bool // the members of queued
-	batch  []taint.Taint        // scratch: what one Defer registers
-	failed bool                 // the last batch failed: the Taint Map is degraded or shedding
-	due    int                  // the queue length that registers a batch (RegisterQueueLen after a success)
+	queued []taint.Taint         // taints streams defined inline, to register (Defer); the first flying are in flight
+	blobs  [][]byte              // each one's serialized form, carried from its definition
+	inQ    map[taint.Taint]bool  // the members of queued
+	flying int                   // how many of queued reg has issued and not collected
+	reg    taintmap.Registration // the batch in flight
+	failed bool                  // the last batch failed: the Taint Map is degraded or shedding
+	due    int                   // the queue length, beside the batch in flight, that issues a batch (RegisterQueueLen after a success)
 }
 
 // RegisterQueueLen is how many fresh taints an agent's streams define
-// inline before the agent registers them with the Taint Map in one batch
-// (Defer), and the most one send's batch carries: a size, not a knob. 8
-// kept a fresh exchange at 9.2–9.8× where 64 took it to 7.2–7.9×; 256
-// gained nothing more, for 5 % more heap (EXPERIMENTS.md). A registration
-// reuses the blobs the definitions built, so a batch is what the tree's
-// marshal memo holds.
-const RegisterQueueLen = taint.MarshalMemoLen
+// inline before the agent issues their registration with the Taint Map in
+// one batch (Defer), and the most one send's batch carries: a size, not a
+// knob. 8 kept a fresh exchange at 9.2–9.8× where 64 took it to 7.2–7.9×;
+// 256 gained nothing more, for 5 % more heap (EXPERIMENTS.md).
+const RegisterQueueLen = 64
 
 // Option configures an Agent.
 type Option interface {
@@ -275,86 +275,92 @@ func (a *Agent) SinkFireCount(desc string) int {
 }
 
 // Defer queues ts — distinct taints without a Global ID that a stream
-// send is about to define inline under stream-scoped ids — for
-// registration. First it registers one batch of queued taints, on the
-// caller's goroutine, when one of ts is queued already (it crosses again,
-// so it gets its Global ID now and leads the batch) or when the queue has
-// reached its due length; the oldest others fill the batch up to
-// RegisterQueueLen. After a batch that failed, a reuse registers the
-// reused taints alone and the queue is due again only RegisterQueueLen
-// taints later: in an outage a send costs what its own taints cost, and
-// an owner that sheds is not sent the backlog. The taints new to the
-// queue stay queued, and scoped. It returns what the batch failed with,
-// nil when none ran.
-func (a *Agent) Defer(ts []taint.Taint) (err error) {
+// send is about to define inline under stream-scoped ids, blobs each one
+// serialized — for registration in batches. At a flush point — a send
+// that meets a queued taint again, a queue of RegisterQueueLen beside the
+// batch in flight — it first collects the batch in flight: what
+// registered leaves the queue. Then the queued taints the send meets get
+// their Global IDs now, in a batch the oldest others fill up to
+// RegisterQueueLen, issued and collected at once; a full queue issues its
+// oldest RegisterQueueLen and waits for nothing. After a failed batch a
+// reuse registers the reused taints alone, and the queue is due again
+// only RegisterQueueLen taints later: an owner that sheds is not sent the
+// backlog. It returns what a collected batch failed with.
+func (a *Agent) Defer(ts []taint.Taint, blobs [][]byte) (err error) {
 	a.qmu.Lock()
 	defer a.qmu.Unlock()
-	batch := a.batch[:0]
-	for _, t := range ts {
-		if a.inQ[t] {
-			batch = append(batch, t)
-		}
-	}
-	reused := len(batch)
-	if reused > 0 && !a.failed || len(a.queued) >= a.due {
-		for _, t := range a.queued {
-			if len(batch) >= RegisterQueueLen {
-				break
-			}
-			if !slices.Contains(batch[:reused], t) {
-				batch = append(batch, t)
+	reused := slices.ContainsFunc(ts, func(t taint.Taint) bool { return a.inQ[t] })
+	if reused || len(a.queued)-a.flying >= a.due {
+		err = a.collectLocked()
+		lead := 0 // the reused taints still queued move to its front
+		for _, t := range ts {
+			if a.inQ[t] {
+				i := slices.Index(a.queued, t)
+				a.queued[lead], a.queued[i] = a.queued[i], a.queued[lead]
+				a.blobs[lead], a.blobs[i] = a.blobs[i], a.blobs[lead]
+				lead++
 			}
 		}
+		n := lead
+		if lead > 0 && !a.failed || len(a.queued) >= a.due {
+			n = max(lead, min(len(a.queued), RegisterQueueLen))
+		}
+		if n > 0 {
+			a.tm.Issue(&a.reg, a.queued[:n], a.blobs[:n])
+			a.flying = n
+		}
+		if lead > 0 {
+			err = errors.Join(err, a.collectLocked())
+		}
 	}
-	if len(batch) > 0 {
-		err = a.registerLocked(batch)
-	}
-	clear(batch)
-	a.batch = batch[:0]
-	for _, t := range ts {
+	for i, t := range ts {
 		if t.GlobalID() == 0 && !a.inQ[t] {
 			if a.inQ == nil {
-				a.inQ = make(map[taint.Taint]bool, RegisterQueueLen)
+				a.inQ = make(map[taint.Taint]bool, 2*RegisterQueueLen)
 			}
-			a.queued, a.inQ[t] = append(a.queued, t), true
+			a.queued, a.blobs, a.inQ[t] = append(a.queued, t), append(a.blobs, blobs[i]), true
 		}
 	}
 	return err
 }
 
-// Flush registers every taint Defer has queued, in one batch, before it
-// returns: the drain a count of the Taint Map's global taints (§V-F)
-// reads after. What the registration fails to register stays queued for
-// the next.
+// Flush registers every taint Defer has queued, the batch in flight
+// included, before it returns: the drain a count of the Taint Map's
+// global taints (§V-F) reads after. What the registration fails to
+// register stays queued for the next.
 func (a *Agent) Flush() error {
 	a.qmu.Lock()
 	defer a.qmu.Unlock()
-	if len(a.queued) == 0 {
+	if a.collectLocked(); len(a.queued) == 0 {
 		return nil
 	}
-	return a.registerLocked(a.queued)
+	a.tm.Issue(&a.reg, a.queued, a.blobs)
+	a.flying = len(a.queued)
+	return a.collectLocked()
 }
 
-// registerLocked registers batch, queued taints, and drops from the queue
-// what is registered since, which a failed batch may leave as it was.
-func (a *Agent) registerLocked(batch []taint.Taint) error {
-	if a.tm == nil {
-		return nil
+// collectLocked collects the batch in flight, if any, and drops from the
+// queue what is registered since.
+func (a *Agent) collectLocked() (err error) {
+	if a.flying > 0 {
+		err = a.tm.Collect(&a.reg)
+		a.failed, a.due, a.flying = err != nil, RegisterQueueLen, 0
+		if a.failed {
+			a.due = len(a.queued) + RegisterQueueLen
+		}
 	}
-	_, err := a.tm.RegisterBatch(batch)
-	a.failed, a.due = err != nil, RegisterQueueLen
-	if a.failed {
-		a.due = len(a.queued) + RegisterQueueLen
-	}
-	if slices.ContainsFunc(batch, func(t taint.Taint) bool { return t.GlobalID() != 0 }) {
-		a.queued = slices.DeleteFunc(a.queued, func(t taint.Taint) bool {
-			if t.GlobalID() == 0 {
-				return false
-			}
+	n := 0
+	for i, t := range a.queued {
+		if t.GlobalID() != 0 {
 			delete(a.inQ, t)
-			return true
-		})
+			continue
+		}
+		a.queued[n], a.blobs[n] = t, a.blobs[i]
+		n++
 	}
+	clear(a.queued[n:])
+	clear(a.blobs[n:])
+	a.queued, a.blobs = a.queued[:n], a.blobs[:n]
 	return err
 }
 

@@ -1,9 +1,11 @@
 package tracker
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -271,5 +273,150 @@ func TestParseAgentArgsErrors(t *testing.T) {
 		if _, err := ParseAgentArgs(bad); err == nil {
 			t.Fatalf("want error for %q", bad)
 		}
+	}
+}
+
+// lagging is a Taint Map client whose registrations are in flight from
+// Issue to Collect: it registers with the store only when collected, and
+// answers answer then, if set, registering nothing.
+type lagging struct {
+	*taintmap.LocalClient
+	ts      []taint.Taint
+	blobs   [][]byte
+	issues  []int // the size of each batch issued
+	collect int   // collections of an issued batch
+	answer  error
+}
+
+func (l *lagging) Issue(_ *taintmap.Registration, ts []taint.Taint, blobs [][]byte) {
+	l.ts, l.blobs, l.issues = ts, blobs, append(l.issues, len(ts))
+}
+
+func (l *lagging) Collect(r *taintmap.Registration) error {
+	l.collect++
+	if l.answer != nil {
+		return l.answer
+	}
+	l.LocalClient.Issue(r, l.ts, l.blobs)
+	return l.LocalClient.Collect(r)
+}
+
+// TestDeferInFlight walks an agent's queue through its flush points with
+// a batch in flight: a full queue issues its oldest RegisterQueueLen and
+// collects nothing; the next full queue collects them, then issues; a
+// taint that crosses again collects the batch it is in, and is issued
+// and collected at once when it is only queued; a failed batch stays
+// queued, its answer taken once, and is not re-sent until a reuse or the
+// next RegisterQueueLen; Flush collects the batch in flight and
+// registers the rest. The store ends holding every taint deferred.
+func TestDeferInFlight(t *testing.T) {
+	store := taintmap.NewStore()
+	tree := taint.NewTree()
+	l := &lagging{LocalClient: taintmap.NewLocalClient(store, tree)}
+	a := New("a", ModeDista, WithTaintMap(l))
+	var sent []taint.Taint
+	fresh := func(n int) {
+		t.Helper()
+		for range n {
+			x := a.SourceSeq("in-flight", "f")
+			blob, err := taint.MarshalTaint(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sent = append(sent, x)
+			if err := a.Defer([]taint.Taint{x}, [][]byte{blob}); err != nil && !errors.Is(err, l.answer) {
+				t.Fatal(err)
+			}
+		}
+	}
+	reuse := func(x taint.Taint) error {
+		blob, _ := taint.MarshalTaint(x)
+		return a.Defer([]taint.Taint{x}, [][]byte{blob})
+	}
+	want := func(step string, issues []int, collect, stored int) {
+		t.Helper()
+		if !reflect.DeepEqual(l.issues, issues) || l.collect != collect || store.Stats().GlobalTaints != stored {
+			t.Fatalf("%s: batches issued %v, %d collected, %d taints stored; want %v, %d and %d",
+				step, l.issues, l.collect, store.Stats().GlobalTaints, issues, collect, stored)
+		}
+	}
+	fresh(RegisterQueueLen + 1)
+	want("a full queue", []int{RegisterQueueLen}, 0, 0)
+	if sent[0].GlobalID() != 0 {
+		t.Fatal("a taint in flight has a Global ID before its batch is collected")
+	}
+	fresh(RegisterQueueLen - 1)
+	want("the queue refilling beside the batch in flight", []int{RegisterQueueLen}, 0, 0)
+	fresh(1)
+	want("the next full queue", []int{RegisterQueueLen, RegisterQueueLen}, 1, RegisterQueueLen)
+	if sent[0].GlobalID() == 0 {
+		t.Fatal("a collected batch left its taints unstamped")
+	}
+	if err := reuse(sent[RegisterQueueLen]); err != nil {
+		t.Fatal(err)
+	}
+	want("a reuse of a taint in flight", []int{RegisterQueueLen, RegisterQueueLen}, 2, 2*RegisterQueueLen)
+	if err := reuse(sent[2*RegisterQueueLen]); err != nil || sent[2*RegisterQueueLen].GlobalID() == 0 {
+		t.Fatalf("a reuse of a queued taint: %v, Global ID %#x", err, sent[2*RegisterQueueLen].GlobalID())
+	}
+	want("a reuse of a queued taint", []int{RegisterQueueLen, RegisterQueueLen, 1}, 3, 2*RegisterQueueLen+1)
+
+	// The Taint Map sheds: the batch a full queue issued fails when the
+	// next full queue collects it, and stays queued; nothing is issued
+	// again before the queue has grown by RegisterQueueLen. Healed, a
+	// reuse collects the batch then in flight, and registers the reused
+	// taint at the head of a batch of its own.
+	fresh(RegisterQueueLen)
+	l.answer = taintmap.ErrOverloaded
+	fresh(RegisterQueueLen + 1)
+	n := 2*RegisterQueueLen + 1
+	want("a batch failed in flight", []int{RegisterQueueLen, RegisterQueueLen, 1, RegisterQueueLen}, 4, n)
+	fresh(RegisterQueueLen)
+	want("the queue grown by a batch", []int{RegisterQueueLen, RegisterQueueLen, 1, RegisterQueueLen, RegisterQueueLen}, 4, n)
+	l.answer = nil
+	if err := reuse(sent[len(sent)-1]); err != nil {
+		t.Fatal(err)
+	}
+	want("a reuse once healed", []int{RegisterQueueLen, RegisterQueueLen, 1, RegisterQueueLen, RegisterQueueLen, RegisterQueueLen}, 6, n+2*RegisterQueueLen)
+	if sent[len(sent)-1].GlobalID() == 0 {
+		t.Fatal("the reused taint is not registered")
+	}
+	if err := a.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := store.Stats().GlobalTaints; got != len(sent) {
+		t.Fatalf("flushed, the store holds %d taints; %d were deferred", got, len(sent))
+	}
+	for _, x := range sent {
+		if x.GlobalID() == 0 {
+			t.Fatalf("%v has no Global ID after Flush", x)
+		}
+	}
+}
+
+// TestDeferDropsRegistered: a queued taint that is registered elsewhere
+// meanwhile — a datagram's RegisterBatch — leaves the queue at the next
+// flush point, in flight or not, and no issued batch carries it.
+func TestDeferDropsRegistered(t *testing.T) {
+	l := &lagging{LocalClient: taintmap.NewLocalClient(taintmap.NewStore(), taint.NewTree())}
+	a := New("a", ModeDista, WithTaintMap(l))
+	var x taint.Taint
+	for i := range RegisterQueueLen + 2 {
+		y := a.SourceSeq("dropped", "f")
+		blob, err := taint.MarshalTaint(y)
+		if err == nil {
+			err = a.Defer([]taint.Taint{y}, [][]byte{blob})
+		}
+		if i == 0 && err == nil {
+			x = y
+			_, err = l.RegisterBatch([]taint.Taint{x})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(l.issues, []int{RegisterQueueLen}) || slices.Contains(l.ts, x) {
+		t.Fatalf("batches issued %v, the taint registered meanwhile among them: %v; want one of %d without it",
+			l.issues, slices.Contains(l.ts, x), RegisterQueueLen)
 	}
 }

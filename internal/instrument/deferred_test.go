@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dista/internal/core/taint"
 	"dista/internal/core/tracker"
+	"dista/internal/netsim"
 	"dista/internal/taintmap"
 )
 
@@ -42,9 +46,12 @@ func (p *pipeTransport) RecvRaw(b []byte) (int, error) {
 // FuzzDeferredRegistration is the seeded differential target of deferred
 // registration (DESIGN.md §7): a stream send defines a taint without a
 // Global ID inline under its stream-scoped id and queues it on its agent,
-// which registers the queue in one batch when a send meets a queued taint
-// again, when it is full, or when drained. Each pair of input bytes is one
-// step over three streams of an agent pair — A to B twice, and B back to A:
+// which issues the queue's registration in one batch when it is full and
+// collects it at the next flush point — a send that meets a queued or
+// in-flight taint again, the next full queue, a drain. The agents reach a
+// one-member Taint Map over connections on a virtual clock. Each pair of
+// input bytes is one step over three streams of an agent pair — A to B
+// twice, and B back to A:
 //
 //	0 A sends one to eight fresh taints, a range each, on a stream of its
 //	  two — enough of them fill the queue
@@ -53,7 +60,10 @@ func (p *pipeTransport) RecvRaw(b []byte) (int, error) {
 //	  with an older one, against an older one
 //	3 B relays what it last received — known to it by a scoped id, or by
 //	  an id — as it is, or folded with a tag of its own
-//	4, 5 A's or B's Taint Map sheds registrations, is degraded, or heals
+//	4, 5 A's or B's Taint Map sheds registrations, is degraded, or heals;
+//	  or its connection resets while a batch is in flight (the agent sends
+//	  fresh taints until one is, the member's answer held back); or the
+//	  agent idles past the call timeout, which must cost no reconnect
 //	6 a stream's native refuses the next send whole
 //	7 both agents drain their queues
 //
@@ -71,15 +81,17 @@ func FuzzDeferredRegistration(f *testing.F) {
 	f.Add([]byte{5, 2, 0, 0, 3, 1, 3, 0, 5, 0, 3, 1, 7, 0})              // B degraded while it relays
 	f.Add([]byte{6, 0, 0, 0, 1, 0, 6, 2, 0, 0, 3, 0, 3, 0})              // refused natives, the second on the relay
 	f.Add([]byte{2, 7, 2, 9, 0x12, 40, 1, 3, 0x33, 9, 7, 0, 2, 0, 1, 1}) // per-byte labels through small reads
+	f.Add([]byte{4, 3, 1, 0, 3, 0, 5, 3, 3, 1, 7, 0})                    // resets with a batch in flight, then reuses that collect it
+	f.Add([]byte{4, 3, 4, 4, 1, 1, 5, 4, 7, 0})                          // idle past the call timeout after a reset
 	f.Fuzz(func(t *testing.T, sched []byte) {
 		if len(sched) > 128 {
 			sched = sched[:128]
 		}
-		store := taintmap.NewStore()
+		m := newMember(t)
+		store := m.store
 		node := func(name string) (*tracker.Agent, *outage) {
-			scratch := tracker.New(name, tracker.ModeDista)
-			o := &outage{Client: taintmap.NewLocalClient(store, scratch.Tree())}
-			return tracker.New(name, tracker.ModeDista, tracker.WithTaintMap(o), tracker.WithLocalID(scratch.LocalID())), o
+			o := &outage{Client: m.dial(t, name)}
+			return tracker.New(name, tracker.ModeDista, tracker.WithTaintMap(o)), o
 		}
 		a, oa := node("a")
 		b, ob := node("b")
@@ -216,10 +228,44 @@ func FuzzDeferredRegistration(f *testing.F) {
 					})
 				}
 				send(streams[2], msg, step)
-			case 4:
-				oa.err = errs[int(arg)%len(errs)]
-			case 5:
-				ob.err = errs[int(arg)%len(errs)]
+			case 4, 5:
+				ag, o, s := a, oa, streams[arg>>3&1]
+				if op%8 == 5 {
+					ag, o, s = b, ob, streams[2]
+				}
+				tm := o.Client.(*taintmap.ClusterClient)
+				switch k := int(arg) % (len(errs) + 2); k {
+				case len(errs):
+					// The first taint sent crosses again once the
+					// connection is reset: that send collects the batch.
+					var first taint.Taint
+					one := func(l taint.Taint) {
+						msg := taint.MakeBytes(8)
+						msg.SetRange(0, 8, l)
+						send(s, msg, step)
+					}
+					if m.reset(t, ag.Node(), tm, func() {
+						l := fresh(ag)
+						if first.Empty() {
+							first = l
+						}
+						if ag == a {
+							pool = append(pool, l)
+						}
+						one(l)
+					}) {
+						one(first)
+					}
+				case len(errs) + 1:
+					h := tm.Health().Members[0]
+					waitFor(t, "the answers to be read", func() bool { return taintmap.SimPendingReplies(tm, 0) == 0 })
+					m.vc.Advance(3 * time.Second) // past the 2 s default
+					if now := tm.Health().Members[0]; now.Reconnects != h.Reconnects || now.Connected != h.Connected {
+						t.Fatalf("%s idled past the call timeout: %+v, was %+v", ag.Node(), now, h)
+					}
+				default:
+					o.err = errs[k]
+				}
 			case 6:
 				streams[int(arg)%len(streams)].pipe.refuse = true
 			case 7:
@@ -428,4 +474,243 @@ func TestDeferredOutageBacklog(t *testing.T) {
 			}
 		})
 	}
+}
+
+// tmMember is a one-member Taint Map cluster on a virtual clock, counting
+// the register requests it serves; while hold is set, a lookup it serves
+// waits for hold to close.
+type tmMember struct {
+	net       *netsim.Network
+	vc        *netsim.VirtualClock
+	ring      *taintmap.Ring
+	store     *taintmap.Store
+	srv       *taintmap.Server
+	registers atomic.Int64
+	hold      atomic.Pointer[chan struct{}]
+}
+
+func newMember(t *testing.T, opts ...taintmap.ServerOption) *tmMember {
+	m := &tmMember{net: netsim.New()}
+	m.vc = m.net.UseVirtualClock()
+	var err error
+	m.ring, err = taintmap.NewRing(1, 1, []taintmap.Member{{Part: 0, Addr: "tm0:1"}})
+	if err == nil {
+		m.store, err = taintmap.NewPartitionStore(0)
+	}
+	if err == nil {
+		m.srv, _, err = taintmap.StartSimClusterMember(m.net, m.ring, 0, m.store, append(opts, taintmap.WithServiceModel(func(op byte, _ int) {
+			if op == 'b' {
+				m.registers.Add(1)
+			}
+			if hold := m.hold.Load(); op == 'm' && hold != nil {
+				<-*hold
+			}
+		}))...)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.srv.Close() })
+	return m
+}
+
+// dial connects a node's cluster client to the member, from host.
+func (m *tmMember) dial(t *testing.T, host string) *taintmap.ClusterClient {
+	c, err := taintmap.DialSimCluster(m.net, host+":1", m.ring, taint.NewTree(), taintmap.ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// reset holds the member's answers back and makes sends (sendOne) until
+// tm, host's client, has a batch in flight — a few queues' worth at most,
+// or none while it sheds — then resets that connection before the answer
+// leaves: the member's write fails across a partition, and it drops the
+// connection. Healed, the client reconnects (refresh finds the connection
+// dead), and the batch is left to be collected. It reports whether it
+// reset one.
+func (m *tmMember) reset(t *testing.T, host string, tm *taintmap.ClusterClient, sendOne func()) bool {
+	waitFor(t, "the answers sent to be read", func() bool { return taintmap.SimPendingReplies(tm, 0) == 0 })
+	m.net.SetHostStall("tm0", true)
+	for i := 0; i < 4*tracker.RegisterQueueLen && taintmap.SimPendingReplies(tm, 0) == 0; i++ {
+		sendOne()
+	}
+	if taintmap.SimPendingReplies(tm, 0) == 0 {
+		m.net.SetHostStall("tm0", false)
+		return false
+	}
+	waitFor(t, "the answer to stall", func() bool { return m.net.StalledWriters() == 1 })
+	conns, reconnects := m.srv.Stats().ActiveConns, tm.Health().Members[0].Reconnects
+	m.net.Partition(host, "tm0")
+	m.net.SetHostStall("tm0", false)
+	waitFor(t, "the member to drop the connection", func() bool { return m.srv.Stats().ActiveConns == conns-1 })
+	m.net.Heal(host, "tm0")
+	if _, err := tm.Refresh(); err == nil {
+		t.Fatal("a ring fetch on the reset connection succeeded")
+	}
+	waitFor(t, "the client to reconnect", func() bool { return tm.Health().Members[0].Reconnects == reconnects+1 })
+	return true
+}
+
+// inFlight is an agent pair over a tmMember, A's stream to B, and the
+// taints A's sends carried: the rig of TestInFlightRegistration.
+type inFlight struct {
+	*tmMember
+	tm   *taintmap.ClusterClient
+	a    *tracker.Agent
+	w, r *Endpoint
+	sent []taint.Taint
+}
+
+func newInFlight(t *testing.T, opts ...taintmap.ServerOption) *inFlight {
+	x := &inFlight{tmMember: newMember(t, opts...)}
+	x.tm = x.dial(t, "a")
+	x.a = tracker.New("a", tracker.ModeDista, tracker.WithTaintMap(x.tm))
+	b := tracker.New("b", tracker.ModeDista, tracker.WithTaintMap(x.dial(t, "b")))
+	ca, cb := x.net.Pipe()
+	x.w, x.r = NewAdaptiveEndpoint(x.a, ca), NewAdaptiveEndpoint(b, cb)
+	return x
+}
+
+// send crosses l, fresh or one sent before, from A to B, and checks that
+// it arrived.
+func (x *inFlight) send(t *testing.T, l taint.Taint) {
+	t.Helper()
+	msg, got := taint.MakeBytes(16), taint.MakeBytes(16)
+	msg.SetRange(4, 12, l)
+	exchange(t, x.w, x.r, msg, &got)
+	if !taint.SameSet(got.LabelAt(4), l) || !got.LabelAt(12).Empty() {
+		t.Fatalf("sent under %v, arrived under %v", l.Values(), got.LabelAt(4).Values())
+	}
+	if !slices.Contains(x.sent, l) {
+		x.sent = append(x.sent, l)
+	}
+}
+
+// fill sends fresh taints until a batch is in flight: the full queue's,
+// issued by the send after it.
+func (x *inFlight) fill(t *testing.T, last func()) {
+	t.Helper()
+	for i := range tracker.RegisterQueueLen + 1 {
+		if i == tracker.RegisterQueueLen && last != nil {
+			last()
+		}
+		x.send(t, x.a.SourceSeq("in-flight", "f"))
+	}
+	if x.sent[0].GlobalID() != 0 {
+		t.Fatal("a taint of the batch in flight has a Global ID before the batch is collected")
+	}
+}
+
+// drained flushes A and checks that the store holds exactly the taints
+// that crossed, each under the Global ID A stamped.
+func (x *inFlight) drained(t *testing.T) {
+	t.Helper()
+	if err := x.a.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := x.store.Stats().GlobalTaints; got != len(x.sent) {
+		t.Fatalf("drained, the store holds %d taints; %d crossed", got, len(x.sent))
+	}
+	check := taintmap.NewLocalClient(x.store, taint.NewTree())
+	for _, l := range x.sent {
+		if got, err := check.Lookup(l.GlobalID()); err != nil || !taint.SameSet(got, l) {
+			t.Fatalf("%v is registered as %#x, which resolves to %v, %v", l.Values(), l.GlobalID(), got.Values(), err)
+		}
+	}
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestInFlightRegistration: a full queue's batch is issued, one request
+// per owner, and its answers are collected at the next flush point, over
+// a real connection to the Taint Map. A send that meets a taint of the
+// batch in flight collects it and defines the taint under its Global ID,
+// sending nothing more; Flush collects it and registers the rest; a
+// connection reset before the answer re-registers the batch on the
+// member's next connection; an owner that sheds answers the batch
+// ErrOverloaded, which is the answer — the batch stays queued, is not
+// sent again, and a reuse registers the reused taint alone; and an agent
+// idle past the call timeout with a batch in flight trips no timer: its
+// answer was read when it came. Each time the store ends up holding
+// exactly the taints that crossed.
+func TestInFlightRegistration(t *testing.T) {
+	t.Run("reuse", func(t *testing.T) {
+		x := newInFlight(t)
+		x.fill(t, nil)
+		waitFor(t, "the batch to register", func() bool { return x.registers.Load() == 1 })
+		x.send(t, x.sent[0])
+		if x.sent[0].GlobalID() == 0 || x.sent[1].GlobalID() == 0 || x.registers.Load() != 1 {
+			t.Fatalf("a reuse of a taint in flight: Global IDs %#x and %#x, %d register requests",
+				x.sent[0].GlobalID(), x.sent[1].GlobalID(), x.registers.Load())
+		}
+		x.drained(t)
+	})
+	t.Run("flush", func(t *testing.T) {
+		x := newInFlight(t)
+		x.fill(t, nil)
+		x.drained(t)
+		if n := x.registers.Load(); n != 2 {
+			t.Fatalf("a flush with a batch in flight made %d register requests, want 2", n)
+		}
+	})
+	t.Run("reset", func(t *testing.T) {
+		x := newInFlight(t)
+		x.reset(t, "a", x.tm, func() { x.send(t, x.a.SourceSeq("in-flight", "f")) })
+		if len(x.sent) != tracker.RegisterQueueLen+1 || x.sent[0].GlobalID() != 0 {
+			t.Fatalf("%d sends, the first one's Global ID %#x; want a batch in flight after %d", len(x.sent), x.sent[0].GlobalID(), tracker.RegisterQueueLen+1)
+		}
+		x.drained(t)
+		if h := x.tm.Health().Members[0]; !h.Connected || h.Reconnects != 1 || x.registers.Load() != 3 {
+			t.Fatalf("after the reset: %+v, %d register requests, want one reconnect and 3", h, x.registers.Load())
+		}
+	})
+	t.Run("shed", func(t *testing.T) {
+		x := newInFlight(t, taintmap.WithAdmission(1, 0))
+		probe, err := taintmap.DialSim(x.net, "tm0:1", taint.NewTree())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer probe.Close()
+		hold, held := make(chan struct{}), make(chan error, 1)
+		x.fill(t, func() {
+			x.hold.Store(&hold)
+			go func() {
+				_, err := probe.Lookup(1)
+				held <- err
+			}()
+			waitFor(t, "the probe to hold the member", func() bool { return x.srv.Stats().AdmittedReqs == 1 })
+		})
+		waitFor(t, "the batch to be shed", func() bool { return x.srv.Stats().ShedReqs == 1 })
+		x.hold.Store(nil)
+		close(hold)
+		if err := <-held; !errors.Is(err, taintmap.ErrUnknownGlobalID) { // answered, so its admission is released
+			t.Fatalf("the probe's lookup: %v", err)
+		}
+		x.send(t, x.sent[0])
+		if x.sent[0].GlobalID() == 0 || x.sent[1].GlobalID() != 0 || x.registers.Load() != 1 || x.store.Stats().GlobalTaints != 1 {
+			t.Fatalf("a reuse after the shed batch: Global IDs %#x and %#x, %d register requests, %d taints stored; want the reused one alone",
+				x.sent[0].GlobalID(), x.sent[1].GlobalID(), x.registers.Load(), x.store.Stats().GlobalTaints)
+		}
+		x.drained(t)
+	})
+	t.Run("idle past the call timeout", func(t *testing.T) {
+		x := newInFlight(t)
+		x.fill(t, nil)
+		waitFor(t, "the answer to be read", func() bool { return taintmap.SimPendingReplies(x.tm, 0) == 0 && x.registers.Load() == 1 })
+		x.vc.Advance(3 * time.Second) // past the 2 s default
+		x.drained(t)
+		if h := x.tm.Health().Members[0]; !h.Connected || h.Reconnects != 0 || x.registers.Load() != 2 {
+			t.Fatalf("idle past the call timeout: %+v, %d register requests; want no reconnect and 2", h, x.registers.Load())
+		}
+	})
 }

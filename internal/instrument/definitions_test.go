@@ -48,6 +48,14 @@ func (r registrations) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
 	return ids, err
 }
 
+// Issue records a deferred batch's ids: a local client registers at issue.
+func (r registrations) Issue(reg *taintmap.Registration, ts []taint.Taint, blobs [][]byte) {
+	r.Client.Issue(reg, ts, blobs)
+	for _, t := range ts {
+		r.known[t.GlobalID()] = true
+	}
+}
+
 func newDiffNode(name string, store *taintmap.Store, learn bool) *diffNode {
 	scratch := tracker.New(name, tracker.ModeDista)
 	known := map[uint32]bool{}
@@ -560,4 +568,60 @@ func TestDefinitionsFallbacks(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestScopedIDsRunOut: a stream numbers the taints it defines inline up
+// to the last scoped id bit 31 leaves room for. Once it has handed that
+// out, a send registers the taints it meets without a Global ID, as it
+// does one too large for a definitions unit, and they cross bare: a
+// scoped id past the last would wrap, and the receiver would fail the
+// stream as a corrupt definitions unit.
+func TestScopedIDsRunOut(t *testing.T) {
+	r := newRig(t, tracker.ModeDista)
+	p := &pipeTransport{}
+	w := WrapCustom(r.a, p)
+	w.wr.scope.k = lastScoped - 1
+	w.wr.wroteMagic = true
+	for round, n := range []int{3, 1} {
+		p.buf = p.buf[:0]
+		ls := make([]taint.Taint, n)
+		msg := taint.MakeBytes(4 * n)
+		for i := range ls {
+			ls[i] = r.a.Source("s", fmt.Sprint("last-", round, "-", i))
+			msg.SetRange(4*i, 4*i+4, ls[i])
+		}
+		if err := w.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		runs := make([]wire.Run, n)
+		for i, l := range ls {
+			runs[i] = wire.Run{N: 4, ID: l.GlobalID()}
+			if round == 0 && i == 0 {
+				blob, _ := taint.MarshalTaint(l)
+				runs[i].ID = taintmap.StreamScopedID(lastScoped)
+				want = wire.AppendDefinitions(want, []uint32{runs[i].ID}, [][]byte{blob})
+			} else if runs[i].ID == 0 {
+				t.Fatalf("round %d: taint %d crossed with neither a scoped id nor a Global ID", round, i)
+			}
+		}
+		tier, _ := pickTier(msg)
+		if want = append(want, wire.AppendFrame(nil, tier, msg.Data, runs)...); !bytes.Equal(p.buf, want) {
+			t.Fatalf("round %d: the stream carried %x, want %x", round, p.buf, want)
+		}
+	}
+	if k := w.wr.scope.k; k != lastScoped {
+		t.Fatalf("the stream's last k is %#x, want %#x", k, lastScoped)
+	}
+	if st := r.store.Stats(); st.GlobalTaints != 3 {
+		t.Fatalf("the store holds %d taints, want the 3 that crossed past the last scoped id", st.GlobalTaints)
+	}
+	// The agent queued the scoped one alone: the drain registers it, and
+	// none of those its send registered again.
+	if err := r.a.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.store.Stats(); st.GlobalTaints != 4 || st.Registrations != 4 {
+		t.Fatalf("drained, the store holds %d taints from %d registrations; want 4 from 4", st.GlobalTaints, st.Registrations)
+	}
 }

@@ -219,10 +219,14 @@ type streamScope struct {
 	live    map[taint.Taint]uint32
 	fill    int
 	queue   []taint.Taint
+	qblobs  [][]byte
 	ids     []uint32
 	defIDs  []uint32
 	blobs   [][]byte
 }
+
+// lastScoped is the last k a stream-scoped id has room for.
+const lastScoped = 1<<31 - 1
 
 // find returns t's k on this stream, 0 if it has none.
 func (s *streamScope) find(t taint.Taint) uint32 { return s.live[t] }
@@ -253,38 +257,53 @@ func (s *streamScope) rollback() {
 // registerOrScope maps ts, the distinct taints a send met without a
 // Global ID, to the ids of its frame, and on a stream (sc) appends their
 // definitions to defs. A datagram registers them (Fig. 9 ①②), or fails.
-// A stream queues them on its agent (tracker.Agent.Defer) and defines
-// each once, under its stream-scoped id — or under the Global ID the
-// agent registers it under now, as it crosses again; one too large for a
-// unit is registered and looked up. An outage leaves them all scoped.
+// A stream queues them, with their blobs, on its agent (Agent.Defer) and
+// defines each once, under its stream-scoped id — or under the Global ID
+// the agent registers it under now, as it crosses again; one too large for
+// a unit, or past lastScoped, is registered and looked up.
 func registerOrScope(agent *tracker.Agent, ts []taint.Taint, sc *streamScope, defs []byte) ([]uint32, []byte, error) {
 	if sc == nil {
 		ids, err := agent.TaintMap().RegisterBatch(ts)
 		return ids, defs, err
 	}
-	sc.ids, sc.queue = sc.ids[:0], sc.queue[:0]
+	sc.ids, sc.queue, sc.qblobs = sc.ids[:0], sc.queue[:0], sc.qblobs[:0]
+	room := lastScoped - sc.k // the new taints that may still be scoped
 	for _, t := range ts {
 		k := sc.find(t) // until the ids are known, each taint's k
-		if sc.ids = append(sc.ids, k); k <= sc.from {
-			sc.queue = append(sc.queue, t) // not one this send scoped already
+		if sc.ids = append(sc.ids, k); k > sc.from || k == 0 && room == 0 {
+			continue // one this send scoped already, or one to register now
+		}
+		if blob, err := taint.MarshalTaint(t); err == nil && wire.DefinitionHeadLen+len(blob) <= wire.MaxDefinitionsLen {
+			sc.queue, sc.qblobs = append(sc.queue, t), append(sc.qblobs, blob)
+			if k == 0 {
+				room--
+			}
 		}
 	}
 	if len(sc.queue) > 0 {
-		err := agent.Defer(sc.queue)
-		clear(sc.queue)
+		err := agent.Defer(sc.queue, sc.qblobs)
 		if err != nil && !errors.Is(err, taintmap.ErrDegraded) && !errors.Is(err, taintmap.ErrOverloaded) {
 			return nil, defs, err
 		}
 	}
 	sc.defIDs, sc.blobs = sc.defIDs[:0], sc.blobs[:0]
+	q := 0 // the queue is ts in order, less what it skipped
 	for i, t := range ts {
-		id := t.GlobalID()
-		if k := sc.ids[i]; id == 0 && k != 0 {
+		var blob []byte
+		if q < len(sc.queue) && sc.queue[q] == t {
+			blob, q = sc.qblobs[q], q+1
+		}
+		id, k := t.GlobalID(), sc.ids[i]
+		if id == 0 && k != 0 {
 			sc.ids[i] = taintmap.StreamScopedID(int(k)) // defined on this stream already
 			continue
 		}
-		blob, err := taint.MarshalTaint(t)
-		if err != nil || wire.DefinitionHeadLen+len(blob) > wire.MaxDefinitionsLen {
+		var err error
+		queued := blob != nil
+		if !queued {
+			blob, err = taint.MarshalTaint(t)
+		}
+		if err != nil || wire.DefinitionHeadLen+len(blob) > wire.MaxDefinitionsLen || id == 0 && !queued {
 			if id == 0 {
 				var rerr error
 				if id, rerr = agent.TaintMap().Register(t); rerr != nil {
@@ -299,6 +318,8 @@ func registerOrScope(agent *tracker.Agent, ts []taint.Taint, sc *streamScope, de
 		}
 		sc.ids[i], sc.defIDs, sc.blobs = id, append(sc.defIDs, id), append(sc.blobs, blob)
 	}
+	clear(sc.queue)
+	clear(sc.qblobs)
 	from, size := 0, 0
 	for i, blob := range sc.blobs {
 		if size += wire.DefinitionHeadLen + len(blob); size > wire.MaxDefinitionsLen {
@@ -408,7 +429,7 @@ func clearStale(buf *taint.Bytes, at, n int) {
 // the Taint Map client, one id — the common delivery — into one, which
 // Lookup fills without a slice; ids the peer has defined inline, through
 // resolveScoped.
-func (r *streamReader) resolve(agent *tracker.Agent, ids []uint32, one []taint.Taint) ([]taint.Taint, error) {
+func (r *streamReader) resolve(agent *tracker.Agent, ids []uint32, one []taint.Taint) (_ []taint.Taint, err error) {
 	tm := agent.TaintMap()
 	switch {
 	case tm == nil:
@@ -416,9 +437,9 @@ func (r *streamReader) resolve(agent *tracker.Agent, ids []uint32, one []taint.T
 	case len(r.scoped) > 0 && slices.ContainsFunc(ids, taintmap.IsStreamScoped):
 		return r.resolveScoped(tm, ids, one)
 	case len(ids) != 1:
-		return tm.LookupBatch(ids)
+		r.labels, err = tm.LookupInto(r.labels, ids) // the delivery's scratch, grown
+		return r.labels, err
 	}
-	var err error
 	one[0], err = tm.Lookup(ids[0])
 	return one, err
 }
@@ -440,7 +461,7 @@ func (r *streamReader) resolveScoped(tm taintmap.Client, ids []uint32, one []tai
 	}
 	switch {
 	case global != nil:
-		labels, err = tm.LookupBatch(global)
+		labels, err = tm.LookupInto(nil, global)
 	case len(ids) == 1:
 		labels = one
 	default:
@@ -654,6 +675,7 @@ type streamReader struct {
 	dec    wire.FrameDecoder
 	rbuf   []byte            // persistent raw-read scratch
 	seen   firstSeen[uint32] // persistent scratch for the ids of a delivery
+	labels []taint.Taint     // persistent scratch for their taints
 	scoped []taint.Taint     // the taints the peer defined inline, scoped id k at k-1
 	err    error             // what the source last failed with, reported once dec is drained
 }

@@ -18,7 +18,8 @@ import (
 type outage struct {
 	taintmap.Client
 	err            error
-	calls, carried int // registration attempts, and the taints they carried
+	calls, carried int   // registration attempts, and the taints they carried
+	answer         error // what the registration issued last is answered
 }
 
 func (o *outage) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
@@ -27,6 +28,20 @@ func (o *outage) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
 		return nil, o.err
 	}
 	return o.Client.RegisterBatch(ts)
+}
+
+func (o *outage) Issue(r *taintmap.Registration, ts []taint.Taint, blobs [][]byte) {
+	o.calls, o.carried = o.calls+1, o.carried+len(ts)
+	if o.answer = o.err; o.err == nil {
+		o.Client.Issue(r, ts, blobs)
+	}
+}
+
+func (o *outage) Collect(r *taintmap.Registration) error {
+	if o.answer != nil {
+		return o.answer
+	}
+	return o.Client.Collect(r)
 }
 
 // FuzzTierTransition drives an adaptive endpoint pair through a

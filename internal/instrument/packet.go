@@ -92,10 +92,18 @@ func receiveInto(agent *tracker.Agent, sock *netsim.UDPSocket, buf *taint.Bytes,
 	}
 	var r streamReader
 	raw := r.dec.Datagram(enlarged[:n])
-	if p := r.dec.Whole(raw, len(buf.Data)); p != nil && raw[0] == wire.FramePassthrough {
+	p := r.dec.Whole(raw, len(buf.Data))
+	if p != nil && raw[0] == wire.FramePassthrough {
 		clearStale(buf, 0, len(p))
 		return copy(buf.Data, p), from, nil
-	} else if p != nil {
+	}
+	// A labelled delivery's ids and their taints share one allocation.
+	scratch := new(struct {
+		ids    [8]uint32
+		labels [8]taint.Taint
+	})
+	r.seen.keys, r.labels = scratch.ids[:0], scratch.labels[:0]
+	if p != nil {
 		if k, err := r.adoptGroups(agent, buf, 0, p); err != nil {
 			return 0, "", err
 		} else if k > 0 {

@@ -425,8 +425,9 @@ func exchange(t testing.TB, sender, receiver *Endpoint, msg taint.Bytes, into *t
 
 // TestStreamedPathAllocs pins the allocation shape of the streamed
 // groups tier: a warm write+read of a label change on every byte costs
-// one allocation — the Taint Map client's answer to the delivery's
-// LookupBatch; the reader's id scratch is its own — and nothing
+// none — the reader's id scratch is its own, and the Taint Map client
+// answers the delivery's lookup into its label scratch (one allocation
+// while the answer was a slice of the client's) — and nothing
 // proportional to its 8192 runs. A comb of one taint on every other
 // byte, one id read whole into the dense buffer, costs none: its frame
 // is adopted out of the read buffer and its id resolved by Lookup. A
@@ -449,8 +450,8 @@ func TestStreamedPathAllocs(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		exchange(t, sender, receiver, dense, &into)
 	}
-	if got := testing.AllocsPerRun(50, func() { exchange(t, sender, receiver, dense, &into) }); got > 1 {
-		t.Errorf("dense 8 KiB exchange: %v allocs, want at most 1", got)
+	if got := testing.AllocsPerRun(50, func() { exchange(t, sender, receiver, dense, &into) }); got != 0 {
+		t.Errorf("dense 8 KiB exchange: %v allocs, want 0", got)
 	}
 	for i := range into.Data {
 		if !into.LabelAt(i).Has([2]string{"x", "y"}[i&1]) {
@@ -678,9 +679,9 @@ func deliveryMismatch(got taint.Bytes, data []byte, label func(i int) string) in
 	return -1
 }
 
-// flakyLookups fails the first lookups of a client — LookupBatch or,
-// for a delivery of one id, Lookup — as a Taint Map outage on the
-// receiving node would.
+// flakyLookups fails the first lookups of a client — LookupInto,
+// LookupBatch or, for a delivery of one id, Lookup — as a Taint Map
+// outage on the receiving node would.
 type flakyLookups struct {
 	taintmap.Client
 	fail int
@@ -689,7 +690,7 @@ type flakyLookups struct {
 
 var errLookupDown = errors.New("taint map unreachable")
 
-func (c *flakyLookups) LookupBatch(ids []uint32) ([]taint.Taint, error) {
+func (c *flakyLookups) LookupInto(ts []taint.Taint, ids []uint32) ([]taint.Taint, error) {
 	if c.seen != nil {
 		c.seen()
 	}
@@ -697,7 +698,11 @@ func (c *flakyLookups) LookupBatch(ids []uint32) ([]taint.Taint, error) {
 		c.fail--
 		return nil, errLookupDown
 	}
-	return c.Client.LookupBatch(ids)
+	return c.Client.LookupInto(ts, ids)
+}
+
+func (c *flakyLookups) LookupBatch(ids []uint32) ([]taint.Taint, error) {
+	return c.LookupInto(nil, ids)
 }
 
 func (c *flakyLookups) Lookup(id uint32) (taint.Taint, error) {

@@ -2,6 +2,7 @@ package taintmap
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -95,6 +96,47 @@ func TestAdmissionShedReply(t *testing.T) {
 	}
 	if st.AdmittedReqs == 0 {
 		t.Fatalf("Stats().AdmittedReqs = 0, want > 0")
+	}
+}
+
+// TestAdmissionPassesReplicaPushes: a member whose one slot is taken
+// still takes its predecessor's replica push, so a register the owner
+// admitted is replicated, not hinted — while the member's own clients
+// are shed.
+func TestAdmissionPassesReplicaPushes(t *testing.T) {
+	e := newClusterEnvOpts(t, 3, 2, WithAdmission(1, 0))
+	tree := taint.NewTree()
+	c, err := DialSimCluster(e.net, "app:1", e.ring, tree, ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	e.srvs[1].adm.admit() // member 1's one slot, held
+	defer e.srvs[1].adm.release()
+	for i := 0; ; i++ {
+		tt := tree.NewSource(fmt.Sprintf("pushed-%d", i), "app:1")
+		blob, err := taint.MarshalTaint(tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := e.ring.OwnerOfBlob(blob)
+		if reps := e.ring.appendReplicas(nil, owner); owner == 1 || reps[1] != 1 {
+			continue
+		}
+		id, err := c.Register(tt)
+		if err != nil {
+			t.Fatalf("a register owner %d admitted: %v", owner, err)
+		}
+		if got, err := e.stores[1].LookupBlob(id); err != nil || string(got) != string(blob) {
+			t.Fatalf("member 1 holds %#x as %q, %v: the push was shed", id, got, err)
+		}
+		if hinted := e.nodes[owner].Hinted(); hinted != 0 {
+			t.Fatalf("owner %d hinted %d pushes", owner, hinted)
+		}
+		break
+	}
+	if st := e.srvs[1].Stats(); st.ShedReqs != 0 || st.AdmittedReqs != 1 {
+		t.Fatalf("member 1 admitted %d and shed %d requests; want only the held slot", st.AdmittedReqs, st.ShedReqs)
 	}
 }
 

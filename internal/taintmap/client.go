@@ -1,6 +1,8 @@
 package taintmap
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -23,9 +25,18 @@ type Client interface {
 	// slice. Duplicates and already-registered taints cost nothing
 	// extra; a remote client resolves all misses in one round trip.
 	RegisterBatch(ts []taint.Taint) ([]uint32, error)
+	// Issue sends the registration of ts, distinct taints without a
+	// Global ID (blobs: each serialized), and does not wait for the
+	// answers; until Collect reads them, ts and blobs are r's, which may
+	// reorder them. A client with no round trip to overlap registers now.
+	Issue(r *Registration, ts []taint.Taint, blobs [][]byte)
+	// Collect stamps what r's answers registered and returns what failed.
+	Collect(r *Registration) error
 	// LookupBatch resolves every id, returning the parallel taint
 	// slice; all cache misses go to the Taint Map in one round trip.
 	LookupBatch(ids []uint32) ([]taint.Taint, error)
+	// LookupInto is LookupBatch into ts, when it has the room.
+	LookupInto(ts []taint.Taint, ids []uint32) ([]taint.Taint, error)
 	// Learn memoises a peer's definitions — Global IDs with the serialized
 	// taints it registered under them — so their lookups need no round
 	// trip. A client may ignore them; unsound ones it refuses, all.
@@ -36,41 +47,29 @@ type Client interface {
 	Close() error
 }
 
-// collectRegister splits ts into resolved ids and the distinct
-// unresolved taints, with at[i] - 1 the index into pending of the taint
-// position i waits on (0: none). Its three slices and one map are all a
-// batch allocates, however many taints it has.
-func collectRegister(ts []taint.Taint) (ids []uint32, pending []taint.Taint, at []int) {
+// splitRegister splits ts into resolved ids and the distinct unresolved
+// taints; its two slices and one map are all a batch allocates, however
+// many taints it has.
+func splitRegister(ts []taint.Taint) (ids []uint32, pending []taint.Taint) {
 	ids = make([]uint32, len(ts))
 	if len(ts) == 1 {
-		// The batch of one: nothing to deduplicate, so no position
-		// table — see spreadIDs.
+		// The batch of one: nothing to deduplicate.
 		if ids[0] = ts[0].GlobalID(); ids[0] == 0 && !ts[0].Empty() {
 			pending = ts
 		}
-		return ids, pending, nil
+		return ids, pending
 	}
-	var index map[taint.Taint]int
+	var seen map[taint.Taint]bool
 	for i, t := range ts {
-		if t.Empty() {
+		if ids[i] = t.GlobalID(); ids[i] != 0 || t.Empty() || seen[t] {
 			continue
 		}
-		if id := t.GlobalID(); id != 0 {
-			ids[i] = id
-			continue
+		if seen == nil {
+			seen, pending = make(map[taint.Taint]bool, len(ts)-i), make([]taint.Taint, 0, len(ts)-i)
 		}
-		if at == nil {
-			at, index = make([]int, len(ts)), make(map[taint.Taint]int, len(ts)-i)
-			pending = make([]taint.Taint, 0, len(ts)-i)
-		}
-		k, seen := index[t]
-		if !seen {
-			k = len(pending)
-			index[t], pending = k, append(pending, t)
-		}
-		at[i] = k + 1
+		seen[t], pending = true, append(pending, t)
 	}
-	return ids, pending, at
+	return ids, pending
 }
 
 // marshalAll appends every taint in ts, serialized, to blobs.
@@ -85,19 +84,115 @@ func marshalAll(blobs [][]byte, ts []taint.Taint) ([][]byte, error) {
 	return blobs, nil
 }
 
-// blobLists recycles the blob list a registration hands its transport,
-// which keeps none of it past the call.
-var blobLists = sync.Pool{New: func() any { return new([][]byte) }}
+// Registration is one batch registration between its two halves (Issue,
+// Collect): the batch, grouped by owner, and each owner's request. What
+// it holds is scratch, kept for the next batch; the zero value is ready.
+type Registration struct {
+	ts     []taint.Taint
+	blobs  [][]byte
+	ids    []uint32 // the answers, parallel to ts
+	owners []uint32 // each blob's owner
+	groups []regGroup
+	wire   []byte   // a request's payload
+	list   [][]byte // RegisterBatch's blobs
+	wait   bool     // collected at once (RegisterBatch): a lone request reads its answer
+	// A batch of one's scratch (regs).
+	one    [1]regGroup
+	oneB   [1][]byte
+	oneID  [1]uint32
+	oneOwn [1]uint32
+}
 
-// spreadIDs copies each pending taint's id to every position of ids
-// waiting on it. The batch of one has no table: its one position waits
-// on its one taint, and its id went straight to ids.
-func spreadIDs(ids, fresh []uint32, at []int) {
-	for i, k := range at {
-		if k > 0 {
-			ids[i] = fresh[k-1]
+// regGroup is a frame's worth of an owner's share of a registration,
+// ts[from:to], and its request on rc, answered on ch, or read off rc
+// when it kept the read role; without ch, err is the answer. m is the
+// owner's member, nil for a RemoteClient's own batch.
+type regGroup struct {
+	m        *member
+	rc       *RemoteClient
+	ch       chan muxReply
+	read     bool
+	err      error
+	from, to int
+}
+
+// errNotIssued marks a group that found no live connection at issue.
+var errNotIssued = errors.New("taintmap: registration not issued")
+
+// regs recycles RegisterBatch's registrations.
+var regs = sync.Pool{New: func() any {
+	r := new(Registration)
+	r.groups, r.list, r.ids, r.owners, r.wait = r.one[:0], r.oneB[:0], r.oneID[:0], r.oneOwn[:0], true
+	return r
+}}
+
+// issueGroup sends ts[from:to], a frame's worth a request, on rc, its
+// owner's live connection — nil: none.
+func (r *Registration) issueGroup(m *member, rc *RemoteClient, from, to int) {
+	for from < to {
+		g := regGroup{m: m, err: errNotIssued, from: from, to: to}
+		if n, err := nextBlobChunk(r.blobs[from:to]); err != nil {
+			g.err = err
+		} else if g.to = from + n; rc != nil {
+			r.send(&g, rc, r.wait && from == 0 && g.to == len(r.ts))
+		}
+		r.groups = append(r.groups, g)
+		from = g.to
+	}
+}
+
+// send puts g's request on rc: one answered next and alone (read) keeps
+// the read role, as a call does; any other hands it to the helper.
+func (r *Registration) send(g *regGroup, rc *RemoteClient, read bool) {
+	r.wire = appendBlobList(r.wire[:0], r.blobs[g.from:g.to])
+	g.rc = rc
+	_, g.ch, g.read, g.err = rc.issue(opRegisterBatchTag, r.wire, nil, !read)
+}
+
+// answer takes g's answer, and stamps the ids it carries.
+func (r *Registration) answer(g *regGroup, f *front) error {
+	if g.ch == nil {
+		return g.err
+	}
+	ch, m, ok := g.ch, muxReply{}, false
+	if g.read {
+		if m, ok = g.rc.readReplies(ch); ok {
+			ch = nil // the holder's own answer did not cross the channel
 		}
 	}
+	if ch != nil {
+		m, ok = <-ch
+	}
+	reply, err := g.rc.finishReply(ch, m, ok)
+	ids := r.ids[g.from:g.to]
+	if got, perr := parseIDListInto(ids[:0], reply); err == nil && (perr != nil || len(got) != len(ids)) {
+		err = fmt.Errorf("taintmap: register batch reply of %d bytes", len(reply))
+	} else if err == nil {
+		f.stamp(r.ts[g.from:g.to], ids)
+	}
+	return err
+}
+
+// Collect implements Client: it takes each group's answer. A group of a
+// member that did not go out, or whose connection died first, goes out
+// again now, on the connection the member's failover loop finds
+// (degraded: ErrDegraded); an error answer (ErrOverloaded) is the answer.
+// It returns the first failure.
+func (f *front) Collect(r *Registration) (err error) {
+	for i := range r.groups {
+		g := &r.groups[i]
+		gerr := r.answer(g, f)
+		if g.m != nil && (errors.Is(gerr, errNotIssued) || isConnErr(gerr)) {
+			gerr = g.m.withConn(func(rc *RemoteClient) error {
+				r.send(g, rc, true)
+				return r.answer(g, f)
+			}, func() error { return ErrDegraded })
+		}
+		err = cmp.Or(err, gerr)
+	}
+	clear(r.groups)
+	r.ts, r.blobs, r.groups = nil, nil, r.groups[:0]
+	return err
 }
 
 // The memo's pages are small: the measured clients (DESIGN §8) hold either
@@ -179,11 +274,16 @@ func (c *cache) put(id uint32, t taint.Taint) { c.putWithin(id, t, anyPage) }
 // putWithin is put for an id that may extend its group's directory by at
 // most reach pages; one further out is dropped.
 func (c *cache) putWithin(id uint32, t taint.Taint, reach int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.putLocked(id, t, reach)
+}
+
+// putLocked is putWithin with c.mu held.
+func (c *cache) putLocked(id uint32, t taint.Taint, reach int) {
 	if id == 0 || t.Empty() || IsStreamScoped(id) {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.groups == nil {
 		c.groups = make([][]*memoPage, MaxPartitions)
 	}
@@ -216,10 +316,11 @@ func (c *cache) reset() {
 // where that arrives (stamp, adopt), so a batch that fails part-way keeps
 // what it had resolved.
 type transport interface {
-	// register resolves distinct, non-empty taints carrying no Global ID
-	// (blobs: each one serialized) to their ids, written to the parallel
-	// ids, stamped and memoised.
-	register(ids []uint32, ts []taint.Taint, blobs [][]byte) error
+	// issueRegister sends the registration of r's distinct, non-empty
+	// taints carrying no Global ID (r.blobs: each one serialized), their
+	// ids to be stamped and memoised — by Collect, over r.groups, unless
+	// it registered them at once. It may reorder r.ts with r.blobs.
+	issueRegister(r *Registration)
 	// lookup resolves distinct, non-zero ids the memo does not hold to
 	// the parallel taints, adopted into the node's tree and memo.
 	lookup(ids []uint32) ([]taint.Taint, error)
@@ -244,11 +345,16 @@ func (f *front) Register(t taint.Taint) (uint32, error) {
 	if id := t.GlobalID(); id != 0 {
 		return id, nil
 	}
-	var id [1]uint32
-	if err := f.registerMisses(id[:], []taint.Taint{t}); err != nil {
+	if err := f.registerMisses([]taint.Taint{t}); err != nil {
 		return 0, err
 	}
-	return id[0], nil
+	return t.GlobalID(), nil
+}
+
+// Issue implements Client: the batch goes to the transport as it is.
+func (f *front) Issue(r *Registration, ts []taint.Taint, blobs [][]byte) {
+	r.ts, r.blobs, r.ids = ts, blobs, slices.Grow(r.ids[:0], len(ts))[:len(ts)]
+	f.t.issueRegister(r)
 }
 
 // Lookup implements Client: the early-outs, then the batch of one — the
@@ -270,39 +376,41 @@ func (f *front) Lookup(id uint32) (taint.Taint, error) {
 // RegisterBatch implements Client: the distinct unregistered taints go to
 // the transport in one call.
 func (f *front) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
-	ids, pending, at := collectRegister(ts)
+	ids, pending := splitRegister(ts)
 	if len(pending) == 0 {
 		return ids, nil
 	}
-	fresh := ids // the batch of one: its one position waits on its one taint
-	if at != nil {
-		fresh = make([]uint32, len(pending))
-	}
-	if err := f.registerMisses(fresh, pending); err != nil {
+	if err := f.registerMisses(pending); err != nil {
 		return nil, err
 	}
-	spreadIDs(ids, fresh, at)
+	for i, t := range ts {
+		ids[i] = t.GlobalID() // the registration stamped every taint
+	}
 	return ids, nil
 }
 
-// registerMisses hands the pending taints, serialized, to the transport,
-// for their ids in fresh.
-func (f *front) registerMisses(fresh []uint32, pending []taint.Taint) error {
-	list := blobLists.Get().(*[][]byte)
-	blobs, err := marshalAll((*list)[:0], pending)
+// registerMisses registers the pending taints, serialized, in one issued
+// and at once collected registration.
+func (f *front) registerMisses(pending []taint.Taint) error {
+	r := regs.Get().(*Registration)
+	blobs, err := marshalAll(r.list[:0], pending)
 	if err == nil {
-		err = f.t.register(fresh, pending, blobs)
+		f.Issue(r, pending, blobs)
+		err = f.Collect(r)
 	}
 	clear(blobs)
-	*list = blobs[:0]
-	blobLists.Put(list)
+	r.list = blobs[:0]
+	regs.Put(r)
 	return err
 }
 
-// LookupBatch implements Client: the memo is split once and the distinct
+// LookupBatch implements Client.
+func (f *front) LookupBatch(ids []uint32) ([]taint.Taint, error) { return f.LookupInto(nil, ids) }
+
+// LookupInto implements Client: the memo is split once and the distinct
 // misses go to the transport in one call.
-func (f *front) LookupBatch(ids []uint32) ([]taint.Taint, error) {
-	ts, missing := f.memo.splitBatch(ids)
+func (f *front) LookupInto(ts []taint.Taint, ids []uint32) ([]taint.Taint, error) {
+	ts, missing := f.memo.splitBatch(ts, ids)
 	if len(missing) == 0 {
 		return ts, nil
 	}
@@ -314,12 +422,14 @@ func (f *front) LookupBatch(ids []uint32) ([]taint.Taint, error) {
 	return ts, nil
 }
 
-// stamp records freshly minted Global IDs on their taints and in the
-// memo: how a transport adopts what the Taint Map answered a register.
+// stamp records minted Global IDs on their taints and in the memo, under
+// one lock: how a transport adopts what the Taint Map answered a register.
 func (f *front) stamp(ts []taint.Taint, ids []uint32) {
+	f.memo.mu.Lock()
+	defer f.memo.mu.Unlock()
 	for i, t := range ts {
 		t.SetGlobalID(ids[i])
-		f.memo.put(ids[i], t)
+		f.memo.putLocked(ids[i], t, anyPage)
 	}
 }
 
@@ -371,16 +481,21 @@ func (f *front) Learn(ids []uint32, blobs [][]byte) error {
 func (f *front) Tree() *taint.Tree { return f.tree }
 
 // splitBatch resolves what it can from the memo under one read-lock
-// acquisition: ts holds the resolved taints (and empties for id 0),
-// missing lists the distinct unresolved ids in first-seen order. A
-// two-slot last-seen shortcut keeps fragmented streams that alternate
-// between a couple of ids (the adversarial per-byte-label case) from
-// paying a table walk per run. The miss list is deduplicated by scanning
-// it while it is short — most often it is one id, and a map would be the
-// larger half of what that miss allocates — and through a map beyond.
-func (c *cache) splitBatch(ids []uint32) (ts []taint.Taint, missing []uint32) {
+// acquisition: ts — the caller's when it has the room — holds the
+// resolved taints (and empties for id 0), missing the distinct unresolved
+// ids in first-seen order. A two-slot last-seen shortcut keeps fragmented
+// streams that alternate between a couple of ids (the adversarial
+// per-byte-label case) from paying a table walk per run. The miss list is
+// deduplicated by scanning it while it is short — most often it is one
+// id, and a map would be the larger half of what that miss allocates —
+// and through a map beyond.
+func (c *cache) splitBatch(ts []taint.Taint, ids []uint32) (_ []taint.Taint, missing []uint32) {
 	const scanMax = 8
-	ts = make([]taint.Taint, len(ids))
+	if cap(ts) < len(ids) {
+		ts = make([]taint.Taint, len(ids))
+	}
+	ts = ts[:len(ids)]
+	clear(ts)
 	var seen map[uint32]bool
 	var id0, id1 uint32
 	var t0, t1 taint.Taint
@@ -439,12 +554,10 @@ func NewLocalClient(store *Store, tree *taint.Tree) *LocalClient {
 	return c
 }
 
-// register implements transport: the blobs go straight to the store,
-// each locking only its shard.
-func (c *LocalClient) register(ids []uint32, ts []taint.Taint, blobs [][]byte) error {
-	copy(ids, c.store.RegisterBlobs(blobs))
-	c.stamp(ts, ids)
-	return nil
+// issueRegister implements transport: with no round trip to overlap, the
+// blobs go straight to the store, each locking only its shard.
+func (c *LocalClient) issueRegister(r *Registration) {
+	c.stamp(r.ts, c.store.RegisterBlobs(r.blobs))
 }
 
 // lookup implements transport over the store's lock-free id table.

@@ -374,61 +374,35 @@ func (c *ClusterClient) replicas(cms []*member, ids []uint32) ([]taint.Taint, er
 	return nil, lastErr
 }
 
-// register implements transport: the taints are routed by content hash
-// to their owning partitions, and each partition's group goes to its
-// owner as one batch (so a cluster-wide batch costs one round trip per
-// partition, not per taint). A batch with a single owner — every batch of
-// one, every batch on a one-member ring — is its own group and is not
-// regrouped.
-func (c *ClusterClient) register(ids []uint32, ts []taint.Taint, blobs [][]byte) error {
-	ring := c.ring.Load()
-	var ownerBuf [16]uint32 // keeps small batches off the heap
-	owners := ownerBuf[:0]
-	if len(blobs) > len(ownerBuf) {
-		owners = make([]uint32, 0, len(blobs))
-	}
-	oneOwner := true
-	for _, blob := range blobs {
+// issueRegister implements transport: the taints are routed by content
+// hash to their owning partitions, gathered by owner in place, and each
+// partition's group goes to its owner's live connection as one request —
+// so a cluster-wide batch costs one round trip per partition, not per
+// taint, and the owners answer side by side.
+func (c *ClusterClient) issueRegister(r *Registration) {
+	ring, n := c.ring.Load(), len(r.ts)
+	owners := r.owners[:0]
+	for _, blob := range r.blobs {
 		owners = append(owners, ring.OwnerOfBlob(blob))
-		oneOwner = oneOwner && owners[len(owners)-1] == owners[0]
 	}
-	if oneOwner {
-		return c.registerGroup(owners[0], ids, ts, blobs)
-	}
-	// One set of group slices serves every owner: a member keeps none.
-	gts, gblobs, gids := make([]taint.Taint, 0, len(ts)), make([][]byte, 0, len(ts)), make([]uint32, len(ts))
-	for part := uint32(0); part < MaxPartitions; part++ {
-		gts, gblobs = gts[:0], gblobs[:0]
-		for i, owner := range owners {
-			if owner == part {
-				gts = append(gts, ts[i])
-				gblobs = append(gblobs, blobs[i])
+	r.owners = owners
+	for from := 0; from < n; {
+		part, to := owners[from], from
+		for i := from; i < n; i++ {
+			if owners[i] == part {
+				r.ts[i], r.ts[to] = r.ts[to], r.ts[i]
+				r.blobs[i], r.blobs[to] = r.blobs[to], r.blobs[i]
+				owners[i], owners[to] = owners[to], owners[i]
+				to++
 			}
 		}
-		if len(gts) == 0 {
-			continue
+		if cm := c.member(part); cm != nil {
+			r.issueGroup(cm, cm.inner.Load(), from, to)
+		} else {
+			r.groups = append(r.groups, regGroup{err: fmt.Errorf("%w: no member for owner partition %d", ErrDegraded, part), from: from, to: to})
 		}
-		got := gids[:len(gts)]
-		if err := c.registerGroup(part, got, gts, gblobs); err != nil {
-			return err
-		}
-		for i, owner := range owners {
-			if owner == part {
-				ids[i], got = got[0], got[1:]
-			}
-		}
+		from = to
 	}
-	return nil
-}
-
-// registerGroup registers one owner partition's distinct pre-marshaled
-// taints with that owner's member.
-func (c *ClusterClient) registerGroup(part uint32, ids []uint32, ts []taint.Taint, blobs [][]byte) error {
-	cm := c.member(part)
-	if cm == nil {
-		return fmt.Errorf("%w: no member for owner partition %d", ErrDegraded, part)
-	}
-	return cm.register(ids, ts, blobs)
 }
 
 // lookup implements transport: the ids are grouped by their partition

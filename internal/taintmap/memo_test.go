@@ -87,7 +87,7 @@ func TestMemoMatchesMapModel(t *testing.T) {
 				for i := range ids {
 					ids[i] = randID()
 				}
-				ts, missing := c.splitBatch(ids)
+				ts, missing := c.splitBatch(nil, ids)
 				wantTs, wantMissing := model.splitBatch(ids)
 				if !slices.Equal(ts, wantTs) || !slices.Equal(missing, wantMissing) {
 					t.Fatalf("seed %d step %d: splitBatch(%#x) = %v, %#x; the model says %v, %#x", seed, step, ids, ts, missing, wantTs, wantMissing)
@@ -136,7 +136,7 @@ func TestMemoFootprintBound(t *testing.T) {
 	}
 	var empty cache
 	empty.get(5)
-	empty.splitBatch([]uint32{5, 9})
+	empty.splitBatch(nil, []uint32{5, 9})
 	empty.put(0, taint.NewTree().NewSource("zero", "app:1"))
 	empty.put(5, taint.Taint{})
 	if empty.groups != nil {

@@ -21,7 +21,8 @@ import (
 // with their requests in flight concurrently. Callers flush their own
 // frames (send) and read their own replies (readReplies), so a lone call
 // crosses no goroutine; a parked helper (demux) reads only for calls
-// with a deadline and for calls left pending by a holder that is done.
+// with a deadline, for a registration's requests but a lone one collected
+// at once (Issue), and for calls left pending by a holder that is done.
 // The id -> taint memo keeps warm lookups off the wire entirely, and is
 // read under an RWMutex so they never serialize.
 type RemoteClient struct {
@@ -347,81 +348,36 @@ func (c *RemoteClient) failLocked() {
 	close(c.done)
 }
 
-// call issues one request and waits for its response — the one place a
-// pending call is registered and awaited. A non-zero deadline, a time on
-// the client's clock, is enforced inline: when it passes before the
-// reply arrives, the call withdraws its pending entry and returns
-// ErrDeadlineExceeded — the connection stays up, the request stays in
-// flight server-side, and its late reply is discarded by whoever reads
-// it. This is the hedged read's cancellation primitive: unlike the call
-// timer (which declares the whole connection wedged), an expired
+// call issues one request and waits for its response. A non-zero
+// deadline, a time on the client's clock, is enforced inline: when it
+// passes before the reply arrives, the call withdraws its pending entry
+// and returns ErrDeadlineExceeded — the connection stays up, the request
+// stays in flight server-side, and its late reply is discarded by whoever
+// reads it. This is the hedged read's cancellation primitive: unlike the
+// call timer (which declares the whole connection wedged), an expired
 // deadline here says only "this caller stopped waiting". With a zero
 // deadline only the call timer bounds the wait.
 func (c *RemoteClient) call(op byte, payload []byte, deadline time.Time) ([]byte, error) {
-	if len(payload) > maxFrame {
-		return nil, fmt.Errorf("taintmap: send request: %w: frame of %d bytes", errProtocol, len(payload))
-	}
-	// The timeout's entire per-call cost: one clock read.
-	var at time.Time
-	if c.timeout > 0 || !deadline.IsZero() {
-		at = c.clk.Now()
-	}
 	var d time.Duration
 	var expired <-chan struct{} // nil (never ready) without a deadline
 	if !deadline.IsZero() {
-		if d = deadline.Sub(at); d <= 0 {
+		if d = deadline.Sub(c.clk.Now()); d <= 0 {
 			return nil, fmt.Errorf("%w: deadline already passed", ErrDeadlineExceeded)
 		}
 		fired := make(chan struct{})
 		defer c.clk.AfterFunc(d, func() { close(fired) }).Stop()
 		expired = fired
 	}
-	c.pmu.Lock()
-	if c.broken != nil {
-		err := c.broken
-		c.pmu.Unlock()
+	// A Read cannot be abandoned at a deadline: a call with one hands it on.
+	tag, ch, read, err := c.issue(op, payload, expired, expired != nil)
+	if err != nil {
 		return nil, err
 	}
-	ch := c.idle
-	c.idle = nil
-	if ch == nil {
-		ch = replyChans.Get().(chan muxReply)
-	}
-	tag := c.nextTag.Add(1)
-	c.pending[tag] = pendingCall{ch: ch, at: at}
-	alone := len(c.pending) == 1
-	if c.timeout > 0 && !c.armed {
-		c.armed, c.timer = true, c.clk.AfterFunc(c.timeout, c.expire)
-	}
-	c.pmu.Unlock()
-
-	if !c.send(op, tag, payload, alone, expired) {
-		// Never appended, so no reply can come: the entry is gone only if
-		// the client failed meanwhile (and closed ch).
-		if !c.withdraw(tag) {
-			return c.finishReply(ch, muxReply{}, false)
-		}
-		replyChans.Put(ch)
-		return nil, fmt.Errorf("%w: request not sent within %v", ErrDeadlineExceeded, d)
-	}
-
-	// Take the read role if it is free and no holder handed this call its
-	// reply yet. A Read cannot be abandoned at a deadline: hand it on.
-	c.pmu.Lock()
-	_, waiting := c.pending[tag]
-	read := waiting && !c.reading
-	c.reading = c.reading || read
-	if read && expired != nil {
-		c.wake <- struct{}{} // buffered, and empty: nobody held the role
-		read = false
-	}
-	c.pmu.Unlock()
 	if read {
 		if reply, ok := c.readReplies(ch); ok {
 			return c.finishReply(nil, reply, true)
 		}
 	}
-
 	select {
 	case reply, ok := <-ch:
 		return c.finishReply(ch, reply, ok)
@@ -435,6 +391,60 @@ func (c *RemoteClient) call(op byte, payload []byte, deadline time.Time) ([]byte
 		replyChans.Put(ch)
 		return nil, fmt.Errorf("%w: no response within %v", ErrDeadlineExceeded, d)
 	}
+}
+
+// issue registers one pending call and puts its request on the
+// connection, the first half of every call; the reply comes on ch. It
+// takes the read role if it is free and the call still waits — a lone
+// call crosses no goroutine — unless handoff: a caller that may give up at
+// expired, or waits later, hands it to the helper, which reads as replies come.
+func (c *RemoteClient) issue(op byte, payload []byte, expired <-chan struct{}, handoff bool) (tag uint32, ch chan muxReply, read bool, err error) {
+	if len(payload) > maxFrame {
+		return 0, nil, false, fmt.Errorf("taintmap: send request: %w: frame of %d bytes", errProtocol, len(payload))
+	}
+	// The timeout's entire per-call cost: one clock read.
+	var at time.Time
+	if c.timeout > 0 {
+		at = c.clk.Now()
+	}
+	c.pmu.Lock()
+	if c.broken != nil {
+		err := c.broken
+		c.pmu.Unlock()
+		return 0, nil, false, err
+	}
+	ch, c.idle = c.idle, nil
+	if ch == nil {
+		ch = replyChans.Get().(chan muxReply)
+	}
+	tag = c.nextTag.Add(1)
+	c.pending[tag] = pendingCall{ch: ch, at: at}
+	alone := len(c.pending) == 1
+	if c.timeout > 0 && !c.armed {
+		c.armed, c.timer = true, c.clk.AfterFunc(c.timeout, c.expire)
+	}
+	c.pmu.Unlock()
+
+	if !c.send(op, tag, payload, alone, expired) {
+		// Never appended, so no reply can come: the entry is gone only if
+		// the client failed meanwhile (and closed ch).
+		if !c.withdraw(tag) {
+			_, err = c.finishReply(ch, muxReply{}, false)
+			return 0, nil, false, err
+		}
+		replyChans.Put(ch)
+		return 0, nil, false, fmt.Errorf("%w: request not sent by its deadline", ErrDeadlineExceeded)
+	}
+	c.pmu.Lock()
+	_, waiting := c.pending[tag]
+	read = waiting && !c.reading
+	c.reading = c.reading || read
+	if read && handoff {
+		c.wake <- struct{}{} // buffered, and empty: nobody held the role
+		read = false
+	}
+	c.pmu.Unlock()
+	return tag, ch, read, nil
 }
 
 // withdraw removes the pending entry of a call that stopped waiting and
@@ -470,28 +480,10 @@ func (c *RemoteClient) finishReply(ch chan muxReply, reply muxReply, ok bool) ([
 	return reply.payload, nil
 }
 
-// register implements transport: the blobs go out as batch frames, a
-// lone blob included, chunked transparently — several round trips when
-// the encoded batch would overflow the frame limit.
-func (c *RemoteClient) register(ids []uint32, ts []taint.Taint, blobs [][]byte) error {
-	var buf [256]byte // a small batch's payload stays off the heap
-	for done := 0; done < len(blobs); {
-		n, err := nextBlobChunk(blobs[done:])
-		if err != nil {
-			return err
-		}
-		reply, err := c.call(opRegisterBatchTag, appendBlobList(buf[:0], blobs[done:done+n]), time.Time{})
-		if err != nil {
-			return err
-		}
-		got, err := parseIDListInto(ids[done:done], reply)
-		if err != nil || len(got) != n {
-			return fmt.Errorf("taintmap: register batch reply of %d bytes", len(reply))
-		}
-		done += n
-	}
-	c.stamp(ts, ids)
-	return nil
+// issueRegister implements transport: the batch goes out as one request,
+// unless it overflows a frame.
+func (c *RemoteClient) issueRegister(r *Registration) {
+	r.issueGroup(nil, c, 0, len(r.ts))
 }
 
 // lookup implements transport.

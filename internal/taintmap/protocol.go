@@ -488,7 +488,10 @@ func serveConn(h connHost, conn io.ReadWriter, readTimeout time.Duration) error 
 
 		var status byte
 		var reply []byte
-		if h.adm != nil && !h.adm.admit() {
+		// A peer's replica push passes: its owner admitted the register, and
+		// shedding it would lose a replica (or, pushes crossing, deadlock).
+		gated := h.adm != nil && op != opReplicateTag
+		if gated && !h.adm.admit() {
 			// Load shed: the request queue is full. Answering with a typed
 			// error (instead of stalling or dropping the conn) is the
 			// brownout contract — the client knows to back off, define
@@ -496,7 +499,7 @@ func serveConn(h connHost, conn io.ReadWriter, readTimeout time.Duration) error 
 			status, reply = statusTaggedErr, fmt.Appendf(scratch.reply[:0], "%v: request shed", ErrOverloaded)
 		} else {
 			status, reply = scratch.handle(h, op, payload)
-			if h.adm != nil {
+			if gated {
 				h.adm.release()
 			}
 		}

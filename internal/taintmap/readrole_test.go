@@ -46,6 +46,9 @@ func (c *stackConn) take() []string {
 // TestReadRoleWhoReads pins who reads a reply off the connection: a lone
 // call without a deadline reads its own inside call, and a call with a
 // deadline — which could not abandon a Read — leaves it to the helper.
+// So for a registration: a lone Register reads its answer as it collects
+// it, and an issued one, which nobody waits on yet, leaves it to the
+// helper.
 func TestReadRoleWhoReads(t *testing.T) {
 	n := netsim.New()
 	srv, err := StartSimServer(n, "tm:1")
@@ -58,18 +61,39 @@ func TestReadRoleWhoReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := &stackConn{ReadWriteCloser: conn}
-	c := newRemoteClientWith(sc, taint.NewTree(), &cache{}, 0, netsim.WallClock{})
+	tree := taint.NewTree()
+	c := newRemoteClientWith(sc, tree, &cache{}, 0, netsim.WallClock{})
 	defer c.Close()
 
+	stats := func(deadline time.Time) func() error {
+		return func() error {
+			_, err := c.call(opStatsTag, nil, deadline)
+			return err
+		}
+	}
 	for _, tc := range []struct {
-		name     string
-		deadline time.Time
-		in, not  string
+		name    string
+		do      func() error
+		in, not string
 	}{
-		{"NoDeadline", time.Time{}, ").call(", ").demux("},
-		{"Deadline", time.Now().Add(10 * time.Second), ").demux(", ").call("},
+		{"NoDeadline", stats(time.Time{}), ").call(", ").demux("},
+		{"Deadline", stats(time.Now().Add(10 * time.Second)), ").demux(", ").call("},
+		{"Register", func() error {
+			_, err := c.Register(tree.NewSource("lone", "h:1"))
+			return err
+		}, ").answer(", ").demux("},
+		{"Issued", func() error {
+			var r Registration
+			ts := []taint.Taint{tree.NewSource("issued", "h:1")}
+			blob, err := taint.MarshalTaint(ts[0])
+			if err == nil {
+				c.Issue(&r, ts, [][]byte{blob})
+				err = c.Collect(&r)
+			}
+			return err
+		}, ").demux(", ").answer("},
 	} {
-		if _, err := c.call(opStatsTag, nil, tc.deadline); err != nil {
+		if err := tc.do(); err != nil {
 			t.Fatal(err)
 		}
 		stacks := sc.take()

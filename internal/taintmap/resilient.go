@@ -346,17 +346,6 @@ func (m *member) withConn(try func(*RemoteClient) error, degraded func() error) 
 	}
 }
 
-// register is the member's half of the cluster client's register: the
-// live connection's batch, stamped there. Disconnected, it waits for the
-// reconnect, bounded by the breaker; degraded, it fails with ErrDegraded,
-// and an owner shedding load answers ErrOverloaded. Either way nothing
-// is kept: the caller defines the taints inline or fails the send.
-func (m *member) register(ids []uint32, ts []taint.Taint, blobs [][]byte) error {
-	return m.withConn(func(rc *RemoteClient) error {
-		return rc.register(ids, ts, blobs)
-	}, func() error { return ErrDegraded })
-}
-
 // rawCall issues one protocol op on the live connection — the cluster
 // client's channel for ring fetches and read-repair pushes. Fail-fast:
 // nobody waits for a reconnect.

@@ -145,7 +145,8 @@ func WithMaxConns(n int) ServerOption {
 // requests execute at once, at most maxWait more wait in queue, and
 // anything beyond that is answered with ErrOverloaded instead of
 // stalling its connection — load shedding with an explicit signal,
-// replacing an unbounded implicit queue of blocked goroutines.
+// replacing an unbounded implicit queue of blocked goroutines. A cluster
+// peer's replica push is not a request here: it is served at once.
 // maxActive <= 0 disables admission control (the default). maxWait < 0
 // defaults to 4x maxActive.
 func WithAdmission(maxActive, maxWait int) ServerOption {
@@ -518,6 +519,18 @@ func DialSimCluster(network *netsim.Network, local string, ring *Ring, tree *tai
 	return NewClusterClient(ring, func(addr string) (io.ReadWriteCloser, error) {
 		return network.DialFrom(local, addr)
 	}, tree, opt)
+}
+
+// SimPendingReplies counts the calls on partition part's live connection
+// whose reply is unread: what a sim rig waits out before it moves a
+// virtual clock past the call timeout.
+func SimPendingReplies(c *ClusterClient, part uint32) (n int) {
+	if rc := c.member(part).inner.Load(); rc != nil {
+		rc.pmu.Lock()
+		n = len(rc.pending)
+		rc.pmu.Unlock()
+	}
+	return n
 }
 
 // DialSim connects a RemoteClient to a Taint Map server on the simulated
