@@ -163,7 +163,8 @@ invariants:
 # repository's benchmark (BENCHMARK.json): cmd/benchab builds ./benchmark
 # at BASE (its `git archive` unpacked under a temporary directory — set
 # TMPDIR where /tmp is off limits) and here, prints each binary's
-# instrument.adoptGroups address mod 64 (dense_bulk follows it), runs
+# instrument.adoptGroups address mod 64 (dense_bulk follows it; with
+# instrument.putDense's, its per-byte loop, where there is one), runs
 # PAIRS alternating pairs with identical -seed/-seconds, and prints per
 # end-to-end metric each side's median and quartiles, the pairs the
 # change won and the verdict (a gain needs >= 9/10 wins and medians
@@ -195,9 +196,12 @@ fuzz:
 # bytes, and the tier-transition fuzzer, which drives an endpoint pair
 # through random density schedules and checks per-byte label delivery
 # across encoding switches and every write's wire bytes against its
-# buffer's sound-minimum frame. Each wire target's seed corpus holds
-# definitions units — ahead of frames, as payload, refused ones, one as a
-# datagram — and the schedules register taints mid-stream. The taint
+# buffer's sound-minimum frame; its shape bit 4 fails the receiver's
+# lookups through the middle third of the messages, so a delivery taken
+# in one pass meets a third id it cannot resolve, ends short and is
+# retried (seeds under internal/instrument/testdata/fuzz). Each wire
+# target's seed corpus holds definitions units — ahead of frames, as
+# payload, refused ones, one as a datagram — and the schedules register taints mid-stream. The taint
 # blob target holds UnmarshalTaint's walk over wire bytes to the string
 # walk (FromKeys of the parsed keys) under the real and a colliding tag
 # hash. The data-stream target (~3s) writes random primitives with random

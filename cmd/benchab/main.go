@@ -9,7 +9,8 @@
 // instrument.adoptGroups address mod 64 is printed too, and "placement
 // differs" when the two disagree: dense_bulk moves by a few percent with
 // the cache line that function starts on, so a dense_bulk reading is only
-// judged beside it.
+// judged beside it; so is instrument.putDense's, its per-byte loop, where
+// the binary has one.
 //
 //	go run ./cmd/benchab -base HEAD~1 -workload dense_bulk [-pairs 10] [-seed 1] [-seconds 20]
 //
@@ -129,6 +130,9 @@ func compare(ctx context.Context, base, workload string, pairs, seed int, second
 		}
 		placed[i] = addr
 		fmt.Printf("%s: instrument.adoptGroups at %#x (mod 64: %d)\n", s.name, addr, addr%64)
+		if addr, ok := lineAt(syms, putDense); ok {
+			fmt.Printf("%s: instrument.putDense at %#x (mod 64: %d)\n", s.name, addr, addr%64)
+		}
 	}
 	if placed[0] != 0 && placed[1] != 0 && placed[0]%64 != placed[1]%64 {
 		fmt.Println("placement differs: adoptGroups starts at another offset in its cache line")
@@ -246,6 +250,10 @@ func quartiles(xs []float64) (q1, med, q3 float64) {
 
 // adoptGroups is the symbol dense_bulk's placement follows, by both names.
 var adoptGroups = []string{"dista/internal/instrument.(*streamReader).adoptGroups", "dista/internal/instrument.adoptGroups"}
+
+// putDense holds adoptGroups' per-byte loop (pass 2); where a binary has
+// it, its placement is printed beside adoptGroups'.
+var putDense = []string{"dista/internal/instrument.(*streamReader).putDense"}
 
 // lineAt finds one of syms in `go tool nm` output and returns its
 // address.

@@ -75,6 +75,9 @@ func TestLineAt(t *testing.T) {
 	if addr, ok := lineAt(nm, adoptGroups); !ok || addr != 0x4a2c48 || addr%64 != 8 {
 		t.Fatalf("lineAt = %#x, %v", addr, ok)
 	}
+	if _, ok := lineAt(nm, putDense); ok {
+		t.Fatal("found putDense in a binary without one")
+	}
 	if _, ok := lineAt(nm, []string{"dista/internal/instrument.missing"}); ok {
 		t.Fatal("found a symbol that is not there")
 	}

@@ -2,6 +2,7 @@ package instrument
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"testing"
@@ -76,7 +77,11 @@ func (o *outage) Collect(r *taintmap.Registration) error {
 // write, so its bound is the one a registering write has). Bit 3 reads
 // each message before the next is written, so a frame arrives in a read
 // of its own: one whose ids crossed before is read whole, and a groups
-// frame into a dense buffer takes the whole-frame lane.
+// frame into a dense buffer takes the whole-frame lane. Bit 4 fails the
+// receiving agent's lookups while it reads the middle third of the
+// messages: each read there meets one failed lookup, and the read that
+// fails is retried. A delivery taken in one pass that meets a third id
+// there ends short before it, and the read after it fails.
 //
 // Both receive paths run against each other: each message also goes down
 // a second connection, written beside the first, whose raw bytes are
@@ -122,6 +127,8 @@ func FuzzTierTransition(f *testing.F) {
 		r := newRig(t, tracker.ModeDista)
 		tm := &outage{Client: r.a.TaintMap()}
 		r.a = tracker.New("node1", tracker.ModeDista, tracker.WithTaintMap(tm), tracker.WithLocalID(r.a.LocalID()))
+		flaky := &flakyLookups{Client: r.b.TaintMap()} // the receiver's alone: the replay resolves through r.b
+		node2 := tracker.New("node2", tracker.ModeDista, tracker.WithTaintMap(flaky), tracker.WithLocalID(r.b.LocalID()))
 		srcs := []taint.Taint{
 			r.a.Source("fz0", "fz0"),
 			r.a.Source("fz1", "fz1"),
@@ -191,7 +198,7 @@ func FuzzTierTransition(f *testing.F) {
 		total := len(wantTag)
 
 		ca, cb := r.net.Pipe()
-		sender, receiver := NewAdaptiveEndpoint(r.a, ca), NewAdaptiveEndpoint(r.b, cb)
+		sender, receiver := NewAdaptiveEndpoint(r.a, ca), NewAdaptiveEndpoint(node2, cb)
 		ra, rb := r.net.Pipe()
 		replay := NewAdaptiveEndpoint(r.a, ra)
 
@@ -203,6 +210,17 @@ func FuzzTierTransition(f *testing.F) {
 				ref.SetLabel(i, stale[i&1])
 			}
 		}
+		// The stream bytes of the middle third of the messages: where bit 4
+		// fails the receiver's lookups.
+		downFrom, downTo := 0, 0
+		for mi, msg := range msgs {
+			if mi < len(msgs)/3 {
+				downFrom += msg.Len()
+			}
+			if mi < 2*len(msgs)/3 {
+				downTo += msg.Len()
+			}
+		}
 		// readTo reads the stream up to byte to; the stream must end there
 		// exactly where the schedule says.
 		readTo := func(pos, to int) error {
@@ -212,7 +230,14 @@ func FuzzTierTransition(f *testing.F) {
 					end = pos + int(step)
 				}
 				sub := got.Slice(pos, end)
+				flaky.fail = 0
+				if shape&16 != 0 && pos >= downFrom && pos < downTo {
+					flaky.fail = 1
+				}
 				n, err := receiver.Read(&sub)
+				if errors.Is(err, errLookupDown) {
+					n, err = receiver.Read(&sub) // the retry, the Taint Map back
+				}
 				if err != nil {
 					return fmt.Errorf("read at %d/%d: %w", pos, total, err)
 				}

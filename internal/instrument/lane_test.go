@@ -706,3 +706,250 @@ func labelsOf(n int, label func(i int) taint.Taint) []taint.Taint {
 	}
 	return labels
 }
+
+// onePassRig is a stream of groups frames, one per labelling of pool,
+// ready for a lane reader that resolves through a lookup spy and a
+// reference reader held to the run path (readByRuns), with the buffers
+// both fill.
+type onePassRig struct {
+	r      *rig
+	spy    *flakyLookups
+	b      *tracker.Agent // node2 behind the spy
+	pool   []taint.Taint  // lanePool of node1
+	frames [][]byte
+	want   []taint.Taint // the label every delivered byte must carry, frame after frame
+	data   []byte
+}
+
+func newOnePassRig(t *testing.T) *onePassRig {
+	r := newRig(t, tracker.ModeDista)
+	spy := &flakyLookups{Client: r.b.TaintMap()}
+	b := tracker.New("node2", tracker.ModeDista, tracker.WithTaintMap(spy))
+	return &onePassRig{r: r, spy: spy, b: b, pool: lanePool(r.a, "one")}
+}
+
+// send appends a groups frame per labelling to the stream.
+func (o *onePassRig) send(t *testing.T, labellings ...[]taint.Taint) {
+	rng := rand.New(rand.NewSource(int64(len(labellings))))
+	for _, labels := range labellings {
+		data := make([]byte, len(labels))
+		rng.Read(data)
+		o.frames = append(o.frames, wire.AppendGroupsFrame(nil, data, runsOf(t, o.r.a.TaintMap(), labels)))
+		o.data = append(o.data, data...)
+		for _, l := range labels {
+			var want taint.Taint
+			if !l.Empty() {
+				id, err := o.r.a.TaintMap().Register(l)
+				if err == nil {
+					want, err = o.r.b.TaintMap().Lookup(id)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			o.want = append(o.want, want)
+		}
+	}
+}
+
+// lanePair returns a reader of the lane and its source — each frame a
+// read of its own (the whole-frame lane), or, with decoded, the whole
+// stream fed to the decoder up front (the decoder's groups, no source)
+// — and the reference reader with its source.
+func (o *onePassRig) lanePair(t *testing.T, decoded bool) (lr, rr *streamReader, lrecv, rrecv func([]byte) (int, error)) {
+	magic := wire.AppendAdaptiveStreamMagic(nil)
+	stream := bytes.Join(append([][]byte{magic}, o.frames...), nil)
+	lr, rr = new(streamReader), new(streamReader)
+	if decoded {
+		if err := lr.dec.Feed(stream); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		units := []int{len(magic)}
+		for _, f := range o.frames {
+			units = append(units, len(f))
+		}
+		lrecv = (&chunkTransport{stream: stream, units: units}).RecvRaw
+	}
+	return lr, rr, lrecv, chunked(stream, len(stream))
+}
+
+// windows returns the lane's buffer and the reference's, margin bytes of
+// stale labels around room for the stream: dense windows, or windows of
+// a run-mode store too large to densify.
+func (o *onePassRig) windows(margin int, runMode bool) (lane, ref taint.Bytes) {
+	stale := lanePool(o.r.b, "stale")
+	old := make([]taint.Taint, margin+len(o.want)+margin)
+	for i := range old {
+		old[i] = stale[1+(i/5)%(len(stale)-1)]
+	}
+	mk := func() taint.Bytes {
+		return asDense(old, make([]byte, len(old)), [2]taint.Taint{stale[1], stale[2]}, len(old))
+	}
+	if runMode {
+		mk = func() taint.Bytes { return asRuns(old, make([]byte, len(old))) }
+	}
+	return mk(), mk()
+}
+
+// check holds the lane's buffer to the reference's, byte for byte and
+// label for label, and the delivered stretch to what was sent.
+func (o *onePassRig) check(t *testing.T, name string, lane, ref taint.Bytes, margin int) {
+	t.Helper()
+	if !bytes.Equal(lane.Data, ref.Data) || !bytes.Equal(lane.Data[margin:margin+len(o.data)], o.data) {
+		t.Fatalf("%s: the bytes differ from the run path's or from what was sent", name)
+	}
+	for i := range lane.Data {
+		l, r := lane.LabelAt(i), ref.LabelAt(i)
+		if l != r || i >= margin && i < margin+len(o.want) && l != o.want[i-margin] {
+			t.Fatalf("%s: byte %d carries %v, by runs %v", name, i-margin, l.Values(), r.Values())
+		}
+	}
+	if (lane.DenseLabels() != nil) != (ref.DenseLabels() != nil) {
+		t.Fatalf("%s: the two paths left different representations", name)
+	}
+}
+
+// TestOnePassLane pins when a stream reader takes a delivery in one
+// pass: into a window already dense, of a frame whose first two distinct
+// ids are the two it resolved last, in either order, or one of them
+// alone — with no lookup at all. A third id mid-delivery costs one lookup
+// and arrives whole; a new pair of ids or a run-mode window takes the two
+// passes with one lookup a frame, as a datagram does, whose reader is
+// new each time. Every read agrees with the run path, on the decoder's
+// groups and on the whole-frame lane alike.
+func TestOnePassLane(t *testing.T) {
+	const n, margin = 600, 9
+	for _, tc := range []struct {
+		name    string
+		frames  [][2]int // each frame alternates two labels of the pool (0: clean)
+		runMode bool
+		lookups []int // per frame
+	}{
+		{"the same two ids, frame after frame", [][2]int{{1, 2}, {2, 1}, {1, 2}, {0, 2}}, false, []int{1, 0, 0, 0}},
+		{"a third id mid-delivery", [][2]int{{1, 2}, {1, 2}}, false, []int{1, 1}},
+		{"a new pair of ids", [][2]int{{1, 2}, {4, 5}, {4, 1}}, false, []int{1, 1, 1}},
+		{"a run-mode window", [][2]int{{1, 2}, {1, 2}}, true, []int{1, 1}},
+	} {
+		for _, decoded := range []bool{false, true} {
+			o := newOnePassRig(t)
+			for k, f := range tc.frames {
+				labels := labelsOf(n, func(i int) taint.Taint { return o.pool[f[i&1]] })
+				if k == 1 && tc.name == "a third id mid-delivery" {
+					labels[n/2] = o.pool[3]
+				}
+				o.send(t, labels)
+			}
+			name := fmt.Sprintf("%s (decoded %v)", tc.name, decoded)
+			lr, rr, lrecv, rrecv := o.lanePair(t, decoded)
+			lane, ref := o.windows(margin, tc.runMode)
+			calls := 0
+			o.spy.seen = func() { calls++ }
+			for k, want := range tc.lookups {
+				at := margin + k*n
+				before := calls
+				ln, lerr := lr.read(o.b, lrecv, &lane, at, at+n)
+				rn, rerr := readByRuns(rr, o.r.b, rrecv, &ref, at, at+n)
+				if lerr != nil || rerr != nil || ln != n || rn != n {
+					t.Fatalf("%s: read of frame %d = %d, %v; by runs %d, %v", name, k, ln, lerr, rn, rerr)
+				}
+				if got := calls - before; got != want {
+					t.Fatalf("%s: frame %d made %d lookups, want %d", name, k, got, want)
+				}
+			}
+			o.check(t, name, lane, ref, margin)
+			if lane.DenseLabels() == nil != tc.runMode {
+				t.Fatalf("%s: the window has a per-byte view = %v", name, lane.DenseLabels() != nil)
+			}
+		}
+	}
+
+	t.Run("datagram", func(t *testing.T) {
+		o := newOnePassRig(t)
+		sa, _ := o.r.net.ListenPacket("a:1")
+		sb, _ := o.r.net.ListenPacket("b:1")
+		pair := [2]taint.Taint{o.r.a.Source("s", "even"), o.r.a.Source("s", "odd")}
+		msg := taint.MakeBytes(n)
+		for i := range msg.Data {
+			msg.Data[i] = byte(i)
+			msg.SetLabel(i, pair[i&1])
+		}
+		buf := taint.MakeBytes(n)
+		calls := 0
+		o.spy.seen = func() { calls++ }
+		for k := range 3 {
+			if err := PacketSend(o.r.a, sa, msg, "b:1"); err != nil {
+				t.Fatal(err)
+			}
+			if got, _, err := PacketReceive(o.b, sb, &buf); err != nil || got != n || !bytes.Equal(buf.Data, msg.Data) {
+				t.Fatalf("receive %d = %d, %v", k, got, err)
+			}
+			if buf.DenseLabels() == nil || calls != k+1 {
+				t.Fatalf("receive %d: per-byte view %v after %d lookups; want one a datagram", k, buf.DenseLabels() != nil, calls)
+			}
+		}
+		for i := range buf.Data {
+			if l := buf.LabelAt(i); l.Len() != 1 || !l.Has([2]string{"even", "odd"}[i&1]) {
+				t.Fatalf("byte %d arrived under %v", i, l.Values())
+			}
+		}
+	})
+}
+
+// TestOnePassLaneOutage: a third id met in one pass whose lookup fails
+// ends the read short at that byte, with a nil error, what came before
+// it delivered; the next read fails with the buffer and the decoder as
+// they were; the retry delivers the rest. On the whole-frame lane the
+// rest of the frame waits in the decoder. The buffer then matches the run
+// path's.
+func TestOnePassLaneOutage(t *testing.T) {
+	const n, margin = 600, 9
+	for _, decoded := range []bool{false, true} {
+		name := fmt.Sprintf("decoded %v", decoded)
+		o := newOnePassRig(t)
+		alternate := func(i int) taint.Taint { return o.pool[1+i&1] }
+		third := labelsOf(n, alternate)
+		third[n/2+1] = o.pool[3]
+		o.send(t, labelsOf(n, alternate), third)
+		lr, rr, lrecv, rrecv := o.lanePair(t, decoded)
+		lane, ref := o.windows(margin, false)
+		for pos := 0; pos < 2*n; {
+			n, err := readByRuns(rr, o.r.b, rrecv, &ref, margin+pos, margin+2*n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pos += n
+		}
+		if got, err := lr.read(o.b, lrecv, &lane, margin, margin+n); got != n || err != nil {
+			t.Fatalf("%s: the first frame = %d, %v", name, got, err)
+		}
+		o.spy.fail = 1
+		if got, err := lr.read(o.b, lrecv, &lane, margin+n, margin+2*n); got != n/2+1 || err != nil {
+			t.Fatalf("%s: the read that meets the third id = %d, %v; want %d, nil", name, got, err, n/2+1)
+		}
+		if o.spy.fail != 0 {
+			t.Fatalf("%s: the third id was not looked up", name)
+		}
+		if left := lr.dec.Buffered(); left != n-n/2-1 {
+			t.Fatalf("%s: %d bytes wait in the decoder, want %d", name, left, n-n/2-1)
+		}
+		held := append([]byte(nil), lr.dec.PeekGroups(n)...)
+		before := otherShape(lane, [2]taint.Taint{})
+		o.spy.fail = 1
+		if got, err := lr.read(o.b, lrecv, &lane, margin+n+n/2+1, margin+2*n); got != 0 || !errors.Is(err, errLookupDown) {
+			t.Fatalf("%s: the next read = %d, %v; want 0, %v", name, got, err, errLookupDown)
+		}
+		if !bytes.Equal(lr.dec.PeekGroups(n), held) || !bytes.Equal(lane.Data, before.Data) {
+			t.Fatalf("%s: the failed read moved the decoder or wrote bytes", name)
+		}
+		for i := range lane.Data {
+			if lane.LabelAt(i) != before.LabelAt(i) {
+				t.Fatalf("%s: the failed read relabelled byte %d", name, i-margin)
+			}
+		}
+		if got, err := lr.read(o.b, lrecv, &lane, margin+n+n/2+1, margin+2*n); got != n-n/2-1 || err != nil {
+			t.Fatalf("%s: the retry = %d, %v; want %d, nil", name, got, err, n-n/2-1)
+		}
+		o.check(t, name, lane, ref, margin)
+	}
+}

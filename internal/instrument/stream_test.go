@@ -912,3 +912,39 @@ func must(t *testing.T, err error) {
 		t.Fatal(err)
 	}
 }
+
+// TestBorrowedWholeFrame: a read large enough to borrow its scratch
+// (over borrowAbove) that receives exactly one whole frame takes the
+// whole-frame lane out of the borrowed buffer — a clean frame and a
+// groups frame alike — and delivers it.
+func TestBorrowedWholeFrame(t *testing.T) {
+	r := newRig(t, tracker.ModeDista)
+	sender, receiver := r.endpoints(t)
+	pair := [2]taint.Taint{r.a.Source("s", "x"), r.a.Source("s", "y")}
+	opener := taint.WrapBytes([]byte("open"))
+	must(t, sender.Write(opener))
+	if n, err := receiver.Read(&taint.Bytes{Data: make([]byte, 4)}); n != 4 || err != nil {
+		t.Fatalf("the opening read = %d, %v", n, err)
+	}
+	const size = 32 << 10
+	clean, dense := taint.MakeBytes(size), taint.MakeBytes(size)
+	for i := range dense.Data {
+		clean.Data[i], dense.Data[i] = byte(i), byte(i*7)
+		dense.SetLabel(i, pair[i&1])
+	}
+	for name, msg := range map[string]taint.Bytes{"clean": clean, "groups": dense} {
+		must(t, sender.Write(msg)) // the whole frame waits on the connection
+		if rawLen(size) <= borrowAbove {
+			t.Fatalf("a %d-byte read does not borrow", size)
+		}
+		into := taint.MakeBytes(size)
+		if n, err := receiver.Read(&into); n != size || err != nil || !bytes.Equal(into.Data, msg.Data) {
+			t.Fatalf("%s: read = %d, %v (bytes equal %v)", name, n, err, bytes.Equal(into.Data, msg.Data))
+		}
+		for i := range into.Data {
+			if into.LabelAt(i).Empty() != msg.LabelAt(i).Empty() {
+				t.Fatalf("%s: byte %d arrived under %v", name, i, into.LabelAt(i).Values())
+			}
+		}
+	}
+}
