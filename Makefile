@@ -48,13 +48,14 @@ fmt:
 
 # distavet: the in-tree static-analysis suite (internal/analysis) that
 # enforces the taint-soundness invariants — shadowdrop, labelcopy,
-# errcmp, lockorder, mustcheck, idbits, tierencode, taintflow,
+# errcmp, lockorder, mustcheck, tierencode, taintflow,
 # deadsuppress. Exits non-zero on any finding; silence a deliberate
-# exception with `//lint:ignore distavet/<name> reason`. The -facts
-# cache makes warm re-runs replay unchanged packages (keyed by content
-# hash of the package, its import closure and the analyzer set).
+# exception with `//lint:ignore distavet/<name> reason`. The standard
+# library is read from its export data (one `go list -export -deps`),
+# never type-checked from source, so every run is a whole one: there is
+# no cache to go stale.
 lint:
-	$(GO) run ./cmd/distavet -facts .distavet-facts ./...
+	$(GO) run ./cmd/distavet ./...
 
 # The functions whose doc comments promise that the compiler inlines
 # them — the per-byte and per-run primitives of the label and group
@@ -151,7 +152,7 @@ ci: check
 # The design invariants (invariants_test.go): in-run ratios that pin a
 # design decision — the mux's pipelining, the cluster of one, cluster
 # scaling, the passthrough, uniform and sparse tiers against the clean
-# floor, the gray-failure tail, distavet's suite and warm cache, and the
+# floor, the gray-failure tail, distavet's suite and the
 # 50k-connection soak tail. Each runs its two sides in alternating pairs
 # at fixed iteration counts, logs the median ratio against its bound and
 # fails past it; nothing is written. They are benchmarks so that `go

@@ -1,24 +1,20 @@
 // Command distavet runs the distavet static-analysis suite: vet-style
-// analyzers that enforce this tree's taint-soundness invariants
-// (shadowdrop, labelcopy, errcmp, lockorder, mustcheck — see
+// analyzers that enforce this tree's taint-soundness invariants (see
 // DESIGN.md §6). It is built entirely on the standard library and
-// type-checks the module itself, so it needs neither golang.org/x/tools
-// nor network access.
+// type-checks the module itself against the standard library's export
+// data, so it needs neither golang.org/x/tools nor network access.
 //
 // Usage:
 //
-//	distavet [-tests=false] [-run name,name] [-list] [-facts dir] [-json] [package dirs]
+//	distavet [-tests=false] [-run name,name] [-list] [-json] [package dirs]
 //
 // With no arguments (or "./...") every package of the enclosing module
 // is analyzed, test files included. Explicit directory arguments are
 // analyzed instead — including directories under testdata/, which the
 // go tool ignores; the analyzer golden corpora are loaded this way.
 //
-// -facts names a cache directory for per-package analysis facts
-// (function summaries + raw diagnostics, keyed by content hash of the
-// package, its import closure and the analyzer set): a warm run
-// replays unchanged packages instead of re-analyzing them. -json
-// emits the diagnostics as a JSON array instead of vet-style lines.
+// -json emits the diagnostics as a JSON array instead of vet-style
+// lines.
 //
 // Diagnostics print one per line as "file:line: analyzer: message".
 // The exit status is 1 when any diagnostic is reported, 2 on usage or
@@ -51,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tests := fs.Bool("tests", true, "analyze _test.go files too")
 	runNames := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	factsDir := fs.String("facts", "", "fact-cache directory; warm runs replay unchanged packages")
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -112,15 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var facts *analysis.FactStore
-	if *factsDir != "" {
-		if facts, err = analysis.NewFactStore(*factsDir); err != nil {
-			fmt.Fprintf(stderr, "distavet: %v\n", err)
-			return 2
-		}
-	}
-
-	diags := analysis.RunWithFacts(prog, pkgs, analyzers, facts)
+	diags := analysis.Run(prog, pkgs, analyzers)
 	if *jsonOut {
 		type jsonDiag struct {
 			File     string `json:"file"`

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -38,33 +37,6 @@ func TestRunFilter(t *testing.T) {
 	}
 	if code := run([]string{"-run", "nosuch"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("unknown analyzer: exit = %d, want 2", code)
-	}
-}
-
-// TestFactsWarmRun pins the cache contract: a second run against an
-// unchanged corpus with the same -facts dir replays identical output
-// and the same exit code, and actually populates the cache directory.
-func TestFactsWarmRun(t *testing.T) {
-	dir := t.TempDir()
-	target := filepath.Join(corpus, "errcmp")
-
-	var cold, coldErr bytes.Buffer
-	codeCold := run([]string{"-facts", dir, target}, &cold, &coldErr)
-	if codeCold != 1 {
-		t.Fatalf("cold run exit = %d, want 1\nstderr: %s", codeCold, coldErr.String())
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("cold run left no fact entries in %s (err=%v)", dir, err)
-	}
-
-	var warm, warmErr bytes.Buffer
-	codeWarm := run([]string{"-facts", dir, target}, &warm, &warmErr)
-	if codeWarm != codeCold {
-		t.Fatalf("warm exit = %d, cold = %d", codeWarm, codeCold)
-	}
-	if warm.String() != cold.String() {
-		t.Fatalf("warm replay diverged from cold run:\ncold:\n%s\nwarm:\n%s", cold.String(), warm.String())
 	}
 }
 

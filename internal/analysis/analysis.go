@@ -85,7 +85,7 @@ func (d Diagnostic) String() string {
 // All returns the full distavet suite, in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{ShadowDrop, LabelCopy, ErrCmp, LockOrder, MustCheck,
-		IdBits, TierEncode, TaintFlow, DeadSuppress}
+		TierEncode, TaintFlow, DeadSuppress}
 }
 
 // ByName resolves a comma-separated analyzer-name list against All.
@@ -126,15 +126,15 @@ type indexEntry struct {
 }
 
 // indexFor returns the (possibly cached) index over prog's current
-// package universe, building it with preset summaries on a miss.
-func indexFor(prog *loader.Program, preset map[*types.Func]*FuncSummary) *Index {
+// package universe.
+func indexFor(prog *loader.Program) *Index {
 	universe := prog.Packages()
 	indexMu.Lock()
 	defer indexMu.Unlock()
 	if e, ok := indexCache[prog]; ok && e.universe == len(universe) {
 		return e.idx
 	}
-	idx := BuildIndex(universe, preset)
+	idx := BuildIndex(universe)
 	indexCache[prog] = &indexEntry{universe: len(universe), idx: idx}
 	return idx
 }
@@ -154,15 +154,6 @@ func ResetIndexCache() {
 // comments are reported under the pseudo-analyzer "suppression".
 // Packages are analyzed concurrently; output order is deterministic.
 func Run(prog *loader.Program, pkgs []*loader.Package, analyzers []*Analyzer) []Diagnostic {
-	return RunWithFacts(prog, pkgs, analyzers, nil)
-}
-
-// RunWithFacts is Run with an optional summary/diagnostic cache: a
-// package whose fact key (content hash of itself, its import closure
-// and the analyzer set) is present in the store replays its recorded
-// raw diagnostics and summaries instead of re-running the analyzers.
-// When every target hits, even the call-graph build is skipped.
-func RunWithFacts(prog *loader.Program, pkgs []*loader.Package, analyzers []*Analyzer, facts *FactStore) []Diagnostic {
 	var targets []*loader.Package
 	for _, pkg := range pkgs {
 		targets = append(targets, pkg)
@@ -176,45 +167,14 @@ func RunWithFacts(prog *loader.Program, pkgs []*loader.Package, analyzers []*Ana
 		runSet[a.Name] = true
 	}
 
-	// Facts: compute keys and probe the store.
-	keys := make([]string, len(targets))
-	cached := make([]*factEntry, len(targets))
-	allCached := facts != nil
-	if facts != nil {
-		keyer := newFactKeyer(prog, analyzers)
-		for i, t := range targets {
-			keys[i] = keyer.key(t)
-			cached[i] = facts.load(keys[i])
-			if cached[i] == nil {
-				allCached = false
-			}
-		}
-	}
+	idx := indexFor(prog)
 
-	// The interprocedural index. Cached packages contribute their
-	// stored summaries as presets; on a full hit no index is needed
-	// at all — that is the warm-lint fast path.
-	var idx *Index
-	if !allCached {
-		preset := make(map[*types.Func]*FuncSummary)
-		for i, e := range cached {
-			if e != nil {
-				e.presetInto(targets[i], preset)
-			}
-		}
-		idx = indexFor(prog, preset)
-	}
-
-	// Per-target analysis, cached targets replayed, the rest run
-	// concurrently with pass-local diagnostic slices.
+	// Per-target analysis, run concurrently with pass-local diagnostic
+	// slices.
 	results := make([][]Diagnostic, len(targets))
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for i, pkg := range targets {
-		if cached[i] != nil {
-			results[i] = cached[i].Diags
-			continue
-		}
 		wg.Add(1)
 		go func(i int, pkg *loader.Package) {
 			defer wg.Done()
@@ -234,9 +194,6 @@ func RunWithFacts(prog *loader.Program, pkgs []*loader.Package, analyzers []*Ana
 				})
 			}
 			results[i] = local
-			if facts != nil {
-				facts.save(keys[i], newFactEntry(local, idx, pkg))
-			}
 		}(i, pkg)
 	}
 	wg.Wait()

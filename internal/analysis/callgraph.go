@@ -32,18 +32,13 @@ type fnInfo struct {
 	pkg  *loader.Package
 }
 
-// BuildIndex constructs the call graph and computes summaries for
-// every function in universe that does not already have one in preset
-// (the facts-cache path hands in deserialized summaries for unchanged
-// packages; pass nil to compute everything).
-func BuildIndex(universe []*loader.Package, preset map[*types.Func]*FuncSummary) *Index {
+// BuildIndex constructs the call graph and computes the summary of
+// every function in universe.
+func BuildIndex(universe []*loader.Package) *Index {
 	idx := &Index{
 		fns:       make(map[*types.Func]*fnInfo),
-		summaries: make(map[*types.Func]*FuncSummary, len(preset)),
+		summaries: make(map[*types.Func]*FuncSummary),
 		dispatch:  make(map[*types.Func][]*types.Func),
-	}
-	for fn, s := range preset {
-		idx.summaries[fn] = s
 	}
 	seenNamed := make(map[*types.Named]bool)
 	for _, pkg := range universe {
@@ -87,20 +82,6 @@ func BuildIndex(universe []*loader.Package, preset map[*types.Func]*FuncSummary)
 // the analyzed universe (stdlib, interface methods).
 func (idx *Index) SummaryOf(fn *types.Func) *FuncSummary {
 	return idx.summaries[fn]
-}
-
-// FuncsOf returns the (fn → summary) pairs declared in pkg, for the
-// facts cache to serialize.
-func (idx *Index) FuncsOf(pkg *loader.Package) map[*types.Func]*FuncSummary {
-	out := make(map[*types.Func]*FuncSummary)
-	for fn, info := range idx.fns {
-		if info.pkg == pkg {
-			if s := idx.summaries[fn]; s != nil {
-				out[fn] = s
-			}
-		}
-	}
-	return out
 }
 
 // interfaceMethod reports whether fn is an abstract interface method,
@@ -198,14 +179,7 @@ func (idx *Index) callees(info *fnInfo) []*types.Func {
 // (escape bits only ever turn on), so the fixpoint terminates in at
 // most params+1 rounds per component.
 func (idx *Index) computeSummaries() {
-	// Collect the functions still to compute (no preset summary).
-	var todo []*types.Func
-	for fn := range idx.fns {
-		if idx.summaries[fn] == nil {
-			todo = append(todo, fn)
-		}
-	}
-	sccs := idx.tarjan(todo)
+	sccs := idx.tarjan()
 	for _, scc := range sccs { // already callee-first
 		// Escape/raw bits only turn on, so a component converges in
 		// a handful of rounds; the cap guards the one non-monotone
@@ -228,18 +202,14 @@ func (idx *Index) computeSummaries() {
 	}
 }
 
-// tarjan computes strongly-connected components over the given nodes,
+// tarjan computes strongly-connected components over the call graph,
 // returned in reverse topological order (callees before callers).
-func (idx *Index) tarjan(nodes []*types.Func) [][]*types.Func {
+func (idx *Index) tarjan() [][]*types.Func {
 	type nodeState struct {
 		index, lowlink int
 		onStack        bool
 	}
-	states := make(map[*types.Func]*nodeState, len(nodes))
-	inSet := make(map[*types.Func]bool, len(nodes))
-	for _, fn := range nodes {
-		inSet[fn] = true
-	}
+	states := make(map[*types.Func]*nodeState, len(idx.fns))
 	var (
 		counter int
 		stack   []*types.Func
@@ -259,7 +229,7 @@ func (idx *Index) tarjan(nodes []*types.Func) [][]*types.Func {
 		counter++
 		stack = append(stack, root)
 		states[root].onStack = true
-		frames[0].callees = idx.filteredCallees(root, inSet)
+		frames[0].callees = idx.callees(idx.fns[root])
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
 			if f.next < len(f.callees) {
@@ -270,7 +240,7 @@ func (idx *Index) tarjan(nodes []*types.Func) [][]*types.Func {
 					states[c] = &nodeState{index: counter, lowlink: counter, onStack: true}
 					counter++
 					stack = append(stack, c)
-					frames = append(frames, frame{fn: c, callees: idx.filteredCallees(c, inSet)})
+					frames = append(frames, frame{fn: c, callees: idx.callees(idx.fns[c])})
 				} else if cs.onStack {
 					if cs.index < states[f.fn].lowlink {
 						states[f.fn].lowlink = cs.index
@@ -302,22 +272,10 @@ func (idx *Index) tarjan(nodes []*types.Func) [][]*types.Func {
 			}
 		}
 	}
-	for _, fn := range nodes {
+	for fn := range idx.fns {
 		if states[fn] == nil {
 			visit(fn)
 		}
 	}
 	return sccs
-}
-
-// filteredCallees is callees restricted to the to-compute node set.
-func (idx *Index) filteredCallees(fn *types.Func, inSet map[*types.Func]bool) []*types.Func {
-	all := idx.callees(idx.fns[fn])
-	keep := all[:0]
-	for _, c := range all {
-		if inSet[c] {
-			keep = append(keep, c)
-		}
-	}
-	return keep
 }

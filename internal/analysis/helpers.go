@@ -236,12 +236,10 @@ func labelSafeCallee(idx *Index, fn *types.Func) bool {
 	if carriesLabels(sig) {
 		return true
 	}
-	if idx != nil {
-		if s := idx.SummaryOf(fn); s != nil {
-			return s.AnyDeclaresClean()
-		}
+	if s := idx.SummaryOf(fn); s != nil {
+		return s.AnyDeclaresClean()
 	}
-	// Bodiless (interface method, or no index): the declaration marker.
+	// Bodiless (interface method): the declaration marker.
 	return strings.Contains(fn.Name(), "Passthrough") ||
 		strings.Contains(fn.Name(), "Uniform") || strings.Contains(fn.Name(), "Sparse")
 }

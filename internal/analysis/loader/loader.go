@@ -1,9 +1,12 @@
 // Package loader parses and type-checks every package of the
 // enclosing module using only the standard library: ASTs come from
 // go/parser, types from go/types, and out-of-module imports (the
-// standard library) from go/importer's source importer. It exists so
-// the distavet analysis suite needs no golang.org/x/tools dependency
-// and no network access.
+// standard library) from the compiler's export data, through
+// go/importer's "gc" importer. One `go list -export -deps` names the
+// export files of the standard packages a load imports, building any
+// the build cache lacks; the standard library is never type-checked
+// from source. It exists so the distavet analysis suite needs no
+// golang.org/x/tools dependency and no network access.
 //
 // Unlike the go tool, the loader will also type-check packages that
 // live under testdata/ directories (via LoadDir), which is how the
@@ -18,10 +21,13 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -48,15 +54,17 @@ type Program struct {
 	Module       string // module path from go.mod
 	IncludeTests bool
 
-	std     types.Importer      // source importer for out-of-module paths
-	pkgs    map[string]*Package // by import path (and synthetic LoadDir paths)
-	loading map[string]bool     // cycle detection
+	std     types.Importer         // export-data importer for out-of-module paths
+	exports map[string]string      // standard package → export file ("" once listed without one)
+	parsed  map[string][]*ast.File // by directory
+	pkgs    map[string]*Package    // by import path (and synthetic LoadDir paths)
+	loading map[string]bool        // cycle detection
 }
 
 // New prepares a load session for the module rooted at root. The
-// module path is read from go.mod. Cgo is disabled process-wide so the
-// source importer resolves cgo-using stdlib packages (net) through
-// their pure-Go fallbacks.
+// module path is read from go.mod. Cgo is disabled, here for the
+// module's own files and in `go list` for the standard library, so
+// cgo-using packages (net) resolve through their pure-Go fallbacks.
 func New(root string, includeTests bool) (*Program, error) {
 	abs, err := filepath.Abs(root)
 	if err != nil {
@@ -67,16 +75,90 @@ func New(root string, includeTests bool) (*Program, error) {
 		return nil, err
 	}
 	build.Default.CgoEnabled = false
-	fset := token.NewFileSet()
-	return &Program{
-		Fset:         fset,
+	p := &Program{
+		Fset:         token.NewFileSet(),
 		Root:         abs,
 		Module:       module,
 		IncludeTests: includeTests,
-		std:          importer.ForCompiler(fset, "source", nil),
+		exports:      make(map[string]string),
+		parsed:       make(map[string][]*ast.File),
 		pkgs:         make(map[string]*Package),
 		loading:      make(map[string]bool),
-	}, nil
+	}
+	p.std = importer.ForCompiler(p.Fset, "gc", p.openExport)
+	return p, nil
+}
+
+// openExport opens the export file `go list` named for path. A path it
+// named none for is an error; there is no other way to import it.
+func (p *Program) openExport(path string) (io.ReadCloser, error) {
+	file := p.exports[path]
+	if file == "" {
+		return nil, fmt.Errorf("loader: no export data for %s", path)
+	}
+	return os.Open(file)
+}
+
+// listStd finds the out-of-module imports of the packages in dirs and
+// of the module packages they import, transitively, and runs one `go
+// list -export -deps` over those not yet listed. The module has no
+// dependencies, so only standard paths (no dot in the first element)
+// are listed; any other import is left without export data.
+func (p *Program) listStd(dirs ...string) error {
+	var paths []string
+	seen := make(map[string]bool)
+	var visit func(dir string) error
+	visit = func(dir string) error {
+		if seen[dir] {
+			return nil
+		}
+		seen[dir] = true
+		files, err := p.parse(dir)
+		if err != nil {
+			return err
+		}
+		for _, f := range files {
+			for _, spec := range f.Imports {
+				path, _ := strconv.Unquote(spec.Path.Value)
+				if dir, ok := p.moduleDir(path); ok {
+					if err := visit(dir); err != nil {
+						return err
+					}
+					continue
+				}
+				first, _, _ := strings.Cut(path, "/")
+				if _, listed := p.exports[path]; !listed && !strings.Contains(first, ".") {
+					p.exports[path] = ""
+					paths = append(paths, path)
+				}
+			}
+		}
+		return nil
+	}
+	for _, dir := range dirs {
+		if err := visit(dir); err != nil {
+			return err
+		}
+	}
+	if len(paths) == 0 {
+		return nil
+	}
+	cmd := exec.Command("go", append([]string{"list", "-e", "-export", "-deps",
+		"-f", "{{.ImportPath}}={{.Export}}"}, paths...)...)
+	cmd.Dir = p.Root
+	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return fmt.Errorf("loader: go list -export: %v\n%s", err, stderr.String())
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		if path, file, ok := strings.Cut(line, "="); ok {
+			p.exports[path] = file
+		}
+	}
+	return nil
 }
 
 // FindModuleRoot walks up from dir to the nearest directory holding a
@@ -139,6 +221,9 @@ func (p *Program) ModulePackages() ([]*Package, error) {
 		return nil, err
 	}
 	sort.Strings(dirs)
+	if err := p.listStd(dirs...); err != nil {
+		return nil, err
+	}
 	var pkgs []*Package
 	for _, dir := range dirs {
 		rel, err := filepath.Rel(p.Root, dir)
@@ -240,49 +325,35 @@ func (p *Program) load(path string) (*Package, error) {
 	p.loading[path] = true
 	defer delete(p.loading, path)
 
-	dir := p.Root
-	if path != p.Module {
-		rest, ok := strings.CutPrefix(path, p.Module+"/")
-		if !ok {
-			return nil, fmt.Errorf("loader: %s is outside module %s", path, p.Module)
-		}
-		dir = filepath.Join(p.Root, filepath.FromSlash(rest))
+	dir, ok := p.moduleDir(path)
+	if !ok {
+		return nil, fmt.Errorf("loader: %s is outside module %s", path, p.Module)
 	}
 	return p.loadDir(dir, path)
 }
 
-// loadDir parses, partitions and type-checks the package in dir,
-// registering it (and its external test package, if any) under path.
-// Returns (nil, nil) when the directory has no buildable files.
+// moduleDir maps a module import path to its directory.
+func (p *Program) moduleDir(path string) (string, bool) {
+	if path == p.Module {
+		return p.Root, true
+	}
+	rest, ok := strings.CutPrefix(path, p.Module+"/")
+	if !ok {
+		return "", false
+	}
+	return filepath.Join(p.Root, filepath.FromSlash(rest)), true
+}
+
+// loadDir partitions and type-checks the package in dir, registering
+// it (and its external test package, if any) under path. Returns (nil,
+// nil) when the directory has no buildable files.
 func (p *Program) loadDir(dir, path string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	if err := p.listStd(dir); err != nil {
 		return nil, err
 	}
-	var files []*ast.File
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		if !p.IncludeTests && strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		// Respect build constraints (//go:build lines, GOOS/GOARCH
-		// file suffixes) the same way the go tool would.
-		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
-			continue
-		}
-		f, err := parser.ParseFile(p.Fset, filepath.Join(dir, name), nil,
-			parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, nil
+	files, err := p.parse(dir)
+	if err != nil || len(files) == 0 {
+		return nil, err
 	}
 
 	// Partition: the primary package (plain files plus same-package
@@ -321,6 +392,41 @@ func (p *Program) loadDir(dir, path string) (*Package, error) {
 	return pkg, nil
 }
 
+// parse parses the buildable Go files of dir once per session.
+func (p *Program) parse(dir string) ([]*ast.File, error) {
+	if files, ok := p.parsed[dir]; ok {
+		return files, nil
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
+			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			continue
+		}
+		if !p.IncludeTests && strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// Respect build constraints (//go:build lines, GOOS/GOARCH
+		// file suffixes) the same way the go tool would.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			continue
+		}
+		f, err := parser.ParseFile(p.Fset, filepath.Join(dir, name), nil,
+			parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	p.parsed[dir] = files
+	return files, nil
+}
+
 // check runs the go/types checker over one file set.
 func (p *Program) check(path, name, dir string, files []*ast.File) (*Package, error) {
 	info := &types.Info{
@@ -354,7 +460,7 @@ func (p *Program) check(path, name, dir string, files []*ast.File) (*Package, er
 
 // importPkg resolves one import encountered while type-checking:
 // module paths through this loader, everything else (the standard
-// library) through the source importer.
+// library) from the export data listStd found.
 func (p *Program) importPkg(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil

@@ -12,9 +12,9 @@ import (
 //     held while a node is added and never together with another
 //     tree's (readers and the combine cache take no lock);
 //   - taint map store (taintmap/store.go): shard locks come before
-//     growMu — growMu is the innermost lock, so acquiring a shard
-//     lock while holding growMu inverts the Reset/RegisterBlob order
-//     and can deadlock against them;
+//     the page table's growMu — growMu is the innermost lock, so
+//     acquiring a shard lock while holding growMu inverts the
+//     RegisterBlob/AdoptBlob order and can deadlock against them;
 //   - admission control (taintmap/server.go, PR 8): the admission
 //     semaphore is a mutex+cond pair whose admit() can block
 //     indefinitely waiting for a slot. admission.mu is therefore the
@@ -47,7 +47,7 @@ import (
 // so no cross pair is in the table.)
 //
 // Lock classes are recognized by (receiver type name, field name) —
-// Tree.mu, shard.mu, Store.growMu, admission.mu,
+// Tree.mu, shard.mu, pageTable.growMu, admission.mu,
 // ClusterClient.mu, RemoteClient.sendMu — so a refactor that renames
 // the fields must update this table (a cheap, visible cost; silently
 // losing the check would be the expensive one). The analysis is
@@ -58,7 +58,7 @@ import (
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc: "documented mutex orders: at most one taint-tree mutex; " +
-		"no shard lock while Store.growMu is held; " +
+		"no shard lock while pageTable.growMu is held; " +
 		"admission.mu (and blocking admit()) outermost; ClusterClient.mu a leaf; " +
 		"no lock, Write or channel operation under RemoteClient.sendMu",
 	Run: runLockOrder,
@@ -80,7 +80,7 @@ const (
 var lockClassName = map[lockClass]string{
 	lockTreeMu:      "Tree.mu",
 	lockShardMu:     "shard.mu",
-	lockGrowMu:      "Store.growMu",
+	lockGrowMu:      "pageTable.growMu",
 	lockAdmissionMu: "admission.mu",
 	lockClusterMu:   "ClusterClient.mu",
 	lockSendMu:      "RemoteClient.sendMu",
@@ -310,7 +310,7 @@ func lockClassOf(pass *Pass, e ast.Expr) lockClass {
 		return lockTreeMu
 	case [2]string{"shard", "mu"}:
 		return lockShardMu
-	case [2]string{"Store", "growMu"}:
+	case [2]string{"pageTable", "growMu"}:
 		return lockGrowMu
 	case [2]string{"admission", "mu"}:
 		return lockAdmissionMu

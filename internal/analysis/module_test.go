@@ -13,9 +13,9 @@ import (
 // fails this test before it ever reaches make lint.
 func TestModuleClean(t *testing.T) {
 	if raceEnabled {
-		// Type-checking the module plus its stdlib closure from source
-		// is pure overhead under the race detector; the non-race test
-		// run and make lint both cover it.
+		// Type-checking the whole module is pure overhead under the
+		// race detector; the non-race test run and make lint both
+		// cover it.
 		t.Skip("skipping whole-module analysis under -race")
 	}
 	root, err := loader.FindModuleRoot(".")

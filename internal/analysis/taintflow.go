@@ -35,7 +35,7 @@ var TaintFlow = &Analyzer{
 }
 
 func runTaintFlow(pass *Pass) {
-	if isCorePackage(pass) || pass.Index == nil {
+	if isCorePackage(pass) {
 		return
 	}
 	for _, f := range pass.Files {

@@ -1,7 +1,7 @@
 // Package lockorder seeds violations of the documented mutex orders
 // for the distavet lockorder golden test. The types mirror the shapes
 // the analyzer keys on — (type name, field name) pairs Tree.mu,
-// shard.mu, Store.growMu, admission.mu, ClusterClient.mu —
+// shard.mu, pageTable.growMu, admission.mu, ClusterClient.mu —
 // without importing the real packages, whose lock fields are
 // unexported. The admission mirror also carries the blocking admit()
 // / non-blocking release() method pair the analyzer models.
@@ -18,9 +18,14 @@ type shard struct {
 	byBlob map[string]uint32
 }
 
+// pageTable holds growMu, as the store's page table does.
+type pageTable struct {
+	growMu sync.Mutex
+}
+
 type Store struct {
 	shards [4]shard
-	growMu sync.Mutex
+	table  *pageTable
 }
 
 // admission mirrors the server's mutex+cond semaphore: admit() parks
@@ -62,10 +67,10 @@ func badTwoTrees(a, b *Tree) {
 }
 
 func badShardUnderGrow(s *Store) {
-	s.growMu.Lock()
+	s.table.growMu.Lock()
 	s.shards[0].mu.Lock() // want "shard locks come before growMu"
 	s.shards[0].mu.Unlock()
-	s.growMu.Unlock()
+	s.table.growMu.Unlock()
 }
 
 // badLoopTrees models locking a list of trees without releasing: the
@@ -87,8 +92,8 @@ func goodHandOver(a, b *Tree) {
 func goodDocumentedOrder(s *Store) {
 	// RegisterBlob's order: shard lock first, growMu inside it.
 	s.shards[1].mu.Lock()
-	s.growMu.Lock()
-	s.growMu.Unlock()
+	s.table.growMu.Lock()
+	s.table.growMu.Unlock()
 	s.shards[1].mu.Unlock()
 }
 
@@ -98,8 +103,8 @@ func goodResetPattern(s *Store) {
 	for i := range s.shards {
 		s.shards[i].mu.Lock()
 	}
-	s.growMu.Lock()
-	s.growMu.Unlock()
+	s.table.growMu.Lock()
+	s.table.growMu.Unlock()
 	for i := range s.shards {
 		s.shards[i].mu.Unlock()
 	}

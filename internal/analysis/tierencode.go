@@ -132,7 +132,7 @@ func checkPassthroughGating(pass *Pass, fd *ast.FuncDecl) {
 	if strings.Contains(fd.Name.Name, "Passthrough") {
 		return // the obligation is the callers'
 	}
-	if self, _ := pass.Info.Defs[fd.Name].(*types.Func); self != nil && pass.Index != nil {
+	if self, _ := pass.Info.Defs[fd.Name].(*types.Func); self != nil {
 		if s := pass.Index.SummaryOf(self); s != nil && s.AnyDeclaresClean() {
 			// The summary form of the same exemption: this function
 			// forwards a payload parameter into a passthrough, so the
@@ -161,10 +161,7 @@ func checkPassthroughGating(pass *Pass, fd *ast.FuncDecl) {
 			gated = true
 			return true
 		}
-		var cs *FuncSummary
-		if pass.Index != nil {
-			cs = pass.Index.SummaryOf(fn)
-		}
+		cs := pass.Index.SummaryOf(fn)
 		sig, _ := fn.Type().(*types.Signature)
 		for argIdx, arg := range call.Args {
 			owner, ok := taintedRawData(pass, arg)

@@ -12,8 +12,9 @@ import (
 )
 
 func TestIDSpaceLayout(t *testing.T) {
-	// The three id fields must tile the 32 bits without overlap — the
-	// invariant the distavet idbits analyzer also proves statically.
+	// The three id fields must tile the 32 bits without overlap, or a
+	// stream-scoped id could alias a real one and two partitions could
+	// mint the same id.
 	if scopedBit&partitionMask != 0 {
 		t.Fatalf("scoped bit overlaps partition field")
 	}

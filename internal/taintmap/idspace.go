@@ -5,7 +5,7 @@ import "fmt"
 // Global-ID bit layout for the partitioned Taint Map.
 //
 // A Global ID is 32 bits, carved into three fields that may never
-// overlap (the distavet idbits analyzer proves it statically):
+// overlap (TestIDSpaceLayout checks it on every test run):
 //
 //	bit  31      — scopedBit: scopedBit | k names the k-th taint one
 //	               stream defined inline while its sender's Taint Map

@@ -770,13 +770,13 @@ func loadModule(b *testing.B) vetModule {
 
 // side returns a side that runs the analyzers n times over the module,
 // with the interprocedural index rebuilt every time so each run pays the
-// full cost (or, against a primed fact cache, proves it can skip it).
-func (m vetModule) side(b *testing.B, as []*analysis.Analyzer, facts *analysis.FactStore, n int) func() float64 {
+// full cost.
+func (m vetModule) side(b *testing.B, as []*analysis.Analyzer, n int) func() float64 {
 	return func() float64 {
 		return perOp(n, func() {
 			for i := 0; i < n; i++ {
 				analysis.ResetIndexCache()
-				if diags := analysis.RunWithFacts(m.prog, m.pkgs, as, facts); len(diags) != 0 {
+				if diags := analysis.Run(m.prog, m.pkgs, as); len(diags) != 0 {
 					b.Fatalf("module is not distavet-clean: %s", diags[0])
 				}
 			}
@@ -784,8 +784,8 @@ func (m vetModule) side(b *testing.B, as []*analysis.Analyzer, facts *analysis.F
 	}
 }
 
-// BenchmarkInvariantDistavetSuite: the nine-analyzer interprocedural
-// suite costs at most 1.5x the original five-analyzer core — the call
+// BenchmarkInvariantDistavetSuite: the whole interprocedural suite
+// costs at most 1.5x the original five-analyzer core — the call
 // graph and summaries ride one shared index build.
 func BenchmarkInvariantDistavetSuite(b *testing.B) {
 	core, err := analysis.ByName("shadowdrop,labelcopy,errcmp,lockorder,mustcheck")
@@ -794,18 +794,5 @@ func BenchmarkInvariantDistavetSuite(b *testing.B) {
 	}
 	m := loadModule(b)
 	ratioBound{num: "Suite", den: "Core", pairs: 3, atMost: true, bound: 1.5}.check(b,
-		m.side(b, analysis.All(), nil, 1), m.side(b, core, nil, 1))
-}
-
-// BenchmarkInvariantDistavetWarm: against a primed fact cache the suite
-// replays recorded diagnostics at no more than 0.35x its cold cost.
-func BenchmarkInvariantDistavetWarm(b *testing.B) {
-	facts, err := analysis.NewFactStore(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := loadModule(b)
-	m.side(b, analysis.All(), facts, 1)() // prime the cache
-	ratioBound{num: "SuiteWarm", den: "Suite", pairs: 3, atMost: true, bound: 0.35}.check(b,
-		m.side(b, analysis.All(), facts, 3), m.side(b, analysis.All(), nil, 1))
+		m.side(b, analysis.All(), 1), m.side(b, core, 1))
 }
