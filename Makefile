@@ -164,8 +164,9 @@ invariants:
 # repository's benchmark (BENCHMARK.json): cmd/benchab builds ./benchmark
 # at BASE (its `git archive` unpacked under a temporary directory — set
 # TMPDIR where /tmp is off limits) and here, prints each binary's
-# instrument.adoptGroups address mod 64 (dense_bulk follows it; with
-# instrument.putDense's, its per-byte loop, where there is one), runs
+# address mod 64 of every function holding a dense_bulk per-byte loop
+# (adoptGroups, putDense, encodeDense, the store's forEach, SetLabel;
+# dense_bulk follows their placement), runs
 # PAIRS alternating pairs with identical -seed/-seconds, and prints per
 # end-to-end metric each side's median and quartiles, the pairs the
 # change won and the verdict (a gain needs >= 9/10 wins and medians

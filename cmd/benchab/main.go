@@ -6,11 +6,11 @@
 // run one workload in alternating pairs with identical seed and run
 // length, and every end-to-end metric gets each side's median and
 // quartiles, the pairs the change won, and a verdict. Each binary's
-// instrument.adoptGroups address mod 64 is printed too, and "placement
-// differs" when the two disagree: dense_bulk moves by a few percent with
-// the cache line that function starts on, so a dense_bulk reading is only
-// judged beside it; so is instrument.putDense's, its per-byte loop, where
-// the binary has one.
+// address mod 64 of every function holding one of dense_bulk's per-byte
+// loops (denseLoops) is printed too, and "placement differs" names those
+// where the two disagree: dense_bulk moves by several percent with the
+// cache line such a loop starts on, so a dense_bulk reading is only
+// judged beside them.
 //
 //	go run ./cmd/benchab -base HEAD~1 -workload dense_bulk [-pairs 10] [-seed 1] [-seconds 20]
 //
@@ -114,7 +114,7 @@ func compare(ctx context.Context, base, workload string, pairs, seed int, second
 		{"base", tree, filepath.Join(tmp, "bench-base")},
 		{"change", ".", filepath.Join(tmp, "bench-change")},
 	}
-	var placed [2]uint64
+	var placed [2][]uint64 // per side, each dense loop's address (0: absent)
 	for i, s := range sides {
 		if err := run(ctx, s.dir, "go", "build", "-o", s.bin, pkg); err != nil {
 			return fmt.Errorf("building %s at the %s: %w", pkg, s.name, err)
@@ -123,19 +123,24 @@ func compare(ctx context.Context, base, workload string, pairs, seed int, second
 		if err != nil {
 			return err
 		}
-		addr, ok := lineAt(syms, adoptGroups)
-		if !ok {
-			fmt.Printf("%s: instrument.adoptGroups not in the binary\n", s.name)
-			continue
-		}
-		placed[i] = addr
-		fmt.Printf("%s: instrument.adoptGroups at %#x (mod 64: %d)\n", s.name, addr, addr%64)
-		if addr, ok := lineAt(syms, putDense); ok {
-			fmt.Printf("%s: instrument.putDense at %#x (mod 64: %d)\n", s.name, addr, addr%64)
+		for _, loop := range denseLoops {
+			addr, ok := lineAt(syms, loop)
+			placed[i] = append(placed[i], addr)
+			if !ok {
+				fmt.Printf("%s: %s not in the binary\n", s.name, short(loop[0]))
+				continue
+			}
+			fmt.Printf("%s: %s at %#x (mod 64: %d)\n", s.name, short(loop[0]), addr, addr%64)
 		}
 	}
-	if placed[0] != 0 && placed[1] != 0 && placed[0]%64 != placed[1]%64 {
-		fmt.Println("placement differs: adoptGroups starts at another offset in its cache line")
+	var moved []string
+	for k, loop := range denseLoops {
+		if a, b := placed[0][k], placed[1][k]; a != 0 && b != 0 && a%64 != b%64 {
+			moved = append(moved, short(loop[0]))
+		}
+	}
+	if len(moved) > 0 {
+		fmt.Printf("placement differs (another offset in the cache line): %s\n", strings.Join(moved, ", "))
 	}
 
 	var got [2][]report
@@ -248,12 +253,22 @@ func quartiles(xs []float64) (q1, med, q3 float64) {
 	return at(0.25), at(0.5), at(0.75)
 }
 
-// adoptGroups is the symbol dense_bulk's placement follows, by both names.
-var adoptGroups = []string{"dista/internal/instrument.(*streamReader).adoptGroups", "dista/internal/instrument.adoptGroups"}
+// denseLoops are the functions that hold dense_bulk's per-byte loops,
+// each by every name it has had: adoptGroups and putDense on the way in,
+// encodeDense on the way out, the store's run walk and SetLabel in the
+// labelling. A dense_bulk reading moves by several percent with the
+// offset in its cache line that any of them starts at, and with no
+// change in behaviour, so each one's is printed and compared.
+var denseLoops = [][]string{
+	{"dista/internal/instrument.(*streamReader).adoptGroups", "dista/internal/instrument.adoptGroups"},
+	{"dista/internal/instrument.(*streamReader).putDense"},
+	{"dista/internal/instrument.encodeDense"},
+	{"dista/internal/core/taint.(*shadow).forEach"},
+	{"dista/internal/core/taint.(*Bytes).SetLabel"},
+}
 
-// putDense holds adoptGroups' per-byte loop (pass 2); where a binary has
-// it, its placement is printed beside adoptGroups'.
-var putDense = []string{"dista/internal/instrument.(*streamReader).putDense"}
+// short drops the module's internal prefix from a symbol name.
+func short(sym string) string { return strings.TrimPrefix(sym, "dista/internal/") }
 
 // lineAt finds one of syms in `go tool nm` output and returns its
 // address.

@@ -70,12 +70,12 @@ func calleeFuncInfo(info *types.Info, call *ast.CallExpr) *types.Func {
 }
 
 // isBuiltin reports whether the call invokes the named builtin.
-func isBuiltin(pass *Pass, call *ast.CallExpr, name string) bool {
+func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
 	id, ok := unparen(call.Fun).(*ast.Ident)
 	if !ok || id.Name != name {
 		return false
 	}
-	b, ok := pass.Info.Uses[id].(*types.Builtin)
+	b, ok := info.Uses[id].(*types.Builtin)
 	return ok && b.Name() == name
 }
 

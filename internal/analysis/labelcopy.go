@@ -72,9 +72,9 @@ func checkLabelCopy(pass *Pass, body *ast.BlockStmt) {
 			return true
 		}
 		switch {
-		case isBuiltin(pass, call, "copy"), isBuiltin(pass, call, "append"):
+		case isBuiltin(pass.Info, call, "copy"), isBuiltin(pass.Info, call, "append"):
 			verb := "copy"
-			if isBuiltin(pass, call, "append") {
+			if isBuiltin(pass.Info, call, "append") {
 				verb = "append"
 			}
 			for _, arg := range call.Args {

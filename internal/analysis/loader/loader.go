@@ -146,7 +146,6 @@ func (p *Program) listStd(dirs ...string) error {
 	cmd := exec.Command("go", append([]string{"list", "-e", "-export", "-deps",
 		"-f", "{{.ImportPath}}={{.Export}}"}, paths...)...)
 	cmd.Dir = p.Root
-	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
 	var stderr strings.Builder
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()

@@ -215,9 +215,9 @@ func (idx *Index) evalSummary(fn *types.Func) *FuncSummary {
 	})
 
 	// deriveMap: local object → the byte parameter it is an identity
-	// (or reslice) alias of. Deriving through .Data is deliberately
-	// NOT a forward: handing the .Data of a tracked value anywhere is
-	// the sink event itself, owned by shadowdrop/taintflow.
+	// (or reslice, or append) alias of. Deriving through .Data is
+	// deliberately NOT a forward: handing the .Data of a tracked value
+	// anywhere is the sink event itself, owned by shadowdrop/taintflow.
 	deriveMap := make(map[types.Object]int)
 	var resolveParam func(e ast.Expr) (int, bool)
 	resolveParam = func(e ast.Expr) (int, bool) {
@@ -225,6 +225,12 @@ func (idx *Index) evalSummary(fn *types.Func) *FuncSummary {
 			switch v := unparen(e).(type) {
 			case *ast.SliceExpr:
 				e = v.X
+			case *ast.CallExpr:
+				// append(p, …) carries p's bytes on, whatever array it returns.
+				if !isBuiltin(info.pkg.Info, v, "append") || len(v.Args) == 0 {
+					return -1, false
+				}
+				e = v.Args[0]
 			case *ast.Ident:
 				obj := info.pkg.Info.Uses[v]
 				if obj == nil {

@@ -40,6 +40,16 @@ func localEscape(w io.Writer, b taint.Bytes) {
 	w.Write(d) // want "reach Writer.Write through a local binding"
 }
 
+// logRecord writes its parameter with a newline appended: append
+// carries the parameter's bytes into what it returns, so they escape.
+func logRecord(w io.Writer, rec []byte) {
+	w.Write(append(rec, '\n'))
+}
+
+func launderAppend(w io.Writer, body taint.Bytes) {
+	logRecord(w, body.Data) // want "laundered through logRecord"
+}
+
 // rawView returns the raw storage of its argument; callers receive
 // label-less tracked bytes (ReturnsRaw in the summary).
 func rawView(b taint.Bytes) []byte {

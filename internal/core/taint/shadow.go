@@ -25,7 +25,9 @@ import "sync/atomic"
 //
 // The arrays outlive the representation. A store that was reset keeps
 // its retired dense array and its run array, and the next densify
-// takes them back: relabelling a pooled buffer allocates nothing.
+// takes them back: relabelling a pooled buffer allocates nothing, and a
+// fragmented refill of a store that went dense takes its array back
+// past denseMinRuns runs.
 
 // labelRun is one maximal interval of bytes sharing a single label.
 // The run covers [start, end) where start is the previous run's end
@@ -116,7 +118,9 @@ func (s *shadow) isClean() bool {
 // at the next reset went unused for a whole fill, which stayed in run
 // mode: it is dropped, so a buffer that densified once holds the 8 B
 // per byte (and the nodes the array points at) for one reset cycle, not
-// for its life.
+// for its life. While it is held, a write that leaves more than
+// denseMinRuns runs densifies into it at once (fragmented): the last
+// fill went dense, and the refill is taken to be like it.
 func (s *shadow) reset(n int) {
 	s.spare, s.dense = s.dense, nil
 	s.runs = append(s.runs[:0], labelRun{end: n})
@@ -227,9 +231,11 @@ func (s *shadow) splice(i, j int, segs []labelRun) {
 }
 
 // fragmented reports whether a run-mode store holding the given number
-// of runs is past the point where interval bookkeeping pays off.
+// of runs is past the point where interval bookkeeping pays off. A store
+// holding a spare large enough went dense last fill: past denseMinRuns
+// it takes the spare back at once rather than at coverage>>3 runs.
 func (s *shadow) fragmented(runs int) bool {
-	return runs > denseMinRuns && runs > s.cov()>>denseCutoffShift
+	return runs > denseMinRuns && (runs > s.cov()>>denseCutoffShift || cap(s.spare) >= s.cov())
 }
 
 // maybeDensify converts to the dense representation when the run list

@@ -96,6 +96,7 @@ func TestShadowMatchesDenseModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const size, spare = 257, 9 // the store covers size bytes of size+spare
 	var past [2]int            // dense windows past coverage behind an untainted, a tainted last label
+	early := 0                 // per-byte refills that densified a reset store
 	for iter := 0; iter < 50; iter++ {
 		b := Bytes{Data: make([]byte, size, size+spare), sh: newShadow(size)}
 		model := make(denseModel, size)
@@ -110,9 +111,23 @@ func TestShadowMatchesDenseModel(t *testing.T) {
 			case 3:
 				if rng.Intn(24) == 0 {
 					// The pooling reset: whatever comes next refills the
-					// retired arrays, which must not show through.
+					// retired arrays, which must not show through. A
+					// store that was dense gets a per-byte burst next,
+					// at most 30 runs, which densifies it by the early
+					// refill rule only (cov>>3 is 32 runs here).
+					wasDense := b.sh.dense != nil
 					b.ResetLabels()
 					clear(model)
+					if wasDense {
+						end := min(size, from+17+rng.Intn(12))
+						for i := from; i < end; i++ {
+							b.SetLabel(i, tags[i%len(tags)])
+							model[i] = tags[i%len(tags)]
+						}
+						if b.sh.dense != nil {
+							early++
+						}
+					}
 					checkDenseView(t, b, model, from, to)
 					break
 				}
@@ -225,6 +240,9 @@ func TestShadowMatchesDenseModel(t *testing.T) {
 	}
 	if past[0] == 0 || past[1] == 0 {
 		t.Fatalf("dense stores walked past coverage behind an untainted / a tainted last label: %d / %d times", past[0], past[1])
+	}
+	if early == 0 {
+		t.Fatal("no per-byte refill of a reset dense store densified early")
 	}
 }
 
@@ -538,6 +556,78 @@ func TestResetRefillReusesArrays(t *testing.T) {
 	b.ResetLabels()
 	if b.sh.spare != nil || b.sh.dense != nil {
 		t.Error("a dense array unused for a whole reset cycle is still retained")
+	}
+}
+
+// TestRefillDensifiesEarly pins when a reset store goes dense again. A
+// refill of a store whose last fill went dense takes the retired array
+// back as soon as it passes denseMinRuns runs, whether the runs come one
+// SetLabel at a time or announced to WriteLabels. A first fill, which
+// has no retired array, and a refill whose retired array is too small
+// for the store wait for coverage>>denseCutoffShift runs as before.
+func TestRefillDensifiesEarly(t *testing.T) {
+	tr := NewTree()
+	pair := [2]Taint{tr.NewSource("x", "l"), tr.NewSource("y", "l")}
+	const n = 8192
+	b := WrapBytes(make([]byte, n))
+	perByte := func(b *Bytes, upto int) {
+		for i := 0; i < upto; i++ {
+			b.SetLabel(i, pair[i&1])
+		}
+	}
+
+	perByte(&b, 1000) // 1,001 runs, not past n>>3
+	if b.sh.dense != nil {
+		t.Fatal("a first fill densified before coverage>>3 runs")
+	}
+	perByte(&b, n)
+	if b.sh.dense == nil {
+		t.Fatal("a first per-byte fill never densified")
+	}
+
+	b.ResetLabels()
+	perByte(&b, 15)
+	if b.sh.dense != nil {
+		t.Fatal("15 per-byte writes (16 runs) densified the store")
+	}
+	perByte(&b, 17)
+	if b.sh.dense == nil {
+		t.Fatal("a per-byte refill of a store that went dense is not dense by its 17th write")
+	}
+	for i := 0; i < n; i++ {
+		if want := pair[i&1]; i >= 17 && !b.LabelAt(i).Empty() || i < 17 && b.LabelAt(i) != want {
+			t.Fatalf("byte %d after a 17-byte refill into the retired array reads %v", i, b.LabelAt(i))
+		}
+	}
+
+	// A delivery of 20 runs into a reset store holding a retired array
+	// lands in that array.
+	array := &b.sh.dense[0]
+	b.ResetLabels()
+	w := b.WriteLabels(0, 40, 20)
+	if b.sh.dense == nil || &b.sh.dense[0] != array {
+		t.Fatal("a 20-run delivery into a reset store did not take its retired array back")
+	}
+	for i := 0; i < 20; i++ {
+		w.Put(2, pair[i&1])
+	}
+	for i := 0; i < n; i++ {
+		if want := pair[i/2&1]; i >= 40 && !b.LabelAt(i).Empty() || i < 40 && b.LabelAt(i) != want {
+			t.Fatalf("byte %d after a 20-run delivery into the retired array reads %v", i, b.LabelAt(i))
+		}
+	}
+
+	// A retired array smaller than the store is not taken back early.
+	small := Bytes{Data: make([]byte, 64, n), sh: newShadow(64)}
+	perByte(&small, 64)
+	if small.sh.dense == nil {
+		t.Fatal("alternating labels must densify the store")
+	}
+	wide := small.Slice(0, n) // resliced into spare capacity
+	wide.ResetLabels()
+	perByte(&wide, 100)
+	if wide.sh.dense != nil {
+		t.Fatal("a refill densified early into a retired array smaller than the store")
 	}
 }
 

@@ -84,7 +84,7 @@ func TestCallTimeoutOnVirtualClock(t *testing.T) {
 		_, err := c.Register(tree.NewSource("frozen", "n:1"))
 		done <- err
 	}()
-	waitUntil(t, "the register to be pending", func() bool { return pendingCalls(c) == 1 })
+	waitUntil(t, "the register to be pending", func() bool { return pendingCalls(t, c) == 1 })
 	time.Sleep(2 * timeout) // wall time that must not move the call timer
 	vc.Advance(timeout - time.Nanosecond)
 	select {
@@ -92,7 +92,7 @@ func TestCallTimeoutOnVirtualClock(t *testing.T) {
 		t.Fatalf("register returned %v one nanosecond before the call timeout", err)
 	default:
 	}
-	if p := pendingCalls(c); p != 1 {
+	if p := pendingCalls(t, c); p != 1 {
 		t.Fatalf("%d calls pending one nanosecond before the call timeout, want 1", p)
 	}
 	vc.Advance(time.Nanosecond)

@@ -102,16 +102,37 @@ func countedClient(t *testing.T, n *netsim.Network, addr string, tree *taint.Tre
 	return newRemoteClientWith(cc, tree, &cache{}, timeout, netsim.WallClock{}), cc
 }
 
+// helperWait bounds every wait of the helpers below, so a client that
+// stops making progress fails the test within seconds rather than
+// hanging the package until go test's timeout.
+const helperWait = 10 * time.Second
+
+// lockWithin takes mu, polling TryLock, and fails the test naming the
+// lock if it is still held after helperWait: a send that writes while
+// holding sendMu would otherwise park the helper in Lock for good.
+func lockWithin(t *testing.T, mu *sync.Mutex, name string) {
+	t.Helper()
+	deadline := time.Now().Add(helperWait)
+	for !mu.TryLock() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s is still held after %v", name, helperWait)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // buffered returns a copy of the client's unwritten outbound bytes.
-func buffered(c *RemoteClient) []byte {
-	c.sendMu.Lock()
+func buffered(t *testing.T, c *RemoteClient) []byte {
+	t.Helper()
+	lockWithin(t, &c.sendMu, "sendMu")
 	defer c.sendMu.Unlock()
 	return append([]byte(nil), c.out...)
 }
 
 // pendingCalls returns how many calls the client is waiting on.
-func pendingCalls(c *RemoteClient) int {
-	c.pmu.Lock()
+func pendingCalls(t *testing.T, c *RemoteClient) int {
+	t.Helper()
+	lockWithin(t, &c.pmu, "pmu")
 	defer c.pmu.Unlock()
 	return len(c.pending)
 }
@@ -120,9 +141,9 @@ func pendingCalls(c *RemoteClient) int {
 // frames behind the write in progress.
 func waitBuffered(t *testing.T, c *RemoteClient, want int) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(helperWait)
 	for {
-		if got := len(frames(t, [][]byte{buffered(c)})); got == want {
+		if got := len(frames(t, [][]byte{buffered(t, c)})); got == want {
 			return
 		} else if time.Now().After(deadline) {
 			t.Fatalf("outbound buffer holds %d frames, want %d", got, want)
@@ -197,9 +218,9 @@ func TestLoneCallerWritesOncePerRequest(t *testing.T) {
 	if _, err := c.call(opRegisterBatchTag, make([]byte, maxFrame+1), time.Time{}); !errors.Is(err, errProtocol) {
 		t.Fatalf("oversize payload = %v, want errProtocol", err)
 	}
-	if writes := len(cc.snapshot()); writes != len(want) || len(buffered(c)) != 0 || pendingCalls(c) != 0 {
+	if writes := len(cc.snapshot()); writes != len(want) || len(buffered(t, c)) != 0 || pendingCalls(t, c) != 0 {
 		t.Fatalf("refused payload left %d writes, %d buffered bytes, %d pending calls",
-			writes-len(want), len(buffered(c)), pendingCalls(c))
+			writes-len(want), len(buffered(t, c)), pendingCalls(t, c))
 	}
 
 	var big []taint.Taint
@@ -546,14 +567,14 @@ func TestSendBufferIsBounded(t *testing.T) {
 		done <- err
 	}()
 	waitBuffered(t, c, 1)
-	before := len(buffered(c))
+	before := len(buffered(t, c))
 
 	_, err = c.call(opStatsTag, nil, time.Now().Add(30*time.Millisecond))
 	if !errors.Is(err, ErrDeadlineExceeded) || !strings.Contains(err.Error(), "not sent") {
 		t.Fatalf("call against a full send buffer = %v, want ErrDeadlineExceeded (not sent)", err)
 	}
-	if after := len(buffered(c)); after != before || pendingCalls(c) != 2 {
-		t.Fatalf("refused call left %d buffered bytes (was %d) and %d pending calls (want 2)", after, before, pendingCalls(c))
+	if after := len(buffered(t, c)); after != before || pendingCalls(t, c) != 2 {
+		t.Fatalf("refused call left %d buffered bytes (was %d) and %d pending calls (want 2)", after, before, pendingCalls(t, c))
 	}
 
 	// Once the transport moves the buffer drains and a waiting caller
